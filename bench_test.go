@@ -284,22 +284,27 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 }
 
 // BenchmarkContactThroughput measures messages synced per contact-second
-// between two live nodes whose stores have seen 1k/10k/100k authors — the
-// §VI-bounding quantity the delta-sync plane holds flat as the summary
+// between two live nodes whose stores have seen 1k/10k/100k/1M authors —
+// the §VI-bounding quantity the delta-sync plane holds flat as the summary
 // dictionary grows. Run with -benchtime=1x: each iteration is already a
 // complete measured contact (the lab harness does its own averaging over
-// the posts in the contact).
+// the posts in the contact). The benchmark fails when the curve is not
+// flat: growing the store 100× (1k → 100k authors) must not double the
+// allocations per synced message, a ratio that holds on any machine. The
+// 1M tier is reported only.
 func BenchmarkContactThroughput(b *testing.B) {
-	for _, authors := range []int{1_000, 10_000, 100_000} {
-		posts := 200
-		if authors >= 100_000 {
-			posts = 100 // preload dominates; keep the total bounded
-		}
-		b.Run(fmt.Sprintf("authors=%d", authors), func(b *testing.B) {
+	allocsPerMsg := make(map[int]float64)
+	for _, cfg := range []lab.ContactConfig{
+		{Authors: 1_000, Posts: 200},
+		{Authors: 10_000, Posts: 200},
+		{Authors: 100_000, Posts: 100}, // preload dominates; keep the total bounded
+		{Authors: 1_000_000, Posts: 50},
+	} {
+		b.Run(fmt.Sprintf("authors=%d", cfg.Authors), func(b *testing.B) {
 			var res lab.ContactResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = lab.RunContact(lab.ContactConfig{Authors: authors, Posts: posts})
+				res, err = lab.RunContact(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -307,7 +312,13 @@ func BenchmarkContactThroughput(b *testing.B) {
 			b.ReportMetric(res.MsgsPerSec, "msgs/contact-sec")
 			b.ReportMetric(res.AllocsPerMsg, "allocs/msg")
 			b.ReportMetric(res.BytesPerMsg, "B/msg")
+			allocsPerMsg[cfg.Authors] = res.AllocsPerMsg
 		})
+	}
+	// Both tiers are absent when -bench selected neither.
+	if small, big := allocsPerMsg[1_000], allocsPerMsg[100_000]; small > 0 && big > 2*small {
+		b.Fatalf("flatness: allocs/msg grew %.1fx from 1k to 100k authors (%.1f → %.1f), allowed 2x",
+			big/small, small, big)
 	}
 }
 
@@ -315,8 +326,8 @@ func BenchmarkContactThroughput(b *testing.B) {
 // in-silico scaling bottleneck the spatial grid index removed — at
 // 100/1k/5k nodes under constant fleet density, grid vs the old O(N²)
 // pairwise sweep. ns/op is the cost of one tick; checks/tick is the
-// machine-independent candidate-pair count sosbench gates against
-// BENCH_baseline.json (pairwise distance-tests every active pair each
+// machine-independent candidate-pair count internal/sim's grid test
+// bounds at the 1k fleet (pairwise distance-tests every active pair each
 // tick, the grid a near-constant handful per node, so per-tick cost
 // grows ~linearly in occupied cells).
 func BenchmarkSimContacts(b *testing.B) {
@@ -500,7 +511,7 @@ func BenchmarkLiveDelivery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		got := make(chan struct{})
+		got := make(chan struct{}, 1) // OnReceive may fire before the wait below
 		alice, err := sos.NewNode(sos.NodeConfig{Creds: aliceCreds, Medium: medium})
 		if err != nil {
 			b.Fatal(err)

@@ -2,8 +2,9 @@
 // file and reports the paper's §VI quantities — delivery ratios, delay
 // CDF, dissemination counts — aggregated from the fleet's live telemetry
 // streams. It is the reproduction's version of the remote-monitoring
-// platform the companion demo paper describes: where sosbench sweeps the
-// in-silico simulator, soslab measures real processes on real sockets.
+// platform the companion demo paper describes: where the bench_test.go
+// ablations sweep the in-silico simulator, soslab measures real processes
+// on real sockets.
 //
 //	soslab -spec examples/soslab-fleet/fleet.json
 //	soslab -spec fleet.json -mode process -sosd ./sosd -out report.json -csv delays.csv

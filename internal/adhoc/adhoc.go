@@ -65,6 +65,10 @@ var (
 // callback returns (a Batch's messages alias the decrypted frame buffer);
 // handlers that retain message contents must clone first.
 type Handler interface {
+	// Bind hands the handler its manager. New calls it before joining the
+	// medium, so the first event — a beacon already on the air can arrive
+	// before Join returns — finds a handler that can dial.
+	Bind(m *Manager)
 	// PeerDiscovered fires when a peer's plain-text advertisement is seen
 	// (new peer, or refreshed summary).
 	PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement)
@@ -121,8 +125,11 @@ type Stats struct {
 
 // Manager is the ad hoc manager for one device.
 type Manager struct {
-	cfg      Config
+	cfg Config
+	// endpoint is set once Join returns, which closes joined; Connect,
+	// the one endpoint user an early event can reach, waits on it.
 	endpoint mpc.Endpoint
+	joined   chan struct{}
 
 	mu     sync.Mutex
 	conns  map[mpc.Conn]*connState
@@ -183,7 +190,8 @@ func (m *Manager) contactTrack(peer mpc.PeerID) uint64 {
 	return m.cfg.Tracer.Track("contact " + string(peer))
 }
 
-// New attaches a manager to the medium and starts browsing.
+// New binds the handler to a new manager, then attaches the manager to
+// the medium and starts browsing.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Medium == nil || cfg.Ident == nil || cfg.Handler == nil || cfg.Verifier == nil {
 		return nil, errors.New("adhoc: config requires Medium, Ident, Verifier, and Handler")
@@ -198,15 +206,18 @@ func New(cfg Config) (*Manager, error) {
 		cfg.Rand = rand.Reader
 	}
 	m := &Manager{
-		cfg:   cfg,
-		conns: make(map[mpc.Conn]*connState),
-		links: make(map[mpc.PeerID]*Link),
+		cfg:    cfg,
+		conns:  make(map[mpc.Conn]*connState),
+		links:  make(map[mpc.PeerID]*Link),
+		joined: make(chan struct{}),
 	}
+	cfg.Handler.Bind(m)
 	ep, err := cfg.Medium.Join(cfg.PeerName, (*events)(m))
 	if err != nil {
 		return nil, fmt.Errorf("adhoc: joining medium: %w", err)
 	}
 	m.endpoint = ep
+	close(m.joined)
 	return m, nil
 }
 
@@ -284,6 +295,7 @@ func (m *Manager) Connect(peer mpc.PeerID) error {
 	}
 	m.mu.Unlock()
 
+	<-m.joined
 	conn, err := m.endpoint.Connect(peer)
 	if err != nil {
 		return fmt.Errorf("adhoc: connecting to %s: %w", peer, err)

@@ -28,6 +28,7 @@ func newCapture() *capture {
 	return &capture{discovered: make(map[mpc.PeerID]*wire.Advertisement)}
 }
 
+func (c *capture) Bind(*Manager)                                          {}
 func (c *capture) PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement) { c.discovered[peer] = ad }
 func (c *capture) PeerGone(peer mpc.PeerID)                               { c.gone = append(c.gone, peer) }
 func (c *capture) LinkUp(link *Link)                                      { c.ups = append(c.ups, link) }
@@ -568,6 +569,7 @@ type chanHandler struct {
 	recv chan wire.Frame
 }
 
+func (h *chanHandler) Bind(*Manager)                                  {}
 func (h *chanHandler) PeerDiscovered(mpc.PeerID, *wire.Advertisement) {}
 func (h *chanHandler) PeerGone(mpc.PeerID)                            {}
 func (h *chanHandler) LinkUp(l *Link) {

@@ -114,9 +114,6 @@ func NewByzantine(cfg ByzantineConfig) (*Byzantine, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.mu.Lock()
-	b.mgr = mgr
-	b.mu.Unlock()
 	if err := mgr.Advertise(b.fakeAd()); err != nil {
 		mgr.Close()
 		return nil, err
@@ -165,16 +162,18 @@ func (b *Byzantine) fakeUserLocked() id.UserID {
 // byzantineHandler is the adhoc.Handler face of the attacker.
 type byzantineHandler Byzantine
 
+func (h *byzantineHandler) Bind(mgr *adhoc.Manager) {
+	b := (*Byzantine)(h)
+	b.mu.Lock()
+	b.mgr = mgr
+	b.mu.Unlock()
+}
+
 func (h *byzantineHandler) PeerDiscovered(peer mpc.PeerID, _ *wire.Advertisement) {
 	b := (*Byzantine)(h)
-	// Discovery can fire before NewByzantine finishes wiring the
-	// manager; read it under the lock and let the next beacon retry.
 	b.mu.Lock()
 	mgr := b.mgr
 	b.mu.Unlock()
-	if mgr == nil {
-		return
-	}
 	// Attack everyone in range: connect on every discovery.
 	if err := mgr.Connect(peer); err != nil {
 		b.cfg.Logf("byzantine: connect %s: %v", peer, err)

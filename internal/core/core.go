@@ -376,10 +376,10 @@ func New(cfg Config) (*Middleware, error) {
 		SessionConfig:    mw.sessionConfig,
 	})
 	if err != nil {
+		msgMgr.Close()
 		replay.Close()
 		return nil, fmt.Errorf("core: building ad hoc manager: %w", err)
 	}
-	msgMgr.Bind(adhocMgr)
 	mw.msgMgr = msgMgr
 	mw.adhocMgr = adhocMgr
 	if err := mw.msgMgr.Advertise(); err != nil {
@@ -568,8 +568,8 @@ func (mw *Middleware) OpenDirect(m *msg.Message) ([]byte, error) {
 	return plain, nil
 }
 
-// SecureStats snapshots this node's secure-layer counters (scoped — not
-// the process-wide aggregate secure.ReadStats returns).
+// SecureStats snapshots this node's secure-layer counters: its sessions,
+// replay store and prekey store, and nothing else in the process.
 func (mw *Middleware) SecureStats() secure.Stats { return mw.secRec.Read() }
 
 // PrekeysRemaining reports the unissued one-time prekey pool depth (0

@@ -64,6 +64,9 @@ func (w *world) node(handle, scheme string) *node {
 		PeerName: mpc.PeerID(handle + "-phone"),
 		Scheme:   scheme,
 		Clock:    w.clk,
+		// SimMedium is single-threaded: no wall-clock timer goroutines.
+		ResyncInterval:   -1,
+		HandshakeTimeout: -1,
 		OnReceive: func(m *msg.Message, from id.UserID) {
 			n.received = append(n.received, m)
 		},

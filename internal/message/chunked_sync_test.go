@@ -197,7 +197,6 @@ func TestChunkedFullSyncInterleavesBatches(t *testing.T) {
 		t.Fatalf("adhoc.New(alice): %v", err)
 	}
 	t.Cleanup(func() { aliceAd.Close() })
-	mgr.Bind(aliceAd)
 
 	bob := &requestingCapture{}
 	bobAd := scriptedPeer(t, medium, svc, "bob", "bob-phone", bob)
@@ -325,7 +324,6 @@ func TestDisjointStripeConcurrentSync(t *testing.T) {
 		t.Fatalf("adhoc.New(alice): %v", err)
 	}
 	t.Cleanup(func() { aliceAd.Close() })
-	mgr.Bind(aliceAd)
 
 	bob := &frameCapture{}
 	bobAd := scriptedPeer(t, medium, svc, "bob", "bob-phone", bob)

@@ -296,8 +296,8 @@ type inflightEntry struct {
 
 var _ adhoc.Handler = (*Manager)(nil)
 
-// New builds a message manager. Bind must be called with the ad hoc
-// manager before any traffic flows.
+// New builds a message manager. It is passed to adhoc.New as the
+// Handler, which binds it to the ad hoc manager before any traffic flows.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Store == nil || cfg.Routing == nil || cfg.Verifier == nil {
 		return nil, errors.New("message: config requires Store, Routing, and Verifier")
@@ -318,9 +318,10 @@ func New(cfg Config) (*Manager, error) {
 	}, nil
 }
 
-// Bind attaches the ad hoc manager (two-phase construction: the ad hoc
-// manager needs this Manager as its Handler, and this Manager needs the
-// ad hoc manager to connect and advertise).
+// Bind implements adhoc.Handler: it attaches the ad hoc manager
+// (two-phase construction: the ad hoc manager needs this Manager as its
+// Handler, and this Manager needs the ad hoc manager to connect and
+// advertise) and starts the resync heartbeat.
 func (m *Manager) Bind(a *adhoc.Manager) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -264,6 +264,7 @@ type frameCapture struct {
 	frames []wire.Frame
 }
 
+func (c *frameCapture) Bind(*adhoc.Manager)                            {}
 func (c *frameCapture) PeerDiscovered(mpc.PeerID, *wire.Advertisement) {}
 func (c *frameCapture) PeerGone(mpc.PeerID)                            {}
 func (c *frameCapture) LinkUp(link *adhoc.Link) {
@@ -361,7 +362,6 @@ func newSyncHarness(t *testing.T) *syncHarness {
 		t.Fatalf("adhoc.New(alice): %v", err)
 	}
 	t.Cleanup(func() { aliceAd.Close() })
-	mgr.Bind(aliceAd)
 
 	bobVerifier, err := pki.NewVerifier(bobCreds.RootDER, nil)
 	if err != nil {

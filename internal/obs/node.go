@@ -6,7 +6,6 @@ import (
 	"sos/internal/chaos"
 	"sos/internal/core"
 	"sos/internal/netmedium"
-	"sos/internal/secure"
 	"sos/internal/telemetry"
 )
 
@@ -182,26 +181,21 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return ch.Stats().PartitionsHealed })
 	}
 
-	// AEAD counters. With a Middleware present they bridge that node's
-	// scoped recorder (parallel fleets in one process stay separated);
-	// without one they fall back to the process-wide aggregate.
-	secStats := func() secure.Stats { return secure.ReadStats() }
+	// AEAD counters, from the node's scoped recorder (parallel fleets in
+	// one process stay separated).
 	if mw := nm.Middleware; mw != nil {
-		secStats = mw.SecureStats
-	}
-	reg.CounterFunc("sos_secure_seals_total", "Frames sealed.", nil,
-		func() uint64 { return secStats().Seals })
-	reg.CounterFunc("sos_secure_opens_total", "Frames authenticated and opened.", nil,
-		func() uint64 { return secStats().Opens })
-	reg.CounterFunc("sos_secure_seal_failures_total", "Seal calls rejected (closed session, exhausted sequence space).", nil,
-		func() uint64 { return secStats().SealFailures })
-	reg.CounterFunc("sos_secure_open_failures_total", "Frames rejected: short, replayed, epoch out of window, or failing authentication.", nil,
-		func() uint64 { return secStats().OpenFailures })
-	reg.CounterFunc("sos_secure_rotations_total", "Epoch key rotations completed (send ratchet steps, receive epoch adoptions, signed-prekey rotations).", nil,
-		func() uint64 { return secStats().Rotations })
-	reg.CounterFunc("sos_secure_replay_rejected_total", "Frames and envelope nonces rejected by replay checks.", nil,
-		func() uint64 { return secStats().ReplayRejected })
-	if mw := nm.Middleware; mw != nil {
+		reg.CounterFunc("sos_secure_seals_total", "Frames sealed.", nil,
+			func() uint64 { return mw.SecureStats().Seals })
+		reg.CounterFunc("sos_secure_opens_total", "Frames authenticated and opened.", nil,
+			func() uint64 { return mw.SecureStats().Opens })
+		reg.CounterFunc("sos_secure_seal_failures_total", "Seal calls rejected (closed session, exhausted sequence space).", nil,
+			func() uint64 { return mw.SecureStats().SealFailures })
+		reg.CounterFunc("sos_secure_open_failures_total", "Frames rejected: short, replayed, epoch out of window, or failing authentication.", nil,
+			func() uint64 { return mw.SecureStats().OpenFailures })
+		reg.CounterFunc("sos_secure_rotations_total", "Epoch key rotations completed (send ratchet steps, receive epoch adoptions, signed-prekey rotations).", nil,
+			func() uint64 { return mw.SecureStats().Rotations })
+		reg.CounterFunc("sos_secure_replay_rejected_total", "Frames and envelope nonces rejected by replay checks.", nil,
+			func() uint64 { return mw.SecureStats().ReplayRejected })
 		reg.GaugeFunc("sos_secure_prekeys_remaining", "Unissued one-time prekeys left in the node's pool.", nil,
 			func() float64 { return float64(mw.PrekeysRemaining()) })
 	}

@@ -3,12 +3,13 @@ package secure
 import (
 	"crypto/ecdh"
 	"crypto/ecdsa"
+	"crypto/hkdf"
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 
-	"sos/internal/hkdf"
 	"sos/internal/id"
 )
 
@@ -56,7 +57,7 @@ func SealEnvelope(rng io.Reader, recipient *ecdsa.PublicKey, sender *id.Identity
 		return nil, fmt.Errorf("secure: ephemeral ECDH: %w", err)
 	}
 	ephPub := eph.PublicKey().Bytes()
-	key, err := hkdf.Key(shared, ephPub, []byte(envelopeCtx), aesKeyLen)
+	key, err := hkdf.Key(sha256.New, shared, ephPub, envelopeCtx, aesKeyLen)
 	if err != nil {
 		return nil, fmt.Errorf("secure: deriving envelope key: %w", err)
 	}
@@ -103,7 +104,7 @@ func OpenEnvelope(recipient *ecdsa.PrivateKey, senderPub *ecdsa.PublicKey, env *
 	if err != nil {
 		return nil, fmt.Errorf("secure: ECDH: %w", err)
 	}
-	key, err := hkdf.Key(shared, env.EphemeralPub, []byte(envelopeCtx), aesKeyLen)
+	key, err := hkdf.Key(sha256.New, shared, env.EphemeralPub, envelopeCtx, aesKeyLen)
 	if err != nil {
 		return nil, fmt.Errorf("secure: deriving envelope key: %w", err)
 	}

@@ -17,7 +17,9 @@ package secure
 import (
 	"crypto/ecdh"
 	"crypto/ecdsa"
+	"crypto/hkdf"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,7 +28,6 @@ import (
 	"time"
 
 	"sos/internal/clock"
-	"sos/internal/hkdf"
 	"sos/internal/id"
 )
 
@@ -315,7 +316,7 @@ func SealPrekeyEnvelope(rng io.Reader, owner *ecdsa.PublicKey, bundle *PrekeyBun
 	}
 	ephPub := eph.PublicKey().Bytes()
 	info := prekeyInfo(bundle.User, bundle.SignedID, bundle.OneTimeID)
-	key, err := hkdf.Key(secret, ephPub, info, aesKeyLen)
+	key, err := hkdf.Key(sha256.New, secret, ephPub, string(info), aesKeyLen)
 	Zeroize(secret)
 	if err != nil {
 		return nil, fmt.Errorf("secure: deriving prekey envelope key: %w", err)
@@ -394,7 +395,7 @@ func OpenPrekeyEnvelope(ps *PrekeyStore, senderPub *ecdsa.PublicKey, env *Prekey
 		Zeroize(dh2)
 	}
 	info := prekeyInfo(ps.user, env.SignedID, env.OneTimeID)
-	key, err := hkdf.Key(secret, env.EphemeralPub, info, aesKeyLen)
+	key, err := hkdf.Key(sha256.New, secret, env.EphemeralPub, string(info), aesKeyLen)
 	Zeroize(secret)
 	if err != nil {
 		return nil, fmt.Errorf("secure: deriving prekey envelope key: %w", err)

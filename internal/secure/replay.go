@@ -166,8 +166,8 @@ type ReplayOptions struct {
 	MaxScopes int    // scope LRU bound; 0 = DefaultMaxScopes
 	MaxNonces int    // nonce FIFO bound; 0 = DefaultMaxNonces
 	NoSync    bool   // skip fsync on appends (tests, lab fleets)
-	// Stats, when set, scopes the store's replay rejections (MarkNonce
-	// hits) to a recorder in addition to the process aggregate.
+	// Stats, when set, counts the store's replay rejections (MarkNonce
+	// hits) into a recorder.
 	Stats *StatsRecorder
 }
 

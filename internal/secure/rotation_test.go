@@ -412,9 +412,8 @@ func TestChainDeterministic(t *testing.T) {
 
 // TestSessionStatsScopedTwoFleets runs two independently configured
 // "fleets" in parallel and checks each scoped recorder counts exactly
-// its own traffic while the process aggregate absorbs both.
+// its own traffic.
 func TestSessionStatsScopedTwoFleets(t *testing.T) {
-	before := ReadStats()
 	recs := [2]*StatsRecorder{{}, {}}
 	const frames = 100
 
@@ -460,13 +459,6 @@ func TestSessionStatsScopedTwoFleets(t *testing.T) {
 			t.Errorf("fleet %d: open failures/replays = %d/%d, want %d/%d",
 				i, st.OpenFailures, st.ReplayRejected, frames, frames)
 		}
-	}
-	after := ReadStats()
-	if d := after.Seals - before.Seals; d != 2*frames {
-		t.Errorf("aggregate seals delta = %d, want %d", d, 2*frames)
-	}
-	if d := after.ReplayRejected - before.ReplayRejected; d != 2*frames {
-		t.Errorf("aggregate replay delta = %d, want %d", d, 2*frames)
 	}
 }
 

@@ -22,6 +22,8 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdsa"
+	"crypto/hkdf"
+	"crypto/sha256"
 	"crypto/subtle"
 	"errors"
 	"fmt"
@@ -29,7 +31,6 @@ import (
 	"time"
 
 	"sos/internal/clock"
-	"sos/internal/hkdf"
 	"sos/internal/id"
 )
 
@@ -53,8 +54,8 @@ var (
 
 // SessionConfig tunes a session beyond the defaults NewSession applies.
 // The zero value is valid: wall clock, default rotation period and
-// overlap, default forward-jump bound, aggregate-only stats, no
-// persistent replay state.
+// overlap, default forward-jump bound, no stats, no persistent replay
+// state.
 type SessionConfig struct {
 	// Clock drives epoch rotation. Nil selects the system clock; the
 	// secure layer itself never calls time.Now().
@@ -73,8 +74,8 @@ type SessionConfig struct {
 	// establishes the position). 0 selects DefaultMaxForwardJump;
 	// negative disables the bound.
 	MaxForwardJump int64
-	// Stats, when set, scopes this session's counters to a recorder (a
-	// node, a fleet, a test) in addition to the process aggregate.
+	// Stats, when set, counts this session's events into a recorder (a
+	// node, a fleet, a test); nil counts nothing.
 	Stats *StatsRecorder
 	// Replay, when set, is the receive direction's persistent replay
 	// floor: the session starts its accept watermark at Replay.Floor()
@@ -193,8 +194,7 @@ func NewSessionWithConfig(local *ecdsa.PrivateKey, remote *ecdsa.PublicKey, cont
 	}
 
 	salt := append(append([]byte{}, first...), second...)
-	info := append([]byte(sessionCtx), context...)
-	okm, err := hkdf.Key(shared, salt, info, 2*aesKeyLen)
+	okm, err := hkdf.Key(sha256.New, shared, salt, sessionCtx+string(context), 2*aesKeyLen)
 	if err != nil {
 		return nil, fmt.Errorf("secure: deriving session roots: %w", err)
 	}

@@ -9,11 +9,9 @@ import (
 // StatsRecorder scopes the AEAD counters to one owner — a node, a fleet,
 // a test — so parallel fleets hosted in one process no longer
 // cross-contaminate each other's numbers. Sessions carry a recorder via
-// SessionConfig.Stats; every event lands in the recorder *and* in the
-// process-wide aggregate (ReadStats), which the observability bridge
-// keeps for whole-process dashboards. The zero value is ready to use;
-// all methods are safe for concurrent use (one lock-free atomic add per
-// event).
+// SessionConfig.Stats; a session without one counts nothing. The zero
+// value is ready to use; all methods are safe for concurrent use (one
+// lock-free atomic add per event).
 type StatsRecorder struct {
 	seals          atomic.Uint64
 	opens          atomic.Uint64
@@ -35,11 +33,6 @@ func (r *StatsRecorder) Read() Stats {
 	}
 }
 
-// aggregate is the process-wide recorder every session also feeds; it
-// backs ReadStats for consumers (the obs bridge, sosctl) that want the
-// whole process regardless of how many nodes it hosts.
-var aggregate StatsRecorder
-
 // counter selects one StatsRecorder field for the session increment
 // helpers.
 type counter int
@@ -53,10 +46,8 @@ const (
 	cReplayRejected
 )
 
-// bump adds one event to the aggregate and, when set, the scoped
-// recorder.
+// bump adds one event to the scoped recorder, when set.
 func bump(r *StatsRecorder, c counter) {
-	aggregate.add(c)
 	if r != nil {
 		r.add(c)
 	}
@@ -79,8 +70,7 @@ func (r *StatsRecorder) add(c counter) {
 	}
 }
 
-// Stats is a snapshot of secure-channel counters — per recorder, or
-// process-wide via ReadStats.
+// Stats is a snapshot of one recorder's secure-channel counters.
 type Stats struct {
 	// Seals / Opens count frames successfully sealed / authenticated.
 	Seals uint64
@@ -114,6 +104,3 @@ var tracer atomic.Pointer[span.Tracer]
 // SetTracer installs (or, with nil, removes) the process-wide tracer
 // that records "secure.derive" spans for session establishment.
 func SetTracer(t *span.Tracer) { tracer.Store(t) }
-
-// ReadStats snapshots the process-wide secure-channel counters.
-func ReadStats() Stats { return aggregate.Read() }

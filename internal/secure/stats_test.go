@@ -2,11 +2,11 @@ package secure
 
 import "testing"
 
-// TestReadStats checks the process-wide AEAD counters move with seal and
-// open outcomes. Counters are global, so the test asserts deltas.
-func TestReadStats(t *testing.T) {
-	sa, sb := newPair(t)
-	before := ReadStats()
+// TestStatsRecorderCounts checks a scoped recorder's AEAD counters move
+// with seal and open outcomes.
+func TestStatsRecorderCounts(t *testing.T) {
+	rec := &StatsRecorder{}
+	sa, sb := newPairCfg(t, SessionConfig{Stats: rec}, SessionConfig{Stats: rec})
 
 	frame, err := sa.Seal([]byte("counted"), nil)
 	if err != nil {
@@ -36,17 +36,8 @@ func TestReadStats(t *testing.T) {
 		t.Fatal("seal after close accepted")
 	}
 
-	after := ReadStats()
-	if d := after.Seals - before.Seals; d != 2 {
-		t.Errorf("seals delta = %d, want 2", d)
-	}
-	if d := after.Opens - before.Opens; d != 1 {
-		t.Errorf("opens delta = %d, want 1", d)
-	}
-	if d := after.SealFailures - before.SealFailures; d != 1 {
-		t.Errorf("seal failure delta = %d, want 1", d)
-	}
-	if d := after.OpenFailures - before.OpenFailures; d != 3 {
-		t.Errorf("open failure delta = %d, want 3", d)
+	want := Stats{Seals: 2, Opens: 1, SealFailures: 1, OpenFailures: 3, ReplayRejected: 1}
+	if got := rec.Read(); got != want {
+		t.Errorf("recorder = %+v, want %+v", got, want)
 	}
 }

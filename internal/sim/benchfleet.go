@@ -24,8 +24,8 @@ type ContactBenchSamples struct {
 // with n, pinned to the 1k-node scenario's 1000 nodes per 4000 m
 // square), 35 m radio range, one fifth of the fleet asleep at any
 // instant, sampled at `samples` successive 30 s ticks. Everything is
-// seeded, so sosbench's committed baseline numbers (checks per tick)
-// are bit-reproducible across hosts.
+// seeded, so the checks per tick the grid test pins are
+// bit-reproducible across hosts.
 func ContactBenchFleet(n, samples int, seed int64) *ContactBenchSamples {
 	const rangeM = 35.0
 	side := 4000.0 * math.Sqrt(float64(n)/1000.0)

@@ -87,6 +87,34 @@ func TestGridMatchesPairwiseSweep(t *testing.T) {
 	}
 }
 
+// TestGridWorkOnSeededFleet bounds the grid's work per tick on the
+// canonical 1k-node benchmark fleet. The fleet is seeded, so candidate
+// checks per tick are the same on every host — a rise is an algorithmic
+// regression, never noise — and a warmed index must sweep without
+// allocating.
+func TestGridWorkOnSeededFleet(t *testing.T) {
+	const samples = 32
+	const wantChecksPerTick = 296.7
+	fleet := ContactBenchFleet(1000, samples, 1)
+	ix := NewContactIndex(fleet.RangeM)
+	checks := 0
+	for tick := 0; tick < samples; tick++ { // also sizes the index's storage
+		ix.Sweep(fleet.Positions[tick], fleet.Active[tick], func(_, _ int32) {})
+		checks += ix.Stats().Checks
+	}
+	if got := float64(checks) / samples; got > 1.2*wantChecksPerTick {
+		t.Errorf("checks/tick = %.1f, more than 20%% over %.1f", got, wantChecksPerTick)
+	}
+	tick := 0
+	allocs := testing.AllocsPerRun(samples, func() {
+		ix.Sweep(fleet.Positions[tick%samples], fleet.Active[tick%samples], func(_, _ int32) {})
+		tick++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state allocs/tick = %.2f, want 0", allocs)
+	}
+}
+
 // TestGridExactRangeBoundary pins the predicate at the cell boundary:
 // pairs at exactly the radio range are contacts (the old sweep used <=),
 // including when they land in adjacent cells.

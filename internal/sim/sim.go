@@ -267,6 +267,12 @@ func New(cfg Config) (*Sim, error) {
 			Rand:     nodeRng,
 			Routing:  routing.Options{Clock: clk, RelayTTL: cfg.RelayTTL},
 			Store:    st,
+			// No wall-clock timers: they would fire on their own goroutine
+			// into this single-threaded simulator once a replay outlives
+			// them, and the lossless SimMedium (which ends contacts itself)
+			// leaves them nothing to recover.
+			ResyncInterval:   -1,
+			HandshakeTimeout: -1,
 			OnReceive: func(m *msg.Message, _ id.UserID) {
 				s.onReceive(n, m)
 			},

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sos/internal/message"
 	"sos/internal/metrics"
 	"sos/internal/mobility"
 	"sos/internal/mpc"
@@ -55,6 +56,54 @@ func TestTwoNodeDelivery(t *testing.T) {
 	}
 	if deliveries[0].Delay() <= 0 || deliveries[0].Delay() > 10*time.Minute {
 		t.Errorf("delay = %v, want small positive", deliveries[0].Delay())
+	}
+}
+
+// TestNoWallClockHeartbeatInsideReplay holds a replay, mid-contact, for
+// longer than the stack's wall-clock resync heartbeat. A sim-built node
+// must not have armed it: the timer goroutine would re-advertise on the
+// live link, calling into the single-threaded medium from outside the
+// simulator's goroutine (under -race, a reported data race; without it,
+// the extra advertisements counted here).
+func TestNoWallClockHeartbeatInsideReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sleeps past the resync interval")
+	}
+	cfg := twoNodeConfig("epidemic", []Event{
+		{At: start.Add(5 * time.Minute), Handle: "alice", Action: ActionPost, Payload: []byte("hi")},
+	})
+	var s *Sim
+	adsSent := func() (n uint64) {
+		for _, node := range s.Nodes() {
+			st := node.MW.Stats().Message
+			n += st.AdsFullSent + st.AdsDeltaSent
+		}
+		return n
+	}
+	held := false
+	cfg.Nodes[0].Activity = func(at time.Time) bool {
+		if !held && !at.Before(start.Add(10*time.Minute)) {
+			held = true
+			if len(s.Nodes()[0].MW.ActiveLinks()) == 0 {
+				t.Error("no live link to hold: the test is vacuous")
+			}
+			before := adsSent()
+			time.Sleep(message.DefaultResyncInterval + 500*time.Millisecond)
+			if after := adsSent(); after != before {
+				t.Errorf("%d advertisements sent while the replay stood still: a wall-clock timer is live", after-before)
+			}
+		}
+		return true
+	}
+	var err error
+	if s, err = New(cfg); err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !held {
+		t.Fatal("the replay never reached the hold point")
 	}
 }
 

@@ -91,6 +91,10 @@ func TestPublicAPISimMedium(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewNode(%s): %v", handle, err)
 		}
+		// A node left open keeps its wall-clock resync heartbeat, which
+		// would go on sending into this single-threaded medium from timer
+		// goroutines for the rest of the test binary's life.
+		t.Cleanup(func() { n.Close() })
 		return n
 	}
 
