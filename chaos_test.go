@@ -185,6 +185,11 @@ func TestChaosDupReorderExactlyOnce(t *testing.T) {
 
 	fleet.waitDeliveries(t, refs, 30*time.Second)
 	fleet.assertNoDuplicateDeliveries(t)
+	for i, n := range fleet.nodes {
+		if ms := n.Stats().Message; ms.MisbehaviorEvents != 0 || ms.Quarantines != 0 {
+			t.Errorf("honest node %d scored a peer: %d misbehavior events, %d quarantines", i, ms.MisbehaviorEvents, ms.Quarantines)
+		}
+	}
 
 	if cs := chz.Stats(); cs.FramesDuplicated == 0 && cs.FramesReordered == 0 {
 		t.Errorf("dice never fired (duplicated %d, reordered %d) — the profile tested nothing", cs.FramesDuplicated, cs.FramesReordered)

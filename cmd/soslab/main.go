@@ -268,6 +268,9 @@ func runSweep(spec *lab.Spec, name string, opts lab.Options, verbose, logJSON bo
 		if gate, ok := ratioGates[c.Scheme]; ok && c.RatioMean < gate {
 			fails = append(fails, fmt.Sprintf("%s: delivery ratio %.3f below gate %.3f", id, c.RatioMean, gate))
 		}
+		if c.Quarantines > 0 { // no flag: every cell's fleet is all-honest
+			fails = append(fails, fmt.Sprintf("%s: %d quarantines among honest peers", id, c.Quarantines))
+		}
 		if checkObs {
 			for _, v := range c.ObservabilityViolations {
 				fails = append(fails, fmt.Sprintf("%s: %s", id, v))

@@ -24,7 +24,9 @@ const (
 	// and authenticate, then fail frame decoding at the victim.
 	AttackGarbage AttackMode = 1 << iota
 	// AttackStaleDeltas advertises delta frames against generations the
-	// victim never saw, forcing summary-pull repair round trips.
+	// victim never saw. Victims merge deltas of any base, so this probes
+	// harmlessness, not scoring: it must cost the victim one SummaryPull
+	// per heartbeat interval and nothing else.
 	AttackStaleDeltas
 	// AttackOversizedWants requests absurd want-lists: tens of
 	// thousands of sequence numbers per frame.

@@ -231,6 +231,8 @@ func attachPaths(r *Report, agg *telemetry.Aggregator) {
 //   - no node's exporter dropped an event (the aggregate is complete)
 //   - the aggregator heard from every node in the fleet
 //   - every ingested event is accounted for by a type counter
+//   - no node quarantined a peer: every lab fleet is all-honest, so a
+//     quarantine is the sync plane punishing radio chaos or churn
 //
 // Each violation is one human-readable line.
 func (r *Report) ObservabilityViolations() []string {
@@ -241,6 +243,14 @@ func (r *Report) ObservabilityViolations() []string {
 		}
 		if v, ok := n.Metrics["sos_telemetry_dropped_total"]; ok && v > 0 {
 			out = append(out, fmt.Sprintf("node %s reports %v dropped telemetry events in /metrics", n.Handle, v))
+		}
+		// Child daemons report only the scraped series.
+		quarantines := n.Metrics["sos_sync_quarantine_total"]
+		if n.Stats != nil {
+			quarantines = float64(n.Stats.Message.Quarantines)
+		}
+		if quarantines > 0 {
+			out = append(out, fmt.Sprintf("node %s quarantined an honest peer %v times", n.Handle, quarantines))
 		}
 	}
 	if r.Telemetry.Events > 0 && r.Telemetry.Nodes < r.NodeCount {

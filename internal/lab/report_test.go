@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sos/internal/core"
 	"sos/internal/id"
 	"sos/internal/metrics"
 	"sos/internal/msg"
@@ -64,6 +65,22 @@ func TestObservabilityViolationsScrapedDropped(t *testing.T) {
 	r.Nodes[0].Metrics["sos_telemetry_dropped_total"] = 0
 	if v := r.ObservabilityViolations(); len(v) != 0 {
 		t.Errorf("zero dropped series flagged: %v", v)
+	}
+}
+
+func TestObservabilityViolationsQuarantine(t *testing.T) {
+	// In-process and simulated nodes report counters, child daemons only
+	// the scraped series; either one naming a quarantine is a violation.
+	r := healthyReport()
+	r.Nodes[0].Stats = &core.Stats{}
+	r.Nodes[0].Stats.Message.Quarantines = 2
+	r.Nodes[1].Metrics = map[string]float64{"sos_sync_quarantine_total": 1}
+	v := r.ObservabilityViolations()
+	if len(v) != 2 {
+		t.Fatalf("got %d violations, want 2: %v", len(v), v)
+	}
+	if !strings.Contains(v[0], "alice") || !strings.Contains(v[0], "2") || !strings.Contains(v[1], "bob") {
+		t.Errorf("violations do not name the nodes and counts: %q", v)
 	}
 }
 

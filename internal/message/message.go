@@ -30,18 +30,24 @@
 // a reconnect within the same gathering greets with a delta instead of
 // re-sending the whole dictionary — and is dropped on PeerGone, so a peer
 // that left radio range (and may return restarted, with a reset
-// generation) is re-synced from a full summary. A receiver that cannot
-// apply a delta (generation gap) sends SummaryPull and gets a full
-// summary; a sender whose bounded change log no longer covers the
-// requested base falls back to a full summary on its own.
+// generation) is re-synced from a full summary. A sender whose bounded
+// change log no longer covers a peer's base falls back to a full summary
+// on its own.
 //
 // Full summaries larger than SummaryChunkEntries stream as a sequence of
 // bounded Advertisement chunks: the first chunk is sent inline (so it
 // always precedes any delta for the same link on the in-order session)
 // and the rest from a per-link goroutine, interleaving with Batch frames
 // — the receiver plans requests after every chunk instead of waiting for
-// the whole dictionary. Continuation chunks apply raise-only, so chunks,
-// deltas, and stragglers from a cancelled stream commute safely.
+// the whole dictionary.
+//
+// The receiver has one apply rule: a full advertisement's chunk 0
+// replaces the cached view — the reset a restarted peer needs — and
+// every other advertisement merges raise-only (mergeAd), so duplicated,
+// reordered and lost frames never lower an entry or penalise the peer.
+// A frame that builds on a generation the view has not reached exposes
+// a gap: the view is kept and one SummaryPull per link, re-armed by the
+// resync heartbeat, asks for a full summary.
 package message
 
 import (
@@ -205,23 +211,27 @@ type Stats struct {
 // active link (nil while disconnected), the outbound sync cursor (the
 // generation of our summary the peer has last been sent), and the inbound
 // view (the peer's summary as accumulated from full and delta
-// advertisements, plus the peer generation it reflects).
+// advertisements, plus the peer generation it reflects). Generation 0
+// means "none" on both cursors, as BaseGen == 0 marks a full on the wire.
 type peerSync struct {
 	link *adhoc.Link
 
-	sentValid bool
-	sentGen   uint64
+	sentGen uint64
 
-	recvValid bool
-	recvGen   uint64
-	summary   map[id.UserID]uint64
+	recvGen uint64
+	summary map[id.UserID]uint64
+	// pullPending holds back further SummaryPulls once a gap has sent one,
+	// until a full summary arrives, the next heartbeat tick (the pull or
+	// its answer may be lost) or a new link.
+	pullPending bool
 
 	// track is the peer's "contact <peer>" tracer track, interned at
 	// LinkUp (0 while tracing is disabled).
 	track uint64
 
 	// redial counts consecutive backoff-scheduled reconnect attempts
-	// since the last successful LinkUp, bounding the retry ladder.
+	// since the last successful LinkUp: the rung of the retry ladder, and
+	// the mark by which a scheduled attempt knows a later one replaced it.
 	redial uint32
 }
 
@@ -349,8 +359,9 @@ func (m *Manager) Close() {
 // would ever retry: discovery beacons are unchanged, so no event
 // re-fires. Each tick re-advertises on every live link (an empty delta
 // in steady state; a peer that missed an earlier advertisement sees a
-// generation gap and answers with SummaryPull) and re-plans requests
-// after expiring in-flight entries older than one interval.
+// generation gap and answers with SummaryPull), re-arms our own
+// SummaryPulls and re-plans requests after expiring in-flight entries
+// older than one interval.
 func (m *Manager) resyncTick() {
 	m.mu.Lock()
 	if m.closed {
@@ -367,23 +378,21 @@ func (m *Manager) resyncTick() {
 		}
 	}
 	m.resyncTicks++
-	var links []*adhoc.Link
 	views := make(map[*peerSync]map[id.UserID]uint64, len(m.peers))
 	for _, ps := range m.peers {
-		if ps.link == nil {
-			continue
-		}
-		links = append(links, ps.link)
-		if len(ps.summary) > 0 {
+		ps.pullPending = false
+		if ps.link != nil && len(ps.summary) > 0 {
 			views[ps] = ps.summary
 		}
 	}
 	sends := m.planLocked(views)
 	m.resyncTimer = time.AfterFunc(m.cfg.ResyncInterval, m.resyncTick)
 	m.mu.Unlock()
-	for _, link := range links {
-		m.sendAdTo(link, false)
-	}
+
+	data := m.cfg.Routing.Current().SchemeData()
+	m.advMu.Lock()
+	m.pushSummaries(m.cfg.Store.Generation(), data, true)
+	m.advMu.Unlock()
 	m.sendPlans(sends)
 }
 
@@ -521,90 +530,107 @@ func (m *Manager) beaconSummary(gen uint64) map[id.UserID]uint64 {
 	return digest
 }
 
-// pushSummaries sends one in-session advertisement per active link,
-// grouped so every distinct frame is encoded exactly once and the bytes
-// fan out to all links that need it (links at the same delta base share
-// an encoding; each link still seals with its own session). Callers hold
-// advMu.
-func (m *Manager) pushSummaries(gen uint64, data []byte, schemeChanged bool) {
+// pushSummaries sends one in-session advertisement per active link that
+// is behind gen (every active link when force is set: a scheme-gossip
+// change or the resync heartbeat), grouped by delta base so every
+// distinct frame is encoded exactly once. Callers hold advMu.
+func (m *Manager) pushSummaries(gen uint64, data []byte, force bool) {
 	m.mu.Lock()
 	groups := make(map[uint64][]*adhoc.Link) // delta base → links; 0 = full
 	for _, ps := range m.peers {
-		if ps.link == nil {
-			continue
+		if ps.link == nil || (ps.sentGen == gen && !force) {
+			continue // no link, or the peer is current
 		}
-		switch {
-		case !ps.sentValid || ps.sentGen == 0 || ps.sentGen > gen:
-			// No usable base: first contact on this link, state reset by
-			// PeerGone, or a base from a store this engine no longer is.
-			groups[0] = append(groups[0], ps.link)
-		case ps.sentGen == gen && !schemeChanged:
-			continue // peer is current
-		default:
-			groups[ps.sentGen] = append(groups[ps.sentGen], ps.link)
-		}
-		ps.sentValid, ps.sentGen = true, gen
+		groups[ps.sentGen] = append(groups[ps.sentGen], ps.link)
+		ps.sentGen = gen
 	}
 	peerName := string(m.adhocMgr.Self())
 	m.mu.Unlock()
-
-	var fullLinks []*adhoc.Link
 	for base, links := range groups {
-		if base == 0 {
-			fullLinks = append(fullLinks, links...)
-			continue
-		}
-		delta, ok := m.cfg.Store.Changes(base)
-		if !ok {
-			// The change log no longer reaches the peer's base: fall back
-			// to a full summary.
-			fullLinks = append(fullLinks, links...)
-			continue
-		}
-		m.fanOut(&wire.Advertisement{
-			Peer: peerName, Gen: gen, BaseGen: base, Summary: delta, SchemeData: data,
-		}, links)
+		m.sendSummary(links, base, gen, peerName, data)
 	}
-	if len(fullLinks) > 0 {
+}
+
+// sendAdTo sends one in-session advertisement on a single link — the
+// LinkUp greeting or the answer to a SummaryPull: a delta from the peer's
+// last-synced generation when allowed and possible, else the full summary.
+func (m *Manager) sendAdTo(link *adhoc.Link, forceFull bool) {
+	data := m.cfg.Routing.Current().SchemeData()
+
+	m.advMu.Lock()
+	defer m.advMu.Unlock()
+	gen := m.cfg.Store.Generation()
+
+	m.mu.Lock()
+	ps := m.peers[link.Peer()]
+	if ps == nil || ps.link != link {
+		m.mu.Unlock()
+		return // link raced away
+	}
+	base := ps.sentGen
+	if forceFull {
+		base = 0
+	}
+	ps.sentGen = gen
+	peerName := string(m.adhocMgr.Self())
+	m.mu.Unlock()
+	m.sendSummary([]*adhoc.Link{link}, base, gen, peerName, data)
+}
+
+// sendSummary is the one send path of the summary plane: it puts our
+// summary at gen on links that all hold the same delta base (0 = none) —
+// the delta since base when the change log still reaches it, else the
+// full summary, chunk-streamed per link past SummaryChunkEntries —
+// encoded once however many links share it (each seals with its own
+// session). Callers hold advMu, so bases advance in frame order.
+//
+// gen was read before Store.Changes(base) runs, so a racing Put can land
+// in a delta labelled with the generation before it. That is safe: the
+// receiver merges raise-only, and the next delta, based at gen, re-tells
+// the same entry as a harmless overlap.
+func (m *Manager) sendSummary(links []*adhoc.Link, base, gen uint64, peerName string, data []byte) {
+	ad := &wire.Advertisement{Peer: peerName, Gen: gen, SchemeData: data}
+	name := "advertise.full"
+	if base != 0 && base <= gen { // a base past gen is from a store this engine no longer is
+		if delta, ok := m.cfg.Store.Changes(base); ok {
+			ad.BaseGen, ad.Summary, name = base, delta, "advertise.delta"
+		}
+	}
+	if !ad.IsDelta() {
 		if m.cfg.Store.SummarySize() > SummaryChunkEntries {
-			// Too big for one frame: stream per link (streams are
-			// per-link state, so no shared encoding to fan out).
-			for _, link := range fullLinks {
+			// Streams are per-link state: no shared encoding to fan out.
+			for _, link := range links {
 				m.streamFullTo(link, gen, peerName, data)
 			}
 			return
 		}
-		m.fanOut(&wire.Advertisement{
-			Peer: peerName, Gen: gen, Summary: m.cfg.Store.Summary(), SchemeData: data,
-		}, fullLinks)
+		ad.Summary = m.cfg.Store.Summary()
 	}
-}
-
-// fanOut encodes one advertisement and sends the shared bytes to every
-// link (the slice is only read after encode).
-func (m *Manager) fanOut(ad *wire.Advertisement, links []*adhoc.Link) {
-	enc, err := wire.Encode(ad)
+	buf := wire.GetBuffer()
+	defer buf.Free()
+	enc, err := wire.AppendEncode(buf.B[:0], ad)
 	if err != nil {
 		return // oversized scheme data; nothing sane to send
 	}
-	name := "advertise.full"
-	if ad.IsDelta() {
-		name = "advertise.delta"
-	}
+	buf.B = enc
+	sent := uint64(0)
 	for _, link := range links {
 		sp := m.cfg.Tracer.Start(m.trackOf(link), name)
 		sp.Attr("entries", uint64(len(ad.Summary)))
 		sp.Attr("bytes", uint64(len(enc)))
-		_ = link.SendEncoded(enc) // link failures surface via LinkDown
+		sp.Attr("gen", gen)
+		if link.SendEncoded(enc) == nil { // link failures surface via LinkDown
+			sent++
+		}
 		sp.End()
 	}
 	m.mu.Lock()
 	if ad.IsDelta() {
-		m.stats.AdsDeltaSent += uint64(len(links))
+		m.stats.AdsDeltaSent += sent
 	} else {
-		m.stats.AdsFullSent += uint64(len(links))
+		m.stats.AdsFullSent += sent
 	}
-	m.stats.SummaryBytesSent += uint64(len(enc)) * uint64(len(links))
+	m.stats.SummaryBytesSent += uint64(len(enc)) * sent
 	m.mu.Unlock()
 }
 
@@ -695,9 +721,7 @@ func (m *Manager) PeerGone(peer mpc.PeerID) {
 	}
 	// The session outlives the beacon (TCP can persist past beacon loss);
 	// reset the cursors in place so the next push is a full summary.
-	ps.sentValid, ps.sentGen = false, 0
-	ps.recvValid, ps.recvGen = false, 0
-	ps.summary = nil
+	ps.sentGen, ps.recvGen, ps.summary = 0, 0, nil
 }
 
 // contactTrack interns the "contact <peer>" tracer track — the same
@@ -749,6 +773,7 @@ func (m *Manager) LinkUp(link *adhoc.Link) {
 	ps.link = link
 	ps.track = track
 	ps.redial = 0
+	ps.pullPending = false
 	m.mu.Unlock()
 	// The contact envelope: every sync span until LinkDown nests inside.
 	m.cfg.Tracer.Begin(track, "contact")
@@ -807,68 +832,6 @@ func (m *Manager) onPrekeyBundle(link *adhoc.Link, fr *wire.PrekeyBundle) {
 	if m.cfg.OnPrekeyBundle != nil {
 		m.cfg.OnPrekeyBundle(link.User(), b)
 	}
-}
-
-// sendAdTo sends one in-session advertisement on a single link: a delta
-// from the peer's last-synced generation when allowed and possible, else
-// the full summary.
-func (m *Manager) sendAdTo(link *adhoc.Link, forceFull bool) {
-	scheme := m.cfg.Routing.Current()
-	data := scheme.SchemeData()
-
-	m.advMu.Lock()
-	defer m.advMu.Unlock()
-	gen := m.cfg.Store.Generation()
-
-	m.mu.Lock()
-	ps := m.peers[link.Peer()]
-	if ps == nil || ps.link != link {
-		m.mu.Unlock()
-		return // link raced away
-	}
-	base := uint64(0)
-	if !forceFull && ps.sentValid && ps.sentGen > 0 && ps.sentGen <= gen {
-		base = ps.sentGen
-	}
-	ps.sentValid, ps.sentGen = true, gen
-	track := ps.track
-	peerName := string(m.adhocMgr.Self())
-	m.mu.Unlock()
-
-	ad := &wire.Advertisement{Peer: peerName, Gen: gen, SchemeData: data}
-	if base != 0 {
-		if delta, ok := m.cfg.Store.Changes(base); ok {
-			ad.BaseGen, ad.Summary = base, delta
-		} else {
-			base = 0
-		}
-	}
-	if base == 0 {
-		if m.cfg.Store.SummarySize() > SummaryChunkEntries {
-			m.streamFullTo(link, gen, peerName, data)
-			return
-		}
-		ad.Summary = m.cfg.Store.Summary()
-	}
-	name := "advertise.full"
-	if ad.IsDelta() {
-		name = "advertise.delta"
-	}
-	sp := m.cfg.Tracer.Start(track, name)
-	sp.Attr("entries", uint64(len(ad.Summary)))
-	sp.Attr("gen", gen)
-	if err := m.sendCounted(link, ad, false); err != nil {
-		sp.End()
-		return // link failures surface via LinkDown
-	}
-	sp.End()
-	m.mu.Lock()
-	if ad.IsDelta() {
-		m.stats.AdsDeltaSent++
-	} else {
-		m.stats.AdsFullSent++
-	}
-	m.mu.Unlock()
 }
 
 // summaryChunker drains the store's summary stripes into fixed-size
@@ -1082,16 +1045,18 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 // sequence) kills sessions while both peers are still in range and
 // still beaconing unchanged payloads — which means discovery alone
 // never re-fires and the contact would silently wedge. The ladder
-// restores it within a few hundred milliseconds.
+// restores it within a few hundred milliseconds, and keeps climbing at
+// redialCap for as long as the peer stays in range and unlinked.
 const (
-	redialBase        = 200 * time.Millisecond
-	redialCap         = 5 * time.Second
-	redialMaxAttempts = 6
+	redialBase = 200 * time.Millisecond
+	redialCap  = 5 * time.Second
 )
 
 // scheduleRedial arranges a reconnect attempt unless the drop was
 // deliberate (session Bye, manager close, peer out of range, protocol
-// abuse) or the ladder is exhausted.
+// abuse). The ladder stops at LinkUp, PeerGone or quarantine. Each call
+// takes the next rung and supersedes the attempts scheduled before it,
+// so a peer's live timers do not multiply however often it beacons.
 func (m *Manager) scheduleRedial(peer mpc.PeerID, reason error) {
 	if !m.cfg.AutoConnect ||
 		errors.Is(reason, adhoc.ErrClosed) || errors.Is(reason, mpc.ErrClosed) ||
@@ -1101,30 +1066,30 @@ func (m *Manager) scheduleRedial(peer mpc.PeerID, reason error) {
 	}
 	m.mu.Lock()
 	ps := m.peers[peer]
-	if ps == nil || ps.link != nil || m.adhocMgr == nil ||
-		ps.redial >= redialMaxAttempts || m.quar.quarantined(peer, m.cfg.Clock.Now()) {
+	if ps == nil || ps.link != nil || m.adhocMgr == nil || m.quar.quarantined(peer, m.cfg.Clock.Now()) {
 		m.mu.Unlock()
 		return
 	}
-	attempt := ps.redial
+	delay := min(redialBase<<min(ps.redial, 16), redialCap)
 	ps.redial++
+	rung := ps.redial
 	m.mu.Unlock()
-	delay := redialBase << attempt
-	if delay > redialCap {
-		delay = redialCap
-	}
 	// Full jitter on the top half so two peers redialing each other
 	// don't stay phase-locked.
 	delay = delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-	time.AfterFunc(delay, func() { m.redial(peer) })
+	time.AfterFunc(delay, func() { m.redial(peer, rung) })
 }
 
-// redial performs one scheduled reconnect attempt.
-func (m *Manager) redial(peer mpc.PeerID) {
+// redial performs the attempt scheduled at rung unless a later
+// scheduleRedial superseded it. LinkUp lowers the ladder without
+// superseding: a link the far end closes at once (the handshake we
+// thought complete failed there) gets no redial from LinkDown, so the
+// attempt already pending must outlive it.
+func (m *Manager) redial(peer mpc.PeerID, rung uint32) {
 	m.mu.Lock()
 	ps := m.peers[peer]
 	a := m.adhocMgr
-	ok := ps != nil && ps.link == nil && a != nil && !m.quar.quarantined(peer, m.cfg.Clock.Now())
+	ok := ps != nil && ps.link == nil && ps.redial <= rung && a != nil && !m.quar.quarantined(peer, m.cfg.Clock.Now())
 	if ok {
 		m.stats.Reconnects++
 		m.stats.ConnectsAttempted++
@@ -1134,9 +1099,10 @@ func (m *Manager) redial(peer mpc.PeerID) {
 		return
 	}
 	err := a.Connect(peer)
-	if err != nil && errors.Is(err, adhoc.ErrLinkExists) {
+	if errors.Is(err, adhoc.ErrLinkExists) || errors.Is(err, mpc.ErrClosed) {
 		// A handshake is in flight — but on a chaotic radio it may
-		// still wedge and expire, so keep the ladder armed.
+		// still wedge and expire — or the peer hung up before our Hello
+		// went out: one more failed attempt. Keep the ladder armed.
 		err = nil
 	}
 	// Climb the ladder regardless: a started handshake can still fail
@@ -1156,101 +1122,61 @@ func (m *Manager) penalizeLocked(peer mpc.PeerID, pts float64, now time.Time) bo
 	return tripped
 }
 
-// onSummary handles the peer's authenticated in-session advertisement,
-// full or delta. A delta whose base does not match the cached view is a
-// generation gap: the cached view is discarded and a SummaryPull asks the
-// peer for a full summary.
+// onSummary handles the peer's authenticated in-session advertisement.
+// There are two cases: a full advertisement's chunk 0 replaces the cached
+// view; everything else merges into it (mergeAd).
 func (m *Manager) onSummary(link *adhoc.Link, ad *wire.Advertisement) {
 	scheme := m.cfg.Routing.Current()
 	if len(ad.SchemeData) > 0 {
 		scheme.OnPeerData(link.User(), ad.SchemeData)
 	}
-	now := m.cfg.Clock.Now()
 	m.mu.Lock()
 	ps := m.peers[link.Peer()]
 	if ps == nil || ps.link != link {
 		m.mu.Unlock()
 		return
 	}
-	// The flood bucket is charged only for frames that trigger
-	// dictionary-scale work: full summaries (an O(dictionary) view
-	// replacement and re-plan) and gap deltas (a SummaryPull round trip
-	// serving the whole dictionary). A delta that chains cleanly onto
-	// the cached view costs O(changed entries) — the same class as the
-	// Batch frames it steers — and a fast honest contact legitimately
-	// produces them faster than any sane refill rate; dropping one
-	// silently desynchronizes the delta chain and forces exactly the
-	// full-summary recovery the guard exists to prevent.
-	chained := ad.IsDelta() && ad.Chunk == 0 && ps.recvValid && ad.BaseGen == ps.recvGen
-	if ad.Chunk == 0 && !chained && !m.quar.allowAd(link.Peer(), now) {
-		// Advertisement flood: the peer's token bucket ran dry. Score
-		// it and drop the frame; a tripped quarantine drops the link.
-		tripped := m.penalizeLocked(link.Peer(), pointsFlood, now)
-		m.mu.Unlock()
-		if tripped {
-			_ = link.Close()
-		}
-		return
-	}
-	switch {
-	case !ad.IsDelta() && ad.Chunk == 0:
-		// Full summary — a single-frame advertisement or the first chunk
-		// of a stream: replace the cached view and start planning
-		// immediately, without waiting for the rest of the stream.
-		// Decode allocated the map fresh, so taking ownership is safe.
-		ps.summary = ad.Summary
-		ps.recvGen, ps.recvValid = ad.Gen, true
-		m.mu.Unlock()
-		m.pullView(link, ad.Summary)
-	case !ad.IsDelta():
-		// Continuation chunk. Apply raise-only: a delta pushed between
-		// chunks may already have lifted an author past the stream's
-		// snapshot, and a straggler from a cancelled stream must never
-		// lower the view.
-		if ps.summary == nil {
-			ps.summary = make(map[id.UserID]uint64, len(ad.Summary))
-		}
-		for author, seq := range ad.Summary {
-			if seq > ps.summary[author] {
-				ps.summary[author] = seq
-			}
-		}
-		m.mu.Unlock()
-		m.pullView(link, ad.Summary)
-	case ps.recvValid && ad.BaseGen == ps.recvGen:
-		if ps.summary == nil {
-			ps.summary = make(map[id.UserID]uint64, len(ad.Summary))
-		}
-		// Entries only ever raise (per-author sequence numbers are
-		// monotone), so applying is plain assignment.
-		for author, seq := range ad.Summary {
-			ps.summary[author] = seq
-		}
-		ps.recvGen = ad.Gen
-		m.mu.Unlock()
-		// Plan only over the entries that just changed: request planning
-		// on the delta hot path costs O(changed authors), not O(summary).
-		m.pullView(link, ad.Summary)
-	default:
-		// Generation gap (e.g. we restarted while the peer kept its sync
-		// state for us): our view is unusable, ask for a full summary.
-		// One gap is an honest accident; a stream of them is the
-		// stale-delta attack, so each one scores.
-		ps.recvValid = false
-		ps.summary = nil
-		if m.penalizeLocked(link.Peer(), pointsStaleDelta, now) {
+	if !ad.IsDelta() && ad.Chunk == 0 {
+		// Full summary, or the first chunk of one: the only frame that
+		// costs O(dictionary), so the only one charged to the flood
+		// bucket. A dry bucket scores the peer and drops the frame; a
+		// tripped quarantine drops the link.
+		if now := m.cfg.Clock.Now(); !m.quar.allowAd(link.Peer(), now) {
+			tripped := m.penalizeLocked(link.Peer(), pointsFlood, now)
 			m.mu.Unlock()
-			_ = link.Close()
+			if tripped {
+				_ = link.Close()
+			}
 			return
 		}
-		m.stats.SummaryPullsSent++
+		// Decode allocated the map fresh, so taking ownership is safe.
+		// Planning starts now, without waiting for the rest of a stream.
+		ps.summary, ps.recvGen, ps.pullPending = ad.Summary, ad.Gen, false
 		m.mu.Unlock()
+		m.pullView(link, ad.Summary)
+		return
+	}
+	if ps.summary == nil {
+		ps.summary = make(map[id.UserID]uint64, len(ad.Summary))
+	}
+	var gap bool
+	ps.recvGen, gap = mergeAd(ps.summary, ps.recvGen, ad)
+	pull := gap && !ps.pullPending
+	if pull {
+		ps.pullPending = true
+		m.stats.SummaryPullsSent++
+	}
+	m.mu.Unlock()
+	if pull {
 		_ = m.sendCounted(link, &wire.SummaryPull{}, false)
 	}
+	// Plan only over the entries this frame carried: request planning on
+	// the delta hot path costs O(changed authors), not O(summary).
+	m.pullView(link, ad.Summary)
 }
 
-// onSummaryPull re-sends a full summary to a peer that could not apply
-// one of our deltas.
+// onSummaryPull re-sends a full summary to a peer that found a gap in
+// what it has heard from us.
 func (m *Manager) onSummaryPull(link *adhoc.Link) {
 	m.mu.Lock()
 	m.stats.SummaryPullsServed++

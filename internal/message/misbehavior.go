@@ -9,24 +9,23 @@ import (
 // Misbehavior scoring: every peer accumulates a leaky score from
 // protocol-abuse signals; crossing the threshold quarantines it — the
 // link drops and re-admission backs off exponentially per strike. The
-// signals are chosen so radio chaos cannot trip them: packet loss on a
-// sealed link desynchronizes the AEAD sequence and fails
-// *authentication* (a decryption failure, never scored), while the
-// scored signals all require frames that authenticated under the
-// session key first.
+// signals are chosen so radio chaos cannot trip them. Packet loss on a
+// sealed link fails *authentication* (a decryption failure, never
+// scored), and no order, loss or duplication of authenticated summary
+// frames is scored either: mergeAd makes a delta of any base at worst a
+// gap that costs one SummaryPull. What is scored is what an honest
+// manager never emits: a frame that authenticates and then fails to
+// decode, a want-list past any honest sync, and full summaries beyond
+// the token bucket.
 const (
 	// pointsGarbage scores an authenticated-undecodable frame
 	// (adhoc.ErrPeerMisbehaved): the strongest signal, impossible to
 	// produce by accident.
 	pointsGarbage = 3
-	// pointsStaleDelta scores a delta advertisement against a
-	// generation we never saw. Honest peers send one after an eviction
-	// race; attackers send streams of them.
-	pointsStaleDelta = 1
 	// pointsOversized scores a want-list requesting more sequence
 	// numbers than any honest sync needs.
 	pointsOversized = 2
-	// pointsFlood scores each in-session advertisement beyond the
+	// pointsFlood scores each full in-session advertisement beyond the
 	// per-peer token bucket.
 	pointsFlood = 1
 
@@ -42,10 +41,11 @@ const (
 	oversizedWantSeqs = 16384
 
 	// adBurst and adRefillPerSec shape the in-session advertisement
-	// token bucket, charged per stream-starting frame (full and delta
-	// ads; continuation chunks ride their stream's token). Honest
-	// managers re-advertise on generation change — bursts during a sync
-	// storm, nowhere near this sustained rate.
+	// token bucket, charged per full summary (chunk 0; continuation
+	// chunks ride their stream's token, and deltas cost O(changed
+	// entries), the class of the Batch frames they steer). Honest
+	// managers send a full at first contact, after PeerGone and in
+	// answer to a SummaryPull — nowhere near this sustained rate.
 	adBurst        = 64.0
 	adRefillPerSec = 16.0
 

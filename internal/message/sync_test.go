@@ -2,14 +2,15 @@
 // message manager runs on top of store.Engine.Changes. These are
 // end-to-end tests over live media — the full middleware for steady-state
 // delta sync and churn, and an adhoc-level harness for the
-// generation-gap → SummaryPull → full-summary fallback that a graceful
-// stack can only hit through peer restarts.
+// generation-gap → SummaryPull → full-summary fallback and the redial
+// ladder, which a graceful stack only hits through restarts and chaos.
 package message_test
 
 import (
 	"crypto/rand"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,7 +332,19 @@ type syncHarness struct {
 
 func newSyncHarness(t *testing.T) *syncHarness {
 	t.Helper()
-	medium, svc := newLiveWorld(t)
+	return newSyncHarnessWith(t, message.Config{}, nil)
+}
+
+// newSyncHarnessWith builds the harness with alice's manager options
+// taken from cfg (Store, Routing and Verifier are filled in) and bob
+// joining through bobRadio's wrapping of the shared medium, if given.
+func newSyncHarnessWith(t *testing.T, cfg message.Config, bobRadio func(mpc.Medium) mpc.Medium) *syncHarness {
+	t.Helper()
+	mem, svc := newLiveWorld(t)
+	var medium, bobMedium mpc.Medium = mem, mem
+	if bobRadio != nil {
+		bobMedium = bobRadio(mem)
+	}
 	aliceCreds, err := cloud.Bootstrap(svc, "alice", rand.Reader)
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
@@ -350,10 +363,12 @@ func newSyncHarness(t *testing.T) *syncHarness {
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
-	mgr, err := message.New(message.Config{Store: st, Routing: rm, Verifier: verifier})
+	cfg.Store, cfg.Routing, cfg.Verifier = st, rm, verifier
+	mgr, err := message.New(cfg)
 	if err != nil {
 		t.Fatalf("message.New: %v", err)
 	}
+	t.Cleanup(mgr.Close)
 	aliceAd, err := adhoc.New(adhoc.Config{
 		Medium: medium, PeerName: "alice-phone", Ident: aliceCreds.Ident,
 		CertDER: aliceCreds.Cert.DER, Verifier: verifier, Handler: mgr,
@@ -369,7 +384,7 @@ func newSyncHarness(t *testing.T) *syncHarness {
 	}
 	bob := &frameCapture{}
 	bobAd, err := adhoc.New(adhoc.Config{
-		Medium: medium, PeerName: "bob-phone", Ident: bobCreds.Ident,
+		Medium: bobMedium, PeerName: "bob-phone", Ident: bobCreds.Ident,
 		CertDER: bobCreds.Cert.DER, Verifier: bobVerifier, Handler: bob,
 	})
 	if err != nil {
@@ -380,16 +395,46 @@ func newSyncHarness(t *testing.T) *syncHarness {
 	return &syncHarness{mgr: mgr, st: st, aliceAd: aliceAd, bobAd: bobAd, bob: bob, bobCreds: bobCreds}
 }
 
-// TestGenerationGapTriggersSummaryPull scripts a peer that claims a delta
-// base the manager has never seen — the receiver must answer SummaryPull,
-// and a subsequent full summary must heal the view.
+// requested reports whether alice has sent bob a Request naming author.
+func (c *frameCapture) requested(author id.UserID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, f := range c.frames {
+		if req, ok := f.(*wire.Request); ok {
+			for _, w := range req.Wants {
+				if w.Author == author {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestGenerationGapTriggersSummaryPull scripts a peer whose delta builds
+// on a generation the manager never saw. The receiver must keep its
+// cached view, merge and plan against the delta's entries, score nothing
+// and answer with one SummaryPull — one per heartbeat interval however
+// many gap deltas follow — and a subsequent full summary must heal the
+// view.
 func TestGenerationGapTriggersSummaryPull(t *testing.T) {
-	h := newSyncHarness(t)
+	// The heartbeat re-arms the pull; keep it out of the test's time span
+	// so the pull count is exact.
+	h := newSyncHarnessWith(t, message.Config{ResyncInterval: time.Hour}, nil)
 	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
 	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
 	link := h.bob.link(0)
+
+	// A first full summary gives alice a cached view of bob.
+	cached := id.NewUserID("cached-author")
+	if err := link.SendFrame(&wire.Advertisement{
+		Peer: "bob-phone", Gen: 5, Summary: map[id.UserID]uint64{cached: 3},
+	}); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	waitFor(t, "request against the cached view", func() bool { return h.bob.requested(cached) })
 
 	// A delta against a base alice's manager never recorded.
 	gapAd := &wire.Advertisement{
@@ -400,29 +445,134 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "summary pull at bob", func() bool { return h.bob.pulls() > 0 })
-	if st := h.mgr.Stats(); st.SummaryPullsSent != 1 {
-		t.Errorf("SummaryPullsSent = %d, want 1", st.SummaryPullsSent)
+	// The view survived the gap and the delta's entries joined it: both
+	// are held, and the new one is planned against.
+	waitFor(t, "request against the merged entry", func() bool { return h.bob.requested(h.bobCreds.Ident.User) })
+	if _, _, entries := h.mgr.SyncState(); entries != 2 {
+		t.Errorf("view holds %d entries after the gap delta, want 2 (cached + merged)", entries)
 	}
 
-	// Healing: a full summary is applied and planning resumes (alice
-	// requests the advertised message).
+	// A hostile stream of gap deltas inside one heartbeat interval costs
+	// no further pull, no score and not the link.
+	last := id.NewUserID("last-of-the-burst")
+	for i := uint64(0); i < 200; i++ {
+		ad := &wire.Advertisement{
+			Peer: "bob-phone", Gen: 2000 + i, BaseGen: 1999 + i,
+			Summary: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
+		}
+		if i == 199 {
+			ad.Summary[last] = 1
+		}
+		if err := link.SendFrame(ad); err != nil {
+			t.Fatalf("SendFrame: %v", err)
+		}
+	}
+	waitFor(t, "end of the burst", func() bool { return h.bob.requested(last) })
+	st := h.mgr.Stats()
+	if st.SummaryPullsSent != 1 || h.bob.pulls() != 1 {
+		t.Errorf("SummaryPullsSent = %d (bob saw %d), want 1 for 201 gap deltas in one interval", st.SummaryPullsSent, h.bob.pulls())
+	}
+	if st.MisbehaviorEvents != 0 || st.Quarantines != 0 {
+		t.Errorf("gap deltas scored: %d misbehavior events, %d quarantines", st.MisbehaviorEvents, st.Quarantines)
+	}
+	if st.AdsFullSent != 1 {
+		t.Errorf("AdsFullSent = %d, want only the greeting: gap deltas must not be answered with fulls", st.AdsFullSent)
+	}
+	if len(h.mgr.ActiveLinks()) != 1 {
+		t.Error("the link did not survive the gap-delta burst")
+	}
+
+	// Healing: a full summary replaces the view and planning resumes
+	// (alice requests the advertised message).
+	healed := id.NewUserID("healed-author")
 	fullAd := &wire.Advertisement{
-		Peer: "bob-phone", Gen: 1000,
-		Summary: map[id.UserID]uint64{h.bobCreds.Ident.User: 1},
+		Peer: "bob-phone", Gen: 3000,
+		Summary: map[id.UserID]uint64{healed: 1},
 	}
 	if err := link.SendFrame(fullAd); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "request from alice", func() bool {
-		h.bob.mu.Lock()
-		defer h.bob.mu.Unlock()
-		for _, f := range h.bob.frames {
-			if _, ok := f.(*wire.Request); ok {
-				return true
-			}
-		}
-		return false
+	waitFor(t, "request from alice", func() bool { return h.bob.requested(healed) })
+	if _, _, entries := h.mgr.SyncState(); entries != 1 {
+		t.Errorf("view holds %d entries after the healing full, want 1", entries)
+	}
+}
+
+// refusingMedium is a scripted peer's radio that hangs up on its first
+// refuse inbound connections before the handshake can start.
+type refusingMedium struct {
+	mpc.Medium
+	refuse atomic.Int32
+}
+
+func (m *refusingMedium) Join(peer mpc.PeerID, events mpc.Events) (mpc.Endpoint, error) {
+	return m.Medium.Join(peer, &refusingEvents{Events: events, m: m, refused: make(map[mpc.Conn]bool)})
+}
+
+// refusingEvents hides refused connections from the wrapped callback
+// surface. The medium invokes callbacks sequentially, so the map needs
+// no lock.
+type refusingEvents struct {
+	mpc.Events
+	m       *refusingMedium
+	refused map[mpc.Conn]bool
+}
+
+func (e *refusingEvents) Incoming(conn mpc.Conn) {
+	if e.m.refuse.Add(-1) >= 0 {
+		e.refused[conn] = true
+		conn.Close()
+		return
+	}
+	e.Events.Incoming(conn)
+}
+
+func (e *refusingEvents) Received(conn mpc.Conn, frame []byte) {
+	if !e.refused[conn] {
+		e.Events.Received(conn, frame)
+	}
+}
+
+func (e *refusingEvents) Disconnected(conn mpc.Conn, reason error) {
+	if e.refused[conn] {
+		delete(e.refused, conn)
+		return
+	}
+	e.Events.Disconnected(conn, reason)
+}
+
+// TestRedialLadderOutlastsFailedHandshakes scripts a peer in range whose
+// first eight handshakes fail — more than the six rungs the ladder used
+// to have — and whose beacon never changes, so nothing but the ladder
+// can dial again. The contact must still come up.
+func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
+	const failures = 8
+	var radio *refusingMedium
+	h := newSyncHarnessWith(t, message.Config{AutoConnect: true}, func(m mpc.Medium) mpc.Medium {
+		radio = &refusingMedium{Medium: m}
+		radio.refuse.Store(failures)
+		return radio
 	})
+	if err := h.bobAd.Advertise(&wire.Advertisement{
+		Peer: "bob-phone", Gen: 1, Summary: map[id.UserID]uint64{h.bobCreds.Ident.User: 1},
+	}); err != nil {
+		t.Fatalf("Advertise: %v", err)
+	}
+
+	// Eight rungs of a ladder that starts at 200 ms and caps at 5 s.
+	deadline := time.Now().Add(40 * time.Second)
+	for len(h.mgr.ActiveLinks()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no link after %d refused handshakes: stats %+v, adhoc %+v", failures, h.mgr.Stats(), h.aliceAd.Stats())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if left := radio.refuse.Load(); left > 0 {
+		t.Errorf("linked with %d refusals still unspent", left)
+	}
+	if st := h.mgr.Stats(); st.Reconnects < failures {
+		t.Errorf("Reconnects = %d, want >= %d ladder attempts", st.Reconnects, failures)
+	}
 }
 
 // TestSummaryPullServesFull scripts a peer asking for a full resync: the

@@ -117,12 +117,18 @@ type Frame interface {
 //
 //   - BaseGen == 0: Summary is the complete dictionary at Gen (a "full"
 //     advertisement). Discovery beacons are always full.
-//   - BaseGen > 0: Summary is a delta — only the authors whose entry
-//     changed in generations (BaseGen, Gen], to be applied on top of the
-//     receiver's cached view at BaseGen. BaseGen == Gen is the empty
-//     delta, a pure scheme-gossip refresh. A receiver whose cached view
-//     is not at exactly BaseGen must discard the delta and ask for a
-//     full summary (SummaryPull).
+//   - BaseGen > 0: Summary is a delta — the authors whose entry changed
+//     since generation BaseGen, at their current value (so it may carry
+//     a change newer than Gen). BaseGen == Gen with no entries is the
+//     empty delta, a heartbeat and scheme-gossip refresh.
+//
+// Entries are monotone high-water marks, so a receiver merges every
+// delta into its cached view raise-only, whatever its base; only a full
+// advertisement replaces the view. BaseGen tells the receiver whether it
+// missed anything: at or below the generation its view has reached the
+// delta is an overlap, and the view now reaches max(that, Gen); above
+// it there is a gap, and the receiver keeps view and entries and asks
+// for a full summary (SummaryPull).
 //
 // A large full summary may additionally be *chunked*: Chunk numbers the
 // slice of the dictionary this frame carries and More says whether
@@ -132,7 +138,9 @@ type Frame interface {
 // partition the dictionary (each author appears in exactly one chunk),
 // all carry the same Gen, and arrive in Chunk order on a session's
 // in-order link; a receiver may start requesting messages after any
-// prefix of the stream. Chunking and deltas are mutually exclusive — a
+// prefix of the stream. Chunk 0 replaces the receiver's view; the later
+// chunks merge into it raise-only like deltas based at the stream's Gen.
+// Chunking and deltas are mutually exclusive — a
 // chunked advertisement must have BaseGen == 0 (deltas are small by
 // construction) — and discovery beacons are never chunked.
 //
@@ -235,9 +243,9 @@ func (*Bye) Type() Type { return TypeBye }
 
 // SummaryPull asks the peer to re-send a full (non-delta) summary
 // advertisement. A receiver sends it when a delta advertisement arrives
-// whose BaseGen does not match its cached view — a generation gap, e.g.
-// after the receiver restarted while the sender kept its per-peer sync
-// state.
+// whose BaseGen is ahead of its cached view — a generation gap, e.g.
+// after a lost frame, or after the receiver restarted while the sender
+// kept its per-peer sync state.
 type SummaryPull struct{}
 
 // Type implements Frame.
