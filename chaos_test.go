@@ -7,7 +7,11 @@ import (
 	"time"
 
 	"sos"
+	"sos/internal/adhoc"
 	"sos/internal/chaos"
+	"sos/internal/mpc"
+	"sos/internal/pki"
+	"sos/internal/wire"
 )
 
 // chaosFleet is a small fleet of public-API nodes over one (possibly
@@ -270,5 +274,74 @@ func TestByzantineQuarantine(t *testing.T) {
 
 	if bs := byz.Stats(); bs.Links == 0 {
 		t.Errorf("byzantine peer never completed a handshake: %+v", bs)
+	}
+}
+
+// stalePeer is a scripted insider that opens every session with a frame
+// of the retired type 7 — what a peer from before the three-step protocol
+// sent to acknowledge a Batch — and reports how its link ended.
+type stalePeer struct {
+	down chan error
+}
+
+func (p *stalePeer) Bind(*adhoc.Manager)                            {}
+func (p *stalePeer) PeerDiscovered(mpc.PeerID, *wire.Advertisement) {}
+func (p *stalePeer) PeerGone(mpc.PeerID)                            {}
+func (p *stalePeer) FrameIn(*adhoc.Link, wire.Frame)                {}
+func (p *stalePeer) LinkUp(link *adhoc.Link) {
+	// Type byte 7 and a zero reference count: a well-formed frame once.
+	_ = link.SendEncoded([]byte{7, 0, 0, 0, 0})
+}
+func (p *stalePeer) LinkDown(_ *adhoc.Link, reason error) { p.down <- reason }
+
+// TestRetiredFrameTypeIsMisbehavior: the acknowledgement frame is gone
+// from the codec, so inside a session its type byte authenticates and
+// then fails to decode. The receiver must treat it as any other
+// authenticated garbage — end the link and score the sender — and not
+// skip it as a frame from the future.
+func TestRetiredFrameTypeIsMisbehavior(t *testing.T) {
+	ca, err := sos.NewCA("Chaos Root CA", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cld := sos.NewCloud(ca, nil)
+	medium := sos.NewMemMedium()
+	ada := newChaosFleet(t, cld, medium, []string{"ada"}, nil).nodes[0]
+
+	creds, err := sos.Bootstrap(cld, "stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := &stalePeer{down: make(chan error, 1)}
+	mgr, err := adhoc.New(adhoc.Config{
+		Medium: medium, PeerName: "stale-device", Ident: creds.Ident,
+		CertDER: creds.Cert.DER, Verifier: verifier, Handler: peer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	if err := mgr.Connect("ada-device"); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+
+	select {
+	case <-peer.down:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the link survived a frame of the retired type")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for ada.Stats().Message.MisbehaviorEvents == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the sender of a retired-type frame was not scored")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if ms := ada.Stats().Message; ms.MisbehaviorEvents != 1 || ms.Quarantines != 0 {
+		t.Errorf("one bad frame scored %d events and %d quarantines, want 1 and 0", ms.MisbehaviorEvents, ms.Quarantines)
 	}
 }

@@ -170,7 +170,7 @@ func run(cfg sim.GainesvilleConfig, csvDir string) error {
 	}
 	fmt.Println("== middleware internals ==")
 	fmt.Printf("  authenticated handshakes: %d  (cert rejections: %d)\n", agg.handshakes, agg.rejects)
-	fmt.Printf("  transfers aborted by contact loss: %d (all recovered at later encounters)\n", agg.aborted)
+	fmt.Printf("  requests cut off by contact loss: %d (all re-planned at later encounters)\n", agg.aborted)
 	fmt.Printf("  signature/certificate verification failures: %d\n", agg.verifyFailures)
 	fmt.Printf("  frames delivered: %d (%.1f MiB), dropped in flight: %d\n",
 		res.MediumStats.FramesDelivered, float64(res.MediumStats.BytesDelivered)/(1<<20), res.MediumStats.FramesDropped)

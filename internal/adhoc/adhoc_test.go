@@ -186,7 +186,7 @@ func TestFramesFlowEncrypted(t *testing.T) {
 	}
 
 	// Reply in the other direction.
-	if err := cb.ups[0].SendFrame(&wire.Ack{}); err != nil {
+	if err := cb.ups[0].SendFrame(&wire.SummaryPull{}); err != nil {
 		t.Fatalf("reply SendFrame: %v", err)
 	}
 	w.pump(time.Second)
@@ -348,7 +348,7 @@ func TestLinkDownOnContactLoss(t *testing.T) {
 		t.Fatalf("link downs = %d/%d, want 1/1", len(ca.downs), len(cb.downs))
 	}
 	// Sending on the dead link fails.
-	if err := ca.ups[0].SendFrame(&wire.Ack{}); err == nil {
+	if err := ca.ups[0].SendFrame(&wire.SummaryPull{}); err == nil {
 		t.Error("SendFrame on dead link succeeded")
 	}
 }
@@ -549,13 +549,13 @@ func TestLiveMediumHandshake(t *testing.T) {
 		t.Fatal("bob link timeout")
 	}
 
-	if err := aliceLink.SendFrame(&wire.Ack{Refs: nil}); err != nil {
+	if err := aliceLink.SendFrame(&wire.SummaryPull{}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	select {
 	case f := <-bob.recv:
-		if _, ok := f.(*wire.Ack); !ok {
-			t.Errorf("bob received %T, want *wire.Ack", f)
+		if _, ok := f.(*wire.SummaryPull); !ok {
+			t.Errorf("bob received %T, want *wire.SummaryPull", f)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("bob frame timeout")

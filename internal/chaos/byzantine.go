@@ -199,8 +199,7 @@ func (h *byzantineHandler) LinkUp(link *adhoc.Link) {
 }
 
 func (h *byzantineHandler) FrameIn(*adhoc.Link, wire.Frame) {
-	// Ignore the victim's traffic entirely: never serve a request,
-	// never ack a batch.
+	// Ignore the victim's traffic entirely: never serve a request.
 }
 
 func (h *byzantineHandler) LinkDown(link *adhoc.Link, _ error) {

@@ -391,16 +391,16 @@ func TestAbortedTransferRecoversOnNextEncounter(t *testing.T) {
 		t.Skip("transfer completed before the cut; timing-sensitive setup")
 	}
 
-	// Second encounter: the message manager knows the message was never
-	// acknowledged and the exchange simply re-runs.
+	// Second encounter: bob's message manager knows its request died with
+	// the link and the exchange simply re-runs.
 	w.link(alice, bob, mpc.Bluetooth)
 	w.pump(time.Minute)
 
 	if _, ok := refs(bob.received)[post.Ref()]; !ok {
 		t.Fatal("message lost forever after aborted transfer")
 	}
-	if alice.mw.Stats().Message.TransfersAborted == 0 {
-		t.Error("aborted transfer not recorded")
+	if got := bob.mw.Stats().Message.TransfersAborted; got == 0 {
+		t.Error("aborted transfer not recorded on the requester")
 	}
 }
 

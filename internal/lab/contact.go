@@ -11,7 +11,7 @@
 // live medium, preloads both stores with the same N-author history (so
 // the initial exchange settles with nothing to transfer), then posts
 // fresh messages on one side and measures the full sync round trip —
-// advertise → request → verify → store → ack — to the other. One priming
+// advertise → request → verify → store → delta — to the other. One priming
 // post establishes the contact, and the harness waits for the
 // first-contact summary exchange (a chunked stream at large stores) to
 // settle on both sides before the measured loop starts: what is measured
@@ -64,7 +64,7 @@ type ContactResult struct {
 	// SummaryBytesPerMsg and PayloadBytesPerMsg split the wire bytes both
 	// nodes sent in-session per synced message into the sync plane
 	// (advertisements, summary pulls) and the data plane (requests,
-	// batches, acks). Flat summary bytes across author tiers is the direct
+	// batches). Flat summary bytes across author tiers is the direct
 	// evidence the delta/chunk machinery works; payload bytes track the
 	// messages themselves and stay constant by construction.
 	SummaryBytesPerMsg float64 `json:"summaryBytesPerMsg"`

@@ -16,8 +16,12 @@
 //  3. Requests are answered with Batches; every message carries the
 //     originator's certificate, so the receiver verifies the certificate
 //     chain and the author signature before storing (paper Fig. 3b).
-//  4. Stored messages are acknowledged; unacknowledged transfers are
-//     counted as aborted when the link drops.
+//
+// There is no fourth step: storing a message moves the receiver's summary,
+// and the delta advertisement that follows carries the new high-water mark
+// back to the sender. The requester's in-flight ledger is the record of
+// what a broken link failed to move: every request still outstanding when
+// its link drops counts as an aborted transfer and is planned again.
 //
 // # Delta synchronization
 //
@@ -161,8 +165,7 @@ type Stats struct {
 	BatchesReceived   uint64
 	RequestsSent      uint64
 	RequestsReceived  uint64
-	AcksReceived      uint64
-	TransfersAborted  uint64
+	TransfersAborted  uint64 // requests of ours that died with their link
 	ConnectsAttempted uint64
 
 	// Sync-plane counters: full vs delta in-session advertisements sent,
@@ -181,7 +184,7 @@ type Stats struct {
 	PlanEntriesScanned uint64
 	// SummaryBytesSent and PayloadBytesSent split outbound in-session
 	// wire bytes into the sync plane (advertisements, summary pulls) and
-	// the data plane (requests, batches, acks), so summary overhead is
+	// the data plane (requests, batches), so summary overhead is
 	// measurable on its own.
 	SummaryBytesSent uint64
 	PayloadBytesSent uint64
@@ -242,14 +245,12 @@ type Manager struct {
 	mu       sync.Mutex
 	adhocMgr *adhoc.Manager
 	peers    map[mpc.PeerID]*peerSync
-	// unacked tracks messages served per peer that have not been
-	// acknowledged; on disconnect these count as aborted transfers.
-	unacked map[mpc.PeerID]map[msg.Ref]bool
 	// inflight tracks messages requested from a peer and not yet
 	// received, so concurrent links to several peers holding the same
 	// message do not trigger duplicate transfers. Entries carry the
 	// request time; the resync heartbeat expires stale ones so a lost
-	// Request or Batch frame does not pin its refs forever.
+	// Request or Batch frame does not pin its refs forever, and the ones a
+	// dropped link orphans are its aborted transfers.
 	inflight map[msg.Ref]inflightEntry
 	// streams tracks the cancel channel of each link's in-flight chunked
 	// summary stream; starting a new stream or losing the link cancels
@@ -321,7 +322,6 @@ func New(cfg Config) (*Manager, error) {
 	return &Manager{
 		cfg:      cfg,
 		peers:    make(map[mpc.PeerID]*peerSync),
-		unacked:  make(map[mpc.PeerID]map[msg.Ref]bool),
 		inflight: make(map[msg.Ref]inflightEntry),
 		streams:  make(map[*adhoc.Link]chan struct{}),
 		refused:  make(map[*adhoc.Link]bool),
@@ -378,14 +378,10 @@ func (m *Manager) resyncTick() {
 		}
 	}
 	m.resyncTicks++
-	views := make(map[*peerSync]map[id.UserID]uint64, len(m.peers))
 	for _, ps := range m.peers {
 		ps.pullPending = false
-		if ps.link != nil && len(ps.summary) > 0 {
-			views[ps] = ps.summary
-		}
 	}
-	sends := m.planLocked(views)
+	sends := m.planLocked(m.linkedViewsLocked())
 	m.resyncTimer = time.AfterFunc(m.cfg.ResyncInterval, m.resyncTick)
 	m.mu.Unlock()
 
@@ -636,7 +632,7 @@ func (m *Manager) sendSummary(links []*adhoc.Link, base, gen uint64, peerName st
 
 // sendCounted encodes one frame through a pooled buffer, sends it on the
 // link, and bills the wire bytes to the summary plane (advertisements,
-// summary pulls) or the payload plane (requests, batches, acks).
+// summary pulls) or the payload plane (requests, batches).
 func (m *Manager) sendCounted(link *adhoc.Link, f wire.Frame, payload bool) error {
 	buf := wire.GetBuffer()
 	defer buf.Free()
@@ -975,12 +971,8 @@ func (m *Manager) FrameIn(link *adhoc.Link, f wire.Frame) {
 		m.onRequest(link, fr)
 	case *wire.Batch:
 		m.onBatch(link, fr)
-	case *wire.Ack:
-		m.onAck(link, fr)
 	case *wire.PrekeyBundle:
 		m.onPrekeyBundle(link, fr)
-	default:
-		// Unknown in-session frame: ignore (forward compatibility).
 	}
 }
 
@@ -1014,17 +1006,20 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 		close(cancel)
 		delete(m.streams, link)
 	}
-	if pending := m.unacked[link.Peer()]; len(pending) > 0 {
-		m.stats.TransfersAborted += uint64(len(pending))
-	}
-	delete(m.unacked, link.Peer())
-	// Requests that died with this link become eligible again.
-	orphaned := false
+	// Requests that died with this link are its aborted transfers; plan
+	// them again on the links that remain, so an aborted transfer resumes
+	// within the same gathering.
+	orphaned := uint64(0)
 	for ref, e := range m.inflight {
 		if e.peer == link.Peer() {
 			delete(m.inflight, ref)
-			orphaned = true
+			orphaned++
 		}
+	}
+	m.stats.TransfersAborted += orphaned
+	var sends []outgoingPlan
+	if orphaned > 0 {
+		sends = m.planLocked(m.linkedViewsLocked())
 	}
 	m.mu.Unlock()
 
@@ -1032,11 +1027,7 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 	if m.cfg.OnPeerDown != nil {
 		m.cfg.OnPeerDown(link.User())
 	}
-	if orphaned {
-		// Re-plan against the remaining links' summaries so an aborted
-		// transfer resumes within the same gathering.
-		m.pull()
-	}
+	m.sendPlans(sends)
 	m.scheduleRedial(link.Peer(), reason)
 }
 
@@ -1190,21 +1181,18 @@ type outgoingPlan struct {
 	wants []wire.Want
 }
 
-// pull re-plans requests across all active links from their cached
-// summaries. It runs when link state changes could invalidate earlier
-// plans (full summary replace, aborted transfers on LinkDown); the
-// per-change hot path is pullView.
-func (m *Manager) pull() {
-	m.mu.Lock()
+// linkedViewsLocked returns the cached summary of every linked peer that
+// has one: the input of a re-plan across all links, which runs when
+// earlier plans may have died (the resync heartbeat, LinkDown); the
+// per-change hot path is pullView. Callers hold m.mu.
+func (m *Manager) linkedViewsLocked() map[*peerSync]map[id.UserID]uint64 {
 	views := make(map[*peerSync]map[id.UserID]uint64, len(m.peers))
 	for _, ps := range m.peers {
 		if ps.link != nil && len(ps.summary) > 0 {
 			views[ps] = ps.summary
 		}
 	}
-	sends := m.planLocked(views)
-	m.mu.Unlock()
-	m.sendPlans(sends)
+	return views
 }
 
 // pullView plans requests against a single peer's just-applied delta
@@ -1248,19 +1236,7 @@ func (m *Manager) planLocked(views map[*peerSync]map[id.UserID]uint64) []outgoin
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 
-	type planned struct {
-		wants map[id.UserID][]uint64
-	}
-	plans := make(map[*peerSync]*planned, len(views))
-	assign := func(ps *peerSync, author id.UserID, seq uint64) {
-		p := plans[ps]
-		if p == nil {
-			p = &planned{wants: make(map[id.UserID][]uint64)}
-			plans[ps] = p
-		}
-		p.wants[author] = append(p.wants[author], seq)
-		m.inflight[msg.Ref{Author: author, Seq: seq}] = inflightEntry{peer: ps.link.Peer(), tick: m.resyncTicks}
-	}
+	plans := make(map[*peerSync]map[id.UserID][]uint64, len(views))
 	for _, peer := range peers {
 		ps := m.peers[peer]
 		m.stats.PlanEntriesScanned += uint64(len(views[ps]))
@@ -1276,21 +1252,25 @@ func (m *Manager) planLocked(views map[*peerSync]map[id.UserID]uint64) []outgoin
 				if src, linked := byUser[want.Author]; linked && src.summary[want.Author] >= seq {
 					target = src
 				}
-				assign(target, want.Author, seq)
+				if plans[target] == nil {
+					plans[target] = make(map[id.UserID][]uint64)
+				}
+				plans[target][want.Author] = append(plans[target][want.Author], seq)
+				m.inflight[ref] = inflightEntry{peer: target.link.Peer(), tick: m.resyncTicks}
 			}
 		}
 	}
 	// Snapshot the plans for sending outside the lock.
 	var sends []outgoingPlan
-	for ps, p := range plans {
-		authors := make([]id.UserID, 0, len(p.wants))
-		for author := range p.wants {
+	for ps, byAuthor := range plans {
+		authors := make([]id.UserID, 0, len(byAuthor))
+		for author := range byAuthor {
 			authors = append(authors, author)
 		}
 		sort.Slice(authors, func(i, j int) bool { return authors[i].String() < authors[j].String() })
 		wants := make([]wire.Want, 0, len(authors))
 		for _, author := range authors {
-			wants = append(wants, wire.Want{Author: author, Seqs: p.wants[author]})
+			wants = append(wants, wire.Want{Author: author, Seqs: byAuthor[author]})
 		}
 		sends = append(sends, outgoingPlan{link: ps.link, wants: wants})
 	}
@@ -1353,34 +1333,31 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 		m.mu.Lock()
 		m.stats.BatchesSent++
 		m.stats.MessagesServed += uint64(end - start)
-		pending := m.unacked[link.Peer()]
-		if pending == nil {
-			pending = make(map[msg.Ref]bool)
-			m.unacked[link.Peer()] = pending
-		}
-		for _, mm := range outgoing[start:end] {
-			pending[mm.Ref()] = true
-		}
 		m.mu.Unlock()
 	}
 }
 
-// onBatch verifies, stores, and acknowledges delivered messages.
+// onBatch verifies and stores delivered messages. Nothing goes back to
+// the sender for them: a new message moves the summary, and the delta that
+// Advertise pushes carries the new high-water mark to every linked peer.
 func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	m.mu.Lock()
 	m.stats.BatchesReceived++
 	m.mu.Unlock()
 
 	scheme := m.cfg.Routing.Current()
-	var accepted []msg.Ref
 	newMessages := false
 	for _, mm := range batch.Msgs {
-		m.mu.Lock()
-		delete(m.inflight, mm.Ref())
-		m.mu.Unlock()
+		ref := mm.Ref()
 		if err := m.verify(mm); err != nil {
 			m.mu.Lock()
 			m.stats.VerifyFailures++
+			// A bad copy settles only a request made of this peer: anyone
+			// can put one of any ref in a batch, and that must not cancel
+			// a request pending on another link.
+			if m.inflight[ref].peer == link.Peer() {
+				delete(m.inflight, ref)
+			}
 			m.mu.Unlock()
 			continue
 		}
@@ -1392,26 +1369,21 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 		if err != nil {
 			continue
 		}
-		accepted = append(accepted, incoming.Ref())
-		if !added {
-			m.mu.Lock()
+		m.mu.Lock()
+		delete(m.inflight, ref) // held now, whoever it was asked of
+		if added {
+			m.stats.MessagesReceived++
+		} else {
 			m.stats.Duplicates++
-			m.mu.Unlock()
+		}
+		m.mu.Unlock()
+		if !added {
 			continue
 		}
 		newMessages = true
-		m.mu.Lock()
-		m.stats.MessagesReceived++
-		m.mu.Unlock()
 		scheme.OnReceived(incoming, link.User())
 		if m.cfg.OnReceive != nil {
 			m.cfg.OnReceive(incoming.Clone(), link.User())
-		}
-	}
-	if len(accepted) > 0 {
-		for start := 0; start < len(accepted); start += wire.MaxBatchMessages {
-			end := min(start+wire.MaxBatchMessages, len(accepted))
-			_ = m.sendCounted(link, &wire.Ack{Refs: accepted[start:end]}, true)
 		}
 	}
 	if newMessages {
@@ -1419,17 +1391,6 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 		// browsing and linked peers see the new high-water marks (this is
 		// how multi-hop forwarding propagates within a gathering).
 		_ = m.Advertise()
-	}
-}
-
-// onAck clears acknowledged transfers.
-func (m *Manager) onAck(link *adhoc.Link, ack *wire.Ack) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats.AcksReceived++
-	pending := m.unacked[link.Peer()]
-	for _, ref := range ack.Refs {
-		delete(pending, ref)
 	}
 }
 

@@ -322,6 +322,8 @@ func (c *frameCapture) pulls() int {
 // syncHarness wires one real message.Manager (alice) against a scripted
 // peer (bob) over a live medium.
 type syncHarness struct {
+	mem      *mpc.MemMedium
+	svc      *cloud.Service
 	mgr      *message.Manager
 	st       *store.Store
 	aliceAd  *adhoc.Manager
@@ -349,11 +351,6 @@ func newSyncHarnessWith(t *testing.T, cfg message.Config, bobRadio func(mpc.Medi
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
-	bobCreds, err := cloud.Bootstrap(svc, "bob", rand.Reader)
-	if err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
-
 	st := store.New(aliceCreds.Ident.User)
 	rm, err := routing.NewManager(st, routing.Options{})
 	if err != nil {
@@ -378,37 +375,56 @@ func newSyncHarnessWith(t *testing.T, cfg message.Config, bobRadio func(mpc.Medi
 	}
 	t.Cleanup(func() { aliceAd.Close() })
 
-	bobVerifier, err := pki.NewVerifier(bobCreds.RootDER, nil)
+	h := &syncHarness{mem: mem, svc: svc, mgr: mgr, st: st, aliceAd: aliceAd}
+	h.bobAd, h.bob, h.bobCreds = h.scriptedPeer(t, bobMedium, "bob")
+	return h
+}
+
+// scriptedPeer joins one more scripted device (a frameCapture behind a
+// real ad hoc manager) to the harness's world.
+func (h *syncHarness) scriptedPeer(t *testing.T, medium mpc.Medium, handle string) (*adhoc.Manager, *frameCapture, *cloud.Credentials) {
+	t.Helper()
+	creds, err := cloud.Bootstrap(h.svc, handle, rand.Reader)
+	if err != nil {
+		t.Fatalf("Bootstrap(%s): %v", handle, err)
+	}
+	verifier, err := pki.NewVerifier(creds.RootDER, nil)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
-	bob := &frameCapture{}
-	bobAd, err := adhoc.New(adhoc.Config{
-		Medium: bobMedium, PeerName: "bob-phone", Ident: bobCreds.Ident,
-		CertDER: bobCreds.Cert.DER, Verifier: bobVerifier, Handler: bob,
+	peer := &frameCapture{}
+	ad, err := adhoc.New(adhoc.Config{
+		Medium: medium, PeerName: mpc.PeerID(handle + "-phone"), Ident: creds.Ident,
+		CertDER: creds.Cert.DER, Verifier: verifier, Handler: peer,
 	})
 	if err != nil {
-		t.Fatalf("adhoc.New(bob): %v", err)
+		t.Fatalf("adhoc.New(%s): %v", handle, err)
 	}
-	t.Cleanup(func() { bobAd.Close() })
-
-	return &syncHarness{mgr: mgr, st: st, aliceAd: aliceAd, bobAd: bobAd, bob: bob, bobCreds: bobCreds}
+	t.Cleanup(func() { ad.Close() })
+	return ad, peer, creds
 }
 
 // requested reports whether alice has sent bob a Request naming author.
 func (c *frameCapture) requested(author id.UserID) bool {
+	return c.requestedSeqs(author) > 0
+}
+
+// requestedSeqs counts the sequence numbers of author across every
+// Request received so far (a re-requested number counts again).
+func (c *frameCapture) requestedSeqs(author id.UserID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	n := 0
 	for _, f := range c.frames {
 		if req, ok := f.(*wire.Request); ok {
 			for _, w := range req.Wants {
 				if w.Author == author {
-					return true
+					n += len(w.Seqs)
 				}
 			}
 		}
 	}
-	return false
+	return n
 }
 
 // TestGenerationGapTriggersSummaryPull scripts a peer whose delta builds

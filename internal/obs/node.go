@@ -57,7 +57,7 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Message.Duplicates })
 		reg.CounterFunc("sos_message_verify_failures_total", "Received messages failing signature or certificate checks.", nil,
 			func() uint64 { return mw.Stats().Message.VerifyFailures })
-		reg.CounterFunc("sos_message_transfers_aborted_total", "Transfers cut off by link loss.", nil,
+		reg.CounterFunc("sos_message_transfers_aborted_total", "Requests that died with the link, counted on the requesting node.", nil,
 			func() uint64 { return mw.Stats().Message.TransfersAborted })
 		reg.CounterFunc("sos_message_connects_attempted_total", "Contact-triggered connection attempts.", nil,
 			func() uint64 { return mw.Stats().Message.ConnectsAttempted })

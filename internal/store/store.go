@@ -15,7 +15,6 @@
 package store
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 	"sync"
@@ -38,23 +37,23 @@ type Store struct {
 	maxMessages int
 	maxBytes    int
 
-	msgs     map[msg.Ref]*entry
+	// byAuthor is the one index of held messages; count is its total.
 	byAuthor map[id.UserID]map[uint64]*entry
-	// maxSeq is the high-water mark of *seen* sequence numbers per
-	// author; eviction never lowers it.
-	maxSeq map[id.UserID]uint64
+	count    int
 	// dropped holds eviction tombstones: refs once held and deliberately
 	// dropped, excluded from Missing and rejected on re-Put.
 	dropped map[id.UserID]map[uint64]bool
 	subs    map[id.UserID]bool
-	// order is the insertion queue (*entry values) policies scan for
-	// victims; ties break toward the front.
-	order  *list.List
+	// queue is the sentinel of the insertion queue policies scan for
+	// victims: a ring linked through the entries, oldest at queue.next;
+	// ties break toward the front.
+	queue  entry
 	ownSeq uint64
 
 	// sum is the striped advertisement dictionary plus its per-stripe
-	// bounded change logs (see stripes.go). Bumps are serialized by mu;
-	// reads take only the stripe locks they touch.
+	// bounded change logs (see stripes.go): per author, the high-water
+	// mark of *seen* sequence numbers, which eviction never lowers. Bumps
+	// are serialized by mu; reads take only the stripe locks they touch.
 	sum summaryIndex
 
 	bytes int
@@ -66,12 +65,13 @@ type Store struct {
 
 var _ Engine = (*Store)(nil)
 
-// entry is one held message plus its eviction bookkeeping.
+// entry is one held message plus its eviction bookkeeping and its links
+// in the insertion queue.
 type entry struct {
-	m      *msg.Message
-	size   int
-	stored time.Time
-	elem   *list.Element
+	m          *msg.Message
+	size       int
+	stored     time.Time
+	prev, next *entry
 }
 
 // New creates an unbounded in-memory store owned by the given user.
@@ -93,13 +93,11 @@ func NewMemory(owner id.UserID, opts Options) *Store {
 		policy:      opts.Policy,
 		maxMessages: opts.MaxMessages,
 		maxBytes:    opts.MaxBytes,
-		msgs:        make(map[msg.Ref]*entry),
 		byAuthor:    make(map[id.UserID]map[uint64]*entry),
-		maxSeq:      make(map[id.UserID]uint64),
 		dropped:     make(map[id.UserID]map[uint64]bool),
 		subs:        make(map[id.UserID]bool),
-		order:       list.New(),
 	}
+	s.queue.prev, s.queue.next = &s.queue, &s.queue
 	if opts.OnEvict != nil {
 		s.hooks = append(s.hooks, opts.OnEvict)
 	}
@@ -131,27 +129,24 @@ func (s *Store) Put(m *msg.Message) (bool, error) {
 	}
 	s.mu.Lock()
 	ref := m.Ref()
-	if _, held := s.msgs[ref]; held || s.dropped[ref.Author][ref.Seq] {
+	perAuthor := s.byAuthor[ref.Author]
+	if perAuthor[ref.Seq] != nil || s.dropped[ref.Author][ref.Seq] {
 		s.stats.Duplicates++
 		s.mu.Unlock()
 		return false, nil
 	}
 	cp := m.Clone()
-	e := &entry{m: cp, size: messageSize(cp), stored: s.clk.Now()}
-	s.msgs[ref] = e
-	perAuthor := s.byAuthor[ref.Author]
+	e := &entry{m: cp, size: messageSize(cp), stored: s.clk.Now(), prev: s.queue.prev, next: &s.queue}
 	if perAuthor == nil {
 		perAuthor = make(map[uint64]*entry)
 		s.byAuthor[ref.Author] = perAuthor
 	}
 	perAuthor[ref.Seq] = e
-	e.elem = s.order.PushBack(e)
+	e.prev.next, s.queue.prev = e, e
+	s.count++
 	s.bytes += e.size
 	s.stats.Puts++
-	if ref.Seq > s.maxSeq[ref.Author] {
-		s.maxSeq[ref.Author] = ref.Seq
-		s.sum.bump(ref.Author, ref.Seq)
-	}
+	s.sum.bump(ref.Author, ref.Seq)
 	if ref.Author == s.owner && ref.Seq > s.ownSeq {
 		s.ownSeq = ref.Seq
 	}
@@ -185,7 +180,7 @@ func (s *Store) enforceQuotaLocked() []Eviction {
 }
 
 func (s *Store) overQuotaLocked() bool {
-	return (s.maxMessages > 0 && len(s.msgs) > s.maxMessages) ||
+	return (s.maxMessages > 0 && s.count > s.maxMessages) ||
 		(s.maxBytes > 0 && s.bytes > s.maxBytes)
 }
 
@@ -196,8 +191,8 @@ func (s *Store) overQuotaLocked() bool {
 // (the earlier-inserted candidate wins).
 func (s *Store) victimLocked() *entry {
 	if _, fifo := s.policy.(dropOldest); fifo {
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			if e := el.Value.(*entry); e.m.Author != s.owner {
+		for e := s.queue.next; e != &s.queue; e = e.next {
+			if e.m.Author != s.owner {
 				return e
 			}
 		}
@@ -205,8 +200,7 @@ func (s *Store) victimLocked() *entry {
 	}
 	var best *entry
 	var bestMeta Entry
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
+	for e := s.queue.next; e != &s.queue; e = e.next {
 		if e.m.Author == s.owner {
 			continue
 		}
@@ -232,14 +226,7 @@ func (s *Store) entryMetaLocked(e *entry) Entry {
 // neither re-requested nor re-admitted.
 func (s *Store) removeLocked(e *entry, reason EvictReason) Eviction {
 	ref := e.m.Ref()
-	delete(s.msgs, ref)
-	perAuthor := s.byAuthor[ref.Author]
-	delete(perAuthor, ref.Seq)
-	if len(perAuthor) == 0 {
-		delete(s.byAuthor, ref.Author)
-	}
-	s.order.Remove(e.elem)
-	s.bytes -= e.size
+	s.unlinkLocked(e)
 	s.tombstoneLocked(ref)
 	switch reason {
 	case EvictExpired:
@@ -249,6 +236,19 @@ func (s *Store) removeLocked(e *entry, reason EvictReason) Eviction {
 	}
 	s.stats.EvictedBytes += uint64(e.size)
 	return Eviction{Ref: ref, Reason: reason, Kind: e.m.Kind, Size: e.size}
+}
+
+// unlinkLocked takes a held entry out of the index and the insertion
+// queue.
+func (s *Store) unlinkLocked(e *entry) {
+	perAuthor := s.byAuthor[e.m.Author]
+	delete(perAuthor, e.m.Seq)
+	if len(perAuthor) == 0 {
+		delete(s.byAuthor, e.m.Author)
+	}
+	e.prev.next, e.next.prev = e.next, e.prev
+	s.count--
+	s.bytes -= e.size
 }
 
 // maxTombstonesPerAuthor bounds tombstone memory on long-running,
@@ -288,13 +288,12 @@ func (s *Store) SweepExpired() int {
 	s.mu.Lock()
 	now := s.clk.Now()
 	var evs []Eviction
-	for el := s.order.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*entry)
+	for e := s.queue.next; e != &s.queue; {
+		next := e.next
 		if e.m.Author != s.owner && s.policy.Expired(s.entryMetaLocked(e), now) {
 			evs = append(evs, s.removeLocked(e, EvictExpired))
 		}
-		el = next
+		e = next
 	}
 	s.mu.Unlock()
 	s.fire(evs)
@@ -328,8 +327,8 @@ func (s *Store) fire(evs []Eviction) {
 func (s *Store) Get(ref msg.Ref) (*msg.Message, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.msgs[ref]
-	if !ok {
+	e := s.byAuthor[ref.Author][ref.Seq]
+	if e == nil {
 		return nil, false
 	}
 	return e.m.Clone(), true
@@ -339,22 +338,19 @@ func (s *Store) Get(ref msg.Ref) (*msg.Message, bool) {
 func (s *Store) Has(ref msg.Ref) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.msgs[ref]
-	return ok
+	return s.byAuthor[ref.Author][ref.Seq] != nil
 }
 
 // Len returns the number of held messages.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.msgs)
+	return s.count
 }
 
 // MaxSeq returns the highest sequence number seen for author, or 0.
 func (s *Store) MaxSeq(author id.UserID) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.maxSeq[author]
+	return s.sum.seq(author)
 }
 
 // Summary returns the plain-text advertisement dictionary: for every
@@ -469,8 +465,8 @@ func (s *Store) Select(author id.UserID, seqs []uint64) []*msg.Message {
 // (author display form, then sequence).
 func (s *Store) All() []*msg.Message {
 	s.mu.RLock()
-	out := make([]*msg.Message, 0, len(s.msgs))
-	for _, e := range s.msgs {
+	out := make([]*msg.Message, 0, s.count)
+	for e := s.queue.next; e != &s.queue; e = e.next {
 		out = append(out, e.m.Clone())
 	}
 	s.mu.RUnlock()
@@ -535,7 +531,7 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := s.stats
-	st.Messages = len(s.msgs)
+	st.Messages = s.count
 	st.Bytes = s.bytes
 	st.Generation = s.sum.generation()
 	st.SummaryClones = s.sum.clones.Load()
@@ -564,15 +560,8 @@ func (s *Store) setQuota(maxMessages, maxBytes int) []Eviction {
 func (s *Store) applyEvict(ref msg.Ref) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.msgs[ref]; ok {
-		delete(s.msgs, ref)
-		perAuthor := s.byAuthor[ref.Author]
-		delete(perAuthor, ref.Seq)
-		if len(perAuthor) == 0 {
-			delete(s.byAuthor, ref.Author)
-		}
-		s.order.Remove(e.elem)
-		s.bytes -= e.size
+	if e := s.byAuthor[ref.Author][ref.Seq]; e != nil {
+		s.unlinkLocked(e)
 	}
 	s.tombstoneLocked(ref)
 }
@@ -590,12 +579,12 @@ type snapshotState struct {
 func (s *Store) snapshot() snapshotState {
 	s.mu.RLock()
 	st := snapshotState{
-		msgs:   make([]*msg.Message, 0, len(s.msgs)),
+		msgs:   make([]*msg.Message, 0, s.count),
 		subs:   make([]id.UserID, 0, len(s.subs)),
 		tombs:  make(map[id.UserID][]uint64, len(s.dropped)),
 		ownSeq: s.ownSeq,
 	}
-	for _, e := range s.msgs {
+	for e := s.queue.next; e != &s.queue; e = e.next {
 		st.msgs = append(st.msgs, e.m)
 	}
 	for u := range s.subs {

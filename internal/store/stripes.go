@@ -85,13 +85,19 @@ func (x *summaryIndex) lock(st *summaryStripe) {
 	}
 }
 
-// bump applies one incremental summary update. Callers must serialize
-// bumps (the Store's write lock does); concurrent readers are safe. The
-// generation is published only after the record is in the stripe log.
+// bump raises author's entry to seq, and is a no-op when the entry is
+// already there or past it: entries are high-water marks. Callers must
+// serialize bumps (the Store's write lock does); concurrent readers are
+// safe. The generation is published only after the record is in the
+// stripe log.
 func (x *summaryIndex) bump(author id.UserID, seq uint64) {
-	newGen := x.gen.Load() + 1
 	st := &x.stripes[stripeOf(author)]
 	x.lock(st)
+	if seq <= st.entries[author] {
+		st.mu.Unlock()
+		return
+	}
+	newGen := x.gen.Load() + 1
 	if st.out {
 		// A snapshot of this stripe is outstanding: clone before writing
 		// so the hand-out stays immutable. Cloning one stripe, not the
@@ -192,6 +198,14 @@ func (x *summaryIndex) stripeSnapshot(i int) map[id.UserID]uint64 {
 	}
 	st.mu.Unlock()
 	return m
+}
+
+// seq returns author's entry, or 0 for an author never seen.
+func (x *summaryIndex) seq(author id.UserID) uint64 {
+	st := &x.stripes[stripeOf(author)]
+	x.lock(st)
+	defer st.mu.Unlock()
+	return st.entries[author]
 }
 
 // generation returns the published summary-change counter.

@@ -46,7 +46,6 @@ func allocFrames() map[string]Frame {
 		"hello-fin":    &HelloFin{Sig: make([]byte, 70)},
 		"request":      &Request{Wants: []Want{{Author: author, Seqs: []uint64{1, 2, 3}}, {Author: other, Seqs: []uint64{9}}}},
 		"batch":        batch,
-		"ack":          &Ack{Refs: []msg.Ref{{Author: author, Seq: 3}, {Author: other, Seq: 9}}},
 		"bye":          &Bye{},
 		"summary-pull": &SummaryPull{},
 	}
@@ -89,7 +88,6 @@ func TestDecodeAllocBudget(t *testing.T) {
 	//   request:       frame + wants slice + per-want seq slices
 	//   batch:         frame + msgs slice + one struct per message
 	//                  (fields alias the input — the zero-copy win)
-	//   ack:           frame + refs slice
 	budgets := map[string]float64{
 		"advertisement":         5,
 		"advertisement-delta":   4,
@@ -99,7 +97,6 @@ func TestDecodeAllocBudget(t *testing.T) {
 		"hello-fin":             2,
 		"request":               5,
 		"batch":                 18,
-		"ack":                   2,
 		"bye":                   1,
 		"summary-pull":          1,
 	}

@@ -1,7 +1,7 @@
 // Package wire defines the frames SOS peers exchange and their binary
 // encoding: the plain-text discovery advertisement (paper §V-A), the
 // certificate-exchange handshake that establishes an encrypted connection
-// (Figs. 2b, 3a, 3b), and the message request/transfer/ack protocol the
+// (Figs. 2b, 3a, 3b), and the message request/transfer protocol the
 // message manager drives. The message manager "translates messages
 // between the routing manager and ad hoc manager in a common format for
 // both layers to interpret" (paper §III-C); this package is that common
@@ -9,7 +9,7 @@
 //
 // Encoding is append-oriented: AppendEncode writes a frame into a
 // caller-supplied buffer so the contact hot path (advertise → request →
-// batch → ack, hundreds of frames per encounter) runs without per-frame
+// batch, hundreds of frames per encounter) runs without per-frame
 // allocations. Encode remains the convenience wrapper that allocates, and
 // Buffer/GetBuffer provide a pool for callers that encode in a loop.
 package wire
@@ -38,7 +38,7 @@ const (
 	TypeHelloFin
 	TypeRequest
 	TypeBatch
-	TypeAck
+	_ // 7 is retired (it acknowledged a Batch) and stays unassigned
 	TypeBye
 	TypeSummaryPull
 	TypePrekeyBundle
@@ -59,8 +59,6 @@ func (t Type) String() string {
 		return "request"
 	case TypeBatch:
 		return "batch"
-	case TypeAck:
-		return "ack"
 	case TypeBye:
 		return "bye"
 	case TypeSummaryPull:
@@ -226,15 +224,6 @@ type Batch struct {
 // Type implements Frame.
 func (*Batch) Type() Type { return TypeBatch }
 
-// Ack confirms receipt of specific messages so the sender's message
-// manager can mark them transferred.
-type Ack struct {
-	Refs []msg.Ref
-}
-
-// Type implements Frame.
-func (*Ack) Type() Type { return TypeAck }
-
 // Bye announces a graceful disconnect.
 type Bye struct{}
 
@@ -322,8 +311,6 @@ func AppendEncode(dst []byte, f Frame) ([]byte, error) {
 		return appendRequest(dst, fr)
 	case *Batch:
 		return appendBatch(dst, fr)
-	case *Ack:
-		return appendAck(dst, fr)
 	case *Bye:
 		return append(dst, byte(TypeBye)), nil
 	case *SummaryPull:
@@ -362,8 +349,6 @@ func Decode(buf []byte) (Frame, error) {
 		return decodeRequest(body)
 	case TypeBatch:
 		return decodeBatch(body)
-	case TypeAck:
-		return decodeAck(body)
 	case TypeBye:
 		if len(body) != 0 {
 			return nil, ErrTrailing
@@ -589,35 +574,6 @@ func decodeBatch(body []byte) (Frame, error) {
 		b.Msgs = append(b.Msgs, m)
 	}
 	return finish(b, r)
-}
-
-func appendAck(dst []byte, a *Ack) ([]byte, error) {
-	if len(a.Refs) > MaxBatchMessages {
-		return dst, fmt.Errorf("%w: %d acked refs", ErrOversize, len(a.Refs))
-	}
-	dst = append(dst, byte(TypeAck))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.Refs)))
-	for _, ref := range a.Refs {
-		dst = append(dst, ref.Author[:]...)
-		dst = binary.BigEndian.AppendUint64(dst, ref.Seq)
-	}
-	return dst, nil
-}
-
-func decodeAck(body []byte) (Frame, error) {
-	r := &reader{buf: body}
-	n := int(r.uint32())
-	if r.err == nil && n > MaxBatchMessages {
-		return nil, fmt.Errorf("%w: %d acked refs", ErrOversize, n)
-	}
-	a := &Ack{Refs: make([]msg.Ref, 0, boundedCap(n))}
-	for i := 0; i < n && r.err == nil; i++ {
-		var ref msg.Ref
-		r.userID(&ref.Author)
-		ref.Seq = r.uint64()
-		a.Refs = append(a.Refs, ref)
-	}
-	return finish(a, r)
 }
 
 func appendPrekeyBundle(dst []byte, b *PrekeyBundle) ([]byte, error) {
