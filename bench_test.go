@@ -434,24 +434,38 @@ func BenchmarkStorePut(b *testing.B) {
 }
 
 // BenchmarkStoreMissing measures the advertisement-response planning path
-// with sparse, large sequence numbers. The seed scanned every seq in
-// [1, upto] (O(upto) per advertisement); the engine now gap-walks the
-// held set, so a sparse author with seq up to 1000 costs what it holds.
+// in two shapes. sparse: large sequence numbers with little held, where
+// the probe runs over the whole range past the floor. dense-2000: one
+// author with 2 000 consecutive messages held and the next one
+// advertised — what a steady contact asks once per synced message, and
+// what must not grow with the author's history.
 func BenchmarkStoreMissing(b *testing.B) {
-	st := store.New(id.NewUserID("self"))
-	author := id.NewUserID("sparse-author")
-	for seq := uint64(1); seq <= 1000; seq += 97 {
-		if _, err := st.Put(&msg.Message{
-			Author: author, Seq: seq, Kind: msg.KindPost, Created: time.Unix(1491472800, 0),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := st.Missing(author, 1000); len(got) == 0 {
-			b.Fatal("bad missing set")
-		}
+	for _, tc := range []struct {
+		name             string
+		step, held, upto uint64
+		want             int
+	}{
+		{name: "sparse", step: 97, held: 1000, upto: 1000, want: 989},
+		{name: "dense-2000", step: 1, held: 2000, upto: 2001, want: 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			st := store.New(id.NewUserID("self"))
+			author := id.NewUserID("bench-author")
+			for seq := uint64(1); seq <= tc.held; seq += tc.step {
+				if _, err := st.Put(&msg.Message{
+					Author: author, Seq: seq, Kind: msg.KindPost, Created: time.Unix(1491472800, 0),
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := st.Missing(author, tc.upto); len(got) != tc.want {
+					b.Fatalf("Missing returned %d sequences, want %d", len(got), tc.want)
+				}
+			}
+		})
 	}
 }
 

@@ -1,0 +1,312 @@
+// Discovery-hint tests: what the plain-text beacon carries as stores grow,
+// that a bounded hint still gets a first contact dialled, and that a
+// forged beacon entry costs a bounded amount of work.
+package message_test
+
+import (
+	"bytes"
+	"crypto/rand"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"sos/internal/adhoc"
+	"sos/internal/cloud"
+	"sos/internal/core"
+	"sos/internal/id"
+	"sos/internal/message"
+	"sos/internal/mpc"
+	"sos/internal/msg"
+	"sos/internal/pki"
+	"sos/internal/routing"
+	"sos/internal/store"
+	"sos/internal/wire"
+)
+
+// adRecorder wraps a Medium and keeps every payload its endpoints hand to
+// SetAdvertisement: the bytes a radio would put on the air per refresh.
+type adRecorder struct {
+	inner mpc.Medium
+
+	mu  sync.Mutex
+	ads [][]byte
+}
+
+func (r *adRecorder) Join(peer mpc.PeerID, events mpc.Events) (mpc.Endpoint, error) {
+	ep, err := r.inner.Join(peer, events)
+	if err != nil {
+		return nil, err
+	}
+	return &recordingEndpoint{Endpoint: ep, rec: r}, nil
+}
+
+type recordingEndpoint struct {
+	mpc.Endpoint
+	rec *adRecorder
+}
+
+func (ep *recordingEndpoint) SetAdvertisement(ad []byte) {
+	ep.rec.mu.Lock()
+	ep.rec.ads = append(ep.rec.ads, bytes.Clone(ad))
+	ep.rec.mu.Unlock()
+	ep.Endpoint.SetAdvertisement(ad)
+}
+
+// adBytes returns the total size of the beacons recorded so far.
+func (r *adRecorder) adBytes() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, ad := range r.ads {
+		n += len(ad)
+	}
+	return n
+}
+
+// last decodes the most recent beacon.
+func (r *adRecorder) last(t *testing.T) (*wire.Advertisement, int) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.ads) == 0 {
+		t.Fatal("no beacon recorded")
+	}
+	raw := r.ads[len(r.ads)-1]
+	f, err := wire.Decode(raw)
+	if err != nil {
+		t.Fatalf("decoding beacon: %v", err)
+	}
+	ad, ok := f.(*wire.Advertisement)
+	if !ok {
+		t.Fatalf("beacon is a %T, want *wire.Advertisement", f)
+	}
+	return ad, len(raw)
+}
+
+func historyPost(author id.UserID, seq uint64) *msg.Message {
+	return &msg.Message{Author: author, Seq: seq, Kind: msg.KindPost, Created: time.Unix(0, 0)}
+}
+
+// preload puts one message by each of n distinct history authors.
+func preload(t *testing.T, st store.Engine, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := st.Put(historyPost(id.NewUserID(fmt.Sprintf("history-%05d", i)), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// beaconFixture is one real message manager over a store preloaded with
+// the given number of authors, alone on a medium that records its beacons.
+func beaconFixture(t *testing.T, authors int) (*message.Manager, *store.Store, *adRecorder) {
+	t.Helper()
+	mem, svc := newLiveWorld(t)
+	rec := &adRecorder{inner: mem}
+	creds, err := cloud.Bootstrap(svc, "alice", rand.Reader)
+	if err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	st := store.New(creds.Ident.User)
+	preload(t, st, authors)
+	rm, err := routing.NewManager(st, routing.Options{})
+	if err != nil {
+		t.Fatalf("routing.NewManager: %v", err)
+	}
+	verifier, err := pki.NewVerifier(creds.RootDER, nil)
+	if err != nil {
+		t.Fatalf("NewVerifier: %v", err)
+	}
+	mgr, err := message.New(message.Config{Store: st, Routing: rm, Verifier: verifier})
+	if err != nil {
+		t.Fatalf("message.New: %v", err)
+	}
+	t.Cleanup(mgr.Close)
+	ad, err := adhoc.New(adhoc.Config{
+		Medium: rec, PeerName: "alice-phone", Ident: creds.Ident,
+		CertDER: creds.Cert.DER, Verifier: verifier, Handler: mgr,
+	})
+	if err != nil {
+		t.Fatalf("adhoc.New: %v", err)
+	}
+	t.Cleanup(func() { ad.Close() })
+	return mgr, st, rec
+}
+
+// TestBeaconHintBounded: past MaxBeaconSummary authors the beacon carries
+// only the most recent changes, whatever the store holds.
+func TestBeaconHintBounded(t *testing.T) {
+	mgr, st, rec := beaconFixture(t, 1000)
+	newest := id.NewUserID("newest-writer")
+	if _, err := st.Put(historyPost(newest, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Advertise(); err != nil {
+		t.Fatalf("Advertise: %v", err)
+	}
+	ad, size := rec.last(t)
+	if len(ad.Summary) == 0 || len(ad.Summary) > message.MaxBeaconSummary {
+		t.Errorf("beacon carries %d entries, want 1..%d", len(ad.Summary), message.MaxBeaconSummary)
+	}
+	if ad.Summary[newest] != 3 {
+		t.Errorf("beacon entry for the newest change = %d, want 3", ad.Summary[newest])
+	}
+	if size > 700 {
+		t.Errorf("beacon encodes to %d B, want <= 700", size)
+	}
+	if ad.Gen != st.Generation() || ad.IsDelta() {
+		t.Errorf("beacon gen/base = %d/%d, want %d/0", ad.Gen, ad.BaseGen, st.Generation())
+	}
+}
+
+// TestBeaconFullWhenItFits: a store of at most MaxBeaconSummary authors
+// still beacons its whole dictionary.
+func TestBeaconFullWhenItFits(t *testing.T) {
+	mgr, st, rec := beaconFixture(t, message.MaxBeaconSummary)
+	if _, err := st.Put(historyPost(id.NewUserID("history-00007"), 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Advertise(); err != nil {
+		t.Fatalf("Advertise: %v", err)
+	}
+	ad, _ := rec.last(t)
+	if !reflect.DeepEqual(ad.Summary, st.Summary()) {
+		t.Errorf("beacon carries %d entries, want the full %d-entry summary", len(ad.Summary), st.SummarySize())
+	}
+}
+
+// TestBeaconBytesIndependentOfStoreSize: the same run of store changes
+// puts the same bytes on the air from a 100-author and from a
+// 10 000-author store.
+func TestBeaconBytesIndependentOfStoreSize(t *testing.T) {
+	const puts = 40
+	perPut := func(authors int) int {
+		mgr, st, rec := beaconFixture(t, authors)
+		if err := mgr.Advertise(); err != nil {
+			t.Fatalf("Advertise: %v", err)
+		}
+		before := rec.adBytes()
+		for i := 0; i < puts; i++ {
+			// Alternate a returning writer with first-time ones.
+			author := id.NewUserID("regular")
+			if i%2 == 1 {
+				author = id.NewUserID(fmt.Sprintf("newcomer-%d", i))
+			}
+			if _, err := st.Put(historyPost(author, uint64(i+1))); err != nil {
+				t.Fatal(err)
+			}
+			if err := mgr.Advertise(); err != nil {
+				t.Fatalf("Advertise: %v", err)
+			}
+		}
+		return (rec.adBytes() - before) / puts
+	}
+	small, large := perPut(100), perPut(10_000)
+	if small != large || small == 0 {
+		t.Errorf("beacon bytes per Put: %d at 100 authors, %d at 10 000, want equal and non-zero", small, large)
+	}
+}
+
+// TestColdDrainDialsOnHint is the cold-drain shape: both sides hold the
+// same 10 000-author history, the sender also a backlog by 16 writers the
+// fresh node has never heard of. The sender's beacon names only the last
+// few of them; that must be enough for the fresh node to dial, and the
+// in-session summary then moves the whole backlog.
+func TestColdDrainDialsOnHint(t *testing.T) {
+	const authors, writers, each = 10_000, 16, 16
+	medium, svc := newLiveWorld(t)
+
+	var mu sync.Mutex
+	got := make(map[msg.Ref]bool)
+	node := func(handle string, backlog []*msg.Message, onReceive func(*msg.Message, id.UserID)) *core.Middleware {
+		creds, err := cloud.Bootstrap(svc, handle, rand.Reader)
+		if err != nil {
+			t.Fatalf("Bootstrap(%s): %v", handle, err)
+		}
+		st := store.New(creds.Ident.User)
+		preload(t, st, authors)
+		for _, m := range backlog {
+			if _, err := st.Put(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mw, err := core.New(core.Config{
+			Creds: creds, Medium: medium, PeerName: mpc.PeerID(handle + "-phone"),
+			Store: st, OnReceive: onReceive,
+		})
+		if err != nil {
+			t.Fatalf("core.New(%s): %v", handle, err)
+		}
+		t.Cleanup(func() { mw.Close() })
+		return mw
+	}
+
+	var backlog []*msg.Message
+	for a := 0; a < writers; a++ {
+		writer, err := cloud.Bootstrap(svc, fmt.Sprintf("writer-%d", a), rand.Reader)
+		if err != nil {
+			t.Fatalf("Bootstrap(writer): %v", err)
+		}
+		for seq := uint64(1); seq <= each; seq++ {
+			m := &msg.Message{
+				Author: writer.Ident.User, Seq: seq, Kind: msg.KindPost, Created: time.Unix(0, 0),
+				Payload: []byte("backlog"), CertDER: writer.Cert.DER,
+			}
+			if err := m.Sign(writer.Ident); err != nil {
+				t.Fatalf("Sign: %v", err)
+			}
+			backlog = append(backlog, m)
+		}
+	}
+	sender := node("sender", backlog, nil)
+	// Out of range until the fresh node is up: core.New joins the medium
+	// before it binds the message manager, and the sender's beacon — the
+	// only one this test ever produces — must not arrive in between.
+	medium.SetReachable("sender-phone", "fresh-phone", false)
+	fresh := node("fresh", nil, func(m *msg.Message, _ id.UserID) {
+		mu.Lock()
+		got[m.Ref()] = true
+		mu.Unlock()
+	})
+	medium.SetReachable("sender-phone", "fresh-phone", true)
+
+	waitFor(t, "the backlog to drain to the fresh node", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == len(backlog)
+	})
+	if n := fresh.Stats().Message.ConnectsAttempted; n == 0 {
+		t.Error("the fresh node never dialled on the beacon hint")
+	}
+	if n := sender.Stats().Message.ConnectsAttempted; n != 0 {
+		t.Errorf("the sender dialled %d times; the fresh node's beacon offers it nothing", n)
+	}
+}
+
+// TestForgedBeaconEntryIsBounded feeds a forged dictionary entry — an
+// author at sequence 1<<62 — through the unauthenticated beacon and then
+// in session. Planning against it must stay bounded, and the request it
+// produces must fit the wire (one Want carries at most MaxSeqsPerWant
+// sequences) instead of failing to encode and vanishing.
+func TestForgedBeaconEntryIsBounded(t *testing.T) {
+	h := newSyncHarnessWith(t, message.Config{AutoConnect: true}, nil)
+	ghost := id.NewUserID("ghost")
+	forged := &wire.Advertisement{Peer: "bob-phone", Gen: 1, Summary: map[id.UserID]uint64{ghost: 1 << 62}}
+	if err := h.bobAd.Advertise(forged); err != nil {
+		t.Fatalf("Advertise: %v", err)
+	}
+	// The beacon offers something, so alice dials.
+	waitFor(t, "alice to dial on the forged beacon", func() bool { return h.bob.linkCount() == 1 })
+	if err := h.bob.link(0).SendFrame(forged); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	waitFor(t, "alice's request for the forged author", func() bool { return h.bob.requested(ghost) })
+	if n := h.bob.requestedSeqs(ghost); n != wire.MaxSeqsPerWant {
+		t.Errorf("alice requested %d sequences of the forged author, want %d", n, wire.MaxSeqsPerWant)
+	}
+	if store.MaxMissing != wire.MaxSeqsPerWant {
+		t.Errorf("store.MaxMissing = %d, want wire.MaxSeqsPerWant = %d", store.MaxMissing, wire.MaxSeqsPerWant)
+	}
+}

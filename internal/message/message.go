@@ -6,6 +6,12 @@
 // the routing layer's view (summaries, wants, messages) and the ad hoc
 // layer's frames.
 //
+// Before a link exists there is only the plain-text discovery beacon. It
+// is a hint, bounded at MaxBeaconSummary entries whatever the store holds
+// (the whole summary when it fits, else the most recently changed
+// authors), and it decides one thing: whether an unlinked peer is worth
+// dialling. Linked peers ignore it.
+//
 // Exchange protocol on an established link:
 //
 //  1. Both sides send an authenticated in-session Advertisement (summary +
@@ -81,11 +87,12 @@ var (
 )
 
 // MaxBeaconSummary bounds the summary dictionary a discovery beacon
-// carries. Beacons ride single UDP datagrams on the real-socket medium,
-// so a store with more authors than this advertises a digest — the most
-// recently changed authors first — and peers learn the rest through the
-// authenticated in-session exchange after connecting.
-const MaxBeaconSummary = 1024
+// carries. The beacon is a hint that decides whether an unlinked peer is
+// worth dialling — the paper's advertisement rides MPC discoveryInfo,
+// which holds hundreds of bytes — so a store with more authors than this
+// advertises only its most recently changed ones, and peers learn the
+// rest through the authenticated in-session exchange after connecting.
+const MaxBeaconSummary = 32
 
 // maxPeerSync bounds the per-peer sync-state table. Entries without an
 // active link are evicted first; a peer evicted this way is simply
@@ -282,17 +289,6 @@ type Manager struct {
 	resyncTimer *time.Timer
 	resyncTicks uint64
 	closed      bool
-	// pad caches the non-recent portion of an oversize store's beacon
-	// digest (see beaconSummary). Guarded by advMu.
-	padValid bool
-	padGen   uint64
-	pad      []padEntry
-}
-
-// padEntry is one cached beacon-digest entry.
-type padEntry struct {
-	author id.UserID
-	seq    uint64
 }
 
 // inflightEntry records which peer a message was requested from and at
@@ -463,7 +459,7 @@ func (m *Manager) Advertise() error {
 	if err := a.Advertise(&wire.Advertisement{
 		Peer:       string(a.Self()),
 		Gen:        gen,
-		Summary:    m.beaconSummary(gen),
+		Summary:    m.beaconSummary(),
 		SchemeData: data,
 	}); err != nil {
 		return err
@@ -478,52 +474,26 @@ func (m *Manager) Advertise() error {
 }
 
 // beaconSummary builds the dictionary the beacon carries: the full
-// summary when it fits, otherwise a bounded digest — the most recently
-// changed authors (from the change log) padded with a cached sample of
-// the rest. The digest is a discovery hint; the in-session exchange
-// after connecting is authoritative. The pad is rebuilt only every
-// MaxBeaconSummary generations, so a beacon refresh never costs
-// O(authors): taking a fresh Summary snapshot per refresh would arm the
-// store's copy-on-write and re-clone the whole dictionary on every
-// subsequent Put. Callers hold advMu (which guards the pad cache).
-func (m *Manager) beaconSummary(gen uint64) map[id.UserID]uint64 {
+// summary when it fits, otherwise only the authors changed in the last
+// MaxBeaconSummary generations (nothing when the change log cannot say).
+// A refresh therefore costs the same whatever the store holds. The hint
+// only decides whether an unlinked peer dials; the in-session summary
+// after connecting is authoritative.
+func (m *Manager) beaconSummary() map[id.UserID]uint64 {
 	if m.cfg.Store.SummarySize() <= MaxBeaconSummary {
 		return m.cfg.Store.Summary()
 	}
-	digest := make(map[id.UserID]uint64, MaxBeaconSummary)
-	since := uint64(0)
-	if gen > MaxBeaconSummary {
-		since = gen - MaxBeaconSummary
-	}
-	if recent, ok := m.cfg.Store.Changes(since); ok {
-		for author, seq := range recent {
-			if len(digest) >= MaxBeaconSummary {
-				break
-			}
-			digest[author] = seq
-		}
-	}
-	if !m.padValid || gen-m.padGen > MaxBeaconSummary {
-		m.pad = m.pad[:0]
-		for author, seq := range m.cfg.Store.Summary() {
-			if len(m.pad) >= MaxBeaconSummary {
-				break
-			}
-			m.pad = append(m.pad, padEntry{author: author, seq: seq})
-		}
-		m.padGen, m.padValid = gen, true
-	}
-	for _, e := range m.pad {
-		if len(digest) >= MaxBeaconSummary {
+	// Every author's first entry was a generation, so the subtraction
+	// cannot wrap here.
+	hint, _ := m.cfg.Store.Changes(m.cfg.Store.Generation() - MaxBeaconSummary)
+	for author := range hint {
+		// A Put racing between the two reads adds an entry.
+		if len(hint) <= MaxBeaconSummary {
 			break
 		}
-		if _, have := digest[e.author]; !have {
-			// Pad seqs may lag a little between rebuilds; as a discovery
-			// hint that is harmless.
-			digest[e.author] = e.seq
-		}
+		delete(hint, author)
 	}
-	return digest
+	return hint
 }
 
 // pushSummaries sends one in-session advertisement per active link that
@@ -839,7 +809,13 @@ func (m *Manager) onPrekeyBundle(link *adhoc.Link, fr *wire.PrekeyBundle) {
 type summaryChunker struct {
 	store  store.Engine
 	stripe int
-	buf    []padEntry
+	buf    []summaryEntry
+}
+
+// summaryEntry is one dictionary entry in the chunker's carry buffer.
+type summaryEntry struct {
+	author id.UserID
+	seq    uint64
 }
 
 // next returns the next chunk and whether more chunks follow. After the
@@ -848,7 +824,7 @@ type summaryChunker struct {
 func (c *summaryChunker) next() (map[id.UserID]uint64, bool) {
 	for len(c.buf) < SummaryChunkEntries && c.stripe < c.store.SummaryStripes() {
 		for author, seq := range c.store.SummaryStripe(c.stripe) {
-			c.buf = append(c.buf, padEntry{author: author, seq: seq})
+			c.buf = append(c.buf, summaryEntry{author: author, seq: seq})
 		}
 		c.stripe++
 	}

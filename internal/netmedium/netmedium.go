@@ -347,11 +347,6 @@ type Endpoint struct {
 	peers  map[mpc.PeerID]*peerState
 	conns  map[*netConn]struct{}
 	closed bool
-	// beaconCache is the encoded periodic beacon, rebuilt only when the
-	// advertisement changes: name, epoch, and ports are fixed for the
-	// endpoint's lifetime, so the per-interval datagram need not be
-	// re-encoded every tick.
-	beaconCache []byte
 
 	closing chan struct{}
 	wg      sync.WaitGroup
@@ -438,7 +433,6 @@ func (ep *Endpoint) SetAdvertisement(ad []byte) {
 		return
 	}
 	ep.ad = bytes.Clone(ad)
-	ep.beaconCache = nil
 	ep.mu.Unlock()
 	ep.sendBeacon(false)
 }
@@ -644,32 +638,22 @@ func (ep *Endpoint) Close() error {
 }
 
 // sendBeacon broadcasts the endpoint's current state to every target.
-// The steady-state (non-goodbye) datagram is encoded once per
-// advertisement change and cached.
 func (ep *Endpoint) sendBeacon(goodbye bool) {
 	ep.mu.Lock()
-	buf := ep.beaconCache
-	if goodbye || buf == nil {
-		b := &beacon{
-			name:        ep.self,
-			epoch:       ep.epoch,
-			goodbye:     goodbye,
-			advertising: ep.ad != nil,
-			ports:       ep.ports,
-			ad:          ep.ad,
-		}
-		var err error
-		buf, err = b.encode()
-		if err != nil {
-			ep.mu.Unlock()
-			ep.m.logf("netmedium: %s: beacon not sent: %v", ep.self, err)
-			return
-		}
-		if !goodbye {
-			ep.beaconCache = buf
-		}
+	b := &beacon{
+		name:        ep.self,
+		epoch:       ep.epoch,
+		goodbye:     goodbye,
+		advertising: ep.ad != nil,
+		ports:       ep.ports,
+		ad:          ep.ad,
 	}
+	buf, err := b.encode()
 	ep.mu.Unlock()
+	if err != nil {
+		ep.m.logf("netmedium: %s: beacon not sent: %v", ep.self, err)
+		return
+	}
 	for _, dst := range ep.m.beaconDestinations(ep.self) {
 		if _, err := ep.udp.WriteToUDP(buf, dst); err != nil {
 			ep.m.logf("netmedium: %s: beacon to %s: %v", ep.self, dst, err)

@@ -2,13 +2,17 @@ package netmedium
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"sos/internal/id"
+	"sos/internal/message"
 	"sos/internal/mpc"
+	"sos/internal/wire"
 )
 
 func TestBeaconRoundTrip(t *testing.T) {
@@ -37,6 +41,31 @@ func TestBeaconRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 		}
+	}
+}
+
+// TestFullHintFitsOnePacket: the largest discovery hint the message
+// manager builds — MaxBeaconSummary entries, no scheme gossip — from a
+// device on every technology makes a datagram that crosses a 1500-byte
+// MTU path unfragmented.
+func TestFullHintFitsOnePacket(t *testing.T) {
+	name := mpc.PeerID("a-device-name-of-thirty-two-bytes")
+	hint := make(map[id.UserID]uint64, message.MaxBeaconSummary)
+	for i := 0; i < message.MaxBeaconSummary; i++ {
+		hint[id.NewUserID(fmt.Sprintf("author-%d", i))] = 1 << 40
+	}
+	ad, err := wire.Encode(&wire.Advertisement{Peer: string(name), Gen: 1 << 40, Summary: hint})
+	if err != nil {
+		t.Fatalf("encoding the hint: %v", err)
+	}
+	buf, err := (&beacon{name: name, epoch: 1 << 60, advertising: true, ad: ad, ports: map[mpc.Technology]uint16{
+		mpc.Bluetooth: 7500, mpc.PeerToPeerWiFi: 7501, mpc.InfrastructureWiFi: 7502,
+	}}).encode()
+	if err != nil {
+		t.Fatalf("encoding the beacon: %v", err)
+	}
+	if len(buf) > 1200 {
+		t.Errorf("beacon datagram is %d B, want <= 1200 (one unfragmented UDP packet)", len(buf))
 	}
 }
 

@@ -82,7 +82,12 @@ type Engine interface {
 	Changes(sinceGen uint64) (map[id.UserID]uint64, bool)
 
 	// Missing returns the sequence numbers in [1, upto] that the engine
-	// neither holds nor has deliberately evicted, in ascending order.
+	// neither holds nor has deliberately evicted, in ascending order
+	// and at most the lowest MaxMissing of them: upto comes from a
+	// peer's dictionary, so neither the result nor the work may scale
+	// with it. The cost is bounded by upto minus the author's floor (the
+	// largest n with 1..n all accounted for) and by the sequences the
+	// engine holds above that floor plus MaxMissing.
 	Missing(author id.UserID, upto uint64) []uint64
 	// MessagesFrom returns copies of held messages by author with seq >
 	// after, ordered by sequence number.

@@ -43,7 +43,12 @@ type Store struct {
 	// dropped holds eviction tombstones: refs once held and deliberately
 	// dropped, excluded from Missing and rejected on re-Put.
 	dropped map[id.UserID]map[uint64]bool
-	subs    map[id.UserID]bool
+	// floor is, per author, the largest n with 1..n all held or
+	// tombstoned, so Missing starts probing at n+1. Every Put and
+	// tombstone advances it; forgetting tombstones, the one event that
+	// un-accounts a sequence, resets it.
+	floor map[id.UserID]uint64
+	subs  map[id.UserID]bool
 	// queue is the sentinel of the insertion queue policies scan for
 	// victims: a ring linked through the entries, oldest at queue.next;
 	// ties break toward the front.
@@ -95,6 +100,7 @@ func NewMemory(owner id.UserID, opts Options) *Store {
 		maxBytes:    opts.MaxBytes,
 		byAuthor:    make(map[id.UserID]map[uint64]*entry),
 		dropped:     make(map[id.UserID]map[uint64]bool),
+		floor:       make(map[id.UserID]uint64),
 		subs:        make(map[id.UserID]bool),
 	}
 	s.queue.prev, s.queue.next = &s.queue, &s.queue
@@ -147,6 +153,7 @@ func (s *Store) Put(m *msg.Message) (bool, error) {
 	s.bytes += e.size
 	s.stats.Puts++
 	s.sum.bump(ref.Author, ref.Seq)
+	s.advanceFloorLocked(ref.Author)
 	if ref.Author == s.owner && ref.Seq > s.ownSeq {
 		s.ownSeq = ref.Seq
 	}
@@ -275,6 +282,22 @@ func (s *Store) tombstoneLocked(ref msg.Ref) {
 		for _, seq := range seqs[:len(seqs)-maxTombstonesPerAuthor] {
 			delete(perAuthor, seq)
 		}
+		delete(s.floor, ref.Author) // forgotten refs are missing again
+	}
+	s.advanceFloorLocked(ref.Author)
+}
+
+// advanceFloorLocked raises author's floor over every sequence that is
+// now accounted for: amortized O(1) per Put, since a floor only falls
+// when tombstones are forgotten.
+func (s *Store) advanceFloorLocked(author id.UserID) {
+	held, tombs, floor := s.byAuthor[author], s.dropped[author], s.floor[author]
+	n := floor
+	for held[n+1] != nil || tombs[n+1] {
+		n++
+	}
+	if n > floor {
+		s.floor[author] = n
 	}
 }
 
@@ -383,39 +406,25 @@ func (s *Store) Generation() uint64 {
 	return s.sum.generation()
 }
 
-// Missing returns the sequence numbers in [1, upto] that the store
-// neither holds nor has evicted, in ascending order. A browsing node uses
-// this to build its message request after seeing an advertisement. The
-// complement is computed by gap-walking the held and tombstoned sequence
-// sets, so cost scales with what the node has seen, not with upto.
+// MaxMissing caps one Missing result: what a single wire.Want can carry
+// (wire.MaxSeqsPerWant).
+const MaxMissing = 65535
+
+// Missing returns the lowest MaxMissing sequence numbers in [1, upto]
+// that the store neither holds nor has evicted, in ascending order. A
+// browsing node uses this to build its message request after seeing an
+// advertisement. Only sequences past the author's floor are probed, so
+// the cost is bounded by upto − floor and by what the store holds above
+// the floor plus MaxMissing, whatever upto a peer claims.
 func (s *Store) Missing(author id.UserID, upto uint64) []uint64 {
 	s.mu.RLock()
-	held := s.byAuthor[author]
-	tombs := s.dropped[author]
-	accounted := make([]uint64, 0, len(held)+len(tombs))
-	for seq := range held {
-		if seq <= upto {
-			accounted = append(accounted, seq)
-		}
-	}
-	for seq := range tombs {
-		if seq <= upto && held[seq] == nil {
-			accounted = append(accounted, seq)
-		}
-	}
-	s.mu.RUnlock()
-
-	sort.Slice(accounted, func(i, j int) bool { return accounted[i] < accounted[j] })
+	defer s.mu.RUnlock()
+	held, tombs := s.byAuthor[author], s.dropped[author]
 	var missing []uint64
-	next := uint64(1)
-	for _, seq := range accounted {
-		for ; next < seq; next++ {
-			missing = append(missing, next)
+	for seq := s.floor[author] + 1; seq <= upto && len(missing) < MaxMissing; seq++ {
+		if held[seq] == nil && !tombs[seq] {
+			missing = append(missing, seq)
 		}
-		next = seq + 1
-	}
-	for ; next <= upto; next++ {
-		missing = append(missing, next)
 	}
 	return missing
 }

@@ -46,6 +46,11 @@ func Run(t *testing.T, mk func(t *testing.T) World) {
 	t.Run("DuplicatePuts", func(t *testing.T) { testDuplicates(t, mk(t)) })
 	t.Run("SummaryAndGeneration", func(t *testing.T) { testSummary(t, mk(t)) })
 	t.Run("MissingGapWalk", func(t *testing.T) { testMissing(t, mk(t)) })
+	t.Run("MissingOutOfOrder", func(t *testing.T) { testMissingOutOfOrder(t, mk(t)) })
+	t.Run("MissingCapped", func(t *testing.T) { testMissingCapped(t, mk(t)) })
+	t.Run("MissingAfterEviction", func(t *testing.T) { testMissingAfterEviction(t, mk(t)) })
+	t.Run("MissingAfterForgottenTombstones", func(t *testing.T) { testMissingForgotten(t, mk(t)) })
+	t.Run("MissingAfterCrash", func(t *testing.T) { testMissingAfterCrash(t, mk(t)) })
 	t.Run("ChangesDelta", func(t *testing.T) { testChanges(t, mk(t)) })
 	t.Run("ChangesStriped", func(t *testing.T) { testChangesStriped(t, mk(t)) })
 	t.Run("Subscriptions", func(t *testing.T) { testSubscriptions(t, mk(t)) })
@@ -437,6 +442,128 @@ func testChangesStriped(t *testing.T, w World) {
 	if full := e.Summary(); !reflect.DeepEqual(union, full) {
 		t.Errorf("stripe union (%d entries) != Summary (%d entries)", len(union), len(full))
 	}
+}
+
+// seqs returns lo..hi inclusive.
+func seqs(lo, hi uint64) []uint64 {
+	out := make([]uint64, 0, hi-lo+1)
+	for seq := lo; seq <= hi; seq++ {
+		out = append(out, seq)
+	}
+	return out
+}
+
+func wantMissing(t *testing.T, e store.Engine, author id.UserID, upto uint64, want []uint64) {
+	t.Helper()
+	if got := e.Missing(author, upto); !reflect.DeepEqual(got, want) {
+		if len(got) > 16 || len(want) > 16 {
+			t.Errorf("Missing(upto=%d): %d entries, want %d", upto, len(got), len(want))
+			return
+		}
+		t.Errorf("Missing(upto=%d) = %v, want %v", upto, got, want)
+	}
+}
+
+// testMissingOutOfOrder fills an author's sequence out of order: an
+// engine that skips a prefix it believes complete must only skip what
+// really is.
+func testMissingOutOfOrder(t *testing.T, w World) {
+	e := w.Open(t, store.Options{})
+	defer e.Close()
+	mustPut(t, e, post(bob, 3, "b3"))
+	wantMissing(t, e, bob, 5, []uint64{1, 2, 4, 5})
+	mustPut(t, e, post(bob, 1, "b1"))
+	wantMissing(t, e, bob, 5, []uint64{2, 4, 5})
+	mustPut(t, e, post(bob, 2, "b2")) // closes the gap: 1..3 complete
+	wantMissing(t, e, bob, 5, []uint64{4, 5})
+	wantMissing(t, e, bob, 2, nil)
+	mustPut(t, e, post(bob, 5, "b5"))
+	mustPut(t, e, post(bob, 4, "b4"))
+	wantMissing(t, e, bob, 5, nil)
+	wantMissing(t, e, bob, 7, []uint64{6, 7})
+	wantMissing(t, e, carol, 2, []uint64{1, 2})
+}
+
+// testMissingCapped: upto comes from a peer's dictionary, so a forged
+// entry must cost neither memory nor time in proportion to it.
+func testMissingCapped(t *testing.T, w World) {
+	e := w.Open(t, store.Options{})
+	defer e.Close()
+	mustPut(t, e, post(bob, 2, "b2"))
+	for _, author := range []id.UserID{bob, carol} {
+		got := e.Missing(author, 1<<62)
+		if len(got) != store.MaxMissing {
+			t.Fatalf("Missing(upto=1<<62) returned %d entries, want %d", len(got), store.MaxMissing)
+		}
+		if got[0] != 1 || got[len(got)-1] > store.MaxMissing+1 {
+			t.Errorf("Missing(upto=1<<62) spans %d..%d, want the lowest sequences", got[0], got[len(got)-1])
+		}
+	}
+	wantMissing(t, e, bob, ^uint64(0), append([]uint64{1}, seqs(3, store.MaxMissing+1)...))
+}
+
+// testMissingAfterEviction: an evicted sequence stays accounted for, at
+// the bottom of an author's range and in the middle of it.
+func testMissingAfterEviction(t *testing.T, w World) {
+	e := w.Open(t, store.Options{MaxMessages: 2})
+	defer e.Close()
+	mustPut(t, e, post(bob, 1, "b1"))
+	mustPut(t, e, post(bob, 2, "b2"))
+	mustPut(t, e, post(bob, 3, "b3")) // evicts bob#1
+	mustPut(t, e, post(bob, 6, "b6")) // evicts bob#2
+	if e.Has(msg.Ref{Author: bob, Seq: 2}) || e.Len() != 2 {
+		t.Fatalf("expected bob#1 and bob#2 evicted, Len = %d", e.Len())
+	}
+	wantMissing(t, e, bob, 7, []uint64{4, 5, 7})
+	mustPut(t, e, post(bob, 4, "b4")) // evicts bob#3
+	wantMissing(t, e, bob, 7, []uint64{5, 7})
+}
+
+// forgetAfter is the tombstone count at which an engine forgets the
+// lower half of an author's tombstones (twice the store package's
+// maxTombstonesPerAuthor).
+const forgetAfter = 8192
+
+// testMissingForgotten drives one author past the tombstone cap: the
+// forgotten refs become missing, and admittable, again.
+func testMissingForgotten(t *testing.T, w World) {
+	e := w.Open(t, store.Options{MaxMessages: 1, NoSync: true})
+	defer e.Close()
+	for seq := uint64(1); seq < forgetAfter; seq++ {
+		mustPut(t, e, post(bob, seq, "cargo"))
+	}
+	// forgetAfter-2 tombstones, the newest message held: nothing missing.
+	wantMissing(t, e, bob, forgetAfter-1, nil)
+	mustPut(t, e, post(bob, forgetAfter, "cargo"))
+	mustPut(t, e, post(bob, forgetAfter+1, "cargo")) // tombstone number forgetAfter
+	wantMissing(t, e, bob, forgetAfter+2, append(seqs(1, forgetAfter/2), forgetAfter+2))
+	mustPut(t, e, post(bob, 2, "back again"))
+	wantMissing(t, e, bob, 4, []uint64{1, 3, 4})
+	mustPut(t, e, post(bob, 1, "back again")) // evicts bob#2, which stays accounted
+	wantMissing(t, e, bob, 4, []uint64{3, 4})
+}
+
+// testMissingAfterCrash kills the engine with gaps, tombstones and a
+// complete prefix on disk, and checks that the reopened engine accounts
+// for exactly the same sequences.
+func testMissingAfterCrash(t *testing.T, w World) {
+	if !w.Persistent() {
+		t.Skip("volatile engine")
+	}
+	e := w.Open(t, store.Options{MaxMessages: 3})
+	for _, seq := range []uint64{2, 1, 3, 4, 7} { // 1 and 2 end up evicted
+		mustPut(t, e, post(bob, seq, "cargo"))
+	}
+	mustPut(t, e, post(carol, 2, "c2")) // evicts bob#3
+	wantMissing(t, e, bob, 8, []uint64{5, 6, 8})
+	// Crash: drop the handle on the floor.
+
+	re := w.Open(t, store.Options{MaxMessages: 3})
+	defer re.Close()
+	wantMissing(t, re, bob, 8, []uint64{5, 6, 8})
+	wantMissing(t, re, carol, 2, []uint64{1})
+	mustPut(t, re, post(bob, 5, "late")) // evicts bob#4
+	wantMissing(t, re, bob, 8, []uint64{6, 8})
 }
 
 // testChanges checks the delta-advertisement contract: Changes(sinceGen)
