@@ -366,7 +366,7 @@ func command(node *sos.Node, exporter *telemetry.Exporter, line string) bool {
 		fmt.Printf("store:   %d messages, %d bytes (gen %d)\n", s.Store.Messages, s.Store.Bytes, s.Store.Generation)
 		fmt.Printf("         %d puts, %d duplicates, %d evictions, %d expirations, %d bytes evicted\n",
 			s.Store.Puts, s.Store.Duplicates, s.Store.Evictions, s.Store.Expirations, s.Store.EvictedBytes)
-		fmt.Printf("adhoc:   %+v\nmessage: %+v\n", s.Adhoc, s.Message)
+		fmt.Printf("adhoc:   %+v\nmessage: %+v\npki:     %+v\n", s.Adhoc, s.Message, s.PKI)
 		peers, links, entries := node.SyncState()
 		fmt.Printf("sync:    %d peers known, %d linked, %d summary entries cached\n", peers, links, entries)
 		fmt.Printf("sync-io: %d summary chunks sent, %d plan entries scanned, %d stripe lock waits\n",

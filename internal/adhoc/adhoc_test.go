@@ -458,7 +458,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
-	verifier, err := pki.NewVerifier(creds.RootDER, nil)
+	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -511,7 +511,7 @@ func TestLiveMediumHandshake(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Bootstrap: %v", err)
 		}
-		verifier, err := pki.NewVerifier(creds.RootDER, nil)
+		verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
 		if err != nil {
 			t.Fatalf("NewVerifier: %v", err)
 		}

@@ -44,7 +44,7 @@ func TestBootstrapFullFlow(t *testing.T) {
 	}
 	// The issued certificate must verify against the pinned root and name
 	// the same user.
-	v, err := pki.NewVerifier(creds.RootDER, nil)
+	v, err := pki.NewVerifier(creds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestRevokeAndCRLSync(t *testing.T) {
 		t.Error("revoked serial missing from synced CRL")
 	}
 
-	v, err := pki.NewVerifier(creds.RootDER, nil)
+	v, err := pki.NewVerifier(creds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}

@@ -197,6 +197,7 @@ type Stats struct {
 	Adhoc   adhoc.Stats
 	Message message.Stats
 	Store   store.Stats
+	PKI     pki.Stats
 }
 
 // Middleware is one application's SOS instance.
@@ -658,6 +659,7 @@ func (mw *Middleware) Stats() Stats {
 		Adhoc:   mw.adhocMgr.Stats(),
 		Message: mw.msgMgr.Stats(),
 		Store:   mw.store.Stats(),
+		PKI:     mw.verifier.Stats(),
 	}
 }
 

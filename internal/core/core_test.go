@@ -555,3 +555,46 @@ func TestHopCountsAccumulateAlongPath(t *testing.T) {
 		t.Errorf("hops at n4 = %d, want 3", m.Hops)
 	}
 }
+
+// TestOneCertificateCheckPerAuthor: the handshake and the message plane
+// share the node's one verifier, so an author's certificate is checked in
+// full once and remembered — and a revocation learned later still stops
+// the very next message, because the remembered certificate is re-checked
+// against the CRL on every use.
+func TestOneCertificateCheckPerAuthor(t *testing.T) {
+	w := newWorld(t)
+	alice := w.node("alice", routing.SchemeEpidemic)
+	bob := w.node("bob", routing.SchemeEpidemic)
+	const posts = 5
+	for i := 0; i < posts; i++ {
+		if _, err := alice.mw.Post([]byte{byte(i)}); err != nil {
+			t.Fatalf("Post: %v", err)
+		}
+	}
+	w.link(alice, bob, mpc.Bluetooth)
+	w.pump(10 * time.Second)
+	if len(bob.received) != posts {
+		t.Fatalf("bob received %d posts, want %d", len(bob.received), posts)
+	}
+	if st := bob.mw.Stats().PKI; st.Misses != 1 || st.Hits != posts || st.Rejected != 0 || st.Entries != 1 {
+		t.Errorf("bob's verifier = %+v, want 1 miss (the handshake), %d hits (the posts), 1 entry", st, posts)
+	}
+
+	if err := w.svc.RevokeUser(alice.mw.User()); err != nil {
+		t.Fatalf("RevokeUser: %v", err)
+	}
+	if err := bob.mw.SyncWithCloud(w.svc); err != nil {
+		t.Fatalf("SyncWithCloud: %v", err)
+	}
+	if _, err := alice.mw.Post([]byte("signed under a revoked certificate")); err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	w.pump(10 * time.Second)
+	if len(bob.received) != posts {
+		t.Errorf("bob accepted a post whose author's certificate he knows is revoked")
+	}
+	stats := bob.mw.Stats()
+	if stats.PKI.Rejected == 0 || stats.Message.VerifyFailures == 0 {
+		t.Errorf("after the revocation: pki %+v, verify failures %d; want the post rejected", stats.PKI, stats.Message.VerifyFailures)
+	}
+}

@@ -92,8 +92,12 @@ type Identity struct {
 	User UserID
 	Key  *ecdsa.PrivateKey
 
-	// rng feeds signing randomness. The simulator injects a seeded source
-	// so whole runs replay bit-identically; live nodes use crypto/rand.
+	// rng feeds key generation and signing; live nodes use crypto/rand. A
+	// seeded source does not make either repeatable: ecdsa.GenerateKey
+	// and ecdsa.SignASN1 are documented as not deterministic in their
+	// reader, so keys, signature lengths (70–72 B) and with them frame
+	// sizes differ between two runs of one seed. Deterministic signing
+	// under a seed is ROADMAP item 1.
 	rng io.Reader
 }
 

@@ -115,7 +115,7 @@ func beaconFixture(t *testing.T, authors int) (*message.Manager, *store.Store, *
 	if err != nil {
 		t.Fatalf("routing.NewManager: %v", err)
 	}
-	verifier, err := pki.NewVerifier(creds.RootDER, nil)
+	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -302,7 +302,10 @@ func TestForgedBeaconEntryIsBounded(t *testing.T) {
 	if err := h.bob.link(0).SendFrame(forged); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "alice's request for the forged author", func() bool { return h.bob.requested(ghost) })
+	// The want-list leaves in several frames (wire.MaxSeqsPerRequest each).
+	waitFor(t, "alice's requests for the forged author", func() bool {
+		return h.bob.requestedSeqs(ghost) >= wire.MaxSeqsPerWant
+	})
 	if n := h.bob.requestedSeqs(ghost); n != wire.MaxSeqsPerWant {
 		t.Errorf("alice requested %d sequences of the forged author, want %d", n, wire.MaxSeqsPerWant)
 	}

@@ -139,7 +139,7 @@ func scriptedPeer(t *testing.T, medium mpc.Medium, svc *cloud.Service, handle, d
 	if err != nil {
 		t.Fatalf("Bootstrap(%s): %v", handle, err)
 	}
-	verifier, err := pki.NewVerifier(creds.RootDER, nil)
+	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestChunkedFullSyncInterleavesBatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("routing.NewManager: %v", err)
 	}
-	verifier, err := pki.NewVerifier(aliceCreds.RootDER, nil)
+	verifier, err := pki.NewVerifier(aliceCreds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -308,7 +308,7 @@ func TestDisjointStripeConcurrentSync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("routing.NewManager: %v", err)
 	}
-	verifier, err := pki.NewVerifier(aliceCreds.RootDER, nil)
+	verifier, err := pki.NewVerifier(aliceCreds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}

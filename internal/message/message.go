@@ -1273,10 +1273,11 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	for _, w := range req.Wants {
 		total += len(w.Seqs)
 	}
-	if total > oversizedWantSeqs {
-		// No honest sync wants this many sequences in one frame; score
-		// it and refuse to serve (serving would burn store reads and
-		// airtime on the attacker's behalf).
+	if total > wire.MaxSeqsPerRequest {
+		// No honest requester puts this many sequences in one frame
+		// (sendRequest splits under the same limit); score it and refuse
+		// to serve (serving would burn store reads and airtime on the
+		// attacker's behalf).
 		m.mu.Lock()
 		tripped := m.penalizeLocked(link.Peer(), pointsOversized, m.cfg.Clock.Now())
 		m.mu.Unlock()
@@ -1370,11 +1371,25 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	}
 }
 
-// sendRequest sends a pull request, chunking oversized want lists.
+// sendRequest sends a pull request in as many frames as its two limits
+// need: at most wire.MaxWants authors and wire.MaxSeqsPerRequest sequence
+// numbers in each. An author's list that does not fit whole fills the
+// frame with its head and leads the next frame with the rest.
 func (m *Manager) sendRequest(link *adhoc.Link, wants []wire.Want) {
-	for start := 0; start < len(wants); start += wire.MaxWants {
-		end := min(start+wire.MaxWants, len(wants))
-		if err := m.sendCounted(link, &wire.Request{Wants: wants[start:end]}, true); err != nil {
+	for len(wants) > 0 {
+		n, seqs := 0, 0
+		for n < len(wants) && n < wire.MaxWants && seqs+len(wants[n].Seqs) <= wire.MaxSeqsPerRequest {
+			seqs += len(wants[n].Seqs)
+			n++
+		}
+		frame := wants[:n]
+		wants = wants[n:]
+		if room := wire.MaxSeqsPerRequest - seqs; n < wire.MaxWants && len(wants) > 0 && room > 0 {
+			next := &wants[0]
+			frame = append(frame[:n:n], wire.Want{Author: next.Author, Seqs: next.Seqs[:room]})
+			next.Seqs = next.Seqs[room:]
+		}
+		if err := m.sendCounted(link, &wire.Request{Wants: frame}, true); err != nil {
 			return
 		}
 		m.mu.Lock()

@@ -30,7 +30,7 @@ func fixture(t *testing.T) (Config, *cloud.Credentials) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	verifier, err := pki.NewVerifier(creds.RootDER, nil)
+	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}

@@ -22,8 +22,8 @@ const (
 	// (adhoc.ErrPeerMisbehaved): the strongest signal, impossible to
 	// produce by accident.
 	pointsGarbage = 3
-	// pointsOversized scores a want-list requesting more sequence
-	// numbers than any honest sync needs.
+	// pointsOversized scores a Request totalling more sequence numbers
+	// than wire.MaxSeqsPerRequest, the limit sendRequest packs under.
 	pointsOversized = 2
 	// pointsFlood scores each full in-session advertisement beyond the
 	// per-peer token bucket.
@@ -34,11 +34,6 @@ const (
 	// misbehaviorDecayPerSec forgives honest accidents: a peer at half
 	// the threshold is clean again in a few seconds.
 	misbehaviorDecayPerSec = 0.5
-
-	// oversizedWantSeqs bounds an honest want-list. A full re-sync of a
-	// busy peer wants a few thousand sequences; tens of thousands in
-	// one frame is an attack or a bug, either way worth isolating.
-	oversizedWantSeqs = 16384
 
 	// adBurst and adRefillPerSec shape the in-session advertisement
 	// token bucket, charged per full summary (chunk 0; continuation

@@ -356,7 +356,7 @@ func newSyncHarnessWith(t *testing.T, cfg message.Config, bobRadio func(mpc.Medi
 	if err != nil {
 		t.Fatalf("routing.NewManager: %v", err)
 	}
-	verifier, err := pki.NewVerifier(aliceCreds.RootDER, nil)
+	verifier, err := pki.NewVerifier(aliceCreds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -388,7 +388,7 @@ func (h *syncHarness) scriptedPeer(t *testing.T, medium mpc.Medium, handle strin
 	if err != nil {
 		t.Fatalf("Bootstrap(%s): %v", handle, err)
 	}
-	verifier, err := pki.NewVerifier(creds.RootDER, nil)
+	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -668,5 +668,103 @@ func TestLinkDropReconnectUsesDelta(t *testing.T) {
 	}
 	if st := h.mgr.Stats(); st.AdsDeltaSent == 0 {
 		t.Errorf("stats recorded no delta ads: %+v", st)
+	}
+}
+
+// requests returns every Request received so far.
+func (c *frameCapture) requests() []*wire.Request {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []*wire.Request
+	for _, f := range c.frames {
+		if req, ok := f.(*wire.Request); ok {
+			out = append(out, req)
+		}
+	}
+	return out
+}
+
+// TestRequestsStayUnderTheLimitTheirServerEnforces: a server refuses and
+// scores a Request totalling more than wire.MaxSeqsPerRequest sequence
+// numbers, so a planner far behind one busy author must split its
+// want-list under that same limit — one author's list across frames.
+func TestRequestsStayUnderTheLimitTheirServerEnforces(t *testing.T) {
+	h := newSyncHarness(t)
+	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
+	// Two authors, so a frame boundary falls inside a list and between two.
+	behind := map[id.UserID]uint64{id.NewUserID("busy-author"): 20000, id.NewUserID("busier-author"): 9000}
+	if err := h.bob.link(0).SendFrame(&wire.Advertisement{Peer: "bob-phone", Gen: 1, Summary: behind}); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	waitFor(t, "requests for the whole backlog", func() bool {
+		for author, upto := range behind {
+			if h.bob.requestedSeqs(author) < int(upto) {
+				return false
+			}
+		}
+		return true
+	})
+
+	asked := make(map[msg.Ref]int)
+	for i, req := range h.bob.requests() {
+		total := 0
+		for _, w := range req.Wants {
+			total += len(w.Seqs)
+			for _, seq := range w.Seqs {
+				asked[msg.Ref{Author: w.Author, Seq: seq}]++
+			}
+		}
+		if total > wire.MaxSeqsPerRequest {
+			t.Errorf("request %d totals %d sequences, over the %d a server accepts", i, total, wire.MaxSeqsPerRequest)
+		}
+	}
+	if len(asked) != 29000 {
+		t.Errorf("requests cover %d distinct messages, want 29000", len(asked))
+	}
+	for author, upto := range behind {
+		for seq := uint64(1); seq <= upto; seq++ {
+			if n := asked[msg.Ref{Author: author, Seq: seq}]; n != 1 {
+				t.Fatalf("%s/%d requested %d times, want once", author, seq, n)
+			}
+		}
+	}
+}
+
+// TestRequestAtTheLimitIsServed pins the server's side of the same
+// constant: exactly wire.MaxSeqsPerRequest sequences is an honest frame,
+// served and not scored; one more is refused and scored.
+func TestRequestAtTheLimitIsServed(t *testing.T) {
+	h := newSyncHarness(t)
+	held := id.NewUserID("held-author")
+	if _, err := h.st.Put(historyPost(held, 1)); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
+
+	seqs := make([]uint64, wire.MaxSeqsPerRequest+1)
+	for i := range seqs {
+		seqs[i] = uint64(i + 1)
+	}
+	atLimit := &wire.Request{Wants: []wire.Want{{Author: held, Seqs: seqs[:wire.MaxSeqsPerRequest]}}}
+	if err := h.bob.link(0).SendFrame(atLimit); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	waitFor(t, "the batch answering a request at the limit", func() bool { return h.mgr.Stats().MessagesServed == 1 })
+	if st := h.mgr.Stats(); st.MisbehaviorEvents != 0 {
+		t.Errorf("a request of exactly the limit scored %d misbehavior events", st.MisbehaviorEvents)
+	}
+
+	if err := h.bob.link(0).SendFrame(&wire.Request{Wants: []wire.Want{{Author: held, Seqs: seqs}}}); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	waitFor(t, "the over-limit request to be scored", func() bool { return h.mgr.Stats().MisbehaviorEvents == 1 })
+	if st := h.mgr.Stats(); st.MessagesServed != 1 {
+		t.Errorf("an over-limit request was served: %d messages, want still 1", st.MessagesServed)
 	}
 }

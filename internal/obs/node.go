@@ -40,6 +40,7 @@ type NodeMetrics struct {
 //	                 and the peers/links/summary-entries gauges
 //	sos_store_*      storage engine: puts, evictions by reason, bytes
 //	sos_adhoc_*      secure-link layer: handshakes, frames, rejects
+//	sos_pki_*        certificate verification: hits, misses, rejections
 //	sos_net_*        transport: beacons, sessions, frames and bytes
 //	sos_secure_*     AEAD plane: seals/opens and their failures
 //	sos_telemetry_*  export plane: recorded/sent/dropped, queue depth
@@ -124,6 +125,17 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Adhoc.FramesReceived })
 		reg.CounterFunc("sos_adhoc_decryption_failures_total", "Link frames that failed authenticated decryption.", nil,
 			func() uint64 { return mw.Stats().Adhoc.DecryptionFailures })
+
+		// Certificate verification: every layer shares the node's one
+		// verifier, so these cover handshakes and received messages alike.
+		reg.CounterFunc("sos_pki_verify_total", "Certificate verification outcomes.", Labels{"result": "hit"},
+			func() uint64 { return mw.Stats().PKI.Hits })
+		reg.CounterFunc("sos_pki_verify_total", "Certificate verification outcomes.", Labels{"result": "miss"},
+			func() uint64 { return mw.Stats().PKI.Misses })
+		reg.CounterFunc("sos_pki_verify_total", "Certificate verification outcomes.", Labels{"result": "rejected"},
+			func() uint64 { return mw.Stats().PKI.Rejected })
+		reg.GaugeFunc("sos_pki_cached_certs", "Verified certificates the node remembers.", nil,
+			func() float64 { return float64(mw.Stats().PKI.Entries) })
 
 		// Misbehavior plane: the quarantine machinery that isolates
 		// byzantine peers (see internal/message/misbehavior.go).

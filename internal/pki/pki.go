@@ -14,6 +14,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/sha256"
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/binary"
@@ -22,6 +23,7 @@ import (
 	"io"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sos/internal/id"
@@ -45,14 +47,18 @@ var (
 	ErrUserMismatch = errors.New("pki: certificate user does not match expected user")
 )
 
-// UserCert is a verified, parsed user certificate: the binding of a UserID
-// to an ECDSA public key, vouched for by the CA.
+// UserCert is a verified user certificate: the binding of a UserID to an
+// ECDSA public key, vouched for by the CA for the window NotBefore to
+// NotAfter. It is immutable: a Verifier hands the same *UserCert to every
+// caller that presents the same certificate bytes, so holders read it —
+// DER and Key included — and never write through it.
 type UserCert struct {
-	User   id.UserID
-	Key    *ecdsa.PublicKey
-	Cert   *x509.Certificate
-	DER    []byte
-	Serial string
+	User      id.UserID
+	Key       *ecdsa.PublicKey
+	DER       []byte
+	Serial    string
+	NotBefore time.Time
+	NotAfter  time.Time
 }
 
 // CA is the AlleyOop Social certificate authority. It lives "in the cloud":
@@ -214,7 +220,14 @@ func (ca *CA) Issue(user id.UserID, pub *ecdsa.PublicKey) (*UserCert, error) {
 		return nil, fmt.Errorf("pki: parsing issued certificate: %w", err)
 	}
 	ca.issued[user] = serial.String()
-	return &UserCert{User: user, Key: pub, Cert: cert, DER: der, Serial: serial.String()}, nil
+	return &UserCert{
+		User:      user,
+		Key:       pub,
+		DER:       der,
+		Serial:    serial.String(),
+		NotBefore: cert.NotBefore,
+		NotAfter:  cert.NotAfter,
+	}, nil
 }
 
 // Revoke marks a certificate serial as revoked. Devices only learn about
@@ -251,28 +264,77 @@ func (ca *CA) CRL() map[string]time.Time {
 	return out
 }
 
+// maxVerified bounds the table of certificates a Verifier remembers.
+const maxVerified = 1024
+
+// certKey identifies a certificate by the SHA-256 of its exact bytes.
+type certKey [sha256.Size]byte
+
 // Verifier validates peer certificates on a device. It holds the pinned CA
-// root and the device's last-synced revocation list.
+// root, the device's last-synced revocation list, and a bounded table of
+// the certificates it has already verified in full.
+//
+// The table saves only what is a pure function of the certificate bytes
+// and the pinned root: the X.509 parse, the chain signature, the key-type
+// and user-identifier checks. Everything whose answer can change — the
+// revocation list, the leaf's validity window and the root's, all against
+// the injected clock — is checked again on every call, so the table needs
+// no invalidation and a revocation or an expiry takes effect on the next
+// call. Only successes are stored, so every entry is CA-issued.
 type Verifier struct {
 	mu    sync.RWMutex
 	roots *x509.CertPool
 	crl   map[string]time.Time
 	now   func() time.Time
+
+	// The pinned root's own validity window. Outside it the table is
+	// bypassed, so the chain check reports the root's expiry itself.
+	rootNotBefore, rootNotAfter time.Time
+
+	// verified is the table; ring lists its keys in insertion order and
+	// next is the slot the next insertion takes, evicting first-in
+	// first-out once ring is full.
+	verified map[certKey]*UserCert
+	ring     []certKey
+	next     int
+
+	hits, misses, rejected atomic.Uint64
 }
 
-// NewVerifier builds a verifier trusting the given DER-encoded root. The
-// clock may be nil, in which case wall time is used.
+// Stats counts the outcomes of a Verifier's Verify and VerifyFor calls;
+// every call lands in exactly one of the three counters.
+type Stats struct {
+	// Hits are certificates accepted from the table of already-verified
+	// certificates, after re-checking revocation and validity.
+	Hits uint64
+	// Misses are certificates accepted after a full parse and chain check.
+	Misses uint64
+	// Rejected are calls that returned an error, from either path.
+	Rejected uint64
+	// Entries is the number of certificates currently remembered.
+	Entries int
+}
+
+// NewVerifier builds a verifier trusting the given DER-encoded root and
+// judging validity windows against the clock now.
 func NewVerifier(rootDER []byte, now func() time.Time) (*Verifier, error) {
+	if now == nil {
+		return nil, errors.New("pki: verifier needs a clock")
+	}
 	root, err := x509.ParseCertificate(rootDER)
 	if err != nil {
 		return nil, fmt.Errorf("pki: parsing pinned root: %w", err)
 	}
 	pool := x509.NewCertPool()
 	pool.AddCert(root)
-	if now == nil {
-		now = time.Now
-	}
-	return &Verifier{roots: pool, crl: make(map[string]time.Time), now: now}, nil
+	return &Verifier{
+		roots:         pool,
+		crl:           make(map[string]time.Time),
+		now:           now,
+		rootNotBefore: root.NotBefore,
+		rootNotAfter:  root.NotAfter,
+		verified:      make(map[certKey]*UserCert),
+	}, nil
 }
 
 // UpdateCRL replaces the verifier's revocation list. Only the cloud calls
@@ -294,63 +356,143 @@ func (v *Verifier) CRLSize() int {
 	return len(v.crl)
 }
 
-// Verify parses and validates a DER certificate: it must chain to the
-// pinned root, be within its validity window, not appear on the synced
-// revocation list, carry an ECDSA public key, and name a well-formed user
-// identifier.
-func (v *Verifier) Verify(der []byte) (*UserCert, error) {
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, fmt.Errorf("pki: parsing certificate: %w", err)
-	}
-
+// Stats snapshots the verification counters and the table's size.
+func (v *Verifier) Stats() Stats {
 	v.mu.RLock()
-	_, revoked := v.crl[cert.SerialNumber.String()]
-	roots := v.roots
-	now := v.now()
+	entries := len(v.verified)
 	v.mu.RUnlock()
+	return Stats{
+		Hits:     v.hits.Load(),
+		Misses:   v.misses.Load(),
+		Rejected: v.rejected.Load(),
+		Entries:  entries,
+	}
+}
 
-	if revoked {
-		return nil, fmt.Errorf("%w: serial %s", ErrRevoked, cert.SerialNumber)
-	}
-	if now.Before(cert.NotBefore) || now.After(cert.NotAfter) {
-		return nil, fmt.Errorf("%w: valid %s to %s, now %s",
-			ErrExpired, cert.NotBefore.Format(time.RFC3339), cert.NotAfter.Format(time.RFC3339), now.Format(time.RFC3339))
-	}
-	if _, err := cert.Verify(x509.VerifyOptions{
-		Roots:       roots,
-		CurrentTime: now,
-		KeyUsages:   []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-	}); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUntrusted, err)
-	}
-	pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("%w: got %T", ErrNotECDSA, cert.PublicKey)
-	}
-	user, err := id.ParseUserID(cert.Subject.CommonName)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrBadUserID, cert.Subject.CommonName)
-	}
-	return &UserCert{
-		User:   user,
-		Key:    pub,
-		Cert:   cert,
-		DER:    der,
-		Serial: cert.SerialNumber.String(),
-	}, nil
+// Verify validates a DER certificate: it must chain to the pinned root, be
+// within its validity window, not appear on the synced revocation list,
+// carry an ECDSA public key, and name a well-formed user identifier. The
+// returned UserCert may be shared with other callers and is read-only.
+func (v *Verifier) Verify(der []byte) (*UserCert, error) {
+	uc, hit, err := v.verify(der)
+	return v.tally(uc, hit, err)
 }
 
 // VerifyFor validates der and additionally requires it to belong to want.
 // Forwarded originator certificates are checked this way (paper Fig. 3b:
 // Bob forwards Alice's certificate alongside her message).
 func (v *Verifier) VerifyFor(der []byte, want id.UserID) (*UserCert, error) {
-	uc, err := v.Verify(der)
-	if err != nil {
-		return nil, err
+	uc, hit, err := v.verify(der)
+	if err == nil && uc.User != want {
+		err = fmt.Errorf("%w: certificate names %s, want %s", ErrUserMismatch, uc.User, want)
 	}
-	if uc.User != want {
-		return nil, fmt.Errorf("%w: certificate names %s, want %s", ErrUserMismatch, uc.User, want)
+	return v.tally(uc, hit, err)
+}
+
+// tally counts a call's outcome in exactly one of the three counters.
+func (v *Verifier) tally(uc *UserCert, hit bool, err error) (*UserCert, error) {
+	switch {
+	case err != nil:
+		v.rejected.Add(1)
+		return nil, err
+	case hit:
+		v.hits.Add(1)
+	default:
+		v.misses.Add(1)
 	}
 	return uc, nil
+}
+
+// verify is Verify without the counting; the bool reports whether the
+// answer came from the table.
+func (v *Verifier) verify(der []byte) (*UserCert, bool, error) {
+	key := certKey(sha256.Sum256(der))
+
+	v.mu.RLock()
+	known := v.verified[key]
+	var revoked bool
+	if known != nil {
+		_, revoked = v.crl[known.Serial]
+	}
+	now := v.now()
+	v.mu.RUnlock()
+
+	if known != nil && !now.Before(v.rootNotBefore) && !now.After(v.rootNotAfter) {
+		if err := stillValid(known, revoked, now); err != nil {
+			return nil, true, err
+		}
+		return known, true, nil
+	}
+
+	// x509.ParseCertificate aliases its input, and callers hand in slices
+	// of frame buffers they reuse: parse from a copy the table can keep.
+	der = append([]byte(nil), der...)
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		return nil, false, fmt.Errorf("pki: parsing certificate: %w", err)
+	}
+	uc := &UserCert{
+		DER:       der,
+		Serial:    cert.SerialNumber.String(),
+		NotBefore: cert.NotBefore,
+		NotAfter:  cert.NotAfter,
+	}
+
+	v.mu.RLock()
+	_, revoked = v.crl[uc.Serial]
+	now = v.now()
+	v.mu.RUnlock()
+
+	if err := stillValid(uc, revoked, now); err != nil {
+		return nil, false, err
+	}
+	if _, err := cert.Verify(x509.VerifyOptions{
+		Roots:       v.roots,
+		CurrentTime: now,
+		KeyUsages:   []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
+	}); err != nil {
+		return nil, false, fmt.Errorf("%w: %v", ErrUntrusted, err)
+	}
+	pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
+	if !ok {
+		return nil, false, fmt.Errorf("%w: got %T", ErrNotECDSA, cert.PublicKey)
+	}
+	user, err := id.ParseUserID(cert.Subject.CommonName)
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: %q", ErrBadUserID, cert.Subject.CommonName)
+	}
+	uc.User, uc.Key = user, pub
+	return v.remember(key, uc), false, nil
+}
+
+// stillValid runs the checks whose answer can change between two calls on
+// the same certificate bytes: revocation, then the validity window.
+func stillValid(uc *UserCert, revoked bool, now time.Time) error {
+	if revoked {
+		return fmt.Errorf("%w: serial %s", ErrRevoked, uc.Serial)
+	}
+	if now.Before(uc.NotBefore) || now.After(uc.NotAfter) {
+		return fmt.Errorf("%w: valid %s to %s, now %s",
+			ErrExpired, uc.NotBefore.Format(time.RFC3339), uc.NotAfter.Format(time.RFC3339), now.Format(time.RFC3339))
+	}
+	return nil
+}
+
+// remember stores a fully verified certificate, whose DER the caller has
+// already copied, and returns the table's entry for those bytes.
+func (v *Verifier) remember(key certKey, uc *UserCert) *UserCert {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if prior := v.verified[key]; prior != nil {
+		return prior // a concurrent call verified the same bytes first
+	}
+	if len(v.ring) < maxVerified {
+		v.ring = append(v.ring, key)
+	} else {
+		delete(v.verified, v.ring[v.next])
+		v.ring[v.next] = key
+	}
+	v.next = (v.next + 1) % maxVerified
+	v.verified[key] = uc
+	return uc
 }

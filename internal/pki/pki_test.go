@@ -2,6 +2,7 @@ package pki
 
 import (
 	"crypto/rand"
+	"crypto/x509"
 	"errors"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func TestIssueAndVerify(t *testing.T) {
 		t.Errorf("issued cert user = %v, want %v", cert.User, alice.User)
 	}
 
-	v, err := NewVerifier(ca.RootDER(), nil)
+	v, err := NewVerifier(ca.RootDER(), time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -64,7 +65,7 @@ func TestVerifyRejectsForeignCA(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Issue: %v", err)
 	}
-	v, err := NewVerifier(caA.RootDER(), nil)
+	v, err := NewVerifier(caA.RootDER(), time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -75,7 +76,7 @@ func TestVerifyRejectsForeignCA(t *testing.T) {
 
 func TestVerifyRejectsGarbage(t *testing.T) {
 	ca := newTestCA(t)
-	v, err := NewVerifier(ca.RootDER(), nil)
+	v, err := NewVerifier(ca.RootDER(), time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -91,7 +92,7 @@ func TestRevocationVisibleAfterSync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Issue: %v", err)
 	}
-	v, err := NewVerifier(ca.RootDER(), nil)
+	v, err := NewVerifier(ca.RootDER(), time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -169,7 +170,7 @@ func TestVerifyForUserMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Issue: %v", err)
 	}
-	v, err := NewVerifier(ca.RootDER(), nil)
+	v, err := NewVerifier(ca.RootDER(), time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -216,7 +217,11 @@ func TestLeafCannotSignCerts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Issue: %v", err)
 	}
-	if cert.Cert.IsCA {
+	parsed, err := x509.ParseCertificate(cert.DER)
+	if err != nil {
+		t.Fatalf("parsing issued certificate: %v", err)
+	}
+	if parsed.IsCA {
 		t.Error("leaf certificate is marked as CA")
 	}
 }

@@ -75,10 +75,19 @@ func (t Type) String() string {
 // MaxStreamFrame; UDP discovery beacons are bounded much tighter by the
 // transport (netmedium.MaxBeaconAd), so beacon builders must cap the
 // summaries they advertise themselves.
+//
+// MaxSeqsPerRequest is a protocol limit, not a codec one: the most
+// sequence numbers one Request may total across its wants. A requester
+// packs its frames under it and a server refuses and scores a frame over
+// it, so both sides must read the same constant. It is well below what the
+// codec could carry (MaxWants × MaxSeqsPerWant): a full re-sync of a busy
+// peer wants a few thousand sequences, and a server reads its store for
+// every one it is asked for.
 const (
 	MaxSummaryEntries = 1 << 17
 	MaxWants          = 4096
 	MaxSeqsPerWant    = 65535
+	MaxSeqsPerRequest = 16384
 	MaxBatchMessages  = 1024
 	MaxCert           = 1 << 16
 	MaxSchemeData     = 1 << 13

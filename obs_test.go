@@ -118,6 +118,8 @@ func TestDebugSurfacesEndToEnd(t *testing.T) {
 		"sos_net_frames_total{dir=\"sent\"}",
 		"sos_secure_seals_total",
 		"sos_adhoc_handshakes_total{result=\"ok\"}",
+		"sos_pki_verify_total{result=\"miss\"}", // bob's certificate, in the handshake
+		"sos_pki_cached_certs",
 	} {
 		v, ok := metrics[series]
 		if !ok {
