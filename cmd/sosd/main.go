@@ -121,7 +121,7 @@ func run(args []string) error {
 	post := fs.String("post", "", "publish one post at startup")
 	follow := fs.String("follow", "", "comma-separated handles or user ids to follow at startup")
 	storeKind := fs.String("store", "mem", "storage engine: mem (volatile) or disk (survives restarts)")
-	storeDir := fs.String("store-dir", "", "disk engine directory (default: <creds file>.store)")
+	storeDir := fs.String("store-dir", "", "disk engine directory; the replay store goes in its replay/ subdirectory (default: <creds file>.store)")
 	quota := fs.Int("quota", 0, "max buffered messages; over quota the eviction policy drops relay cargo (0 = unbounded)")
 	quotaBytes := fs.Int("quota-bytes", 0, "max buffered message bytes (0 = unbounded)")
 	evict := fs.String("evict", "", "eviction policy: drop-oldest, ttl, size-quota, subscription-priority (default: drop-oldest, or ttl when -relay-ttl is set)")
@@ -159,6 +159,10 @@ func run(args []string) error {
 	// volatile in-memory buffer or a crash-recoverable disk database
 	// that lets the daemon resume messages and subscriptions after a
 	// restart.
+	dir, replayDir, err := storageDirs(*storeKind, *storeDir, *credsPath)
+	if err != nil {
+		return err
+	}
 	policy, err := sos.PolicyByName(*evict, *relayTTL)
 	if err != nil {
 		return err
@@ -170,14 +174,9 @@ func run(args []string) error {
 		Tracer:      tracer,
 	}
 	var engine sos.Store
-	switch *storeKind {
-	case "mem":
+	if dir == "" {
 		engine = sos.NewMemStore(creds.Ident.User, storeOpts)
-	case "disk":
-		dir := *storeDir
-		if dir == "" {
-			dir = *credsPath + ".store"
-		}
+	} else {
 		disk, err := sos.OpenDiskStore(dir, creds.Ident.User, storeOpts)
 		if err != nil {
 			return err
@@ -186,8 +185,6 @@ func run(args []string) error {
 			log.Info("resumed disk store", "messages", n, "subscriptions", len(disk.Subscriptions()), "dir", dir)
 		}
 		engine = disk
-	default:
-		return fmt.Errorf("unknown -store %q (want mem or disk)", *storeKind)
 	}
 	cfg := sos.NetConfig{
 		BeaconListen:   *beaconListen,
@@ -226,6 +223,7 @@ func run(args []string) error {
 		Routing:  sos.RoutingOptions{RelayTTL: *relayTTL},
 		Observer: observer,
 		Tracer:   tracer,
+		Security: sos.SecurityConfig{Dir: replayDir},
 		OnReceive: func(m *sos.Message, from sos.UserID) {
 			fmt.Printf("« received %s %s from %s via %s: %q\n",
 				m.Kind, m.Ref(), m.Author, from, trim(m.Payload))
@@ -241,6 +239,9 @@ func run(args []string) error {
 		return err
 	}
 	defer node.Close()
+	if scopes, nonces := node.ReplayState(); scopes+nonces > 0 {
+		log.Info("resumed replay store", "envelopeNonces", nonces, "sessionScopes", scopes, "dir", replayDir)
+	}
 
 	// The debug surface: /metrics (Prometheus text), /healthz (JSON
 	// liveness), /debug/trace (the span flight recorder as Chrome
@@ -328,6 +329,24 @@ func run(args []string) error {
 				return nil
 			}
 		}
+	}
+}
+
+// storageDirs maps the storage flags to the node's durable directories:
+// the message database and, beside it, the replay store (seen envelope
+// nonces and session replay floors), so that whatever resumes the one
+// across a restart resumes the other. Both are empty for -store mem.
+func storageDirs(kind, storeDir, credsPath string) (store, replay string, err error) {
+	switch kind {
+	case "mem":
+		return "", "", nil
+	case "disk":
+		if storeDir == "" {
+			storeDir = credsPath + ".store"
+		}
+		return storeDir, filepath.Join(storeDir, "replay"), nil
+	default:
+		return "", "", fmt.Errorf("unknown -store %q (want mem or disk)", kind)
 	}
 }
 

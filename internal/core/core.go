@@ -142,10 +142,6 @@ type Config struct {
 	// Combine several with CombineObservers.
 	Observer Observer
 
-	// DisableAutoConnect turns off connecting to peers whose beacons offer
-	// wanted messages (the default behaviour).
-	DisableAutoConnect bool
-
 	// HandshakeTimeout bounds a mid-handshake connection before it is
 	// failed and retried (adhoc.Config.HandshakeTimeout). 0 selects the
 	// adhoc default; the lab shortens it to its fast radio timescale.
@@ -163,33 +159,26 @@ type Config struct {
 	// tracing at zero cost.
 	Tracer *span.Tracer
 
-	// Security tunes the secure layer: session key rotation, the
-	// persistent replay store, and prekey bundles. The zero value selects
-	// secure-layer defaults with memory-only replay state.
+	// Security tunes the secure layer: session key rotation and the
+	// persistent replay store. The zero value selects secure-layer
+	// defaults with memory-only replay state.
 	Security SecurityConfig
 }
 
 // SecurityConfig is the node-level secure-layer tuning.
 type SecurityConfig struct {
 	// Dir, when set, persists replay floors, send cursors, and envelope
-	// nonces under this directory (the disk-engine idiom: CRC-framed
-	// append log, torn-tail truncation), so replay protection survives
-	// restart. Empty keeps replay state in memory only.
+	// nonces under this directory (a record log, internal/recordlog, like
+	// the disk engine's), so replay protection survives restart. Empty
+	// keeps replay state in memory only.
 	Dir string
 	// NoSync skips fsync on replay-log appends (tests, lab fleets).
 	NoSync bool
-	// RotationPeriod / OverlapWindow / MaxForwardJump override the
-	// session epoch-rotation defaults (secure.DefaultRotationPeriod et
-	// al.); the lab shortens the period to its fast radio timescale.
+	// RotationPeriod / OverlapWindow override the session epoch-rotation
+	// defaults (secure.DefaultRotationPeriod et al.); the lab shortens
+	// the period to its fast radio timescale.
 	RotationPeriod time.Duration
 	OverlapWindow  time.Duration
-	MaxForwardJump int64
-	// SignedPrekeyLifetime overrides the signed-prekey rotation period.
-	SignedPrekeyLifetime time.Duration
-	// DisablePrekeys turns off prekey minting and the in-session bundle
-	// exchange; Direct then always seals to the recipient's long-term
-	// key.
-	DisablePrekeys bool
 }
 
 // Stats aggregates the counters of every layer.
@@ -310,7 +299,7 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	// The node's secure-layer state: a scoped stats recorder (parallel
 	// fleets in one process stop cross-contaminating counters), the
-	// replay store, and — unless disabled — the prekey store.
+	// replay store, and the prekey store.
 	secRec := &secure.StatsRecorder{}
 	replay, err := secure.OpenReplayStore(cfg.Security.Dir, secure.ReplayOptions{
 		NoSync: cfg.Security.NoSync,
@@ -319,18 +308,14 @@ func New(cfg Config) (*Middleware, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: opening replay store: %w", err)
 	}
-	var prekeys *secure.PrekeyStore
-	if !cfg.Security.DisablePrekeys {
-		prekeys, err = secure.NewPrekeyStore(cfg.Creds.Ident, cfg.Creds.Ident.User, secure.PrekeyConfig{
-			Clock:          cfg.Clock,
-			Rand:           cfg.Rand,
-			SignedLifetime: cfg.Security.SignedPrekeyLifetime,
-			Stats:          secRec,
-		})
-		if err != nil {
-			replay.Close()
-			return nil, fmt.Errorf("core: building prekey store: %w", err)
-		}
+	prekeys, err := secure.NewPrekeyStore(cfg.Creds.Ident, cfg.Creds.Ident.User, secure.PrekeyConfig{
+		Clock: cfg.Clock,
+		Rand:  cfg.Rand,
+		Stats: secRec,
+	})
+	if err != nil {
+		replay.Close()
+		return nil, fmt.Errorf("core: building prekey store: %w", err)
 	}
 
 	mw := &Middleware{
@@ -353,10 +338,10 @@ func New(cfg Config) (*Middleware, error) {
 		OnReceive:      onReceive,
 		OnPeerUp:       onPeerUp,
 		OnPeerDown:     onPeerDown,
-		AutoConnect:    !cfg.DisableAutoConnect,
+		AutoConnect:    true,
 		ResyncInterval: cfg.ResyncInterval,
 		Tracer:         cfg.Tracer,
-		PrekeySource:   mw.prekeySource(),
+		PrekeySource:   mw.prekeyBundle,
 		OnPrekeyBundle: mw.cachePrekeyBundle,
 	})
 	if err != nil {
@@ -403,33 +388,26 @@ func (mw *Middleware) sessionConfig(peer id.UserID, context []byte) secure.Sessi
 		Clock:          mw.clk,
 		RotationPeriod: mw.cfg.Security.RotationPeriod,
 		OverlapWindow:  mw.cfg.Security.OverlapWindow,
-		MaxForwardJump: mw.cfg.Security.MaxForwardJump,
 		Stats:          mw.secRec,
 		Replay:         mw.replay.Scope("recv/" + tag),
 		SendCursor:     mw.replay.Scope("send/" + tag),
 	}
 }
 
-// prekeySource returns the message-layer hook publishing this node's
-// bundle, or nil when prekeys are disabled.
-func (mw *Middleware) prekeySource() func() (*wire.PrekeyBundle, error) {
-	if mw.prekeys == nil {
-		return nil
+// prekeyBundle is the message-layer hook publishing this node's bundle.
+func (mw *Middleware) prekeyBundle() (*wire.PrekeyBundle, error) {
+	b, err := mw.prekeys.Bundle()
+	if err != nil {
+		return nil, err
 	}
-	return func() (*wire.PrekeyBundle, error) {
-		b, err := mw.prekeys.Bundle()
-		if err != nil {
-			return nil, err
-		}
-		return &wire.PrekeyBundle{
-			User:       b.User,
-			SignedID:   b.SignedID,
-			SignedPub:  b.SignedPub,
-			SignedSig:  b.SignedSig,
-			OneTimeID:  b.OneTimeID,
-			OneTimePub: b.OneTimePub,
-		}, nil
-	}
+	return &wire.PrekeyBundle{
+		User:       b.User,
+		SignedID:   b.SignedID,
+		SignedPub:  b.SignedPub,
+		SignedSig:  b.SignedSig,
+		OneTimeID:  b.OneTimeID,
+		OneTimePub: b.OneTimePub,
+	}, nil
 }
 
 // cachePrekeyBundle stores a peer's verified bundle for later Direct
@@ -502,19 +480,18 @@ func (mw *Middleware) Subscribe(user id.UserID) {
 // has been cached (published during any earlier encounter), the envelope
 // is sealed to the bundle instead of the long-term key: the recipient
 // burns the one-time prekey on open, so capture of its device later
-// cannot reopen the envelope (forward secrecy). Without a bundle, Direct
-// falls back to the legacy long-term-key envelope.
+// cannot reopen the envelope (forward secrecy). Only without a bundle — a
+// recipient never met, the paper's §III-D path — does Direct seal to the
+// long-term key. Bundles are verified when they arrive, so a cached one
+// that fails to seal is a fault to report, not a reason to give up
+// forward secrecy quietly.
 func (mw *Middleware) Direct(recipCert *pki.UserCert, payload []byte) (*msg.Message, error) {
 	if bundle := mw.takePrekeyBundle(recipCert.User); bundle != nil {
 		env, err := secure.SealPrekeyEnvelope(mw.cfg.Rand, recipCert.Key, bundle, mw.cfg.Creds.Ident, payload)
-		if err == nil {
-			return mw.publish(msg.KindDirect, recipCert.User, env.Marshal())
+		if err != nil {
+			return nil, fmt.Errorf("core: sealing direct message to %s's prekey bundle: %w", recipCert.User, err)
 		}
-		// A stale or damaged cached bundle must not strand the message:
-		// drop it and seal legacy.
-		mw.bundleMu.Lock()
-		delete(mw.bundles, recipCert.User)
-		mw.bundleMu.Unlock()
+		return mw.publish(msg.KindDirect, recipCert.User, env.Marshal())
 	}
 	env, err := secure.SealEnvelope(mw.cfg.Rand, recipCert.Key, mw.cfg.Creds.Ident, payload)
 	if err != nil {
@@ -539,9 +516,6 @@ func (mw *Middleware) OpenDirect(m *msg.Message) ([]byte, error) {
 	}
 	var plain, nonce []byte
 	if secure.IsPrekeyEnvelope(m.Payload) {
-		if mw.prekeys == nil {
-			return nil, errors.New("core: prekey envelope received with prekeys disabled")
-		}
 		env, err := secure.ParsePrekeyEnvelope(m.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("core: parsing envelope: %w", err)
@@ -561,8 +535,9 @@ func (mw *Middleware) OpenDirect(m *msg.Message) ([]byte, error) {
 		nonce = env.Nonce
 	}
 	// At-most-once opening: the envelope nonce is marked in the replay
-	// store (persisted when Security.Dir is set), so the same envelope
-	// re-disseminated later — even across a restart — is rejected.
+	// store (persisted when Security.Dir is set, as sosd does beside a
+	// disk store), so the same envelope re-disseminated later — even
+	// across a restart — is rejected.
 	if !mw.replay.MarkNonce(nonce) {
 		return nil, fmt.Errorf("core: envelope %s replayed", m.Ref())
 	}
@@ -573,14 +548,13 @@ func (mw *Middleware) OpenDirect(m *msg.Message) ([]byte, error) {
 // replay store and prekey store, and nothing else in the process.
 func (mw *Middleware) SecureStats() secure.Stats { return mw.secRec.Read() }
 
-// PrekeysRemaining reports the unissued one-time prekey pool depth (0
-// when prekeys are disabled).
-func (mw *Middleware) PrekeysRemaining() int {
-	if mw.prekeys == nil {
-		return 0
-	}
-	return mw.prekeys.Remaining()
-}
+// PrekeysRemaining reports the unissued one-time prekey pool depth.
+func (mw *Middleware) PrekeysRemaining() int { return mw.prekeys.Remaining() }
+
+// ReplayState reports how many replay scopes and seen envelope nonces
+// the node holds; right after New, what a persistent replay store
+// resumed.
+func (mw *Middleware) ReplayState() (scopes, nonces int) { return mw.replay.Len() }
 
 // publish signs, stores, and advertises a new action message.
 func (mw *Middleware) publish(kind msg.Kind, subject id.UserID, payload []byte) (*msg.Message, error) {

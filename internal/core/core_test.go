@@ -13,6 +13,7 @@ import (
 	"sos/internal/msg"
 	"sos/internal/pki"
 	"sos/internal/routing"
+	"sos/internal/secure"
 )
 
 var epoch = time.Date(2017, 4, 6, 8, 0, 0, 0, time.UTC)
@@ -316,6 +317,48 @@ func TestDirectMessageEndToEnd(t *testing.T) {
 	}
 	if string(plain) != "for bob's eyes only" {
 		t.Errorf("plaintext = %q", plain)
+	}
+}
+
+// TestDirectNeverDowngradesACachedBundle: the long-term-key envelope is
+// for a recipient never met. Once a bundle is cached, Direct seals to it
+// or fails — a bundle that cannot be sealed to must not silently cost the
+// message its forward secrecy.
+func TestDirectNeverDowngradesACachedBundle(t *testing.T) {
+	w := newWorld(t)
+	alice := w.node("alice", routing.SchemeEpidemic)
+	bob := w.node("bob", routing.SchemeEpidemic)
+
+	m, err := alice.mw.Direct(bob.creds.Cert, []byte("never met"))
+	if err != nil {
+		t.Fatalf("Direct to a never-met recipient: %v", err)
+	}
+	if secure.IsPrekeyEnvelope(m.Payload) {
+		t.Error("sealed to a prekey bundle nobody published")
+	}
+
+	bundle, err := bob.mw.prekeys.Bundle()
+	if err != nil {
+		t.Fatalf("Bundle: %v", err)
+	}
+	alice.mw.cachePrekeyBundle(bob.mw.User(), &bundle)
+	if m, err = alice.mw.Direct(bob.creds.Cert, []byte("met")); err != nil {
+		t.Fatalf("Direct with a cached bundle: %v", err)
+	}
+	if !secure.IsPrekeyEnvelope(m.Payload) {
+		t.Error("cached bundle ignored: sealed to the long-term key")
+	}
+
+	damaged := bundle
+	damaged.SignedSig = append([]byte(nil), bundle.SignedSig...)
+	damaged.SignedSig[0] ^= 0xFF
+	alice.mw.cachePrekeyBundle(bob.mw.User(), &damaged)
+	held := alice.mw.Store().Len()
+	if _, err := alice.mw.Direct(bob.creds.Cert, []byte("damaged")); !errors.Is(err, secure.ErrBundleSig) {
+		t.Fatalf("Direct with a damaged bundle: err = %v, want ErrBundleSig", err)
+	}
+	if got := alice.mw.Store().Len(); got != held {
+		t.Errorf("a failed Direct published something: store holds %d, was %d", got, held)
 	}
 }
 

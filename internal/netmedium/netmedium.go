@@ -52,10 +52,17 @@ const (
 	DefaultLossTimeout    = 3500 * time.Millisecond
 	DefaultDialTimeout    = 5 * time.Second
 
-	DefaultDialAttempts    = 3
-	DefaultDialBackoffBase = 50 * time.Millisecond
-	DefaultDialBackoffCap  = 1 * time.Second
+	// The dial ladder (see dialSession): how many times Connect tries the
+	// session dial, and the backoff between tries — base, 2×base, 4×base …
+	// clamped to cap.
+	dialAttempts    = 3
+	dialBackoffBase = 50 * time.Millisecond
+	dialBackoffCap  = 1 * time.Second
 )
+
+// technologies are the logical links every device offers, in listener
+// port order.
+var technologies = [...]mpc.Technology{mpc.Bluetooth, mpc.PeerToPeerWiFi, mpc.InfrastructureWiFi}
 
 // Config assembles a Medium.
 type Config struct {
@@ -74,13 +81,10 @@ type Config struct {
 	// binds all interfaces.
 	ListenIP string
 	// BasePort, when nonzero, assigns fixed TCP ports BasePort,
-	// BasePort+1, ... to the configured technologies in order (for
-	// daemons behind known ports); zero picks ephemeral ports. Fixed
-	// ports suit one endpoint per process.
+	// BasePort+1, BasePort+2 to Bluetooth, peer-to-peer WiFi, and
+	// infrastructure WiFi (for daemons behind known ports); zero picks
+	// ephemeral ports. Fixed ports suit one endpoint per process.
 	BasePort int
-	// Technologies are the logical links this device offers; defaults to
-	// Bluetooth, peer-to-peer WiFi, and infrastructure WiFi.
-	Technologies []mpc.Technology
 	// BeaconInterval is the gap between periodic beacons.
 	BeaconInterval time.Duration
 	// LossTimeout is how long a peer may stay silent before PeerLost
@@ -90,18 +94,6 @@ type Config struct {
 	// backoff between them — and each attempt's TCP dial plus name
 	// exchange.
 	DialTimeout time.Duration
-	// DialAttempts bounds how many times Connect tries the session dial
-	// before giving up. A refused or reset dial retries after a capped,
-	// jittered exponential backoff (the peer may be mid-restart of its
-	// listener, or the first SYN was unlucky); retries stop early when
-	// the DialTimeout budget would be exceeded. Defaults to
-	// DefaultDialAttempts.
-	DialAttempts int
-	// DialBackoffBase and DialBackoffCap shape the retry backoff:
-	// base, 2×base, 4×base … clamped to cap, each with full jitter on
-	// the top half. Defaults: DefaultDialBackoffBase/Cap.
-	DialBackoffBase time.Duration
-	DialBackoffCap  time.Duration
 	// Logf, when set, receives debug logging.
 	Logf func(format string, args ...any)
 	// Tracer, when set, records net-plane spans — session dials and
@@ -116,9 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.BeaconListen == "" {
 		c.BeaconListen = DefaultBeaconListen
 	}
-	if len(c.Technologies) == 0 {
-		c.Technologies = []mpc.Technology{mpc.Bluetooth, mpc.PeerToPeerWiFi, mpc.InfrastructureWiFi}
-	}
 	if c.BeaconInterval <= 0 {
 		c.BeaconInterval = DefaultBeaconInterval
 	}
@@ -127,15 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = DefaultDialTimeout
-	}
-	if c.DialAttempts <= 0 {
-		c.DialAttempts = DefaultDialAttempts
-	}
-	if c.DialBackoffBase <= 0 {
-		c.DialBackoffBase = DefaultDialBackoffBase
-	}
-	if c.DialBackoffCap < c.DialBackoffBase {
-		c.DialBackoffCap = DefaultDialBackoffCap
 	}
 	return c
 }
@@ -371,7 +351,7 @@ func (ep *Endpoint) bind() error {
 	}
 	allowBroadcast(ep.udp)
 
-	for i, tech := range cfg.Technologies {
+	for i, tech := range technologies {
 		port := 0
 		if cfg.BasePort != 0 {
 			port = cfg.BasePort + i
@@ -470,12 +450,9 @@ func (ep *Endpoint) netTrack(peer mpc.PeerID) uint64 {
 func (ep *Endpoint) dialSession(peer mpc.PeerID) (mpc.Conn, error) {
 	deadline := time.Now().Add(ep.m.cfg.DialTimeout)
 	var err error
-	for attempt := 0; attempt < ep.m.cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
-			backoff := ep.m.cfg.DialBackoffBase << (attempt - 1)
-			if backoff > ep.m.cfg.DialBackoffCap {
-				backoff = ep.m.cfg.DialBackoffCap
-			}
+			backoff := min(dialBackoffBase<<(attempt-1), dialBackoffCap)
 			// Full jitter on the top half keeps simultaneous dialers
 			// from staying phase-locked.
 			backoff = backoff/2 + time.Duration(mrand.Int63n(int64(backoff/2)+1))

@@ -18,7 +18,7 @@ type Stats struct {
 	SessionsClosed   uint64
 	// DialFailures counts Connect attempts that never produced a session
 	// even after the retry ladder; DialRetries counts the individual
-	// backed-off re-dials inside Connect (see Config.DialAttempts).
+	// backed-off re-dials inside Connect (see dialAttempts).
 	DialFailures uint64
 	DialRetries  uint64
 	// FramesSent / FramesReceived and FrameBytes* count the length-

@@ -10,12 +10,12 @@ import (
 	"sos/internal/wire"
 )
 
-// PRoPHET parameter defaults, from Lindgren et al. (2003).
+// PRoPHET parameters, from Lindgren et al. (2003).
 const (
-	defaultProphetEncounter = 0.75
-	defaultProphetBeta      = 0.25
-	defaultProphetGamma     = 0.98
-	defaultProphetThreshold = 0.10
+	prophetEncounter = 0.75
+	prophetBeta      = 0.25
+	prophetGamma     = 0.98
+	prophetThreshold = 0.10
 	// prophetAgingUnit is the time quantum for predictability aging.
 	prophetAgingUnit = 30 * time.Second
 )
@@ -28,12 +28,8 @@ const (
 // delivery predictability toward some subscriber of the author exceeds
 // the threshold — i.e. when it is a genuinely promising custodian.
 type Prophet struct {
-	view      StoreView
-	clk       clock.Clock
-	pEnc      float64
-	beta      float64
-	gamma     float64
-	threshold float64
+	view StoreView
+	clk  clock.Clock
 
 	preds    map[id.UserID]float64
 	lastAged time.Time
@@ -45,29 +41,13 @@ var _ Scheme = (*Prophet)(nil)
 // NewProphet builds the scheme over a store view.
 func NewProphet(view StoreView, opts Options) *Prophet {
 	p := &Prophet{
-		view:      view,
-		clk:       opts.Clock,
-		pEnc:      opts.ProphetEncounter,
-		beta:      opts.ProphetBeta,
-		gamma:     opts.ProphetGamma,
-		threshold: opts.ProphetThreshold,
-		preds:     make(map[id.UserID]float64),
-		subsOf:    make(map[id.UserID]map[id.UserID]bool),
+		view:   view,
+		clk:    opts.Clock,
+		preds:  make(map[id.UserID]float64),
+		subsOf: make(map[id.UserID]map[id.UserID]bool),
 	}
 	if p.clk == nil {
 		p.clk = clock.System()
-	}
-	if p.pEnc == 0 {
-		p.pEnc = defaultProphetEncounter
-	}
-	if p.beta == 0 {
-		p.beta = defaultProphetBeta
-	}
-	if p.gamma == 0 {
-		p.gamma = defaultProphetGamma
-	}
-	if p.threshold == 0 {
-		p.threshold = defaultProphetThreshold
 	}
 	p.lastAged = p.clk.Now()
 	return p
@@ -82,7 +62,7 @@ func (p *Prophet) Wants(summary map[id.UserID]uint64) []wire.Want {
 	p.age()
 	var wants []wire.Want
 	for author, latest := range summary {
-		if !p.view.IsSubscribed(author) && p.deliverability(author) < p.threshold {
+		if !p.view.IsSubscribed(author) && p.deliverability(author) < prophetThreshold {
 			continue
 		}
 		if missing := p.view.Missing(author, latest); len(missing) > 0 {
@@ -121,7 +101,7 @@ func (p *Prophet) OnReceived(m *msg.Message, _ id.UserID) {
 // predictability of meeting this user again.
 func (p *Prophet) OnPeerConnected(peer id.UserID) {
 	p.age()
-	p.preds[peer] += (1 - p.preds[peer]) * p.pEnc
+	p.preds[peer] += (1 - p.preds[peer]) * prophetEncounter
 }
 
 // OnPeerLost implements Scheme.
@@ -169,7 +149,7 @@ func (p *Prophet) OnPeerData(peer id.UserID, data []byte) {
 		if c == p.view.Owner() {
 			continue
 		}
-		transitive := pPeer * pbc * p.beta
+		transitive := pPeer * pbc * prophetBeta
 		if transitive > p.preds[c] {
 			p.preds[c] = transitive
 		}
@@ -223,7 +203,7 @@ func (p *Prophet) age() {
 		return
 	}
 	units := float64(elapsed) / float64(prophetAgingUnit)
-	factor := math.Pow(p.gamma, units)
+	factor := math.Pow(prophetGamma, units)
 	for u, pv := range p.preds {
 		aged := pv * factor
 		if aged < 1e-6 {

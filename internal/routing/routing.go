@@ -106,12 +106,6 @@ type Options struct {
 	// SprayBudget is the initial copy allowance L for spray-and-wait.
 	// Zero selects DefaultSprayBudget.
 	SprayBudget uint16
-	// ProphetEncounter, ProphetBeta, ProphetGamma, ProphetThreshold tune
-	// PRoPHET; zero values select the classic defaults.
-	ProphetEncounter float64
-	ProphetBeta      float64
-	ProphetGamma     float64
-	ProphetThreshold float64
 }
 
 // DefaultSprayBudget is the initial number of copies spray-and-wait may

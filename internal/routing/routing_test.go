@@ -318,8 +318,8 @@ func TestProphetEncounterAndAging(t *testing.T) {
 	}
 	p.OnPeerConnected(bob)
 	first := p.Predictability(bob)
-	if first != defaultProphetEncounter {
-		t.Errorf("after one encounter = %f, want %f", first, defaultProphetEncounter)
+	if first != prophetEncounter {
+		t.Errorf("after one encounter = %f, want %f", first, prophetEncounter)
 	}
 	p.OnPeerConnected(bob)
 	second := p.Predictability(bob)
@@ -348,7 +348,7 @@ func TestProphetTransitivity(t *testing.T) {
 	}
 	p.OnPeerData(bob, blob)
 
-	want := p.Predictability(bob) * 0.9 * defaultProphetBeta
+	want := p.Predictability(bob) * 0.9 * prophetBeta
 	if got := p.Predictability(carol); got < want*0.99 || got > want*1.01 {
 		t.Errorf("transitive predictability = %f, want ≈ %f", got, want)
 	}

@@ -1,11 +1,11 @@
 // The persistent replay store. The in-memory forward-sequence check in
 // Session dies with the process: frames recorded before a restart would
 // replay cleanly into a resumed session, and envelope nonces were never
-// tracked at all. ReplayStore makes both survive restart with the disk
-// engine's durability idiom (CRC-framed append log, torn-tail truncation,
-// rewrite-style compaction) while staying bounded: scopes are LRU-capped
-// and nonces FIFO-capped, so a hostile peer minting scopes or nonces
-// cannot grow the store without limit.
+// tracked at all. ReplayStore makes both survive restart on the record
+// log the disk engine uses (internal/recordlog: CRC-framed appends,
+// torn-tail truncation, atomic rewrite) while staying bounded: scopes are
+// LRU-capped and nonces FIFO-capped, so a hostile peer minting scopes or
+// nonces cannot grow the store without limit.
 //
 // Sequence floors persist ahead of acceptance: when a scope's committed
 // sequence reaches the persisted horizon, the store durably raises the
@@ -18,16 +18,13 @@
 package secure
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"path/filepath"
 	"sync"
+
+	"sos/internal/recordlog"
 )
 
 // Replay store bounds and defaults.
@@ -47,23 +44,22 @@ const (
 
 	maxReplayScope = 128 // bytes, scope name bound on the wire
 	maxReplayNonce = 64  // bytes, nonce bound on the wire
+	// maxReplayBody bounds one record body in the log.
+	maxReplayBody = maxReplayScope + maxReplayNonce + 16
 
 	replayCompactBytes = 1 << 18
 )
 
-// ReplayRecord type tags in the append log.
+// ReplayRecord type tags in the log.
 const (
 	ReplayRecFloor byte = 1 // a scope's persisted sequence horizon
 	ReplayRecNonce byte = 2 // an envelope nonce marked as seen
 )
 
-// Errors reported by the replay store.
-var (
-	ErrReplayClosed    = errors.New("secure: replay store closed")
-	ErrRecordMalformed = errors.New("secure: malformed replay record")
-)
+// ErrRecordMalformed marks a log record whose body does not decode.
+var ErrRecordMalformed = errors.New("secure: malformed replay record")
 
-// ReplayRecord is one entry in the replay store's append log. Floor
+// ReplayRecord is one entry in the replay store's log. Floor
 // records carry a scope, the epoch it had reached (diagnostic only), and
 // the new sequence horizon; nonce records carry the nonce bytes.
 type ReplayRecord struct {
@@ -74,89 +70,50 @@ type ReplayRecord struct {
 	Nonce []byte // nonce records
 }
 
-// AppendEncode appends the record's framed encoding — type, uvarint body
-// length, body, CRC-32 over all of it — to dst.
-func (r ReplayRecord) AppendEncode(dst []byte) []byte {
-	var body []byte
+// AppendBody appends the record's body encoding to dst; the log frames
+// it under r.Type.
+func (r ReplayRecord) AppendBody(dst []byte) []byte {
 	switch r.Type {
 	case ReplayRecFloor:
-		body = binary.AppendUvarint(body, uint64(len(r.Scope)))
-		body = append(body, r.Scope...)
-		body = binary.BigEndian.AppendUint32(body, r.Epoch)
-		body = binary.BigEndian.AppendUint64(body, r.Floor)
+		dst = binary.AppendUvarint(dst, uint64(len(r.Scope)))
+		dst = append(dst, r.Scope...)
+		dst = binary.BigEndian.AppendUint32(dst, r.Epoch)
+		dst = binary.BigEndian.AppendUint64(dst, r.Floor)
 	case ReplayRecNonce:
-		body = binary.AppendUvarint(body, uint64(len(r.Nonce)))
-		body = append(body, r.Nonce...)
+		dst = binary.AppendUvarint(dst, uint64(len(r.Nonce)))
+		dst = append(dst, r.Nonce...)
 	}
-	start := len(dst)
-	dst = append(dst, r.Type)
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	dst = append(dst, body...)
-	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return dst
 }
 
-// DecodeReplayRecord reads one framed record from r, returning the record
-// and the number of bytes consumed. io.EOF at a record boundary means a
-// clean end; any torn or corrupt frame returns ErrRecordMalformed (or an
-// unexpected-EOF wrap), after which the caller truncates.
-func DecodeReplayRecord(br *bufio.Reader) (ReplayRecord, int64, error) {
-	head, err := br.ReadByte()
-	if err != nil {
-		return ReplayRecord{}, 0, err // io.EOF: clean boundary
+// DecodeReplayBody parses one record body read back from the log. The
+// bytes come from disk, so every length is checked against the body and
+// the store's bounds; anything else is ErrRecordMalformed.
+func DecodeReplayBody(typ byte, body []byte) (ReplayRecord, error) {
+	n, w := binary.Uvarint(body)
+	if w <= 0 || n > uint64(len(body)-w) {
+		return ReplayRecord{}, fmt.Errorf("%w: length prefix", ErrRecordMalformed)
 	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return ReplayRecord{}, 1, fmt.Errorf("%w: length: %v", ErrRecordMalformed, err)
-	}
-	if n > maxReplayScope+maxReplayNonce+16 {
-		return ReplayRecord{}, 1, fmt.Errorf("%w: body of %d bytes", ErrRecordMalformed, n)
-	}
-	frame := []byte{head}
-	frame = binary.AppendUvarint(frame, n)
-	consumed := int64(len(frame))
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return ReplayRecord{}, consumed, fmt.Errorf("%w: body: %v", ErrRecordMalformed, err)
-	}
-	consumed += int64(n)
-	frame = append(frame, body...)
-	var sum [4]byte
-	if _, err := io.ReadFull(br, sum[:]); err != nil {
-		return ReplayRecord{}, consumed, fmt.Errorf("%w: checksum: %v", ErrRecordMalformed, err)
-	}
-	consumed += 4
-	if binary.BigEndian.Uint32(sum[:]) != crc32.ChecksumIEEE(frame) {
-		return ReplayRecord{}, consumed, fmt.Errorf("%w: checksum mismatch", ErrRecordMalformed)
-	}
-
-	rec := ReplayRecord{Type: head}
-	bb := bytes.NewReader(body)
-	switch head {
+	field, rest := body[w:w+int(n)], body[w+int(n):]
+	switch typ {
 	case ReplayRecFloor:
-		sl, err := binary.ReadUvarint(bb)
-		if err != nil || sl > maxReplayScope || int(sl) > bb.Len() {
-			return ReplayRecord{}, consumed, fmt.Errorf("%w: scope length", ErrRecordMalformed)
+		if n > maxReplayScope || len(rest) != 12 {
+			return ReplayRecord{}, fmt.Errorf("%w: floor body", ErrRecordMalformed)
 		}
-		scope := make([]byte, sl)
-		io.ReadFull(bb, scope)
-		rec.Scope = string(scope)
-		var fixed [12]byte
-		if _, err := io.ReadFull(bb, fixed[:]); err != nil || bb.Len() != 0 {
-			return ReplayRecord{}, consumed, fmt.Errorf("%w: floor body", ErrRecordMalformed)
-		}
-		rec.Epoch = binary.BigEndian.Uint32(fixed[:4])
-		rec.Floor = binary.BigEndian.Uint64(fixed[4:])
+		return ReplayRecord{
+			Type:  typ,
+			Scope: string(field),
+			Epoch: binary.BigEndian.Uint32(rest[:4]),
+			Floor: binary.BigEndian.Uint64(rest[4:]),
+		}, nil
 	case ReplayRecNonce:
-		nl, err := binary.ReadUvarint(bb)
-		if err != nil || nl > maxReplayNonce || int(nl) != bb.Len() {
-			return ReplayRecord{}, consumed, fmt.Errorf("%w: nonce length", ErrRecordMalformed)
+		if n > maxReplayNonce || len(rest) != 0 {
+			return ReplayRecord{}, fmt.Errorf("%w: nonce body", ErrRecordMalformed)
 		}
-		rec.Nonce = make([]byte, nl)
-		io.ReadFull(bb, rec.Nonce)
+		return ReplayRecord{Type: typ, Nonce: append([]byte{}, field...)}, nil
 	default:
-		return ReplayRecord{}, consumed, fmt.Errorf("%w: unknown type %d", ErrRecordMalformed, head)
+		return ReplayRecord{}, fmt.Errorf("%w: unknown type %d", ErrRecordMalformed, typ)
 	}
-	return rec, consumed, nil
 }
 
 // ReplayOptions tunes a replay store; the zero value selects every
@@ -173,27 +130,23 @@ type ReplayOptions struct {
 
 // ReplayStore is the bounded, optionally persistent replay state for one
 // node: per-scope sequence floors for sessions and a seen-nonce set for
-// envelopes. All methods are safe for concurrent use.
+// envelopes. All methods are safe for concurrent use. Commit and
+// MarkNonce cannot return errors, so a record that could not be made
+// durable latches in the log and surfaces on Close.
 type ReplayStore struct {
 	mu     sync.Mutex
-	dir    string // "" = memory only
-	log    *os.File
-	bytes  int64
+	log    *recordlog.Log // nil = memory only
 	stride uint64
 	maxSc  int
 	maxNon int
-	noSync bool
 	rec    *StatsRecorder
 	closed bool
-	// latched first durability failure; Commit and MarkNonce cannot
-	// return errors, so it surfaces on Close (the disk-engine idiom).
-	appendErr error
 
 	scopes map[string]*replayScope
 	tick   uint64 // LRU clock for scope eviction
 	nonces map[string]struct{}
 	order  []string // nonce FIFO
-	buf    []byte   // append scratch
+	buf    []byte   // record body scratch
 }
 
 type replayScope struct {
@@ -208,11 +161,9 @@ type replayScope struct {
 // yields a memory-only store with identical semantics minus persistence.
 func OpenReplayStore(dir string, opts ReplayOptions) (*ReplayStore, error) {
 	rs := &ReplayStore{
-		dir:    dir,
 		stride: opts.Stride,
 		maxSc:  opts.MaxScopes,
 		maxNon: opts.MaxNonces,
-		noSync: opts.NoSync,
 		rec:    opts.Stats,
 		scopes: make(map[string]*replayScope),
 		nonces: make(map[string]struct{}),
@@ -229,60 +180,22 @@ func OpenReplayStore(dir string, opts ReplayOptions) (*ReplayStore, error) {
 	if dir == "" {
 		return rs, nil
 	}
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("secure: creating %s: %w", dir, err)
-	}
-	path := filepath.Join(dir, replayLogFile)
-	if err := rs.replayLogFile(path); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
+	log, err := recordlog.Open(filepath.Join(dir, replayLogFile), maxReplayBody, opts.NoSync, rs.applyRecord)
 	if err != nil {
-		return nil, fmt.Errorf("secure: opening replay log: %w", err)
+		return nil, fmt.Errorf("secure: opening replay store: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("secure: stating replay log: %w", err)
-	}
-	rs.log, rs.bytes = f, st.Size()
+	rs.log = log
 	return rs, nil
 }
 
-// replayLogFile loads the log at path into memory, truncating after the
-// first torn or corrupt record (a crash mid-append must not poison the
-// store).
-func (rs *ReplayStore) replayLogFile(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
+// applyRecord folds one record read back from the log into memory. It
+// runs only inside OpenReplayStore, before the store is shared, so it
+// takes no lock.
+func (rs *ReplayStore) applyRecord(typ byte, body []byte) error {
+	rec, err := DecodeReplayBody(typ, body)
 	if err != nil {
-		return fmt.Errorf("secure: opening replay log: %w", err)
+		return err
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var good int64
-	for {
-		rec, n, err := DecodeReplayRecord(br)
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			tf, terr := os.OpenFile(path, os.O_WRONLY, 0o600)
-			if terr != nil {
-				return fmt.Errorf("secure: truncating replay log: %w", terr)
-			}
-			defer tf.Close()
-			return tf.Truncate(good)
-		}
-		good += n
-		rs.applyLocked(rec) // single-threaded during open
-	}
-}
-
-// applyLocked folds one decoded record into memory.
-func (rs *ReplayStore) applyLocked(rec ReplayRecord) {
 	switch rec.Type {
 	case ReplayRecFloor:
 		sc := rs.scopeLocked(rec.Scope)
@@ -298,6 +211,7 @@ func (rs *ReplayStore) applyLocked(rec ReplayRecord) {
 	case ReplayRecNonce:
 		rs.markNonceLocked(string(rec.Nonce))
 	}
+	return nil
 }
 
 // scopeLocked fetches (or creates) a scope, touching its LRU stamp and
@@ -338,68 +252,42 @@ func (rs *ReplayStore) markNonceLocked(key string) bool {
 	return true
 }
 
-// appendLocked frames and durably writes one record; failures latch.
+// appendLocked makes one record durable and compacts when the log
+// outgrows its threshold.
 func (rs *ReplayStore) appendLocked(rec ReplayRecord) {
-	if rs.log == nil || rs.appendErr != nil {
+	if rs.log == nil {
 		return
 	}
-	rs.buf = rec.AppendEncode(rs.buf[:0])
-	if _, err := rs.log.Write(rs.buf); err != nil {
-		rs.appendErr = fmt.Errorf("secure: appending replay record: %w", err)
-		return
-	}
-	if !rs.noSync {
-		if err := rs.log.Sync(); err != nil {
-			rs.appendErr = fmt.Errorf("secure: syncing replay log: %w", err)
-			return
-		}
-	}
-	rs.bytes += int64(len(rs.buf))
-	if rs.bytes >= replayCompactBytes {
+	rs.buf = rec.AppendBody(rs.buf[:0])
+	if rs.log.Append(rec.Type, rs.buf) == nil && rs.log.Overgrown(replayCompactBytes) {
 		rs.compactLocked()
 	}
 }
 
 // compactLocked rewrites the log to one floor record per live scope and
-// one record per remembered nonce: write a temp file, fsync, rename over
-// the log, reopen for append. Floor records are idempotent maxima, so a
-// crash at any point leaves a log that replays to the same state.
+// one record per remembered nonce, oldest first. Floor records are
+// idempotent maxima, so whichever of the old and new log a crash leaves
+// replays to the same state.
 func (rs *ReplayStore) compactLocked() {
-	path := filepath.Join(rs.dir, replayLogFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
-	if err != nil {
-		rs.appendErr = fmt.Errorf("secure: compacting replay log: %w", err)
-		return
-	}
-	var out []byte
-	for name, sc := range rs.scopes {
-		out = ReplayRecord{Type: ReplayRecFloor, Scope: name, Epoch: sc.epoch, Floor: sc.horizon}.AppendEncode(out)
-	}
-	for _, key := range rs.order {
-		out = ReplayRecord{Type: ReplayRecNonce, Nonce: []byte(key)}.AppendEncode(out)
-	}
-	if _, err := f.Write(out); err == nil {
-		err = f.Sync()
-	}
-	if err := errors.Join(err, f.Close()); err != nil {
-		os.Remove(tmp)
-		rs.appendErr = fmt.Errorf("secure: writing compacted replay log: %w", err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		rs.appendErr = fmt.Errorf("secure: swapping replay log: %w", err)
-		return
-	}
-	rs.log.Close()
-	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		rs.appendErr = fmt.Errorf("secure: reopening replay log: %w", err)
-		rs.log = nil
-		return
-	}
-	rs.log = nf
-	rs.bytes = int64(len(out))
+	_ = rs.log.Rewrite(func(put func(typ byte, body []byte)) error { // latched in the log
+		for name, sc := range rs.scopes {
+			rs.buf = ReplayRecord{Type: ReplayRecFloor, Scope: name, Epoch: sc.epoch, Floor: sc.horizon}.AppendBody(rs.buf[:0])
+			put(ReplayRecFloor, rs.buf)
+		}
+		for _, key := range rs.order {
+			rs.buf = ReplayRecord{Type: ReplayRecNonce, Nonce: []byte(key)}.AppendBody(rs.buf[:0])
+			put(ReplayRecNonce, rs.buf)
+		}
+		return nil
+	})
+}
+
+// Len reports how many replay scopes and envelope nonces the store
+// holds: what a daemon logs as resumed after opening it.
+func (rs *ReplayStore) Len() (scopes, nonces int) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return len(rs.scopes), len(rs.nonces)
 }
 
 // Scope returns a handle binding sessions to one named replay scope
@@ -438,19 +326,11 @@ func (rs *ReplayStore) MarkNonce(nonce []byte) bool {
 func (rs *ReplayStore) Close() error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if rs.closed {
-		return rs.appendErr
-	}
 	rs.closed = true
-	if rs.log != nil {
-		if err := rs.log.Sync(); err != nil && rs.appendErr == nil {
-			rs.appendErr = fmt.Errorf("secure: syncing replay log: %w", err)
-		}
-		if err := rs.log.Close(); err != nil && rs.appendErr == nil {
-			rs.appendErr = err
-		}
+	if rs.log == nil {
+		return nil
 	}
-	return rs.appendErr
+	return rs.log.Close()
 }
 
 // ReplayHandle binds one replay scope for a session: the receive

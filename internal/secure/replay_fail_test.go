@@ -1,7 +1,6 @@
 package secure
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,33 +19,37 @@ func TestOpenReplayStoreBadDir(t *testing.T) {
 	}
 }
 
-// TestReplayStoreLatchesAppendError kills the log file underneath the
-// store and checks the durability failure is latched and surfaced at
-// Close — the disk-engine idiom for write paths that cannot return
-// errors.
+// TestReplayStoreLatchesAppendError makes the log fail underneath the
+// store — its compaction finds the temp file's name taken by a directory
+// — and checks the durability failure is latched and surfaced at Close:
+// Commit and MarkNonce cannot return errors. (A dying descriptor latches
+// the same way; internal/recordlog tests that where it can reach it.)
 func TestReplayStoreLatchesAppendError(t *testing.T) {
 	dir := t.TempDir()
 	rs, err := OpenReplayStore(dir, ReplayOptions{Stride: 1, NoSync: true})
 	if err != nil {
 		t.Fatalf("OpenReplayStore: %v", err)
 	}
+	if err := os.Mkdir(filepath.Join(dir, replayLogFile+".tmp"), 0o700); err != nil {
+		t.Fatalf("Mkdir: %v", err)
+	}
 	h := rs.Scope("recv/alice")
-	h.Commit(0, 0)
-	rs.mu.Lock()
-	rs.log.Close() // simulate the descriptor dying under the store
-	rs.mu.Unlock()
-	h.Commit(0, 10)
+	var seq uint64
+	for i := 0; i < 2*replayCompactBytes/16; i++ { // past the compaction threshold
+		h.Commit(0, seq)
+		seq += 2
+	}
 	// In-memory state still advances past the failure.
-	if f := h.Floor(); f < 11 {
-		t.Fatalf("floor after append failure = %d, want >= 11", f)
+	if f := h.Floor(); f < seq-1 {
+		t.Fatalf("floor after append failure = %d, want >= %d", f, seq-1)
 	}
 	err = rs.Close()
 	if err == nil {
 		t.Fatal("Close surfaced no latched append error")
 	}
 	// Close is idempotent and keeps reporting the same failure.
-	if err2 := rs.Close(); !errors.Is(err2, err) && err2 == nil {
-		t.Fatal("second Close dropped the latched error")
+	if err2 := rs.Close(); err2 != err {
+		t.Fatalf("second Close = %v, want the latched %v", err2, err)
 	}
 }
 

@@ -1,23 +1,18 @@
 // The disk-backed storage engine: the paper's "local database on the
-// mobile device" made durable. State lives in two files under one
-// directory — a snapshot (compacted base image) and an append-only record
-// log (everything since the snapshot). Every mutation appends one
-// CRC-framed record; on open the engine loads the snapshot, replays the
-// log, and truncates any torn tail left by a crash, so a daemon killed
-// mid-write resumes with every acknowledged message intact. When the log
-// outgrows its threshold the engine compacts: it writes a fresh snapshot
-// to a temp file, fsyncs, atomically renames it over the old one, and
-// resets the log.
+// mobile device" made durable. State lives in one file, store.log, a
+// record log (internal/recordlog) with one record per mutation. On open
+// the engine replays the log, which truncates any torn tail left by a
+// crash, so a daemon killed mid-write resumes with every acknowledged
+// message intact. When the log outgrows its threshold the engine compacts
+// it: the log is rewritten, atomically, to the records of the live state
+// alone.
 
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -25,17 +20,20 @@ import (
 	"sos/internal/id"
 	"sos/internal/msg"
 	"sos/internal/obs/span"
+	"sos/internal/recordlog"
 )
 
-// On-disk layout.
 const (
-	snapshotFile = "store.snap"
-	logFile      = "store.log"
+	logFile = "store.log"
 
 	defaultCompactBytes = 1 << 20
+
+	// maxEncodedMessage bounds one record body; anything larger is
+	// corruption, not data.
+	maxEncodedMessage = msg.MaxPayload * 2
 )
 
-// Record types in the append log.
+// Record types in the log.
 const (
 	recPut   byte = 1 // body: encoded message
 	recSub   byte = 2 // body: 10-byte user id
@@ -43,41 +41,39 @@ const (
 	recEvict byte = 4 // body: 10-byte author + uvarint seq
 )
 
-// ErrClosed is returned by writes to a closed disk engine.
-var ErrClosed = errors.New("store: disk engine closed")
+// ErrCorrupt marks a log record whose body does not decode.
+var ErrCorrupt = errors.New("store: corrupt record")
 
 // Disk is the durable storage engine. It embeds the in-memory Store as
 // its index — every read goes straight to memory — and shadows each
-// mutation with an append-log record.
+// mutation with a log record. Subscribe, Unsubscribe, and eviction hooks
+// cannot return errors, so a record of theirs that could not be made
+// durable latches in the log and is reported by the next Put and by
+// Close — the engine refuses to pretend it is still durable.
 type Disk struct {
 	*Store
 	dir          string
-	noSync       bool
 	compactBytes int64
 	tracer       *span.Tracer
 	track        uint64
 
-	logMu    sync.Mutex
-	log      *os.File
-	logBytes int64
-	closed   bool
-	// appendErr latches the first failed append. Subscribe, Unsubscribe,
-	// and eviction hooks cannot return errors, so a failure to make one
-	// of their records durable is held here and surfaced by the next Put
-	// and by Close — the engine refuses to pretend it is still durable.
-	appendErr error
+	logMu sync.Mutex
+	log   *recordlog.Log
 }
 
 var _ Engine = (*Disk)(nil)
 
 // OpenDisk opens (or creates) the durable store in dir for owner,
-// replaying any existing snapshot and log. Quota enforcement starts only
-// after replay, so restart never re-litigates historical evictions; if
-// the configured quota is tighter than the restored state, the overflow
-// is evicted (and logged) immediately.
+// replaying any existing log. Quota enforcement starts only after replay,
+// so restart never re-litigates historical evictions; if the configured
+// quota is tighter than the restored state, the overflow is evicted (and
+// logged) immediately, oldest arrival first.
 func OpenDisk(dir string, owner id.UserID, opts Options) (*Disk, error) {
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
+	// Before the log was compacted in place, compaction moved the state
+	// into a second file; loading the log alone would silently drop it.
+	snap := filepath.Join(dir, "store.snap")
+	if _, err := os.Stat(snap); err == nil {
+		return nil, fmt.Errorf("store: %s is a snapshot from an older on-disk format, which this version does not read", snap)
 	}
 	maxMessages, maxBytes := opts.MaxMessages, opts.MaxBytes
 	userHook := opts.OnEvict
@@ -85,12 +81,16 @@ func OpenDisk(dir string, owner id.UserID, opts Options) (*Disk, error) {
 	opts.OnEvict = nil
 	mem := NewMemory(owner, opts)
 
+	log, err := recordlog.Open(filepath.Join(dir, logFile), maxEncodedMessage, opts.NoSync, mem.applyRecord)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 	d := &Disk{
 		Store:        mem,
 		dir:          dir,
-		noSync:       opts.NoSync,
 		compactBytes: opts.CompactBytes,
 		tracer:       opts.Tracer,
+		log:          log,
 	}
 	if d.compactBytes <= 0 {
 		d.compactBytes = defaultCompactBytes
@@ -98,24 +98,6 @@ func OpenDisk(dir string, owner id.UserID, opts Options) (*Disk, error) {
 	if d.tracer != nil {
 		d.track = d.tracer.Track("store")
 	}
-
-	if err := d.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	if err := d.replayLog(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, logFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening log: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: stating log: %w", err)
-	}
-	d.log = f
-	d.logBytes = st.Size()
 
 	// From here on, evictions must reach the log before anything else
 	// observes them.
@@ -152,7 +134,7 @@ func (d *Disk) Put(m *msg.Message) (bool, error) {
 		return true, fmt.Errorf("store: encoding %s for log: %w", m.Ref(), err)
 	}
 	if err := d.append(recPut, buf); err != nil {
-		return true, err
+		return true, fmt.Errorf("store: logging %s: %w", m.Ref(), err)
 	}
 	return true, nil
 }
@@ -160,13 +142,13 @@ func (d *Disk) Put(m *msg.Message) (bool, error) {
 // Subscribe records interest durably.
 func (d *Disk) Subscribe(user id.UserID) {
 	d.Store.Subscribe(user)
-	_ = d.append(recSub, user[:])
+	_ = d.append(recSub, user[:]) // latched in the log; see Disk
 }
 
 // Unsubscribe removes interest durably.
 func (d *Disk) Unsubscribe(user id.UserID) {
 	d.Store.Unsubscribe(user)
-	_ = d.append(recUnsub, user[:])
+	_ = d.append(recUnsub, user[:]) // latched in the log; see Disk
 }
 
 // Close flushes and closes the log; reads stay valid, writes fail. Any
@@ -175,166 +157,72 @@ func (d *Disk) Unsubscribe(user id.UserID) {
 func (d *Disk) Close() error {
 	d.logMu.Lock()
 	defer d.logMu.Unlock()
-	if d.closed {
-		return d.appendErr
-	}
-	d.closed = true
-	if err := d.log.Sync(); err != nil {
-		d.log.Close()
-		return fmt.Errorf("store: syncing log: %w", err)
-	}
-	if err := d.log.Close(); err != nil {
-		return err
-	}
-	return d.appendErr
+	return d.log.Close()
 }
 
 // logEviction is the hook that shadows in-memory drops in the log.
 func (d *Disk) logEviction(ev Eviction) {
-	body := make([]byte, 0, len(ev.Ref.Author)+binary.MaxVarintLen64)
-	body = append(body, ev.Ref.Author[:]...)
-	body = binary.AppendUvarint(body, ev.Ref.Seq)
-	_ = d.append(recEvict, body)
+	_ = d.append(recEvict, evictBody(ev.Ref)) // latched in the log; see Disk
 }
 
-// append frames one record (type, uvarint length, body, CRC-32), writes
-// it, optionally fsyncs, and compacts when the log outgrows its
+func evictBody(ref msg.Ref) []byte {
+	body := make([]byte, 0, len(ref.Author)+binary.MaxVarintLen64)
+	body = append(body, ref.Author[:]...)
+	return binary.AppendUvarint(body, ref.Seq)
+}
+
+// append makes one record durable and compacts when the log outgrows its
 // threshold.
 func (d *Disk) append(typ byte, body []byte) error {
-	rec := make([]byte, 0, 1+binary.MaxVarintLen64+len(body)+4)
-	rec = append(rec, typ)
-	rec = binary.AppendUvarint(rec, uint64(len(body)))
-	rec = append(rec, body...)
-	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-
 	d.logMu.Lock()
 	defer d.logMu.Unlock()
-	if d.closed {
-		return ErrClosed
+	if err := d.log.Append(typ, body); err != nil {
+		return err
 	}
-	if d.appendErr != nil {
-		return d.appendErr
+	if !d.log.Overgrown(d.compactBytes) {
+		return nil
 	}
-	if _, err := d.log.Write(rec); err != nil {
-		return d.latchLocked(fmt.Errorf("store: appending log record: %w", err))
-	}
-	if !d.noSync {
-		if err := d.log.Sync(); err != nil {
-			return d.latchLocked(fmt.Errorf("store: syncing log: %w", err))
-		}
-	}
-	d.logBytes += int64(len(rec))
-	if d.logBytes >= d.compactBytes {
-		return d.latchLocked(d.compactLocked())
-	}
-	return nil
+	return d.compactLocked()
 }
 
-// latchLocked records the first durability failure (caller holds logMu).
-func (d *Disk) latchLocked(err error) error {
-	if err != nil && d.appendErr == nil {
-		d.appendErr = err
-	}
-	return err
-}
-
-// compactLocked folds the log into a fresh snapshot: write to a temp
-// file, fsync, rename over the old snapshot, truncate the log. A crash
-// at any point leaves either the old snapshot + full log or the new
-// snapshot + (possibly stale but idempotent) log records.
+// compactLocked rewrites the log to the live state: one put per held
+// message in arrival order — the order drop-oldest evicts in, so a reload
+// under a tighter quota drops what the running engine would have — then
+// the subscriptions and the tombstones. Records appended while the state
+// was being captured land after the rewrite and replay idempotently.
 func (d *Disk) compactLocked() error {
 	sp := d.tracer.Start(d.track, "store.compact")
-	sp.Attr("logBytes", uint64(d.logBytes))
+	sp.Attr("logBytes", uint64(d.log.Size()))
 	defer sp.End()
-	snap := d.Store.snapshot()
-	sp.Attr("msgs", uint64(len(snap.msgs)))
-	tmp := filepath.Join(d.dir, snapshotFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
-	if err != nil {
-		return fmt.Errorf("store: creating snapshot: %w", err)
-	}
-	if err := writeSnapshot(f, snap); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, snapshotFile)); err != nil {
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	if err := d.log.Truncate(0); err != nil {
-		return fmt.Errorf("store: truncating log: %w", err)
-	}
-	if _, err := d.log.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: rewinding log: %w", err)
-	}
-	d.logBytes = 0
-	return nil
-}
-
-// loadSnapshot restores the compacted base image, if one exists.
-func (d *Disk) loadSnapshot() error {
-	f, err := os.Open(filepath.Join(d.dir, snapshotFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: opening snapshot: %w", err)
-	}
-	defer f.Close()
-	if err := readSnapshot(f, d.Store); err != nil {
-		return err
-	}
-	return nil
-}
-
-// replayLog applies every intact record and truncates the file after the
-// last one, discarding any torn tail from a crash mid-append.
-func (d *Disk) replayLog() error {
-	path := filepath.Join(d.dir, logFile)
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: opening log: %w", err)
-	}
-	br := bufio.NewReader(f)
-	var good int64
-	for {
-		typ, body, n, err := readRecord(br)
-		if err != nil {
-			break // torn tail or EOF: keep what replayed
+	msgs, subs, tombs := d.Store.live()
+	sp.Attr("records", uint64(len(msgs)+len(subs)+len(tombs)))
+	return d.log.Rewrite(func(put func(typ byte, body []byte)) error {
+		for _, m := range msgs {
+			buf, err := m.Encode()
+			if err != nil {
+				return fmt.Errorf("store: encoding %s for log: %w", m.Ref(), err)
+			}
+			put(recPut, buf)
 		}
-		if err := d.applyRecord(typ, body); err != nil {
-			break // corrupt body: treat like a torn tail
+		for _, u := range subs {
+			put(recSub, u[:])
 		}
-		good += n
-	}
-	f.Close()
-	if err := os.Truncate(path, good); err != nil {
-		return fmt.Errorf("store: truncating torn log tail: %w", err)
-	}
-	return nil
+		for _, ref := range tombs {
+			put(recEvict, evictBody(ref))
+		}
+		return nil
+	})
 }
 
-// applyRecord replays one record into the in-memory index.
-func (d *Disk) applyRecord(typ byte, body []byte) error {
+// applyRecord replays one log record into the index.
+func (s *Store) applyRecord(typ byte, body []byte) error {
 	switch typ {
 	case recPut:
 		m, err := msg.Decode(body)
 		if err != nil {
 			return err
 		}
-		_, err = d.Store.Put(m)
+		_, err = s.Put(m)
 		return err
 	case recSub, recUnsub:
 		var u id.UserID
@@ -343,9 +231,9 @@ func (d *Disk) applyRecord(typ byte, body []byte) error {
 		}
 		copy(u[:], body)
 		if typ == recSub {
-			d.Store.Subscribe(u)
+			s.Subscribe(u)
 		} else {
-			d.Store.Unsubscribe(u)
+			s.Unsubscribe(u)
 		}
 		return nil
 	case recEvict:
@@ -358,57 +246,9 @@ func (d *Disk) applyRecord(typ byte, body []byte) error {
 		if n <= 0 || len(author)+n != len(body) {
 			return fmt.Errorf("%w: eviction record seq", ErrCorrupt)
 		}
-		d.Store.applyEvict(msg.Ref{Author: author, Seq: seq})
+		s.applyEvict(msg.Ref{Author: author, Seq: seq})
 		return nil
 	default:
 		return fmt.Errorf("%w: unknown record type %d", ErrCorrupt, typ)
 	}
-}
-
-// readRecord decodes one framed record, returning its type, body, and
-// total encoded size. Any truncation, oversized length, or checksum
-// mismatch is an error.
-func readRecord(br *bufio.Reader) (byte, []byte, int64, error) {
-	typ, err := br.ReadByte()
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	hdr := []byte{typ}
-	size, err := binary.ReadUvarint(&captureReader{br: br, into: &hdr})
-	if err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: record length: %v", ErrCorrupt, err)
-	}
-	if size > maxEncodedMessage {
-		return 0, nil, 0, fmt.Errorf("%w: record length %d", ErrCorrupt, size)
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: record body: %v", ErrCorrupt, err)
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(br, sum[:]); err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: record checksum: %v", ErrCorrupt, err)
-	}
-	crc := crc32.ChecksumIEEE(append(hdr, body...))
-	if crc != binary.BigEndian.Uint32(sum[:]) {
-		return 0, nil, 0, fmt.Errorf("%w: record checksum mismatch", ErrCorrupt)
-	}
-	total := int64(len(hdr)) + int64(len(body)) + 4
-	return typ, body, total, nil
-}
-
-// captureReader is an io.ByteReader that remembers every byte it hands
-// out, so binary.ReadUvarint can decode the length while the CRC check
-// still covers the raw frame bytes.
-type captureReader struct {
-	br   *bufio.Reader
-	into *[]byte
-}
-
-func (c *captureReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		*c.into = append(*c.into, b)
-	}
-	return b, err
 }

@@ -213,8 +213,9 @@ type Options struct {
 	// NoSync, for the disk engine only, skips the fsync after each
 	// appended record. Faster, but a crash can lose the tail.
 	NoSync bool
-	// CompactBytes, for the disk engine only, is the append-log size
-	// that triggers snapshot compaction; 0 selects a 1 MiB default.
+	// CompactBytes, for the disk engine only, is the log size that
+	// triggers compaction; 0 selects a 1 MiB default. A store holding more
+	// than this compacts each time its log doubles instead.
 	CompactBytes int64
 	// Tracer, when set, records store maintenance spans (disk
 	// compaction) into the node's flight recorder. The memory engine

@@ -575,55 +575,23 @@ func (s *Store) applyEvict(ref msg.Ref) {
 	s.tombstoneLocked(ref)
 }
 
-// snapshotState captures a consistent snapshot of everything a durable
-// engine must persist. Message pointers are shared, which is safe: stored
-// messages are immutable.
-type snapshotState struct {
-	msgs   []*msg.Message
-	subs   []id.UserID
-	tombs  map[id.UserID][]uint64
-	ownSeq uint64
-}
-
-func (s *Store) snapshot() snapshotState {
+// live captures what a compaction must keep: the held messages in queue
+// (arrival) order, the subscriptions, and the tombstones. Message pointers
+// are shared, which is safe: stored messages are immutable.
+func (s *Store) live() (msgs []*msg.Message, subs []id.UserID, tombs []msg.Ref) {
 	s.mu.RLock()
-	st := snapshotState{
-		msgs:   make([]*msg.Message, 0, s.count),
-		subs:   make([]id.UserID, 0, len(s.subs)),
-		tombs:  make(map[id.UserID][]uint64, len(s.dropped)),
-		ownSeq: s.ownSeq,
-	}
+	defer s.mu.RUnlock()
+	msgs = make([]*msg.Message, 0, s.count)
 	for e := s.queue.next; e != &s.queue; e = e.next {
-		st.msgs = append(st.msgs, e.m)
+		msgs = append(msgs, e.m)
 	}
 	for u := range s.subs {
-		st.subs = append(st.subs, u)
+		subs = append(subs, u)
 	}
 	for author, seqs := range s.dropped {
-		out := make([]uint64, 0, len(seqs))
 		for seq := range seqs {
-			out = append(out, seq)
+			tombs = append(tombs, msg.Ref{Author: author, Seq: seq})
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		st.tombs[author] = out
 	}
-	s.mu.RUnlock()
-
-	sort.Slice(st.msgs, func(i, j int) bool {
-		if st.msgs[i].Author != st.msgs[j].Author {
-			return st.msgs[i].Author.String() < st.msgs[j].Author.String()
-		}
-		return st.msgs[i].Seq < st.msgs[j].Seq
-	})
-	sort.Slice(st.subs, func(i, j int) bool { return st.subs[i].String() < st.subs[j].String() })
-	return st
-}
-
-// bumpOwnSeq raises the owner sequence floor during snapshot restore.
-func (s *Store) bumpOwnSeq(seq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq > s.ownSeq {
-		s.ownSeq = seq
-	}
+	return msgs, subs, tombs
 }

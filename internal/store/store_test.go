@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -247,25 +246,30 @@ func TestConcurrentPutters(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTrip: a compacted log is the whole state. Everything
+// an engine holds — messages, subscriptions, summary, tombstones, the
+// owner's sequence — comes back from a compact-and-reopen.
 func TestSnapshotRoundTrip(t *testing.T) {
-	s := New(alice)
-	mustPut(t, s, post(bob, 1, "b1"))
-	mustPut(t, s, post(bob, 2, "b2"))
-	mustPut(t, s, post(carol, 9, "c9"))
-	mustPut(t, s, post(alice, 3, "mine"))
+	dir := t.TempDir()
+	s := openDisk(t, dir, Options{NoSync: true})
+	for _, m := range []*msg.Message{post(bob, 1, "b1"), post(bob, 2, "b2"), post(carol, 9, "c9"), post(alice, 3, "mine")} {
+		if _, err := s.Put(m); err != nil {
+			t.Fatalf("Put(%v): %v", m.Ref(), err)
+		}
+	}
 	s.Subscribe(bob)
 	s.Subscribe(carol)
 	s.applyEvict(msg.Ref{Author: carol, Seq: 4}) // tombstone without holding
-
-	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, s.snapshot()); err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
+	s.logMu.Lock()
+	err := s.compactLocked()
+	s.logMu.Unlock()
+	if err != nil {
+		t.Fatalf("compact: %v", err)
 	}
+	// Crash: only what the compaction wrote is on disk.
 
-	restored := New(alice)
-	if err := readSnapshot(&buf, restored); err != nil {
-		t.Fatalf("readSnapshot: %v", err)
-	}
+	restored := openDisk(t, dir, Options{})
+	defer restored.Close()
 	if !reflect.DeepEqual(refsOf(restored.All()), refsOf(s.All())) {
 		t.Error("restored messages differ")
 	}

@@ -60,6 +60,7 @@ func Run(t *testing.T, mk func(t *testing.T) World) {
 	t.Run("Reload", func(t *testing.T) { testReload(t, mk(t)) })
 	t.Run("CrashRecovery", func(t *testing.T) { testCrashRecovery(t, mk(t)) })
 	t.Run("EvictionSurvivesReload", func(t *testing.T) { testEvictionReload(t, mk(t)) })
+	t.Run("ArrivalOrderAcrossCompaction", func(t *testing.T) { testArrivalOrderAcrossCompaction(t, mk(t)) })
 }
 
 func post(author id.UserID, seq uint64, text string) *msg.Message {
@@ -353,6 +354,35 @@ func testEvictionReload(t *testing.T, w World) {
 	}
 	if !re.Has(msg.Ref{Author: carol, Seq: 1}) {
 		t.Error("survivor lost across reload")
+	}
+}
+
+// testArrivalOrderAcrossCompaction kills an engine whose log has been
+// compacted and reopens it under a tighter quota: the overflow must be
+// the oldest arrivals, exactly what the running engine would have
+// dropped, not whatever order the compacted state happened to be written
+// in.
+func testArrivalOrderAcrossCompaction(t *testing.T, w World) {
+	if !w.Persistent() {
+		t.Skip("volatile engine")
+	}
+	// A one-byte threshold compacts as often as an engine ever will.
+	e := w.Open(t, store.Options{CompactBytes: 1, NoSync: true})
+	for seq := uint64(1); seq <= 4; seq++ {
+		mustPut(t, e, post(carol, seq, "interleaved"))
+		mustPut(t, e, post(bob, seq, "interleaved"))
+	}
+	// Crash: drop the handle on the floor.
+
+	re := w.Open(t, store.Options{MaxMessages: 6})
+	defer re.Close()
+	for _, author := range []id.UserID{carol, bob} {
+		for seq := uint64(1); seq <= 4; seq++ {
+			ref := msg.Ref{Author: author, Seq: seq}
+			if got, want := re.Has(ref), seq > 1; got != want {
+				t.Errorf("Has(%s) = %v, want %v (the two oldest arrivals, carol/1 and bob/1, go)", ref, got, want)
+			}
+		}
 	}
 }
 

@@ -15,8 +15,11 @@ const (
 	DefaultExporterBuffer = 4096
 	DefaultRetryInterval  = 250 * time.Millisecond
 	DefaultDialTimeout    = 2 * time.Second
-	DefaultWriteTimeout   = 5 * time.Second
 	DefaultFlushTimeout   = 5 * time.Second
+
+	// writeTimeout bounds one frame write; a stalled collector counts as
+	// a broken connection.
+	writeTimeout = 5 * time.Second
 )
 
 // ExporterOptions tunes an Exporter. The zero value selects the defaults.
@@ -29,9 +32,6 @@ type ExporterOptions struct {
 	RetryInterval time.Duration
 	// DialTimeout bounds one connection attempt.
 	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write; a stalled collector counts as
-	// a broken connection.
-	WriteTimeout time.Duration
 	// FlushTimeout bounds how long Close waits for queued events to
 	// drain before abandoning them (counted as drops).
 	FlushTimeout time.Duration
@@ -51,9 +51,6 @@ func (o ExporterOptions) withDefaults() ExporterOptions {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = DefaultDialTimeout
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = DefaultWriteTimeout
 	}
 	if o.FlushTimeout <= 0 {
 		o.FlushTimeout = DefaultFlushTimeout
@@ -232,7 +229,7 @@ func (e *Exporter) send(frame []byte) bool {
 		if conn == nil {
 			return false
 		}
-		conn.SetWriteDeadline(time.Now().Add(e.opts.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := wire.WriteFrame(conn, frame); err == nil {
 			return true
 		} else if e.opts.Logf != nil {

@@ -71,8 +71,8 @@ type (
 	Store = store.Engine
 	// MemStore is the in-memory storage engine.
 	MemStore = store.Store
-	// DiskStore is the durable storage engine: append-only log plus
-	// snapshot compaction, crash-recoverable.
+	// DiskStore is the durable storage engine: one append-only record
+	// log, compacted in place, crash-recoverable.
 	DiskStore = store.Disk
 	// StoreOptions tunes an engine: quotas, eviction policy, clock.
 	StoreOptions = store.Options
@@ -199,8 +199,8 @@ func NewMemStore(owner UserID, opts StoreOptions) *MemStore {
 }
 
 // OpenDiskStore opens (or creates) the durable storage engine in dir,
-// replaying its snapshot and append log so a restarted daemon resumes
-// its message database, subscriptions, and eviction tombstones.
+// replaying its record log so a restarted daemon resumes its message
+// database, subscriptions, and eviction tombstones.
 func OpenDiskStore(dir string, owner UserID, opts StoreOptions) (*DiskStore, error) {
 	return store.OpenDisk(dir, owner, opts)
 }
