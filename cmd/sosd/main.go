@@ -121,7 +121,7 @@ func run(args []string) error {
 	post := fs.String("post", "", "publish one post at startup")
 	follow := fs.String("follow", "", "comma-separated handles or user ids to follow at startup")
 	storeKind := fs.String("store", "mem", "storage engine: mem (volatile) or disk (survives restarts)")
-	storeDir := fs.String("store-dir", "", "disk engine directory; the replay store goes in its replay/ subdirectory (default: <creds file>.store)")
+	storeDir := fs.String("store-dir", "", "disk engine directory; the replay store (seen envelope nonces) goes in its replay/ subdirectory (default: <creds file>.store)")
 	quota := fs.Int("quota", 0, "max buffered messages; over quota the eviction policy drops relay cargo (0 = unbounded)")
 	quotaBytes := fs.Int("quota-bytes", 0, "max buffered message bytes (0 = unbounded)")
 	evict := fs.String("evict", "", "eviction policy: drop-oldest, ttl, size-quota, subscription-priority (default: drop-oldest, or ttl when -relay-ttl is set)")
@@ -239,8 +239,8 @@ func run(args []string) error {
 		return err
 	}
 	defer node.Close()
-	if scopes, nonces := node.ReplayState(); scopes+nonces > 0 {
-		log.Info("resumed replay store", "envelopeNonces", nonces, "sessionScopes", scopes, "dir", replayDir)
+	if nonces := node.ReplayState(); nonces > 0 {
+		log.Info("resumed replay store", "envelopeNonces", nonces, "dir", replayDir)
 	}
 
 	// The debug surface: /metrics (Prometheus text), /healthz (JSON
@@ -334,8 +334,8 @@ func run(args []string) error {
 
 // storageDirs maps the storage flags to the node's durable directories:
 // the message database and, beside it, the replay store (seen envelope
-// nonces and session replay floors), so that whatever resumes the one
-// across a restart resumes the other. Both are empty for -store mem.
+// nonces), so that whatever resumes the one across a restart resumes the
+// other. Both are empty for -store mem.
 func storageDirs(kind, storeDir, credsPath string) (store, replay string, err error) {
 	switch kind {
 	case "mem":

@@ -103,14 +103,11 @@ type Config struct {
 	// message layer uses, so the secure handshake heads each
 	// contact-session span tree. Nil disables tracing.
 	Tracer *span.Tracer
-	// SessionConfig, when set, supplies the secure.SessionConfig for each
-	// established link — rotation tuning, scoped stats, persistent replay
-	// scopes — called with the authenticated peer's user ID and the
-	// handshake-derived session context (so replay scopes can be bound to
-	// one session's key material). A zero-value result (or nil hook)
-	// selects secure-layer defaults; the manager fills in its own Clock
-	// when the hook leaves it nil.
-	SessionConfig func(peer id.UserID, context []byte) secure.SessionConfig
+	// SessionConfig is the secure.SessionConfig of every established
+	// link: rotation tuning, scoped stats, the tracer of the key
+	// derivation span. The zero value selects secure-layer defaults; a nil
+	// Clock in it is filled with the manager's own.
+	SessionConfig secure.SessionConfig
 }
 
 // Stats counts security-relevant events for reporting.
@@ -205,6 +202,9 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Reader
 	}
+	if cfg.SessionConfig.Clock == nil {
+		cfg.SessionConfig.Clock = cfg.Clock
+	}
 	m := &Manager{
 		cfg:    cfg,
 		conns:  make(map[mpc.Conn]*connState),
@@ -221,18 +221,10 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// newSession derives the link session for an authenticated peer, routing
-// the node-level session configuration (clock, stats scope, replay
-// scopes) through the SessionConfig hook.
+// newSession derives the link session for an authenticated peer under
+// the node's session configuration.
 func (m *Manager) newSession(peerCert *pki.UserCert, context []byte) (*secure.Session, error) {
-	var sc secure.SessionConfig
-	if m.cfg.SessionConfig != nil {
-		sc = m.cfg.SessionConfig(peerCert.User, context)
-	}
-	if sc.Clock == nil {
-		sc.Clock = m.cfg.Clock
-	}
-	return secure.NewSessionWithConfig(m.cfg.Ident.Key, peerCert.Key, context, sc)
+	return secure.NewSessionWithConfig(m.cfg.Ident.Key, peerCert.Key, context, m.cfg.SessionConfig)
 }
 
 // Self returns the local device name.

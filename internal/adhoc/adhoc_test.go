@@ -11,6 +11,7 @@ import (
 	"sos/internal/id"
 	"sos/internal/mpc"
 	"sos/internal/pki"
+	"sos/internal/secure"
 	"sos/internal/wire"
 )
 
@@ -63,6 +64,13 @@ func newWorld(t *testing.T) *world {
 // device creates a bootstrapped manager joined to the sim medium.
 func (w *world) device(t *testing.T, handle string, h Handler) (*Manager, *cloud.Credentials) {
 	t.Helper()
+	return w.deviceOn(t, w.medium, handle, h)
+}
+
+// deviceOn is device joining through medium: the sim medium, or a wrapper
+// a test put around it.
+func (w *world) deviceOn(t *testing.T, medium mpc.Medium, handle string, h Handler) (*Manager, *cloud.Credentials) {
+	t.Helper()
 	creds, err := cloud.Bootstrap(w.svc, handle, rand.Reader)
 	if err != nil {
 		t.Fatalf("Bootstrap(%s): %v", handle, err)
@@ -72,7 +80,7 @@ func (w *world) device(t *testing.T, handle string, h Handler) (*Manager, *cloud
 		t.Fatalf("NewVerifier: %v", err)
 	}
 	m, err := New(Config{
-		Medium:   w.medium,
+		Medium:   medium,
 		PeerName: mpc.PeerID(handle + "-phone"),
 		Ident:    creds.Ident,
 		CertDER:  creds.Cert.DER,
@@ -322,6 +330,111 @@ func TestRejectsStolenCertificate(t *testing.T) {
 
 	if len(ca.ups) != 0 {
 		t.Error("alice linked with a peer that does not own its certificate")
+	}
+}
+
+// tapMedium records a copy of every frame delivered to the endpoints
+// joined through it: what an eavesdropper on the radio holds.
+type tapMedium struct {
+	mpc.Medium
+	frames *[][]byte
+}
+
+func (m tapMedium) Join(peer mpc.PeerID, ev mpc.Events) (mpc.Endpoint, error) {
+	return m.Medium.Join(peer, tapEvents{ev, m.frames})
+}
+
+type tapEvents struct {
+	mpc.Events
+	frames *[][]byte
+}
+
+func (e tapEvents) Received(conn mpc.Conn, frame []byte) {
+	*e.frames = append(*e.frames, append([]byte(nil), frame...))
+	e.Events.Received(conn, frame)
+}
+
+// TestRecordedFramesDieWithTheirLink pins what lets a session keep no
+// replay state beyond its own life: frames recorded on one link between
+// two identities do not open on a later link between the same two, because
+// each handshake draws both nonces afresh and the session keys are bound
+// to them. A recorded frame below the new session's watermark is discarded
+// as stale; the first one at or above it fails authentication and ends the
+// link like any key mismatch. None reaches the handler.
+func TestRecordedFramesDieWithTheirLink(t *testing.T) {
+	w := newWorld(t)
+	ca, cb := newCapture(), newCapture()
+	var tapped [][]byte
+	ma, _ := w.device(t, "alice", ca)
+	mb, _ := w.deviceOn(t, tapMedium{w.medium, &tapped}, "bob", cb)
+
+	// linkUp brings a link up with alice dialing and returns bob's
+	// connection state for it.
+	linkUp := func(n int) *connState {
+		t.Helper()
+		w.medium.SetLink(ma.Self(), mb.Self(), mpc.PeerToPeerWiFi)
+		w.pump(2 * time.Second)
+		if err := ma.Connect(mb.Self()); err != nil {
+			t.Fatalf("Connect %d: %v", n, err)
+		}
+		w.pump(2 * time.Second)
+		if len(ca.ups) != n || len(cb.ups) != n {
+			t.Fatalf("link ups = %d/%d, want %d/%d", len(ca.ups), len(cb.ups), n, n)
+		}
+		mb.mu.Lock()
+		defer mb.mu.Unlock()
+		return mb.conns[cb.ups[n-1].conn]
+	}
+	send := func(link *Link, k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if err := link.SendFrame(&wire.SummaryPull{}); err != nil {
+				t.Fatalf("SendFrame: %v", err)
+			}
+		}
+		w.pump(time.Second)
+	}
+
+	// Link one: alice sends three frames (sequences 1..3 after her
+	// HelloFin), bob's radio records them.
+	st1 := linkUp(1)
+	handshake := len(tapped)
+	send(ca.ups[0], 3)
+	recorded := tapped[handshake:]
+	if len(recorded) != 3 || len(cb.frames) != 3 {
+		t.Fatalf("link one: recorded %d frames, delivered %d, want 3 and 3", len(recorded), len(cb.frames))
+	}
+	w.medium.CutLink(ma.Self(), mb.Self())
+	w.pump(time.Second)
+	if len(cb.downs) != 1 {
+		t.Fatalf("link downs = %d, want 1", len(cb.downs))
+	}
+
+	// Link two, same identities: two fresh frames put bob's watermark at
+	// 3, between the recorded sequences.
+	st2 := linkUp(2)
+	if st1.nonceI == st2.nonceI || st1.nonceR == st2.nonceR {
+		t.Fatalf("the links share a handshake nonce: initiator %x/%x, responder %x/%x",
+			st1.nonceI, st2.nonceI, st1.nonceR, st2.nonceR)
+	}
+	send(ca.ups[1], 2)
+	delivered, failures := len(cb.frames), mb.Stats().DecryptionFailures
+	for _, frame := range recorded {
+		(*events)(mb).Received(st2.conn, frame)
+	}
+	w.pump(time.Second)
+
+	if len(cb.frames) != delivered {
+		t.Errorf("%d recorded frames reached the handler on the second link", len(cb.frames)-delivered)
+	}
+	if got := mb.Stats().DecryptionFailures - failures; got != 3 {
+		t.Errorf("decryption failures rose by %d, want 3 (two stale, one unauthentic)", got)
+	}
+	if len(cb.downs) != 2 {
+		t.Fatalf("link downs = %d, want 2: an unauthentic frame ends the link", len(cb.downs))
+	}
+	if err := cb.downs[1]; err == nil || errors.Is(err, secure.ErrReplay) {
+		t.Errorf("second link ended with %v, want an authentication failure", err)
 	}
 }
 

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -161,16 +160,17 @@ type Config struct {
 
 	// Security tunes the secure layer: session key rotation and the
 	// persistent replay store. The zero value selects secure-layer
-	// defaults with memory-only replay state.
+	// defaults with the seen-nonce set in memory only.
 	Security SecurityConfig
 }
 
 // SecurityConfig is the node-level secure-layer tuning.
 type SecurityConfig struct {
-	// Dir, when set, persists replay floors, send cursors, and envelope
-	// nonces under this directory (a record log, internal/recordlog, like
-	// the disk engine's), so replay protection survives restart. Empty
-	// keeps replay state in memory only.
+	// Dir, when set, persists the nonces of opened envelopes under this
+	// directory (a record log, internal/recordlog, like the disk
+	// engine's), so an envelope opened before a restart is still refused
+	// after it. Empty keeps the seen nonces in memory only. Sessions need
+	// no directory: their replay state is per link and in memory.
 	Dir string
 	// NoSync skips fsync on replay-log appends (tests, lab fleets).
 	NoSync bool
@@ -223,12 +223,6 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	if cfg.Routing.Clock == nil {
 		cfg.Routing.Clock = cfg.Clock
-	}
-	if cfg.Tracer != nil {
-		// Session-key derivations record process-wide (sessions are too
-		// short-lived to carry per-node tracers); the most recent node's
-		// tracer serves the process.
-		secure.SetTracer(cfg.Tracer)
 	}
 
 	st := cfg.Store
@@ -359,7 +353,13 @@ func New(cfg Config) (*Middleware, error) {
 		Rand:             cfg.Rand,
 		Tracer:           cfg.Tracer,
 		HandshakeTimeout: cfg.HandshakeTimeout,
-		SessionConfig:    mw.sessionConfig,
+		SessionConfig: secure.SessionConfig{
+			Clock:          cfg.Clock,
+			RotationPeriod: cfg.Security.RotationPeriod,
+			OverlapWindow:  cfg.Security.OverlapWindow,
+			Stats:          secRec,
+			Tracer:         cfg.Tracer,
+		},
 	})
 	if err != nil {
 		msgMgr.Close()
@@ -373,25 +373,6 @@ func New(cfg Config) (*Middleware, error) {
 		return nil, fmt.Errorf("core: initial advertisement: %w", err)
 	}
 	return mw, nil
-}
-
-// sessionConfig builds the secure.SessionConfig for one link: the node
-// clock (epoch rotation), the node's stats scope, and replay scopes
-// bound to the peer plus this session's handshake context, persisted in
-// the replay store. Binding scopes to the context means a fresh
-// handshake starts fresh scopes (no deadlock against a peer that lost
-// its state — its frames cannot authenticate under old keys anyway),
-// while a session resumed across a restart keeps its floor.
-func (mw *Middleware) sessionConfig(peer id.UserID, context []byte) secure.SessionConfig {
-	tag := peer.String() + "/" + hex.EncodeToString(context[:min(8, len(context))])
-	return secure.SessionConfig{
-		Clock:          mw.clk,
-		RotationPeriod: mw.cfg.Security.RotationPeriod,
-		OverlapWindow:  mw.cfg.Security.OverlapWindow,
-		Stats:          mw.secRec,
-		Replay:         mw.replay.Scope("recv/" + tag),
-		SendCursor:     mw.replay.Scope("send/" + tag),
-	}
 }
 
 // prekeyBundle is the message-layer hook publishing this node's bundle.
@@ -551,10 +532,9 @@ func (mw *Middleware) SecureStats() secure.Stats { return mw.secRec.Read() }
 // PrekeysRemaining reports the unissued one-time prekey pool depth.
 func (mw *Middleware) PrekeysRemaining() int { return mw.prekeys.Remaining() }
 
-// ReplayState reports how many replay scopes and seen envelope nonces
-// the node holds; right after New, what a persistent replay store
-// resumed.
-func (mw *Middleware) ReplayState() (scopes, nonces int) { return mw.replay.Len() }
+// ReplayState reports how many seen envelope nonces the node holds;
+// right after New, what a persistent replay store resumed.
+func (mw *Middleware) ReplayState() int { return mw.replay.Len() }
 
 // publish signs, stores, and advertises a new action message.
 func (mw *Middleware) publish(kind msg.Kind, subject id.UserID, payload []byte) (*msg.Message, error) {

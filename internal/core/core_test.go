@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"sos/internal/id"
 	"sos/internal/mpc"
 	"sos/internal/msg"
+	"sos/internal/obs/span"
 	"sos/internal/pki"
 	"sos/internal/routing"
 	"sos/internal/secure"
@@ -25,6 +27,7 @@ type world struct {
 	medium *mpc.SimMedium
 	svc    *cloud.Service
 	nodes  map[string]*node
+	tracer *span.Tracer // flight recorder of the next node built; nil = none
 }
 
 // node is one simulated device running the full middleware.
@@ -65,6 +68,7 @@ func (w *world) node(handle, scheme string) *node {
 		PeerName: mpc.PeerID(handle + "-phone"),
 		Scheme:   scheme,
 		Clock:    w.clk,
+		Tracer:   w.tracer,
 		// SimMedium is single-threaded: no wall-clock timer goroutines.
 		ResyncInterval:   -1,
 		HandshakeTimeout: -1,
@@ -639,5 +643,33 @@ func TestOneCertificateCheckPerAuthor(t *testing.T) {
 	stats := bob.mw.Stats()
 	if stats.PKI.Rejected == 0 || stats.Message.VerifyFailures == 0 {
 		t.Errorf("after the revocation: pki %+v, verify failures %d; want the post rejected", stats.PKI, stats.Message.VerifyFailures)
+	}
+}
+
+// TestKeyDerivationSpanLandsInOwnRecorder: a node's session key
+// derivation is recorded in that node's flight recorder, not in the ring
+// of whichever node of the process was built last.
+func TestKeyDerivationSpanLandsInOwnRecorder(t *testing.T) {
+	w := newWorld(t)
+	w.tracer = span.NewTracer(256)
+	alice := w.node("alice", routing.SchemeEpidemic)
+	w.tracer = span.NewTracer(256)
+	bob := w.node("bob", routing.SchemeEpidemic)
+	if _, err := alice.mw.Post([]byte("worth a contact")); err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	w.link(alice, bob, mpc.Bluetooth)
+	w.pump(10 * time.Second)
+	if len(alice.ups) != 1 || len(bob.ups) != 1 {
+		t.Fatalf("peer ups = %d/%d, want one handshake", len(alice.ups), len(bob.ups))
+	}
+	for _, n := range []*node{alice, bob} {
+		var dump bytes.Buffer
+		if err := n.mw.cfg.Tracer.WriteTrace(&dump); err != nil {
+			t.Fatalf("WriteTrace: %v", err)
+		}
+		if got := bytes.Count(dump.Bytes(), []byte(`"name":"secure.derive"`)); got != 1 {
+			t.Errorf("%s's flight recorder holds %d secure.derive spans, want its own one", n.creds.Handle, got)
+		}
 	}
 }

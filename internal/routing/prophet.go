@@ -197,7 +197,7 @@ func (p *Prophet) subscriber(author, user id.UserID, on bool) {
 
 // age decays every predictability by gamma per elapsed aging unit.
 func (p *Prophet) age() {
-	now := nowOf(p.clk)
+	now := p.clk.Now()
 	elapsed := now.Sub(p.lastAged)
 	if elapsed < prophetAgingUnit {
 		return

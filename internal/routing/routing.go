@@ -218,11 +218,3 @@ func sortWants(wants []wire.Want) []wire.Want {
 	})
 	return wants
 }
-
-// nowOf unwraps an Options clock safely.
-func nowOf(c clock.Clock) time.Time {
-	if c == nil {
-		return time.Now()
-	}
-	return c.Now()
-}

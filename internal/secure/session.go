@@ -9,11 +9,11 @@
 //
 // The layer is hardened for fleets rather than field studies: session
 // keys rotate on a clock-driven epoch ratchet with secure wiping of
-// expired material (epoch.go), replay floors and envelope nonces can
-// persist across restarts in a bounded store (replay.go), and prekey
-// bundles give asynchronous peers forward secrecy without a live
-// handshake (prekeys.go). Time never comes from time.Now() here — every
-// clock is injected, which is what makes the rotation and replay suites
+// expired material (epoch.go), the nonces of opened envelopes can persist
+// across restarts in a bounded store (replay.go), and prekey bundles give
+// asynchronous peers forward secrecy without a live handshake
+// (prekeys.go). Time never comes from time.Now() here — every clock is
+// injected, which is what makes the rotation and replay suites
 // deterministic.
 package secure
 
@@ -32,6 +32,7 @@ import (
 
 	"sos/internal/clock"
 	"sos/internal/id"
+	"sos/internal/obs/span"
 )
 
 // Session framing constants.
@@ -54,8 +55,7 @@ var (
 
 // SessionConfig tunes a session beyond the defaults NewSession applies.
 // The zero value is valid: wall clock, default rotation period and
-// overlap, default forward-jump bound, no stats, no persistent replay
-// state.
+// overlap, default forward-jump bound, no stats, no tracer.
 type SessionConfig struct {
 	// Clock drives epoch rotation. Nil selects the system clock; the
 	// secure layer itself never calls time.Now().
@@ -77,16 +77,10 @@ type SessionConfig struct {
 	// Stats, when set, counts this session's events into a recorder (a
 	// node, a fleet, a test); nil counts nothing.
 	Stats *StatsRecorder
-	// Replay, when set, is the receive direction's persistent replay
-	// floor: the session starts its accept watermark at Replay.Floor()
-	// and commits every accepted sequence, so frames recorded before a
-	// restart stay rejected after it.
-	Replay *ReplayHandle
-	// SendCursor, when set, resumes the send sequence at
-	// SendCursor.Floor() and commits every sealed sequence, so a
-	// restarted sender never reuses sequence numbers (and never trips a
-	// peer's persisted replay floor).
-	SendCursor *ReplayHandle
+	// Tracer, when set, records the session's key derivation as a
+	// "secure.derive" span in its owner's flight recorder; nil records
+	// nothing.
+	Tracer *span.Tracer
 }
 
 // Session is one side of an established encrypted channel between two
@@ -115,7 +109,7 @@ type Session struct {
 
 	// Send direction: the ratchet, the current epoch's cached AEAD, and
 	// the monotonically increasing sequence (never reset by rotation, so
-	// replay floors survive epoch changes).
+	// the receiver's watermark survives epoch changes).
 	sendChain *chain
 	sendAEAD  cipher.AEAD
 	sendKey   [aesKeyLen]byte
@@ -123,7 +117,6 @@ type Session struct {
 	sendSeq   uint64
 	sendStart time.Time
 	sealsLeft int // seals until the next rotation clock check
-	sendCur   *ReplayHandle
 
 	// Receive direction: the ratchet frontier plus the small set of live
 	// epoch keys (current, its overlap predecessor, and at most one
@@ -135,7 +128,6 @@ type Session struct {
 	recvSeq   uint64    // next acceptable sequence lower bound
 	recvAny   bool      // a frame has been accepted (jump bound armed)
 	recvStart time.Time
-	replay    *ReplayHandle
 
 	// Per-direction scratch, reused across calls so the per-frame AEAD
 	// path allocates nothing in steady state. The nonces live here too:
@@ -166,10 +158,10 @@ func NewSession(local *ecdsa.PrivateKey, remote *ecdsa.PublicKey, context []byte
 	return NewSessionWithConfig(local, remote, context, SessionConfig{})
 }
 
-// NewSessionWithConfig is NewSession with explicit rotation, replay, and
-// stats configuration.
+// NewSessionWithConfig is NewSession with explicit rotation, stats and
+// tracing configuration.
 func NewSessionWithConfig(local *ecdsa.PrivateKey, remote *ecdsa.PublicKey, context []byte, cfg SessionConfig) (*Session, error) {
-	t := tracer.Load()
+	t := cfg.Tracer
 	sp := t.Start(t.Track("secure"), "secure.derive")
 	defer sp.End()
 	localECDH, err := local.ECDH()
@@ -212,8 +204,6 @@ func NewSessionWithConfig(local *ecdsa.PrivateKey, remote *ecdsa.PublicKey, cont
 		rec:       cfg.Stats,
 		sendChain: newChain(sendRoot),
 		recvChain: newChain(recvRoot),
-		replay:    cfg.Replay,
-		sendCur:   cfg.SendCursor,
 		sealsLeft: rotateCheckEvery,
 	}
 	Zeroize(okm)
@@ -232,12 +222,6 @@ func NewSessionWithConfig(local *ecdsa.PrivateKey, remote *ecdsa.PublicKey, cont
 	}
 	now := s.clk.Now()
 	s.sendStart, s.recvStart = now, now
-	if s.replay != nil {
-		s.recvSeq = s.replay.Floor()
-	}
-	if s.sendCur != nil {
-		s.sendSeq = s.sendCur.Floor()
-	}
 
 	if err := s.installSendEpoch(0); err != nil {
 		return nil, err
@@ -371,9 +355,6 @@ func (s *Session) AppendSeal(dst, plaintext, aad []byte) ([]byte, error) {
 	}
 	seq := s.sendSeq
 	s.sendSeq++
-	if s.sendCur != nil {
-		s.sendCur.Commit(s.sendEpoch, seq)
-	}
 
 	hdr := EpochHeader{Epoch: s.sendEpoch, Seq: seq}
 	hdr.AppendEncode(s.sealNonce[:0])
@@ -418,8 +399,7 @@ func (s *Session) open(frame, aad, dst []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: got %d, want at least %d", ErrReplay, hdr.Seq, s.recvSeq)
 	}
 	// The forward-jump bound arms after the first accepted frame: the
-	// opening frame establishes the position (a persisted send cursor may
-	// legitimately start far ahead of a receiver that lost its state).
+	// opening frame establishes the position.
 	if s.recvAny && s.maxJump > 0 && hdr.Seq-s.recvSeq > uint64(s.maxJump) {
 		bump(s.rec, cOpenFailures)
 		return nil, fmt.Errorf("%w: got %d, window ends at %d", ErrSeqJump, hdr.Seq, s.recvSeq+uint64(s.maxJump))
@@ -450,9 +430,6 @@ func (s *Session) open(frame, aad, dst []byte) ([]byte, error) {
 		s.recvSeen = s.clk.Now()
 		s.retireRecvBefore(prev)
 		bump(s.rec, cRotations)
-	}
-	if s.replay != nil {
-		s.replay.Commit(hdr.Epoch, hdr.Seq)
 	}
 	bump(s.rec, cOpens)
 	return plaintext, nil

@@ -1,10 +1,6 @@
 package secure
 
-import (
-	"sync/atomic"
-
-	"sos/internal/obs/span"
-)
+import "sync/atomic"
 
 // StatsRecorder scopes the AEAD counters to one owner — a node, a fleet,
 // a test — so parallel fleets hosted in one process no longer
@@ -88,19 +84,8 @@ type Stats struct {
 	// steps and receive-side epoch adoptions).
 	Rotations uint64
 	// ReplayRejected counts frames and envelope nonces rejected
-	// specifically by replay checks: a stale sequence, a sequence at or
-	// below a persisted replay floor, or an envelope nonce already
-	// marked in the replay store. It is a subset of OpenFailures for
-	// session frames.
+	// specifically by replay checks: a sequence below the session's
+	// watermark, or an envelope nonce already marked in the replay
+	// store. It is a subset of OpenFailures for session frames.
 	ReplayRejected uint64
 }
-
-// tracer records session key derivations process-wide — sessions are
-// too short-lived to thread a per-node tracer through, so one recorder
-// serves the process (in multi-node in-process harnesses its spans
-// cover every hosted node).
-var tracer atomic.Pointer[span.Tracer]
-
-// SetTracer installs (or, with nil, removes) the process-wide tracer
-// that records "secure.derive" spans for session establishment.
-func SetTracer(t *span.Tracer) { tracer.Store(t) }
