@@ -240,14 +240,18 @@ func BenchmarkMessageSignVerify(b *testing.B) {
 func BenchmarkEnvelopeSealOpen(b *testing.B) {
 	sender, _ := id.NewIdentity(id.NewUserID("alice"), rand.Reader)
 	recipient, _ := id.NewIdentity(id.NewUserID("bob"), rand.Reader)
+	ps, err := secure.NewPrekeyStore(recipient, recipient.User, secure.PrekeyConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	payload := make([]byte, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env, err := secure.SealEnvelope(nil, recipient.Public(), sender, payload)
+		env, err := secure.SealEnvelope(nil, sender, recipient.User, recipient.Public(), nil, payload)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := secure.OpenEnvelope(recipient.Key, sender.Public(), env); err != nil {
+		if _, err := secure.OpenEnvelope(ps, sender.Public(), env); err != nil {
 			b.Fatal(err)
 		}
 	}

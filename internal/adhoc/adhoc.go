@@ -602,7 +602,7 @@ func (m *Manager) onHelloAck(st *connState, frame []byte) {
 	st.nonceR = ack.Nonce
 
 	ts := transcript(st.nonceI, st.nonceR, m.cfg.CertDER, ack.CertDER)
-	if !secure.VerifyOwnership(peerCert.Key, ts, ack.Sig) {
+	if !id.Verify(peerCert.Key, ts, ack.Sig) {
 		m.failConn(st.conn, ErrBadTranscript)
 		return
 	}
@@ -668,7 +668,7 @@ func (m *Manager) onSealed(st *connState, frame []byte, expectFin bool) {
 			return
 		}
 		ts := transcript(st.nonceI, st.nonceR, st.peerCert.DER, m.cfg.CertDER)
-		if !secure.VerifyOwnership(st.peerCert.Key, ts, fin.Sig) {
+		if !id.Verify(st.peerCert.Key, ts, fin.Sig) {
 			m.dropConn(st, ErrBadTranscript)
 			return
 		}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"sos/internal/adhoc"
@@ -26,7 +25,6 @@ import (
 	"sos/internal/routing"
 	"sos/internal/secure"
 	"sos/internal/store"
-	"sos/internal/wire"
 )
 
 // Errors reported by the middleware facade.
@@ -199,15 +197,10 @@ type Middleware struct {
 	msgMgr   *message.Manager
 	adhocMgr *adhoc.Manager
 
-	secRec  *secure.StatsRecorder
-	replay  *secure.ReplayStore
-	prekeys *secure.PrekeyStore
-
-	// bundles caches the latest verified prekey bundle per peer, so
-	// Direct can seal forward-secret even when the recipient is offline.
-	// A bundle's one-time component is stripped after its single use.
-	bundleMu sync.Mutex
-	bundles  map[id.UserID]*secure.PrekeyBundle
+	secRec *secure.StatsRecorder
+	// e2e is the end-to-end plane behind Direct and OpenDirect: this
+	// node's prekeys, what its peers published, the seen-nonce set.
+	e2e *secure.EndToEnd
 }
 
 // New wires up a middleware instance and begins advertising.
@@ -292,24 +285,14 @@ func New(cfg Config) (*Middleware, error) {
 		}
 	}
 	// The node's secure-layer state: a scoped stats recorder (parallel
-	// fleets in one process stop cross-contaminating counters), the
-	// replay store, and the prekey store.
+	// fleets in one process stop cross-contaminating counters) and the
+	// end-to-end plane.
 	secRec := &secure.StatsRecorder{}
-	replay, err := secure.OpenReplayStore(cfg.Security.Dir, secure.ReplayOptions{
-		NoSync: cfg.Security.NoSync,
-		Stats:  secRec,
-	})
+	e2e, err := secure.NewEndToEnd(cfg.Creds.Ident,
+		secure.PrekeyConfig{Clock: cfg.Clock, Rand: cfg.Rand, Stats: secRec},
+		cfg.Security.Dir, secure.ReplayOptions{NoSync: cfg.Security.NoSync, Stats: secRec})
 	if err != nil {
-		return nil, fmt.Errorf("core: opening replay store: %w", err)
-	}
-	prekeys, err := secure.NewPrekeyStore(cfg.Creds.Ident, cfg.Creds.Ident.User, secure.PrekeyConfig{
-		Clock: cfg.Clock,
-		Rand:  cfg.Rand,
-		Stats: secRec,
-	})
-	if err != nil {
-		replay.Close()
-		return nil, fmt.Errorf("core: building prekey store: %w", err)
+		return nil, fmt.Errorf("core: building end-to-end plane: %w", err)
 	}
 
 	mw := &Middleware{
@@ -319,9 +302,7 @@ func New(cfg Config) (*Middleware, error) {
 		verifier: verifier,
 		routing:  routingMgr,
 		secRec:   secRec,
-		replay:   replay,
-		prekeys:  prekeys,
-		bundles:  make(map[id.UserID]*secure.PrekeyBundle),
+		e2e:      e2e,
 	}
 
 	msgMgr, err := message.New(message.Config{
@@ -335,11 +316,11 @@ func New(cfg Config) (*Middleware, error) {
 		AutoConnect:    true,
 		ResyncInterval: cfg.ResyncInterval,
 		Tracer:         cfg.Tracer,
-		PrekeySource:   mw.prekeyBundle,
-		OnPrekeyBundle: mw.cachePrekeyBundle,
+		PrekeySource:   e2e.Bundle,
+		OnPrekeyBundle: e2e.Accept,
 	})
 	if err != nil {
-		replay.Close()
+		e2e.Close()
 		return nil, fmt.Errorf("core: building message manager: %w", err)
 	}
 	adhocMgr, err := adhoc.New(adhoc.Config{
@@ -363,7 +344,7 @@ func New(cfg Config) (*Middleware, error) {
 	})
 	if err != nil {
 		msgMgr.Close()
-		replay.Close()
+		e2e.Close()
 		return nil, fmt.Errorf("core: building ad hoc manager: %w", err)
 	}
 	mw.msgMgr = msgMgr
@@ -373,49 +354,6 @@ func New(cfg Config) (*Middleware, error) {
 		return nil, fmt.Errorf("core: initial advertisement: %w", err)
 	}
 	return mw, nil
-}
-
-// prekeyBundle is the message-layer hook publishing this node's bundle.
-func (mw *Middleware) prekeyBundle() (*wire.PrekeyBundle, error) {
-	b, err := mw.prekeys.Bundle()
-	if err != nil {
-		return nil, err
-	}
-	return &wire.PrekeyBundle{
-		User:       b.User,
-		SignedID:   b.SignedID,
-		SignedPub:  b.SignedPub,
-		SignedSig:  b.SignedSig,
-		OneTimeID:  b.OneTimeID,
-		OneTimePub: b.OneTimePub,
-	}, nil
-}
-
-// cachePrekeyBundle stores a peer's verified bundle for later Direct
-// sends.
-func (mw *Middleware) cachePrekeyBundle(peer id.UserID, b *secure.PrekeyBundle) {
-	mw.bundleMu.Lock()
-	mw.bundles[peer] = b
-	mw.bundleMu.Unlock()
-}
-
-// takePrekeyBundle returns the cached bundle for a recipient, stripping
-// its one-time component so it is never sealed against twice (the
-// recipient deletes the one-time private key on first open).
-func (mw *Middleware) takePrekeyBundle(user id.UserID) *secure.PrekeyBundle {
-	mw.bundleMu.Lock()
-	defer mw.bundleMu.Unlock()
-	b := mw.bundles[user]
-	if b == nil {
-		return nil
-	}
-	use := *b
-	if b.OneTimeID != 0 {
-		stripped := *b
-		stripped.OneTimeID, stripped.OneTimePub = 0, nil
-		mw.bundles[user] = &stripped
-	}
-	return &use
 }
 
 // User returns the local user identifier.
@@ -457,33 +395,21 @@ func (mw *Middleware) Subscribe(user id.UserID) {
 
 // Direct seals payload end-to-end for the recipient and disseminates the
 // envelope. Forwarders can route it but never read it; only the recipient
-// with cert recipCert can open it. When a prekey bundle for the recipient
-// has been cached (published during any earlier encounter), the envelope
-// is sealed to the bundle instead of the long-term key: the recipient
-// burns the one-time prekey on open, so capture of its device later
-// cannot reopen the envelope (forward secrecy). Only without a bundle — a
-// recipient never met, the paper's §III-D path — does Direct seal to the
-// long-term key. Bundles are verified when they arrive, so a cached one
-// that fails to seal is a fault to report, not a reason to give up
-// forward secrecy quietly.
+// with cert recipCert can open it. The end-to-end plane picks the key
+// material (secure.EndToEnd.Seal): the recipient's published prekey bundle
+// when one is held, its certified long-term key when it was never met.
 func (mw *Middleware) Direct(recipCert *pki.UserCert, payload []byte) (*msg.Message, error) {
-	if bundle := mw.takePrekeyBundle(recipCert.User); bundle != nil {
-		env, err := secure.SealPrekeyEnvelope(mw.cfg.Rand, recipCert.Key, bundle, mw.cfg.Creds.Ident, payload)
-		if err != nil {
-			return nil, fmt.Errorf("core: sealing direct message to %s's prekey bundle: %w", recipCert.User, err)
-		}
-		return mw.publish(msg.KindDirect, recipCert.User, env.Marshal())
-	}
-	env, err := secure.SealEnvelope(mw.cfg.Rand, recipCert.Key, mw.cfg.Creds.Ident, payload)
+	sealed, err := mw.e2e.Seal(recipCert.User, recipCert.Key, payload)
 	if err != nil {
-		return nil, fmt.Errorf("core: sealing direct message: %w", err)
+		return nil, fmt.Errorf("core: sealing direct message to %s: %w", recipCert.User, err)
 	}
-	return mw.publish(msg.KindDirect, recipCert.User, env.Marshal())
+	return mw.publish(msg.KindDirect, recipCert.User, sealed)
 }
 
 // OpenDirect opens a received direct message addressed to this user: the
-// author's certificate is verified, then the envelope is opened with the
-// local private key and the author's certified public key.
+// author's certificate is verified, then the envelope is opened against
+// the author's certified public key — at most once, even across a restart
+// when Security.Dir is set (as sosd does beside a disk store).
 func (mw *Middleware) OpenDirect(m *msg.Message) ([]byte, error) {
 	if m.Kind != msg.KindDirect {
 		return nil, fmt.Errorf("core: %s is not a direct message", m.Ref())
@@ -495,32 +421,9 @@ func (mw *Middleware) OpenDirect(m *msg.Message) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: verifying author certificate: %w", err)
 	}
-	var plain, nonce []byte
-	if secure.IsPrekeyEnvelope(m.Payload) {
-		env, err := secure.ParsePrekeyEnvelope(m.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("core: parsing envelope: %w", err)
-		}
-		if plain, err = secure.OpenPrekeyEnvelope(mw.prekeys, cert.Key, env); err != nil {
-			return nil, fmt.Errorf("core: opening envelope: %w", err)
-		}
-		nonce = env.Nonce
-	} else {
-		env, err := secure.ParseEnvelope(m.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("core: parsing envelope: %w", err)
-		}
-		if plain, err = secure.OpenEnvelope(mw.cfg.Creds.Ident.Key, cert.Key, env); err != nil {
-			return nil, fmt.Errorf("core: opening envelope: %w", err)
-		}
-		nonce = env.Nonce
-	}
-	// At-most-once opening: the envelope nonce is marked in the replay
-	// store (persisted when Security.Dir is set, as sosd does beside a
-	// disk store), so the same envelope re-disseminated later — even
-	// across a restart — is rejected.
-	if !mw.replay.MarkNonce(nonce) {
-		return nil, fmt.Errorf("core: envelope %s replayed", m.Ref())
+	plain, err := mw.e2e.Open(cert.Key, m.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("core: opening direct message %s: %w", m.Ref(), err)
 	}
 	return plain, nil
 }
@@ -530,11 +433,11 @@ func (mw *Middleware) OpenDirect(m *msg.Message) ([]byte, error) {
 func (mw *Middleware) SecureStats() secure.Stats { return mw.secRec.Read() }
 
 // PrekeysRemaining reports the unissued one-time prekey pool depth.
-func (mw *Middleware) PrekeysRemaining() int { return mw.prekeys.Remaining() }
+func (mw *Middleware) PrekeysRemaining() int { return mw.e2e.PrekeysRemaining() }
 
 // ReplayState reports how many seen envelope nonces the node holds;
 // right after New, what a persistent replay store resumed.
-func (mw *Middleware) ReplayState() int { return mw.replay.Len() }
+func (mw *Middleware) ReplayState() int { return mw.e2e.SeenNonces() }
 
 // publish signs, stores, and advertises a new action message.
 func (mw *Middleware) publish(kind msg.Kind, subject id.UserID, payload []byte) (*msg.Message, error) {
@@ -634,14 +537,5 @@ func (mw *Middleware) Advertise() error { return mw.msgMgr.Advertise() }
 // and closes the storage engine (crash-safe persistence for daemons).
 func (mw *Middleware) Close() error {
 	mw.msgMgr.Close()
-	mediumErr := mw.adhocMgr.Close()
-	storeErr := mw.store.Close()
-	replayErr := mw.replay.Close()
-	if mediumErr != nil {
-		return mediumErr
-	}
-	if storeErr != nil {
-		return storeErr
-	}
-	return replayErr
+	return errors.Join(mw.adhocMgr.Close(), mw.store.Close(), mw.e2e.Close())
 }

@@ -337,32 +337,63 @@ func TestDirectNeverDowngradesACachedBundle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Direct to a never-met recipient: %v", err)
 	}
-	if secure.IsPrekeyEnvelope(m.Payload) {
-		t.Error("sealed to a prekey bundle nobody published")
+	if got := signedID(t, m); got != 0 {
+		t.Errorf("sealed to prekey %d of a bundle nobody published", got)
 	}
 
-	bundle, err := bob.mw.prekeys.Bundle()
+	bundle, err := bob.mw.e2e.Bundle()
 	if err != nil {
 		t.Fatalf("Bundle: %v", err)
 	}
-	alice.mw.cachePrekeyBundle(bob.mw.User(), &bundle)
+	alice.mw.e2e.Accept(bob.mw.User(), bundle)
 	if m, err = alice.mw.Direct(bob.creds.Cert, []byte("met")); err != nil {
 		t.Fatalf("Direct with a cached bundle: %v", err)
 	}
-	if !secure.IsPrekeyEnvelope(m.Payload) {
-		t.Error("cached bundle ignored: sealed to the long-term key")
+	if got := signedID(t, m); got != bundle.SignedID {
+		t.Errorf("cached bundle ignored: sealed to key %d, want signed prekey %d", got, bundle.SignedID)
 	}
 
-	damaged := bundle
+	damaged := *bundle
 	damaged.SignedSig = append([]byte(nil), bundle.SignedSig...)
 	damaged.SignedSig[0] ^= 0xFF
-	alice.mw.cachePrekeyBundle(bob.mw.User(), &damaged)
+	alice.mw.e2e.Accept(bob.mw.User(), &damaged)
 	held := alice.mw.Store().Len()
 	if _, err := alice.mw.Direct(bob.creds.Cert, []byte("damaged")); !errors.Is(err, secure.ErrBundleSig) {
 		t.Fatalf("Direct with a damaged bundle: err = %v, want ErrBundleSig", err)
 	}
 	if got := alice.mw.Store().Len(); got != held {
 		t.Errorf("a failed Direct published something: store holds %d, was %d", got, held)
+	}
+}
+
+// signedID parses a direct message's envelope and returns the recipient
+// key it names: 0 for the long-term key, else a signed prekey's id.
+func signedID(t *testing.T, m *msg.Message) uint32 {
+	t.Helper()
+	env, err := secure.ParseEnvelope(m.Payload)
+	if err != nil {
+		t.Fatalf("ParseEnvelope: %v", err)
+	}
+	return env.SignedID
+}
+
+// TestOpenDirectRefusesLegacyEnvelope: a direct message whose payload is
+// in the retired v1 layout — one published before the upgrade and still
+// in circulation — is refused by name, not mis-parsed.
+func TestOpenDirectRefusesLegacyEnvelope(t *testing.T) {
+	w := newWorld(t)
+	alice := w.node("alice", routing.SchemeEpidemic)
+	bob := w.node("bob", routing.SchemeEpidemic)
+
+	// Four length-prefixed fields behind 32-bit big-endian lengths: the
+	// first byte of a v1 payload is always 0x00.
+	v1 := []byte{0, 0, 0, 1, 'k', 0, 0, 0, 1, 'n', 0, 0, 0, 1, 'c', 0, 0, 0, 1, 's'}
+	m, err := alice.mw.publish(msg.KindDirect, bob.mw.User(), v1)
+	if err != nil {
+		t.Fatalf("publish: %v", err)
+	}
+	if _, err := bob.mw.OpenDirect(m); !errors.Is(err, secure.ErrLegacyEnvelope) {
+		t.Fatalf("OpenDirect(v1 payload): err = %v, want ErrLegacyEnvelope", err)
 	}
 }
 

@@ -159,7 +159,7 @@ type Config struct {
 	// link's authenticated identity and its signed-prekey signature must
 	// verify against the link's certified key. A bundle failing either
 	// check is scored as misbehavior instead.
-	OnPrekeyBundle func(peer id.UserID, b *secure.PrekeyBundle)
+	OnPrekeyBundle func(peer id.UserID, b *wire.PrekeyBundle)
 }
 
 // Stats counts message-manager events.
@@ -776,16 +776,8 @@ func (m *Manager) sendPrekeyTo(link *adhoc.Link) {
 // must be the peer's own, and its signed prekey must carry a valid
 // signature from the certified key the handshake verified. Anything else
 // is authenticated garbage and scores like it.
-func (m *Manager) onPrekeyBundle(link *adhoc.Link, fr *wire.PrekeyBundle) {
-	b := &secure.PrekeyBundle{
-		User:       fr.User,
-		SignedID:   fr.SignedID,
-		SignedPub:  fr.SignedPub,
-		SignedSig:  fr.SignedSig,
-		OneTimeID:  fr.OneTimeID,
-		OneTimePub: fr.OneTimePub,
-	}
-	if fr.User != link.User() || !b.Verify(link.Cert().Key) {
+func (m *Manager) onPrekeyBundle(link *adhoc.Link, b *wire.PrekeyBundle) {
+	if b.User != link.User() || !secure.VerifyBundle(link.Cert().Key, b) {
 		m.mu.Lock()
 		m.stats.PrekeyRejects++
 		m.penalizeLocked(link.Peer(), pointsGarbage, m.cfg.Clock.Now())

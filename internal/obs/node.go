@@ -210,6 +210,14 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.SecureStats().ReplayRejected })
 		reg.GaugeFunc("sos_secure_prekeys_remaining", "Unissued one-time prekeys left in the node's pool.", nil,
 			func() float64 { return float64(mw.PrekeysRemaining()) })
+		// Bundle exchange at LinkUp (counted by the message manager, which
+		// vets each bundle): a rejection is scored misbehavior.
+		reg.CounterFunc("sos_prekey_bundles_total", "Prekey bundles exchanged at link-up.", Labels{"result": "sent"},
+			func() uint64 { return mw.Stats().Message.PrekeyBundlesSent })
+		reg.CounterFunc("sos_prekey_bundles_total", "Prekey bundles exchanged at link-up.", Labels{"result": "accepted"},
+			func() uint64 { return mw.Stats().Message.PrekeyBundlesReceived })
+		reg.CounterFunc("sos_prekey_bundles_total", "Prekey bundles exchanged at link-up.", Labels{"result": "rejected"},
+			func() uint64 { return mw.Stats().Message.PrekeyRejects })
 	}
 
 	if exp := nm.Exporter; exp != nil {

@@ -47,16 +47,26 @@ func TestPrekeyBundleVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bundle: %v", err)
 	}
-	if !b.Verify(ident.Public()) {
+	if !VerifyBundle(ident.Public(), b) {
 		t.Fatal("honest bundle failed verification")
 	}
-	if b.Verify(newIdentity(t, "eve").Public()) {
+	if VerifyBundle(newIdentity(t, "eve").Public(), b) {
 		t.Fatal("bundle verified against the wrong identity")
 	}
-	tampered := b
+	tampered := *b
 	tampered.SignedID++
-	if tampered.Verify(ident.Public()) {
+	if VerifyBundle(ident.Public(), &tampered) {
 		t.Fatal("tampered bundle verified")
+	}
+	// ID 0 names the long-term key in an envelope: a bundle claiming it
+	// is invalid even under its owner's signature.
+	reserved := *b
+	reserved.SignedID = 0
+	if reserved.SignedSig, err = ident.Sign(prekeyTranscript(reserved.User, 0, reserved.SignedPub)); err != nil {
+		t.Fatalf("Sign: %v", err)
+	}
+	if VerifyBundle(ident.Public(), &reserved) {
+		t.Fatal("bundle with the reserved signed-prekey ID 0 verified")
 	}
 	if b.OneTimeID == 0 || len(b.OneTimePub) == 0 {
 		t.Fatal("fresh store issued a bundle without a one-time prekey")
@@ -72,29 +82,29 @@ func TestPrekeyEnvelopeRoundTripAndBurn(t *testing.T) {
 		t.Fatalf("Bundle: %v", err)
 	}
 
-	env, err := SealPrekeyEnvelope(nil, owner, &b, sender, []byte("for bob, once"))
+	env, err := SealEnvelope(nil, sender, ps.user, owner, b, []byte("for bob, once"))
 	if err != nil {
-		t.Fatalf("SealPrekeyEnvelope: %v", err)
+		t.Fatalf("SealEnvelope: %v", err)
 	}
-	plain, err := OpenPrekeyEnvelope(ps, sender.Public(), env)
+	plain, err := OpenEnvelope(ps, sender.Public(), env)
 	if err != nil {
-		t.Fatalf("OpenPrekeyEnvelope: %v", err)
+		t.Fatalf("OpenEnvelope: %v", err)
 	}
 	if string(plain) != "for bob, once" {
-		t.Fatalf("OpenPrekeyEnvelope = %q", plain)
+		t.Fatalf("OpenEnvelope = %q", plain)
 	}
 	// The authenticated open burned the one-time key: the same envelope
 	// can never be opened again, even by its addressee.
-	if _, err := OpenPrekeyEnvelope(ps, sender.Public(), env); !errors.Is(err, ErrPrekeyUnknown) {
+	if _, err := OpenEnvelope(ps, sender.Public(), env); !errors.Is(err, ErrPrekeyUnknown) {
 		t.Fatalf("second open: err = %v, want ErrPrekeyUnknown", err)
 	}
 	// A second envelope sealed to the already-consumed bundle is refused
 	// too — no silent downgrade to signed-only.
-	env2, err := SealPrekeyEnvelope(nil, owner, &b, sender, []byte("again"))
+	env2, err := SealEnvelope(nil, sender, ps.user, owner, b, []byte("again"))
 	if err != nil {
-		t.Fatalf("SealPrekeyEnvelope(2): %v", err)
+		t.Fatalf("SealEnvelope(2): %v", err)
 	}
-	if _, err := OpenPrekeyEnvelope(ps, sender.Public(), env2); !errors.Is(err, ErrPrekeyUnknown) {
+	if _, err := OpenEnvelope(ps, sender.Public(), env2); !errors.Is(err, ErrPrekeyUnknown) {
 		t.Fatalf("open against consumed one-time: err = %v, want ErrPrekeyUnknown", err)
 	}
 }
@@ -107,23 +117,23 @@ func TestPrekeyEnvelopeRejectsForgery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bundle: %v", err)
 	}
-	env, err := SealPrekeyEnvelope(nil, ps.ident.Public(), &b, sender, []byte("secret"))
+	env, err := SealEnvelope(nil, sender, ps.user, ps.ident.Public(), b, []byte("secret"))
 	if err != nil {
-		t.Fatalf("SealPrekeyEnvelope: %v", err)
+		t.Fatalf("SealEnvelope: %v", err)
 	}
 	// Claimed sender mismatch: signature check fails.
-	if _, err := OpenPrekeyEnvelope(ps, mallory.Public(), env); !errors.Is(err, ErrEnvelopeSig) {
+	if _, err := OpenEnvelope(ps, mallory.Public(), env); !errors.Is(err, ErrEnvelopeSig) {
 		t.Fatalf("forged sender: err = %v, want ErrEnvelopeSig", err)
 	}
 	// A bundle that fails identity verification cannot be sealed to.
-	bad := b
+	bad := *b
 	bad.SignedSig = append([]byte(nil), b.SignedSig...)
 	bad.SignedSig[0] ^= 0x01
-	if _, err := SealPrekeyEnvelope(nil, ps.ident.Public(), &bad, sender, []byte("x")); !errors.Is(err, ErrBundleSig) {
+	if _, err := SealEnvelope(nil, sender, ps.user, ps.ident.Public(), &bad, []byte("x")); !errors.Is(err, ErrBundleSig) {
 		t.Fatalf("tampered bundle sealed: err = %v, want ErrBundleSig", err)
 	}
 	// Nil envelope.
-	if _, err := OpenPrekeyEnvelope(ps, sender.Public(), nil); err == nil {
+	if _, err := OpenEnvelope(ps, sender.Public(), nil); err == nil {
 		t.Fatal("nil envelope opened")
 	}
 }
@@ -161,20 +171,20 @@ func TestPrekeyExhaustionFallsBackToSignedOnly(t *testing.T) {
 	if b.OneTimeID != 0 || b.OneTimePub != nil {
 		t.Fatalf("exhausted bundle carries a one-time key: id %d", b.OneTimeID)
 	}
-	env, err := SealPrekeyEnvelope(nil, ps.ident.Public(), &b, sender, []byte("signed-only"))
+	env, err := SealEnvelope(nil, sender, ps.user, ps.ident.Public(), b, []byte("signed-only"))
 	if err != nil {
-		t.Fatalf("SealPrekeyEnvelope signed-only: %v", err)
+		t.Fatalf("SealEnvelope signed-only: %v", err)
 	}
-	plain, err := OpenPrekeyEnvelope(ps, sender.Public(), env)
+	plain, err := OpenEnvelope(ps, sender.Public(), env)
 	if err != nil {
-		t.Fatalf("OpenPrekeyEnvelope signed-only: %v", err)
+		t.Fatalf("OpenEnvelope signed-only: %v", err)
 	}
 	if string(plain) != "signed-only" {
-		t.Fatalf("OpenPrekeyEnvelope = %q", plain)
+		t.Fatalf("OpenEnvelope = %q", plain)
 	}
 	// Signed-only envelopes reopen (nothing was burned) — the documented
 	// weakness of the fallback.
-	if _, err := OpenPrekeyEnvelope(ps, sender.Public(), env); err != nil {
+	if _, err := OpenEnvelope(ps, sender.Public(), env); err != nil {
 		t.Fatalf("signed-only reopen: %v", err)
 	}
 
@@ -203,9 +213,9 @@ func TestPrekeySignedRotationAndRetirement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bundle: %v", err)
 	}
-	envOld, err := SealPrekeyEnvelope(nil, owner, &b1, sender, []byte("sealed before rotation"))
+	envOld, err := SealEnvelope(nil, sender, ps.user, owner, b1, []byte("sealed before rotation"))
 	if err != nil {
-		t.Fatalf("SealPrekeyEnvelope: %v", err)
+		t.Fatalf("SealEnvelope: %v", err)
 	}
 
 	// Past the lifetime, Bundle rotates the signed prekey.
@@ -221,7 +231,7 @@ func TestPrekeySignedRotationAndRetirement(t *testing.T) {
 		t.Fatalf("rotations stat = %d, want 1", got)
 	}
 	// The previous signed prekey stays openable for one more lifetime.
-	plain, err := OpenPrekeyEnvelope(ps, sender.Public(), envOld)
+	plain, err := OpenEnvelope(ps, sender.Public(), envOld)
 	if err != nil {
 		t.Fatalf("open against previous signed prekey: %v", err)
 	}
@@ -231,15 +241,15 @@ func TestPrekeySignedRotationAndRetirement(t *testing.T) {
 
 	// Seal another envelope to the long-retired generation: once the
 	// previous key ages out, it is refused.
-	envStale, err := SealPrekeyEnvelope(nil, owner, &b1, sender, []byte("too late"))
+	envStale, err := SealEnvelope(nil, sender, ps.user, owner, b1, []byte("too late"))
 	if err != nil {
-		t.Fatalf("SealPrekeyEnvelope stale: %v", err)
+		t.Fatalf("SealEnvelope stale: %v", err)
 	}
 	clk.Advance(2 * lifetime)
-	if err := ps.MaybeRotate(); err != nil {
-		t.Fatalf("MaybeRotate: %v", err)
+	if _, err := ps.Bundle(); err != nil { // issuing a bundle applies the clock
+		t.Fatalf("Bundle: %v", err)
 	}
-	if _, err := OpenPrekeyEnvelope(ps, sender.Public(), envStale); !errors.Is(err, ErrPrekeyUnknown) {
+	if _, err := OpenEnvelope(ps, sender.Public(), envStale); !errors.Is(err, ErrPrekeyUnknown) {
 		t.Fatalf("open against retired signed prekey: err = %v, want ErrPrekeyUnknown", err)
 	}
 }
@@ -265,27 +275,19 @@ func TestPrekeyEnvelopeMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bundle: %v", err)
 	}
-	env, err := SealPrekeyEnvelope(nil, ps.ident.Public(), &b, sender, []byte("wire me"))
-	if err != nil {
-		t.Fatalf("SealPrekeyEnvelope: %v", err)
-	}
-
-	buf := env.Marshal()
-	if !IsPrekeyEnvelope(buf) {
-		t.Fatal("marshaled prekey envelope not recognized")
-	}
-	// The legacy envelope format is distinguishable from the first byte.
-	legacy, err := SealEnvelope(nil, ps.ident.Public(), sender, []byte("old school"))
+	env, err := SealEnvelope(nil, sender, ps.user, ps.ident.Public(), b, []byte("wire me"))
 	if err != nil {
 		t.Fatalf("SealEnvelope: %v", err)
 	}
-	if IsPrekeyEnvelope(legacy.Marshal()) {
-		t.Fatal("legacy envelope misidentified as a prekey envelope")
+
+	buf := env.Marshal()
+	if buf[0] != envelopeVersion {
+		t.Fatalf("marshaled envelope begins with %#x, want the version byte", buf[0])
 	}
 
-	got, err := ParsePrekeyEnvelope(buf)
+	got, err := ParseEnvelope(buf)
 	if err != nil {
-		t.Fatalf("ParsePrekeyEnvelope: %v", err)
+		t.Fatalf("ParseEnvelope: %v", err)
 	}
 	if got.SignedID != env.SignedID || got.OneTimeID != env.OneTimeID ||
 		!bytes.Equal(got.EphemeralPub, env.EphemeralPub) ||
@@ -295,48 +297,38 @@ func TestPrekeyEnvelopeMarshalRoundTrip(t *testing.T) {
 		t.Fatal("parsed envelope differs from the original")
 	}
 	// The parsed copy opens.
-	if plain, err := OpenPrekeyEnvelope(ps, sender.Public(), got); err != nil || string(plain) != "wire me" {
+	if plain, err := OpenEnvelope(ps, sender.Public(), got); err != nil || string(plain) != "wire me" {
 		t.Fatalf("open parsed envelope = %q, %v", plain, err)
 	}
 
 	// Truncation at every byte boundary is rejected, never mis-parsed.
 	for i := 0; i < len(buf); i++ {
-		if _, err := ParsePrekeyEnvelope(buf[:i]); err == nil {
-			t.Fatalf("truncation at %d parsed", i)
-		}
-	}
-	// Trailing garbage is rejected.
-	if _, err := ParsePrekeyEnvelope(append(append([]byte(nil), buf...), 0xFF)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}
-
-func TestLegacyEnvelopeMarshalRoundTrip(t *testing.T) {
-	sender := newIdentity(t, "alice")
-	recipient := newIdentity(t, "bob")
-	env, err := SealEnvelope(nil, recipient.Public(), sender, []byte("parse me"))
-	if err != nil {
-		t.Fatalf("SealEnvelope: %v", err)
-	}
-	buf := env.Marshal()
-	got, err := ParseEnvelope(buf)
-	if err != nil {
-		t.Fatalf("ParseEnvelope: %v", err)
-	}
-	plain, err := OpenEnvelope(recipient.Key, sender.Public(), got)
-	if err != nil {
-		t.Fatalf("OpenEnvelope after round trip: %v", err)
-	}
-	if string(plain) != "parse me" {
-		t.Fatalf("OpenEnvelope = %q", plain)
-	}
-	for i := 0; i < len(buf); i++ {
 		if _, err := ParseEnvelope(buf[:i]); err == nil {
 			t.Fatalf("truncation at %d parsed", i)
 		}
 	}
-	if _, err := ParseEnvelope(append(append([]byte(nil), buf...), 0x00)); err == nil {
+	// Trailing garbage is rejected.
+	if _, err := ParseEnvelope(append(append([]byte(nil), buf...), 0xFF)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestLegacyEnvelopeMarshalRoundTrip: the v1 layout (four length-prefixed
+// fields, no version byte) is retired. A payload in it — the vector the
+// parent commit's known-answer test opened — is refused by name at every
+// length, never parsed as something else.
+func TestLegacyEnvelopeMarshalRoundTrip(t *testing.T) {
+	buf := katHex(t, katEnvelopeV1)
+	for i := 1; i <= len(buf); i++ {
+		if _, err := ParseEnvelope(buf[:i]); !errors.Is(err, ErrLegacyEnvelope) {
+			t.Fatalf("v1 payload cut at %d: err = %v, want ErrLegacyEnvelope", i, err)
+		}
+	}
+	if _, err := ParseEnvelope(nil); err == nil || errors.Is(err, ErrLegacyEnvelope) {
+		t.Fatalf("empty payload: err = %v, want a plain truncation error", err)
+	}
+	if _, err := ParseEnvelope([]byte{envelopeVersion + 1, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("unknown version byte parsed")
 	}
 }
 
@@ -349,7 +341,7 @@ func TestEnvelopeRejectsGarbageKeys(t *testing.T) {
 		t.Fatalf("Bundle: %v", err)
 	}
 
-	env, err := SealEnvelope(nil, recipient.Public(), sender, []byte("x"))
+	env, err := SealEnvelope(nil, sender, recipient.User, recipient.Public(), nil, []byte("x"))
 	if err != nil {
 		t.Fatalf("SealEnvelope: %v", err)
 	}
@@ -357,41 +349,41 @@ func TestEnvelopeRejectsGarbageKeys(t *testing.T) {
 	// work — but only after the signature check, so re-sign the mangled
 	// transcript to reach the parse.
 	env.EphemeralPub = []byte("not a point")
-	env.SenderSig, err = sender.Sign(envelopeTranscript(env.EphemeralPub, env.Nonce, env.Ciphertext))
+	env.SenderSig, err = sender.Sign(envelopeTranscript(env))
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if _, err := OpenEnvelope(recipient.Key, sender.Public(), env); err == nil {
+	if _, err := OpenEnvelope(storeFor(t, recipient), sender.Public(), env); err == nil {
 		t.Fatal("envelope with a garbage ephemeral key opened")
 	}
 
-	penv, err := SealPrekeyEnvelope(nil, ps.ident.Public(), &b, sender, []byte("x"))
+	penv, err := SealEnvelope(nil, sender, ps.user, ps.ident.Public(), b, []byte("x"))
 	if err != nil {
-		t.Fatalf("SealPrekeyEnvelope: %v", err)
+		t.Fatalf("SealEnvelope: %v", err)
 	}
 	penv.EphemeralPub = []byte("not a point")
-	penv.SenderSig, err = sender.Sign(prekeyEnvTranscript(penv.SignedID, penv.OneTimeID, penv.EphemeralPub, penv.Nonce, penv.Ciphertext))
+	penv.SenderSig, err = sender.Sign(envelopeTranscript(penv))
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if _, err := OpenPrekeyEnvelope(ps, sender.Public(), penv); err == nil {
+	if _, err := OpenEnvelope(ps, sender.Public(), penv); err == nil {
 		t.Fatal("prekey envelope with a garbage ephemeral key opened")
 	}
 
 	// A bundle whose signed prekey is not a curve point cannot be sealed
 	// to, even when its signature verifies.
-	bad := b
+	bad := *b
 	bad.SignedPub = []byte("not a point")
 	bad.SignedSig, err = ps.ident.Sign(prekeyTranscript(bad.User, bad.SignedID, bad.SignedPub))
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if _, err := SealPrekeyEnvelope(nil, ps.ident.Public(), &bad, sender, []byte("x")); err == nil {
+	if _, err := SealEnvelope(nil, sender, ps.user, ps.ident.Public(), &bad, []byte("x")); err == nil {
 		t.Fatal("sealed to a bundle with a garbage signed prekey")
 	}
-	bad = b
+	bad = *b
 	bad.OneTimePub = []byte("not a point")
-	if _, err := SealPrekeyEnvelope(nil, ps.ident.Public(), &bad, sender, []byte("x")); err == nil {
+	if _, err := SealEnvelope(nil, sender, ps.user, ps.ident.Public(), &bad, []byte("x")); err == nil {
 		t.Fatal("sealed to a bundle with a garbage one-time prekey")
 	}
 }
@@ -400,7 +392,7 @@ func TestSealFailsWithoutEntropy(t *testing.T) {
 	sender := newIdentity(t, "alice")
 	recipient := newIdentity(t, "bob")
 	var dead io.Reader = &failReader{}
-	if _, err := SealEnvelope(dead, recipient.Public(), sender, []byte("x")); err == nil {
+	if _, err := SealEnvelope(dead, sender, recipient.User, recipient.Public(), nil, []byte("x")); err == nil {
 		t.Fatal("SealEnvelope succeeded without entropy")
 	}
 	ps := newPrekeyStore(t, "carol", PrekeyConfig{})
@@ -408,12 +400,12 @@ func TestSealFailsWithoutEntropy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bundle: %v", err)
 	}
-	if _, err := SealPrekeyEnvelope(&failReader{}, ps.ident.Public(), &b, sender, []byte("x")); err == nil {
-		t.Fatal("SealPrekeyEnvelope succeeded without entropy")
+	if _, err := SealEnvelope(&failReader{}, sender, ps.user, ps.ident.Public(), b, []byte("x")); err == nil {
+		t.Fatal("SealEnvelope succeeded without entropy")
 	}
 	// Entropy dies between the ephemeral key and the nonce.
-	if _, err := SealPrekeyEnvelope(&failReader{n: 1}, ps.ident.Public(), &b, sender, []byte("x")); err == nil {
-		t.Fatal("SealPrekeyEnvelope succeeded with entropy for one key only")
+	if _, err := SealEnvelope(&failReader{n: 1}, sender, ps.user, ps.ident.Public(), b, []byte("x")); err == nil {
+		t.Fatal("SealEnvelope succeeded with entropy for one key only")
 	}
 	if _, err := NewPrekeyStore(sender, sender.User, PrekeyConfig{Rand: &failReader{}}); err == nil {
 		t.Fatal("NewPrekeyStore succeeded without entropy")

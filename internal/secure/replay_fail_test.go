@@ -65,7 +65,7 @@ func TestNewGCMRejectsBadKey(t *testing.T) {
 	if _, err := newGCM([]byte("short")); err == nil {
 		t.Fatal("newGCM accepted a short key")
 	}
-	if _, err := newAESCipher(nil); err == nil {
-		t.Fatal("newAESCipher accepted a nil key")
+	if _, err := newGCM(nil); err == nil {
+		t.Fatal("newGCM accepted a nil key")
 	}
 }

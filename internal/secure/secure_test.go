@@ -214,15 +214,26 @@ func newIdentity(t *testing.T, handle string) *id.Identity {
 	return ident
 }
 
+// storeFor builds the prekey store an envelope to ident is opened
+// against; it holds ident's long-term key for envelopes that name key 0.
+func storeFor(t *testing.T, ident *id.Identity) *PrekeyStore {
+	t.Helper()
+	ps, err := NewPrekeyStore(ident, ident.User, PrekeyConfig{})
+	if err != nil {
+		t.Fatalf("NewPrekeyStore: %v", err)
+	}
+	return ps
+}
+
 func TestEnvelopeRoundTrip(t *testing.T) {
 	sender := newIdentity(t, "alice")
 	recipient := newIdentity(t, "bob")
 
-	env, err := SealEnvelope(nil, recipient.Public(), sender, []byte("for bob only"))
+	env, err := SealEnvelope(nil, sender, recipient.User, recipient.Public(), nil, []byte("for bob only"))
 	if err != nil {
 		t.Fatalf("SealEnvelope: %v", err)
 	}
-	got, err := OpenEnvelope(recipient.Key, sender.Public(), env)
+	got, err := OpenEnvelope(storeFor(t, recipient), sender.Public(), env)
 	if err != nil {
 		t.Fatalf("OpenEnvelope: %v", err)
 	}
@@ -234,12 +245,13 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 func TestEnvelopeRoundTripProperty(t *testing.T) {
 	sender := newIdentity(t, "alice")
 	recipient := newIdentity(t, "bob")
+	ps := storeFor(t, recipient)
 	f := func(payload []byte) bool {
-		env, err := SealEnvelope(nil, recipient.Public(), sender, payload)
+		env, err := SealEnvelope(nil, sender, recipient.User, recipient.Public(), nil, payload)
 		if err != nil {
 			return false
 		}
-		got, err := OpenEnvelope(recipient.Key, sender.Public(), env)
+		got, err := OpenEnvelope(ps, sender.Public(), env)
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -252,11 +264,11 @@ func TestEnvelopeWrongRecipient(t *testing.T) {
 	recipient := newIdentity(t, "bob")
 	eve := newIdentity(t, "eve")
 
-	env, err := SealEnvelope(nil, recipient.Public(), sender, []byte("secret"))
+	env, err := SealEnvelope(nil, sender, recipient.User, recipient.Public(), nil, []byte("secret"))
 	if err != nil {
 		t.Fatalf("SealEnvelope: %v", err)
 	}
-	if _, err := OpenEnvelope(eve.Key, sender.Public(), env); err == nil {
+	if _, err := OpenEnvelope(storeFor(t, eve), sender.Public(), env); err == nil {
 		t.Error("wrong recipient opened the envelope")
 	}
 }
@@ -266,13 +278,13 @@ func TestEnvelopeForgedSender(t *testing.T) {
 	recipient := newIdentity(t, "bob")
 	mallory := newIdentity(t, "mallory")
 
-	env, err := SealEnvelope(nil, recipient.Public(), sender, []byte("secret"))
+	env, err := SealEnvelope(nil, sender, recipient.User, recipient.Public(), nil, []byte("secret"))
 	if err != nil {
 		t.Fatalf("SealEnvelope: %v", err)
 	}
 	// The recipient believes the message came from mallory; the signature
 	// check must fail.
-	if _, err := OpenEnvelope(recipient.Key, mallory.Public(), env); !errors.Is(err, ErrEnvelopeSig) {
+	if _, err := OpenEnvelope(storeFor(t, recipient), mallory.Public(), env); !errors.Is(err, ErrEnvelopeSig) {
 		t.Errorf("forged sender: err = %v, want ErrEnvelopeSig", err)
 	}
 }
@@ -281,14 +293,14 @@ func TestEnvelopeTamperedCiphertext(t *testing.T) {
 	sender := newIdentity(t, "alice")
 	recipient := newIdentity(t, "bob")
 
-	env, err := SealEnvelope(nil, recipient.Public(), sender, []byte("secret"))
+	env, err := SealEnvelope(nil, sender, recipient.User, recipient.Public(), nil, []byte("secret"))
 	if err != nil {
 		t.Fatalf("SealEnvelope: %v", err)
 	}
 	env.Ciphertext[0] ^= 0x01
 	// Tampering breaks the signature first; rebuild a valid-looking
 	// signature from mallory to reach the AEAD check too.
-	if _, err := OpenEnvelope(recipient.Key, sender.Public(), env); err == nil {
+	if _, err := OpenEnvelope(storeFor(t, recipient), sender.Public(), env); err == nil {
 		t.Error("tampered envelope accepted")
 	}
 }
@@ -296,35 +308,8 @@ func TestEnvelopeTamperedCiphertext(t *testing.T) {
 func TestOpenNilEnvelope(t *testing.T) {
 	recipient := newIdentity(t, "bob")
 	sender := newIdentity(t, "alice")
-	if _, err := OpenEnvelope(recipient.Key, sender.Public(), nil); err == nil {
+	if _, err := OpenEnvelope(storeFor(t, recipient), sender.Public(), nil); err == nil {
 		t.Error("nil envelope accepted")
-	}
-}
-
-func TestVerifyOwnership(t *testing.T) {
-	ident := newIdentity(t, "alice")
-	transcript := []byte("transcript-bytes")
-	sig, err := ident.Sign(transcript)
-	if err != nil {
-		t.Fatalf("Sign: %v", err)
-	}
-	if !VerifyOwnership(ident.Public(), transcript, sig) {
-		t.Error("valid ownership proof rejected")
-	}
-	if VerifyOwnership(ident.Public(), []byte("other"), sig) {
-		t.Error("ownership proof accepted for wrong transcript")
-	}
-}
-
-func TestConstantTimeEqual(t *testing.T) {
-	if !ConstantTimeEqual([]byte("abc"), []byte("abc")) {
-		t.Error("equal strings compared unequal")
-	}
-	if ConstantTimeEqual([]byte("abc"), []byte("abd")) {
-		t.Error("unequal strings compared equal")
-	}
-	if ConstantTimeEqual([]byte("abc"), []byte("ab")) {
-		t.Error("different lengths compared equal")
 	}
 }
 

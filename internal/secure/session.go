@@ -1,7 +1,8 @@
 // Package secure implements the cryptography the SOS ad hoc manager uses
 // to protect device-to-device traffic (paper §III-D, §IV): encrypted
-// sessions between connected peers, and end-to-end sealed envelopes for
-// data that only a specific recipient may read. Apple does not document
+// sessions between connected peers, and one end-to-end sealed envelope
+// format for data that only a specific recipient may read (envelope.go;
+// endtoend.go owns a node's state for that plane). Apple does not document
 // Multipeer Connectivity's encryption, so — like the paper — SOS layers its
 // own explicit cryptography: ECDH P-256 key agreement, HKDF-SHA256 key
 // derivation, and AES-256-GCM authenticated encryption, all from the
@@ -24,14 +25,12 @@ import (
 	"crypto/ecdsa"
 	"crypto/hkdf"
 	"crypto/sha256"
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"math"
 	"time"
 
 	"sos/internal/clock"
-	"sos/internal/id"
 	"sos/internal/obs/span"
 )
 
@@ -475,34 +474,13 @@ func (s *Session) Close() {
 
 // newGCM builds an AES-256-GCM AEAD from a 32-byte key.
 func newGCM(key []byte) (cipher.AEAD, error) {
-	block, err := newAESCipher(key)
+	block, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("secure: creating AES cipher: %w", err)
 	}
 	aead, err := cipher.NewGCM(block)
 	if err != nil {
 		return nil, fmt.Errorf("secure: creating GCM: %w", err)
 	}
 	return aead, nil
-}
-
-// ConstantTimeEqual compares two byte strings without leaking timing.
-func ConstantTimeEqual(a, b []byte) bool {
-	return subtle.ConstantTimeCompare(a, b) == 1
-}
-
-// VerifyOwnership confirms that a peer controls the private key matching
-// its certified public key: during the handshake the peer signs the
-// connection transcript, and the ad hoc manager checks that signature here.
-func VerifyOwnership(pub *ecdsa.PublicKey, transcript, sig []byte) bool {
-	return id.Verify(pub, transcript, sig)
-}
-
-// newAESCipher wraps aes.NewCipher with a context-rich error.
-func newAESCipher(key []byte) (cipher.Block, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("secure: creating AES cipher: %w", err)
-	}
-	return block, nil
 }

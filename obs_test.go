@@ -120,6 +120,8 @@ func TestDebugSurfacesEndToEnd(t *testing.T) {
 		"sos_adhoc_handshakes_total{result=\"ok\"}",
 		"sos_pki_verify_total{result=\"miss\"}", // bob's certificate, in the handshake
 		"sos_pki_cached_certs",
+		"sos_prekey_bundles_total{result=\"sent\"}", // one each way at link-up
+		"sos_prekey_bundles_total{result=\"accepted\"}",
 	} {
 		v, ok := metrics[series]
 		if !ok {
