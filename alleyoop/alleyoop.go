@@ -22,11 +22,6 @@ import (
 	"sos"
 )
 
-// Errors reported by the app.
-var (
-	ErrNotFollowing = errors.New("alleyoop: not following that user")
-)
-
 // Config assembles an AlleyOop Social instance for one user.
 type Config struct {
 	// Cloud is the backend used for the one-time signup (and later,

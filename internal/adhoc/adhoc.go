@@ -69,8 +69,8 @@ type Handler interface {
 	// medium, so the first event — a beacon already on the air can arrive
 	// before Join returns — finds a handler that can dial.
 	Bind(m *Manager)
-	// PeerDiscovered fires when a peer's plain-text advertisement is seen
-	// (new peer, or refreshed summary).
+	// PeerDiscovered fires when a peer's plain-text discovery hint is seen
+	// (new peer, or refreshed hint).
 	PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement)
 	// PeerGone fires when an advertised peer leaves range.
 	PeerGone(peer mpc.PeerID)
@@ -240,18 +240,9 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-// Advertise publishes the advertisement as this device's plain-text
-// discovery beacon (paper §V-A). Beacons must be full, single-frame
-// advertisements (BaseGen zero, not chunked): the medium replays the
-// current beacon to newly arrived peers, which have no base to apply a
-// delta against and no session to collect a chunk stream over.
+// Advertise publishes the hint as this device's plain-text discovery
+// beacon (paper §V-A); the medium replays it to newly arrived peers.
 func (m *Manager) Advertise(ad *wire.Advertisement) error {
-	if ad.IsDelta() {
-		return fmt.Errorf("adhoc: refusing delta advertisement as discovery beacon")
-	}
-	if ad.IsChunked() {
-		return fmt.Errorf("adhoc: refusing chunked advertisement as discovery beacon")
-	}
 	buf, err := wire.Encode(ad)
 	if err != nil {
 		return fmt.Errorf("adhoc: encoding advertisement: %w", err)
@@ -431,7 +422,7 @@ type events Manager
 
 var _ mpc.Events = (*events)(nil)
 
-// PeerFound implements mpc.Events: decode and surface the advertisement.
+// PeerFound implements mpc.Events: decode and surface the discovery hint.
 func (e *events) PeerFound(peer mpc.PeerID, ad []byte) {
 	m := (*Manager)(e)
 	f, err := wire.Decode(ad)

@@ -23,7 +23,7 @@ const (
 	// AttackGarbage seals random bytes into the session: they decrypt
 	// and authenticate, then fail frame decoding at the victim.
 	AttackGarbage AttackMode = 1 << iota
-	// AttackStaleDeltas advertises delta frames against generations the
+	// AttackStaleDeltas sends delta summaries against generations the
 	// victim never saw. Victims merge deltas of any base, so this probes
 	// harmlessness, not scoring: it must cost the victim one SummaryPull
 	// per heartbeat interval and nothing else.
@@ -31,8 +31,8 @@ const (
 	// AttackOversizedWants requests absurd want-lists: tens of
 	// thousands of sequence numbers per frame.
 	AttackOversizedWants
-	// AttackSummaryFlood sprays bursts of full advertisements far past
-	// any plausible refresh rate.
+	// AttackSummaryFlood sprays bursts of full in-session summaries far
+	// past any plausible refresh rate.
 	AttackSummaryFlood
 
 	attackAll = AttackGarbage | AttackStaleDeltas | AttackOversizedWants | AttackSummaryFlood
@@ -116,7 +116,8 @@ func NewByzantine(cfg ByzantineConfig) (*Byzantine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := mgr.Advertise(b.fakeAd()); err != nil {
+	gen, sum := b.fakeSummary()
+	if err := mgr.Advertise(&wire.Advertisement{Peer: string(cfg.PeerName), Gen: gen, Summary: sum}); err != nil {
 		mgr.Close()
 		return nil, err
 	}
@@ -140,10 +141,10 @@ func (b *Byzantine) Close() error {
 	return err
 }
 
-// fakeAd builds a beacon summary full of authors the attacker invented,
-// at sequence numbers nobody holds: honest epidemic peers will want all
-// of it and connect.
-func (b *Byzantine) fakeAd() *wire.Advertisement {
+// fakeSummary builds a summary full of authors the attacker invented, at
+// sequence numbers nobody holds, under a fresh generation: honest
+// epidemic peers will want all of it and connect.
+func (b *Byzantine) fakeSummary() (uint64, map[id.UserID]uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	sum := make(map[id.UserID]uint64, 8)
@@ -151,7 +152,7 @@ func (b *Byzantine) fakeAd() *wire.Advertisement {
 		sum[b.fakeUserLocked()] = uint64(b.rng.Intn(1000) + 100)
 	}
 	b.gen++
-	return &wire.Advertisement{Peer: string(b.cfg.PeerName), Gen: b.gen, Summary: sum}
+	return b.gen, sum
 }
 
 // fakeUserLocked invents a user ID that exists nowhere.
@@ -260,9 +261,7 @@ func (b *Byzantine) volley(link *adhoc.Link, mode AttackMode) error {
 		sum := map[id.UserID]uint64{b.fakeUserLocked(): uint64(b.rng.Intn(500) + 1)}
 		b.stats.StaleDeltas++
 		b.mu.Unlock()
-		return link.SendFrame(&wire.Advertisement{
-			Peer: string(b.cfg.PeerName), Gen: gen, BaseGen: gen - 1, Summary: sum,
-		})
+		return link.SendFrame(&wire.Summary{Gen: gen, BaseGen: gen - 1, Entries: sum})
 	case AttackOversizedWants:
 		b.mu.Lock()
 		wants := make([]wire.Want, 8)
@@ -278,12 +277,11 @@ func (b *Byzantine) volley(link *adhoc.Link, mode AttackMode) error {
 		return link.SendFrame(&wire.Request{Wants: wants})
 	case AttackSummaryFlood:
 		for i := 0; i < 24; i++ {
-			ad := b.fakeAd()
-			ad.Peer = string(b.cfg.PeerName)
+			gen, sum := b.fakeSummary()
 			b.mu.Lock()
 			b.stats.FloodAds++
 			b.mu.Unlock()
-			if err := link.SendFrame(ad); err != nil {
+			if err := link.SendFrame(&wire.Summary{Gen: gen, Entries: sum}); err != nil {
 				return err
 			}
 		}

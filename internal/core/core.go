@@ -27,11 +27,6 @@ import (
 	"sos/internal/store"
 )
 
-// Errors reported by the middleware facade.
-var (
-	ErrNoCert = errors.New("core: message author certificate unavailable")
-)
-
 // Observer receives middleware lifecycle events — the telemetry hook the
 // in-vivo lab attaches so a live deployment emits the same records the
 // simulator's collector computes in silico. Callbacks fire synchronously
@@ -466,8 +461,9 @@ func (mw *Middleware) publish(kind msg.Kind, subject id.UserID, payload []byte) 
 }
 
 // SetScheme switches the active routing protocol at runtime (the paper's
-// demo lets users toggle schemes inside the application) and refreshes
-// the advertisement so peers see the new scheme's gossip.
+// demo lets users toggle schemes inside the application) and pushes a
+// summary on every link so linked peers see the new scheme's gossip; the
+// discovery hint carries none.
 func (mw *Middleware) SetScheme(name string) error {
 	if err := mw.routing.Use(name); err != nil {
 		return err
@@ -530,7 +526,8 @@ func (mw *Middleware) SyncState() (peers, links, summaryEntries int) {
 	return mw.msgMgr.SyncState()
 }
 
-// Advertise refreshes the discovery beacon (summary + scheme gossip).
+// Advertise refreshes the discovery hint when the store moved and pushes
+// in-session summaries (with the scheme gossip) to linked peers.
 func (mw *Middleware) Advertise() error { return mw.msgMgr.Advertise() }
 
 // Close shuts the middleware down, detaches from the medium, and flushes

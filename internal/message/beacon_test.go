@@ -7,7 +7,9 @@ import (
 	"bytes"
 	"crypto/rand"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -156,8 +158,8 @@ func TestBeaconHintBounded(t *testing.T) {
 	if size > 700 {
 		t.Errorf("beacon encodes to %d B, want <= 700", size)
 	}
-	if ad.Gen != st.Generation() || ad.IsDelta() {
-		t.Errorf("beacon gen/base = %d/%d, want %d/0", ad.Gen, ad.BaseGen, st.Generation())
+	if ad.Gen != st.Generation() {
+		t.Errorf("beacon gen = %d, want %d", ad.Gen, st.Generation())
 	}
 }
 
@@ -299,7 +301,7 @@ func TestForgedBeaconEntryIsBounded(t *testing.T) {
 	}
 	// The beacon offers something, so alice dials.
 	waitFor(t, "alice to dial on the forged beacon", func() bool { return h.bob.linkCount() == 1 })
-	if err := h.bob.link(0).SendFrame(forged); err != nil {
+	if err := h.bob.link(0).SendFrame(&wire.Summary{Gen: forged.Gen, Entries: forged.Summary}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	// The want-list leaves in several frames (wire.MaxSeqsPerRequest each).
@@ -311,5 +313,69 @@ func TestForgedBeaconEntryIsBounded(t *testing.T) {
 	}
 	if store.MaxMissing != wire.MaxSeqsPerWant {
 		t.Errorf("store.MaxMissing = %d, want wire.MaxSeqsPerWant = %d", store.MaxMissing, wire.MaxSeqsPerWant)
+	}
+}
+
+// TestForgedHintCostsOneSequencePerEntry: the dial decision on a beacon is
+// a yes or no, so a full hint of forged entries — every one an unknown
+// author at sequence 1<<62 — must cost a few kilobytes, not a
+// 65 535-sequence want-list per entry (≈ 80 MB for the whole hint).
+func TestForgedHintCostsOneSequencePerEntry(t *testing.T) {
+	mgr, _, _ := beaconFixture(t, 0) // epidemic wants everything; AutoConnect off
+	forged := &wire.Advertisement{Peer: "mallory-phone", Gen: 1, Summary: make(map[id.UserID]uint64)}
+	for i := 0; i < message.MaxBeaconSummary; i++ {
+		forged.Summary[id.NewUserID(fmt.Sprintf("ghost-%02d", i))] = 1 << 62
+	}
+	const budget = 64 << 10
+	least := uint64(math.MaxUint64)
+	for run := 0; run < 3; run++ { // the least of three shrugs off a stray allocation elsewhere
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mgr.PeerDiscovered("mallory-phone", forged)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= budget {
+		t.Errorf("a %d-entry forged hint allocated %d B, want < %d", message.MaxBeaconSummary, least, budget)
+	}
+}
+
+// TestHintInSessionIsIgnored: the discovery hint is a plain-text frame; one
+// that arrives inside a session reaches no view, is planned against by
+// nobody and scores nothing — the session goes on as if it had not come.
+func TestHintInSessionIsIgnored(t *testing.T) {
+	h := newSyncHarness(t)
+	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
+	link := h.bob.link(0)
+	first, hinted, second := id.NewUserID("first-author"), id.NewUserID("hinted-author"), id.NewUserID("second-author")
+	if err := link.SendFrame(&wire.Summary{Gen: 5, Entries: map[id.UserID]uint64{first: 1}}); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	waitFor(t, "request against the full summary", func() bool { return h.bob.requested(first) })
+
+	if err := link.SendFrame(&wire.Advertisement{Peer: "bob-phone", Gen: 6, Summary: map[id.UserID]uint64{hinted: 4}}); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	// The session is in order: once the delta after the hint is planned
+	// against, the hint has been handled.
+	if err := link.SendFrame(&wire.Summary{Gen: 7, BaseGen: 5, Entries: map[id.UserID]uint64{second: 1}}); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	waitFor(t, "request against the delta", func() bool { return h.bob.requested(second) })
+
+	if h.bob.requested(hinted) {
+		t.Error("alice planned against a hint sent inside the session")
+	}
+	if _, _, entries := h.mgr.SyncState(); entries != 2 {
+		t.Errorf("view holds %d entries, want 2 (the full and the delta, not the hint)", entries)
+	}
+	if st := h.mgr.Stats(); st.MisbehaviorEvents != 0 || st.SummaryPullsSent != 0 {
+		t.Errorf("the in-session hint cost %d misbehavior events and %d summary pulls, want 0 and 0", st.MisbehaviorEvents, st.SummaryPullsSent)
+	}
+	if len(h.mgr.ActiveLinks()) != 1 {
+		t.Error("the link did not survive an in-session hint")
 	}
 }

@@ -1,4 +1,4 @@
-// Chunked full-sync tests: a store too large for one advertisement frame
+// Chunked full-sync tests: a store too large for one summary frame
 // streams as bounded chunks that interleave with data-plane Batch frames,
 // and the striped summary index sustains concurrent sync on several
 // links. These ride the same live-medium harness pieces as sync_test.go.
@@ -117,10 +117,10 @@ type requestingCapture struct {
 }
 
 func (c *requestingCapture) FrameIn(link *adhoc.Link, f wire.Frame) {
-	if ad, ok := f.(*wire.Advertisement); ok && !ad.IsDelta() && ad.Chunk == 0 {
+	if ad, ok := f.(*wire.Summary); ok && !ad.IsDelta() && ad.Chunk == 0 {
 		c.once.Do(func() {
 			var wants []wire.Want
-			for author, seq := range ad.Summary {
+			for author, seq := range ad.Entries {
 				wants = append(wants, wire.Want{Author: author, Seqs: []uint64{seq}})
 				if len(wants) >= 4 {
 					break
@@ -226,11 +226,11 @@ func TestChunkedFullSyncInterleavesBatches(t *testing.T) {
 			if firstBatch < 0 {
 				firstBatch = i
 			}
-		case *wire.Advertisement:
+		case *wire.Summary:
 			if fr.IsDelta() {
 				continue
 			}
-			for author, seq := range fr.Summary {
+			for author, seq := range fr.Entries {
 				if seq > covered[author] {
 					covered[author] = seq
 				}
@@ -377,7 +377,7 @@ func TestDisjointStripeConcurrentSync(t *testing.T) {
 		return func() bool {
 			view := make(map[id.UserID]uint64)
 			for _, ad := range c.ads() {
-				for author, seq := range ad.Summary {
+				for author, seq := range ad.Entries {
 					if seq > view[author] {
 						view[author] = seq
 					}

@@ -1,12 +1,14 @@
 package message_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"sos/internal/adhoc"
 	"sos/internal/id"
 	"sos/internal/message"
+	"sos/internal/mpc"
 	"sos/internal/msg"
 	"sos/internal/wire"
 )
@@ -36,8 +38,8 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 	wanted, marker := id.NewUserID("wanted-author"), id.NewUserID("marker-author")
 
 	bobLink := linkScripted(t, h, h.bobAd, h.bob, 1)
-	if err := bobLink.SendFrame(&wire.Advertisement{
-		Peer: "bob-phone", Gen: 1, Summary: map[id.UserID]uint64{wanted: 1},
+	if err := bobLink.SendFrame(&wire.Summary{
+		Gen: 1, Entries: map[id.UserID]uint64{wanted: 1},
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
@@ -54,8 +56,8 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 
 	// One plan builds one Request per link, so when the marker shows up at
 	// carol the wanted author is in the same frame or in none.
-	if err := carolLink.SendFrame(&wire.Advertisement{
-		Peer: "carol-phone", Gen: 1, Summary: map[id.UserID]uint64{wanted: 1, marker: 1},
+	if err := carolLink.SendFrame(&wire.Summary{
+		Gen: 1, Entries: map[id.UserID]uint64{wanted: 1, marker: 1},
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
@@ -70,6 +72,36 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 	waitFor(t, "re-planned request to carol", func() bool { return carol.requested(wanted) })
 	if got := h.mgr.Stats().TransfersAborted; got != 1 {
 		t.Errorf("TransfersAborted = %d, want 1 (the request that died with bob's link)", got)
+	}
+}
+
+// TestPlansLeaveInPeerOrder: a re-plan across several links (the resync
+// heartbeat, LinkDown) sends its Requests in peer-id order, the same on
+// every run, so one schedule of events puts one sequence of frames on the
+// air.
+func TestPlansLeaveInPeerOrder(t *testing.T) {
+	h := newSyncHarnessWith(t, message.Config{ResyncInterval: -1}, nil)
+	carolAd, carol, _ := h.scriptedPeer(t, h.mem, "carol")
+	peers := []struct {
+		link   *adhoc.Link
+		seen   *frameCapture
+		author id.UserID
+	}{
+		{linkScripted(t, h, h.bobAd, h.bob, 1), h.bob, id.NewUserID("held-by-bob")},
+		{linkScripted(t, h, carolAd, carol, 2), carol, id.NewUserID("held-by-carol")},
+	}
+	for _, p := range peers {
+		if err := p.link.SendFrame(&wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{p.author: 1}}); err != nil {
+			t.Fatalf("SendFrame: %v", err)
+		}
+		waitFor(t, "the first request", func() bool { return p.seen.requested(p.author) })
+	}
+
+	want := []mpc.PeerID{"bob-phone", "carol-phone"}
+	for run := 0; run < 50; run++ {
+		if got := h.mgr.PlanOrder(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: plans leave for %v, want %v", run, got, want)
+		}
 	}
 }
 
@@ -102,7 +134,7 @@ func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 
 	// Alice as the requester: three requests go unanswered.
 	wanted := id.NewUserID("wanted-author")
-	ad := &wire.Advertisement{Peer: "bob-phone", Gen: 1, Summary: map[id.UserID]uint64{wanted: 3}}
+	ad := &wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{wanted: 3}}
 	link = linkScripted(t, h, h.bobAd, h.bob, 1)
 	if err := link.SendFrame(ad); err != nil {
 		t.Fatalf("SendFrame: %v", err)

@@ -5,8 +5,8 @@ import (
 	"sos/internal/wire"
 )
 
-// mergeAd is the apply rule for every advertisement but the reset (a
-// full advertisement's chunk 0, which replaces the view): it folds a
+// mergeAd is the apply rule for every in-session summary but the reset (a
+// full summary's chunk 0, which replaces the view): it folds a
 // continuation chunk or a delta of any base into view and returns the
 // peer generation the view now reflects, plus whether the frame exposed
 // a gap only a full summary can close. No lock, no I/O.
@@ -21,18 +21,18 @@ import (
 // now reaches max(recvGen, Gen). A base above recvGen is a gap: the
 // entries are still merged (they are true), but recvGen stays put so the
 // gap stays visible and the caller should ask for a full summary.
-func mergeAd(view map[id.UserID]uint64, recvGen uint64, ad *wire.Advertisement) (newGen uint64, gap bool) {
-	for author, seq := range ad.Summary {
+func mergeAd(view map[id.UserID]uint64, recvGen uint64, sum *wire.Summary) (newGen uint64, gap bool) {
+	for author, seq := range sum.Entries {
 		if seq > view[author] {
 			view[author] = seq
 		}
 	}
-	base := ad.BaseGen
+	base := sum.BaseGen
 	if base == 0 {
-		base = ad.Gen
+		base = sum.Gen
 	}
 	if base > recvGen {
 		return recvGen, true
 	}
-	return max(recvGen, ad.Gen), false
+	return max(recvGen, sum.Gen), false
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // mergeReceiver is onSummary without the lock, the link and the flood
-// bucket: a full advertisement's chunk 0 replaces the view, everything
+// bucket: a full summary's chunk 0 replaces the view, everything
 // else goes through mergeAd. pulled latches once any frame exposed a gap.
 type mergeReceiver struct {
 	view    map[id.UserID]uint64
@@ -24,10 +24,10 @@ type mergeReceiver struct {
 }
 
 // apply feeds one frame and reports whether it lowered any entry.
-func (r *mergeReceiver) apply(ad *wire.Advertisement) (lowered bool) {
+func (r *mergeReceiver) apply(ad *wire.Summary) (lowered bool) {
 	before := maps.Clone(r.view)
 	if !ad.IsDelta() && ad.Chunk == 0 {
-		r.view, r.recvGen = maps.Clone(ad.Summary), ad.Gen
+		r.view, r.recvGen = maps.Clone(ad.Entries), ad.Gen
 	} else {
 		if r.view == nil {
 			r.view = make(map[id.UserID]uint64)
@@ -79,18 +79,18 @@ func (s *mergeSender) put() { s.putFor(s.authors[s.rng.Intn(len(s.authors))]) }
 
 // full returns the full summary at the current generation as
 // streamFullTo frames it: one frame, or chunk 0 plus continuations.
-func (s *mergeSender) full() []*wire.Advertisement {
+func (s *mergeSender) full() []*wire.Summary {
 	gen := s.st.Generation()
 	s.sentGen = gen
 	if s.st.SummarySize() <= SummaryChunkEntries {
-		return []*wire.Advertisement{{Gen: gen, Summary: s.st.Summary()}}
+		return []*wire.Summary{{Gen: gen, Entries: s.st.Summary()}}
 	}
-	var out []*wire.Advertisement
+	var out []*wire.Summary
 	ch := &summaryChunker{store: s.st}
 	for chunk, more := uint32(0), true; more; chunk++ {
 		var entries map[id.UserID]uint64
 		entries, more = ch.next()
-		out = append(out, &wire.Advertisement{Gen: gen, Chunk: chunk, More: more, Summary: entries})
+		out = append(out, &wire.Summary{Gen: gen, Chunk: chunk, More: more, Entries: entries})
 	}
 	return out
 }
@@ -99,7 +99,7 @@ func (s *mergeSender) full() []*wire.Advertisement {
 // lands between reading the generation and reading the change log — the
 // window sendSummary documents — so the delta carries a change newer
 // than its Gen label, which the next delta then re-tells.
-func (s *mergeSender) delta(racing bool) *wire.Advertisement {
+func (s *mergeSender) delta(racing bool) *wire.Summary {
 	gen := s.st.Generation()
 	if racing {
 		s.put()
@@ -108,7 +108,7 @@ func (s *mergeSender) delta(racing bool) *wire.Advertisement {
 	if !ok {
 		panic("change log does not reach the base")
 	}
-	ad := &wire.Advertisement{Gen: gen, BaseGen: s.sentGen, Summary: changes}
+	ad := &wire.Summary{Gen: gen, BaseGen: s.sentGen, Entries: changes}
 	s.sentGen = gen
 	return ad
 }
@@ -164,7 +164,7 @@ func TestMergeSemilattice(t *testing.T) {
 			merges = append(merges, s.delta(rng.Intn(4) == 0))
 		}
 
-		var run []*wire.Advertisement
+		var run []*wire.Summary
 		for i, ad := range merges {
 			copies := rng.Intn(3) // 0 = lost
 			if i < mustKeep && copies == 0 {

@@ -6,16 +6,17 @@
 // the routing layer's view (summaries, wants, messages) and the ad hoc
 // layer's frames.
 //
-// Before a link exists there is only the plain-text discovery beacon. It
-// is a hint, bounded at MaxBeaconSummary entries whatever the store holds
-// (the whole summary when it fits, else the most recently changed
-// authors), and it decides one thing: whether an unlinked peer is worth
-// dialling. Linked peers ignore it.
+// Before a link exists there is only the plain-text discovery beacon, a
+// wire.Advertisement. It is a hint, bounded at MaxBeaconSummary entries
+// whatever the store holds (the whole summary when it fits, else the most
+// recently changed authors), and it decides one thing: whether an
+// unlinked peer is worth dialling. Linked peers ignore it, and so does a
+// session: a hint sent inside one reaches no view.
 //
 // Exchange protocol on an established link:
 //
-//  1. Both sides send an authenticated in-session Advertisement (summary +
-//     scheme gossip). In-session summaries supersede the plain-text beacon,
+//  1. Both sides send an authenticated wire.Summary (summary + scheme
+//     gossip). In-session summaries supersede the plain-text beacon,
 //     which an attacker could forge.
 //  2. Each side asks the active scheme which advertised messages to pull
 //     and sends a Request.
@@ -24,7 +25,7 @@
 //     chain and the author signature before storing (paper Fig. 3b).
 //
 // There is no fourth step: storing a message moves the receiver's summary,
-// and the delta advertisement that follows carries the new high-water mark
+// and the delta summary that follows carries the new high-water mark
 // back to the sender. The requester's in-flight ledger is the record of
 // what a broken link failed to move: every request still outstanding when
 // its link drops counts as an aborted transfer and is planned again.
@@ -34,7 +35,7 @@
 // Summary exchange dominates contact airtime once buffers grow (every
 // author ever seen is one dictionary entry), so the manager keeps
 // per-peer sync state and sends deltas: after the initial full summary on
-// a link, every store change is pushed in-session as an Advertisement
+// a link, every store change is pushed in-session as a delta Summary
 // carrying only the authors whose entry moved since the generation last
 // sent to that peer (store.Engine.Changes). The state survives LinkDown —
 // a reconnect within the same gathering greets with a delta instead of
@@ -45,15 +46,15 @@
 // on its own.
 //
 // Full summaries larger than SummaryChunkEntries stream as a sequence of
-// bounded Advertisement chunks: the first chunk is sent inline (so it
+// bounded Summary chunks: the first chunk is sent inline (so it
 // always precedes any delta for the same link on the in-order session)
 // and the rest from a per-link goroutine, interleaving with Batch frames
 // — the receiver plans requests after every chunk instead of waiting for
 // the whole dictionary.
 //
-// The receiver has one apply rule: a full advertisement's chunk 0
-// replaces the cached view — the reset a restarted peer needs — and
-// every other advertisement merges raise-only (mergeAd), so duplicated,
+// The receiver has one apply rule: a full summary's chunk 0 replaces the
+// cached view — the reset a restarted peer needs — and every other
+// summary merges raise-only (mergeAd), so duplicated,
 // reordered and lost frames never lower an entry or penalise the peer.
 // A frame that builds on a generation the view has not reached exposes
 // a gap: the view is kept and one SummaryPull per link, re-armed by the
@@ -92,7 +93,8 @@ var (
 // which holds hundreds of bytes — so a store with more authors than this
 // advertises only its most recently changed ones, and peers learn the
 // rest through the authenticated in-session exchange after connecting.
-const MaxBeaconSummary = 32
+// It is the codec's own bound on the hint.
+const MaxBeaconSummary = wire.MaxHintEntries
 
 // maxPeerSync bounds the per-peer sync-state table. Entries without an
 // active link are evicted first; a peer evicted this way is simply
@@ -101,7 +103,7 @@ const maxPeerSync = 512
 
 // SummaryChunkEntries is the slice size of a chunked full-summary stream.
 // Stores whose dictionary exceeds this many entries send first-contact
-// full summaries as a sequence of bounded Advertisement chunks instead of
+// full summaries as a sequence of bounded Summary chunks instead of
 // one monolithic frame: the first chunk goes out inline (ahead of any
 // delta for the same link), the rest stream from a goroutine so Batch
 // data frames interleave with them — a fresh peer starts pulling after
@@ -221,7 +223,7 @@ type Stats struct {
 // active link (nil while disconnected), the outbound sync cursor (the
 // generation of our summary the peer has last been sent), and the inbound
 // view (the peer's summary as accumulated from full and delta
-// advertisements, plus the peer generation it reflects). Generation 0
+// summaries, plus the peer generation it reflects). Generation 0
 // means "none" on both cursors, as BaseGen == 0 marks a full on the wire.
 type peerSync struct {
 	link *adhoc.Link
@@ -275,9 +277,9 @@ type Manager struct {
 	// per-link summary pushes — so per-peer delta bases advance in the
 	// same order the frames are put on each link.
 	advMu sync.Mutex
-	// adValid/adGen/adScheme/adData remember the last published beacon:
-	// Advertise is a no-op while the store's summary generation and the
-	// scheme gossip are unchanged, so beacon refreshes cost O(1).
+	// adValid/adGen remember the generation of the last published hint
+	// and adScheme/adData the last scheme gossip, so Advertise is a no-op
+	// while neither moved. Guarded by advMu.
 	adValid  bool
 	adGen    uint64
 	adScheme string
@@ -426,12 +428,12 @@ func (m *Manager) SyncState() (peers, links, summaryEntries int) {
 	return peers, links, summaryEntries
 }
 
-// Advertise publishes the current summary and scheme gossip as the
-// device's discovery beacon and pushes per-peer delta advertisements on
-// every active link. Core calls it at startup and after every change to
-// the store. Expired relay cargo is swept first (the store's TTL policy),
-// and nothing is sent while the summary generation and the scheme gossip
-// are unchanged.
+// Advertise republishes the discovery hint when the summary generation
+// moved, and pushes per-peer delta summaries on every active link — on
+// all of them when the scheme gossip changed, which only sessions carry.
+// Core calls it at startup and after every change to the store. Expired
+// relay cargo is swept first (the store's TTL policy), and nothing is
+// sent while the generation and the scheme gossip are unchanged.
 func (m *Manager) Advertise() error {
 	m.mu.Lock()
 	a := m.adhocMgr
@@ -447,28 +449,17 @@ func (m *Manager) Advertise() error {
 	m.advMu.Lock()
 	defer m.advMu.Unlock()
 	gen := m.cfg.Store.Generation()
-
-	m.mu.Lock()
-	genMoved := !m.adValid || m.adGen != gen
 	schemeChanged := !m.adValid || m.adScheme != name || !bytes.Equal(m.adData, data)
-	m.mu.Unlock()
-	if !genMoved && !schemeChanged {
+	if !m.adValid || m.adGen != gen {
+		hint := &wire.Advertisement{Peer: string(a.Self()), Gen: gen, Summary: m.beaconSummary()}
+		if err := a.Advertise(hint); err != nil {
+			return err
+		}
+	} else if !schemeChanged {
 		return nil
 	}
-
-	if err := a.Advertise(&wire.Advertisement{
-		Peer:       string(a.Self()),
-		Gen:        gen,
-		Summary:    m.beaconSummary(),
-		SchemeData: data,
-	}); err != nil {
-		return err
-	}
-	m.mu.Lock()
 	m.adValid, m.adGen, m.adScheme = true, gen, name
 	m.adData = append(m.adData[:0], data...)
-	m.mu.Unlock()
-
 	m.pushSummaries(gen, data, schemeChanged)
 	return nil
 }
@@ -496,8 +487,8 @@ func (m *Manager) beaconSummary() map[id.UserID]uint64 {
 	return hint
 }
 
-// pushSummaries sends one in-session advertisement per active link that
-// is behind gen (every active link when force is set: a scheme-gossip
+// pushSummaries sends one in-session summary per active link that is
+// behind gen (every active link when force is set: a scheme-gossip
 // change or the resync heartbeat), grouped by delta base so every
 // distinct frame is encoded exactly once. Callers hold advMu.
 func (m *Manager) pushSummaries(gen uint64, data []byte, force bool) {
@@ -510,15 +501,14 @@ func (m *Manager) pushSummaries(gen uint64, data []byte, force bool) {
 		groups[ps.sentGen] = append(groups[ps.sentGen], ps.link)
 		ps.sentGen = gen
 	}
-	peerName := string(m.adhocMgr.Self())
 	m.mu.Unlock()
 	for base, links := range groups {
-		m.sendSummary(links, base, gen, peerName, data)
+		m.sendSummary(links, base, gen, data)
 	}
 }
 
-// sendAdTo sends one in-session advertisement on a single link — the
-// LinkUp greeting or the answer to a SummaryPull: a delta from the peer's
+// sendAdTo sends one in-session summary on a single link — the LinkUp
+// greeting or the answer to a SummaryPull: a delta from the peer's
 // last-synced generation when allowed and possible, else the full summary.
 func (m *Manager) sendAdTo(link *adhoc.Link, forceFull bool) {
 	data := m.cfg.Routing.Current().SchemeData()
@@ -538,9 +528,8 @@ func (m *Manager) sendAdTo(link *adhoc.Link, forceFull bool) {
 		base = 0
 	}
 	ps.sentGen = gen
-	peerName := string(m.adhocMgr.Self())
 	m.mu.Unlock()
-	m.sendSummary([]*adhoc.Link{link}, base, gen, peerName, data)
+	m.sendSummary([]*adhoc.Link{link}, base, gen, data)
 }
 
 // sendSummary is the one send path of the summary plane: it puts our
@@ -554,27 +543,27 @@ func (m *Manager) sendAdTo(link *adhoc.Link, forceFull bool) {
 // in a delta labelled with the generation before it. That is safe: the
 // receiver merges raise-only, and the next delta, based at gen, re-tells
 // the same entry as a harmless overlap.
-func (m *Manager) sendSummary(links []*adhoc.Link, base, gen uint64, peerName string, data []byte) {
-	ad := &wire.Advertisement{Peer: peerName, Gen: gen, SchemeData: data}
+func (m *Manager) sendSummary(links []*adhoc.Link, base, gen uint64, data []byte) {
+	sum := &wire.Summary{Gen: gen, SchemeData: data}
 	name := "advertise.full"
 	if base != 0 && base <= gen { // a base past gen is from a store this engine no longer is
 		if delta, ok := m.cfg.Store.Changes(base); ok {
-			ad.BaseGen, ad.Summary, name = base, delta, "advertise.delta"
+			sum.BaseGen, sum.Entries, name = base, delta, "advertise.delta"
 		}
 	}
-	if !ad.IsDelta() {
+	if !sum.IsDelta() {
 		if m.cfg.Store.SummarySize() > SummaryChunkEntries {
 			// Streams are per-link state: no shared encoding to fan out.
 			for _, link := range links {
-				m.streamFullTo(link, gen, peerName, data)
+				m.streamFullTo(link, gen, data)
 			}
 			return
 		}
-		ad.Summary = m.cfg.Store.Summary()
+		sum.Entries = m.cfg.Store.Summary()
 	}
 	buf := wire.GetBuffer()
 	defer buf.Free()
-	enc, err := wire.AppendEncode(buf.B[:0], ad)
+	enc, err := wire.AppendEncode(buf.B[:0], sum)
 	if err != nil {
 		return // oversized scheme data; nothing sane to send
 	}
@@ -582,7 +571,7 @@ func (m *Manager) sendSummary(links []*adhoc.Link, base, gen uint64, peerName st
 	sent := uint64(0)
 	for _, link := range links {
 		sp := m.cfg.Tracer.Start(m.trackOf(link), name)
-		sp.Attr("entries", uint64(len(ad.Summary)))
+		sp.Attr("entries", uint64(len(sum.Entries)))
 		sp.Attr("bytes", uint64(len(enc)))
 		sp.Attr("gen", gen)
 		if link.SendEncoded(enc) == nil { // link failures surface via LinkDown
@@ -591,7 +580,7 @@ func (m *Manager) sendSummary(links []*adhoc.Link, base, gen uint64, peerName st
 		sp.End()
 	}
 	m.mu.Lock()
-	if ad.IsDelta() {
+	if sum.IsDelta() {
 		m.stats.AdsDeltaSent += sent
 	} else {
 		m.stats.AdsFullSent += sent
@@ -627,11 +616,11 @@ func (m *Manager) sendCounted(link *adhoc.Link, f wire.Frame, payload bool) erro
 // PeerDiscovered implements adhoc.Handler. A beacon from an unlinked peer
 // triggers a connection when the scheme wants something it offers. For
 // linked peers the beacon is ignored: the authenticated in-session delta
-// plane already pushes every summary change.
+// plane already pushes every summary change. The scheme only answers yes
+// or no, so each entry is clamped to MaxSeq+1: MaxSeq never lowers and
+// counts evicted refs, so Missing is non-empty exactly when it was
+// unclamped, and a forged entry costs one sequence, not tens of thousands.
 func (m *Manager) PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement) {
-	if ad.IsDelta() {
-		return // beacons are full by contract; ignore anything else
-	}
 	m.mu.Lock()
 	if m.quar.quarantined(peer, m.cfg.Clock.Now()) {
 		m.stats.QuarantineRefusals++
@@ -645,8 +634,14 @@ func (m *Manager) PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement) {
 	if linked {
 		return
 	}
-	scheme := m.cfg.Routing.Current()
-	if len(scheme.Wants(ad.Summary)) == 0 {
+	hint := make(map[id.UserID]uint64, len(ad.Summary))
+	for author, seq := range ad.Summary {
+		if held := m.cfg.Store.MaxSeq(author); held < seq {
+			seq = held + 1
+		}
+		hint[author] = seq
+	}
+	if len(m.cfg.Routing.Current().Wants(hint)) == 0 {
 		return
 	}
 	if !m.cfg.AutoConnect || a == nil {
@@ -838,20 +833,20 @@ func (c *summaryChunker) next() (map[id.UserID]uint64, bool) {
 // remaining chunks. Starting a stream cancels any previous stream on the
 // same link; the receiver applies continuation chunks raise-only, so a
 // straggler frame from a cancelled stream can never lower an entry.
-func (m *Manager) streamFullTo(link *adhoc.Link, gen uint64, peerName string, data []byte) {
+func (m *Manager) streamFullTo(link *adhoc.Link, gen uint64, data []byte) {
 	track := m.trackOf(link)
 	ch := &summaryChunker{store: m.cfg.Store}
 	first, more := ch.next()
-	ad := &wire.Advertisement{Peer: peerName, Gen: gen, More: more, Summary: first, SchemeData: data}
+	sum := &wire.Summary{Gen: gen, More: more, Entries: first, SchemeData: data}
 	sp := m.cfg.Tracer.Start(track, "advertise.full")
 	sp.Attr("chunk", 0)
 	sp.Attr("entries", uint64(len(first)))
 	sp.Attr("more", boolAttr(more))
-	if err := m.sendCounted(link, ad, false); err != nil {
-		sp.End()
+	err := m.sendCounted(link, sum, false)
+	sp.End()
+	if err != nil {
 		return // link failures surface via LinkDown
 	}
-	sp.End()
 	m.mu.Lock()
 	m.stats.AdsFullSent++
 	m.stats.SummaryChunksSent++
@@ -865,7 +860,7 @@ func (m *Manager) streamFullTo(link *adhoc.Link, gen uint64, peerName string, da
 	}
 	m.mu.Unlock()
 	if more {
-		go m.streamChunks(link, track, gen, peerName, ch, cancel)
+		go m.streamChunks(link, track, gen, ch, cancel)
 	}
 }
 
@@ -879,7 +874,7 @@ func boolAttr(b bool) uint64 {
 
 // streamChunks emits a stream's continuation chunks outside the
 // advertisement lock, stopping on cancellation or link failure.
-func (m *Manager) streamChunks(link *adhoc.Link, track uint64, gen uint64, peerName string, ch *summaryChunker, cancel chan struct{}) {
+func (m *Manager) streamChunks(link *adhoc.Link, track uint64, gen uint64, ch *summaryChunker, cancel chan struct{}) {
 	defer func() {
 		m.mu.Lock()
 		if m.streams[link] == cancel {
@@ -894,15 +889,15 @@ func (m *Manager) streamChunks(link *adhoc.Link, track uint64, gen uint64, peerN
 		default:
 		}
 		entries, more := ch.next()
-		ad := &wire.Advertisement{Peer: peerName, Gen: gen, Chunk: chunk, More: more, Summary: entries}
+		sum := &wire.Summary{Gen: gen, Chunk: chunk, More: more, Entries: entries}
 		sp := m.cfg.Tracer.Start(track, "sync.chunk")
 		sp.Attr("chunk", uint64(chunk))
 		sp.Attr("entries", uint64(len(entries)))
-		if err := m.sendCounted(link, ad, false); err != nil {
-			sp.End()
+		err := m.sendCounted(link, sum, false)
+		sp.End()
+		if err != nil {
 			return
 		}
-		sp.End()
 		m.mu.Lock()
 		m.stats.SummaryChunksSent++
 		m.mu.Unlock()
@@ -928,10 +923,11 @@ func (m *Manager) evictSyncLocked() {
 	}
 }
 
-// FrameIn implements adhoc.Handler: the in-session protocol.
+// FrameIn implements adhoc.Handler: the in-session protocol. A discovery
+// hint has no place in a session and falls through unread.
 func (m *Manager) FrameIn(link *adhoc.Link, f wire.Frame) {
 	switch fr := f.(type) {
-	case *wire.Advertisement:
+	case *wire.Summary:
 		m.onSummary(link, fr)
 	case *wire.SummaryPull:
 		m.onSummaryPull(link)
@@ -1081,13 +1077,13 @@ func (m *Manager) penalizeLocked(peer mpc.PeerID, pts float64, now time.Time) bo
 	return tripped
 }
 
-// onSummary handles the peer's authenticated in-session advertisement.
-// There are two cases: a full advertisement's chunk 0 replaces the cached
-// view; everything else merges into it (mergeAd).
-func (m *Manager) onSummary(link *adhoc.Link, ad *wire.Advertisement) {
+// onSummary handles the peer's authenticated in-session summary. There
+// are two cases: a full summary's chunk 0 replaces the cached view;
+// everything else merges into it (mergeAd).
+func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 	scheme := m.cfg.Routing.Current()
-	if len(ad.SchemeData) > 0 {
-		scheme.OnPeerData(link.User(), ad.SchemeData)
+	if len(sum.SchemeData) > 0 {
+		scheme.OnPeerData(link.User(), sum.SchemeData)
 	}
 	m.mu.Lock()
 	ps := m.peers[link.Peer()]
@@ -1095,7 +1091,7 @@ func (m *Manager) onSummary(link *adhoc.Link, ad *wire.Advertisement) {
 		m.mu.Unlock()
 		return
 	}
-	if !ad.IsDelta() && ad.Chunk == 0 {
+	if !sum.IsDelta() && sum.Chunk == 0 {
 		// Full summary, or the first chunk of one: the only frame that
 		// costs O(dictionary), so the only one charged to the flood
 		// bucket. A dry bucket scores the peer and drops the frame; a
@@ -1110,16 +1106,16 @@ func (m *Manager) onSummary(link *adhoc.Link, ad *wire.Advertisement) {
 		}
 		// Decode allocated the map fresh, so taking ownership is safe.
 		// Planning starts now, without waiting for the rest of a stream.
-		ps.summary, ps.recvGen, ps.pullPending = ad.Summary, ad.Gen, false
+		ps.summary, ps.recvGen, ps.pullPending = sum.Entries, sum.Gen, false
 		m.mu.Unlock()
-		m.pullView(link, ad.Summary)
+		m.pullView(link, sum.Entries)
 		return
 	}
 	if ps.summary == nil {
-		ps.summary = make(map[id.UserID]uint64, len(ad.Summary))
+		ps.summary = make(map[id.UserID]uint64, len(sum.Entries))
 	}
 	var gap bool
-	ps.recvGen, gap = mergeAd(ps.summary, ps.recvGen, ad)
+	ps.recvGen, gap = mergeAd(ps.summary, ps.recvGen, sum)
 	pull := gap && !ps.pullPending
 	if pull {
 		ps.pullPending = true
@@ -1131,7 +1127,7 @@ func (m *Manager) onSummary(link *adhoc.Link, ad *wire.Advertisement) {
 	}
 	// Plan only over the entries this frame carried: request planning on
 	// the delta hot path costs O(changed authors), not O(summary).
-	m.pullView(link, ad.Summary)
+	m.pullView(link, sum.Entries)
 }
 
 // onSummaryPull re-sends a full summary to a peer that found a gap in
@@ -1190,25 +1186,27 @@ func (m *Manager) pullView(link *adhoc.Link, view map[id.UserID]uint64) {
 func (m *Manager) planLocked(views map[*peerSync]map[id.UserID]uint64) []outgoingPlan {
 	scheme := m.cfg.Routing.Current()
 
-	// Deterministic order: sort viewed peers by peer id.
-	peers := make([]mpc.PeerID, 0, len(views))
+	// Deterministic order: viewed peers are planned, and their plans
+	// leave, in peer-id order.
+	linked := make([]mpc.PeerID, 0, len(m.peers))
 	byUser := make(map[id.UserID]*peerSync, len(m.peers))
 	for peer, ps := range m.peers {
-		if ps.link == nil {
-			continue
-		}
-		byUser[ps.link.User()] = ps
-		if _, viewed := views[ps]; viewed {
-			peers = append(peers, peer)
+		if ps.link != nil {
+			byUser[ps.link.User()] = ps
+			linked = append(linked, peer)
 		}
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	sort.Slice(linked, func(i, j int) bool { return linked[i] < linked[j] })
 
 	plans := make(map[*peerSync]map[id.UserID][]uint64, len(views))
-	for _, peer := range peers {
+	for _, peer := range linked {
 		ps := m.peers[peer]
-		m.stats.PlanEntriesScanned += uint64(len(views[ps]))
-		for _, want := range scheme.Wants(views[ps]) {
+		view, viewed := views[ps]
+		if !viewed {
+			continue
+		}
+		m.stats.PlanEntriesScanned += uint64(len(view))
+		for _, want := range scheme.Wants(view) {
 			for _, seq := range want.Seqs {
 				ref := msg.Ref{Author: want.Author, Seq: seq}
 				if _, pending := m.inflight[ref]; pending {
@@ -1230,7 +1228,12 @@ func (m *Manager) planLocked(views map[*peerSync]map[id.UserID]uint64) []outgoin
 	}
 	// Snapshot the plans for sending outside the lock.
 	var sends []outgoingPlan
-	for ps, byAuthor := range plans {
+	for _, peer := range linked {
+		ps := m.peers[peer]
+		byAuthor := plans[ps]
+		if byAuthor == nil {
+			continue
+		}
 		authors := make([]id.UserID, 0, len(byAuthor))
 		for author := range byAuthor {
 			authors = append(authors, author)

@@ -63,7 +63,7 @@ func TestDeltaAdvertisementSize(t *testing.T) {
 	}
 	gen := st.Generation()
 
-	full, err := wire.Encode(&wire.Advertisement{Peer: "p", Gen: gen, Summary: st.Summary()})
+	full, err := wire.Encode(&wire.Summary{Gen: gen, Entries: st.Summary()})
 	if err != nil {
 		t.Fatalf("encoding full summary: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestDeltaAdvertisementSize(t *testing.T) {
 	if len(changes) != 5 {
 		t.Fatalf("Changes(base) = %d authors, want 5", len(changes))
 	}
-	delta, err := wire.Encode(&wire.Advertisement{Peer: "p", Gen: gen, BaseGen: base, Summary: changes})
+	delta, err := wire.Encode(&wire.Summary{Gen: gen, BaseGen: base, Entries: changes})
 	if err != nil {
 		t.Fatalf("encoding delta: %v", err)
 	}
@@ -274,9 +274,8 @@ func (c *frameCapture) LinkUp(link *adhoc.Link) {
 	c.links = append(c.links, link)
 }
 func (c *frameCapture) FrameIn(_ *adhoc.Link, f wire.Frame) {
-	// Clone advertisements: their maps are safe, but keep it simple and
-	// retain the frame as-is; SummaryPull and Advertisement frames do not
-	// alias decode scratch (only Batch messages do).
+	// Retain the frame as-is: Summary and SummaryPull frames do not alias
+	// decode scratch (only Batch messages do).
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.frames = append(c.frames, f)
@@ -295,12 +294,12 @@ func (c *frameCapture) link(i int) *adhoc.Link {
 	return c.links[i]
 }
 
-func (c *frameCapture) ads() []*wire.Advertisement {
+func (c *frameCapture) ads() []*wire.Summary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []*wire.Advertisement
+	var out []*wire.Summary
 	for _, f := range c.frames {
-		if ad, ok := f.(*wire.Advertisement); ok {
+		if ad, ok := f.(*wire.Summary); ok {
 			out = append(out, ad)
 		}
 	}
@@ -445,17 +444,17 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 
 	// A first full summary gives alice a cached view of bob.
 	cached := id.NewUserID("cached-author")
-	if err := link.SendFrame(&wire.Advertisement{
-		Peer: "bob-phone", Gen: 5, Summary: map[id.UserID]uint64{cached: 3},
+	if err := link.SendFrame(&wire.Summary{
+		Gen: 5, Entries: map[id.UserID]uint64{cached: 3},
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "request against the cached view", func() bool { return h.bob.requested(cached) })
 
 	// A delta against a base alice's manager never recorded.
-	gapAd := &wire.Advertisement{
-		Peer: "bob-phone", Gen: 1000, BaseGen: 999,
-		Summary: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
+	gapAd := &wire.Summary{
+		Gen: 1000, BaseGen: 999,
+		Entries: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
 	}
 	if err := link.SendFrame(gapAd); err != nil {
 		t.Fatalf("SendFrame: %v", err)
@@ -472,12 +471,12 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	// no further pull, no score and not the link.
 	last := id.NewUserID("last-of-the-burst")
 	for i := uint64(0); i < 200; i++ {
-		ad := &wire.Advertisement{
-			Peer: "bob-phone", Gen: 2000 + i, BaseGen: 1999 + i,
-			Summary: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
+		ad := &wire.Summary{
+			Gen: 2000 + i, BaseGen: 1999 + i,
+			Entries: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
 		}
 		if i == 199 {
-			ad.Summary[last] = 1
+			ad.Entries[last] = 1
 		}
 		if err := link.SendFrame(ad); err != nil {
 			t.Fatalf("SendFrame: %v", err)
@@ -501,9 +500,9 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	// Healing: a full summary replaces the view and planning resumes
 	// (alice requests the advertised message).
 	healed := id.NewUserID("healed-author")
-	fullAd := &wire.Advertisement{
-		Peer: "bob-phone", Gen: 3000,
-		Summary: map[id.UserID]uint64{healed: 1},
+	fullAd := &wire.Summary{
+		Gen:     3000,
+		Entries: map[id.UserID]uint64{healed: 1},
 	}
 	if err := link.SendFrame(fullAd); err != nil {
 		t.Fatalf("SendFrame: %v", err)
@@ -614,7 +613,7 @@ func TestSummaryPullServesFull(t *testing.T) {
 	waitFor(t, "full resync ad", func() bool {
 		ads := h.bob.ads()
 		last := ads[len(ads)-1]
-		return len(ads) >= 2 && !last.IsDelta() && last.Summary[id.NewUserID("somebody")] == 7
+		return len(ads) >= 2 && !last.IsDelta() && last.Entries[id.NewUserID("somebody")] == 7
 	})
 	if st := h.mgr.Stats(); st.SummaryPullsServed != 1 {
 		t.Errorf("SummaryPullsServed = %d, want 1", st.SummaryPullsServed)
@@ -663,8 +662,8 @@ func TestLinkDropReconnectUsesDelta(t *testing.T) {
 	if !second.IsDelta() {
 		t.Errorf("reconnect greeting was not a delta: %+v", second)
 	}
-	if second.Summary[changed] != 3 || len(second.Summary) != 1 {
-		t.Errorf("reconnect delta = %v, want {%s: 3}", second.Summary, changed)
+	if second.Entries[changed] != 3 || len(second.Entries) != 1 {
+		t.Errorf("reconnect delta = %v, want {%s: 3}", second.Entries, changed)
 	}
 	if st := h.mgr.Stats(); st.AdsDeltaSent == 0 {
 		t.Errorf("stats recorded no delta ads: %+v", st)
@@ -696,7 +695,7 @@ func TestRequestsStayUnderTheLimitTheirServerEnforces(t *testing.T) {
 	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
 	// Two authors, so a frame boundary falls inside a list and between two.
 	behind := map[id.UserID]uint64{id.NewUserID("busy-author"): 20000, id.NewUserID("busier-author"): 9000}
-	if err := h.bob.link(0).SendFrame(&wire.Advertisement{Peer: "bob-phone", Gen: 1, Summary: behind}); err != nil {
+	if err := h.bob.link(0).SendFrame(&wire.Summary{Gen: 1, Entries: behind}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "requests for the whole backlog", func() bool {

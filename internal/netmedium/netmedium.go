@@ -49,7 +49,6 @@ import (
 const (
 	DefaultBeaconListen   = ":7474"
 	DefaultBeaconInterval = 1 * time.Second
-	DefaultLossTimeout    = 3500 * time.Millisecond
 	DefaultDialTimeout    = 5 * time.Second
 
 	// The dial ladder (see dialSession): how many times Connect tries the
@@ -88,7 +87,7 @@ type Config struct {
 	// BeaconInterval is the gap between periodic beacons.
 	BeaconInterval time.Duration
 	// LossTimeout is how long a peer may stay silent before PeerLost
-	// fires; it must exceed BeaconInterval.
+	// fires; one not above BeaconInterval becomes 3.5 × BeaconInterval.
 	LossTimeout time.Duration
 	// DialTimeout bounds Connect's whole dial — every attempt plus the
 	// backoff between them — and each attempt's TCP dial plus name
@@ -740,11 +739,7 @@ func (ep *Endpoint) postLost(peer mpc.PeerID) {
 // reapLoop expires peers whose beacons stopped arriving.
 func (ep *Endpoint) reapLoop() {
 	defer ep.wg.Done()
-	period := ep.m.cfg.LossTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	ticker := time.NewTicker(period)
+	ticker := time.NewTicker(max(ep.m.cfg.LossTimeout/4, time.Millisecond))
 	defer ticker.Stop()
 	for {
 		select {
@@ -786,14 +781,11 @@ func (ep *Endpoint) severPeer(peer mpc.PeerID) {
 			doomed = append(doomed, c)
 		}
 	}
-	lost := false
 	if ps := ep.peers[peer]; ps != nil && ps.advertised {
-		ps.advertised = false
-		ps.ad = nil
-		lost = true
-	}
-	if lost && !ep.closed {
-		ep.postLost(peer)
+		ps.advertised, ps.ad = false, nil
+		if !ep.closed {
+			ep.postLost(peer)
+		}
 	}
 	ep.mu.Unlock()
 	for _, c := range doomed {

@@ -10,10 +10,14 @@ import (
 
 // Allocation budgets for the codec hot path. AppendEncode into a
 // pre-grown buffer must not allocate at all for any frame type except
-// Advertisement, whose deterministic encoding sorts its authors into a
-// scratch slice. Decode budgets are regression guards: they admit exactly
-// the allocations the decoded representation needs (frame struct, maps,
-// field copies, shared-alias batch messages) and nothing more.
+// the hint and the summary, whose deterministic encoding sorts their
+// authors into a scratch slice. Decode budgets are regression guards:
+// they admit exactly the allocations the decoded representation needs
+// (frame struct, maps, field copies, shared-alias batch messages) and
+// nothing more. "advertisement" is the discovery hint; the in-session
+// Summary rows are "summary" (full, with gossip) and, named like the
+// Ads*Sent counters that count them, "advertisement-delta" and
+// "advertisement-chunked".
 func allocFrames() map[string]Frame {
 	author := id.NewUserID("alloc-author")
 	other := id.NewUserID("alloc-other")
@@ -30,16 +34,20 @@ func allocFrames() map[string]Frame {
 	return map[string]Frame{
 		"advertisement": &Advertisement{
 			Peer: "alice-device", Gen: 12,
-			Summary:    map[id.UserID]uint64{author: 3, other: 9},
+			Summary: map[id.UserID]uint64{author: 3, other: 9},
+		},
+		"summary": &Summary{
+			Gen:        12,
+			Entries:    map[id.UserID]uint64{author: 3, other: 9},
 			SchemeData: []byte("gossip"),
 		},
-		"advertisement-delta": &Advertisement{
-			Peer: "alice-device", Gen: 12, BaseGen: 10,
-			Summary: map[id.UserID]uint64{other: 9},
+		"advertisement-delta": &Summary{
+			Gen: 12, BaseGen: 10,
+			Entries: map[id.UserID]uint64{other: 9},
 		},
-		"advertisement-chunked": &Advertisement{
-			Peer: "alice-device", Gen: 12, Chunk: 1, More: true,
-			Summary: map[id.UserID]uint64{author: 3, other: 9},
+		"advertisement-chunked": &Summary{
+			Gen: 12, Chunk: 1, More: true,
+			Entries: map[id.UserID]uint64{author: 3, other: 9},
 		},
 		"hello":        &Hello{CertDER: make([]byte, 500), Nonce: nonce},
 		"hello-ack":    &HelloAck{CertDER: make([]byte, 500), Nonce: nonce, Sig: make([]byte, 70)},
@@ -54,6 +62,7 @@ func allocFrames() map[string]Frame {
 func TestAppendEncodeAllocBudget(t *testing.T) {
 	budgets := map[string]float64{
 		"advertisement":         1, // authors sort scratch
+		"summary":               1,
 		"advertisement-delta":   1,
 		"advertisement-chunked": 1,
 	}
@@ -83,15 +92,16 @@ func TestAppendEncodeAllocBudget(t *testing.T) {
 
 func TestDecodeAllocBudget(t *testing.T) {
 	// What each decoded representation irreducibly needs:
-	//   advertisement: frame + peer-name string + summary map
-	//                  (+ scheme-data copy)
+	//   advertisement: frame + peer-name string + summary map (2)
+	//   summary:       frame + summary map (2) (+ scheme-data copy)
 	//   request:       frame + wants slice + per-want seq slices
 	//   batch:         frame + msgs slice + one struct per message
 	//                  (fields alias the input — the zero-copy win)
 	budgets := map[string]float64{
-		"advertisement":         5,
-		"advertisement-delta":   4,
-		"advertisement-chunked": 4,
+		"advertisement":         4,
+		"summary":               4,
+		"advertisement-delta":   3,
+		"advertisement-chunked": 3,
 		"hello":                 2,
 		"hello-ack":             3,
 		"hello-fin":             2,

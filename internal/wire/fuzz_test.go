@@ -30,16 +30,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 
 	seeds := []Frame{
-		&Advertisement{Peer: "alice-device", Gen: 42, Summary: map[id.UserID]uint64{alice: 3, bob: 9}, SchemeData: []byte("prophet")},
-		// Delta advertisement: only the authors changed since BaseGen.
-		&Advertisement{Peer: "alice-device", Gen: 42, BaseGen: 40, Summary: map[id.UserID]uint64{bob: 9}},
-		// Empty delta: pure scheme-gossip refresh (BaseGen == Gen).
-		&Advertisement{Peer: "alice-device", Gen: 42, BaseGen: 42, Summary: map[id.UserID]uint64{}, SchemeData: []byte("prophet")},
-		// Chunked full-summary stream: first chunk (Chunk 0 + More),
-		// a middle chunk, and a final chunk without More.
-		&Advertisement{Peer: "alice-device", Gen: 42, More: true, Summary: map[id.UserID]uint64{alice: 3}, SchemeData: []byte("prophet")},
-		&Advertisement{Peer: "alice-device", Gen: 42, Chunk: 2, More: true, Summary: map[id.UserID]uint64{bob: 9}},
-		&Advertisement{Peer: "alice-device", Gen: 42, Chunk: 3, Summary: map[id.UserID]uint64{}},
+		&Advertisement{Peer: "alice-device", Gen: 42, Summary: map[id.UserID]uint64{alice: 3, bob: 9}},
 		&Hello{CertDER: []byte{0x30, 0x03, 0x02, 0x01, 0x01}, Nonce: nonce},
 		&HelloAck{CertDER: []byte{0x30, 0x03, 0x02, 0x01, 0x02}, Nonce: nonce, Sig: []byte{1, 2, 3}},
 		&HelloFin{Sig: []byte{4, 5, 6}},
@@ -62,18 +53,30 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(retiredFrame(alice, 7))
 	f.Add([]byte{})
 	f.Add([]byte{byte(TypeAdvertisement)})
+	f.Add([]byte{byte(TypeSummary)})
 	f.Add([]byte{0xFF, 0x00, 0x01})
+	// A hint one entry over its bound, which no encoder produces.
+	f.Add(oversizeHint())
 
 	// Chaos-shaped seeds: the frame damage a lossy, duplicating,
 	// reordering radio actually manufactures (the regimes the chaos
 	// medium injects in the lab).
 	chaosSeeds := []Frame{
+		// The in-session summary in each of its shapes: full, delta,
+		// empty delta (pure scheme-gossip refresh, BaseGen == Gen), and
+		// a chunked stream's first, middle and final chunk.
+		&Summary{Gen: 42, Entries: map[id.UserID]uint64{alice: 3, bob: 9}, SchemeData: []byte("prophet")},
+		&Summary{Gen: 42, BaseGen: 40, Entries: map[id.UserID]uint64{bob: 9}},
+		&Summary{Gen: 42, BaseGen: 42, Entries: map[id.UserID]uint64{}, SchemeData: []byte("prophet")},
+		&Summary{Gen: 42, More: true, Entries: map[id.UserID]uint64{alice: 3}, SchemeData: []byte("prophet")},
+		&Summary{Gen: 42, Chunk: 2, More: true, Entries: map[id.UserID]uint64{bob: 9}},
+		&Summary{Gen: 42, Chunk: 3, Entries: map[id.UserID]uint64{}},
 		// Delta claiming a base from the far past (receiver long ago
 		// trimmed its change log).
-		&Advertisement{Peer: "alice-device", Gen: 42, BaseGen: 1, Summary: map[id.UserID]uint64{alice: 3}},
+		&Summary{Gen: 42, BaseGen: 1, Entries: map[id.UserID]uint64{alice: 3}},
 		// Continuation chunk that contradicts itself: Chunk set but More
 		// promised and no entries — a truncated stream's last gasp.
-		&Advertisement{Peer: "alice-device", Gen: 42, Chunk: 9, More: true, Summary: map[id.UserID]uint64{}},
+		&Summary{Gen: 42, Chunk: 9, More: true, Entries: map[id.UserID]uint64{}},
 	}
 	for _, fr := range chaosSeeds {
 		enc, err := Encode(fr)
@@ -94,7 +97,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// byzantine delta arrives in) cannot be built through Encode, which
 	// enforces the invariant; seed them as single-byte corruptions of a
 	// valid delta so the generation fields get flipped among the rest.
-	if delta, err := Encode(&Advertisement{Peer: "a", Gen: 42, BaseGen: 40, Summary: map[id.UserID]uint64{bob: 9}}); err == nil {
+	if delta, err := Encode(&Summary{Gen: 42, BaseGen: 40, Entries: map[id.UserID]uint64{bob: 9}}); err == nil {
 		for i := range delta {
 			bad := append([]byte{}, delta...)
 			bad[i] ^= 0xFF
@@ -103,7 +106,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	// A chunked continuation truncated exactly at the summary-entry
 	// boundary, then with a half-written entry.
-	if cont, err := Encode(&Advertisement{Peer: "alice-device", Gen: 42, Chunk: 2, More: true, Summary: map[id.UserID]uint64{alice: 3, bob: 9}}); err == nil {
+	if cont, err := Encode(&Summary{Gen: 42, Chunk: 2, More: true, Entries: map[id.UserID]uint64{alice: 3, bob: 9}}); err == nil {
 		f.Add(cont[:len(cont)-1])
 		if len(cont) > 10 {
 			f.Add(cont[:len(cont)-10])

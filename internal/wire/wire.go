@@ -1,11 +1,11 @@
 // Package wire defines the frames SOS peers exchange and their binary
-// encoding: the plain-text discovery advertisement (paper §V-A), the
+// encoding: the plain-text discovery hint (Advertisement, paper §V-A), the
 // certificate-exchange handshake that establishes an encrypted connection
-// (Figs. 2b, 3a, 3b), and the message request/transfer protocol the
-// message manager drives. The message manager "translates messages
-// between the routing manager and ad hoc manager in a common format for
-// both layers to interpret" (paper §III-C); this package is that common
-// format.
+// (Figs. 2b, 3a, 3b), and the in-session protocol the message manager
+// drives: the authenticated Summary (type byte 11), requests and batches.
+// The message manager "translates messages between the routing manager
+// and ad hoc manager in a common format for both layers to interpret"
+// (paper §III-C); this package is that common format.
 //
 // Encoding is append-oriented: AppendEncode writes a frame into a
 // caller-supplied buffer so the contact hot path (advertise → request →
@@ -42,39 +42,28 @@ const (
 	TypeBye
 	TypeSummaryPull
 	TypePrekeyBundle
+	TypeSummary
 )
+
+var typeNames = [...]string{
+	TypeAdvertisement: "advertisement", TypeHello: "hello", TypeHelloAck: "hello-ack",
+	TypeHelloFin: "hello-fin", TypeRequest: "request", TypeBatch: "batch", TypeBye: "bye",
+	TypeSummaryPull: "summary-pull", TypePrekeyBundle: "prekey-bundle", TypeSummary: "summary",
+}
 
 // String names the frame type for logs.
 func (t Type) String() string {
-	switch t {
-	case TypeAdvertisement:
-		return "advertisement"
-	case TypeHello:
-		return "hello"
-	case TypeHelloAck:
-		return "hello-ack"
-	case TypeHelloFin:
-		return "hello-fin"
-	case TypeRequest:
-		return "request"
-	case TypeBatch:
-		return "batch"
-	case TypeBye:
-		return "bye"
-	case TypeSummaryPull:
-		return "summary-pull"
-	case TypePrekeyBundle:
-		return "prekey-bundle"
-	default:
-		return fmt.Sprintf("type(%d)", uint8(t))
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
+	return fmt.Sprintf("type(%d)", uint8(t))
 }
 
 // Codec limits keep a single frame bounded. MaxSummaryEntries sizes the
-// in-session summary exchange, where frames ride TCP streams bounded by
-// MaxStreamFrame; UDP discovery beacons are bounded much tighter by the
-// transport (netmedium.MaxBeaconAd), so beacon builders must cap the
-// summaries they advertise themselves.
+// in-session Summary, whose frames ride streams bounded by MaxStreamFrame;
+// MaxHintEntries sizes the discovery hint, which must fit one radio
+// advertisement (netmedium.MaxBeaconAd) and which anyone in range can
+// forge, so both codec ends refuse a longer one.
 //
 // MaxSeqsPerRequest is a protocol limit, not a codec one: the most
 // sequence numbers one Request may total across its wants. A requester
@@ -85,6 +74,7 @@ func (t Type) String() string {
 // every one it is asked for.
 const (
 	MaxSummaryEntries = 1 << 17
+	MaxHintEntries    = 32
 	MaxWants          = 4096
 	MaxSeqsPerWant    = 65535
 	MaxSeqsPerRequest = 16384
@@ -104,8 +94,8 @@ var (
 	ErrBadType   = errors.New("wire: unknown frame type")
 	ErrTrailing  = errors.New("wire: trailing bytes")
 	ErrEmptyWant = errors.New("wire: request carries no sequence numbers")
-	ErrBadDelta  = errors.New("wire: delta advertisement base not before generation")
-	ErrBadChunk  = errors.New("wire: chunked advertisement cannot be a delta")
+	ErrBadDelta  = errors.New("wire: delta summary base not before generation")
+	ErrBadChunk  = errors.New("wire: chunked summary cannot be a delta")
 )
 
 // Frame is any decodable SOS frame.
@@ -113,67 +103,79 @@ type Frame interface {
 	Type() Type
 }
 
-// Advertisement is the summary advertisement (paper §V-A): the
-// advertising peer's display name and a dictionary mapping author UserIDs
-// to the latest MessageNumber held. It travels in two places — as the
-// plain-text discovery beacon, and inside established sessions as the
-// authenticated summary exchange.
+// Advertisement is the plain-text discovery hint (paper §V-A): the
+// advertising peer's display name, its summary generation, and at most
+// MaxHintEntries entries of its summary dictionary (author UserID →
+// latest MessageNumber held) — the whole dictionary when it fits, else
+// the most recently changed authors. It only tells a browsing peer
+// whether a connection is worth making; it is unauthenticated, so
+// nothing learned from it is trusted after that.
+type Advertisement struct {
+	Peer    string
+	Gen     uint64
+	Summary map[id.UserID]uint64
+}
+
+// Type implements Frame.
+func (*Advertisement) Type() Type { return TypeAdvertisement }
+
+// Summary is the authenticated in-session summary exchange: the sender's
+// dictionary at generation Gen. It travels inside a session, whose link
+// already knows the peer, so it names none. BaseGen selects the encoding:
 //
-// Gen is the sender's summary generation at the time the advertisement
-// was built. BaseGen selects between the two encodings of the dictionary:
-//
-//   - BaseGen == 0: Summary is the complete dictionary at Gen (a "full"
-//     advertisement). Discovery beacons are always full.
-//   - BaseGen > 0: Summary is a delta — the authors whose entry changed
+//   - BaseGen == 0: Entries is the complete dictionary at Gen (a "full"
+//     summary).
+//   - BaseGen > 0: Entries is a delta — the authors whose entry changed
 //     since generation BaseGen, at their current value (so it may carry
 //     a change newer than Gen). BaseGen == Gen with no entries is the
 //     empty delta, a heartbeat and scheme-gossip refresh.
 //
 // Entries are monotone high-water marks, so a receiver merges every
 // delta into its cached view raise-only, whatever its base; only a full
-// advertisement replaces the view. BaseGen tells the receiver whether it
-// missed anything: at or below the generation its view has reached the
-// delta is an overlap, and the view now reaches max(that, Gen); above
-// it there is a gap, and the receiver keeps view and entries and asks
-// for a full summary (SummaryPull).
+// summary replaces the view. A base at or below the generation the view
+// has reached is an overlap; a base above it is a gap, and the receiver
+// asks for a full summary (SummaryPull).
 //
-// A large full summary may additionally be *chunked*: Chunk numbers the
-// slice of the dictionary this frame carries and More says whether
-// further slices follow at the same Gen. Chunk 0 with More == false is
-// the plain single-frame full advertisement, so the zero value of both
-// fields is the pre-chunking wire behavior. The slices of one stream
-// partition the dictionary (each author appears in exactly one chunk),
-// all carry the same Gen, and arrive in Chunk order on a session's
-// in-order link; a receiver may start requesting messages after any
-// prefix of the stream. Chunk 0 replaces the receiver's view; the later
-// chunks merge into it raise-only like deltas based at the stream's Gen.
-// Chunking and deltas are mutually exclusive — a
-// chunked advertisement must have BaseGen == 0 (deltas are small by
-// construction) — and discovery beacons are never chunked.
+// A large full summary is *chunked*: Chunk numbers the slice of the
+// dictionary this frame carries and More says whether further slices
+// follow at the same Gen (Chunk 0 without More is a single-frame full
+// summary). The slices partition the dictionary and arrive in order on
+// the session, so a receiver may plan after any prefix: chunk 0 replaces
+// the view, the rest merge into it. The codec refuses a chunked delta,
+// and a base past Gen, on both ends.
 //
 // SchemeData is an opaque blob the active routing scheme may piggyback
-// (PRoPHET gossips its delivery-predictability table this way); epidemic
-// and interest-based routing leave it empty.
-type Advertisement struct {
-	Peer       string
+// (PRoPHET gossips its delivery-predictability table this way).
+type Summary struct {
 	Gen        uint64
 	BaseGen    uint64
 	Chunk      uint32
 	More       bool
-	Summary    map[id.UserID]uint64
+	Entries    map[id.UserID]uint64
 	SchemeData []byte
 }
 
 // Type implements Frame.
-func (*Advertisement) Type() Type { return TypeAdvertisement }
+func (*Summary) Type() Type { return TypeSummary }
 
-// IsDelta reports whether the advertisement is a delta against an earlier
-// generation rather than a complete summary.
-func (a *Advertisement) IsDelta() bool { return a.BaseGen != 0 }
+// IsDelta reports whether the summary is a delta against an earlier
+// generation rather than a complete dictionary.
+func (s *Summary) IsDelta() bool { return s.BaseGen != 0 }
 
-// IsChunked reports whether the advertisement is one slice of a chunked
+// IsChunked reports whether the summary is one slice of a chunked
 // full-summary stream rather than a complete dictionary in one frame.
-func (a *Advertisement) IsChunked() bool { return a.Chunk != 0 || a.More }
+func (s *Summary) IsChunked() bool { return s.Chunk != 0 || s.More }
+
+// check enforces the cross-field rules both codec ends apply.
+func (s *Summary) check() error {
+	if s.BaseGen > s.Gen {
+		return fmt.Errorf("%w: base %d, generation %d", ErrBadDelta, s.BaseGen, s.Gen)
+	}
+	if s.IsChunked() && s.IsDelta() {
+		return fmt.Errorf("%w: chunk %d, base %d", ErrBadChunk, s.Chunk, s.BaseGen)
+	}
+	return nil
+}
 
 // Hello opens the connection handshake: the initiator's certificate plus a
 // fresh nonce.
@@ -239,11 +241,11 @@ type Bye struct{}
 // Type implements Frame.
 func (*Bye) Type() Type { return TypeBye }
 
-// SummaryPull asks the peer to re-send a full (non-delta) summary
-// advertisement. A receiver sends it when a delta advertisement arrives
-// whose BaseGen is ahead of its cached view — a generation gap, e.g.
-// after a lost frame, or after the receiver restarted while the sender
-// kept its per-peer sync state.
+// SummaryPull asks the peer to re-send a full (non-delta) Summary. A
+// receiver sends it when a delta Summary arrives whose BaseGen is ahead
+// of its cached view — a generation gap, e.g. after a lost frame, or
+// after the receiver restarted while the sender kept its per-peer sync
+// state.
 type SummaryPull struct{}
 
 // Type implements Frame.
@@ -301,11 +303,14 @@ func Encode(f Frame) ([]byte, error) {
 
 // AppendEncode appends the frame's encoding to dst and returns the
 // extended slice. With a pre-grown dst it performs no allocations for any
-// frame type except Advertisement (which allocates its sort scratch).
+// frame type except the two that carry a summary dictionary (which
+// allocate its sort scratch).
 func AppendEncode(dst []byte, f Frame) ([]byte, error) {
 	switch fr := f.(type) {
 	case *Advertisement:
 		return appendAdvertisement(dst, fr)
+	case *Summary:
+		return appendSummary(dst, fr)
 	case *Hello:
 		return appendHello(dst, fr)
 	case *HelloAck:
@@ -352,24 +357,19 @@ func Decode(buf []byte) (Frame, error) {
 		return decodeHelloAck(body)
 	case TypeHelloFin:
 		r := &reader{buf: body}
-		f := &HelloFin{Sig: r.bytes16(maxSig)}
-		return finish(f, r)
+		return finish(&HelloFin{Sig: r.bytes16(maxSig)}, r)
 	case TypeRequest:
 		return decodeRequest(body)
 	case TypeBatch:
 		return decodeBatch(body)
 	case TypeBye:
-		if len(body) != 0 {
-			return nil, ErrTrailing
-		}
-		return &Bye{}, nil
+		return finish(&Bye{}, &reader{buf: body})
 	case TypeSummaryPull:
-		if len(body) != 0 {
-			return nil, ErrTrailing
-		}
-		return &SummaryPull{}, nil
+		return finish(&SummaryPull{}, &reader{buf: body})
 	case TypePrekeyBundle:
 		return decodePrekeyBundle(body)
+	case TypeSummary:
+		return decodeSummary(body)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadType, typ)
 	}
@@ -379,78 +379,79 @@ func appendAdvertisement(dst []byte, a *Advertisement) ([]byte, error) {
 	if len(a.Peer) > maxName {
 		return dst, fmt.Errorf("%w: peer name %d bytes", ErrOversize, len(a.Peer))
 	}
-	if len(a.Summary) > MaxSummaryEntries {
-		return dst, fmt.Errorf("%w: %d summary entries", ErrOversize, len(a.Summary))
+	if len(a.Summary) > MaxHintEntries {
+		return dst, fmt.Errorf("%w: %d hint entries", ErrOversize, len(a.Summary))
 	}
-	if len(a.SchemeData) > MaxSchemeData {
-		return dst, fmt.Errorf("%w: %d scheme-data bytes", ErrOversize, len(a.SchemeData))
-	}
-	if a.BaseGen > a.Gen {
-		return dst, fmt.Errorf("%w: base %d, generation %d", ErrBadDelta, a.BaseGen, a.Gen)
-	}
-	if a.IsChunked() && a.IsDelta() {
-		return dst, fmt.Errorf("%w: chunk %d, base %d", ErrBadChunk, a.Chunk, a.BaseGen)
-	}
-	// Sort authors so the encoding is deterministic.
-	authors := make([]id.UserID, 0, len(a.Summary))
-	for u := range a.Summary {
-		authors = append(authors, u)
-	}
-	slices.SortFunc(authors, func(x, y id.UserID) int { return bytes.Compare(x[:], y[:]) })
-
 	dst = append(dst, byte(TypeAdvertisement), byte(len(a.Peer)))
 	dst = append(dst, a.Peer...)
 	dst = binary.BigEndian.AppendUint64(dst, a.Gen)
-	dst = binary.BigEndian.AppendUint64(dst, a.BaseGen)
-	dst = binary.BigEndian.AppendUint32(dst, a.Chunk)
-	more := byte(0)
-	if a.More {
-		more = 1
-	}
-	dst = append(dst, more)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(authors)))
-	for _, u := range authors {
-		dst = append(dst, u[:]...)
-		dst = binary.BigEndian.AppendUint64(dst, a.Summary[u])
-	}
-	return appendBytes16(dst, a.SchemeData), nil
+	return appendDict(dst, a.Summary), nil
 }
 
 func decodeAdvertisement(body []byte) (Frame, error) {
 	r := &reader{buf: body}
-	nameLen := int(r.byte())
-	name := r.raw(nameLen)
-	a := &Advertisement{Peer: string(name)}
-	a.Gen = r.uint64()
-	a.BaseGen = r.uint64()
-	if r.err == nil && a.BaseGen > a.Gen {
-		return nil, fmt.Errorf("%w: base %d, generation %d", ErrBadDelta, a.BaseGen, a.Gen)
-	}
-	a.Chunk = r.uint32()
-	switch more := r.byte(); {
-	case r.err != nil:
-	case more > 1:
-		// Only 0 and 1 are canonical; anything else would break the
-		// Encode ∘ Decode identity the fuzzer enforces.
-		return nil, fmt.Errorf("%w: more flag %d", ErrOversize, more)
-	default:
-		a.More = more == 1
-	}
-	if r.err == nil && a.IsChunked() && a.IsDelta() {
-		return nil, fmt.Errorf("%w: chunk %d, base %d", ErrBadChunk, a.Chunk, a.BaseGen)
-	}
-	n := int(r.uint32())
-	if r.err == nil && n > MaxSummaryEntries {
-		return nil, fmt.Errorf("%w: %d summary entries", ErrOversize, n)
-	}
-	a.Summary = make(map[id.UserID]uint64, boundedCap(n))
-	for i := 0; i < n && r.err == nil; i++ {
-		var u id.UserID
-		r.userID(&u)
-		a.Summary[u] = r.uint64()
-	}
-	a.SchemeData = r.bytes16(MaxSchemeData)
+	name := r.raw(int(r.byte()))
+	a := &Advertisement{Peer: string(name), Gen: r.uint64(), Summary: r.dict(MaxHintEntries)}
 	return finish(a, r)
+}
+
+func appendSummary(dst []byte, s *Summary) ([]byte, error) {
+	if len(s.Entries) > MaxSummaryEntries {
+		return dst, fmt.Errorf("%w: %d summary entries", ErrOversize, len(s.Entries))
+	}
+	if len(s.SchemeData) > MaxSchemeData {
+		return dst, fmt.Errorf("%w: %d scheme-data bytes", ErrOversize, len(s.SchemeData))
+	}
+	if err := s.check(); err != nil {
+		return dst, err
+	}
+	dst = append(dst, byte(TypeSummary))
+	dst = binary.BigEndian.AppendUint64(dst, s.Gen)
+	dst = binary.BigEndian.AppendUint64(dst, s.BaseGen)
+	dst = binary.BigEndian.AppendUint32(dst, s.Chunk)
+	more := byte(0)
+	if s.More {
+		more = 1
+	}
+	dst = appendDict(append(dst, more), s.Entries)
+	return appendBytes16(dst, s.SchemeData), nil
+}
+
+func decodeSummary(body []byte) (Frame, error) {
+	r := &reader{buf: body}
+	s := &Summary{Gen: r.uint64(), BaseGen: r.uint64(), Chunk: r.uint32()}
+	more := r.byte()
+	if r.err == nil {
+		if more > 1 {
+			// Only 0 and 1 are canonical; anything else would break the
+			// Encode ∘ Decode identity the fuzzer enforces.
+			return nil, fmt.Errorf("%w: more flag %d", ErrOversize, more)
+		}
+		s.More = more == 1
+		if err := s.check(); err != nil {
+			return nil, err
+		}
+	}
+	s.Entries = r.dict(MaxSummaryEntries)
+	s.SchemeData = r.bytes16(MaxSchemeData)
+	return finish(s, r)
+}
+
+// appendDict appends a summary dictionary as both summary frames carry
+// it: a count, then (author, seq) pairs sorted by author so the encoding
+// is deterministic.
+func appendDict(dst []byte, dict map[id.UserID]uint64) []byte {
+	authors := make([]id.UserID, 0, len(dict))
+	for u := range dict {
+		authors = append(authors, u)
+	}
+	slices.SortFunc(authors, func(x, y id.UserID) int { return bytes.Compare(x[:], y[:]) })
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(authors)))
+	for _, u := range authors {
+		dst = append(dst, u[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, dict[u])
+	}
+	return dst
 }
 
 func appendHello(dst []byte, h *Hello) ([]byte, error) {
@@ -714,6 +715,25 @@ func (r *reader) bytes32(limit int) []byte {
 		n = int(binary.BigEndian.Uint32(b))
 	}
 	return r.sized(n, limit)
+}
+
+// dict reads a dictionary appendDict wrote, refusing a count over limit
+// before allocating for it.
+func (r *reader) dict(limit int) map[id.UserID]uint64 {
+	n := int(r.uint32())
+	if r.err == nil && n > limit {
+		r.err = fmt.Errorf("%w: %d summary entries (limit %d)", ErrOversize, n, limit)
+	}
+	if r.err != nil {
+		return nil
+	}
+	dict := make(map[id.UserID]uint64, boundedCap(n))
+	for i := 0; i < n && r.err == nil; i++ {
+		var u id.UserID
+		r.userID(&u)
+		dict[u] = r.uint64()
+	}
+	return dict
 }
 
 // sized reads an n-byte field, copying it out so decoded frames (other

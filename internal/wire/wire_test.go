@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -41,6 +42,7 @@ func TestTypeString(t *testing.T) {
 		TypeBye:           "bye",
 		TypeSummaryPull:   "summary-pull",
 		TypePrekeyBundle:  "prekey-bundle",
+		TypeSummary:       "summary",
 		retiredType:       "type(7)",
 		Type(200):         "type(200)",
 	}
@@ -54,6 +56,7 @@ func TestTypeString(t *testing.T) {
 func TestAdvertisementRoundTrip(t *testing.T) {
 	give := &Advertisement{
 		Peer:    "bobs-iphone",
+		Gen:     40,
 		Summary: map[id.UserID]uint64{alice: 12, bob: 3},
 	}
 	got := roundTrip(t, give)
@@ -70,83 +73,146 @@ func TestAdvertisementEmptySummary(t *testing.T) {
 	}
 }
 
-func TestAdvertisementDeterministicEncoding(t *testing.T) {
-	give := &Advertisement{
-		Peer: "p",
-		Summary: map[id.UserID]uint64{
-			id.NewUserID("u1"): 1, id.NewUserID("u2"): 2, id.NewUserID("u3"): 3,
-			id.NewUserID("u4"): 4, id.NewUserID("u5"): 5,
-		},
+// authorsDict is an n-author summary dictionary.
+func authorsDict(n int) map[id.UserID]uint64 {
+	dict := make(map[id.UserID]uint64, n)
+	for i := 0; i < n; i++ {
+		dict[id.NewUserID(fmt.Sprintf("u%d", i))] = uint64(i + 1)
 	}
-	first, err := Encode(give)
+	return dict
+}
+
+// assertDeterministic encodes f ten times and fails unless every
+// encoding is the same.
+func assertDeterministic(t *testing.T, f Frame) {
+	t.Helper()
+	first, err := Encode(f)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	for i := 0; i < 10; i++ {
-		again, err := Encode(give)
+		again, err := Encode(f)
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
 		if !reflect.DeepEqual(first, again) {
-			t.Fatal("advertisement encoding is not deterministic")
+			t.Fatalf("%s encoding is not deterministic", f.Type())
 		}
 	}
 }
 
+func TestAdvertisementDeterministicEncoding(t *testing.T) {
+	assertDeterministic(t, &Advertisement{Peer: "p", Summary: authorsDict(5)})
+}
+
+func TestSummaryDeterministicEncoding(t *testing.T) {
+	assertDeterministic(t, &Summary{Gen: 9, Entries: authorsDict(5), SchemeData: []byte("x")})
+}
+
+// TestAdvertisementHintBound: the hint carries at most MaxHintEntries
+// entries, and both codec ends refuse one more.
+func TestAdvertisementHintBound(t *testing.T) {
+	full := &Advertisement{Peer: "p", Gen: 1, Summary: authorsDict(MaxHintEntries)}
+	raw := roundTrip(t, full)
+	if got := raw.(*Advertisement); len(got.Summary) != MaxHintEntries {
+		t.Errorf("a %d-entry hint decoded to %d entries", MaxHintEntries, len(got.Summary))
+	}
+	over := &Advertisement{Peer: "p", Gen: 1, Summary: authorsDict(MaxHintEntries + 1)}
+	if _, err := Encode(over); !errors.Is(err, ErrOversize) {
+		t.Errorf("encoding a %d-entry hint: %v, want ErrOversize", MaxHintEntries+1, err)
+	}
+	if _, err := Decode(oversizeHint()); !errors.Is(err, ErrOversize) {
+		t.Errorf("decoding a %d-entry hint: %v, want ErrOversize", MaxHintEntries+1, err)
+	}
+}
+
+// oversizeHint hand-builds a well-formed hint of MaxHintEntries+1
+// entries, which Encode refuses to produce.
+func oversizeHint() []byte {
+	raw := []byte{byte(TypeAdvertisement), 1, 'p'}
+	raw = binary.BigEndian.AppendUint64(raw, 1)
+	return appendDict(raw, authorsDict(MaxHintEntries+1))
+}
+
+func TestSummaryRoundTrip(t *testing.T) {
+	give := &Summary{Gen: 40, Entries: map[id.UserID]uint64{alice: 12, bob: 3}, SchemeData: []byte("gossip")}
+	got := roundTrip(t, give).(*Summary)
+	if !reflect.DeepEqual(got, give) {
+		t.Errorf("round trip = %+v, want %+v", got, give)
+	}
+	if got.IsDelta() || got.IsChunked() {
+		t.Error("a single-frame full summary reads as a delta or a chunk")
+	}
+	// A summary big beyond any hint is what the in-session frame is for.
+	big := &Summary{Gen: 41, Entries: authorsDict(4 * MaxHintEntries)}
+	if got := roundTrip(t, big).(*Summary); len(got.Entries) != len(big.Entries) {
+		t.Errorf("a %d-entry summary decoded to %d entries", len(big.Entries), len(got.Entries))
+	}
+}
+
+// The delta and chunk tests below exercise the in-session Summary; they
+// keep the names they had when one Advertisement frame did both jobs.
+
 func TestAdvertisementDeltaRoundTrip(t *testing.T) {
-	give := &Advertisement{
-		Peer:    "bobs-iphone",
+	give := &Summary{
 		Gen:     120,
 		BaseGen: 117,
-		Summary: map[id.UserID]uint64{alice: 12},
+		Entries: map[id.UserID]uint64{alice: 12},
 	}
-	got := roundTrip(t, give).(*Advertisement)
+	got := roundTrip(t, give).(*Summary)
 	if !reflect.DeepEqual(got, give) {
 		t.Errorf("round trip = %+v, want %+v", got, give)
 	}
 	if !got.IsDelta() {
-		t.Error("IsDelta() = false for a delta advertisement")
+		t.Error("IsDelta() = false for a delta summary")
 	}
 }
 
 func TestAdvertisementEmptyDeltaRoundTrip(t *testing.T) {
 	// BaseGen == Gen is the empty delta: a pure scheme-gossip refresh.
-	give := &Advertisement{Peer: "p", Gen: 9, BaseGen: 9, Summary: map[id.UserID]uint64{}, SchemeData: []byte("x")}
-	got := roundTrip(t, give).(*Advertisement)
-	if got.Gen != 9 || got.BaseGen != 9 || len(got.Summary) != 0 || string(got.SchemeData) != "x" {
+	give := &Summary{Gen: 9, BaseGen: 9, Entries: map[id.UserID]uint64{}, SchemeData: []byte("x")}
+	got := roundTrip(t, give).(*Summary)
+	if got.Gen != 9 || got.BaseGen != 9 || len(got.Entries) != 0 || string(got.SchemeData) != "x" {
 		t.Errorf("round trip = %+v, want %+v", got, give)
 	}
 }
 
+// Offsets into an encoded Summary: type byte, gen, base, chunk, more flag.
+const (
+	sumGenAt   = 1
+	sumBaseAt  = 9
+	sumChunkAt = 17
+	sumMoreAt  = 21
+)
+
 func TestAdvertisementRejectsBadDelta(t *testing.T) {
 	// A base ahead of the generation is nonsense on both codec sides.
-	bad := &Advertisement{Peer: "p", Gen: 3, BaseGen: 7}
-	if _, err := Encode(bad); err == nil {
-		t.Error("encode accepted BaseGen > Gen")
+	bad := &Summary{Gen: 3, BaseGen: 7}
+	if _, err := Encode(bad); !errors.Is(err, ErrBadDelta) {
+		t.Errorf("encoding BaseGen > Gen: %v, want ErrBadDelta", err)
 	}
-	good, err := Encode(&Advertisement{Peer: "p", Gen: 7, BaseGen: 3})
+	good, err := Encode(&Summary{Gen: 7, BaseGen: 3})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	// Swap the gen/base fields in the raw encoding (offsets 3 and 11 for
-	// the one-byte peer name) so the frame claims base 7 over gen 3.
-	binary.BigEndian.PutUint64(good[3:], 3)
-	binary.BigEndian.PutUint64(good[11:], 7)
-	if _, err := Decode(good); err == nil {
-		t.Error("decode accepted BaseGen > Gen")
+	// Swap the gen/base fields so the frame claims base 7 over gen 3.
+	binary.BigEndian.PutUint64(good[sumGenAt:], 3)
+	binary.BigEndian.PutUint64(good[sumBaseAt:], 7)
+	if _, err := Decode(good); !errors.Is(err, ErrBadDelta) {
+		t.Errorf("decoding BaseGen > Gen: %v, want ErrBadDelta", err)
 	}
 }
 
 func TestAdvertisementChunkedRoundTrip(t *testing.T) {
 	// A three-chunk full-summary stream: first chunk (Chunk 0, More),
 	// middle chunk, and a final chunk that drops More.
-	stream := []*Advertisement{
-		{Peer: "p", Gen: 40, More: true, Summary: map[id.UserID]uint64{alice: 12}, SchemeData: []byte("gossip")},
-		{Peer: "p", Gen: 40, Chunk: 1, More: true, Summary: map[id.UserID]uint64{bob: 3}},
-		{Peer: "p", Gen: 40, Chunk: 2, Summary: map[id.UserID]uint64{}},
+	stream := []*Summary{
+		{Gen: 40, More: true, Entries: map[id.UserID]uint64{alice: 12}, SchemeData: []byte("gossip")},
+		{Gen: 40, Chunk: 1, More: true, Entries: map[id.UserID]uint64{bob: 3}},
+		{Gen: 40, Chunk: 2, Entries: map[id.UserID]uint64{}},
 	}
 	for i, give := range stream {
-		got := roundTrip(t, give).(*Advertisement)
+		got := roundTrip(t, give).(*Summary)
 		if !reflect.DeepEqual(got, give) {
 			t.Errorf("chunk %d round trip = %+v, want %+v", i, got, give)
 		}
@@ -154,41 +220,39 @@ func TestAdvertisementChunkedRoundTrip(t *testing.T) {
 	if !stream[0].IsChunked() || !stream[2].IsChunked() {
 		t.Error("IsChunked() = false for stream members")
 	}
-	// The plain single-frame full ad is the zero value of both fields.
-	if (&Advertisement{Peer: "p", Gen: 40}).IsChunked() {
-		t.Error("IsChunked() = true for a plain full advertisement")
+	// The plain single-frame full summary is the zero value of both fields.
+	if (&Summary{Gen: 40}).IsChunked() {
+		t.Error("IsChunked() = true for a plain full summary")
 	}
 }
 
 func TestAdvertisementRejectsChunkedDelta(t *testing.T) {
 	// Chunking and deltas are mutually exclusive on both codec sides.
-	for _, bad := range []*Advertisement{
-		{Peer: "p", Gen: 7, BaseGen: 3, More: true},
-		{Peer: "p", Gen: 7, BaseGen: 3, Chunk: 1},
+	for _, bad := range []*Summary{
+		{Gen: 7, BaseGen: 3, More: true},
+		{Gen: 7, BaseGen: 3, Chunk: 1},
 	} {
-		if _, err := Encode(bad); err == nil {
-			t.Errorf("encode accepted chunked delta %+v", bad)
+		if _, err := Encode(bad); !errors.Is(err, ErrBadChunk) {
+			t.Errorf("encoding chunked delta %+v: %v, want ErrBadChunk", bad, err)
 		}
 	}
-	// Decode side: take a valid delta and stamp a chunk number into the
-	// raw encoding (offsets for the one-byte peer name: gen at 3, base
-	// at 11, chunk at 19, more flag at 23).
-	raw, err := Encode(&Advertisement{Peer: "p", Gen: 7, BaseGen: 3, Summary: map[id.UserID]uint64{alice: 1}})
+	// Decode side: take a valid delta and stamp a chunk number into it.
+	raw, err := Encode(&Summary{Gen: 7, BaseGen: 3, Entries: map[id.UserID]uint64{alice: 1}})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	binary.BigEndian.PutUint32(raw[19:], 1)
-	if _, err := Decode(raw); err == nil {
-		t.Error("decode accepted chunked delta")
+	binary.BigEndian.PutUint32(raw[sumChunkAt:], 1)
+	if _, err := Decode(raw); !errors.Is(err, ErrBadChunk) {
+		t.Errorf("decoding a chunked delta: %v, want ErrBadChunk", err)
 	}
 }
 
 func TestAdvertisementRejectsNonCanonicalMore(t *testing.T) {
-	raw, err := Encode(&Advertisement{Peer: "p", Gen: 7, Summary: map[id.UserID]uint64{alice: 1}})
+	raw, err := Encode(&Summary{Gen: 7, Entries: map[id.UserID]uint64{alice: 1}})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	raw[23] = 2 // more flag must be 0 or 1
+	raw[sumMoreAt] = 2 // more flag must be 0 or 1
 	if _, err := Decode(raw); err == nil {
 		t.Error("decode accepted a non-canonical more flag")
 	}
@@ -307,6 +371,7 @@ func TestFrameTypeBytes(t *testing.T) {
 		TypeBye:           8,
 		TypeSummaryPull:   9,
 		TypePrekeyBundle:  10,
+		TypeSummary:       11,
 	}
 	for typ, b := range want {
 		if uint8(typ) != b {
