@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"sos"
+	"sos/internal/clock"
 	"sos/internal/obs"
 	"sos/internal/telemetry"
 )
@@ -205,12 +206,12 @@ func run(args []string) error {
 	// Live telemetry: every lifecycle event (created, disseminated,
 	// delivered, evicted, contact up/down) streams to the collector so
 	// a soslab experiment measures this node without touching it.
-	var observer sos.Observer
+	var observer sos.Observer = replObserver{}
 	var exporter *telemetry.Exporter
 	if *telemetryAddr != "" {
 		exporter = telemetry.NewExporter(*telemetryAddr, telemetry.ExporterOptions{Logf: obs.Logf(log), Tracer: tracer})
 		defer exporter.Close() // after node.Close below: final events still flush
-		observer = telemetry.NewObserver(creds.Ident.User, nil, exporter)
+		observer = sos.CombineObservers(observer, telemetry.NewObserver(creds.Ident.User, clock.System(), exporter))
 		log.Info("telemetry streaming", "collector", *telemetryAddr)
 	}
 
@@ -227,12 +228,6 @@ func run(args []string) error {
 		OnReceive: func(m *sos.Message, from sos.UserID) {
 			fmt.Printf("« received %s %s from %s via %s: %q\n",
 				m.Kind, m.Ref(), m.Author, from, trim(m.Payload))
-		},
-		OnPeerUp: func(user sos.UserID) {
-			fmt.Printf("« peer up: %s (certificate verified)\n", user)
-		},
-		OnPeerDown: func(user sos.UserID) {
-			fmt.Printf("« peer down: %s\n", user)
 		},
 	})
 	if err != nil {
@@ -348,6 +343,22 @@ func storageDirs(kind, storeDir, credsPath string) (store, replay string, err er
 	default:
 		return "", "", fmt.Errorf("unknown -store %q (want mem or disk)", kind)
 	}
+}
+
+// replObserver prints the REPL's contact lines; receipts print from
+// NodeConfig.OnReceive.
+type replObserver struct{}
+
+func (replObserver) MessageCreated(*sos.Message)                    {}
+func (replObserver) MessageReceived(*sos.Message, sos.UserID, bool) {}
+func (replObserver) MessageEvicted(sos.Eviction)                    {}
+
+func (replObserver) ContactUp(user sos.UserID) {
+	fmt.Printf("« peer up: %s (certificate verified)\n", user)
+}
+
+func (replObserver) ContactDown(user sos.UserID) {
+	fmt.Printf("« peer down: %s\n", user)
 }
 
 // command dispatches one REPL line; it reports whether to quit.

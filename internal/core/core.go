@@ -127,10 +127,8 @@ type Config struct {
 
 	// OnReceive fires once per newly stored message.
 	OnReceive func(m *msg.Message, from id.UserID)
-	// OnPeerUp / OnPeerDown observe authenticated encounters.
-	OnPeerUp   func(user id.UserID)
-	OnPeerDown func(user id.UserID)
-	// Observer, when set, receives every lifecycle event (telemetry).
+	// Observer, when set, receives every lifecycle event: creations,
+	// receipts with the delivery verdict, evictions, contacts up and down.
 	// Combine several with CombineObservers.
 	Observer Observer
 
@@ -253,12 +251,12 @@ func New(cfg Config) (*Middleware, error) {
 			return nil, fmt.Errorf("core: selecting scheme: %w", err)
 		}
 	}
-	// Interpose the observer on the message-manager callbacks: a receipt
-	// is one dissemination, and a receipt by a subscriber of the author
-	// is one delivery — the exact events the evaluation counts.
+	// The observer rides the message-manager callbacks: a receipt is one
+	// dissemination, and a receipt by a subscriber of the author is one
+	// delivery — the exact events the evaluation counts, decided here and
+	// nowhere else.
 	onReceive := cfg.OnReceive
-	onPeerUp := cfg.OnPeerUp
-	onPeerDown := cfg.OnPeerDown
+	var onPeerUp, onPeerDown func(id.UserID)
 	if obs != nil {
 		onReceive = func(m *msg.Message, from id.UserID) {
 			obs.MessageReceived(m, from, st.IsSubscribed(m.Author))
@@ -266,18 +264,7 @@ func New(cfg Config) (*Middleware, error) {
 				cfg.OnReceive(m, from)
 			}
 		}
-		onPeerUp = func(user id.UserID) {
-			obs.ContactUp(user)
-			if cfg.OnPeerUp != nil {
-				cfg.OnPeerUp(user)
-			}
-		}
-		onPeerDown = func(user id.UserID) {
-			obs.ContactDown(user)
-			if cfg.OnPeerDown != nil {
-				cfg.OnPeerDown(user)
-			}
-		}
+		onPeerUp, onPeerDown = obs.ContactUp, obs.ContactDown
 	}
 	// The node's secure-layer state: a scoped stats recorder (parallel
 	// fleets in one process stop cross-contaminating counters) and the

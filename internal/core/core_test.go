@@ -16,6 +16,7 @@ import (
 	"sos/internal/pki"
 	"sos/internal/routing"
 	"sos/internal/secure"
+	"sos/internal/store"
 )
 
 var epoch = time.Date(2017, 4, 6, 8, 0, 0, 0, time.UTC)
@@ -30,14 +31,27 @@ type world struct {
 	tracer *span.Tracer // flight recorder of the next node built; nil = none
 }
 
-// node is one simulated device running the full middleware.
+// node is one simulated device running the full middleware. It is its
+// own Observer: every receipt with core's delivery verdict, and every
+// contact edge.
 type node struct {
-	mw       *Middleware
-	creds    *cloud.Credentials
-	received []*msg.Message
-	ups      []id.UserID
-	downs    []id.UserID
+	mw        *Middleware
+	creds     *cloud.Credentials
+	received  []*msg.Message
+	delivered map[msg.Ref][]bool // each receipt's delivered flag, by ref
+	ups       []id.UserID
+	downs     []id.UserID
 }
+
+func (n *node) MessageCreated(*msg.Message) {}
+
+func (n *node) MessageReceived(m *msg.Message, _ id.UserID, delivered bool) {
+	n.delivered[m.Ref()] = append(n.delivered[m.Ref()], delivered)
+}
+
+func (n *node) MessageEvicted(store.Eviction) {}
+func (n *node) ContactUp(u id.UserID)         { n.ups = append(n.ups, u) }
+func (n *node) ContactDown(u id.UserID)       { n.downs = append(n.downs, u) }
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
@@ -61,7 +75,7 @@ func (w *world) node(handle, scheme string) *node {
 	if err != nil {
 		w.t.Fatalf("Bootstrap(%s): %v", handle, err)
 	}
-	n := &node{creds: creds}
+	n := &node{creds: creds, delivered: make(map[msg.Ref][]bool)}
 	mw, err := New(Config{
 		Creds:    creds,
 		Medium:   w.medium,
@@ -75,8 +89,7 @@ func (w *world) node(handle, scheme string) *node {
 		OnReceive: func(m *msg.Message, from id.UserID) {
 			n.received = append(n.received, m)
 		},
-		OnPeerUp:   func(u id.UserID) { n.ups = append(n.ups, u) },
-		OnPeerDown: func(u id.UserID) { n.downs = append(n.downs, u) },
+		Observer: n,
 	})
 	if err != nil {
 		w.t.Fatalf("New(%s): %v", handle, err)
@@ -188,6 +201,59 @@ func TestEpidemicMultiHopRelay(t *testing.T) {
 	}
 	if m.Hops != 2 {
 		t.Errorf("hops = %d, want 2", m.Hops)
+	}
+}
+
+// TestDeliveredFlag pins core's delivery verdict, the one definition every
+// mode counts: a receipt by a subscriber of the author is a delivery, a
+// relay's receipt is not, and a node that follows after it already holds
+// the message never delivers it (the message is not received again).
+func TestDeliveredFlag(t *testing.T) {
+	w := newWorld(t)
+	alice := w.node("alice", routing.SchemeEpidemic)
+	bob := w.node("bob", routing.SchemeEpidemic)
+	carol := w.node("carol", routing.SchemeEpidemic)
+	dave := w.node("dave", routing.SchemeEpidemic)
+	bob.mw.Subscribe(alice.mw.User())
+
+	post, err := alice.mw.Post([]byte("counted once, by a subscriber"))
+	if err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	ref := post.Ref()
+	// alice → carol (relay) → bob (subscriber) and dave (not yet).
+	w.link(alice, carol, mpc.Bluetooth)
+	w.pump(10 * time.Second)
+	w.cut(alice, carol)
+	w.link(carol, bob, mpc.Bluetooth)
+	w.link(carol, dave, mpc.Bluetooth)
+	w.pump(10 * time.Second)
+	w.cut(carol, bob)
+	w.cut(carol, dave)
+
+	// dave follows alice while holding her post, then meets her.
+	if _, err := dave.mw.Follow(alice.mw.User()); err != nil {
+		t.Fatalf("Follow: %v", err)
+	}
+	w.link(dave, alice, mpc.Bluetooth)
+	w.pump(10 * time.Second)
+
+	for _, c := range []struct {
+		name string
+		n    *node
+		want []bool
+	}{
+		{"carol (relay)", carol, []bool{false}},
+		{"bob (subscriber)", bob, []bool{true}},
+		{"dave (followed after holding)", dave, []bool{false}},
+	} {
+		got := c.n.delivered[ref]
+		if len(got) != len(c.want) || got[0] != c.want[0] {
+			t.Errorf("%s: delivered flags for %s = %v, want %v", c.name, ref, got, c.want)
+		}
+	}
+	if got := alice.delivered[ref]; len(got) != 0 {
+		t.Errorf("author received its own post: %v", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sos/internal/chaos"
+	"sos/internal/clock"
 	"sos/internal/cloud"
 	"sos/internal/core"
 	"sos/internal/id"
@@ -256,7 +257,7 @@ func runInProcess(spec *Spec, opts Options) (*Report, error) {
 		// Registered before the fallible steps below, so the deferred
 		// cleanup stops this exporter even when construction fails.
 		nodes = append(nodes, n)
-		observer := core.Observer(telemetry.NewObserver(n.user, nil, n.exporter))
+		observer := core.Observer(telemetry.NewObserver(n.user, clock.System(), n.exporter))
 		if opts.ExtraObserver != nil {
 			observer = core.CombineObservers(observer, opts.ExtraObserver(handle, n.user))
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sos/internal/clock"
 	"sos/internal/core"
 	"sos/internal/id"
 	"sos/internal/metrics"
@@ -148,7 +149,7 @@ func TestInProcessEndToEnd(t *testing.T) {
 	report, err := Run(spec, Options{
 		Logf: t.Logf,
 		ExtraObserver: func(_ string, user id.UserID) core.Observer {
-			return telemetry.NewObserver(user, nil, direct)
+			return telemetry.NewObserver(user, clock.System(), direct)
 		},
 	})
 	if err != nil {

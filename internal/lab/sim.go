@@ -33,10 +33,11 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("lab: %s mode runs the in-memory engine; spec asks for %q", ModeSim, spec.Store.Engine)
 	}
 	if opts.ExtraObserver != nil || opts.OnEvent != nil {
-		// The in-silico engine feeds the collector directly; there is no
-		// telemetry stream to observe. Harmless for OnEvent (it would
-		// just never fire), but an ExtraObserver caller expects
-		// cross-checkable events, so fail loudly for both.
+		// The simulator folds its nodes' observers into its own
+		// aggregator and takes no observer or event hook from outside.
+		// Harmless for OnEvent (it would just never fire), but an
+		// ExtraObserver caller expects cross-checkable events, so fail
+		// loudly for both.
 		return nil, fmt.Errorf("lab: %s mode has no telemetry stream for OnEvent/ExtraObserver", ModeSim)
 	}
 

@@ -204,3 +204,41 @@ func TestRandomGraphPreset(t *testing.T) {
 		}
 	}
 }
+
+// TestLabAndSimCountTheSameDeliveries runs one 3-node full-graph epidemic
+// fleet twice, in process over real sockets and in silico over a contact
+// trace that links every pair for the whole run. Both count deliveries
+// through the same observer path, so both must count every post once per
+// follower: posts × (nodes − 1).
+func TestLabAndSimCountTheSameDeliveries(t *testing.T) {
+	const posts, nodes = 6, 3
+	trace := filepath.Join(t.TempDir(), "contacts.csv")
+	if err := os.WriteFile(trace, []byte("n1,n2,up,0\nn1,n3,up,0\nn2,n3,up,0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		mode  string
+		extra string
+	}{
+		{ModeInProcess, `"beaconInterval": "50ms"`},
+		{ModeSim, fmt.Sprintf(`"trace": %q`, trace)},
+	} {
+		spec, err := ParseSpec([]byte(fmt.Sprintf(`{
+			"name": "lab-vs-sim", "nodes": %d, "scheme": "epidemic", "graph": "full",
+			"posts": %d, "duration": "5s", "postWindow": "2s", "seed": 42, %s
+		}`, nodes, posts, c.extra)))
+		if err != nil {
+			t.Fatalf("%s: ParseSpec: %v", c.mode, err)
+		}
+		rep, err := Run(spec, Options{Mode: c.mode, Logf: t.Logf})
+		if err != nil {
+			t.Fatalf("%s: Run: %v", c.mode, err)
+		}
+		if rep.PostsExecuted != posts {
+			t.Fatalf("%s: executed %d posts, want %d", c.mode, rep.PostsExecuted, posts)
+		}
+		if want := posts * (nodes - 1); rep.Deliveries != want {
+			t.Errorf("%s: %d deliveries, want %d", c.mode, rep.Deliveries, want)
+		}
+	}
+}

@@ -94,6 +94,18 @@ type liveNode struct {
 	downs    int
 }
 
+// liveNode observes its own middleware, counting contacts that end.
+func (n *liveNode) MessageCreated(*msg.Message)                   {}
+func (n *liveNode) MessageReceived(*msg.Message, id.UserID, bool) {}
+func (n *liveNode) MessageEvicted(store.Eviction)                 {}
+func (n *liveNode) ContactUp(id.UserID)                           {}
+
+func (n *liveNode) ContactDown(id.UserID) {
+	n.mu.Lock()
+	n.downs++
+	n.mu.Unlock()
+}
+
 func (n *liveNode) gotSeq(author id.UserID, seq uint64) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -130,11 +142,7 @@ func newLiveNode(t *testing.T, medium *mpc.MemMedium, svc *cloud.Service, handle
 			n.received = append(n.received, m)
 			n.mu.Unlock()
 		},
-		OnPeerDown: func(id.UserID) {
-			n.mu.Lock()
-			n.downs++
-			n.mu.Unlock()
-		},
+		Observer: n,
 	})
 	if err != nil {
 		t.Fatalf("core.New(%s): %v", handle, err)

@@ -3,9 +3,12 @@
 // simulated Multipeer-Connectivity medium, runs the complete, unmodified
 // SOS stack (PKI bootstrap, certificate handshakes, encrypted sessions,
 // routing schemes, message manager) on every simulated device, detects
-// radio contacts from node positions, executes a scheduled workload of
-// user actions, and feeds the metrics collector and trace recorder that
-// regenerate every Figure-4 series.
+// radio contacts from node positions, and executes a scheduled workload
+// of user actions. Every node reports through core.Observer, the one
+// observation path the live modes use too: a telemetry.Observer folds
+// into one telemetry.Aggregator per run (the collector behind every
+// Figure-4 series, with core deciding delivery), and a geo observer feeds
+// the trace recorder.
 //
 // Runs are deterministic: one seed fixes key generation, nonces, mobility
 // itineraries, and the workload, so results replay bit-identically.
@@ -29,6 +32,7 @@ import (
 	"sos/internal/pki"
 	"sos/internal/routing"
 	"sos/internal/store"
+	"sos/internal/telemetry"
 	"sos/internal/trace"
 )
 
@@ -153,11 +157,11 @@ type Sim struct {
 	nodes    []*Node
 	byHandle map[string]*Node
 
-	collector *metrics.Collector
-	recorder  *trace.Recorder
-	linked    map[[2]int32]bool
-	workload  []Event
-	contacts  []ContactEvent
+	agg      *telemetry.Aggregator
+	recorder *trace.Recorder
+	linked   map[[2]int32]bool
+	workload []Event
+	contacts []ContactEvent
 	// desired is the trace's current wish per pair: scripted up, not yet
 	// scripted down. The effective link additionally requires both apps
 	// active, so linked ⊆ desired at all times in trace mode.
@@ -199,7 +203,7 @@ func New(cfg Config) (*Sim, error) {
 	clk := clock.NewVirtual(cfg.Start)
 	medium := mpc.NewSimMedium(clk)
 	recorder := trace.NewRecorder()
-	collector := metrics.NewCollector()
+	agg := telemetry.NewAggregator()
 	medium.OnContact = recorder.RecordContact
 
 	ca, err := pki.NewCA("AlleyOop Root CA",
@@ -212,14 +216,14 @@ func New(cfg Config) (*Sim, error) {
 	svc := cloud.New(ca, cloud.WithClock(clk.Now))
 
 	s := &Sim{
-		cfg:       cfg,
-		clk:       clk,
-		medium:    medium,
-		svc:       svc,
-		byHandle:  make(map[string]*Node, len(cfg.Nodes)),
-		collector: collector,
-		recorder:  recorder,
-		linked:    make(map[[2]int32]bool),
+		cfg:      cfg,
+		clk:      clk,
+		medium:   medium,
+		svc:      svc,
+		byHandle: make(map[string]*Node, len(cfg.Nodes)),
+		agg:      agg,
+		recorder: recorder,
+		linked:   make(map[[2]int32]bool),
 	}
 
 	for _, spec := range cfg.Nodes {
@@ -245,8 +249,9 @@ func New(cfg Config) (*Sim, error) {
 			activity: spec.Activity,
 			peer:     mpc.PeerID(spec.Handle),
 		}
-		// Every node runs a bounded storage engine; eviction drops feed
-		// the collector so buffer pressure is a first-class metric.
+		// Every node runs a bounded storage engine; its drops reach the
+		// collector through the observer, so buffer pressure is a
+		// first-class metric.
 		policy, err := store.PolicyByName(cfg.StorePolicy, cfg.RelayTTL)
 		if err != nil {
 			return nil, fmt.Errorf("sim: store policy: %w", err)
@@ -256,7 +261,6 @@ func New(cfg Config) (*Sim, error) {
 			MaxBytes:    cfg.StoreQuotaBytes,
 			Policy:      policy,
 			Clock:       clk,
-			OnEvict:     func(ev store.Eviction) { collector.Evicted(ev.Ref) },
 		})
 		mw, err := core.New(core.Config{
 			Creds:    creds,
@@ -273,9 +277,9 @@ func New(cfg Config) (*Sim, error) {
 			// leaves them nothing to recover.
 			ResyncInterval:   -1,
 			HandshakeTimeout: -1,
-			OnReceive: func(m *msg.Message, _ id.UserID) {
-				s.onReceive(n, m)
-			},
+			Observer: core.CombineObservers(
+				telemetry.NewObserver(n.User, clk, agg),
+				geoObserver{node: n, clk: clk, rec: recorder}),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sim: starting middleware for %q: %w", spec.Handle, err)
@@ -337,18 +341,29 @@ func (s *Sim) NodeByHandle(handle string) (*Node, bool) {
 	return n, ok
 }
 
-// onReceive instruments every message receipt: geo-tagged dissemination,
-// transfer counting, and delivery detection (receipt by a subscriber of
-// the author).
-func (s *Sim) onReceive(n *Node, m *msg.Message) {
-	now := s.clk.Now()
-	ref := m.Ref()
-	s.recorder.RecordPassed(ref, n.User, now, n.Position(now))
-	s.collector.Disseminated(ref)
-	if n.MW.Store().IsSubscribed(m.Author) {
-		s.collector.Delivered(ref, n.User, now, m.Hops)
+// geoObserver geo-tags one node's messages for the trace recorder: each
+// post it authors (the workload, as the collector tracks it) and each
+// message it receives, at the node's position.
+type geoObserver struct {
+	node *Node
+	clk  clock.Clock
+	rec  *trace.Recorder
+}
+
+func (g geoObserver) MessageCreated(m *msg.Message) {
+	if m.Kind == msg.KindPost {
+		g.rec.RecordCreated(m.Ref(), g.node.User, m.Created, g.node.Position(m.Created))
 	}
 }
+
+func (g geoObserver) MessageReceived(m *msg.Message, _ id.UserID, _ bool) {
+	now := g.clk.Now()
+	g.rec.RecordPassed(m.Ref(), g.node.User, now, g.node.Position(now))
+}
+
+func (geoObserver) MessageEvicted(store.Eviction) {}
+func (geoObserver) ContactUp(id.UserID)           {}
+func (geoObserver) ContactDown(id.UserID)         {}
 
 // Run executes the simulation to completion.
 func (s *Sim) Run() (*Result, error) {
@@ -419,7 +434,7 @@ func (s *Sim) Run() (*Result, error) {
 		nodeStats[n.Handle] = n.MW.Stats()
 	}
 	return &Result{
-		Collector:   s.collector,
+		Collector:   s.agg.Collector(),
 		Recorder:    s.recorder,
 		MediumStats: s.medium.Stats(),
 		NodeStats:   nodeStats,
@@ -437,12 +452,9 @@ func (s *Sim) execute(ev Event) error {
 	}
 	switch ev.Action {
 	case ActionPost:
-		m, err := n.MW.Post(ev.Payload)
-		if err != nil {
+		if _, err := n.MW.Post(ev.Payload); err != nil {
 			return fmt.Errorf("sim: %s posting: %w", ev.Handle, err)
 		}
-		s.collector.MessageCreated(m.Ref(), m.Created)
-		s.recorder.RecordCreated(m.Ref(), n.User, m.Created, n.Position(m.Created))
 	case ActionFollow:
 		target, ok := s.byHandle[ev.Target]
 		if !ok {

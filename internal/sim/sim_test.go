@@ -4,10 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"sos/internal/id"
 	"sos/internal/message"
 	"sos/internal/metrics"
 	"sos/internal/mobility"
 	"sos/internal/mpc"
+	"sos/internal/msg"
 )
 
 var start = time.Date(2017, 4, 3, 0, 0, 0, 0, time.UTC)
@@ -411,5 +413,118 @@ func TestEpidemicOutperformsInterestInCoverage(t *testing.T) {
 	}
 	if got := line("interest"); got != 0 {
 		t.Errorf("interest deliveries = %d, want 0 (mid node is not subscribed, so it never carries)", got)
+	}
+}
+
+// staticGainesville builds a Gainesville replay whose follow graph never
+// changes: the in-app follow actions become pre-seeded subscriptions, and
+// no buffer ever drops a message.
+func staticGainesville(t *testing.T, scheme string) *Sim {
+	t.Helper()
+	g, err := NewGainesville(GainesvilleConfig{Seed: 7, Days: 2, Posts: 40, Scheme: scheme, RelayTTL: -1})
+	if err != nil {
+		t.Fatalf("NewGainesville: %v", err)
+	}
+	cfg := g.Config
+	idx := make(map[string]int, len(cfg.Nodes))
+	for i, n := range cfg.Nodes {
+		idx[n.Handle] = i
+	}
+	var workload []Event
+	for _, ev := range cfg.Workload {
+		switch ev.Action {
+		case ActionFollow:
+			cfg.Nodes[idx[ev.Handle]].Follows = append(cfg.Nodes[idx[ev.Handle]].Follows, ev.Target)
+		case ActionPost:
+			workload = append(workload, ev)
+		default:
+			t.Fatalf("unexpected workload action %d", ev.Action)
+		}
+	}
+	cfg.Workload = workload
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return s
+}
+
+// TestDeliveryOracle checks the collector against what the nodes hold at
+// the end: with a static follow graph and unbounded stores, a node holds a
+// post exactly when it received it, and received it as a subscriber
+// exactly when it subscribes to the author. So the delivery set must be
+// {(post, node) : node ≠ author, node follows the author, node holds the
+// post}, under any schedule the replay happens to take.
+func TestDeliveryOracle(t *testing.T) {
+	for _, scheme := range []string{"interest", "epidemic"} {
+		t.Run(scheme, func(t *testing.T) {
+			s := staticGainesville(t, scheme)
+			res, err := s.Run()
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			type pair struct {
+				ref msg.Ref
+				to  id.UserID
+			}
+			want := make(map[pair]bool)
+			for _, author := range s.Nodes() {
+				for _, m := range author.MW.Store().MessagesFrom(author.User, 0) {
+					if m.Kind != msg.KindPost {
+						continue
+					}
+					for _, n := range s.Nodes() {
+						st := n.MW.Store()
+						if n != author && st.IsSubscribed(author.User) && st.Has(m.Ref()) {
+							want[pair{m.Ref(), n.User}] = true
+						}
+					}
+				}
+			}
+			got := make(map[pair]bool)
+			for _, d := range res.Collector.Deliveries(metrics.AllHops) {
+				got[pair{d.Ref, d.To}] = true
+			}
+			if len(want) == 0 {
+				t.Fatal("the replay delivered nothing: the oracle is vacuous")
+			}
+			for p := range want {
+				if !got[p] {
+					t.Errorf("%s held by subscriber %s but not counted as delivered", p.ref, p.to)
+				}
+			}
+			for p := range got {
+				if !want[p] {
+					t.Errorf("%s counted as delivered to %s, which does not hold it as a subscriber", p.ref, p.to)
+				}
+			}
+		})
+	}
+}
+
+// TestDeliveriesStampedInVirtualTime: every delivery lies inside the run's
+// virtual window, so no observer stamps it with wall time.
+func TestDeliveriesStampedInVirtualTime(t *testing.T) {
+	g, err := NewGainesville(GainesvilleConfig{Seed: 3, Days: 1, Posts: 20})
+	if err != nil {
+		t.Fatalf("NewGainesville: %v", err)
+	}
+	s, err := New(g.Config)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	deliveries := res.Collector.Deliveries(metrics.AllHops)
+	if len(deliveries) == 0 {
+		t.Fatal("no deliveries to check")
+	}
+	end := g.Config.Start.Add(g.Config.Duration)
+	for _, d := range deliveries {
+		if d.DeliveredAt.Before(g.Config.Start) || d.DeliveredAt.After(end) {
+			t.Errorf("%s delivered to %s at %v, outside [%v, %v]", d.Ref, d.To, d.DeliveredAt, g.Config.Start, end)
+		}
 	}
 }

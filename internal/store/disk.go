@@ -76,9 +76,7 @@ func OpenDisk(dir string, owner id.UserID, opts Options) (*Disk, error) {
 		return nil, fmt.Errorf("store: %s is a snapshot from an older on-disk format, which this version does not read", snap)
 	}
 	maxMessages, maxBytes := opts.MaxMessages, opts.MaxBytes
-	userHook := opts.OnEvict
 	opts.MaxMessages, opts.MaxBytes = 0, 0
-	opts.OnEvict = nil
 	mem := NewMemory(owner, opts)
 
 	log, err := recordlog.Open(filepath.Join(dir, logFile), maxEncodedMessage, opts.NoSync, mem.applyRecord)
@@ -102,14 +100,8 @@ func OpenDisk(dir string, owner id.UserID, opts Options) (*Disk, error) {
 	// From here on, evictions must reach the log before anything else
 	// observes them.
 	mem.OnEvict(d.logEviction)
-	if userHook != nil {
-		mem.OnEvict(userHook)
-	}
 	for _, ev := range mem.setQuota(maxMessages, maxBytes) {
 		d.logEviction(ev)
-		if userHook != nil {
-			userHook(ev)
-		}
 	}
 	return d, nil
 }

@@ -207,8 +207,6 @@ type Options struct {
 	Policy Policy
 	// Clock drives stored-at timestamps and TTL expiry; nil = wall time.
 	Clock clock.Clock
-	// OnEvict observes every drop (same contract as Engine.OnEvict).
-	OnEvict func(Eviction)
 
 	// NoSync, for the disk engine only, skips the fsync after each
 	// appended record. Faster, but a crash can lose the tail.

@@ -104,9 +104,6 @@ func NewMemory(owner id.UserID, opts Options) *Store {
 		subs:        make(map[id.UserID]bool),
 	}
 	s.queue.prev, s.queue.next = &s.queue, &s.queue
-	if opts.OnEvict != nil {
-		s.hooks = append(s.hooks, opts.OnEvict)
-	}
 	return s
 }
 

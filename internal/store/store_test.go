@@ -290,11 +290,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestEvictionDropOldest(t *testing.T) {
 	clk := clock.NewVirtual(time.Date(2017, 4, 6, 0, 0, 0, 0, time.UTC))
 	var drops []Eviction
-	s := NewMemory(alice, Options{
-		MaxMessages: 2,
-		Clock:       clk,
-		OnEvict:     func(ev Eviction) { drops = append(drops, ev) },
-	})
+	s := NewMemory(alice, Options{MaxMessages: 2, Clock: clk})
+	s.OnEvict(func(ev Eviction) { drops = append(drops, ev) })
 	mustPut(t, s, post(bob, 1, "b1"))
 	clk.Advance(time.Minute)
 	mustPut(t, s, post(carol, 1, "c1"))

@@ -210,11 +210,8 @@ func testNextSeq(t *testing.T, w World) {
 func testQuotaEviction(t *testing.T, w World) {
 	clk := clock.NewVirtual(t0)
 	var drops []store.Eviction
-	e := w.Open(t, store.Options{
-		MaxMessages: 2,
-		Clock:       clk,
-		OnEvict:     func(ev store.Eviction) { drops = append(drops, ev) },
-	})
+	e := w.Open(t, store.Options{MaxMessages: 2, Clock: clk})
+	e.OnEvict(func(ev store.Eviction) { drops = append(drops, ev) })
 	defer e.Close()
 	mustPut(t, e, post(owner, 1, "own, protected"))
 	clk.Advance(time.Minute)

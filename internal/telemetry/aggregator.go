@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,9 +25,9 @@ type AggregatorStats struct {
 	Delivered    uint64
 	Evicted      uint64
 	Contacts     uint64
-	// Duplicates counts retransmitted events discarded by the
-	// idempotence filter (an exporter retransmits after a write timeout
-	// it cannot distinguish from a lost frame).
+	// Duplicates counts retransmitted events the Server's idempotence
+	// filter discarded (an exporter retransmits after a write timeout it
+	// cannot distinguish from a lost frame); zero for in-process feeds.
 	Duplicates uint64
 	// Nodes counts distinct reporting nodes.
 	Nodes int
@@ -43,44 +42,22 @@ type AggregatorStats struct {
 // first and the merged series match what a single collector observing
 // every node directly would have recorded.
 //
-// Aggregator is an in-process Sink; Server feeds it from remote
-// exporters over TCP. Both may be used at once.
+// Aggregator is an in-process Sink and a plain fold: every event it is
+// handed counts. The simulator feeds it directly from each node's
+// Observer; Server feeds it from remote exporters over TCP, after
+// discarding their retransmits. Both may be used at once.
 type Aggregator struct {
-	mu  sync.Mutex
-	col *metrics.Collector
-	// seen and seenPrev make ingestion idempotent: an exporter that hits
-	// a write timeout cannot tell a lost frame from a delivered one, so
-	// it retransmits, and a second arrival must not inflate any counter.
-	// The key is the full event identity including the reporting node's
-	// nanosecond timestamp — identical means retransmitted, while a
-	// genuine repeat (a contact re-forming, a node re-receiving a
-	// message whose eviction tombstone was forgotten) carries a fresh
-	// clock reading. Retransmits trail the original by at most a few
-	// timeouts, so the filter only needs a bounded look-back: when seen
-	// fills it rotates into seenPrev (generational pruning), keeping a
-	// long-lived collector's memory O(maxSeenEvents), not O(run length).
-	seen     map[eventKey]bool
-	seenPrev map[eventKey]bool
-	nodes    map[id.UserID]bool
-	stats    AggregatorStats
-	onEvent  func(Event)
+	mu      sync.Mutex
+	col     *metrics.Collector
+	nodes   map[id.UserID]bool
+	stats   AggregatorStats
+	onEvent func(Event)
 	// paths/pathsPrev hold the hop-by-hop receipt index behind PathTo;
-	// nil until TracePaths enables tracing. Same generational-rotation
-	// bounding as seen/seenPrev.
+	// nil until TracePaths enables tracing. When paths fills it rotates
+	// into pathsPrev (generational pruning), keeping a long-lived
+	// collector's memory bounded, not O(run length).
 	paths     map[msg.Ref]map[id.UserID]receipt
 	pathsPrev map[msg.Ref]map[id.UserID]receipt
-}
-
-// maxSeenEvents bounds each generation of the retransmit filter.
-const maxSeenEvents = 1 << 17
-
-// eventKey identifies one real-world event.
-type eventKey struct {
-	t    EventType
-	node id.UserID
-	ref  msg.Ref
-	peer id.UserID
-	at   int64
 }
 
 var _ Sink = (*Aggregator)(nil)
@@ -89,7 +66,6 @@ var _ Sink = (*Aggregator)(nil)
 func NewAggregator() *Aggregator {
 	return &Aggregator{
 		col:   metrics.NewCollector(),
-		seen:  make(map[eventKey]bool),
 		nodes: make(map[id.UserID]bool),
 	}
 }
@@ -116,36 +92,11 @@ func (a *Aggregator) Stats() AggregatorStats {
 	return st
 }
 
-// Nodes returns the distinct reporting nodes in deterministic order.
-func (a *Aggregator) Nodes() []id.UserID {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]id.UserID, 0, len(a.nodes))
-	for n := range a.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
 // Record implements Sink: ingest one event.
 func (a *Aggregator) Record(ev Event) {
 	a.mu.Lock()
 	a.stats.Events++
 	a.nodes[ev.Node] = true
-	key := eventKey{t: ev.Type, node: ev.Node, ref: ev.Ref, peer: ev.Peer, at: ev.At.UnixNano()}
-	if a.seen[key] || a.seenPrev[key] {
-		// A retransmission is swallowed whole — it does not reach the
-		// collector, the counters, or the progress callback.
-		a.stats.Duplicates++
-		a.mu.Unlock()
-		return
-	}
-	if len(a.seen) >= maxSeenEvents {
-		a.seenPrev = a.seen
-		a.seen = make(map[eventKey]bool, maxSeenEvents/4)
-	}
-	a.seen[key] = true
 	a.traceLocked(ev)
 	switch ev.Type {
 	case EventCreated:
@@ -190,6 +141,15 @@ func (a *Aggregator) trackLocked(ev Event) {
 	a.col.MessageCreated(ev.Ref, ev.Created)
 }
 
+// countDuplicate records one retransmit the Server discarded, so the
+// ingest identity (Events = the per-type counters + Duplicates) holds.
+func (a *Aggregator) countDuplicate() {
+	a.mu.Lock()
+	a.stats.Events++
+	a.stats.Duplicates++
+	a.mu.Unlock()
+}
+
 // Server accepts exporter connections and feeds their event streams into
 // an Aggregator — the lab's collector endpoint. One goroutine per
 // connection reads length-prefixed event frames until the exporter closes
@@ -201,10 +161,23 @@ type Server struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]bool
 	closed bool
+	// seen and seenPrev make ingestion idempotent: an exporter that hits
+	// a write timeout cannot tell a lost frame from a delivered one, so
+	// it retransmits (on whichever connection it holds next), and a
+	// second arrival must not inflate any counter. The key is the full
+	// event identity including the reporting node's nanosecond timestamp
+	// — identical means retransmitted, while a genuine repeat (a contact
+	// re-forming, a node re-receiving a message whose eviction tombstone
+	// was forgotten) carries a fresh clock reading. Retransmits trail the
+	// original by at most a few timeouts, so the filter only needs a
+	// bounded look-back: when seen fills it rotates into seenPrev
+	// (generational pruning), keeping memory O(maxSeenEvents), not
+	// O(run length). Guarded by mu.
+	seen     map[eventKey]bool
+	seenPrev map[eventKey]bool
 
-	accepted uint64
-	wg       sync.WaitGroup
-	logf     func(format string, args ...any)
+	wg   sync.WaitGroup
+	logf func(format string, args ...any)
 }
 
 // NewServer listens on addr (e.g. "127.0.0.1:0") and serves agg. logf
@@ -214,7 +187,7 @@ func NewServer(addr string, agg *Aggregator, logf func(format string, args ...an
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listening on %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, agg: agg, conns: make(map[net.Conn]bool), logf: logf}
+	s := &Server{ln: ln, agg: agg, conns: make(map[net.Conn]bool), seen: make(map[eventKey]bool), logf: logf}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -222,13 +195,6 @@ func NewServer(addr string, agg *Aggregator, logf func(format string, args ...an
 
 // Addr returns the bound listen address, for exporters to dial.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Accepted returns how many exporter connections have been admitted.
-func (s *Server) Accepted() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.accepted
-}
 
 // Close stops accepting, waits for connected exporters to finish their
 // streams (bounded by timeout, then forcibly), and returns. Call it
@@ -277,7 +243,6 @@ func (s *Server) acceptLoop() {
 			conn.Close()
 			return
 		}
-		s.accepted++
 		s.conns[conn] = true
 		s.mu.Unlock()
 		s.wg.Add(1)
@@ -309,6 +274,40 @@ func (s *Server) serve(conn net.Conn) {
 			}
 			return
 		}
-		s.agg.Record(ev)
+		if s.fresh(ev) {
+			s.agg.Record(ev)
+		} else {
+			// A retransmission is swallowed whole — it reaches neither
+			// the collector nor the progress callback.
+			s.agg.countDuplicate()
+		}
 	}
+}
+
+// maxSeenEvents bounds each generation of the retransmit filter.
+const maxSeenEvents = 1 << 17
+
+// eventKey identifies one real-world event.
+type eventKey struct {
+	t    EventType
+	node id.UserID
+	ref  msg.Ref
+	peer id.UserID
+	at   int64
+}
+
+// fresh reports whether ev is a first arrival, remembering it if so.
+func (s *Server) fresh(ev Event) bool {
+	key := eventKey{t: ev.Type, node: ev.Node, ref: ev.Ref, peer: ev.Peer, at: ev.At.UnixNano()}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seen[key] || s.seenPrev[key] {
+		return false
+	}
+	if len(s.seen) >= maxSeenEvents {
+		s.seenPrev = s.seen
+		s.seen = make(map[eventKey]bool, maxSeenEvents/4)
+	}
+	s.seen[key] = true
+	return true
 }

@@ -21,13 +21,10 @@ type Observer struct {
 
 var _ core.Observer = (*Observer)(nil)
 
-// NewObserver builds an observer reporting as node. clk stamps events
-// (nil selects wall time) — pass the middleware's own clock so virtual-
-// time runs produce coherent timestamps.
+// NewObserver builds an observer reporting as node. clk stamps events and
+// is required: pass the middleware's own clock, so a virtual-time run
+// stamps its deliveries in virtual time (clock.System() for live nodes).
 func NewObserver(node id.UserID, clk clock.Clock, sink Sink) *Observer {
-	if clk == nil {
-		clk = clock.System()
-	}
 	return &Observer{node: node, clk: clk, sink: sink}
 }
 

@@ -1,16 +1,20 @@
 package telemetry
 
 import (
+	"net"
+	"sync"
 	"testing"
+	"time"
 
 	"sos/internal/id"
 	"sos/internal/msg"
+	"sos/internal/wire"
 )
 
 // TestAggregatorRetransmitStorm replays every event of a realistic run
-// many times over — the pathological version of an exporter hitting
-// write timeouts on each frame — and requires every counter and series
-// to match the single-delivery ground truth exactly.
+// many times over through a Server — the pathological version of an
+// exporter hitting write timeouts on each frame — and requires every
+// counter and series to match the single-delivery ground truth exactly.
 func TestAggregatorRetransmitStorm(t *testing.T) {
 	ref := msg.Ref{Author: alice, Seq: 1}
 	run := []Event{
@@ -24,17 +28,17 @@ func TestAggregatorRetransmitStorm(t *testing.T) {
 
 	agg := NewAggregator()
 	agg.TracePaths()
+	srv := newTestServer(t, agg)
 	// The storm: each event arrives, then is retransmitted in bursts
-	// interleaved with later originals — worse than any real exporter,
-	// which only ever re-sends its tail.
+	// interleaved with later originals, one connection per original —
+	// worse than any real exporter, which only ever re-sends its tail.
 	const storms = 25
 	for i, ev := range run {
-		agg.Record(ev)
+		burst := []Event{ev}
 		for s := 0; s < storms; s++ {
-			for _, replay := range run[:i+1] {
-				agg.Record(replay)
-			}
+			burst = append(burst, run[:i+1]...)
 		}
+		stream(t, srv, agg, burst...)
 	}
 
 	st := agg.Stats()
@@ -185,5 +189,58 @@ func TestTraceBoundedMemory(t *testing.T) {
 	agg.mu.Unlock()
 	if live > maxTracedMessages {
 		t.Errorf("live path index holds %d messages, bound is %d", live, maxTracedMessages)
+	}
+}
+
+// TestServerFiltersAcrossConnections sends one run on several exporter
+// connections at once: the filter is the server's, not a connection's,
+// so every event counts once whichever connection lands it first.
+func TestServerFiltersAcrossConnections(t *testing.T) {
+	ref := msg.Ref{Author: alice, Seq: 1}
+	run := []Event{
+		{Type: EventCreated, Node: alice, At: at(0), Ref: ref, Kind: msg.KindPost, Created: at(0)},
+		{Type: EventDisseminated, Node: bob, At: at(2), Ref: ref, Kind: msg.KindPost, Peer: alice, Hops: 1, Created: at(0)},
+		{Type: EventDelivered, Node: bob, At: at(2), Ref: ref, Kind: msg.KindPost, Peer: alice, Hops: 1, Created: at(0)},
+		{Type: EventContactDown, Node: alice, At: at(3), Peer: bob},
+	}
+	agg := NewAggregator()
+	srv := newTestServer(t, agg)
+	const conns = 8
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			defer conn.Close()
+			for _, ev := range run {
+				if err := wire.WriteFrame(conn, ev.Encode(nil)); err != nil {
+					t.Errorf("WriteFrame: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := uint64(conns * len(run))
+	for deadline := time.Now().Add(5 * time.Second); agg.Stats().Events < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server ingested %d events, want %d", agg.Stats().Events, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st := agg.Stats()
+	if st.Duplicates != want-uint64(len(run)) {
+		t.Errorf("duplicates = %d, want %d", st.Duplicates, want-uint64(len(run)))
+	}
+	if st.Created != 1 || st.Disseminated != 1 || st.Delivered != 1 || st.Contacts != 1 {
+		t.Errorf("type counters inflated: %+v", st)
+	}
+	if got := agg.Collector().Disseminations(); got != 1 {
+		t.Errorf("disseminations = %d, want 1", got)
 	}
 }

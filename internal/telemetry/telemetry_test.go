@@ -1,12 +1,14 @@
 package telemetry
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"sos/internal/id"
 	"sos/internal/metrics"
 	"sos/internal/msg"
+	"sos/internal/wire"
 )
 
 var (
@@ -70,21 +72,59 @@ func TestDecodeEventRejectsGarbage(t *testing.T) {
 	}
 }
 
+// newTestServer serves agg on a loopback port for the test's lifetime.
+func newTestServer(t *testing.T, agg *Aggregator) *Server {
+	t.Helper()
+	srv, err := NewServer("127.0.0.1:0", agg, t.Logf)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() { srv.Close(time.Second) })
+	return srv
+}
+
+// stream sends events to srv as one exporter connection would — frames
+// on a fresh TCP connection, the way an exporter resends after a redial —
+// and returns once agg has ingested every one of them.
+func stream(t *testing.T, srv *Server, agg *Aggregator, events ...Event) {
+	t.Helper()
+	want := agg.Stats().Events + uint64(len(events))
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	for _, ev := range events {
+		if err := wire.WriteFrame(conn, ev.Encode(nil)); err != nil {
+			t.Fatalf("WriteFrame: %v", err)
+		}
+	}
+	conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); agg.Stats().Events < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server ingested %d events, want %d", agg.Stats().Events, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestAggregatorReordering is the distributed-collection property: a
 // post's dissemination, delivery, and eviction events arriving before the
 // author's creation record (streams interleave arbitrarily; the creation
 // frame may even be lost) must land in the collector exactly as if they
 // had arrived in causal order, because every record carries the authored
-// timestamp.
+// timestamp. Every event goes through a Server, the only ingest path that
+// sees retransmits, so its filter is exercised where it runs.
 func TestAggregatorReordering(t *testing.T) {
 	ref := msg.Ref{Author: alice, Seq: 1}
 	agg := NewAggregator()
+	srv := newTestServer(t, agg)
 
 	// Out of order: dissemination and delivery before the creation
 	// record. Both apply immediately — the carried Created timestamp
 	// self-registers the message.
-	agg.Record(Event{Type: EventDisseminated, Node: bob, At: at(5), Ref: ref, Kind: msg.KindPost, Hops: 1, Created: at(0)})
-	agg.Record(Event{Type: EventDelivered, Node: bob, At: at(5), Ref: ref, Kind: msg.KindPost, Hops: 1, Created: at(0)})
+	stream(t, srv, agg,
+		Event{Type: EventDisseminated, Node: bob, At: at(5), Ref: ref, Kind: msg.KindPost, Hops: 1, Created: at(0)},
+		Event{Type: EventDelivered, Node: bob, At: at(5), Ref: ref, Kind: msg.KindPost, Hops: 1, Created: at(0)})
 
 	col := agg.Collector()
 	if got := col.CreatedCount(); got != 1 {
@@ -93,8 +133,9 @@ func TestAggregatorReordering(t *testing.T) {
 
 	// The author's creation record arrives late; an eviction after it is
 	// attributed to the workload.
-	agg.Record(Event{Type: EventCreated, Node: alice, At: at(0), Ref: ref, Kind: msg.KindPost, Created: at(0)})
-	agg.Record(Event{Type: EventEvicted, Node: carol, At: at(6), Ref: ref, Kind: msg.KindPost})
+	stream(t, srv, agg,
+		Event{Type: EventCreated, Node: alice, At: at(0), Ref: ref, Kind: msg.KindPost, Created: at(0)},
+		Event{Type: EventEvicted, Node: carol, At: at(6), Ref: ref, Kind: msg.KindPost})
 
 	if got := col.CreatedCount(); got != 1 {
 		t.Fatalf("created = %d, want 1", got)
@@ -114,9 +155,11 @@ func TestAggregatorReordering(t *testing.T) {
 	}
 
 	// Retransmitted events (an exporter redialing after a write timeout
-	// resends the identical frame) must not inflate any counter.
-	agg.Record(Event{Type: EventDisseminated, Node: bob, At: at(5), Ref: ref, Kind: msg.KindPost, Hops: 1, Created: at(0)})
-	agg.Record(Event{Type: EventEvicted, Node: carol, At: at(6), Ref: ref, Kind: msg.KindPost})
+	// resends the identical frame, on its new connection) must not
+	// inflate any counter.
+	stream(t, srv, agg,
+		Event{Type: EventDisseminated, Node: bob, At: at(5), Ref: ref, Kind: msg.KindPost, Hops: 1, Created: at(0)},
+		Event{Type: EventEvicted, Node: carol, At: at(6), Ref: ref, Kind: msg.KindPost})
 	if got := col.Disseminations(); got != 1 {
 		t.Fatalf("retransmitted dissemination counted: %d", got)
 	}
@@ -130,7 +173,7 @@ func TestAggregatorReordering(t *testing.T) {
 	// A delivery reported again via a redundant path (fresh timestamp)
 	// passes the retransmit filter but the collector still dedups the
 	// (message, recipient) pair.
-	agg.Record(Event{Type: EventDelivered, Node: bob, At: at(7), Ref: ref, Kind: msg.KindPost, Hops: 2, Created: at(0)})
+	stream(t, srv, agg, Event{Type: EventDelivered, Node: bob, At: at(7), Ref: ref, Kind: msg.KindPost, Hops: 2, Created: at(0)})
 	if n := len(col.Deliveries(metrics.AllHops)); n != 1 {
 		t.Fatalf("redundant-path delivery counted: %d", n)
 	}
@@ -138,8 +181,9 @@ func TestAggregatorReordering(t *testing.T) {
 	// A genuine re-receipt — the node evicted the message, its tombstone
 	// was forgotten, and it fetched the message again — carries a fresh
 	// clock reading and counts as a real dissemination.
-	agg.Record(Event{Type: EventDisseminated, Node: carol, At: at(8), Ref: ref, Kind: msg.KindPost, Hops: 2, Created: at(0)})
-	agg.Record(Event{Type: EventDisseminated, Node: carol, At: at(9), Ref: ref, Kind: msg.KindPost, Hops: 2, Created: at(0)})
+	stream(t, srv, agg,
+		Event{Type: EventDisseminated, Node: carol, At: at(8), Ref: ref, Kind: msg.KindPost, Hops: 2, Created: at(0)},
+		Event{Type: EventDisseminated, Node: carol, At: at(9), Ref: ref, Kind: msg.KindPost, Hops: 2, Created: at(0)})
 	if got := col.Disseminations(); got != 3 {
 		t.Fatalf("re-receipt disseminations = %d, want 3", got)
 	}

@@ -176,8 +176,9 @@ type (
 	// persistent replay-store directory, session key-rotation periods,
 	// and prekey lifetimes. See docs/SECURITY.md.
 	SecurityConfig = core.SecurityConfig
-	// Observer receives middleware lifecycle events (NodeConfig.Observer)
-	// — the hook live telemetry attaches.
+	// Observer receives middleware lifecycle events (NodeConfig.Observer):
+	// the one observation path, which telemetry, the lab and the
+	// simulator all ride, and the hook for contact up/down lines.
 	Observer = core.Observer
 )
 
