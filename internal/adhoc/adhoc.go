@@ -63,7 +63,8 @@ var (
 // Callbacks for one manager are serialized; they must not block. Frames
 // handed to FrameIn may alias decode scratch that is reused after the
 // callback returns (a Batch's messages alias the decrypted frame buffer);
-// handlers that retain message contents must clone first.
+// handlers that retain message contents must copy them first
+// (msg.Message.Retain).
 type Handler interface {
 	// Bind hands the handler its manager. New calls it before joining the
 	// medium, so the first event — a beacon already on the air can arrive

@@ -79,13 +79,6 @@ func (s *Service) SetReachable(up bool) {
 	s.reachable = up
 }
 
-// Reachable reports whether the cloud is currently reachable.
-func (s *Service) Reachable() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reachable
-}
-
 // checkOnline returns ErrOffline when the service is unreachable.
 // Callers must hold s.mu.
 func (s *Service) checkOnline() error {

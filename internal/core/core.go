@@ -8,6 +8,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -125,7 +126,7 @@ type Config struct {
 	// middleware takes ownership: Close closes it.
 	Store store.Engine
 
-	// OnReceive fires once per newly stored message.
+	// OnReceive fires once per newly stored message; read-only.
 	OnReceive func(m *msg.Message, from id.UserID)
 	// Observer, when set, receives every lifecycle event: creations,
 	// receipts with the delivery verdict, evictions, contacts up and down.
@@ -421,7 +422,8 @@ func (mw *Middleware) PrekeysRemaining() int { return mw.e2e.PrekeysRemaining() 
 // right after New, what a persistent replay store resumed.
 func (mw *Middleware) ReplayState() int { return mw.e2e.SeenNonces() }
 
-// publish signs, stores, and advertises a new action message.
+// publish signs, stores, and advertises a new action message. The store
+// keeps m, so the payload is copied away from the caller.
 func (mw *Middleware) publish(kind msg.Kind, subject id.UserID, payload []byte) (*msg.Message, error) {
 	m := &msg.Message{
 		Author:  mw.User(),
@@ -429,7 +431,7 @@ func (mw *Middleware) publish(kind msg.Kind, subject id.UserID, payload []byte) 
 		Kind:    kind,
 		Created: mw.clk.Now(),
 		Subject: subject,
-		Payload: payload,
+		Payload: bytes.Clone(payload),
 		CertDER: mw.cfg.Creds.Cert.DER,
 	}
 	if err := m.Sign(mw.cfg.Creds.Ident); err != nil {
@@ -439,12 +441,12 @@ func (mw *Middleware) publish(kind msg.Kind, subject id.UserID, payload []byte) 
 		return nil, fmt.Errorf("core: storing action: %w", err)
 	}
 	if mw.cfg.Observer != nil {
-		mw.cfg.Observer.MessageCreated(m.Clone())
+		mw.cfg.Observer.MessageCreated(m)
 	}
 	if err := mw.msgMgr.Advertise(); err != nil {
 		return nil, fmt.Errorf("core: advertising action: %w", err)
 	}
-	return m.Clone(), nil
+	return m, nil
 }
 
 // SetScheme switches the active routing protocol at runtime (the paper's

@@ -511,6 +511,74 @@ func TestTamperedMessageRejected(t *testing.T) {
 	}
 }
 
+// TestMutatingAReceivedMessageIsCaughtDownstream pins what backs the
+// read-only contract on shared messages: OnReceive hands out the node's
+// one stored copy, so a handler that writes to it corrupts what the node
+// serves — and the author's signature stops that copy at the next hop.
+func TestMutatingAReceivedMessageIsCaughtDownstream(t *testing.T) {
+	w := newWorld(t)
+	alice := w.node("alice", routing.SchemeEpidemic)
+	bob := w.node("bob", routing.SchemeEpidemic)
+	carol := w.node("carol", routing.SchemeEpidemic)
+
+	post, err := alice.mw.Post([]byte("handle with care"))
+	if err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	if stored, _ := alice.mw.Store().Get(post.Ref()); stored != post {
+		t.Error("Post returned a copy, not the stored message")
+	}
+	w.link(alice, bob, mpc.Bluetooth)
+	w.pump(10 * time.Second)
+	w.cut(alice, bob)
+
+	got, ok := refs(bob.received)[post.Ref()]
+	if !ok {
+		t.Fatal("bob never received the post")
+	}
+	if stored, _ := bob.mw.Store().Get(post.Ref()); stored != got {
+		t.Fatal("OnReceive got a copy, not the stored message")
+	}
+	got.Payload[0] ^= 0xff // a handler breaking the contract
+
+	w.link(bob, carol, mpc.Bluetooth)
+	w.pump(10 * time.Second)
+	if _, ok := refs(carol.received)[post.Ref()]; ok {
+		t.Error("carol accepted the message bob's handler rewrote")
+	}
+	if carol.mw.Stats().Message.VerifyFailures == 0 {
+		t.Error("no verification failure recorded at the next hop")
+	}
+}
+
+// TestServingLeavesTheStoredMessageAlone pins the serve path's half of
+// the contract: routing metadata for a transfer is written on a copy of
+// the struct. The spray-and-wait author hands bob half its allowance;
+// alice's stored message keeps its own Budget and Hops.
+func TestServingLeavesTheStoredMessageAlone(t *testing.T) {
+	w := newWorld(t)
+	alice := w.node("alice", routing.SchemeSprayAndWait)
+	bob := w.node("bob", routing.SchemeSprayAndWait)
+
+	post, err := alice.mw.Post([]byte("spray me"))
+	if err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	w.link(alice, bob, mpc.Bluetooth)
+	w.pump(10 * time.Second)
+
+	got, ok := refs(bob.received)[post.Ref()]
+	if !ok {
+		t.Fatal("bob never received the post")
+	}
+	if got.Budget != routing.DefaultSprayBudget/2 || got.Hops != 1 {
+		t.Errorf("bob's copy: budget %d, hops %d; want %d, 1", got.Budget, got.Hops, routing.DefaultSprayBudget/2)
+	}
+	if stored, _ := alice.mw.Store().Get(post.Ref()); stored.Budget != 0 || stored.Hops != 0 {
+		t.Errorf("serving rewrote alice's stored message: budget %d, hops %d", stored.Budget, stored.Hops)
+	}
+}
+
 func TestAbortedTransferRecoversOnNextEncounter(t *testing.T) {
 	w := newWorld(t)
 	alice := w.node("alice", routing.SchemeEpidemic)

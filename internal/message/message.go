@@ -128,7 +128,8 @@ type Config struct {
 	Verifier *pki.Verifier
 	Clock    clock.Clock
 
-	// OnReceive fires for every newly stored message (never duplicates).
+	// OnReceive fires for every newly stored message (never duplicates);
+	// the message is the stored one, read-only.
 	OnReceive func(m *msg.Message, from id.UserID)
 	// OnPeerUp / OnPeerDown observe authenticated encounters.
 	OnPeerUp   func(user id.UserID)
@@ -1287,13 +1288,18 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	serve := scheme.FilterServe(link.User(), req.Wants)
 	var outgoing []*msg.Message
 	for _, w := range serve {
-		for _, mm := range m.cfg.Store.Select(w.Author, w.Seqs) {
-			scheme.PrepareOutgoing(link.User(), mm)
-			outgoing = append(outgoing, mm)
-		}
+		outgoing = append(outgoing, m.cfg.Store.Select(w.Author, w.Seqs)...)
 	}
 	if len(outgoing) == 0 {
 		return
+	}
+	// Stored messages are read-only: the scheme sets this transfer's
+	// routing metadata on struct copies.
+	copies := make([]msg.Message, len(outgoing))
+	for i, mm := range outgoing {
+		copies[i] = *mm
+		scheme.PrepareOutgoing(link.User(), &copies[i])
+		outgoing[i] = &copies[i]
 	}
 
 	for start := 0; start < len(outgoing); start += wire.MaxBatchMessages {
@@ -1321,7 +1327,8 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	newMessages := false
 	for _, mm := range batch.Msgs {
 		ref := mm.Ref()
-		if err := m.verify(mm); err != nil {
+		cert, err := m.verify(mm)
+		if err != nil {
 			m.mu.Lock()
 			m.stats.VerifyFailures++
 			// A bad copy settles only a request made of this peer: anyone
@@ -1333,9 +1340,10 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 			m.mu.Unlock()
 			continue
 		}
-		// Clone: batch messages alias the link's decode scratch (see
-		// adhoc.Handler) and the stored copy must own its memory.
-		incoming := mm.Clone()
+		// The node's one copy: batch messages alias the link's decode
+		// scratch (see adhoc.Handler), and the certificate bytes are the
+		// verifier's, shared by every held message of this author.
+		incoming := mm.Retain(cert.DER)
 		incoming.Hops++ // one more device-to-device transfer
 		added, err := m.cfg.Store.Put(incoming)
 		if err != nil {
@@ -1355,7 +1363,7 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 		newMessages = true
 		scheme.OnReceived(incoming, link.User())
 		if m.cfg.OnReceive != nil {
-			m.cfg.OnReceive(incoming.Clone(), link.User())
+			m.cfg.OnReceive(incoming, link.User())
 		}
 	}
 	if newMessages {
@@ -1396,13 +1404,13 @@ func (m *Manager) sendRequest(link *adhoc.Link, wants []wire.Want) {
 // verify enforces the paper's security checks on a relayed message: the
 // attached certificate must chain to the pinned CA root and name the
 // author, and the author's signature must cover the payload.
-func (m *Manager) verify(mm *msg.Message) error {
+func (m *Manager) verify(mm *msg.Message) (*pki.UserCert, error) {
 	if err := mm.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	cert, err := m.cfg.Verifier.VerifyFor(mm.CertDER, mm.Author)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return mm.VerifyWithKey(cert.Key)
+	return cert, mm.VerifyWithKey(cert.Key)
 }

@@ -88,14 +88,14 @@ func TestVerifyEnforcesProvenance(t *testing.T) {
 	if err := good.Sign(creds.Ident); err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if err := m.verify(good); err != nil {
+	if _, err := m.verify(good); err != nil {
 		t.Errorf("authentic message rejected: %v", err)
 	}
 
 	// Tampered payload: author signature fails.
 	tampered := good.Clone()
 	tampered.Payload = []byte("forged")
-	if err := m.verify(tampered); err == nil {
+	if _, err := m.verify(tampered); err == nil {
 		t.Error("tampered message accepted")
 	}
 
@@ -103,14 +103,14 @@ func TestVerifyEnforcesProvenance(t *testing.T) {
 	misattributed := good.Clone()
 	misattributed.Author = id.NewUserID("other") // cert still names owner
 	misattributed.Seq = 1
-	if err := m.verify(misattributed); err == nil {
+	if _, err := m.verify(misattributed); err == nil {
 		t.Error("mis-attributed message accepted")
 	}
 
 	// Missing certificate entirely.
 	bare := good.Clone()
 	bare.CertDER = nil
-	if err := m.verify(bare); err == nil {
+	if _, err := m.verify(bare); err == nil {
 		t.Error("certificate-less message accepted")
 	}
 }

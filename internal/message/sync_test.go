@@ -775,3 +775,68 @@ func TestRequestAtTheLimitIsServed(t *testing.T) {
 		t.Errorf("an over-limit request was served: %d messages, want still 1", st.MessagesServed)
 	}
 }
+
+// TestSharedMessagesAreNeverWritten runs three spray-and-wait nodes on one
+// MemMedium. Each serves, from its link goroutines, the same stored
+// messages a reader goroutine per node keeps re-reading, routing metadata
+// included. Under -race the stack writing to a shared message — a
+// transfer's spray budget set on the stored copy, not the outgoing one —
+// is a reported race; without -race the final check still catches it.
+func TestSharedMessagesAreNeverWritten(t *testing.T) {
+	medium, svc := newLiveWorld(t)
+	var nodes []*liveNode
+	for _, handle := range []string{"alice", "bob", "carol"} {
+		n := newLiveNode(t, medium, svc, handle)
+		if err := n.mw.SetScheme(routing.SchemeSprayAndWait); err != nil {
+			t.Fatalf("SetScheme: %v", err)
+		}
+		nodes = append(nodes, n)
+	}
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	var read atomic.Uint64
+	for _, n := range nodes {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				case <-time.After(time.Millisecond):
+				}
+				var sum uint64
+				for _, m := range n.mw.Store().All() {
+					sum += uint64(m.Budget) + uint64(m.Hops) + uint64(len(m.Payload))
+				}
+				read.Add(sum)
+			}
+		}()
+	}
+
+	const posts = 5
+	for i := 0; i < posts; i++ {
+		for _, n := range nodes {
+			if _, err := n.mw.Post([]byte(fmt.Sprintf("post %d", i))); err != nil {
+				t.Fatalf("Post: %v", err)
+			}
+		}
+	}
+	for _, n := range nodes {
+		waitFor(t, "every post everywhere", func() bool { return n.mw.Store().Len() == posts*len(nodes) })
+	}
+	close(done)
+	readers.Wait()
+
+	for _, n := range nodes {
+		for _, m := range n.mw.Store().MessagesFrom(n.mw.User(), 0) {
+			if m.Budget != 0 || m.Hops != 0 {
+				t.Errorf("%s's stored %s was rewritten by a transfer: budget %d, hops %d", n.creds.Handle, m.Ref(), m.Budget, m.Hops)
+			}
+		}
+	}
+	if read.Load() == 0 {
+		t.Error("the readers never saw a message")
+	}
+}

@@ -154,12 +154,6 @@ func (m *SimMedium) CutLink(a, b PeerID) {
 	})
 }
 
-// Linked reports whether two devices currently share a link.
-func (m *SimMedium) Linked(a, b PeerID) bool {
-	_, up := m.links[MakePair(a, b)]
-	return up
-}
-
 // announce queues PeerFound at `to` about `from` if `from` advertises.
 func (m *SimMedium) announce(to, from *simEndpoint) {
 	if from.ad == nil || to.closed || from.closed {
@@ -174,14 +168,6 @@ func (m *SimMedium) lost(to, from *simEndpoint) {
 		return
 	}
 	to.events.PeerLost(from.self)
-}
-
-// NextAt returns the timestamp of the earliest queued event.
-func (m *SimMedium) NextAt() (time.Time, bool) {
-	if len(m.queue) == 0 {
-		return time.Time{}, false
-	}
-	return m.queue[0].at, true
 }
 
 // RunUntil processes every queued event with timestamp ≤ upto, advancing

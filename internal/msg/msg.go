@@ -89,6 +89,11 @@ var (
 // is the author's certificate, which forwarders attach so any receiver can
 // verify provenance without infrastructure (paper Fig. 3b) — the
 // certificate is self-authenticating via the CA chain.
+//
+// A node keeps one copy of each message: the store owns it, and every
+// reader (store reads, OnReceive, observers, the serve path) shares it
+// read-only, byte fields included. Code that needs other Hops or Budget
+// values sets them on a copy of the struct.
 type Message struct {
 	Author  id.UserID
 	Seq     uint64
@@ -179,8 +184,7 @@ func (m *Message) VerifyWithKey(pub *ecdsa.PublicKey) error {
 	return nil
 }
 
-// Clone returns a deep copy. Stores hand out clones so callers can never
-// mutate shared state.
+// Clone returns a deep copy.
 func (m *Message) Clone() *Message {
 	if m == nil {
 		return nil
@@ -189,6 +193,20 @@ func (m *Message) Clone() *Message {
 	cp.Payload = append([]byte(nil), m.Payload...)
 	cp.Sig = append([]byte(nil), m.Sig...)
 	cp.CertDER = append([]byte(nil), m.CertDER...)
+	return &cp
+}
+
+// Retain returns the copy a receiver keeps of a DecodeShared message: the
+// payload and signature in one allocation, and cert — the caller's
+// immutable copy of m.CertDER's bytes — as its certificate.
+func (m *Message) Retain(cert []byte) *Message {
+	cp := *m
+	n := len(m.Payload)
+	own := append(append(make([]byte, 0, n+len(m.Sig)), m.Payload...), m.Sig...)
+	cp.Payload, cp.Sig, cp.CertDER = own[:n:n], own[n:], cert
+	if n == 0 {
+		cp.Payload = nil // the canonical form, as Decode gives it
+	}
 	return &cp
 }
 
@@ -241,8 +259,8 @@ func Decode(buf []byte) (*Message, error) {
 // DecodeShared parses a message whose Payload, Sig, and CertDER alias
 // buf instead of being copied out. It exists for the wire batch decode
 // hot path, where the decoded messages live only until the receiving
-// frame callback returns (the store clones on insert); callers that
-// retain a shared message past buf's lifetime must Clone it.
+// frame callback returns; callers that keep a shared message past buf's
+// lifetime must Retain (or Clone) it.
 func DecodeShared(buf []byte) (*Message, error) {
 	return decode(buf, true)
 }

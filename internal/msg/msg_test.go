@@ -309,3 +309,48 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Error("Clone of nil should be nil")
 	}
 }
+
+// retained keeps Retain's result on the heap, as a receiver's store does.
+var retained *Message
+
+// TestRetainOutlivesTheFrame pins the one copy a receiver keeps of a
+// DecodeShared message: payload and signature survive the frame buffer's
+// reuse in one allocation beside the struct, and the certificate is the
+// caller's bytes, not a copy.
+func TestRetainOutlivesTheFrame(t *testing.T) {
+	alice := newIdentity(t, "alice")
+	m := newPost(t, alice, 1, "kept past the frame")
+	m.CertDER = []byte("certificate bytes")
+	m.Hops, m.Budget = 2, 4
+	frame, err := m.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	shared, err := DecodeShared(frame)
+	if err != nil {
+		t.Fatalf("DecodeShared: %v", err)
+	}
+	cert := bytes.Clone(m.CertDER)
+	kept := shared.Retain(cert)
+	clear(frame) // the link reuses its decode scratch
+	if !bytes.Equal(kept.Payload, m.Payload) || !bytes.Equal(kept.Sig, m.Sig) {
+		t.Errorf("kept payload %q / sig %x, want %q / %x", kept.Payload, kept.Sig, m.Payload, m.Sig)
+	}
+	if kept.Ref() != m.Ref() || kept.Hops != 2 || kept.Budget != 4 || !kept.Created.Equal(m.Created) {
+		t.Errorf("kept header %+v, want %+v", kept, m)
+	}
+	if &kept.CertDER[0] != &cert[0] {
+		t.Error("Retain copied the certificate instead of taking the caller's bytes")
+	}
+	kept.Payload = append(kept.Payload, '!')
+	if !bytes.Equal(kept.Sig, m.Sig) {
+		t.Error("appending to the payload overwrote the signature")
+	}
+	if n := testing.AllocsPerRun(100, func() { retained = shared.Retain(cert) }); n != 2 {
+		t.Errorf("Retain allocates %.0f times, want 2 (struct, payload+signature)", n)
+	}
+	follow := &Message{Author: alice.User, Seq: 2, Kind: KindFollow, Subject: id.NewUserID("bob"), Sig: m.Sig}
+	if kept := follow.Retain(nil); kept.Payload != nil {
+		t.Errorf("empty payload retained as %v, want nil (the canonical form)", kept.Payload)
+	}
+}

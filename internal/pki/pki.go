@@ -349,13 +349,6 @@ func (v *Verifier) UpdateCRL(crl map[string]time.Time) {
 	}
 }
 
-// CRLSize returns the number of revocation entries currently held.
-func (v *Verifier) CRLSize() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.crl)
-}
-
 // Stats snapshots the verification counters and the table's size.
 func (v *Verifier) Stats() Stats {
 	v.mu.RLock()

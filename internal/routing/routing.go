@@ -67,7 +67,7 @@ type Scheme interface {
 	// FilterServe trims a peer's request to what the scheme will serve.
 	FilterServe(peer id.UserID, wants []wire.Want) []wire.Want
 	// PrepareOutgoing finalizes routing metadata (e.g. spray budget) on an
-	// outgoing copy just before transfer to peer.
+	// outgoing struct copy (byte fields read-only) just before transfer.
 	PrepareOutgoing(peer id.UserID, m *msg.Message)
 	// OnReceived observes a newly stored message obtained from peer.
 	OnReceived(m *msg.Message, from id.UserID)

@@ -335,12 +335,6 @@ func New(cfg Config) (*Sim, error) {
 // Nodes returns the running nodes.
 func (s *Sim) Nodes() []*Node { return s.nodes }
 
-// NodeByHandle looks a node up.
-func (s *Sim) NodeByHandle(handle string) (*Node, bool) {
-	n, ok := s.byHandle[handle]
-	return n, ok
-}
-
 // geoObserver geo-tags one node's messages for the trace recorder: each
 // post it authors (the workload, as the collector tracks it) and each
 // message it receives, at the node's position.

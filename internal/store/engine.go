@@ -17,10 +17,11 @@ import (
 )
 
 // Engine is a node's message database plus subscription registry. All
-// implementations are safe for concurrent use. Messages handed in are
-// cloned on insert and handed out as clones, so callers can never mutate
-// stored state; the one exception is SummaryStripe, which returns a
-// shared read-only snapshot (see its doc comment).
+// implementations are safe for concurrent use. An engine keeps one copy
+// of each message: Put takes ownership of the message it is handed, and
+// every read hands out that same message, which callers must treat as
+// read-only (see msg.Message). SummaryStripe likewise returns a shared
+// read-only snapshot (see its doc comment).
 type Engine interface {
 	// Owner returns the user this database belongs to.
 	Owner() id.UserID
@@ -33,9 +34,10 @@ type Engine interface {
 	// and evicted — are ignored, which keeps redundant epidemic
 	// deliveries idempotent and prevents evicted messages from being
 	// re-fetched in an endless churn loop. Put may evict other messages
-	// to stay within the configured quota.
+	// to stay within the configured quota. A new message is kept as is,
+	// so the caller must not mutate it afterwards.
 	Put(m *msg.Message) (bool, error)
-	// Get returns a copy of the message with the given ref.
+	// Get returns the held message with the given ref.
 	Get(ref msg.Ref) (*msg.Message, bool)
 	// Has reports whether the engine currently holds the message.
 	Has(ref msg.Ref) bool
@@ -89,13 +91,12 @@ type Engine interface {
 	// largest n with 1..n all accounted for) and by the sequences the
 	// engine holds above that floor plus MaxMissing.
 	Missing(author id.UserID, upto uint64) []uint64
-	// MessagesFrom returns copies of held messages by author with seq >
-	// after, ordered by sequence number.
+	// MessagesFrom returns the held messages by author with seq > after,
+	// ordered by sequence number.
 	MessagesFrom(author id.UserID, after uint64) []*msg.Message
-	// Select returns copies of specific held messages; absent refs are
-	// skipped.
+	// Select returns specific held messages; absent refs are skipped.
 	Select(author id.UserID, seqs []uint64) []*msg.Message
-	// All returns copies of every held message in deterministic order.
+	// All returns every held message in deterministic order.
 	All() []*msg.Message
 	// Authors returns every author with at least one held message.
 	Authors() []id.UserID

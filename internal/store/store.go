@@ -122,10 +122,11 @@ func (s *Store) NextSeq() uint64 {
 // Put inserts a message, returning true if it was new. Duplicate
 // (author, seq) pairs — held or tombstoned — are ignored, which makes
 // redundant epidemic deliveries idempotent and keeps evicted messages
-// from churning back in. The stored copy is a clone, so later mutation of
-// m by the caller cannot corrupt the database. When the insert pushes the
-// buffer over quota, the eviction policy drops victims (never the owner's
-// own messages) and registered OnEvict hooks observe each drop.
+// from churning back in. A new m is stored as is: the store takes
+// ownership, and the caller must not mutate m afterwards (see
+// msg.Message). When the insert pushes the buffer over quota, the
+// eviction policy drops victims (never the owner's own messages) and
+// registered OnEvict hooks observe each drop.
 func (s *Store) Put(m *msg.Message) (bool, error) {
 	if err := m.Validate(); err != nil {
 		return false, fmt.Errorf("store: rejecting message: %w", err)
@@ -138,8 +139,7 @@ func (s *Store) Put(m *msg.Message) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	cp := m.Clone()
-	e := &entry{m: cp, size: messageSize(cp), stored: s.clk.Now(), prev: s.queue.prev, next: &s.queue}
+	e := &entry{m: m, size: messageSize(m), stored: s.clk.Now(), prev: s.queue.prev, next: &s.queue}
 	if perAuthor == nil {
 		perAuthor = make(map[uint64]*entry)
 		s.byAuthor[ref.Author] = perAuthor
@@ -343,7 +343,7 @@ func (s *Store) fire(evs []Eviction) {
 	}
 }
 
-// Get returns a copy of the message with the given ref.
+// Get returns the held message with the given ref, shared and read-only.
 func (s *Store) Get(ref msg.Ref) (*msg.Message, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -351,7 +351,7 @@ func (s *Store) Get(ref msg.Ref) (*msg.Message, bool) {
 	if e == nil {
 		return nil, false
 	}
-	return e.m.Clone(), true
+	return e.m, true
 }
 
 // Has reports whether the store currently holds the given message.
@@ -426,8 +426,8 @@ func (s *Store) Missing(author id.UserID, upto uint64) []uint64 {
 	return missing
 }
 
-// MessagesFrom returns copies of all held messages by author with
-// sequence number strictly greater than after, ordered by sequence.
+// MessagesFrom returns the held messages by author with sequence number
+// strictly greater than after, ordered by sequence, shared and read-only.
 func (s *Store) MessagesFrom(author id.UserID, after uint64) []*msg.Message {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -447,13 +447,13 @@ func (s *Store) MessagesFrom(author id.UserID, after uint64) []*msg.Message {
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	out := make([]*msg.Message, 0, len(seqs))
 	for _, seq := range seqs {
-		out = append(out, perAuthor[seq].m.Clone())
+		out = append(out, perAuthor[seq].m)
 	}
 	return out
 }
 
-// Select returns copies of specific held messages by (author, seq); refs
-// not held are skipped.
+// Select returns specific held messages by (author, seq), shared and
+// read-only; refs not held are skipped.
 func (s *Store) Select(author id.UserID, seqs []uint64) []*msg.Message {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -461,19 +461,19 @@ func (s *Store) Select(author id.UserID, seqs []uint64) []*msg.Message {
 	out := make([]*msg.Message, 0, len(seqs))
 	for _, seq := range seqs {
 		if e, ok := perAuthor[seq]; ok {
-			out = append(out, e.m.Clone())
+			out = append(out, e.m)
 		}
 	}
 	return out
 }
 
-// All returns copies of every held message in deterministic order
-// (author display form, then sequence).
+// All returns every held message, shared and read-only, in deterministic
+// order (author display form, then sequence).
 func (s *Store) All() []*msg.Message {
 	s.mu.RLock()
 	out := make([]*msg.Message, 0, s.count)
 	for e := s.queue.next; e != &s.queue; e = e.next {
-		out = append(out, e.m.Clone())
+		out = append(out, e.m)
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -573,8 +573,7 @@ func (s *Store) applyEvict(ref msg.Ref) {
 }
 
 // live captures what a compaction must keep: the held messages in queue
-// (arrival) order, the subscriptions, and the tombstones. Message pointers
-// are shared, which is safe: stored messages are immutable.
+// (arrival) order, the subscriptions, and the tombstones.
 func (s *Store) live() (msgs []*msg.Message, subs []id.UserID, tombs []msg.Ref) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -83,14 +83,21 @@ func TestPutRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestPutIsolatesCaller(t *testing.T) {
+// TestPutTakesOwnership pins the one-copy contract: the store keeps the
+// message Put was handed, and a read costs no copy of it.
+func TestPutTakesOwnership(t *testing.T) {
 	s := New(alice)
 	m := post(bob, 1, "original")
 	mustPut(t, s, m)
-	m.Payload[0] = 'X' // caller mutates after insert
-	got, _ := s.Get(m.Ref())
-	if string(got.Payload) != "original" {
-		t.Error("store shares storage with caller")
+	if got, _ := s.Get(m.Ref()); got != m {
+		t.Error("store copied the message on insert or on read")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Get(m.Ref()) }); n != 0 {
+		t.Errorf("Get allocates %.0f times, want 0", n)
+	}
+	seqs := []uint64{1}
+	if n := testing.AllocsPerRun(100, func() { s.Select(bob, seqs) }); n != 1 {
+		t.Errorf("Select of one message allocates %.0f times, want 1 (the result slice)", n)
 	}
 }
 

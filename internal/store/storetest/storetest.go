@@ -99,14 +99,19 @@ func testPutGet(t *testing.T, w World) {
 	if !reflect.DeepEqual(got, m) {
 		t.Errorf("Get = %+v, want %+v", got, m)
 	}
-	// The engine must have cloned on insert and hand out clones.
-	m.Payload[0] = 'X'
-	if again, _ := e.Get(m.Ref()); string(again.Payload) != "hello" {
-		t.Error("engine shares storage with the caller")
+	// One copy per message: the engine keeps the message it was handed,
+	// and every read hands out that same read-only message.
+	if got != m {
+		t.Error("Get handed out a copy, not the held message")
 	}
-	got.Payload[0] = 'Y'
-	if again, _ := e.Get(m.Ref()); string(again.Payload) != "hello" {
-		t.Error("engine shares storage with readers")
+	if sel := e.Select(bob, []uint64{1}); len(sel) != 1 || sel[0] != m {
+		t.Error("Select handed out a copy, not the held message")
+	}
+	if from := e.MessagesFrom(bob, 0); len(from) != 1 || from[0] != m {
+		t.Error("MessagesFrom handed out a copy, not the held message")
+	}
+	if all := e.All(); len(all) != 1 || all[0] != m {
+		t.Error("All handed out a copy, not the held message")
 	}
 	if !e.Has(m.Ref()) || e.Len() != 1 {
 		t.Errorf("Has/Len = %v/%d, want true/1", e.Has(m.Ref()), e.Len())

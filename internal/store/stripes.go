@@ -149,7 +149,8 @@ func (x *summaryIndex) changes(sinceGen uint64) (map[id.UserID]uint64, bool) {
 	if sinceGen > x.gen.Load() || sinceGen < x.floor.Load() {
 		return nil, false
 	}
-	out := make(map[id.UserID]uint64, 64)
+	// Unsized: a delta names an author or two, not 64.
+	out := make(map[id.UserID]uint64)
 	for i := range x.stripes {
 		st := &x.stripes[i]
 		x.lock(st)

@@ -340,9 +340,10 @@ func AppendEncode(dst []byte, f Frame) ([]byte, error) {
 //
 // Decode copies every variable-length field out of buf with one
 // exception: the messages of a Batch alias buf (see msg.DecodeShared), so
-// a caller that retains them past buf's lifetime must Clone them first.
-// The SOS stack stores only clones (store.Put clones on insert), so the
-// alias never escapes a frame callback.
+// a caller that retains them past buf's lifetime must copy them first.
+// The SOS stack keeps only the copy message.Manager makes of each
+// verified message (msg.Message.Retain), so the alias never escapes a
+// frame callback.
 func Decode(buf []byte) (Frame, error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrTruncated)
@@ -576,7 +577,7 @@ func decodeBatch(body []byte) (Frame, error) {
 			break
 		}
 		// DecodeShared: the message fields alias the frame buffer (see the
-		// Decode doc comment); the store clones on insert.
+		// Decode doc comment); the receiver copies what it keeps.
 		m, err := msg.DecodeShared(raw)
 		if err != nil {
 			return nil, fmt.Errorf("wire: decoding batch message %d: %w", i, err)

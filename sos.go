@@ -53,7 +53,8 @@ type (
 	UserID = id.UserID
 	// Identity is a user's long-term signing key pair.
 	Identity = id.Identity
-	// Message is one immutable, author-signed user action.
+	// Message is one immutable, author-signed user action, shared
+	// read-only wherever the node hands it out (see msg.Message).
 	Message = msg.Message
 	// Ref uniquely identifies a message as (author, sequence number).
 	Ref = msg.Ref
