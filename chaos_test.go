@@ -43,8 +43,7 @@ func newChaosFleet(t *testing.T, cld *sos.Cloud, medium sos.Medium, handles []st
 			// The chaos tests run at lab timescale: a wedged handshake
 			// or a swallowed frame must heal in hundreds of
 			// milliseconds, not field-default seconds.
-			HandshakeTimeout: 250 * time.Millisecond,
-			ResyncInterval:   250 * time.Millisecond,
+			ResyncInterval: 250 * time.Millisecond,
 			OnReceive: func(m *sos.Message, _ sos.UserID) {
 				f.mu.Lock()
 				book[m.Ref()]++

@@ -133,14 +133,12 @@ type Config struct {
 	// Combine several with CombineObservers.
 	Observer Observer
 
-	// HandshakeTimeout bounds a mid-handshake connection before it is
-	// failed and retried (adhoc.Config.HandshakeTimeout). 0 selects the
-	// adhoc default; the lab shortens it to its fast radio timescale.
-	HandshakeTimeout time.Duration
-
-	// ResyncInterval is the in-session resync heartbeat period
-	// (message.Config.ResyncInterval). 0 selects the message-layer
-	// default, negative disables; the lab shortens it to its fast radio
+	// ResyncInterval is the node's one retry period. It is the resync
+	// heartbeat (message.Config.ResyncInterval), whose ticks re-advertise,
+	// re-plan and re-dial, and it also bounds a mid-handshake connection
+	// (adhoc.Config.HandshakeTimeout). 0 keeps each layer's default;
+	// negative arms no timer of any kind, so nothing is retried (the
+	// simulator's setting). The lab shortens it to its fast radio
 	// timescale.
 	ResyncInterval time.Duration
 
@@ -316,7 +314,7 @@ func New(cfg Config) (*Middleware, error) {
 		Clock:            cfg.Clock,
 		Rand:             cfg.Rand,
 		Tracer:           cfg.Tracer,
-		HandshakeTimeout: cfg.HandshakeTimeout,
+		HandshakeTimeout: cfg.ResyncInterval,
 		SessionConfig: secure.SessionConfig{
 			Clock:          cfg.Clock,
 			RotationPeriod: cfg.Security.RotationPeriod,

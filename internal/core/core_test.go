@@ -84,8 +84,7 @@ func (w *world) node(handle, scheme string) *node {
 		Clock:    w.clk,
 		Tracer:   w.tracer,
 		// SimMedium is single-threaded: no wall-clock timer goroutines.
-		ResyncInterval:   -1,
-		HandshakeTimeout: -1,
+		ResyncInterval: -1,
 		OnReceive: func(m *msg.Message, from id.UserID) {
 			n.received = append(n.received, m)
 		},

@@ -275,10 +275,9 @@ func runInProcess(spec *Spec, opts Options) (*Report, error) {
 			Observer: observer,
 			Tracer:   tracer,
 			// The lab radio answers in milliseconds, so a wedged
-			// handshake is knowable — and retryable — at the discovery
-			// timescale instead of the field default.
-			HandshakeTimeout: spec.LossTimeout.D(),
-			ResyncInterval:   spec.LossTimeout.D(),
+			// handshake or a lost frame is knowable — and retryable — at
+			// the discovery timescale instead of the field default.
+			ResyncInterval: spec.LossTimeout.D(),
 		})
 		if err != nil {
 			engine.Close() // core.New takes ownership only on success

@@ -59,12 +59,20 @@
 // A frame that builds on a generation the view has not reached exposes
 // a gap: the view is kept and one SummaryPull per link, re-armed by the
 // resync heartbeat, asks for a full summary.
+//
+// # The resync heartbeat
+//
+// The heartbeat (Config.ResyncInterval) is the manager's only timer and
+// has the four duties DefaultResyncInterval lists. A wanted beacon or a
+// retryable link drop arms a peer for re-dial; the first tick that finds
+// it linked disarms it. A negative interval arms no timer at all.
 package message
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
-	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -111,14 +119,11 @@ const maxPeerSync = 512
 // ≈ 72 KiB per frame.
 const SummaryChunkEntries = 4096
 
-// DefaultResyncInterval is the period of the in-session resync
-// heartbeat when Config.ResyncInterval is zero. Each tick re-advertises
-// on every live link (an empty delta in steady state; the peer answers a
-// generation gap with SummaryPull, healing a lost advertisement) and
-// re-plans requests, expiring in-flight entries whose Request or Batch
-// frame a lossy radio swallowed. Links now survive frame loss, so this
-// heartbeat is the only thing that un-wedges a transfer whose frames
-// were dropped mid-contact.
+// DefaultResyncInterval is the period of the resync heartbeat when
+// Config.ResyncInterval is zero. Each tick has four duties: re-advertise
+// on every live link, re-arm SummaryPulls, expire and re-plan in-flight
+// requests a lost frame stranded, and re-dial armed, unlinked,
+// unquarantined peers.
 const DefaultResyncInterval = 3 * time.Second
 
 // Config assembles a message manager.
@@ -140,8 +145,9 @@ type Config struct {
 	// scheme wants.
 	AutoConnect bool
 
-	// ResyncInterval is the in-session resync heartbeat period: zero
-	// uses DefaultResyncInterval, negative disables the heartbeat.
+	// ResyncInterval is the resync heartbeat period: zero uses
+	// DefaultResyncInterval, negative disables the heartbeat and with it
+	// every retry.
 	ResyncInterval time.Duration
 
 	// Tracer, when set, records the contact-session lifecycle into the
@@ -201,8 +207,7 @@ type Stats struct {
 
 	// Robustness counters: misbehavior signals scored against peers,
 	// quarantine episodes entered, connects/links refused while a peer
-	// was quarantined, and backoff-scheduled reconnect attempts after
-	// an unexpected link drop.
+	// was quarantined, and heartbeat re-dials of armed, unlinked peers.
 	MisbehaviorEvents  uint64
 	Quarantines        uint64
 	QuarantineRefusals uint64
@@ -242,10 +247,15 @@ type peerSync struct {
 	// LinkUp (0 while tracing is disabled).
 	track uint64
 
-	// redial counts consecutive backoff-scheduled reconnect attempts
-	// since the last successful LinkUp: the rung of the retry ladder, and
-	// the mark by which a scheduled attempt knows a later one replaced it.
-	redial uint32
+	// stream is the cancel channel of the link's in-flight chunked
+	// summary stream (nil when none); a new stream or LinkDown closes it.
+	stream chan struct{}
+
+	// dial arms the heartbeat to re-dial this peer while it is unlinked
+	// (see redialAfter); the first tick that finds the peer linked
+	// disarms it. dialing marks a dial still under way, so one that
+	// blocks is not started again by the next tick.
+	dial, dialing bool
 }
 
 // Manager is the message manager for one node.
@@ -262,17 +272,9 @@ type Manager struct {
 	// Request or Batch frame does not pin its refs forever, and the ones a
 	// dropped link orphans are its aborted transfers.
 	inflight map[msg.Ref]inflightEntry
-	// streams tracks the cancel channel of each link's in-flight chunked
-	// summary stream; starting a new stream or losing the link cancels
-	// the old one.
-	streams map[*adhoc.Link]chan struct{}
 	// quar is the per-peer misbehavior scoreboard (see misbehavior.go).
-	quar scoreboard
-	// refused marks links closed at LinkUp because the peer was
-	// quarantined: they were never admitted, so LinkDown must not emit
-	// scheme or consumer notifications for them.
-	refused map[*adhoc.Link]bool
-	stats   Stats
+	quar  scoreboard
+	stats Stats
 
 	// advMu serializes the advertisement plane — beacon refresh plus the
 	// per-link summary pushes — so per-peer delta bases advance in the
@@ -322,8 +324,6 @@ func New(cfg Config) (*Manager, error) {
 		cfg:      cfg,
 		peers:    make(map[mpc.PeerID]*peerSync),
 		inflight: make(map[msg.Ref]inflightEntry),
-		streams:  make(map[*adhoc.Link]chan struct{}),
-		refused:  make(map[*adhoc.Link]bool),
 	}, nil
 }
 
@@ -340,8 +340,7 @@ func (m *Manager) Bind(a *adhoc.Manager) {
 	}
 }
 
-// Close stops the resync heartbeat. Pending redial timers fire and
-// no-op against the closed ad hoc manager.
+// Close stops the resync heartbeat, and with it every retry.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -352,15 +351,13 @@ func (m *Manager) Close() {
 	}
 }
 
-// resyncTick is the in-session resync heartbeat. A lossy radio can
-// swallow any single frame of the sync conversation — an advertisement,
-// a Request, a Batch — and, with links now surviving loss, nothing else
-// would ever retry: discovery beacons are unchanged, so no event
-// re-fires. Each tick re-advertises on every live link (an empty delta
-// in steady state; a peer that missed an earlier advertisement sees a
-// generation gap and answers with SummaryPull), re-arms our own
-// SummaryPulls and re-plans requests after expiring in-flight entries
-// older than one interval.
+// resyncTick is the resync heartbeat. A lossy radio can swallow any
+// single frame of a contact — a handshake frame, an advertisement, a
+// Request, a Batch — and, with links surviving loss, nothing else would
+// ever retry: discovery beacons are unchanged, so no event re-fires.
+// Each tick does the four duties DefaultResyncInterval lists. The next
+// tick is armed before any dial starts, so a dial that blocks delays
+// neither it nor anything but the dials after it in this tick.
 func (m *Manager) resyncTick() {
 	m.mu.Lock()
 	if m.closed {
@@ -377,9 +374,18 @@ func (m *Manager) resyncTick() {
 		}
 	}
 	m.resyncTicks++
-	for _, ps := range m.peers {
+	now := m.cfg.Clock.Now()
+	var dials []mpc.PeerID
+	for peer, ps := range m.peers {
 		ps.pullPending = false
+		switch {
+		case ps.link != nil || m.quar.quarantined(peer, now):
+			ps.dial = false
+		case ps.dial && m.cfg.AutoConnect:
+			dials = append(dials, peer)
+		}
 	}
+	slices.Sort(dials)
 	sends := m.planLocked(m.linkedViewsLocked())
 	m.resyncTimer = time.AfterFunc(m.cfg.ResyncInterval, m.resyncTick)
 	m.mu.Unlock()
@@ -389,6 +395,53 @@ func (m *Manager) resyncTick() {
 	m.pushSummaries(m.cfg.Store.Generation(), data, true)
 	m.advMu.Unlock()
 	m.sendPlans(sends)
+	for _, peer := range dials {
+		m.connect(peer, true)
+	}
+}
+
+// connect dials an armed peer unless it is linked or a dial to it is
+// still under way: a socket medium can block one for its whole dial
+// timeout, and a dial must not start twice. retry marks a heartbeat
+// re-dial.
+func (m *Manager) connect(peer mpc.PeerID, retry bool) {
+	m.mu.Lock()
+	ps := m.peers[peer]
+	a := m.adhocMgr
+	if ps == nil || !ps.dial || ps.dialing || ps.link != nil || a == nil {
+		m.mu.Unlock()
+		return
+	}
+	ps.dialing = true
+	m.stats.ConnectsAttempted++
+	if retry {
+		m.stats.Reconnects++
+	}
+	m.mu.Unlock()
+	err := a.Connect(peer)
+	m.mu.Lock()
+	ps.dialing = false
+	if err != nil {
+		ps.dial = redialAfter(err, ps.dial)
+	}
+	m.mu.Unlock()
+}
+
+// redialAfter is the dial flag after a link or a dial ended with reason.
+// A deliberate end — the manager closing, the peer out of range — disarms
+// it; the peer hanging up or abusing the session leaves it as it was, so a
+// link the far end kills at once is still retried when the beacon armed it
+// (quarantine, checked at every tick, is what stops an abuser); anything
+// else (a radio fault, a handshake in flight) arms it.
+func redialAfter(reason error, dial bool) bool {
+	switch {
+	case errors.Is(reason, adhoc.ErrClosed), errors.Is(reason, mpc.ErrPeerGone),
+		errors.Is(reason, mpc.ErrPeerUnknown):
+		return false
+	case errors.Is(reason, mpc.ErrClosed), errors.Is(reason, adhoc.ErrPeerMisbehaved):
+		return dial
+	}
+	return true
 }
 
 // Stats returns a snapshot of the counters.
@@ -493,19 +546,43 @@ func (m *Manager) beaconSummary() map[id.UserID]uint64 {
 // change or the resync heartbeat), grouped by delta base so every
 // distinct frame is encoded exactly once. Callers hold advMu.
 func (m *Manager) pushSummaries(gen uint64, data []byte, force bool) {
+	var buf [8]summaryDue
 	m.mu.Lock()
-	groups := make(map[uint64][]*adhoc.Link) // delta base → links; 0 = full
+	dues := m.summaryDuesLocked(buf[:0], gen, force)
+	m.mu.Unlock()
+	var group [8]*adhoc.Link
+	for i := 0; i < len(dues); {
+		links, base := group[:0], dues[i].base
+		for ; i < len(dues) && dues[i].base == base; i++ {
+			links = append(links, dues[i].link)
+		}
+		m.sendSummary(links, base, gen, data)
+	}
+}
+
+// summaryDue is one link a summary push goes to, and the delta base
+// (0 = none) its peer was last sent.
+type summaryDue struct {
+	base uint64
+	link *adhoc.Link
+}
+
+// summaryDuesLocked appends to dues every active link behind gen (every
+// active link when force is set) and advances its cursor to gen. The
+// order is deterministic: ascending base, so links sharing one are
+// adjacent, then peer id. Callers hold m.mu.
+func (m *Manager) summaryDuesLocked(dues []summaryDue, gen uint64, force bool) []summaryDue {
 	for _, ps := range m.peers {
 		if ps.link == nil || (ps.sentGen == gen && !force) {
 			continue // no link, or the peer is current
 		}
-		groups[ps.sentGen] = append(groups[ps.sentGen], ps.link)
+		dues = append(dues, summaryDue{ps.sentGen, ps.link})
 		ps.sentGen = gen
 	}
-	m.mu.Unlock()
-	for base, links := range groups {
-		m.sendSummary(links, base, gen, data)
-	}
+	slices.SortFunc(dues, func(a, b summaryDue) int {
+		return cmp.Or(cmp.Compare(a.base, b.base), cmp.Compare(a.link.Peer(), b.link.Peer()))
+	})
+	return dues
 }
 
 // sendAdTo sends one in-session summary on a single link — the LinkUp
@@ -649,21 +726,20 @@ func (m *Manager) PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement) {
 		return
 	}
 	m.mu.Lock()
-	m.stats.ConnectsAttempted++
-	if m.peers[peer] == nil {
-		// Seed the sync slot now so the redial ladder below has a home
-		// even if the handshake never completes.
+	if ps = m.peers[peer]; ps == nil {
+		// Seed the sync slot now so the dial flag has a home even if the
+		// handshake never completes.
 		m.evictSyncLocked()
-		m.peers[peer] = &peerSync{}
+		ps = &peerSync{}
+		m.peers[peer] = ps
 	}
+	// On a lossy radio any handshake frame can vanish and the attempt
+	// time out without a LinkDown: the heartbeat re-dials until one of
+	// its ticks finds the link up.
+	ps.dial = true
 	m.mu.Unlock()
 	m.cfg.Tracer.Event(m.contactTrack(peer), "peer.discovered")
-	// ErrLinkExists races are benign: the handshake in flight will serve.
-	_ = a.Connect(peer)
-	// Connect watchdog: on a lossy radio any handshake frame can vanish
-	// and the attempt times out without a LinkDown. The ladder re-checks
-	// and retries until LinkUp resets it.
-	m.scheduleRedial(peer, nil)
+	m.connect(peer, false)
 }
 
 // PeerGone implements adhoc.Handler: the peer left radio range or
@@ -720,8 +796,8 @@ func (m *Manager) LinkUp(link *adhoc.Link) {
 	if m.quar.quarantined(link.Peer(), m.cfg.Clock.Now()) {
 		// The peer dialed us (or a connect raced the quarantine): refuse
 		// the session before the scheme or consumer ever sees it.
+		// It never becomes ps.link, so its LinkDown unwinds nothing.
 		m.stats.QuarantineRefusals++
-		m.refused[link] = true
 		m.mu.Unlock()
 		_ = link.Close()
 		return
@@ -734,7 +810,6 @@ func (m *Manager) LinkUp(link *adhoc.Link) {
 	}
 	ps.link = link
 	ps.track = track
-	ps.redial = 0
 	ps.pullPending = false
 	m.mu.Unlock()
 	// The contact envelope: every sync span until LinkDown nests inside.
@@ -852,15 +927,15 @@ func (m *Manager) streamFullTo(link *adhoc.Link, gen uint64, data []byte) {
 	m.stats.AdsFullSent++
 	m.stats.SummaryChunksSent++
 	var cancel chan struct{}
-	if more {
+	if ps := m.peers[link.Peer()]; more && ps != nil && ps.link == link {
 		cancel = make(chan struct{})
-		if old := m.streams[link]; old != nil {
-			close(old)
+		if ps.stream != nil {
+			close(ps.stream)
 		}
-		m.streams[link] = cancel
+		ps.stream = cancel
 	}
 	m.mu.Unlock()
-	if more {
+	if cancel != nil {
 		go m.streamChunks(link, track, gen, ch, cancel)
 	}
 }
@@ -878,8 +953,8 @@ func boolAttr(b bool) uint64 {
 func (m *Manager) streamChunks(link *adhoc.Link, track uint64, gen uint64, ch *summaryChunker, cancel chan struct{}) {
 	defer func() {
 		m.mu.Lock()
-		if m.streams[link] == cancel {
-			delete(m.streams, link)
+		if ps := m.peers[link.Peer()]; ps != nil && ps.stream == cancel {
+			ps.stream = nil
 		}
 		m.mu.Unlock()
 	}()
@@ -950,10 +1025,10 @@ func (m *Manager) FrameIn(link *adhoc.Link, f wire.Frame) {
 // re-summary.
 func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 	m.mu.Lock()
-	if m.refused[link] {
+	ps := m.peers[link.Peer()]
+	if ps == nil || ps.link != link {
 		// Refused at LinkUp: the scheme and consumer never saw this
 		// session, so there is nothing to notify or unwind.
-		delete(m.refused, link)
 		m.mu.Unlock()
 		return
 	}
@@ -962,14 +1037,13 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 		// misbehavior signal there is.
 		m.penalizeLocked(link.Peer(), pointsGarbage, m.cfg.Clock.Now())
 	}
-	if ps := m.peers[link.Peer()]; ps != nil && ps.link == link {
-		ps.link = nil
-		m.cfg.Tracer.EndSlice(ps.track, "contact")
-	}
-	if cancel := m.streams[link]; cancel != nil {
+	ps.link = nil
+	ps.dial = redialAfter(reason, ps.dial)
+	m.cfg.Tracer.EndSlice(ps.track, "contact")
+	if ps.stream != nil {
 		// Stop a chunked summary stream still in flight on this link.
-		close(cancel)
-		delete(m.streams, link)
+		close(ps.stream)
+		ps.stream = nil
 	}
 	// Requests that died with this link are its aborted transfers; plan
 	// them again on the links that remain, so an aborted transfer resumes
@@ -993,77 +1067,6 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 		m.cfg.OnPeerDown(link.User())
 	}
 	m.sendPlans(sends)
-	m.scheduleRedial(link.Peer(), reason)
-}
-
-// redial ladder: capped jittered-exponential reconnect after a link
-// drops mid-contact. Radio chaos (a lost frame desynchronizes the AEAD
-// sequence) kills sessions while both peers are still in range and
-// still beaconing unchanged payloads — which means discovery alone
-// never re-fires and the contact would silently wedge. The ladder
-// restores it within a few hundred milliseconds, and keeps climbing at
-// redialCap for as long as the peer stays in range and unlinked.
-const (
-	redialBase = 200 * time.Millisecond
-	redialCap  = 5 * time.Second
-)
-
-// scheduleRedial arranges a reconnect attempt unless the drop was
-// deliberate (session Bye, manager close, peer out of range, protocol
-// abuse). The ladder stops at LinkUp, PeerGone or quarantine. Each call
-// takes the next rung and supersedes the attempts scheduled before it,
-// so a peer's live timers do not multiply however often it beacons.
-func (m *Manager) scheduleRedial(peer mpc.PeerID, reason error) {
-	if !m.cfg.AutoConnect ||
-		errors.Is(reason, adhoc.ErrClosed) || errors.Is(reason, mpc.ErrClosed) ||
-		errors.Is(reason, mpc.ErrPeerGone) || errors.Is(reason, mpc.ErrPeerUnknown) ||
-		errors.Is(reason, adhoc.ErrPeerMisbehaved) {
-		return
-	}
-	m.mu.Lock()
-	ps := m.peers[peer]
-	if ps == nil || ps.link != nil || m.adhocMgr == nil || m.quar.quarantined(peer, m.cfg.Clock.Now()) {
-		m.mu.Unlock()
-		return
-	}
-	delay := min(redialBase<<min(ps.redial, 16), redialCap)
-	ps.redial++
-	rung := ps.redial
-	m.mu.Unlock()
-	// Full jitter on the top half so two peers redialing each other
-	// don't stay phase-locked.
-	delay = delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-	time.AfterFunc(delay, func() { m.redial(peer, rung) })
-}
-
-// redial performs the attempt scheduled at rung unless a later
-// scheduleRedial superseded it. LinkUp lowers the ladder without
-// superseding: a link the far end closes at once (the handshake we
-// thought complete failed there) gets no redial from LinkDown, so the
-// attempt already pending must outlive it.
-func (m *Manager) redial(peer mpc.PeerID, rung uint32) {
-	m.mu.Lock()
-	ps := m.peers[peer]
-	a := m.adhocMgr
-	ok := ps != nil && ps.link == nil && ps.redial <= rung && a != nil && !m.quar.quarantined(peer, m.cfg.Clock.Now())
-	if ok {
-		m.stats.Reconnects++
-		m.stats.ConnectsAttempted++
-	}
-	m.mu.Unlock()
-	if !ok {
-		return
-	}
-	err := a.Connect(peer)
-	if errors.Is(err, adhoc.ErrLinkExists) || errors.Is(err, mpc.ErrClosed) {
-		// A handshake is in flight — but on a chaotic radio it may
-		// still wedge and expire — or the peer hung up before our Hello
-		// went out: one more failed attempt. Keep the ladder armed.
-		err = nil
-	}
-	// Climb the ladder regardless: a started handshake can still fail
-	// without a LinkDown, and LinkUp resets the ladder on success.
-	m.scheduleRedial(peer, err)
 }
 
 // penalizeLocked scores misbehavior points against a peer and reports
@@ -1197,7 +1200,7 @@ func (m *Manager) planLocked(views map[*peerSync]map[id.UserID]uint64) []outgoin
 			linked = append(linked, peer)
 		}
 	}
-	sort.Slice(linked, func(i, j int) bool { return linked[i] < linked[j] })
+	slices.Sort(linked)
 
 	plans := make(map[*peerSync]map[id.UserID][]uint64, len(views))
 	for _, peer := range linked {

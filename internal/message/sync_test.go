@@ -564,16 +564,14 @@ func (e *refusingEvents) Disconnected(conn mpc.Conn, reason error) {
 	e.Events.Disconnected(conn, reason)
 }
 
-// TestRedialLadderOutlastsFailedHandshakes scripts a peer in range whose
-// first eight handshakes fail — more than the six rungs the ladder used
-// to have — and whose beacon never changes, so nothing but the ladder
-// can dial again. The contact must still come up.
-func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
-	const failures = 8
+// refusingHarness builds a harness whose scripted bob refuses his first
+// refusals inbound handshakes and beacons, unchanged, something alice
+// wants, so she dials him once on discovery.
+func refusingHarness(t *testing.T, resync time.Duration, refusals int32) (*syncHarness, *refusingMedium) {
 	var radio *refusingMedium
-	h := newSyncHarnessWith(t, message.Config{AutoConnect: true}, func(m mpc.Medium) mpc.Medium {
+	h := newSyncHarnessWith(t, message.Config{AutoConnect: true, ResyncInterval: resync}, func(m mpc.Medium) mpc.Medium {
 		radio = &refusingMedium{Medium: m}
-		radio.refuse.Store(failures)
+		radio.refuse.Store(refusals)
 		return radio
 	})
 	if err := h.bobAd.Advertise(&wire.Advertisement{
@@ -581,9 +579,31 @@ func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Advertise: %v", err)
 	}
+	return h, radio
+}
 
-	// Eight rungs of a ladder that starts at 200 ms and caps at 5 s.
-	deadline := time.Now().Add(40 * time.Second)
+// TestHeartbeatOffArmsNoTimer: with the heartbeat off, the simulator's
+// setting, nothing retries. Bob refuses the one handshake his beacon
+// caused, so a second later alice has dialled once and re-dialled never.
+func TestHeartbeatOffArmsNoTimer(t *testing.T) {
+	h, _ := refusingHarness(t, -1, 1)
+	waitFor(t, "the dial on discovery", func() bool { return h.mgr.Stats().ConnectsAttempted > 0 })
+	time.Sleep(time.Second)
+	if st := h.mgr.Stats(); st.ConnectsAttempted != 1 || st.Reconnects != 0 {
+		t.Errorf("after one refused handshake: ConnectsAttempted = %d, Reconnects = %d; want 1 and 0", st.ConnectsAttempted, st.Reconnects)
+	}
+}
+
+// TestRedialLadderOutlastsFailedHandshakes scripts a peer in range whose
+// first eight handshakes fail and whose beacon never changes, so nothing
+// but the resync heartbeat can dial again. Its re-dials must outlast the
+// failures and bring the contact up.
+func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
+	const failures = 8
+	h, radio := refusingHarness(t, 50*time.Millisecond, failures)
+
+	// One re-dial per 50 ms tick: the eighth links within half a second.
+	deadline := time.Now().Add(5 * time.Second)
 	for len(h.mgr.ActiveLinks()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no link after %d refused handshakes: stats %+v, adhoc %+v", failures, h.mgr.Stats(), h.aliceAd.Stats())

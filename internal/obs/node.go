@@ -145,7 +145,7 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Message.Quarantines })
 		reg.CounterFunc("sos_sync_quarantine_refusals_total", "Contacts and links refused while a peer was quarantined.", nil,
 			func() uint64 { return mw.Stats().Message.QuarantineRefusals })
-		reg.CounterFunc("sos_sync_reconnects_total", "Backoff-ladder redials after unexpected link loss.", nil,
+		reg.CounterFunc("sos_sync_reconnects_total", "Resync-heartbeat re-dials of peers whose link dropped or never came up.", nil,
 			func() uint64 { return mw.Stats().Message.Reconnects })
 	}
 

@@ -71,10 +71,14 @@ func TestGainesvilleHeadlineBands(t *testing.T) {
 	}
 
 	// The stack stayed healthy: no verification failures, and everything
-	// that aborted was eventually recovered (deliveries exist).
+	// that aborted was eventually recovered (deliveries exist). A replay
+	// arms no timer, so no node re-dialled off the simulation goroutine.
 	for handle, st := range res.NodeStats {
 		if st.Message.VerifyFailures != 0 {
 			t.Errorf("%s: %d verification failures", handle, st.Message.VerifyFailures)
+		}
+		if st.Message.Reconnects != 0 {
+			t.Errorf("%s: %d re-dials in a replay, want 0", handle, st.Message.Reconnects)
 		}
 	}
 }

@@ -275,8 +275,7 @@ func New(cfg Config) (*Sim, error) {
 			// into this single-threaded simulator once a replay outlives
 			// them, and the lossless SimMedium (which ends contacts itself)
 			// leaves them nothing to recover.
-			ResyncInterval:   -1,
-			HandshakeTimeout: -1,
+			ResyncInterval: -1,
 			Observer: core.CombineObservers(
 				telemetry.NewObserver(n.User, clk, agg),
 				geoObserver{node: n, clk: clk, rec: recorder}),

@@ -59,13 +59,12 @@ func (f *rejoinFleet) start(handle string) *sos.Node {
 	f.mu.Unlock()
 
 	n, err := sos.NewNode(sos.NodeConfig{
-		Creds:            f.creds[handle],
-		Medium:           f.medium,
-		PeerName:         sos.PeerID(handle + "-device"),
-		Clock:            f.clk,
-		Security:         f.security(handle),
-		HandshakeTimeout: 250 * time.Millisecond,
-		ResyncInterval:   250 * time.Millisecond,
+		Creds:          f.creds[handle],
+		Medium:         f.medium,
+		PeerName:       sos.PeerID(handle + "-device"),
+		Clock:          f.clk,
+		Security:       f.security(handle),
+		ResyncInterval: 250 * time.Millisecond,
 		OnReceive: func(m *sos.Message, _ sos.UserID) {
 			f.mu.Lock()
 			book[m.Ref()]++
