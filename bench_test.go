@@ -13,12 +13,12 @@ package sos_test
 import (
 	"crypto/rand"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"sos"
 	"sos/internal/id"
-	"sos/internal/lab"
 	"sos/internal/metrics"
 	"sos/internal/msg"
 	"sos/internal/secure"
@@ -291,32 +291,44 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 // between two live nodes whose stores have seen 1k/10k/100k/1M authors —
 // the §VI-bounding quantity the delta-sync plane holds flat as the summary
 // dictionary grows. Run with -benchtime=1x: each iteration is already a
-// complete measured contact (the lab harness does its own averaging over
-// the posts in the contact). The benchmark fails when the curve is not
-// flat: growing the store 100× (1k → 100k authors) must not double the
-// allocations per synced message, a ratio that holds on any machine. The
-// 1M tier is reported only.
+// complete measured contact (newContactPair, then the posts, averaged
+// over the posts). Both nodes record into tracers, so the flight recorder
+// is inside the measured budget. Allocations and bytes are read from
+// runtime.MemStats across both nodes. The benchmark fails when the curve
+// is not flat: growing the store 100× (1k → 100k authors) must not double
+// the allocations per synced message, a ratio that holds on any machine.
+// The 1M tier is reported only.
 func BenchmarkContactThroughput(b *testing.B) {
 	allocsPerMsg := make(map[int]float64)
-	for _, cfg := range []lab.ContactConfig{
-		{Authors: 1_000, Posts: 200},
-		{Authors: 10_000, Posts: 200},
-		{Authors: 100_000, Posts: 100}, // preload dominates; keep the total bounded
-		{Authors: 1_000_000, Posts: 50},
+	for _, tier := range []struct{ authors, posts int }{
+		{1_000, 200},
+		{10_000, 200},
+		{100_000, 100}, // preload dominates; keep the total bounded
+		{1_000_000, 50},
 	} {
-		b.Run(fmt.Sprintf("authors=%d", cfg.Authors), func(b *testing.B) {
-			var res lab.ContactResult
+		b.Run(fmt.Sprintf("authors=%d", tier.authors), func(b *testing.B) {
+			var msgsPerSec, allocs, bytes float64
+			payload := make([]byte, 200)
 			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = lab.RunContact(cfg)
-				if err != nil {
-					b.Fatal(err)
+				c := newContactPair(b, tier.authors, sos.NewTracer(0), sos.NewTracer(0))
+				runtime.GC()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				start := time.Now()
+				for j := 0; j < tier.posts; j++ {
+					c.post(b, payload, 30*time.Second)
 				}
+				elapsed := time.Since(start)
+				runtime.ReadMemStats(&after)
+				c.close()
+				msgsPerSec = float64(tier.posts) / elapsed.Seconds()
+				allocs = float64(after.Mallocs-before.Mallocs) / float64(tier.posts)
+				bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(tier.posts)
 			}
-			b.ReportMetric(res.MsgsPerSec, "msgs/contact-sec")
-			b.ReportMetric(res.AllocsPerMsg, "allocs/msg")
-			b.ReportMetric(res.BytesPerMsg, "B/msg")
-			allocsPerMsg[cfg.Authors] = res.AllocsPerMsg
+			b.ReportMetric(msgsPerSec, "msgs/contact-sec")
+			b.ReportMetric(allocs, "allocs/msg")
+			b.ReportMetric(bytes, "B/msg")
+			allocsPerMsg[tier.authors] = allocs
 		})
 	}
 	// Both tiers are absent when -bench selected neither.

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"sos/internal/clock"
 	"sos/internal/id"
@@ -40,9 +39,6 @@ import (
 
 // handshakeTag is the domain-separation prefix of the transcript.
 const handshakeTag = "sos/hs/v1"
-
-// DefaultHandshakeTimeout is the Config.HandshakeTimeout default.
-const DefaultHandshakeTimeout = 2 * time.Second
 
 // Errors reported by the ad hoc manager.
 var (
@@ -93,12 +89,6 @@ type Config struct {
 	Handler  Handler
 	Clock    clock.Clock
 	Rand     io.Reader // handshake nonce source; nil → crypto/rand
-	// HandshakeTimeout bounds how long a connection may sit mid-handshake
-	// before it is failed and closed: on a lossy radio a dropped Hello,
-	// HelloAck, or HelloFin would otherwise wedge the state machine
-	// forever (and Connect would refuse retries while the zombie lives).
-	// 0 selects DefaultHandshakeTimeout; negative disables the timer.
-	HandshakeTimeout time.Duration
 	// Tracer, when set, records a handshake span per connection into the
 	// node's flight recorder, on the same "contact <peer>" track the
 	// message layer uses, so the secure handshake heads each
@@ -174,10 +164,9 @@ type connState struct {
 	// reason (e.g. ErrPeerMisbehaved) instead of the transport's
 	// generic close error. Guarded by the manager mutex.
 	failure error
-	// hsTimer fails the handshake if it has not established in time;
-	// stopped at establishment and on every failure path. Guarded by
-	// the manager mutex.
-	hsTimer *time.Timer
+	// swept marks a handshake ExpireHandshakes has already seen; the
+	// next call fails it. Guarded by the manager mutex.
+	swept bool
 }
 
 // contactTrack interns the contact track shared with the message layer.
@@ -300,7 +289,6 @@ func (m *Manager) Connect(peer mpc.PeerID) error {
 		m.failConn(conn, err)
 		return err
 	}
-	m.armHandshakeTimer(conn, st)
 	return nil
 }
 
@@ -327,43 +315,32 @@ func (m *Manager) Close() error {
 	return m.endpoint.Close()
 }
 
-// armHandshakeTimer schedules the wedge guard for a connection whose
-// handshake just started: a lossy radio can swallow any handshake frame,
-// and the state machine has no other way to make progress.
-func (m *Manager) armHandshakeTimer(conn mpc.Conn, st *connState) {
-	d := m.cfg.HandshakeTimeout
-	if d < 0 {
-		return
-	}
-	if d == 0 {
-		d = DefaultHandshakeTimeout
-	}
+// ExpireHandshakes fails every connection that is still mid-handshake and
+// was already mid-handshake at the previous call. A lossy radio can
+// swallow a Hello, HelloAck or HelloFin, and the state machine has no
+// other way to make progress: the wedged connection would otherwise live
+// forever, and Connect would refuse every retry while it does. The caller
+// sets the pace — the message manager calls this once per resync
+// heartbeat tick, before its re-dials — so the guard needs no clock.
+func (m *Manager) ExpireHandshakes() {
+	var wedged []*connState
 	m.mu.Lock()
-	if m.conns[conn] == st && st.stage != stageEstablished {
-		st.hsTimer = time.AfterFunc(d, func() { m.expireHandshake(conn, st) })
+	for conn, st := range m.conns {
+		switch {
+		case st.link != nil: // established; unlike stage, link is set under mu
+		case !st.swept:
+			st.swept = true
+		default:
+			delete(m.conns, conn)
+			m.stats.HandshakeFailures++
+			wedged = append(wedged, st)
+		}
 	}
 	m.mu.Unlock()
-}
-
-// expireHandshake fails a connection still mid-handshake at the deadline.
-func (m *Manager) expireHandshake(conn mpc.Conn, st *connState) {
-	m.mu.Lock()
-	if m.conns[conn] != st || st.stage == stageEstablished {
-		m.mu.Unlock()
-		return
-	}
-	if st.failure == nil {
-		st.failure = fmt.Errorf("%w: handshake timed out", ErrBadHandshake)
-	}
-	m.mu.Unlock()
-	conn.Close() // Disconnected does the bookkeeping
-}
-
-// stopHandshakeTimerLocked stops the wedge guard; callers hold m.mu.
-func (st *connState) stopHandshakeTimerLocked() {
-	if st.hsTimer != nil {
-		st.hsTimer.Stop()
-		st.hsTimer = nil
+	for _, st := range wedged {
+		st.hs.Attr("ok", 0)
+		st.hs.End()
+		st.conn.Close()
 	}
 }
 
@@ -384,9 +361,6 @@ func (m *Manager) failConn(conn mpc.Conn, _ error) {
 	m.mu.Lock()
 	st := m.conns[conn]
 	delete(m.conns, conn)
-	if st != nil {
-		st.stopHandshakeTimerLocked()
-	}
 	m.stats.HandshakeFailures++
 	m.mu.Unlock()
 	if st != nil {
@@ -471,7 +445,6 @@ func (e *events) Incoming(conn mpc.Conn) {
 	st.hs = m.cfg.Tracer.Start(m.contactTrack(conn.Peer()), "handshake")
 	m.conns[conn] = st
 	m.mu.Unlock()
-	m.armHandshakeTimer(conn, st)
 }
 
 // Received implements mpc.Events: route a frame through the handshake
@@ -504,7 +477,6 @@ func (e *events) Disconnected(conn mpc.Conn, reason error) {
 	st, ok := m.conns[conn]
 	if ok {
 		delete(m.conns, conn)
-		st.stopHandshakeTimerLocked()
 		if st.stage != stageEstablished {
 			m.stats.HandshakeFailures++
 			st.hs.Attr("ok", 0)
@@ -705,7 +677,6 @@ func (m *Manager) establish(st *connState) *Link {
 	}
 	st.stage = stageEstablished
 	st.link = link
-	st.stopHandshakeTimerLocked()
 	m.links[link.peer] = link
 	m.stats.HandshakesOK++
 	m.mu.Unlock()

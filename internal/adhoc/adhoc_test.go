@@ -535,6 +535,100 @@ func TestConnectGuards(t *testing.T) {
 	}
 }
 
+// swallowMedium drops the nth frame delivered to the endpoint joined
+// through it, counting from 1 (0 drops none): one handshake frame the
+// radio lost.
+type swallowMedium struct {
+	mpc.Medium
+	nth int
+}
+
+func (m swallowMedium) Join(peer mpc.PeerID, ev mpc.Events) (mpc.Endpoint, error) {
+	return m.Medium.Join(peer, &swallowEvents{Events: ev, left: m.nth})
+}
+
+type swallowEvents struct {
+	mpc.Events
+	left int
+}
+
+func (e *swallowEvents) Received(conn mpc.Conn, frame []byte) {
+	if e.left--; e.left != 0 {
+		e.Events.Received(conn, frame)
+	}
+}
+
+// TestExpireHandshakes loses each handshake frame in turn. The first
+// ExpireHandshakes call leaves the wedged connection alive, the second
+// fails it on every side still mid-handshake, and a re-dial then links;
+// an established link is never expired.
+func TestExpireHandshakes(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		aliceNth, bobNth int       // frame each side's radio swallows
+		wantFailures     [2]uint64 // alice, bob after the second call
+	}{
+		{"hello", 0, 1, [2]uint64{1, 1}},
+		{"hello-ack", 1, 0, [2]uint64{1, 1}},
+		{"hello-fin", 0, 2, [2]uint64{0, 1}}, // alice is linked; bob waits
+		{"established", 0, 0, [2]uint64{0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t)
+			ca, cb := newCapture(), newCapture()
+			ma, _ := w.deviceOn(t, swallowMedium{w.medium, tc.aliceNth}, "alice", ca)
+			mb, _ := w.deviceOn(t, swallowMedium{w.medium, tc.bobNth}, "bob", cb)
+			w.medium.SetLink(ma.Self(), mb.Self(), mpc.PeerToPeerWiFi)
+			w.pump(2 * time.Second)
+			if err := ma.Connect(mb.Self()); err != nil {
+				t.Fatalf("Connect: %v", err)
+			}
+			w.pump(2 * time.Second)
+
+			sweep := func() {
+				ma.ExpireHandshakes()
+				mb.ExpireHandshakes()
+				w.pump(time.Second)
+			}
+			state := func() (failures [2]uint64, conns [2]int) {
+				for i, m := range []*Manager{ma, mb} {
+					m.mu.Lock()
+					failures[i], conns[i] = m.stats.HandshakeFailures, len(m.conns)
+					m.mu.Unlock()
+				}
+				return failures, conns
+			}
+
+			sweep()
+			if failures, conns := state(); failures != ([2]uint64{}) || conns != [2]int{1, 1} {
+				t.Fatalf("after one call: failures %v, connections %v; want none failed, one each", failures, conns)
+			}
+			sweep()
+			failures, conns := state()
+			if failures != tc.wantFailures {
+				t.Fatalf("after two calls: failures %v, want %v", failures, tc.wantFailures)
+			}
+			if tc.wantFailures == ([2]uint64{}) {
+				if conns != [2]int{1, 1} || len(ca.downs)+len(cb.downs) != 0 {
+					t.Fatalf("established link expired: connections %v, downs %d/%d", conns, len(ca.downs), len(cb.downs))
+				}
+				return
+			}
+			if conns != [2]int{0, 0} {
+				t.Fatalf("after two calls: connections %v, want none", conns)
+			}
+			// Nothing is left to refuse the re-dial as in progress.
+			if err := ma.Connect(mb.Self()); err != nil {
+				t.Fatalf("re-dial: %v", err)
+			}
+			w.pump(2 * time.Second)
+			if ma.Stats().HandshakesOK == 0 || mb.Stats().HandshakesOK != 1 {
+				t.Fatalf("re-dial did not link: %+v / %+v", ma.Stats(), mb.Stats())
+			}
+		})
+	}
+}
+
 func TestManagerClose(t *testing.T) {
 	w := newWorld(t)
 	ca, cb := newCapture(), newCapture()

@@ -133,10 +133,10 @@ type Config struct {
 	// Combine several with CombineObservers.
 	Observer Observer
 
-	// ResyncInterval is the node's one retry period. It is the resync
+	// ResyncInterval is the node's one retry period: the resync
 	// heartbeat (message.Config.ResyncInterval), whose ticks re-advertise,
-	// re-plan and re-dial, and it also bounds a mid-handshake connection
-	// (adhoc.Config.HandshakeTimeout). 0 keeps each layer's default;
+	// re-plan, expire wedged handshakes and re-dial, so a lost handshake
+	// frame heals within two ticks. 0 keeps message.DefaultResyncInterval;
 	// negative arms no timer of any kind, so nothing is retried (the
 	// simulator's setting). The lab shortens it to its fast radio
 	// timescale.
@@ -305,16 +305,15 @@ func New(cfg Config) (*Middleware, error) {
 		return nil, fmt.Errorf("core: building message manager: %w", err)
 	}
 	adhocMgr, err := adhoc.New(adhoc.Config{
-		Medium:           cfg.Medium,
-		PeerName:         cfg.PeerName,
-		Ident:            cfg.Creds.Ident,
-		CertDER:          cfg.Creds.Cert.DER,
-		Verifier:         verifier,
-		Handler:          msgMgr,
-		Clock:            cfg.Clock,
-		Rand:             cfg.Rand,
-		Tracer:           cfg.Tracer,
-		HandshakeTimeout: cfg.ResyncInterval,
+		Medium:   cfg.Medium,
+		PeerName: cfg.PeerName,
+		Ident:    cfg.Creds.Ident,
+		CertDER:  cfg.Creds.Cert.DER,
+		Verifier: verifier,
+		Handler:  msgMgr,
+		Clock:    cfg.Clock,
+		Rand:     cfg.Rand,
+		Tracer:   cfg.Tracer,
 		SessionConfig: secure.SessionConfig{
 			Clock:          cfg.Clock,
 			RotationPeriod: cfg.Security.RotationPeriod,

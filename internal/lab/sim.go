@@ -126,7 +126,7 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 	cfg.Contacts = contacts
 
 	opts.logf("lab: sim fleet of %d nodes, %s virtual, tick %s", spec.Nodes, spec.Duration, cfg.Tick)
-	startedAt := time.Now()
+	wallStart := time.Now()
 	s, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
@@ -135,7 +135,7 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.logf("lab: sim ran %s virtual in %s wall", spec.Duration, time.Since(startedAt).Truncate(time.Millisecond))
+	opts.logf("lab: sim ran %s virtual in %s wall", spec.Duration, time.Since(wallStart).Truncate(time.Millisecond))
 
 	users := make(map[string]id.UserID, spec.Nodes)
 	reports := make([]NodeReport, 0, spec.Nodes)
@@ -146,9 +146,10 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 	}
 	executed := res.Posts
 
-	// Virtual elapsed time: the report describes the experiment, not the
-	// host that happened to run it.
-	report := buildReport(spec, ModeSim, startedAt, spec.Duration.D(),
+	// Virtual start and elapsed time: the report describes the
+	// experiment, not the host that happened to run it, so two runs of
+	// one seed write the same bytes.
+	report := buildReport(spec, ModeSim, start, spec.Duration.D(),
 		res.Collector, telemetry.AggregatorStats{}, spec.Subscriptions(users),
 		reports, executed, skipped)
 	// The timeline buckets virtual-time deliveries from the virtual run

@@ -75,6 +75,23 @@ func TestSimModeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSimReportStampsVirtualStart: a sim report starts at the virtual
+// run start, never at the wall clock, so two reports of one seed can be
+// byte-equal.
+func TestSimReportStampsVirtualStart(t *testing.T) {
+	spec, err := ParseSpec([]byte(simSpec))
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
+	}
+	rep, err := Run(spec, Options{Mode: ModeSim, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := simMidnight.Add(simDayStart); !rep.StartedAt.Equal(want) {
+		t.Errorf("StartedAt = %v, want the virtual start %v", rep.StartedAt, want)
+	}
+}
+
 // TestSimModeChurnSkipsPosts: a post scheduled while its author is
 // churned down does not happen (the live-mode rule, at virtual time).
 func TestSimModeChurnSkipsPosts(t *testing.T) {

@@ -62,10 +62,14 @@
 //
 // # The resync heartbeat
 //
-// The heartbeat (Config.ResyncInterval) is the manager's only timer and
-// has the four duties DefaultResyncInterval lists. A wanted beacon or a
-// retryable link drop arms a peer for re-dial; the first tick that finds
-// it linked disarms it. A negative interval arms no timer at all.
+// The heartbeat (Config.ResyncInterval) is the only timer of the manager
+// and of the ad hoc manager below it, and has the five duties
+// DefaultResyncInterval lists. A wanted beacon or a retryable link drop
+// arms a peer for re-dial; the first tick that finds it linked disarms
+// it. A handshake still unfinished at two consecutive ticks is failed
+// (adhoc.Manager.ExpireHandshakes) just before the re-dials, so a lost
+// Hello, HelloAck or HelloFin heals within two intervals. A negative
+// interval arms no timer at all.
 package message
 
 import (
@@ -120,10 +124,10 @@ const maxPeerSync = 512
 const SummaryChunkEntries = 4096
 
 // DefaultResyncInterval is the period of the resync heartbeat when
-// Config.ResyncInterval is zero. Each tick has four duties: re-advertise
+// Config.ResyncInterval is zero. Each tick has five duties: re-advertise
 // on every live link, re-arm SummaryPulls, expire and re-plan in-flight
-// requests a lost frame stranded, and re-dial armed, unlinked,
-// unquarantined peers.
+// requests a lost frame stranded, fail handshakes wedged since the
+// previous tick, and re-dial armed, unlinked, unquarantined peers.
 const DefaultResyncInterval = 3 * time.Second
 
 // Config assembles a message manager.
@@ -140,9 +144,10 @@ type Config struct {
 	OnPeerUp   func(user id.UserID)
 	OnPeerDown func(user id.UserID)
 
-	// AutoConnect, when true (the default via New), connects to any
-	// discovered peer whose advertisement offers messages the active
-	// scheme wants.
+	// AutoConnect, when true, connects to any discovered peer whose
+	// advertisement offers messages the active scheme wants, and lets the
+	// heartbeat re-dial it. New leaves it as given: core sets it, and
+	// tests leave it off to script their dials.
 	AutoConnect bool
 
 	// ResyncInterval is the resync heartbeat period: zero uses
@@ -355,7 +360,7 @@ func (m *Manager) Close() {
 // single frame of a contact — a handshake frame, an advertisement, a
 // Request, a Batch — and, with links surviving loss, nothing else would
 // ever retry: discovery beacons are unchanged, so no event re-fires.
-// Each tick does the four duties DefaultResyncInterval lists. The next
+// Each tick does the five duties DefaultResyncInterval lists. The next
 // tick is armed before any dial starts, so a dial that blocks delays
 // neither it nor anything but the dials after it in this tick.
 func (m *Manager) resyncTick() {
@@ -388,6 +393,7 @@ func (m *Manager) resyncTick() {
 	slices.Sort(dials)
 	sends := m.planLocked(m.linkedViewsLocked())
 	m.resyncTimer = time.AfterFunc(m.cfg.ResyncInterval, m.resyncTick)
+	a := m.adhocMgr
 	m.mu.Unlock()
 
 	data := m.cfg.Routing.Current().SchemeData()
@@ -395,6 +401,7 @@ func (m *Manager) resyncTick() {
 	m.pushSummaries(m.cfg.Store.Generation(), data, true)
 	m.advMu.Unlock()
 	m.sendPlans(sends)
+	a.ExpireHandshakes()
 	for _, peer := range dials {
 		m.connect(peer, true)
 	}

@@ -522,10 +522,12 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 }
 
 // refusingMedium is a scripted peer's radio that hangs up on its first
-// refuse inbound connections before the handshake can start.
+// refuse inbound connections before the handshake can start, and loses
+// the first swallow frames it receives.
 type refusingMedium struct {
 	mpc.Medium
-	refuse atomic.Int32
+	refuse  atomic.Int32
+	swallow atomic.Int32
 }
 
 func (m *refusingMedium) Join(peer mpc.PeerID, events mpc.Events) (mpc.Endpoint, error) {
@@ -551,7 +553,7 @@ func (e *refusingEvents) Incoming(conn mpc.Conn) {
 }
 
 func (e *refusingEvents) Received(conn mpc.Conn, frame []byte) {
-	if !e.refused[conn] {
+	if !e.refused[conn] && e.m.swallow.Add(-1) < 0 {
 		e.Events.Received(conn, frame)
 	}
 }
@@ -565,13 +567,15 @@ func (e *refusingEvents) Disconnected(conn mpc.Conn, reason error) {
 }
 
 // refusingHarness builds a harness whose scripted bob refuses his first
-// refusals inbound handshakes and beacons, unchanged, something alice
-// wants, so she dials him once on discovery.
-func refusingHarness(t *testing.T, resync time.Duration, refusals int32) (*syncHarness, *refusingMedium) {
+// refusals inbound handshakes, loses the first swallows frames he
+// receives, and beacons, unchanged, something alice wants, so she dials
+// him once on discovery.
+func refusingHarness(t *testing.T, resync time.Duration, refusals, swallows int32) (*syncHarness, *refusingMedium) {
 	var radio *refusingMedium
 	h := newSyncHarnessWith(t, message.Config{AutoConnect: true, ResyncInterval: resync}, func(m mpc.Medium) mpc.Medium {
 		radio = &refusingMedium{Medium: m}
 		radio.refuse.Store(refusals)
+		radio.swallow.Store(swallows)
 		return radio
 	})
 	if err := h.bobAd.Advertise(&wire.Advertisement{
@@ -586,7 +590,7 @@ func refusingHarness(t *testing.T, resync time.Duration, refusals int32) (*syncH
 // setting, nothing retries. Bob refuses the one handshake his beacon
 // caused, so a second later alice has dialled once and re-dialled never.
 func TestHeartbeatOffArmsNoTimer(t *testing.T) {
-	h, _ := refusingHarness(t, -1, 1)
+	h, _ := refusingHarness(t, -1, 1, 0)
 	waitFor(t, "the dial on discovery", func() bool { return h.mgr.Stats().ConnectsAttempted > 0 })
 	time.Sleep(time.Second)
 	if st := h.mgr.Stats(); st.ConnectsAttempted != 1 || st.Reconnects != 0 {
@@ -600,7 +604,7 @@ func TestHeartbeatOffArmsNoTimer(t *testing.T) {
 // failures and bring the contact up.
 func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
 	const failures = 8
-	h, radio := refusingHarness(t, 50*time.Millisecond, failures)
+	h, radio := refusingHarness(t, 50*time.Millisecond, failures, 0)
 
 	// One re-dial per 50 ms tick: the eighth links within half a second.
 	deadline := time.Now().Add(5 * time.Second)
@@ -615,6 +619,28 @@ func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
 	}
 	if st := h.mgr.Stats(); st.Reconnects < failures {
 		t.Errorf("Reconnects = %d, want >= %d ladder attempts", st.Reconnects, failures)
+	}
+}
+
+// TestHeartbeatExpiresWedgedHandshake: bob's radio loses alice's first
+// Hello, so her dial sits mid-handshake and every re-dial is refused as
+// in progress. The heartbeat's second tick fails the wedged handshake
+// just before it re-dials, so at 50 ms ticks she links well within a
+// second.
+func TestHeartbeatExpiresWedgedHandshake(t *testing.T) {
+	h, radio := refusingHarness(t, 50*time.Millisecond, 0, 1)
+	deadline := time.Now().Add(time.Second)
+	for len(h.mgr.ActiveLinks()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no link a second after a lost Hello: stats %+v, adhoc %+v", h.mgr.Stats(), h.aliceAd.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if radio.swallow.Load() >= 0 {
+		t.Error("linked without losing the Hello")
+	}
+	if st := h.aliceAd.Stats(); st.HandshakeFailures != 1 {
+		t.Errorf("alice's HandshakeFailures = %d, want 1: the wedged dial", st.HandshakeFailures)
 	}
 }
 

@@ -2,7 +2,6 @@ package sos_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -22,107 +21,20 @@ func TestContactTraceTree100kAuthors(t *testing.T) {
 	}
 	const authors = 100_000
 
-	ca, err := sos.NewCA("Trace Root CA", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cld := sos.NewCloud(ca, nil)
-	aliceCreds, err := sos.Bootstrap(cld, "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bobCreds, err := sos.Bootstrap(cld, "bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	medium := sos.NewMemMedium()
-
 	// Identical 100k-author histories: the first contact has no payload
 	// to move, so the trace isolates the summary machinery — exactly the
 	// regime where the chunked stream replaces a single giant frame.
-	aliceStore := sos.NewMemStore(aliceCreds.Ident.User, sos.StoreOptions{})
-	bobStore := sos.NewMemStore(bobCreds.Ident.User, sos.StoreOptions{})
-	created := time.Unix(1491472800, 0).UTC()
-	for i := 0; i < authors; i++ {
-		m := &sos.Message{
-			Author:  sos.NewUserID(fmt.Sprintf("history-%07d", i)),
-			Seq:     1,
-			Kind:    sos.KindPost,
-			Created: created,
-		}
-		if _, err := aliceStore.Put(m); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bobStore.Put(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	tracer := sos.NewTracer(0)
-	delivered := make(chan sos.Ref, 16)
-	alice, err := sos.NewNode(sos.NodeConfig{
-		Creds:  aliceCreds,
-		Medium: medium,
-		Store:  aliceStore,
-		Tracer: tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alice.Close()
-	bob, err := sos.NewNode(sos.NodeConfig{
-		Creds:  bobCreds,
-		Medium: medium,
-		Store:  bobStore,
-		OnReceive: func(m *sos.Message, _ sos.UserID) {
-			delivered <- m.Ref()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bob.Close()
-
+	c := newContactPair(t, authors, tracer, nil)
 	dbg, err := sos.NewDebugServer(sos.DebugServerConfig{Addr: "127.0.0.1:0", Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dbg.Close()
 
-	// Prime the contact, then wait for the chunked first-contact summary
-	// exchange to settle on both sides (the stream keeps arriving after
-	// the first delivery).
-	if _, err := alice.Post([]byte("priming post")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-delivered:
-	case <-time.After(60 * time.Second):
-		t.Fatal("priming post never delivered")
-	}
-	settleBy := time.Now().Add(120 * time.Second)
-	for {
-		_, _, aliceView := alice.SyncState()
-		_, _, bobView := bob.SyncState()
-		if aliceView >= authors && bobView >= authors {
-			break
-		}
-		if time.Now().After(settleBy) {
-			t.Fatalf("summary exchange did not settle (views %d/%d of %d)", aliceView, bobView, authors)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
 	// Steady-state delta rounds on the established link.
 	for i := 0; i < 3; i++ {
-		if _, err := alice.Post([]byte("delta round")); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-delivered:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("delta round %d stalled", i)
-		}
+		c.post(t, []byte("delta round"), 30*time.Second)
 	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
