@@ -356,12 +356,15 @@ func (m *Manager) sendPlain(conn mpc.Conn, f wire.Frame) error {
 	return nil
 }
 
-// failConn abandons a connection before establishment.
+// failConn abandons a connection before establishment, counting it
+// unless ExpireHandshakes already did.
 func (m *Manager) failConn(conn mpc.Conn, _ error) {
 	m.mu.Lock()
 	st := m.conns[conn]
-	delete(m.conns, conn)
-	m.stats.HandshakeFailures++
+	if st != nil {
+		delete(m.conns, conn)
+		m.stats.HandshakeFailures++
+	}
 	m.mu.Unlock()
 	if st != nil {
 		st.hs.Attr("ok", 0)
@@ -666,6 +669,12 @@ func (m *Manager) establish(st *connState) *Link {
 		sess: st.session,
 	}
 	m.mu.Lock()
+	if m.conns[st.conn] != st {
+		// ExpireHandshakes (or Close) dropped it mid-callback: as a link
+		// it would outlive the Disconnected that already missed it.
+		m.mu.Unlock()
+		return nil
+	}
 	if existing, up := m.links[link.peer]; up && existing != nil {
 		// A link to this peer won a race; drop the duplicate.
 		delete(m.conns, st.conn)

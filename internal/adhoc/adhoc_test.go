@@ -537,31 +537,50 @@ func TestConnectGuards(t *testing.T) {
 
 // swallowMedium drops the nth frame delivered to the endpoint joined
 // through it, counting from 1 (0 drops none): one handshake frame the
-// radio lost.
+// radio lost. It keeps a copy of the lost frame.
 type swallowMedium struct {
 	mpc.Medium
-	nth int
+	nth  int
+	lost []byte
 }
 
-func (m swallowMedium) Join(peer mpc.PeerID, ev mpc.Events) (mpc.Endpoint, error) {
-	return m.Medium.Join(peer, &swallowEvents{Events: ev, left: m.nth})
+func (m *swallowMedium) Join(peer mpc.PeerID, ev mpc.Events) (mpc.Endpoint, error) {
+	return m.Medium.Join(peer, &swallowEvents{Events: ev, medium: m, left: m.nth})
 }
 
 type swallowEvents struct {
 	mpc.Events
-	left int
+	medium *swallowMedium
+	left   int
 }
 
 func (e *swallowEvents) Received(conn mpc.Conn, frame []byte) {
 	if e.left--; e.left != 0 {
 		e.Events.Received(conn, frame)
+		return
+	}
+	e.medium.lost = append([]byte(nil), frame...)
+}
+
+// deliverLate runs the handshake step Received would run for st, as a
+// callback that looked st up just before ExpireHandshakes swept it.
+func deliverLate(m *Manager, st *connState, frame []byte) {
+	switch st.stage {
+	case stageAwaitHello:
+		m.onHello(st, frame)
+	case stageHelloSent:
+		m.onHelloAck(st, frame)
+	case stageAwaitFin:
+		m.onSealed(st, frame, true)
 	}
 }
 
 // TestExpireHandshakes loses each handshake frame in turn. The first
 // ExpireHandshakes call leaves the wedged connection alive, the second
 // fails it on every side still mid-handshake, and a re-dial then links;
-// an established link is never expired.
+// an established link is never expired. The lost frame then turns up in
+// a callback that read its connection just before the sweep: the swept
+// handshake neither becomes a link nor counts as a second failure.
 func TestExpireHandshakes(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
@@ -576,8 +595,10 @@ func TestExpireHandshakes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newWorld(t)
 			ca, cb := newCapture(), newCapture()
-			ma, _ := w.deviceOn(t, swallowMedium{w.medium, tc.aliceNth}, "alice", ca)
-			mb, _ := w.deviceOn(t, swallowMedium{w.medium, tc.bobNth}, "bob", cb)
+			sa := &swallowMedium{Medium: w.medium, nth: tc.aliceNth}
+			sb := &swallowMedium{Medium: w.medium, nth: tc.bobNth}
+			ma, _ := w.deviceOn(t, sa, "alice", ca)
+			mb, _ := w.deviceOn(t, sb, "bob", cb)
 			w.medium.SetLink(ma.Self(), mb.Self(), mpc.PeerToPeerWiFi)
 			w.pump(2 * time.Second)
 			if err := ma.Connect(mb.Self()); err != nil {
@@ -590,21 +611,30 @@ func TestExpireHandshakes(t *testing.T) {
 				mb.ExpireHandshakes()
 				w.pump(time.Second)
 			}
-			state := func() (failures [2]uint64, conns [2]int) {
+			state := func() (failures [2]uint64, conns, links [2]int) {
 				for i, m := range []*Manager{ma, mb} {
 					m.mu.Lock()
-					failures[i], conns[i] = m.stats.HandshakeFailures, len(m.conns)
+					failures[i], conns[i], links[i] = m.stats.HandshakeFailures, len(m.conns), len(m.links)
 					m.mu.Unlock()
 				}
-				return failures, conns
+				return failures, conns, links
+			}
+			pending := func(m *Manager) *connState {
+				m.mu.Lock()
+				defer m.mu.Unlock()
+				for _, st := range m.conns {
+					return st
+				}
+				return nil
 			}
 
 			sweep()
-			if failures, conns := state(); failures != ([2]uint64{}) || conns != [2]int{1, 1} {
+			if failures, conns, _ := state(); failures != ([2]uint64{}) || conns != [2]int{1, 1} {
 				t.Fatalf("after one call: failures %v, connections %v; want none failed, one each", failures, conns)
 			}
+			stA, stB := pending(ma), pending(mb)
 			sweep()
-			failures, conns := state()
+			failures, conns, _ := state()
 			if failures != tc.wantFailures {
 				t.Fatalf("after two calls: failures %v, want %v", failures, tc.wantFailures)
 			}
@@ -617,13 +647,29 @@ func TestExpireHandshakes(t *testing.T) {
 			if conns != [2]int{0, 0} {
 				t.Fatalf("after two calls: connections %v, want none", conns)
 			}
+
+			ups := len(ca.ups) + len(cb.ups)
+			if sa.lost != nil {
+				deliverLate(ma, stA, sa.lost)
+			}
+			if sb.lost != nil {
+				deliverLate(mb, stB, sb.lost)
+			}
+			w.pump(time.Second)
+			failures, conns, links := state()
+			if failures != tc.wantFailures || conns != [2]int{0, 0} || links != [2]int{0, 0} ||
+				len(ca.ups)+len(cb.ups) != ups {
+				t.Fatalf("late frame revived the swept handshake: failures %v, connections %v, links %v, ups %d → %d",
+					failures, conns, links, ups, len(ca.ups)+len(cb.ups))
+			}
+
 			// Nothing is left to refuse the re-dial as in progress.
 			if err := ma.Connect(mb.Self()); err != nil {
 				t.Fatalf("re-dial: %v", err)
 			}
 			w.pump(2 * time.Second)
-			if ma.Stats().HandshakesOK == 0 || mb.Stats().HandshakesOK != 1 {
-				t.Fatalf("re-dial did not link: %+v / %+v", ma.Stats(), mb.Stats())
+			if _, _, links := state(); links != [2]int{1, 1} {
+				t.Fatalf("re-dial did not link: links %v, %+v / %+v", links, ma.Stats(), mb.Stats())
 			}
 		})
 	}

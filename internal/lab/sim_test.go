@@ -73,22 +73,13 @@ func TestSimModeEndToEnd(t *testing.T) {
 			rep.Deliveries, rep.Disseminations, rep.Ratio.Mean,
 			rep2.Deliveries, rep2.Disseminations, rep2.Ratio.Mean)
 	}
-}
-
-// TestSimReportStampsVirtualStart: a sim report starts at the virtual
-// run start, never at the wall clock, so two reports of one seed can be
-// byte-equal.
-func TestSimReportStampsVirtualStart(t *testing.T) {
-	spec, err := ParseSpec([]byte(simSpec))
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	rep, err := Run(spec, Options{Mode: ModeSim, Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if want := simMidnight.Add(simDayStart); !rep.StartedAt.Equal(want) {
-		t.Errorf("StartedAt = %v, want the virtual start %v", rep.StartedAt, want)
+	// A sim report starts at the virtual run start, never at the wall
+	// clock, so two reports of one seed can be byte-equal.
+	want := simMidnight.Add(simDayStart)
+	for _, r := range []*Report{rep, rep2} {
+		if !r.StartedAt.Equal(want) {
+			t.Errorf("StartedAt = %v, want the virtual start %v", r.StartedAt, want)
+		}
 	}
 }
 
