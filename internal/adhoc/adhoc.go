@@ -590,7 +590,15 @@ func (m *Manager) onHelloAck(st *connState, frame []byte) {
 		return
 	}
 	if err := link.SendFrame(&wire.HelloFin{Sig: sig}); err != nil {
-		m.failConn(st.conn, err)
+		// Its LinkUp never fired, so drop the link here, not via Disconnected.
+		m.mu.Lock()
+		if m.conns[st.conn] == st {
+			delete(m.conns, st.conn)
+			delete(m.links, link.peer)
+			m.stats.HandshakeFailures++
+		}
+		m.mu.Unlock()
+		st.conn.Close()
 		return
 	}
 	m.cfg.Handler.LinkUp(link)

@@ -675,6 +675,65 @@ func TestExpireHandshakes(t *testing.T) {
 	}
 }
 
+// hangUpMedium drops the connection as the first frame arrives at the
+// endpoint joined through it, then delivers the frame, so the
+// handshake's reply to it cannot be sent. Later frames pass untouched.
+type hangUpMedium struct{ mpc.Medium }
+
+func (m hangUpMedium) Join(peer mpc.PeerID, ev mpc.Events) (mpc.Endpoint, error) {
+	return m.Medium.Join(peer, &hangUpEvents{Events: ev})
+}
+
+type hangUpEvents struct {
+	mpc.Events
+	done bool
+}
+
+func (e *hangUpEvents) Received(conn mpc.Conn, frame []byte) {
+	if !e.done {
+		e.done = true
+		conn.Close()
+	}
+	e.Events.Received(conn, frame)
+}
+
+// TestFailedHelloFinLeavesNoLink: alice's radio drops the connection as
+// bob's HelloAck arrives, so her HelloFin send fails after she has
+// registered the link. No link may be left to refuse the re-dial, no
+// LinkUp or LinkDown fires for it, and a re-dial links.
+func TestFailedHelloFinLeavesNoLink(t *testing.T) {
+	w := newWorld(t)
+	ca, cb := newCapture(), newCapture()
+	ma, _ := w.deviceOn(t, hangUpMedium{w.medium}, "alice", ca)
+	mb, _ := w.device(t, "bob", cb)
+	w.medium.SetLink(ma.Self(), mb.Self(), mpc.PeerToPeerWiFi)
+	w.pump(2 * time.Second)
+	if err := ma.Connect(mb.Self()); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	w.pump(2 * time.Second)
+	ma.mu.Lock()
+	conns, links := len(ma.conns), len(ma.links)
+	ma.mu.Unlock()
+	if conns != 0 || links != 0 {
+		t.Fatalf("after the failed HelloFin alice holds %d connections and %d links, want none", conns, links)
+	}
+	if n := len(ca.ups) + len(ca.downs) + len(cb.ups) + len(cb.downs); n != 0 {
+		t.Fatalf("%d LinkUp/LinkDown callbacks for a link that never came up", n)
+	}
+	if a, b := ma.Stats().HandshakeFailures, mb.Stats().HandshakeFailures; a != 1 || b != 1 {
+		t.Errorf("HandshakeFailures alice %d, bob %d; want 1 each", a, b)
+	}
+
+	if err := ma.Connect(mb.Self()); err != nil {
+		t.Fatalf("re-dial: %v", err)
+	}
+	w.pump(2 * time.Second)
+	if len(ca.ups) != 1 || len(cb.ups) != 1 || len(ca.downs)+len(cb.downs) != 0 {
+		t.Fatalf("re-dial: ups %d/%d, downs %d/%d; want one up each, no down", len(ca.ups), len(cb.ups), len(ca.downs), len(cb.downs))
+	}
+}
+
 func TestManagerClose(t *testing.T) {
 	w := newWorld(t)
 	ca, cb := newCapture(), newCapture()

@@ -78,7 +78,6 @@ func TestChaosOverNetMediumConformance(t *testing.T) {
 			ListenIP:       "127.0.0.1",
 			BeaconInterval: 25 * time.Millisecond,
 			LossTimeout:    150 * time.Millisecond,
-			DialTimeout:    2 * time.Second,
 		})
 		if err != nil {
 			t.Fatalf("building net medium: %v", err)

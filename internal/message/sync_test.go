@@ -8,6 +8,7 @@ package message_test
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -345,14 +346,14 @@ func newSyncHarness(t *testing.T) *syncHarness {
 }
 
 // newSyncHarnessWith builds the harness with alice's manager options
-// taken from cfg (Store, Routing and Verifier are filled in) and bob
-// joining through bobRadio's wrapping of the shared medium, if given.
-func newSyncHarnessWith(t *testing.T, cfg message.Config, bobRadio func(mpc.Medium) mpc.Medium) *syncHarness {
+// taken from cfg (Store, Routing and Verifier are filled in) and both
+// devices joining through radio's wrapping of the shared medium, if given.
+func newSyncHarnessWith(t *testing.T, cfg message.Config, radio func(mpc.Medium) mpc.Medium) *syncHarness {
 	t.Helper()
 	mem, svc := newLiveWorld(t)
-	var medium, bobMedium mpc.Medium = mem, mem
-	if bobRadio != nil {
-		bobMedium = bobRadio(mem)
+	var medium mpc.Medium = mem
+	if radio != nil {
+		medium = radio(mem)
 	}
 	aliceCreds, err := cloud.Bootstrap(svc, "alice", rand.Reader)
 	if err != nil {
@@ -383,7 +384,7 @@ func newSyncHarnessWith(t *testing.T, cfg message.Config, bobRadio func(mpc.Medi
 	t.Cleanup(func() { aliceAd.Close() })
 
 	h := &syncHarness{mem: mem, svc: svc, mgr: mgr, st: st, aliceAd: aliceAd}
-	h.bobAd, h.bob, h.bobCreds = h.scriptedPeer(t, bobMedium, "bob")
+	h.bobAd, h.bob, h.bobCreds = h.scriptedPeer(t, medium, "bob")
 	return h
 }
 
@@ -521,17 +522,38 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	}
 }
 
-// refusingMedium is a scripted peer's radio that hangs up on its first
-// refuse inbound connections before the handshake can start, and loses
-// the first swallow frames it receives.
+// refusingMedium is the harness's scripted radio: it hangs up on the
+// first refuse inbound connections before the handshake can start, loses
+// the first swallow frames delivered, and fails the first failDials dials
+// with a transport error, as a refused TCP connect would. Alice only
+// dials and bob only answers, so the refusals and lost frames are bob's
+// and the failed dials alice's.
 type refusingMedium struct {
 	mpc.Medium
-	refuse  atomic.Int32
-	swallow atomic.Int32
+	refuse    atomic.Int32
+	swallow   atomic.Int32
+	failDials atomic.Int32
 }
 
 func (m *refusingMedium) Join(peer mpc.PeerID, events mpc.Events) (mpc.Endpoint, error) {
-	return m.Medium.Join(peer, &refusingEvents{Events: events, m: m, refused: make(map[mpc.Conn]bool)})
+	ep, err := m.Medium.Join(peer, &refusingEvents{Events: events, m: m, refused: make(map[mpc.Conn]bool)})
+	if err != nil {
+		return nil, err
+	}
+	return &refusingEndpoint{Endpoint: ep, m: m}, nil
+}
+
+// refusingEndpoint fails the medium's scripted dials.
+type refusingEndpoint struct {
+	mpc.Endpoint
+	m *refusingMedium
+}
+
+func (ep *refusingEndpoint) Connect(peer mpc.PeerID) (mpc.Conn, error) {
+	if ep.m.failDials.Add(-1) >= 0 {
+		return nil, errors.New("connection refused")
+	}
+	return ep.Endpoint.Connect(peer)
 }
 
 // refusingEvents hides refused connections from the wrapped callback
@@ -566,16 +588,18 @@ func (e *refusingEvents) Disconnected(conn mpc.Conn, reason error) {
 	e.Events.Disconnected(conn, reason)
 }
 
-// refusingHarness builds a harness whose scripted bob refuses his first
-// refusals inbound handshakes, loses the first swallows frames he
-// receives, and beacons, unchanged, something alice wants, so she dials
-// him once on discovery.
-func refusingHarness(t *testing.T, resync time.Duration, refusals, swallows int32) (*syncHarness, *refusingMedium) {
+// refusingHarness builds a harness on a refusingMedium whose scripted
+// bob refuses his first refusals inbound handshakes and loses the first
+// swallows frames he receives, whose alice fails her first dialFailures
+// dials, and where bob beacons, unchanged, something alice wants, so she
+// dials him once on discovery.
+func refusingHarness(t *testing.T, resync time.Duration, refusals, swallows, dialFailures int32) (*syncHarness, *refusingMedium) {
 	var radio *refusingMedium
 	h := newSyncHarnessWith(t, message.Config{AutoConnect: true, ResyncInterval: resync}, func(m mpc.Medium) mpc.Medium {
 		radio = &refusingMedium{Medium: m}
 		radio.refuse.Store(refusals)
 		radio.swallow.Store(swallows)
+		radio.failDials.Store(dialFailures)
 		return radio
 	})
 	if err := h.bobAd.Advertise(&wire.Advertisement{
@@ -590,7 +614,7 @@ func refusingHarness(t *testing.T, resync time.Duration, refusals, swallows int3
 // setting, nothing retries. Bob refuses the one handshake his beacon
 // caused, so a second later alice has dialled once and re-dialled never.
 func TestHeartbeatOffArmsNoTimer(t *testing.T) {
-	h, _ := refusingHarness(t, -1, 1, 0)
+	h, _ := refusingHarness(t, -1, 1, 0, 0)
 	waitFor(t, "the dial on discovery", func() bool { return h.mgr.Stats().ConnectsAttempted > 0 })
 	time.Sleep(time.Second)
 	if st := h.mgr.Stats(); st.ConnectsAttempted != 1 || st.Reconnects != 0 {
@@ -604,7 +628,7 @@ func TestHeartbeatOffArmsNoTimer(t *testing.T) {
 // failures and bring the contact up.
 func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
 	const failures = 8
-	h, radio := refusingHarness(t, 50*time.Millisecond, failures, 0)
+	h, radio := refusingHarness(t, 50*time.Millisecond, failures, 0, 0)
 
 	// One re-dial per 50 ms tick: the eighth links within half a second.
 	deadline := time.Now().Add(5 * time.Second)
@@ -628,7 +652,7 @@ func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
 // just before it re-dials, so at 50 ms ticks she links well within a
 // second.
 func TestHeartbeatExpiresWedgedHandshake(t *testing.T) {
-	h, radio := refusingHarness(t, 50*time.Millisecond, 0, 1)
+	h, radio := refusingHarness(t, 50*time.Millisecond, 0, 1, 0)
 	deadline := time.Now().Add(time.Second)
 	for len(h.mgr.ActiveLinks()) == 0 {
 		if time.Now().After(deadline) {
@@ -641,6 +665,28 @@ func TestHeartbeatExpiresWedgedHandshake(t *testing.T) {
 	}
 	if st := h.aliceAd.Stats(); st.HandshakeFailures != 1 {
 		t.Errorf("alice's HandshakeFailures = %d, want 1: the wedged dial", st.HandshakeFailures)
+	}
+}
+
+// TestHeartbeatRedialsRefusedDials: alice's first three dials fail at
+// the socket, as toward a peer whose listener is not up yet. A transport
+// error keeps the peer armed, so the heartbeat re-dials past all three
+// and, at 50 ms ticks, links well within a second.
+func TestHeartbeatRedialsRefusedDials(t *testing.T) {
+	const failures = 3
+	h, radio := refusingHarness(t, 50*time.Millisecond, 0, 0, failures)
+	deadline := time.Now().Add(time.Second)
+	for len(h.mgr.ActiveLinks()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no link a second after %d refused dials: stats %+v", failures, h.mgr.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if radio.failDials.Load() >= 0 {
+		t.Error("linked with refused dials still unspent")
+	}
+	if st := h.mgr.Stats(); st.Reconnects < failures {
+		t.Errorf("Reconnects = %d, want >= %d heartbeat re-dials", st.Reconnects, failures)
 	}
 }
 

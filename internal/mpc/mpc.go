@@ -37,8 +37,10 @@
 //     unreachable.
 //   - Connect succeeds toward any known reachable peer — advertising or
 //     not — and fails with ErrPeerUnknown for never-seen peers,
-//     ErrPeerGone for unreachable ones, ErrSelfConnect for the local
-//     device, and ErrClosed after endpoint Close.
+//     ErrPeerGone for out-of-range ones, ErrSelfConnect for the local
+//     device, and ErrClosed after endpoint Close. Connect tries once: a
+//     transport failure toward an in-range peer (a refused or reset
+//     socket) is returned as is and is worth retrying.
 //   - Conn.Send never blocks; delivery is asynchronous, stops silently if
 //     the link breaks, and the break then surfaces as Disconnected on
 //     both sides exactly once per side.

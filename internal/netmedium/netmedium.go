@@ -22,7 +22,9 @@
 // the peer advertises. Peer names on this layer are exactly as
 // trustworthy as MPC display names — not at all — and the SOS ad hoc
 // manager's mutual-certificate handshake on top is what authenticates
-// the user behind a link.
+// the user behind a link. The medium runs no retry loop: Connect dials
+// once, and the caller's retry clock (the message manager's resync
+// heartbeat) dials again. The beacon tick also expires silent peers.
 //
 // netmedium.Medium passes the same conformance suite
 // (sos/internal/mpc/mediumtest) as MemMedium and SimMedium.
@@ -34,7 +36,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"net"
 	"sync"
 	"syscall"
@@ -49,14 +50,8 @@ import (
 const (
 	DefaultBeaconListen   = ":7474"
 	DefaultBeaconInterval = 1 * time.Second
-	DefaultDialTimeout    = 5 * time.Second
 
-	// The dial ladder (see dialSession): how many times Connect tries the
-	// session dial, and the backoff between tries — base, 2×base, 4×base …
-	// clamped to cap.
-	dialAttempts    = 3
-	dialBackoffBase = 50 * time.Millisecond
-	dialBackoffCap  = 1 * time.Second
+	dialTimeout = 5 * time.Second // bounds a session's TCP connect plus name exchange
 )
 
 // technologies are the logical links every device offers, in listener
@@ -88,11 +83,9 @@ type Config struct {
 	BeaconInterval time.Duration
 	// LossTimeout is how long a peer may stay silent before PeerLost
 	// fires; one not above BeaconInterval becomes 3.5 × BeaconInterval.
+	// Silence is checked at each beacon tick, so a silent peer is lost
+	// within LossTimeout + BeaconInterval.
 	LossTimeout time.Duration
-	// DialTimeout bounds Connect's whole dial — every attempt plus the
-	// backoff between them — and each attempt's TCP dial plus name
-	// exchange.
-	DialTimeout time.Duration
 	// Logf, when set, receives debug logging.
 	Logf func(format string, args ...any)
 	// Tracer, when set, records net-plane spans — session dials and
@@ -112,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LossTimeout <= c.BeaconInterval {
 		c.LossTimeout = 7 * c.BeaconInterval / 2
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = DefaultDialTimeout
 	}
 	return c
 }
@@ -307,6 +297,7 @@ type peerState struct {
 	ad         []byte
 	advertised bool // a PeerFound is outstanding without a PeerLost
 	lastSeen   time.Time
+	dialFailed bool // this endpoint's last Connect to the peer failed
 }
 
 // Endpoint is one device's real-socket attachment.
@@ -389,10 +380,9 @@ func allowBroadcast(conn *net.UDPConn) {
 
 // start launches the endpoint's service goroutines.
 func (ep *Endpoint) start() {
-	ep.wg.Add(3)
+	ep.wg.Add(2)
 	go ep.beaconLoop()
 	go ep.recvLoop()
-	go ep.reapLoop()
 	for tech, lis := range ep.listeners {
 		ep.wg.Add(1)
 		go ep.acceptLoop(tech, lis)
@@ -417,10 +407,11 @@ func (ep *Endpoint) SetAdvertisement(ad []byte) {
 }
 
 // Connect implements mpc.Endpoint: dial the fastest technology the peer
-// advertises and exchange names.
+// advertises and exchange names, once. A failed TCP connect or name
+// exchange toward a cached peer returns the plain transport error.
 func (ep *Endpoint) Connect(peer mpc.PeerID) (mpc.Conn, error) {
 	sp := ep.m.cfg.Tracer.Start(ep.netTrack(peer), "net.dial")
-	conn, err := ep.dialSession(peer)
+	conn, err := ep.dial(peer)
 	if err != nil {
 		sp.Attr("ok", 0)
 		sp.End()
@@ -442,47 +433,9 @@ func (ep *Endpoint) netTrack(peer mpc.PeerID) uint64 {
 	return ep.m.cfg.Tracer.Track("net " + string(ep.self) + "→" + string(peer))
 }
 
-// dialSession runs the capped jittered-exponential dial ladder: a
-// refused or reset attempt (the peer may be restarting its listener, or
-// the SYN was unlucky) backs off and retries within the DialTimeout
-// budget instead of giving up immediately.
-func (ep *Endpoint) dialSession(peer mpc.PeerID) (mpc.Conn, error) {
-	deadline := time.Now().Add(ep.m.cfg.DialTimeout)
-	var err error
-	for attempt := 0; attempt < dialAttempts; attempt++ {
-		if attempt > 0 {
-			backoff := min(dialBackoffBase<<(attempt-1), dialBackoffCap)
-			// Full jitter on the top half keeps simultaneous dialers
-			// from staying phase-locked.
-			backoff = backoff/2 + time.Duration(mrand.Int63n(int64(backoff/2)+1))
-			if time.Now().Add(backoff).After(deadline) {
-				break // the budget is spent; report the last error
-			}
-			time.Sleep(backoff)
-			ep.m.stats.dialRetries.Add(1)
-		}
-		var conn mpc.Conn
-		conn, err = ep.dialOnce(peer, deadline)
-		if err == nil {
-			return conn, nil
-		}
-		// Only transport-level failures are worth retrying; a closed
-		// endpoint, unknown peer, or severed pair will not improve.
-		if errors.Is(err, mpc.ErrClosed) || errors.Is(err, mpc.ErrSelfConnect) ||
-			errors.Is(err, mpc.ErrPeerUnknown) || errors.Is(err, errPeerBlocked) {
-			return nil, err
-		}
-	}
-	return nil, err
-}
-
-// errPeerBlocked marks a dial refused because SetReachable severed the
-// pair: not retryable, but still an ErrPeerGone for callers.
-var errPeerBlocked = errors.New("netmedium: pair severed")
-
-// dialOnce performs one complete session dial: TCP connect on the best
-// advertised technology plus the name-exchange preamble.
-func (ep *Endpoint) dialOnce(peer mpc.PeerID, deadline time.Time) (mpc.Conn, error) {
+// dial performs one session dial: TCP connect on the best advertised
+// technology plus the name-exchange preamble.
+func (ep *Endpoint) dial(peer mpc.PeerID) (_ mpc.Conn, err error) {
 	if peer == ep.self {
 		return nil, mpc.ErrSelfConnect
 	}
@@ -492,41 +445,45 @@ func (ep *Endpoint) dialOnce(peer mpc.PeerID, deadline time.Time) (mpc.Conn, err
 		return nil, mpc.ErrClosed
 	}
 	ps, known := ep.peers[peer]
-	var ip net.IP
-	var ports map[mpc.Technology]uint16
-	if known {
-		ip = ps.ip
-		ports = ps.ports
-	}
-	ep.mu.Unlock()
 	if !known {
+		ep.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", mpc.ErrPeerUnknown, peer)
 	}
+	ip, ports := ps.ip, ps.ports
+	if ps.dialFailed {
+		ep.m.stats.dialRetries.Add(1)
+	}
+	ep.mu.Unlock()
+	defer func() {
+		ep.mu.Lock()
+		ps.dialFailed = err != nil
+		ep.mu.Unlock()
+	}()
 	if ep.m.isBlocked(ep.self, peer) {
-		return nil, fmt.Errorf("%w (%w): %s", mpc.ErrPeerGone, errPeerBlocked, peer)
+		return nil, fmt.Errorf("%w: %s", mpc.ErrPeerGone, peer)
 	}
 	tech, port, err := pickTechnology(ports)
 	if err != nil {
 		return nil, err
 	}
 
-	sock, err := net.DialTimeout("tcp", net.JoinHostPort(ip.String(), fmt.Sprint(port)), time.Until(deadline))
+	sock, err := net.DialTimeout("tcp", net.JoinHostPort(ip.String(), fmt.Sprint(port)), dialTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", mpc.ErrPeerGone, peer, err)
+		return nil, fmt.Errorf("netmedium: dialing %s: %w", peer, err)
 	}
-	sock.SetDeadline(deadline)
+	sock.SetDeadline(time.Now().Add(dialTimeout))
 	if err := writePreamble(sock, tech, ep.self); err != nil {
 		sock.Close()
-		return nil, fmt.Errorf("%w: %s: %v", mpc.ErrPeerGone, peer, err)
+		return nil, fmt.Errorf("netmedium: greeting %s: %w", peer, err)
 	}
 	_, remote, err := readPreamble(sock)
 	if err != nil {
 		sock.Close()
-		return nil, fmt.Errorf("%w: %s: %v", mpc.ErrPeerGone, peer, err)
+		return nil, fmt.Errorf("netmedium: greeting %s: %w", peer, err)
 	}
 	if remote != peer {
 		sock.Close()
-		return nil, fmt.Errorf("%w: dialed %s, reached %s", mpc.ErrPeerGone, peer, remote)
+		return nil, fmt.Errorf("netmedium: dialed %s, reached %s", peer, remote)
 	}
 	sock.SetDeadline(time.Time{})
 
@@ -639,7 +596,8 @@ func (ep *Endpoint) sendBeacon(goodbye bool) {
 	}
 }
 
-// beaconLoop emits periodic beacons until the endpoint closes.
+// beaconLoop emits periodic beacons, and expires peers whose beacons
+// stopped arriving, until the endpoint closes.
 func (ep *Endpoint) beaconLoop() {
 	defer ep.wg.Done()
 	ticker := time.NewTicker(ep.m.cfg.BeaconInterval)
@@ -649,6 +607,7 @@ func (ep *Endpoint) beaconLoop() {
 		select {
 		case <-ticker.C:
 			ep.sendBeacon(false)
+			ep.reapSilentPeers()
 		case <-ep.closing:
 			return
 		}
@@ -736,21 +695,6 @@ func (ep *Endpoint) postLost(peer mpc.PeerID) {
 	ep.queue.Post(func() { ep.events.PeerLost(peer) })
 }
 
-// reapLoop expires peers whose beacons stopped arriving.
-func (ep *Endpoint) reapLoop() {
-	defer ep.wg.Done()
-	ticker := time.NewTicker(max(ep.m.cfg.LossTimeout/4, time.Millisecond))
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			ep.reapSilentPeers()
-		case <-ep.closing:
-			return
-		}
-	}
-}
-
 func (ep *Endpoint) reapSilentPeers() {
 	cutoff := time.Now().Add(-ep.m.cfg.LossTimeout)
 	ep.mu.Lock()
@@ -812,7 +756,7 @@ func (ep *Endpoint) acceptLoop(tech mpc.Technology, lis net.Listener) {
 // admit runs the name exchange on an inbound session and surfaces it as
 // Incoming.
 func (ep *Endpoint) admit(tech mpc.Technology, sock net.Conn) {
-	sock.SetDeadline(time.Now().Add(ep.m.cfg.DialTimeout))
+	sock.SetDeadline(time.Now().Add(dialTimeout))
 	_, peer, err := readPreamble(sock)
 	if err != nil {
 		sock.Close()

@@ -2,6 +2,7 @@ package netmedium
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -153,7 +154,6 @@ func testConfig() Config {
 		ListenIP:       "127.0.0.1",
 		BeaconInterval: 20 * time.Millisecond,
 		LossTimeout:    120 * time.Millisecond,
-		DialTimeout:    2 * time.Second,
 	}
 }
 
@@ -250,6 +250,60 @@ func TestFramesSurviveBeaconSilence(t *testing.T) {
 		fr := recB.framesOn(recB.firstIncoming())
 		return len(fr) == 1 && bytes.Equal(fr[0], []byte("still-here"))
 	})
+}
+
+// TestRefusedDialStaysRetryable: a crafted beacon advertises a port
+// where nothing listens. Connect tries it once and returns the transport
+// error, neither ErrPeerGone nor ErrPeerUnknown, so the caller's retry
+// clock keeps the peer armed; the next Connect counts as a retry.
+func TestRefusedDialStaysRetryable(t *testing.T) {
+	cfg := testConfig()
+	cfg.LossTimeout = time.Minute // the crafted beacon stays cached
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := newCollector()
+	ep, err := m.Join("alice", rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := lis.Addr().(*net.TCPAddr).Port
+	lis.Close() // nothing listens there now
+	buf, err := (&beacon{name: "ghost", epoch: 1, advertising: true, ad: []byte("g"),
+		ports: map[mpc.Technology]uint16{mpc.PeerToPeerWiFi: uint16(port)}}).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp, err := net.Dial("udp", m.BeaconAddrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	waitCond(t, "alice to find the ghost", func() bool {
+		udp.Write(buf)
+		return rec.adOf("ghost") != nil
+	})
+
+	_, err = ep.Connect("ghost")
+	if err == nil || errors.Is(err, mpc.ErrPeerGone) || errors.Is(err, mpc.ErrPeerUnknown) {
+		t.Fatalf("refused dial: err = %v, want a transport error that is neither ErrPeerGone nor ErrPeerUnknown", err)
+	}
+	if s := m.Stats(); s.DialFailures != 1 || s.DialRetries != 0 {
+		t.Fatalf("after one refused Connect: DialFailures %d, DialRetries %d; want 1 and 0 (one TCP attempt)", s.DialFailures, s.DialRetries)
+	}
+	if _, err := ep.Connect("ghost"); err == nil {
+		t.Fatal("second Connect to a port where nothing listens succeeded")
+	}
+	if s := m.Stats(); s.DialFailures != 2 || s.DialRetries != 1 {
+		t.Fatalf("after the re-dial: DialFailures %d, DialRetries %d; want 2 and 1", s.DialFailures, s.DialRetries)
+	}
 }
 
 // mediumRecorder is a tiny local stand-in for mediumtest.Recorder (kept

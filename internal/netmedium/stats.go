@@ -16,9 +16,10 @@ type Stats struct {
 	SessionsDialed   uint64
 	SessionsAccepted uint64
 	SessionsClosed   uint64
-	// DialFailures counts Connect attempts that never produced a session
-	// even after the retry ladder; DialRetries counts the individual
-	// backed-off re-dials inside Connect (see dialAttempts).
+	// DialFailures counts Connect calls that produced no session;
+	// DialRetries counts Connect calls to a peer whose previous dial from
+	// the same endpoint failed: the caller's re-dials, as the medium sees
+	// them (Connect itself dials once).
 	DialFailures uint64
 	DialRetries  uint64
 	// FramesSent / FramesReceived and FrameBytes* count the length-

@@ -170,7 +170,7 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return med.Stats().FrameBytesSent })
 		reg.CounterFunc("sos_net_frame_bytes_total", "Session frame bytes on the TCP plane.", Labels{"dir": "received"},
 			func() uint64 { return med.Stats().FrameBytesReceived })
-		reg.CounterFunc("sos_net_dial_retries_total", "Dial attempts beyond the first inside the backoff ladder.", nil,
+		reg.CounterFunc("sos_net_dial_retries_total", "Session dials to a peer whose previous dial from the same endpoint failed: heartbeat re-dials as the medium sees them.", nil,
 			func() uint64 { return med.Stats().DialRetries })
 	}
 
