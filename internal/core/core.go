@@ -505,15 +505,16 @@ func (mw *Middleware) Stats() Stats {
 // ActiveLinks returns the users currently linked to this node.
 func (mw *Middleware) ActiveLinks() []id.UserID { return mw.msgMgr.ActiveLinks() }
 
-// SyncState reports the size of the contact-sync plane: peers with
-// cached sync state, currently active links, and total inbound summary
-// entries held.
+// SyncState reports the size of the contact-sync plane: peers in range
+// or linked, currently active links, and total inbound summary entries
+// held.
 func (mw *Middleware) SyncState() (peers, links, summaryEntries int) {
 	return mw.msgMgr.SyncState()
 }
 
-// Advertise refreshes the discovery hint when the store moved and pushes
-// in-session summaries (with the scheme gossip) to linked peers.
+// Advertise refreshes the discovery hint when the store moved and a
+// device in range can act on it, and pushes in-session summaries (with
+// the scheme gossip) to linked peers.
 func (mw *Middleware) Advertise() error { return mw.msgMgr.Advertise() }
 
 // Close shuts the middleware down, detaches from the medium, and flushes

@@ -9,7 +9,6 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
-	"crypto/x509"
 	"encoding/base32"
 	"errors"
 	"fmt"
@@ -41,16 +40,6 @@ func NewUserID(handle string) UserID {
 	var u UserID
 	copy(u[:], sum[:UserIDLen])
 	return u
-}
-
-// RandomUserID draws a fresh identifier from the given entropy source.
-// It is used by tests and by anonymous/demo accounts.
-func RandomUserID(rng io.Reader) (UserID, error) {
-	var u UserID
-	if _, err := io.ReadFull(rng, u[:]); err != nil {
-		return UserID{}, fmt.Errorf("id: reading entropy: %w", err)
-	}
-	return u, nil
 }
 
 // ParseUserID decodes the display form produced by String.
@@ -140,27 +129,4 @@ func Verify(pub *ecdsa.PublicKey, msg, sig []byte) bool {
 	}
 	digest := sha256.Sum256(msg)
 	return ecdsa.VerifyASN1(pub, digest[:], sig)
-}
-
-// MarshalPublicKey encodes pub in PKIX DER form for transport.
-func MarshalPublicKey(pub *ecdsa.PublicKey) ([]byte, error) {
-	der, err := x509.MarshalPKIXPublicKey(pub)
-	if err != nil {
-		return nil, fmt.Errorf("id: marshaling public key: %w", err)
-	}
-	return der, nil
-}
-
-// ParsePublicKey decodes a PKIX DER public key and requires it to be an
-// ECDSA key; any other algorithm is rejected.
-func ParsePublicKey(der []byte) (*ecdsa.PublicKey, error) {
-	pub, err := x509.ParsePKIXPublicKey(der)
-	if err != nil {
-		return nil, fmt.Errorf("id: parsing public key: %w", err)
-	}
-	ec, ok := pub.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("id: public key is %T, want *ecdsa.PublicKey", pub)
-	}
-	return ec, nil
 }

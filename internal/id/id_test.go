@@ -60,20 +60,6 @@ func TestParseUserIDRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestRandomUserID(t *testing.T) {
-	a, err := RandomUserID(rand.Reader)
-	if err != nil {
-		t.Fatalf("RandomUserID: %v", err)
-	}
-	b, err := RandomUserID(rand.Reader)
-	if err != nil {
-		t.Fatalf("RandomUserID: %v", err)
-	}
-	if a == b {
-		t.Error("two random identifiers collided")
-	}
-}
-
 func TestBytesIsACopy(t *testing.T) {
 	u := NewUserID("alice")
 	b := u.Bytes()
@@ -137,30 +123,6 @@ func TestSignatureTamperProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPublicKeyRoundTrip(t *testing.T) {
-	ident, err := NewIdentity(NewUserID("alice"), rand.Reader)
-	if err != nil {
-		t.Fatalf("NewIdentity: %v", err)
-	}
-	der, err := MarshalPublicKey(ident.Public())
-	if err != nil {
-		t.Fatalf("MarshalPublicKey: %v", err)
-	}
-	pub, err := ParsePublicKey(der)
-	if err != nil {
-		t.Fatalf("ParsePublicKey: %v", err)
-	}
-	if !pub.Equal(ident.Public()) {
-		t.Error("public key did not survive round trip")
-	}
-}
-
-func TestParsePublicKeyRejectsGarbage(t *testing.T) {
-	if _, err := ParsePublicKey([]byte("not a key")); err == nil {
-		t.Error("want error for garbage key bytes")
 	}
 }
 

@@ -33,7 +33,13 @@ type adRecorder struct {
 	inner mpc.Medium
 
 	mu  sync.Mutex
-	ads [][]byte
+	ads []recordedAd
+}
+
+// recordedAd is one hint refresh and the device that published it.
+type recordedAd struct {
+	peer mpc.PeerID
+	raw  []byte
 }
 
 func (r *adRecorder) Join(peer mpc.PeerID, events mpc.Events) (mpc.Endpoint, error) {
@@ -51,7 +57,7 @@ type recordingEndpoint struct {
 
 func (ep *recordingEndpoint) SetAdvertisement(ad []byte) {
 	ep.rec.mu.Lock()
-	ep.rec.ads = append(ep.rec.ads, bytes.Clone(ad))
+	ep.rec.ads = append(ep.rec.ads, recordedAd{ep.Self(), bytes.Clone(ad)})
 	ep.rec.mu.Unlock()
 	ep.Endpoint.SetAdvertisement(ad)
 }
@@ -62,20 +68,38 @@ func (r *adRecorder) adBytes() int {
 	defer r.mu.Unlock()
 	n := 0
 	for _, ad := range r.ads {
-		n += len(ad)
+		n += len(ad.raw)
 	}
 	return n
 }
 
-// last decodes the most recent beacon.
-func (r *adRecorder) last(t *testing.T) (*wire.Advertisement, int) {
+// refreshes counts the hint refreshes peer has published so far.
+func (r *adRecorder) refreshes(peer mpc.PeerID) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, ad := range r.ads {
+		if ad.peer == peer {
+			n++
+		}
+	}
+	return n
+}
+
+// last decodes the most recent beacon peer published.
+func (r *adRecorder) last(t *testing.T, peer mpc.PeerID) (*wire.Advertisement, int) {
 	t.Helper()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ads) == 0 {
-		t.Fatal("no beacon recorded")
+	var raw []byte
+	for _, ad := range r.ads {
+		if ad.peer == peer {
+			raw = ad.raw
+		}
 	}
-	raw := r.ads[len(r.ads)-1]
+	if raw == nil {
+		t.Fatalf("no beacon recorded from %s", peer)
+	}
 	f, err := wire.Decode(raw)
 	if err != nil {
 		t.Fatalf("decoding beacon: %v", err)
@@ -148,7 +172,7 @@ func TestBeaconHintBounded(t *testing.T) {
 	if err := mgr.Advertise(); err != nil {
 		t.Fatalf("Advertise: %v", err)
 	}
-	ad, size := rec.last(t)
+	ad, size := rec.last(t, "alice-phone")
 	if len(ad.Summary) == 0 || len(ad.Summary) > message.MaxBeaconSummary {
 		t.Errorf("beacon carries %d entries, want 1..%d", len(ad.Summary), message.MaxBeaconSummary)
 	}
@@ -173,7 +197,7 @@ func TestBeaconFullWhenItFits(t *testing.T) {
 	if err := mgr.Advertise(); err != nil {
 		t.Fatalf("Advertise: %v", err)
 	}
-	ad, _ := rec.last(t)
+	ad, _ := rec.last(t, "alice-phone")
 	if !reflect.DeepEqual(ad.Summary, st.Summary()) {
 		t.Errorf("beacon carries %d entries, want the full %d-entry summary", len(ad.Summary), st.SummarySize())
 	}

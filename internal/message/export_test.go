@@ -17,3 +17,6 @@ func (m *Manager) PlanOrder() []mpc.PeerID {
 	}
 	return order
 }
+
+// MaxPeerSync is the bound of the per-peer table.
+const MaxPeerSync = maxPeerSync

@@ -11,7 +11,9 @@
 // whatever the store holds (the whole summary when it fits, else the most
 // recently changed authors), and it decides one thing: whether an
 // unlinked peer is worth dialling. Linked peers ignore it, and so does a
-// session: a hint sent inside one reaches no view.
+// session: a hint sent inside one reaches no view. So it is refreshed only
+// while it is heard — while the node has no link, or some peer in range
+// has none — and catches up as soon as it is heard again.
 //
 // Exchange protocol on an established link:
 //
@@ -108,9 +110,9 @@ var (
 // It is the codec's own bound on the hint.
 const MaxBeaconSummary = wire.MaxHintEntries
 
-// maxPeerSync bounds the per-peer sync-state table. Entries without an
-// active link are evicted first; a peer evicted this way is simply
-// re-synced from a full summary at the next encounter.
+// maxPeerSync bounds the per-peer table. Entries without an active link
+// are evicted first; a peer evicted this way is simply re-synced from a
+// full summary at the next encounter.
 const maxPeerSync = 512
 
 // SummaryChunkEntries is the slice size of a chunked full-summary stream.
@@ -230,12 +232,12 @@ type Stats struct {
 	PrekeyRejects         uint64
 }
 
-// peerSync is everything the manager knows about one peer device: the
-// active link (nil while disconnected), the outbound sync cursor (the
-// generation of our summary the peer has last been sent), and the inbound
-// view (the peer's summary as accumulated from full and delta
-// summaries, plus the peer generation it reflects). Generation 0
-// means "none" on both cursors, as BaseGen == 0 marks a full on the wire.
+// peerSync is everything the manager knows about one peer device in range
+// or linked: the active link (nil while disconnected), the outbound sync
+// cursor (the generation of our summary the peer has last been sent), and
+// the inbound view (the peer's summary as accumulated from full and delta
+// summaries, plus the peer generation it reflects). Generation 0 means
+// "none" on both cursors, as BaseGen == 0 marks a full on the wire.
 type peerSync struct {
 	link *adhoc.Link
 
@@ -261,6 +263,7 @@ type peerSync struct {
 	// disarms it. dialing marks a dial still under way, so one that
 	// blocks is not started again by the next tick.
 	dial, dialing bool
+	gone          bool // a linked peer whose beacon left: the slot goes with the link
 }
 
 // Manager is the message manager for one node.
@@ -270,6 +273,8 @@ type Manager struct {
 	mu       sync.Mutex
 	adhocMgr *adhoc.Manager
 	peers    map[mpc.PeerID]*peerSync
+	// presenceLost marks a slot evicted while its peer may be in range.
+	presenceLost bool
 	// inflight tracks messages requested from a peer and not yet
 	// received, so concurrent links to several peers holding the same
 	// message do not trigger duplicate transfers. Entries carry the
@@ -285,13 +290,15 @@ type Manager struct {
 	// per-link summary pushes — so per-peer delta bases advance in the
 	// same order the frames are put on each link.
 	advMu sync.Mutex
-	// adValid/adGen remember the generation of the last published hint
-	// and adScheme/adData the last scheme gossip, so Advertise is a no-op
-	// while neither moved. Guarded by advMu.
-	adValid  bool
-	adGen    uint64
-	adScheme string
-	adData   []byte
+	// adValid/adGen remember the generation of the last Advertise and
+	// adScheme/adData the last scheme gossip, so Advertise is a no-op while
+	// neither moved. hintBehind marks a hint refresh skipped because no
+	// device in range could act on it. Guarded by advMu.
+	adValid    bool
+	adGen      uint64
+	adScheme   string
+	adData     []byte
+	hintBehind bool
 
 	// resyncTimer drives the in-session resync heartbeat; resyncTicks
 	// counts completed ticks (the age base for in-flight expiry); closed
@@ -472,10 +479,10 @@ func (m *Manager) ActiveLinks() []id.UserID {
 }
 
 // SyncState reports the size of the contact-sync plane: how many peers
-// have per-peer sync state cached, how many of those are currently
-// linked, and the total number of inbound summary entries held across
-// all peers — the memory the delta-sync protocol trades for avoiding
-// full summary exchanges.
+// hold a slot (every peer in range or linked), how many of those are
+// currently linked, and the total number of inbound summary entries held
+// across all peers — the memory the delta-sync protocol trades for
+// avoiding full summary exchanges.
 func (m *Manager) SyncState() (peers, links, summaryEntries int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -490,11 +497,12 @@ func (m *Manager) SyncState() (peers, links, summaryEntries int) {
 }
 
 // Advertise republishes the discovery hint when the summary generation
-// moved, and pushes per-peer delta summaries on every active link — on
-// all of them when the scheme gossip changed, which only sessions carry.
-// Core calls it at startup and after every change to the store. Expired
-// relay cargo is swept first (the store's TTL policy), and nothing is
-// sent while the generation and the scheme gossip are unchanged.
+// moved and a device in range can act on it (refreshHint), and pushes
+// per-peer delta summaries on every active link — on all of them when the
+// scheme gossip changed, which only sessions carry. Core calls it at
+// startup and after every change to the store. Expired relay cargo is
+// swept first (the store's TTL policy), and nothing is sent while the
+// generation and the scheme gossip are unchanged.
 func (m *Manager) Advertise() error {
 	m.mu.Lock()
 	a := m.adhocMgr
@@ -511,18 +519,53 @@ func (m *Manager) Advertise() error {
 	defer m.advMu.Unlock()
 	gen := m.cfg.Store.Generation()
 	schemeChanged := !m.adValid || m.adScheme != name || !bytes.Equal(m.adData, data)
-	if !m.adValid || m.adGen != gen {
-		hint := &wire.Advertisement{Peer: string(a.Self()), Gen: gen, Summary: m.beaconSummary()}
-		if err := a.Advertise(hint); err != nil {
-			return err
-		}
-	} else if !schemeChanged {
+	if m.adValid && m.adGen == gen && !schemeChanged {
 		return nil
+	}
+	m.hintBehind = m.hintBehind || !m.adValid || m.adGen != gen
+	if err := m.refreshHint(gen); err != nil {
+		return err
 	}
 	m.adValid, m.adGen, m.adScheme = true, gen, name
 	m.adData = append(m.adData[:0], data...)
 	m.pushSummaries(gen, data, schemeChanged)
 	return nil
+}
+
+// refreshHint publishes the discovery hint at gen if it is behind and
+// heard: while the node has no link, or some peer in range (a quarantined
+// one included) has none. Otherwise nothing is built and the published
+// hint stays behind. The test reads the peer table, which holds a slot
+// for every peer in range or linked, and fails open: once a slot was
+// evicted while its peer may be in range, the hint counts as heard until
+// the table empties. Callers hold advMu.
+func (m *Manager) refreshHint(gen uint64) error {
+	if !m.hintBehind {
+		return nil
+	}
+	m.mu.Lock()
+	a, heard := m.adhocMgr, m.presenceLost || len(m.peers) == 0
+	for _, ps := range m.peers {
+		heard = heard || ps.link == nil
+	}
+	m.mu.Unlock()
+	if a == nil || !heard {
+		return nil
+	}
+	hint := &wire.Advertisement{Peer: string(a.Self()), Gen: gen, Summary: m.beaconSummary()}
+	if err := a.Advertise(hint); err != nil {
+		return err
+	}
+	m.hintBehind = false
+	return nil
+}
+
+// catchUpHint publishes the current hint if a refresh was skipped and it
+// is heard now: a peer came or went, or a link dropped.
+func (m *Manager) catchUpHint() {
+	m.advMu.Lock()
+	defer m.advMu.Unlock()
+	_ = m.refreshHint(m.cfg.Store.Generation()) // fails only once closed
 }
 
 // beaconSummary builds the dictionary the beacon carries: the full
@@ -698,25 +741,31 @@ func (m *Manager) sendCounted(link *adhoc.Link, f wire.Frame, payload bool) erro
 	return nil
 }
 
-// PeerDiscovered implements adhoc.Handler. A beacon from an unlinked peer
-// triggers a connection when the scheme wants something it offers. For
-// linked peers the beacon is ignored: the authenticated in-session delta
-// plane already pushes every summary change. The scheme only answers yes
-// or no, so each entry is clamped to MaxSeq+1: MaxSeq never lowers and
-// counts evicted refs, so Missing is non-empty exactly when it was
-// unclamped, and a forged entry costs one sequence, not tens of thousands.
+// PeerDiscovered implements adhoc.Handler. Every discovered peer gets a
+// slot. A beacon from an unlinked peer first brings our own hint up to
+// date, as that peer hears it, then triggers a connection when the scheme
+// wants something it offers. For linked peers the beacon is ignored: the
+// authenticated in-session delta plane already pushes every summary
+// change. The scheme only answers yes or no, so each entry is clamped to
+// MaxSeq+1: MaxSeq never lowers and counts evicted refs, so Missing is
+// non-empty exactly when it was unclamped, and a forged entry costs one
+// sequence, not tens of thousands.
 func (m *Manager) PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement) {
 	m.mu.Lock()
-	if m.quar.quarantined(peer, m.cfg.Clock.Now()) {
+	ps := m.slotLocked(peer)
+	ps.gone = false
+	linked := ps.link != nil
+	quarantined := m.quar.quarantined(peer, m.cfg.Clock.Now())
+	if quarantined {
 		m.stats.QuarantineRefusals++
-		m.mu.Unlock()
-		return
 	}
-	ps := m.peers[peer]
-	linked := ps != nil && ps.link != nil
 	a := m.adhocMgr
 	m.mu.Unlock()
 	if linked {
+		return
+	}
+	m.catchUpHint()
+	if quarantined {
 		return
 	}
 	hint := make(map[id.UserID]uint64, len(ad.Summary))
@@ -733,17 +782,10 @@ func (m *Manager) PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement) {
 		return
 	}
 	m.mu.Lock()
-	if ps = m.peers[peer]; ps == nil {
-		// Seed the sync slot now so the dial flag has a home even if the
-		// handshake never completes.
-		m.evictSyncLocked()
-		ps = &peerSync{}
-		m.peers[peer] = ps
-	}
 	// On a lossy radio any handshake frame can vanish and the attempt
 	// time out without a LinkDown: the heartbeat re-dials until one of
 	// its ticks finds the link up.
-	ps.dial = true
+	m.slotLocked(peer).dial = true
 	m.mu.Unlock()
 	m.cfg.Tracer.Event(m.contactTrack(peer), "peer.discovered")
 	m.connect(peer, false)
@@ -755,18 +797,14 @@ func (m *Manager) PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement) {
 // from a full summary instead of a stale delta base.
 func (m *Manager) PeerGone(peer mpc.PeerID) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps := m.peers[peer]
-	if ps == nil {
-		return
-	}
-	if ps.link == nil {
+	if ps := m.peers[peer]; ps != nil && ps.link == nil {
 		delete(m.peers, peer)
-		return
+		m.presenceLost = m.presenceLost && len(m.peers) > 0
+	} else if ps != nil { // the session outlives the beacon: the next push is a full summary
+		ps.sentGen, ps.recvGen, ps.summary, ps.gone = 0, 0, nil, true
 	}
-	// The session outlives the beacon (TCP can persist past beacon loss);
-	// reset the cursors in place so the next push is a full summary.
-	ps.sentGen, ps.recvGen, ps.summary = 0, 0, nil
+	m.mu.Unlock()
+	m.catchUpHint()
 }
 
 // contactTrack interns the "contact <peer>" tracer track — the same
@@ -809,12 +847,7 @@ func (m *Manager) LinkUp(link *adhoc.Link) {
 		_ = link.Close()
 		return
 	}
-	ps := m.peers[link.Peer()]
-	if ps == nil {
-		m.evictSyncLocked()
-		ps = &peerSync{}
-		m.peers[link.Peer()] = ps
-	}
+	ps := m.slotLocked(link.Peer())
 	ps.link = link
 	ps.track = track
 	ps.pullPending = false
@@ -990,20 +1023,25 @@ func (m *Manager) streamChunks(link *adhoc.Link, track uint64, gen uint64, ch *s
 	}
 }
 
-// evictSyncLocked keeps the sync-state table bounded by dropping entries
-// without an active link. Callers hold m.mu.
-func (m *Manager) evictSyncLocked() {
-	if len(m.peers) < maxPeerSync {
-		return
+// slotLocked returns the peer's slot, creating it inside the bound: a
+// full table first drops entries without an active link, losing the
+// presence they recorded. Callers hold m.mu.
+func (m *Manager) slotLocked(peer mpc.PeerID) *peerSync {
+	if ps := m.peers[peer]; ps != nil {
+		return ps
 	}
-	for peer, ps := range m.peers {
+	for p, ps := range m.peers {
+		if len(m.peers) < maxPeerSync {
+			break
+		}
 		if ps.link == nil {
-			delete(m.peers, peer)
-			if len(m.peers) < maxPeerSync {
-				return
-			}
+			delete(m.peers, p)
+			m.presenceLost = true
 		}
 	}
+	ps := &peerSync{}
+	m.peers[peer] = ps
+	return ps
 }
 
 // FrameIn implements adhoc.Handler: the in-session protocol. A discovery
@@ -1029,7 +1067,8 @@ func (m *Manager) FrameIn(link *adhoc.Link, f wire.Frame) {
 // is the "message manager knows what messages were not transferred"
 // behaviour from paper §III-C. The sync cursors survive: if the peer
 // relinks before PeerGone fires, the greeting is a delta, not a full
-// re-summary.
+// re-summary. A peer whose beacon already left takes its slot along, and
+// the hint, heard again, catches up.
 func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 	m.mu.Lock()
 	ps := m.peers[link.Peer()]
@@ -1046,6 +1085,9 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 	}
 	ps.link = nil
 	ps.dial = redialAfter(reason, ps.dial)
+	if ps.gone {
+		delete(m.peers, link.Peer())
+	}
 	m.cfg.Tracer.EndSlice(ps.track, "contact")
 	if ps.stream != nil {
 		// Stop a chunked summary stream still in flight on this link.
@@ -1074,6 +1116,7 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 		m.cfg.OnPeerDown(link.User())
 	}
 	m.sendPlans(sends)
+	m.catchUpHint() // the peer, if still in range, hears the hint now
 }
 
 // penalizeLocked scores misbehavior points against a peer and reports

@@ -1,6 +1,8 @@
 package message
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"sos/internal/mpc"
@@ -74,9 +76,10 @@ type scoreboard struct {
 }
 
 // entry returns the peer's ledger, creating it inside the bound. When
-// full, expired clean entries are evicted first; if every slot is an
-// active quarantine the newcomer is scored on a throwaway ledger — the
-// attacker cannot flush existing quarantines by inventing names.
+// full, one scan (evict) frees at least half the unquarantined slots; if
+// every slot is an active quarantine the newcomer is scored on a
+// throwaway ledger — the attacker cannot flush existing quarantines by
+// inventing names.
 func (b *scoreboard) entry(peer mpc.PeerID, now time.Time) *peerScore {
 	if b.entries == nil {
 		b.entries = make(map[mpc.PeerID]*peerScore)
@@ -87,9 +90,6 @@ func (b *scoreboard) entry(peer mpc.PeerID, now time.Time) *peerScore {
 	if len(b.entries) >= maxScoreEntries {
 		b.evict(now)
 	}
-	if len(b.entries) >= maxScoreEntries {
-		b.evictWeakest(now)
-	}
 	e := &peerScore{last: now, adTokens: adBurst, adLast: now}
 	if len(b.entries) < maxScoreEntries {
 		b.entries[peer] = e
@@ -97,33 +97,28 @@ func (b *scoreboard) entry(peer mpc.PeerID, now time.Time) *peerScore {
 	return e
 }
 
-// evictWeakest forces one slot free by dropping the non-quarantined
-// entry with the lowest remaining score. Active quarantines are never
-// evicted; if every slot holds one, the newcomer is scored on a
-// throwaway ledger instead.
-func (b *scoreboard) evictWeakest(now time.Time) {
-	var victim mpc.PeerID
-	best := -1.0
-	for peer, e := range b.entries {
-		if now.Before(e.until) {
-			continue
-		}
-		if s := e.decayed(now); best < 0 || s < best {
-			victim, best = peer, s
-		}
-	}
-	if best >= 0 {
-		delete(b.entries, victim)
-	}
-}
-
-// evict drops ledgers that no longer matter: not quarantined and fully
-// decayed.
+// evict drops every ledger that no longer matters (not quarantined, fully
+// decayed and past strike forgiveness), then the weaker half of the other
+// unquarantined ones, so a name-cycling flood pays one scan per
+// maxScoreEntries/2 newcomers. Active quarantines are never evicted.
 func (b *scoreboard) evict(now time.Time) {
+	type ledger struct {
+		peer  mpc.PeerID
+		score float64
+	}
+	var rest []ledger
 	for peer, e := range b.entries {
-		if now.After(e.until) && e.decayed(now) <= 0 && now.Sub(e.last) > strikeForgiveness {
+		switch {
+		case now.Before(e.until):
+		case e.decayed(now) <= 0 && now.Sub(e.last) > strikeForgiveness:
 			delete(b.entries, peer)
+		default:
+			rest = append(rest, ledger{peer, e.decayed(now)})
 		}
+	}
+	slices.SortFunc(rest, func(x, y ledger) int { return cmp.Compare(x.score, y.score) })
+	for _, l := range rest[:(len(rest)+1)/2] {
+		delete(b.entries, l.peer)
 	}
 }
 

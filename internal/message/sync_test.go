@@ -127,17 +127,25 @@ func newLiveWorld(t *testing.T) (*mpc.MemMedium, *cloud.Service) {
 	return mpc.NewMemMedium(), cloud.New(ca)
 }
 
-func newLiveNode(t *testing.T, medium *mpc.MemMedium, svc *cloud.Service, handle string) *liveNode {
+func newLiveNode(t *testing.T, medium mpc.Medium, svc *cloud.Service, handle string) *liveNode {
 	t.Helper()
 	creds, err := cloud.Bootstrap(svc, handle, rand.Reader)
 	if err != nil {
 		t.Fatalf("Bootstrap(%s): %v", handle, err)
 	}
+	return startLiveNode(t, medium, creds, nil)
+}
+
+// startLiveNode starts a live node of creds over st (a fresh store when
+// nil).
+func startLiveNode(t *testing.T, medium mpc.Medium, creds *cloud.Credentials, st store.Engine) *liveNode {
+	t.Helper()
 	n := &liveNode{creds: creds}
 	mw, err := core.New(core.Config{
 		Creds:    creds,
 		Medium:   medium,
-		PeerName: mpc.PeerID(handle + "-phone"),
+		PeerName: mpc.PeerID(creds.Handle + "-phone"),
+		Store:    st,
 		OnReceive: func(m *msg.Message, from id.UserID) {
 			n.mu.Lock()
 			n.received = append(n.received, m)
@@ -146,7 +154,7 @@ func newLiveNode(t *testing.T, medium *mpc.MemMedium, svc *cloud.Service, handle
 		Observer: n,
 	})
 	if err != nil {
-		t.Fatalf("core.New(%s): %v", handle, err)
+		t.Fatalf("core.New(%s): %v", creds.Handle, err)
 	}
 	n.mw = mw
 	t.Cleanup(func() { mw.Close() })

@@ -85,7 +85,7 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Message.SummaryChunksSent })
 		reg.CounterFunc("sos_sync_plan_entries_scanned_total", "Summary entries walked by request planning.", nil,
 			func() uint64 { return mw.Stats().Message.PlanEntriesScanned })
-		reg.GaugeFunc("sos_sync_peers", "Peers with cached sync state.", nil,
+		reg.GaugeFunc("sos_sync_peers", "Peer slots held: every peer in range or linked.", nil,
 			func() float64 { p, _, _ := mw.SyncState(); return float64(p) })
 		reg.GaugeFunc("sos_sync_links", "Peers currently linked.", nil,
 			func() float64 { _, l, _ := mw.SyncState(); return float64(l) })

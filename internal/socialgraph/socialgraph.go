@@ -354,13 +354,6 @@ func Deployment() *Graph {
 	return g
 }
 
-// DeploymentOneWay returns the six non-reciprocated follows (1-based).
-func DeploymentOneWay() [][2]int {
-	out := make([][2]int, len(deploymentOneWay))
-	copy(out, deploymentOneWay)
-	return out
-}
-
 // mustAdd panics on out-of-range edges; deployment data is static and
 // verified by tests, so a failure is a programming error.
 func mustAdd(g *Graph, i, j int) {

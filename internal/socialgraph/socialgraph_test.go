@@ -155,11 +155,10 @@ func TestDeploymentOneWayEdges(t *testing.T) {
 	if g.HasEdge(2, 0) {
 		t.Error("node 3 follows node 1 back; the paper says it does not")
 	}
-	oneWay := DeploymentOneWay()
-	if len(oneWay) != 6 {
-		t.Errorf("one-way edges = %d, want 6 (58 = 26·2 + 6)", len(oneWay))
+	if len(deploymentOneWay) != 6 {
+		t.Errorf("one-way edges = %d, want 6 (58 = 26·2 + 6)", len(deploymentOneWay))
 	}
-	for _, e := range oneWay {
+	for _, e := range deploymentOneWay {
 		if !g.HasEdge(e[0]-1, e[1]-1) || g.HasEdge(e[1]-1, e[0]-1) {
 			t.Errorf("edge %v is not one-way in the deployment graph", e)
 		}
