@@ -105,6 +105,7 @@ type Config struct {
 type Stats struct {
 	HandshakesOK       uint64
 	HandshakeFailures  uint64
+	TieBreaks          uint64 // dials lost to a simultaneous connect; not failures
 	CertRejections     uint64
 	FramesSent         uint64
 	FramesReceived     uint64
@@ -481,7 +482,11 @@ func (e *events) Disconnected(conn mpc.Conn, reason error) {
 	if ok {
 		delete(m.conns, conn)
 		if st.stage != stageEstablished {
-			m.stats.HandshakeFailures++
+			if m.lostTieBreakLocked(st) {
+				m.stats.TieBreaks++
+			} else {
+				m.stats.HandshakeFailures++
+			}
 			st.hs.Attr("ok", 0)
 			st.hs.End()
 		}
@@ -502,6 +507,19 @@ func (e *events) Disconnected(conn mpc.Conn, reason error) {
 	if link != nil {
 		m.cfg.Handler.LinkDown(link, reason)
 	}
+}
+
+// lostTieBreakLocked reports whether the peer closed st, a dial still
+// awaiting HelloAck, in the tie-break (see Incoming): its own dial, a
+// responder handshake or link here, carries the contact. A close reported
+// before that dial arrives stays a failure. Callers hold mu.
+func (m *Manager) lostTieBreakLocked(st *connState) bool {
+	peer := st.conn.Peer()
+	_, theirs := m.links[peer]
+	for _, other := range m.conns {
+		theirs = theirs || other.role == roleResponder && other.conn.Peer() == peer
+	}
+	return st.role == roleInitiator && st.stage == stageHelloSent && theirs
 }
 
 // onHello handles the initiator's Hello at the responder.

@@ -512,6 +512,15 @@ func TestSimultaneousConnectYieldsOneLink(t *testing.T) {
 	if len(ca.ups) != 1 || len(cb.ups) != 1 {
 		t.Fatalf("link ups = %d/%d, want exactly 1/1", len(ca.ups), len(cb.ups))
 	}
+	// Bob's dial lost the tie-break (alice's name is smaller): an
+	// outcome of its own, not a failure.
+	sa, sb := ma.Stats(), mb.Stats()
+	if sa.HandshakeFailures != 0 || sb.HandshakeFailures != 0 {
+		t.Errorf("HandshakeFailures = %d/%d, want 0/0", sa.HandshakeFailures, sb.HandshakeFailures)
+	}
+	if sa.TieBreaks != 0 || sb.TieBreaks != 1 {
+		t.Errorf("TieBreaks = %d/%d, want 0/1", sa.TieBreaks, sb.TieBreaks)
+	}
 }
 
 func TestConnectGuards(t *testing.T) {

@@ -1,6 +1,9 @@
 package message
 
-import "sos/internal/mpc"
+import (
+	"sos/internal/mpc"
+	"sos/internal/msg"
+)
 
 // PlanOrder re-plans over every linked peer's cached view as the resync
 // heartbeat does, with nothing in flight, and returns the peers the
@@ -20,3 +23,15 @@ func (m *Manager) PlanOrder() []mpc.PeerID {
 
 // MaxPeerSync is the bound of the per-peer table.
 const MaxPeerSync = maxPeerSync
+
+// Inflight returns the in-flight ledger: which peer each outstanding
+// request was made of.
+func (m *Manager) Inflight() map[msg.Ref]mpc.PeerID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[msg.Ref]mpc.PeerID, len(m.inflight))
+	for ref, e := range m.inflight {
+		out[ref] = e.peer
+	}
+	return out
+}

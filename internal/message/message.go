@@ -24,7 +24,9 @@
 //     and sends a Request.
 //  3. Requests are answered with Batches; every message carries the
 //     originator's certificate, so the receiver verifies the certificate
-//     chain and the author signature before storing (paper Fig. 3b).
+//     chain and the author signature before storing (paper Fig. 3b). A
+//     batch's signatures are checked in parallel, and its messages are
+//     stored in batch order.
 //
 // There is no fourth step: storing a message moves the receiver's summary,
 // and the delta summary that follows carries the new high-water mark
@@ -78,9 +80,11 @@ import (
 	"bytes"
 	"cmp"
 	"errors"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sos/internal/adhoc"
@@ -306,6 +310,8 @@ type Manager struct {
 	resyncTimer *time.Timer
 	resyncTicks uint64
 	closed      bool
+	// verdicts is verify's result scratch; callbacks are serialized.
+	verdicts []*pki.UserCert
 }
 
 // inflightEntry records which peer a message was requested from and at
@@ -1378,45 +1384,50 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 
 	scheme := m.cfg.Routing.Current()
 	newMessages := false
-	for _, mm := range batch.Msgs {
-		ref := mm.Ref()
-		cert, err := m.verify(mm)
-		if err != nil {
+	// The first message is checked and stored alone, as a one-at-a-time
+	// receiver would, so a batch does not delay a contact's first
+	// delivery; the rest is checked as one chunk.
+	for lo, hi := 0, min(1, len(batch.Msgs)); lo < hi; lo, hi = hi, len(batch.Msgs) {
+		msgs := batch.Msgs[lo:hi]
+		for i, cert := range m.verify(msgs) {
+			mm, ref := msgs[i], msgs[i].Ref()
+			if cert == nil {
+				m.mu.Lock()
+				m.stats.VerifyFailures++
+				// A bad copy settles only a request made of this peer: anyone
+				// can put one of any ref in a batch, and that must not cancel
+				// a request pending on another link.
+				if m.inflight[ref].peer == link.Peer() {
+					delete(m.inflight, ref)
+				}
+				m.mu.Unlock()
+				continue
+			}
+			// The node's one copy: batch messages alias the link's decode
+			// scratch (see adhoc.Handler), and the certificate bytes are the
+			// verifier's, shared by every held message of this author.
+			incoming := mm.Retain(cert.DER)
+			incoming.Hops++ // one more device-to-device transfer
+			added, err := m.cfg.Store.Put(incoming)
+			if err != nil {
+				continue
+			}
 			m.mu.Lock()
-			m.stats.VerifyFailures++
-			// A bad copy settles only a request made of this peer: anyone
-			// can put one of any ref in a batch, and that must not cancel
-			// a request pending on another link.
-			if m.inflight[ref].peer == link.Peer() {
-				delete(m.inflight, ref)
+			delete(m.inflight, ref) // held now, whoever it was asked of
+			if added {
+				m.stats.MessagesReceived++
+			} else {
+				m.stats.Duplicates++
 			}
 			m.mu.Unlock()
-			continue
-		}
-		// The node's one copy: batch messages alias the link's decode
-		// scratch (see adhoc.Handler), and the certificate bytes are the
-		// verifier's, shared by every held message of this author.
-		incoming := mm.Retain(cert.DER)
-		incoming.Hops++ // one more device-to-device transfer
-		added, err := m.cfg.Store.Put(incoming)
-		if err != nil {
-			continue
-		}
-		m.mu.Lock()
-		delete(m.inflight, ref) // held now, whoever it was asked of
-		if added {
-			m.stats.MessagesReceived++
-		} else {
-			m.stats.Duplicates++
-		}
-		m.mu.Unlock()
-		if !added {
-			continue
-		}
-		newMessages = true
-		scheme.OnReceived(incoming, link.User())
-		if m.cfg.OnReceive != nil {
-			m.cfg.OnReceive(incoming, link.User())
+			if !added {
+				continue
+			}
+			newMessages = true
+			scheme.OnReceived(incoming, link.User())
+			if m.cfg.OnReceive != nil {
+				m.cfg.OnReceive(incoming, link.User())
+			}
 		}
 	}
 	if newMessages {
@@ -1454,16 +1465,47 @@ func (m *Manager) sendRequest(link *adhoc.Link, wants []wire.Want) {
 	}
 }
 
-// verify enforces the paper's security checks on a relayed message: the
-// attached certificate must chain to the pinned CA root and name the
-// author, and the author's signature must cover the payload.
-func (m *Manager) verify(mm *msg.Message) (*pki.UserCert, error) {
-	if err := mm.Validate(); err != nil {
-		return nil, err
+// verify enforces the paper's security checks on a batch of relayed
+// messages: each attached certificate must chain to the pinned CA root
+// and name the author, and each author's signature must cover the
+// payload. It returns each message's certificate, nil where a check
+// failed. Certificates are checked serially, in batch order, so the
+// verifier's memory checks each one once (concurrent misses would not);
+// signatures, most of the cost, on up to GOMAXPROCS goroutines, joined
+// before the caller stores anything (see adhoc.Handler). A batch of one
+// starts no goroutine and allocates nothing.
+func (m *Manager) verify(msgs []*msg.Message) []*pki.UserCert {
+	certs := slices.Grow(m.verdicts[:0], len(msgs))[:len(msgs)]
+	m.verdicts = certs
+	for i, mm := range msgs {
+		certs[i] = nil
+		if mm.Validate() == nil {
+			certs[i], _ = m.cfg.Verifier.VerifyFor(mm.CertDER, mm.Author)
+		}
 	}
-	cert, err := m.cfg.Verifier.VerifyFor(mm.CertDER, mm.Author)
-	if err != nil {
-		return nil, err
+	workers := min(runtime.GOMAXPROCS(0), len(msgs))
+	if workers <= 1 {
+		checkSignatures(msgs, certs, new(atomic.Int64))
+		return certs
 	}
-	return cert, mm.VerifyWithKey(cert.Key)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() { defer wg.Done(); checkSignatures(msgs, certs, &next) }()
+	}
+	checkSignatures(msgs, certs, &next)
+	wg.Wait()
+	return certs
+}
+
+// checkSignatures takes messages through next until none is left, so a
+// worker that starts late takes fewer, and clears the certificate of each
+// one whose author signature fails.
+func checkSignatures(msgs []*msg.Message, certs []*pki.UserCert, next *atomic.Int64) {
+	for i := next.Add(1) - 1; i < int64(len(msgs)); i = next.Add(1) - 1 {
+		if certs[i] != nil && msgs[i].VerifyWithKey(certs[i].Key) != nil {
+			certs[i] = nil
+		}
+	}
 }

@@ -88,30 +88,30 @@ func TestVerifyEnforcesProvenance(t *testing.T) {
 	if err := good.Sign(creds.Ident); err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if _, err := m.verify(good); err != nil {
-		t.Errorf("authentic message rejected: %v", err)
+	if certs := m.verify([]*msg.Message{good}); certs[0] == nil {
+		t.Error("authentic message rejected")
 	}
 
 	// Tampered payload: author signature fails.
 	tampered := good.Clone()
 	tampered.Payload = []byte("forged")
-	if _, err := m.verify(tampered); err == nil {
-		t.Error("tampered message accepted")
-	}
 
 	// Wrong certificate: names a different user than the author.
 	misattributed := good.Clone()
 	misattributed.Author = id.NewUserID("other") // cert still names owner
 	misattributed.Seq = 1
-	if _, err := m.verify(misattributed); err == nil {
-		t.Error("mis-attributed message accepted")
-	}
 
 	// Missing certificate entirely.
 	bare := good.Clone()
 	bare.CertDER = nil
-	if _, err := m.verify(bare); err == nil {
-		t.Error("certificate-less message accepted")
+
+	// One batch: each verdict stays with its own message.
+	batch := []*msg.Message{tampered, good, misattributed, bare, good}
+	certs := m.verify(batch)
+	for i, want := range []bool{false, true, false, false, true} {
+		if got := certs[i] != nil; got != want {
+			t.Errorf("batch[%d] accepted = %v, want %v", i, got, want)
+		}
 	}
 }
 

@@ -105,61 +105,6 @@ func (c *Collector) Delivered(ref msg.Ref, to id.UserID, at time.Time, hops uint
 	})
 }
 
-// Tracks reports whether ref has been registered via MessageCreated —
-// i.e. whether delivery/dissemination/eviction records for it will be
-// attributed to the workload.
-func (c *Collector) Tracks(ref msg.Ref) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, tracked := c.created[ref]
-	return tracked
-}
-
-// Merge folds every record of other into c: creations are unioned (first
-// registration wins), deliveries are re-deduplicated per (message,
-// recipient), and dissemination/eviction counters add. It is the
-// reduction step for distributed evaluation — one Collector per node or
-// per stream, merged into the fleet-wide series. Deliveries of messages
-// other tracked but c has not seen yet are adopted along with other's
-// creation records, so merge order does not change the result.
-func (c *Collector) Merge(other *Collector) {
-	if other == nil || other == c {
-		return
-	}
-	// Snapshot other first so the two locks are never held together.
-	other.mu.Lock()
-	created := make(map[msg.Ref]time.Time, len(other.created))
-	for ref, at := range other.created {
-		created[ref] = at
-	}
-	deliveries := make([]Delivery, len(other.deliveries))
-	copy(deliveries, other.deliveries)
-	disseminations := other.disseminations
-	evictions := other.evictions
-	evictedTracked := other.evictedTracked
-	other.mu.Unlock()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for ref, at := range created {
-		if _, dup := c.created[ref]; !dup {
-			c.created[ref] = at
-			c.author[ref] = ref.Author
-		}
-	}
-	for _, d := range deliveries {
-		key := deliveryKey{ref: d.Ref, to: d.To}
-		if c.delivered[key] {
-			continue
-		}
-		c.delivered[key] = true
-		c.deliveries = append(c.deliveries, d)
-	}
-	c.disseminations += disseminations
-	c.evictions += evictions
-	c.evictedTracked += evictedTracked
-}
-
 // Evicted counts one buffer drop at some node — a storage engine
 // evicting a message to stay within quota or TTL. Drops of workload
 // (tracked) messages are counted separately, since those are the drops

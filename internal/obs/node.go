@@ -117,6 +117,8 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Adhoc.HandshakesOK })
 		reg.CounterFunc("sos_adhoc_handshakes_total", "Link handshake outcomes.", Labels{"result": "failed"},
 			func() uint64 { return mw.Stats().Adhoc.HandshakeFailures })
+		reg.CounterFunc("sos_adhoc_handshakes_total", "Link handshake outcomes.", Labels{"result": "tie_break"},
+			func() uint64 { return mw.Stats().Adhoc.TieBreaks })
 		reg.CounterFunc("sos_adhoc_cert_rejections_total", "Peers rejected for bad or revoked certificates.", nil,
 			func() uint64 { return mw.Stats().Adhoc.CertRejections })
 		reg.CounterFunc("sos_adhoc_frames_total", "Sealed link frames moved.", Labels{"dir": "sent"},

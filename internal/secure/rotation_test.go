@@ -73,7 +73,7 @@ func TestSessionRotationAtEpochBoundary(t *testing.T) {
 	if rotated, _ := sa.MaybeRotate(); rotated {
 		t.Fatal("second MaybeRotate rotated again inside one epoch")
 	}
-	if send, _ := sa.Epochs(); send != 1 {
+	if send := sa.sendEpoch; send != 1 {
 		t.Fatalf("send epoch after rotation = %d, want 1", send)
 	}
 	if got := recA.Read().Rotations; got != 1 {
@@ -95,7 +95,7 @@ func TestSessionRotationAtEpochBoundary(t *testing.T) {
 	if string(plain) != "epoch one" {
 		t.Fatalf("Open = %q, want %q", plain, "epoch one")
 	}
-	if _, recv := sb.Epochs(); recv != 1 {
+	if recv := sb.recvMax; recv != 1 {
 		t.Fatalf("receiver epoch after adoption = %d, want 1", recv)
 	}
 	if got := recB.Read().Rotations; got != 1 {

@@ -320,10 +320,6 @@ func (s *Session) MaybeRotate() (bool, error) {
 	return true, nil
 }
 
-// Epochs reports the session's current send epoch and the highest
-// receive epoch an accepted frame has used.
-func (s *Session) Epochs() (send, recv uint32) { return s.sendEpoch, s.recvMax }
-
 // Overhead returns the number of bytes Seal adds to a plaintext.
 func (s *Session) Overhead() int { return s.overhead }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"time"
 
 	"sos/internal/id"
@@ -127,17 +126,4 @@ func (a *Aggregator) PathTo(ref msg.Ref, dest id.UserID) (Path, bool) {
 		p.Hops[i], p.Hops[j] = p.Hops[j], p.Hops[i]
 	}
 	return p, true
-}
-
-// TracedRefs returns every message in the live path index, in
-// deterministic order — the iteration surface for report builders.
-func (a *Aggregator) TracedRefs() []msg.Ref {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]msg.Ref, 0, len(a.paths))
-	for ref := range a.paths {
-		out = append(out, ref)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
 }

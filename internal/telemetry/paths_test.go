@@ -131,8 +131,8 @@ func TestPathReconstruction(t *testing.T) {
 	if _, ok := agg.PathTo(msg.Ref{Author: bob, Seq: 99}, dave); ok {
 		t.Error("path for an untraced message")
 	}
-	if refs := agg.TracedRefs(); len(refs) != 1 || refs[0] != ref {
-		t.Errorf("TracedRefs = %v, want [%v]", refs, ref)
+	if _, traced := agg.paths[ref]; !traced || len(agg.paths) != 1 {
+		t.Errorf("path index holds %d messages, want only %v", len(agg.paths), ref)
 	}
 }
 
@@ -145,8 +145,8 @@ func TestPathTracingDisabled(t *testing.T) {
 	if _, ok := agg.PathTo(ref, bob); ok {
 		t.Error("PathTo returned a path with tracing disabled")
 	}
-	if refs := agg.TracedRefs(); len(refs) != 0 {
-		t.Errorf("TracedRefs = %v, want empty", refs)
+	if len(agg.paths) != 0 {
+		t.Errorf("path index holds %d messages, want none", len(agg.paths))
 	}
 }
 
