@@ -9,6 +9,8 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -101,6 +103,9 @@ func (m multiObserver) ContactDown(user id.UserID) {
 	}
 }
 
+// DefaultResyncInterval is the heartbeat period a zero ResyncInterval selects.
+const DefaultResyncInterval = 3 * time.Second
+
 // Config assembles a middleware instance.
 type Config struct {
 	// Creds are the device credentials from the one-time infrastructure
@@ -133,13 +138,11 @@ type Config struct {
 	// Combine several with CombineObservers.
 	Observer Observer
 
-	// ResyncInterval is the node's one retry period: the resync
-	// heartbeat (message.Config.ResyncInterval), whose ticks re-advertise,
-	// re-plan, expire wedged handshakes and re-dial, so a lost handshake
-	// frame heals within two ticks. 0 keeps message.DefaultResyncInterval;
-	// negative arms no timer of any kind, so nothing is retried (the
-	// simulator's setting). The lab shortens it to its fast radio
-	// timescale.
+	// ResyncInterval is the period of the node's one ticker, which calls
+	// message.Manager.Tick: re-advertise, re-plan, expire wedged
+	// handshakes, re-dial. 0 selects DefaultResyncInterval; negative
+	// starts no ticker, so nothing is retried (the simulator's setting).
+	// The lab shortens it to its fast radio timescale.
 	ResyncInterval time.Duration
 
 	// Tracer, when set, records contact-lifecycle spans (handshakes,
@@ -182,7 +185,6 @@ type Stats struct {
 // Middleware is one application's SOS instance.
 type Middleware struct {
 	cfg      Config
-	clk      clock.Clock
 	store    store.Engine
 	verifier *pki.Verifier
 	routing  *routing.Manager
@@ -193,6 +195,8 @@ type Middleware struct {
 	// e2e is the end-to-end plane behind Direct and OpenDirect: this
 	// node's prekeys, what its peers published, the seen-nonce set.
 	e2e *secure.EndToEnd
+	// stopTicks stops the heartbeat driver and waits for it; nil if none.
+	stopTicks func()
 }
 
 // New wires up a middleware instance and begins advertising.
@@ -278,7 +282,6 @@ func New(cfg Config) (*Middleware, error) {
 
 	mw := &Middleware{
 		cfg:      cfg,
-		clk:      cfg.Clock,
 		store:    st,
 		verifier: verifier,
 		routing:  routingMgr,
@@ -295,7 +298,6 @@ func New(cfg Config) (*Middleware, error) {
 		OnPeerUp:       onPeerUp,
 		OnPeerDown:     onPeerDown,
 		AutoConnect:    true,
-		ResyncInterval: cfg.ResyncInterval,
 		Tracer:         cfg.Tracer,
 		PrekeySource:   e2e.Bundle,
 		OnPrekeyBundle: e2e.Accept,
@@ -323,15 +325,36 @@ func New(cfg Config) (*Middleware, error) {
 		},
 	})
 	if err != nil {
-		msgMgr.Close()
 		e2e.Close()
 		return nil, fmt.Errorf("core: building ad hoc manager: %w", err)
 	}
-	mw.msgMgr = msgMgr
-	mw.adhocMgr = adhocMgr
-	if err := mw.msgMgr.Advertise(); err != nil {
+	mw.msgMgr, mw.adhocMgr = msgMgr, adhocMgr
+	if err := msgMgr.Advertise(); err != nil {
+		msgMgr.Close()
 		adhocMgr.Close()
+		e2e.Close()
 		return nil, fmt.Errorf("core: initial advertisement: %w", err)
+	}
+	if cfg.ResyncInterval >= 0 {
+		// The resync heartbeat: msgMgr.Tick at every beat, each on a
+		// goroutine of its own, so a dial that blocks delays only the
+		// dials after it in its tick.
+		ticker := time.NewTicker(cmp.Or(cfg.ResyncInterval, DefaultResyncInterval))
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		mw.stopTicks = func() { cancel(); <-done }
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-ticker.C:
+					go msgMgr.Tick()
+				case <-ctx.Done():
+					ticker.Stop()
+					return
+				}
+			}
+		}()
 	}
 	return mw, nil
 }
@@ -426,7 +449,7 @@ func (mw *Middleware) publish(kind msg.Kind, subject id.UserID, payload []byte) 
 		Author:  mw.User(),
 		Seq:     mw.store.NextSeq(),
 		Kind:    kind,
-		Created: mw.clk.Now(),
+		Created: mw.cfg.Clock.Now(),
 		Subject: subject,
 		Payload: bytes.Clone(payload),
 		CertDER: mw.cfg.Creds.Cert.DER,
@@ -520,6 +543,9 @@ func (mw *Middleware) Advertise() error { return mw.msgMgr.Advertise() }
 // Close shuts the middleware down, detaches from the medium, and flushes
 // and closes the storage engine (crash-safe persistence for daemons).
 func (mw *Middleware) Close() error {
+	if mw.stopTicks != nil {
+		mw.stopTicks()
+	}
 	mw.msgMgr.Close()
 	return errors.Join(mw.adhocMgr.Close(), mw.store.Close(), mw.e2e.Close())
 }

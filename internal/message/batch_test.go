@@ -9,7 +9,6 @@ import (
 
 	"sos/internal/cloud"
 	"sos/internal/id"
-	"sos/internal/message"
 	"sos/internal/mpc"
 	"sos/internal/msg"
 	"sos/internal/wire"
@@ -35,7 +34,7 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	run := func(t *testing.T, oneBatch bool) batchOutcome {
-		h := newSyncHarnessWith(t, message.Config{ResyncInterval: -1}, nil)
+		h := newSyncHarness(t)
 		carolAd, carol, _ := h.scriptedPeer(t, h.mem, "carol")
 		dave, frank := bootstrap(t, h.svc, "dave"), bootstrap(t, h.svc, "frank")
 		erin := id.NewUserID("erin")

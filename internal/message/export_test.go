@@ -35,3 +35,11 @@ func (m *Manager) Inflight() map[msg.Ref]mpc.PeerID {
 	}
 	return out
 }
+
+// Dialing reports whether a dial to peer is under way.
+func (m *Manager) Dialing(peer mpc.PeerID) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ps := m.peers[peer]
+	return ps != nil && ps.dialing
+}

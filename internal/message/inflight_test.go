@@ -7,7 +7,6 @@ import (
 
 	"sos/internal/adhoc"
 	"sos/internal/id"
-	"sos/internal/message"
 	"sos/internal/mpc"
 	"sos/internal/msg"
 	"sos/internal/wire"
@@ -33,7 +32,7 @@ func linkScripted(t *testing.T, h *syncHarness, ad *adhoc.Manager, peer *frameCa
 // alice must not ask carol for the same message — and when bob's link
 // drops, that request is the one aborted transfer.
 func TestForeignBatchKeepsInflightRequest(t *testing.T) {
-	h := newSyncHarnessWith(t, message.Config{ResyncInterval: -1}, nil)
+	h := newSyncHarness(t)
 	carolAd, carol, _ := h.scriptedPeer(t, h.mem, "carol")
 	wanted, marker := id.NewUserID("wanted-author"), id.NewUserID("marker-author")
 
@@ -80,7 +79,7 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 // every run, so one schedule of events puts one sequence of frames on the
 // air.
 func TestPlansLeaveInPeerOrder(t *testing.T) {
-	h := newSyncHarnessWith(t, message.Config{ResyncInterval: -1}, nil)
+	h := newSyncHarness(t)
 	carolAd, carol, _ := h.scriptedPeer(t, h.mem, "carol")
 	peers := []struct {
 		link   *adhoc.Link
@@ -112,7 +111,7 @@ func TestPlansLeaveInPeerOrder(t *testing.T) {
 // three unanswered requests costs exactly three, which are planned again
 // at the next encounter.
 func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
-	h := newSyncHarnessWith(t, message.Config{ResyncInterval: -1}, nil)
+	h := newSyncHarness(t)
 	held := id.NewUserID("held-by-alice")
 	for seq := uint64(1); seq <= 2; seq++ {
 		if _, err := h.st.Put(&msg.Message{Author: held, Seq: seq, Kind: msg.KindPost, Created: time.Unix(0, 0)}); err != nil {

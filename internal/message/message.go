@@ -66,14 +66,10 @@
 //
 // # The resync heartbeat
 //
-// The heartbeat (Config.ResyncInterval) is the only timer of the manager
-// and of the ad hoc manager below it, and has the five duties
-// DefaultResyncInterval lists. A wanted beacon or a retryable link drop
-// arms a peer for re-dial; the first tick that finds it linked disarms
-// it. A handshake still unfinished at two consecutive ticks is failed
-// (adhoc.Manager.ExpireHandshakes) just before the re-dials, so a lost
-// Hello, HelloAck or HelloFin heals within two intervals. A negative
-// interval arms no timer at all.
+// The manager holds no timer: its driver calls Tick (core once per
+// ResyncInterval, a test by hand, a simulator replay never), and Tick
+// lists the five duties. A wanted beacon or a retryable link drop arms a
+// peer for re-dial; the first tick that finds it linked disarms it.
 package message
 
 import (
@@ -129,13 +125,6 @@ const maxPeerSync = 512
 // ≈ 72 KiB per frame.
 const SummaryChunkEntries = 4096
 
-// DefaultResyncInterval is the period of the resync heartbeat when
-// Config.ResyncInterval is zero. Each tick has five duties: re-advertise
-// on every live link, re-arm SummaryPulls, expire and re-plan in-flight
-// requests a lost frame stranded, fail handshakes wedged since the
-// previous tick, and re-dial armed, unlinked, unquarantined peers.
-const DefaultResyncInterval = 3 * time.Second
-
 // Config assembles a message manager.
 type Config struct {
 	Store    store.Engine
@@ -151,15 +140,10 @@ type Config struct {
 	OnPeerDown func(user id.UserID)
 
 	// AutoConnect, when true, connects to any discovered peer whose
-	// advertisement offers messages the active scheme wants, and lets the
-	// heartbeat re-dial it. New leaves it as given: core sets it, and
-	// tests leave it off to script their dials.
+	// advertisement offers messages the active scheme wants, and lets
+	// Tick re-dial it. New leaves it as given: core sets it, and tests
+	// leave it off to script their dials.
 	AutoConnect bool
-
-	// ResyncInterval is the resync heartbeat period: zero uses
-	// DefaultResyncInterval, negative disables the heartbeat and with it
-	// every retry.
-	ResyncInterval time.Duration
 
 	// Tracer, when set, records the contact-session lifecycle into the
 	// node's flight recorder: a "contact" envelope per link, spans for
@@ -282,7 +266,7 @@ type Manager struct {
 	// inflight tracks messages requested from a peer and not yet
 	// received, so concurrent links to several peers holding the same
 	// message do not trigger duplicate transfers. Entries carry the
-	// request time; the resync heartbeat expires stale ones so a lost
+	// request's tick; the resync heartbeat expires stale ones so a lost
 	// Request or Batch frame does not pin its refs forever, and the ones a
 	// dropped link orphans are its aborted transfers.
 	inflight map[msg.Ref]inflightEntry
@@ -304,10 +288,8 @@ type Manager struct {
 	adData     []byte
 	hintBehind bool
 
-	// resyncTimer drives the in-session resync heartbeat; resyncTicks
-	// counts completed ticks (the age base for in-flight expiry); closed
-	// stops the timer from re-arming. All guarded by mu.
-	resyncTimer *time.Timer
+	// resyncTicks counts Ticks (the age base for in-flight expiry);
+	// closed makes Tick a no-op. Both guarded by mu.
 	resyncTicks uint64
 	closed      bool
 	// verdicts is verify's result scratch; callbacks are serialized.
@@ -316,9 +298,8 @@ type Manager struct {
 
 // inflightEntry records which peer a message was requested from and at
 // which resync-heartbeat tick, so stale requests become re-plannable
-// after a full interval. Age is measured in heartbeat ticks, not clock
-// time: the heartbeat runs on the wall-clock timer wheel, so expiry
-// keeps working when Config.Clock is a frozen virtual clock.
+// after a full interval. Age is measured in Tick calls, not clock time,
+// so expiry keeps working when Config.Clock is a frozen virtual clock.
 type inflightEntry struct {
 	peer mpc.PeerID
 	tick uint64
@@ -335,9 +316,6 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System()
 	}
-	if cfg.ResyncInterval == 0 {
-		cfg.ResyncInterval = DefaultResyncInterval
-	}
 	return &Manager{
 		cfg:      cfg,
 		peers:    make(map[mpc.PeerID]*peerSync),
@@ -345,40 +323,37 @@ func New(cfg Config) (*Manager, error) {
 	}, nil
 }
 
-// Bind implements adhoc.Handler: it attaches the ad hoc manager
-// (two-phase construction: the ad hoc manager needs this Manager as its
-// Handler, and this Manager needs the ad hoc manager to connect and
-// advertise) and starts the resync heartbeat.
+// Bind implements adhoc.Handler: it attaches the ad hoc manager, which
+// needs this Manager as its Handler before this Manager can connect and
+// advertise through it (two-phase construction).
 func (m *Manager) Bind(a *adhoc.Manager) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.adhocMgr = a
-	if m.cfg.ResyncInterval > 0 && m.resyncTimer == nil && !m.closed {
-		m.resyncTimer = time.AfterFunc(m.cfg.ResyncInterval, m.resyncTick)
-	}
 }
 
-// Close stops the resync heartbeat, and with it every retry.
+// Close ends every retry: a later Tick, one racing Close included, does
+// nothing.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	if m.resyncTimer != nil {
-		m.resyncTimer.Stop()
-		m.resyncTimer = nil
-	}
 }
 
-// resyncTick is the resync heartbeat. A lossy radio can swallow any
+// Tick is one beat of the resync heartbeat. A lossy radio can swallow any
 // single frame of a contact — a handshake frame, an advertisement, a
 // Request, a Batch — and, with links surviving loss, nothing else would
 // ever retry: discovery beacons are unchanged, so no event re-fires.
-// Each tick does the five duties DefaultResyncInterval lists. The next
-// tick is armed before any dial starts, so a dial that blocks delays
-// neither it nor anything but the dials after it in this tick.
-func (m *Manager) resyncTick() {
+// Each tick has five duties, in order: expire in-flight requests stamped
+// before the previous tick, re-arm SummaryPulls, re-plan and re-advertise
+// on every live link, fail handshakes wedged since the previous tick (so
+// a lost Hello, HelloAck or HelloFin heals within two ticks), and re-dial
+// armed, unlinked, unquarantined peers in peer-id order. A dial may
+// block, so a driver runs each Tick on a goroutine of its own. Before
+// Bind and after Close, Tick does nothing.
+func (m *Manager) Tick() {
 	m.mu.Lock()
-	if m.closed {
+	if m.closed || m.adhocMgr == nil {
 		m.mu.Unlock()
 		return
 	}
@@ -405,7 +380,6 @@ func (m *Manager) resyncTick() {
 	}
 	slices.Sort(dials)
 	sends := m.planLocked(m.linkedViewsLocked())
-	m.resyncTimer = time.AfterFunc(m.cfg.ResyncInterval, m.resyncTick)
 	a := m.adhocMgr
 	m.mu.Unlock()
 

@@ -113,7 +113,7 @@ func TestJoinerHearsTheCurrentHint(t *testing.T) {
 // still in range, the current hint goes out — no heartbeat needed.
 func TestLinkDownPublishesTheHint(t *testing.T) {
 	var rec *adRecorder
-	h := newSyncHarnessWith(t, message.Config{ResyncInterval: -1}, func(m mpc.Medium) mpc.Medium {
+	h := newSyncHarnessWith(t, message.Config{}, func(m mpc.Medium) mpc.Medium {
 		rec = &adRecorder{inner: m}
 		return rec
 	})
@@ -155,7 +155,7 @@ func TestLinkDownPublishesTheHint(t *testing.T) {
 // name it still holds has gone and only a linked peer is left.
 func TestPresenceRecordFailsOpen(t *testing.T) {
 	var rec *adRecorder
-	h := newSyncHarnessWith(t, message.Config{ResyncInterval: -1}, func(m mpc.Medium) mpc.Medium {
+	h := newSyncHarnessWith(t, message.Config{}, func(m mpc.Medium) mpc.Medium {
 		rec = &adRecorder{inner: m}
 		return rec
 	})
@@ -200,7 +200,7 @@ func TestPresenceRecordFailsOpen(t *testing.T) {
 // gone and nothing else in range, the hint goes out at once.
 func TestSlotLeavesWithTheLink(t *testing.T) {
 	var rec *adRecorder
-	h := newSyncHarnessWith(t, message.Config{ResyncInterval: -1}, func(m mpc.Medium) mpc.Medium {
+	h := newSyncHarnessWith(t, message.Config{}, func(m mpc.Medium) mpc.Medium {
 		rec = &adRecorder{inner: m}
 		return rec
 	})

@@ -28,10 +28,10 @@ import (
 	"sos/internal/wire"
 )
 
+// waitFor polls cond every 2 ms, for at least 10 s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	for range 5000 {
 		if cond() {
 			return
 		}
@@ -447,12 +447,10 @@ func (c *frameCapture) requestedSeqs(author id.UserID) int {
 // on a generation the manager never saw. The receiver must keep its
 // cached view, merge and plan against the delta's entries, score nothing
 // and answer with one SummaryPull — one per heartbeat interval however
-// many gap deltas follow — and a subsequent full summary must heal the
-// view.
+// many gap deltas follow, the next only after a Tick — and a subsequent
+// full summary must heal the view.
 func TestGenerationGapTriggersSummaryPull(t *testing.T) {
-	// The heartbeat re-arms the pull; keep it out of the test's time span
-	// so the pull count is exact.
-	h := newSyncHarnessWith(t, message.Config{ResyncInterval: time.Hour}, nil)
+	h := newSyncHarness(t)
 	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
@@ -513,6 +511,15 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	if len(h.mgr.ActiveLinks()) != 1 {
 		t.Error("the link did not survive the gap-delta burst")
 	}
+
+	// A tick re-arms the pull: the next gap delta asks once more.
+	h.mgr.Tick()
+	if err := link.SendFrame(&wire.Summary{
+		Gen: 2300, BaseGen: 2299, Entries: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
+	}); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	waitFor(t, "the pull after the tick", func() bool { return h.bob.pulls() == 2 })
 
 	// Healing: a full summary replaces the view and planning resumes
 	// (alice requests the advertised message).
@@ -601,9 +608,9 @@ func (e *refusingEvents) Disconnected(conn mpc.Conn, reason error) {
 // swallows frames he receives, whose alice fails her first dialFailures
 // dials, and where bob beacons, unchanged, something alice wants, so she
 // dials him once on discovery.
-func refusingHarness(t *testing.T, resync time.Duration, refusals, swallows, dialFailures int32) (*syncHarness, *refusingMedium) {
+func refusingHarness(t *testing.T, refusals, swallows, dialFailures int32) (*syncHarness, *refusingMedium) {
 	var radio *refusingMedium
-	h := newSyncHarnessWith(t, message.Config{AutoConnect: true, ResyncInterval: resync}, func(m mpc.Medium) mpc.Medium {
+	h := newSyncHarnessWith(t, message.Config{AutoConnect: true}, func(m mpc.Medium) mpc.Medium {
 		radio = &refusingMedium{Medium: m}
 		radio.refuse.Store(refusals)
 		radio.swallow.Store(swallows)
@@ -618,83 +625,89 @@ func refusingHarness(t *testing.T, resync time.Duration, refusals, swallows, dia
 	return h, radio
 }
 
-// TestHeartbeatOffArmsNoTimer: with the heartbeat off, the simulator's
-// setting, nothing retries. Bob refuses the one handshake his beacon
-// caused, so a second later alice has dialled once and re-dialled never.
+// dialSettled waits until alice has counted failures failed handshakes
+// and has no dial under way, so the next Tick's re-dial is the only one.
+func dialSettled(t *testing.T, h *syncHarness, failures uint64) {
+	t.Helper()
+	waitFor(t, "the failed handshakes", func() bool {
+		return h.aliceAd.Stats().HandshakeFailures == failures && !h.mgr.Dialing("bob-phone")
+	})
+}
+
+// TestHeartbeatOffArmsNoTimer: the manager holds no timer, so with no
+// driver calling Tick, the simulator's setting, nothing retries. Bob
+// refuses the one handshake his beacon caused: alice has dialled once and
+// re-dialled never, and the first Tick is what dials him again.
 func TestHeartbeatOffArmsNoTimer(t *testing.T) {
-	h, _ := refusingHarness(t, -1, 1, 0, 0)
-	waitFor(t, "the dial on discovery", func() bool { return h.mgr.Stats().ConnectsAttempted > 0 })
-	time.Sleep(time.Second)
+	h, _ := refusingHarness(t, 1, 0, 0)
+	dialSettled(t, h, 1)
 	if st := h.mgr.Stats(); st.ConnectsAttempted != 1 || st.Reconnects != 0 {
 		t.Errorf("after one refused handshake: ConnectsAttempted = %d, Reconnects = %d; want 1 and 0", st.ConnectsAttempted, st.Reconnects)
+	}
+	h.mgr.Tick()
+	waitFor(t, "the link after one tick", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
+	if st := h.mgr.Stats(); st.Reconnects != 1 {
+		t.Errorf("Reconnects = %d after one tick, want 1", st.Reconnects)
 	}
 }
 
 // TestRedialLadderOutlastsFailedHandshakes scripts a peer in range whose
 // first eight handshakes fail and whose beacon never changes, so nothing
 // but the resync heartbeat can dial again. Its re-dials must outlast the
-// failures and bring the contact up.
+// failures and bring the contact up: one re-dial per tick.
 func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
 	const failures = 8
-	h, radio := refusingHarness(t, 50*time.Millisecond, failures, 0, 0)
-
-	// One re-dial per 50 ms tick: the eighth links within half a second.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(h.mgr.ActiveLinks()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no link after %d refused handshakes: stats %+v, adhoc %+v", failures, h.mgr.Stats(), h.aliceAd.Stats())
-		}
-		time.Sleep(20 * time.Millisecond)
+	h, radio := refusingHarness(t, failures, 0, 0)
+	for i := uint64(1); i <= failures; i++ {
+		dialSettled(t, h, i)
+		h.mgr.Tick()
 	}
-	if left := radio.refuse.Load(); left > 0 {
-		t.Errorf("linked with %d refusals still unspent", left)
+	waitFor(t, "the link after the ladder", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
+	if left := radio.refuse.Load(); left != -1 {
+		t.Errorf("refusals left at %d, want -1: eight refused handshakes and the one that linked", left)
 	}
-	if st := h.mgr.Stats(); st.Reconnects < failures {
-		t.Errorf("Reconnects = %d, want >= %d ladder attempts", st.Reconnects, failures)
+	if st := h.mgr.Stats(); st.Reconnects != failures {
+		t.Errorf("Reconnects = %d, want %d ladder attempts", st.Reconnects, failures)
 	}
 }
 
 // TestHeartbeatExpiresWedgedHandshake: bob's radio loses alice's first
-// Hello, so her dial sits mid-handshake and every re-dial is refused as
-// in progress. The heartbeat's second tick fails the wedged handshake
-// just before it re-dials, so at 50 ms ticks she links well within a
-// second.
+// Hello, so her dial sits mid-handshake and the first tick's re-dial is
+// refused as in progress. The second tick fails the wedged handshake just
+// before it re-dials, and that dial links.
 func TestHeartbeatExpiresWedgedHandshake(t *testing.T) {
-	h, radio := refusingHarness(t, 50*time.Millisecond, 0, 1, 0)
-	deadline := time.Now().Add(time.Second)
-	for len(h.mgr.ActiveLinks()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no link a second after a lost Hello: stats %+v, adhoc %+v", h.mgr.Stats(), h.aliceAd.Stats())
-		}
-		time.Sleep(10 * time.Millisecond)
+	h, radio := refusingHarness(t, 0, 1, 0)
+	waitFor(t, "the lost Hello", func() bool { return radio.swallow.Load() == 0 && !h.mgr.Dialing("bob-phone") })
+	h.mgr.Tick()
+	if st := h.aliceAd.Stats(); st.HandshakeFailures != 0 {
+		t.Fatalf("the first tick failed %d handshakes, want 0: the dial was not yet wedged at an earlier tick", st.HandshakeFailures)
 	}
-	if radio.swallow.Load() >= 0 {
-		t.Error("linked without losing the Hello")
-	}
+	h.mgr.Tick()
+	waitFor(t, "the link after two ticks", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
 	if st := h.aliceAd.Stats(); st.HandshakeFailures != 1 {
 		t.Errorf("alice's HandshakeFailures = %d, want 1: the wedged dial", st.HandshakeFailures)
+	}
+	if st := h.mgr.Stats(); st.Reconnects != 2 {
+		t.Errorf("Reconnects = %d, want 2: one refused as in progress, one that linked", st.Reconnects)
 	}
 }
 
 // TestHeartbeatRedialsRefusedDials: alice's first three dials fail at
 // the socket, as toward a peer whose listener is not up yet. A transport
-// error keeps the peer armed, so the heartbeat re-dials past all three
-// and, at 50 ms ticks, links well within a second.
+// error keeps the peer armed, so each tick re-dials, and the third links.
 func TestHeartbeatRedialsRefusedDials(t *testing.T) {
 	const failures = 3
-	h, radio := refusingHarness(t, 50*time.Millisecond, 0, 0, failures)
-	deadline := time.Now().Add(time.Second)
-	for len(h.mgr.ActiveLinks()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no link a second after %d refused dials: stats %+v", failures, h.mgr.Stats())
-		}
-		time.Sleep(10 * time.Millisecond)
+	h, radio := refusingHarness(t, 0, 0, failures)
+	waitFor(t, "the refused dial on discovery", func() bool { return radio.failDials.Load() == failures-1 && !h.mgr.Dialing("bob-phone") })
+	for i := 0; i < failures; i++ {
+		h.mgr.Tick()
 	}
-	if radio.failDials.Load() >= 0 {
-		t.Error("linked with refused dials still unspent")
+	waitFor(t, "the link after the refused dials", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
+	if left := radio.failDials.Load(); left != -1 {
+		t.Errorf("failDials left at %d, want -1: three refused dials and the one that linked", left)
 	}
-	if st := h.mgr.Stats(); st.Reconnects < failures {
-		t.Errorf("Reconnects = %d, want >= %d heartbeat re-dials", st.Reconnects, failures)
+	if st := h.mgr.Stats(); st.Reconnects != failures {
+		t.Errorf("Reconnects = %d, want %d heartbeat re-dials", st.Reconnects, failures)
 	}
 }
 

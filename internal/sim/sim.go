@@ -271,10 +271,9 @@ func New(cfg Config) (*Sim, error) {
 			Rand:     nodeRng,
 			Routing:  routing.Options{Clock: clk, RelayTTL: cfg.RelayTTL},
 			Store:    st,
-			// No wall-clock timers: they would fire on their own goroutine
-			// into this single-threaded simulator once a replay outlives
-			// them, and the lossless SimMedium (which ends contacts itself)
-			// leaves them nothing to recover.
+			// No heartbeat driver: its wall-clock ticks would call into this
+			// single-threaded simulator from their own goroutine, and the
+			// lossless SimMedium leaves them nothing to recover.
 			ResyncInterval: -1,
 			Observer: core.CombineObservers(
 				telemetry.NewObserver(n.User, clk, agg),

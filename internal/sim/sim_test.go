@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"sos/internal/core"
 	"sos/internal/id"
-	"sos/internal/message"
 	"sos/internal/metrics"
 	"sos/internal/mobility"
 	"sos/internal/mpc"
@@ -63,8 +63,8 @@ func TestTwoNodeDelivery(t *testing.T) {
 
 // TestNoWallClockHeartbeatInsideReplay holds a replay, mid-contact, for
 // longer than the stack's wall-clock resync heartbeat. A sim-built node
-// must not have armed it: the timer goroutine would re-advertise on the
-// live link, calling into the single-threaded medium from outside the
+// must not have started core's heartbeat driver: its ticks would
+// re-advertise on the live link, calling into the single-threaded medium from outside the
 // simulator's goroutine (under -race, a reported data race; without it,
 // the extra advertisements counted here).
 func TestNoWallClockHeartbeatInsideReplay(t *testing.T) {
@@ -90,7 +90,7 @@ func TestNoWallClockHeartbeatInsideReplay(t *testing.T) {
 				t.Error("no live link to hold: the test is vacuous")
 			}
 			before := adsSent()
-			time.Sleep(message.DefaultResyncInterval + 500*time.Millisecond)
+			time.Sleep(core.DefaultResyncInterval + 500*time.Millisecond)
 			if after := adsSent(); after != before {
 				t.Errorf("%d advertisements sent while the replay stood still: a wall-clock timer is live", after-before)
 			}
