@@ -7,8 +7,9 @@
 // The app layer owns everything the middleware deliberately does not:
 // user-facing feed assembly, follower bookkeeping, direct-message
 // decryption into an inbox, the address book mapping user identifiers
-// back to handles, cloud synchronization of actions, and geo-tagging of
-// message creation and receipt (the data behind the paper's Fig. 4b map).
+// back to handles, and cloud synchronization of actions. The paper's
+// Fig. 4b map of message creation and receipt comes from the simulator
+// (internal/sim's geo observer feeding internal/trace), not from the app.
 package alleyoop
 
 import (
@@ -41,11 +42,6 @@ type Config struct {
 	Clock sos.Clock
 	// Rand supplies entropy for keys and nonces; nil selects crypto/rand.
 	Rand io.Reader
-	// Locator, when set, supplies the device position for geo-tagged
-	// events (meters on the evaluation plane).
-	Locator func() (x, y float64)
-	// OnUpdate, when set, fires after every feed or inbox change.
-	OnUpdate func()
 }
 
 // FeedItem is one post visible in the user's feed.
@@ -69,36 +65,6 @@ type InboxItem struct {
 	ReceivedAt time.Time
 }
 
-// GeoEventKind distinguishes geo-tagged event types.
-type GeoEventKind int
-
-// Geo event kinds: message generation (blue on the paper's map) and
-// message dissemination (red).
-const (
-	GeoCreated GeoEventKind = iota + 1
-	GeoReceived
-)
-
-// String names the kind.
-func (k GeoEventKind) String() string {
-	switch k {
-	case GeoCreated:
-		return "created"
-	case GeoReceived:
-		return "received"
-	default:
-		return "unknown"
-	}
-}
-
-// GeoEvent is one geo-tagged message event.
-type GeoEvent struct {
-	Kind GeoEventKind
-	Ref  sos.Ref
-	At   time.Time
-	X, Y float64
-}
-
 // App is a running AlleyOop Social instance.
 type App struct {
 	node  *sos.Node
@@ -111,7 +77,6 @@ type App struct {
 	feed      []FeedItem
 	inbox     []InboxItem
 	followers map[sos.UserID]bool
-	geo       []GeoEvent
 }
 
 // Join performs the one-time infrastructure bootstrap and starts the app.
@@ -162,14 +127,13 @@ func (a *App) Handle() string { return a.cfg.Handle }
 // User returns the local user identifier.
 func (a *App) User() sos.UserID { return a.node.User() }
 
-// Post publishes a text post to followers and records the geo event.
+// Post publishes a text post to followers and adds it to the feed.
 func (a *App) Post(text string) (*sos.Message, error) {
 	m, err := a.node.Post([]byte(text))
 	if err != nil {
 		return nil, err
 	}
 	a.mu.Lock()
-	a.recordGeoLocked(GeoCreated, m.Ref(), m.Created)
 	a.feed = append(a.feed, FeedItem{
 		Ref:          m.Ref(),
 		Author:       m.Author,
@@ -179,7 +143,6 @@ func (a *App) Post(text string) (*sos.Message, error) {
 		ReceivedAt:   m.Created,
 	})
 	a.mu.Unlock()
-	a.update()
 	return m, nil
 }
 
@@ -231,15 +194,7 @@ func (a *App) Followers() []string {
 // certificate must be known — in AlleyOop it arrives with any message
 // they authored, or from the cloud while online.
 func (a *App) DirectTo(cert *sos.UserCert, text string) (*sos.Message, error) {
-	m, err := a.node.Direct(cert, []byte(text))
-	if err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	a.recordGeoLocked(GeoCreated, m.Ref(), m.Created)
-	a.mu.Unlock()
-	a.update()
-	return m, nil
+	return a.node.Direct(cert, []byte(text))
 }
 
 // CertOf retrieves a user's verified certificate from any stored message
@@ -275,16 +230,6 @@ func (a *App) Inbox() []InboxItem {
 	return out
 }
 
-// GeoEvents returns every geo-tagged creation/receipt event so far — the
-// raw series behind the paper's Fig. 4b map.
-func (a *App) GeoEvents() []GeoEvent {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]GeoEvent, len(a.geo))
-	copy(out, a.geo)
-	return out
-}
-
 // HandleOf resolves a user identifier to a handle if known, else the
 // identifier display form.
 func (a *App) HandleOf(user sos.UserID) string {
@@ -313,7 +258,6 @@ func (a *App) Close() error {
 func (a *App) onReceive(m *sos.Message, _ sos.UserID) {
 	a.mu.Lock()
 	now := a.clk.Now()
-	a.recordGeoLocked(GeoReceived, m.Ref(), now)
 
 	switch m.Kind {
 	case sos.KindPost:
@@ -355,17 +299,6 @@ func (a *App) onReceive(m *sos.Message, _ sos.UserID) {
 		}
 	}
 	a.mu.Unlock()
-	a.update()
-}
-
-// recordGeoLocked appends a geo event if a locator is configured.
-// Callers hold a.mu.
-func (a *App) recordGeoLocked(kind GeoEventKind, ref sos.Ref, at time.Time) {
-	if a.cfg.Locator == nil {
-		return
-	}
-	x, y := a.cfg.Locator()
-	a.geo = append(a.geo, GeoEvent{Kind: kind, Ref: ref, At: at, X: x, Y: y})
 }
 
 // handleOfLocked resolves a handle under a.mu.
@@ -374,11 +307,4 @@ func (a *App) handleOfLocked(user sos.UserID) string {
 		return h
 	}
 	return user.String()
-}
-
-// update fires the OnUpdate callback outside the lock.
-func (a *App) update() {
-	if a.cfg.OnUpdate != nil {
-		a.cfg.OnUpdate()
-	}
 }

@@ -32,7 +32,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 }
 
-func (f *fixture) app(handle string, locator func() (float64, float64)) *App {
+func (f *fixture) app(handle string) *App {
 	f.t.Helper()
 	app, err := Join(Config{
 		Cloud:    f.cloud,
@@ -40,7 +40,6 @@ func (f *fixture) app(handle string, locator func() (float64, float64)) *App {
 		Handle:   handle,
 		PeerName: sos.PeerID(handle + "-phone"),
 		Clock:    f.clk,
-		Locator:  locator,
 	})
 	if err != nil {
 		f.t.Fatalf("Join(%s): %v", handle, err)
@@ -63,8 +62,8 @@ func (f *fixture) pump(d time.Duration) {
 
 func TestFeedDelivery(t *testing.T) {
 	f := newFixture(t)
-	alice := f.app("alice", nil)
-	bob := f.app("bob", nil)
+	alice := f.app("alice")
+	bob := f.app("bob")
 
 	if err := bob.Follow("alice"); err != nil {
 		t.Fatalf("Follow: %v", err)
@@ -87,8 +86,8 @@ func TestFeedDelivery(t *testing.T) {
 
 func TestFeedShowsOnlyFollowedAuthors(t *testing.T) {
 	f := newFixture(t)
-	alice := f.app("alice", nil)
-	bob := f.app("bob", nil)
+	alice := f.app("alice")
+	bob := f.app("bob")
 
 	// Epidemic routing so bob carries alice's post even unsubscribed.
 	if err := bob.SetScheme(sos.SchemeEpidemic); err != nil {
@@ -112,7 +111,7 @@ func TestFeedShowsOnlyFollowedAuthors(t *testing.T) {
 
 func TestOwnPostsAppearInFeed(t *testing.T) {
 	f := newFixture(t)
-	alice := f.app("alice", nil)
+	alice := f.app("alice")
 	if _, err := alice.Post("note to self"); err != nil {
 		t.Fatalf("Post: %v", err)
 	}
@@ -123,8 +122,8 @@ func TestOwnPostsAppearInFeed(t *testing.T) {
 
 func TestFollowerNotification(t *testing.T) {
 	f := newFixture(t)
-	alice := f.app("alice", nil)
-	bob := f.app("bob", nil)
+	alice := f.app("alice")
+	bob := f.app("bob")
 
 	// Alice must subscribe to bob to pull his follow action under IB
 	// routing (actions are messages authored by bob).
@@ -148,7 +147,7 @@ func TestFollowerNotification(t *testing.T) {
 
 func TestFollowingList(t *testing.T) {
 	f := newFixture(t)
-	alice := f.app("alice", nil)
+	alice := f.app("alice")
 	if err := alice.Follow("bob"); err != nil {
 		t.Fatalf("Follow: %v", err)
 	}
@@ -169,8 +168,8 @@ func TestFollowingList(t *testing.T) {
 
 func TestDirectMessageInbox(t *testing.T) {
 	f := newFixture(t)
-	alice := f.app("alice", nil)
-	bob := f.app("bob", nil)
+	alice := f.app("alice")
+	bob := f.app("bob")
 
 	// Bob follows alice and receives a post, which carries her
 	// certificate — enough to send her an encrypted direct message.
@@ -208,39 +207,9 @@ func TestDirectMessageInbox(t *testing.T) {
 	}
 }
 
-func TestGeoEventsRecorded(t *testing.T) {
-	f := newFixture(t)
-	alicePos := func() (float64, float64) { return 100, 200 }
-	bobPos := func() (float64, float64) { return 5000, 6000 }
-	alice := f.app("alice", alicePos)
-	bob := f.app("bob", bobPos)
-
-	if err := bob.Follow("alice"); err != nil {
-		t.Fatalf("Follow: %v", err)
-	}
-	if _, err := alice.Post("geo-tagged"); err != nil {
-		t.Fatalf("Post: %v", err)
-	}
-	f.meet(alice, bob, 15*time.Second)
-
-	aliceGeo := alice.GeoEvents()
-	if len(aliceGeo) == 0 || aliceGeo[0].Kind != GeoCreated || aliceGeo[0].X != 100 {
-		t.Errorf("alice geo = %+v, want creation at (100,200)", aliceGeo)
-	}
-	var sawReceive bool
-	for _, g := range bob.GeoEvents() {
-		if g.Kind == GeoReceived && g.X == 5000 {
-			sawReceive = true
-		}
-	}
-	if !sawReceive {
-		t.Error("bob never recorded a receive geo event")
-	}
-}
-
 func TestHandleResolution(t *testing.T) {
 	f := newFixture(t)
-	alice := f.app("alice", nil)
+	alice := f.app("alice")
 	if got := alice.HandleOf(alice.User()); got != "alice" {
 		t.Errorf("HandleOf(self) = %q", got)
 	}
@@ -252,7 +221,7 @@ func TestHandleResolution(t *testing.T) {
 
 func TestSyncPushesActions(t *testing.T) {
 	f := newFixture(t)
-	alice := f.app("alice", nil)
+	alice := f.app("alice")
 	if _, err := alice.Post("p1"); err != nil {
 		t.Fatalf("Post: %v", err)
 	}
@@ -283,7 +252,7 @@ func TestJoinValidation(t *testing.T) {
 
 func TestDefaultSchemeIsInterest(t *testing.T) {
 	f := newFixture(t)
-	alice := f.app("alice", nil)
+	alice := f.app("alice")
 	if got := alice.Node().Scheme(); got != sos.SchemeInterest {
 		t.Errorf("default scheme = %s, want interest (the paper's field study ran IB)", got)
 	}

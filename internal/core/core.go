@@ -167,11 +167,6 @@ type SecurityConfig struct {
 	Dir string
 	// NoSync skips fsync on replay-log appends (tests, lab fleets).
 	NoSync bool
-	// RotationPeriod / OverlapWindow override the session epoch-rotation
-	// defaults (secure.DefaultRotationPeriod et al.); the lab shortens
-	// the period to its fast radio timescale.
-	RotationPeriod time.Duration
-	OverlapWindow  time.Duration
 }
 
 // Stats aggregates the counters of every layer.
@@ -317,11 +312,9 @@ func New(cfg Config) (*Middleware, error) {
 		Rand:     cfg.Rand,
 		Tracer:   cfg.Tracer,
 		SessionConfig: secure.SessionConfig{
-			Clock:          cfg.Clock,
-			RotationPeriod: cfg.Security.RotationPeriod,
-			OverlapWindow:  cfg.Security.OverlapWindow,
-			Stats:          secRec,
-			Tracer:         cfg.Tracer,
+			Clock:  cfg.Clock,
+			Stats:  secRec,
+			Tracer: cfg.Tracer,
 		},
 	})
 	if err != nil {

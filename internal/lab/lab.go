@@ -8,17 +8,10 @@ import (
 	"sort"
 	"time"
 
-	"sos/internal/chaos"
-	"sos/internal/clock"
 	"sos/internal/cloud"
 	"sos/internal/core"
 	"sos/internal/id"
-	"sos/internal/mpc"
-	"sos/internal/netmedium"
-	"sos/internal/obs"
 	"sos/internal/pki"
-	"sos/internal/routing"
-	"sos/internal/store"
 	"sos/internal/telemetry"
 )
 
@@ -99,9 +92,9 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 			if spec.Chaos != nil {
 				return nil, fmt.Errorf("lab: chaos profiles run in mode %q only", ModeInProcess)
 			}
-			return runProcess(spec, opts)
+			return runLive(spec, opts, ModeProcess, &processFleet{})
 		}
-		return runInProcess(spec, opts)
+		return runLive(spec, opts, ModeInProcess, &inProcessFleet{})
 	case ModeSim:
 		// The simulator moves messages at virtual time with no frame
 		// medium, so there is nothing for a chaos profile to disturb.
@@ -114,53 +107,114 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	}
 }
 
-// timelineEvent is one scheduled action: a workload post or a churn op.
-type timelineEvent struct {
-	at    time.Duration
-	post  *postEvent
-	churn *ChurnEvent
+// A step is one thing the experiment does, at an offset from its start.
+type step struct {
+	at   time.Duration
+	kind string // OpDown, OpUp, stepPost or stepSample
+	node int    // index into Spec.Handles (churn and posts)
+	body string // post text
 }
 
-// timeline merges the post schedule and churn schedule in time order
-// (churn before posts at the same instant, so a node that wakes at t can
-// post at t).
-func timeline(spec *Spec) []timelineEvent {
-	var out []timelineEvent
-	posts := spec.postSchedule()
-	for i := range posts {
-		out = append(out, timelineEvent{at: posts[i].at, post: &posts[i]})
+// Step kinds besides the churn operations.
+const (
+	stepPost   = "post"
+	stepSample = "sample"
+)
+
+// plan is a spec compiled into what happens, in time order: at one
+// instant churn runs first (so a node that wakes at t can post at t),
+// then posts, then the timeline sample.
+type plan struct {
+	steps []step
+	// posts counts the posts in steps; skipped counts the scheduled
+	// posts left out because their author was asleep.
+	posts, skipped int
+}
+
+// compilePlan merges the post schedule, the churn schedule and, when
+// sampleEvery > 0, the timeline samples at k·sampleEvery through the
+// run's end into one plan. It is the lab's one definition of asleep, in
+// every mode: a node sleeps from a down to its next up. A repeated down,
+// or an up while awake, changes nothing and is dropped. A post whose
+// author is asleep — a post at the instant of its author's down included
+// — does not happen: a sleeping app has no user in front of it.
+func compilePlan(spec *Spec, sampleEvery time.Duration) plan {
+	index := make(map[string]int, spec.Nodes)
+	for i, h := range spec.Handles {
+		index[h] = i
 	}
-	for i := range spec.Churn {
-		out = append(out, timelineEvent{at: spec.Churn[i].At.D(), churn: &spec.Churn[i]})
+	var all []step
+	for _, c := range spec.Churn {
+		all = append(all, step{at: c.At.D(), kind: c.Op, node: index[c.Node]})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].at != out[j].at {
-			return out[i].at < out[j].at
+	// Posts spread evenly over PostWindow, round-robin over authors: a
+	// deterministic stand-in for the field study's user posts.
+	for i := 0; i < spec.Posts; i++ {
+		var at time.Duration
+		if spec.Posts > 1 {
+			at = time.Duration(int64(spec.PostWindow) * int64(i) / int64(spec.Posts-1))
 		}
-		return out[i].churn != nil && out[j].churn == nil
-	})
-	return out
+		author := i % spec.Nodes
+		all = append(all, step{at: at, kind: stepPost, node: author,
+			body: fmt.Sprintf("%s post %d from %s", spec.Name, i+1, spec.Handles[author])})
+	}
+	for at := sampleEvery; sampleEvery > 0 && at <= spec.Duration.D(); at += sampleEvery {
+		all = append(all, step{at: at, kind: stepSample})
+	}
+	// Stable, so one instant keeps the append order above.
+	sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
+
+	var p plan
+	asleep := make([]bool, spec.Nodes)
+	for _, s := range all {
+		switch s.kind {
+		case OpDown, OpUp:
+			if asleep[s.node] == (s.kind == OpDown) {
+				continue
+			}
+			asleep[s.node] = s.kind == OpDown
+		case stepPost:
+			if asleep[s.node] {
+				p.skipped++
+				continue
+			}
+			p.posts++
+		}
+		p.steps = append(p.steps, s)
+	}
+	return p
 }
 
-// inNode is one in-process fleet member.
-type inNode struct {
-	handle   string
-	user     id.UserID
-	peer     mpc.PeerID
-	mw       *core.Middleware
-	exporter *telemetry.Exporter
-	registry *obs.Registry
-	tracer   *obs.Tracer
-	down     bool
+// fleet is how a live mode runs its nodes, each named by its index in
+// Spec.Handles. Everything else about a live run belongs to runLive.
+type fleet interface {
+	// start provisions and launches every node, awake.
+	start(env liveEnv) error
+	post(node int, body string) error
+	setAwake(node int, awake bool) error
+	// gauges reads the fleet's live timeline columns.
+	gauges() timelineSample
+	// stop tears down whatever start launched, even after a failed
+	// start, and returns one report per node plus the fleet's chaos
+	// report, if it injected faults.
+	stop() ([]NodeReport, *ChaosReport)
 }
 
-// runInProcess executes the whole fleet inside this process over a
-// shared loopback NetMedium instance: every endpoint binds its own real
-// sockets, and churn toggles radios with Medium.SetReachable — the same
-// severing a device sleeping mid-gathering causes in the field.
-func runInProcess(spec *Spec, opts Options) (*Report, error) {
+// liveEnv is what runLive provisions for a fleet.
+type liveEnv struct {
+	spec      *Spec
+	opts      Options
+	workDir   string
+	collector string               // the telemetry server's address
+	creds     []*cloud.Credentials // by handle index
+}
+
+// runLive runs the spec's plan over a live fleet on the wall clock. It
+// owns the work directory, the telemetry collector, the fleet's
+// credentials, the walk and the report; the fleet owns the nodes.
+func runLive(spec *Spec, opts Options, mode string, f fleet) (*Report, error) {
 	workDir := opts.WorkDir
-	if spec.storeEngine(ModeInProcess) == "disk" && workDir == "" {
+	if workDir == "" {
 		dir, err := os.MkdirTemp("", "soslab-*")
 		if err != nil {
 			return nil, fmt.Errorf("lab: temp dir: %w", err)
@@ -181,257 +235,97 @@ func runInProcess(spec *Spec, opts Options) (*Report, error) {
 	defer srv.Close(5 * time.Second)
 	opts.logf("lab: telemetry collector on %s", srv.Addr())
 
-	// One-time infrastructure: CA, cloud, and per-node credentials,
-	// deterministic under the spec seed.
+	// Provision the whole fleet ahead of deployment (the paper's
+	// one-time infrastructure requirement): one CA, one cloud, and
+	// credentials per handle, deterministic under the spec seed.
 	master := rand.New(rand.NewSource(spec.Seed))
 	ca, err := pki.NewCA(spec.Name+" Lab CA", pki.WithEntropy(rand.New(rand.NewSource(master.Int63()))))
 	if err != nil {
 		return nil, fmt.Errorf("lab: creating CA: %w", err)
 	}
 	svc := cloud.New(ca)
-
-	medium, err := netmedium.New(netmedium.Config{
-		BeaconListen:   "127.0.0.1:0",
-		ListenIP:       "127.0.0.1",
-		BeaconInterval: spec.BeaconInterval.D(),
-		LossTimeout:    spec.LossTimeout.D(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("lab: creating medium: %w", err)
-	}
-
-	// With a chaos block, every node sees the medium through the fault
-	// injector; churn severs through the same wrapper so scheduled
-	// partitions and spec churn compose instead of fighting.
-	var nodeMedium mpc.Medium = medium
-	var radio chaos.Reachability = medium
-	var chaosMedium *chaos.Medium
-	if prof, perr := spec.chaosProfile(); perr != nil {
-		return nil, perr
-	} else if spec.Chaos != nil {
-		chaosMedium, err = chaos.Wrap(medium, prof)
-		if err != nil {
-			return nil, fmt.Errorf("lab: wrapping medium: %w", err)
-		}
-		defer chaosMedium.Close()
-		nodeMedium = chaosMedium
-		radio = chaosMedium
-		opts.logf("lab: chaos profile %s armed (seed %d)", spec.Chaos.Label(), prof.Seed)
-	}
-
-	policy, err := store.PolicyByName(spec.Store.Policy, spec.Store.RelayTTL.D())
-	if err != nil {
-		return nil, fmt.Errorf("lab: store policy: %w", err)
-	}
-
-	nodes := make([]*inNode, 0, spec.Nodes)
-	byHandle := make(map[string]*inNode, spec.Nodes)
+	env := liveEnv{spec: spec, opts: opts, workDir: workDir, collector: srv.Addr()}
 	users := make(map[string]id.UserID, spec.Nodes)
-	defer func() {
-		for _, n := range nodes {
-			if n.mw != nil {
-				n.mw.Close()
-			}
-			n.exporter.Close()
-		}
-	}()
 	for _, handle := range spec.Handles {
 		creds, err := cloud.Bootstrap(svc, handle, rand.New(rand.NewSource(master.Int63())))
 		if err != nil {
 			return nil, fmt.Errorf("lab: bootstrapping %q: %w", handle, err)
 		}
-		// Every in-process node records contact-session spans: the ring
-		// is bounded and allocation-free, so the flight recorder is
-		// always on and readable after any run.
-		tracer := obs.NewTracer(0)
-		n := &inNode{
-			handle: handle,
-			user:   creds.Ident.User,
-			peer:   mpc.PeerID(handle),
-			tracer: tracer,
-			exporter: telemetry.NewExporter(srv.Addr(), telemetry.ExporterOptions{
-				Logf:   opts.Logf,
-				Tracer: tracer,
-			}),
-		}
-		// Registered before the fallible steps below, so the deferred
-		// cleanup stops this exporter even when construction fails.
-		nodes = append(nodes, n)
-		observer := core.Observer(telemetry.NewObserver(n.user, clock.System(), n.exporter))
-		if opts.ExtraObserver != nil {
-			observer = core.CombineObservers(observer, opts.ExtraObserver(handle, n.user))
-		}
-		engine, err := buildEngine(spec, ModeInProcess, workDir, handle, creds.Ident.User, policy, tracer)
-		if err != nil {
-			return nil, err
-		}
-		mw, err := core.New(core.Config{
-			Creds:    creds,
-			Medium:   nodeMedium,
-			PeerName: n.peer,
-			Scheme:   spec.Scheme,
-			Routing:  routing.Options{RelayTTL: spec.Store.RelayTTL.D()},
-			Store:    engine,
-			Observer: observer,
-			Tracer:   tracer,
-			// The lab radio answers in milliseconds, so a wedged
-			// handshake or a lost frame is knowable — and retryable — at
-			// the discovery timescale instead of the field default.
-			ResyncInterval: spec.LossTimeout.D(),
-		})
-		if err != nil {
-			engine.Close() // core.New takes ownership only on success
-			return nil, fmt.Errorf("lab: starting %q: %w", handle, err)
-		}
-		n.mw = mw
-		// The same metric bridge a sosd daemon serves over HTTP, here
-		// snapshotted directly into the node's report slice at teardown.
-		n.registry = obs.NewRegistry()
-		obs.RegisterNodeMetrics(n.registry, obs.NodeMetrics{
-			Middleware: mw,
-			Medium:     medium,
-			Exporter:   n.exporter,
-			Chaos:      chaosMedium,
-		})
-		byHandle[handle] = n
-		users[handle] = n.user
+		env.creds = append(env.creds, creds)
+		users[handle] = creds.Ident.User
 	}
 
-	// Pre-seeded social graph (quiet subscriptions, as in the field
-	// study where relationships predate the experiment).
-	for _, e := range spec.FollowEdges() {
-		follower := nodes[e[0]]
-		followee := nodes[e[1]]
-		follower.mw.Subscribe(followee.user)
-	}
-	for _, n := range nodes {
-		if err := n.mw.Advertise(); err != nil {
-			return nil, fmt.Errorf("lab: advertising %q: %w", n.handle, err)
-		}
-	}
-
-	setRadio := func(n *inNode, up bool) {
-		for _, other := range nodes {
-			if other == n {
-				continue
-			}
-			// Waking restores only links to awake peers; sleeping
-			// severs everything.
-			if up && other.down {
-				continue
-			}
-			radio.SetReachable(n.peer, other.peer, up)
-		}
-		n.down = !up
-	}
-
-	// The experiment clock: wall time, real sockets.
+	p := compilePlan(spec, opts.TimelineInterval)
+	err = f.start(env)
 	startedAt := time.Now()
-	var sampler *timelineSampler
-	if opts.TimelineInterval > 0 {
-		sampler = startTimelineSampler(startedAt, opts.TimelineInterval, func() timelineSample {
-			s := timelineSample{disseminations: agg.Stats().Disseminated}
-			for _, n := range nodes {
-				s.exporterQueue += n.exporter.QueueDepth()
-				ms := n.mw.Stats().Message
-				s.syncEntries += ms.PlanEntriesScanned
-				s.summaryBytes += ms.SummaryBytesSent
-				s.payloadBytes += ms.PayloadBytesSent
-			}
-			return s
+	var samples []timelineSample
+	if err == nil {
+		samples, err = walk(spec, opts, p, f, startedAt, func() timelineSample {
+			g := f.gauges()
+			g.disseminations = agg.Stats().Disseminated
+			return g
 		})
-	}
-	executed, skipped := 0, 0
-	for _, ev := range timeline(spec) {
-		if d := time.Until(startedAt.Add(ev.at)); d > 0 {
-			time.Sleep(d)
-		}
-		switch {
-		case ev.post != nil:
-			n := nodes[ev.post.author]
-			if n.down {
-				// Same rule as process mode: a sleeping app has no user
-				// in front of it, so the post does not happen.
-				skipped++
-				opts.logf("lab: skipping post by sleeping node %s", n.handle)
-				continue
-			}
-			if _, err := n.mw.Post([]byte(ev.post.body)); err != nil {
-				return nil, fmt.Errorf("lab: %s posting: %w", n.handle, err)
-			}
-			executed++
-			opts.logf("lab: %s posted (%d/%d)", n.handle, executed, spec.Posts)
-		case ev.churn != nil:
-			n := byHandle[ev.churn.Node]
-			up := ev.churn.Op == OpUp
-			if n.down != up {
-				opts.logf("lab: churn %s %s (no-op)", ev.churn.Node, ev.churn.Op)
-				continue
-			}
-			setRadio(n, up)
-			opts.logf("lab: churn %s %s", ev.churn.Node, ev.churn.Op)
-		}
-	}
-	if d := time.Until(startedAt.Add(spec.Duration.D())); d > 0 {
-		time.Sleep(d)
 	}
 	elapsed := time.Since(startedAt)
-	var samples []timelineSample
-	if sampler != nil {
-		// Stopped before teardown: the gauge closure walks live nodes.
-		samples = sampler.Stop()
-	}
 
-	// Teardown in telemetry-safe order: stop the middlewares (no more
-	// events), flush and close the exporters, then wait for the server
-	// to finish reading every stream — only then is the aggregate
-	// complete.
-	reports := make([]NodeReport, 0, len(nodes))
-	for _, n := range nodes {
-		stats := n.mw.Stats()
-		if err := n.mw.Close(); err != nil {
-			opts.logf("lab: closing %s: %v", n.handle, err)
-		}
-		n.mw = nil
-		n.exporter.Close()
-		es := n.exporter.Stats()
-		reports = append(reports, NodeReport{
-			Handle:              n.handle,
-			User:                n.user.String(),
-			Stats:               &stats,
-			TelemetrySent:       es.Sent,
-			TelemetryDropped:    es.Dropped,
-			TelemetryReconnects: es.Reconnects,
-			// Snapshot after exporter.Close so the export counters are
-			// final; the bridges read mutex-guarded stats, safe after
-			// middleware shutdown.
-			Metrics: n.registry.Snapshot(),
-		})
+	// Teardown in telemetry-safe order: stop the nodes (no more events,
+	// every exporter flushed), then wait for the collector to finish
+	// reading every stream — only then is the aggregate complete.
+	nodes, chaosReport := f.stop()
+	if err != nil {
+		return nil, err
 	}
 	if err := srv.Close(10 * time.Second); err != nil {
 		opts.logf("lab: closing collector: %v", err)
 	}
 
-	report := buildReport(spec, ModeInProcess, startedAt, elapsed,
-		agg.Collector(), agg.Stats(), spec.Subscriptions(users), reports, executed, skipped)
-	if chaosMedium != nil {
-		cs := chaosMedium.Stats()
-		report.Chaos = &ChaosReport{
-			Profile:           spec.Chaos.Label(),
-			FramesPassed:      cs.FramesPassed,
-			FramesDropped:     cs.FramesDropped,
-			FramesDuplicated:  cs.FramesDuplicated,
-			FramesReordered:   cs.FramesReordered,
-			FramesDelayed:     cs.FramesDelayed,
-			OneWayDrops:       cs.OneWayDrops,
-			PartitionsStarted: cs.PartitionsStarted,
-			PartitionsHealed:  cs.PartitionsHealed,
-		}
-	}
+	report := buildReport(spec, mode, startedAt, elapsed,
+		agg.Collector(), agg.Stats(), spec.Subscriptions(users), nodes, p.posts, p.skipped)
+	report.Chaos = chaosReport
 	attachPaths(report, agg)
 	attachTimeline(report, startedAt, opts.TimelineInterval, elapsed, samples)
-	dumpFleetTraces(report, opts, nodes)
+	dumpFleetTraces(report, opts)
 	return report, nil
+}
+
+// walk performs the plan on the wall clock from start and returns at
+// the run's end with the timeline samples. Each step waits for its
+// instant and runs to completion, so a step that blocks (a child process
+// slow to quit) delays the steps behind it without reordering them; a
+// sample that fell due meanwhile is read when the walk reaches it and
+// keeps its planned offset.
+func walk(spec *Spec, opts Options, p plan, f fleet, start time.Time, gauges func() timelineSample) ([]timelineSample, error) {
+	var samples []timelineSample
+	posted := 0
+	for _, s := range p.steps {
+		sleepUntil(start.Add(s.at))
+		handle := spec.Handles[s.node]
+		switch s.kind {
+		case stepPost:
+			if err := f.post(s.node, s.body); err != nil {
+				return nil, err
+			}
+			posted++
+			opts.logf("lab: %s posted (%d/%d)", handle, posted, spec.Posts)
+		case stepSample:
+			g := gauges()
+			g.at = s.at
+			samples = append(samples, g)
+		default:
+			if err := f.setAwake(s.node, s.kind == OpUp); err != nil {
+				return nil, err
+			}
+			opts.logf("lab: churn %s %s", handle, s.kind)
+		}
+	}
+	sleepUntil(start.Add(spec.Duration.D()))
+	return samples, nil
+}
+
+func sleepUntil(t time.Time) {
+	if d := time.Until(t); d > 0 {
+		time.Sleep(d)
+	}
 }
 
 // dumpFleetTraces writes each node's flight recorder as Chrome
@@ -439,7 +333,10 @@ func runInProcess(spec *Spec, opts Options) (*Report, error) {
 // the rings are dumped to a fresh temporary directory — kept, and named
 // in the log — only when the run ended with observability violations,
 // so a failing run always leaves its black box behind.
-func dumpFleetTraces(report *Report, opts Options, nodes []*inNode) {
+func dumpFleetTraces(report *Report, opts Options) {
+	if len(report.Nodes) == 0 || report.Nodes[0].tracer == nil {
+		return // a fleet records spans on every node or on none
+	}
 	dir := opts.TraceDir
 	if dir == "" {
 		if len(report.ObservabilityViolations()) == 0 {
@@ -456,11 +353,8 @@ func dumpFleetTraces(report *Report, opts Options, nodes []*inNode) {
 		opts.logf("lab: trace dir %s: %v", dir, err)
 		return
 	}
-	for _, n := range nodes {
-		if n.tracer == nil {
-			continue
-		}
-		path := filepath.Join(dir, n.handle+".trace.json")
+	for _, n := range report.Nodes {
+		path := filepath.Join(dir, n.Handle+".trace.json")
 		f, err := os.Create(path)
 		if err != nil {
 			opts.logf("lab: creating %s: %v", path, err)
@@ -475,26 +369,5 @@ func dumpFleetTraces(report *Report, opts Options, nodes []*inNode) {
 			continue
 		}
 		report.TraceFiles = append(report.TraceFiles, path)
-	}
-}
-
-// buildEngine constructs one node's storage engine per the spec.
-func buildEngine(spec *Spec, mode, workDir, handle string, owner id.UserID, policy store.Policy, tracer *obs.Tracer) (store.Engine, error) {
-	sOpts := store.Options{
-		MaxMessages: spec.Store.Quota,
-		MaxBytes:    spec.Store.QuotaBytes,
-		Policy:      policy,
-		Tracer:      tracer,
-	}
-	switch spec.storeEngine(mode) {
-	case "disk":
-		dir := filepath.Join(workDir, handle+".store")
-		engine, err := store.OpenDisk(dir, owner, sOpts)
-		if err != nil {
-			return nil, fmt.Errorf("lab: opening disk store for %q: %w", handle, err)
-		}
-		return engine, nil
-	default:
-		return store.NewMemory(owner, sOpts), nil
 	}
 }

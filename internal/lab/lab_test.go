@@ -147,7 +147,8 @@ func TestInProcessEndToEnd(t *testing.T) {
 	// extra observer on every node, bypassing codec, TCP, and exporter.
 	direct := telemetry.NewAggregator()
 	report, err := Run(spec, Options{
-		Logf: t.Logf,
+		Logf:             t.Logf,
+		TimelineInterval: 500 * time.Millisecond,
 		ExtraObserver: func(_ string, user id.UserID) core.Observer {
 			return telemetry.NewObserver(user, clock.System(), direct)
 		},
@@ -198,6 +199,27 @@ func TestInProcessEndToEnd(t *testing.T) {
 		if p.Hops[len(p.Hops)-1].To != p.Dest {
 			t.Fatalf("path %s does not end at its destination %s: %+v", p.Ref, p.Dest, p.Hops)
 		}
+	}
+
+	// The walk sampled the live fleet: the delivery column adds up to the
+	// report, the aggregator's dissemination count only grows, and the
+	// sync plane's bytes show up.
+	if len(report.Timeline) == 0 {
+		t.Fatal("no timeline sampled")
+	}
+	last := report.Timeline[len(report.Timeline)-1]
+	if last.CumulativeDeliveries != report.Deliveries {
+		t.Fatalf("final cumulative deliveries %d, want %d", last.CumulativeDeliveries, report.Deliveries)
+	}
+	summaryBytes := false
+	for i, p := range report.Timeline {
+		if i > 0 && p.Disseminations < report.Timeline[i-1].Disseminations {
+			t.Fatalf("disseminations fell at %.1fs: %+v", p.OffsetSeconds, report.Timeline)
+		}
+		summaryBytes = summaryBytes || p.SummaryBytes > 0
+	}
+	if last.Disseminations == 0 || !summaryBytes {
+		t.Fatalf("timeline gauges never read the fleet: %+v", report.Timeline)
 	}
 
 	// The live-aggregated series must equal the directly observed ones.

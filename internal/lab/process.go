@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -15,9 +13,19 @@ import (
 	"sos/internal/cloud"
 	"sos/internal/id"
 	"sos/internal/obs"
-	"sos/internal/pki"
-	"sos/internal/telemetry"
 )
+
+// processFleet runs every node as a real sosd child process over
+// loopback: each child binds its own UDP beacon socket and TCP session
+// listeners, discovers the others through explicit unicast beacon
+// targets, and streams telemetry back over TCP. Churn stops and restarts
+// whole processes — with the default disk engine a waking node resumes
+// its message database, exactly like a phone returning from sleep.
+type processFleet struct {
+	env   liveEnv
+	sosd  string
+	procs []*childProc
+}
 
 // childProc is one sosd child process.
 type childProc struct {
@@ -37,213 +45,114 @@ type childProc struct {
 // running reports whether the child is currently alive.
 func (p *childProc) running() bool { return p.cmd != nil }
 
-// runProcess executes the fleet as real sosd child processes over
-// loopback: each child binds its own UDP beacon socket and TCP session
-// listeners, discovers the others through explicit unicast beacon
-// targets, and streams telemetry back over TCP. Churn stops and restarts
-// whole processes — with the default disk engine a waking node resumes
-// its message database, exactly like a phone returning from sleep.
-func runProcess(spec *Spec, opts Options) (*Report, error) {
-	sosd := opts.SosdPath
-	if sosd == "" {
-		sosd = "sosd"
+func (f *processFleet) start(env liveEnv) error {
+	spec := env.spec
+	f.env = env
+	f.sosd = env.opts.SosdPath
+	if f.sosd == "" {
+		f.sosd = "sosd"
 	}
-	if _, err := exec.LookPath(sosd); err != nil {
-		return nil, fmt.Errorf("lab: sosd binary not found (%w); build it with 'go build ./cmd/sosd' and pass its path", err)
+	if _, err := exec.LookPath(f.sosd); err != nil {
+		return fmt.Errorf("lab: sosd binary not found (%w); build it with 'go build ./cmd/sosd' and pass its path", err)
 	}
-	if spec.storeEngine(ModeProcess) == "mem" && len(spec.Churn) > 0 {
+	if spec.storeEngine("disk") == "mem" && len(spec.Churn) > 0 {
 		// A restarted child with a volatile store resets its sequence
 		// counter, so post-restart messages collide with pre-restart
 		// refs and silently vanish from every peer and every count.
-		return nil, fmt.Errorf("lab: process-mode churn requires the disk store engine (mem resets sequence numbers across restarts)")
-	}
-	workDir := opts.WorkDir
-	if workDir == "" {
-		dir, err := os.MkdirTemp("", "soslab-*")
-		if err != nil {
-			return nil, fmt.Errorf("lab: temp dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		workDir = dir
+		return fmt.Errorf("lab: process-mode churn requires the disk store engine (mem resets sequence numbers across restarts)")
 	}
 
-	agg := telemetry.NewAggregator()
-	agg.TracePaths()
-	if opts.OnEvent != nil {
-		agg.OnEvent(opts.OnEvent)
-	}
-	srv, err := telemetry.NewServer("127.0.0.1:0", agg, opts.Logf)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close(5 * time.Second)
-	opts.logf("lab: telemetry collector on %s", srv.Addr())
-
-	// Provision the whole fleet ahead of deployment (the paper's
-	// one-time infrastructure requirement): one credentials file per
-	// handle, certified by a common root.
-	master := rand.New(rand.NewSource(spec.Seed))
-	ca, err := pki.NewCA(spec.Name+" Lab CA", pki.WithEntropy(rand.New(rand.NewSource(master.Int63()))))
-	if err != nil {
-		return nil, fmt.Errorf("lab: creating CA: %w", err)
-	}
-	svc := cloud.New(ca)
-
-	users := make(map[string]id.UserID, spec.Nodes)
-	procs := make([]*childProc, 0, spec.Nodes)
-	byHandle := make(map[string]*childProc, spec.Nodes)
-	for _, handle := range spec.Handles {
-		creds, err := cloud.Bootstrap(svc, handle, rand.New(rand.NewSource(master.Int63())))
-		if err != nil {
-			return nil, fmt.Errorf("lab: bootstrapping %q: %w", handle, err)
-		}
-		credsPath := filepath.Join(workDir, handle+".creds")
-		if err := cloud.SaveCredentials(creds, credsPath); err != nil {
-			return nil, err
+	// One credentials file per handle, for the child to load.
+	for i, handle := range spec.Handles {
+		credsPath := filepath.Join(env.workDir, handle+".creds")
+		if err := cloud.SaveCredentials(env.creds[i], credsPath); err != nil {
+			return err
 		}
 		port, err := freeUDPPort()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		debugPort, err := freeTCPPort()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		p := &childProc{
+		f.procs = append(f.procs, &childProc{
 			handle:     handle,
-			user:       creds.Ident.User,
+			user:       env.creds[i].Ident.User,
 			credsPath:  credsPath,
-			storeDir:   filepath.Join(workDir, handle+".store"),
+			storeDir:   filepath.Join(env.workDir, handle+".store"),
 			beaconAddr: fmt.Sprintf("127.0.0.1:%d", port),
 			debugAddr:  fmt.Sprintf("127.0.0.1:%d", debugPort),
-		}
-		procs = append(procs, p)
-		byHandle[handle] = p
-		users[handle] = creds.Ident.User
-	}
-	for _, e := range spec.FollowEdges() {
-		follower := procs[e[0]]
-		follower.follows = append(follower.follows, spec.Handles[e[1]])
-	}
-	defer func() {
-		for _, p := range procs {
-			if p.running() {
-				stopChild(p, opts, time.Second)
-			}
-		}
-	}()
-	for _, p := range procs {
-		if err := startChild(spec, opts, sosd, srv.Addr(), p, procs); err != nil {
-			return nil, err
-		}
-	}
-
-	startedAt := time.Now()
-	var sampler *timelineSampler
-	if opts.TimelineInterval > 0 {
-		// The children's internals live behind their debug servers; the
-		// live gauges here are what the collector side can see.
-		sampler = startTimelineSampler(startedAt, opts.TimelineInterval, func() timelineSample {
-			return timelineSample{disseminations: agg.Stats().Disseminated}
 		})
 	}
-	executed, skipped := 0, 0
-	for _, ev := range timeline(spec) {
-		if d := time.Until(startedAt.Add(ev.at)); d > 0 {
-			time.Sleep(d)
-		}
-		switch {
-		case ev.post != nil:
-			p := procs[ev.post.author]
-			if !p.running() {
-				// The author is asleep; a real user cannot post from a
-				// dead app. Recorded so the report explains the gap.
-				skipped++
-				opts.logf("lab: skipping post by sleeping node %s", p.handle)
-				continue
-			}
-			if _, err := fmt.Fprintf(p.stdin, "post %s\n", ev.post.body); err != nil {
-				return nil, fmt.Errorf("lab: posting via %s: %w", p.handle, err)
-			}
-			executed++
-			opts.logf("lab: %s posted (%d/%d)", p.handle, executed, spec.Posts)
-		case ev.churn != nil:
-			p := byHandle[ev.churn.Node]
-			switch {
-			case ev.churn.Op == OpDown && p.running():
-				stopChild(p, opts, 5*time.Second)
-				opts.logf("lab: churn %s down", p.handle)
-			case ev.churn.Op == OpUp && !p.running():
-				p.restarts++
-				if err := startChild(spec, opts, sosd, srv.Addr(), p, procs); err != nil {
-					return nil, err
-				}
-				opts.logf("lab: churn %s up", p.handle)
-			default:
-				opts.logf("lab: churn %s %s (no-op)", ev.churn.Node, ev.churn.Op)
-			}
+	for _, e := range spec.FollowEdges() {
+		follower := f.procs[e[0]]
+		follower.follows = append(follower.follows, spec.Handles[e[1]])
+	}
+	for _, p := range f.procs {
+		if err := f.startChild(p); err != nil {
+			return err
 		}
 	}
-	if d := time.Until(startedAt.Add(spec.Duration.D())); d > 0 {
-		time.Sleep(d)
-	}
-	elapsed := time.Since(startedAt)
-	var samples []timelineSample
-	if sampler != nil {
-		samples = sampler.Stop()
-	}
+	return nil
+}
 
+func (f *processFleet) post(node int, body string) error {
+	p := f.procs[node]
+	if _, err := fmt.Fprintf(p.stdin, "post %s\n", body); err != nil {
+		return fmt.Errorf("lab: posting via %s: %w", p.handle, err)
+	}
+	return nil
+}
+
+func (f *processFleet) setAwake(node int, awake bool) error {
+	p := f.procs[node]
+	if !awake {
+		f.stopChild(p, 5*time.Second)
+		return nil
+	}
+	p.restarts++
+	return f.startChild(p)
+}
+
+// gauges has nothing to read: the children's internals live behind
+// their debug servers, and the collector side is read by runLive.
+func (f *processFleet) gauges() timelineSample { return timelineSample{} }
+
+func (f *processFleet) stop() ([]NodeReport, *ChaosReport) {
 	// Final observability sweep: scrape each live child's /metrics over
 	// HTTP — the same surface an operator's Prometheus would hit —
 	// before asking it to quit.
-	scraped := make(map[string]map[string]float64, len(procs))
-	for _, p := range procs {
-		if !p.running() {
-			continue
-		}
-		m, err := obs.ScrapeProm(nil, "http://"+p.debugAddr)
-		if err != nil {
-			opts.logf("lab: scraping %s metrics: %v", p.handle, err)
-			continue
-		}
-		scraped[p.handle] = m
-	}
-
-	// Graceful teardown: "quit" lets each sosd close its node and flush
-	// its telemetry exporter before the collector stops reading.
-	reports := make([]NodeReport, 0, len(procs))
-	for _, p := range procs {
+	reports := make([]NodeReport, 0, len(f.procs))
+	for _, p := range f.procs {
+		nr := NodeReport{Handle: p.handle, User: p.user.String(), Restarts: p.restarts}
 		if p.running() {
-			stopChild(p, opts, 10*time.Second)
-		}
-		nr := NodeReport{
-			Handle:   p.handle,
-			User:     p.user.String(),
-			Restarts: p.restarts,
-			Metrics:  scraped[p.handle],
-		}
-		if m := nr.Metrics; m != nil {
+			m, err := obs.ScrapeProm(nil, "http://"+p.debugAddr)
+			if err != nil {
+				f.env.opts.logf("lab: scraping %s metrics: %v", p.handle, err)
+			}
+			nr.Metrics = m
 			nr.TelemetrySent = uint64(m["sos_telemetry_sent_total"])
 			nr.TelemetryDropped = uint64(m["sos_telemetry_dropped_total"])
 			nr.TelemetryReconnects = uint64(m["sos_telemetry_reconnects_total"])
 		}
 		reports = append(reports, nr)
 	}
-	if err := srv.Close(10 * time.Second); err != nil {
-		opts.logf("lab: closing collector: %v", err)
+	// Graceful teardown: "quit" lets each sosd close its node and flush
+	// its telemetry exporter before the collector stops reading.
+	for _, p := range f.procs {
+		if p.running() {
+			f.stopChild(p, 10*time.Second)
+		}
 	}
-
-	report := buildReport(spec, ModeProcess, startedAt, elapsed,
-		agg.Collector(), agg.Stats(), spec.Subscriptions(users), reports, executed, skipped)
-	attachPaths(report, agg)
-	attachTimeline(report, startedAt, opts.TimelineInterval, elapsed, samples)
-	return report, nil
+	return reports, nil
 }
 
 // startChild spawns one sosd process wired to the rest of the fleet.
-func startChild(spec *Spec, opts Options, sosd, telemetryAddr string, p *childProc, procs []*childProc) error {
+func (f *processFleet) startChild(p *childProc) error {
+	spec := f.env.spec
 	var targets []string
-	for _, other := range procs {
+	for _, other := range f.procs {
 		if other != p {
 			targets = append(targets, other.beaconAddr)
 		}
@@ -258,9 +167,9 @@ func startChild(spec *Spec, opts Options, sosd, telemetryAddr string, p *childPr
 		"-listen-ip", "127.0.0.1",
 		"-beacon-interval", spec.BeaconInterval.D().String(),
 		"-loss-timeout", spec.LossTimeout.D().String(),
-		"-telemetry", telemetryAddr,
+		"-telemetry", f.env.collector,
 		"-debug-addr", p.debugAddr,
-		"-store", spec.storeEngine(ModeProcess),
+		"-store", spec.storeEngine("disk"),
 		"-store-dir", p.storeDir,
 	}
 	if spec.Store.Quota > 0 {
@@ -279,7 +188,7 @@ func startChild(spec *Spec, opts Options, sosd, telemetryAddr string, p *childPr
 		args = append(args, "-follow", strings.Join(p.follows, ","))
 	}
 
-	cmd := exec.Command(sosd, args...)
+	cmd := exec.Command(f.sosd, args...)
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return fmt.Errorf("lab: stdin pipe for %s: %w", p.handle, err)
@@ -287,7 +196,7 @@ func startChild(spec *Spec, opts Options, sosd, telemetryAddr string, p *childPr
 	// A plain Writer (not StdoutPipe) lets exec own the copy goroutine,
 	// so Wait blocks until the child's final output — the shutdown and
 	// flush diagnostics — has been logged in full.
-	out := &lineWriter{logf: opts.logf, prefix: p.handle}
+	out := &lineWriter{logf: f.env.opts.logf, prefix: p.handle}
 	cmd.Stdout = out
 	cmd.Stderr = out
 	if err := cmd.Start(); err != nil {
@@ -320,7 +229,7 @@ func (w *lineWriter) Write(p []byte) (int, error) {
 
 // stopChild asks a sosd process to quit and waits, escalating to a kill
 // after the grace period.
-func stopChild(p *childProc, opts Options, grace time.Duration) {
+func (f *processFleet) stopChild(p *childProc, grace time.Duration) {
 	if p.cmd == nil {
 		return
 	}
@@ -331,7 +240,7 @@ func stopChild(p *childProc, opts Options, grace time.Duration) {
 	select {
 	case <-done:
 	case <-time.After(grace):
-		opts.logf("lab: %s did not quit in %s; killing", p.handle, grace)
+		f.env.opts.logf("lab: %s did not quit in %s; killing", p.handle, grace)
 		p.cmd.Process.Kill()
 		<-done
 	}

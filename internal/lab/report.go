@@ -9,6 +9,7 @@ import (
 
 	"sos/internal/core"
 	"sos/internal/metrics"
+	"sos/internal/obs"
 	"sos/internal/telemetry"
 )
 
@@ -30,6 +31,9 @@ type NodeReport struct {
 	// series → value: snapshotted from the node's registry in-process,
 	// scraped over HTTP from child daemons in process mode.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+
+	// tracer is the node's flight recorder (in-process mode).
+	tracer *obs.Tracer
 }
 
 // PathHop is one edge of a reconstructed dissemination path.

@@ -29,7 +29,7 @@ const simDayStart = 9 * time.Hour
 // CI — and the only mode that takes a Mobility model or a contact
 // Trace, since the live modes have no geometry.
 func runSim(spec *Spec, opts Options) (*Report, error) {
-	if spec.storeEngine(ModeSim) != "mem" {
+	if spec.storeEngine("mem") != "mem" {
 		return nil, fmt.Errorf("lab: %s mode runs the in-memory engine; spec asks for %q", ModeSim, spec.Store.Engine)
 	}
 	if opts.ExtraObserver != nil || opts.OnEvent != nil {
@@ -59,20 +59,19 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 	cfg.Range = mob.Range
 	cfg.Tick = mob.Tick.D()
 
-	// Churn maps to app activity: a node churned down is a device whose
-	// app left the foreground, so its radio drops out of every contact
-	// (the same §VI reality the live modes model with SetReachable).
-	activity, err := churnActivity(spec, start)
-	if err != nil {
-		return nil, err
-	}
+	// The same plan the live modes walk, at virtual time. Churn maps to
+	// app activity: a node churned down is a device whose app left the
+	// foreground, so its radio drops out of every contact (the same §VI
+	// reality the live modes model with SetReachable).
+	p := compilePlan(spec, 0)
+	activity := churnActivity(p, spec.Nodes, start)
 
 	// The fleet: per-node seeded mobility, or none when a contact trace
 	// drives the links directly.
 	var contacts []sim.ContactEvent
 	nodes := make([]sim.NodeSpec, spec.Nodes)
 	for i, handle := range spec.Handles {
-		nodes[i] = sim.NodeSpec{Handle: handle, Activity: activity[handle]}
+		nodes[i] = sim.NodeSpec{Handle: handle, Activity: activity[i]}
 	}
 	if spec.Trace != "" {
 		events, traceHandles, err := sim.LoadContactTrace(spec.TracePath(), start)
@@ -108,19 +107,13 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 		nodes[e[0]].Follows = append(nodes[e[0]].Follows, spec.Handles[e[1]])
 	}
 
-	// Workload: the same deterministic post schedule, at virtual time.
-	// Posts by churned-down authors are skipped under the live-mode rule:
-	// a backgrounded app has no user in front of it.
-	skipped := 0
-	for _, p := range spec.postSchedule() {
-		at := start.Add(p.at)
-		if act := activity[spec.Handles[p.author]]; act != nil && !act(at) {
-			skipped++
-			continue
+	// Workload: the plan's posts, whose authors are awake.
+	for _, s := range p.steps {
+		if s.kind == stepPost {
+			cfg.Workload = append(cfg.Workload, sim.Event{
+				At: start.Add(s.at), Handle: spec.Handles[s.node], Action: sim.ActionPost, Payload: []byte(s.body),
+			})
 		}
-		cfg.Workload = append(cfg.Workload, sim.Event{
-			At: at, Handle: spec.Handles[p.author], Action: sim.ActionPost, Payload: []byte(p.body),
-		})
 	}
 	cfg.Nodes = nodes
 	cfg.Contacts = contacts
@@ -144,14 +137,13 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 		stats := res.NodeStats[n.Handle]
 		reports = append(reports, NodeReport{Handle: n.Handle, User: n.User.String(), Stats: &stats})
 	}
-	executed := res.Posts
 
 	// Virtual start and elapsed time: the report describes the
 	// experiment, not the host that happened to run it, so two runs of
 	// one seed write the same bytes.
 	report := buildReport(spec, ModeSim, start, spec.Duration.D(),
 		res.Collector, telemetry.AggregatorStats{}, spec.Subscriptions(users),
-		reports, executed, skipped)
+		reports, p.posts, p.skipped)
 	// The timeline buckets virtual-time deliveries from the virtual run
 	// start; there is no live fleet to sample gauges from.
 	attachTimeline(report, start, opts.TimelineInterval, spec.Duration.D(), nil)
@@ -183,50 +175,25 @@ func buildMobility(mob *MobilitySpec, midnight time.Time, days int, dur time.Dur
 	}
 }
 
-// churnActivity compiles the churn schedule into per-node activity
-// functions: active except between a down and the next up. Nodes without
-// churn events get a nil function (always active, zero per-tick cost).
-func churnActivity(spec *Spec, start time.Time) (map[string]func(time.Time) bool, error) {
-	byNode := make(map[string][]ChurnEvent)
-	for _, c := range spec.Churn {
-		byNode[c.Node] = append(byNode[c.Node], c)
-	}
-	out := make(map[string]func(time.Time) bool, len(byNode))
-	for node, evs := range byNode {
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-		type window struct{ from, to time.Time }
-		var downs []window
-		var openFrom *time.Time
-		for _, ev := range evs {
-			at := start.Add(ev.At.D())
-			switch ev.Op {
-			case OpDown:
-				if openFrom == nil {
-					t := at
-					openFrom = &t
-				}
-			case OpUp:
-				if openFrom != nil {
-					downs = append(downs, window{from: *openFrom, to: at})
-					openFrom = nil
-				}
-			}
-		}
-		if openFrom != nil {
-			downs = append(downs, window{from: *openFrom, to: start.Add(spec.Duration.D()).Add(time.Hour)})
-		}
-		if len(downs) == 0 {
-			continue
-		}
-		ws := downs
-		out[node] = func(at time.Time) bool {
-			for _, w := range ws {
-				if !at.Before(w.from) && at.Before(w.to) {
-					return false
-				}
-			}
-			return true
+// churnActivity turns the plan's churn into per-node activity functions
+// for the simulator, anchored at the virtual start. A node's transitions
+// alternate down, up, down, …, so it is active at t when an even number
+// of them lie at or before t. A node without churn gets nil (always
+// active, zero per-tick cost).
+func churnActivity(p plan, nodes int, start time.Time) []func(time.Time) bool {
+	flips := make([][]time.Time, nodes)
+	for _, s := range p.steps {
+		if s.kind == OpDown || s.kind == OpUp {
+			flips[s.node] = append(flips[s.node], start.Add(s.at))
 		}
 	}
-	return out, nil
+	out := make([]func(time.Time) bool, nodes)
+	for i, ts := range flips {
+		if len(ts) > 0 {
+			out[i] = func(at time.Time) bool {
+				return sort.Search(len(ts), func(k int) bool { return ts[k].After(at) })%2 == 0
+			}
+		}
+	}
+	return out
 }

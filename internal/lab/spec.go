@@ -476,36 +476,6 @@ func (s *Spec) Subscriptions(users map[string]id.UserID) []metrics.Subscription 
 	return subs
 }
 
-// postEvent is one scheduled workload post.
-type postEvent struct {
-	at     time.Duration
-	author int // handle index
-	body   string
-}
-
-// postSchedule spreads Posts evenly over PostWindow, round-robin over
-// authors — a deterministic stand-in for the field study's user posts.
-func (s *Spec) postSchedule() []postEvent {
-	if s.Posts == 0 {
-		return nil
-	}
-	out := make([]postEvent, 0, s.Posts)
-	window := s.PostWindow.D()
-	for i := 0; i < s.Posts; i++ {
-		var at time.Duration
-		if s.Posts > 1 {
-			at = time.Duration(int64(window) * int64(i) / int64(s.Posts-1))
-		}
-		author := i % s.Nodes
-		out = append(out, postEvent{
-			at:     at,
-			author: author,
-			body:   fmt.Sprintf("%s post %d from %s", s.Name, i+1, s.Handles[author]),
-		})
-	}
-	return out
-}
-
 // chaosProfile resolves the spec's chaos block into an injection
 // profile, or the zero profile when the spec declares none.
 func (s *Spec) chaosProfile() (chaos.Profile, error) {
@@ -552,13 +522,10 @@ func (s *Spec) chaosProfile() (chaos.Profile, error) {
 	return p, nil
 }
 
-// storeEngine returns the effective engine for the given mode.
-func (s *Spec) storeEngine(mode string) string {
+// storeEngine returns the spec's engine, or the mode's default one.
+func (s *Spec) storeEngine(modeDefault string) string {
 	if s.Store.Engine != "" {
 		return s.Store.Engine
 	}
-	if mode == ModeProcess {
-		return "disk"
-	}
-	return "mem"
+	return modeDefault
 }

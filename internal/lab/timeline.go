@@ -3,7 +3,6 @@ package lab
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"sos/internal/metrics"
@@ -13,9 +12,9 @@ import (
 // run progressed, not just where it ended. Deliveries are bucketed
 // post-hoc from the aggregated delivery records (every mode), so the
 // final cumulative count always equals Report.Deliveries; the gauge
-// columns come from a live sampler walking the fleet each interval and
-// are zero in modes without one (sim, and the child-process fleet whose
-// internals this process cannot reach).
+// columns are read by the live run's own walk at each interval boundary
+// and are zero where there is nothing to read (sim, and the
+// child-process fleet whose internals this process cannot reach).
 type TimelinePoint struct {
 	// OffsetSeconds is the interval's start, in seconds since the run
 	// began (wall time in the live modes, virtual time in ModeSim).
@@ -38,67 +37,14 @@ type TimelinePoint struct {
 	PayloadBytes uint64 `json:"payloadBytes,omitempty"`
 }
 
-// timelineSample is one live gauge snapshot taken at a sampler tick.
+// timelineSample is one live gauge snapshot, taken by the walk.
 type timelineSample struct {
-	at             time.Duration // offset since run start
+	at             time.Duration // planned offset since run start
 	disseminations uint64
 	exporterQueue  int
 	syncEntries    uint64
 	summaryBytes   uint64
 	payloadBytes   uint64
-}
-
-// timelineSampler polls a gauge closure at a fixed interval on its own
-// goroutine. The closure must be safe to call concurrently with the
-// experiment (every source it reads is mutex- or atomic-guarded).
-type timelineSampler struct {
-	interval time.Duration
-	start    time.Time
-	read     func() timelineSample
-
-	mu      sync.Mutex
-	samples []timelineSample
-	stop    chan struct{}
-	done    chan struct{}
-}
-
-func startTimelineSampler(start time.Time, interval time.Duration, read func() timelineSample) *timelineSampler {
-	s := &timelineSampler{
-		interval: interval,
-		start:    start,
-		read:     read,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go s.loop()
-	return s
-}
-
-func (s *timelineSampler) loop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			sample := s.read()
-			sample.at = time.Since(s.start)
-			s.mu.Lock()
-			s.samples = append(s.samples, sample)
-			s.mu.Unlock()
-		}
-	}
-}
-
-// Stop halts sampling and returns everything collected.
-func (s *timelineSampler) Stop() []timelineSample {
-	close(s.stop)
-	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.samples
 }
 
 // attachTimeline buckets the report's delivery records into fixed

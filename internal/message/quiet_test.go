@@ -128,6 +128,9 @@ func TestLinkDownPublishesTheHint(t *testing.T) {
 		t.Fatalf("Connect: %v", err)
 	}
 	waitFor(t, "the link at alice", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
+	// Bob's side of the link is registered on its own callback; it is
+	// the one closed below.
+	waitFor(t, "the link at bob", func() bool { return h.bob.linkCount() == 1 })
 	before := rec.refreshes(alice)
 
 	author := id.NewUserID("while-linked")

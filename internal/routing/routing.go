@@ -103,9 +103,6 @@ type Options struct {
 	// moved fresh posts and older posts arrived single-hop from their
 	// authors days later.
 	RelayTTL time.Duration
-	// SprayBudget is the initial copy allowance L for spray-and-wait.
-	// Zero selects DefaultSprayBudget.
-	SprayBudget uint16
 }
 
 // DefaultSprayBudget is the initial number of copies spray-and-wait may

@@ -169,7 +169,7 @@ func TestInterestNeverWantsUnsubscribedProperty(t *testing.T) {
 func TestSprayAndWaitBudgetSplit(t *testing.T) {
 	view := newView(t)
 	put(t, view, self, 1) // own message
-	sw := NewSprayAndWait(view, Options{SprayBudget: 8})
+	sw := NewSprayAndWait(view, Options{})
 
 	ref := msg.Ref{Author: self, Seq: 1}
 	out := &msg.Message{Author: self, Seq: 1, Kind: msg.KindPost, Created: time.Now()}
@@ -199,7 +199,7 @@ func TestSprayAndWaitBudgetSplit(t *testing.T) {
 func TestSprayAndWaitWaitPhaseServesOnlyDestinations(t *testing.T) {
 	view := newView(t)
 	put(t, view, alice, 1)
-	sw := NewSprayAndWait(view, Options{SprayBudget: 8})
+	sw := NewSprayAndWait(view, Options{})
 
 	// Relayed message arrives with an exhausted budget.
 	relayed := &msg.Message{Author: alice, Seq: 1, Kind: msg.KindPost, Created: time.Now(), Budget: 1}
@@ -226,8 +226,9 @@ func TestSprayAndWaitWaitPhaseServesOnlyDestinations(t *testing.T) {
 func TestSprayAndWaitDefaultBudget(t *testing.T) {
 	view := newView(t)
 	sw := NewSprayAndWait(view, Options{})
-	if sw.initial != DefaultSprayBudget {
-		t.Errorf("initial = %d, want %d", sw.initial, DefaultSprayBudget)
+	put(t, view, self, 1)
+	if got := sw.allowance(msg.Ref{Author: self, Seq: 1}); got != DefaultSprayBudget {
+		t.Errorf("own allowance = %d, want %d", got, DefaultSprayBudget)
 	}
 	// Unknown relayed ref defaults to wait phase.
 	if got := sw.allowance(msg.Ref{Author: bob, Seq: 9}); got != 1 {
@@ -244,7 +245,7 @@ func TestSprayAllowanceNeverExceedsInitialProperty(t *testing.T) {
 		if _, err := view.Put(m); err != nil {
 			return false
 		}
-		sw := NewSprayAndWait(view, Options{SprayBudget: 8})
+		sw := NewSprayAndWait(view, Options{})
 		total := func() uint16 { return sw.allowance(msg.Ref{Author: self, Seq: 1}) }
 		given := uint16(0)
 		for i := 0; i < int(splits%24); i++ {
@@ -268,7 +269,7 @@ func TestSprayAllowanceNeverExceedsInitialProperty(t *testing.T) {
 func TestSprayAndWaitEvictionReleasesBudget(t *testing.T) {
 	view := newView(t)
 	put(t, view, self, 1)
-	sw := NewSprayAndWait(view, Options{SprayBudget: 8})
+	sw := NewSprayAndWait(view, Options{})
 	ref := msg.Ref{Author: self, Seq: 1}
 	out := &msg.Message{Author: self, Seq: 1, Kind: msg.KindPost, Created: time.Now()}
 	sw.PrepareOutgoing(bob, out) // allowance now 4
@@ -289,7 +290,7 @@ func TestSprayAndWaitEvictionReleasesBudget(t *testing.T) {
 // to whichever scheme is active at that moment.
 func TestManagerForwardsEvictions(t *testing.T) {
 	view := newView(t)
-	mgr, err := NewManager(view, Options{SprayBudget: 4})
+	mgr, err := NewManager(view, Options{})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -299,8 +300,8 @@ func TestManagerForwardsEvictions(t *testing.T) {
 	put(t, view, self, 1)
 	sw := mgr.Current().(*SprayAndWait)
 	ref := msg.Ref{Author: self, Seq: 1}
-	if got := sw.allowance(ref); got != 4 {
-		t.Fatalf("allowance = %d, want 4", got)
+	if got := sw.allowance(ref); got != DefaultSprayBudget {
+		t.Fatalf("allowance = %d, want %d", got, DefaultSprayBudget)
 	}
 	mgr.OnEvicted(ref)
 	if _, held := sw.budget[ref]; held {

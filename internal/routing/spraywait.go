@@ -19,8 +19,7 @@ import (
 // The per-copy allowance travels in the message's Budget field (mutable
 // routing metadata outside the author signature, like the hop count).
 type SprayAndWait struct {
-	view    StoreView
-	initial uint16
+	view StoreView
 
 	// mu guards budget and peerSubs: unlike the other hooks, OnEvicted
 	// fires from whichever goroutine triggered the storage eviction
@@ -34,14 +33,9 @@ type SprayAndWait struct {
 var _ Scheme = (*SprayAndWait)(nil)
 
 // NewSprayAndWait builds the scheme over a store view.
-func NewSprayAndWait(view StoreView, opts Options) *SprayAndWait {
-	initial := opts.SprayBudget
-	if initial == 0 {
-		initial = DefaultSprayBudget
-	}
+func NewSprayAndWait(view StoreView, _ Options) *SprayAndWait {
 	return &SprayAndWait{
 		view:     view,
-		initial:  initial,
 		budget:   make(map[msg.Ref]uint16),
 		peerSubs: make(map[id.UserID]map[id.UserID]bool),
 	}
@@ -162,7 +156,7 @@ func (sw *SprayAndWait) OnPeerData(peer id.UserID, data []byte) {
 }
 
 // allowance returns the local copy allowance for ref: authored messages
-// start at the configured L; relayed messages default to wait phase until
+// start at DefaultSprayBudget; relayed messages default to wait phase until
 // OnReceived records their carried budget. Callers must hold sw.mu (the
 // single-threaded tests call it bare).
 func (sw *SprayAndWait) allowance(ref msg.Ref) uint16 {
@@ -170,8 +164,8 @@ func (sw *SprayAndWait) allowance(ref msg.Ref) uint16 {
 		return b
 	}
 	if ref.Author == sw.view.Owner() {
-		sw.budget[ref] = sw.initial
-		return sw.initial
+		sw.budget[ref] = DefaultSprayBudget
+		return DefaultSprayBudget
 	}
 	return 1
 }

@@ -9,6 +9,7 @@ import (
 
 	"sos"
 	"sos/internal/chaos"
+	"sos/internal/secure"
 )
 
 // rejoinFleet is a fleet whose nodes can be killed and restarted with
@@ -30,14 +31,7 @@ type rejoinFleet struct {
 }
 
 func (f *rejoinFleet) security(handle string) sos.SecurityConfig {
-	return sos.SecurityConfig{
-		Dir:    f.dirs[handle],
-		NoSync: true,
-		// Lab timescale: epochs measured in virtual minutes so an offline
-		// window spans several rotations.
-		RotationPeriod: time.Minute,
-		OverlapWindow:  10 * time.Second,
-	}
+	return sos.SecurityConfig{Dir: f.dirs[handle], NoSync: true}
 }
 
 // start boots (or reboots) handle's node from its persistent identity
@@ -210,7 +204,7 @@ func TestSecureKillRejoinAfterRotation(t *testing.T) {
 	// while the survivors keep talking, so their established sessions
 	// ratchet multiple epochs past anything cyd ever held.
 	f.kill("cyd")
-	f.clk.Advance(5 * time.Minute)
+	f.clk.Advance(5 * secure.DefaultRotationPeriod)
 
 	var round2 []sos.Ref
 	for i := 0; i < 20; i++ {

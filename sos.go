@@ -174,8 +174,8 @@ type (
 	// NodeStats aggregates per-layer counters.
 	NodeStats = core.Stats
 	// SecurityConfig tunes the secure layer (NodeConfig.Security): the
-	// persistent replay-store directory, session key-rotation periods,
-	// and prekey lifetimes. See docs/SECURITY.md.
+	// persistent replay-store directory and its fsync policy. See
+	// docs/SECURITY.md.
 	SecurityConfig = core.SecurityConfig
 	// Observer receives middleware lifecycle events (NodeConfig.Observer):
 	// the one observation path, which telemetry, the lab and the
