@@ -2,8 +2,8 @@
 // the in vivo deployment shape of the middleware. Where the paper's
 // evaluation put SOS inside an iOS app on real phones, sosd puts the same
 // stack behind a NetMedium: UDP beacons discover peers (LAN broadcast,
-// multicast, or static addresses) and TCP sessions carry the encrypted
-// frames, one port per radio technology.
+// multicast, or static addresses) and TCP sessions on one listener carry
+// the encrypted frames.
 //
 // The one-time infrastructure requirement happens ahead of deployment:
 //
@@ -12,8 +12,8 @@
 // writes one credentials file per handle, all certified by a common root,
 // so nodes need no cloud at runtime:
 //
-//	sosd run -creds ./creds/alice.creds -base-port 7500
-//	sosd run -creds ./creds/bob.creds   -base-port 7600   (second terminal)
+//	sosd run -creds ./creds/alice.creds -session-port 7500
+//	sosd run -creds ./creds/bob.creds   -session-port 7600   (second terminal)
 //
 // Each node then takes commands on stdin: "post <text>", "follow
 // <handle>", "peers", "stats", "quit".
@@ -115,8 +115,8 @@ func run(args []string) error {
 	scheme := fs.String("scheme", "epidemic", "routing scheme: epidemic, interest, spray-and-wait, prophet")
 	beaconListen := fs.String("beacon-listen", ":7474", "UDP address for discovery beacons (multicast group to join one)")
 	beaconTargets := fs.String("beacon-targets", "", "comma-separated beacon destinations (broadcast, multicast, or peer addresses)")
-	listenIP := fs.String("listen-ip", "", "IP to bind TCP session listeners (default: all interfaces)")
-	basePort := fs.Int("base-port", 0, "first TCP session port; technologies use base, base+1, ... (0 = ephemeral)")
+	listenIP := fs.String("listen-ip", "", "IP to bind the TCP session listener (default: all interfaces)")
+	sessionPort := fs.Int("session-port", 0, "TCP port of the session listener (0 = ephemeral)")
 	interval := fs.Duration("beacon-interval", time.Second, "gap between discovery beacons")
 	loss := fs.Duration("loss-timeout", 0, "silence before a peer is lost (default: 3.5 × interval)")
 	post := fs.String("post", "", "publish one post at startup")
@@ -190,7 +190,7 @@ func run(args []string) error {
 	cfg := sos.NetConfig{
 		BeaconListen:   *beaconListen,
 		ListenIP:       *listenIP,
-		BasePort:       *basePort,
+		SessionPort:    *sessionPort,
 		BeaconInterval: *interval,
 		LossTimeout:    *loss,
 		Tracer:         tracer,

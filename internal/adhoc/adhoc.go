@@ -94,11 +94,11 @@ type Config struct {
 	// message layer uses, so the secure handshake heads each
 	// contact-session span tree. Nil disables tracing.
 	Tracer *span.Tracer
-	// SessionConfig is the secure.SessionConfig of every established
-	// link: rotation tuning, scoped stats, the tracer of the key
-	// derivation span. The zero value selects secure-layer defaults; a nil
-	// Clock in it is filled with the manager's own.
-	SessionConfig secure.SessionConfig
+	// SecureStats, when set, counts every established link's session
+	// events (seals, opens, rotations, replays) into a recorder; nil
+	// counts nothing. A session takes its clock and tracer from this
+	// config.
+	SecureStats *secure.StatsRecorder
 }
 
 // Stats counts security-relevant events for reporting.
@@ -193,9 +193,6 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Reader
 	}
-	if cfg.SessionConfig.Clock == nil {
-		cfg.SessionConfig.Clock = cfg.Clock
-	}
 	m := &Manager{
 		cfg:    cfg,
 		conns:  make(map[mpc.Conn]*connState),
@@ -212,10 +209,12 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// newSession derives the link session for an authenticated peer under
-// the node's session configuration.
+// newSession derives the link session for an authenticated peer on the
+// manager's clock, stats recorder and tracer.
 func (m *Manager) newSession(peerCert *pki.UserCert, context []byte) (*secure.Session, error) {
-	return secure.NewSessionWithConfig(m.cfg.Ident.Key, peerCert.Key, context, m.cfg.SessionConfig)
+	return secure.NewSessionWithConfig(m.cfg.Ident.Key, peerCert.Key, context, secure.SessionConfig{
+		Clock: m.cfg.Clock, Stats: m.cfg.SecureStats, Tracer: m.cfg.Tracer,
+	})
 }
 
 // Self returns the local device name.

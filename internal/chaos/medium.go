@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -423,7 +424,7 @@ func (c *conn) Send(frame []byte) error {
 	if reorder && c.held == nil {
 		// Hold this frame; the next one on the link overtakes it. A
 		// flush timer releases it if no successor shows up.
-		c.held = cloneBytes(frame)
+		c.held = bytes.Clone(frame)
 		c.heldTimer = time.AfterFunc(reorderFlush, c.flushHeld)
 		c.mu.Unlock()
 		return nil
@@ -481,7 +482,7 @@ func (c *conn) dispatch(frame []byte, n uint64) error {
 	if c.qcond == nil {
 		c.qcond = sync.NewCond(&c.mu)
 	}
-	c.q = append(c.q, delayed{data: cloneBytes(frame), due: due})
+	c.q = append(c.q, delayed{data: bytes.Clone(frame), due: due})
 	if !c.qrunning {
 		c.qrunning = true
 		go c.drainDelayed()
@@ -530,11 +531,4 @@ func (c *conn) stop() {
 		c.qcond.Broadcast()
 	}
 	c.mu.Unlock()
-}
-
-// cloneBytes copies a frame whose backing array the caller will reuse.
-func cloneBytes(b []byte) []byte {
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return cp
 }

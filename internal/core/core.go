@@ -302,20 +302,16 @@ func New(cfg Config) (*Middleware, error) {
 		return nil, fmt.Errorf("core: building message manager: %w", err)
 	}
 	adhocMgr, err := adhoc.New(adhoc.Config{
-		Medium:   cfg.Medium,
-		PeerName: cfg.PeerName,
-		Ident:    cfg.Creds.Ident,
-		CertDER:  cfg.Creds.Cert.DER,
-		Verifier: verifier,
-		Handler:  msgMgr,
-		Clock:    cfg.Clock,
-		Rand:     cfg.Rand,
-		Tracer:   cfg.Tracer,
-		SessionConfig: secure.SessionConfig{
-			Clock:  cfg.Clock,
-			Stats:  secRec,
-			Tracer: cfg.Tracer,
-		},
+		Medium:      cfg.Medium,
+		PeerName:    cfg.PeerName,
+		Ident:       cfg.Creds.Ident,
+		CertDER:     cfg.Creds.Cert.DER,
+		Verifier:    verifier,
+		Handler:     msgMgr,
+		Clock:       cfg.Clock,
+		Rand:        cfg.Rand,
+		Tracer:      cfg.Tracer,
+		SecureStats: secRec,
 	})
 	if err != nil {
 		e2e.Close()

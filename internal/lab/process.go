@@ -17,7 +17,7 @@ import (
 
 // processFleet runs every node as a real sosd child process over
 // loopback: each child binds its own UDP beacon socket and TCP session
-// listeners, discovers the others through explicit unicast beacon
+// listener, discovers the others through explicit unicast beacon
 // targets, and streams telemetry back over TCP. Churn stops and restarts
 // whole processes — with the default disk engine a waking node resumes
 // its message database, exactly like a phone returning from sleep.

@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -132,7 +133,7 @@ func waveChurn(s *Spec) []ChurnEvent {
 func cellSpec(base *Spec, scheme, mobility, chaosName, policy string) (*Spec, error) {
 	clone := *base
 	clone.Sweep = nil
-	clone.Name = fmt.Sprintf("%s/%s+%s+%s+%s", base.Name, scheme, mobility, chaosName, orDefault(policy, "default"))
+	clone.Name = fmt.Sprintf("%s/%s+%s+%s+%s", base.Name, scheme, mobility, chaosName, cmp.Or(policy, "default"))
 	clone.Scheme = scheme
 	clone.Store.Policy = policy
 	// Handles are shared with the base; churn is per-cell.
@@ -149,13 +150,6 @@ func cellSpec(base *Spec, scheme, mobility, chaosName, policy string) (*Spec, er
 		return nil, fmt.Errorf("lab: sweep cell %s: %w", clone.Name, err)
 	}
 	return &clone, nil
-}
-
-func orDefault(v, d string) string {
-	if v == "" {
-		return d
-	}
-	return v
 }
 
 // axis returns the sweep axis, or the base value as a one-element axis.
@@ -224,8 +218,8 @@ func summarizeCell(scheme, mob, chz, pol string, rep *Report) SweepCell {
 	cell := SweepCell{
 		Scheme:                  scheme,
 		Mobility:                mob,
-		Chaos:                   orDefault(chz, chaos.PresetNone),
-		Policy:                  orDefault(pol, "default"),
+		Chaos:                   cmp.Or(chz, chaos.PresetNone),
+		Policy:                  cmp.Or(pol, "default"),
 		Created:                 rep.Created,
 		Deliveries:              rep.Deliveries,
 		RatioMean:               rep.Ratio.Mean,

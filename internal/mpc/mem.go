@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -51,7 +52,7 @@ func (m *MemMedium) Join(peer PeerID, events Events) (Endpoint, error) {
 			continue
 		}
 		other.mu.Lock()
-		ad := cloneBytes(other.ad)
+		ad := bytes.Clone(other.ad)
 		other.mu.Unlock()
 		if ad == nil {
 			continue
@@ -102,7 +103,7 @@ func (m *MemMedium) reachable(a, b PeerID) bool {
 // notifyFound tells `to` about `from` if `from` is advertising.
 func notifyFound(to, from *memEndpoint) {
 	from.mu.Lock()
-	ad := cloneBytes(from.ad)
+	ad := bytes.Clone(from.ad)
 	from.mu.Unlock()
 	if ad == nil {
 		return
@@ -164,7 +165,7 @@ func (ep *memEndpoint) SetAdvertisement(ad []byte) {
 		return
 	}
 	wasAdvertising := ep.ad != nil
-	ep.ad = cloneBytes(ad)
+	ep.ad = bytes.Clone(ad)
 	ep.mu.Unlock()
 
 	ep.medium.mu.Lock()
@@ -181,7 +182,7 @@ func (ep *memEndpoint) SetAdvertisement(ad []byte) {
 		other := other
 		switch {
 		case ad != nil:
-			payload := cloneBytes(ad)
+			payload := bytes.Clone(ad)
 			other.dispatcher.Post(func() { other.events.PeerFound(self, payload) })
 		case wasAdvertising:
 			other.dispatcher.Post(func() { other.events.PeerLost(self) })
@@ -300,7 +301,7 @@ func (c *memConn) Send(frame []byte) error {
 		c.teardown(ErrPeerGone)
 		return ErrPeerGone
 	}
-	payload := cloneBytes(frame)
+	payload := bytes.Clone(frame)
 	remote, twin := c.remoteEP, c.twin
 	remote.dispatcher.Post(func() {
 		if !twin.closed.Load() {
@@ -328,14 +329,4 @@ func (c *memConn) teardown(reason error) {
 	local, remote, twin := c.localEP, c.remoteEP, c.twin
 	local.dispatcher.Post(func() { local.events.Disconnected(c, reason) })
 	remote.dispatcher.Post(func() { remote.events.Disconnected(twin, reason) })
-}
-
-// cloneBytes copies b, preserving nil.
-func cloneBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

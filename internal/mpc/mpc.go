@@ -12,9 +12,9 @@
 //     bitrates and in-flight frame modelling, driven by the discrete-event
 //     simulator. The in vivo evaluation is reproduced on top of it.
 //   - netmedium.Medium (package sos/internal/netmedium): a real-socket
-//     medium — UDP beaconing for discovery, one TCP listener per radio
-//     technology for sessions — so the unmodified stack runs in vivo
-//     across OS processes and machines.
+//     medium — UDP beaconing for discovery, one TCP session listener per
+//     device — so the unmodified stack runs in vivo across OS processes
+//     and machines.
 //
 // All implementations deliver the exact events and byte frames the ad hoc
 // manager consumes, so every layer above runs identically on any of them.
@@ -80,21 +80,6 @@ func (t Technology) String() string {
 		return "infra-wifi"
 	default:
 		return "unknown"
-	}
-}
-
-// Range returns the nominal radio range in meters; the simulator's contact
-// detector uses it.
-func (t Technology) Range() float64 {
-	switch t {
-	case Bluetooth:
-		return 10
-	case PeerToPeerWiFi:
-		return 60
-	case InfrastructureWiFi:
-		return 100
-	default:
-		return 0
 	}
 }
 

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"bytes"
 	"container/heap"
 	"fmt"
 	"sort"
@@ -159,7 +160,7 @@ func (m *SimMedium) announce(to, from *simEndpoint) {
 	if from.ad == nil || to.closed || from.closed {
 		return
 	}
-	to.events.PeerFound(from.self, cloneBytes(from.ad))
+	to.events.PeerFound(from.self, bytes.Clone(from.ad))
 }
 
 // lost fires PeerLost at `to` about `from` if `from` advertises.
@@ -257,7 +258,7 @@ func (ep *simEndpoint) SetAdvertisement(ad []byte) {
 		return
 	}
 	wasAdvertising := ep.ad != nil
-	ep.ad = cloneBytes(ad)
+	ep.ad = bytes.Clone(ad)
 	m := ep.medium
 	at := m.clk.Now().Add(m.DiscoveryDelay)
 	for _, key := range m.linkKeysOf(ep.self) {
@@ -427,7 +428,7 @@ func (c *simConn) Send(frame []byte) error {
 	deliverAt := start.Add(duration)
 	link.busy[c.localEP.self] = deliverAt
 
-	payload := cloneBytes(frame)
+	payload := bytes.Clone(frame)
 	twin := c.twin
 	epoch := c.epoch
 	size := uint64(len(frame))

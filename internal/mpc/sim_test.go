@@ -325,9 +325,6 @@ func TestSimDeterminism(t *testing.T) {
 func TestTechnologyProperties(t *testing.T) {
 	techs := []Technology{Bluetooth, PeerToPeerWiFi, InfrastructureWiFi}
 	for _, tech := range techs {
-		if tech.Range() <= 0 {
-			t.Errorf("%s range = %f, want > 0", tech, tech.Range())
-		}
 		if tech.Bitrate() <= 0 {
 			t.Errorf("%s bitrate = %f, want > 0", tech, tech.Bitrate())
 		}
@@ -335,12 +332,7 @@ func TestTechnologyProperties(t *testing.T) {
 			t.Errorf("missing name for technology %d", tech)
 		}
 	}
-	if Technology(0).String() != "unknown" || Technology(0).Range() != 0 || Technology(0).Bitrate() != 0 {
-		t.Error("zero technology should be unknown/0/0")
-	}
-	// Bluetooth reaches shorter than p2p WiFi, which matters for the
-	// simulator's contact model.
-	if Bluetooth.Range() >= PeerToPeerWiFi.Range() {
-		t.Error("bluetooth should have shorter range than p2p wifi")
+	if Technology(0).String() != "unknown" || Technology(0).Bitrate() != 0 {
+		t.Error("zero technology should be unknown/0")
 	}
 }

@@ -4,14 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"sos/internal/mpc"
 )
 
 // Discovery beacons are single UDP datagrams, so the whole encoding —
-// header, per-technology port table, and advertisement payload — must fit
-// one datagram. MaxBeaconAd caps the opaque advertisement payload far
+// header, session port, and advertisement payload — must fit one
+// datagram. MaxBeaconAd caps the opaque advertisement payload far
 // enough below the 65507-byte UDP maximum to leave room for the rest.
 const MaxBeaconAd = 60000
 
@@ -19,7 +18,9 @@ const MaxBeaconAd = 60000
 // the beacon port.
 var beaconMagic = [4]byte{'S', 'O', 'S', 'B'}
 
-const beaconVersion = 1
+// beaconVersion numbers the beacon encoding and the session preamble; a
+// datagram or preamble of any other version is refused.
+const beaconVersion = 2
 
 // Beacon flag bits.
 const (
@@ -34,15 +35,15 @@ var (
 )
 
 // beacon is the decoded form of one discovery datagram: who the sender
-// is, which incarnation of it is speaking, where its per-technology TCP
-// listeners are, and — if it is advertising — the opaque advertisement
-// payload the layers above will decode as a wire.Advertisement.
+// is, which incarnation of it is speaking, where its TCP session listener
+// is, and — if it is advertising — the opaque advertisement payload the
+// layers above will decode as a wire.Advertisement.
 type beacon struct {
 	name        mpc.PeerID
 	epoch       uint64 // random per-endpoint incarnation; changes on restart
 	goodbye     bool
 	advertising bool
-	ports       map[mpc.Technology]uint16
+	port        uint16 // never 0: a beacon names a dialable listener
 	ad          []byte
 }
 
@@ -50,14 +51,11 @@ type beacon struct {
 //
 //	magic(4) version(1) flags(1) epoch(8)
 //	nameLen(1) name
-//	ntech(1) { tech(1) port(2) }*
+//	port(2)
 //	[ adLen(2) ad ]           — present iff advertising
 func (b *beacon) encode() ([]byte, error) {
 	if len(b.name) == 0 || len(b.name) > 255 {
 		return nil, fmt.Errorf("netmedium: beacon name %d bytes", len(b.name))
-	}
-	if len(b.ports) > 255 {
-		return nil, fmt.Errorf("netmedium: %d technologies in beacon", len(b.ports))
 	}
 	if b.advertising && len(b.ad) > MaxBeaconAd {
 		return nil, fmt.Errorf("%w: %d bytes", errAdTooBig, len(b.ad))
@@ -75,21 +73,7 @@ func (b *beacon) encode() ([]byte, error) {
 	out = binary.BigEndian.AppendUint64(out, b.epoch)
 	out = append(out, byte(len(b.name)))
 	out = append(out, b.name...)
-	// Emit the port table sorted by technology so the encoding is
-	// deterministic and the entry count always matches the entries.
-	techs := make([]mpc.Technology, 0, len(b.ports))
-	for tech := range b.ports {
-		if tech <= 0 || tech > 255 {
-			return nil, fmt.Errorf("netmedium: technology %d does not fit the beacon encoding", tech)
-		}
-		techs = append(techs, tech)
-	}
-	sort.Slice(techs, func(i, j int) bool { return techs[i] < techs[j] })
-	out = append(out, byte(len(techs)))
-	for _, tech := range techs {
-		out = append(out, byte(tech))
-		out = binary.BigEndian.AppendUint16(out, b.ports[tech])
-	}
+	out = binary.BigEndian.AppendUint16(out, b.port)
 	if b.advertising {
 		out = binary.BigEndian.AppendUint16(out, uint16(len(b.ad)))
 		out = append(out, b.ad...)
@@ -98,7 +82,9 @@ func (b *beacon) encode() ([]byte, error) {
 }
 
 // parseBeacon decodes one datagram, rejecting anything that is not a
-// well-formed SOS beacon.
+// well-formed SOS beacon. Port 0 is refused here: no peer could dial it,
+// and a cached peer that cannot be dialed would be re-dialed on every
+// retry tick for as long as its beacons arrive.
 func parseBeacon(buf []byte) (*beacon, error) {
 	if len(buf) < 15 || [4]byte(buf[:4]) != beaconMagic {
 		return nil, errBadBeacon
@@ -111,25 +97,18 @@ func parseBeacon(buf []byte) (*beacon, error) {
 		epoch:       binary.BigEndian.Uint64(buf[6:14]),
 		goodbye:     flags&flagGoodbye != 0,
 		advertising: flags&flagAdvertising != 0,
-		ports:       make(map[mpc.Technology]uint16),
 	}
 	rest := buf[14:]
 	nameLen := int(rest[0])
 	rest = rest[1:]
-	if nameLen == 0 || len(rest) < nameLen+1 {
+	if nameLen == 0 || len(rest) < nameLen+2 {
 		return nil, errBadBeacon
 	}
 	b.name = mpc.PeerID(rest[:nameLen])
-	rest = rest[nameLen:]
-	ntech := int(rest[0])
-	rest = rest[1:]
-	if len(rest) < 3*ntech {
-		return nil, errBadBeacon
-	}
-	for i := 0; i < ntech; i++ {
-		tech := mpc.Technology(rest[0])
-		b.ports[tech] = binary.BigEndian.Uint16(rest[1:3])
-		rest = rest[3:]
+	b.port = binary.BigEndian.Uint16(rest[nameLen:])
+	rest = rest[nameLen+2:]
+	if b.port == 0 {
+		return nil, fmt.Errorf("%w: port 0", errBadBeacon)
 	}
 	if b.advertising {
 		if len(rest) < 2 {

@@ -18,7 +18,6 @@ import (
 type netConn struct {
 	ep        *Endpoint
 	peer      mpc.PeerID
-	tech      mpc.Technology
 	sock      net.Conn
 	initiator bool
 
@@ -32,8 +31,8 @@ type netConn struct {
 
 var _ mpc.Conn = (*netConn)(nil)
 
-func newNetConn(ep *Endpoint, sock net.Conn, peer mpc.PeerID, tech mpc.Technology, initiator bool) *netConn {
-	c := &netConn{ep: ep, peer: peer, tech: tech, sock: sock, initiator: initiator}
+func newNetConn(ep *Endpoint, sock net.Conn, peer mpc.PeerID, initiator bool) *netConn {
+	c := &netConn{ep: ep, peer: peer, sock: sock, initiator: initiator}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -52,10 +51,6 @@ func (c *netConn) Peer() mpc.PeerID { return c.peer }
 
 // Initiator implements mpc.Conn.
 func (c *netConn) Initiator() bool { return c.initiator }
-
-// Technology reports which logical link (TCP listener) carries the
-// session.
-func (c *netConn) Technology() mpc.Technology { return c.tech }
 
 // Send implements mpc.Conn: enqueue one frame without blocking.
 func (c *netConn) Send(frame []byte) error {

@@ -6,20 +6,17 @@
 //
 // Discovery uses periodic UDP beacons carrying the plain-text
 // advertisement — the same opaque bytes MemMedium hands to PeerFound —
-// plus the sender's per-technology TCP listener ports. Beacons can go to
-// a LAN broadcast address, a multicast group, or an explicit list of
-// unicast targets (static peers; also how loopback tests wire two
-// endpoints together). A peer is found when its advertising beacon
-// arrives, refreshed when the payload changes, and lost when it says
-// goodbye, stops advertising, or falls silent for the configured loss
-// timeout.
+// plus the sender's TCP session port. Beacons can go to a LAN broadcast
+// address, a multicast group, or an explicit list of unicast targets
+// (static peers; also how loopback tests wire two endpoints together). A
+// peer is found when its advertising beacon arrives, refreshed when the
+// payload changes, and lost when it says goodbye, stops advertising, or
+// falls silent for the configured loss timeout.
 //
 // Sessions are TCP connections with the length-prefixed framing of
-// wire.WriteFrame/ReadFrame. Each endpoint runs one listener per
-// configured radio technology, so Bluetooth, peer-to-peer WiFi, and
-// infrastructure WiFi remain distinct logical links exactly as Multipeer
-// Connectivity multiplexes them; a dialer picks the fastest technology
-// the peer advertises. Peer names on this layer are exactly as
+// wire.WriteFrame/ReadFrame. Each endpoint runs one session listener, so
+// an endpoint holds two sockets: the UDP beacon socket and the TCP
+// listener its beacons name. Peer names on this layer are exactly as
 // trustworthy as MPC display names — not at all — and the SOS ad hoc
 // manager's mutual-certificate handshake on top is what authenticates
 // the user behind a link. The medium runs no retry loop: Connect dials
@@ -54,10 +51,6 @@ const (
 	dialTimeout = 5 * time.Second // bounds a session's TCP connect plus name exchange
 )
 
-// technologies are the logical links every device offers, in listener
-// port order.
-var technologies = [...]mpc.Technology{mpc.Bluetooth, mpc.PeerToPeerWiFi, mpc.InfrastructureWiFi}
-
 // Config assembles a Medium.
 type Config struct {
 	// BeaconListen is the UDP address beacons are received on. A
@@ -71,14 +64,13 @@ type Config struct {
 	// explicit unicast peer addresses. Endpoints joined to the same
 	// Medium instance additionally beacon to each other automatically.
 	BeaconTargets []string
-	// ListenIP is the IP the per-technology TCP listeners bind; empty
-	// binds all interfaces.
+	// ListenIP is the IP the TCP session listener binds; empty binds all
+	// interfaces.
 	ListenIP string
-	// BasePort, when nonzero, assigns fixed TCP ports BasePort,
-	// BasePort+1, BasePort+2 to Bluetooth, peer-to-peer WiFi, and
-	// infrastructure WiFi (for daemons behind known ports); zero picks
-	// ephemeral ports. Fixed ports suit one endpoint per process.
-	BasePort int
+	// SessionPort, when nonzero, is the fixed TCP port of the session
+	// listener (for daemons behind a known port); zero picks an
+	// ephemeral port. A fixed port suits one endpoint per process.
+	SessionPort int
 	// BeaconInterval is the gap between periodic beacons.
 	BeaconInterval time.Duration
 	// LossTimeout is how long a peer may stay silent before PeerLost
@@ -170,7 +162,7 @@ func (m *Medium) BeaconAddrs() []string {
 }
 
 // Join implements mpc.Medium: it binds the endpoint's UDP beacon socket
-// and per-technology TCP listeners and starts discovery.
+// and TCP session listener and starts discovery.
 func (m *Medium) Join(peer mpc.PeerID, events mpc.Events) (mpc.Endpoint, error) {
 	if peer == "" || len(peer) > 255 {
 		return nil, fmt.Errorf("netmedium: peer id must be 1–255 bytes, got %d", len(peer))
@@ -186,14 +178,12 @@ func (m *Medium) Join(peer mpc.PeerID, events mpc.Events) (mpc.Endpoint, error) 
 	m.mu.Unlock()
 
 	ep := &Endpoint{
-		m:         m,
-		self:      peer,
-		events:    events,
-		listeners: make(map[mpc.Technology]net.Listener),
-		ports:     make(map[mpc.Technology]uint16),
-		peers:     make(map[mpc.PeerID]*peerState),
-		conns:     make(map[*netConn]struct{}),
-		closing:   make(chan struct{}),
+		m:       m,
+		self:    peer,
+		events:  events,
+		peers:   make(map[mpc.PeerID]*peerState),
+		conns:   make(map[*netConn]struct{}),
+		closing: make(chan struct{}),
 	}
 	if err := binary.Read(rand.Reader, binary.BigEndian, &ep.epoch); err != nil {
 		return nil, fmt.Errorf("netmedium: drawing endpoint epoch: %w", err)
@@ -292,7 +282,7 @@ func (m *Medium) logf(format string, args ...any) {
 // peerState is what an endpoint knows about one discovered peer.
 type peerState struct {
 	ip         net.IP // from the beacon's UDP source address
-	ports      map[mpc.Technology]uint16
+	port       uint16
 	epoch      uint64
 	ad         []byte
 	advertised bool // a PeerFound is outstanding without a PeerLost
@@ -308,9 +298,9 @@ type Endpoint struct {
 	queue  *mpc.SerialQueue
 	epoch  uint64
 
-	udp       *net.UDPConn
-	listeners map[mpc.Technology]net.Listener
-	ports     map[mpc.Technology]uint16
+	udp  *net.UDPConn
+	lis  net.Listener
+	port uint16
 
 	mu     sync.Mutex
 	ad     []byte
@@ -324,7 +314,7 @@ type Endpoint struct {
 
 var _ mpc.Endpoint = (*Endpoint)(nil)
 
-// bind opens the UDP beacon socket and the per-technology TCP listeners.
+// bind opens the UDP beacon socket and the TCP session listener.
 func (ep *Endpoint) bind() error {
 	cfg := ep.m.cfg
 	laddr, err := net.ResolveUDPAddr("udp", cfg.BeaconListen)
@@ -341,18 +331,11 @@ func (ep *Endpoint) bind() error {
 	}
 	allowBroadcast(ep.udp)
 
-	for i, tech := range technologies {
-		port := 0
-		if cfg.BasePort != 0 {
-			port = cfg.BasePort + i
-		}
-		lis, err := net.Listen("tcp", net.JoinHostPort(cfg.ListenIP, fmt.Sprint(port)))
-		if err != nil {
-			return fmt.Errorf("netmedium: binding %s listener: %w", tech, err)
-		}
-		ep.listeners[tech] = lis
-		ep.ports[tech] = uint16(lis.Addr().(*net.TCPAddr).Port)
+	ep.lis, err = net.Listen("tcp", net.JoinHostPort(cfg.ListenIP, fmt.Sprint(cfg.SessionPort)))
+	if err != nil {
+		return fmt.Errorf("netmedium: binding session listener: %w", err)
 	}
+	ep.port = uint16(ep.lis.Addr().(*net.TCPAddr).Port)
 	return nil
 }
 
@@ -361,8 +344,8 @@ func (ep *Endpoint) releaseSockets() {
 	if ep.udp != nil {
 		ep.udp.Close()
 	}
-	for _, lis := range ep.listeners {
-		lis.Close()
+	if ep.lis != nil {
+		ep.lis.Close()
 	}
 }
 
@@ -380,13 +363,10 @@ func allowBroadcast(conn *net.UDPConn) {
 
 // start launches the endpoint's service goroutines.
 func (ep *Endpoint) start() {
-	ep.wg.Add(2)
+	ep.wg.Add(3)
 	go ep.beaconLoop()
 	go ep.recvLoop()
-	for tech, lis := range ep.listeners {
-		ep.wg.Add(1)
-		go ep.acceptLoop(tech, lis)
-	}
+	go ep.acceptLoop()
 }
 
 // Self implements mpc.Endpoint.
@@ -406,7 +386,7 @@ func (ep *Endpoint) SetAdvertisement(ad []byte) {
 	ep.sendBeacon(false)
 }
 
-// Connect implements mpc.Endpoint: dial the fastest technology the peer
+// Connect implements mpc.Endpoint: dial the session port the peer
 // advertises and exchange names, once. A failed TCP connect or name
 // exchange toward a cached peer returns the plain transport error.
 func (ep *Endpoint) Connect(peer mpc.PeerID) (mpc.Conn, error) {
@@ -433,8 +413,8 @@ func (ep *Endpoint) netTrack(peer mpc.PeerID) uint64 {
 	return ep.m.cfg.Tracer.Track("net " + string(ep.self) + "→" + string(peer))
 }
 
-// dial performs one session dial: TCP connect on the best advertised
-// technology plus the name-exchange preamble.
+// dial performs one session dial: TCP connect to the advertised session
+// port plus the name-exchange preamble.
 func (ep *Endpoint) dial(peer mpc.PeerID) (_ mpc.Conn, err error) {
 	if peer == ep.self {
 		return nil, mpc.ErrSelfConnect
@@ -449,7 +429,7 @@ func (ep *Endpoint) dial(peer mpc.PeerID) (_ mpc.Conn, err error) {
 		ep.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", mpc.ErrPeerUnknown, peer)
 	}
-	ip, ports := ps.ip, ps.ports
+	ip, port := ps.ip, ps.port
 	if ps.dialFailed {
 		ep.m.stats.dialRetries.Add(1)
 	}
@@ -462,21 +442,17 @@ func (ep *Endpoint) dial(peer mpc.PeerID) (_ mpc.Conn, err error) {
 	if ep.m.isBlocked(ep.self, peer) {
 		return nil, fmt.Errorf("%w: %s", mpc.ErrPeerGone, peer)
 	}
-	tech, port, err := pickTechnology(ports)
-	if err != nil {
-		return nil, err
-	}
 
 	sock, err := net.DialTimeout("tcp", net.JoinHostPort(ip.String(), fmt.Sprint(port)), dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("netmedium: dialing %s: %w", peer, err)
 	}
 	sock.SetDeadline(time.Now().Add(dialTimeout))
-	if err := writePreamble(sock, tech, ep.self); err != nil {
+	if err := writePreamble(sock, ep.self); err != nil {
 		sock.Close()
 		return nil, fmt.Errorf("netmedium: greeting %s: %w", peer, err)
 	}
-	_, remote, err := readPreamble(sock)
+	remote, err := readPreamble(sock)
 	if err != nil {
 		sock.Close()
 		return nil, fmt.Errorf("netmedium: greeting %s: %w", peer, err)
@@ -487,27 +463,13 @@ func (ep *Endpoint) dial(peer mpc.PeerID) (_ mpc.Conn, err error) {
 	}
 	sock.SetDeadline(time.Time{})
 
-	conn := newNetConn(ep, sock, peer, tech, true)
+	conn := newNetConn(ep, sock, peer, true)
 	if err := ep.adopt(conn, false); err != nil {
 		sock.Close()
 		return nil, err
 	}
 	conn.startPumps()
 	return conn, nil
-}
-
-// pickTechnology chooses the highest-bitrate technology the peer offers.
-func pickTechnology(ports map[mpc.Technology]uint16) (mpc.Technology, uint16, error) {
-	best := mpc.Technology(0)
-	for tech := range ports {
-		if tech.Bitrate() > best.Bitrate() {
-			best = tech
-		}
-	}
-	if best == 0 {
-		return 0, 0, errors.New("netmedium: peer advertises no session ports")
-	}
-	return best, ports[best], nil
 }
 
 // adopt registers a connection with the endpoint; with announce it also
@@ -558,9 +520,7 @@ func (ep *Endpoint) Close() error {
 	ep.sendBeacon(true) // best-effort goodbye
 	close(ep.closing)
 	ep.udp.Close()
-	for _, lis := range ep.listeners {
-		lis.Close()
-	}
+	ep.lis.Close()
 	for _, c := range conns {
 		c.teardown(mpc.ErrClosed)
 	}
@@ -578,7 +538,7 @@ func (ep *Endpoint) sendBeacon(goodbye bool) {
 		epoch:       ep.epoch,
 		goodbye:     goodbye,
 		advertising: ep.ad != nil,
-		ports:       ep.ports,
+		port:        ep.port,
 		ad:          ep.ad,
 	}
 	buf, err := b.encode()
@@ -668,7 +628,7 @@ func (ep *Endpoint) handleBeacon(b *beacon, src *net.UDPAddr) {
 	}
 	ps.epoch = b.epoch
 	ps.ip = src.IP
-	ps.ports = b.ports
+	ps.port = b.port
 	ps.lastSeen = time.Now()
 
 	switch {
@@ -737,27 +697,27 @@ func (ep *Endpoint) severPeer(peer mpc.PeerID) {
 	}
 }
 
-// acceptLoop admits inbound sessions on one technology's listener.
-func (ep *Endpoint) acceptLoop(tech mpc.Technology, lis net.Listener) {
+// acceptLoop admits inbound sessions on the session listener.
+func (ep *Endpoint) acceptLoop() {
 	defer ep.wg.Done()
 	for {
-		sock, err := lis.Accept()
+		sock, err := ep.lis.Accept()
 		if err != nil {
 			return // listener closed
 		}
 		ep.wg.Add(1)
 		go func() {
 			defer ep.wg.Done()
-			ep.admit(tech, sock)
+			ep.admit(sock)
 		}()
 	}
 }
 
 // admit runs the name exchange on an inbound session and surfaces it as
 // Incoming.
-func (ep *Endpoint) admit(tech mpc.Technology, sock net.Conn) {
+func (ep *Endpoint) admit(sock net.Conn) {
 	sock.SetDeadline(time.Now().Add(dialTimeout))
-	_, peer, err := readPreamble(sock)
+	peer, err := readPreamble(sock)
 	if err != nil {
 		sock.Close()
 		return
@@ -766,13 +726,13 @@ func (ep *Endpoint) admit(tech mpc.Technology, sock net.Conn) {
 		sock.Close()
 		return
 	}
-	if err := writePreamble(sock, tech, ep.self); err != nil {
+	if err := writePreamble(sock, ep.self); err != nil {
 		sock.Close()
 		return
 	}
 	sock.SetDeadline(time.Time{})
 
-	conn := newNetConn(ep, sock, peer, tech, false)
+	conn := newNetConn(ep, sock, peer, false)
 	if err := ep.adopt(conn, true); err != nil {
 		sock.Close()
 		return
@@ -784,28 +744,25 @@ func (ep *Endpoint) admit(tech mpc.Technology, sock net.Conn) {
 // Session preamble: each side names itself before opaque frames flow.
 var preambleMagic = [4]byte{'S', 'O', 'S', 'C'}
 
-// writePreamble sends this side's name and technology claim.
-func writePreamble(sock net.Conn, tech mpc.Technology, self mpc.PeerID) error {
-	buf := make([]byte, 0, 7+len(self))
+// writePreamble sends this side's name.
+//
+//	magic(4) version(1) nameLen(1) name
+func writePreamble(sock net.Conn, self mpc.PeerID) error {
+	buf := make([]byte, 0, 6+len(self))
 	buf = append(buf, preambleMagic[:]...)
-	buf = append(buf, beaconVersion, byte(tech), byte(len(self)))
+	buf = append(buf, beaconVersion, byte(len(self)))
 	buf = append(buf, self...)
 	return wire.WriteFrame(sock, buf)
 }
 
 // readPreamble reads and validates the peer's preamble.
-func readPreamble(sock net.Conn) (mpc.Technology, mpc.PeerID, error) {
+func readPreamble(sock net.Conn) (mpc.PeerID, error) {
 	buf, err := wire.ReadFrame(sock)
 	if err != nil {
-		return 0, "", err
+		return "", err
 	}
-	if len(buf) < 7 || [4]byte(buf[:4]) != preambleMagic || buf[4] != beaconVersion {
-		return 0, "", errors.New("netmedium: malformed session preamble")
+	if len(buf) < 7 || [4]byte(buf[:4]) != preambleMagic || buf[4] != beaconVersion || len(buf) != 6+int(buf[5]) {
+		return "", errors.New("netmedium: malformed session preamble")
 	}
-	tech := mpc.Technology(buf[5])
-	nameLen := int(buf[6])
-	if nameLen == 0 || len(buf) != 7+nameLen {
-		return 0, "", errors.New("netmedium: malformed session preamble")
-	}
-	return tech, mpc.PeerID(buf[7:]), nil
+	return mpc.PeerID(buf[6:]), nil
 }

@@ -18,12 +18,10 @@ import (
 
 func TestBeaconRoundTrip(t *testing.T) {
 	cases := []*beacon{
-		{name: "alice-device", epoch: 42, advertising: true,
-			ports: map[mpc.Technology]uint16{mpc.Bluetooth: 7500, mpc.InfrastructureWiFi: 7502},
-			ad:    []byte("summary-bytes")},
-		{name: "bob", epoch: 7, goodbye: true, ports: map[mpc.Technology]uint16{}},
-		{name: "carol", epoch: 1, advertising: true, ports: map[mpc.Technology]uint16{mpc.PeerToPeerWiFi: 9000}, ad: []byte{}},
-		{name: "dave", epoch: 9, ports: map[mpc.Technology]uint16{mpc.Bluetooth: 1}},
+		{name: "alice-device", epoch: 42, advertising: true, port: 7500, ad: []byte("summary-bytes")},
+		{name: "bob", epoch: 7, goodbye: true, port: 65535},
+		{name: "carol", epoch: 1, advertising: true, port: 9000, ad: []byte{}},
+		{name: "dave", epoch: 9, port: 1},
 	}
 	for _, want := range cases {
 		buf, err := want.encode()
@@ -46,9 +44,9 @@ func TestBeaconRoundTrip(t *testing.T) {
 }
 
 // TestFullHintFitsOnePacket: the largest discovery hint the message
-// manager builds — MaxBeaconSummary entries, no scheme gossip — from a
-// device on every technology makes a datagram that crosses a 1500-byte
-// MTU path unfragmented.
+// manager builds — MaxBeaconSummary entries, no scheme gossip — under
+// the longest header the beacon carries makes a datagram that crosses a
+// 1500-byte MTU path unfragmented.
 func TestFullHintFitsOnePacket(t *testing.T) {
 	name := mpc.PeerID("a-device-name-of-thirty-two-bytes")
 	hint := make(map[id.UserID]uint64, message.MaxBeaconSummary)
@@ -59,9 +57,7 @@ func TestFullHintFitsOnePacket(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encoding the hint: %v", err)
 	}
-	buf, err := (&beacon{name: name, epoch: 1 << 60, advertising: true, ad: ad, ports: map[mpc.Technology]uint16{
-		mpc.Bluetooth: 7500, mpc.PeerToPeerWiFi: 7501, mpc.InfrastructureWiFi: 7502,
-	}}).encode()
+	buf, err := (&beacon{name: name, epoch: 1 << 60, advertising: true, ad: ad, port: 7500}).encode()
 	if err != nil {
 		t.Fatalf("encoding the beacon: %v", err)
 	}
@@ -71,16 +67,27 @@ func TestFullHintFitsOnePacket(t *testing.T) {
 }
 
 func TestBeaconRejectsGarbage(t *testing.T) {
-	good, err := (&beacon{name: "x", epoch: 3, ports: map[mpc.Technology]uint16{mpc.Bluetooth: 5}}).encode()
+	good, err := (&beacon{name: "x", epoch: 3, port: 5}).encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	zeroPort, err := (&beacon{name: "x", epoch: 3}).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A version-1 beacon: the same header, then a three-entry
+	// {tech port} table where version 2 carries one port.
+	v1 := append([]byte("SOSB"), 1, 0)
+	v1 = append(v1, good[6:16]...) // epoch, nameLen, name
+	v1 = append(v1, 3, 1, 0x1D, 0x4C, 2, 0x1D, 0x4D, 3, 0x1D, 0x4E)
 	bad := [][]byte{
 		nil,
 		[]byte("SOSB"),
 		append([]byte("JUNK"), good[4:]...),
 		good[:len(good)-1],
 		append(append([]byte{}, good...), 0xFF),
+		zeroPort,
+		v1,
 	}
 	for i, buf := range bad {
 		if _, err := parseBeacon(buf); err == nil {
@@ -89,23 +96,6 @@ func TestBeaconRejectsGarbage(t *testing.T) {
 	}
 	if _, err := parseBeacon(good); err != nil {
 		t.Fatalf("well-formed beacon rejected: %v", err)
-	}
-}
-
-func TestPickTechnologyPrefersFastest(t *testing.T) {
-	tech, port, err := pickTechnology(map[mpc.Technology]uint16{
-		mpc.Bluetooth:          1000,
-		mpc.PeerToPeerWiFi:     2000,
-		mpc.InfrastructureWiFi: 3000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tech != mpc.PeerToPeerWiFi || port != 2000 {
-		t.Fatalf("picked %s:%d, want p2p-wifi:2000 (highest bitrate)", tech, port)
-	}
-	if _, _, err := pickTechnology(nil); err == nil {
-		t.Fatal("empty port table accepted")
 	}
 }
 
@@ -277,7 +267,7 @@ func TestRefusedDialStaysRetryable(t *testing.T) {
 	port := lis.Addr().(*net.TCPAddr).Port
 	lis.Close() // nothing listens there now
 	buf, err := (&beacon{name: "ghost", epoch: 1, advertising: true, ad: []byte("g"),
-		ports: map[mpc.Technology]uint16{mpc.PeerToPeerWiFi: uint16(port)}}).encode()
+		port: uint16(port)}).encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,15 +376,15 @@ func TestPreambleExchange(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 	go func() {
-		if err := writePreamble(client, mpc.Bluetooth, "alice"); err != nil {
+		if err := writePreamble(client, "alice"); err != nil {
 			t.Errorf("writing preamble: %v", err)
 		}
 	}()
-	tech, peer, err := readPreamble(server)
+	peer, err := readPreamble(server)
 	if err != nil {
 		t.Fatalf("reading preamble: %v", err)
 	}
-	if tech != mpc.Bluetooth || peer != "alice" {
-		t.Fatalf("preamble = (%s, %s), want (bluetooth, alice)", tech, peer)
+	if peer != "alice" {
+		t.Fatalf("preamble names %s, want alice", peer)
 	}
 }

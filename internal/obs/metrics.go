@@ -95,28 +95,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down. Stored as float64 bits so
-// Set is a single atomic store.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the value by d (CAS loop).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // DefBuckets are general-purpose duration buckets in seconds.
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
@@ -160,7 +138,6 @@ type series struct {
 	labels string // canonical label string, possibly ""
 
 	counter     *Counter
-	gauge       *Gauge
 	histogram   *Histogram
 	counterFunc func() uint64
 	gaugeFunc   func() float64
@@ -218,13 +195,8 @@ func (r *Registry) register(name, help string, typ metricType, s *series) {
 
 // Counter registers and returns a counter with no labels.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.CounterWith(name, help, nil)
-}
-
-// CounterWith registers and returns a counter with constant labels.
-func (r *Registry) CounterWith(name, help string, labels Labels) *Counter {
 	c := &Counter{}
-	r.register(name, help, typeCounter, &series{labels: labels.canonical(), counter: c})
+	r.register(name, help, typeCounter, &series{counter: c})
 	return c
 }
 
@@ -235,36 +207,19 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint6
 	r.register(name, help, typeCounter, &series{labels: labels.canonical(), counterFunc: fn})
 }
 
-// Gauge registers and returns a gauge with no labels.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeWith(name, help, nil)
-}
-
-// GaugeWith registers and returns a gauge with constant labels.
-func (r *Registry) GaugeWith(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, typeGauge, &series{labels: labels.canonical(), gauge: g})
-	return g
-}
-
 // GaugeFunc registers a gauge evaluated at scrape time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
 	r.register(name, help, typeGauge, &series{labels: labels.canonical(), gaugeFunc: fn})
 }
 
-// Histogram registers and returns a histogram with the given bucket upper
-// bounds (nil selects DefBuckets).
+// Histogram registers and returns a histogram with no labels and the
+// given bucket upper bounds (nil selects DefBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.HistogramWith(name, help, buckets, nil)
-}
-
-// HistogramWith registers and returns a histogram with constant labels.
-func (r *Registry) HistogramWith(name, help string, buckets []float64, labels Labels) *Histogram {
 	if buckets == nil {
 		buckets = DefBuckets
 	}
 	h := newHistogram(buckets)
-	r.register(name, help, typeHistogram, &series{labels: labels.canonical(), histogram: h})
+	r.register(name, help, typeHistogram, &series{histogram: h})
 	return h
 }
 
@@ -324,8 +279,6 @@ func writeSeries(b *strings.Builder, name string, s *series) {
 		writeSample(b, name, s.labels, float64(s.counter.Value()))
 	case s.counterFunc != nil:
 		writeSample(b, name, s.labels, float64(s.counterFunc()))
-	case s.gauge != nil:
-		writeSample(b, name, s.labels, s.gauge.Value())
 	case s.gaugeFunc != nil:
 		writeSample(b, name, s.labels, s.gaugeFunc())
 	case s.histogram != nil:
@@ -333,21 +286,13 @@ func writeSeries(b *strings.Builder, name string, s *series) {
 		cum := uint64(0)
 		for i, bound := range h.bounds {
 			cum += h.counts[i].Load()
-			writeSample(b, name+"_bucket", mergeLE(s.labels, formatFloat(bound)), float64(cum))
+			writeSample(b, name+"_bucket", `{le="`+formatFloat(bound)+`"}`, float64(cum))
 		}
 		cum += h.counts[len(h.bounds)].Load()
-		writeSample(b, name+"_bucket", mergeLE(s.labels, "+Inf"), float64(cum))
+		writeSample(b, name+"_bucket", `{le="+Inf"}`, float64(cum))
 		writeSample(b, name+"_sum", s.labels, h.Sum())
 		writeSample(b, name+"_count", s.labels, float64(h.Count()))
 	}
-}
-
-// mergeLE splices an le label into an existing canonical label string.
-func mergeLE(labels, le string) string {
-	if labels == "" {
-		return `{le="` + le + `"}`
-	}
-	return labels[:len(labels)-1] + `,le="` + le + `"}`
 }
 
 func writeSample(b *strings.Builder, name, labels string, v float64) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -15,10 +16,9 @@ func TestWritePromGolden(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("sos_frames_total", "Frames moved.")
 	c.Add(7)
-	reg.CounterWith("sos_evictions_total", "Drops by reason.", Labels{"reason": "capacity"}).Add(2)
-	reg.CounterWith("sos_evictions_total", "Drops by reason.", Labels{"reason": "expired"}).Add(3)
-	g := reg.Gauge("sos_queue_depth", "Events queued.")
-	g.Set(4.5)
+	reg.CounterFunc("sos_evictions_total", "Drops by reason.", Labels{"reason": "capacity"}, func() uint64 { return 2 })
+	reg.CounterFunc("sos_evictions_total", "Drops by reason.", Labels{"reason": "expired"}, func() uint64 { return 3 })
+	reg.GaugeFunc("sos_queue_depth", "Events queued.", nil, func() float64 { return 4.5 })
 	h := reg.Histogram("sos_scrape_seconds", "Scrape time.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -56,7 +56,7 @@ sos_scrape_seconds_count 3
 func TestParsePromRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total", "A.").Add(41)
-	reg.GaugeWith("b", "B.", Labels{"x": "y z", "q": `quo"te`}).Set(-2.25)
+	reg.GaugeFunc("b", "B.", Labels{"x": "y z", "q": `quo"te`}, func() float64 { return -2.25 })
 	h := reg.Histogram("h_seconds", "H.", []float64{1})
 	h.Observe(0.5)
 	h.Observe(3)
@@ -124,15 +124,16 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrency hammers counters, gauges, and histograms from
-// many goroutines while scraping concurrently — run under -race, this is
-// the proof the hot paths are lock-free and safe.
+// TestRegistryConcurrency hammers counters, histograms, and the value a
+// scrape-time gauge reads from many goroutines while scraping
+// concurrently — run under -race, this is the proof the hot paths are
+// lock-free and safe.
 func TestRegistryConcurrency(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "C.")
-	g := reg.Gauge("g", "G.")
+	var g atomic.Int64
+	reg.GaugeFunc("g", "G.", nil, func() float64 { return float64(g.Load()) })
 	h := reg.Histogram("h_seconds", "H.", DefBuckets)
-	reg.GaugeFunc("fn", "F.", nil, func() float64 { return 1 })
 
 	const workers, perWorker = 8, 2000
 	var wg sync.WaitGroup
@@ -164,7 +165,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := c.Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := g.Value(); got != workers*perWorker {
+	if got := reg.Snapshot()["g"]; got != workers*perWorker {
 		t.Errorf("gauge = %v, want %d", got, workers*perWorker)
 	}
 	if got := h.Count(); got != workers*perWorker {
@@ -212,6 +213,6 @@ func TestRegisterPanics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("dup_total", "D.")
 	expectPanic("duplicate series", func() { reg.Counter("dup_total", "D.") })
-	expectPanic("type conflict", func() { reg.Gauge("dup_total", "D.") })
+	expectPanic("type conflict", func() { reg.GaugeFunc("dup_total", "D.", nil, func() float64 { return 0 }) })
 	expectPanic("empty name", func() { reg.Counter("", "E.") })
 }

@@ -7,8 +7,8 @@
 // compromise of live key material never reveals earlier epochs.
 //
 // Epoch numbering is clock-driven (SessionConfig.Clock — never
-// time.Now() directly), each side computing floor(elapsed/period) from
-// its own session start. The two clocks need not agree: every frame
+// time.Now() directly), each side computing
+// floor(elapsed/DefaultRotationPeriod) from its own session start. The two clocks need not agree: every frame
 // carries its epoch in the header, the receiver derives the claimed
 // epoch's key on demand (bounded one epoch ahead of its own clock), and
 // an overlap window keeps the previous epoch's key alive briefly after a
@@ -25,9 +25,10 @@ import (
 	"time"
 )
 
-// Rotation defaults. The period bounds how much traffic one key can
-// seal; the overlap bounds how long a superseded receive key stays
-// usable (and unwiped) after its successor is first seen.
+// Rotation constants, the same for every session. The period bounds how
+// much traffic one key can seal; the overlap bounds how long a
+// superseded receive key stays usable (and unwiped) after its successor
+// is first seen.
 const (
 	DefaultRotationPeriod = 10 * time.Minute
 	DefaultOverlapWindow  = 30 * time.Second
@@ -35,7 +36,7 @@ const (
 	// past the last accepted one. Forward gaps are normal on a lossy
 	// radio (dropped frames skip the window ahead), but an unbounded
 	// jump lets a hostile peer burn the whole sequence space in one
-	// frame; the default tolerates a million lost frames.
+	// frame; the bound tolerates a million lost frames.
 	DefaultMaxForwardJump = 1 << 20
 	// rotateCheckEvery is how many seals may pass between clock reads on
 	// the send path. Rotation is checked off the per-frame hot path: the

@@ -31,7 +31,9 @@ import (
 	"sos/internal/wire"
 )
 
-// Prekey scheme defaults.
+// Prekey scheme constants, the same for every store: the signed prekey's
+// lifetime, the one-time keys minted per replenish, and the unissued
+// pool depth below which a Bundle call replenishes.
 const (
 	DefaultSignedPrekeyLifetime = 6 * time.Hour
 	DefaultOneTimeBatch         = 32
@@ -64,15 +66,12 @@ func prekeyTranscript(user id.UserID, signedID uint32, signedPub []byte) []byte 
 	return append(out, signedPub...)
 }
 
-// PrekeyConfig tunes a PrekeyStore; the zero value selects every
-// default.
+// PrekeyConfig wires a PrekeyStore to its owner; the zero value selects
+// the system clock and crypto/rand, and counts nothing.
 type PrekeyConfig struct {
-	Clock          clock.Clock   // nil = system clock
-	Rand           io.Reader     // nil = crypto/rand
-	SignedLifetime time.Duration // 0 = DefaultSignedPrekeyLifetime
-	Batch          int           // one-time keys minted per replenish; 0 = DefaultOneTimeBatch
-	LowWater       int           // replenish when unissued pool drops below; 0 = DefaultOneTimeLowWater
-	Stats          *StatsRecorder
+	Clock clock.Clock // nil = system clock
+	Rand  io.Reader   // nil = crypto/rand
+	Stats *StatsRecorder
 }
 
 // PrekeyStore holds one node's private prekey material: the current and
@@ -80,15 +79,12 @@ type PrekeyConfig struct {
 // after rotation, the prekey analogue of the session overlap window) and
 // the one-time pool. Safe for concurrent use.
 type PrekeyStore struct {
-	mu       sync.Mutex
-	ident    *id.Identity
-	user     id.UserID
-	clk      clock.Clock
-	rng      io.Reader
-	lifetime time.Duration
-	batch    int
-	lowWater int
-	rec      *StatsRecorder
+	mu    sync.Mutex
+	ident *id.Identity
+	user  id.UserID
+	clk   clock.Clock
+	rng   io.Reader
+	rec   *StatsRecorder
 
 	signed  *signedPrekey
 	prev    *signedPrekey
@@ -109,31 +105,19 @@ type signedPrekey struct {
 // ident's user.
 func NewPrekeyStore(ident *id.Identity, user id.UserID, cfg PrekeyConfig) (*PrekeyStore, error) {
 	ps := &PrekeyStore{
-		ident:    ident,
-		user:     user,
-		clk:      cfg.Clock,
-		rng:      cfg.Rand,
-		lifetime: cfg.SignedLifetime,
-		batch:    cfg.Batch,
-		lowWater: cfg.LowWater,
-		rec:      cfg.Stats,
-		oneTime:  make(map[uint32]*ecdh.PrivateKey),
-		nextID:   1,
+		ident:   ident,
+		user:    user,
+		clk:     cfg.Clock,
+		rng:     cfg.Rand,
+		rec:     cfg.Stats,
+		oneTime: make(map[uint32]*ecdh.PrivateKey),
+		nextID:  1,
 	}
 	if ps.clk == nil {
 		ps.clk = clock.System()
 	}
 	if ps.rng == nil {
 		ps.rng = rand.Reader
-	}
-	if ps.lifetime <= 0 {
-		ps.lifetime = DefaultSignedPrekeyLifetime
-	}
-	if ps.batch <= 0 {
-		ps.batch = DefaultOneTimeBatch
-	}
-	if ps.lowWater <= 0 {
-		ps.lowWater = DefaultOneTimeLowWater
 	}
 	if err := ps.rotateSignedLocked(); err != nil {
 		return nil, err
@@ -168,7 +152,7 @@ func (ps *PrekeyStore) rotateSignedLocked() error {
 // replenishLocked tops the unissued one-time pool back up to a full
 // batch.
 func (ps *PrekeyStore) replenishLocked() error {
-	for len(ps.queue) < ps.batch {
+	for len(ps.queue) < DefaultOneTimeBatch {
 		priv, err := ecdh.P256().GenerateKey(ps.rng)
 		if err != nil {
 			return fmt.Errorf("secure: generating one-time prekey: %w", err)
@@ -186,13 +170,13 @@ func (ps *PrekeyStore) replenishLocked() error {
 // rotations stat) and retires the previous one a further lifetime later.
 func (ps *PrekeyStore) maybeRotateLocked() error {
 	now := ps.clk.Now()
-	if now.Sub(ps.signed.born) > ps.lifetime {
+	if now.Sub(ps.signed.born) > DefaultSignedPrekeyLifetime {
 		if err := ps.rotateSignedLocked(); err != nil {
 			return err
 		}
 		bump(ps.rec, cRotations)
 	}
-	if ps.prev != nil && now.Sub(ps.prev.born) > 2*ps.lifetime {
+	if ps.prev != nil && now.Sub(ps.prev.born) > 2*DefaultSignedPrekeyLifetime {
 		ps.prev = nil
 	}
 	return nil
@@ -208,7 +192,7 @@ func (ps *PrekeyStore) Bundle() (*wire.PrekeyBundle, error) {
 	if err := ps.maybeRotateLocked(); err != nil {
 		return nil, err
 	}
-	if len(ps.queue) < ps.lowWater {
+	if len(ps.queue) < DefaultOneTimeLowWater {
 		_ = ps.replenishLocked() // cannot mint: issue what is left, then the signed prekey alone
 	}
 	b := &wire.PrekeyBundle{

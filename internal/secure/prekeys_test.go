@@ -140,9 +140,9 @@ func TestPrekeyEnvelopeRejectsForgery(t *testing.T) {
 
 func TestPrekeyExhaustionFallsBackToSignedOnly(t *testing.T) {
 	sender := newIdentity(t, "alice")
-	ps := newPrekeyStore(t, "bob", PrekeyConfig{Batch: 2, LowWater: 1})
-	if ps.Remaining() != 2 {
-		t.Fatalf("Remaining = %d, want 2", ps.Remaining())
+	ps := newPrekeyStore(t, "bob", PrekeyConfig{})
+	if ps.Remaining() != DefaultOneTimeBatch {
+		t.Fatalf("Remaining = %d, want %d", ps.Remaining(), DefaultOneTimeBatch)
 	}
 	// Cut the entropy supply: replenishment can no longer mint keys.
 	ps.mu.Lock()
@@ -150,7 +150,7 @@ func TestPrekeyExhaustionFallsBackToSignedOnly(t *testing.T) {
 	ps.mu.Unlock()
 
 	// Drain the pool.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultOneTimeBatch; i++ {
 		b, err := ps.Bundle()
 		if err != nil {
 			t.Fatalf("Bundle(%d): %v", i, err)
@@ -205,8 +205,8 @@ func TestPrekeySignedRotationAndRetirement(t *testing.T) {
 	sender := newIdentity(t, "alice")
 	clk := clock.NewVirtual(prekeyEpoch0)
 	rec := &StatsRecorder{}
-	lifetime := time.Hour
-	ps := newPrekeyStore(t, "bob", PrekeyConfig{Clock: clk, SignedLifetime: lifetime, Stats: rec})
+	lifetime := DefaultSignedPrekeyLifetime
+	ps := newPrekeyStore(t, "bob", PrekeyConfig{Clock: clk, Stats: rec})
 	owner := ps.ident.Public()
 
 	b1, err := ps.Bundle()
@@ -255,16 +255,25 @@ func TestPrekeySignedRotationAndRetirement(t *testing.T) {
 }
 
 func TestPrekeyReplenishAtLowWater(t *testing.T) {
-	ps := newPrekeyStore(t, "bob", PrekeyConfig{Batch: 8, LowWater: 4})
-	// Issue down toward the low-water mark; each Bundle that starts below
+	ps := newPrekeyStore(t, "bob", PrekeyConfig{})
+	// Issue down past the low-water mark; each Bundle that starts below
 	// it refills the pool to a full batch first.
-	for i := 0; i < 20; i++ {
+	refills, prev := 0, ps.Remaining()
+	for i := 0; i < 2*DefaultOneTimeBatch; i++ {
 		if _, err := ps.Bundle(); err != nil {
 			t.Fatalf("Bundle(%d): %v", i, err)
 		}
-		if r := ps.Remaining(); r < 3 {
+		r := ps.Remaining()
+		if r < DefaultOneTimeLowWater-1 {
 			t.Fatalf("pool fell to %d with working entropy", r)
 		}
+		if r > prev {
+			refills++
+		}
+		prev = r
+	}
+	if refills == 0 {
+		t.Fatalf("no refill in %d bundles", 2*DefaultOneTimeBatch)
 	}
 }
 

@@ -26,8 +26,8 @@ import (
 const (
 	replayLogFile = "replay.log"
 
-	// DefaultMaxNonces bounds remembered envelope nonces; the oldest are
-	// forgotten first.
+	// DefaultMaxNonces bounds the envelope nonces every store remembers;
+	// the oldest are forgotten first.
 	DefaultMaxNonces = 4096
 
 	maxReplayScope = 128 // bytes, scope name bound of a retired floor record
@@ -84,11 +84,10 @@ func DecodeReplayBody(typ byte, body []byte) ([]byte, error) {
 	}
 }
 
-// ReplayOptions tunes a replay store; the zero value selects every
-// default.
+// ReplayOptions tunes a replay store; the zero value syncs every append
+// and counts nothing.
 type ReplayOptions struct {
-	MaxNonces int  // nonce FIFO bound; 0 = DefaultMaxNonces
-	NoSync    bool // skip fsync on appends (tests, lab fleets)
+	NoSync bool // skip fsync on appends (tests, lab fleets)
 	// Stats, when set, counts the store's replay rejections (MarkNonce
 	// hits) into a recorder.
 	Stats *StatsRecorder
@@ -101,7 +100,6 @@ type ReplayOptions struct {
 type ReplayStore struct {
 	mu     sync.Mutex
 	log    *recordlog.Log // nil = memory only
-	maxNon int
 	rec    *StatsRecorder
 	closed bool
 
@@ -115,12 +113,8 @@ type ReplayStore struct {
 // yields a memory-only store with identical semantics minus persistence.
 func OpenReplayStore(dir string, opts ReplayOptions) (*ReplayStore, error) {
 	rs := &ReplayStore{
-		maxNon: opts.MaxNonces,
 		rec:    opts.Stats,
 		nonces: make(map[string]struct{}),
-	}
-	if rs.maxNon <= 0 {
-		rs.maxNon = DefaultMaxNonces
 	}
 	if dir == "" {
 		return rs, nil
@@ -153,7 +147,7 @@ func (rs *ReplayStore) markNonceLocked(key string) bool {
 	if _, seen := rs.nonces[key]; seen {
 		return false
 	}
-	if len(rs.nonces) >= rs.maxNon {
+	if len(rs.nonces) >= DefaultMaxNonces {
 		delete(rs.nonces, rs.order[0])
 		rs.order = rs.order[1:]
 	}

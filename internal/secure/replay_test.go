@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -200,19 +201,23 @@ func TestReplayStoreTruncatesTornTail(t *testing.T) {
 }
 
 func TestReplayStoreNonceFIFOBound(t *testing.T) {
-	rs := openStore(t, "", ReplayOptions{MaxNonces: 3})
+	rs := openStore(t, "", ReplayOptions{})
 	defer rs.Close()
-	for _, n := range []string{"n1", "n2", "n3", "n4"} {
-		if !rs.MarkNonce([]byte(n)) {
-			t.Fatalf("fresh nonce %s rejected", n)
+	nonce := func(i int) []byte { return []byte(fmt.Sprintf("n%d", i)) }
+	for i := 0; i <= DefaultMaxNonces; i++ {
+		if !rs.MarkNonce(nonce(i)) {
+			t.Fatalf("fresh nonce %d rejected", i)
 		}
 	}
-	// n1 fell off the FIFO; n4 is still remembered.
-	if !rs.MarkNonce([]byte("n1")) {
-		t.Fatal("oldest nonce still remembered past the bound")
+	if n := rs.Len(); n != DefaultMaxNonces {
+		t.Fatalf("store holds %d nonces, want the bound %d", n, DefaultMaxNonces)
 	}
-	if rs.MarkNonce([]byte("n4")) {
+	// The first nonce fell off the FIFO; the last is still remembered.
+	if rs.MarkNonce(nonce(DefaultMaxNonces)) {
 		t.Fatal("recent nonce forgotten")
+	}
+	if !rs.MarkNonce(nonce(0)) {
+		t.Fatal("oldest nonce still remembered past the bound")
 	}
 }
 
@@ -244,7 +249,7 @@ func compactionLoad(rs *ReplayStore) []byte {
 // and checks the rewritten log is small and loses no state.
 func TestReplayStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
-	rs := openStore(t, dir, ReplayOptions{MaxNonces: 64})
+	rs := openStore(t, dir, ReplayOptions{})
 	last := compactionLoad(rs)
 	rs.MarkNonce([]byte("kept-nonce"))
 	if err := rs.Close(); err != nil {
@@ -258,10 +263,10 @@ func TestReplayStoreCompaction(t *testing.T) {
 		t.Fatalf("log = %d bytes after compaction, want < %d", st.Size(), replayCompactBytes)
 	}
 
-	rs2 := openStore(t, dir, ReplayOptions{MaxNonces: 64})
+	rs2 := openStore(t, dir, ReplayOptions{})
 	defer rs2.Close()
-	if n := rs2.Len(); n != 64 {
-		t.Fatalf("store holds %d nonces after compaction, want the 64 it held", n)
+	if n := rs2.Len(); n != DefaultMaxNonces {
+		t.Fatalf("store holds %d nonces after compaction, want the %d it held", n, DefaultMaxNonces)
 	}
 	if rs2.MarkNonce(last) || rs2.MarkNonce([]byte("kept-nonce")) {
 		t.Fatal("nonce lost in compaction")

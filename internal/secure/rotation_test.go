@@ -43,10 +43,10 @@ func frameEpoch(t *testing.T, frame []byte) uint32 {
 func TestSessionRotationAtEpochBoundary(t *testing.T) {
 	ca, cb := clock.NewVirtual(sessionEpoch0), clock.NewVirtual(sessionEpoch0)
 	recA, recB := &StatsRecorder{}, &StatsRecorder{}
-	period := time.Minute
+	period := DefaultRotationPeriod
 	sa, sb := newPairCfg(t,
-		SessionConfig{Clock: ca, RotationPeriod: period, Stats: recA},
-		SessionConfig{Clock: cb, RotationPeriod: period, Stats: recB},
+		SessionConfig{Clock: ca, Stats: recA},
+		SessionConfig{Clock: cb, Stats: recB},
 	)
 
 	f0, err := sa.Seal([]byte("epoch zero"), nil)
@@ -108,11 +108,8 @@ func TestSessionRotationAtEpochBoundary(t *testing.T) {
 // rotates within rotateCheckEvery seals.
 func TestSessionRotationOnSealCadence(t *testing.T) {
 	ca, cb := clock.NewVirtual(sessionEpoch0), clock.NewVirtual(sessionEpoch0)
-	period := time.Minute
-	sa, sb := newPairCfg(t,
-		SessionConfig{Clock: ca, RotationPeriod: period},
-		SessionConfig{Clock: cb, RotationPeriod: period},
-	)
+	period := DefaultRotationPeriod
+	sa, sb := newPairCfg(t, SessionConfig{Clock: ca}, SessionConfig{Clock: cb})
 	ca.Advance(period + time.Second)
 	cb.Advance(period + time.Second)
 
@@ -136,11 +133,8 @@ func TestSessionRotationOnSealCadence(t *testing.T) {
 
 func TestSessionEpochSkewRejected(t *testing.T) {
 	ca, cb := clock.NewVirtual(sessionEpoch0), clock.NewVirtual(sessionEpoch0)
-	period := time.Minute
-	sa, sb := newPairCfg(t,
-		SessionConfig{Clock: ca, RotationPeriod: period},
-		SessionConfig{Clock: cb, RotationPeriod: period},
-	)
+	period := DefaultRotationPeriod
+	sa, sb := newPairCfg(t, SessionConfig{Clock: ca}, SessionConfig{Clock: cb})
 
 	// Sender's clock runs two epochs ahead; the receiver tolerates only
 	// one epoch past its own clock.
@@ -171,11 +165,8 @@ func TestSessionEpochSkewRejected(t *testing.T) {
 // and is refused (key wiped) after it.
 func TestSessionOverlapWindow(t *testing.T) {
 	ca, cb := clock.NewVirtual(sessionEpoch0), clock.NewVirtual(sessionEpoch0)
-	period, overlap := time.Minute, 10*time.Second
-	sa, sb := newPairCfg(t,
-		SessionConfig{Clock: ca, RotationPeriod: period, OverlapWindow: overlap},
-		SessionConfig{Clock: cb, RotationPeriod: period, OverlapWindow: overlap},
-	)
+	period, overlap := DefaultRotationPeriod, DefaultOverlapWindow
+	sa, sb := newPairCfg(t, SessionConfig{Clock: ca}, SessionConfig{Clock: cb})
 
 	fA0, err := sa.Seal([]byte("old zero"), nil)
 	if err != nil {
@@ -225,9 +216,11 @@ func TestSessionOverlapWindow(t *testing.T) {
 }
 
 // TestSessionSequencingEdgeCases is the table-driven AEAD sequencing
-// suite: forward-jump boundaries, replay after a gap, and the
-// first-frame exemption.
+// suite: forward-jump boundaries at DefaultMaxForwardJump, replay after a
+// gap, and the first-frame exemption. The jump cases place frames by
+// setting the sender's next sequence, as TestSessionSeqWraparound does.
 func TestSessionSequencingEdgeCases(t *testing.T) {
+	const jump = DefaultMaxForwardJump
 	seal := func(t *testing.T, s *Session, n int) [][]byte {
 		t.Helper()
 		frames := make([][]byte, n)
@@ -240,54 +233,52 @@ func TestSessionSequencingEdgeCases(t *testing.T) {
 		}
 		return frames
 	}
+	sealAt := func(t *testing.T, s *Session, seq uint64) []byte {
+		t.Helper()
+		s.sendSeq = seq
+		return seal(t, s, 1)[0]
+	}
 
 	tests := []struct {
 		name string
-		jump int64
 		run  func(t *testing.T, sa, sb *Session)
 	}{
-		{"jump at exact bound accepted", 4, func(t *testing.T, sa, sb *Session) {
-			frames := seal(t, sa, 6)
-			if _, err := sb.Open(frames[0], nil); err != nil {
+		{"jump at exact bound accepted", func(t *testing.T, sa, sb *Session) {
+			f0 := sealAt(t, sa, 0)
+			// recvSeq is 1 once f0 opens; this frame is exactly recvSeq+jump.
+			atBound := sealAt(t, sa, 1+jump)
+			if _, err := sb.Open(f0, nil); err != nil {
 				t.Fatalf("Open(0): %v", err)
 			}
-			// recvSeq is now 1; seq 5 is exactly recvSeq+jump.
-			if _, err := sb.Open(frames[5], nil); err != nil {
+			if _, err := sb.Open(atBound, nil); err != nil {
 				t.Fatalf("Open at jump bound: %v", err)
 			}
 		}},
-		{"jump past bound rejected", 4, func(t *testing.T, sa, sb *Session) {
-			frames := seal(t, sa, 7)
-			if _, err := sb.Open(frames[0], nil); err != nil {
+		{"jump past bound rejected", func(t *testing.T, sa, sb *Session) {
+			f0 := sealAt(t, sa, 0)
+			inside := sealAt(t, sa, jump-1)
+			past := sealAt(t, sa, jump+2)
+			if _, err := sb.Open(f0, nil); err != nil {
 				t.Fatalf("Open(0): %v", err)
 			}
-			if _, err := sb.Open(frames[6], nil); !errors.Is(err, ErrSeqJump) {
+			if _, err := sb.Open(past, nil); !errors.Is(err, ErrSeqJump) {
 				t.Fatalf("Open past jump bound: err = %v, want ErrSeqJump", err)
 			}
 			// The channel survives the rejected frame.
-			if _, err := sb.Open(frames[4], nil); err != nil {
+			if _, err := sb.Open(inside, nil); err != nil {
 				t.Fatalf("Open after rejected jump: %v", err)
 			}
 		}},
-		{"first frame exempt from jump bound", 4, func(t *testing.T, sa, sb *Session) {
-			frames := seal(t, sa, 10)
-			if _, err := sb.Open(frames[9], nil); err != nil {
+		{"first frame exempt from jump bound", func(t *testing.T, sa, sb *Session) {
+			first := sealAt(t, sa, 2*jump)
+			if _, err := sb.Open(first, nil); err != nil {
 				t.Fatalf("Open far-ahead first frame: %v", err)
 			}
-			if _, err := sb.Open(frames[9], nil); !errors.Is(err, ErrReplay) {
+			if _, err := sb.Open(first, nil); !errors.Is(err, ErrReplay) {
 				t.Fatal("replay of the arming frame accepted")
 			}
 		}},
-		{"jump bound disabled", -1, func(t *testing.T, sa, sb *Session) {
-			frames := seal(t, sa, 10)
-			if _, err := sb.Open(frames[0], nil); err != nil {
-				t.Fatalf("Open(0): %v", err)
-			}
-			if _, err := sb.Open(frames[9], nil); err != nil {
-				t.Fatalf("Open with bound disabled: %v", err)
-			}
-		}},
-		{"replay after gap", 0, func(t *testing.T, sa, sb *Session) {
+		{"replay after gap", func(t *testing.T, sa, sb *Session) {
 			frames := seal(t, sa, 5)
 			if _, err := sb.Open(frames[1], nil); err != nil {
 				t.Fatalf("Open(1): %v", err)
@@ -305,10 +296,7 @@ func TestSessionSequencingEdgeCases(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := clock.NewVirtual(sessionEpoch0)
-			sa, sb := newPairCfg(t,
-				SessionConfig{Clock: clk},
-				SessionConfig{Clock: clk, MaxForwardJump: tc.jump},
-			)
+			sa, sb := newPairCfg(t, SessionConfig{Clock: clk}, SessionConfig{Clock: clk})
 			tc.run(t, sa, sb)
 		})
 	}
@@ -339,28 +327,6 @@ func TestSessionSeqWraparound(t *testing.T) {
 	}
 }
 
-func TestSessionRotationDisabled(t *testing.T) {
-	clk := clock.NewVirtual(sessionEpoch0)
-	sa, sb := newPairCfg(t,
-		SessionConfig{Clock: clk, RotationPeriod: -1},
-		SessionConfig{Clock: clk, RotationPeriod: -1},
-	)
-	clk.Advance(24 * time.Hour)
-	if rotated, err := sa.MaybeRotate(); err != nil || rotated {
-		t.Fatalf("MaybeRotate with rotation disabled = %v, %v", rotated, err)
-	}
-	frame, err := sa.Seal([]byte("still epoch zero"), nil)
-	if err != nil {
-		t.Fatalf("Seal: %v", err)
-	}
-	if e := frameEpoch(t, frame); e != 0 {
-		t.Fatalf("frame epoch = %d, want 0", e)
-	}
-	if _, err := sb.Open(frame, nil); err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-}
-
 func TestSessionMaybeRotateClosed(t *testing.T) {
 	clk := clock.NewVirtual(sessionEpoch0)
 	sa, _ := newPairCfg(t, SessionConfig{Clock: clk}, SessionConfig{Clock: clk})
@@ -371,13 +337,16 @@ func TestSessionMaybeRotateClosed(t *testing.T) {
 	}
 }
 
+// TestEpochAtBounds: a clock before the session start is epoch 0, and
+// the longest elapsed time a Duration holds stays inside the uint32
+// epoch space.
 func TestEpochAtBounds(t *testing.T) {
-	s := &Session{period: time.Nanosecond}
-	if e := s.epochAt(sessionEpoch0.Add(5*time.Second), sessionEpoch0); e != math.MaxUint32 {
-		t.Errorf("epochAt far past the cap = %d, want MaxUint32", e)
-	}
-	if e := s.epochAt(sessionEpoch0.Add(-time.Second), sessionEpoch0); e != 0 {
+	if e := epochAt(sessionEpoch0.Add(-time.Second), sessionEpoch0); e != 0 {
 		t.Errorf("epochAt before start = %d, want 0", e)
+	}
+	want := uint32(time.Duration(math.MaxInt64) / DefaultRotationPeriod)
+	if e := epochAt(sessionEpoch0.Add(math.MaxInt64), sessionEpoch0); e != want || e == math.MaxUint32 {
+		t.Errorf("epochAt at the largest Duration = %d, want %d (below MaxUint32)", e, want)
 	}
 }
 

@@ -52,27 +52,15 @@ var (
 	ErrEpochExpired = errors.New("secure: frame epoch retired past its overlap window")
 )
 
-// SessionConfig tunes a session beyond the defaults NewSession applies.
-// The zero value is valid: wall clock, default rotation period and
-// overlap, default forward-jump bound, no stats, no tracer.
+// SessionConfig wires a session to its owner. The zero value is valid:
+// wall clock, no stats, no tracer. Every session rotates its keys every
+// DefaultRotationPeriod, keeps a superseded receive key for
+// DefaultOverlapWindow, and bounds a forward sequence jump at
+// DefaultMaxForwardJump.
 type SessionConfig struct {
 	// Clock drives epoch rotation. Nil selects the system clock; the
 	// secure layer itself never calls time.Now().
 	Clock clock.Clock
-	// RotationPeriod is the epoch length. 0 selects
-	// DefaultRotationPeriod; negative disables rotation (the session
-	// stays in epoch 0, for tests and very short-lived links).
-	RotationPeriod time.Duration
-	// OverlapWindow is how long the receive side keeps a superseded
-	// epoch's key usable after first accepting its successor, so frames
-	// in flight across a rotation still open. 0 selects
-	// DefaultOverlapWindow.
-	OverlapWindow time.Duration
-	// MaxForwardJump bounds how far a frame sequence may run ahead of
-	// the last accepted one (the first frame of a session is exempt: it
-	// establishes the position). 0 selects DefaultMaxForwardJump;
-	// negative disables the bound.
-	MaxForwardJump int64
 	// Stats, when set, counts this session's events into a recorder (a
 	// node, a fleet, a test); nil counts nothing.
 	Stats *StatsRecorder
@@ -87,9 +75,10 @@ type SessionConfig struct {
 // (see epoch.go): frames carry an epoch header naming the key they were
 // sealed under plus a strictly increasing sequence number. A frame at or
 // below the last accepted sequence is rejected (replay protection),
-// forward jumps are tolerated up to MaxForwardJump — every sequence
-// authenticates independently (nonce and AAD both bind epoch and
-// sequence), so frames lost on a lossy radio skip the window forward
+// forward jumps are tolerated up to DefaultMaxForwardJump (the first
+// frame of a session is exempt: it establishes the position) — every
+// sequence authenticates independently (nonce and AAD both bind epoch
+// and sequence), so frames lost on a lossy radio skip the window forward
 // instead of desynchronizing the channel.
 //
 // A session is not safe for concurrent use within one direction: callers
@@ -99,9 +88,6 @@ type SessionConfig struct {
 // queue). The two directions may run concurrently with each other.
 type Session struct {
 	clk      clock.Clock
-	period   time.Duration
-	overlap  time.Duration
-	maxJump  int64
 	rec      *StatsRecorder
 	closed   bool
 	overhead int
@@ -157,8 +143,8 @@ func NewSession(local *ecdsa.PrivateKey, remote *ecdsa.PublicKey, context []byte
 	return NewSessionWithConfig(local, remote, context, SessionConfig{})
 }
 
-// NewSessionWithConfig is NewSession with explicit rotation, stats and
-// tracing configuration.
+// NewSessionWithConfig is NewSession with an explicit clock, stats and
+// tracer.
 func NewSessionWithConfig(local *ecdsa.PrivateKey, remote *ecdsa.PublicKey, context []byte, cfg SessionConfig) (*Session, error) {
 	t := cfg.Tracer
 	sp := t.Start(t.Track("secure"), "secure.derive")
@@ -197,9 +183,6 @@ func NewSessionWithConfig(local *ecdsa.PrivateKey, remote *ecdsa.PublicKey, cont
 
 	s := &Session{
 		clk:       cfg.Clock,
-		period:    cfg.RotationPeriod,
-		overlap:   cfg.OverlapWindow,
-		maxJump:   cfg.MaxForwardJump,
 		rec:       cfg.Stats,
 		sendChain: newChain(sendRoot),
 		recvChain: newChain(recvRoot),
@@ -209,15 +192,6 @@ func NewSessionWithConfig(local *ecdsa.PrivateKey, remote *ecdsa.PublicKey, cont
 	Zeroize(shared)
 	if s.clk == nil {
 		s.clk = clock.System()
-	}
-	if s.period == 0 {
-		s.period = DefaultRotationPeriod
-	}
-	if s.overlap == 0 {
-		s.overlap = DefaultOverlapWindow
-	}
-	if s.maxJump == 0 {
-		s.maxJump = DefaultMaxForwardJump
 	}
 	now := s.clk.Now()
 	s.sendStart, s.recvStart = now, now
@@ -284,20 +258,14 @@ func (s *Session) retireRecvBefore(e uint32) {
 }
 
 // epochAt computes the clock-driven epoch number for elapsed time since
-// start.
-func (s *Session) epochAt(now, start time.Time) uint32 {
-	if s.period <= 0 {
-		return 0
-	}
+// start. Sub saturates at the largest Duration (about 292 years), some 15
+// million periods, so the epoch always fits a uint32.
+func epochAt(now, start time.Time) uint32 {
 	elapsed := now.Sub(start)
 	if elapsed <= 0 {
 		return 0
 	}
-	e := int64(elapsed / s.period)
-	if e > math.MaxUint32 {
-		return math.MaxUint32
-	}
-	return uint32(e)
+	return uint32(elapsed / DefaultRotationPeriod)
 }
 
 // MaybeRotate advances the send direction to the clock's current epoch,
@@ -309,7 +277,7 @@ func (s *Session) MaybeRotate() (bool, error) {
 	if s.closed {
 		return false, ErrSessionDone
 	}
-	e := s.epochAt(s.clk.Now(), s.sendStart)
+	e := epochAt(s.clk.Now(), s.sendStart)
 	if e <= s.sendEpoch {
 		return false, nil
 	}
@@ -395,9 +363,9 @@ func (s *Session) open(frame, aad, dst []byte) ([]byte, error) {
 	}
 	// The forward-jump bound arms after the first accepted frame: the
 	// opening frame establishes the position.
-	if s.recvAny && s.maxJump > 0 && hdr.Seq-s.recvSeq > uint64(s.maxJump) {
+	if s.recvAny && hdr.Seq-s.recvSeq > DefaultMaxForwardJump {
 		bump(s.rec, cOpenFailures)
-		return nil, fmt.Errorf("%w: got %d, window ends at %d", ErrSeqJump, hdr.Seq, s.recvSeq+uint64(s.maxJump))
+		return nil, fmt.Errorf("%w: got %d, window ends at %d", ErrSeqJump, hdr.Seq, s.recvSeq+DefaultMaxForwardJump)
 	}
 
 	aead, err := s.acceptEpoch(hdr.Epoch)
@@ -439,14 +407,14 @@ func (s *Session) open(frame, aad, dst []byte) ([]byte, error) {
 // ratcheting.
 func (s *Session) acceptEpoch(e uint32) (cipher.AEAD, error) {
 	if e < s.recvMax {
-		if s.clk.Now().Sub(s.recvSeen) > s.overlap {
+		if s.clk.Now().Sub(s.recvSeen) > DefaultOverlapWindow {
 			s.retireRecvBefore(s.recvMax)
 			return nil, fmt.Errorf("%w: epoch %d after overlap of %d", ErrEpochExpired, e, s.recvMax)
 		}
 		return s.recvKeyFor(e)
 	}
 	if e > s.recvMax {
-		local := s.epochAt(s.clk.Now(), s.recvStart)
+		local := epochAt(s.clk.Now(), s.recvStart)
 		if e > local+1 {
 			return nil, fmt.Errorf("%w: epoch %d, local %d", ErrEpochSkew, e, local)
 		}

@@ -119,8 +119,8 @@ type (
 	// SimMedium is the deterministic virtual-time medium.
 	SimMedium = mpc.SimMedium
 	// NetMedium is the real-socket medium: UDP beacon discovery plus
-	// per-technology TCP sessions, for running nodes across processes
-	// and machines.
+	// TCP sessions on one listener per node, for running nodes across
+	// processes and machines.
 	NetMedium = netmedium.Medium
 	// NetConfig tunes a NetMedium (beacon addresses, ports, timeouts).
 	NetConfig = netmedium.Config
@@ -253,7 +253,8 @@ func NewMemMedium() *MemMedium {
 
 // NewNetMedium creates the real-socket medium so a node runs in vivo:
 // discovery beacons over UDP (broadcast, multicast, or static peers) and
-// encrypted-session frames over per-technology TCP connections.
+// encrypted-session frames over TCP connections to one session listener
+// per node.
 func NewNetMedium(cfg NetConfig) (*NetMedium, error) {
 	return netmedium.New(cfg)
 }
