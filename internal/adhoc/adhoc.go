@@ -26,6 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sync"
 
 	"sos/internal/clock"
@@ -46,6 +48,8 @@ var (
 	ErrBadHandshake  = errors.New("adhoc: handshake protocol violation")
 	ErrBadTranscript = errors.New("adhoc: transcript signature invalid")
 	ErrLinkExists    = errors.New("adhoc: link to peer already active")
+	// errWedged is the sweep's reason for ending a handshake.
+	errWedged = errors.New("adhoc: handshake wedged")
 	// ErrPeerMisbehaved marks authenticated protocol abuse: the peer's
 	// sealed frame decrypted and authenticated under the session key but
 	// its plaintext is not a wire frame. Radio damage cannot produce
@@ -56,7 +60,9 @@ var (
 )
 
 // Handler is the callback surface the message manager registers.
-// Callbacks for one manager are serialized; they must not block. Frames
+// Callbacks for one manager are serialized; they must not block. The one
+// exception is LinkDown for a link ended by Link.Close or Manager.Close:
+// it runs on the caller's goroutine before Close returns. Frames
 // handed to FrameIn may alias decode scratch that is reused after the
 // callback returns (a Batch's messages alias the decrypted frame buffer);
 // handlers that retain message contents must copy them first
@@ -75,7 +81,7 @@ type Handler interface {
 	LinkUp(link *Link)
 	// FrameIn delivers a decrypted, decoded frame from an established link.
 	FrameIn(link *Link, f wire.Frame)
-	// LinkDown fires when an established link ends.
+	// LinkDown fires once when an established link ends.
 	LinkDown(link *Link, reason error)
 }
 
@@ -156,15 +162,10 @@ type connState struct {
 	session  *secure.Session
 	link     *Link
 	// hs is the connection's handshake span, opened when the connection
-	// appears and ended at establishment or failure. Written before the
-	// state is published in conns; the manager's serialized callbacks
-	// only read it afterwards.
+	// appears and ended at establishment or by end. Written before the
+	// state is published in conns; whoever takes the state out of conns
+	// ends it.
 	hs span.Span
-	// failure records why the manager dropped the connection, so the
-	// eventual Disconnected callback can report the protocol-level
-	// reason (e.g. ErrPeerMisbehaved) instead of the transport's
-	// generic close error. Guarded by the manager mutex.
-	failure error
 	// swept marks a handshake ExpireHandshakes has already seen; the
 	// next call fails it. Guarded by the manager mutex.
 	swept bool
@@ -286,13 +287,14 @@ func (m *Manager) Connect(peer mpc.PeerID) error {
 
 	hello := &wire.Hello{CertDER: m.cfg.CertDER, Nonce: st.nonceI}
 	if err := m.sendPlain(conn, hello); err != nil {
-		m.failConn(conn, err)
+		m.end(conn, err)
 		return err
 	}
 	return nil
 }
 
-// Close detaches from the medium and tears down all links.
+// Close ends every connection, delivering LinkDown(ErrClosed) for each
+// link before it returns, and detaches from the medium.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -300,19 +302,48 @@ func (m *Manager) Close() error {
 		return nil
 	}
 	m.closed = true
-	links := make([]*Link, 0, len(m.links))
-	for _, l := range m.links {
-		links = append(links, l)
-	}
-	m.links = make(map[mpc.PeerID]*Link)
-	m.conns = make(map[mpc.Conn]*connState)
+	conns := slices.Collect(maps.Keys(m.conns))
 	m.mu.Unlock()
 
-	for _, l := range links {
-		l.conn.Close()
-		m.cfg.Handler.LinkDown(l, ErrClosed)
+	for _, conn := range conns {
+		m.end(conn, ErrClosed)
 	}
 	return m.endpoint.Close()
+}
+
+// end is the one way a connection leaves the manager. The first caller
+// takes conn out of conns, and its link out of links; a handshake that
+// never finished counts once, as a tie-break or a failure, and ends its
+// span. It then closes the connection and, for an established link,
+// delivers LinkDown(reason). A later call finds nothing. The sweep's
+// reason, errWedged, ends only a handshake: one that finished after the
+// sweep chose it stays up.
+func (m *Manager) end(conn mpc.Conn, reason error) {
+	m.mu.Lock()
+	st := m.conns[conn]
+	if st == nil || st.link != nil && reason == errWedged {
+		m.mu.Unlock()
+		return
+	}
+	delete(m.conns, conn)
+	link := st.link
+	switch {
+	case link != nil:
+		delete(m.links, link.peer)
+	case m.lostTieBreakLocked(st):
+		m.stats.TieBreaks++
+	default:
+		m.stats.HandshakeFailures++
+	}
+	m.mu.Unlock()
+	if link == nil {
+		st.hs.Attr("ok", 0)
+		st.hs.End()
+	}
+	conn.Close()
+	if link != nil {
+		m.cfg.Handler.LinkDown(link, reason)
+	}
 }
 
 // ExpireHandshakes fails every connection that is still mid-handshake and
@@ -323,7 +354,7 @@ func (m *Manager) Close() error {
 // sets the pace — the message manager calls this once per resync
 // heartbeat tick, before its re-dials — so the guard needs no clock.
 func (m *Manager) ExpireHandshakes() {
-	var wedged []*connState
+	var wedged []mpc.Conn
 	m.mu.Lock()
 	for conn, st := range m.conns {
 		switch {
@@ -331,16 +362,12 @@ func (m *Manager) ExpireHandshakes() {
 		case !st.swept:
 			st.swept = true
 		default:
-			delete(m.conns, conn)
-			m.stats.HandshakeFailures++
-			wedged = append(wedged, st)
+			wedged = append(wedged, conn)
 		}
 	}
 	m.mu.Unlock()
-	for _, st := range wedged {
-		st.hs.Attr("ok", 0)
-		st.hs.End()
-		st.conn.Close()
+	for _, conn := range wedged {
+		m.end(conn, errWedged)
 	}
 }
 
@@ -354,23 +381,6 @@ func (m *Manager) sendPlain(conn mpc.Conn, f wire.Frame) error {
 		return fmt.Errorf("adhoc: sending %s: %w", f.Type(), err)
 	}
 	return nil
-}
-
-// failConn abandons a connection before establishment, counting it
-// unless ExpireHandshakes already did.
-func (m *Manager) failConn(conn mpc.Conn, _ error) {
-	m.mu.Lock()
-	st := m.conns[conn]
-	if st != nil {
-		delete(m.conns, conn)
-		m.stats.HandshakeFailures++
-	}
-	m.mu.Unlock()
-	if st != nil {
-		st.hs.Attr("ok", 0)
-		st.hs.End()
-	}
-	conn.Close()
 }
 
 // transcript computes the handshake transcript both sides sign.
@@ -473,39 +483,10 @@ func (e *events) Received(conn mpc.Conn, frame []byte) {
 	}
 }
 
-// Disconnected implements mpc.Events.
+// Disconnected implements mpc.Events. A connection the manager ended
+// itself is already gone, so its LinkDown keeps the manager's reason.
 func (e *events) Disconnected(conn mpc.Conn, reason error) {
-	m := (*Manager)(e)
-	m.mu.Lock()
-	st, ok := m.conns[conn]
-	if ok {
-		delete(m.conns, conn)
-		if st.stage != stageEstablished {
-			if m.lostTieBreakLocked(st) {
-				m.stats.TieBreaks++
-			} else {
-				m.stats.HandshakeFailures++
-			}
-			st.hs.Attr("ok", 0)
-			st.hs.End()
-		}
-	}
-	var link *Link
-	if ok && st.link != nil {
-		if m.links[st.link.peer] == st.link {
-			delete(m.links, st.link.peer)
-		}
-		link = st.link
-	}
-	if ok && st.failure != nil {
-		// The manager dropped this connection itself; report why, not
-		// the transport's generic close error.
-		reason = st.failure
-	}
-	m.mu.Unlock()
-	if link != nil {
-		m.cfg.Handler.LinkDown(link, reason)
-	}
+	(*Manager)(e).end(conn, reason)
 }
 
 // lostTieBreakLocked reports whether the peer closed st, a dial still
@@ -525,12 +506,12 @@ func (m *Manager) lostTieBreakLocked(st *connState) bool {
 func (m *Manager) onHello(st *connState, frame []byte) {
 	f, err := wire.Decode(frame)
 	if err != nil {
-		m.failConn(st.conn, err)
+		m.end(st.conn, err)
 		return
 	}
 	hello, ok := f.(*wire.Hello)
 	if !ok {
-		m.failConn(st.conn, fmt.Errorf("%w: got %s, want hello", ErrBadHandshake, f.Type()))
+		m.end(st.conn, fmt.Errorf("%w: got %s, want hello", ErrBadHandshake, f.Type()))
 		return
 	}
 	peerCert, err := m.cfg.Verifier.Verify(hello.CertDER)
@@ -541,19 +522,19 @@ func (m *Manager) onHello(st *connState, frame []byte) {
 	st.peerCert = peerCert
 	st.nonceI = hello.Nonce
 	if _, err := io.ReadFull(m.cfg.Rand, st.nonceR[:]); err != nil {
-		m.failConn(st.conn, err)
+		m.end(st.conn, err)
 		return
 	}
 
 	ts := transcript(st.nonceI, st.nonceR, hello.CertDER, m.cfg.CertDER)
 	sig, err := m.cfg.Ident.Sign(ts)
 	if err != nil {
-		m.failConn(st.conn, err)
+		m.end(st.conn, err)
 		return
 	}
 	sess, err := m.newSession(peerCert, sessionContext(st.nonceI, st.nonceR))
 	if err != nil {
-		m.failConn(st.conn, err)
+		m.end(st.conn, err)
 		return
 	}
 	st.session = sess
@@ -561,7 +542,7 @@ func (m *Manager) onHello(st *connState, frame []byte) {
 
 	ack := &wire.HelloAck{CertDER: m.cfg.CertDER, Nonce: st.nonceR, Sig: sig}
 	if err := m.sendPlain(st.conn, ack); err != nil {
-		m.failConn(st.conn, err)
+		m.end(st.conn, err)
 	}
 }
 
@@ -569,12 +550,12 @@ func (m *Manager) onHello(st *connState, frame []byte) {
 func (m *Manager) onHelloAck(st *connState, frame []byte) {
 	f, err := wire.Decode(frame)
 	if err != nil {
-		m.failConn(st.conn, err)
+		m.end(st.conn, err)
 		return
 	}
 	ack, ok := f.(*wire.HelloAck)
 	if !ok {
-		m.failConn(st.conn, fmt.Errorf("%w: got %s, want hello-ack", ErrBadHandshake, f.Type()))
+		m.end(st.conn, fmt.Errorf("%w: got %s, want hello-ack", ErrBadHandshake, f.Type()))
 		return
 	}
 	peerCert, err := m.cfg.Verifier.Verify(ack.CertDER)
@@ -587,38 +568,31 @@ func (m *Manager) onHelloAck(st *connState, frame []byte) {
 
 	ts := transcript(st.nonceI, st.nonceR, m.cfg.CertDER, ack.CertDER)
 	if !id.Verify(peerCert.Key, ts, ack.Sig) {
-		m.failConn(st.conn, ErrBadTranscript)
+		m.end(st.conn, ErrBadTranscript)
 		return
 	}
 	sess, err := m.newSession(peerCert, sessionContext(st.nonceI, st.nonceR))
 	if err != nil {
-		m.failConn(st.conn, err)
+		m.end(st.conn, err)
 		return
 	}
 	st.session = sess
 
 	sig, err := m.cfg.Ident.Sign(ts)
 	if err != nil {
-		m.failConn(st.conn, err)
+		m.end(st.conn, err)
 		return
 	}
-	link := m.establish(st)
-	if link == nil {
-		return
-	}
+	// HelloFin leaves on the link before it is registered: a failed send
+	// is a failed handshake, with no LinkUp and no LinkDown.
+	link := m.newLink(st)
 	if err := link.SendFrame(&wire.HelloFin{Sig: sig}); err != nil {
-		// Its LinkUp never fired, so drop the link here, not via Disconnected.
-		m.mu.Lock()
-		if m.conns[st.conn] == st {
-			delete(m.conns, st.conn)
-			delete(m.links, link.peer)
-			m.stats.HandshakeFailures++
-		}
-		m.mu.Unlock()
-		st.conn.Close()
+		m.end(st.conn, err)
 		return
 	}
-	m.cfg.Handler.LinkUp(link)
+	if m.establish(st, link) {
+		m.cfg.Handler.LinkUp(link)
+	}
 }
 
 // onSealed handles session frames: the responder's pending HelloFin, or
@@ -642,29 +616,29 @@ func (m *Manager) onSealed(st *connState, frame []byte, expectFin bool) {
 		if !expectFin && (errors.Is(err, secure.ErrReplay) || errors.Is(err, secure.ErrEpochExpired)) {
 			return
 		}
-		m.dropConn(st, err)
+		m.end(st.conn, err)
 		return
 	}
 	f, err := wire.Decode(plain)
 	if err != nil {
 		// The ciphertext authenticated, so the peer really sent this
 		// undecodable plaintext: protocol abuse, not radio damage.
-		m.dropConn(st, fmt.Errorf("%w: %v", ErrPeerMisbehaved, err))
+		m.end(st.conn, fmt.Errorf("%w: %v", ErrPeerMisbehaved, err))
 		return
 	}
 
 	if expectFin {
 		fin, ok := f.(*wire.HelloFin)
 		if !ok {
-			m.dropConn(st, fmt.Errorf("%w: got %s, want hello-fin", ErrBadHandshake, f.Type()))
+			m.end(st.conn, fmt.Errorf("%w: got %s, want hello-fin", ErrBadHandshake, f.Type()))
 			return
 		}
 		ts := transcript(st.nonceI, st.nonceR, st.peerCert.DER, m.cfg.CertDER)
 		if !id.Verify(st.peerCert.Key, ts, fin.Sig) {
-			m.dropConn(st, ErrBadTranscript)
+			m.end(st.conn, ErrBadTranscript)
 			return
 		}
-		if link := m.establish(st); link != nil {
+		if link := m.newLink(st); m.establish(st, link) {
 			m.cfg.Handler.LinkUp(link)
 		}
 		return
@@ -678,36 +652,30 @@ func (m *Manager) onSealed(st *connState, frame []byte, expectFin bool) {
 		return
 	}
 	if _, bye := f.(*wire.Bye); bye {
-		st.conn.Close() // Disconnected will fire LinkDown
+		m.end(st.conn, mpc.ErrClosed) // the reason the medium reports for a close
 		return
 	}
 	m.cfg.Handler.FrameIn(link, f)
 }
 
-// establish promotes a completed handshake to an active link.
-func (m *Manager) establish(st *connState) *Link {
-	link := &Link{
-		mgr:  m,
-		conn: st.conn,
-		peer: st.conn.Peer(),
-		cert: st.peerCert,
-		sess: st.session,
-	}
+// newLink wraps a completed handshake's session; establish registers it.
+func (m *Manager) newLink(st *connState) *Link {
+	return &Link{mgr: m, conn: st.conn, peer: st.conn.Peer(), cert: st.peerCert, sess: st.session}
+}
+
+// establish promotes a completed handshake to the active link, reporting
+// whether it did. A handshake already ended (by the sweep or Close) stays
+// ended; one that lost a race to another link to the same peer is ended.
+func (m *Manager) establish(st *connState, link *Link) bool {
 	m.mu.Lock()
 	if m.conns[st.conn] != st {
-		// ExpireHandshakes (or Close) dropped it mid-callback: as a link
-		// it would outlive the Disconnected that already missed it.
 		m.mu.Unlock()
-		return nil
+		return false
 	}
-	if existing, up := m.links[link.peer]; up && existing != nil {
-		// A link to this peer won a race; drop the duplicate.
-		delete(m.conns, st.conn)
+	if _, up := m.links[link.peer]; up {
 		m.mu.Unlock()
-		st.hs.Attr("ok", 0)
-		st.hs.End()
-		st.conn.Close()
-		return nil
+		m.end(st.conn, ErrLinkExists)
+		return false
 	}
 	st.stage = stageEstablished
 	st.link = link
@@ -716,26 +684,15 @@ func (m *Manager) establish(st *connState) *Link {
 	m.mu.Unlock()
 	st.hs.Attr("ok", 1)
 	st.hs.End()
-	return link
+	return true
 }
 
-// rejectCert records a certificate rejection and drops the connection.
-func (m *Manager) rejectCert(conn mpc.Conn, _ error) {
+// rejectCert records a certificate rejection and ends the connection.
+func (m *Manager) rejectCert(conn mpc.Conn, err error) {
 	m.mu.Lock()
 	m.stats.CertRejections++
 	m.mu.Unlock()
-	m.failConn(conn, nil)
-}
-
-// dropConn closes an established (or finishing) connection, recording
-// the reason for the Disconnected callback to surface.
-func (m *Manager) dropConn(st *connState, reason error) {
-	m.mu.Lock()
-	if st.failure == nil {
-		st.failure = reason
-	}
-	m.mu.Unlock()
-	st.conn.Close() // Disconnected callback does the bookkeeping
+	m.end(conn, err)
 }
 
 // Link is an established, mutually-authenticated, encrypted connection to
@@ -804,8 +761,11 @@ func (l *Link) sendLocked(enc []byte) error {
 	return nil
 }
 
-// Close tears the link down; both sides observe LinkDown.
+// Close says Bye and ends the link: it is gone, and LinkDown(mpc.ErrClosed)
+// has run on this goroutine, when Close returns. The peer observes
+// LinkDown on its Bye, or when the medium reports the close.
 func (l *Link) Close() error {
 	_ = l.SendFrame(&wire.Bye{}) // best effort
-	return l.conn.Close()
+	l.mgr.end(l.conn, mpc.ErrClosed)
+	return nil
 }

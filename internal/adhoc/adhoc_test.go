@@ -10,6 +10,7 @@ import (
 	"sos/internal/cloud"
 	"sos/internal/id"
 	"sos/internal/mpc"
+	"sos/internal/obs/span"
 	"sos/internal/pki"
 	"sos/internal/secure"
 	"sos/internal/wire"
@@ -491,6 +492,44 @@ func TestByeClosesBothSides(t *testing.T) {
 	}
 }
 
+// TestClosedLinkIsGoneWhenCloseReturns: Link.Close ends the link before
+// it returns, so LinkDown has fired and a re-dial to the same peer is
+// accepted with nothing pumped in between. The medium's later report of
+// the close finds nothing to end a second time.
+func TestClosedLinkIsGoneWhenCloseReturns(t *testing.T) {
+	w := newWorld(t)
+	ca, cb := newCapture(), newCapture()
+	ma, _ := w.device(t, "alice", ca)
+	mb, _ := w.device(t, "bob", cb)
+
+	w.medium.SetLink(ma.Self(), mb.Self(), mpc.Bluetooth)
+	w.pump(2 * time.Second)
+	if err := ma.Connect(mb.Self()); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	w.pump(2 * time.Second)
+	if len(ca.ups) != 1 || len(cb.ups) != 1 {
+		t.Fatal("link never established")
+	}
+
+	if err := ca.ups[0].Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if len(ca.downs) != 1 || !errors.Is(ca.downs[0], mpc.ErrClosed) {
+		t.Errorf("alice's downs when Close returns = %v, want one mpc.ErrClosed", ca.downs)
+	}
+	if err := ma.Connect(mb.Self()); err != nil {
+		t.Fatalf("re-dial right after Close: %v", err)
+	}
+	w.pump(2 * time.Second)
+	if len(ca.downs) != 1 || len(cb.downs) != 1 {
+		t.Errorf("downs = %d/%d, want 1/1", len(ca.downs), len(cb.downs))
+	}
+	if len(ca.ups) != 2 || len(cb.ups) != 2 {
+		t.Errorf("ups = %d/%d, want 2/2", len(ca.ups), len(cb.ups))
+	}
+}
+
 func TestSimultaneousConnectYieldsOneLink(t *testing.T) {
 	w := newWorld(t)
 	ca, cb := newCapture(), newCapture()
@@ -684,6 +723,35 @@ func TestExpireHandshakes(t *testing.T) {
 	}
 }
 
+// TestSweepSparesAFinishedHandshake: ExpireHandshakes picks its wedged
+// connections under the lock and ends them after releasing it, so a
+// handshake can finish in between. Ending it then with the sweep's
+// reason leaves the new link up.
+func TestSweepSparesAFinishedHandshake(t *testing.T) {
+	w := newWorld(t)
+	ca, cb := newCapture(), newCapture()
+	ma, _ := w.device(t, "alice", ca)
+	mb, _ := w.device(t, "bob", cb)
+	w.medium.SetLink(ma.Self(), mb.Self(), mpc.PeerToPeerWiFi)
+	w.pump(2 * time.Second)
+	if err := ma.Connect(mb.Self()); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	w.pump(2 * time.Second)
+	if len(ca.ups) != 1 {
+		t.Fatal("link never established")
+	}
+
+	ma.end(ca.ups[0].conn, errWedged)
+	w.pump(time.Second)
+	if len(ca.downs)+len(cb.downs) != 0 || ma.Stats().HandshakeFailures != 0 {
+		t.Fatalf("the sweep ended a finished handshake: downs %d/%d, %+v", len(ca.downs), len(cb.downs), ma.Stats())
+	}
+	if err := ca.ups[0].SendFrame(&wire.SummaryPull{}); err != nil {
+		t.Fatalf("SendFrame on the spared link: %v", err)
+	}
+}
+
 // hangUpMedium drops the connection as the first frame arrives at the
 // endpoint joined through it, then delivers the frame, so the
 // handshake's reply to it cannot be sent. Later frames pass untouched.
@@ -707,9 +775,9 @@ func (e *hangUpEvents) Received(conn mpc.Conn, frame []byte) {
 }
 
 // TestFailedHelloFinLeavesNoLink: alice's radio drops the connection as
-// bob's HelloAck arrives, so her HelloFin send fails after she has
-// registered the link. No link may be left to refuse the re-dial, no
-// LinkUp or LinkDown fires for it, and a re-dial links.
+// bob's HelloAck arrives, so her HelloFin send fails: a failed
+// handshake. No link may be left to refuse the re-dial, no LinkUp or
+// LinkDown fires for it, and a re-dial links.
 func TestFailedHelloFinLeavesNoLink(t *testing.T) {
 	w := newWorld(t)
 	ca, cb := newCapture(), newCapture()
@@ -770,6 +838,37 @@ func TestManagerClose(t *testing.T) {
 	}
 	if err := ma.Close(); err != nil {
 		t.Errorf("double Close: %v", err)
+	}
+}
+
+// TestManagerCloseEndsHandshakes: a handshake that Close cuts ends like
+// any other, counted once and its span recorded, with no LinkDown; the
+// medium's later report of the close finds nothing.
+func TestManagerCloseEndsHandshakes(t *testing.T) {
+	w := newWorld(t)
+	ca := newCapture()
+	ma, _ := w.device(t, "alice", ca)
+	mb, _ := w.device(t, "bob", newCapture())
+	tracer := span.NewTracer(16)
+	ma.cfg.Tracer = tracer
+
+	w.medium.SetLink(ma.Self(), mb.Self(), mpc.Bluetooth)
+	w.pump(2 * time.Second)
+	if err := ma.Connect(mb.Self()); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	if err := ma.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	w.pump(2 * time.Second)
+	if got := ma.Stats().HandshakeFailures; got != 1 {
+		t.Errorf("HandshakeFailures = %d, want 1", got)
+	}
+	if got := tracer.Len(); got != 1 {
+		t.Errorf("%d spans recorded, want the one handshake span", got)
+	}
+	if len(ca.ups)+len(ca.downs) != 0 {
+		t.Errorf("ups %d, downs %d for a handshake that never finished", len(ca.ups), len(ca.downs))
 	}
 }
 

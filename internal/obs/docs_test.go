@@ -64,9 +64,9 @@ func TestMetricCatalogDocumented(t *testing.T) {
 	RegisterNodeMetrics(reg, NodeMetrics{Middleware: mw, Medium: medium, Exporter: exp, Chaos: chz})
 
 	text := string(doc)
-	for _, name := range reg.Names() {
-		if !strings.Contains(text, name) {
-			t.Errorf("series %s is registered by RegisterNodeMetrics but undocumented in docs/OBSERVABILITY.md", name)
+	for _, f := range reg.sortedFamilies() {
+		if !strings.Contains(text, f.name) {
+			t.Errorf("series %s is registered by RegisterNodeMetrics but undocumented in docs/OBSERVABILITY.md", f.name)
 		}
 	}
 }

@@ -242,18 +242,6 @@ func (r *Registry) sortedFamilies() []*family {
 	return out
 }
 
-// Names returns the sorted family names currently registered. The
-// catalog drift test diffs this against docs/OBSERVABILITY.md so the
-// documented catalog cannot silently fall behind RegisterNodeMetrics.
-func (r *Registry) Names() []string {
-	fams := r.sortedFamilies()
-	out := make([]string, 0, len(fams))
-	for _, f := range fams {
-		out = append(out, f.name)
-	}
-	return out
-}
-
 // WriteProm renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4), families sorted by name, series
 // sorted by label set.

@@ -64,16 +64,15 @@ type UserCert struct {
 // CA is the AlleyOop Social certificate authority. It lives "in the cloud":
 // devices talk to it only during signup and maintenance windows.
 type CA struct {
-	mu       sync.Mutex
-	key      *ecdsa.PrivateKey
-	cert     *x509.Certificate
-	certDER  []byte
-	now      func() time.Time
-	entropy  io.Reader
-	validity time.Duration
-	nextSer  int64
-	revoked  map[string]time.Time // serial -> revocation time
-	issued   map[id.UserID]string // user -> latest serial
+	mu      sync.Mutex
+	key     *ecdsa.PrivateKey
+	cert    *x509.Certificate
+	certDER []byte
+	now     func() time.Time
+	entropy io.Reader
+	nextSer int64
+	revoked map[string]time.Time // serial -> revocation time
+	issued  map[id.UserID]string // user -> latest serial
 }
 
 // CAOption configures a CA.
@@ -90,20 +89,14 @@ func WithEntropy(r io.Reader) CAOption {
 	return func(ca *CA) { ca.entropy = r }
 }
 
-// WithLeafValidity overrides the lifetime of issued user certificates.
-func WithLeafValidity(d time.Duration) CAOption {
-	return func(ca *CA) { ca.validity = d }
-}
-
 // NewCA creates a certificate authority with a fresh self-signed root.
 func NewCA(name string, opts ...CAOption) (*CA, error) {
 	ca := &CA{
-		now:      time.Now,
-		entropy:  rand.Reader,
-		validity: DefaultLeafValidity,
-		nextSer:  2, // serial 1 is the root
-		revoked:  make(map[string]time.Time),
-		issued:   make(map[id.UserID]string),
+		now:     time.Now,
+		entropy: rand.Reader,
+		nextSer: 2, // serial 1 is the root
+		revoked: make(map[string]time.Time),
+		issued:  make(map[id.UserID]string),
 	}
 	for _, opt := range opts {
 		opt(ca)
@@ -159,14 +152,13 @@ func Load(certDER []byte, key *ecdsa.PrivateKey, opts ...CAOption) (*CA, error) 
 		return nil, errors.New("pki: stored key does not match root certificate")
 	}
 	ca := &CA{
-		now:      time.Now,
-		entropy:  rand.Reader,
-		validity: DefaultLeafValidity,
-		revoked:  make(map[string]time.Time),
-		issued:   make(map[id.UserID]string),
-		key:      key,
-		cert:     cert,
-		certDER:  append([]byte(nil), certDER...),
+		now:     time.Now,
+		entropy: rand.Reader,
+		revoked: make(map[string]time.Time),
+		issued:  make(map[id.UserID]string),
+		key:     key,
+		cert:    cert,
+		certDER: append([]byte(nil), certDER...),
 	}
 	for _, opt := range opts {
 		opt(ca)
@@ -207,7 +199,7 @@ func (ca *CA) Issue(user id.UserID, pub *ecdsa.PublicKey) (*UserCert, error) {
 		SerialNumber: serial,
 		Subject:      pkix.Name{CommonName: user.String(), Organization: []string{"AlleyOop Social User"}},
 		NotBefore:    notBefore,
-		NotAfter:     notBefore.Add(ca.validity),
+		NotAfter:     notBefore.Add(DefaultLeafValidity),
 		KeyUsage:     x509.KeyUsageDigitalSignature | x509.KeyUsageKeyAgreement,
 		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageClientAuth},
 	}

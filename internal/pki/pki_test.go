@@ -133,7 +133,7 @@ func TestExpiryUnderVirtualClock(t *testing.T) {
 	current := time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return current }
 
-	ca := newTestCA(t, WithClock(clock), WithLeafValidity(48*time.Hour))
+	ca := newTestCA(t, WithClock(clock))
 	alice := newTestIdentity(t, "alice")
 	cert, err := ca.Issue(alice.User, alice.Public())
 	if err != nil {
@@ -147,7 +147,7 @@ func TestExpiryUnderVirtualClock(t *testing.T) {
 		t.Fatalf("Verify while fresh: %v", err)
 	}
 
-	current = current.Add(72 * time.Hour)
+	current = current.Add(DefaultLeafValidity + 24*time.Hour)
 	if _, err := v.Verify(cert.DER); !errors.Is(err, ErrExpired) {
 		t.Errorf("Verify after expiry: err = %v, want ErrExpired", err)
 	}

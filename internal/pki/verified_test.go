@@ -115,8 +115,9 @@ func TestVerifierEquivalentToFresh(t *testing.T) {
 	current := t0
 	clock := func() time.Time { return current }
 
-	ca := newTestCA(t, WithClock(clock), WithLeafValidity(48*time.Hour))
-	foreign := newTestCA(t, WithClock(clock), WithLeafValidity(48*time.Hour))
+	leaf := DefaultLeafValidity
+	ca := newTestCA(t, WithClock(clock))
+	foreign := newTestCA(t, WithClock(clock))
 	alice, bob := newTestIdentity(t, "alice"), newTestIdentity(t, "bob")
 
 	aliceCert, bobCert := mustIssue(t, ca, alice), mustIssue(t, ca, bob)
@@ -146,15 +147,15 @@ func TestVerifierEquivalentToFresh(t *testing.T) {
 	users := []id.UserID{alice.User, bob.User, id.NewUserID("carol")}
 	serials := []string{aliceCert.Serial, bobCert.Serial, renewed.Serial, late.Serial, foreignCert.Serial, "1001", "1002"}
 	instants := []time.Time{
-		t0.Add(-time.Hour),                 // before everything, the root included
-		t0.Add(time.Hour),                  // first issue valid, renewal not yet
-		t0.Add(30 * time.Hour),             // both valid
-		t0.Add(60 * time.Hour),             // first issue expired, renewal valid
-		rootEnd.Add(-30 * time.Minute),     // late certificate and root valid
-		rootEnd.Add(30 * time.Minute),      // late certificate in its window, root expired
-		rootEnd.Add(30 * 24 * time.Hour),   // everything expired
-		t0.Add(48 * time.Hour),             // exactly NotAfter of the first issue
-		t0.Add(48*time.Hour + time.Second), // one second past it
+		t0.Add(-time.Hour),             // before everything, the root included
+		t0.Add(time.Hour),              // first issue valid, renewal not yet
+		t0.Add(30 * time.Hour),         // both valid
+		t0.Add(leaf + 12*time.Hour),    // first issue expired, renewal valid
+		rootEnd.Add(-30 * time.Minute), // late certificate and root valid
+		rootEnd.Add(30 * time.Minute),  // late certificate in its window, root expired
+		rootEnd.Add(leaf),              // everything expired
+		t0.Add(leaf),                   // exactly NotAfter of the first issue
+		t0.Add(leaf + time.Second),     // one second past it
 	}
 
 	sequences := 1000
@@ -227,7 +228,7 @@ func TestRecheckedAfterHit(t *testing.T) {
 	t0 := time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC)
 	current := t0.Add(time.Hour)
 	clock := func() time.Time { return current }
-	ca := newTestCA(t, WithClock(func() time.Time { return t0 }), WithLeafValidity(48*time.Hour))
+	ca := newTestCA(t, WithClock(func() time.Time { return t0 }))
 	alice := newTestIdentity(t, "alice")
 	cert := mustIssue(t, ca, alice)
 	v := newTestVerifier(t, ca, clock)
@@ -250,7 +251,7 @@ func TestRecheckedAfterHit(t *testing.T) {
 	v.UpdateCRL(nil)
 	expect("un-revoked", nil, 2, 1, 1)
 
-	current = t0.Add(72 * time.Hour)
+	current = t0.Add(DefaultLeafValidity + 24*time.Hour)
 	expect("expired after a hit", ErrExpired, 2, 1, 2)
 	current = t0.Add(time.Hour)
 	expect("clock back inside the window", nil, 3, 1, 2)

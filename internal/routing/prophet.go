@@ -156,13 +156,6 @@ func (p *Prophet) OnPeerData(peer id.UserID, data []byte) {
 	}
 }
 
-// Predictability exposes the current predictability toward a user, after
-// aging (used by tests and diagnostics).
-func (p *Prophet) Predictability(user id.UserID) float64 {
-	p.age()
-	return p.preds[user]
-}
-
 // deliverability is the best predictability toward any known subscriber
 // of author.
 func (p *Prophet) deliverability(author id.UserID) float64 {
