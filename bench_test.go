@@ -338,64 +338,6 @@ func BenchmarkContactThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSimContacts measures per-tick contact detection — the
-// in-silico scaling bottleneck the spatial grid index removed — at
-// 100/1k/5k nodes under constant fleet density, grid vs the old O(N²)
-// pairwise sweep. ns/op is the cost of one tick; checks/tick is the
-// machine-independent candidate-pair count internal/sim's grid test
-// bounds at the 1k fleet (pairwise distance-tests every active pair each
-// tick, the grid a near-constant handful per node, so per-tick cost
-// grows ~linearly in occupied cells).
-func BenchmarkSimContacts(b *testing.B) {
-	const samples = 32
-	for _, nodes := range []int{100, 1_000, 5_000} {
-		fleet := sim.ContactBenchFleet(nodes, samples, 1)
-		b.Run(fmt.Sprintf("nodes=%d/grid", nodes), func(b *testing.B) {
-			ix := sim.NewContactIndex(fleet.RangeM)
-			pairs, checks, cells := 0, 0, 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := i % samples
-				ix.Sweep(fleet.Positions[t], fleet.Active[t], func(_, _ int32) {})
-				st := ix.Stats()
-				pairs += st.Pairs
-				checks += st.Checks
-				cells += st.OccupiedCells
-			}
-			b.ReportMetric(float64(checks)/float64(b.N), "checks/tick")
-			b.ReportMetric(float64(pairs)/float64(b.N), "pairs/tick")
-			b.ReportMetric(float64(cells)/float64(b.N), "cells/tick")
-		})
-		b.Run(fmt.Sprintf("nodes=%d/pairwise", nodes), func(b *testing.B) {
-			// The sweep distance-tests every active pair: count them per
-			// sample up front so the metric matches the work actually done
-			// (inactive nodes are skipped before the test).
-			sampleChecks := make([]int, samples)
-			for t := range sampleChecks {
-				act := 0
-				for _, a := range fleet.Active[t] {
-					if a {
-						act++
-					}
-				}
-				sampleChecks[t] = act * (act - 1) / 2
-			}
-			pairs, checks := 0, 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := i % samples
-				checks += sampleChecks[t]
-				sim.PairwiseContacts(fleet.Positions[t], fleet.Active[t], fleet.RangeM, func(_, _ int32) {
-					pairs++
-				})
-			}
-			b.ReportMetric(float64(pairs)/float64(b.N), "pairs/tick")
-			b.ReportMetric(float64(checks)/float64(b.N), "checks/tick")
-		})
-	}
-}
-
 // benchAuthors preloads a store with the large-population shape the
 // storage refactor targets: 10k authors, sparse high sequence numbers.
 func benchAuthors(b *testing.B, st *store.Store, authors int) []id.UserID {
@@ -481,41 +423,6 @@ func BenchmarkStoreMissing(b *testing.B) {
 					b.Fatalf("Missing returned %d sequences, want %d", len(got), tc.want)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkStoreBufferPressure runs the constrained-device workload the
-// in-vivo study could not explore: a finite per-node quota on the ferry
-// topology, epidemic vs. interest. Epidemic floods every buffer it meets
-// and pays for it in evictions; interest carries only subscribed cargo
-// and keeps more of what matters.
-func BenchmarkStoreBufferPressure(b *testing.B) {
-	for _, scheme := range []string{"epidemic", "interest"} {
-		b.Run(scheme, func(b *testing.B) {
-			var delivered, evictions, trackedDrops float64
-			for i := 0; i < b.N; i++ {
-				bp, err := sim.NewBufferPressure(sim.BufferPressureConfig{
-					Seed: 11, Scheme: scheme, Quota: 12, Posts: 60,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := sim.New(bp.Config)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				delivered = float64(len(res.Collector.Deliveries(metrics.AllHops)))
-				evictions = float64(res.Collector.Evictions())
-				trackedDrops = float64(res.Collector.TrackedEvictions())
-			}
-			b.ReportMetric(delivered, "deliveries")
-			b.ReportMetric(evictions, "evictions")
-			b.ReportMetric(trackedDrops, "tracked-drops")
 		})
 	}
 }

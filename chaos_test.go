@@ -217,12 +217,7 @@ func TestByzantineQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byz, err := chaos.NewByzantine(chaos.ByzantineConfig{
-		Medium:   medium,
-		PeerName: "mallory-device",
-		Creds:    malCreds,
-		Seed:     3,
-	})
+	byz, err := newByzantine(medium, "mallory-device", malCreds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,7 +221,6 @@ func run(args []string) error {
 		PeerName: sos.PeerID(*name),
 		Scheme:   *scheme,
 		Store:    engine,
-		Routing:  sos.RoutingOptions{RelayTTL: *relayTTL},
 		Observer: observer,
 		Tracer:   tracer,
 		Security: sos.SecurityConfig{Dir: replayDir},

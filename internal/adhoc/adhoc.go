@@ -586,7 +586,7 @@ func (m *Manager) onHelloAck(st *connState, frame []byte) {
 	// HelloFin leaves on the link before it is registered: a failed send
 	// is a failed handshake, with no LinkUp and no LinkDown.
 	link := m.newLink(st)
-	if err := link.SendFrame(&wire.HelloFin{Sig: sig}); err != nil {
+	if err := link.sendFrame(&wire.HelloFin{Sig: sig}); err != nil {
 		m.end(st.conn, err)
 		return
 	}
@@ -720,10 +720,10 @@ func (l *Link) User() id.UserID { return l.cert.User }
 // Cert returns the remote user's verified certificate.
 func (l *Link) Cert() *pki.UserCert { return l.cert }
 
-// SendFrame encodes f, seals it in the link session, and sends it. Both
-// the encode and the seal run in per-link scratch buffers, so steady-state
-// sends do not allocate.
-func (l *Link) SendFrame(f wire.Frame) error {
+// sendFrame encodes f, seals it in the link session, and sends it: the
+// link's own HelloFin and Bye. Both the encode and the seal run in
+// per-link scratch buffers.
+func (l *Link) sendFrame(f wire.Frame) error {
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
 	enc, err := wire.AppendEncode(l.encBuf[:0], f)
@@ -765,7 +765,7 @@ func (l *Link) sendLocked(enc []byte) error {
 // has run on this goroutine, when Close returns. The peer observes
 // LinkDown on its Bye, or when the medium reports the close.
 func (l *Link) Close() error {
-	_ = l.SendFrame(&wire.Bye{}) // best effort
+	_ = l.sendFrame(&wire.Bye{}) // best effort
 	l.mgr.end(l.conn, mpc.ErrClosed)
 	return nil
 }

@@ -371,7 +371,7 @@ func TestPartitionSeversAndHeals(t *testing.T) {
 // TestPresetsValidate checks every named preset builds a valid profile
 // and unknown names are rejected.
 func TestPresetsValidate(t *testing.T) {
-	for _, name := range PresetNames() {
+	for _, name := range presetNames() {
 		p, err := Preset(name, 10*time.Second, 42)
 		if err != nil {
 			t.Errorf("Preset(%q): %v", name, err)

@@ -2,8 +2,9 @@
 // robustness work: an mpc.Medium wrapper that degrades the radio plane
 // the way real deployments do — per-link packet loss, duplication,
 // reordering, delay/jitter, asymmetric (one-way) links, and scheduled
-// partitions with healing — plus a byzantine peer harness that holds
-// valid credentials but abuses the session protocol.
+// partitions with healing. (The byzantine peer, which holds valid
+// credentials but abuses the session protocol, is a test harness beside
+// the root package's TestByzantineQuarantine.)
 //
 // Every injection decision is a pure function of (profile seed, directed
 // link, per-link frame index), so two runs with the same seed and the
@@ -95,8 +96,8 @@ const (
 	PresetPartitionHeal = "partition-heal"
 )
 
-// PresetNames lists every preset in sweep order.
-func PresetNames() []string {
+// presetNames lists every preset in sweep order.
+func presetNames() []string {
 	return []string{
 		PresetNone, PresetLoss10, PresetLoss30Reorder, PresetDupReorder,
 		PresetDelayJitter, PresetOneWay, PresetPartitionHeal,
@@ -130,7 +131,7 @@ func Preset(name string, dur time.Duration, seed int64) (Profile, error) {
 			Heal: dur * 6 / 10,
 		}}}, nil
 	default:
-		return Profile{}, fmt.Errorf("chaos: unknown preset %q (have %v)", name, PresetNames())
+		return Profile{}, fmt.Errorf("chaos: unknown preset %q (have %v)", name, presetNames())
 	}
 }
 

@@ -4,8 +4,8 @@
 // distribution, and message synchronization when the Internet happens to
 // be reachable. After a device completes Bootstrap it never needs the
 // cloud again for privacy, security, or dissemination — only for the
-// maintenance operations the paper lists as online-only (revoke, renew,
-// CRL updates).
+// maintenance operations the paper lists as online-only (revocation and
+// CRL updates; certificate renewal is not modelled).
 package cloud
 
 import (
@@ -44,7 +44,6 @@ type Service struct {
 	now       func() time.Time
 	reachable bool
 	accounts  map[string]Account
-	byUser    map[id.UserID]string
 	synced    map[id.UserID][][]byte
 }
 
@@ -63,7 +62,6 @@ func New(ca *pki.CA, opts ...Option) *Service {
 		now:       time.Now,
 		reachable: true,
 		accounts:  make(map[string]Account),
-		byUser:    make(map[id.UserID]string),
 		synced:    make(map[id.UserID][][]byte),
 	}
 	for _, opt := range opts {
@@ -88,10 +86,10 @@ func (s *Service) checkOnline() error {
 	return nil
 }
 
-// SignUp registers a handle and assigns its unique 10-byte user
+// signUp registers a handle and assigns its unique 10-byte user
 // identifier. This models the in-app account-creation step that happens
 // while the device still has Internet connectivity.
-func (s *Service) SignUp(handle string) (Account, error) {
+func (s *Service) signUp(handle string) (Account, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.checkOnline(); err != nil {
@@ -105,16 +103,15 @@ func (s *Service) SignUp(handle string) (Account, error) {
 	}
 	acct := Account{Handle: handle, User: id.NewUserID(handle), CreatedAt: s.now()}
 	s.accounts[handle] = acct
-	s.byUser[acct.User] = handle
 	return acct, nil
 }
 
-// Enroll asks the CA to issue a certificate binding claimed to pub, on
+// enroll asks the CA to issue a certificate binding claimed to pub, on
 // behalf of the logged-in account named by handle. Per the paper's §IV
 // mitigation, the cloud first compares the claimed unique user-identifier
 // with the identifier affiliated with the logged-in user; a malicious
 // device presenting someone else's identifier is refused.
-func (s *Service) Enroll(handle string, claimed id.UserID, pub *ecdsa.PublicKey) (*pki.UserCert, []byte, error) {
+func (s *Service) enroll(handle string, claimed id.UserID, pub *ecdsa.PublicKey) (*pki.UserCert, []byte, error) {
 	s.mu.Lock()
 	if err := s.checkOnline(); err != nil {
 		s.mu.Unlock()
@@ -133,13 +130,6 @@ func (s *Service) Enroll(handle string, claimed id.UserID, pub *ecdsa.PublicKey)
 		return nil, nil, fmt.Errorf("cloud: CA issuance: %w", err)
 	}
 	return cert, s.ca.RootDER(), nil
-}
-
-// Renew re-issues a certificate for an enrolled user; the paper notes this
-// replenishment path requires connectivity.
-func (s *Service) Renew(handle string, claimed id.UserID, pub *ecdsa.PublicKey) (*pki.UserCert, error) {
-	cert, _, err := s.Enroll(handle, claimed, pub)
-	return cert, err
 }
 
 // RevokeUser revokes the latest certificate of the given user, e.g. after
@@ -164,17 +154,6 @@ func (s *Service) SyncCRL() (map[string]time.Time, error) {
 		return nil, err
 	}
 	return s.ca.CRL(), nil
-}
-
-// Lookup resolves a user identifier back to its account, if any.
-func (s *Service) Lookup(user id.UserID) (Account, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	handle, ok := s.byUser[user]
-	if !ok {
-		return Account{}, false
-	}
-	return s.accounts[handle], true
 }
 
 // SyncActions uploads locally-stored actions (opaque encoded records) for
@@ -225,7 +204,7 @@ type Credentials struct {
 // generate an identity key pair on-device, enroll the public key with the
 // cloud/CA, and pin the root certificate. rng may be nil for crypto/rand.
 func Bootstrap(svc *Service, handle string, rng io.Reader) (*Credentials, error) {
-	acct, err := svc.SignUp(handle)
+	acct, err := svc.signUp(handle)
 	if err != nil {
 		return nil, fmt.Errorf("cloud: signup: %w", err)
 	}
@@ -233,7 +212,7 @@ func Bootstrap(svc *Service, handle string, rng io.Reader) (*Credentials, error)
 	if err != nil {
 		return nil, fmt.Errorf("cloud: generating identity: %w", err)
 	}
-	cert, rootDER, err := svc.Enroll(handle, ident.User, ident.Public())
+	cert, rootDER, err := svc.enroll(handle, ident.User, ident.Public())
 	if err != nil {
 		return nil, fmt.Errorf("cloud: enrollment: %w", err)
 	}

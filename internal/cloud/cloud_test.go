@@ -21,17 +21,17 @@ func newService(t *testing.T) *Service {
 
 func TestSignUp(t *testing.T) {
 	svc := newService(t)
-	acct, err := svc.SignUp("alice")
+	acct, err := svc.signUp("alice")
 	if err != nil {
-		t.Fatalf("SignUp: %v", err)
+		t.Fatalf("signUp: %v", err)
 	}
 	if acct.User != id.NewUserID("alice") {
 		t.Error("assigned identifier does not match handle derivation")
 	}
-	if _, err := svc.SignUp("alice"); !errors.Is(err, ErrHandleTaken) {
-		t.Errorf("duplicate SignUp: err = %v, want ErrHandleTaken", err)
+	if _, err := svc.signUp("alice"); !errors.Is(err, ErrHandleTaken) {
+		t.Errorf("duplicate signUp: err = %v, want ErrHandleTaken", err)
 	}
-	if _, err := svc.SignUp(""); err == nil {
+	if _, err := svc.signUp(""); err == nil {
 		t.Error("empty handle accepted")
 	}
 }
@@ -66,19 +66,19 @@ func TestBootstrapFullFlow(t *testing.T) {
 // certificate generated for it.
 func TestEnrollRejectsStolenIdentifier(t *testing.T) {
 	svc := newService(t)
-	if _, err := svc.SignUp("alice"); err != nil {
-		t.Fatalf("SignUp(alice): %v", err)
+	if _, err := svc.signUp("alice"); err != nil {
+		t.Fatalf("signUp(alice): %v", err)
 	}
-	if _, err := svc.SignUp("mallory"); err != nil {
-		t.Fatalf("SignUp(mallory): %v", err)
+	if _, err := svc.signUp("mallory"); err != nil {
+		t.Fatalf("signUp(mallory): %v", err)
 	}
 	malloryKeys, err := id.NewIdentity(id.NewUserID("alice"), rand.Reader) // claims alice's ID
 	if err != nil {
 		t.Fatalf("NewIdentity: %v", err)
 	}
-	_, _, err = svc.Enroll("mallory", malloryKeys.User, malloryKeys.Public())
+	_, _, err = svc.enroll("mallory", malloryKeys.User, malloryKeys.Public())
 	if !errors.Is(err, ErrIdentifierMismatch) {
-		t.Errorf("Enroll with stolen identifier: err = %v, want ErrIdentifierMismatch", err)
+		t.Errorf("enroll with stolen identifier: err = %v, want ErrIdentifierMismatch", err)
 	}
 }
 
@@ -88,8 +88,8 @@ func TestEnrollUnknownAccount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewIdentity: %v", err)
 	}
-	if _, _, err := svc.Enroll("ghost", ident.User, ident.Public()); !errors.Is(err, ErrNoAccount) {
-		t.Errorf("Enroll unknown account: err = %v, want ErrNoAccount", err)
+	if _, _, err := svc.enroll("ghost", ident.User, ident.Public()); !errors.Is(err, ErrNoAccount) {
+		t.Errorf("enroll unknown account: err = %v, want ErrNoAccount", err)
 	}
 }
 
@@ -101,11 +101,11 @@ func TestOfflineFailsEveryRPC(t *testing.T) {
 	}
 	svc.SetReachable(false)
 
-	if _, err := svc.SignUp("bob"); !errors.Is(err, ErrOffline) {
-		t.Errorf("SignUp offline: err = %v, want ErrOffline", err)
+	if _, err := svc.signUp("bob"); !errors.Is(err, ErrOffline) {
+		t.Errorf("signUp offline: err = %v, want ErrOffline", err)
 	}
-	if _, _, err := svc.Enroll("alice", creds.Ident.User, creds.Ident.Public()); !errors.Is(err, ErrOffline) {
-		t.Errorf("Enroll offline: err = %v, want ErrOffline", err)
+	if _, _, err := svc.enroll("alice", creds.Ident.User, creds.Ident.Public()); !errors.Is(err, ErrOffline) {
+		t.Errorf("enroll offline: err = %v, want ErrOffline", err)
 	}
 	if _, err := svc.SyncCRL(); !errors.Is(err, ErrOffline) {
 		t.Errorf("SyncCRL offline: err = %v, want ErrOffline", err)
@@ -118,8 +118,8 @@ func TestOfflineFailsEveryRPC(t *testing.T) {
 	}
 
 	svc.SetReachable(true)
-	if _, err := svc.SignUp("bob"); err != nil {
-		t.Errorf("SignUp after recovery: %v", err)
+	if _, err := svc.signUp("bob"); err != nil {
+		t.Errorf("signUp after recovery: %v", err)
 	}
 }
 
@@ -157,21 +157,6 @@ func TestRevokeUnknownUser(t *testing.T) {
 	}
 }
 
-func TestRenew(t *testing.T) {
-	svc := newService(t)
-	creds, err := Bootstrap(svc, "alice", rand.Reader)
-	if err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
-	renewed, err := svc.Renew("alice", creds.Ident.User, creds.Ident.Public())
-	if err != nil {
-		t.Fatalf("Renew: %v", err)
-	}
-	if renewed.Serial == creds.Cert.Serial {
-		t.Error("renewed certificate reused the old serial")
-	}
-}
-
 func TestActionSyncRoundTrip(t *testing.T) {
 	svc := newService(t)
 	user := id.NewUserID("alice")
@@ -197,21 +182,6 @@ func TestActionSyncRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	svc := newService(t)
-	acct, err := svc.SignUp("alice")
-	if err != nil {
-		t.Fatalf("SignUp: %v", err)
-	}
-	got, ok := svc.Lookup(acct.User)
-	if !ok || got.Handle != "alice" {
-		t.Errorf("Lookup = %+v, %v; want alice account", got, ok)
-	}
-	if _, ok := svc.Lookup(id.NewUserID("nobody")); ok {
-		t.Error("Lookup of unknown user succeeded")
-	}
-}
-
 func TestWithClock(t *testing.T) {
 	ca, err := pki.NewCA("root")
 	if err != nil {
@@ -219,9 +189,9 @@ func TestWithClock(t *testing.T) {
 	}
 	fixed := time.Date(2017, 4, 6, 12, 0, 0, 0, time.UTC)
 	svc := New(ca, WithClock(func() time.Time { return fixed }))
-	acct, err := svc.SignUp("alice")
+	acct, err := svc.signUp("alice")
 	if err != nil {
-		t.Fatalf("SignUp: %v", err)
+		t.Fatalf("signUp: %v", err)
 	}
 	if !acct.CreatedAt.Equal(fixed) {
 		t.Errorf("CreatedAt = %v, want %v", acct.CreatedAt, fixed)

@@ -45,10 +45,10 @@ func (c *Credentials) Marshal() ([]byte, error) {
 	return json.MarshalIndent(f, "", "  ")
 }
 
-// UnmarshalCredentials parses credentials produced by Marshal, verifying
+// unmarshalCredentials parses credentials produced by Marshal, verifying
 // that the certificate chains to the bundled root and binds the stored
 // key and user identifier.
-func UnmarshalCredentials(data []byte) (*Credentials, error) {
+func unmarshalCredentials(data []byte) (*Credentials, error) {
 	var f credFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("cloud: parsing credentials file: %w", err)
@@ -111,7 +111,7 @@ func LoadCredentials(path string) (*Credentials, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cloud: reading credentials: %w", err)
 	}
-	return UnmarshalCredentials(data)
+	return unmarshalCredentials(data)
 }
 
 // pemBytes decodes one PEM block of the expected type.

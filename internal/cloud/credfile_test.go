@@ -85,11 +85,11 @@ func TestCredentialsRejectsTampering(t *testing.T) {
 	// Swap in the other file's certificate block wholesale via JSON
 	// surgery: replace the cert_pem value.
 	mixed = strings.Replace(mixed, extractField(t, string(data), "cert_pem"), extractField(t, string(otherData), "cert_pem"), 1)
-	if _, err := UnmarshalCredentials([]byte(mixed)); err == nil {
+	if _, err := unmarshalCredentials([]byte(mixed)); err == nil {
 		t.Fatal("credentials with a foreign certificate accepted")
 	}
 
-	if _, err := UnmarshalCredentials([]byte("{")); err == nil {
+	if _, err := unmarshalCredentials([]byte("{")); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
 }

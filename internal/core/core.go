@@ -122,13 +122,12 @@ type Config struct {
 	Clock clock.Clock
 	// Rand supplies handshake nonces; nil selects crypto/rand.
 	Rand io.Reader
-	// Routing tunes scheme construction.
-	Routing routing.Options
-	// Store selects the storage engine. Nil builds an in-memory engine
-	// whose eviction policy honours Routing.RelayTTL; daemons pass a
-	// disk engine (store.OpenDisk) so the local database survives
-	// restarts. The engine's owner must match the credentials, and the
-	// middleware takes ownership: Close closes it.
+	// Store selects the storage engine, whose eviction policy carries any
+	// relay TTL (store.PolicyByName). Nil builds an unbounded in-memory
+	// engine that drops oldest first; daemons pass a disk engine
+	// (store.OpenDisk) so the local database survives restarts. The
+	// engine's owner must match the credentials, and the middleware
+	// takes ownership: Close closes it.
 	Store store.Engine
 
 	// OnReceive fires once per newly stored message; read-only.
@@ -165,8 +164,6 @@ type SecurityConfig struct {
 	// after it. Empty keeps the seen nonces in memory only. Sessions need
 	// no directory: their replay state is per link and in memory.
 	Dir string
-	// NoSync skips fsync on replay-log appends (tests, lab fleets).
-	NoSync bool
 }
 
 // Stats aggregates the counters of every layer.
@@ -205,23 +202,10 @@ func New(cfg Config) (*Middleware, error) {
 	if cfg.PeerName == "" {
 		cfg.PeerName = mpc.PeerID(cfg.Creds.Handle + "-device")
 	}
-	if cfg.Routing.Clock == nil {
-		cfg.Routing.Clock = cfg.Clock
-	}
 
 	st := cfg.Store
 	if st == nil {
-		// Default engine: in-memory, unbounded, with Routing.RelayTTL
-		// mapped onto the TTL eviction policy (real buffer management
-		// instead of the old serve-time filter).
-		policy, err := store.PolicyByName("", cfg.Routing.RelayTTL)
-		if err != nil {
-			return nil, fmt.Errorf("core: building store policy: %w", err)
-		}
-		st = store.NewMemory(cfg.Creds.Ident.User, store.Options{
-			Clock:  cfg.Clock,
-			Policy: policy,
-		})
+		st = store.NewMemory(cfg.Creds.Ident.User, store.Options{Clock: cfg.Clock})
 	} else if st.Owner() != cfg.Creds.Ident.User {
 		return nil, fmt.Errorf("core: store owner %s does not match credentials user %s",
 			st.Owner(), cfg.Creds.Ident.User)
@@ -230,7 +214,7 @@ func New(cfg Config) (*Middleware, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building verifier: %w", err)
 	}
-	routingMgr, err := routing.NewManager(st, cfg.Routing)
+	routingMgr, err := routing.NewManager(st, routing.Options{Clock: cfg.Clock})
 	if err != nil {
 		return nil, fmt.Errorf("core: building routing manager: %w", err)
 	}
@@ -270,7 +254,7 @@ func New(cfg Config) (*Middleware, error) {
 	secRec := &secure.StatsRecorder{}
 	e2e, err := secure.NewEndToEnd(cfg.Creds.Ident,
 		secure.PrekeyConfig{Clock: cfg.Clock, Rand: cfg.Rand, Stats: secRec},
-		cfg.Security.Dir, secure.ReplayOptions{NoSync: cfg.Security.NoSync, Stats: secRec})
+		cfg.Security.Dir, secure.ReplayOptions{Stats: secRec})
 	if err != nil {
 		return nil, fmt.Errorf("core: building end-to-end plane: %w", err)
 	}

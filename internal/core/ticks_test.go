@@ -137,7 +137,7 @@ func TestFailedAdvertiseLeavesNothingRunning(t *testing.T) {
 	mw, err := New(Config{
 		Creds: creds, Medium: medium, ResyncInterval: time.Millisecond,
 		PeerName: mpc.PeerID(strings.Repeat("x", 300)),
-		Security: SecurityConfig{Dir: dir, NoSync: true},
+		Security: SecurityConfig{Dir: dir},
 	})
 	if !errors.Is(err, wire.ErrOversize) {
 		if err == nil {

@@ -11,7 +11,6 @@ import (
 	"sos/internal/mpc"
 	"sos/internal/netmedium"
 	"sos/internal/obs"
-	"sos/internal/routing"
 	"sos/internal/store"
 	"sos/internal/telemetry"
 )
@@ -108,7 +107,6 @@ func (f *inProcessFleet) start(env liveEnv) error {
 			Medium:   nodeMedium,
 			PeerName: n.peer,
 			Scheme:   spec.Scheme,
-			Routing:  routing.Options{RelayTTL: spec.Store.RelayTTL.D()},
 			Store:    engine,
 			Observer: observer,
 			Tracer:   tracer,

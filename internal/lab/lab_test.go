@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,9 +19,9 @@ import (
 )
 
 func TestSpecDefaultsAndValidation(t *testing.T) {
-	spec, err := ParseSpec([]byte(`{"nodes": 3, "duration": "2s"}`))
+	spec, err := parseSpec([]byte(`{"nodes": 3, "duration": "2s"}`))
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 	if got := spec.Handles; len(got) != 3 || got[0] != "n1" || got[2] != "n3" {
 		t.Fatalf("handles = %v", got)
@@ -45,8 +46,8 @@ func TestSpecDefaultsAndValidation(t *testing.T) {
 		`{"handles": ["a","a"], "duration": "2s"}`,                                       // duplicate handle
 	}
 	for _, raw := range bad {
-		if _, err := ParseSpec([]byte(raw)); err == nil {
-			t.Errorf("ParseSpec(%s) succeeded, want error", raw)
+		if _, err := parseSpec([]byte(raw)); err == nil {
+			t.Errorf("parseSpec(%s) succeeded, want error", raw)
 		}
 	}
 }
@@ -124,7 +125,7 @@ func deliverySet(col *metrics.Collector) []delivery {
 // streams must match a metrics.Collector observing the same run directly
 // — no lost or duplicated events — and the report must be well-formed.
 func TestInProcessEndToEnd(t *testing.T) {
-	spec, err := ParseSpec([]byte(`{
+	spec, err := parseSpec([]byte(`{
 		"name": "smoke3",
 		"nodes": 3,
 		"scheme": "epidemic",
@@ -140,7 +141,7 @@ func TestInProcessEndToEnd(t *testing.T) {
 		"seed": 42
 	}`))
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 
 	// The direct witness: a second aggregator fed synchronously by an
@@ -265,6 +266,23 @@ func TestInProcessEndToEnd(t *testing.T) {
 	}
 }
 
+// TestProcessChildExitFailsStart: a child that exits before its debug
+// server reports an address fails the run at start, with its output.
+func TestProcessChildExitFailsStart(t *testing.T) {
+	falseBin, err := exec.LookPath("false")
+	if err != nil {
+		t.Skipf("no false binary: %v", err)
+	}
+	spec, err := parseSpec([]byte(`{"nodes": 2, "duration": "1s"}`))
+	if err != nil {
+		t.Fatalf("parseSpec: %v", err)
+	}
+	_, err = Run(spec, Options{Mode: ModeProcess, SosdPath: falseBin, Logf: t.Logf})
+	if err == nil || !strings.Contains(err.Error(), "exited before its debug server came up") {
+		t.Fatalf("Run = %v, want the child's early exit", err)
+	}
+}
+
 // TestProcessEndToEnd runs the full in-vivo shape: a 5-node fleet of
 // real sosd child processes over loopback NetMedium, with a churn
 // schedule that stops and restarts one of them mid-run, aggregated
@@ -279,7 +297,7 @@ func TestProcessEndToEnd(t *testing.T) {
 		t.Skipf("cannot build sosd (%v): %s", err, out)
 	}
 
-	spec, err := ParseSpec([]byte(`{
+	spec, err := parseSpec([]byte(`{
 		"name": "fleet5",
 		"nodes": 5,
 		"scheme": "epidemic",
@@ -295,7 +313,7 @@ func TestProcessEndToEnd(t *testing.T) {
 		"seed": 7
 	}`))
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 	report, err := Run(spec, Options{Mode: ModeProcess, SosdPath: sosd, Logf: t.Logf})
 	if err != nil {

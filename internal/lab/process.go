@@ -34,12 +34,17 @@ type childProc struct {
 	credsPath  string
 	storeDir   string
 	beaconAddr string
-	debugAddr  string
-	follows    []string
-	restarts   int
+	// debugAddr is where the running child's debug server listens: the
+	// child binds an ephemeral port and logs it, so it changes on every
+	// restart.
+	debugAddr string
+	follows   []string
+	restarts  int
 
 	cmd   *exec.Cmd
 	stdin io.WriteCloser
+	// exited is closed once cmd.Wait has returned.
+	exited chan struct{}
 }
 
 // running reports whether the child is currently alive.
@@ -72,17 +77,12 @@ func (f *processFleet) start(env liveEnv) error {
 		if err != nil {
 			return err
 		}
-		debugPort, err := freeTCPPort()
-		if err != nil {
-			return err
-		}
 		f.procs = append(f.procs, &childProc{
 			handle:     handle,
 			user:       env.creds[i].Ident.User,
 			credsPath:  credsPath,
 			storeDir:   filepath.Join(env.workDir, handle+".store"),
 			beaconAddr: fmt.Sprintf("127.0.0.1:%d", port),
-			debugAddr:  fmt.Sprintf("127.0.0.1:%d", debugPort),
 		})
 	}
 	for _, e := range spec.FollowEdges() {
@@ -168,7 +168,7 @@ func (f *processFleet) startChild(p *childProc) error {
 		"-beacon-interval", spec.BeaconInterval.D().String(),
 		"-loss-timeout", spec.LossTimeout.D().String(),
 		"-telemetry", f.env.collector,
-		"-debug-addr", p.debugAddr,
+		"-debug-addr", "127.0.0.1:0",
 		"-store", spec.storeEngine("disk"),
 		"-store-dir", p.storeDir,
 	}
@@ -196,7 +196,8 @@ func (f *processFleet) startChild(p *childProc) error {
 	// A plain Writer (not StdoutPipe) lets exec own the copy goroutine,
 	// so Wait blocks until the child's final output — the shutdown and
 	// flush diagnostics — has been logged in full.
-	out := &lineWriter{logf: f.env.opts.logf, prefix: p.handle}
+	debugAddr := make(chan string, 1)
+	out := &lineWriter{logf: f.env.opts.logf, prefix: p.handle, debugAddr: debugAddr}
 	cmd.Stdout = out
 	cmd.Stderr = out
 	if err := cmd.Start(); err != nil {
@@ -204,15 +205,46 @@ func (f *processFleet) startChild(p *childProc) error {
 	}
 	p.cmd = cmd
 	p.stdin = stdin
-	return nil
+	p.exited = make(chan struct{})
+	go func() {
+		cmd.Wait()
+		close(p.exited)
+	}()
+	// The child is up once its debug server has bound and said where.
+	timeout := time.NewTimer(childStartTimeout)
+	defer timeout.Stop()
+	select {
+	case p.debugAddr = <-debugAddr:
+		return nil
+	case <-p.exited:
+	case <-timeout.C:
+		cmd.Process.Kill()
+		<-p.exited
+	}
+	// Wait has returned, so the writer is done with out.startup.
+	p.cmd, p.stdin = nil, nil
+	return fmt.Errorf("lab: sosd for %s exited before its debug server came up (waited at most %s):\n%s",
+		p.handle, childStartTimeout, strings.Join(out.startup, "\n"))
 }
 
+// childStartTimeout bounds how long a child may take to bind its debug
+// server after it starts.
+const childStartTimeout = 15 * time.Second
+
+// debugListening is the message the child's debug server logs, with its
+// bound address in an addr attribute, once it listens.
+const debugListening = `msg="debug server listening"`
+
 // lineWriter forwards a child's output to the lab log one line at a
-// time, buffering partial lines across writes.
+// time, buffering partial lines across writes. Until the child logs its
+// debug address, it also keeps the lines (startup) and then hands the
+// address to debugAddr, once.
 type lineWriter struct {
-	logf   func(format string, args ...any)
-	prefix string
-	buf    []byte
+	logf      func(format string, args ...any)
+	prefix    string
+	buf       []byte
+	startup   []string
+	debugAddr chan string
 }
 
 func (w *lineWriter) Write(p []byte) (int, error) {
@@ -222,9 +254,32 @@ func (w *lineWriter) Write(p []byte) (int, error) {
 		if nl < 0 {
 			return len(p), nil
 		}
-		w.logf("[%s] %s", w.prefix, strings.TrimRight(string(w.buf[:nl]), "\r"))
+		line := strings.TrimRight(string(w.buf[:nl]), "\r")
 		w.buf = w.buf[nl+1:]
+		w.logf("[%s] %s", w.prefix, line)
+		if w.debugAddr == nil {
+			continue
+		}
+		w.startup = append(w.startup, line)
+		if addr, ok := debugAddrOf(line); ok {
+			w.debugAddr <- addr
+			w.debugAddr = nil
+		}
 	}
+}
+
+// debugAddrOf extracts the address from the child's debug-server log line
+// (slog text format: key=value pairs separated by spaces).
+func debugAddrOf(line string) (string, bool) {
+	if !strings.Contains(line, debugListening) {
+		return "", false
+	}
+	_, addr, ok := strings.Cut(line, " addr=")
+	if !ok {
+		return "", false
+	}
+	addr, _, _ = strings.Cut(addr, " ")
+	return addr, addr != ""
 }
 
 // stopChild asks a sosd process to quit and waits, escalating to a kill
@@ -235,22 +290,21 @@ func (f *processFleet) stopChild(p *childProc, grace time.Duration) {
 	}
 	fmt.Fprintln(p.stdin, "quit")
 	p.stdin.Close()
-	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
 	select {
-	case <-done:
+	case <-p.exited:
 	case <-time.After(grace):
 		f.env.opts.logf("lab: %s did not quit in %s; killing", p.handle, grace)
 		p.cmd.Process.Kill()
-		<-done
+		<-p.exited
 	}
 	p.cmd = nil
 	p.stdin = nil
 }
 
 // freeUDPPort reserves an ephemeral loopback UDP port and releases it for
-// the child to bind. The tiny claim-to-bind race is acceptable for a lab
-// on loopback.
+// the child to bind. Unlike the debug port, a beacon port must be known
+// before the child starts, because its siblings are told to beacon to it;
+// another process may take the port between the claim and the bind.
 func freeUDPPort() (int, error) {
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -258,20 +312,5 @@ func freeUDPPort() (int, error) {
 	}
 	port := conn.LocalAddr().(*net.UDPAddr).Port
 	conn.Close()
-	return port, nil
-}
-
-// freeTCPPort reserves an ephemeral loopback TCP port for a child's
-// debug server, same race caveat as freeUDPPort. Reserving up front
-// (instead of parsing the child's log for an ephemeral bind) keeps the
-// address stable across churn restarts, so the scraper needs no
-// re-discovery.
-func freeTCPPort() (int, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, fmt.Errorf("lab: reserving debug port: %w", err)
-	}
-	port := ln.Addr().(*net.TCPAddr).Port
-	ln.Close()
 	return port, nil
 }

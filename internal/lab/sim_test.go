@@ -29,9 +29,9 @@ const simSpec = `{
 
 func TestSimModeEndToEnd(t *testing.T) {
 	run := func() *Report {
-		spec, err := ParseSpec([]byte(simSpec))
+		spec, err := parseSpec([]byte(simSpec))
 		if err != nil {
-			t.Fatalf("ParseSpec: %v", err)
+			t.Fatalf("parseSpec: %v", err)
 		}
 		rep, err := Run(spec, Options{Mode: ModeSim, Logf: t.Logf})
 		if err != nil {
@@ -86,14 +86,14 @@ func TestSimModeEndToEnd(t *testing.T) {
 // TestSimModeChurnSkipsPosts: a post scheduled while its author is
 // churned down does not happen (the live-mode rule, at virtual time).
 func TestSimModeChurnSkipsPosts(t *testing.T) {
-	spec, err := ParseSpec([]byte(`{
+	spec, err := parseSpec([]byte(`{
 		"name": "churny", "nodes": 2, "duration": "1h", "posts": 4, "postWindow": "30m",
 		"seed": 5, "graph": "full",
 		"mobility": {"areaW": 50, "areaH": 50},
 		"churn": [{"at": "0s", "node": "n1", "op": "down"}]
 	}`))
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 	rep, err := Run(spec, Options{Mode: ModeSim})
 	if err != nil {
@@ -119,13 +119,13 @@ func TestSimModeTraceReplay(t *testing.T) {
 	if err := os.WriteFile(trace, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := ParseSpec([]byte(fmt.Sprintf(`{
+	spec, err := parseSpec([]byte(fmt.Sprintf(`{
 		"name": "trace-unit", "nodes": 3, "scheme": "epidemic",
 		"edges": [[3,1]], "posts": 1, "duration": "40m", "postWindow": "1m",
 		"seed": 31, "trace": %q
 	}`, trace)))
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 	rep, err := Run(spec, Options{Mode: ModeSim, Logf: t.Logf})
 	if err != nil {
@@ -142,12 +142,12 @@ func TestSimModeTraceReplay(t *testing.T) {
 }
 
 func TestSimOnlyFieldsRejectedInLiveModes(t *testing.T) {
-	spec, err := ParseSpec([]byte(`{
+	spec, err := parseSpec([]byte(`{
 		"nodes": 2, "duration": "1s",
 		"mobility": {"model": "working-day"}
 	}`))
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 	if _, err := Run(spec, Options{Mode: ModeInProcess}); err == nil {
 		t.Error("in-process run accepted a sim-only spec")
@@ -158,12 +158,12 @@ func TestSimOnlyFieldsRejectedInLiveModes(t *testing.T) {
 }
 
 func TestSimModeRejectsDiskEngine(t *testing.T) {
-	spec, err := ParseSpec([]byte(`{
+	spec, err := parseSpec([]byte(`{
 		"nodes": 2, "duration": "1m", "store": {"engine": "disk"},
 		"mobility": {"areaW": 50, "areaH": 50}
 	}`))
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 	if _, err := Run(spec, Options{Mode: ModeSim}); err == nil {
 		t.Error("sim mode accepted the disk engine")
@@ -176,7 +176,7 @@ func TestSpecValidationSimFields(t *testing.T) {
 		"bad-speeds": `{"nodes": 2, "duration": "1m", "mobility": {"speedMin": 3, "speedMax": 1}}`,
 		"bad-degree": `{"nodes": 3, "duration": "1m", "graph": "random", "degree": -1}`,
 	} {
-		if _, err := ParseSpec([]byte(raw)); err == nil {
+		if _, err := parseSpec([]byte(raw)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -186,9 +186,9 @@ func TestSpecValidationSimFields(t *testing.T) {
 // degree, no self-loops.
 func TestRandomGraphPreset(t *testing.T) {
 	parse := func() *Spec {
-		spec, err := ParseSpec([]byte(`{"nodes": 40, "duration": "1m", "graph": "random", "degree": 5, "seed": 7}`))
+		spec, err := parseSpec([]byte(`{"nodes": 40, "duration": "1m", "graph": "random", "degree": 5, "seed": 7}`))
 		if err != nil {
-			t.Fatalf("ParseSpec: %v", err)
+			t.Fatalf("parseSpec: %v", err)
 		}
 		return spec
 	}
@@ -231,12 +231,12 @@ func TestLabAndSimCountTheSameDeliveries(t *testing.T) {
 		{ModeInProcess, `"beaconInterval": "50ms"`},
 		{ModeSim, fmt.Sprintf(`"trace": %q`, trace)},
 	} {
-		spec, err := ParseSpec([]byte(fmt.Sprintf(`{
+		spec, err := parseSpec([]byte(fmt.Sprintf(`{
 			"name": "lab-vs-sim", "nodes": %d, "scheme": "epidemic", "graph": "full",
 			"posts": %d, "duration": "5s", "postWindow": "2s", "seed": 42, %s
 		}`, nodes, posts, c.extra)))
 		if err != nil {
-			t.Fatalf("%s: ParseSpec: %v", c.mode, err)
+			t.Fatalf("%s: parseSpec: %v", c.mode, err)
 		}
 		rep, err := Run(spec, Options{Mode: c.mode, Logf: t.Logf})
 		if err != nil {

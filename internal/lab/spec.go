@@ -117,7 +117,7 @@ type ChaosPartition struct {
 // deterministically from the seed. Either name a preset (Profile) or
 // spell out the dials — not both.
 type ChaosSpec struct {
-	// Profile names a chaos preset (chaos.PresetNames); when set, the
+	// Profile names a chaos preset (the chaos.Preset* names); when set, the
 	// explicit dials below must be zero.
 	Profile string `json:"profile,omitempty"`
 	// Seed fixes the injection schedule; 0 inherits the spec seed.
@@ -242,7 +242,7 @@ func LoadSpec(path string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lab: reading spec: %w", err)
 	}
-	s, err := ParseSpec(raw)
+	s, err := parseSpec(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -258,8 +258,8 @@ func (s *Spec) TracePath() string {
 	return filepath.Join(s.baseDir, s.Trace)
 }
 
-// ParseSpec parses and validates a JSON spec.
-func ParseSpec(raw []byte) (*Spec, error) {
+// parseSpec parses and validates a JSON spec.
+func parseSpec(raw []byte) (*Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()

@@ -33,7 +33,7 @@ type SweepSpec struct {
 	Schemes []string `json:"schemes,omitempty"`
 	// Mobility lists availability presets (MobilitySteady, MobilityWaves).
 	Mobility []string `json:"mobility,omitempty"`
-	// Chaos lists chaos presets (chaos.PresetNames).
+	// Chaos lists chaos presets (the chaos.Preset* names).
 	Chaos []string `json:"chaos,omitempty"`
 	// Policies lists store eviction policies (store.PolicyByName names).
 	Policies []string `json:"policies,omitempty"`
@@ -62,10 +62,10 @@ func (w *SweepSpec) validate() error {
 	return nil
 }
 
-// DefaultChaosSweep is the canonical adversarial matrix soslab runs when
+// defaultChaosSweep is the canonical adversarial matrix soslab runs when
 // the spec declares no sweep block: two schemes crossed with the benign
 // and acceptance chaos regimes.
-func DefaultChaosSweep() *SweepSpec {
+func defaultChaosSweep() *SweepSpec {
 	return &SweepSpec{
 		Schemes: []string{"epidemic", "spray-and-wait"},
 		Chaos:   []string{chaos.PresetNone, chaos.PresetLoss30Reorder},
@@ -161,7 +161,7 @@ func axis(vals []string, base string) []string {
 }
 
 // RunSweep executes the full cross-product {scheme × mobility × chaos ×
-// store policy} declared by the spec's sweep block (or DefaultChaosSweep
+// store policy} declared by the spec's sweep block (or defaultChaosSweep
 // when absent), one sequential live in-process run per cell — sequential
 // because each cell binds its own loopback fleet and the grid compares
 // cells fairly only when they don't contend for the host.
@@ -177,7 +177,7 @@ func RunSweep(base *Spec, opts Options) (*SweepReport, error) {
 	}
 	sweep := base.Sweep
 	if sweep == nil {
-		sweep = DefaultChaosSweep()
+		sweep = defaultChaosSweep()
 	}
 	if err := sweep.validate(); err != nil {
 		return nil, err

@@ -52,7 +52,7 @@ func (f *fakeFleet) stop() ([]NodeReport, *ChaosReport) { return nil, nil }
 // a step blocks past them.
 func TestWalkFollowsThePlan(t *testing.T) {
 	// Posts at 0, 100, 200, 300ms by n1, n2, n1, n2.
-	spec, err := ParseSpec([]byte(`{
+	spec, err := parseSpec([]byte(`{
 		"name": "walk", "nodes": 2, "duration": "400ms", "posts": 4, "postWindow": "300ms",
 		"churn": [
 			{"at": "0s",    "node": "n1", "op": "down"},
@@ -63,7 +63,7 @@ func TestWalkFollowsThePlan(t *testing.T) {
 		]
 	}`))
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 	const interval = 100 * time.Millisecond
 	p := compilePlan(spec, interval)

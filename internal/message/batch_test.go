@@ -53,12 +53,12 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 		forgedCarol.Payload = []byte("forged")
 
 		bobLink := linkScripted(t, h, h.bobAd, h.bob, 1)
-		if err := bobLink.SendFrame(&wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{dave.Ident.User: 4}}); err != nil {
+		if err := sendFrame(bobLink, &wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{dave.Ident.User: 4}}); err != nil {
 			t.Fatalf("SendFrame: %v", err)
 		}
 		waitFor(t, "requests to bob", func() bool { return h.bob.requestedSeqs(dave.Ident.User) == 3 })
 		carolLink := linkScripted(t, h, carolAd, carol, 2)
-		if err := carolLink.SendFrame(&wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{frank.Ident.User: 2}}); err != nil {
+		if err := sendFrame(carolLink, &wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{frank.Ident.User: 2}}); err != nil {
 			t.Fatalf("SendFrame: %v", err)
 		}
 		waitFor(t, "requests to carol", func() bool { return carol.requestedSeqs(frank.Ident.User) == 2 })
@@ -72,7 +72,7 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 			}
 		}
 		for _, b := range batches {
-			if err := bobLink.SendFrame(&wire.Batch{Msgs: b}); err != nil {
+			if err := sendFrame(bobLink, &wire.Batch{Msgs: b}); err != nil {
 				t.Fatalf("SendFrame: %v", err)
 			}
 		}
@@ -88,9 +88,9 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 			inflight: h.mgr.Inflight(),
 		}
 		for _, m := range msgs {
-			out.stored[m.Ref()] = h.st.Has(m.Ref())
+			_, out.stored[m.Ref()] = h.st.Get(m.Ref())
 		}
-		if !h.st.Has(valid.Ref()) {
+		if _, ok := h.st.Get(valid.Ref()); !ok {
 			t.Errorf("the valid message was not stored")
 		}
 		return out

@@ -126,7 +126,7 @@ func (c *requestingCapture) FrameIn(link *adhoc.Link, f wire.Frame) {
 					break
 				}
 			}
-			_ = link.SendFrame(&wire.Request{Wants: wants})
+			_ = sendFrame(link, &wire.Request{Wants: wants})
 		})
 	}
 	c.frameCapture.FrameIn(link, f)
@@ -206,7 +206,7 @@ func TestChunkedFullSyncInterleavesBatches(t *testing.T) {
 
 	waitFor(t, "complete summary stream", func() bool {
 		for _, ad := range bob.ads() {
-			if ad.IsChunked() && !ad.More {
+			if ad.Chunk > 0 && !ad.More {
 				return true
 			}
 		}
@@ -235,7 +235,7 @@ func TestChunkedFullSyncInterleavesBatches(t *testing.T) {
 					covered[author] = seq
 				}
 			}
-			if fr.IsChunked() && !fr.More {
+			if fr.Chunk > 0 && !fr.More {
 				finalChunk = i
 			}
 		}
@@ -356,7 +356,7 @@ func TestDisjointStripeConcurrentSync(t *testing.T) {
 	puller := func(c *frameCapture) {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			_ = c.link(0).SendFrame(&wire.SummaryPull{})
+			_ = sendFrame(c.link(0), &wire.SummaryPull{})
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -370,8 +370,8 @@ func TestDisjointStripeConcurrentSync(t *testing.T) {
 	// One quiescent full sync: this stream is never cancelled, so both
 	// peers can reconstruct the final view from everything they saw.
 	_ = mgr.Advertise()
-	_ = bob.link(0).SendFrame(&wire.SummaryPull{})
-	_ = carol.link(0).SendFrame(&wire.SummaryPull{})
+	_ = sendFrame(bob.link(0), &wire.SummaryPull{})
+	_ = sendFrame(carol.link(0), &wire.SummaryPull{})
 
 	converged := func(c *frameCapture) func() bool {
 		return func() bool {

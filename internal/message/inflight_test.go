@@ -37,7 +37,7 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 	wanted, marker := id.NewUserID("wanted-author"), id.NewUserID("marker-author")
 
 	bobLink := linkScripted(t, h, h.bobAd, h.bob, 1)
-	if err := bobLink.SendFrame(&wire.Summary{
+	if err := sendFrame(bobLink, &wire.Summary{
 		Gen: 1, Entries: map[id.UserID]uint64{wanted: 1},
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
@@ -48,14 +48,14 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 	forged := &msg.Message{
 		Author: wanted, Seq: 1, Kind: msg.KindPost, Created: time.Unix(0, 0), Payload: []byte("forged"),
 	}
-	if err := carolLink.SendFrame(&wire.Batch{Msgs: []*msg.Message{forged}}); err != nil {
+	if err := sendFrame(carolLink, &wire.Batch{Msgs: []*msg.Message{forged}}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "forged copy rejected", func() bool { return h.mgr.Stats().VerifyFailures == 1 })
 
 	// One plan builds one Request per link, so when the marker shows up at
 	// carol the wanted author is in the same frame or in none.
-	if err := carolLink.SendFrame(&wire.Summary{
+	if err := sendFrame(carolLink, &wire.Summary{
 		Gen: 1, Entries: map[id.UserID]uint64{wanted: 1, marker: 1},
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
@@ -90,7 +90,7 @@ func TestPlansLeaveInPeerOrder(t *testing.T) {
 		{linkScripted(t, h, carolAd, carol, 2), carol, id.NewUserID("held-by-carol")},
 	}
 	for _, p := range peers {
-		if err := p.link.SendFrame(&wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{p.author: 1}}); err != nil {
+		if err := sendFrame(p.link, &wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{p.author: 1}}); err != nil {
 			t.Fatalf("SendFrame: %v", err)
 		}
 		waitFor(t, "the first request", func() bool { return p.seen.requested(p.author) })
@@ -121,7 +121,7 @@ func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 
 	// Alice as the sender: bob pulls two messages and hangs up.
 	link := linkScripted(t, h, h.bobAd, h.bob, 1)
-	if err := link.SendFrame(&wire.Request{Wants: []wire.Want{{Author: held, Seqs: []uint64{1, 2}}}}); err != nil {
+	if err := sendFrame(link, &wire.Request{Wants: []wire.Want{{Author: held, Seqs: []uint64{1, 2}}}}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "batch served", func() bool { return h.mgr.Stats().MessagesServed == 2 })
@@ -135,7 +135,7 @@ func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 	wanted := id.NewUserID("wanted-author")
 	ad := &wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{wanted: 3}}
 	link = linkScripted(t, h, h.bobAd, h.bob, 1)
-	if err := link.SendFrame(ad); err != nil {
+	if err := sendFrame(link, ad); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "three requests", func() bool { return h.bob.requestedSeqs(wanted) == 3 })
@@ -147,7 +147,7 @@ func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 
 	// The same ledger drives the retry.
 	link = linkScripted(t, h, h.bobAd, h.bob, 1)
-	if err := link.SendFrame(ad); err != nil {
+	if err := sendFrame(link, ad); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "requests planned again", func() bool { return h.bob.requestedSeqs(wanted) == 6 })

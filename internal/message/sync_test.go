@@ -28,6 +28,16 @@ import (
 	"sos/internal/wire"
 )
 
+// sendFrame encodes f and sends it over link, as a peer's message manager
+// would.
+func sendFrame(link *adhoc.Link, f wire.Frame) error {
+	enc, err := wire.Encode(f)
+	if err != nil {
+		return err
+	}
+	return link.SendEncoded(enc)
+}
+
 // waitFor polls cond every 2 ms, for at least 10 s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -459,7 +469,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 
 	// A first full summary gives alice a cached view of bob.
 	cached := id.NewUserID("cached-author")
-	if err := link.SendFrame(&wire.Summary{
+	if err := sendFrame(link, &wire.Summary{
 		Gen: 5, Entries: map[id.UserID]uint64{cached: 3},
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
@@ -471,7 +481,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 		Gen: 1000, BaseGen: 999,
 		Entries: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
 	}
-	if err := link.SendFrame(gapAd); err != nil {
+	if err := sendFrame(link, gapAd); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "summary pull at bob", func() bool { return h.bob.pulls() > 0 })
@@ -493,7 +503,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 		if i == 199 {
 			ad.Entries[last] = 1
 		}
-		if err := link.SendFrame(ad); err != nil {
+		if err := sendFrame(link, ad); err != nil {
 			t.Fatalf("SendFrame: %v", err)
 		}
 	}
@@ -514,7 +524,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 
 	// A tick re-arms the pull: the next gap delta asks once more.
 	h.mgr.Tick()
-	if err := link.SendFrame(&wire.Summary{
+	if err := sendFrame(link, &wire.Summary{
 		Gen: 2300, BaseGen: 2299, Entries: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
@@ -528,7 +538,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 		Gen:     3000,
 		Entries: map[id.UserID]uint64{healed: 1},
 	}
-	if err := link.SendFrame(fullAd); err != nil {
+	if err := sendFrame(link, fullAd); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "request from alice", func() bool { return h.bob.requested(healed) })
@@ -728,7 +738,7 @@ func TestSummaryPullServesFull(t *testing.T) {
 	waitFor(t, "greeting ad", func() bool { return len(h.bob.ads()) > 0 })
 	link := h.bob.link(0)
 
-	if err := link.SendFrame(&wire.SummaryPull{}); err != nil {
+	if err := sendFrame(link, &wire.SummaryPull{}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "full resync ad", func() bool {
@@ -816,7 +826,7 @@ func TestRequestsStayUnderTheLimitTheirServerEnforces(t *testing.T) {
 	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
 	// Two authors, so a frame boundary falls inside a list and between two.
 	behind := map[id.UserID]uint64{id.NewUserID("busy-author"): 20000, id.NewUserID("busier-author"): 9000}
-	if err := h.bob.link(0).SendFrame(&wire.Summary{Gen: 1, Entries: behind}); err != nil {
+	if err := sendFrame(h.bob.link(0), &wire.Summary{Gen: 1, Entries: behind}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "requests for the whole backlog", func() bool {
@@ -872,7 +882,7 @@ func TestRequestAtTheLimitIsServed(t *testing.T) {
 		seqs[i] = uint64(i + 1)
 	}
 	atLimit := &wire.Request{Wants: []wire.Want{{Author: held, Seqs: seqs[:wire.MaxSeqsPerRequest]}}}
-	if err := h.bob.link(0).SendFrame(atLimit); err != nil {
+	if err := sendFrame(h.bob.link(0), atLimit); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "the batch answering a request at the limit", func() bool { return h.mgr.Stats().MessagesServed == 1 })
@@ -880,7 +890,7 @@ func TestRequestAtTheLimitIsServed(t *testing.T) {
 		t.Errorf("a request of exactly the limit scored %d misbehavior events", st.MisbehaviorEvents)
 	}
 
-	if err := h.bob.link(0).SendFrame(&wire.Request{Wants: []wire.Want{{Author: held, Seqs: seqs}}}); err != nil {
+	if err := sendFrame(h.bob.link(0), &wire.Request{Wants: []wire.Want{{Author: held, Seqs: seqs}}}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "the over-limit request to be scored", func() bool { return h.mgr.Stats().MisbehaviorEvents == 1 })
@@ -920,8 +930,11 @@ func TestSharedMessagesAreNeverWritten(t *testing.T) {
 				case <-time.After(time.Millisecond):
 				}
 				var sum uint64
-				for _, m := range n.mw.Store().All() {
-					sum += uint64(m.Budget) + uint64(m.Hops) + uint64(len(m.Payload))
+				st := n.mw.Store()
+				for _, author := range st.Authors() {
+					for _, m := range st.MessagesFrom(author, 0) {
+						sum += uint64(m.Budget) + uint64(m.Hops) + uint64(len(m.Payload))
+					}
 				}
 				read.Add(sum)
 			}

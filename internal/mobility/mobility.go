@@ -27,8 +27,8 @@ type Point struct {
 	X, Y float64
 }
 
-// DistanceTo returns the Euclidean distance in meters.
-func (p Point) DistanceTo(q Point) float64 {
+// distanceTo returns the Euclidean distance in meters.
+func (p Point) distanceTo(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
@@ -39,11 +39,6 @@ type Area struct {
 
 // Gainesville is the paper's ~11 km × 8 km (88 km²) study area.
 var Gainesville = Area{W: 11000, H: 8000}
-
-// Contains reports whether p lies inside the area.
-func (a Area) Contains(p Point) bool {
-	return p.X >= 0 && p.Y >= 0 && p.X <= a.W && p.Y <= a.H
-}
 
 // RandomPoint draws a uniform point inside the area.
 func (a Area) RandomPoint(rng *rand.Rand) Point {
@@ -122,7 +117,7 @@ func (b *builder) stay(until time.Time) {
 
 // move travels to p starting now at a speed chosen by distance.
 func (b *builder) move(p Point) {
-	dist := b.pos.DistanceTo(p)
+	dist := b.pos.distanceTo(p)
 	if dist == 0 {
 		return
 	}
@@ -302,7 +297,7 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, rng *rand.Rand) (Model, error) 
 	for b.at.Before(end) {
 		next := cfg.Area.RandomPoint(rng)
 		speed := cfg.SpeedMin + rng.Float64()*(cfg.SpeedMax-cfg.SpeedMin)
-		dist := b.pos.DistanceTo(next)
+		dist := b.pos.distanceTo(next)
 		arrive := b.at.Add(time.Duration(dist / speed * float64(time.Second)))
 		b.segs = append(b.segs, segment{start: b.at, end: arrive, from: b.pos, to: next})
 		b.at = arrive
@@ -437,7 +432,7 @@ func NewWorkingDay(cfg WorkingDayConfig, rng *rand.Rand) (Model, error) {
 // commuteDuration estimates travel time with the same speed policy as
 // builder.move, so the departure back-off lands the arrival on schedule.
 func commuteDuration(from, to Point) time.Duration {
-	dist := from.DistanceTo(to)
+	dist := from.distanceTo(to)
 	speed := walkSpeed
 	if dist > driveThreshold {
 		speed = driveSpeed
@@ -474,16 +469,6 @@ func NewTrace(points []Waypoint) (Model, error) {
 	}
 	return &itinerary{segs: segs}, nil
 }
-
-// Stationary returns a model pinned at p (infrastructure nodes, smart
-// city fixtures).
-func Stationary(p Point) Model {
-	return stationary{p: p}
-}
-
-type stationary struct{ p Point }
-
-func (s stationary) Position(time.Time) Point { return s.p }
 
 // jitter draws a point uniformly within radius r of center.
 func jitter(center Point, r float64, rng *rand.Rand) Point {

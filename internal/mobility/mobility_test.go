@@ -11,18 +11,8 @@ var start = time.Date(2017, 4, 3, 0, 0, 0, 0, time.UTC) // a Monday
 
 func TestPointDistance(t *testing.T) {
 	p, q := Point{X: 0, Y: 0}, Point{X: 3, Y: 4}
-	if got := p.DistanceTo(q); got != 5 {
+	if got := p.distanceTo(q); got != 5 {
 		t.Errorf("distance = %f, want 5", got)
-	}
-}
-
-func TestAreaContains(t *testing.T) {
-	a := Area{W: 100, H: 50}
-	if !a.Contains(Point{X: 50, Y: 25}) {
-		t.Error("interior point reported outside")
-	}
-	if a.Contains(Point{X: 101, Y: 25}) || a.Contains(Point{X: -1, Y: 0}) {
-		t.Error("exterior point reported inside")
 	}
 }
 
@@ -70,7 +60,7 @@ func TestDiurnalSleepsAtHome(t *testing.T) {
 	// At 3 AM every night the node is asleep at home.
 	for day := 0; day < 5; day++ {
 		at := start.Add(time.Duration(day)*24*time.Hour + 3*time.Hour)
-		if got := m.Position(at); got.DistanceTo(home) > 1 {
+		if got := m.Position(at); got.distanceTo(home) > 1 {
 			t.Errorf("day %d, 3AM: position %v, want home %v", day, got, home)
 		}
 	}
@@ -91,7 +81,7 @@ func TestDiurnalVisitsCampusOnWeekdays(t *testing.T) {
 		near := false
 		for h := 10; h <= 14; h++ {
 			at := start.Add(time.Duration(day)*24*time.Hour + time.Duration(h)*time.Hour)
-			if m.Position(at).DistanceTo(campus) < 800 {
+			if m.Position(at).distanceTo(campus) < 800 {
 				near = true
 			}
 		}
@@ -116,7 +106,7 @@ func TestDiurnalWeekendMostlyHome(t *testing.T) {
 	}
 	for h := 0; h < 48; h += 3 {
 		at := sat.Add(time.Duration(h) * time.Hour)
-		if m.Position(at).DistanceTo(home) > 1 {
+		if m.Position(at).distanceTo(home) > 1 {
 			t.Fatalf("weekend wanderlust at %v despite near-zero outing probability", at)
 		}
 	}
@@ -142,7 +132,7 @@ func TestRandomWaypointCoversArea(t *testing.T) {
 	var minX, minY, maxX, maxY = math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)
 	for minute := 0; minute < 24*60; minute++ {
 		p := m.Position(start.Add(time.Duration(minute) * time.Minute))
-		if !area.Contains(p) {
+		if p.X < 0 || p.Y < 0 || p.X > area.W || p.Y > area.H {
 			t.Fatalf("position %v outside area", p)
 		}
 		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
@@ -233,7 +223,7 @@ func TestWorkingDayAtOfficeMidday(t *testing.T) {
 	for day := 0; day < 5; day++ {
 		for _, h := range []int{11, 15} {
 			at := start.Add(time.Duration(day)*24*time.Hour + time.Duration(h)*time.Hour)
-			if d := m.Position(at).DistanceTo(office); d > 300 {
+			if d := m.Position(at).distanceTo(office); d > 300 {
 				t.Errorf("day %d %02d:00: %f m from office", day, h, d)
 			}
 		}
@@ -251,7 +241,7 @@ func TestWorkingDaySleepsAtHomeAndStaysHomeWeekends(t *testing.T) {
 	// 3 AM every night: asleep at home.
 	for day := 0; day < 7; day++ {
 		at := start.Add(time.Duration(day)*24*time.Hour + 3*time.Hour)
-		if got := m.Position(at); got.DistanceTo(home) > 1 {
+		if got := m.Position(at); got.distanceTo(home) > 1 {
 			t.Errorf("day %d, 3AM: position %v, want home %v", day, got, home)
 		}
 	}
@@ -260,7 +250,7 @@ func TestWorkingDaySleepsAtHomeAndStaysHomeWeekends(t *testing.T) {
 	for day := 5; day < 7; day++ {
 		for h := 0; h < 24; h += 2 {
 			at := start.Add(time.Duration(day)*24*time.Hour + time.Duration(h)*time.Hour)
-			if got := m.Position(at); got.DistanceTo(home) > 1 {
+			if got := m.Position(at); got.distanceTo(home) > 1 {
 				t.Errorf("weekend day %d %02d:00: position %v, want home", day, h, got)
 			}
 		}
@@ -312,9 +302,14 @@ func TestTraceValidation(t *testing.T) {
 	}
 }
 
+// TestStationary: a trace of one waypoint pins its node there, before and
+// after the waypoint's instant.
 func TestStationary(t *testing.T) {
 	p := Point{X: 42, Y: 24}
-	m := Stationary(p)
+	m, err := NewTrace([]Waypoint{{At: start.Add(time.Hour), Pos: p}})
+	if err != nil {
+		t.Fatalf("NewTrace: %v", err)
+	}
 	if got := m.Position(start); got != p {
 		t.Errorf("stationary moved to %v", got)
 	}
@@ -335,8 +330,8 @@ func TestItineraryContinuity(t *testing.T) {
 	prev := m.Position(start)
 	for at := start.Add(step); at.Before(start.Add(72 * time.Hour)); at = at.Add(step) {
 		cur := m.Position(at)
-		if prev.DistanceTo(cur) > maxJump {
-			t.Fatalf("teleport at %v: %f m in %v", at, prev.DistanceTo(cur), step)
+		if prev.distanceTo(cur) > maxJump {
+			t.Fatalf("teleport at %v: %f m in %v", at, prev.distanceTo(cur), step)
 		}
 		prev = cur
 	}

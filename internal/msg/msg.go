@@ -139,9 +139,9 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// SigningBytes returns the canonical byte string the author signs: every
+// signingBytes returns the canonical byte string the author signs: every
 // immutable field, length-prefixed, under a domain-separation tag.
-func (m *Message) SigningBytes() []byte {
+func (m *Message) signingBytes() []byte {
 	buf := make([]byte, 0, 64+len(m.Payload))
 	buf = append(buf, "sos/msg/v1"...)
 	buf = append(buf, m.Author[:]...)
@@ -163,7 +163,7 @@ func (m *Message) Sign(ident *id.Identity) error {
 	if ident.User != m.Author {
 		return fmt.Errorf("msg: signing identity %s does not match author %s", ident.User, m.Author)
 	}
-	sig, err := ident.Sign(m.SigningBytes())
+	sig, err := ident.Sign(m.signingBytes())
 	if err != nil {
 		return fmt.Errorf("msg: signing: %w", err)
 	}
@@ -178,7 +178,7 @@ func (m *Message) VerifyWithKey(pub *ecdsa.PublicKey) error {
 	if len(m.Sig) == 0 {
 		return ErrUnsigned
 	}
-	if !id.Verify(pub, m.SigningBytes(), m.Sig) {
+	if !id.Verify(pub, m.signingBytes(), m.Sig) {
 		return fmt.Errorf("%w: message %s", ErrBadSig, m.Ref())
 	}
 	return nil
@@ -210,15 +210,15 @@ func (m *Message) Retain(cert []byte) *Message {
 	return &cp
 }
 
-// EncodedSize returns the exact byte length Encode produces for m, for
+// encodedSize returns the exact byte length Encode produces for m, for
 // pre-sizing encode buffers.
-func (m *Message) EncodedSize() int {
+func (m *Message) encodedSize() int {
 	return id.UserIDLen + 8 + 1 + 8 + id.UserIDLen + 4 + len(m.Payload) + 2 + len(m.Sig) + 4 + len(m.CertDER) + 4
 }
 
 // Encode serializes the message to its binary wire/storage form.
 func (m *Message) Encode() ([]byte, error) {
-	return m.AppendEncode(make([]byte, 0, m.EncodedSize()))
+	return m.AppendEncode(make([]byte, 0, m.encodedSize()))
 }
 
 // AppendEncode appends the message's binary form to buf and returns the

@@ -128,16 +128,15 @@ func New(cfg Config) (*Medium, error) {
 		blocked:   make(map[mpc.PairKey]bool),
 	}
 	for _, t := range cfg.BeaconTargets {
-		if err := m.AddBeaconTarget(t); err != nil {
+		if err := m.addBeaconTarget(t); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
 }
 
-// AddBeaconTarget adds one more destination for every endpoint's beacons,
-// e.g. a peer address learned after startup.
-func (m *Medium) AddBeaconTarget(addr string) error {
+// addBeaconTarget adds one more destination for every endpoint's beacons.
+func (m *Medium) addBeaconTarget(addr string) error {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return fmt.Errorf("netmedium: beacon target %q: %w", addr, err)

@@ -185,7 +185,7 @@ func TestCrossInstanceDiscoveryAndLossTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mA.AddBeaconTarget(mB.BeaconAddrs()[0]); err != nil {
+	if err := mA.addBeaconTarget(mB.BeaconAddrs()[0]); err != nil {
 		t.Fatal(err)
 	}
 

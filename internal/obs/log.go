@@ -11,7 +11,7 @@ import (
 // either human-readable text or JSON, written to w. level is one of
 // "debug", "info", "warn", "error" (empty selects info).
 func NewLogger(w io.Writer, level string, jsonFormat bool) (*slog.Logger, error) {
-	lvl, err := ParseLevel(level)
+	lvl, err := parseLevel(level)
 	if err != nil {
 		return nil, err
 	}
@@ -25,8 +25,8 @@ func NewLogger(w io.Writer, level string, jsonFormat bool) (*slog.Logger, error)
 	return slog.New(h), nil
 }
 
-// ParseLevel maps a level name onto slog.Level.
-func ParseLevel(level string) (slog.Level, error) {
+// parseLevel maps a level name onto slog.Level.
+func parseLevel(level string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(level)) {
 	case "", "info":
 		return slog.LevelInfo, nil

@@ -97,6 +97,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go s.srv.Serve(ln)
 	if s.log != nil {
+		// The lab's process fleet reads the bound address from this line.
 		s.log.Info("debug server listening", "addr", ln.Addr().String())
 	}
 	return s, nil

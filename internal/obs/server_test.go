@@ -83,12 +83,12 @@ func TestServerEndpoints(t *testing.T) {
 // TestLogLevels pins the level names the daemons accept.
 func TestLogLevels(t *testing.T) {
 	for _, level := range []string{"", "debug", "info", "warn", "warning", "error", "  Error "} {
-		if _, err := ParseLevel(level); err != nil {
-			t.Errorf("ParseLevel(%q): %v", level, err)
+		if _, err := parseLevel(level); err != nil {
+			t.Errorf("parseLevel(%q): %v", level, err)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel(loud) did not fail")
+	if _, err := parseLevel("loud"); err == nil {
+		t.Error("parseLevel(loud) did not fail")
 	}
 	var b strings.Builder
 	log, err := NewLogger(&b, "warn", false)

@@ -132,9 +132,6 @@ func NewCA(name string, opts ...CAOption) (*CA, error) {
 	return ca, nil
 }
 
-// Root returns the parsed root certificate.
-func (ca *CA) Root() *x509.Certificate { return ca.cert }
-
 // Key returns the CA signing key so operators can persist it (sosctl
 // ca-init); handle with care.
 func (ca *CA) Key() *ecdsa.PrivateKey { return ca.key }
@@ -222,9 +219,9 @@ func (ca *CA) Issue(user id.UserID, pub *ecdsa.PublicKey) (*UserCert, error) {
 	}, nil
 }
 
-// Revoke marks a certificate serial as revoked. Devices only learn about
+// revoke marks a certificate serial as revoked. Devices only learn about
 // revocations when they next reach the cloud (paper §IV limitation).
-func (ca *CA) Revoke(serial string) {
+func (ca *CA) revoke(serial string) {
 	ca.mu.Lock()
 	defer ca.mu.Unlock()
 	if _, done := ca.revoked[serial]; !done {
@@ -241,7 +238,7 @@ func (ca *CA) RevokeUser(user id.UserID) bool {
 	if !ok {
 		return false
 	}
-	ca.Revoke(serial)
+	ca.revoke(serial)
 	return true
 }
 

@@ -97,7 +97,7 @@ func TestRevocationVisibleAfterSync(t *testing.T) {
 		t.Fatalf("NewVerifier: %v", err)
 	}
 
-	ca.Revoke(cert.Serial)
+	ca.revoke(cert.Serial)
 
 	// Before the device syncs its CRL, the certificate still verifies —
 	// exactly the offline-revocation limitation the paper describes.
@@ -233,7 +233,7 @@ func TestCRLIsACopy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Issue: %v", err)
 	}
-	ca.Revoke(cert.Serial)
+	ca.revoke(cert.Serial)
 	crl := ca.CRL()
 	delete(crl, cert.Serial)
 	if _, ok := ca.CRL()[cert.Serial]; !ok {

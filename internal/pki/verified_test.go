@@ -68,7 +68,7 @@ func issueRaw(t *testing.T, ca *CA, serial int64, commonName string, pub any, no
 		NotAfter:     notBefore.Add(48 * time.Hour),
 		KeyUsage:     x509.KeyUsageDigitalSignature,
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.Root(), pub, ca.Key())
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.cert, pub, ca.Key())
 	if err != nil {
 		t.Fatalf("CreateCertificate: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestVerifierEquivalentToFresh(t *testing.T) {
 	foreignCert := mustIssue(t, foreign, alice)
 	current = t0.Add(24 * time.Hour)
 	renewed := mustIssue(t, ca, alice)
-	rootEnd := ca.Root().NotAfter
+	rootEnd := ca.cert.NotAfter
 	current = rootEnd.Add(-time.Hour)
 	late := mustIssue(t, ca, bob) // its window straddles the root's NotAfter
 	current = t0

@@ -34,8 +34,8 @@ var (
 	ErrClosed = errors.New("recordlog: log closed")
 )
 
-// AppendFrame appends one framed record to dst.
-func AppendFrame(dst []byte, typ byte, body []byte) []byte {
+// appendFrame appends one framed record to dst.
+func appendFrame(dst []byte, typ byte, body []byte) []byte {
 	start := len(dst)
 	dst = append(dst, typ)
 	dst = binary.AppendUvarint(dst, uint64(len(body)))
@@ -144,7 +144,7 @@ func (l *Log) Append(typ byte, body []byte) error {
 	if err := l.refusal(); err != nil {
 		return err
 	}
-	l.buf = AppendFrame(l.buf[:0], typ, body)
+	l.buf = appendFrame(l.buf[:0], typ, body)
 	_, err := l.f.Write(l.buf)
 	if err == nil && !l.noSync {
 		err = l.f.Sync()
@@ -174,7 +174,7 @@ func (l *Log) Rewrite(emit func(put func(typ byte, body []byte)) error) error {
 	bw := bufio.NewWriter(f)
 	var size int64
 	err = emit(func(typ byte, body []byte) {
-		l.buf = AppendFrame(l.buf[:0], typ, body)
+		l.buf = appendFrame(l.buf[:0], typ, body)
 		_, _ = bw.Write(l.buf) // a bufio.Writer's error is sticky: Flush reports it
 		size += int64(len(l.buf))
 	})

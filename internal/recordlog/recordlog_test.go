@@ -58,7 +58,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	want := []record{{1, "body"}, {2, ""}, {255, string(bytes.Repeat([]byte{0xAB}, 300))}}
 	var buf []byte
 	for _, r := range want {
-		buf = AppendFrame(buf, r.Typ, []byte(r.Body))
+		buf = appendFrame(buf, r.Typ, []byte(r.Body))
 	}
 	br := bufio.NewReader(bytes.NewReader(buf))
 	var total int64
@@ -81,7 +81,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestReadFrameCorrupt(t *testing.T) {
-	good := AppendFrame(nil, 1, []byte("payload"))
+	good := appendFrame(nil, 1, []byte("payload"))
 	flipped := append([]byte(nil), good...)
 	flipped[3] ^= 0x40
 	// The same length spelled in two bytes: the checksum was taken over
@@ -94,7 +94,7 @@ func TestReadFrameCorrupt(t *testing.T) {
 		{"bare type byte", good[:1]},
 		{"truncated length", []byte{1, 0x80}},
 		{"length overflows", append([]byte{1}, bytes.Repeat([]byte{0xFF}, 11)...)},
-		{"over the body bound", AppendFrame(nil, 1, make([]byte, 65))},
+		{"over the body bound", appendFrame(nil, 1, make([]byte, 65))},
 		{"truncated body", good[:5]},
 		{"truncated checksum", good[:len(good)-1]},
 		{"flipped bit", flipped},
@@ -135,7 +135,7 @@ func TestOpenReplaysAndAppends(t *testing.T) {
 // flipped bit, a body the caller refuses — the file is cut there, and
 // appends continue from the cut.
 func TestOpenTruncatesDamage(t *testing.T) {
-	three := AppendFrame(AppendFrame(AppendFrame(nil, 1, []byte("one")), 2, []byte("two")), 3, []byte("three"))
+	three := appendFrame(appendFrame(appendFrame(nil, 1, []byte("one")), 2, []byte("two")), 3, []byte("three"))
 	flipped := append([]byte(nil), three...)
 	flipped[len(flipped)-6] ^= 0x01
 	tests := []struct {
@@ -372,14 +372,14 @@ func FuzzFrame(f *testing.F) {
 	// The corpora of the two codecs this reader replaced: the disk
 	// engine's record types…
 	user := []byte("0123456789")
-	f.Add(AppendFrame(nil, 2, user))
-	f.Add(AppendFrame(nil, 4, binary.AppendUvarint(append([]byte(nil), user...), 7)))
-	f.Add(AppendFrame(nil, 1, []byte{1, 2, 3}))
+	f.Add(appendFrame(nil, 2, user))
+	f.Add(appendFrame(nil, 4, binary.AppendUvarint(append([]byte(nil), user...), 7)))
+	f.Add(appendFrame(nil, 1, []byte{1, 2, 3}))
 	f.Add([]byte{1, 0xff, 0xff, 0xff})
 	// …and the replay store's floor and nonce records, with every
 	// truncation of one.
-	floor := AppendFrame(nil, 1, append(append([]byte{1, 's'}, 0, 0, 0, 1), 0, 0, 0, 0, 0, 0, 0, 2))
-	f.Add(AppendFrame(nil, 2, append([]byte{5}, "nonce"...)))
+	floor := appendFrame(nil, 1, append(append([]byte{1, 's'}, 0, 0, 0, 1), 0, 0, 0, 0, 0, 0, 0, 2))
+	f.Add(appendFrame(nil, 2, append([]byte{5}, "nonce"...)))
 	f.Add([]byte{})
 	for i := 0; i <= len(floor); i++ {
 		f.Add(floor[:i])
@@ -395,7 +395,7 @@ func FuzzFrame(f *testing.F) {
 		if n <= 0 || n > int64(len(data)) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		if again := AppendFrame(nil, typ, body); !bytes.Equal(again, data[:n]) {
+		if again := appendFrame(nil, typ, body); !bytes.Equal(again, data[:n]) {
 			// Only a non-canonical length can differ, and then the
 			// checksum over the bytes as read must have matched anyway.
 			typ2, body2, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(again)), 1<<16)

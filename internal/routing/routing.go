@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"sos/internal/clock"
 	"sos/internal/id"
@@ -88,21 +87,10 @@ type Scheme interface {
 
 // Options tunes scheme construction.
 type Options struct {
-	// Clock drives PRoPHET predictability aging and relay-TTL checks.
-	// Nil selects wall time.
+	// Clock drives PRoPHET predictability aging. Nil selects wall time.
+	// (How long a node carries other users' messages is the store's
+	// eviction policy, not a scheme's: see store.PolicyByName.)
 	Clock clock.Clock
-	// RelayTTL bounds how long a node carries *other users'* messages.
-	// It is enforced by the storage engine, not the schemes: the core
-	// layer maps a positive RelayTTL onto the store's TTL eviction
-	// policy, which physically drops (and tombstones) foreign messages
-	// older than the TTL, so a forwarder neither serves nor re-fetches
-	// them. Authors always keep their own messages, so old content
-	// remains deliverable directly from its source. Zero disables
-	// eviction. This is standard DTN buffer management; it also matches
-	// the field study's delivery pattern, where multi-hop forwarding
-	// moved fresh posts and older posts arrived single-hop from their
-	// authors days later.
-	RelayTTL time.Duration
 }
 
 // DefaultSprayBudget is the initial number of copies spray-and-wait may

@@ -41,7 +41,7 @@ const (
 	// rotateCheckEvery is how many seals may pass between clock reads on
 	// the send path. Rotation is checked off the per-frame hot path: the
 	// clock is consulted at session creation, then at most once per this
-	// many frames (and on every explicit MaybeRotate call).
+	// many frames (and on every explicit maybeRotate call).
 	rotateCheckEvery = 16
 )
 

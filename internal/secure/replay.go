@@ -57,12 +57,12 @@ func appendNonceBody(dst, nonce []byte) []byte {
 	return append(dst, nonce...)
 }
 
-// DecodeReplayBody parses one record body read back from the log and
+// decodeReplayBody parses one record body read back from the log and
 // returns the nonce a nonce record carries (aliasing body); a well-formed
 // record of the retired floor type decodes to nothing. The bytes come
 // from disk, so every length is checked against the body and the store's
 // bounds; anything else is ErrRecordMalformed.
-func DecodeReplayBody(typ byte, body []byte) ([]byte, error) {
+func decodeReplayBody(typ byte, body []byte) ([]byte, error) {
 	n, w := binary.Uvarint(body)
 	if w <= 0 || n > uint64(len(body)-w) {
 		return nil, fmt.Errorf("%w: length prefix", ErrRecordMalformed)
@@ -131,7 +131,7 @@ func OpenReplayStore(dir string, opts ReplayOptions) (*ReplayStore, error) {
 // runs only inside OpenReplayStore, before the store is shared, so it
 // takes no lock.
 func (rs *ReplayStore) applyRecord(typ byte, body []byte) error {
-	nonce, err := DecodeReplayBody(typ, body)
+	nonce, err := decodeReplayBody(typ, body)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,9 +15,19 @@ import (
 	"sos/internal/recordlog"
 )
 
+// appendFrame appends one record in the recordlog frame: type, uvarint
+// body length, body, CRC-32 (IEEE, big-endian) over all of it.
+func appendFrame(dst []byte, typ byte, body []byte) []byte {
+	start := len(dst)
+	dst = append(dst, typ)
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	dst = append(dst, body...)
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
 // nonceFrame appends the log record MarkNonce writes for nonce.
 func nonceFrame(dst []byte, nonce string) []byte {
-	return recordlog.AppendFrame(dst, ReplayRecNonce, appendNonceBody(nil, []byte(nonce)))
+	return appendFrame(dst, ReplayRecNonce, appendNonceBody(nil, []byte(nonce)))
 }
 
 // floorBody is the body of the retired floor record as earlier commits
@@ -34,7 +45,7 @@ func readRecord(br *bufio.Reader) (typ byte, nonce []byte, n int64, err error) {
 	if err != nil {
 		return typ, nil, n, err
 	}
-	nonce, err = DecodeReplayBody(typ, body)
+	nonce, err = decodeReplayBody(typ, body)
 	return typ, nonce, n, err
 }
 
@@ -75,7 +86,7 @@ func TestReplayRecordRoundTrip(t *testing.T) {
 }
 
 func TestReplayRecordMalformed(t *testing.T) {
-	good := recordlog.AppendFrame(nil, recRetiredFloor, floorBody("s", 1, 2))
+	good := appendFrame(nil, recRetiredFloor, floorBody("s", 1, 2))
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-1] ^= 0xFF
 	longScope := strings.Repeat("s", maxReplayScope+1)
@@ -84,15 +95,15 @@ func TestReplayRecordMalformed(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"unknown type", recordlog.AppendFrame(nil, 99, nil)},
+		{"unknown type", appendFrame(nil, 99, nil)},
 		{"bad checksum", flipped},
 		{"truncated body", good[:len(good)-6]},
 		{"oversize length", []byte{recRetiredFloor, 0xFF, 0xFF, 0x7F}},
 		{"bare type byte", []byte{ReplayRecNonce}},
-		{"retired floor, over-long scope", recordlog.AppendFrame(nil, recRetiredFloor, floorBody(longScope, 1, 2))},
-		{"retired floor, short tail", recordlog.AppendFrame(nil, recRetiredFloor, floorBody("s", 1, 2)[:10])},
+		{"retired floor, over-long scope", appendFrame(nil, recRetiredFloor, floorBody(longScope, 1, 2))},
+		{"retired floor, short tail", appendFrame(nil, recRetiredFloor, floorBody("s", 1, 2)[:10])},
 		{"nonce, over-long", nonceFrame(nil, strings.Repeat("n", maxReplayNonce+1))},
-		{"nonce, trailing bytes", recordlog.AppendFrame(nil, ReplayRecNonce, append(appendNonceBody(nil, []byte("n")), 0))},
+		{"nonce, trailing bytes", appendFrame(nil, ReplayRecNonce, append(appendNonceBody(nil, []byte("n")), 0))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -335,7 +346,7 @@ func FuzzReplayStoreRecord(f *testing.F) {
 		f.Add(recRetiredFloor, floor[:i])
 	}
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
-		nonce, err := DecodeReplayBody(typ, body)
+		nonce, err := decodeReplayBody(typ, body)
 		if err != nil {
 			if !errors.Is(err, ErrRecordMalformed) {
 				t.Fatalf("err = %v, want ErrRecordMalformed", err)
@@ -348,7 +359,7 @@ func FuzzReplayStoreRecord(f *testing.F) {
 			}
 			return
 		}
-		nonce2, err := DecodeReplayBody(typ, appendNonceBody(nil, nonce))
+		nonce2, err := decodeReplayBody(typ, appendNonceBody(nil, nonce))
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}

@@ -62,16 +62,16 @@ func TestSessionRotationAtEpochBoundary(t *testing.T) {
 
 	// Just short of the boundary: no rotation.
 	ca.Advance(period - time.Second)
-	if rotated, err := sa.MaybeRotate(); err != nil || rotated {
-		t.Fatalf("MaybeRotate before boundary = %v, %v; want false, nil", rotated, err)
+	if rotated, err := sa.maybeRotate(); err != nil || rotated {
+		t.Fatalf("maybeRotate before boundary = %v, %v; want false, nil", rotated, err)
 	}
 	// Across the boundary: exactly one rotation, idempotent after.
 	ca.Advance(2 * time.Second)
-	if rotated, err := sa.MaybeRotate(); err != nil || !rotated {
-		t.Fatalf("MaybeRotate at boundary = %v, %v; want true, nil", rotated, err)
+	if rotated, err := sa.maybeRotate(); err != nil || !rotated {
+		t.Fatalf("maybeRotate at boundary = %v, %v; want true, nil", rotated, err)
 	}
-	if rotated, _ := sa.MaybeRotate(); rotated {
-		t.Fatal("second MaybeRotate rotated again inside one epoch")
+	if rotated, _ := sa.maybeRotate(); rotated {
+		t.Fatal("second maybeRotate rotated again inside one epoch")
 	}
 	if send := sa.sendEpoch; send != 1 {
 		t.Fatalf("send epoch after rotation = %d, want 1", send)
@@ -104,7 +104,7 @@ func TestSessionRotationAtEpochBoundary(t *testing.T) {
 }
 
 // TestSessionRotationOnSealCadence checks the amortized clock read: with
-// no explicit MaybeRotate call, a sender crossing an epoch boundary
+// no explicit maybeRotate call, a sender crossing an epoch boundary
 // rotates within rotateCheckEvery seals.
 func TestSessionRotationOnSealCadence(t *testing.T) {
 	ca, cb := clock.NewVirtual(sessionEpoch0), clock.NewVirtual(sessionEpoch0)
@@ -139,8 +139,8 @@ func TestSessionEpochSkewRejected(t *testing.T) {
 	// Sender's clock runs two epochs ahead; the receiver tolerates only
 	// one epoch past its own clock.
 	ca.Advance(2*period + time.Second)
-	if rotated, err := sa.MaybeRotate(); err != nil || !rotated {
-		t.Fatalf("MaybeRotate = %v, %v", rotated, err)
+	if rotated, err := sa.maybeRotate(); err != nil || !rotated {
+		t.Fatalf("maybeRotate = %v, %v", rotated, err)
 	}
 	frame, err := sa.Seal([]byte("from the future"), nil)
 	if err != nil {
@@ -178,8 +178,8 @@ func TestSessionOverlapWindow(t *testing.T) {
 	}
 	ca.Advance(period + time.Second)
 	cb.Advance(period + time.Second)
-	if _, err := sa.MaybeRotate(); err != nil {
-		t.Fatalf("MaybeRotate: %v", err)
+	if _, err := sa.maybeRotate(); err != nil {
+		t.Fatalf("maybeRotate: %v", err)
 	}
 	fB, err := sa.Seal([]byte("new"), nil)
 	if err != nil {
@@ -332,8 +332,8 @@ func TestSessionMaybeRotateClosed(t *testing.T) {
 	sa, _ := newPairCfg(t, SessionConfig{Clock: clk}, SessionConfig{Clock: clk})
 	sa.Close()
 	sa.Close() // idempotent
-	if _, err := sa.MaybeRotate(); !errors.Is(err, ErrSessionDone) {
-		t.Fatalf("MaybeRotate after Close: err = %v, want ErrSessionDone", err)
+	if _, err := sa.maybeRotate(); !errors.Is(err, ErrSessionDone) {
+		t.Fatalf("maybeRotate after Close: err = %v, want ErrSessionDone", err)
 	}
 }
 

@@ -340,7 +340,7 @@ func TestSessionAppendSealOpenShared(t *testing.T) {
 func TestSessionAppendSealAllocBudget(t *testing.T) {
 	sa, sb := newPair(t)
 	payload := make([]byte, 1024)
-	out := make([]byte, 0, len(payload)+sa.Overhead())
+	out := make([]byte, 0, len(payload)+sa.overhead)
 	// Warm the direction-scratch buffers.
 	warm, err := sa.AppendSeal(out, payload, nil)
 	if err != nil {

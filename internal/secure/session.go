@@ -268,12 +268,12 @@ func epochAt(now, start time.Time) uint32 {
 	return uint32(elapsed / DefaultRotationPeriod)
 }
 
-// MaybeRotate advances the send direction to the clock's current epoch,
+// maybeRotate advances the send direction to the clock's current epoch,
 // returning true when a rotation happened. Sealing checks the clock at
 // most once per rotateCheckEvery frames to stay off the per-frame hot
 // path; callers with long idle gaps (or deterministic tests) may force
 // the check here.
-func (s *Session) MaybeRotate() (bool, error) {
+func (s *Session) maybeRotate() (bool, error) {
 	if s.closed {
 		return false, ErrSessionDone
 	}
@@ -287,9 +287,6 @@ func (s *Session) MaybeRotate() (bool, error) {
 	bump(s.rec, cRotations)
 	return true, nil
 }
-
-// Overhead returns the number of bytes Seal adds to a plaintext.
-func (s *Session) Overhead() int { return s.overhead }
 
 // Seal encrypts plaintext into a fresh frame bound to aad. Frames must be
 // delivered to the peer in order. Hot paths should prefer AppendSeal with
@@ -307,7 +304,7 @@ func (s *Session) AppendSeal(dst, plaintext, aad []byte) ([]byte, error) {
 	}
 	if s.sealsLeft--; s.sealsLeft <= 0 {
 		s.sealsLeft = rotateCheckEvery
-		if _, err := s.MaybeRotate(); err != nil {
+		if _, err := s.maybeRotate(); err != nil {
 			bump(s.rec, cSealFailures)
 			return dst, err
 		}

@@ -46,14 +46,14 @@ func LoadContactTrace(path string, base time.Time) ([]ContactEvent, []string, er
 		return nil, nil, fmt.Errorf("sim: opening contact trace: %w", err)
 	}
 	defer f.Close()
-	events, handles, err := ParseContactTrace(f, base)
+	events, handles, err := parseContactTrace(f, base)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: %s: %w", path, err)
 	}
 	return events, handles, nil
 }
 
-// ParseContactTrace parses a contact trace from r. Each non-empty,
+// parseContactTrace parses a contact trace from r. Each non-empty,
 // non-comment line is one link transition:
 //
 //	CSV:   node,peer,op,at      e.g.  n1,n2,up,120
@@ -65,7 +65,7 @@ func LoadContactTrace(path string, base time.Time) ([]ContactEvent, []string, er
 // beginning with '#', and a leading "node,peer,op,at" header, are
 // skipped. Events are returned sorted by time (input order breaks ties),
 // with the handles the trace names sorted and deduplicated.
-func ParseContactTrace(r io.Reader, base time.Time) ([]ContactEvent, []string, error) {
+func parseContactTrace(r io.Reader, base time.Time) ([]ContactEvent, []string, error) {
 	var events []ContactEvent
 	seen := make(map[string]bool)
 	sc := bufio.NewScanner(r)

@@ -148,26 +148,6 @@ func (ix *ContactIndex) check(positions []mobility.Point, i, j int32, fn func(i,
 	fn(i, j)
 }
 
-// PairwiseContacts is the reference O(N²) sweep the grid index replaced.
-// It applies the identical range predicate, so the two must find exactly
-// the same contact set — the equivalence test in grid_test.go holds the
-// index to that. It remains the honest baseline for BenchmarkSimContacts.
-func PairwiseContacts(positions []mobility.Point, active []bool, rangeM float64, fn func(i, j int32)) {
-	for i := 0; i < len(positions); i++ {
-		if active != nil && !active[i] {
-			continue
-		}
-		for j := i + 1; j < len(positions); j++ {
-			if active != nil && !active[j] {
-				continue
-			}
-			if inContact(positions[i], positions[j], rangeM) {
-				fn(int32(i), int32(j))
-			}
-		}
-	}
-}
-
 // SamplePositions fills positions and active from the fleet's mobility
 // models and activity functions at the given instant, sharding the work
 // across CPUs: itineraries are immutable after construction and each

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"testing"
 	"time"
 
 	"sos/internal/id"
@@ -22,9 +23,9 @@ import (
 	"sos/internal/mobility"
 )
 
-// BufferPressureConfig parameterizes the constrained-buffer scenario.
+// bufferPressureConfig parameterizes the constrained-buffer scenario.
 // Zero values select the defaults noted on each field.
-type BufferPressureConfig struct {
+type bufferPressureConfig struct {
 	// Seed fixes all randomness (workload spread, identities).
 	Seed int64
 	// ClusterSize is the node count per cluster (default 3).
@@ -44,17 +45,17 @@ type BufferPressureConfig struct {
 	PayloadBytes int
 }
 
-// BufferPressure is a fully-built pressure scenario.
-type BufferPressure struct {
+// bufferPressure is a fully-built pressure scenario.
+type bufferPressure struct {
 	Config        Config
 	Subscriptions []metrics.Subscription
 }
 
-// NewBufferPressure builds the scenario: cluster A authors posts, the
+// newBufferPressure builds the scenario: cluster A authors posts, the
 // ferry shuttles, cluster B subscribes to every A-author. The ferry
 // subscribes to half the authors, so interest routing still carries a
 // defined portion of the workload across the partition.
-func NewBufferPressure(cfg BufferPressureConfig) (*BufferPressure, error) {
+func newBufferPressure(cfg bufferPressureConfig) (*bufferPressure, error) {
 	if cfg.ClusterSize <= 0 {
 		cfg.ClusterSize = 3
 	}
@@ -88,14 +89,14 @@ func NewBufferPressure(cfg BufferPressureConfig) (*BufferPressure, error) {
 		bHandles[i] = fmt.Sprintf("b%02d", i+1)
 		nodes = append(nodes, NodeSpec{
 			Handle:   aHandles[i],
-			Mobility: mobility.Stationary(mobility.Point{X: float64(i) * 5, Y: 0}),
+			Mobility: pinned{X: float64(i) * 5, Y: 0},
 		})
 	}
 	// Every B-node follows every A-author: full demand across the gap.
 	for i := 0; i < cfg.ClusterSize; i++ {
 		nodes = append(nodes, NodeSpec{
 			Handle:   bHandles[i],
-			Mobility: mobility.Stationary(mobility.Point{X: gap + float64(i)*5, Y: 0}),
+			Mobility: pinned{X: gap + float64(i)*5, Y: 0},
 			Follows:  aHandles,
 		})
 	}
@@ -149,7 +150,7 @@ func NewBufferPressure(cfg BufferPressureConfig) (*BufferPressure, error) {
 		}
 	}
 
-	return &BufferPressure{
+	return &bufferPressure{
 		Config: Config{
 			Start:       start,
 			Duration:    time.Duration(cfg.Hours) * time.Hour,
@@ -164,4 +165,39 @@ func NewBufferPressure(cfg BufferPressureConfig) (*BufferPressure, error) {
 		},
 		Subscriptions: subs,
 	}, nil
+}
+
+// BenchmarkStoreBufferPressure runs the constrained-device workload the
+// in-vivo study could not explore: a finite per-node quota on the ferry
+// topology, epidemic vs. interest. Epidemic floods every buffer it meets
+// and pays for it in evictions; interest carries only subscribed cargo
+// and keeps more of what matters.
+func BenchmarkStoreBufferPressure(b *testing.B) {
+	for _, scheme := range []string{"epidemic", "interest"} {
+		b.Run(scheme, func(b *testing.B) {
+			var delivered, evictions, trackedDrops float64
+			for i := 0; i < b.N; i++ {
+				bp, err := newBufferPressure(bufferPressureConfig{
+					Seed: 11, Scheme: scheme, Quota: 12, Posts: 60,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := New(bp.Config)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := s.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				delivered = float64(len(res.Collector.Deliveries(metrics.AllHops)))
+				evictions = float64(res.Collector.Evictions())
+				trackedDrops = float64(res.Collector.TrackedEvictions())
+			}
+			b.ReportMetric(delivered, "deliveries")
+			b.ReportMetric(evictions, "evictions")
+			b.ReportMetric(trackedDrops, "tracked-drops")
+		})
+	}
 }

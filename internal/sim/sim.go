@@ -30,7 +30,6 @@ import (
 	"sos/internal/mpc"
 	"sos/internal/msg"
 	"sos/internal/pki"
-	"sos/internal/routing"
 	"sos/internal/store"
 	"sos/internal/telemetry"
 	"sos/internal/trace"
@@ -106,7 +105,7 @@ type Config struct {
 	Workload []Event
 	// Contacts, when non-empty, switches the run to trace-driven
 	// contacts: the listed link up/down events are replayed verbatim
-	// (Haggle/CRAWDAD-style encounter dumps parsed by ParseContactTrace)
+	// (Haggle/CRAWDAD-style encounter dumps parsed by parseContactTrace)
 	// and position-based contact detection is bypassed entirely. Nodes
 	// may then omit their mobility model.
 	Contacts []ContactEvent
@@ -269,7 +268,6 @@ func New(cfg Config) (*Sim, error) {
 			Scheme:   scheme,
 			Clock:    clk,
 			Rand:     nodeRng,
-			Routing:  routing.Options{Clock: clk, RelayTTL: cfg.RelayTTL},
 			Store:    st,
 			// No heartbeat driver: its wall-clock ticks would call into this
 			// single-threaded simulator from their own goroutine, and the

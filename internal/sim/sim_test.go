@@ -15,6 +15,11 @@ import (
 var start = time.Date(2017, 4, 3, 0, 0, 0, 0, time.UTC)
 
 // twoNodeConfig builds a minimal scenario: two stationary nodes in range.
+// pinned is a mobility model that never moves.
+type pinned mobility.Point
+
+func (p pinned) Position(time.Time) mobility.Point { return mobility.Point(p) }
+
 func twoNodeConfig(scheme string, workload []Event) Config {
 	return Config{
 		Start:    start,
@@ -24,8 +29,8 @@ func twoNodeConfig(scheme string, workload []Event) Config {
 		Scheme:   scheme,
 		Seed:     1,
 		Nodes: []NodeSpec{
-			{Handle: "alice", Mobility: mobility.Stationary(mobility.Point{X: 0, Y: 0})},
-			{Handle: "bob", Mobility: mobility.Stationary(mobility.Point{X: 10, Y: 0}), Follows: []string{"alice"}},
+			{Handle: "alice", Mobility: pinned{X: 0, Y: 0}},
+			{Handle: "bob", Mobility: pinned{X: 10, Y: 0}, Follows: []string{"alice"}},
 		},
 		Workload: workload,
 	}
@@ -128,7 +133,7 @@ func TestMovingNodesMeetAndDeliver(t *testing.T) {
 		Scheme:   "interest",
 		Seed:     2,
 		Nodes: []NodeSpec{
-			{Handle: "alice", Mobility: mobility.Stationary(mobility.Point{X: 0, Y: 0})},
+			{Handle: "alice", Mobility: pinned{X: 0, Y: 0}},
 			{Handle: "bob", Mobility: bobTrace, Follows: []string{"alice"}},
 		},
 		Workload: []Event{
@@ -321,10 +326,10 @@ func TestWorkloadValidation(t *testing.T) {
 // finite quota forces evictions on the ferry's critical path, the
 // collector counts every drop, and deliveries still happen.
 func TestBufferPressureScenario(t *testing.T) {
-	run := func(quota int) (*Result, *BufferPressure) {
-		bp, err := NewBufferPressure(BufferPressureConfig{Seed: 3, Quota: quota})
+	run := func(quota int) (*Result, *bufferPressure) {
+		bp, err := newBufferPressure(bufferPressureConfig{Seed: 3, Quota: quota})
 		if err != nil {
-			t.Fatalf("NewBufferPressure: %v", err)
+			t.Fatalf("newBufferPressure: %v", err)
 		}
 		s, err := New(bp.Config)
 		if err != nil {
@@ -390,9 +395,9 @@ func TestEpidemicOutperformsInterestInCoverage(t *testing.T) {
 			Scheme:   scheme,
 			Seed:     5,
 			Nodes: []NodeSpec{
-				{Handle: "alice", Mobility: mobility.Stationary(mobility.Point{X: 0, Y: 0})},
-				{Handle: "mid", Mobility: mobility.Stationary(mobility.Point{X: 25, Y: 0})},
-				{Handle: "far", Mobility: mobility.Stationary(mobility.Point{X: 50, Y: 0}), Follows: []string{"alice"}},
+				{Handle: "alice", Mobility: pinned{X: 0, Y: 0}},
+				{Handle: "mid", Mobility: pinned{X: 25, Y: 0}},
+				{Handle: "far", Mobility: pinned{X: 50, Y: 0}, Follows: []string{"alice"}},
 			},
 			Workload: []Event{
 				{At: start.Add(time.Minute), Handle: "alice", Action: ActionPost, Payload: []byte("relay me")},
@@ -475,7 +480,10 @@ func TestDeliveryOracle(t *testing.T) {
 					}
 					for _, n := range s.Nodes() {
 						st := n.MW.Store()
-						if n != author && st.IsSubscribed(author.User) && st.Has(m.Ref()) {
+						if n == author || !st.IsSubscribed(author.User) {
+							continue
+						}
+						if _, held := st.Get(m.Ref()); held {
 							want[pair{m.Ref(), n.User}] = true
 						}
 					}

@@ -62,8 +62,8 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// EdgeCount returns the number of directed edges.
-func (g *Graph) EdgeCount() int {
+// edgeCount returns the number of directed edges.
+func (g *Graph) edgeCount() int {
 	count := 0
 	for i := range g.adj {
 		for j := range g.adj[i] {
@@ -81,7 +81,7 @@ func (g *Graph) Density() float64 {
 	if g.n < 2 {
 		return 0
 	}
-	return float64(g.EdgeCount()) / float64(g.n*(g.n-1))
+	return float64(g.edgeCount()) / float64(g.n*(g.n-1))
 }
 
 // Undirected returns the symmetrized graph: e(i,j) implies e(j,i). The
@@ -99,9 +99,9 @@ func (g *Graph) Undirected() *Graph {
 	return u
 }
 
-// Distances returns the all-pairs shortest-path matrix via BFS;
+// distances returns the all-pairs shortest-path matrix via BFS;
 // unreachable pairs hold −1.
-func (g *Graph) Distances() [][]int {
+func (g *Graph) distances() [][]int {
 	dist := make([][]int, g.n)
 	for src := 0; src < g.n; src++ {
 		row := make([]int, g.n)
@@ -125,11 +125,11 @@ func (g *Graph) Distances() [][]int {
 	return dist
 }
 
-// AveragePathLength returns the mean shortest-path length over all
+// averagePathLength returns the mean shortest-path length over all
 // reachable ordered pairs i ≠ j. On a symmetric graph this equals the
 // paper's Σ l(i,j) / (n(n−1)/2) over unordered pairs.
-func (g *Graph) AveragePathLength() float64 {
-	dist := g.Distances()
+func (g *Graph) averagePathLength() float64 {
+	dist := g.distances()
 	sum, count := 0, 0
 	for i := 0; i < g.n; i++ {
 		for j := 0; j < g.n; j++ {
@@ -145,10 +145,10 @@ func (g *Graph) AveragePathLength() float64 {
 	return float64(sum) / float64(count)
 }
 
-// Eccentricities returns, per node, the greatest finite distance to any
+// eccentricities returns, per node, the greatest finite distance to any
 // other node; −1 if some node is unreachable.
-func (g *Graph) Eccentricities() []int {
-	dist := g.Distances()
+func (g *Graph) eccentricities() []int {
+	dist := g.distances()
 	ecc := make([]int, g.n)
 	for i := 0; i < g.n; i++ {
 		for j := 0; j < g.n; j++ {
@@ -170,7 +170,7 @@ func (g *Graph) Eccentricities() []int {
 // Diameter returns the maximum eccentricity (−1 if disconnected).
 func (g *Graph) Diameter() int {
 	max := 0
-	for _, e := range g.Eccentricities() {
+	for _, e := range g.eccentricities() {
 		if e < 0 {
 			return -1
 		}
@@ -184,7 +184,7 @@ func (g *Graph) Diameter() int {
 // Radius returns the minimum eccentricity (−1 if disconnected).
 func (g *Graph) Radius() int {
 	min := -1
-	for _, e := range g.Eccentricities() {
+	for _, e := range g.eccentricities() {
 		if e < 0 {
 			return -1
 		}
@@ -202,7 +202,7 @@ func (g *Graph) Center() []int {
 		return nil
 	}
 	var out []int
-	for v, e := range g.Eccentricities() {
+	for v, e := range g.eccentricities() {
 		if e == radius {
 			out = append(out, v)
 		}
@@ -210,9 +210,9 @@ func (g *Graph) Center() []int {
 	return out
 }
 
-// Triangles returns the number of (unordered) triangles in the
+// triangles returns the number of (unordered) triangles in the
 // symmetrized graph.
-func (g *Graph) Triangles() int {
+func (g *Graph) triangles() int {
 	u := g.Undirected()
 	count := 0
 	for i := 0; i < u.n; i++ {
@@ -230,9 +230,9 @@ func (g *Graph) Triangles() int {
 	return count
 }
 
-// Triads returns the number of connected triples (paths of length two)
+// triads returns the number of connected triples (paths of length two)
 // in the symmetrized graph: Σ_v C(deg(v), 2).
-func (g *Graph) Triads() int {
+func (g *Graph) triads() int {
 	u := g.Undirected()
 	count := 0
 	for v := 0; v < u.n; v++ {
@@ -251,17 +251,17 @@ func (g *Graph) Triads() int {
 // graph — the measure "that a friend k of a friend j is also a friend of
 // i" (paper §VI-A).
 func (g *Graph) Transitivity() float64 {
-	triads := g.Triads()
+	triads := g.triads()
 	if triads == 0 {
 		return 0
 	}
-	return 3 * float64(g.Triangles()) / float64(triads)
+	return 3 * float64(g.triangles()) / float64(triads)
 }
 
 // StronglyConnected reports whether every node reaches every other along
 // directed edges.
 func (g *Graph) StronglyConnected() bool {
-	dist := g.Distances()
+	dist := g.distances()
 	for i := 0; i < g.n; i++ {
 		for j := 0; j < g.n; j++ {
 			if i != j && dist[i][j] < 0 {
@@ -296,10 +296,10 @@ func ComputeStats(g *Graph) Stats {
 	}
 	return Stats{
 		Nodes:             g.N(),
-		DirectedEdges:     g.EdgeCount(),
+		DirectedEdges:     g.edgeCount(),
 		Density:           g.Density(),
-		UndirectedEdges:   und.EdgeCount() / 2,
-		AvgPathLength:     und.AveragePathLength(),
+		UndirectedEdges:   und.edgeCount() / 2,
+		AvgPathLength:     und.averagePathLength(),
 		Diameter:          und.Diameter(),
 		Radius:            und.Radius(),
 		Center:            display,

@@ -9,8 +9,8 @@ import (
 
 func TestEmptyGraph(t *testing.T) {
 	g := New(3)
-	if g.EdgeCount() != 0 || g.Density() != 0 {
-		t.Errorf("empty graph edges=%d density=%f", g.EdgeCount(), g.Density())
+	if g.edgeCount() != 0 || g.Density() != 0 {
+		t.Errorf("empty graph edges=%d density=%f", g.edgeCount(), g.Density())
 	}
 	if g.Diameter() != -1 {
 		t.Errorf("disconnected diameter = %d, want -1", g.Diameter())
@@ -50,11 +50,11 @@ func TestTriangleMetrics(t *testing.T) {
 			t.Fatalf("AddEdge: %v", err)
 		}
 	}
-	if got := g.Triangles(); got != 1 {
+	if got := g.triangles(); got != 1 {
 		t.Errorf("triangles = %d, want 1", got)
 	}
 	// Degrees: 2,2,3,1 → triads = 1+1+3+0 = 5; T = 3/5.
-	if got := g.Triads(); got != 5 {
+	if got := g.triads(); got != 5 {
 		t.Errorf("triads = %d, want 5", got)
 	}
 	if got := g.Transitivity(); math.Abs(got-0.6) > 1e-12 {
@@ -79,8 +79,8 @@ func TestPathMetricsOnPath(t *testing.T) {
 	if got := g.Center(); !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("center = %v, want [1]", got)
 	}
-	// Distances: (0,1)=1 (0,2)=2 (1,2)=1 → ordered mean = 8/6.
-	if got := g.AveragePathLength(); math.Abs(got-8.0/6.0) > 1e-12 {
+	// distances: (0,1)=1 (0,2)=2 (1,2)=1 → ordered mean = 8/6.
+	if got := g.averagePathLength(); math.Abs(got-8.0/6.0) > 1e-12 {
 		t.Errorf("avg path = %f, want %f", got, 8.0/6.0)
 	}
 }
@@ -94,7 +94,7 @@ func TestDirectedDistances(t *testing.T) {
 	if err := g.AddEdge(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	dist := g.Distances()
+	dist := g.distances()
 	if dist[0][2] != 2 || dist[2][0] != -1 {
 		t.Errorf("distances = %v", dist)
 	}
@@ -206,7 +206,7 @@ func TestDiameterBoundsProperty(t *testing.T) {
 				_ = g.AddEdge(to, from)
 			}
 		}
-		r, d, avg := g.Radius(), g.Diameter(), g.AveragePathLength()
+		r, d, avg := g.Radius(), g.Diameter(), g.averagePathLength()
 		return r >= 1 && r <= d && d <= 2*r && avg >= 1 && avg <= float64(d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

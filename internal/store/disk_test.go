@@ -46,10 +46,10 @@ func TestDiskTornTail(t *testing.T) {
 
 	re := openDisk(t, dir, Options{})
 	defer re.Close()
-	if !re.Has(msg.Ref{Author: bob, Seq: 1}) {
+	if !has(re, msg.Ref{Author: bob, Seq: 1}) {
 		t.Error("intact record lost")
 	}
-	if re.Has(msg.Ref{Author: bob, Seq: 2}) {
+	if has(re, msg.Ref{Author: bob, Seq: 2}) {
 		t.Error("torn record replayed")
 	}
 	// The torn tail must be gone from disk, and appends must continue.
@@ -61,7 +61,7 @@ func TestDiskTornTail(t *testing.T) {
 	}
 	again := openDisk(t, dir, Options{})
 	defer again.Close()
-	if !again.Has(msg.Ref{Author: bob, Seq: 3}) || again.Has(msg.Ref{Author: bob, Seq: 2}) {
+	if !has(again, msg.Ref{Author: bob, Seq: 3}) || has(again, msg.Ref{Author: bob, Seq: 2}) {
 		t.Error("post-recovery append not replayed cleanly")
 	}
 }
@@ -88,10 +88,10 @@ func TestDiskFlippedBitDropsTail(t *testing.T) {
 
 	re := openDisk(t, dir, Options{})
 	defer re.Close()
-	if !re.Has(msg.Ref{Author: bob, Seq: 1}) {
+	if !has(re, msg.Ref{Author: bob, Seq: 1}) {
 		t.Error("record before the corruption lost")
 	}
-	if re.Has(msg.Ref{Author: bob, Seq: 2}) {
+	if has(re, msg.Ref{Author: bob, Seq: 2}) {
 		t.Error("CRC-failing record replayed")
 	}
 }
@@ -109,7 +109,11 @@ func TestDiskCompaction(t *testing.T) {
 		if _, err := d.Put(m); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
-		appended += m.EncodedSize()
+		rec, err := m.Encode()
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		appended += len(rec)
 	}
 	d.Subscribe(carol)
 	if err := d.Close(); err != nil {
@@ -129,7 +133,7 @@ func TestDiskCompaction(t *testing.T) {
 		t.Errorf("state after compaction: len=%d subscribed=%v, want 2/true",
 			re.Len(), re.IsSubscribed(carol))
 	}
-	if got, want := refsOf(re.All()), []msg.Ref{{Author: bob, Seq: 7}, {Author: bob, Seq: 8}}; !reflect.DeepEqual(got, want) {
+	if got, want := heldRefs(re), []msg.Ref{{Author: bob, Seq: 7}, {Author: bob, Seq: 8}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("All = %v, want %v", got, want)
 	}
 	if got := re.Missing(bob, 9); !reflect.DeepEqual(got, []uint64{9}) {
@@ -209,7 +213,7 @@ func TestDiskLoadsParentLog(t *testing.T) {
 	}
 	d := openDisk(t, dir, Options{})
 	want := []msg.Ref{{Author: alice, Seq: 1}, {Author: bob, Seq: 2}, {Author: bob, Seq: 4}, {Author: carol, Seq: 2}}
-	if got := refsOf(d.All()); !reflect.DeepEqual(got, want) {
+	if got := heldRefs(d); !reflect.DeepEqual(got, want) {
 		t.Errorf("All = %v, want %v", got, want)
 	}
 	if got := d.Missing(bob, 4); !reflect.DeepEqual(got, []uint64{3}) {
@@ -245,14 +249,14 @@ func TestDiskReloadEquivalence(t *testing.T) {
 		refs    []msg.Ref
 		summary map[id.UserID]uint64
 		missing []uint64
-	}{refsOf(d.All()), d.Summary(), d.Missing(bob, 15)}
+	}{heldRefs(d), d.Summary(), d.Missing(bob, 15)}
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
 	re := openDisk(t, dir, Options{})
 	defer re.Close()
-	if !reflect.DeepEqual(refsOf(re.All()), want.refs) {
+	if !reflect.DeepEqual(heldRefs(re), want.refs) {
 		t.Error("messages differ after reload")
 	}
 	if !reflect.DeepEqual(re.Summary(), want.summary) {

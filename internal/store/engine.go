@@ -39,8 +39,6 @@ type Engine interface {
 	Put(m *msg.Message) (bool, error)
 	// Get returns the held message with the given ref.
 	Get(ref msg.Ref) (*msg.Message, bool)
-	// Has reports whether the engine currently holds the message.
-	Has(ref msg.Ref) bool
 	// Len returns the number of held messages.
 	Len() int
 
@@ -96,8 +94,6 @@ type Engine interface {
 	MessagesFrom(author id.UserID, after uint64) []*msg.Message
 	// Select returns specific held messages; absent refs are skipped.
 	Select(author id.UserID, seqs []uint64) []*msg.Message
-	// All returns every held message in deterministic order.
-	All() []*msg.Message
 	// Authors returns every author with at least one held message.
 	Authors() []id.UserID
 

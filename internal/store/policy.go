@@ -57,8 +57,8 @@ const (
 // on top of any other named policy (so a relay TTL composes with, say,
 // subscription-priority victim ranking instead of being silently
 // dropped). An empty name selects "ttl" when ttl > 0 and "drop-oldest"
-// otherwise, which is how the routing option RelayTTL maps onto the
-// storage layer.
+// otherwise, which is how a relay TTL (sosd -relay-ttl, a lab spec's
+// relayTTL, the simulator's RelayTTL) maps onto the storage layer.
 func PolicyByName(name string, ttl time.Duration) (Policy, error) {
 	switch name {
 	case "":
@@ -74,9 +74,9 @@ func PolicyByName(name string, ttl time.Duration) (Policy, error) {
 		}
 		return TTL(ttl), nil
 	case PolicySizeQuota:
-		return withTTL(SizeQuota(), ttl), nil
+		return withTTL(sizeQuota{}, ttl), nil
 	case PolicySubscriptionPriority:
-		return withTTL(SubscriptionPriority(), ttl), nil
+		return withTTL(subPriority{}, ttl), nil
 	default:
 		return nil, fmt.Errorf("store: unknown eviction policy %q", name)
 	}
@@ -129,11 +129,9 @@ func (p ttlPolicy) Expired(e Entry, now time.Time) bool {
 }
 func (ttlPolicy) Expires() bool { return true }
 
-// SizeQuota evicts the largest message first, freeing the most buffer per
+// sizeQuota evicts the largest message first, freeing the most buffer per
 // drop — it biases the buffer toward many small social actions over few
 // bulky payloads.
-func SizeQuota() Policy { return sizeQuota{} }
-
 type sizeQuota struct{}
 
 func (sizeQuota) Name() string { return PolicySizeQuota }
@@ -146,12 +144,10 @@ func (sizeQuota) Less(a, b Entry) bool {
 func (sizeQuota) Expired(Entry, time.Time) bool { return false }
 func (sizeQuota) Expires() bool                 { return false }
 
-// SubscriptionPriority evicts pure relay cargo — messages from authors
-// the owner does not follow — before feed content, oldest first within
-// each class. Under pressure a device degrades to interest-only carrying
-// instead of dropping its own user's feed.
-func SubscriptionPriority() Policy { return subPriority{} }
-
+// subPriority evicts pure relay cargo — messages from authors the owner
+// does not follow — before feed content, oldest first within each class.
+// Under pressure a device degrades to interest-only carrying instead of
+// dropping its own user's feed.
 type subPriority struct{}
 
 func (subPriority) Name() string { return PolicySubscriptionPriority }

@@ -354,13 +354,6 @@ func (s *Store) Get(ref msg.Ref) (*msg.Message, bool) {
 	return e.m, true
 }
 
-// Has reports whether the store currently holds the given message.
-func (s *Store) Has(ref msg.Ref) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.byAuthor[ref.Author][ref.Seq] != nil
-}
-
 // Len returns the number of held messages.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -464,24 +457,6 @@ func (s *Store) Select(author id.UserID, seqs []uint64) []*msg.Message {
 			out = append(out, e.m)
 		}
 	}
-	return out
-}
-
-// All returns every held message, shared and read-only, in deterministic
-// order (author display form, then sequence).
-func (s *Store) All() []*msg.Message {
-	s.mu.RLock()
-	out := make([]*msg.Message, 0, s.count)
-	for e := s.queue.next; e != &s.queue; e = e.next {
-		out = append(out, e.m)
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Author != out[j].Author {
-			return out[i].Author.String() < out[j].Author.String()
-		}
-		return out[i].Seq < out[j].Seq
-	})
 	return out
 }
 

@@ -52,9 +52,6 @@ func TestPutGet(t *testing.T) {
 	if !reflect.DeepEqual(got, m) {
 		t.Errorf("Get = %+v, want %+v", got, m)
 	}
-	if !s.Has(m.Ref()) {
-		t.Error("Has = false, want true")
-	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d, want 1", s.Len())
 	}
@@ -171,9 +168,9 @@ func TestAllDeterministicOrder(t *testing.T) {
 	mustPut(t, s, post(bob, 2, "b2"))
 	mustPut(t, s, post(bob, 1, "b1"))
 
-	first := refsOf(s.All())
+	first := heldRefs(s)
 	for i := 0; i < 5; i++ {
-		if got := refsOf(s.All()); !reflect.DeepEqual(got, first) {
+		if got := heldRefs(s); !reflect.DeepEqual(got, first) {
 			t.Fatalf("All order unstable: %v vs %v", got, first)
 		}
 	}
@@ -277,7 +274,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	restored := openDisk(t, dir, Options{})
 	defer restored.Close()
-	if !reflect.DeepEqual(refsOf(restored.All()), refsOf(s.All())) {
+	if !reflect.DeepEqual(heldRefs(restored), heldRefs(s)) {
 		t.Error("restored messages differ")
 	}
 	if !reflect.DeepEqual(restored.Subscriptions(), s.Subscriptions()) {
@@ -308,7 +305,7 @@ func TestEvictionDropOldest(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	if s.Has(msg.Ref{Author: bob, Seq: 1}) {
+	if has(s, msg.Ref{Author: bob, Seq: 1}) {
 		t.Error("oldest message not evicted")
 	}
 	if len(drops) != 1 || drops[0].Ref != (msg.Ref{Author: bob, Seq: 1}) || drops[0].Reason != EvictCapacity {
@@ -340,7 +337,7 @@ func TestEvictionNeverDropsOwnerMessages(t *testing.T) {
 	}
 	// A foreign message gives the policy a victim again.
 	mustPut(t, s, post(bob, 1, "cargo"))
-	if s.Len() != 2 || s.Has(msg.Ref{Author: bob, Seq: 1}) {
+	if s.Len() != 2 || has(s, msg.Ref{Author: bob, Seq: 1}) {
 		t.Errorf("foreign message not chosen as victim: len=%d", s.Len())
 	}
 }
@@ -361,13 +358,13 @@ func TestTTLSweep(t *testing.T) {
 	if n := s.SweepExpired(); n != 1 {
 		t.Fatalf("SweepExpired = %d, want 1", n)
 	}
-	if s.Has(msg.Ref{Author: bob, Seq: 1}) {
+	if has(s, msg.Ref{Author: bob, Seq: 1}) {
 		t.Error("expired foreign message survived the sweep")
 	}
-	if !s.Has(msg.Ref{Author: alice, Seq: 1}) {
+	if !has(s, msg.Ref{Author: alice, Seq: 1}) {
 		t.Error("owner's old message was expired")
 	}
-	if !s.Has(msg.Ref{Author: bob, Seq: 2}) {
+	if !has(s, msg.Ref{Author: bob, Seq: 2}) {
 		t.Error("fresh message was expired")
 	}
 	if st := s.Stats(); st.Expirations != 1 {
@@ -400,28 +397,28 @@ func TestSummaryGeneration(t *testing.T) {
 }
 
 func TestSizeQuotaPolicyEvictsLargest(t *testing.T) {
-	s := NewMemory(alice, Options{MaxMessages: 2, Policy: SizeQuota()})
+	s := NewMemory(alice, Options{MaxMessages: 2, Policy: sizeQuota{}})
 	mustPut(t, s, post(bob, 1, "tiny"))
 	mustPut(t, s, post(carol, 1, string(make([]byte, 4096))))
 	mustPut(t, s, post(bob, 2, "small"))
-	if s.Has(msg.Ref{Author: carol, Seq: 1}) {
+	if has(s, msg.Ref{Author: carol, Seq: 1}) {
 		t.Error("size-quota policy kept the largest message")
 	}
-	if !s.Has(msg.Ref{Author: bob, Seq: 1}) || !s.Has(msg.Ref{Author: bob, Seq: 2}) {
+	if !has(s, msg.Ref{Author: bob, Seq: 1}) || !has(s, msg.Ref{Author: bob, Seq: 2}) {
 		t.Error("size-quota policy dropped a small message")
 	}
 }
 
 func TestSubscriptionPriorityPolicyProtectsFeed(t *testing.T) {
-	s := NewMemory(alice, Options{MaxMessages: 2, Policy: SubscriptionPriority()})
+	s := NewMemory(alice, Options{MaxMessages: 2, Policy: subPriority{}})
 	s.Subscribe(carol)
 	mustPut(t, s, post(carol, 1, "feed"))
 	mustPut(t, s, post(bob, 1, "cargo"))
 	mustPut(t, s, post(carol, 2, "more feed"))
-	if s.Has(msg.Ref{Author: bob, Seq: 1}) {
+	if has(s, msg.Ref{Author: bob, Seq: 1}) {
 		t.Error("unsubscribed cargo survived over feed content")
 	}
-	if !s.Has(msg.Ref{Author: carol, Seq: 1}) || !s.Has(msg.Ref{Author: carol, Seq: 2}) {
+	if !has(s, msg.Ref{Author: carol, Seq: 1}) || !has(s, msg.Ref{Author: carol, Seq: 2}) {
 		t.Error("subscribed feed content was evicted")
 	}
 }
@@ -540,12 +537,22 @@ func seqsOf(ms []*msg.Message) []uint64 {
 	return out
 }
 
-func refsOf(ms []*msg.Message) []msg.Ref {
-	out := make([]msg.Ref, len(ms))
-	for i, m := range ms {
-		out[i] = m.Ref()
+// heldRefs lists every message the engine holds, by author display form
+// and then sequence.
+func heldRefs(e Engine) []msg.Ref {
+	var out []msg.Ref
+	for _, author := range e.Authors() {
+		for _, m := range e.MessagesFrom(author, 0) {
+			out = append(out, m.Ref())
+		}
 	}
 	return out
+}
+
+// has reports whether the engine holds ref.
+func has(e Engine, ref msg.Ref) bool {
+	_, ok := e.Get(ref)
+	return ok
 }
 
 // TestChangesLogBounded drives one stripe's change log past its cap and

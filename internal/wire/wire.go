@@ -162,16 +162,16 @@ func (*Summary) Type() Type { return TypeSummary }
 // generation rather than a complete dictionary.
 func (s *Summary) IsDelta() bool { return s.BaseGen != 0 }
 
-// IsChunked reports whether the summary is one slice of a chunked
+// isChunked reports whether the summary is one slice of a chunked
 // full-summary stream rather than a complete dictionary in one frame.
-func (s *Summary) IsChunked() bool { return s.Chunk != 0 || s.More }
+func (s *Summary) isChunked() bool { return s.Chunk != 0 || s.More }
 
 // check enforces the cross-field rules both codec ends apply.
 func (s *Summary) check() error {
 	if s.BaseGen > s.Gen {
 		return fmt.Errorf("%w: base %d, generation %d", ErrBadDelta, s.BaseGen, s.Gen)
 	}
-	if s.IsChunked() && s.IsDelta() {
+	if s.isChunked() && s.IsDelta() {
 		return fmt.Errorf("%w: chunk %d, base %d", ErrBadChunk, s.Chunk, s.BaseGen)
 	}
 	return nil

@@ -140,7 +140,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, give) {
 		t.Errorf("round trip = %+v, want %+v", got, give)
 	}
-	if got.IsDelta() || got.IsChunked() {
+	if got.IsDelta() || got.isChunked() {
 		t.Error("a single-frame full summary reads as a delta or a chunk")
 	}
 	// A summary big beyond any hint is what the in-session frame is for.
@@ -217,12 +217,12 @@ func TestAdvertisementChunkedRoundTrip(t *testing.T) {
 			t.Errorf("chunk %d round trip = %+v, want %+v", i, got, give)
 		}
 	}
-	if !stream[0].IsChunked() || !stream[2].IsChunked() {
-		t.Error("IsChunked() = false for stream members")
+	if !stream[0].isChunked() || !stream[2].isChunked() {
+		t.Error("isChunked() = false for stream members")
 	}
 	// The plain single-frame full summary is the zero value of both fields.
-	if (&Summary{Gen: 40}).IsChunked() {
-		t.Error("IsChunked() = true for a plain full summary")
+	if (&Summary{Gen: 40}).isChunked() {
+		t.Error("isChunked() = true for a plain full summary")
 	}
 }
 

@@ -42,25 +42,10 @@ func TestNetMediumEndToEnd(t *testing.T) {
 			}
 
 			// Each node gets its own medium instance — the same shape as
-			// two sosd processes — wired together by explicit unicast
-			// beacon targets on loopback.
-			mediumA, err := sos.NewNetMedium(netTestConfig())
-			if err != nil {
-				t.Fatalf("NewNetMedium(alice): %v", err)
-			}
-			alice, err := sos.NewNode(sos.NodeConfig{
-				Creds:  aliceCreds,
-				Medium: mediumA,
-				Scheme: scheme,
-			})
-			if err != nil {
-				t.Fatalf("NewNode(alice): %v", err)
-			}
-			defer alice.Close()
-
-			cfgB := netTestConfig()
-			cfgB.BeaconTargets = mediumA.BeaconAddrs()
-			mediumB, err := sos.NewNetMedium(cfgB)
+			// two sosd processes — wired together by an explicit unicast
+			// beacon target on loopback: alice beacons to bob, and bob
+			// dials her for what her beacon advertises.
+			mediumB, err := sos.NewNetMedium(netTestConfig())
 			if err != nil {
 				t.Fatalf("NewNetMedium(bob): %v", err)
 			}
@@ -77,11 +62,22 @@ func TestNetMediumEndToEnd(t *testing.T) {
 				t.Fatalf("NewNode(bob): %v", err)
 			}
 			defer bob.Close()
-			for _, addr := range mediumB.BeaconAddrs() {
-				if err := mediumA.AddBeaconTarget(addr); err != nil {
-					t.Fatalf("AddBeaconTarget: %v", err)
-				}
+
+			cfgA := netTestConfig()
+			cfgA.BeaconTargets = mediumB.BeaconAddrs()
+			mediumA, err := sos.NewNetMedium(cfgA)
+			if err != nil {
+				t.Fatalf("NewNetMedium(alice): %v", err)
 			}
+			alice, err := sos.NewNode(sos.NodeConfig{
+				Creds:  aliceCreds,
+				Medium: mediumA,
+				Scheme: scheme,
+			})
+			if err != nil {
+				t.Fatalf("NewNode(alice): %v", err)
+			}
+			defer alice.Close()
 
 			// Interest-based routing only pulls messages from authors the
 			// node subscribes to; epidemic pulls everything it lacks.

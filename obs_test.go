@@ -31,25 +31,7 @@ func TestDebugSurfacesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Alice records contact-session spans end to end: the medium, the
-	// node, and the debug server share one flight recorder, exactly as
-	// sosd wires them behind -debug-addr.
-	tracer := sos.NewTracer(0)
-	cfgA := netTestConfig()
-	cfgA.Tracer = tracer
-	mediumA, err := sos.NewNetMedium(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alice, err := sos.NewNode(sos.NodeConfig{Creds: aliceCreds, Medium: mediumA, Scheme: sos.SchemeEpidemic, Tracer: tracer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alice.Close()
-
-	cfgB := netTestConfig()
-	cfgB.BeaconTargets = mediumA.BeaconAddrs()
-	mediumB, err := sos.NewNetMedium(cfgB)
+	mediumB, err := sos.NewNetMedium(netTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +48,23 @@ func TestDebugSurfacesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bob.Close()
-	for _, addr := range mediumB.BeaconAddrs() {
-		if err := mediumA.AddBeaconTarget(addr); err != nil {
-			t.Fatal(err)
-		}
+
+	// Alice beacons to bob, and records contact-session spans end to
+	// end: the medium, the node, and the debug server share one flight
+	// recorder, exactly as sosd wires them behind -debug-addr.
+	tracer := sos.NewTracer(0)
+	cfgA := netTestConfig()
+	cfgA.Tracer = tracer
+	cfgA.BeaconTargets = mediumB.BeaconAddrs()
+	mediumA, err := sos.NewNetMedium(cfgA)
+	if err != nil {
+		t.Fatal(err)
 	}
+	alice, err := sos.NewNode(sos.NodeConfig{Creds: aliceCreds, Medium: mediumA, Scheme: sos.SchemeEpidemic, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alice.Close()
 
 	// Alice's debug surface, over the public facade — same wiring as
 	// sosd run -debug-addr.

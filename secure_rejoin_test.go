@@ -31,7 +31,7 @@ type rejoinFleet struct {
 }
 
 func (f *rejoinFleet) security(handle string) sos.SecurityConfig {
-	return sos.SecurityConfig{Dir: f.dirs[handle], NoSync: true}
+	return sos.SecurityConfig{Dir: f.dirs[handle]}
 }
 
 // start boots (or reboots) handle's node from its persistent identity
