@@ -9,7 +9,7 @@
 // decryption into an inbox, the address book mapping user identifiers
 // back to handles, and cloud synchronization of actions. The paper's
 // Fig. 4b map of message creation and receipt comes from the simulator
-// (internal/sim's geo observer feeding internal/trace), not from the app.
+// (internal/sim's geo observer feeding internal/geo), not from the app.
 package alleyoop
 
 import (

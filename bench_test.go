@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"sos"
+	"sos/internal/geo"
 	"sos/internal/id"
 	"sos/internal/metrics"
 	"sos/internal/msg"
@@ -67,8 +68,8 @@ func BenchmarkFig4b_ActivityMap(b *testing.B) {
 	var created, passed, contacts int
 	for i := 0; i < b.N; i++ {
 		res, _ := runGainesville(b, sim.GainesvilleConfig{Seed: 1})
-		created = len(res.Recorder.Events(1))
-		passed = len(res.Recorder.Events(2))
+		created = len(res.Recorder.Events(geo.EventCreated))
+		passed = len(res.Recorder.Events(geo.EventPassed))
 		contacts = res.Recorder.ContactCount()
 	}
 	b.ReportMetric(float64(created), "gen-events")

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"sos/internal/geo"
 	"sos/internal/metrics"
 	"sos/internal/sim"
 	"sos/internal/socialgraph"
@@ -147,8 +148,8 @@ func run(cfg sim.GainesvilleConfig, csvDir string) error {
 	fmt.Println()
 
 	// ---- Fig. 4b: activity map ----
-	created := res.Recorder.Events(1)
-	passed := res.Recorder.Events(2)
+	created := res.Recorder.Events(geo.EventCreated)
+	passed := res.Recorder.Events(geo.EventPassed)
 	min, max := res.Recorder.BoundingBox()
 	fmt.Println("== Fig. 4b: activity map ==")
 	fmt.Printf("  message generation events (blue): %d\n", len(created))

@@ -1,8 +1,8 @@
-// Package trace records the spatial and contact history of an evaluation
+// Package geo records the spatial and contact history of an evaluation
 // run: geo-tagged message generation and dissemination events (the data
 // behind the paper's Fig. 4b map of Gainesville) and radio contact
 // transitions. Recorders export CSV for external plotting.
-package trace
+package geo
 
 import (
 	"fmt"
@@ -39,8 +39,8 @@ func (k EventKind) String() string {
 	}
 }
 
-// GeoEvent is one geo-tagged message event.
-type GeoEvent struct {
+// Event is one geo-tagged message event.
+type Event struct {
 	Kind EventKind
 	Ref  msg.Ref
 	Node id.UserID
@@ -52,7 +52,7 @@ type GeoEvent struct {
 // for concurrent use.
 type Recorder struct {
 	mu       sync.Mutex
-	events   []GeoEvent
+	events   []Event
 	contacts []mpc.Contact
 }
 
@@ -63,15 +63,15 @@ func NewRecorder() *Recorder {
 
 // RecordCreated logs a message generation at a position.
 func (r *Recorder) RecordCreated(ref msg.Ref, node id.UserID, at time.Time, pos mobility.Point) {
-	r.record(GeoEvent{Kind: EventCreated, Ref: ref, Node: node, At: at, Pos: pos})
+	r.record(Event{Kind: EventCreated, Ref: ref, Node: node, At: at, Pos: pos})
 }
 
 // RecordPassed logs a message dissemination (receipt at a node).
 func (r *Recorder) RecordPassed(ref msg.Ref, node id.UserID, at time.Time, pos mobility.Point) {
-	r.record(GeoEvent{Kind: EventPassed, Ref: ref, Node: node, At: at, Pos: pos})
+	r.record(Event{Kind: EventPassed, Ref: ref, Node: node, At: at, Pos: pos})
 }
 
-func (r *Recorder) record(e GeoEvent) {
+func (r *Recorder) record(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.events = append(r.events, e)
@@ -87,10 +87,10 @@ func (r *Recorder) RecordContact(c mpc.Contact) {
 
 // Events returns a copy of the geo events, optionally filtered by kind
 // (0 selects all).
-func (r *Recorder) Events(kind EventKind) []GeoEvent {
+func (r *Recorder) Events(kind EventKind) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []GeoEvent
+	var out []Event
 	for _, e := range r.events {
 		if kind == 0 || e.Kind == kind {
 			out = append(out, e)
@@ -143,13 +143,13 @@ func (r *Recorder) BoundingBox() (min, max mobility.Point) {
 // WriteGeoCSV emits "kind,t,x,y,node,ref" rows for map plotting.
 func (r *Recorder) WriteGeoCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "kind,t,x,y,node,ref"); err != nil {
-		return fmt.Errorf("trace: writing csv: %w", err)
+		return fmt.Errorf("geo: writing csv: %w", err)
 	}
 	for _, e := range r.Events(0) {
 		_, err := fmt.Fprintf(w, "%s,%s,%.1f,%.1f,%s,%s\n",
 			e.Kind, e.At.Format(time.RFC3339), e.Pos.X, e.Pos.Y, e.Node, e.Ref)
 		if err != nil {
-			return fmt.Errorf("trace: writing csv: %w", err)
+			return fmt.Errorf("geo: writing csv: %w", err)
 		}
 	}
 	return nil
@@ -158,13 +158,13 @@ func (r *Recorder) WriteGeoCSV(w io.Writer) error {
 // WriteContactCSV emits "t,a,b,tech,up" rows.
 func (r *Recorder) WriteContactCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "t,a,b,tech,up"); err != nil {
-		return fmt.Errorf("trace: writing csv: %w", err)
+		return fmt.Errorf("geo: writing csv: %w", err)
 	}
 	for _, c := range r.Contacts() {
 		_, err := fmt.Fprintf(w, "%s,%s,%s,%s,%t\n",
 			c.At.Format(time.RFC3339), c.A, c.B, c.Tech, c.Up)
 		if err != nil {
-			return fmt.Errorf("trace: writing csv: %w", err)
+			return fmt.Errorf("geo: writing csv: %w", err)
 		}
 	}
 	return nil

@@ -182,15 +182,11 @@ func (f *inProcessFleet) stop() ([]NodeReport, *ChaosReport) {
 	for _, n := range f.nodes {
 		r := NodeReport{Handle: n.handle, User: n.user.String(), tracer: n.tracer}
 		if n.mw != nil {
-			stats := n.mw.Stats()
 			if err := n.mw.Close(); err != nil {
 				f.opts.logf("lab: closing %s: %v", n.handle, err)
 			}
-			r.Stats = &stats
 		}
 		n.exporter.Close()
-		es := n.exporter.Stats()
-		r.TelemetrySent, r.TelemetryDropped, r.TelemetryReconnects = es.Sent, es.Dropped, es.Reconnects
 		if n.registry != nil {
 			// Snapshot after exporter.Close so the export counters are
 			// final; the bridges read mutex-guarded stats, safe after

@@ -171,10 +171,10 @@ func TestInProcessEndToEnd(t *testing.T) {
 		t.Fatalf("telemetry retransmits on a healthy link: %d", report.Telemetry.Duplicates)
 	}
 	for _, n := range report.Nodes {
-		if n.TelemetryDropped != 0 {
-			t.Fatalf("node %s dropped %d telemetry events", n.Handle, n.TelemetryDropped)
+		if v := n.Metrics["sos_telemetry_dropped_total"]; v != 0 {
+			t.Fatalf("node %s dropped %v telemetry events", n.Handle, v)
 		}
-		if n.Stats == nil {
+		if _, ok := n.Metrics["sos_message_received_total"]; !ok {
 			t.Fatalf("node %s missing middleware stats", n.Handle)
 		}
 		if len(n.Metrics) == 0 {

@@ -132,9 +132,6 @@ func (f *processFleet) stop() ([]NodeReport, *ChaosReport) {
 				f.env.opts.logf("lab: scraping %s metrics: %v", p.handle, err)
 			}
 			nr.Metrics = m
-			nr.TelemetrySent = uint64(m["sos_telemetry_sent_total"])
-			nr.TelemetryDropped = uint64(m["sos_telemetry_dropped_total"])
-			nr.TelemetryReconnects = uint64(m["sos_telemetry_reconnects_total"])
 		}
 		reports = append(reports, nr)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"sos/internal/core"
 	"sos/internal/metrics"
 	"sos/internal/obs"
 	"sos/internal/telemetry"
@@ -20,16 +19,10 @@ type NodeReport struct {
 	// Restarts counts churn wake-ups that respawned the node (process
 	// mode).
 	Restarts int `json:"restarts,omitempty"`
-	// Stats carries the node's middleware counters (in-process mode
-	// only; child processes keep theirs behind the sosd REPL).
-	Stats *core.Stats `json:"stats,omitempty"`
-	// Telemetry* count the node's exporter activity (in-process mode).
-	TelemetrySent       uint64 `json:"telemetrySent,omitempty"`
-	TelemetryDropped    uint64 `json:"telemetryDropped,omitempty"`
-	TelemetryReconnects uint64 `json:"telemetryReconnects,omitempty"`
 	// Metrics is the node's final /metrics exposition flattened to
-	// series → value: snapshotted from the node's registry in-process,
-	// scraped over HTTP from child daemons in process mode.
+	// series → value, the node's one record in every mode: snapshotted
+	// from the node's registry in-process and in silico, scraped over
+	// HTTP from child daemons in process mode.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 
 	// tracer is the node's flight recorder (in-process mode).
@@ -242,18 +235,10 @@ func attachPaths(r *Report, agg *telemetry.Aggregator) {
 func (r *Report) ObservabilityViolations() []string {
 	var out []string
 	for _, n := range r.Nodes {
-		if n.TelemetryDropped > 0 {
-			out = append(out, fmt.Sprintf("node %s dropped %d telemetry events", n.Handle, n.TelemetryDropped))
-		}
-		if v, ok := n.Metrics["sos_telemetry_dropped_total"]; ok && v > 0 {
+		if v := n.Metrics["sos_telemetry_dropped_total"]; v > 0 {
 			out = append(out, fmt.Sprintf("node %s reports %v dropped telemetry events in /metrics", n.Handle, v))
 		}
-		// Child daemons report only the scraped series.
-		quarantines := n.Metrics["sos_sync_quarantine_total"]
-		if n.Stats != nil {
-			quarantines = float64(n.Stats.Message.Quarantines)
-		}
-		if quarantines > 0 {
+		if quarantines := n.Metrics["sos_sync_quarantine_total"]; quarantines > 0 {
 			out = append(out, fmt.Sprintf("node %s quarantined an honest peer %v times", n.Handle, quarantines))
 		}
 	}
@@ -316,12 +301,12 @@ func (r *Report) Summary() string {
 	}
 	fmt.Fprintf(&b, "  telemetry:       %d events from %d nodes (%d retransmits discarded)\n",
 		r.Telemetry.Events, r.Telemetry.Nodes, r.Telemetry.Duplicates)
-	var dropped uint64
+	var dropped float64
 	for _, n := range r.Nodes {
-		dropped += n.TelemetryDropped
+		dropped += n.Metrics["sos_telemetry_dropped_total"]
 	}
 	if dropped > 0 {
-		fmt.Fprintf(&b, "  exporter drops:  %d events lost before aggregation\n", dropped)
+		fmt.Fprintf(&b, "  exporter drops:  %v events lost before aggregation\n", dropped)
 	}
 	if len(r.Paths) > 0 {
 		fmt.Fprintf(&b, "  paths:           %d delivery chains traced hop-by-hop\n", len(r.Paths))

@@ -1,11 +1,11 @@
 package lab
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
-	"sos/internal/core"
 	"sos/internal/id"
 	"sos/internal/metrics"
 	"sos/internal/msg"
@@ -38,7 +38,7 @@ func TestObservabilityViolationsClean(t *testing.T) {
 
 func TestObservabilityViolationsNodeDropped(t *testing.T) {
 	r := healthyReport()
-	r.Nodes[1].TelemetryDropped = 3
+	r.Nodes[1].Metrics = map[string]float64{"sos_telemetry_dropped_total": 3}
 	v := r.ObservabilityViolations()
 	if len(v) != 1 {
 		t.Fatalf("got %d violations, want 1: %v", len(v), v)
@@ -49,9 +49,8 @@ func TestObservabilityViolationsNodeDropped(t *testing.T) {
 }
 
 func TestObservabilityViolationsScrapedDropped(t *testing.T) {
-	// The scraped exposition disagreeing with the in-process counter is
-	// its own violation: a child daemon can drop events this process
-	// never sees directly.
+	// A child daemon's scraped exposition is read the same way: the
+	// drop is named with its source.
 	r := healthyReport()
 	r.Nodes[0].Metrics = map[string]float64{"sos_telemetry_dropped_total": 2}
 	v := r.ObservabilityViolations()
@@ -69,11 +68,10 @@ func TestObservabilityViolationsScrapedDropped(t *testing.T) {
 }
 
 func TestObservabilityViolationsQuarantine(t *testing.T) {
-	// In-process and simulated nodes report counters, child daemons only
-	// the scraped series; either one naming a quarantine is a violation.
+	// Every mode reports the quarantine series; a node naming one is a
+	// violation.
 	r := healthyReport()
-	r.Nodes[0].Stats = &core.Stats{}
-	r.Nodes[0].Stats.Message.Quarantines = 2
+	r.Nodes[0].Metrics = map[string]float64{"sos_sync_quarantine_total": 2}
 	r.Nodes[1].Metrics = map[string]float64{"sos_sync_quarantine_total": 1}
 	v := r.ObservabilityViolations()
 	if len(v) != 2 {
@@ -81,6 +79,21 @@ func TestObservabilityViolationsQuarantine(t *testing.T) {
 	}
 	if !strings.Contains(v[0], "alice") || !strings.Contains(v[0], "2") || !strings.Contains(v[1], "bob") {
 		t.Errorf("violations do not name the nodes and counts: %q", v)
+	}
+}
+
+// TestObservabilityViolationsOneLinePerDrop reads a node record as the
+// in-process mode writes it, exporter counter and /metrics snapshot side
+// by side: one drop is one violation line, not one per place it shows.
+func TestObservabilityViolationsOneLinePerDrop(t *testing.T) {
+	var n NodeReport
+	if err := json.Unmarshal([]byte(`{"handle":"alice","telemetryDropped":3,"metrics":{"sos_telemetry_dropped_total":3}}`), &n); err != nil {
+		t.Fatal(err)
+	}
+	r := healthyReport()
+	r.Nodes[0] = n
+	if v := r.ObservabilityViolations(); len(v) != 1 {
+		t.Fatalf("got %d violations for one drop, want 1: %v", len(v), v)
 	}
 }
 
@@ -118,7 +131,7 @@ func TestObservabilityViolationsUnaccountedEvents(t *testing.T) {
 
 func TestObservabilityViolationsAccumulate(t *testing.T) {
 	r := healthyReport()
-	r.Nodes[0].TelemetryDropped = 1
+	r.Nodes[0].Metrics = map[string]float64{"sos_telemetry_dropped_total": 1}
 	r.Telemetry.Nodes = 1
 	r.Telemetry.Events = 9
 	if v := r.ObservabilityViolations(); len(v) != 3 {

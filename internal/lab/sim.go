@@ -2,13 +2,16 @@ package lab
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 
 	"sos/internal/id"
 	"sos/internal/mobility"
+	"sos/internal/obs"
 	"sos/internal/sim"
 	"sos/internal/telemetry"
 )
@@ -134,8 +137,14 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 	reports := make([]NodeReport, 0, spec.Nodes)
 	for _, n := range s.Nodes() {
 		users[n.Handle] = n.User
-		stats := res.NodeStats[n.Handle]
-		reports = append(reports, NodeReport{Handle: n.Handle, User: n.User.String(), Stats: &stats})
+		// The same metric bridge the live modes snapshot, minus the
+		// process gauges: every simulated node shares the simulator's
+		// process, and a report of virtual time holds no host figures.
+		reg := obs.NewRegistry()
+		obs.RegisterNodeMetrics(reg, obs.NodeMetrics{Middleware: n.MW})
+		m := reg.Snapshot()
+		maps.DeleteFunc(m, func(series string, _ float64) bool { return strings.HasPrefix(series, "sos_go_") })
+		reports = append(reports, NodeReport{Handle: n.Handle, User: n.User.String(), Metrics: m})
 	}
 
 	// Virtual start and elapsed time: the report describes the

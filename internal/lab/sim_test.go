@@ -59,8 +59,8 @@ func TestSimModeEndToEnd(t *testing.T) {
 		t.Errorf("node reports = %d", len(rep.Nodes))
 	}
 	for _, n := range rep.Nodes {
-		if n.Stats == nil {
-			t.Fatalf("node %s missing middleware stats", n.Handle)
+		if _, ok := n.Metrics["sos_message_received_total"]; !ok {
+			t.Fatalf("node %s missing middleware stats: %v", n.Handle, n.Metrics)
 		}
 	}
 

@@ -234,11 +234,9 @@ func summarizeCell(scheme, mob, chz, pol string, rep *Report) SweepCell {
 		cell.ChaosReordered = rep.Chaos.FramesReordered
 	}
 	for _, node := range rep.Nodes {
-		if node.Stats != nil {
-			cell.Misbehavior += node.Stats.Message.MisbehaviorEvents
-			cell.Quarantines += node.Stats.Message.Quarantines
-			cell.Reconnects += node.Stats.Message.Reconnects
-		}
+		cell.Misbehavior += uint64(node.Metrics["sos_sync_misbehavior_total"])
+		cell.Quarantines += uint64(node.Metrics["sos_sync_quarantine_total"])
+		cell.Reconnects += uint64(node.Metrics["sos_sync_reconnects_total"])
 	}
 	// The in-process fleet shares one medium, so every node's registry
 	// reports the same dial-retry counter: read it once, don't sum.

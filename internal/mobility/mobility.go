@@ -131,28 +131,35 @@ func (b *builder) move(p Point) {
 	b.pos = p
 }
 
-// DiurnalConfig parameterizes a student's week.
+// The Diurnal model's fixed shape of a student's week.
+const (
+	// hangoutCount shared mingle spots (library, food court, court yard)
+	// lie within hangoutRadius of campus.
+	hangoutCount  = 3
+	hangoutRadius = 400.0
+	// eveningOutProb is the chance of an evening hangout visit after a
+	// campus day; weekendOutProb that of a weekend outing.
+	eveningOutProb = 0.45
+	weekendOutProb = 0.35
+)
+
+// DiurnalConfig parameterizes a student's week. Each student draws a
+// home uniformly in the area and commutes to the shared campus center
+// (campusOf).
 type DiurnalConfig struct {
 	// Area bounds the plane; zero selects Gainesville.
 	Area Area
-	// Home is the node's residence; zero draws one at random.
-	Home Point
-	// Campus is the shared campus center all students commute to.
-	Campus Point
-	// Hangouts are shared mingle spots (library, food court, court yard);
-	// empty generates three near campus.
-	Hangouts []Point
 	// Start is the itinerary's first midnight; Days its length.
 	Start time.Time
 	Days  int
 	// AttendProb is the chance of going to campus on a weekday (default
 	// 0.85 — students skip sometimes).
 	AttendProb float64
-	// EveningOutProb is the chance of an evening hangout visit (default
-	// 0.45).
-	EveningOutProb float64
-	// WeekendOutProb is the chance of a weekend outing (default 0.35).
-	WeekendOutProb float64
+}
+
+// campusOf is the campus center all of an area's students commute to.
+func campusOf(a Area) Point {
+	return Point{X: a.W * 0.45, Y: a.H * 0.5}
 }
 
 // NewDiurnal precomputes a node's itinerary from cfg and rng.
@@ -166,31 +173,19 @@ func NewDiurnal(cfg DiurnalConfig, rng *rand.Rand) (Model, error) {
 	if cfg.Area == (Area{}) {
 		cfg.Area = Gainesville
 	}
-	if cfg.Home == (Point{}) {
-		cfg.Home = cfg.Area.RandomPoint(rng)
-	}
-	if cfg.Campus == (Point{}) {
-		cfg.Campus = Point{X: cfg.Area.W * 0.45, Y: cfg.Area.H * 0.5}
-	}
 	if cfg.AttendProb == 0 {
 		cfg.AttendProb = 0.85
 	}
-	if cfg.EveningOutProb == 0 {
-		cfg.EveningOutProb = 0.45
-	}
-	if cfg.WeekendOutProb == 0 {
-		cfg.WeekendOutProb = 0.35
-	}
-	if len(cfg.Hangouts) == 0 {
-		cfg.Hangouts = make([]Point, 3)
-		for i := range cfg.Hangouts {
-			cfg.Hangouts[i] = jitter(cfg.Campus, 400, rng)
-		}
+	home := cfg.Area.RandomPoint(rng)
+	campus := campusOf(cfg.Area)
+	hangouts := make([]Point, hangoutCount)
+	for i := range hangouts {
+		hangouts[i] = jitter(campus, hangoutRadius, rng)
 	}
 	// The student's personal desk/classroom spot near campus center.
-	deskSpot := jitter(cfg.Campus, 250, rng)
+	deskSpot := jitter(campus, 250, rng)
 
-	b := &builder{at: cfg.Start, pos: cfg.Home}
+	b := &builder{at: cfg.Start, pos: home}
 	for day := 0; day < cfg.Days; day++ {
 		midnight := cfg.Start.Add(time.Duration(day) * 24 * time.Hour)
 		weekday := midnight.Weekday()
@@ -216,31 +211,31 @@ func NewDiurnal(cfg DiurnalConfig, rng *rand.Rand) (Model, error) {
 					break
 				}
 				// Mingle 15–45 minutes at a shared spot.
-				spot := jitter(cfg.Hangouts[rng.Intn(len(cfg.Hangouts))], 6, rng)
+				spot := jitter(hangouts[rng.Intn(len(hangouts))], 6, rng)
 				b.move(spot)
 				b.stay(minTime(b.at.Add(time.Duration(900+rng.Float64()*1800)*time.Second), dayEnd))
 				b.move(jitter(deskSpot, 4, rng))
 			}
-			b.move(cfg.Home)
+			b.move(home)
 			// Possible evening hangout.
-			if rng.Float64() < cfg.EveningOutProb {
+			if rng.Float64() < eveningOutProb {
 				out := midnight.Add(time.Duration(19*3600+rng.Float64()*5400) * time.Second)
 				if out.After(b.at) {
 					b.stay(out)
-					spot := jitter(cfg.Hangouts[rng.Intn(len(cfg.Hangouts))], 6, rng)
+					spot := jitter(hangouts[rng.Intn(len(hangouts))], 6, rng)
 					b.move(spot)
 					b.stay(b.at.Add(time.Duration(3600+rng.Float64()*7200) * time.Second))
-					b.move(cfg.Home)
+					b.move(home)
 				}
 			}
-		case isWeekend && rng.Float64() < cfg.WeekendOutProb:
+		case isWeekend && rng.Float64() < weekendOutProb:
 			// One weekend outing to a hangout, late morning to afternoon.
 			out := midnight.Add(time.Duration(11*3600+rng.Float64()*10800) * time.Second)
 			b.stay(out)
-			spot := jitter(cfg.Hangouts[rng.Intn(len(cfg.Hangouts))], 6, rng)
+			spot := jitter(hangouts[rng.Intn(len(hangouts))], 6, rng)
 			b.move(spot)
 			b.stay(b.at.Add(time.Duration(3600+rng.Float64()*3*3600) * time.Second))
-			b.move(cfg.Home)
+			b.move(home)
 		default:
 			// Home day.
 		}
@@ -264,9 +259,10 @@ type RandomWaypointConfig struct {
 	Duration time.Duration
 	// SpeedMin/SpeedMax bound the leg speed in m/s (defaults 0.5–1.5).
 	SpeedMin, SpeedMax float64
-	// PauseMax bounds the pause at each waypoint (default 120 s).
-	PauseMax time.Duration
 }
+
+// pauseMax bounds the random-waypoint pause at each waypoint.
+const pauseMax = 2 * time.Minute
 
 // NewRandomWaypoint precomputes a random-waypoint itinerary.
 func NewRandomWaypoint(cfg RandomWaypointConfig, rng *rand.Rand) (Model, error) {
@@ -288,9 +284,6 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, rng *rand.Rand) (Model, error) 
 	if cfg.SpeedMax < cfg.SpeedMin {
 		return nil, fmt.Errorf("mobility: speed range [%f, %f]", cfg.SpeedMin, cfg.SpeedMax)
 	}
-	if cfg.PauseMax == 0 {
-		cfg.PauseMax = 2 * time.Minute
-	}
 
 	b := &builder{at: cfg.Start, pos: cfg.Area.RandomPoint(rng)}
 	end := cfg.Start.Add(cfg.Duration)
@@ -302,10 +295,25 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, rng *rand.Rand) (Model, error) 
 		b.segs = append(b.segs, segment{start: b.at, end: arrive, from: b.pos, to: next})
 		b.at = arrive
 		b.pos = next
-		b.stay(b.at.Add(time.Duration(rng.Float64() * float64(cfg.PauseMax))))
+		b.stay(b.at.Add(time.Duration(rng.Float64() * float64(pauseMax))))
 	}
 	return &itinerary{segs: b.segs}, nil
 }
+
+// The working-day model's fixed shape of a commuter's week.
+const (
+	// workStartHour is the mean office arrival hour (jittered ±45 min);
+	// workHours the mean office-day length (jittered ±1 h).
+	workStartHour = 9.0
+	workHours     = 8.0
+	// lunchOutProb is the chance of a midday lunch outing near the
+	// office; afterWorkOutProb that of an after-work venue visit.
+	lunchOutProb     = 0.70
+	afterWorkOutProb = 0.30
+	// eveningSpotCount shared after-work venues lie in the central
+	// business district.
+	eveningSpotCount = 3
+)
 
 // WorkingDayConfig parameterizes the working-day commuter model (after
 // Ekman et al.'s working day movement model, the standard urban-commuter
@@ -316,31 +324,16 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, rng *rand.Rand) (Model, error) 
 // working-day nodes commute to their own offices, so contacts
 // concentrate at lunch spots, evening venues, and shared commute
 // corridors: the city-scale workload the scaled-up engine targets.
+//
+// Each commuter draws a home uniformly in the area and an office inside
+// the central business district (the middle ~25% of the area), so
+// distinct commuters still share corridors and lunch geography.
 type WorkingDayConfig struct {
 	// Area bounds the plane; zero selects Gainesville.
 	Area Area
-	// Home is the node's residence; zero draws one at random.
-	Home Point
-	// Office is the node's workplace; zero draws one inside the central
-	// business district (the middle ~25% of the area), so distinct
-	// commuters still share corridors and lunch geography.
-	Office Point
-	// EveningSpots are shared venues for after-work outings; empty
-	// generates three near the district center.
-	EveningSpots []Point
 	// Start is the itinerary's first midnight; Days its length.
 	Start time.Time
 	Days  int
-	// WorkStartHour is the mean arrival hour (default 9; jittered ±45 min).
-	WorkStartHour float64
-	// WorkHours is the mean office-day length (default 8, jittered ±1 h).
-	WorkHours float64
-	// LunchOutProb is the chance of a midday lunch outing near the
-	// office (default 0.70).
-	LunchOutProb float64
-	// EveningOutProb is the chance of an after-work venue visit
-	// (default 0.30).
-	EveningOutProb float64
 }
 
 // NewWorkingDay precomputes a commuter's itinerary from cfg and rng.
@@ -358,37 +351,19 @@ func NewWorkingDay(cfg WorkingDayConfig, rng *rand.Rand) (Model, error) {
 	if cfg.Area == (Area{}) {
 		cfg.Area = Gainesville
 	}
-	if cfg.Home == (Point{}) {
-		cfg.Home = cfg.Area.RandomPoint(rng)
-	}
+	home := cfg.Area.RandomPoint(rng)
 	district := Point{X: cfg.Area.W * 0.5, Y: cfg.Area.H * 0.5}
 	districtR := math.Min(cfg.Area.W, cfg.Area.H) * 0.25
-	if cfg.Office == (Point{}) {
-		cfg.Office = jitter(district, districtR, rng)
-	}
-	if cfg.WorkStartHour == 0 {
-		cfg.WorkStartHour = 9
-	}
-	if cfg.WorkHours == 0 {
-		cfg.WorkHours = 8
-	}
-	if cfg.LunchOutProb == 0 {
-		cfg.LunchOutProb = 0.70
-	}
-	if cfg.EveningOutProb == 0 {
-		cfg.EveningOutProb = 0.30
-	}
-	if len(cfg.EveningSpots) == 0 {
-		cfg.EveningSpots = make([]Point, 3)
-		for i := range cfg.EveningSpots {
-			cfg.EveningSpots[i] = jitter(district, districtR, rng)
-		}
+	office := jitter(district, districtR, rng)
+	eveningSpots := make([]Point, eveningSpotCount)
+	for i := range eveningSpots {
+		eveningSpots[i] = jitter(district, districtR, rng)
 	}
 	// The commuter's own lunch spot, shared geography with office
 	// neighbours (a food court within walking distance).
-	lunchSpot := jitter(cfg.Office, 150, rng)
+	lunchSpot := jitter(office, 150, rng)
 
-	b := &builder{at: cfg.Start, pos: cfg.Home}
+	b := &builder{at: cfg.Start, pos: home}
 	for day := 0; day < cfg.Days; day++ {
 		midnight := cfg.Start.Add(time.Duration(day) * 24 * time.Hour)
 		weekday := midnight.Weekday()
@@ -396,34 +371,34 @@ func NewWorkingDay(cfg WorkingDayConfig, rng *rand.Rand) (Model, error) {
 			// Weekend: home (the paper's §VI-B stationary periods).
 			continue
 		}
-		// Arrive at the office around WorkStartHour ± 45 min; leave home
+		// Arrive at the office around workStartHour ± 45 min; leave home
 		// early enough to make it.
-		arrive := midnight.Add(time.Duration((cfg.WorkStartHour+(rng.Float64()-0.5)*1.5)*3600) * time.Second)
-		commute := commuteDuration(cfg.Home, cfg.Office)
+		arrive := midnight.Add(time.Duration((workStartHour+(rng.Float64()-0.5)*1.5)*3600) * time.Second)
+		commute := commuteDuration(home, office)
 		b.stay(arrive.Add(-commute))
-		b.move(cfg.Office)
+		b.move(office)
 
 		// Morning at the desk, then lunch most days (12:00–13:00 start).
-		if rng.Float64() < cfg.LunchOutProb {
+		if rng.Float64() < lunchOutProb {
 			lunch := midnight.Add(time.Duration(12*3600+rng.Float64()*3600) * time.Second)
 			if lunch.After(b.at) {
 				b.stay(lunch)
 				b.move(jitter(lunchSpot, 5, rng))
 				b.stay(b.at.Add(time.Duration(1800+rng.Float64()*1800) * time.Second))
-				b.move(cfg.Office)
+				b.move(office)
 			}
 		}
 		// Afternoon at the desk until quitting time.
-		quit := arrive.Add(time.Duration((cfg.WorkHours + (rng.Float64()-0.5)*2) * float64(time.Hour)))
+		quit := arrive.Add(time.Duration((workHours + (rng.Float64()-0.5)*2) * float64(time.Hour)))
 		b.stay(quit)
 
 		// Occasional after-work outing at a shared venue, else straight
 		// home.
-		if rng.Float64() < cfg.EveningOutProb {
-			b.move(jitter(cfg.EveningSpots[rng.Intn(len(cfg.EveningSpots))], 6, rng))
+		if rng.Float64() < afterWorkOutProb {
+			b.move(jitter(eveningSpots[rng.Intn(len(eveningSpots))], 6, rng))
 			b.stay(b.at.Add(time.Duration(3600+rng.Float64()*5400) * time.Second))
 		}
-		b.move(cfg.Home)
+		b.move(home)
 	}
 	b.stay(cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour))
 	return &itinerary{segs: b.segs}, nil

@@ -1,6 +1,9 @@
 package mobility
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,12 +55,13 @@ func TestDiurnalStaysInArea(t *testing.T) {
 }
 
 func TestDiurnalSleepsAtHome(t *testing.T) {
-	home := Point{X: 2000, Y: 2000}
-	m, err := NewDiurnal(DiurnalConfig{Start: start, Days: 5, Home: home}, rand.New(rand.NewSource(11)))
+	m, err := NewDiurnal(DiurnalConfig{Start: start, Days: 5}, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatalf("NewDiurnal: %v", err)
 	}
-	// At 3 AM every night the node is asleep at home.
+	// The itinerary starts asleep at home; at 3 AM every night the node
+	// is asleep there again.
+	home := m.Position(start)
 	for day := 0; day < 5; day++ {
 		at := start.Add(time.Duration(day)*24*time.Hour + 3*time.Hour)
 		if got := m.Position(at); got.distanceTo(home) > 1 {
@@ -67,9 +71,9 @@ func TestDiurnalSleepsAtHome(t *testing.T) {
 }
 
 func TestDiurnalVisitsCampusOnWeekdays(t *testing.T) {
-	campus := Point{X: 5000, Y: 4000}
+	campus := campusOf(Gainesville)
 	m, err := NewDiurnal(DiurnalConfig{
-		Start: start, Days: 5, Campus: campus, AttendProb: 0.999,
+		Start: start, Days: 5, AttendProb: 0.999,
 	}, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatalf("NewDiurnal: %v", err)
@@ -94,21 +98,41 @@ func TestDiurnalVisitsCampusOnWeekdays(t *testing.T) {
 	}
 }
 
+// TestDiurnalWeekendMostlyHome: a weekend day holds at most one outing,
+// between late morning and evening, and most weekend days hold none.
 func TestDiurnalWeekendMostlyHome(t *testing.T) {
-	home := Point{X: 1000, Y: 1000}
-	// Saturday start.
 	sat := time.Date(2017, 4, 8, 0, 0, 0, 0, time.UTC)
-	m, err := NewDiurnal(DiurnalConfig{
-		Start: sat, Days: 2, Home: home, WeekendOutProb: 0.0001,
-	}, rand.New(rand.NewSource(13)))
-	if err != nil {
-		t.Fatalf("NewDiurnal: %v", err)
-	}
-	for h := 0; h < 48; h += 3 {
-		at := sat.Add(time.Duration(h) * time.Hour)
-		if m.Position(at).distanceTo(home) > 1 {
-			t.Fatalf("weekend wanderlust at %v despite near-zero outing probability", at)
+	days, outings := 0, 0
+	for seed := int64(1); seed <= 20; seed++ {
+		m, err := NewDiurnal(DiurnalConfig{Start: sat, Days: 2}, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatalf("NewDiurnal: %v", err)
 		}
+		home := m.Position(sat)
+		for day := 0; day < 2; day++ {
+			days++
+			midnight := sat.Add(time.Duration(day) * 24 * time.Hour)
+			left := 0
+			wasHome := true
+			for minute := 0; minute < 24*60; minute += 10 {
+				at := midnight.Add(time.Duration(minute) * time.Minute)
+				isHome := m.Position(at).distanceTo(home) <= 1
+				if !isHome && (minute < 11*60 || minute >= 22*60) {
+					t.Fatalf("seed %d: away from home at %v", seed, at)
+				}
+				if wasHome && !isHome {
+					left++
+				}
+				wasHome = isHome
+			}
+			if left > 1 {
+				t.Fatalf("seed %d, %v: %d outings in one weekend day", seed, midnight.Weekday(), left)
+			}
+			outings += left
+		}
+	}
+	if 2*outings >= days {
+		t.Errorf("%d outings in %d weekend days, want most days at home", outings, days)
 	}
 }
 
@@ -211,15 +235,18 @@ func TestGoldenDeterminism(t *testing.T) {
 }
 
 func TestWorkingDayAtOfficeMidday(t *testing.T) {
-	office := Point{X: 6000, Y: 4000}
-	m, err := NewWorkingDay(WorkingDayConfig{
-		Start: start, Days: 5, Office: office, LunchOutProb: 0.0001,
-	}, rand.New(rand.NewSource(19)))
+	m, err := NewWorkingDay(WorkingDayConfig{Start: start, Days: 5}, rand.New(rand.NewSource(19)))
 	if err != nil {
 		t.Fatalf("NewWorkingDay: %v", err)
 	}
-	// Mid-morning and mid-afternoon of every weekday the commuter is at
-	// (or within lunch-walking distance of) the office.
+	// The commuter reaches the office by 9:45 and leaves for lunch at
+	// 12:00 at the earliest, so at 11:00 on the first day it is there.
+	// Mid-morning and mid-afternoon of every weekday it is at (or within
+	// lunch-walking distance of) the same office.
+	office := m.Position(start.Add(11 * time.Hour))
+	if d := office.distanceTo(Point{X: Gainesville.W / 2, Y: Gainesville.H / 2}); d > math.Min(Gainesville.W, Gainesville.H)/4 {
+		t.Fatalf("office %v is %f m from the district center", office, d)
+	}
 	for day := 0; day < 5; day++ {
 		for _, h := range []int{11, 15} {
 			at := start.Add(time.Duration(day)*24*time.Hour + time.Duration(h)*time.Hour)
@@ -231,13 +258,11 @@ func TestWorkingDayAtOfficeMidday(t *testing.T) {
 }
 
 func TestWorkingDaySleepsAtHomeAndStaysHomeWeekends(t *testing.T) {
-	home := Point{X: 1500, Y: 6000}
-	m, err := NewWorkingDay(WorkingDayConfig{
-		Start: start, Days: 7, Home: home,
-	}, rand.New(rand.NewSource(29)))
+	m, err := NewWorkingDay(WorkingDayConfig{Start: start, Days: 7}, rand.New(rand.NewSource(29)))
 	if err != nil {
 		t.Fatalf("NewWorkingDay: %v", err)
 	}
+	home := m.Position(start)
 	// 3 AM every night: asleep at home.
 	for day := 0; day < 7; day++ {
 		at := start.Add(time.Duration(day)*24*time.Hour + 3*time.Hour)
@@ -334,5 +359,47 @@ func TestItineraryContinuity(t *testing.T) {
 			t.Fatalf("teleport at %v: %f m in %v", at, prev.distanceTo(cur), step)
 		}
 		prev = cur
+	}
+}
+
+// TestItineraryDigests pins every synthetic model's itinerary: for seed 41
+// over a week, the positions sampled every 11 minutes and rounded to
+// millimetres hash to a fixed digest. TestGoldenDeterminism compares two
+// builds of the same code; this test compares the code with itself across
+// changes, so a refactor that moves one draw or one default shows here.
+func TestItineraryDigests(t *testing.T) {
+	models := []struct {
+		name  string
+		build func(*rand.Rand) (Model, error)
+		want  string
+	}{
+		{"diurnal", func(rng *rand.Rand) (Model, error) {
+			return NewDiurnal(DiurnalConfig{Start: start, Days: 7}, rng)
+		}, "0cbe4dc8ee6fe17777994ee63edc9639635b49d7e1b8ba669b4498c928e97b08"},
+		{"random-waypoint", func(rng *rand.Rand) (Model, error) {
+			return NewRandomWaypoint(RandomWaypointConfig{
+				Area: Area{W: 3000, H: 3000}, Start: start, Duration: 7 * 24 * time.Hour,
+			}, rng)
+		}, "bbd4f5dfa9921abbd178ece0093d08e40945b982b680793ebeb8069ad71363a1"},
+		{"working-day", func(rng *rand.Rand) (Model, error) {
+			return NewWorkingDay(WorkingDayConfig{Start: start, Days: 7}, rng)
+		}, "4d48876823ac9964545ee7b88c58c19861f63be18b1d8ed27ecfec38d1363492"},
+	}
+	for _, m := range models {
+		model, err := m.build(rand.New(rand.NewSource(41)))
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		h := sha256.New()
+		var buf [16]byte
+		for minute := 0; minute < 7*24*60; minute += 11 {
+			p := model.Position(start.Add(time.Duration(minute) * time.Minute))
+			binary.LittleEndian.PutUint64(buf[:8], uint64(int64(math.Round(p.X*1000))))
+			binary.LittleEndian.PutUint64(buf[8:], uint64(int64(math.Round(p.Y*1000))))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != m.want {
+			t.Errorf("%s itinerary digest = %s, want %s", m.name, got, m.want)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"sos/internal/clock"
 )
 
-// Default latencies for the simulated medium. Discovery is not instant on
+// Latencies of the simulated medium. Discovery is not instant on
 // real MPC: Bonjour/BLE beacons take on the order of a second to surface a
 // peer, and connection setup has a round trip.
 const (
@@ -48,10 +48,9 @@ type SimMedium struct {
 	// OnContact, when set, observes every link up/down transition.
 	OnContact func(Contact)
 
-	// Latency knobs, preset to the defaults above.
-	DiscoveryDelay time.Duration
-	ConnectDelay   time.Duration
-	FrameOverhead  time.Duration
+	// FrameOverhead is the air time each frame costs on top of its
+	// bytes over the bitrate, preset to DefaultFrameOverhead.
+	FrameOverhead time.Duration
 }
 
 var _ Medium = (*SimMedium)(nil)
@@ -68,12 +67,10 @@ type simLink struct {
 // NewSimMedium creates a simulated medium on the given virtual clock.
 func NewSimMedium(clk *clock.Virtual) *SimMedium {
 	return &SimMedium{
-		clk:            clk,
-		endpoints:      make(map[PeerID]*simEndpoint),
-		links:          make(map[PairKey]*simLink),
-		DiscoveryDelay: DefaultDiscoveryDelay,
-		ConnectDelay:   DefaultConnectDelay,
-		FrameOverhead:  DefaultFrameOverhead,
+		clk:           clk,
+		endpoints:     make(map[PeerID]*simEndpoint),
+		links:         make(map[PairKey]*simLink),
+		FrameOverhead: DefaultFrameOverhead,
 	}
 }
 
@@ -97,7 +94,7 @@ func (m *SimMedium) Join(peer PeerID, events Events) (Endpoint, error) {
 }
 
 // SetLink brings two devices into radio contact over the given
-// technology. Discovery events fire after the configured delay.
+// technology. Discovery events fire after DefaultDiscoveryDelay.
 func (m *SimMedium) SetLink(a, b PeerID, tech Technology) {
 	key := MakePair(a, b)
 	if _, up := m.links[key]; up {
@@ -115,7 +112,7 @@ func (m *SimMedium) SetLink(a, b PeerID, tech Technology) {
 		return
 	}
 	epoch := m.links[key].epoch
-	at := now.Add(m.DiscoveryDelay)
+	at := now.Add(DefaultDiscoveryDelay)
 	m.post(at, func() {
 		link, up := m.links[key]
 		if !up || link.epoch != epoch {
@@ -260,7 +257,7 @@ func (ep *simEndpoint) SetAdvertisement(ad []byte) {
 	wasAdvertising := ep.ad != nil
 	ep.ad = bytes.Clone(ad)
 	m := ep.medium
-	at := m.clk.Now().Add(m.DiscoveryDelay)
+	at := m.clk.Now().Add(DefaultDiscoveryDelay)
 	for _, key := range m.linkKeysOf(ep.self) {
 		link := m.links[key]
 		var other PeerID
@@ -311,7 +308,7 @@ func (ep *simEndpoint) Connect(peer PeerID) (Conn, error) {
 		return nil, fmt.Errorf("%w: %s", ErrPeerGone, peer)
 	}
 
-	readyAt := m.clk.Now().Add(m.ConnectDelay)
+	readyAt := m.clk.Now().Add(DefaultConnectDelay)
 	local := &simConn{medium: m, localEP: ep, remoteEP: remote, pair: key, epoch: link.epoch, initiator: true, readyAt: readyAt}
 	remoteSide := &simConn{medium: m, localEP: remote, remoteEP: ep, pair: key, epoch: link.epoch, initiator: false, readyAt: readyAt}
 	local.twin, remoteSide.twin = remoteSide, local

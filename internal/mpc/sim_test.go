@@ -78,11 +78,11 @@ func TestSimDiscoveryDelayRespected(t *testing.T) {
 	epA.SetAdvertisement([]byte("ad-a"))
 	m.SetLink("a", "b", Bluetooth)
 
-	run(m, clk, m.DiscoveryDelay/2)
+	run(m, clk, DefaultDiscoveryDelay/2)
 	if len(rb.found) != 0 {
 		t.Error("peer found before the discovery delay elapsed")
 	}
-	run(m, clk, m.DiscoveryDelay)
+	run(m, clk, DefaultDiscoveryDelay)
 	if len(rb.found) != 1 {
 		t.Error("peer not found after the discovery delay")
 	}

@@ -70,6 +70,10 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Message.RequestsSent })
 		reg.CounterFunc("sos_message_requests_total", "Message pull requests moved.", Labels{"dir": "received"},
 			func() uint64 { return mw.Stats().Message.RequestsReceived })
+		reg.CounterFunc("sos_message_payload_bytes_sent_total", "In-session data-plane bytes sent (requests, batches).", nil,
+			func() uint64 { return mw.Stats().Message.PayloadBytesSent })
+		reg.CounterFunc("sos_message_inflight_expired_total", "Requested messages never received, released by the resync heartbeat for re-planning.", nil,
+			func() uint64 { return mw.Stats().Message.InflightExpired })
 
 		// Contact-sync plane — the counters the loopback e2e smoke
 		// asserts are nonzero after an exchange.
@@ -85,6 +89,8 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Message.SummaryChunksSent })
 		reg.CounterFunc("sos_sync_plan_entries_scanned_total", "Summary entries walked by request planning.", nil,
 			func() uint64 { return mw.Stats().Message.PlanEntriesScanned })
+		reg.CounterFunc("sos_sync_summary_bytes_sent_total", "In-session sync-plane bytes sent (advertisements, summary pulls).", nil,
+			func() uint64 { return mw.Stats().Message.SummaryBytesSent })
 		reg.GaugeFunc("sos_sync_peers", "Peer slots held: every peer in range or linked.", nil,
 			func() float64 { p, _, _ := mw.SyncState(); return float64(p) })
 		reg.GaugeFunc("sos_sync_links", "Peers currently linked.", nil,
@@ -109,6 +115,8 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() float64 { return float64(mw.Stats().Store.Bytes) })
 		reg.GaugeFunc("sos_store_summary_generation", "Current summary generation.", nil,
 			func() float64 { return float64(mw.Stats().Store.Generation) })
+		reg.CounterFunc("sos_store_summary_clones_total", "Copy-on-write summary-stripe clones forced by outstanding snapshots.", nil,
+			func() uint64 { return mw.Stats().Store.SummaryClones })
 		reg.CounterFunc("sos_store_summary_stripe_lock_wait_total", "Contended acquisitions of a summary-stripe lock.", nil,
 			func() uint64 { return mw.Stats().Store.StripeLockWaits })
 

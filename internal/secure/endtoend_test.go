@@ -12,7 +12,7 @@ import (
 
 func newEndToEnd(t *testing.T, handle, dir string) *EndToEnd {
 	t.Helper()
-	e, err := NewEndToEnd(newIdentity(t, handle), PrekeyConfig{}, dir, ReplayOptions{NoSync: true})
+	e, err := NewEndToEnd(newIdentity(t, handle), PrekeyConfig{}, dir, ReplayOptions{noSync: true})
 	if err != nil {
 		t.Fatalf("NewEndToEnd: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestEndToEndReplayAcrossRestart(t *testing.T) {
 	ident := newIdentity(t, "bob")
 	open := func() *EndToEnd {
 		t.Helper()
-		e, err := NewEndToEnd(ident, PrekeyConfig{}, dir, ReplayOptions{NoSync: true})
+		e, err := NewEndToEnd(ident, PrekeyConfig{}, dir, ReplayOptions{noSync: true})
 		if err != nil {
 			t.Fatalf("NewEndToEnd: %v", err)
 		}

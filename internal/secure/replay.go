@@ -87,7 +87,9 @@ func decodeReplayBody(typ byte, body []byte) ([]byte, error) {
 // ReplayOptions tunes a replay store; the zero value syncs every append
 // and counts nothing.
 type ReplayOptions struct {
-	NoSync bool // skip fsync on appends (tests, lab fleets)
+	// noSync skips the fsync after each append. Every node syncs; the
+	// package's tests turn it off.
+	noSync bool
 	// Stats, when set, counts the store's replay rejections (MarkNonce
 	// hits) into a recorder.
 	Stats *StatsRecorder
@@ -119,7 +121,7 @@ func OpenReplayStore(dir string, opts ReplayOptions) (*ReplayStore, error) {
 	if dir == "" {
 		return rs, nil
 	}
-	log, err := recordlog.Open(filepath.Join(dir, replayLogFile), maxReplayBody, opts.NoSync, rs.applyRecord)
+	log, err := recordlog.Open(filepath.Join(dir, replayLogFile), maxReplayBody, opts.noSync, rs.applyRecord)
 	if err != nil {
 		return nil, fmt.Errorf("secure: opening replay store: %w", err)
 	}

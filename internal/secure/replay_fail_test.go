@@ -24,7 +24,7 @@ func TestOpenReplayStoreBadDir(t *testing.T) {
 // way; internal/recordlog tests that where it can reach it.)
 func TestReplayStoreLatchesAppendError(t *testing.T) {
 	dir := t.TempDir()
-	rs, err := OpenReplayStore(dir, ReplayOptions{NoSync: true})
+	rs, err := OpenReplayStore(dir, ReplayOptions{noSync: true})
 	if err != nil {
 		t.Fatalf("OpenReplayStore: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestReplayStoreLatchesAppendError(t *testing.T) {
 	}
 }
 
-// TestReplayStoreSyncedAppends covers the fsync path (NoSync off).
+// TestReplayStoreSyncedAppends covers the fsync path (noSync off).
 func TestReplayStoreSyncedAppends(t *testing.T) {
 	dir := t.TempDir()
 	rs, err := OpenReplayStore(dir, ReplayOptions{})

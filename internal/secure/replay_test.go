@@ -51,7 +51,7 @@ func readRecord(br *bufio.Reader) (typ byte, nonce []byte, n int64, err error) {
 
 func openStore(t *testing.T, dir string, opts ReplayOptions) *ReplayStore {
 	t.Helper()
-	opts.NoSync = true
+	opts.noSync = true
 	rs, err := OpenReplayStore(dir, opts)
 	if err != nil {
 		t.Fatalf("OpenReplayStore(%q): %v", dir, err)

@@ -42,7 +42,6 @@ type GainesvilleConfig struct {
 	Scheme       string
 	Range        float64
 	Tick         time.Duration
-	Start        time.Time
 	// AttendProb is the probability a user shows up to a scheduled
 	// meeting (default 0.85).
 	AttendProb float64
@@ -86,8 +85,9 @@ type Gainesville struct {
 	Handles       []string
 }
 
-// paperStart is a Monday, so the 7-day run covers a school week plus a
-// weekend — the structure §VI-B's delay tail depends on.
+// paperStart is where every run starts: a Monday, so the 7-day run covers
+// a school week plus a weekend — the structure §VI-B's delay tail depends
+// on.
 var paperStart = time.Date(2017, 4, 3, 0, 0, 0, 0, time.UTC)
 
 // NewGainesville builds the scenario.
@@ -144,7 +144,7 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 		}
 		day := rng.Intn(cfg.Days)
 		secOfDay := 8*3600 + rng.Float64()*15*3600 // 08:00–23:00
-		at := cfg.Start.Add(time.Duration(day)*24*time.Hour + time.Duration(secOfDay)*time.Second)
+		at := paperStart.Add(time.Duration(day)*24*time.Hour + time.Duration(secOfDay)*time.Second)
 		plans = append(plans, postPlan{author: author, at: at, social: -1})
 	}
 
@@ -192,7 +192,7 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 	for k, e := range edges {
 		follower, followee := handles[e[0]], handles[e[1]]
 		if k < inApp {
-			at := cfg.Start.Add(time.Duration(2+rng.Float64()*34) * time.Hour)
+			at := paperStart.Add(time.Duration(2+rng.Float64()*34) * time.Hour)
 			workload = append(workload, Event{At: at, Handle: follower, Action: ActionFollow, Target: followee})
 			// Following happens in the app: a small activity window.
 			world.addWindow(e[0], at.Add(-time.Minute), at.Add(6*time.Minute))
@@ -213,7 +213,7 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 
 	return &Gainesville{
 		Config: Config{
-			Start:    cfg.Start,
+			Start:    paperStart,
 			Duration: time.Duration(cfg.Days) * 24 * time.Hour,
 			Tick:     cfg.Tick,
 			Range:    cfg.Range,
@@ -248,9 +248,6 @@ func applyDefaults(cfg *GainesvilleConfig) {
 	}
 	if cfg.Tick == 0 {
 		cfg.Tick = 30 * time.Second
-	}
-	if cfg.Start.IsZero() {
-		cfg.Start = paperStart
 	}
 	if cfg.Users == 0 {
 		cfg.Users = socialgraph.DeploymentSize
@@ -353,7 +350,7 @@ func buildSocialWorld(cfg GainesvilleConfig, graph *socialgraph.Graph, rng *rand
 
 	var meetings []meeting
 	for day := 0; day < cfg.Days; day++ {
-		midnight := cfg.Start.Add(time.Duration(day) * 24 * time.Hour)
+		midnight := paperStart.Add(time.Duration(day) * 24 * time.Hour)
 		wd := midnight.Weekday()
 		factor := 1.0
 		if wd == time.Saturday || wd == time.Sunday {
@@ -432,8 +429,8 @@ func buildSocialWorld(cfg GainesvilleConfig, graph *socialgraph.Graph, rng *rand
 	for u := 0; u < n; u++ {
 		ms := perUser[u]
 		sort.Slice(ms, func(i, j int) bool { return ms[i].at.Before(ms[j].at) })
-		points := []mobility.Waypoint{{At: cfg.Start, Pos: homes[u]}}
-		lastEnd := cfg.Start
+		points := []mobility.Waypoint{{At: paperStart, Pos: homes[u]}}
+		lastEnd := paperStart
 		for _, m := range ms {
 			// Conflicting meetings are skipped: a realistic no-show.
 			if m.at.Before(lastEnd.Add(20 * time.Minute)) {
@@ -462,7 +459,7 @@ func buildSocialWorld(cfg GainesvilleConfig, graph *socialgraph.Graph, rng *rand
 			})
 		}
 		points = append(points, mobility.Waypoint{
-			At:  cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour),
+			At:  paperStart.Add(time.Duration(cfg.Days) * 24 * time.Hour),
 			Pos: homes[u],
 		})
 		model, err := mobility.NewTrace(points)
@@ -484,7 +481,7 @@ func (w *socialWorld) addWindow(u int, start, end time.Time) {
 // other the app).
 func (w *socialWorld) addDailyChecks(u int, cfg GainesvilleConfig, rng *rand.Rand) {
 	for day := 0; day < cfg.Days; day++ {
-		midnight := cfg.Start.Add(time.Duration(day) * 24 * time.Hour)
+		midnight := paperStart.Add(time.Duration(day) * 24 * time.Hour)
 		count := int(cfg.ChecksPerDay/2 + rng.Float64()*cfg.ChecksPerDay)
 		for k := 0; k < count; k++ {
 			at := midnight.Add(time.Duration(8*3600+rng.Float64()*15.5*3600) * time.Second)

@@ -8,10 +8,15 @@
 // observation path the live modes use too: a telemetry.Observer folds
 // into one telemetry.Aggregator per run (the collector behind every
 // Figure-4 series, with core deciding delivery), and a geo observer feeds
-// the trace recorder.
+// the geo recorder.
 //
-// Runs are deterministic: one seed fixes key generation, nonces, mobility
-// itineraries, and the workload, so results replay bit-identically.
+// One seed fixes the mobility itineraries, the workload and every reader
+// handed to key generation, but runs do not yet replay bit-identically:
+// Go's ECDSA and ECDH key generation read one byte more from that reader
+// at random (crypto/internal/randutil.MaybeReadByte), which shifts every
+// later draw of the node, so signature lengths and the figures built on
+// them can differ between two runs of one seed. ROADMAP item 1 removes
+// that; until then TestDeterminism allows for it.
 package sim
 
 import (
@@ -24,6 +29,7 @@ import (
 	"sos/internal/clock"
 	"sos/internal/cloud"
 	"sos/internal/core"
+	"sos/internal/geo"
 	"sos/internal/id"
 	"sos/internal/metrics"
 	"sos/internal/mobility"
@@ -32,7 +38,6 @@ import (
 	"sos/internal/pki"
 	"sos/internal/store"
 	"sos/internal/telemetry"
-	"sos/internal/trace"
 )
 
 // Action enumerates workload user actions.
@@ -139,7 +144,7 @@ func (n *Node) Position(at time.Time) mobility.Point {
 // Result bundles a finished run's outputs.
 type Result struct {
 	Collector   *metrics.Collector
-	Recorder    *trace.Recorder
+	Recorder    *geo.Recorder
 	MediumStats mpc.SimStats
 	NodeStats   map[string]core.Stats
 	Posts       int
@@ -157,7 +162,7 @@ type Sim struct {
 	byHandle map[string]*Node
 
 	agg      *telemetry.Aggregator
-	recorder *trace.Recorder
+	recorder *geo.Recorder
 	linked   map[[2]int32]bool
 	workload []Event
 	contacts []ContactEvent
@@ -201,7 +206,7 @@ func New(cfg Config) (*Sim, error) {
 	master := rand.New(rand.NewSource(cfg.Seed))
 	clk := clock.NewVirtual(cfg.Start)
 	medium := mpc.NewSimMedium(clk)
-	recorder := trace.NewRecorder()
+	recorder := geo.NewRecorder()
 	agg := telemetry.NewAggregator()
 	medium.OnContact = recorder.RecordContact
 
@@ -331,13 +336,13 @@ func New(cfg Config) (*Sim, error) {
 // Nodes returns the running nodes.
 func (s *Sim) Nodes() []*Node { return s.nodes }
 
-// geoObserver geo-tags one node's messages for the trace recorder: each
+// geoObserver geo-tags one node's messages for the geo recorder: each
 // post it authors (the workload, as the collector tracks it) and each
 // message it receives, at the node's position.
 type geoObserver struct {
 	node *Node
 	clk  clock.Clock
-	rec  *trace.Recorder
+	rec  *geo.Recorder
 }
 
 func (g geoObserver) MessageCreated(m *msg.Message) {

@@ -12,29 +12,25 @@ import (
 
 // Exporter defaults.
 const (
+	// DefaultExporterBuffer is the event queue depth; when the queue is
+	// full (collector unreachable or slow) new events are dropped and
+	// counted, never blocking the middleware.
 	DefaultExporterBuffer = 4096
-	DefaultRetryInterval  = 250 * time.Millisecond
-	DefaultDialTimeout    = 2 * time.Second
-	DefaultFlushTimeout   = 5 * time.Second
+	// DefaultRetryInterval is the pause between reconnection attempts.
+	DefaultRetryInterval = 250 * time.Millisecond
+	// DefaultDialTimeout bounds one connection attempt.
+	DefaultDialTimeout = 2 * time.Second
+	// DefaultFlushTimeout bounds how long Close waits for queued events
+	// to drain before abandoning them (counted as drops).
+	DefaultFlushTimeout = 5 * time.Second
 
 	// writeTimeout bounds one frame write; a stalled collector counts as
 	// a broken connection.
 	writeTimeout = 5 * time.Second
 )
 
-// ExporterOptions tunes an Exporter. The zero value selects the defaults.
+// ExporterOptions tunes an Exporter. The zero value is ready to use.
 type ExporterOptions struct {
-	// Buffer is the event queue depth; when the queue is full (collector
-	// unreachable or slow) new events are dropped and counted, never
-	// blocking the middleware.
-	Buffer int
-	// RetryInterval is the pause between reconnection attempts.
-	RetryInterval time.Duration
-	// DialTimeout bounds one connection attempt.
-	DialTimeout time.Duration
-	// FlushTimeout bounds how long Close waits for queued events to
-	// drain before abandoning them (counted as drops).
-	FlushTimeout time.Duration
 	// Logf, when set, receives debug logging.
 	Logf func(format string, args ...any)
 	// Tracer, when set, records export-plane spans (collector dials,
@@ -42,20 +38,18 @@ type ExporterOptions struct {
 	Tracer *span.Tracer
 }
 
-func (o ExporterOptions) withDefaults() ExporterOptions {
-	if o.Buffer <= 0 {
-		o.Buffer = DefaultExporterBuffer
-	}
-	if o.RetryInterval <= 0 {
-		o.RetryInterval = DefaultRetryInterval
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = DefaultDialTimeout
-	}
-	if o.FlushTimeout <= 0 {
-		o.FlushTimeout = DefaultFlushTimeout
-	}
-	return o
+// exporterTiming is an exporter's queue depth and waits: the defaults
+// above in every exporter, shorter ones in the package's tests.
+type exporterTiming struct {
+	buffer             int
+	retry, dial, flush time.Duration
+}
+
+var defaultTiming = exporterTiming{
+	buffer: DefaultExporterBuffer,
+	retry:  DefaultRetryInterval,
+	dial:   DefaultDialTimeout,
+	flush:  DefaultFlushTimeout,
 }
 
 // ExporterStats counts exporter events.
@@ -79,8 +73,9 @@ type ExporterStats struct {
 // newest event and counts it, so a dead collector costs memory-bounded
 // telemetry, never middleware progress.
 type Exporter struct {
-	addr string
-	opts ExporterOptions
+	addr   string
+	opts   ExporterOptions
+	timing exporterTiming
 
 	mu     sync.Mutex
 	closed bool
@@ -101,13 +96,18 @@ var _ Sink = (*Exporter)(nil)
 // connection is established lazily, so a collector that comes up late
 // only delays events (up to the buffer), it does not fail the node.
 func NewExporter(addr string, opts ExporterOptions) *Exporter {
+	return newExporter(addr, opts, defaultTiming)
+}
+
+func newExporter(addr string, opts ExporterOptions, timing exporterTiming) *Exporter {
 	e := &Exporter{
-		addr: addr,
-		opts: opts.withDefaults(),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		addr:   addr,
+		opts:   opts,
+		timing: timing,
+		ch:     make(chan Event, timing.buffer),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
-	e.ch = make(chan Event, e.opts.Buffer)
 	if e.opts.Tracer != nil {
 		e.tracer = e.opts.Tracer
 		e.track = e.tracer.Track("telemetry")
@@ -146,7 +146,7 @@ func (e *Exporter) QueueDepth() int { return len(e.ch) }
 
 // Close stops accepting events, flushes the queue, waits for the
 // collector to finish ingesting the stream (each phase bounded by
-// FlushTimeout), and closes the connection. On a clean return every
+// DefaultFlushTimeout), and closes the connection. On a clean return every
 // sent event has been read by the collector; events that cannot be
 // flushed in time are dropped and counted.
 func (e *Exporter) Close() error {
@@ -165,7 +165,7 @@ func (e *Exporter) Close() error {
 	select {
 	case <-e.done:
 		sp.Attr("ok", 1)
-	case <-time.After(e.opts.FlushTimeout):
+	case <-time.After(e.timing.flush):
 		sp.Attr("ok", 0)
 		close(e.stop)
 		e.mu.Lock()
@@ -215,7 +215,7 @@ func (e *Exporter) loop() {
 	// every sent event has been ingested.
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.CloseWrite()
-		tc.SetReadDeadline(time.Now().Add(e.opts.FlushTimeout))
+		tc.SetReadDeadline(time.Now().Add(e.timing.flush))
 		io.Copy(io.Discard, tc)
 	}
 	conn.Close()
@@ -244,7 +244,7 @@ func (e *Exporter) send(frame []byte) bool {
 		select {
 		case <-e.stop:
 			return false
-		case <-time.After(e.opts.RetryInterval):
+		case <-time.After(e.timing.retry):
 		}
 	}
 }
@@ -266,7 +266,7 @@ func (e *Exporter) connect(redial bool) net.Conn {
 		default:
 		}
 		sp := e.tracer.Start(e.track, "telemetry.connect")
-		conn, err := net.DialTimeout("tcp", e.addr, e.opts.DialTimeout)
+		conn, err := net.DialTimeout("tcp", e.addr, e.timing.dial)
 		if err == nil {
 			sp.Attr("ok", 1)
 			sp.End()
@@ -286,7 +286,7 @@ func (e *Exporter) connect(redial bool) net.Conn {
 		select {
 		case <-e.stop:
 			return nil
-		case <-time.After(e.opts.RetryInterval):
+		case <-time.After(e.timing.retry):
 		}
 	}
 }

@@ -257,11 +257,11 @@ func TestExporterServerEndToEnd(t *testing.T) {
 // TestExporterDropsWhenUnreachable: a dead collector must cost bounded
 // memory and counted drops, never a blocked Record.
 func TestExporterDropsWhenUnreachable(t *testing.T) {
-	exp := NewExporter("127.0.0.1:1", ExporterOptions{
-		Buffer:        4,
-		RetryInterval: 10 * time.Millisecond,
-		DialTimeout:   50 * time.Millisecond,
-		FlushTimeout:  100 * time.Millisecond,
+	exp := newExporter("127.0.0.1:1", ExporterOptions{}, exporterTiming{
+		buffer: 4,
+		retry:  10 * time.Millisecond,
+		dial:   50 * time.Millisecond,
+		flush:  100 * time.Millisecond,
 	})
 	const n = 32
 	done := make(chan struct{})

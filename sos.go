@@ -240,8 +240,9 @@ func Bootstrap(svc *Cloud, handle string) (*Credentials, error) {
 	return cloud.Bootstrap(svc, handle, nil)
 }
 
-// BootstrapWithRand is Bootstrap with an explicit entropy source, for
-// deterministic simulations.
+// BootstrapWithRand is Bootstrap with an explicit entropy source. A seeded
+// reader does not yet make the keys reproducible: Go's key generation
+// reads one extra byte from it at random (see ROADMAP item 1).
 func BootstrapWithRand(svc *Cloud, handle string, rng io.Reader) (*Credentials, error) {
 	return cloud.Bootstrap(svc, handle, rng)
 }

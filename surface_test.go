@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -40,53 +41,31 @@ func TestExportedSurfaceHasProductCallers(t *testing.T) {
 	var decls []decl
 	// usedIn maps an identifier to the non-test files that contain it.
 	usedIn := map[string]map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
+	fset, files := parseCheckout(t)
+	for _, p := range files {
+		ast.Inspect(p.f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				if usedIn[id.Name] == nil {
 					usedIn[id.Name] = map[string]bool{}
 				}
-				usedIn[id.Name][path] = true
+				usedIn[id.Name][p.path] = true
 			}
 			return true
 		})
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if !strings.HasPrefix(dir, "internal/") || strings.HasSuffix(dir, "/storetest") || strings.HasSuffix(dir, "/mediumtest") {
-			return nil
+		if !p.scanned() {
+			continue
 		}
-		for _, d := range f.Decls {
+		for _, d := range p.f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() {
 				continue
 			}
-			key := dir + "." + fn.Name.Name
+			key := p.dir + "." + fn.Name.Name
 			if fn.Recv != nil {
-				key = dir + "." + receiverName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+				key = p.dir + "." + receiverName(fn.Recv.List[0].Type) + "." + fn.Name.Name
 			}
-			decls = append(decls, decl{key, path, fset.Position(fn.Pos()).Line})
+			decls = append(decls, decl{key, p.path, fset.Position(fn.Pos()).Line})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	sort.Slice(decls, func(i, j int) bool {
 		if decls[i].file != decls[j].file {
@@ -135,4 +114,251 @@ func receiverName(e ast.Expr) string {
 			return "?"
 		}
 	}
+}
+
+// optionsAllowed lists the exported fields of …Config and …Options structs
+// under internal/ that may have no setter outside their own file, each
+// with its reason. Like surfaceAllowed, the list is the ratchet.
+var optionsAllowed = map[string]bool{
+	// The seam through which TestInProcessEndToEnd (internal/lab) watches
+	// every node directly, bypassing codec, TCP and exporter, so that it
+	// can check what the collector received against what happened.
+	"internal/lab.Options.ExtraObserver": true,
+	// The radio technology of the simulated fleet. ROADMAP item 7's
+	// Bluetooth-vs-P2P-WiFi counterfactual is its named first caller
+	// (SimMedium.FrameOverhead stays for the same item).
+	"internal/sim.Config.Tech": true,
+}
+
+// TestConfigFieldsHaveProductSetters is the field-level twin of
+// TestExportedSurfaceHasProductCallers. Every exported field of an
+// exported …Config or …Options struct declared in a non-test file under
+// internal/ needs a setter in a non-test Go file other than its own,
+// anywhere in the checkout (the benchmark module and the conformance
+// suites included). A setter is a keyed composite literal of that type —
+// T{F: …} in its own package, pkg.T{F: …}, or sos.X{F: …} for a root
+// alias type X = pkg.T — or, counted by field name alone, a key of a
+// literal whose type is elided or an assignment x.F = …. A field nobody
+// sets is a knob only tests turn: make it a constant.
+func TestConfigFieldsHaveProductSetters(t *testing.T) {
+	type field struct {
+		key, file string
+		line      int
+	}
+	var fields []field
+	fset, files := parseCheckout(t)
+	for _, p := range files {
+		if !p.scanned() {
+			continue
+		}
+		for _, d := range p.f.Decls {
+			gen, ok := d.(*ast.GenDecl)
+			if !ok || gen.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							fields = append(fields, field{p.dir + "." + name + "." + id.Name, p.path, fset.Position(id.Pos()).Line})
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The root package's alias types, sos.X = pkg.T, resolved to pkg's
+	// directory (the root package's own directory is ".").
+	aliases := map[string]string{}
+	for _, p := range files {
+		if p.dir != "." {
+			continue
+		}
+		imports := importDirs(p.f)
+		for _, d := range p.f.Decls {
+			gen, ok := d.(*ast.GenDecl)
+			if !ok || gen.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				ts := spec.(*ast.TypeSpec)
+				if sel, ok := ts.Type.(*ast.SelectorExpr); ok && ts.Assign.IsValid() {
+					if pkg, ok := sel.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+						aliases[ts.Name.Name] = imports[pkg.Name] + "." + sel.Sel.Name
+					}
+				}
+			}
+		}
+	}
+
+	// setIn maps a field key (dir.T.F) or, for elided literals and
+	// assignments, a bare field name to the non-test files that set it.
+	setIn := map[string]map[string]bool{}
+	set := func(key, file string) {
+		if setIn[key] == nil {
+			setIn[key] = map[string]bool{}
+		}
+		setIn[key][file] = true
+	}
+	for _, p := range files {
+		imports := importDirs(p.f)
+		typeKey := func(e ast.Expr) string {
+			var dir, name string
+			switch x := e.(type) {
+			case *ast.Ident:
+				dir, name = p.dir, x.Name
+			case *ast.SelectorExpr:
+				pkg, ok := x.X.(*ast.Ident)
+				if !ok || imports[pkg.Name] == "" {
+					return ""
+				}
+				dir, name = imports[pkg.Name], x.Sel.Name
+			default:
+				return ""
+			}
+			if dir == "." && aliases[name] != "" {
+				return aliases[name]
+			}
+			return dir + "." + name
+		}
+		ast.Inspect(p.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CompositeLit:
+				prefix := ""
+				if x.Type != nil {
+					if prefix = typeKey(x.Type); prefix == "" {
+						return true
+					}
+					prefix += "."
+				}
+				for _, elt := range x.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set(prefix+id.Name, p.path)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set(sel.Sel.Name, p.path)
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	sort.Slice(fields, func(i, j int) bool {
+		if fields[i].file != fields[j].file {
+			return fields[i].file < fields[j].file
+		}
+		return fields[i].line < fields[j].line
+	})
+	setElsewhere := func(key, own string) bool {
+		for file := range setIn[key] {
+			if file != own {
+				return true
+			}
+		}
+		return false
+	}
+	allowedSeen := map[string]bool{}
+	for _, f := range fields {
+		name := f.key[strings.LastIndex(f.key, ".")+1:]
+		switch {
+		case setElsewhere(f.key, f.file) || setElsewhere(name, f.file):
+		case optionsAllowed[f.key]:
+			allowedSeen[f.key] = true
+		default:
+			t.Errorf("%s:%d: %s has no setter outside its own file", f.file, f.line, f.key)
+		}
+	}
+	for key := range optionsAllowed {
+		if !allowedSeen[key] {
+			t.Errorf("%s is allowed but not needed: it is gone or has a setter now; drop it from optionsAllowed", key)
+		}
+	}
+}
+
+// parsedFile is one non-test Go file of the checkout.
+type parsedFile struct {
+	path, dir string
+	f         *ast.File
+}
+
+// scanned reports whether the file's declarations are under the surface
+// rules: a product package under internal/, not one of the test-support
+// packages storetest and mediumtest (the diet command skips them too).
+func (p parsedFile) scanned() bool {
+	return strings.HasPrefix(p.dir, "internal/") && !strings.HasSuffix(p.dir, "/storetest") && !strings.HasSuffix(p.dir, "/mediumtest")
+}
+
+// parseCheckout parses every non-test Go file of the checkout, the
+// benchmark module included; hidden directories (.bench_build) and
+// testdata are skipped.
+func parseCheckout(t *testing.T) (*token.FileSet, []parsedFile) {
+	t.Helper()
+	var files []parsedFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, parsedFile{path, filepath.ToSlash(filepath.Dir(path)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// importDirs maps each of a file's imports of this module ("sos" and
+// "sos/…") to the imported package's directory, keyed by the name the
+// file uses for it.
+func importDirs(f *ast.File) map[string]string {
+	dirs := map[string]string{}
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		var dir string
+		switch {
+		case path == "sos":
+			dir = "."
+		case strings.HasPrefix(path, "sos/"):
+			dir = strings.TrimPrefix(path, "sos/")
+		default:
+			continue
+		}
+		name := dir[strings.LastIndex(dir, "/")+1:]
+		if dir == "." {
+			name = "sos"
+		}
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		dirs[name] = dir
+	}
+	return dirs
 }
