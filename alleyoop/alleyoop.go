@@ -15,7 +15,6 @@ package alleyoop
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -40,8 +39,6 @@ type Config struct {
 	PeerName sos.PeerID
 	// Clock drives timestamps; nil selects wall time.
 	Clock sos.Clock
-	// Rand supplies entropy for keys and nonces; nil selects crypto/rand.
-	Rand io.Reader
 }
 
 // FeedItem is one post visible in the user's feed.
@@ -90,7 +87,7 @@ func Join(cfg Config) (*App, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = sos.SystemClock()
 	}
-	creds, err := sos.BootstrapWithRand(cfg.Cloud, cfg.Handle, cfg.Rand)
+	creds, err := sos.Bootstrap(cfg.Cloud, cfg.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("alleyoop: bootstrap: %w", err)
 	}
@@ -108,7 +105,6 @@ func Join(cfg Config) (*App, error) {
 		PeerName:  cfg.PeerName,
 		Scheme:    cfg.Scheme,
 		Clock:     cfg.Clock,
-		Rand:      cfg.Rand,
 		OnReceive: app.onReceive,
 	})
 	if err != nil {

@@ -1,28 +1,19 @@
-// Command sosctl is the operator's toolbox for an SOS deployment: it
-// initializes a certificate authority, issues and inspects user
-// certificates (the one-time infrastructure requirement), and computes
-// the social-graph statistics the evaluation reports.
+// Command sosctl computes the social-graph statistics the evaluation
+// reports (paper §VI-A). Credentials come from `sosd provision`, the one
+// provisioning command.
 //
-// Subcommands:
+// Usage:
 //
-//	sosctl ca-init  -out ca.pem                     create a root CA
-//	sosctl issue    -ca ca.pem -handle alice        issue a user certificate
-//	sosctl inspect  -cert alice.pem                 print certificate fields
-//	sosctl graph    [-edges file]                   §VI-A stats (default: deployment graph)
+//	sosctl graph [-edges file]    §VI-A stats (default: deployment graph)
 package main
 
 import (
 	"bufio"
-	"crypto/ecdsa"
-	"crypto/x509"
-	"encoding/pem"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"sos/internal/id"
-	"sos/internal/pki"
 	"sos/internal/socialgraph"
 )
 
@@ -35,133 +26,12 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: sosctl <ca-init|issue|inspect|graph> [flags]")
+		return fmt.Errorf("usage: sosctl graph [flags]")
 	}
-	switch args[0] {
-	case "ca-init":
-		return caInit(args[1:])
-	case "issue":
-		return issue(args[1:])
-	case "inspect":
-		return inspect(args[1:])
-	case "graph":
-		return graphStats(args[1:])
-	default:
+	if args[0] != "graph" {
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
-}
-
-// caInit creates a fresh root CA and writes its certificate and key PEM.
-func caInit(args []string) error {
-	fs := flag.NewFlagSet("ca-init", flag.ContinueOnError)
-	out := fs.String("out", "ca.pem", "output PEM path (certificate + private key)")
-	name := fs.String("name", "AlleyOop Root CA", "CA common name")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ca, err := pki.NewCA(*name)
-	if err != nil {
-		return err
-	}
-	keyDER, err := x509.MarshalECPrivateKey(caKey(ca))
-	if err != nil {
-		return fmt.Errorf("marshaling CA key: %w", err)
-	}
-	f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := pem.Encode(f, &pem.Block{Type: "CERTIFICATE", Bytes: ca.RootDER()}); err != nil {
-		return err
-	}
-	if err := pem.Encode(f, &pem.Block{Type: "EC PRIVATE KEY", Bytes: keyDER}); err != nil {
-		return err
-	}
-	fmt.Printf("wrote root CA %q to %s\n", *name, *out)
-	return nil
-}
-
-// issue loads a CA PEM, generates a user identity, and writes the
-// certificate plus private key for the handle.
-func issue(args []string) error {
-	fs := flag.NewFlagSet("issue", flag.ContinueOnError)
-	caPath := fs.String("ca", "ca.pem", "CA PEM written by ca-init")
-	handle := fs.String("handle", "", "user handle")
-	out := fs.String("out", "", "output PEM path (default <handle>.pem)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *handle == "" {
-		return fmt.Errorf("issue: -handle is required")
-	}
-	if *out == "" {
-		*out = *handle + ".pem"
-	}
-	ca, err := loadCA(*caPath)
-	if err != nil {
-		return err
-	}
-	ident, err := id.NewIdentity(id.NewUserID(*handle), nil)
-	if err != nil {
-		return err
-	}
-	cert, err := ca.Issue(ident.User, ident.Public())
-	if err != nil {
-		return err
-	}
-	keyDER, err := x509.MarshalECPrivateKey(ident.Key)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := pem.Encode(f, &pem.Block{Type: "CERTIFICATE", Bytes: cert.DER}); err != nil {
-		return err
-	}
-	if err := pem.Encode(f, &pem.Block{Type: "EC PRIVATE KEY", Bytes: keyDER}); err != nil {
-		return err
-	}
-	fmt.Printf("issued certificate serial %s for user %s (%s) to %s\n",
-		cert.Serial, *handle, ident.User, *out)
-	return nil
-}
-
-// inspect prints the fields of a certificate PEM.
-func inspect(args []string) error {
-	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
-	certPath := fs.String("cert", "", "certificate PEM path")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *certPath == "" {
-		return fmt.Errorf("inspect: -cert is required")
-	}
-	raw, err := os.ReadFile(*certPath)
-	if err != nil {
-		return err
-	}
-	block, _ := pem.Decode(raw)
-	if block == nil || block.Type != "CERTIFICATE" {
-		return fmt.Errorf("no certificate block in %s", *certPath)
-	}
-	cert, err := x509.ParseCertificate(block.Bytes)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("subject:    %s\n", cert.Subject.CommonName)
-	if user, err := id.ParseUserID(cert.Subject.CommonName); err == nil {
-		fmt.Printf("user id:    %s (valid 10-byte SOS identifier)\n", user)
-	}
-	fmt.Printf("issuer:     %s\n", cert.Issuer.CommonName)
-	fmt.Printf("serial:     %s\n", cert.SerialNumber)
-	fmt.Printf("not before: %s\n", cert.NotBefore.Format("2006-01-02 15:04:05 MST"))
-	fmt.Printf("not after:  %s\n", cert.NotAfter.Format("2006-01-02 15:04:05 MST"))
-	fmt.Printf("is CA:      %v\n", cert.IsCA)
-	return nil
+	return graphStats(args[1:])
 }
 
 // graphStats prints the §VI-A metrics for the deployment graph or an edge
@@ -197,39 +67,6 @@ func graphStats(args []string) error {
 	fmt.Printf("strongly connected:    %v\n", stats.StronglyConnected)
 	return nil
 }
-
-// loadCA reads a ca-init PEM back into a usable CA.
-func loadCA(path string) (*pki.CA, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var certDER, keyDER []byte
-	for {
-		var block *pem.Block
-		block, raw = pem.Decode(raw)
-		if block == nil {
-			break
-		}
-		switch block.Type {
-		case "CERTIFICATE":
-			certDER = block.Bytes
-		case "EC PRIVATE KEY":
-			keyDER = block.Bytes
-		}
-	}
-	if certDER == nil || keyDER == nil {
-		return nil, fmt.Errorf("%s lacks certificate or key block", path)
-	}
-	key, err := x509.ParseECPrivateKey(keyDER)
-	if err != nil {
-		return nil, err
-	}
-	return pki.Load(certDER, key)
-}
-
-// caKey extracts the CA's signing key for serialization.
-func caKey(ca *pki.CA) *ecdsa.PrivateKey { return ca.Key() }
 
 // loadEdges parses "from to" pairs (1-based node ids).
 func loadEdges(path string) (*socialgraph.Graph, error) {

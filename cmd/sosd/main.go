@@ -193,6 +193,7 @@ func run(args []string) error {
 		SessionPort:    *sessionPort,
 		BeaconInterval: *interval,
 		LossTimeout:    *loss,
+		Logf:           obs.Logf(log),
 		Tracer:         tracer,
 	}
 	if *beaconTargets != "" {

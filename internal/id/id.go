@@ -5,8 +5,8 @@
 package id
 
 import (
+	"crypto"
 	"crypto/ecdsa"
-	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/base32"
@@ -81,12 +81,12 @@ type Identity struct {
 	User UserID
 	Key  *ecdsa.PrivateKey
 
-	// rng feeds key generation and signing; live nodes use crypto/rand. A
-	// seeded source does not make either repeatable: ecdsa.GenerateKey
-	// and ecdsa.SignASN1 are documented as not deterministic in their
-	// reader, so keys, signature lengths (70–72 B) and with them frame
-	// sizes differ between two runs of one seed. Deterministic signing
-	// under a seed is ROADMAP item 1.
+	// rng feeds key generation and picks how Sign signs. Live nodes use
+	// crypto/rand and sign hedged ECDSA. A seeded reader, which only the
+	// simulator and the benchmark hand in, makes both repeatable: the key
+	// comes from the reader's bytes alone (GenerateSigningKey) and every
+	// signature is RFC 6979, a function of key and message, so signature
+	// lengths (70–72 B) and with them frame sizes repeat run to run.
 	rng io.Reader
 }
 
@@ -96,9 +96,9 @@ func NewIdentity(user UserID, rng io.Reader) (*Identity, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rng)
+	key, err := GenerateSigningKey(rng)
 	if err != nil {
-		return nil, fmt.Errorf("id: generating key: %w", err)
+		return nil, err
 	}
 	return &Identity{User: user, Key: key, rng: rng}, nil
 }
@@ -108,14 +108,11 @@ func (i *Identity) Public() *ecdsa.PublicKey {
 	return &i.Key.PublicKey
 }
 
-// Sign produces an ASN.1 DER ECDSA signature over the SHA-256 digest of msg.
+// Sign produces an ASN.1 DER ECDSA signature over the SHA-256 digest of
+// msg: hedged under crypto/rand, RFC 6979 under a seeded reader (SignRand).
 func (i *Identity) Sign(msg []byte) ([]byte, error) {
 	digest := sha256.Sum256(msg)
-	rng := i.rng
-	if rng == nil {
-		rng = rand.Reader
-	}
-	sig, err := ecdsa.SignASN1(rng, i.Key, digest[:])
+	sig, err := i.Key.Sign(SignRand(i.rng), digest[:], crypto.SHA256)
 	if err != nil {
 		return nil, fmt.Errorf("id: signing: %w", err)
 	}

@@ -98,6 +98,76 @@ func TestSignVerify(t *testing.T) {
 	}
 }
 
+// A crypto/rand identity signs hedged, so one message signed twice gives
+// two signatures. A seeded identity is one key and signs RFC 6979, so
+// equal seeds give equal keys and one message gives one signature.
+func TestSeededIdentitySignsRepeatably(t *testing.T) {
+	msg := []byte("one message, signed twice")
+	signTwice := func(ident *Identity) ([]byte, []byte) {
+		t.Helper()
+		a, errA := ident.Sign(msg)
+		b, errB := ident.Sign(msg)
+		if errA != nil || errB != nil {
+			t.Fatalf("Sign: %v, %v", errA, errB)
+		}
+		for _, sig := range [][]byte{a, b} {
+			if !Verify(ident.Public(), msg, sig) {
+				t.Fatal("signature does not verify")
+			}
+		}
+		return a, b
+	}
+
+	live, err := NewIdentity(NewUserID("alice"), rand.Reader)
+	if err != nil {
+		t.Fatalf("NewIdentity: %v", err)
+	}
+	if a, b := signTwice(live); bytes.Equal(a, b) {
+		t.Error("crypto/rand identity signed one message twice to the same bytes")
+	}
+
+	seeded := func() *Identity {
+		t.Helper()
+		ident, err := NewIdentity(NewUserID("alice"), mrand.NewChaCha8([32]byte{7}))
+		if err != nil {
+			t.Fatalf("NewIdentity: %v", err)
+		}
+		return ident
+	}
+	x, y := seeded(), seeded()
+	if !x.Key.Equal(y.Key) {
+		t.Error("equal seeds gave different keys")
+	}
+	a, b := signTwice(x)
+	if !bytes.Equal(a, b) {
+		t.Error("seeded identity signed one message twice to different bytes")
+	}
+	if c, _ := signTwice(y); !bytes.Equal(a, c) {
+		t.Error("identities from equal seeds signed one message differently")
+	}
+}
+
+// GenerateKey takes exactly 32 bytes per try: a scalar past the group
+// order is skipped, the next one is the key, and a reader that never
+// yields a valid scalar is an error, not a hang.
+func TestGenerateKeyRetriesOutOfRangeScalar(t *testing.T) {
+	valid := bytes.Repeat([]byte{0x42}, 32)
+	r := bytes.NewReader(append(bytes.Repeat([]byte{0xff}, 32), append(valid, 0x99)...))
+	key, err := GenerateKey(r)
+	if err != nil {
+		t.Fatalf("GenerateKey: %v", err)
+	}
+	if !bytes.Equal(key.Bytes(), valid) {
+		t.Errorf("key scalar = %x, want the second draw %x", key.Bytes(), valid)
+	}
+	if r.Len() != 1 {
+		t.Errorf("reader has %d bytes left, want 1 (two 32-byte draws)", r.Len())
+	}
+	if _, err := GenerateKey(bytes.NewReader(bytes.Repeat([]byte{0xff}, 32*maxKeyTries))); err == nil {
+		t.Error("GenerateKey accepted a reader with no valid scalar")
+	}
+}
+
 func TestSignatureTamperProperty(t *testing.T) {
 	ident, err := NewIdentity(NewUserID("prop"), rand.Reader)
 	if err != nil {

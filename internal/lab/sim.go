@@ -2,11 +2,9 @@ package lab
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"sos/internal/id"
@@ -137,14 +135,10 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 	reports := make([]NodeReport, 0, spec.Nodes)
 	for _, n := range s.Nodes() {
 		users[n.Handle] = n.User
-		// The same metric bridge the live modes snapshot, minus the
-		// process gauges: every simulated node shares the simulator's
-		// process, and a report of virtual time holds no host figures.
+		// The same metric bridge the live modes snapshot.
 		reg := obs.NewRegistry()
 		obs.RegisterNodeMetrics(reg, obs.NodeMetrics{Middleware: n.MW})
-		m := reg.Snapshot()
-		maps.DeleteFunc(m, func(series string, _ float64) bool { return strings.HasPrefix(series, "sos_go_") })
-		reports = append(reports, NodeReport{Handle: n.Handle, User: n.User.String(), Metrics: m})
+		reports = append(reports, NodeReport{Handle: n.Handle, User: n.User.String(), Metrics: reg.Snapshot()})
 	}
 
 	// Virtual start and elapsed time: the report describes the

@@ -137,8 +137,10 @@ const (
 	// lie within hangoutRadius of campus.
 	hangoutCount  = 3
 	hangoutRadius = 400.0
-	// eveningOutProb is the chance of an evening hangout visit after a
-	// campus day; weekendOutProb that of a weekend outing.
+	// attendProb is the chance of going to campus on a weekday (students
+	// skip sometimes); eveningOutProb that of an evening hangout visit
+	// after a campus day; weekendOutProb that of a weekend outing.
+	attendProb     = 0.85
 	eveningOutProb = 0.45
 	weekendOutProb = 0.35
 )
@@ -152,9 +154,6 @@ type DiurnalConfig struct {
 	// Start is the itinerary's first midnight; Days its length.
 	Start time.Time
 	Days  int
-	// AttendProb is the chance of going to campus on a weekday (default
-	// 0.85 — students skip sometimes).
-	AttendProb float64
 }
 
 // campusOf is the campus center all of an area's students commute to.
@@ -172,9 +171,6 @@ func NewDiurnal(cfg DiurnalConfig, rng *rand.Rand) (Model, error) {
 	}
 	if cfg.Area == (Area{}) {
 		cfg.Area = Gainesville
-	}
-	if cfg.AttendProb == 0 {
-		cfg.AttendProb = 0.85
 	}
 	home := cfg.Area.RandomPoint(rng)
 	campus := campusOf(cfg.Area)
@@ -196,7 +192,7 @@ func NewDiurnal(cfg DiurnalConfig, rng *rand.Rand) (Model, error) {
 		b.stay(wake)
 
 		switch {
-		case !isWeekend && rng.Float64() < cfg.AttendProb:
+		case !isWeekend && rng.Float64() < attendProb:
 			// Commute to campus between wake and ~10:00.
 			leave := wake.Add(time.Duration(rng.Float64()*5400) * time.Second)
 			b.stay(leave)

@@ -15,8 +15,9 @@ import (
 
 // TestMetricCatalogDocumented is the drift guard for docs/OBSERVABILITY.md:
 // every sos_* series RegisterNodeMetrics registers against a fully-loaded
-// node (middleware + transport + exporter) must appear by name in the
-// documented catalog. A new counter without a docs row fails here.
+// node (middleware + transport + exporter), and every one the debug server
+// registers on the same registry, must appear by name in the documented
+// catalog. A new counter without a docs row fails here.
 func TestMetricCatalogDocumented(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
 	if err != nil {
@@ -62,11 +63,16 @@ func TestMetricCatalogDocumented(t *testing.T) {
 
 	reg := NewRegistry()
 	RegisterNodeMetrics(reg, NodeMetrics{Middleware: mw, Medium: medium, Exporter: exp, Chaos: chz})
+	dbg, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbg.Close()
 
 	text := string(doc)
 	for _, f := range reg.sortedFamilies() {
 		if !strings.Contains(text, f.name) {
-			t.Errorf("series %s is registered by RegisterNodeMetrics but undocumented in docs/OBSERVABILITY.md", f.name)
+			t.Errorf("series %s is registered but undocumented in docs/OBSERVABILITY.md", f.name)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"runtime"
-
 	"sos/internal/chaos"
 	"sos/internal/core"
 	"sos/internal/netmedium"
@@ -46,7 +44,6 @@ type NodeMetrics struct {
 //	sos_telemetry_*  export plane: recorded/sent/dropped, queue depth
 //	sos_chaos_*      fault injection: frames dropped/duplicated/…,
 //	                 partition transitions (chaos-wrapped media only)
-//	sos_go_*         process runtime: goroutines, heap bytes
 func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 	if mw := nm.Middleware; mw != nil {
 		// Message plane.
@@ -242,14 +239,4 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 		reg.GaugeFunc("sos_telemetry_queue_depth", "Events buffered awaiting export.", nil,
 			func() float64 { return float64(exp.QueueDepth()) })
 	}
-
-	// Process runtime, sampled at scrape.
-	reg.GaugeFunc("sos_go_goroutines", "Live goroutines in the process.", nil,
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	reg.GaugeFunc("sos_go_heap_alloc_bytes", "Heap bytes in use by the process.", nil,
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapAlloc)
-		})
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"time"
 )
 
@@ -78,6 +79,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	reg.GaugeFunc("sos_uptime_seconds", "Seconds since the debug server started.", nil, func() float64 {
 		return time.Since(s.started).Seconds()
 	})
+	// Process runtime, sampled at scrape. The debug server is the one
+	// object per process, so these are registered here and not per node.
+	reg.GaugeFunc("sos_go_goroutines", "Live goroutines in the process.", nil,
+		func() float64 { return float64(runtime.NumGoroutine()) })
+	reg.GaugeFunc("sos_go_heap_alloc_bytes", "Heap bytes in use by the process.", nil,
+		func() float64 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return float64(ms.HeapAlloc)
+		})
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)

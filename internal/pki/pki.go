@@ -12,12 +12,10 @@ package pki
 
 import (
 	"crypto/ecdsa"
-	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -102,7 +100,7 @@ func NewCA(name string, opts ...CAOption) (*CA, error) {
 		opt(ca)
 	}
 
-	key, err := ecdsa.GenerateKey(elliptic.P256(), ca.entropy)
+	key, err := id.GenerateSigningKey(ca.entropy)
 	if err != nil {
 		return nil, fmt.Errorf("pki: generating CA key: %w", err)
 	}
@@ -118,7 +116,7 @@ func NewCA(name string, opts ...CAOption) (*CA, error) {
 		MaxPathLen:            0,
 		MaxPathLenZero:        true,
 	}
-	der, err := x509.CreateCertificate(ca.entropy, tmpl, tmpl, &key.PublicKey, key)
+	der, err := x509.CreateCertificate(id.SignRand(ca.entropy), tmpl, tmpl, &key.PublicKey, key)
 	if err != nil {
 		return nil, fmt.Errorf("pki: creating root certificate: %w", err)
 	}
@@ -129,42 +127,6 @@ func NewCA(name string, opts ...CAOption) (*CA, error) {
 	ca.key = key
 	ca.cert = cert
 	ca.certDER = der
-	return ca, nil
-}
-
-// Key returns the CA signing key so operators can persist it (sosctl
-// ca-init); handle with care.
-func (ca *CA) Key() *ecdsa.PrivateKey { return ca.key }
-
-// Load reconstructs a CA from a stored root certificate and private key.
-// Issued serials resume from a random 62-bit offset so reloaded CAs never
-// collide with serials issued before the reload.
-func Load(certDER []byte, key *ecdsa.PrivateKey, opts ...CAOption) (*CA, error) {
-	cert, err := x509.ParseCertificate(certDER)
-	if err != nil {
-		return nil, fmt.Errorf("pki: parsing stored root: %w", err)
-	}
-	pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
-	if !ok || !pub.Equal(&key.PublicKey) {
-		return nil, errors.New("pki: stored key does not match root certificate")
-	}
-	ca := &CA{
-		now:     time.Now,
-		entropy: rand.Reader,
-		revoked: make(map[string]time.Time),
-		issued:  make(map[id.UserID]string),
-		key:     key,
-		cert:    cert,
-		certDER: append([]byte(nil), certDER...),
-	}
-	for _, opt := range opts {
-		opt(ca)
-	}
-	var offset [8]byte
-	if _, err := io.ReadFull(ca.entropy, offset[:]); err != nil {
-		return nil, fmt.Errorf("pki: reading serial offset: %w", err)
-	}
-	ca.nextSer = int64(binary.BigEndian.Uint64(offset[:])>>2) | (1 << 32)
 	return ca, nil
 }
 
@@ -200,7 +162,7 @@ func (ca *CA) Issue(user id.UserID, pub *ecdsa.PublicKey) (*UserCert, error) {
 		KeyUsage:     x509.KeyUsageDigitalSignature | x509.KeyUsageKeyAgreement,
 		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageClientAuth},
 	}
-	der, err := x509.CreateCertificate(ca.entropy, tmpl, ca.cert, pub, ca.key)
+	der, err := x509.CreateCertificate(id.SignRand(ca.entropy), tmpl, ca.cert, pub, ca.key)
 	if err != nil {
 		return nil, fmt.Errorf("pki: signing user certificate: %w", err)
 	}

@@ -68,7 +68,7 @@ func issueRaw(t *testing.T, ca *CA, serial int64, commonName string, pub any, no
 		NotAfter:     notBefore.Add(48 * time.Hour),
 		KeyUsage:     x509.KeyUsageDigitalSignature,
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.cert, pub, ca.Key())
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.cert, pub, ca.key)
 	if err != nil {
 		t.Fatalf("CreateCertificate: %v", err)
 	}

@@ -91,7 +91,7 @@ func SealEnvelope(rng io.Reader, sender *id.Identity, to id.UserID, toKey *ecdsa
 			}
 		}
 	}
-	eph, err := ecdh.P256().GenerateKey(rng)
+	eph, err := id.GenerateKey(rng)
 	if err != nil {
 		return nil, fmt.Errorf("secure: generating ephemeral key: %w", err)
 	}

@@ -133,7 +133,7 @@ func NewPrekeyStore(ident *id.Identity, user id.UserID, cfg PrekeyConfig) (*Prek
 // current one to previous (and dropping the old previous — its private
 // key becomes unreachable, which is the forward-secrecy event).
 func (ps *PrekeyStore) rotateSignedLocked() error {
-	priv, err := ecdh.P256().GenerateKey(ps.rng)
+	priv, err := id.GenerateKey(ps.rng)
 	if err != nil {
 		return fmt.Errorf("secure: generating signed prekey: %w", err)
 	}
@@ -153,7 +153,7 @@ func (ps *PrekeyStore) rotateSignedLocked() error {
 // batch.
 func (ps *PrekeyStore) replenishLocked() error {
 	for len(ps.queue) < DefaultOneTimeBatch {
-		priv, err := ecdh.P256().GenerateKey(ps.rng)
+		priv, err := id.GenerateKey(ps.rng)
 		if err != nil {
 			return fmt.Errorf("secure: generating one-time prekey: %w", err)
 		}

@@ -41,7 +41,6 @@ type GainesvilleConfig struct {
 	InAppFollows int
 	Scheme       string
 	Range        float64
-	Tick         time.Duration
 	// AttendProb is the probability a user shows up to a scheduled
 	// meeting (default 0.85).
 	AttendProb float64
@@ -215,7 +214,6 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 		Config: Config{
 			Start:    paperStart,
 			Duration: time.Duration(cfg.Days) * 24 * time.Hour,
-			Tick:     cfg.Tick,
 			Range:    cfg.Range,
 			Scheme:   cfg.Scheme,
 			RelayTTL: cfg.RelayTTL,
@@ -245,9 +243,6 @@ func applyDefaults(cfg *GainesvilleConfig) {
 	}
 	if cfg.Range == 0 {
 		cfg.Range = 35
-	}
-	if cfg.Tick == 0 {
-		cfg.Tick = 30 * time.Second
 	}
 	if cfg.Users == 0 {
 		cfg.Users = socialgraph.DeploymentSize

@@ -10,13 +10,11 @@
 // Figure-4 series, with core deciding delivery), and a geo observer feeds
 // the geo recorder.
 //
-// One seed fixes the mobility itineraries, the workload and every reader
-// handed to key generation, but runs do not yet replay bit-identically:
-// Go's ECDSA and ECDH key generation read one byte more from that reader
-// at random (crypto/internal/randutil.MaybeReadByte), which shifts every
-// later draw of the node, so signature lengths and the figures built on
-// them can differ between two runs of one seed. ROADMAP item 1 removes
-// that; until then TestDeterminism allows for it.
+// One seed is one run. It fixes the mobility itineraries, the workload
+// and every node's reader; keys come from that reader's bytes alone
+// (id.GenerateKey) and signatures under it are RFC 6979, so two runs of
+// one seed deliver the same messages in the same frames, byte for byte
+// (TestDeterminism).
 package sim
 
 import (

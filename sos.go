@@ -241,8 +241,9 @@ func Bootstrap(svc *Cloud, handle string) (*Credentials, error) {
 }
 
 // BootstrapWithRand is Bootstrap with an explicit entropy source. A seeded
-// reader does not yet make the keys reproducible: Go's key generation
-// reads one extra byte from it at random (see ROADMAP item 1).
+// reader, for simulation and benchmarks only, makes the identity key a
+// function of the seed and its signatures RFC 6979, so a seeded run
+// repeats byte for byte; deployed nodes use Bootstrap.
 func BootstrapWithRand(svc *Cloud, handle string, rng io.Reader) (*Credentials, error) {
 	return cloud.Bootstrap(svc, handle, rng)
 }

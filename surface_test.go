@@ -135,11 +135,15 @@ var optionsAllowed = map[string]bool{
 // exported …Config or …Options struct declared in a non-test file under
 // internal/ needs a setter in a non-test Go file other than its own,
 // anywhere in the checkout (the benchmark module and the conformance
-// suites included). A setter is a keyed composite literal of that type —
-// T{F: …} in its own package, pkg.T{F: …}, or sos.X{F: …} for a root
-// alias type X = pkg.T — or, counted by field name alone, a key of a
-// literal whose type is elided or an assignment x.F = …. A field nobody
-// sets is a knob only tests turn: make it a constant.
+// suites included). A setter is one of:
+//   - a keyed composite literal of that type: T{F: …} in its own package,
+//     pkg.T{F: …}, or sos.X{F: …} for a root alias type X = pkg.T;
+//   - a key of a literal whose type is elided, counted by field name alone;
+//   - an assignment x.F = … where x is declared in the same function with
+//     type T or *T: as the receiver, a parameter or a var, or by
+//     x := T{…} or x := &T{…}.
+//
+// A field nobody sets is a knob only tests turn: make it a constant.
 func TestConfigFieldsHaveProductSetters(t *testing.T) {
 	type field struct {
 		key, file string
@@ -198,8 +202,8 @@ func TestConfigFieldsHaveProductSetters(t *testing.T) {
 		}
 	}
 
-	// setIn maps a field key (dir.T.F) or, for elided literals and
-	// assignments, a bare field name to the non-test files that set it.
+	// setIn maps a field key (dir.T.F) or, for elided literals, a bare
+	// field name to the non-test files that set it.
 	setIn := map[string]map[string]bool{}
 	set := func(key, file string) {
 		if setIn[key] == nil {
@@ -210,6 +214,9 @@ func TestConfigFieldsHaveProductSetters(t *testing.T) {
 	for _, p := range files {
 		imports := importDirs(p.f)
 		typeKey := func(e ast.Expr) string {
+			if star, ok := e.(*ast.StarExpr); ok {
+				e = star.X
+			}
 			var dir, name string
 			switch x := e.(type) {
 			case *ast.Ident:
@@ -230,6 +237,20 @@ func TestConfigFieldsHaveProductSetters(t *testing.T) {
 		}
 		ast.Inspect(p.f, func(n ast.Node) bool {
 			switch x := n.(type) {
+			case *ast.FuncDecl:
+				declared := declaredTypes(x, typeKey)
+				ast.Inspect(x, func(n ast.Node) bool {
+					if as, ok := n.(*ast.AssignStmt); ok {
+						for _, lhs := range as.Lhs {
+							if sel, ok := lhs.(*ast.SelectorExpr); ok {
+								if v, ok := sel.X.(*ast.Ident); ok && declared[v.Name] != "" {
+									set(declared[v.Name]+"."+sel.Sel.Name, p.path)
+								}
+							}
+						}
+					}
+					return true
+				})
 			case *ast.CompositeLit:
 				prefix := ""
 				if x.Type != nil {
@@ -243,12 +264,6 @@ func TestConfigFieldsHaveProductSetters(t *testing.T) {
 						if id, ok := kv.Key.(*ast.Ident); ok {
 							set(prefix+id.Name, p.path)
 						}
-					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range x.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						set(sel.Sel.Name, p.path)
 					}
 				}
 			}
@@ -286,6 +301,51 @@ func TestConfigFieldsHaveProductSetters(t *testing.T) {
 			t.Errorf("%s is allowed but not needed: it is gone or has a setter now; drop it from optionsAllowed", key)
 		}
 	}
+}
+
+// declaredTypes maps each name declared in fn — its receiver, parameters
+// and results, a var with a type, x := T{…} or x := &T{…} — to the key
+// typeKey gives its type; a name typeKey cannot resolve is left out.
+func declaredTypes(fn *ast.FuncDecl, typeKey func(ast.Expr) string) map[string]string {
+	declared := map[string]string{}
+	declare := func(names []*ast.Ident, typ ast.Expr) {
+		if key := typeKey(typ); key != "" {
+			for _, name := range names {
+				declared[name.Name] = key
+			}
+		}
+	}
+	literalType := func(e ast.Expr) ast.Expr {
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e = u.X
+		}
+		if lit, ok := e.(*ast.CompositeLit); ok {
+			return lit.Type
+		}
+		return nil
+	}
+	ast.Inspect(fn, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Field:
+			declare(x.Names, x.Type)
+		case *ast.ValueSpec:
+			if x.Type != nil {
+				declare(x.Names, x.Type)
+			}
+		case *ast.AssignStmt:
+			if x.Tok == token.DEFINE && len(x.Lhs) == len(x.Rhs) {
+				for i, rhs := range x.Rhs {
+					if v, ok := x.Lhs[i].(*ast.Ident); ok {
+						if typ := literalType(rhs); typ != nil {
+							declare([]*ast.Ident{v}, typ)
+						}
+					}
+				}
+			}
+		}
+		return true
+	})
+	return declared
 }
 
 // parsedFile is one non-test Go file of the checkout.
