@@ -125,6 +125,13 @@ func (b *byzantine) fakeSummary() (uint64, map[id.UserID]uint64) {
 	return b.gen, sum
 }
 
+// entriesOf is dict as a Summary carries it.
+func entriesOf(dict map[id.UserID]uint64) []wire.Entry {
+	entries := wire.AppendEntries(nil, dict)
+	wire.SortEntries(entries)
+	return entries
+}
+
 // fakeUserLocked invents a user ID that exists nowhere.
 func (b *byzantine) fakeUserLocked() id.UserID {
 	var u id.UserID
@@ -218,7 +225,7 @@ func (b *byzantine) volley(link *adhoc.Link, attack int) error {
 		sum := map[id.UserID]uint64{b.fakeUserLocked(): uint64(b.rng.Intn(500) + 1)}
 		b.stats.StaleDeltas++
 		b.mu.Unlock()
-		return sendFrame(link, &wire.Summary{Gen: gen, BaseGen: gen - 1, Entries: sum})
+		return sendFrame(link, &wire.Summary{Gen: gen, BaseGen: gen - 1, Entries: entriesOf(sum)})
 	case attackOversizedWants:
 		b.mu.Lock()
 		wants := make([]wire.Want, 8)
@@ -238,7 +245,7 @@ func (b *byzantine) volley(link *adhoc.Link, attack int) error {
 			b.mu.Lock()
 			b.stats.FloodAds++
 			b.mu.Unlock()
-			if err := sendFrame(link, &wire.Summary{Gen: gen, Entries: sum}); err != nil {
+			if err := sendFrame(link, &wire.Summary{Gen: gen, Entries: entriesOf(sum)}); err != nil {
 				return err
 			}
 		}

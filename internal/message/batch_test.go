@@ -53,12 +53,12 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 		forgedCarol.Payload = []byte("forged")
 
 		bobLink := linkScripted(t, h, h.bobAd, h.bob, 1)
-		if err := sendFrame(bobLink, &wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{dave.Ident.User: 4}}); err != nil {
+		if err := sendFrame(bobLink, &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{dave.Ident.User: 4})}); err != nil {
 			t.Fatalf("SendFrame: %v", err)
 		}
 		waitFor(t, "requests to bob", func() bool { return h.bob.requestedSeqs(dave.Ident.User) == 3 })
 		carolLink := linkScripted(t, h, carolAd, carol, 2)
-		if err := sendFrame(carolLink, &wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{frank.Ident.User: 2}}); err != nil {
+		if err := sendFrame(carolLink, &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{frank.Ident.User: 2})}); err != nil {
 			t.Fatalf("SendFrame: %v", err)
 		}
 		waitFor(t, "requests to carol", func() bool { return carol.requestedSeqs(frank.Ident.User) == 2 })

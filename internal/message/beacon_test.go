@@ -325,7 +325,7 @@ func TestForgedBeaconEntryIsBounded(t *testing.T) {
 	}
 	// The beacon offers something, so alice dials.
 	waitFor(t, "alice to dial on the forged beacon", func() bool { return h.bob.linkCount() == 1 })
-	if err := sendFrame(h.bob.link(0), &wire.Summary{Gen: forged.Gen, Entries: forged.Summary}); err != nil {
+	if err := sendFrame(h.bob.link(0), &wire.Summary{Gen: forged.Gen, Entries: entriesOf(forged.Summary)}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	// The want-list leaves in several frames (wire.MaxSeqsPerRequest each).
@@ -375,7 +375,7 @@ func TestHintInSessionIsIgnored(t *testing.T) {
 	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
 	link := h.bob.link(0)
 	first, hinted, second := id.NewUserID("first-author"), id.NewUserID("hinted-author"), id.NewUserID("second-author")
-	if err := sendFrame(link, &wire.Summary{Gen: 5, Entries: map[id.UserID]uint64{first: 1}}); err != nil {
+	if err := sendFrame(link, &wire.Summary{Gen: 5, Entries: entriesOf(map[id.UserID]uint64{first: 1})}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "request against the full summary", func() bool { return h.bob.requested(first) })
@@ -385,7 +385,7 @@ func TestHintInSessionIsIgnored(t *testing.T) {
 	}
 	// The session is in order: once the delta after the hint is planned
 	// against, the hint has been handled.
-	if err := sendFrame(link, &wire.Summary{Gen: 7, BaseGen: 5, Entries: map[id.UserID]uint64{second: 1}}); err != nil {
+	if err := sendFrame(link, &wire.Summary{Gen: 7, BaseGen: 5, Entries: entriesOf(map[id.UserID]uint64{second: 1})}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "request against the delta", func() bool { return h.bob.requested(second) })

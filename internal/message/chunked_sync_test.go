@@ -120,8 +120,8 @@ func (c *requestingCapture) FrameIn(link *adhoc.Link, f wire.Frame) {
 	if ad, ok := f.(*wire.Summary); ok && !ad.IsDelta() && ad.Chunk == 0 {
 		c.once.Do(func() {
 			var wants []wire.Want
-			for author, seq := range ad.Entries {
-				wants = append(wants, wire.Want{Author: author, Seqs: []uint64{seq}})
+			for _, e := range ad.Entries {
+				wants = append(wants, wire.Want{Author: e.Author, Seqs: []uint64{e.Seq}})
 				if len(wants) >= 4 {
 					break
 				}
@@ -230,9 +230,9 @@ func TestChunkedFullSyncInterleavesBatches(t *testing.T) {
 			if fr.IsDelta() {
 				continue
 			}
-			for author, seq := range fr.Entries {
-				if seq > covered[author] {
-					covered[author] = seq
+			for _, e := range fr.Entries {
+				if e.Seq > covered[e.Author] {
+					covered[e.Author] = e.Seq
 				}
 			}
 			if fr.Chunk > 0 && !fr.More {
@@ -377,9 +377,9 @@ func TestDisjointStripeConcurrentSync(t *testing.T) {
 		return func() bool {
 			view := make(map[id.UserID]uint64)
 			for _, ad := range c.ads() {
-				for author, seq := range ad.Entries {
-					if seq > view[author] {
-						view[author] = seq
+				for _, e := range ad.Entries {
+					if e.Seq > view[e.Author] {
+						view[e.Author] = e.Seq
 					}
 				}
 			}

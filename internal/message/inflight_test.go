@@ -38,7 +38,7 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 
 	bobLink := linkScripted(t, h, h.bobAd, h.bob, 1)
 	if err := sendFrame(bobLink, &wire.Summary{
-		Gen: 1, Entries: map[id.UserID]uint64{wanted: 1},
+		Gen: 1, Entries: entriesOf(map[id.UserID]uint64{wanted: 1}),
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 	// One plan builds one Request per link, so when the marker shows up at
 	// carol the wanted author is in the same frame or in none.
 	if err := sendFrame(carolLink, &wire.Summary{
-		Gen: 1, Entries: map[id.UserID]uint64{wanted: 1, marker: 1},
+		Gen: 1, Entries: entriesOf(map[id.UserID]uint64{wanted: 1, marker: 1}),
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestPlansLeaveInPeerOrder(t *testing.T) {
 		{linkScripted(t, h, carolAd, carol, 2), carol, id.NewUserID("held-by-carol")},
 	}
 	for _, p := range peers {
-		if err := sendFrame(p.link, &wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{p.author: 1}}); err != nil {
+		if err := sendFrame(p.link, &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{p.author: 1})}); err != nil {
 			t.Fatalf("SendFrame: %v", err)
 		}
 		waitFor(t, "the first request", func() bool { return p.seen.requested(p.author) })
@@ -133,7 +133,7 @@ func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 
 	// Alice as the requester: three requests go unanswered.
 	wanted := id.NewUserID("wanted-author")
-	ad := &wire.Summary{Gen: 1, Entries: map[id.UserID]uint64{wanted: 3}}
+	ad := &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{wanted: 3})}
 	link = linkScripted(t, h, h.bobAd, h.bob, 1)
 	if err := sendFrame(link, ad); err != nil {
 		t.Fatalf("SendFrame: %v", err)

@@ -5,11 +5,11 @@ import (
 	"sos/internal/wire"
 )
 
-// mergeAd is the apply rule for every in-session summary but the reset (a
-// full summary's chunk 0, which replaces the view): it folds a
-// continuation chunk or a delta of any base into view and returns the
-// peer generation the view now reflects, plus whether the frame exposed
-// a gap only a full summary can close. No lock, no I/O.
+// mergeAd is the apply rule for every in-session summary (a full
+// summary's chunk 0 first empties the view and sets recvGen to its Gen):
+// it folds the frame into view and returns the peer generation the view
+// now reflects, plus whether the frame exposed a gap only a full summary
+// can close. No lock, no I/O.
 //
 // Entries are monotone high-water marks (store.Engine.MaxSeq never
 // lowers), so summaries form a join-semilattice and every frame merges
@@ -22,9 +22,9 @@ import (
 // entries are still merged (they are true), but recvGen stays put so the
 // gap stays visible and the caller should ask for a full summary.
 func mergeAd(view map[id.UserID]uint64, recvGen uint64, sum *wire.Summary) (newGen uint64, gap bool) {
-	for author, seq := range sum.Entries {
-		if seq > view[author] {
-			view[author] = seq
+	for _, e := range sum.Entries {
+		if e.Seq > view[e.Author] {
+			view[e.Author] = e.Seq
 		}
 	}
 	base := sum.BaseGen

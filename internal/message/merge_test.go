@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,8 +16,8 @@ import (
 )
 
 // mergeReceiver is onSummary without the lock, the link and the flood
-// bucket: a full summary's chunk 0 replaces the view, everything
-// else goes through mergeAd. pulled latches once any frame exposed a gap.
+// bucket: a full summary's chunk 0 empties the view, and every frame goes
+// through mergeAd. pulled latches once any frame exposed a gap.
 type mergeReceiver struct {
 	view    map[id.UserID]uint64
 	recvGen uint64
@@ -27,15 +28,14 @@ type mergeReceiver struct {
 func (r *mergeReceiver) apply(ad *wire.Summary) (lowered bool) {
 	before := maps.Clone(r.view)
 	if !ad.IsDelta() && ad.Chunk == 0 {
-		r.view, r.recvGen = maps.Clone(ad.Entries), ad.Gen
-	} else {
-		if r.view == nil {
-			r.view = make(map[id.UserID]uint64)
-		}
-		var gap bool
-		r.recvGen, gap = mergeAd(r.view, r.recvGen, ad)
-		r.pulled = r.pulled || gap
+		r.view, r.recvGen = nil, ad.Gen
 	}
+	if r.view == nil {
+		r.view = make(map[id.UserID]uint64)
+	}
+	var gap bool
+	r.recvGen, gap = mergeAd(r.view, r.recvGen, ad)
+	r.pulled = r.pulled || gap
 	for author, seq := range before {
 		if r.view[author] < seq {
 			return true
@@ -83,14 +83,14 @@ func (s *mergeSender) full() []*wire.Summary {
 	gen := s.st.Generation()
 	s.sentGen = gen
 	if s.st.SummarySize() <= SummaryChunkEntries {
-		return []*wire.Summary{{Gen: gen, Entries: s.st.Summary()}}
+		return []*wire.Summary{{Gen: gen, Entries: sortedEntries(s.st.Summary())}}
 	}
 	var out []*wire.Summary
-	ch := &summaryChunker{store: s.st}
+	ch := newSummaryChunker(s.st)
 	for chunk, more := uint32(0), true; more; chunk++ {
-		var entries map[id.UserID]uint64
+		var entries []wire.Entry
 		entries, more = ch.next()
-		out = append(out, &wire.Summary{Gen: gen, Chunk: chunk, More: more, Entries: entries})
+		out = append(out, &wire.Summary{Gen: gen, Chunk: chunk, More: more, Entries: slices.Clone(entries)})
 	}
 	return out
 }
@@ -108,9 +108,16 @@ func (s *mergeSender) delta(racing bool) *wire.Summary {
 	if !ok {
 		panic("change log does not reach the base")
 	}
-	ad := &wire.Summary{Gen: gen, BaseGen: s.sentGen, Entries: changes}
+	ad := &wire.Summary{Gen: gen, BaseGen: s.sentGen, Entries: sortedEntries(changes)}
 	s.sentGen = gen
 	return ad
+}
+
+// sortedEntries is dict as a Summary carries it.
+func sortedEntries(dict map[id.UserID]uint64) []wire.Entry {
+	entries := wire.AppendEntries(nil, dict)
+	wire.SortEntries(entries)
+	return entries
 }
 
 // settle is what the link carries once the run is over: the sender's

@@ -78,7 +78,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -242,9 +242,9 @@ type peerSync struct {
 	// LinkUp (0 while tracing is disabled).
 	track uint64
 
-	// stream is the cancel channel of the link's in-flight chunked
-	// summary stream (nil when none); a new stream or LinkDown closes it.
-	stream chan struct{}
+	// stream numbers the link's full-summary streams: one sends only while
+	// it is the newest on a live link, so a new one or LinkDown stops it.
+	stream uint64
 
 	// dial arms the heartbeat to re-dial this peer while it is unlinked
 	// (see redialAfter); the first tick that finds the peer linked
@@ -287,6 +287,8 @@ type Manager struct {
 	adScheme   string
 	adData     []byte
 	hintBehind bool
+	// sum is sendSummary's delta frame, its Entries the sort scratch (advMu).
+	sum wire.Summary
 
 	// resyncTicks counts Ticks (the age base for in-flight expiry);
 	// closed makes Tick a no-op. Both guarded by mu.
@@ -294,6 +296,9 @@ type Manager struct {
 	closed      bool
 	// verdicts is verify's result scratch; callbacks are serialized.
 	verdicts []*pki.UserCert
+	// planView maps a continuation chunk or a delta for planning (Wants
+	// takes a map), empty between frames. Guarded by mu.
+	planView map[id.UserID]uint64
 }
 
 // inflightEntry records which peer a message was requested from and at
@@ -320,6 +325,7 @@ func New(cfg Config) (*Manager, error) {
 		cfg:      cfg,
 		peers:    make(map[mpc.PeerID]*peerSync),
 		inflight: make(map[msg.Ref]inflightEntry),
+		planView: make(map[id.UserID]uint64),
 	}, nil
 }
 
@@ -641,45 +647,40 @@ func (m *Manager) sendAdTo(link *adhoc.Link, forceFull bool) {
 }
 
 // sendSummary is the one send path of the summary plane: it puts our
-// summary at gen on links that all hold the same delta base (0 = none) —
-// the delta since base when the change log still reaches it, else the
-// full summary, chunk-streamed per link past SummaryChunkEntries —
-// encoded once however many links share it (each seals with its own
-// session). Callers hold advMu, so bases advance in frame order.
+// summary at gen on links that all hold the same delta base (0 = none):
+// the delta since base when the change log reaches it, encoded once for
+// all (each link seals it), else a full summary per link. Callers hold
+// advMu, so bases advance in frame order and m.sum is theirs.
 //
 // gen was read before Store.Changes(base) runs, so a racing Put can land
 // in a delta labelled with the generation before it. That is safe: the
 // receiver merges raise-only, and the next delta, based at gen, re-tells
 // the same entry as a harmless overlap.
 func (m *Manager) sendSummary(links []*adhoc.Link, base, gen uint64, data []byte) {
-	sum := &wire.Summary{Gen: gen, SchemeData: data}
-	name := "advertise.full"
+	delta, ok := map[id.UserID]uint64(nil), false
 	if base != 0 && base <= gen { // a base past gen is from a store this engine no longer is
-		if delta, ok := m.cfg.Store.Changes(base); ok {
-			sum.BaseGen, sum.Entries, name = base, delta, "advertise.delta"
-		}
+		delta, ok = m.cfg.Store.Changes(base)
 	}
-	if !sum.IsDelta() {
-		if m.cfg.Store.SummarySize() > SummaryChunkEntries {
-			// Streams are per-link state: no shared encoding to fan out.
-			for _, link := range links {
-				m.streamFullTo(link, gen, data)
-			}
-			return
+	if !ok {
+		for _, link := range links {
+			m.streamFullTo(link, gen, data)
 		}
-		sum.Entries = m.cfg.Store.Summary()
+		return
 	}
+	entries := wire.AppendEntries(m.sum.Entries[:0], delta)
+	wire.SortEntries(entries)
+	m.sum = wire.Summary{Gen: gen, BaseGen: base, Entries: entries, SchemeData: data}
 	buf := wire.GetBuffer()
 	defer buf.Free()
-	enc, err := wire.AppendEncode(buf.B[:0], sum)
+	enc, err := wire.AppendEncode(buf.B[:0], &m.sum)
 	if err != nil {
 		return // oversized scheme data; nothing sane to send
 	}
 	buf.B = enc
 	sent := uint64(0)
 	for _, link := range links {
-		sp := m.cfg.Tracer.Start(m.trackOf(link), name)
-		sp.Attr("entries", uint64(len(sum.Entries)))
+		sp := m.cfg.Tracer.Start(m.trackOf(link), "advertise.delta")
+		sp.Attr("entries", uint64(len(entries)))
 		sp.Attr("bytes", uint64(len(enc)))
 		sp.Attr("gen", gen)
 		if link.SendEncoded(enc) == nil { // link failures surface via LinkDown
@@ -688,11 +689,7 @@ func (m *Manager) sendSummary(links []*adhoc.Link, base, gen uint64, data []byte
 		sp.End()
 	}
 	m.mu.Lock()
-	if sum.IsDelta() {
-		m.stats.AdsDeltaSent += sent
-	} else {
-		m.stats.AdsFullSent += sent
-	}
+	m.stats.AdsDeltaSent += sent
 	m.stats.SummaryBytesSent += uint64(len(enc)) * sent
 	m.mu.Unlock()
 }
@@ -883,124 +880,102 @@ func (m *Manager) onPrekeyBundle(link *adhoc.Link, b *wire.PrekeyBundle) {
 	}
 }
 
-// summaryChunker drains the store's summary stripes into fixed-size
-// chunks. Each call to next copies at most SummaryChunkEntries entries;
-// the carry buffer stays bounded by one chunk plus one stripe, so a
-// million-author stream never materializes the dictionary in one
-// allocation. Stripe snapshots are shared copy-on-write maps, safe to
-// iterate while the store keeps taking Puts.
+// summaryChunker cuts the store's summary into sorted chunks of at most
+// SummaryChunkEntries through one carry buffer: whole when it fits one,
+// else drained stripe by stripe, the carry topped up to a chunk, sorted
+// and cut. The carry stays within a chunk plus a stripe, and the stream
+// is a function of the store.
 type summaryChunker struct {
 	store  store.Engine
 	stripe int
-	buf    []summaryEntry
+	buf    []wire.Entry
+	sent   int // the head of buf the last chunk returned
 }
 
-// summaryEntry is one dictionary entry in the chunker's carry buffer.
-type summaryEntry struct {
-	author id.UserID
-	seq    uint64
+func newSummaryChunker(st store.Engine) *summaryChunker {
+	size := st.SummarySize() // the carry: a chunk plus two average stripes, allocated once
+	c := &summaryChunker{store: st, buf: make([]wire.Entry, 0, min(size, SummaryChunkEntries+2*(size/st.SummaryStripes()+1)))}
+	if size <= SummaryChunkEntries {
+		// Summary, unlike a stripe snapshot, arms no copy-on-write.
+		c.buf, c.stripe = wire.AppendEntries(c.buf, st.Summary()), st.SummaryStripes()
+	}
+	return c
 }
 
-// next returns the next chunk and whether more chunks follow. After the
-// fill loop either the buffer holds a full chunk or every stripe has been
-// drained, so the final chunk is exactly the remainder.
-func (c *summaryChunker) next() (map[id.UserID]uint64, bool) {
+// next returns the next chunk, in ascending author order, and whether
+// more follow. The chunk aliases the carry, so callers encode it before
+// the next call.
+func (c *summaryChunker) next() ([]wire.Entry, bool) {
+	c.buf = c.buf[:copy(c.buf, c.buf[c.sent:])]
 	for len(c.buf) < SummaryChunkEntries && c.stripe < c.store.SummaryStripes() {
-		for author, seq := range c.store.SummaryStripe(c.stripe) {
-			c.buf = append(c.buf, summaryEntry{author: author, seq: seq})
-		}
+		c.buf = wire.AppendEntries(c.buf, c.store.SummaryStripe(c.stripe))
 		c.stripe++
 	}
-	n := min(len(c.buf), SummaryChunkEntries)
-	out := make(map[id.UserID]uint64, n)
-	for _, e := range c.buf[:n] {
-		out[e.author] = e.seq
-	}
-	c.buf = c.buf[:copy(c.buf, c.buf[n:])]
-	return out, len(c.buf) > 0 || c.stripe < c.store.SummaryStripes()
+	wire.SortEntries(c.buf)
+	c.sent = min(len(c.buf), SummaryChunkEntries)
+	return c.buf[:c.sent], len(c.buf) > c.sent || c.stripe < c.store.SummaryStripes()
 }
 
-// streamFullTo sends a full summary to one link as a chunked stream. The
-// first chunk (with the scheme gossip) goes out inline — callers hold
-// advMu, so no delta for this link can jump ahead of it on the in-order
-// session — and the continuation chunks stream from a goroutine, so the
-// adhoc callback plane never blocks on a multi-megabyte dictionary and
-// Batch frames answering the peer's early requests interleave with the
-// remaining chunks. Starting a stream cancels any previous stream on the
-// same link; the receiver applies continuation chunks raise-only, so a
-// straggler frame from a cancelled stream can never lower an entry.
+// streamFullTo sends a full summary to one link, in one frame when it
+// fits. The first chunk (with the scheme gossip) goes out inline: callers
+// hold advMu, so no delta for this link can jump ahead of it. The rest
+// stream from a goroutine, so the adhoc callback plane never blocks on a
+// multi-megabyte dictionary and Batch frames answering the peer's early
+// requests interleave with them. A new stream stops the previous one on
+// the link; chunks merge raise-only, so a straggler lowers nothing.
 func (m *Manager) streamFullTo(link *adhoc.Link, gen uint64, data []byte) {
 	track := m.trackOf(link)
-	ch := &summaryChunker{store: m.cfg.Store}
-	first, more := ch.next()
-	sum := &wire.Summary{Gen: gen, More: more, Entries: first, SchemeData: data}
-	sp := m.cfg.Tracer.Start(track, "advertise.full")
-	sp.Attr("chunk", 0)
-	sp.Attr("entries", uint64(len(first)))
-	sp.Attr("more", boolAttr(more))
-	err := m.sendCounted(link, sum, false)
-	sp.End()
-	if err != nil {
-		return // link failures surface via LinkDown
+	ch := newSummaryChunker(m.cfg.Store)
+	if !m.sendChunk(link, track, gen, ch, 0, data) {
+		return
 	}
 	m.mu.Lock()
-	m.stats.AdsFullSent++
-	m.stats.SummaryChunksSent++
-	var cancel chan struct{}
-	if ps := m.peers[link.Peer()]; more && ps != nil && ps.link == link {
-		cancel = make(chan struct{})
-		if ps.stream != nil {
-			close(ps.stream)
+	ps := m.peers[link.Peer()]
+	if ps == nil || ps.link != link {
+		m.mu.Unlock()
+		return
+	}
+	ps.stream++
+	stream := ps.stream
+	m.mu.Unlock()
+	live := func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return ps.link == link && ps.stream == stream
+	}
+	go func() { // the continuation chunks, outside the advertisement lock
+		for chunk, more := uint32(1), true; more && live(); chunk++ {
+			more = m.sendChunk(link, track, gen, ch, chunk, nil)
 		}
-		ps.stream = cancel
+	}()
+}
+
+// sendChunk sends the chunker's next chunk as number chunk of the full
+// summary at gen and reports whether more follow (not after a link
+// failure, which surfaces via LinkDown).
+func (m *Manager) sendChunk(link *adhoc.Link, track, gen uint64, ch *summaryChunker, chunk uint32, data []byte) bool {
+	entries, more := ch.next()
+	name := "sync.chunk"
+	if chunk == 0 {
+		name = "advertise.full"
+	}
+	sp := m.cfg.Tracer.Start(track, name)
+	sp.Attr("chunk", uint64(chunk))
+	sp.Attr("entries", uint64(len(entries)))
+	err := m.sendCounted(link, &wire.Summary{Gen: gen, Chunk: chunk, More: more, Entries: entries, SchemeData: data}, false)
+	sp.End()
+	if err != nil {
+		return false
+	}
+	m.mu.Lock()
+	if chunk == 0 {
+		m.stats.AdsFullSent++
+	}
+	if chunk > 0 || more {
+		m.stats.SummaryChunksSent++
 	}
 	m.mu.Unlock()
-	if cancel != nil {
-		go m.streamChunks(link, track, gen, ch, cancel)
-	}
-}
-
-// boolAttr renders a bool as a span attribute value.
-func boolAttr(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// streamChunks emits a stream's continuation chunks outside the
-// advertisement lock, stopping on cancellation or link failure.
-func (m *Manager) streamChunks(link *adhoc.Link, track uint64, gen uint64, ch *summaryChunker, cancel chan struct{}) {
-	defer func() {
-		m.mu.Lock()
-		if ps := m.peers[link.Peer()]; ps != nil && ps.stream == cancel {
-			ps.stream = nil
-		}
-		m.mu.Unlock()
-	}()
-	for chunk := uint32(1); ; chunk++ {
-		select {
-		case <-cancel:
-			return
-		default:
-		}
-		entries, more := ch.next()
-		sum := &wire.Summary{Gen: gen, Chunk: chunk, More: more, Entries: entries}
-		sp := m.cfg.Tracer.Start(track, "sync.chunk")
-		sp.Attr("chunk", uint64(chunk))
-		sp.Attr("entries", uint64(len(entries)))
-		err := m.sendCounted(link, sum, false)
-		sp.End()
-		if err != nil {
-			return
-		}
-		m.mu.Lock()
-		m.stats.SummaryChunksSent++
-		m.mu.Unlock()
-		if !more {
-			return
-		}
-	}
+	return more
 }
 
 // slotLocked returns the peer's slot, creating it inside the bound: a
@@ -1069,11 +1044,6 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 		delete(m.peers, link.Peer())
 	}
 	m.cfg.Tracer.EndSlice(ps.track, "contact")
-	if ps.stream != nil {
-		// Stop a chunked summary stream still in flight on this link.
-		close(ps.stream)
-		ps.stream = nil
-	}
 	// Requests that died with this link are its aborted transfers; plan
 	// them again on the links that remain, so an aborted transfer resumes
 	// within the same gathering.
@@ -1111,9 +1081,10 @@ func (m *Manager) penalizeLocked(peer mpc.PeerID, pts float64, now time.Time) bo
 	return tripped
 }
 
-// onSummary handles the peer's authenticated in-session summary. There
-// are two cases: a full summary's chunk 0 replaces the cached view;
-// everything else merges into it (mergeAd).
+// onSummary handles the peer's authenticated in-session summary: a full
+// summary's chunk 0 starts the cached view, the peer's one map, over, and
+// every frame merges into it (mergeAd). Planning covers only the entries
+// the frame carried, so a delta costs O(changed authors), not O(summary).
 func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 	scheme := m.cfg.Routing.Current()
 	if len(sum.SchemeData) > 0 {
@@ -1138,12 +1109,7 @@ func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 			}
 			return
 		}
-		// Decode allocated the map fresh, so taking ownership is safe.
-		// Planning starts now, without waiting for the rest of a stream.
-		ps.summary, ps.recvGen, ps.pullPending = sum.Entries, sum.Gen, false
-		m.mu.Unlock()
-		m.pullView(link, sum.Entries)
-		return
+		ps.summary, ps.recvGen, ps.pullPending = nil, sum.Gen, false
 	}
 	if ps.summary == nil {
 		ps.summary = make(map[id.UserID]uint64, len(sum.Entries))
@@ -1155,13 +1121,26 @@ func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 		ps.pullPending = true
 		m.stats.SummaryPullsSent++
 	}
+	var sends []outgoingPlan
+	switch {
+	case len(sum.Entries) == 0:
+	case !sum.IsDelta() && sum.Chunk == 0: // the view holds just this frame
+		sends = m.planLocked([]peerView{{ps, ps.summary}})
+	default:
+		for _, e := range sum.Entries {
+			m.planView[e.Author] = e.Seq
+		}
+		sends = m.planLocked([]peerView{{ps, m.planView}})
+		clear(m.planView)
+		if !sum.IsDelta() && !sum.More { // Wants walks every slot a chunk grew
+			m.planView = make(map[id.UserID]uint64)
+		}
+	}
 	m.mu.Unlock()
 	if pull {
 		_ = m.sendCounted(link, &wire.SummaryPull{}, false)
 	}
-	// Plan only over the entries this frame carried: request planning on
-	// the delta hot path costs O(changed authors), not O(summary).
-	m.pullView(link, sum.Entries)
+	m.sendPlans(sends)
 }
 
 // onSummaryPull re-sends a full summary to a peer that found a gap in
@@ -1179,36 +1158,23 @@ type outgoingPlan struct {
 	wants []wire.Want
 }
 
-// linkedViewsLocked returns the cached summary of every linked peer that
-// has one: the input of a re-plan across all links, which runs when
-// earlier plans may have died (the resync heartbeat, LinkDown); the
-// per-change hot path is pullView. Callers hold m.mu.
-func (m *Manager) linkedViewsLocked() map[*peerSync]map[id.UserID]uint64 {
-	views := make(map[*peerSync]map[id.UserID]uint64, len(m.peers))
-	for _, ps := range m.peers {
-		if ps.link != nil && len(ps.summary) > 0 {
-			views[ps] = ps.summary
-		}
-	}
-	return views
+// peerView is one linked peer's summary entries to plan against.
+type peerView struct {
+	ps   *peerSync
+	view map[id.UserID]uint64
 }
 
-// pullView plans requests against a single peer's just-applied delta
-// entries, so steady-state planning costs O(changed authors) instead of
-// O(total summary).
-func (m *Manager) pullView(link *adhoc.Link, view map[id.UserID]uint64) {
-	if len(view) == 0 {
-		return
+// linkedViewsLocked returns every linked peer's cached summary in peer-id
+// order, for a re-plan across all links (heartbeat, LinkDown). Holds m.mu.
+func (m *Manager) linkedViewsLocked() []peerView {
+	views := make([]peerView, 0, len(m.peers))
+	for _, ps := range m.peers {
+		if ps.link != nil && len(ps.summary) > 0 {
+			views = append(views, peerView{ps, ps.summary})
+		}
 	}
-	m.mu.Lock()
-	ps := m.peers[link.Peer()]
-	if ps == nil || ps.link != link {
-		m.mu.Unlock()
-		return
-	}
-	sends := m.planLocked(map[*peerSync]map[id.UserID]uint64{ps: view})
-	m.mu.Unlock()
-	m.sendPlans(sends)
+	slices.SortFunc(views, func(a, b peerView) int { return cmp.Compare(a.ps.link.Peer(), b.ps.link.Peer()) })
+	return views
 }
 
 // planLocked builds request plans: for every message the active scheme
@@ -1216,70 +1182,78 @@ func (m *Manager) pullView(link *adhoc.Link, view map[id.UserID]uint64) {
 // the verified author (the freshest source) when the author is linked —
 // and never request a message already in flight on another link. This
 // keeps gatherings of many mutually-connected peers from transferring the
-// same message k times. Callers hold m.mu.
-func (m *Manager) planLocked(views map[*peerSync]map[id.UserID]uint64) []outgoingPlan {
+// same message k times. Views are planned, and plans leave, in peer-id
+// order (wants in author display order). Nothing is allocated until a
+// want survives the in-flight filter. Callers hold m.mu.
+func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 	scheme := m.cfg.Routing.Current()
-
-	// Deterministic order: viewed peers are planned, and their plans
-	// leave, in peer-id order.
-	linked := make([]mpc.PeerID, 0, len(m.peers))
-	byUser := make(map[id.UserID]*peerSync, len(m.peers))
-	for peer, ps := range m.peers {
-		if ps.link != nil {
-			byUser[ps.link.User()] = ps
-			linked = append(linked, peer)
-		}
-	}
-	slices.Sort(linked)
-
-	plans := make(map[*peerSync]map[id.UserID][]uint64, len(views))
-	for _, peer := range linked {
-		ps := m.peers[peer]
-		view, viewed := views[ps]
-		if !viewed {
-			continue
-		}
-		m.stats.PlanEntriesScanned += uint64(len(view))
-		for _, want := range scheme.Wants(view) {
+	var byUser map[id.UserID]*peerSync
+	var runs []planRun
+	for _, v := range views {
+		m.stats.PlanEntriesScanned += uint64(len(v.view))
+		for _, want := range scheme.Wants(v.view) {
+			// Kept sequences are compacted in place; a run is a slice of them.
+			kept, run, start := want.Seqs[:0], -1, 0
 			for _, seq := range want.Seqs {
 				ref := msg.Ref{Author: want.Author, Seq: seq}
 				if _, pending := m.inflight[ref]; pending {
 					continue
 				}
 				// Source preference: pull an author's own messages from
-				// the author when they are linked and hold them.
-				target := ps
+				// the author when they are linked and hold them. With one
+				// slot, the only linked peer is the viewed one.
+				if byUser == nil && len(m.peers) > 1 {
+					byUser = make(map[id.UserID]*peerSync, len(m.peers))
+					for _, ps := range m.peers {
+						if ps.link != nil {
+							byUser[ps.link.User()] = ps
+						}
+					}
+				}
+				target := v.ps
 				if src, linked := byUser[want.Author]; linked && src.summary[want.Author] >= seq {
 					target = src
 				}
-				if plans[target] == nil {
-					plans[target] = make(map[id.UserID][]uint64)
+				if run < 0 || runs[run].target != target {
+					run, start = len(runs), len(kept)
+					runs = append(runs, planRun{target: target})
 				}
-				plans[target][want.Author] = append(plans[target][want.Author], seq)
+				kept = append(kept, seq)
+				runs[run].want = wire.Want{Author: want.Author, Seqs: kept[start:len(kept):len(kept)]}
 				m.inflight[ref] = inflightEntry{peer: target.link.Peer(), tick: m.resyncTicks}
 			}
 		}
 	}
-	// Snapshot the plans for sending outside the lock.
+	if len(runs) == 0 {
+		return nil
+	}
+	// Snapshot the plans for sending outside the lock: group by peer, then
+	// by author, joining an author's runs in planning order.
+	slices.SortStableFunc(runs, func(a, b planRun) int {
+		return cmp.Or(cmp.Compare(a.target.link.Peer(), b.target.link.Peer()), bytes.Compare(a.want.Author[:], b.want.Author[:]))
+	})
+	wants := make([]wire.Want, 0, len(runs))
 	var sends []outgoingPlan
-	for _, peer := range linked {
-		ps := m.peers[peer]
-		byAuthor := plans[ps]
-		if byAuthor == nil {
-			continue
+	for i := 0; i < len(runs); {
+		target, first := runs[i].target, len(wants)
+		for ; i < len(runs) && runs[i].target == target; i++ {
+			if last := len(wants) - 1; last >= first && wants[last].Author == runs[i].want.Author {
+				wants[last].Seqs = append(wants[last].Seqs, runs[i].want.Seqs...)
+			} else {
+				wants = append(wants, runs[i].want)
+			}
 		}
-		authors := make([]id.UserID, 0, len(byAuthor))
-		for author := range byAuthor {
-			authors = append(authors, author)
-		}
-		sort.Slice(authors, func(i, j int) bool { return authors[i].String() < authors[j].String() })
-		wants := make([]wire.Want, 0, len(authors))
-		for _, author := range authors {
-			wants = append(wants, wire.Want{Author: author, Seqs: byAuthor[author]})
-		}
-		sends = append(sends, outgoingPlan{link: ps.link, wants: wants})
+		peerWants := wants[first:len(wants):len(wants)]
+		slices.SortFunc(peerWants, func(a, b wire.Want) int { return strings.Compare(a.Author.String(), b.Author.String()) })
+		sends = append(sends, outgoingPlan{link: target.link, wants: peerWants})
 	}
 	return sends
+}
+
+// planRun is sequences of one author a plan asks of target.
+type planRun struct {
+	target *peerSync
+	want   wire.Want
 }
 
 // sendPlans dispatches planned requests.

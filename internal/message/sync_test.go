@@ -38,6 +38,22 @@ func sendFrame(link *adhoc.Link, f wire.Frame) error {
 	return link.SendEncoded(enc)
 }
 
+// entriesOf is dict as a Summary carries it.
+func entriesOf(dict map[id.UserID]uint64) []wire.Entry {
+	entries := wire.AppendEntries(nil, dict)
+	wire.SortEntries(entries)
+	return entries
+}
+
+// viewOf is the dictionary a Summary's entries spell.
+func viewOf(entries []wire.Entry) map[id.UserID]uint64 {
+	view := make(map[id.UserID]uint64, len(entries))
+	for _, e := range entries {
+		view[e.Author] = e.Seq
+	}
+	return view
+}
+
 // waitFor polls cond every 2 ms, for at least 10 s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -74,7 +90,7 @@ func TestDeltaAdvertisementSize(t *testing.T) {
 	}
 	gen := st.Generation()
 
-	full, err := wire.Encode(&wire.Summary{Gen: gen, Entries: st.Summary()})
+	full, err := wire.Encode(&wire.Summary{Gen: gen, Entries: entriesOf(st.Summary())})
 	if err != nil {
 		t.Fatalf("encoding full summary: %v", err)
 	}
@@ -85,7 +101,7 @@ func TestDeltaAdvertisementSize(t *testing.T) {
 	if len(changes) != 5 {
 		t.Fatalf("Changes(base) = %d authors, want 5", len(changes))
 	}
-	delta, err := wire.Encode(&wire.Summary{Gen: gen, BaseGen: base, Entries: changes})
+	delta, err := wire.Encode(&wire.Summary{Gen: gen, BaseGen: base, Entries: entriesOf(changes)})
 	if err != nil {
 		t.Fatalf("encoding delta: %v", err)
 	}
@@ -470,7 +486,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	// A first full summary gives alice a cached view of bob.
 	cached := id.NewUserID("cached-author")
 	if err := sendFrame(link, &wire.Summary{
-		Gen: 5, Entries: map[id.UserID]uint64{cached: 3},
+		Gen: 5, Entries: entriesOf(map[id.UserID]uint64{cached: 3}),
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
@@ -479,7 +495,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	// A delta against a base alice's manager never recorded.
 	gapAd := &wire.Summary{
 		Gen: 1000, BaseGen: 999,
-		Entries: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
+		Entries: entriesOf(map[id.UserID]uint64{h.bobCreds.Ident.User: 41}),
 	}
 	if err := sendFrame(link, gapAd); err != nil {
 		t.Fatalf("SendFrame: %v", err)
@@ -498,10 +514,10 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	for i := uint64(0); i < 200; i++ {
 		ad := &wire.Summary{
 			Gen: 2000 + i, BaseGen: 1999 + i,
-			Entries: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
+			Entries: entriesOf(map[id.UserID]uint64{h.bobCreds.Ident.User: 41}),
 		}
 		if i == 199 {
-			ad.Entries[last] = 1
+			ad.Entries = entriesOf(map[id.UserID]uint64{h.bobCreds.Ident.User: 41, last: 1})
 		}
 		if err := sendFrame(link, ad); err != nil {
 			t.Fatalf("SendFrame: %v", err)
@@ -525,7 +541,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	// A tick re-arms the pull: the next gap delta asks once more.
 	h.mgr.Tick()
 	if err := sendFrame(link, &wire.Summary{
-		Gen: 2300, BaseGen: 2299, Entries: map[id.UserID]uint64{h.bobCreds.Ident.User: 41},
+		Gen: 2300, BaseGen: 2299, Entries: entriesOf(map[id.UserID]uint64{h.bobCreds.Ident.User: 41}),
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
@@ -536,7 +552,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	healed := id.NewUserID("healed-author")
 	fullAd := &wire.Summary{
 		Gen:     3000,
-		Entries: map[id.UserID]uint64{healed: 1},
+		Entries: entriesOf(map[id.UserID]uint64{healed: 1}),
 	}
 	if err := sendFrame(link, fullAd); err != nil {
 		t.Fatalf("SendFrame: %v", err)
@@ -744,7 +760,7 @@ func TestSummaryPullServesFull(t *testing.T) {
 	waitFor(t, "full resync ad", func() bool {
 		ads := h.bob.ads()
 		last := ads[len(ads)-1]
-		return len(ads) >= 2 && !last.IsDelta() && last.Entries[id.NewUserID("somebody")] == 7
+		return len(ads) >= 2 && !last.IsDelta() && viewOf(last.Entries)[id.NewUserID("somebody")] == 7
 	})
 	if st := h.mgr.Stats(); st.SummaryPullsServed != 1 {
 		t.Errorf("SummaryPullsServed = %d, want 1", st.SummaryPullsServed)
@@ -793,7 +809,7 @@ func TestLinkDropReconnectUsesDelta(t *testing.T) {
 	if !second.IsDelta() {
 		t.Errorf("reconnect greeting was not a delta: %+v", second)
 	}
-	if second.Entries[changed] != 3 || len(second.Entries) != 1 {
+	if viewOf(second.Entries)[changed] != 3 || len(second.Entries) != 1 {
 		t.Errorf("reconnect delta = %v, want {%s: 3}", second.Entries, changed)
 	}
 	if st := h.mgr.Stats(); st.AdsDeltaSent == 0 {
@@ -826,7 +842,7 @@ func TestRequestsStayUnderTheLimitTheirServerEnforces(t *testing.T) {
 	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
 	// Two authors, so a frame boundary falls inside a list and between two.
 	behind := map[id.UserID]uint64{id.NewUserID("busy-author"): 20000, id.NewUserID("busier-author"): 9000}
-	if err := sendFrame(h.bob.link(0), &wire.Summary{Gen: 1, Entries: behind}); err != nil {
+	if err := sendFrame(h.bob.link(0), &wire.Summary{Gen: 1, Entries: entriesOf(behind)}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	waitFor(t, "requests for the whole backlog", func() bool {

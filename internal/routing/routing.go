@@ -61,7 +61,8 @@ type StoreView interface {
 type Scheme interface {
 	// Name returns the registry name.
 	Name() string
-	// Wants inspects a peer's summary and returns the messages to request.
+	// Wants inspects a peer's summary and returns the messages to request,
+	// in slices the caller owns.
 	Wants(summary map[id.UserID]uint64) []wire.Want
 	// FilterServe trims a peer's request to what the scheme will serve.
 	FilterServe(peer id.UserID, wants []wire.Want) []wire.Want

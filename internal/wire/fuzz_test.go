@@ -65,18 +65,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		// The in-session summary in each of its shapes: full, delta,
 		// empty delta (pure scheme-gossip refresh, BaseGen == Gen), and
 		// a chunked stream's first, middle and final chunk.
-		&Summary{Gen: 42, Entries: map[id.UserID]uint64{alice: 3, bob: 9}, SchemeData: []byte("prophet")},
-		&Summary{Gen: 42, BaseGen: 40, Entries: map[id.UserID]uint64{bob: 9}},
-		&Summary{Gen: 42, BaseGen: 42, Entries: map[id.UserID]uint64{}, SchemeData: []byte("prophet")},
-		&Summary{Gen: 42, More: true, Entries: map[id.UserID]uint64{alice: 3}, SchemeData: []byte("prophet")},
-		&Summary{Gen: 42, Chunk: 2, More: true, Entries: map[id.UserID]uint64{bob: 9}},
-		&Summary{Gen: 42, Chunk: 3, Entries: map[id.UserID]uint64{}},
+		&Summary{Gen: 42, Entries: entriesOf(map[id.UserID]uint64{alice: 3, bob: 9}), SchemeData: []byte("prophet")},
+		&Summary{Gen: 42, BaseGen: 40, Entries: []Entry{{bob, 9}}},
+		&Summary{Gen: 42, BaseGen: 42, SchemeData: []byte("prophet")},
+		&Summary{Gen: 42, More: true, Entries: []Entry{{alice, 3}}, SchemeData: []byte("prophet")},
+		&Summary{Gen: 42, Chunk: 2, More: true, Entries: []Entry{{bob, 9}}},
+		&Summary{Gen: 42, Chunk: 3},
 		// Delta claiming a base from the far past (receiver long ago
 		// trimmed its change log).
-		&Summary{Gen: 42, BaseGen: 1, Entries: map[id.UserID]uint64{alice: 3}},
+		&Summary{Gen: 42, BaseGen: 1, Entries: []Entry{{alice, 3}}},
 		// Continuation chunk that contradicts itself: Chunk set but More
 		// promised and no entries — a truncated stream's last gasp.
-		&Summary{Gen: 42, Chunk: 9, More: true, Entries: map[id.UserID]uint64{}},
+		&Summary{Gen: 42, Chunk: 9, More: true},
 	}
 	for _, fr := range chaosSeeds {
 		enc, err := Encode(fr)
@@ -97,7 +97,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// byzantine delta arrives in) cannot be built through Encode, which
 	// enforces the invariant; seed them as single-byte corruptions of a
 	// valid delta so the generation fields get flipped among the rest.
-	if delta, err := Encode(&Summary{Gen: 42, BaseGen: 40, Entries: map[id.UserID]uint64{bob: 9}}); err == nil {
+	if delta, err := Encode(&Summary{Gen: 42, BaseGen: 40, Entries: []Entry{{bob, 9}}}); err == nil {
 		for i := range delta {
 			bad := append([]byte{}, delta...)
 			bad[i] ^= 0xFF
@@ -106,12 +106,20 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	// A chunked continuation truncated exactly at the summary-entry
 	// boundary, then with a half-written entry.
-	if cont, err := Encode(&Summary{Gen: 42, Chunk: 2, More: true, Entries: map[id.UserID]uint64{alice: 3, bob: 9}}); err == nil {
+	if cont, err := Encode(&Summary{Gen: 42, Chunk: 2, More: true, Entries: entriesOf(map[id.UserID]uint64{alice: 3, bob: 9})}); err == nil {
 		f.Add(cont[:len(cont)-1])
 		if len(cont) > 10 {
 			f.Add(cont[:len(cont)-10])
 		}
 	}
+	// Non-canonical entry lists, which no encoder produces: two authors
+	// out of order, and one author named twice.
+	lo, hi := alice, bob
+	if byAuthor(Entry{Author: lo}, Entry{Author: hi}) > 0 {
+		lo, hi = hi, lo
+	}
+	f.Add(rawSummary([]Entry{{hi, 3}, {lo, 9}}))
+	f.Add(rawSummary([]Entry{{lo, 3}, {lo, 9}}))
 	// Prekey bundle truncated at every field boundary: after the user,
 	// the signed ID, each length-prefixed byte field, and the one-time
 	// ID — a bundle cut mid-air at any seam must be rejected cleanly —

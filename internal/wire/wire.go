@@ -96,6 +96,7 @@ var (
 	ErrEmptyWant = errors.New("wire: request carries no sequence numbers")
 	ErrBadDelta  = errors.New("wire: delta summary base not before generation")
 	ErrBadChunk  = errors.New("wire: chunked summary cannot be a delta")
+	ErrUnsorted  = errors.New("wire: summary entries not in strictly ascending author order")
 )
 
 // Frame is any decodable SOS frame.
@@ -118,6 +119,25 @@ type Advertisement struct {
 
 // Type implements Frame.
 func (*Advertisement) Type() Type { return TypeAdvertisement }
+
+// Entry is one summary entry: an author and the latest MessageNumber held.
+type Entry struct {
+	Author id.UserID
+	Seq    uint64
+}
+
+// AppendEntries appends dict's entries to dst, in map order.
+func AppendEntries(dst []Entry, dict map[id.UserID]uint64) []Entry {
+	for author, seq := range dict {
+		dst = append(dst, Entry{author, seq})
+	}
+	return dst
+}
+
+// SortEntries sorts entries by author, the order Summary.Entries holds.
+func SortEntries(entries []Entry) { slices.SortFunc(entries, byAuthor) }
+
+func byAuthor(x, y Entry) int { return bytes.Compare(x.Author[:], y.Author[:]) }
 
 // Summary is the authenticated in-session summary exchange: the sender's
 // dictionary at generation Gen. It travels inside a session, whose link
@@ -144,6 +164,9 @@ func (*Advertisement) Type() Type { return TypeAdvertisement }
 // the view, the rest merge into it. The codec refuses a chunked delta,
 // and a base past Gen, on both ends.
 //
+// Entries is in strictly ascending author order (SortEntries), its one
+// form: both codec ends refuse any other, duplicate authors included.
+//
 // SchemeData is an opaque blob the active routing scheme may piggyback
 // (PRoPHET gossips its delivery-predictability table this way).
 type Summary struct {
@@ -151,7 +174,7 @@ type Summary struct {
 	BaseGen    uint64
 	Chunk      uint32
 	More       bool
-	Entries    map[id.UserID]uint64
+	Entries    []Entry
 	SchemeData []byte
 }
 
@@ -302,9 +325,7 @@ func Encode(f Frame) ([]byte, error) {
 }
 
 // AppendEncode appends the frame's encoding to dst and returns the
-// extended slice. With a pre-grown dst it performs no allocations for any
-// frame type except the two that carry a summary dictionary (which
-// allocate its sort scratch).
+// extended slice. With a pre-grown dst it performs no allocations.
 func AppendEncode(dst []byte, f Frame) ([]byte, error) {
 	switch fr := f.(type) {
 	case *Advertisement:
@@ -383,16 +404,25 @@ func appendAdvertisement(dst []byte, a *Advertisement) ([]byte, error) {
 	if len(a.Summary) > MaxHintEntries {
 		return dst, fmt.Errorf("%w: %d hint entries", ErrOversize, len(a.Summary))
 	}
+	var scratch [MaxHintEntries]Entry // the hint's entries, sorted on the stack
+	entries := AppendEntries(scratch[:0], a.Summary)
+	SortEntries(entries)
 	dst = append(dst, byte(TypeAdvertisement), byte(len(a.Peer)))
 	dst = append(dst, a.Peer...)
-	dst = binary.BigEndian.AppendUint64(dst, a.Gen)
-	return appendDict(dst, a.Summary), nil
+	return appendEntries(binary.BigEndian.AppendUint64(dst, a.Gen), entries)
 }
 
 func decodeAdvertisement(body []byte) (Frame, error) {
 	r := &reader{buf: body}
 	name := r.raw(int(r.byte()))
-	a := &Advertisement{Peer: string(name), Gen: r.uint64(), Summary: r.dict(MaxHintEntries)}
+	a := &Advertisement{Peer: string(name), Gen: r.uint64()}
+	var scratch [MaxHintEntries]Entry
+	if entries := r.entries(scratch[:0], MaxHintEntries); r.err == nil {
+		a.Summary = make(map[id.UserID]uint64, len(entries))
+		for _, e := range entries {
+			a.Summary[e.Author] = e.Seq
+		}
+	}
 	return finish(a, r)
 }
 
@@ -414,7 +444,10 @@ func appendSummary(dst []byte, s *Summary) ([]byte, error) {
 	if s.More {
 		more = 1
 	}
-	dst = appendDict(append(dst, more), s.Entries)
+	dst, err := appendEntries(append(dst, more), s.Entries)
+	if err != nil {
+		return dst, err
+	}
 	return appendBytes16(dst, s.SchemeData), nil
 }
 
@@ -433,26 +466,23 @@ func decodeSummary(body []byte) (Frame, error) {
 			return nil, err
 		}
 	}
-	s.Entries = r.dict(MaxSummaryEntries)
+	s.Entries = r.entries(nil, MaxSummaryEntries)
 	s.SchemeData = r.bytes16(MaxSchemeData)
 	return finish(s, r)
 }
 
-// appendDict appends a summary dictionary as both summary frames carry
-// it: a count, then (author, seq) pairs sorted by author so the encoding
-// is deterministic.
-func appendDict(dst []byte, dict map[id.UserID]uint64) []byte {
-	authors := make([]id.UserID, 0, len(dict))
-	for u := range dict {
-		authors = append(authors, u)
+// appendEntries appends an entry list as both summary frames carry it, a
+// count then (author, seq) pairs, refusing any but ascending authors.
+func appendEntries(dst []byte, entries []Entry) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(entries)))
+	for i, e := range entries {
+		if i > 0 && byAuthor(entries[i-1], e) >= 0 {
+			return dst, fmt.Errorf("%w: entry %d", ErrUnsorted, i)
+		}
+		dst = append(dst, e.Author[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, e.Seq)
 	}
-	slices.SortFunc(authors, func(x, y id.UserID) int { return bytes.Compare(x[:], y[:]) })
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(authors)))
-	for _, u := range authors {
-		dst = append(dst, u[:]...)
-		dst = binary.BigEndian.AppendUint64(dst, dict[u])
-	}
-	return dst
+	return dst, nil
 }
 
 func appendHello(dst []byte, h *Hello) ([]byte, error) {
@@ -628,8 +658,8 @@ func finish[F Frame](f F, r *reader) (Frame, error) {
 
 // boundedCap caps pre-allocation driven by attacker-supplied element
 // counts: collections grow on demand past it, so a hostile count claim
-// costs the attacker frame bytes, not our memory. All decode paths with
-// variable-length collections share it.
+// costs the attacker frame bytes, not our memory. Entry lists, of fixed
+// width, are checked against the bytes left instead (reader.entries).
 func boundedCap(n int) int {
 	return min(n, 64)
 }
@@ -697,9 +727,6 @@ func (r *reader) uint64() uint64 {
 }
 
 func (r *reader) bytes16(limit int) []byte {
-	if r.err != nil {
-		return nil
-	}
 	n := 0
 	if b := r.raw(2); b != nil {
 		n = int(binary.BigEndian.Uint16(b))
@@ -707,34 +734,31 @@ func (r *reader) bytes16(limit int) []byte {
 	return r.sized(n, limit)
 }
 
-func (r *reader) bytes32(limit int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	n := 0
-	if b := r.raw(4); b != nil {
-		n = int(binary.BigEndian.Uint32(b))
-	}
-	return r.sized(n, limit)
-}
+func (r *reader) bytes32(limit int) []byte { return r.sized(int(r.uint32()), limit) }
 
-// dict reads a dictionary appendDict wrote, refusing a count over limit
-// before allocating for it.
-func (r *reader) dict(limit int) map[id.UserID]uint64 {
+// entries appends an entry list to dst, refusing a count over limit or
+// past the bytes left before dst grows, and an author out of order.
+func (r *reader) entries(dst []Entry, limit int) []Entry {
 	n := int(r.uint32())
-	if r.err == nil && n > limit {
-		r.err = fmt.Errorf("%w: %d summary entries (limit %d)", ErrOversize, n, limit)
-	}
-	if r.err != nil {
+	switch {
+	case r.err != nil:
 		return nil
+	case n > limit:
+		r.err = fmt.Errorf("%w: %d summary entries (limit %d)", ErrOversize, n, limit)
+	case n*(id.UserIDLen+8) > len(r.buf):
+		r.err = fmt.Errorf("%w: %d summary entries in %d bytes", ErrTruncated, n, len(r.buf))
+	case cap(dst)-len(dst) < n:
+		dst = append(make([]Entry, 0, len(dst)+n), dst...)
 	}
-	dict := make(map[id.UserID]uint64, boundedCap(n))
 	for i := 0; i < n && r.err == nil; i++ {
-		var u id.UserID
-		r.userID(&u)
-		dict[u] = r.uint64()
+		var e Entry
+		r.userID(&e.Author)
+		if e.Seq = r.uint64(); i > 0 && byAuthor(dst[len(dst)-1], e) >= 0 {
+			r.err = fmt.Errorf("%w: entry %d", ErrUnsorted, i)
+		}
+		dst = append(dst, e)
 	}
-	return dict
+	return dst
 }
 
 // sized reads an n-byte field, copying it out so decoded frames (other

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -106,7 +107,7 @@ func TestAdvertisementDeterministicEncoding(t *testing.T) {
 }
 
 func TestSummaryDeterministicEncoding(t *testing.T) {
-	assertDeterministic(t, &Summary{Gen: 9, Entries: authorsDict(5), SchemeData: []byte("x")})
+	assertDeterministic(t, &Summary{Gen: 9, Entries: entriesOf(authorsDict(5)), SchemeData: []byte("x")})
 }
 
 // TestAdvertisementHintBound: the hint carries at most MaxHintEntries
@@ -131,11 +132,19 @@ func TestAdvertisementHintBound(t *testing.T) {
 func oversizeHint() []byte {
 	raw := []byte{byte(TypeAdvertisement), 1, 'p'}
 	raw = binary.BigEndian.AppendUint64(raw, 1)
-	return appendDict(raw, authorsDict(MaxHintEntries+1))
+	raw, _ = appendEntries(raw, entriesOf(authorsDict(MaxHintEntries+1)))
+	return raw
+}
+
+// entriesOf is dict in the order a Summary carries it.
+func entriesOf(dict map[id.UserID]uint64) []Entry {
+	entries := AppendEntries(nil, dict)
+	SortEntries(entries)
+	return entries
 }
 
 func TestSummaryRoundTrip(t *testing.T) {
-	give := &Summary{Gen: 40, Entries: map[id.UserID]uint64{alice: 12, bob: 3}, SchemeData: []byte("gossip")}
+	give := &Summary{Gen: 40, Entries: entriesOf(map[id.UserID]uint64{alice: 12, bob: 3}), SchemeData: []byte("gossip")}
 	got := roundTrip(t, give).(*Summary)
 	if !reflect.DeepEqual(got, give) {
 		t.Errorf("round trip = %+v, want %+v", got, give)
@@ -144,7 +153,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 		t.Error("a single-frame full summary reads as a delta or a chunk")
 	}
 	// A summary big beyond any hint is what the in-session frame is for.
-	big := &Summary{Gen: 41, Entries: authorsDict(4 * MaxHintEntries)}
+	big := &Summary{Gen: 41, Entries: entriesOf(authorsDict(4 * MaxHintEntries))}
 	if got := roundTrip(t, big).(*Summary); len(got.Entries) != len(big.Entries) {
 		t.Errorf("a %d-entry summary decoded to %d entries", len(big.Entries), len(got.Entries))
 	}
@@ -157,7 +166,7 @@ func TestAdvertisementDeltaRoundTrip(t *testing.T) {
 	give := &Summary{
 		Gen:     120,
 		BaseGen: 117,
-		Entries: map[id.UserID]uint64{alice: 12},
+		Entries: []Entry{{alice, 12}},
 	}
 	got := roundTrip(t, give).(*Summary)
 	if !reflect.DeepEqual(got, give) {
@@ -170,7 +179,7 @@ func TestAdvertisementDeltaRoundTrip(t *testing.T) {
 
 func TestAdvertisementEmptyDeltaRoundTrip(t *testing.T) {
 	// BaseGen == Gen is the empty delta: a pure scheme-gossip refresh.
-	give := &Summary{Gen: 9, BaseGen: 9, Entries: map[id.UserID]uint64{}, SchemeData: []byte("x")}
+	give := &Summary{Gen: 9, BaseGen: 9, SchemeData: []byte("x")}
 	got := roundTrip(t, give).(*Summary)
 	if got.Gen != 9 || got.BaseGen != 9 || len(got.Entries) != 0 || string(got.SchemeData) != "x" {
 		t.Errorf("round trip = %+v, want %+v", got, give)
@@ -207,9 +216,9 @@ func TestAdvertisementChunkedRoundTrip(t *testing.T) {
 	// A three-chunk full-summary stream: first chunk (Chunk 0, More),
 	// middle chunk, and a final chunk that drops More.
 	stream := []*Summary{
-		{Gen: 40, More: true, Entries: map[id.UserID]uint64{alice: 12}, SchemeData: []byte("gossip")},
-		{Gen: 40, Chunk: 1, More: true, Entries: map[id.UserID]uint64{bob: 3}},
-		{Gen: 40, Chunk: 2, Entries: map[id.UserID]uint64{}},
+		{Gen: 40, More: true, Entries: []Entry{{alice, 12}}, SchemeData: []byte("gossip")},
+		{Gen: 40, Chunk: 1, More: true, Entries: []Entry{{bob, 3}}},
+		{Gen: 40, Chunk: 2},
 	}
 	for i, give := range stream {
 		got := roundTrip(t, give).(*Summary)
@@ -237,7 +246,7 @@ func TestAdvertisementRejectsChunkedDelta(t *testing.T) {
 		}
 	}
 	// Decode side: take a valid delta and stamp a chunk number into it.
-	raw, err := Encode(&Summary{Gen: 7, BaseGen: 3, Entries: map[id.UserID]uint64{alice: 1}})
+	raw, err := Encode(&Summary{Gen: 7, BaseGen: 3, Entries: []Entry{{alice, 1}}})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -248,13 +257,81 @@ func TestAdvertisementRejectsChunkedDelta(t *testing.T) {
 }
 
 func TestAdvertisementRejectsNonCanonicalMore(t *testing.T) {
-	raw, err := Encode(&Summary{Gen: 7, Entries: map[id.UserID]uint64{alice: 1}})
+	raw, err := Encode(&Summary{Gen: 7, Entries: []Entry{{alice, 1}}})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	raw[sumMoreAt] = 2 // more flag must be 0 or 1
 	if _, err := Decode(raw); err == nil {
 		t.Error("decode accepted a non-canonical more flag")
+	}
+}
+
+// rawSummary hand-builds a full summary at generation 7 carrying entries
+// exactly as given, in whatever order: what a broken or hostile encoder
+// could put on the wire.
+func rawSummary(entries []Entry) []byte {
+	raw := []byte{byte(TypeSummary)}
+	raw = binary.BigEndian.AppendUint64(raw, 7)
+	raw = append(raw, make([]byte, 8+4+1)...) // base, chunk, more
+	raw = binary.BigEndian.AppendUint32(raw, uint32(len(entries)))
+	for _, e := range entries {
+		raw = binary.BigEndian.AppendUint64(append(raw, e.Author[:]...), e.Seq)
+	}
+	return appendBytes16(raw, nil)
+}
+
+// TestSummaryRefusesNonCanonicalEntries: entries in strictly ascending
+// author order are the one form a Summary has, so both codec ends refuse
+// any other, and an author named twice with them.
+func TestSummaryRefusesNonCanonicalEntries(t *testing.T) {
+	lo, hi := alice, bob
+	if byAuthor(Entry{Author: lo}, Entry{Author: hi}) > 0 {
+		lo, hi = hi, lo
+	}
+	for _, tc := range []struct {
+		name    string
+		entries []Entry
+	}{
+		{"out of order", []Entry{{hi, 1}, {lo, 2}}},
+		{"duplicate author", []Entry{{lo, 1}, {lo, 2}}},
+		{"duplicate after a sorted run", []Entry{{lo, 1}, {hi, 2}, {hi, 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Encode(&Summary{Gen: 7, Entries: tc.entries}); !errors.Is(err, ErrUnsorted) {
+				t.Errorf("Encode: %v, want ErrUnsorted", err)
+			}
+			if _, err := Decode(rawSummary(tc.entries)); !errors.Is(err, ErrUnsorted) {
+				t.Errorf("Decode: %v, want ErrUnsorted", err)
+			}
+		})
+	}
+	if _, err := Decode(rawSummary([]Entry{{lo, 1}, {hi, 2}})); err != nil {
+		t.Errorf("Decode of the sorted list: %v", err)
+	}
+}
+
+// TestSummaryEntryCountPastBodyRefused: a count the frame's bytes cannot
+// hold is refused before the entry slice is allocated, so a hostile claim
+// costs the receiver nothing sized by the claim.
+func TestSummaryEntryCountPastBodyRefused(t *testing.T) {
+	raw := rawSummary([]Entry{{alice, 1}})
+	countAt := sumMoreAt + 1
+	binary.BigEndian.PutUint32(raw[countAt:], MaxSummaryEntries)
+	if _, err := Decode(raw); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Decode: %v, want ErrTruncated", err)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		_, _ = Decode(raw)
+	}
+	runtime.ReadMemStats(&after)
+	// The claim would take MaxSummaryEntries × 24 B = 3 MiB; the frame
+	// struct and the error are all that may be left.
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 512 {
+		t.Errorf("refusing a %d-entry claim allocated %d B per decode, want at most 512", MaxSummaryEntries, perRun)
 	}
 }
 
