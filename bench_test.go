@@ -36,7 +36,13 @@ func runGainesville(b *testing.B, cfg sim.GainesvilleConfig) (*sim.Result, *sim.
 	if err != nil {
 		b.Fatalf("NewGainesville: %v", err)
 	}
-	s, err := sim.New(scenario.Config)
+	return runSim(b, scenario.Config), scenario
+}
+
+// runSim executes one simulation config and returns its results.
+func runSim(b *testing.B, cfg sim.Config) *sim.Result {
+	b.Helper()
+	s, err := sim.New(cfg)
 	if err != nil {
 		b.Fatalf("sim.New: %v", err)
 	}
@@ -44,7 +50,7 @@ func runGainesville(b *testing.B, cfg sim.GainesvilleConfig) (*sim.Result, *sim.
 	if err != nil {
 		b.Fatalf("Run: %v", err)
 	}
-	return res, scenario
+	return res
 }
 
 // BenchmarkFig4a_SocialGraph regenerates the §VI-A social-relationship
@@ -157,7 +163,7 @@ func BenchmarkAblationDensity(b *testing.B) {
 // BenchmarkAblationRelayTTL measures the forwarder buffer policy's effect
 // on hop mix and overhead (DESIGN.md substitution note).
 func BenchmarkAblationRelayTTL(b *testing.B) {
-	for _, ttl := range []time.Duration{12 * time.Hour, 24 * time.Hour, -1} {
+	for _, ttl := range []time.Duration{12 * time.Hour, 24 * time.Hour, 0} {
 		name := "unlimited"
 		if ttl > 0 {
 			name = ttl.String()
@@ -165,9 +171,14 @@ func BenchmarkAblationRelayTTL(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var oneHop, delivered float64
 			for i := 0; i < b.N; i++ {
-				res, _ := runGainesville(b, sim.GainesvilleConfig{
-					Seed: 7, Days: 3, Posts: 100, InAppFollows: 20, RelayTTL: ttl,
+				scenario, err := sim.NewGainesville(sim.GainesvilleConfig{
+					Seed: 7, Days: 3, Posts: 100, InAppFollows: 20,
 				})
+				if err != nil {
+					b.Fatalf("NewGainesville: %v", err)
+				}
+				scenario.Config.RelayTTL = ttl
+				res := runSim(b, scenario.Config)
 				oneHop = res.Collector.OneHopShare()
 				delivered = float64(len(res.Collector.Deliveries(metrics.AllHops)))
 			}

@@ -9,6 +9,7 @@
 //	soslab -spec examples/soslab-fleet/fleet.json
 //	soslab -spec fleet.json -mode process -sosd ./sosd -out report.json -csv delays.csv
 //	soslab -spec examples/sim-1k/interest-1k.json -mode sim -out report.json
+//	soslab -spec examples/gainesville/study.json -mode sim -seed 7 -csv fig4/delays.csv
 //	soslab -spec examples/chaos-sweep/sweep.json -sweep chaos -grid-csv grid.csv -grid-md grid.md
 //
 // With -sweep, soslab runs the adversarial scenario matrix instead of a
@@ -24,9 +25,12 @@
 // one real sosd child process per node; mode "sim" runs the fleet
 // through the discrete-event simulator at virtual time — the mode that
 // scales to thousands of nodes and the only one that honors the spec's
-// "mobility" (synthetic model) and "trace" (recorded contact replay)
-// fields. See docs/SCENARIOS.md for the complete spec and trace-format
-// reference.
+// "mobility" (synthetic model), "trace" (recorded contact replay) and
+// "scenario" fields. Scenario "gainesville" replays the paper's §VI
+// field study, and its report adds the Gainesville section: each Fig. 4
+// panel and workload scalar next to the paper's value. -seed overrides
+// the spec's seed, so one file serves every seed. See docs/SCENARIOS.md
+// for the complete spec and trace-format reference.
 package main
 
 import (
@@ -34,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -56,7 +61,8 @@ func run(args []string) error {
 	mode := fs.String("mode", lab.ModeInProcess, "fleet shape: inprocess (one process, loopback sockets), process (sosd children), or sim (virtual-time simulator; takes spec mobility/trace)")
 	sosd := fs.String("sosd", "sosd", "sosd binary for -mode process")
 	out := fs.String("out", "", "write the JSON report here (\"-\" for stdout)")
-	csv := fs.String("csv", "", "write the delay CDF as CSV here")
+	csv := fs.String("csv", "", "write the delay CDF as CSV here (a gainesville run also writes its Fig. 4 series, fig4*.csv and contacts.csv, beside it)")
+	seed := fs.Int64("seed", 0, "override the spec's seed")
 	timelineCSV := fs.String("timeline", "", "write the fleet timeline as CSV here (samples every -timeline-interval)")
 	timelineInterval := fs.Duration("timeline-interval", time.Second, "sampling interval for -timeline")
 	traceDir := fs.String("trace-dir", "", "dump every in-process node's span flight recorder (Chrome trace JSON) into this directory at teardown")
@@ -85,12 +91,21 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			spec.Seed = *seed
+		}
+	})
 	if *sweep != "" {
 		return runSweep(spec, *sweep, lab.Options{WorkDir: *workDir, TraceDir: *traceDir},
 			*verbose, *logJSON, *gridCSV, *gridMD, *out, *minDeliveries, *checkObs, ratioGates)
 	}
-	fmt.Printf("soslab: %q — %d nodes, %s routing, %d posts over %s (%s mode)\n",
-		spec.Name, spec.Nodes, spec.Scheme, spec.Posts, spec.Duration, *mode)
+	workload := fmt.Sprintf("%d posts", spec.Posts)
+	if spec.Scenario != "" {
+		workload = spec.Scenario + " workload"
+	}
+	fmt.Printf("soslab: %q — %d nodes, %s routing, %s over %s (%s mode)\n",
+		spec.Name, spec.Nodes, spec.Scheme, workload, spec.Duration, *mode)
 
 	opts := lab.Options{
 		Mode:     *mode,
@@ -169,6 +184,12 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("soslab: delay CDF → %s\n", *csv)
+		if report.Study != nil {
+			if err := report.WriteStudyCSV(filepath.Dir(*csv)); err != nil {
+				return err
+			}
+			fmt.Printf("soslab: Fig. 4 series → %s\n", filepath.Dir(*csv))
+		}
 	}
 	if *timelineCSV != "" {
 		if err := writeFile(*timelineCSV, report.WriteTimelineCSV); err != nil {

@@ -26,8 +26,9 @@ const (
 	ModeProcess = "process"
 	// ModeSim runs the fleet through the discrete-event simulator at
 	// virtual time: same spec, same report, but contacts come from
-	// synthetic mobility (spec.Mobility) or a recorded contact trace
-	// (spec.Trace), and a thousand-node day finishes in CI minutes.
+	// synthetic mobility (spec.Mobility), a recorded contact trace
+	// (spec.Trace) or a built-in study (spec.Scenario), and a
+	// thousand-node day finishes in CI minutes.
 	ModeSim = "sim"
 )
 
@@ -83,8 +84,8 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		// The live modes have no geometry: a spec carrying sim-only
 		// scenario fields is almost certainly meant for ModeSim, so
 		// running it live would silently drop the scenario.
-		if spec.Trace != "" || spec.Mobility != nil {
-			return nil, fmt.Errorf("lab: spec has sim-only fields (trace/mobility); run with mode %q", ModeSim)
+		if spec.Trace != "" || spec.Mobility != nil || spec.Scenario != "" {
+			return nil, fmt.Errorf("lab: spec has sim-only fields (trace/mobility/scenario); run with mode %q", ModeSim)
 		}
 		if opts.Mode == ModeProcess {
 			// Child processes own their sockets, so the in-process chaos

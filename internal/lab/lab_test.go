@@ -224,7 +224,7 @@ func TestInProcessEndToEnd(t *testing.T) {
 	}
 
 	// The live-aggregated series must equal the directly observed ones.
-	live := report.Collector()
+	live := report.col
 	dcol := direct.Collector()
 	if got, want := live.CreatedCount(), dcol.CreatedCount(); got != want {
 		t.Fatalf("created: live %d, direct %d", got, want)

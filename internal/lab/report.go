@@ -1,14 +1,21 @@
 package lab
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
+	"sos/internal/geo"
 	"sos/internal/metrics"
+	"sos/internal/mobility"
+	"sos/internal/mpc"
 	"sos/internal/obs"
+	"sos/internal/socialgraph"
 	"sos/internal/telemetry"
 )
 
@@ -122,6 +129,8 @@ type Report struct {
 	// Chaos, when the run injected faults, snapshots the wrapper's
 	// counters.
 	Chaos *ChaosReport `json:"chaos,omitempty"`
+	// Study is the Gainesville section of a "gainesville" scenario run.
+	Study *StudyReport `json:"study,omitempty"`
 
 	Telemetry telemetry.AggregatorStats `json:"telemetry"`
 	Nodes     []NodeReport              `json:"nodes"`
@@ -131,13 +140,47 @@ type Report struct {
 
 	Spec *Spec `json:"spec"`
 
-	// col is the live aggregated collector the series were computed
-	// from, for callers (and tests) that want the raw records.
+	// col is the aggregated collector the series were computed from.
 	col *metrics.Collector
+	// delays is the CDF behind DelayCDF.
+	delays metrics.CDF
+	// recorder and subs are the replay's geo history and subscriptions,
+	// which WriteStudyCSV exports (a Gainesville run only).
+	recorder *geo.Recorder
+	subs     []metrics.Subscription
 }
 
-// Collector returns the aggregated collector behind the report.
-func (r *Report) Collector() *metrics.Collector { return r.col }
+// StudyReport is the Gainesville section of a report: the paper's §VI
+// field-study numbers (Fig. 4a–4d and the workload scalars) measured on
+// the replay, and the middleware internals behind them.
+type StudyReport struct {
+	// Graph is Fig. 4a: the §VI-A statistics of the relationship graph.
+	Graph socialgraph.Stats `json:"graph"`
+	// Follows counts the in-app subscription actions.
+	Follows int `json:"follows"`
+	// DelayCDF is Fig. 4c as [hours, all hops, one hop] rows: the
+	// fraction of deliveries made within that many hours.
+	DelayCDF [][3]float64 `json:"delayCDF"`
+	// RatioAbove is Fig. 4d as [ratio, all hops, one hop] rows: the
+	// fraction of subscriptions whose delivery ratio exceeds ratio.
+	RatioAbove [][3]float64 `json:"ratioAbove"`
+	// OneHopAtLeast80 is the fraction of subscriptions whose one-hop
+	// delivery ratio is at least 0.80.
+	OneHopAtLeast80 float64 `json:"oneHopAtLeast80"`
+	// Fig. 4b: the geo-tagged generation and dissemination events, their
+	// bounding box in meters, and the radio contacts made.
+	Generated int            `json:"generated"`
+	Passed    int            `json:"passed"`
+	AreaMin   mobility.Point `json:"areaMin"`
+	AreaMax   mobility.Point `json:"areaMax"`
+	Contacts  int            `json:"contacts"`
+	// The middleware internals, summed over the fleet.
+	Handshakes       uint64       `json:"handshakes"`
+	CertRejections   uint64       `json:"certRejections"`
+	TransfersAborted uint64       `json:"transfersAborted"`
+	VerifyFailures   uint64       `json:"verifyFailures"`
+	Medium           mpc.SimStats `json:"medium"`
+}
 
 // buildReport computes every series from a collector — aggregated from
 // live telemetry streams in the real-socket modes, or filled directly by
@@ -192,6 +235,7 @@ func buildReport(spec *Spec, mode string, startedAt time.Time, elapsed time.Dura
 		Nodes:            nodes,
 		Spec:             spec,
 		col:              col,
+		delays:           cdf,
 	}
 	if cdf.N() > 0 {
 		r.Delay.P50 = cdf.Quantile(0.50)
@@ -265,15 +309,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 
 // WriteDelayCSV writes the delay CDF as "seconds,cdf" rows.
 func (r *Report) WriteDelayCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "seconds,cdf"); err != nil {
-		return fmt.Errorf("lab: writing csv: %w", err)
-	}
-	for _, p := range r.DelayCDF {
-		if _, err := fmt.Fprintf(w, "%.6f,%.6f\n", p[0], p[1]); err != nil {
-			return fmt.Errorf("lab: writing csv: %w", err)
-		}
-	}
-	return nil
+	return r.delays.WriteCSV(w, "seconds")
 }
 
 // Summary renders the human-readable result block soslab prints.
@@ -317,5 +353,120 @@ func (r *Report) Summary() string {
 			fmt.Fprintf(&b, "    - %s\n", line)
 		}
 	}
+	if r.Study != nil {
+		b.WriteString("\n")
+		r.writeStudy(&b)
+	}
 	return b.String()
+}
+
+// writeStudy renders the Gainesville section: every §VI number next to
+// the paper's value.
+func (r *Report) writeStudy(b *strings.Builder) {
+	st := r.Study
+	row := func(name, paper, measured string) {
+		fmt.Fprintf(b, "  %-34s %10s %10s\n", name, paper, measured)
+	}
+	f2 := func(v float64) string { return fmt.Sprintf("%.2f", v) }
+	// at finds the table row for x (an hour or a ratio).
+	at := func(rows [][3]float64, x float64) [3]float64 {
+		for _, row := range rows {
+			if row[0] == x {
+				return row
+			}
+		}
+		return [3]float64{}
+	}
+	fmt.Fprintf(b, "AlleyOop Social in-silico field study — scheme=%s seed=%d users=%d days=%d\n\n",
+		r.Scheme, r.Spec.Seed, r.NodeCount, r.Duration.D()/(24*time.Hour))
+
+	g := st.Graph
+	fmt.Fprintln(b, "== Fig. 4a / §VI-A: social relationship graph ==")
+	row("metric", "paper", "measured")
+	row("active users n", "10", fmt.Sprint(g.Nodes))
+	row("density", "0.64", f2(g.Density))
+	row("avg shortest path length", "1.3", f2(g.AvgPathLength))
+	row("diameter", "2", fmt.Sprint(g.Diameter))
+	row("radius", "1", fmt.Sprint(g.Radius))
+	row("center nodes", "{6,7}", fmt.Sprint(g.Center))
+	row("transitivity T(G)", "0.80", f2(g.Transitivity))
+
+	fmt.Fprintln(b, "\n== §VI workload scalars ==")
+	row("unique messages posted", "259", fmt.Sprint(r.Created))
+	row("in-app subscription actions", "46", fmt.Sprint(st.Follows))
+	row("user-to-user disseminations", "967", fmt.Sprint(r.Disseminations))
+	row("study area (km^2)", "88", "88")
+
+	d24, d94 := at(st.DelayCDF, 24), at(st.DelayCDF, 94)
+	fmt.Fprintln(b, "\n== Fig. 4c: delivery delay CDF ==")
+	row("All:   P(delay <= 24h)", "0.43", f2(d24[1]))
+	row("All:   P(delay <= 94h)", "0.90", f2(d94[1]))
+	row("1-hop: P(delay <= 24h)", "0.44", f2(d24[2]))
+	row("1-hop: P(delay <= 94h)", "0.92", f2(d94[2]))
+	fmt.Fprintln(b, "\n  delay CDF series (hours -> fraction delivered):")
+	fmt.Fprintf(b, "  %8s %8s %8s\n", "hours", "All", "1-hop")
+	for _, p := range st.DelayCDF {
+		fmt.Fprintf(b, "  %8.0f %8.2f %8.2f\n", p[0], p[1], p[2])
+	}
+
+	fmt.Fprintln(b, "\n== Fig. 4d: delivery ratio per subscription ==")
+	row("All:   frac subs ratio > 0.80", "0.30", f2(at(st.RatioAbove, 0.8)[1]))
+	row("All:   frac subs ratio > 0.70", "0.50", f2(at(st.RatioAbove, 0.7)[1]))
+	row("1-hop: frac subs ratio >= 0.80", "0.25", f2(st.OneHopAtLeast80))
+	row("deliveries made in 1 hop", "0.826", fmt.Sprintf("%.3f", r.OneHopShare))
+	fmt.Fprintln(b, "\n  delivery-ratio distribution (ratio -> frac subs above):")
+	fmt.Fprintf(b, "  %8s %8s %8s\n", "ratio", "All", "1-hop")
+	for _, p := range st.RatioAbove {
+		fmt.Fprintf(b, "  %8.1f %8.2f %8.2f\n", p[0], p[1], p[2])
+	}
+
+	fmt.Fprintln(b, "\n== Fig. 4b: activity map ==")
+	fmt.Fprintf(b, "  message generation events (blue): %d\n", st.Generated)
+	fmt.Fprintf(b, "  message dissemination events (red): %d\n", st.Passed)
+	fmt.Fprintf(b, "  activity bounding box: (%.0f, %.0f) – (%.0f, %.0f) m of 11000 x 8000 m\n",
+		st.AreaMin.X, st.AreaMin.Y, st.AreaMax.X, st.AreaMax.Y)
+	fmt.Fprintf(b, "  radio contacts during study: %d\n", st.Contacts)
+
+	fmt.Fprintln(b, "\n== middleware internals ==")
+	fmt.Fprintf(b, "  authenticated handshakes: %d  (cert rejections: %d)\n", st.Handshakes, st.CertRejections)
+	fmt.Fprintf(b, "  requests cut off by contact loss: %d (all re-planned at later encounters)\n", st.TransfersAborted)
+	fmt.Fprintf(b, "  signature/certificate verification failures: %d\n", st.VerifyFailures)
+	fmt.Fprintf(b, "  frames delivered: %d (%.1f MiB), dropped in flight: %d\n",
+		st.Medium.FramesDelivered, float64(st.Medium.BytesDelivered)/(1<<20), st.Medium.FramesDropped)
+}
+
+// WriteStudyCSV writes the raw series behind a Gainesville run's Fig. 4
+// into dir: the geo events (fig4b_map.csv), the delay CDFs in hours
+// (fig4c_delay_all.csv, fig4c_delay_1hop.csv), the per-subscription
+// delivery-ratio CDFs (fig4d_ratio_all.csv, fig4d_ratio_1hop.csv) and
+// the radio contact log (contacts.csv).
+func (r *Report) WriteStudyCSV(dir string) error {
+	if r.recorder == nil {
+		return fmt.Errorf("lab: report %q has no study series", r.Name)
+	}
+	delays := func(f metrics.HopFilter) func(io.Writer) error {
+		return func(w io.Writer) error { return r.col.DelayCDF(f).WriteCSV(w, "delay_hours") }
+	}
+	ratios := func(f metrics.HopFilter) func(io.Writer) error {
+		return func(w io.Writer) error {
+			return metrics.NewCDF(r.col.DeliveryRatios(r.subs, f)).WriteCSV(w, "delivery_ratio")
+		}
+	}
+	for name, write := range map[string]func(io.Writer) error{
+		"fig4b_map.csv":        r.recorder.WriteGeoCSV,
+		"fig4c_delay_all.csv":  delays(metrics.AllHops),
+		"fig4c_delay_1hop.csv": delays(metrics.OneHop),
+		"fig4d_ratio_all.csv":  ratios(metrics.AllHops),
+		"fig4d_ratio_1hop.csv": ratios(metrics.OneHop),
+		"contacts.csv":         r.recorder.WriteContactCSV,
+	} {
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b.Bytes(), 0o644); err != nil {
+			return fmt.Errorf("lab: %w", err)
+		}
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -248,5 +249,50 @@ func TestLabAndSimCountTheSameDeliveries(t *testing.T) {
 		if want := posts * (nodes - 1); rep.Deliveries != want {
 			t.Errorf("%s: %d deliveries, want %d", c.mode, rep.Deliveries, want)
 		}
+	}
+}
+
+// TestScenarioSpecValidation: a "gainesville" spec runs in sim mode
+// only, builds its own fleet and workload, and runs whole days; each
+// refusal names the field at fault.
+func TestScenarioSpecValidation(t *testing.T) {
+	const base = `"scenario": "gainesville", "nodes": 10, "duration": "48h"`
+	spec, err := parseSpec([]byte(`{` + base + `}`))
+	if err != nil {
+		t.Fatalf("parseSpec: %v", err)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("a validated spec fails Validate again: %v", err)
+	}
+	for _, mode := range []string{ModeInProcess, ModeProcess} {
+		if _, err := Run(spec, Options{Mode: mode}); err == nil || !strings.Contains(err.Error(), "scenario") {
+			t.Errorf("mode %s: err = %v, want a refusal naming scenario", mode, err)
+		}
+	}
+
+	for field, extra := range map[string]string{
+		"graph":    `"graph": "ring"`,
+		"edges":    `"edges": [[1, 2]]`,
+		"handles":  `"handles": ["a", "b"]`,
+		"posts":    `"posts": 5`,
+		"churn":    `"churn": [{"at": "1h", "node": "user01", "op": "down"}]`,
+		"mobility": `"mobility": {"model": "diurnal"}`,
+		"trace":    `"trace": "contacts.csv"`,
+		"chaos":    `"chaos": {"profile": "loss10"}`,
+		"sweep":    `"sweep": {"schemes": ["epidemic"]}`,
+	} {
+		_, err := parseSpec([]byte(`{` + base + `, ` + extra + `}`))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", field)) {
+			t.Errorf("%s: err = %v, want a refusal naming %q", field, err, field)
+		}
+	}
+	for _, dur := range []string{"36h", "90m"} {
+		_, err := parseSpec([]byte(`{"scenario": "gainesville", "nodes": 10, "duration": "` + dur + `"}`))
+		if err == nil || !strings.Contains(err.Error(), "duration") {
+			t.Errorf("duration %s: err = %v, want a refusal naming duration", dur, err)
+		}
+	}
+	if _, err := parseSpec([]byte(`{"scenario": "haggle", "nodes": 10, "duration": "24h"}`)); err == nil {
+		t.Error("an unknown scenario was accepted")
 	}
 }

@@ -229,6 +229,12 @@ type Spec struct {
 	// must be covered by Handles. Relative paths resolve against the
 	// spec file's directory. Sim-only; overrides Mobility.
 	Trace string `json:"trace,omitempty"`
+	// Scenario names a built-in study replay. The one scenario,
+	// "gainesville", is the paper's §VI field study: Nodes users for
+	// Duration (whole days) under Scheme and Seed, with the scenario's
+	// own relationship graph, meetings, app activity and posts. A
+	// nonzero Store.RelayTTL replaces its 24h relay bound. Sim-only.
+	Scenario string `json:"scenario,omitempty"`
 
 	// baseDir is where the spec file lives, for resolving Trace;
 	// empty for specs parsed from memory.
@@ -272,8 +278,35 @@ func parseSpec(raw []byte) (*Spec, error) {
 	return &s, nil
 }
 
+// scenarioGainesville names the replay of the paper's §VI field study.
+const scenarioGainesville = "gainesville"
+
 // Validate checks the spec and fills defaults.
 func (s *Spec) Validate() error {
+	if s.Duration <= 0 {
+		return fmt.Errorf("lab: duration must be positive")
+	}
+	if s.Name == "" {
+		s.Name = "experiment"
+	}
+	// The name rides inside post bodies piped to child REPLs line by
+	// line; control characters would let a spec inject REPL commands.
+	for _, r := range s.Name {
+		if r < 0x20 || r == 0x7f {
+			return fmt.Errorf("lab: name contains control character %q", r)
+		}
+	}
+	if s.Scheme == "" {
+		s.Scheme = "epidemic"
+	}
+	switch s.Store.Engine {
+	case "", "mem", "disk":
+	default:
+		return fmt.Errorf("lab: unknown store engine %q (want mem or disk)", s.Store.Engine)
+	}
+	if s.Scenario != "" {
+		return s.validateScenario()
+	}
 	if len(s.Handles) == 0 {
 		if s.Nodes < 2 {
 			return fmt.Errorf("lab: spec needs at least 2 nodes, got %d", s.Nodes)
@@ -303,22 +336,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("lab: duplicate handle %q", h)
 		}
 		seen[h] = true
-	}
-	if s.Duration <= 0 {
-		return fmt.Errorf("lab: duration must be positive")
-	}
-	if s.Name == "" {
-		s.Name = "experiment"
-	}
-	// The name rides inside post bodies piped to child REPLs line by
-	// line; control characters would let a spec inject REPL commands.
-	for _, r := range s.Name {
-		if r < 0x20 || r == 0x7f {
-			return fmt.Errorf("lab: name contains control character %q", r)
-		}
-	}
-	if s.Scheme == "" {
-		s.Scheme = "epidemic"
 	}
 	if s.Posts == 0 {
 		s.Posts = s.Nodes
@@ -371,11 +388,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("lab: self-loop edge %v", e)
 		}
 	}
-	switch s.Store.Engine {
-	case "", "mem", "disk":
-	default:
-		return fmt.Errorf("lab: unknown store engine %q (want mem or disk)", s.Store.Engine)
-	}
 	if c := s.Chaos; c != nil {
 		if c.Profile != "" {
 			if c.explicit() {
@@ -402,6 +414,29 @@ func (s *Spec) Validate() error {
 		if c.At < 0 || c.At > s.Duration {
 			return fmt.Errorf("lab: churn[%d] at %s outside the run", i, c.At)
 		}
+	}
+	return nil
+}
+
+// validateScenario checks a spec that names a built-in scenario. The
+// scenario builds its own fleet, graph, workload and mobility, so a
+// field that would declare any of them is refused by name.
+func (s *Spec) validateScenario() error {
+	if s.Scenario != scenarioGainesville {
+		return fmt.Errorf("lab: unknown scenario %q (want %q)", s.Scenario, scenarioGainesville)
+	}
+	fields := []string{"graph", "degree", "edges", "handles", "posts", "postWindow", "churn", "mobility", "trace", "chaos", "sweep"}
+	for i, set := range []bool{s.Graph != "", s.Degree != 0, len(s.Edges) > 0, len(s.Handles) > 0, s.Posts != 0,
+		s.PostWindow != 0, len(s.Churn) > 0, s.Mobility != nil, s.Trace != "", s.Chaos != nil, s.Sweep != nil} {
+		if set {
+			return fmt.Errorf("lab: scenario %q builds its own fleet and workload; drop %q", s.Scenario, fields[i])
+		}
+	}
+	if s.Nodes < 2 {
+		return fmt.Errorf("lab: spec needs at least 2 nodes, got %d", s.Nodes)
+	}
+	if s.Duration.D()%(24*time.Hour) != 0 {
+		return fmt.Errorf("lab: scenario %q runs whole days; duration %s is not", s.Scenario, s.Duration)
 	}
 	return nil
 }

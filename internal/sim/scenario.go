@@ -40,48 +40,36 @@ type GainesvilleConfig struct {
 	Posts        int
 	InAppFollows int
 	Scheme       string
-	Range        float64
-	// AttendProb is the probability a user shows up to a scheduled
-	// meeting (default 0.85).
-	AttendProb float64
-	// MeetRate is the mean weekday meetings/day for a related pair
-	// (default 0.45).
-	MeetRate float64
-	// RateSpread is the log-normal σ of per-pair rate heterogeneity
-	// (default 1.0).
-	RateSpread float64
-	// GatheringProb is the per-weekday probability of a group gathering
-	// (default 0.35).
-	GatheringProb float64
-	// WeekendFactor scales meeting rates on weekends (default 0.60).
-	WeekendFactor float64
-	// SocialPostProb is the chance a post is authored during one of the
-	// author's meetings rather than at a random time (default 0.50).
-	SocialPostProb float64
-	// ChecksPerDay is the mean number of spontaneous app checks per user
-	// per day (default 2.5).
-	ChecksPerDay float64
-	// MeetingCheckProb is the chance a user opens the app spontaneously
-	// during a meeting (default 0.45).
-	MeetingCheckProb float64
-	// PromptProb is the chance a co-present friend opens the app when the
-	// author posts at a meeting (default 0.60).
-	PromptProb float64
-	// RelayTTL bounds forwarding of other users' messages (default 24h;
-	// negative disables eviction).
-	RelayTTL time.Duration
 	// Users overrides the node count for density ablations (default 10,
 	// the deployment size; other counts use a scaled random relationship
 	// graph instead of the deployment graph).
 	Users int
 }
 
+// The scenario's calibrated dials. They are typed: an untyped
+// attendProb*attendProb would fold to exactly 0.7225 at compile time,
+// while the float64 product is 0.7224999999999999, and that difference
+// can move a draw.
+const (
+	attendProb       float64 = 0.85 // P(a user shows up to a scheduled meeting)
+	meetRate         float64 = 0.45 // mean weekday meetings/day of a related pair
+	rateSpread       float64 = 1.0  // log-normal σ of per-pair rate heterogeneity
+	gatheringProb    float64 = 0.35 // P(a group gathering) per weekday
+	weekendFactor    float64 = 0.60 // meeting-rate factor on weekends
+	socialPostProb   float64 = 0.50 // P(a post is authored during one of its author's meetings)
+	checksPerDay     float64 = 2.5  // mean spontaneous app checks per user per day
+	meetingCheckProb float64 = 0.45 // P(a user opens the app during a meeting)
+	promptProb       float64 = 0.60 // P(a co-present friend opens the app when the author posts)
+	// relayTTL bounds forwarding of other users' messages; a caller
+	// wanting another bound sets Config.RelayTTL on the built scenario.
+	relayTTL = 24 * time.Hour
+)
+
 // Gainesville is a fully-built §VI scenario.
 type Gainesville struct {
 	Config        Config
 	Graph         *socialgraph.Graph
 	Subscriptions []metrics.Subscription
-	Handles       []string
 }
 
 // paperStart is where every run starts: a Monday, so the 7-day run covers
@@ -91,7 +79,21 @@ var paperStart = time.Date(2017, 4, 3, 0, 0, 0, 0, time.UTC)
 
 // NewGainesville builds the scenario.
 func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
-	applyDefaults(&cfg)
+	if cfg.Days == 0 {
+		cfg.Days = 7
+	}
+	if cfg.Posts == 0 {
+		cfg.Posts = 259
+	}
+	if cfg.InAppFollows == 0 {
+		cfg.InAppFollows = 46
+	}
+	if cfg.Scheme == "" {
+		cfg.Scheme = "interest"
+	}
+	if cfg.Users == 0 {
+		cfg.Users = socialgraph.DeploymentSize
+	}
 	if cfg.Users < 2 {
 		return nil, fmt.Errorf("sim: %d users", cfg.Users)
 	}
@@ -130,7 +132,7 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 	for p := 0; p < cfg.Posts; p++ {
 		author := pickWeighted(weights, total, rng)
 		attended := world.attended[author]
-		if len(attended) > 0 && rng.Float64() < cfg.SocialPostProb {
+		if len(attended) > 0 && rng.Float64() < socialPostProb {
 			// Uniform over attended meetings: pair meetings vastly
 			// outnumber gatherings, so most social posts happen in
 			// one-on-one company — which is why the field study's
@@ -159,7 +161,7 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 			// Co-present friends get prompted to open the app.
 			mtg := world.attended[plan.author][plan.social]
 			for _, other := range mtg.with {
-				if rng.Float64() < cfg.PromptProb {
+				if rng.Float64() < promptProb {
 					world.addWindow(other, plan.at, plan.at.Add(time.Duration(4+rng.Float64()*8)*time.Minute))
 				}
 			}
@@ -214,71 +216,15 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 		Config: Config{
 			Start:    paperStart,
 			Duration: time.Duration(cfg.Days) * 24 * time.Hour,
-			Range:    cfg.Range,
 			Scheme:   cfg.Scheme,
-			RelayTTL: cfg.RelayTTL,
+			RelayTTL: relayTTL,
 			Seed:     rng.Int63(),
 			Nodes:    nodes,
 			Workload: workload,
 		},
 		Graph:         graph,
 		Subscriptions: subs,
-		Handles:       handles,
 	}, nil
-}
-
-// applyDefaults fills zero fields with the calibrated defaults.
-func applyDefaults(cfg *GainesvilleConfig) {
-	if cfg.Days == 0 {
-		cfg.Days = 7
-	}
-	if cfg.Posts == 0 {
-		cfg.Posts = 259
-	}
-	if cfg.InAppFollows == 0 {
-		cfg.InAppFollows = 46
-	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = "interest"
-	}
-	if cfg.Range == 0 {
-		cfg.Range = 35
-	}
-	if cfg.Users == 0 {
-		cfg.Users = socialgraph.DeploymentSize
-	}
-	if cfg.AttendProb == 0 {
-		cfg.AttendProb = 0.85
-	}
-	if cfg.MeetRate == 0 {
-		cfg.MeetRate = 0.45
-	}
-	if cfg.RateSpread == 0 {
-		cfg.RateSpread = 1.0
-	}
-	if cfg.GatheringProb == 0 {
-		cfg.GatheringProb = 0.35
-	}
-	if cfg.WeekendFactor == 0 {
-		cfg.WeekendFactor = 0.60
-	}
-	if cfg.SocialPostProb == 0 {
-		cfg.SocialPostProb = 0.50
-	}
-	if cfg.ChecksPerDay == 0 {
-		cfg.ChecksPerDay = 2.5
-	}
-	if cfg.MeetingCheckProb == 0 {
-		cfg.MeetingCheckProb = 0.45
-	}
-	if cfg.PromptProb == 0 {
-		cfg.PromptProb = 0.60
-	}
-	if cfg.RelayTTL == 0 {
-		cfg.RelayTTL = 24 * time.Hour
-	} else if cfg.RelayTTL < 0 {
-		cfg.RelayTTL = 0
-	}
 }
 
 // meeting is one co-location of two or more users at a venue.
@@ -303,7 +249,6 @@ type interval struct{ start, end time.Time }
 
 // socialWorld bundles the generated geography, itineraries, and activity.
 type socialWorld struct {
-	cfg      GainesvilleConfig
 	models   []mobility.Model
 	attended [][]attendedMeeting
 	windows  [][]interval
@@ -328,8 +273,8 @@ func buildSocialWorld(cfg GainesvilleConfig, graph *socialgraph.Graph, rng *rand
 	}
 	und := graph.Undirected()
 
-	// Pair meeting rates: log-normally heterogeneous around MeetRate,
-	// mean-corrected so the average stays at MeetRate.
+	// Pair meeting rates: log-normally heterogeneous around meetRate,
+	// mean-corrected so the average stays at meetRate.
 	type pair struct{ a, b int }
 	rates := make(map[pair]float64)
 	var pairs []pair
@@ -338,7 +283,7 @@ func buildSocialWorld(cfg GainesvilleConfig, graph *socialgraph.Graph, rng *rand
 			if und.HasEdge(i, j) {
 				p := pair{a: i, b: j}
 				pairs = append(pairs, p)
-				rates[p] = cfg.MeetRate * math.Exp(cfg.RateSpread*rng.NormFloat64()-cfg.RateSpread*cfg.RateSpread/2)
+				rates[p] = meetRate * math.Exp(rateSpread*rng.NormFloat64()-rateSpread*rateSpread/2)
 			}
 		}
 	}
@@ -349,7 +294,7 @@ func buildSocialWorld(cfg GainesvilleConfig, graph *socialgraph.Graph, rng *rand
 		wd := midnight.Weekday()
 		factor := 1.0
 		if wd == time.Saturday || wd == time.Sunday {
-			factor = cfg.WeekendFactor
+			factor = weekendFactor
 		}
 		// Pairwise meetings.
 		for _, p := range pairs {
@@ -362,7 +307,7 @@ func buildSocialWorld(cfg GainesvilleConfig, graph *socialgraph.Graph, rng *rand
 				rate -= 0.95
 			}
 			for k := 0; k < count; k++ {
-				if rng.Float64() > cfg.AttendProb*cfg.AttendProb {
+				if rng.Float64() > attendProb*attendProb {
 					continue // one of them flaked
 				}
 				venue := venues[rng.Intn(len(venues))]
@@ -379,7 +324,7 @@ func buildSocialWorld(cfg GainesvilleConfig, graph *socialgraph.Graph, rng *rand
 			}
 		}
 		// Group gathering: a seed user draws a sample of their friends.
-		if rng.Float64() < cfg.GatheringProb*factor {
+		if rng.Float64() < gatheringProb*factor {
 			seed := rng.Intn(n)
 			var friends []int
 			for j := 0; j < n; j++ {
@@ -392,7 +337,7 @@ func buildSocialWorld(cfg GainesvilleConfig, graph *socialgraph.Graph, rng *rand
 			}
 			var present []int
 			for _, u := range append([]int{seed}, friends...) {
-				if rng.Float64() < cfg.AttendProb {
+				if rng.Float64() < attendProb {
 					present = append(present, u)
 				}
 			}
@@ -416,7 +361,6 @@ func buildSocialWorld(cfg GainesvilleConfig, graph *socialgraph.Graph, rng *rand
 		}
 	}
 	world := &socialWorld{
-		cfg:      cfg,
 		models:   make([]mobility.Model, n),
 		attended: make([][]attendedMeeting, n),
 		windows:  make([][]interval, n),
@@ -477,14 +421,14 @@ func (w *socialWorld) addWindow(u int, start, end time.Time) {
 func (w *socialWorld) addDailyChecks(u int, cfg GainesvilleConfig, rng *rand.Rand) {
 	for day := 0; day < cfg.Days; day++ {
 		midnight := paperStart.Add(time.Duration(day) * 24 * time.Hour)
-		count := int(cfg.ChecksPerDay/2 + rng.Float64()*cfg.ChecksPerDay)
+		count := int(checksPerDay/2 + rng.Float64()*checksPerDay)
 		for k := 0; k < count; k++ {
 			at := midnight.Add(time.Duration(8*3600+rng.Float64()*15.5*3600) * time.Second)
 			w.addWindow(u, at, at.Add(time.Duration(4+rng.Float64()*8)*time.Minute))
 		}
 	}
 	for _, mtg := range w.attended[u] {
-		if rng.Float64() < cfg.MeetingCheckProb {
+		if rng.Float64() < meetingCheckProb {
 			offset := time.Duration(rng.Float64() * float64(mtg.dur) * 0.8)
 			at := mtg.at.Add(offset)
 			w.addWindow(u, at, at.Add(time.Duration(4+rng.Float64()*8)*time.Minute))

@@ -147,7 +147,6 @@ type Result struct {
 	NodeStats   map[string]core.Stats
 	Posts       int
 	Follows     int
-	Elapsed     time.Duration
 }
 
 // Sim is a configured simulation.
@@ -433,7 +432,6 @@ func (s *Sim) Run() (*Result, error) {
 		NodeStats:   nodeStats,
 		Posts:       posts,
 		Follows:     follows,
-		Elapsed:     s.cfg.Duration,
 	}, nil
 }
 

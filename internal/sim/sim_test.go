@@ -418,11 +418,12 @@ func TestEpidemicOutperformsInterestInCoverage(t *testing.T) {
 // no buffer ever drops a message.
 func staticGainesville(t *testing.T, scheme string) *Sim {
 	t.Helper()
-	g, err := NewGainesville(GainesvilleConfig{Seed: 7, Days: 2, Posts: 40, Scheme: scheme, RelayTTL: -1})
+	g, err := NewGainesville(GainesvilleConfig{Seed: 7, Days: 2, Posts: 40, Scheme: scheme})
 	if err != nil {
 		t.Fatalf("NewGainesville: %v", err)
 	}
 	cfg := g.Config
+	cfg.RelayTTL = 0
 	idx := make(map[string]int, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
 		idx[n.Handle] = i
