@@ -7,13 +7,18 @@ import (
 
 // PlanOrder re-plans over every linked peer's cached view as the resync
 // heartbeat does, with nothing in flight, and returns the peers the
-// planned Requests would go to, in send order. Nothing is sent and the
-// in-flight ledger is left empty.
+// planned Requests would go to, in send order. Nothing is sent: the
+// in-flight ledger is left empty and no peer is left asking.
 func (m *Manager) PlanOrder() []mpc.PeerID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	clear(m.inflight)
-	defer clear(m.inflight)
+	defer func() {
+		clear(m.inflight)
+		for _, ps := range m.peers {
+			ps.asking = false
+		}
+	}()
 	var order []mpc.PeerID
 	for _, s := range m.planLocked(m.linkedViewsLocked()) {
 		order = append(order, s.link.Peer())
@@ -42,4 +47,15 @@ func (m *Manager) Dialing(peer mpc.PeerID) bool {
 	defer m.mu.Unlock()
 	ps := m.peers[peer]
 	return ps != nil && ps.dialing
+}
+
+// Asking reports whether a Request to peer is unanswered, and how many
+// authors wait for its Batch to be planned.
+func (m *Manager) Asking(peer mpc.PeerID) (asking bool, due int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ps := m.peers[peer]; ps != nil {
+		return ps.asking, len(ps.due)
+	}
+	return false, 0
 }

@@ -21,12 +21,17 @@
 //     gossip). In-session summaries supersede the plain-text beacon,
 //     which an attacker could forge.
 //  2. Each side asks the active scheme which advertised messages to pull
-//     and sends a Request.
-//  3. Requests are answered with Batches; every message carries the
-//     originator's certificate, so the receiver verifies the certificate
-//     chain and the author signature before storing (paper Fig. 3b). A
-//     batch's signatures are checked in parallel, and its messages are
-//     stored in batch order.
+//     and sends a Request. One Request per link is in flight: a delta
+//     that lands while it is out is merged into the view, and its authors
+//     are planned together when the answering Batch arrives, before that
+//     Batch is verified. A busy contact therefore moves batches, not
+//     single messages, and a serial one keeps its three hops.
+//  3. Requests are answered with Batches, an empty one when nothing is
+//     served, so a refusal never leaves the requester waiting. Every
+//     message carries the originator's certificate, so the receiver
+//     verifies the certificate chain and the author signature before
+//     storing (paper Fig. 3b). A batch's signatures are checked in
+//     parallel, and its messages are stored in batch order.
 //
 // There is no fourth step: storing a message moves the receiver's summary,
 // and the delta summary that follows carries the new high-water mark
@@ -177,6 +182,7 @@ type Stats struct {
 	RequestsSent      uint64
 	RequestsReceived  uint64
 	TransfersAborted  uint64 // requests of ours that died with their link
+	RequestsUnserved  uint64 // requests answered with an empty Batch
 	ConnectsAttempted uint64
 
 	// Sync-plane counters: full vs delta in-session advertisements sent,
@@ -237,6 +243,12 @@ type peerSync struct {
 	// until a full summary arrives, the next heartbeat tick (the pull or
 	// its answer may be lost) or a new link.
 	pullPending bool
+	// asking marks a Request of ours on the link not yet answered. A delta
+	// from the peer meanwhile is merged but not planned: its authors wait
+	// in due for the peer's next Batch (onBatch). Tick, LinkUp and
+	// LinkDown clear both, so a lost answer holds them one tick at most.
+	asking bool
+	due    map[id.UserID]struct{}
 
 	// track is the peer's "contact <peer>" tracer track, interned at
 	// LinkUp (0 while tracing is disabled).
@@ -376,7 +388,8 @@ func (m *Manager) Tick() {
 	now := m.cfg.Clock.Now()
 	var dials []mpc.PeerID
 	for peer, ps := range m.peers {
-		ps.pullPending = false
+		ps.pullPending, ps.asking = false, false
+		clear(ps.due)
 		switch {
 		case ps.link != nil || m.quar.quarantined(peer, now):
 			ps.dial = false
@@ -827,7 +840,8 @@ func (m *Manager) LinkUp(link *adhoc.Link) {
 	ps := m.slotLocked(link.Peer())
 	ps.link = link
 	ps.track = track
-	ps.pullPending = false
+	ps.pullPending, ps.asking = false, false
+	clear(ps.due)
 	m.mu.Unlock()
 	// The contact envelope: every sync span until LinkDown nests inside.
 	m.cfg.Tracer.Begin(track, "contact")
@@ -1038,7 +1052,8 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 		// misbehavior signal there is.
 		m.penalizeLocked(link.Peer(), pointsGarbage, m.cfg.Clock.Now())
 	}
-	ps.link = nil
+	ps.link, ps.asking = nil, false
+	clear(ps.due)
 	ps.dial = redialAfter(reason, ps.dial)
 	if ps.gone {
 		delete(m.peers, link.Peer())
@@ -1084,7 +1099,9 @@ func (m *Manager) penalizeLocked(peer mpc.PeerID, pts float64, now time.Time) bo
 // onSummary handles the peer's authenticated in-session summary: a full
 // summary's chunk 0 starts the cached view, the peer's one map, over, and
 // every frame merges into it (mergeAd). Planning covers only the entries
-// the frame carried, so a delta costs O(changed authors), not O(summary).
+// the frame carried, so a delta costs O(changed authors), not O(summary);
+// a delta that lands while a Request to the peer is out is planned when
+// its Batch does.
 func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 	scheme := m.cfg.Routing.Current()
 	if len(sum.SchemeData) > 0 {
@@ -1126,21 +1143,39 @@ func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 	case len(sum.Entries) == 0:
 	case !sum.IsDelta() && sum.Chunk == 0: // the view holds just this frame
 		sends = m.planLocked([]peerView{{ps, ps.summary}})
+	case sum.IsDelta() && ps.asking:
+		if ps.due == nil {
+			ps.due = make(map[id.UserID]struct{}, len(sum.Entries))
+		}
+		for _, e := range sum.Entries {
+			ps.due[e.Author] = struct{}{}
+		}
 	default:
 		for _, e := range sum.Entries {
 			m.planView[e.Author] = e.Seq
 		}
-		sends = m.planLocked([]peerView{{ps, m.planView}})
-		clear(m.planView)
-		if !sum.IsDelta() && !sum.More { // Wants walks every slot a chunk grew
-			m.planView = make(map[id.UserID]uint64)
-		}
+		sends = m.planScratchLocked(ps, !sum.IsDelta() && !sum.More)
 	}
 	m.mu.Unlock()
 	if pull {
 		_ = m.sendCounted(link, &wire.SummaryPull{}, false)
 	}
 	m.sendPlans(sends)
+}
+
+// planScratchLocked plans the entries gathered in m.planView against ps
+// and empties the map; shrink drops it instead, once a chunk has grown it
+// (Wants walks every slot). Callers hold m.mu.
+func (m *Manager) planScratchLocked(ps *peerSync, shrink bool) []outgoingPlan {
+	if len(m.planView) == 0 {
+		return nil
+	}
+	sends := m.planLocked([]peerView{{ps, m.planView}})
+	clear(m.planView)
+	if shrink {
+		m.planView = make(map[id.UserID]uint64)
+	}
+	return sends
 }
 
 // onSummaryPull re-sends a full summary to a peer that found a gap in
@@ -1183,8 +1218,9 @@ func (m *Manager) linkedViewsLocked() []peerView {
 // and never request a message already in flight on another link. This
 // keeps gatherings of many mutually-connected peers from transferring the
 // same message k times. Views are planned, and plans leave, in peer-id
-// order (wants in author display order). Nothing is allocated until a
-// want survives the in-flight filter. Callers hold m.mu.
+// order (wants in author display order). Each peer asked is marked asking.
+// Nothing is allocated until a want survives the in-flight filter.
+// Callers hold m.mu.
 func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 	scheme := m.cfg.Routing.Current()
 	var byUser map[id.UserID]*peerSync
@@ -1246,6 +1282,7 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 		peerWants := wants[first:len(wants):len(wants)]
 		slices.SortFunc(peerWants, func(a, b wire.Want) int { return strings.Compare(a.Author.String(), b.Author.String()) })
 		sends = append(sends, outgoingPlan{link: target.link, wants: peerWants})
+		target.asking = true
 	}
 	return sends
 }
@@ -1263,10 +1300,12 @@ func (m *Manager) sendPlans(sends []outgoingPlan) {
 	}
 }
 
-// onRequest serves the peer's pull request, scheme-filtered and chunked.
-// Expired cargo is swept first, so a TTL-bounded forwarder never serves a
-// foreign message past its lifetime — the serve-time guarantee the old
-// relay-TTL filter gave, now enforced by actual eviction.
+// onRequest serves the peer's pull request, scheme-filtered and chunked,
+// and answers one that serves nothing with an empty Batch, which releases
+// the requester's next plan. Expired cargo is swept first, so a
+// TTL-bounded forwarder never serves a foreign message past its lifetime —
+// the serve-time guarantee the old relay-TTL filter gave, now enforced by
+// actual eviction.
 func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	m.mu.Lock()
 	m.stats.RequestsReceived++
@@ -1298,6 +1337,11 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 		outgoing = append(outgoing, m.cfg.Store.Select(w.Author, w.Seqs)...)
 	}
 	if len(outgoing) == 0 {
+		if m.sendCounted(link, &wire.Batch{}, true) == nil {
+			m.mu.Lock()
+			m.stats.RequestsUnserved++
+			m.mu.Unlock()
+		}
 		return
 	}
 	// Stored messages are read-only: the scheme sets this transfer's
@@ -1322,13 +1366,31 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	}
 }
 
-// onBatch verifies and stores delivered messages. Nothing goes back to
+// onBatch answers our Request on the link, so it first plans the authors
+// the peer's deltas brought meanwhile and sends that Request before the
+// batch is verified: the next round trip overlaps the signature checks.
+// Then it verifies and stores the delivered messages. Nothing goes back to
 // the sender for them: a new message moves the summary, and the delta that
 // Advertise pushes carries the new high-water mark to every linked peer.
+// An empty batch (a Request served nothing) counts as no batch.
 func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
+	var sends []outgoingPlan
 	m.mu.Lock()
-	m.stats.BatchesReceived++
+	if len(batch.Msgs) > 0 {
+		m.stats.BatchesReceived++
+	}
+	if ps := m.peers[link.Peer()]; ps != nil && ps.link == link {
+		ps.asking = false
+		for author := range ps.due {
+			if seq, ok := ps.summary[author]; ok {
+				m.planView[author] = seq
+			}
+		}
+		clear(ps.due)
+		sends = m.planScratchLocked(ps, false)
+	}
 	m.mu.Unlock()
+	m.sendPlans(sends)
 
 	scheme := m.cfg.Routing.Current()
 	newMessages := false

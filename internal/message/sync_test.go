@@ -301,11 +301,14 @@ func TestChurnReconnectResync(t *testing.T) {
 }
 
 // frameCapture is a thread-safe adhoc.Handler that records what arrives,
-// playing the role of a scripted peer device.
+// playing the role of a scripted peer device. It holds no messages, so it
+// answers every Request with an empty Batch, as an honest server that
+// serves nothing does.
 type frameCapture struct {
 	mu     sync.Mutex
 	links  []*adhoc.Link
 	frames []wire.Frame
+	hold   bool // answer no Request: the test sends the Batch
 }
 
 func (c *frameCapture) Bind(*adhoc.Manager)                            {}
@@ -316,12 +319,23 @@ func (c *frameCapture) LinkUp(link *adhoc.Link) {
 	defer c.mu.Unlock()
 	c.links = append(c.links, link)
 }
-func (c *frameCapture) FrameIn(_ *adhoc.Link, f wire.Frame) {
+func (c *frameCapture) FrameIn(link *adhoc.Link, f wire.Frame) {
 	// Retain the frame as-is: Summary and SummaryPull frames do not alias
 	// decode scratch (only Batch messages do).
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.frames = append(c.frames, f)
+	hold := c.hold
+	c.mu.Unlock()
+	if _, ok := f.(*wire.Request); ok && !hold {
+		_ = sendFrame(link, &wire.Batch{})
+	}
+}
+
+// holdAnswers stops the automatic empty Batch: the test answers.
+func (c *frameCapture) holdAnswers() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.hold = true
 }
 func (c *frameCapture) LinkDown(*adhoc.Link, error) {}
 
@@ -389,16 +403,37 @@ func newSyncHarnessWith(t *testing.T, cfg message.Config, radio func(mpc.Medium)
 	if radio != nil {
 		medium = radio(mem)
 	}
-	aliceCreds, err := cloud.Bootstrap(svc, "alice", rand.Reader)
+	h := &syncHarness{mem: mem, svc: svc}
+	alice := h.realPeer(t, medium, "alice", cfg)
+	h.mgr, h.st, h.aliceAd = alice.mgr, alice.st, alice.ad
+	h.bobAd, h.bob, h.bobCreds = h.scriptedPeer(t, medium, "bob")
+	return h
+}
+
+// realDevice is a device running a real message manager.
+type realDevice struct {
+	mgr   *message.Manager
+	st    *store.Store
+	rm    *routing.Manager
+	ad    *adhoc.Manager
+	creds *cloud.Credentials
+}
+
+// realPeer joins one more real device, with its manager options taken
+// from cfg (Store, Routing and Verifier are filled in), to the harness's
+// world.
+func (h *syncHarness) realPeer(t *testing.T, medium mpc.Medium, handle string, cfg message.Config) realDevice {
+	t.Helper()
+	creds, err := cloud.Bootstrap(h.svc, handle, rand.Reader)
 	if err != nil {
-		t.Fatalf("Bootstrap: %v", err)
+		t.Fatalf("Bootstrap(%s): %v", handle, err)
 	}
-	st := store.New(aliceCreds.Ident.User)
+	st := store.New(creds.Ident.User)
 	rm, err := routing.NewManager(st, routing.Options{})
 	if err != nil {
 		t.Fatalf("routing.NewManager: %v", err)
 	}
-	verifier, err := pki.NewVerifier(aliceCreds.RootDER, time.Now)
+	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -408,18 +443,15 @@ func newSyncHarnessWith(t *testing.T, cfg message.Config, radio func(mpc.Medium)
 		t.Fatalf("message.New: %v", err)
 	}
 	t.Cleanup(mgr.Close)
-	aliceAd, err := adhoc.New(adhoc.Config{
-		Medium: medium, PeerName: "alice-phone", Ident: aliceCreds.Ident,
-		CertDER: aliceCreds.Cert.DER, Verifier: verifier, Handler: mgr,
+	ad, err := adhoc.New(adhoc.Config{
+		Medium: medium, PeerName: mpc.PeerID(handle + "-phone"), Ident: creds.Ident,
+		CertDER: creds.Cert.DER, Verifier: verifier, Handler: mgr,
 	})
 	if err != nil {
-		t.Fatalf("adhoc.New(alice): %v", err)
+		t.Fatalf("adhoc.New(%s): %v", handle, err)
 	}
-	t.Cleanup(func() { aliceAd.Close() })
-
-	h := &syncHarness{mem: mem, svc: svc, mgr: mgr, st: st, aliceAd: aliceAd}
-	h.bobAd, h.bob, h.bobCreds = h.scriptedPeer(t, medium, "bob")
-	return h
+	t.Cleanup(func() { ad.Close() })
+	return realDevice{mgr: mgr, st: st, rm: rm, ad: ad, creds: creds}
 }
 
 // scriptedPeer joins one more scripted device (a frameCapture behind a

@@ -67,6 +67,8 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Message.RequestsSent })
 		reg.CounterFunc("sos_message_requests_total", "Message pull requests moved.", Labels{"dir": "received"},
 			func() uint64 { return mw.Stats().Message.RequestsReceived })
+		reg.CounterFunc("sos_message_requests_total", "Message pull requests moved.", Labels{"dir": "unserved"},
+			func() uint64 { return mw.Stats().Message.RequestsUnserved })
 		reg.CounterFunc("sos_message_payload_bytes_sent_total", "In-session data-plane bytes sent (requests, batches).", nil,
 			func() uint64 { return mw.Stats().Message.PayloadBytesSent })
 		reg.CounterFunc("sos_message_inflight_expired_total", "Requested messages never received, released by the resync heartbeat for re-planning.", nil,
