@@ -83,7 +83,6 @@ import (
 	"errors"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1218,7 +1217,7 @@ func (m *Manager) linkedViewsLocked() []peerView {
 // and never request a message already in flight on another link. This
 // keeps gatherings of many mutually-connected peers from transferring the
 // same message k times. Views are planned, and plans leave, in peer-id
-// order (wants in author display order). Each peer asked is marked asking.
+// order (wants in author byte order). Each peer asked is marked asking.
 // Nothing is allocated until a want survives the in-flight filter.
 // Callers hold m.mu.
 func (m *Manager) planLocked(views []peerView) []outgoingPlan {
@@ -1264,7 +1263,8 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 		return nil
 	}
 	// Snapshot the plans for sending outside the lock: group by peer, then
-	// by author, joining an author's runs in planning order.
+	// by author, joining an author's runs in planning order, so each
+	// peer's wants leave in author byte order.
 	slices.SortStableFunc(runs, func(a, b planRun) int {
 		return cmp.Or(cmp.Compare(a.target.link.Peer(), b.target.link.Peer()), bytes.Compare(a.want.Author[:], b.want.Author[:]))
 	})
@@ -1279,9 +1279,7 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 				wants = append(wants, runs[i].want)
 			}
 		}
-		peerWants := wants[first:len(wants):len(wants)]
-		slices.SortFunc(peerWants, func(a, b wire.Want) int { return strings.Compare(a.Author.String(), b.Author.String()) })
-		sends = append(sends, outgoingPlan{link: target.link, wants: peerWants})
+		sends = append(sends, outgoingPlan{link: target.link, wants: wants[first:len(wants):len(wants)]})
 		target.asking = true
 	}
 	return sends

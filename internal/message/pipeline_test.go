@@ -1,7 +1,9 @@
 package message_test
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -86,6 +88,9 @@ func TestDeltasWhileAskingLeaveAsOneRequest(t *testing.T) {
 	}
 	if len(reqs[1].Wants) != k {
 		t.Errorf("the request after the batch names %d authors, want %d", len(reqs[1].Wants), k)
+	}
+	if !slices.IsSortedFunc(reqs[1].Wants, func(a, b wire.Want) int { return bytes.Compare(a.Author[:], b.Author[:]) }) {
+		t.Errorf("the request's wants are not in author byte order: %v", reqs[1].Wants)
 	}
 	for _, w := range reqs[1].Wants {
 		if !authors[w.Author] || len(w.Seqs) != 1 || w.Seqs[0] != 1 {

@@ -16,9 +16,10 @@
 package routing
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"sos/internal/clock"
@@ -197,10 +198,8 @@ func (m *Manager) OnEvicted(ref msg.Ref) {
 	m.Current().OnEvicted(ref)
 }
 
-// sortWants orders wants deterministically by author display form.
+// sortWants orders wants deterministically by author bytes.
 func sortWants(wants []wire.Want) []wire.Want {
-	sort.Slice(wants, func(i, j int) bool {
-		return wants[i].Author.String() < wants[j].Author.String()
-	})
+	slices.SortFunc(wants, func(a, b wire.Want) int { return bytes.Compare(a.Author[:], b.Author[:]) })
 	return wants
 }

@@ -1,7 +1,10 @@
 package routing
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -106,8 +109,14 @@ func TestEpidemicWantsEverythingMissing(t *testing.T) {
 	put(t, view, alice, 1) // already have alice#1
 	e := NewEpidemic(view, Options{})
 
-	wants := e.Wants(map[id.UserID]uint64{alice: 3, bob: 2})
-	// Deterministic order by author string; find each.
+	offer := map[id.UserID]uint64{alice: 3, bob: 2}
+	for i := range 16 {
+		offer[id.NewUserID(fmt.Sprintf("author-%d", i))] = 1
+	}
+	wants := e.Wants(offer)
+	if !slices.IsSortedFunc(wants, func(a, b wire.Want) int { return bytes.Compare(a.Author[:], b.Author[:]) }) {
+		t.Errorf("wants are not in author byte order: %v", wants)
+	}
 	got := wantsByAuthor(wants)
 	if !reflect.DeepEqual(got[alice], []uint64{2, 3}) {
 		t.Errorf("alice wants = %v, want [2 3]", got[alice])
