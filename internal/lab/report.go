@@ -335,8 +335,10 @@ func (r *Report) Summary() string {
 			c.Profile, c.FramesDropped, c.FramesDuplicated, c.FramesReordered,
 			c.FramesDelayed, c.OneWayDrops, c.PartitionsStarted, c.PartitionsHealed)
 	}
-	fmt.Fprintf(&b, "  telemetry:       %d events from %d nodes (%d retransmits discarded)\n",
-		r.Telemetry.Events, r.Telemetry.Nodes, r.Telemetry.Duplicates)
+	if r.Mode != ModeSim { // the simulator has no telemetry stream: the line would read 0
+		fmt.Fprintf(&b, "  telemetry:       %d events from %d nodes (%d retransmits discarded)\n",
+			r.Telemetry.Events, r.Telemetry.Nodes, r.Telemetry.Duplicates)
+	}
 	var dropped float64
 	for _, n := range r.Nodes {
 		dropped += n.Metrics["sos_telemetry_dropped_total"]

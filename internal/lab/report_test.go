@@ -30,6 +30,22 @@ func healthyReport() *Report {
 	}
 }
 
+// TestSummaryTelemetryLineLiveOnly: a live run's summary says how many
+// telemetry events reached the aggregator; a sim run, which fills the
+// collector directly, has no stream to count and prints no line for it.
+func TestSummaryTelemetryLineLiveOnly(t *testing.T) {
+	for _, tc := range []struct {
+		mode string
+		want bool
+	}{{ModeInProcess, true}, {ModeProcess, true}, {ModeSim, false}} {
+		r := healthyReport()
+		r.Mode = tc.mode
+		if got := strings.Contains(r.Summary(), "telemetry:"); got != tc.want {
+			t.Errorf("%s summary has a telemetry line: %v, want %v\n%s", tc.mode, got, tc.want, r.Summary())
+		}
+	}
+}
+
 func TestObservabilityViolationsClean(t *testing.T) {
 	if v := healthyReport().ObservabilityViolations(); len(v) != 0 {
 		t.Errorf("healthy report reports violations: %v", v)

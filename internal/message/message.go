@@ -21,16 +21,14 @@
 //     gossip). In-session summaries supersede the plain-text beacon,
 //     which an attacker could forge.
 //  2. Each side asks the active scheme which advertised messages to pull
-//     and sends a Request. One Request per link is in flight: a delta
-//     that lands while it is out is merged into the view, and its authors
-//     are planned together when the answering Batch arrives, before that
-//     Batch is verified. A busy contact therefore moves batches, not
-//     single messages, and a serial one keeps its three hops.
+//     and sends a Request. One Request per link is in flight: the authors
+//     of deltas that land meanwhile are planned together when its Batch
+//     arrives, before that Batch is verified, so a busy contact moves
+//     batches and a serial one keeps its three hops.
 //  3. Requests are answered with Batches, an empty one when nothing is
-//     served, so a refusal never leaves the requester waiting. Every
-//     message carries the originator's certificate, so the receiver
-//     verifies the certificate chain and the author signature before
-//     storing (paper Fig. 3b). A batch's signatures are checked in
+//     served. Every message carries the originator's certificate, so the
+//     receiver verifies the certificate chain and the author signature
+//     before storing (paper Fig. 3b). A batch's signatures are checked in
 //     parallel, and its messages are stored in batch order.
 //
 // There is no fourth step: storing a message moves the receiver's summary,
@@ -1098,9 +1096,7 @@ func (m *Manager) penalizeLocked(peer mpc.PeerID, pts float64, now time.Time) bo
 // onSummary handles the peer's authenticated in-session summary: a full
 // summary's chunk 0 starts the cached view, the peer's one map, over, and
 // every frame merges into it (mergeAd). Planning covers only the entries
-// the frame carried, so a delta costs O(changed authors), not O(summary);
-// a delta that lands while a Request to the peer is out is planned when
-// its Batch does.
+// the frame carried, so a delta costs O(changed authors), not O(summary).
 func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 	scheme := m.cfg.Routing.Current()
 	if len(sum.SchemeData) > 0 {
@@ -1142,7 +1138,7 @@ func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 	case len(sum.Entries) == 0:
 	case !sum.IsDelta() && sum.Chunk == 0: // the view holds just this frame
 		sends = m.planLocked([]peerView{{ps, ps.summary}})
-	case sum.IsDelta() && ps.asking:
+	case sum.IsDelta() && ps.asking: // planned when the peer's Batch lands
 		if ps.due == nil {
 			ps.due = make(map[id.UserID]struct{}, len(sum.Entries))
 		}
@@ -1217,9 +1213,8 @@ func (m *Manager) linkedViewsLocked() []peerView {
 // and never request a message already in flight on another link. This
 // keeps gatherings of many mutually-connected peers from transferring the
 // same message k times. Views are planned, and plans leave, in peer-id
-// order (wants in author byte order). Each peer asked is marked asking.
-// Nothing is allocated until a want survives the in-flight filter.
-// Callers hold m.mu.
+// order (wants in author byte order). Nothing is allocated until a
+// want survives the in-flight filter. Callers hold m.mu.
 func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 	scheme := m.cfg.Routing.Current()
 	var byUser map[id.UserID]*peerSync
@@ -1263,8 +1258,7 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 		return nil
 	}
 	// Snapshot the plans for sending outside the lock: group by peer, then
-	// by author, joining an author's runs in planning order, so each
-	// peer's wants leave in author byte order.
+	// by author, joining an author's runs in planning order.
 	slices.SortStableFunc(runs, func(a, b planRun) int {
 		return cmp.Or(cmp.Compare(a.target.link.Peer(), b.target.link.Peer()), bytes.Compare(a.want.Author[:], b.want.Author[:]))
 	})
@@ -1280,7 +1274,7 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 			}
 		}
 		sends = append(sends, outgoingPlan{link: target.link, wants: wants[first:len(wants):len(wants)]})
-		target.asking = true
+		target.asking = true // until the peer's next Batch
 	}
 	return sends
 }
@@ -1298,12 +1292,11 @@ func (m *Manager) sendPlans(sends []outgoingPlan) {
 	}
 }
 
-// onRequest serves the peer's pull request, scheme-filtered and chunked,
-// and answers one that serves nothing with an empty Batch, which releases
-// the requester's next plan. Expired cargo is swept first, so a
-// TTL-bounded forwarder never serves a foreign message past its lifetime —
-// the serve-time guarantee the old relay-TTL filter gave, now enforced by
-// actual eviction.
+// onRequest serves the peer's pull request, scheme-filtered and chunked;
+// one that serves nothing gets an empty Batch. Expired cargo is swept
+// first, so a TTL-bounded forwarder never serves a foreign message past
+// its lifetime — the serve-time guarantee the old relay-TTL filter gave,
+// now enforced by actual eviction.
 func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	m.mu.Lock()
 	m.stats.RequestsReceived++
@@ -1365,12 +1358,11 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 }
 
 // onBatch answers our Request on the link, so it first plans the authors
-// the peer's deltas brought meanwhile and sends that Request before the
-// batch is verified: the next round trip overlaps the signature checks.
-// Then it verifies and stores the delivered messages. Nothing goes back to
-// the sender for them: a new message moves the summary, and the delta that
+// due meanwhile and sends that Request, then verifies and stores the
+// delivered messages: the next round trip overlaps the checks. Nothing
+// goes back to the sender: a new message moves the summary, and the delta
 // Advertise pushes carries the new high-water mark to every linked peer.
-// An empty batch (a Request served nothing) counts as no batch.
+// An empty batch counts as no batch.
 func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	var sends []outgoingPlan
 	m.mu.Lock()
