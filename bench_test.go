@@ -130,7 +130,7 @@ func BenchmarkAblationScheme(b *testing.B) {
 			var delivered, frames float64
 			for i := 0; i < b.N; i++ {
 				res, _ := runGainesville(b, sim.GainesvilleConfig{
-					Seed: 7, Days: 3, Posts: 100, InAppFollows: 20, Scheme: scheme,
+					Seed: 7, Days: 3, Scheme: scheme,
 				})
 				delivered = float64(len(res.Collector.Deliveries(metrics.AllHops)))
 				frames = float64(res.MediumStats.FramesDelivered)
@@ -149,7 +149,7 @@ func BenchmarkAblationDensity(b *testing.B) {
 			var delivered, oneHop float64
 			for i := 0; i < b.N; i++ {
 				res, _ := runGainesville(b, sim.GainesvilleConfig{
-					Seed: 7, Days: 2, Posts: 80, InAppFollows: 20, Users: users,
+					Seed: 7, Days: 2, Users: users,
 				})
 				delivered = float64(len(res.Collector.Deliveries(metrics.AllHops)))
 				oneHop = res.Collector.OneHopShare()
@@ -172,7 +172,7 @@ func BenchmarkAblationRelayTTL(b *testing.B) {
 			var oneHop, delivered float64
 			for i := 0; i < b.N; i++ {
 				scenario, err := sim.NewGainesville(sim.GainesvilleConfig{
-					Seed: 7, Days: 3, Posts: 100, InAppFollows: 20,
+					Seed: 7, Days: 3,
 				})
 				if err != nil {
 					b.Fatalf("NewGainesville: %v", err)

@@ -20,13 +20,13 @@ import (
 )
 
 func Example() {
-	fmt.Println("identical workload: 10 users, 2 days, 100 posts, deployment social graph")
+	fmt.Println("identical workload: 10 users, 2 days, 259 posts, deployment social graph")
 	fmt.Printf("%-16s %12s %12s %12s %12s\n",
 		"scheme", "deliveries", "1-hop share", "frames", "bytes(KiB)")
 
 	for _, scheme := range []string{"epidemic", "interest", "spray-and-wait", "prophet"} {
 		scenario, err := sim.NewGainesville(sim.GainesvilleConfig{
-			Seed: 42, Days: 2, Posts: 100, InAppFollows: 20, Scheme: scheme,
+			Seed: 42, Days: 2, Scheme: scheme,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -49,12 +49,12 @@ func Example() {
 	}
 	fmt.Println("\nschemes are hot-swappable at runtime: node.SetScheme(\"epidemic\")")
 	// Output:
-	// identical workload: 10 users, 2 days, 100 posts, deployment social graph
+	// identical workload: 10 users, 2 days, 259 posts, deployment social graph
 	// scheme             deliveries  1-hop share       frames   bytes(KiB)
-	// epidemic                   98         0.77          276          124
-	// interest                   96         0.78          262          108
-	// spray-and-wait             98         0.77          282          126
-	// prophet                    96         0.78          262          119
+	// epidemic                  295         0.63          550          323
+	// interest                  276         0.70          460          261
+	// spray-and-wait            295         0.63          550          333
+	// prophet                   276         0.70          460          275
 	//
 	// schemes are hot-swappable at runtime: node.SetScheme("epidemic")
 }

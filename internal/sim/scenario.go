@@ -35,15 +35,14 @@ import (
 //   - Sleep. Nodes are home and inactive at night (§VI-B: "node mobility
 //     tends to become stationary for at least 5-8 hours a day").
 type GainesvilleConfig struct {
-	Seed         int64
-	Days         int
-	Posts        int
-	InAppFollows int
-	Scheme       string
+	Seed   int64
+	Days   int
+	Scheme string
 	// Users overrides the node count for density ablations (default 10,
 	// the deployment size; other counts use a scaled random relationship
 	// graph instead of the deployment graph).
-	Users int
+	Users               int
+	posts, inAppFollows int // 0 is the deployment's 259 and 46 (§VI); tests shrink them
 }
 
 // The scenario's calibrated dials. They are typed: an untyped
@@ -82,11 +81,11 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 	if cfg.Days == 0 {
 		cfg.Days = 7
 	}
-	if cfg.Posts == 0 {
-		cfg.Posts = 259
+	if cfg.posts == 0 {
+		cfg.posts = 259
 	}
-	if cfg.InAppFollows == 0 {
-		cfg.InAppFollows = 46
+	if cfg.inAppFollows == 0 {
+		cfg.inAppFollows = 46
 	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = "interest"
@@ -128,8 +127,8 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 		at     time.Time
 		social int // index into world.attended[author], or -1
 	}
-	plans := make([]postPlan, 0, cfg.Posts)
-	for p := 0; p < cfg.Posts; p++ {
+	plans := make([]postPlan, 0, cfg.posts)
+	for p := 0; p < cfg.posts; p++ {
 		author := pickWeighted(weights, total, rng)
 		attended := world.attended[author]
 		if len(attended) > 0 && rng.Float64() < socialPostProb {
@@ -173,7 +172,7 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 		})
 	}
 
-	// Split relationships: InAppFollows become scheduled follow actions
+	// Split relationships: inAppFollows of them become scheduled follow actions
 	// during the first ~36 hours; the rest pre-existed the study and are
 	// seeded quietly (the testers "were friends before the field study").
 	nodes := make([]NodeSpec, cfg.Users)
@@ -186,7 +185,7 @@ func NewGainesville(cfg GainesvilleConfig) (*Gainesville, error) {
 	}
 	edges := graph.Edges()
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	inApp := cfg.InAppFollows
+	inApp := cfg.inAppFollows
 	if inApp > len(edges) {
 		inApp = len(edges)
 	}

@@ -187,7 +187,7 @@ func TestFollowActionCreatesSubscription(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	scenario := func() (*Result, error) {
-		g, err := NewGainesville(GainesvilleConfig{Seed: 99, Days: 1, Posts: 20, InAppFollows: 10})
+		g, err := NewGainesville(GainesvilleConfig{Seed: 99, Days: 1, posts: 20, inAppFollows: 10})
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +259,7 @@ func TestGainesvilleScenarioShape(t *testing.T) {
 }
 
 func TestGainesvilleAblationSize(t *testing.T) {
-	g, err := NewGainesville(GainesvilleConfig{Seed: 7, Users: 20, Days: 1, Posts: 10, InAppFollows: 5})
+	g, err := NewGainesville(GainesvilleConfig{Seed: 7, Users: 20, Days: 1, posts: 10, inAppFollows: 5})
 	if err != nil {
 		t.Fatalf("NewGainesville: %v", err)
 	}
@@ -418,7 +418,7 @@ func TestEpidemicOutperformsInterestInCoverage(t *testing.T) {
 // no buffer ever drops a message.
 func staticGainesville(t *testing.T, scheme string) *Sim {
 	t.Helper()
-	g, err := NewGainesville(GainesvilleConfig{Seed: 7, Days: 2, Posts: 40, Scheme: scheme})
+	g, err := NewGainesville(GainesvilleConfig{Seed: 7, Days: 2, posts: 40, Scheme: scheme})
 	if err != nil {
 		t.Fatalf("NewGainesville: %v", err)
 	}
@@ -506,7 +506,7 @@ func TestDeliveryOracle(t *testing.T) {
 // TestDeliveriesStampedInVirtualTime: every delivery lies inside the run's
 // virtual window, so no observer stamps it with wall time.
 func TestDeliveriesStampedInVirtualTime(t *testing.T) {
-	g, err := NewGainesville(GainesvilleConfig{Seed: 3, Days: 1, Posts: 20})
+	g, err := NewGainesville(GainesvilleConfig{Seed: 3, Days: 1, posts: 20})
 	if err != nil {
 		t.Fatalf("NewGainesville: %v", err)
 	}
