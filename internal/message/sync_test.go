@@ -330,6 +330,7 @@ func (c *frameCapture) FrameIn(link *adhoc.Link, f wire.Frame) {
 		_ = sendFrame(link, &wire.Batch{})
 	}
 }
+func (c *frameCapture) LinkDown(*adhoc.Link, error) {}
 
 // holdAnswers stops the automatic empty Batch: the test answers.
 func (c *frameCapture) holdAnswers() {
@@ -337,7 +338,6 @@ func (c *frameCapture) holdAnswers() {
 	defer c.mu.Unlock()
 	c.hold = true
 }
-func (c *frameCapture) LinkDown(*adhoc.Link, error) {}
 
 func (c *frameCapture) linkCount() int {
 	c.mu.Lock()
