@@ -13,10 +13,10 @@
 //	soslab -spec examples/chaos-sweep/sweep.json -sweep chaos -grid-csv grid.csv -grid-md grid.md
 //
 // With -sweep, soslab runs the adversarial scenario matrix instead of a
-// single experiment: the cross-product {scheme × mobility × chaos
-// profile × store policy} declared by the spec's "sweep" block (or the
-// built-in chaos matrix when the block is absent), one live in-process
-// run per cell, emitting a paper-style grid as CSV and markdown.
+// single experiment: the cross-product {scheme × chaos profile}
+// declared by the spec's "sweep" block (or the built-in chaos matrix when
+// the block is absent), one live in-process run per cell, emitting a
+// paper-style grid as CSV and markdown.
 //
 // The spec declares the fleet (size, social graph, routing scheme,
 // storage engine and quotas), the post workload, and a churn schedule of
@@ -282,7 +282,7 @@ func runSweep(spec *lab.Spec, name string, opts lab.Options, verbose, logJSON bo
 
 	var fails []string
 	for _, c := range rep.Cells {
-		id := fmt.Sprintf("%s/%s/%s/%s", c.Scheme, c.Mobility, c.Chaos, c.Policy)
+		id := c.Scheme + "/" + c.Chaos
 		if c.Deliveries < minDeliveries {
 			fails = append(fails, fmt.Sprintf("%s: %d deliveries, want at least %d", id, c.Deliveries, minDeliveries))
 		}

@@ -4,10 +4,10 @@
 // end-to-end encrypted direct message relayed through a third device that
 // cannot read it.
 //
-// Run with:
+// The printed transcript is checked byte for byte. Run with:
 //
-//	go run ./examples/campus-social
-package main
+//	go test -v ./examples/campus-social
+package campussocial
 
 import (
 	"fmt"
@@ -18,10 +18,17 @@ import (
 	"sos/alleyoop"
 )
 
-func main() {
+func Example() {
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
+	// Output:
+	// 08:00  maya posts 'study group at the library, 3pm'
+	// 08:01  dev's feed after meeting maya: [study group at the library, 3pm]
+	// 14:01  rosa's feed after meeting dev: "study group at the library, 3pm" (author maya, 2 hops)
+	// 14:02  rosa sends maya an end-to-end encrypted DM via dev
+	// 15:00  maya's inbox: "count me in for the study group!" from rosa
+	//        maya's followers so far: [dev rosa]
 }
 
 func run() error {

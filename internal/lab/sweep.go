@@ -9,34 +9,16 @@ import (
 	"time"
 
 	"sos/internal/chaos"
-	"sos/internal/store"
-)
-
-// Live-mode mobility presets for sweeps. The live lab has no geometry,
-// so "mobility" here means availability dynamics: churn schedules that
-// approximate the field's devices drifting in and out of the gathering.
-const (
-	// MobilitySteady keeps every node awake for the whole run.
-	MobilitySteady = "steady"
-	// MobilityWaves sleeps the odd-indexed half of the fleet in
-	// staggered windows mid-run and wakes it again — store-and-forward
-	// must carry traffic across the gaps.
-	MobilityWaves = "waves"
 )
 
 // SweepSpec declares the adversarial scenario matrix: RunSweep executes
-// the full cross-product of the axes, one live in-process run per cell.
-// Empty axes default to the base spec's own setting (a single value), so
-// a sweep over {schemes × chaos} alone stays a two-axis grid.
+// the cross-product {scheme × chaos}, one live in-process run per cell.
+// An empty axis defaults to the base spec's own setting (a single value).
 type SweepSpec struct {
 	// Schemes lists routing protocols (routing.Scheme* names).
 	Schemes []string `json:"schemes,omitempty"`
-	// Mobility lists availability presets (MobilitySteady, MobilityWaves).
-	Mobility []string `json:"mobility,omitempty"`
 	// Chaos lists chaos presets (the chaos.Preset* names).
 	Chaos []string `json:"chaos,omitempty"`
-	// Policies lists store eviction policies (store.PolicyByName names).
-	Policies []string `json:"policies,omitempty"`
 }
 
 // validate checks the axis values that can be checked without running.
@@ -44,18 +26,8 @@ func (w *SweepSpec) validate() error {
 	if w == nil {
 		return nil
 	}
-	for _, m := range w.Mobility {
-		if m != MobilitySteady && m != MobilityWaves {
-			return fmt.Errorf("lab: unknown sweep mobility %q (want %q or %q)", m, MobilitySteady, MobilityWaves)
-		}
-	}
 	for _, c := range w.Chaos {
 		if _, err := chaos.Preset(c, time.Second, 0); err != nil {
-			return fmt.Errorf("lab: sweep: %w", err)
-		}
-	}
-	for _, p := range w.Policies {
-		if _, err := store.PolicyByName(p, time.Second); err != nil {
 			return fmt.Errorf("lab: sweep: %w", err)
 		}
 	}
@@ -75,10 +47,8 @@ func defaultChaosSweep() *SweepSpec {
 // SweepCell is one grid cell: the axis coordinates plus the headline
 // quantities of its run.
 type SweepCell struct {
-	Scheme   string `json:"scheme"`
-	Mobility string `json:"mobility"`
-	Chaos    string `json:"chaos"`
-	Policy   string `json:"policy"`
+	Scheme string `json:"scheme"`
+	Chaos  string `json:"chaos"`
 
 	Created    int     `json:"created"`
 	Deliveries int     `json:"deliveries"`
@@ -107,40 +77,12 @@ type SweepReport struct {
 	Cells []SweepCell `json:"cells"`
 }
 
-// waveChurn builds the MobilityWaves schedule: odd-indexed nodes sleep
-// in staggered windows across the middle of the run.
-func waveChurn(s *Spec) []ChurnEvent {
-	var out []ChurnEvent
-	d := s.Duration.D()
-	for i, h := range s.Handles {
-		if i%2 == 0 {
-			continue
-		}
-		down := d*3/10 + time.Duration(i)*d/20
-		up := down + d*3/10
-		if up > d {
-			up = d
-		}
-		out = append(out,
-			ChurnEvent{At: Duration(down), Node: h, Op: OpDown},
-			ChurnEvent{At: Duration(up), Node: h, Op: OpUp},
-		)
-	}
-	return out
-}
-
 // cellSpec clones the base spec onto one cell's coordinates.
-func cellSpec(base *Spec, scheme, mobility, chaosName, policy string) (*Spec, error) {
+func cellSpec(base *Spec, scheme, chaosName string) (*Spec, error) {
 	clone := *base
 	clone.Sweep = nil
-	clone.Name = fmt.Sprintf("%s/%s+%s+%s+%s", base.Name, scheme, mobility, chaosName, cmp.Or(policy, "default"))
+	clone.Name = fmt.Sprintf("%s/%s+%s", base.Name, scheme, chaosName)
 	clone.Scheme = scheme
-	clone.Store.Policy = policy
-	// Handles are shared with the base; churn is per-cell.
-	clone.Churn = append([]ChurnEvent(nil), base.Churn...)
-	if mobility == MobilityWaves {
-		clone.Churn = append(clone.Churn, waveChurn(&clone)...)
-	}
 	if chaosName != "" && chaosName != chaos.PresetNone {
 		clone.Chaos = &ChaosSpec{Profile: chaosName, Seed: base.Seed}
 	} else {
@@ -160,11 +102,11 @@ func axis(vals []string, base string) []string {
 	return []string{base}
 }
 
-// RunSweep executes the full cross-product {scheme × mobility × chaos ×
-// store policy} declared by the spec's sweep block (or defaultChaosSweep
-// when absent), one sequential live in-process run per cell — sequential
-// because each cell binds its own loopback fleet and the grid compares
-// cells fairly only when they don't contend for the host.
+// RunSweep executes the cross-product {scheme × chaos} declared by the
+// spec's sweep block (or defaultChaosSweep when absent), one sequential
+// live in-process run per cell — sequential because each cell binds its
+// own loopback fleet and the grid compares cells fairly only when they
+// don't contend for the host.
 func RunSweep(base *Spec, opts Options) (*SweepReport, error) {
 	if base == nil {
 		return nil, fmt.Errorf("lab: nil spec")
@@ -184,42 +126,34 @@ func RunSweep(base *Spec, opts Options) (*SweepReport, error) {
 	}
 
 	schemes := axis(sweep.Schemes, base.Scheme)
-	mobility := axis(sweep.Mobility, MobilitySteady)
 	chaosAxis := axis(sweep.Chaos, base.Chaos.Label())
-	policies := axis(sweep.Policies, base.Store.Policy)
 
 	out := &SweepReport{Name: base.Name}
-	total := len(schemes) * len(mobility) * len(chaosAxis) * len(policies)
+	total := len(schemes) * len(chaosAxis)
 	n := 0
 	for _, scheme := range schemes {
-		for _, mob := range mobility {
-			for _, chz := range chaosAxis {
-				for _, pol := range policies {
-					n++
-					spec, err := cellSpec(base, scheme, mob, chz, pol)
-					if err != nil {
-						return nil, err
-					}
-					opts.logf("lab: sweep cell %d/%d: %s", n, total, spec.Name)
-					rep, err := Run(spec, opts)
-					if err != nil {
-						return nil, fmt.Errorf("lab: sweep cell %s: %w", spec.Name, err)
-					}
-					out.Cells = append(out.Cells, summarizeCell(scheme, mob, chz, pol, rep))
-				}
+		for _, chz := range chaosAxis {
+			n++
+			spec, err := cellSpec(base, scheme, chz)
+			if err != nil {
+				return nil, err
 			}
+			opts.logf("lab: sweep cell %d/%d: %s", n, total, spec.Name)
+			rep, err := Run(spec, opts)
+			if err != nil {
+				return nil, fmt.Errorf("lab: sweep cell %s: %w", spec.Name, err)
+			}
+			out.Cells = append(out.Cells, summarizeCell(scheme, chz, rep))
 		}
 	}
 	return out, nil
 }
 
 // summarizeCell flattens one cell's report into grid columns.
-func summarizeCell(scheme, mob, chz, pol string, rep *Report) SweepCell {
+func summarizeCell(scheme, chz string, rep *Report) SweepCell {
 	cell := SweepCell{
 		Scheme:                  scheme,
-		Mobility:                mob,
 		Chaos:                   cmp.Or(chz, chaos.PresetNone),
-		Policy:                  cmp.Or(pol, "default"),
 		Created:                 rep.Created,
 		Deliveries:              rep.Deliveries,
 		RatioMean:               rep.Ratio.Mean,
@@ -251,12 +185,12 @@ func summarizeCell(scheme, mob, chz, pol string, rep *Report) SweepCell {
 
 // WriteCSV writes the grid as one CSV row per cell.
 func (r *SweepReport) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "scheme,mobility,chaos,policy,created,deliveries,ratio_mean,delay_p50_s,delay_p90_s,chaos_dropped,chaos_duplicated,chaos_reordered,misbehavior,quarantines,reconnects,dial_retries"); err != nil {
+	if _, err := fmt.Fprintln(w, "scheme,chaos,created,deliveries,ratio_mean,delay_p50_s,delay_p90_s,chaos_dropped,chaos_duplicated,chaos_reordered,misbehavior,quarantines,reconnects,dial_retries"); err != nil {
 		return fmt.Errorf("lab: writing sweep csv: %w", err)
 	}
 	for _, c := range r.Cells {
-		if _, err := fmt.Fprintf(w, "%s,%s,%s,%s,%d,%d,%.4f,%.3f,%.3f,%d,%d,%d,%d,%d,%d,%d\n",
-			c.Scheme, c.Mobility, c.Chaos, c.Policy,
+		if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%.4f,%.3f,%.3f,%d,%d,%d,%d,%d,%d,%d\n",
+			c.Scheme, c.Chaos,
 			c.Created, c.Deliveries, c.RatioMean, c.DelayP50, c.DelayP90,
 			c.ChaosDropped, c.ChaosDuplicated, c.ChaosReordered,
 			c.Misbehavior, c.Quarantines, c.Reconnects, c.DialRetries); err != nil {
@@ -270,18 +204,18 @@ func (r *SweepReport) WriteCSV(w io.Writer) error {
 func (r *SweepReport) WriteMarkdown(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Scenario matrix: %s\n\n", r.Name)
-	b.WriteString("| scheme | mobility | chaos | policy | created | delivered | ratio | p50 | p90 | dropped | dup | reord | misbehavior | quarantines | redials |\n")
-	b.WriteString("|---|---|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+	b.WriteString("| scheme | chaos | created | delivered | ratio | p50 | p90 | dropped | dup | reord | misbehavior | quarantines | redials |\n")
+	b.WriteString("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
 	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "| %s | %s | %s | %s | %d | %d | %.2f | %.2fs | %.2fs | %d | %d | %d | %d | %d | %d |\n",
-			c.Scheme, c.Mobility, c.Chaos, c.Policy,
+		fmt.Fprintf(&b, "| %s | %s | %d | %d | %.2f | %.2fs | %.2fs | %d | %d | %d | %d | %d | %d |\n",
+			c.Scheme, c.Chaos,
 			c.Created, c.Deliveries, c.RatioMean, c.DelayP50, c.DelayP90,
 			c.ChaosDropped, c.ChaosDuplicated, c.ChaosReordered,
 			c.Misbehavior, c.Quarantines, c.Reconnects)
 	}
 	for _, c := range r.Cells {
 		for _, v := range c.ObservabilityViolations {
-			fmt.Fprintf(&b, "\n- **%s/%s/%s/%s**: %s", c.Scheme, c.Mobility, c.Chaos, c.Policy, v)
+			fmt.Fprintf(&b, "\n- **%s/%s**: %s", c.Scheme, c.Chaos, v)
 		}
 	}
 	b.WriteString("\n")
@@ -306,8 +240,8 @@ func (r *SweepReport) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sweep %q: %d cells\n", r.Name, len(r.Cells))
 	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "  %-16s %-8s %-16s %-22s ratio %.2f  delivered %d/%d  quarantines %d\n",
-			c.Scheme, c.Mobility, c.Chaos, c.Policy, c.RatioMean, c.Deliveries, c.Created, c.Quarantines)
+		fmt.Fprintf(&b, "  %-16s %-16s ratio %.2f  delivered %d/%d  quarantines %d\n",
+			c.Scheme, c.Chaos, c.RatioMean, c.Deliveries, c.Created, c.Quarantines)
 	}
 	return b.String()
 }

@@ -1073,7 +1073,6 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 	}
 	m.mu.Unlock()
 
-	m.cfg.Routing.Current().OnPeerLost(link.User())
 	if m.cfg.OnPeerDown != nil {
 		m.cfg.OnPeerDown(link.User())
 	}
@@ -1292,8 +1291,9 @@ func (m *Manager) sendPlans(sends []outgoingPlan) {
 	}
 }
 
-// onRequest serves the peer's pull request, scheme-filtered and chunked;
-// one that serves nothing gets an empty Batch. Expired cargo is swept
+// onRequest serves the peer's pull request, chunked: each held message
+// asked for goes out if the scheme's Serve accepts it, and a request
+// that serves nothing gets an empty Batch. Expired cargo is swept
 // first, so a TTL-bounded forwarder never serves a foreign message past
 // its lifetime — the serve-time guarantee the old relay-TTL filter gave,
 // now enforced by actual eviction.
@@ -1321,12 +1321,23 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	}
 
 	m.cfg.Store.SweepExpired()
-	scheme := m.cfg.Routing.Current()
-	serve := scheme.FilterServe(link.User(), req.Wants)
 	var outgoing []*msg.Message
-	for _, w := range serve {
+	for _, w := range req.Wants {
 		outgoing = append(outgoing, m.cfg.Store.Select(w.Author, w.Seqs)...)
 	}
+	// Stored messages are read-only: the scheme decides each one on a
+	// struct copy and stamps this transfer's routing metadata there.
+	scheme := m.cfg.Routing.Current()
+	copies := make([]msg.Message, len(outgoing))
+	n := 0
+	for _, mm := range outgoing {
+		copies[n] = *mm
+		if scheme.Serve(link.User(), &copies[n]) {
+			outgoing[n] = &copies[n]
+			n++
+		}
+	}
+	outgoing = outgoing[:n]
 	if len(outgoing) == 0 {
 		if m.sendCounted(link, &wire.Batch{}, true) == nil {
 			m.mu.Lock()
@@ -1334,14 +1345,6 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 			m.mu.Unlock()
 		}
 		return
-	}
-	// Stored messages are read-only: the scheme sets this transfer's
-	// routing metadata on struct copies.
-	copies := make([]msg.Message, len(outgoing))
-	for i, mm := range outgoing {
-		copies[i] = *mm
-		scheme.PrepareOutgoing(link.User(), &copies[i])
-		outgoing[i] = &copies[i]
 	}
 
 	for start := 0; start < len(outgoing); start += wire.MaxBatchMessages {

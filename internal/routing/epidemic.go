@@ -2,7 +2,6 @@ package routing
 
 import (
 	"sos/internal/id"
-	"sos/internal/msg"
 	"sos/internal/wire"
 )
 
@@ -13,6 +12,7 @@ import (
 // as does this implementation. Buffer bounds (quota, relay TTL) live in
 // the storage engine, so the scheme itself is pure policy-free flooding.
 type Epidemic struct {
+	noHooks
 	view StoreView
 }
 
@@ -27,41 +27,7 @@ func NewEpidemic(view StoreView, _ Options) *Epidemic {
 func (e *Epidemic) Name() string { return SchemeEpidemic }
 
 // Wants implements Scheme: request every advertised message we lack,
-// regardless of author. Missing already excludes evicted refs, so a
-// bounded buffer never churns on re-fetching what it dropped.
+// regardless of author.
 func (e *Epidemic) Wants(summary map[id.UserID]uint64) []wire.Want {
-	var wants []wire.Want
-	for author, latest := range summary {
-		if missing := e.view.Missing(author, latest); len(missing) > 0 {
-			wants = append(wants, wire.Want{Author: author, Seqs: missing})
-		}
-	}
-	return sortWants(wants)
+	return wantsOf(e.view, summary, nil)
 }
-
-// FilterServe implements Scheme: serve everything asked for. The storage
-// engine has already evicted anything the buffer policy refuses to carry.
-func (e *Epidemic) FilterServe(_ id.UserID, wants []wire.Want) []wire.Want {
-	return wants
-}
-
-// PrepareOutgoing implements Scheme: epidemic carries no metadata.
-func (e *Epidemic) PrepareOutgoing(_ id.UserID, _ *msg.Message) {}
-
-// OnReceived implements Scheme.
-func (e *Epidemic) OnReceived(_ *msg.Message, _ id.UserID) {}
-
-// OnEvicted implements Scheme: epidemic keeps no per-message state.
-func (e *Epidemic) OnEvicted(_ msg.Ref) {}
-
-// OnPeerConnected implements Scheme.
-func (e *Epidemic) OnPeerConnected(_ id.UserID) {}
-
-// OnPeerLost implements Scheme.
-func (e *Epidemic) OnPeerLost(_ id.UserID) {}
-
-// SchemeData implements Scheme: no gossip needed.
-func (e *Epidemic) SchemeData() []byte { return nil }
-
-// OnPeerData implements Scheme.
-func (e *Epidemic) OnPeerData(_ id.UserID, _ []byte) {}

@@ -1,11 +1,12 @@
 package routing
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sos/internal/id"
 )
@@ -37,13 +38,13 @@ func encodeGossip(g gossip) ([]byte, error) {
 	}
 	subs := make([]id.UserID, len(g.Subs))
 	copy(subs, g.Subs)
-	sort.Slice(subs, func(i, j int) bool { return subs[i].String() < subs[j].String() })
+	slices.SortFunc(subs, func(a, b id.UserID) int { return bytes.Compare(a[:], b[:]) })
 
 	users := make([]id.UserID, 0, len(g.Preds))
 	for u := range g.Preds {
 		users = append(users, u)
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i].String() < users[j].String() })
+	slices.SortFunc(users, func(a, b id.UserID) int { return bytes.Compare(a[:], b[:]) })
 
 	out := make([]byte, 0, 1+4+len(subs)*id.UserIDLen+len(users)*(id.UserIDLen+8))
 	out = append(out, gossipMagic)

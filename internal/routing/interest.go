@@ -2,7 +2,6 @@ package routing
 
 import (
 	"sos/internal/id"
-	"sos/internal/msg"
 	"sos/internal/wire"
 )
 
@@ -13,8 +12,10 @@ import (
 // the original message." A node therefore pulls only messages authored by
 // users it follows; it becomes a forwarder for a publisher the moment it
 // requests and receives one of their messages (§V-B), after which its own
-// advertisements offer those messages to other subscribers.
+// advertisements offer those messages to other subscribers. Requesters
+// self-select by interest, so it serves whatever is asked.
 type Interest struct {
+	noHooks
 	view StoreView
 }
 
@@ -31,42 +32,5 @@ func (ib *Interest) Name() string { return SchemeInterest }
 // Wants implements Scheme: request missing messages only from subscribed
 // publishers.
 func (ib *Interest) Wants(summary map[id.UserID]uint64) []wire.Want {
-	var wants []wire.Want
-	for author, latest := range summary {
-		if !ib.view.IsSubscribed(author) {
-			continue
-		}
-		if missing := ib.view.Missing(author, latest); len(missing) > 0 {
-			wants = append(wants, wire.Want{Author: author, Seqs: missing})
-		}
-	}
-	return sortWants(wants)
+	return wantsOf(ib.view, summary, ib.view.IsSubscribed)
 }
-
-// FilterServe implements Scheme: requesters self-select by interest, so
-// serve whatever was asked; the storage engine's eviction policy already
-// bounds what this node still carries.
-func (ib *Interest) FilterServe(_ id.UserID, wants []wire.Want) []wire.Want {
-	return wants
-}
-
-// PrepareOutgoing implements Scheme.
-func (ib *Interest) PrepareOutgoing(_ id.UserID, _ *msg.Message) {}
-
-// OnEvicted implements Scheme: interest keeps no per-message state.
-func (ib *Interest) OnEvicted(_ msg.Ref) {}
-
-// OnReceived implements Scheme.
-func (ib *Interest) OnReceived(_ *msg.Message, _ id.UserID) {}
-
-// OnPeerConnected implements Scheme.
-func (ib *Interest) OnPeerConnected(_ id.UserID) {}
-
-// OnPeerLost implements Scheme.
-func (ib *Interest) OnPeerLost(_ id.UserID) {}
-
-// SchemeData implements Scheme.
-func (ib *Interest) SchemeData() []byte { return nil }
-
-// OnPeerData implements Scheme.
-func (ib *Interest) OnPeerData(_ id.UserID, _ []byte) {}

@@ -28,6 +28,7 @@ const (
 // delivery predictability toward some subscriber of the author exceeds
 // the threshold — i.e. when it is a genuinely promising custodian.
 type Prophet struct {
+	noHooks
 	view StoreView
 	clk  clock.Clock
 
@@ -57,34 +58,14 @@ func NewProphet(view StoreView, opts Options) *Prophet {
 func (p *Prophet) Name() string { return SchemeProphet }
 
 // Wants implements Scheme: pull messages we subscribe to, plus messages
-// for which we are a promising custodian.
+// for which we are a promising custodian. The requester self-selected by
+// its own predictability, so Prophet serves whatever is asked.
 func (p *Prophet) Wants(summary map[id.UserID]uint64) []wire.Want {
 	p.age()
-	var wants []wire.Want
-	for author, latest := range summary {
-		if !p.view.IsSubscribed(author) && p.deliverability(author) < prophetThreshold {
-			continue
-		}
-		if missing := p.view.Missing(author, latest); len(missing) > 0 {
-			wants = append(wants, wire.Want{Author: author, Seqs: missing})
-		}
-	}
-	return sortWants(wants)
+	return wantsOf(p.view, summary, func(author id.UserID) bool {
+		return p.view.IsSubscribed(author) || p.deliverability(author) >= prophetThreshold
+	})
 }
-
-// FilterServe implements Scheme: the requester self-selected by its own
-// predictability, so serve what was asked; the storage engine's eviction
-// policy bounds what this node still carries.
-func (p *Prophet) FilterServe(_ id.UserID, wants []wire.Want) []wire.Want {
-	return wants
-}
-
-// OnEvicted implements Scheme: predictabilities are per-peer, not
-// per-message, so there is nothing to release.
-func (p *Prophet) OnEvicted(_ msg.Ref) {}
-
-// PrepareOutgoing implements Scheme.
-func (p *Prophet) PrepareOutgoing(_ id.UserID, _ *msg.Message) {}
 
 // OnReceived implements Scheme: follow/unfollow actions reveal subscriber
 // sets even before gossip does.
@@ -103,9 +84,6 @@ func (p *Prophet) OnPeerConnected(peer id.UserID) {
 	p.age()
 	p.preds[peer] += (1 - p.preds[peer]) * prophetEncounter
 }
-
-// OnPeerLost implements Scheme.
-func (p *Prophet) OnPeerLost(_ id.UserID) {}
 
 // SchemeData implements Scheme: gossip our subscriptions and our
 // predictability table so peers can apply the transitive update.

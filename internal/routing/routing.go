@@ -8,11 +8,13 @@
 //
 // SOS message exchange is receiver-driven: a node sees a peer's summary
 // dictionary (UserID → latest MessageNumber) and decides what to request.
-// A scheme therefore expresses its forwarding policy in two hooks: Wants
-// (what do I pull from a peer?) and FilterServe (what do I let a peer pull
-// from me?). Schemes that need side information — spray budgets, delivery
+// A scheme therefore expresses its forwarding policy in two decisions:
+// Wants (what do I pull from a peer?) and Serve (do I hand this held
+// message to the peer that asked, and with what routing metadata?).
+// Schemes that need side information — spray budgets, delivery
 // predictabilities, subscription gossip — piggyback it on advertisements
-// through SchemeData/OnPeerData.
+// through SchemeData/OnPeerData. The hooks a scheme does not need come
+// from one embedded default (noHooks).
 package routing
 
 import (
@@ -47,15 +49,15 @@ var (
 // lives in the storage engine (store.Policy), not here.
 type StoreView interface {
 	Owner() id.UserID
-	MaxSeq(author id.UserID) uint64
 	Missing(author id.UserID, upto uint64) []uint64
 	IsSubscribed(author id.UserID) bool
 	Subscriptions() []id.UserID
 }
 
-// Scheme is one opportunistic routing protocol. The message manager calls
-// the exchange hooks from a single logical thread per node — but
-// OnEvicted (and SchemeData, via Advertise) can fire from whichever
+// Scheme is one opportunistic routing protocol: two decisions, Wants and
+// Serve, plus the observations and gossip a policy may need. The message
+// manager calls the exchange hooks from a single logical thread per node
+// — but OnEvicted (and SchemeData, via Advertise) can fire from whichever
 // goroutine mutated the store, e.g. the application's publish path, so
 // schemes with mutable per-message state need internal locking around it
 // (see SprayAndWait).
@@ -65,11 +67,11 @@ type Scheme interface {
 	// Wants inspects a peer's summary and returns the messages to request,
 	// in slices the caller owns.
 	Wants(summary map[id.UserID]uint64) []wire.Want
-	// FilterServe trims a peer's request to what the scheme will serve.
-	FilterServe(peer id.UserID, wants []wire.Want) []wire.Want
-	// PrepareOutgoing finalizes routing metadata (e.g. spray budget) on an
-	// outgoing struct copy (byte fields read-only) just before transfer.
-	PrepareOutgoing(peer id.UserID, m *msg.Message)
+	// Serve decides whether to hand one held message to the peer that
+	// requested it and, if so, stamps this transfer's routing metadata
+	// (e.g. spray budget) on m, an outgoing struct copy whose byte fields
+	// are read-only.
+	Serve(peer id.UserID, m *msg.Message) bool
 	// OnReceived observes a newly stored message obtained from peer.
 	OnReceived(m *msg.Message, from id.UserID)
 	// OnEvicted observes the storage engine dropping a held message
@@ -78,8 +80,6 @@ type Scheme interface {
 	OnEvicted(ref msg.Ref)
 	// OnPeerConnected observes an authenticated encounter starting.
 	OnPeerConnected(peer id.UserID)
-	// OnPeerLost observes the end of an encounter.
-	OnPeerLost(peer id.UserID)
 	// SchemeData returns the gossip blob to piggyback on advertisements
 	// and summary exchanges; nil when the scheme needs none.
 	SchemeData() []byte
@@ -198,8 +198,32 @@ func (m *Manager) OnEvicted(ref msg.Ref) {
 	m.Current().OnEvicted(ref)
 }
 
-// sortWants orders wants deterministically by author bytes.
-func sortWants(wants []wire.Want) []wire.Want {
+// wantsOf is the pull walk the built-ins share: one Want per advertised
+// author that pull admits (every author when pull is nil), holding the
+// sequences view lacks, in author byte order. Missing already excludes
+// evicted refs, so a bounded buffer never re-fetches what it dropped.
+func wantsOf(view StoreView, summary map[id.UserID]uint64, pull func(id.UserID) bool) []wire.Want {
+	var wants []wire.Want
+	for author, latest := range summary {
+		if pull != nil && !pull(author) {
+			continue
+		}
+		if missing := view.Missing(author, latest); len(missing) > 0 {
+			wants = append(wants, wire.Want{Author: author, Seqs: missing})
+		}
+	}
 	slices.SortFunc(wants, func(a, b wire.Want) int { return bytes.Compare(a.Author[:], b.Author[:]) })
 	return wants
 }
+
+// noHooks is the default for every hook but Name and Wants: serve all
+// that is asked, observe nothing, gossip nothing. Schemes embed it and
+// override only the hooks their policy uses.
+type noHooks struct{}
+
+func (noHooks) Serve(id.UserID, *msg.Message) bool { return true }
+func (noHooks) OnReceived(*msg.Message, id.UserID) {}
+func (noHooks) OnEvicted(msg.Ref)                  {}
+func (noHooks) OnPeerConnected(id.UserID)          {}
+func (noHooks) SchemeData() []byte                 { return nil }
+func (noHooks) OnPeerData(id.UserID, []byte)       {}

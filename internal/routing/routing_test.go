@@ -126,6 +126,42 @@ func TestEpidemicWantsEverythingMissing(t *testing.T) {
 	}
 }
 
+// TestBuiltinWantsOrder: every built-in, reached through Manager.Use,
+// pulls in author byte order with one Want per author, and wants nothing
+// from an empty summary.
+func TestBuiltinWantsOrder(t *testing.T) {
+	view := newView(t)
+	offer := map[id.UserID]uint64{alice: 2, bob: 1, carol: 3}
+	for i := range 16 {
+		offer[id.NewUserID(fmt.Sprintf("author-%d", i))] = 1
+	}
+	for author := range offer {
+		view.Subscribe(author) // interest and PRoPHET pull followed authors
+	}
+	mgr, err := NewManager(view, Options{})
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	for _, name := range mgr.Available() {
+		if err := mgr.Use(name); err != nil {
+			t.Fatalf("Use(%s): %v", name, err)
+		}
+		scheme := mgr.Current()
+		wants := scheme.Wants(offer)
+		if len(wants) != len(offer) {
+			t.Errorf("%s: %d wants for %d advertised authors", name, len(wants), len(offer))
+		}
+		for i := 1; i < len(wants); i++ {
+			if bytes.Compare(wants[i-1].Author[:], wants[i].Author[:]) >= 0 {
+				t.Errorf("%s: want %d (%s) does not follow want %d (%s) in author byte order", name, i, wants[i].Author, i-1, wants[i-1].Author)
+			}
+		}
+		if got := scheme.Wants(map[id.UserID]uint64{}); got != nil {
+			t.Errorf("%s: Wants(empty) = %v, want nil", name, got)
+		}
+	}
+}
+
 func TestEpidemicWantsNothingWhenCurrent(t *testing.T) {
 	view := newView(t)
 	put(t, view, alice, 1)
@@ -184,7 +220,9 @@ func TestSprayAndWaitBudgetSplit(t *testing.T) {
 	out := &msg.Message{Author: self, Seq: 1, Kind: msg.KindPost, Created: time.Now()}
 
 	// First relay: give 4, keep 4.
-	sw.PrepareOutgoing(bob, out)
+	if !sw.Serve(bob, out) {
+		t.Fatal("spray phase refused a copy")
+	}
 	if out.Budget != 4 {
 		t.Errorf("first outgoing budget = %d, want 4", out.Budget)
 	}
@@ -192,11 +230,15 @@ func TestSprayAndWaitBudgetSplit(t *testing.T) {
 		t.Errorf("local allowance = %d, want 4", sw.allowance(ref))
 	}
 	// Second relay: give 2, keep 2. Third: give 1, keep 1.
-	sw.PrepareOutgoing(carol, out)
+	if !sw.Serve(carol, out) {
+		t.Fatal("spray phase refused a copy")
+	}
 	if out.Budget != 2 {
 		t.Errorf("second outgoing budget = %d, want 2", out.Budget)
 	}
-	sw.PrepareOutgoing(alice, out)
+	if !sw.Serve(alice, out) {
+		t.Fatal("spray phase refused a copy")
+	}
 	if out.Budget != 1 {
 		t.Errorf("third outgoing budget = %d, want 1", out.Budget)
 	}
@@ -214,11 +256,11 @@ func TestSprayAndWaitWaitPhaseServesOnlyDestinations(t *testing.T) {
 	relayed := &msg.Message{Author: alice, Seq: 1, Kind: msg.KindPost, Created: time.Now(), Budget: 1}
 	sw.OnReceived(relayed, bob)
 
-	req := []wire.Want{{Author: alice, Seqs: []uint64{1}}}
+	out := relayed.Clone()
 
 	// carol is not a known subscriber of alice: refuse.
-	if served := sw.FilterServe(carol, req); len(served) != 0 {
-		t.Errorf("wait-phase served non-destination: %v", served)
+	if sw.Serve(carol, out) {
+		t.Errorf("wait-phase served non-destination: budget %d", out.Budget)
 	}
 
 	// carol gossips that she follows alice: now she is a destination.
@@ -227,8 +269,11 @@ func TestSprayAndWaitWaitPhaseServesOnlyDestinations(t *testing.T) {
 		t.Fatalf("encodeGossip: %v", err)
 	}
 	sw.OnPeerData(carol, blob)
-	if served := sw.FilterServe(carol, req); len(served) != 1 {
+	if !sw.Serve(carol, out) {
 		t.Error("wait-phase refused a destination")
+	}
+	if out.Budget != 1 {
+		t.Errorf("destination copy budget = %d, want 1", out.Budget)
 	}
 }
 
@@ -259,13 +304,13 @@ func TestSprayAllowanceNeverExceedsInitialProperty(t *testing.T) {
 		given := uint16(0)
 		for i := 0; i < int(splits%24); i++ {
 			out := m.Clone()
-			sw.PrepareOutgoing(bob, out)
-			given += out.Budget
+			if sw.Serve(bob, out) {
+				given += out.Budget
+			}
 		}
-		// Kept allowance never hits zero, each given copy carries ≥1, and
-		// total minted allowance (kept + given in spray phase) stays
-		// bounded by initial + wait-phase singles.
-		return total() >= 1
+		// Kept allowance never hits zero, and a non-destination is refused
+		// in the wait phase, so kept + given is exactly the initial budget.
+		return total() >= 1 && total()+given == DefaultSprayBudget
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -281,7 +326,7 @@ func TestSprayAndWaitEvictionReleasesBudget(t *testing.T) {
 	sw := NewSprayAndWait(view, Options{})
 	ref := msg.Ref{Author: self, Seq: 1}
 	out := &msg.Message{Author: self, Seq: 1, Kind: msg.KindPost, Created: time.Now()}
-	sw.PrepareOutgoing(bob, out) // allowance now 4
+	sw.Serve(bob, out) // allowance now 4
 	if sw.allowance(ref) != 4 {
 		t.Fatalf("allowance = %d, want 4", sw.allowance(ref))
 	}

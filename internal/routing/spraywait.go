@@ -19,12 +19,13 @@ import (
 // The per-copy allowance travels in the message's Budget field (mutable
 // routing metadata outside the author signature, like the hop count).
 type SprayAndWait struct {
+	noHooks
 	view StoreView
 
 	// mu guards budget and peerSubs: unlike the other hooks, OnEvicted
 	// fires from whichever goroutine triggered the storage eviction
 	// (often the application's publish path), concurrently with the
-	// link-callback thread running FilterServe/OnReceived.
+	// link-callback thread running Serve/OnReceived.
 	mu       sync.Mutex
 	budget   map[msg.Ref]uint16
 	peerSubs map[id.UserID]map[id.UserID]bool // peer → authors peer follows
@@ -47,57 +48,29 @@ func (sw *SprayAndWait) Name() string { return SchemeSprayAndWait }
 // Wants implements Scheme: like epidemic, accept anything on offer — the
 // copy limit binds on the serving side.
 func (sw *SprayAndWait) Wants(summary map[id.UserID]uint64) []wire.Want {
-	var wants []wire.Want
-	for author, latest := range summary {
-		if missing := sw.view.Missing(author, latest); len(missing) > 0 {
-			wants = append(wants, wire.Want{Author: author, Seqs: missing})
-		}
-	}
-	return sortWants(wants)
+	return wantsOf(sw.view, summary, nil)
 }
 
-// FilterServe implements Scheme: serve a requested message if we are in
-// its spray phase, or if the requester is a destination (follows the
-// author).
-func (sw *SprayAndWait) FilterServe(peer id.UserID, wants []wire.Want) []wire.Want {
+// Serve implements Scheme: a destination (a peer that follows the author)
+// gets a wait-phase copy without costing allowance; anyone else gets one
+// only in the spray phase, and then carries half the allowance away —
+// binary splitting — while we keep the other half.
+func (sw *SprayAndWait) Serve(peer id.UserID, m *msg.Message) bool {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	var out []wire.Want
-	for _, w := range wants {
-		destination := sw.peerSubs[peer][w.Author]
-		var seqs []uint64
-		for _, seq := range w.Seqs {
-			ref := msg.Ref{Author: w.Author, Seq: seq}
-			if destination || sw.allowance(ref) > 1 {
-				seqs = append(seqs, seq)
-			}
-		}
-		if len(seqs) > 0 {
-			out = append(out, wire.Want{Author: w.Author, Seqs: seqs})
-		}
-	}
-	return out
-}
-
-// PrepareOutgoing implements Scheme: split the allowance binary-style.
-// The outgoing copy carries half; we keep the other half. Destinations
-// receive a wait-phase copy without costing allowance.
-func (sw *SprayAndWait) PrepareOutgoing(peer id.UserID, m *msg.Message) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	ref := m.Ref()
 	if sw.peerSubs[peer][m.Author] {
 		m.Budget = 1
-		return
+		return true
 	}
+	ref := m.Ref()
 	local := sw.allowance(ref)
 	if local <= 1 {
-		m.Budget = 1
-		return
+		return false
 	}
 	give := local / 2
 	sw.budget[ref] = local - give
 	m.Budget = give
+	return true
 }
 
 // OnReceived implements Scheme: adopt the allowance the copy carried.
@@ -119,12 +92,6 @@ func (sw *SprayAndWait) OnEvicted(ref msg.Ref) {
 	defer sw.mu.Unlock()
 	delete(sw.budget, ref)
 }
-
-// OnPeerConnected implements Scheme.
-func (sw *SprayAndWait) OnPeerConnected(_ id.UserID) {}
-
-// OnPeerLost implements Scheme.
-func (sw *SprayAndWait) OnPeerLost(_ id.UserID) {}
 
 // SchemeData implements Scheme: gossip our subscription list so peers can
 // recognize us as a destination.

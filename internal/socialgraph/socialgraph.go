@@ -258,9 +258,9 @@ func (g *Graph) Transitivity() float64 {
 	return 3 * float64(g.triangles()) / float64(triads)
 }
 
-// StronglyConnected reports whether every node reaches every other along
+// stronglyConnected reports whether every node reaches every other along
 // directed edges.
-func (g *Graph) StronglyConnected() bool {
+func (g *Graph) stronglyConnected() bool {
 	dist := g.distances()
 	for i := 0; i < g.n; i++ {
 		for j := 0; j < g.n; j++ {
@@ -304,7 +304,7 @@ func ComputeStats(g *Graph) Stats {
 		Radius:            und.Radius(),
 		Center:            display,
 		Transitivity:      g.Transitivity(),
-		StronglyConnected: g.StronglyConnected(),
+		StronglyConnected: g.stronglyConnected(),
 	}
 }
 

@@ -98,7 +98,7 @@ func TestDirectedDistances(t *testing.T) {
 	if dist[0][2] != 2 || dist[2][0] != -1 {
 		t.Errorf("distances = %v", dist)
 	}
-	if g.StronglyConnected() {
+	if g.stronglyConnected() {
 		t.Error("one-way chain reported strongly connected")
 	}
 }

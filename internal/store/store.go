@@ -15,8 +15,9 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -275,7 +276,7 @@ func (s *Store) tombstoneLocked(ref msg.Ref) {
 		for seq := range perAuthor {
 			seqs = append(seqs, seq)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		for _, seq := range seqs[:len(seqs)-maxTombstonesPerAuthor] {
 			delete(perAuthor, seq)
 		}
@@ -437,7 +438,7 @@ func (s *Store) MessagesFrom(author id.UserID, after uint64) []*msg.Message {
 	if len(seqs) == 0 {
 		return nil
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	out := make([]*msg.Message, 0, len(seqs))
 	for _, seq := range seqs {
 		out = append(out, perAuthor[seq].m)
@@ -468,7 +469,7 @@ func (s *Store) Authors() []id.UserID {
 		out = append(out, author)
 	}
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, func(a, b id.UserID) int { return bytes.Compare(a[:], b[:]) })
 	return out
 }
 
@@ -503,7 +504,7 @@ func (s *Store) Subscriptions() []id.UserID {
 		out = append(out, u)
 	}
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, func(a, b id.UserID) int { return bytes.Compare(a[:], b[:]) })
 	return out
 }
 
