@@ -50,7 +50,7 @@ func (m *Manager) Dialing(peer mpc.PeerID) bool {
 }
 
 // Asking reports whether a Request to peer is unanswered, and how many
-// authors wait for its Batch to be planned.
+// entries wait for its Batch to be planned.
 func (m *Manager) Asking(peer mpc.PeerID) (asking bool, due int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

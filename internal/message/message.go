@@ -192,9 +192,8 @@ type Stats struct {
 	// SummaryChunksSent counts the frames of chunked full-summary
 	// streams (a single-frame full advertisement counts zero).
 	SummaryChunksSent uint64
-	// PlanEntriesScanned counts summary entries walked by request
-	// planning. Flat per-contact growth of this counter as stores scale
-	// is the observable win of incremental (per-delta) planning.
+	// PlanEntriesScanned counts summary entries planning's floor pass
+	// reads: flat per contact as stores scale, as planning is incremental.
 	PlanEntriesScanned uint64
 	// SummaryBytesSent and PayloadBytesSent split outbound in-session
 	// wire bytes into the sync plane (advertisements, summary pulls) and
@@ -241,11 +240,11 @@ type peerSync struct {
 	// its answer may be lost) or a new link.
 	pullPending bool
 	// asking marks a Request of ours on the link not yet answered. A delta
-	// from the peer meanwhile is merged but not planned: its authors wait
+	// from the peer meanwhile is merged but not planned: its entries wait
 	// in due for the peer's next Batch (onBatch). Tick, LinkUp and
 	// LinkDown clear both, so a lost answer holds them one tick at most.
 	asking bool
-	due    map[id.UserID]struct{}
+	due    []wire.Entry
 
 	// track is the peer's "contact <peer>" tracer track, interned at
 	// LinkUp (0 while tracing is disabled).
@@ -305,8 +304,9 @@ type Manager struct {
 	closed      bool
 	// verdicts is verify's result scratch; callbacks are serialized.
 	verdicts []*pki.UserCert
-	// planView maps a continuation chunk or a delta for planning (Wants
-	// takes a map), empty between frames. Guarded by mu.
+	// ahead, one and planView are plan scratch, reused (mu).
+	ahead    []wire.Entry
+	one      [1]wire.Entry
 	planView map[id.UserID]uint64
 }
 
@@ -385,8 +385,7 @@ func (m *Manager) Tick() {
 	now := m.cfg.Clock.Now()
 	var dials []mpc.PeerID
 	for peer, ps := range m.peers {
-		ps.pullPending, ps.asking = false, false
-		clear(ps.due)
+		ps.pullPending, ps.asking, ps.due = false, false, ps.due[:0]
 		switch {
 		case ps.link != nil || m.quar.quarantined(peer, now):
 			ps.dial = false
@@ -733,10 +732,10 @@ func (m *Manager) sendCounted(link *adhoc.Link, f wire.Frame, payload bool) erro
 // date, as that peer hears it, then triggers a connection when the scheme
 // wants something it offers. For linked peers the beacon is ignored: the
 // authenticated in-session delta plane already pushes every summary
-// change. The scheme only answers yes or no, so each entry is clamped to
-// MaxSeq+1: MaxSeq never lowers and counts evicted refs, so Missing is
-// non-empty exactly when it was unclamped, and a forged entry costs one
-// sequence, not tens of thousands.
+// change. The hint goes through the floor pass as a plan does, and the
+// scheme only answers yes or no, so each entry is clamped to MaxSeq+1:
+// MaxSeq never lowers and counts evicted refs, so Missing is non-empty
+// exactly when it was unclamped, and a forged entry costs one sequence.
 func (m *Manager) PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement) {
 	m.mu.Lock()
 	ps := m.slotLocked(peer)
@@ -755,17 +754,15 @@ func (m *Manager) PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement) {
 	if quarantined {
 		return
 	}
-	hint := make(map[id.UserID]uint64, len(ad.Summary))
-	for author, seq := range ad.Summary {
-		if held := m.cfg.Store.MaxSeq(author); held < seq {
-			seq = held + 1
-		}
-		hint[author] = seq
+	m.mu.Lock()
+	m.ahead = wire.AppendEntries(m.ahead[:0], ad.Summary)
+	for _, e := range m.cfg.Store.Ahead(m.ahead[:0], m.ahead) {
+		m.planView[e.Author] = min(e.Seq, m.cfg.Store.MaxSeq(e.Author)+1)
 	}
-	if len(m.cfg.Routing.Current().Wants(hint)) == 0 {
-		return
-	}
-	if !m.cfg.AutoConnect || a == nil {
+	wanted := len(m.cfg.Routing.Current().Wants(m.planView)) > 0
+	clear(m.planView)
+	m.mu.Unlock()
+	if !wanted || !m.cfg.AutoConnect || a == nil {
 		return
 	}
 	m.mu.Lock()
@@ -837,8 +834,7 @@ func (m *Manager) LinkUp(link *adhoc.Link) {
 	ps := m.slotLocked(link.Peer())
 	ps.link = link
 	ps.track = track
-	ps.pullPending, ps.asking = false, false
-	clear(ps.due)
+	ps.pullPending, ps.asking, ps.due = false, false, ps.due[:0]
 	m.mu.Unlock()
 	// The contact envelope: every sync span until LinkDown nests inside.
 	m.cfg.Tracer.Begin(track, "contact")
@@ -1049,8 +1045,7 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 		// misbehavior signal there is.
 		m.penalizeLocked(link.Peer(), pointsGarbage, m.cfg.Clock.Now())
 	}
-	ps.link, ps.asking = nil, false
-	clear(ps.due)
+	ps.link, ps.asking, ps.due = nil, false, ps.due[:0]
 	ps.dial = redialAfter(reason, ps.dial)
 	if ps.gone {
 		delete(m.peers, link.Peer())
@@ -1133,43 +1128,16 @@ func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 		m.stats.SummaryPullsSent++
 	}
 	var sends []outgoingPlan
-	switch {
-	case len(sum.Entries) == 0:
-	case !sum.IsDelta() && sum.Chunk == 0: // the view holds just this frame
-		sends = m.planLocked([]peerView{{ps, ps.summary}})
-	case sum.IsDelta() && ps.asking: // planned when the peer's Batch lands
-		if ps.due == nil {
-			ps.due = make(map[id.UserID]struct{}, len(sum.Entries))
-		}
-		for _, e := range sum.Entries {
-			ps.due[e.Author] = struct{}{}
-		}
-	default:
-		for _, e := range sum.Entries {
-			m.planView[e.Author] = e.Seq
-		}
-		sends = m.planScratchLocked(ps, !sum.IsDelta() && !sum.More)
+	if sum.IsDelta() && ps.asking { // planned when the peer's Batch lands
+		ps.due = append(ps.due, sum.Entries...)
+	} else {
+		sends = m.planLocked([]peerView{{ps: ps, entries: sum.Entries}})
 	}
 	m.mu.Unlock()
 	if pull {
 		_ = m.sendCounted(link, &wire.SummaryPull{}, false)
 	}
 	m.sendPlans(sends)
-}
-
-// planScratchLocked plans the entries gathered in m.planView against ps
-// and empties the map; shrink drops it instead, once a chunk has grown it
-// (Wants walks every slot). Callers hold m.mu.
-func (m *Manager) planScratchLocked(ps *peerSync, shrink bool) []outgoingPlan {
-	if len(m.planView) == 0 {
-		return nil
-	}
-	sends := m.planLocked([]peerView{{ps, m.planView}})
-	clear(m.planView)
-	if shrink {
-		m.planView = make(map[id.UserID]uint64)
-	}
-	return sends
 }
 
 // onSummaryPull re-sends a full summary to a peer that found a gap in
@@ -1187,19 +1155,22 @@ type outgoingPlan struct {
 	wants []wire.Want
 }
 
-// peerView is one linked peer's summary entries to plan against.
+// peerView is one linked peer and what to plan against it: summary
+// entries, or, for a re-plan, its complete cached view.
 type peerView struct {
-	ps   *peerSync
-	view map[id.UserID]uint64
+	ps      *peerSync
+	entries []wire.Entry
+	view    map[id.UserID]uint64
 }
 
-// linkedViewsLocked returns every linked peer's cached summary in peer-id
-// order, for a re-plan across all links (heartbeat, LinkDown). Holds m.mu.
+// linkedViewsLocked returns every linked peer's complete cached view in
+// peer-id order, for a re-plan across all links (heartbeat, LinkDown).
+// Callers hold m.mu.
 func (m *Manager) linkedViewsLocked() []peerView {
 	views := make([]peerView, 0, len(m.peers))
 	for _, ps := range m.peers {
 		if ps.link != nil && len(ps.summary) > 0 {
-			views = append(views, peerView{ps, ps.summary})
+			views = append(views, peerView{ps: ps, view: ps.summary})
 		}
 	}
 	slices.SortFunc(views, func(a, b peerView) int { return cmp.Compare(a.ps.link.Peer(), b.ps.link.Peer()) })
@@ -1211,16 +1182,30 @@ func (m *Manager) linkedViewsLocked() []peerView {
 // the verified author (the freshest source) when the author is linked —
 // and never request a message already in flight on another link. This
 // keeps gatherings of many mutually-connected peers from transferring the
-// same message k times. Views are planned, and plans leave, in peer-id
-// order (wants in author byte order). Nothing is allocated until a
-// want survives the in-flight filter. Callers hold m.mu.
+// same message k times. The scheme sees only the entries that pass the
+// store's floor (Store.Ahead). Views are planned, and plans leave, in
+// peer-id order (wants in author byte order). Nothing is allocated until
+// a want survives the in-flight filter. Callers hold m.mu.
 func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 	scheme := m.cfg.Routing.Current()
 	var byUser map[id.UserID]*peerSync
 	var runs []planRun
 	for _, v := range views {
-		m.stats.PlanEntriesScanned += uint64(len(v.view))
-		for _, want := range scheme.Wants(v.view) {
+		if len(v.entries)+len(v.view) == 0 {
+			continue
+		}
+		m.stats.PlanEntriesScanned += uint64(len(v.entries) + len(v.view))
+		m.ahead = m.cfg.Store.Ahead(m.ahead[:0], v.entries)
+		for author, seq := range v.view { // one entry at a time: a re-plan copies no view
+			m.one[0] = wire.Entry{Author: author, Seq: seq}
+			m.ahead = m.cfg.Store.Ahead(m.ahead, m.one[:])
+		}
+		for _, e := range m.ahead {
+			m.planView[e.Author] = e.Seq
+		}
+		wants := scheme.Wants(m.planView)
+		clear(m.planView)
+		for _, want := range wants {
 			// Kept sequences are compacted in place; a run is a slice of them.
 			kept, run, start := want.Seqs[:0], -1, 0
 			for _, seq := range want.Seqs {
@@ -1284,13 +1269,6 @@ type planRun struct {
 	want   wire.Want
 }
 
-// sendPlans dispatches planned requests.
-func (m *Manager) sendPlans(sends []outgoingPlan) {
-	for _, s := range sends {
-		m.sendRequest(s.link, s.wants)
-	}
-}
-
 // onRequest serves the peer's pull request, chunked: each held message
 // asked for goes out if the scheme's Serve accepts it, and a request
 // that serves nothing gets an empty Batch. Expired cargo is swept
@@ -1308,7 +1286,7 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	}
 	if total > wire.MaxSeqsPerRequest {
 		// No honest requester puts this many sequences in one frame
-		// (sendRequest splits under the same limit); score it and refuse
+		// (sendPlans splits under the same limit); score it and refuse
 		// to serve (serving would burn store reads and airtime on the
 		// attacker's behalf).
 		m.mu.Lock()
@@ -1374,13 +1352,11 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	}
 	if ps := m.peers[link.Peer()]; ps != nil && ps.link == link {
 		ps.asking = false
-		for author := range ps.due {
-			if seq, ok := ps.summary[author]; ok {
-				m.planView[author] = seq
-			}
+		for i, e := range ps.due { // at the view's seq: 0, past no floor, once gone from it
+			ps.due[i].Seq = ps.summary[e.Author]
 		}
-		clear(ps.due)
-		sends = m.planScratchLocked(ps, false)
+		sends = m.planLocked([]peerView{{ps: ps, entries: ps.due}})
+		ps.due = ps.due[:0]
 	}
 	m.mu.Unlock()
 	m.sendPlans(sends)
@@ -1441,30 +1417,32 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	}
 }
 
-// sendRequest sends a pull request in as many frames as its two limits
-// need: at most wire.MaxWants authors and wire.MaxSeqsPerRequest sequence
-// numbers in each. An author's list that does not fit whole fills the
-// frame with its head and leads the next frame with the rest.
-func (m *Manager) sendRequest(link *adhoc.Link, wants []wire.Want) {
-	for len(wants) > 0 {
-		n, seqs := 0, 0
-		for n < len(wants) && n < wire.MaxWants && seqs+len(wants[n].Seqs) <= wire.MaxSeqsPerRequest {
-			seqs += len(wants[n].Seqs)
-			n++
+// sendPlans sends each planned Request in as many frames as its two
+// limits need: at most wire.MaxWants authors and wire.MaxSeqsPerRequest
+// sequence numbers in each. An author's list that does not fit whole
+// fills the frame with its head and leads the next frame with the rest.
+func (m *Manager) sendPlans(sends []outgoingPlan) {
+	for _, s := range sends {
+		for wants := s.wants; len(wants) > 0; {
+			n, seqs := 0, 0
+			for n < len(wants) && n < wire.MaxWants && seqs+len(wants[n].Seqs) <= wire.MaxSeqsPerRequest {
+				seqs += len(wants[n].Seqs)
+				n++
+			}
+			frame := wants[:n]
+			wants = wants[n:]
+			if room := wire.MaxSeqsPerRequest - seqs; n < wire.MaxWants && len(wants) > 0 && room > 0 {
+				next := &wants[0]
+				frame = append(frame[:n:n], wire.Want{Author: next.Author, Seqs: next.Seqs[:room]})
+				next.Seqs = next.Seqs[room:]
+			}
+			if err := m.sendCounted(s.link, &wire.Request{Wants: frame}, true); err != nil {
+				break // link failures surface via LinkDown
+			}
+			m.mu.Lock()
+			m.stats.RequestsSent++
+			m.mu.Unlock()
 		}
-		frame := wants[:n]
-		wants = wants[n:]
-		if room := wire.MaxSeqsPerRequest - seqs; n < wire.MaxWants && len(wants) > 0 && room > 0 {
-			next := &wants[0]
-			frame = append(frame[:n:n], wire.Want{Author: next.Author, Seqs: next.Seqs[:room]})
-			next.Seqs = next.Seqs[room:]
-		}
-		if err := m.sendCounted(link, &wire.Request{Wants: frame}, true); err != nil {
-			return
-		}
-		m.mu.Lock()
-		m.stats.RequestsSent++
-		m.mu.Unlock()
 	}
 }
 

@@ -25,7 +25,7 @@ const (
 	// produce by accident.
 	pointsGarbage = 3
 	// pointsOversized scores a Request totalling more sequence numbers
-	// than wire.MaxSeqsPerRequest, the limit sendRequest packs under.
+	// than wire.MaxSeqsPerRequest, the limit sendPlans packs under.
 	pointsOversized = 2
 	// pointsFlood scores each full in-session advertisement beyond the
 	// per-peer token bucket.

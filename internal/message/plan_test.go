@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,6 +36,14 @@ func (quietPeer) LinkDown(*adhoc.Link, error)                    {}
 // and reaches generation 5.
 func linkedManager(t *testing.T, author id.UserID) (*Manager, *adhoc.Link, *peerSync) {
 	t.Helper()
+	m, links := linkedTo(t, author, store.Options{}, "far")
+	return m, links[0], m.peers["far"]
+}
+
+// linkedTo is linkedManager over a store built with opts, linked to one
+// quiet peer per name in fars; it returns the manager's side of each link.
+func linkedTo(t *testing.T, author id.UserID, opts store.Options, fars ...mpc.PeerID) (*Manager, []*adhoc.Link) {
+	t.Helper()
 	ca, err := pki.NewCA("root")
 	if err != nil {
 		t.Fatalf("NewCA: %v", err)
@@ -44,11 +53,7 @@ func linkedManager(t *testing.T, author id.UserID) (*Manager, *adhoc.Link, *peer
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
-	farCreds, err := cloud.Bootstrap(svc, "far", rand.Reader)
-	if err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
-	st := store.New(creds.Ident.User)
+	st := store.NewMemory(creds.Ident.User, opts)
 	rm, err := routing.NewManager(st, routing.Options{})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
@@ -76,45 +81,53 @@ func linkedManager(t *testing.T, author id.UserID) (*Manager, *adhoc.Link, *peer
 		t.Fatalf("adhoc.New(near): %v", err)
 	}
 	t.Cleanup(func() { near.Close() })
-	far, err := adhoc.New(adhoc.Config{
-		Medium: medium, PeerName: "far", Ident: farCreds.Ident,
-		CertDER: farCreds.Cert.DER, Verifier: cfg.Verifier, Handler: quietPeer{},
-	})
-	if err != nil {
-		t.Fatalf("adhoc.New(far): %v", err)
-	}
-	t.Cleanup(func() { far.Close() })
-	if err := far.Connect("near"); err != nil {
-		t.Fatalf("Connect: %v", err)
-	}
-	var ps *peerSync
-	for range 5000 {
-		m.mu.Lock()
-		ps = m.peers["far"]
-		m.mu.Unlock()
-		if ps != nil && ps.link != nil {
-			break
+	var links []*adhoc.Link
+	for _, name := range fars {
+		farCreds, err := cloud.Bootstrap(svc, string(name), rand.Reader)
+		if err != nil {
+			t.Fatalf("Bootstrap: %v", err)
 		}
-		time.Sleep(time.Millisecond)
+		far, err := adhoc.New(adhoc.Config{
+			Medium: medium, PeerName: name, Ident: farCreds.Ident,
+			CertDER: farCreds.Cert.DER, Verifier: cfg.Verifier, Handler: quietPeer{},
+		})
+		if err != nil {
+			t.Fatalf("adhoc.New(%s): %v", name, err)
+		}
+		t.Cleanup(func() { far.Close() })
+		if err := far.Connect("near"); err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+		var ps *peerSync
+		for range 5000 {
+			m.mu.Lock()
+			ps = m.peers[name]
+			m.mu.Unlock()
+			if ps != nil && ps.link != nil {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if ps == nil || ps.link == nil {
+			t.Fatalf("no link to %s", name)
+		}
+		m.FrameIn(ps.link, &wire.Summary{Gen: 5})
+		links = append(links, ps.link)
 	}
-	if ps == nil || ps.link == nil {
-		t.Fatal("no link")
-	}
-	m.FrameIn(ps.link, &wire.Summary{Gen: 5})
-	return m, ps.link, ps
+	return m, links
 }
 
 // TestPlanHeldViewAllocBudget: planning a view the node already
-// holds, as the sending side of every steady delta does, asks the scheme
-// and allocates nothing.
+// holds, as the sending side of every steady delta does, stops at the
+// floor pass and allocates nothing.
 func TestPlanHeldViewAllocBudget(t *testing.T) {
 	author := id.NewUserID("held-author")
 	m, _, ps := linkedManager(t, author)
-	view := map[id.UserID]uint64{author: 3}
+	view := []wire.Entry{{Author: author, Seq: 3}}
 	var sends []outgoingPlan
 	allocs := testing.AllocsPerRun(200, func() {
 		m.mu.Lock()
-		sends = m.planLocked([]peerView{{ps, view}})
+		sends = m.planLocked([]peerView{{ps: ps, entries: view}})
 		m.mu.Unlock()
 	})
 	if len(sends) != 0 {
@@ -196,6 +209,180 @@ func TestChunkStreamDeterministic(t *testing.T) {
 	for i := range first {
 		if !bytes.Equal(first[i], second[i]) {
 			t.Errorf("frame %d differs between two streams of one store", i)
+		}
+	}
+}
+
+// floorWitness is epidemic routing that records what Wants is handed:
+// every call, and every entry the store already covers (Missing is
+// empty for it), which the floor pass should have kept from the scheme.
+type floorWitness struct {
+	routing.Scheme
+	st store.Engine
+
+	mu     sync.Mutex
+	calls  int
+	seen   map[id.UserID]bool
+	behind []wire.Entry
+}
+
+func (f *floorWitness) Wants(summary map[id.UserID]uint64) []wire.Want {
+	f.mu.Lock()
+	f.calls++
+	for author, seq := range summary {
+		f.seen[author] = true
+		if len(f.st.Missing(author, seq)) == 0 {
+			f.behind = append(f.behind, wire.Entry{Author: author, Seq: seq})
+		}
+	}
+	f.mu.Unlock()
+	return f.Scheme.Wants(summary)
+}
+
+// useFloorWitness makes a floorWitness m's active scheme.
+func useFloorWitness(t *testing.T, m *Manager) *floorWitness {
+	t.Helper()
+	f := &floorWitness{st: m.cfg.Store, seen: make(map[id.UserID]bool)}
+	if err := m.cfg.Routing.Register("floor-witness", func(v routing.StoreView, o routing.Options) routing.Scheme {
+		f.Scheme = routing.NewEpidemic(v, o)
+		return f
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.cfg.Routing.Use("floor-witness"); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestWantsSeesOnlyEntriesPastTheFloor drives every planning path — a
+// full summary's chunk 0 and a continuation chunk, a delta held while a
+// Request is out and planned when the Batch lands, a delta planned on
+// arrival, the heartbeat's and LinkDown's re-plans over complete views,
+// and the discovery hint — with frames that mix entries the node already
+// covers and entries it lacks. The scheme is asked on each path, sees
+// each lacking author, and is never handed a covered entry.
+func TestWantsSeesOnlyEntriesPastTheFloor(t *testing.T) {
+	held := id.NewUserID("floor-held")
+	m, links := linkedTo(t, held, store.Options{}, "far", "other")
+	f := useFloorWitness(t, m)
+	lacking := func(i int) id.UserID { return id.NewUserID(fmt.Sprintf("floor-lacking-%d", i)) }
+	step := func(name string, lack id.UserID, do func()) {
+		t.Helper()
+		f.mu.Lock()
+		calls := f.calls
+		f.mu.Unlock()
+		do()
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if f.calls == calls {
+			t.Errorf("%s: the scheme was not asked", name)
+		}
+		if lack != (id.UserID{}) && !f.seen[lack] {
+			t.Errorf("%s: the scheme never saw %v, which the node lacks", name, lack)
+		}
+		if len(f.behind) > 0 {
+			t.Errorf("%s: Wants was handed %d covered entries: %v", name, len(f.behind), f.behind)
+			f.behind = nil
+		}
+	}
+	far, other := links[0], links[1]
+	step("chunk 0", lacking(0), func() {
+		m.FrameIn(far, &wire.Summary{Gen: 10, More: true, Entries: sortedEntries(map[id.UserID]uint64{held: 3, lacking(0): 2})})
+	})
+	step("continuation chunk", lacking(1), func() {
+		m.FrameIn(far, &wire.Summary{Gen: 10, Chunk: 1, Entries: sortedEntries(map[id.UserID]uint64{held: 2, lacking(1): 2})})
+	})
+	if asking, _ := m.Asking("far"); !asking {
+		t.Fatal("no Request out to far after the stream")
+	}
+	m.FrameIn(far, &wire.Summary{Gen: 11, BaseGen: 10, Entries: sortedEntries(map[id.UserID]uint64{held: 3, lacking(2): 2})})
+	if _, due := m.Asking("far"); due != 2 {
+		t.Fatalf("a delta while asking left %d entries due, want 2", due)
+	}
+	step("due plan after a Batch", lacking(2), func() { m.FrameIn(far, &wire.Batch{}) })
+	step("heartbeat re-plan", id.UserID{}, m.Tick)
+	step("delta on arrival", lacking(3), func() {
+		m.FrameIn(far, &wire.Summary{Gen: 12, BaseGen: 11, Entries: sortedEntries(map[id.UserID]uint64{held: 1, lacking(3): 2})})
+	})
+	m.FrameIn(other, &wire.Summary{Gen: 6, BaseGen: 5, Entries: sortedEntries(map[id.UserID]uint64{held: 3, lacking(3): 2})})
+	step("LinkDown re-plan", lacking(3), func() { _ = far.Close() })
+	if got := m.Inflight()[msg.Ref{Author: lacking(3), Seq: 1}]; got != "other" {
+		t.Errorf("after LinkDown, %v#1 is in flight to %q, want other", lacking(3), got)
+	}
+	step("discovery hint", lacking(4), func() {
+		m.PeerDiscovered("stranger", &wire.Advertisement{Peer: "stranger", Summary: map[id.UserID]uint64{held: 3, lacking(4): 1}})
+	})
+}
+
+// TestHeldChunkAllocBudget: a stream's last 4096-entry chunk of authors
+// the node already covers, as a first contact between two nodes sharing
+// a history streams, merges into the view and plans with no allocation:
+// the floor pass keeps nothing, so no plan map grows and the scheme walks
+// an empty one.
+func TestHeldChunkAllocBudget(t *testing.T) {
+	m, link, ps := linkedManager(t, id.NewUserID("chunk-author"))
+	entries := make([]wire.Entry, SummaryChunkEntries)
+	for i := range entries {
+		author := id.NewUserID(fmt.Sprintf("chunk-author-%04d", i))
+		if _, err := m.cfg.Store.Put(&msg.Message{Author: author, Seq: 1, Kind: msg.KindPost, Created: time.Unix(0, 0)}); err != nil {
+			t.Fatal(err)
+		}
+		entries[i] = wire.Entry{Author: author, Seq: 1}
+	}
+	wire.SortEntries(entries)
+	m.FrameIn(link, &wire.Summary{Gen: 9, More: true, Entries: entries})
+	chunk := &wire.Summary{Gen: 9, Chunk: 1, Entries: entries}
+	scanned := m.Stats().PlanEntriesScanned
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() { m.FrameIn(link, chunk) })
+	st := m.Stats()
+	if got := st.PlanEntriesScanned - scanned; got != (runs+1)*SummaryChunkEntries {
+		t.Errorf("planning read %d entries, want %d", got, (runs+1)*SummaryChunkEntries)
+	}
+	m.mu.Lock()
+	viewed, planned := len(ps.summary), len(m.planView)
+	m.mu.Unlock()
+	if st.RequestsSent != 0 || viewed != SummaryChunkEntries || planned != 0 {
+		t.Fatalf("a covered chunk: %d requests, view %d entries (want %d), plan map %d", st.RequestsSent, viewed, SummaryChunkEntries, planned)
+	}
+	if allocs != 0 {
+		t.Errorf("merging and planning a covered %d-entry chunk: %.1f allocs, want 0", SummaryChunkEntries, allocs)
+	}
+}
+
+// TestTickReplansAfterFloorReset: an author the node covered when the
+// peer's summary arrived was not planned; once forgetting tombstones
+// resets the store's floor, the next heartbeat re-plans the forgotten
+// refs from the peer's complete view.
+func TestTickReplansAfterFloorReset(t *testing.T) {
+	// Twice the store's tombstone cap per author: the tombstone that
+	// reaches it forgets the lower half.
+	const forgetAfter = 8192
+	author := id.NewUserID("reset-author")
+	m, links := linkedTo(t, author, store.Options{MaxMessages: 1}, "far")
+	for seq := uint64(4); seq <= forgetAfter; seq++ {
+		if _, err := m.cfg.Store.Put(&msg.Message{Author: author, Seq: seq, Kind: msg.KindPost, Created: time.Unix(0, 0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.FrameIn(links[0], &wire.Summary{Gen: 9, Entries: []wire.Entry{{Author: author, Seq: forgetAfter}}})
+	m.Tick()
+	if n := len(m.Inflight()); n != 0 {
+		t.Fatalf("a covered author put %d refs in flight", n)
+	}
+	// Tombstone number forgetAfter: refs 1..forgetAfter/2 are missing again.
+	if _, err := m.cfg.Store.Put(&msg.Message{Author: author, Seq: forgetAfter + 1, Kind: msg.KindPost, Created: time.Unix(0, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	m.Tick()
+	inflight := m.Inflight()
+	if len(inflight) != forgetAfter/2 {
+		t.Fatalf("after the floor reset the heartbeat put %d refs in flight, want %d", len(inflight), forgetAfter/2)
+	}
+	for seq := uint64(1); seq <= forgetAfter/2; seq++ {
+		if peer := inflight[msg.Ref{Author: author, Seq: seq}]; peer != "far" {
+			t.Fatalf("ref %d in flight to %q, want far", seq, peer)
 		}
 	}
 }

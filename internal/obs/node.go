@@ -86,7 +86,7 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Message.SummaryPullsServed })
 		reg.CounterFunc("sos_sync_summary_chunks_sent_total", "Frames of chunked full-summary streams sent.", nil,
 			func() uint64 { return mw.Stats().Message.SummaryChunksSent })
-		reg.CounterFunc("sos_sync_plan_entries_scanned_total", "Summary entries walked by request planning.", nil,
+		reg.CounterFunc("sos_sync_plan_entries_scanned_total", "Summary entries read by request planning's floor pass.", nil,
 			func() uint64 { return mw.Stats().Message.PlanEntriesScanned })
 		reg.CounterFunc("sos_sync_summary_bytes_sent_total", "In-session sync-plane bytes sent (advertisements, summary pulls).", nil,
 			func() uint64 { return mw.Stats().Message.SummaryBytesSent })

@@ -65,7 +65,8 @@ type Scheme interface {
 	// Name returns the registry name.
 	Name() string
 	// Wants inspects a peer's summary and returns the messages to request,
-	// in slices the caller owns.
+	// in slices the caller owns. The message manager hands it only entries
+	// past the store's floor (store.Engine.Ahead), which Missing answers.
 	Wants(summary map[id.UserID]uint64) []wire.Want
 	// Serve decides whether to hand one held message to the peer that
 	// requested it and, if so, stamps this transfer's routing metadata

@@ -14,6 +14,7 @@ import (
 	"sos/internal/id"
 	"sos/internal/msg"
 	"sos/internal/obs/span"
+	"sos/internal/wire"
 )
 
 // Engine is a node's message database plus subscription registry. All
@@ -89,6 +90,10 @@ type Engine interface {
 	// largest n with 1..n all accounted for) and by the sequences the
 	// engine holds above that floor plus MaxMissing.
 	Missing(author id.UserID, upto uint64) []uint64
+	// Ahead appends to dst, in order, the entries whose Seq is past the
+	// engine's floor for their author, under one lock: exactly those for
+	// which Missing(Author, Seq) is non-empty. dst may be entries[:0].
+	Ahead(dst, entries []wire.Entry) []wire.Entry
 	// MessagesFrom returns the held messages by author with seq > after,
 	// ordered by sequence number.
 	MessagesFrom(author id.UserID, after uint64) []*msg.Message

@@ -24,6 +24,7 @@ import (
 	"sos/internal/clock"
 	"sos/internal/id"
 	"sos/internal/msg"
+	"sos/internal/wire"
 )
 
 // Store is the in-memory storage engine: a thread-safe message database
@@ -418,6 +419,18 @@ func (s *Store) Missing(author id.UserID, upto uint64) []uint64 {
 		}
 	}
 	return missing
+}
+
+// Ahead keeps the entries past their author's floor; see Engine.Ahead.
+func (s *Store) Ahead(dst, entries []wire.Entry) []wire.Entry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, e := range entries {
+		if e.Seq > s.floor[e.Author] {
+			dst = append(dst, e)
+		}
+	}
+	return dst
 }
 
 // MessagesFrom returns the held messages by author with sequence number

@@ -18,6 +18,7 @@ import (
 	"sos/internal/id"
 	"sos/internal/msg"
 	"sos/internal/store"
+	"sos/internal/wire"
 )
 
 // World is one isolated storage universe. Open opens an engine over the
@@ -51,6 +52,7 @@ func Run(t *testing.T, mk func(t *testing.T) World) {
 	t.Run("MissingAfterEviction", func(t *testing.T) { testMissingAfterEviction(t, mk(t)) })
 	t.Run("MissingAfterForgottenTombstones", func(t *testing.T) { testMissingForgotten(t, mk(t)) })
 	t.Run("MissingAfterCrash", func(t *testing.T) { testMissingAfterCrash(t, mk(t)) })
+	t.Run("AheadMatchesMissing", func(t *testing.T) { testAheadMatchesMissing(t, mk(t)) })
 	t.Run("ChangesDelta", func(t *testing.T) { testChanges(t, mk(t)) })
 	t.Run("ChangesStriped", func(t *testing.T) { testChangesStriped(t, mk(t)) })
 	t.Run("Subscriptions", func(t *testing.T) { testSubscriptions(t, mk(t)) })
@@ -570,6 +572,68 @@ func testMissingForgotten(t *testing.T, w World) {
 	wantMissing(t, e, bob, 4, []uint64{1, 3, 4})
 	mustPut(t, e, post(bob, 1, "back again")) // evicts bob#2, which stays accounted
 	wantMissing(t, e, bob, 4, []uint64{3, 4})
+}
+
+// wantAhead checks Ahead against Missing over one entry per author and
+// seq: an entry is kept if and only if Missing has something for it, in
+// the order given, and filtering in place (dst = entries[:0]) keeps the
+// same.
+func wantAhead(t *testing.T, e store.Engine, authors []id.UserID, seqs ...uint64) {
+	t.Helper()
+	var entries, want []wire.Entry
+	for _, author := range authors {
+		for _, seq := range seqs {
+			entry := wire.Entry{Author: author, Seq: seq}
+			entries = append(entries, entry)
+			if len(e.Missing(author, seq)) > 0 {
+				want = append(want, entry)
+			}
+		}
+	}
+	if got := e.Ahead(nil, entries); !reflect.DeepEqual(got, want) {
+		t.Errorf("Ahead kept %v, Missing says %v", got, want)
+	}
+	if got := e.Ahead(entries[:0], entries); !reflect.DeepEqual(got, want) {
+		t.Errorf("Ahead in place kept %v, Missing says %v", got, want)
+	}
+}
+
+// testAheadMatchesMissing: the floor pass keeps exactly the entries
+// Missing would answer — across holes, tombstones at the bottom and in
+// the middle of a range, the floor reset that forgetting tombstones
+// causes, and an author the engine never saw.
+func testAheadMatchesMissing(t *testing.T, w World) {
+	e := w.Open(t, store.Options{MaxMessages: 2, NoSync: true})
+	defer e.Close()
+	never := id.NewUserID("conformance-never-seen")
+	all := []id.UserID{bob, carol, never}
+	wantAhead(t, e, all, 0, 1, 2, 3)
+	mustPut(t, e, post(bob, 2, "b2")) // a hole at 1
+	mustPut(t, e, post(bob, 4, "b4")) // and at 3
+	wantAhead(t, e, all, 0, 1, 2, 3, 4, 5, 6)
+	mustPut(t, e, post(bob, 1, "b1")) // evicts bob#2: a tombstone closes the bottom
+	mustPut(t, e, post(bob, 5, "b5")) // evicts bob#4: a tombstone in the middle
+	wantAhead(t, e, all, 0, 1, 2, 3, 4, 5, 6, 7)
+	if got := e.Ahead(nil, nil); len(got) != 0 {
+		t.Errorf("Ahead of no entries = %v", got)
+	}
+
+	// carol#1 and #2 evict bob's two held messages; from carol#3 on each
+	// put evicts carol's oldest, so carol#forgetAfter+2 makes tombstone
+	// number forgetAfter and resets her floor.
+	edges := []uint64{0, 1, 2, forgetAfter / 2, forgetAfter/2 + 1, forgetAfter, forgetAfter + 1, forgetAfter + 2, forgetAfter + 3}
+	for seq := uint64(1); seq <= forgetAfter+1; seq++ {
+		mustPut(t, e, post(carol, seq, "cargo"))
+	}
+	wantAhead(t, e, all, edges...)
+	if got := e.Ahead(nil, []wire.Entry{{Author: carol, Seq: forgetAfter}}); len(got) != 0 {
+		t.Fatalf("before the floor reset Ahead kept %v", got)
+	}
+	mustPut(t, e, post(carol, forgetAfter+2, "cargo"))
+	if got := e.Ahead(nil, []wire.Entry{{Author: carol, Seq: 1}}); len(got) != 1 {
+		t.Fatalf("after the floor reset Ahead kept %v of carol#1, want it", got)
+	}
+	wantAhead(t, e, all, edges...)
 }
 
 // testMissingAfterCrash kills the engine with gaps, tombstones and a

@@ -147,7 +147,8 @@ type (
 
 // Routing types.
 type (
-	// RoutingScheme is one opportunistic routing protocol.
+	// RoutingScheme is one opportunistic routing protocol. Its Wants is
+	// handed only the summary entries the node's store lacks messages for.
 	RoutingScheme = routing.Scheme
 	// RoutingOptions tunes scheme construction.
 	RoutingOptions = routing.Options
