@@ -2,7 +2,6 @@ package lab
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -17,21 +16,22 @@ import (
 	"sos/internal/telemetry"
 )
 
-// simMidnight anchors every ModeSim run at the paper's Monday, so
-// day-structured mobility models (diurnal, working-day) cover a school
-// week in the same phase as the field study.
+// simMidnight and simDayStart place every spec fleet's ModeSim run at
+// 09:00 on the paper's Monday. Random waypoint does not key on the time
+// of day; they stay fixed because a contact trace's base time, every sim
+// report's timestamps and each random-waypoint itinerary (which starts at
+// simMidnight, simDayStart before the run) are read from them, so moving
+// either changes the committed reports.
 var simMidnight = time.Date(2017, 4, 3, 0, 0, 0, 0, time.UTC)
 
-// simDayStart offsets short experiments into the waking day: a
-// two-hour run should sample commuters at work, not a sleeping city.
 const simDayStart = 9 * time.Hour
 
 // runSim executes the experiment in silico: the same declarative spec,
 // run at virtual time through the discrete-event simulator instead of
 // wall time through real sockets. This is the mode that scales — a
 // thousand-node fleet with a full day of virtual mobility finishes in
-// CI — and the only mode that takes a Mobility model, a contact Trace
-// or a built-in Scenario, since the live modes have no geometry.
+// CI — and the only mode that takes Mobility, a contact Trace or a
+// built-in Scenario, since the live modes have no geometry.
 func runSim(spec *Spec, opts Options) (*Report, error) {
 	if spec.storeEngine("mem") != "mem" {
 		return nil, fmt.Errorf("lab: %s mode runs the in-memory engine; spec asks for %q", ModeSim, spec.Store.Engine)
@@ -114,9 +114,8 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 }
 
 // fleetConfig builds the simulation of a spec's own fleet: its handles,
-// social graph and post plan, moving by the spec's mobility model or
-// linked by its contact trace, starting simDayStart into the paper's
-// Monday.
+// social graph and post plan, moving by random waypoint or linked by its
+// contact trace, starting simDayStart into the paper's Monday.
 func fleetConfig(spec *Spec, p plan, opts Options) (sim.Config, error) {
 	start := simMidnight.Add(simDayStart)
 	cfg := sim.Config{
@@ -162,10 +161,8 @@ func fleetConfig(spec *Spec, p plan, opts Options) (sim.Config, error) {
 		opts.logf("lab: trace %s: %d link transitions across %d nodes", spec.TracePath(), len(events), len(traceHandles))
 	} else {
 		master := rand.New(rand.NewSource(spec.Seed))
-		days := int(math.Ceil((simDayStart + spec.Duration.D()).Hours() / 24))
 		for i := range nodes {
-			model, err := buildMobility(mob, simMidnight, days, spec.Duration.D(),
-				rand.New(rand.NewSource(master.Int63())))
+			model, err := buildMobility(mob, spec.Duration.D(), rand.New(rand.NewSource(master.Int63())))
 			if err != nil {
 				return sim.Config{}, err
 			}
@@ -226,29 +223,14 @@ func attachStudy(r *Report, g *sim.Gainesville, res *sim.Result) {
 	r.subs = g.Subscriptions
 }
 
-// buildMobility constructs one node's model per the spec.
-func buildMobility(mob *MobilitySpec, midnight time.Time, days int, dur time.Duration, rng *rand.Rand) (mobility.Model, error) {
-	area := mobility.Area{W: mob.AreaW, H: mob.AreaH}
-	switch mob.Model {
-	case "", MobilityRandomWaypoint:
-		if area == (mobility.Area{}) {
-			area = mobility.Area{W: 3000, H: 3000}
-		}
-		return mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
-			Area: area, Start: midnight, Duration: simDayStart + dur,
-			SpeedMin: mob.SpeedMin, SpeedMax: mob.SpeedMax,
-		}, rng)
-	case MobilityDiurnal:
-		return mobility.NewDiurnal(mobility.DiurnalConfig{
-			Area: area, Start: midnight, Days: days,
-		}, rng)
-	case MobilityWorkingDay:
-		return mobility.NewWorkingDay(mobility.WorkingDayConfig{
-			Area: area, Start: midnight, Days: days,
-		}, rng)
-	default:
-		return nil, fmt.Errorf("lab: unknown mobility model %q", mob.Model)
-	}
+// buildMobility constructs one node's random-waypoint itinerary per the
+// spec, from simMidnight to the end of the run.
+func buildMobility(mob *MobilitySpec, dur time.Duration, rng *rand.Rand) (mobility.Model, error) {
+	return mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
+		Area:  mobility.Area{W: mob.AreaW, H: mob.AreaH},
+		Start: simMidnight, Duration: simDayStart + dur,
+		SpeedMin: mob.SpeedMin, SpeedMax: mob.SpeedMax,
+	}, rng)
 }
 
 // churnActivity turns the plan's churn into per-node activity functions

@@ -21,7 +21,7 @@ const simSpec = `{
 	"duration": "2h",
 	"postWindow": "80m",
 	"seed": 99,
-	"mobility": {"model": "random-waypoint", "areaW": 400, "areaH": 400, "tick": "30s", "speedMin": 1, "speedMax": 3},
+	"mobility": {"areaW": 400, "areaH": 400, "tick": "30s", "speedMin": 1, "speedMax": 3},
 	"churn": [
 		{"at": "10m", "node": "n7", "op": "down"},
 		{"at": "60m", "node": "n7", "op": "up"}
@@ -145,7 +145,7 @@ func TestSimModeTraceReplay(t *testing.T) {
 func TestSimOnlyFieldsRejectedInLiveModes(t *testing.T) {
 	spec, err := parseSpec([]byte(`{
 		"nodes": 2, "duration": "1s",
-		"mobility": {"model": "working-day"}
+		"mobility": {"areaW": 100, "areaH": 100}
 	}`))
 	if err != nil {
 		t.Fatalf("parseSpec: %v", err)
@@ -172,13 +172,15 @@ func TestSimModeRejectsDiskEngine(t *testing.T) {
 }
 
 func TestSpecValidationSimFields(t *testing.T) {
-	for name, raw := range map[string]string{
-		"bad-model":  `{"nodes": 2, "duration": "1m", "mobility": {"model": "teleport"}}`,
-		"bad-speeds": `{"nodes": 2, "duration": "1m", "mobility": {"speedMin": 3, "speedMax": 1}}`,
-		"bad-degree": `{"nodes": 3, "duration": "1m", "graph": "random", "degree": -1}`,
+	for name, c := range map[string]struct{ raw, want string }{
+		// Random waypoint is the one synthetic model, so the mobility
+		// block has no model field: naming one is refused by its name.
+		"bad-model":  {`{"nodes": 2, "duration": "1m", "mobility": {"model": "random-waypoint"}}`, `"model"`},
+		"bad-speeds": {`{"nodes": 2, "duration": "1m", "mobility": {"speedMin": 3, "speedMax": 1}}`, "speed"},
+		"bad-degree": {`{"nodes": 3, "duration": "1m", "graph": "random", "degree": -1}`, "degree"},
 	} {
-		if _, err := parseSpec([]byte(raw)); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := parseSpec([]byte(c.raw)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a refusal naming %s", name, err, c.want)
 		}
 	}
 }
@@ -276,7 +278,7 @@ func TestScenarioSpecValidation(t *testing.T) {
 		"handles":  `"handles": ["a", "b"]`,
 		"posts":    `"posts": 5`,
 		"churn":    `"churn": [{"at": "1h", "node": "user01", "op": "down"}]`,
-		"mobility": `"mobility": {"model": "diurnal"}`,
+		"mobility": `"mobility": {"areaW": 11000, "areaH": 8000}`,
 		"trace":    `"trace": "contacts.csv"`,
 		"chaos":    `"chaos": {"profile": "loss10"}`,
 		"sweep":    `"sweep": {"schemes": ["epidemic"]}`,

@@ -76,14 +76,10 @@ type StoreSpec struct {
 	RelayTTL Duration `json:"relayTTL,omitempty"`
 }
 
-// MobilitySpec selects and tunes the synthetic mobility model for
-// ModeSim runs (ignored — and rejected — in the live modes, which have
-// no geometry).
+// MobilitySpec tunes the random-waypoint mobility of ModeSim runs
+// (rejected in the live modes, which have no geometry).
 type MobilitySpec struct {
-	// Model is "random-waypoint" (default), "diurnal", or "working-day".
-	Model string `json:"model,omitempty"`
-	// AreaW/AreaH bound the plane in meters (defaults 3000×3000 for
-	// random-waypoint; the models' own defaults otherwise).
+	// AreaW/AreaH bound the plane in meters (default 3000×3000).
 	AreaW float64 `json:"areaW,omitempty"`
 	AreaH float64 `json:"areaH,omitempty"`
 	// Range is the radio contact radius in meters (default 35, the
@@ -95,13 +91,6 @@ type MobilitySpec struct {
 	SpeedMin float64 `json:"speedMin,omitempty"`
 	SpeedMax float64 `json:"speedMax,omitempty"`
 }
-
-// Mobility model names.
-const (
-	MobilityRandomWaypoint = "random-waypoint"
-	MobilityDiurnal        = "diurnal"
-	MobilityWorkingDay     = "working-day"
-)
 
 // ChaosPartition is one scheduled network split for a chaos profile.
 type ChaosPartition struct {
@@ -221,8 +210,8 @@ type Spec struct {
 	// single runs.
 	Sweep *SweepSpec `json:"sweep,omitempty"`
 
-	// Mobility configures the synthetic mobility model for ModeSim runs
-	// (nil selects random-waypoint defaults). Sim-only.
+	// Mobility tunes the random-waypoint mobility of ModeSim runs (nil
+	// selects its defaults). Sim-only.
 	Mobility *MobilitySpec `json:"mobility,omitempty"`
 	// Trace is a contact-trace file (CSV or JSONL; see docs/SCENARIOS.md)
 	// replayed verbatim instead of synthesizing mobility. Its node names
@@ -369,16 +358,8 @@ func (s *Spec) Validate() error {
 	if s.Degree >= s.Nodes {
 		s.Degree = s.Nodes - 1
 	}
-	if s.Mobility != nil {
-		switch s.Mobility.Model {
-		case "", MobilityRandomWaypoint, MobilityDiurnal, MobilityWorkingDay:
-		default:
-			return fmt.Errorf("lab: unknown mobility model %q (want %s, %s, or %s)",
-				s.Mobility.Model, MobilityRandomWaypoint, MobilityDiurnal, MobilityWorkingDay)
-		}
-		if s.Mobility.SpeedMax < s.Mobility.SpeedMin {
-			return fmt.Errorf("lab: mobility speed range [%f, %f]", s.Mobility.SpeedMin, s.Mobility.SpeedMax)
-		}
+	if s.Mobility != nil && s.Mobility.SpeedMax < s.Mobility.SpeedMin {
+		return fmt.Errorf("lab: mobility speed range [%f, %f]", s.Mobility.SpeedMin, s.Mobility.SpeedMax)
 	}
 	for _, e := range s.Edges {
 		if e[0] < 1 || e[0] > s.Nodes || e[1] < 1 || e[1] > s.Nodes {
