@@ -14,23 +14,22 @@
 //
 // With -sweep, soslab runs the adversarial scenario matrix instead of a
 // single experiment: the cross-product {scheme × chaos profile}
-// declared by the spec's "sweep" block (or the built-in chaos matrix when
-// the block is absent), one live in-process run per cell, emitting a
-// paper-style grid as CSV and markdown.
+// declared by the spec's "sweep" block, one live in-process run per
+// cell, emitting a paper-style grid as CSV and markdown.
 //
 // The spec declares the fleet (size, social graph, routing scheme,
-// storage engine and quotas), the post workload, and a churn schedule of
-// nodes sleeping and waking. Mode "inprocess" (default) runs every node
-// inside soslab over loopback NetMedium sockets; mode "process" spawns
-// one real sosd child process per node; mode "sim" runs the fleet
-// through the discrete-event simulator at virtual time — the mode that
-// scales to thousands of nodes and the only one that honors the spec's
-// "mobility" (synthetic model), "trace" (recorded contact replay) and
-// "scenario" fields. Scenario "gainesville" replays the paper's §VI
-// field study, and its report adds the Gainesville section: each Fig. 4
-// panel and workload scalar next to the paper's value. -seed overrides
-// the spec's seed, so one file serves every seed. See docs/SCENARIOS.md
-// for the complete spec and trace-format reference.
+// store quota and eviction policy), the post workload, and a churn
+// schedule of nodes sleeping and waking. Mode "inprocess" (default) runs
+// every node inside soslab over loopback NetMedium sockets; mode
+// "process" spawns one real sosd child process per node; mode "sim"
+// runs the fleet through the discrete-event simulator at virtual time —
+// the mode that scales to thousands of nodes and the only one that
+// honors the spec's "mobility" (synthetic model), "trace" (recorded
+// contact replay) and "scenario" fields. Scenario "gainesville" replays
+// the paper's §VI field study, and its report adds the Gainesville
+// section: each Fig. 4 panel and workload scalar next to the paper's
+// value. -seed overrides the spec's seed, so one file serves every seed.
+// See docs/SCENARIOS.md for the complete spec and trace-format reference.
 package main
 
 import (

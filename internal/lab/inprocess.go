@@ -2,7 +2,6 @@ package lab
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"sos/internal/chaos"
 	"sos/internal/clock"
@@ -22,8 +21,8 @@ import (
 type inProcessFleet struct {
 	opts  Options
 	radio chaos.Reachability
-	// chaos, when the spec has a chaos block, is the fault injector every
-	// node sees the medium through.
+	// chaos, when the spec names a chaos preset, is the fault injector
+	// every node sees the medium through.
 	chaos *chaos.Medium
 	label string
 	nodes []*inNode
@@ -48,13 +47,13 @@ func (f *inProcessFleet) start(env liveEnv) error {
 		BeaconListen:   "127.0.0.1:0",
 		ListenIP:       "127.0.0.1",
 		BeaconInterval: spec.BeaconInterval.D(),
-		LossTimeout:    spec.LossTimeout.D(),
+		LossTimeout:    spec.lossTimeout(),
 	})
 	if err != nil {
 		return fmt.Errorf("lab: creating medium: %w", err)
 	}
 
-	// With a chaos block, every node sees the medium through the fault
+	// Under a chaos preset, every node sees the medium through the fault
 	// injector; churn severs through the same wrapper so scheduled
 	// partitions and spec churn compose instead of fighting.
 	var nodeMedium mpc.Medium = medium
@@ -63,11 +62,11 @@ func (f *inProcessFleet) start(env liveEnv) error {
 	if err != nil {
 		return err
 	}
-	if spec.Chaos != nil {
+	if !prof.IsZero() {
 		if f.chaos, err = chaos.Wrap(medium, prof); err != nil {
 			return fmt.Errorf("lab: wrapping medium: %w", err)
 		}
-		nodeMedium, f.radio, f.label = f.chaos, f.chaos, spec.Chaos.Label()
+		nodeMedium, f.radio, f.label = f.chaos, f.chaos, spec.chaos
 		f.opts.logf("lab: chaos profile %s armed (seed %d)", f.label, prof.Seed)
 	}
 
@@ -98,10 +97,11 @@ func (f *inProcessFleet) start(env liveEnv) error {
 		if f.opts.ExtraObserver != nil {
 			observer = core.CombineObservers(observer, f.opts.ExtraObserver(handle, n.user))
 		}
-		engine, err := buildEngine(spec, env.workDir, handle, n.user, policy, tracer)
-		if err != nil {
-			return err
-		}
+		engine := store.NewMemory(n.user, store.Options{
+			MaxMessages: spec.Store.Quota,
+			Policy:      policy,
+			Tracer:      tracer,
+		})
 		mw, err := core.New(core.Config{
 			Creds:    creds,
 			Medium:   nodeMedium,
@@ -113,7 +113,7 @@ func (f *inProcessFleet) start(env liveEnv) error {
 			// The lab radio answers in milliseconds, so a wedged
 			// handshake or a lost frame is knowable — and retryable — at
 			// the discovery timescale instead of the field default.
-			ResyncInterval: spec.LossTimeout.D(),
+			ResyncInterval: spec.lossTimeout(),
 		})
 		if err != nil {
 			engine.Close() // core.New takes ownership only on success
@@ -211,22 +211,4 @@ func (f *inProcessFleet) stop() ([]NodeReport, *ChaosReport) {
 		PartitionsStarted: cs.PartitionsStarted,
 		PartitionsHealed:  cs.PartitionsHealed,
 	}
-}
-
-// buildEngine constructs one node's storage engine per the spec.
-func buildEngine(spec *Spec, workDir, handle string, owner id.UserID, policy store.Policy, tracer *obs.Tracer) (store.Engine, error) {
-	sOpts := store.Options{
-		MaxMessages: spec.Store.Quota,
-		MaxBytes:    spec.Store.QuotaBytes,
-		Policy:      policy,
-		Tracer:      tracer,
-	}
-	if spec.storeEngine("mem") == "disk" {
-		engine, err := store.OpenDisk(filepath.Join(workDir, handle+".store"), owner, sOpts)
-		if err != nil {
-			return nil, fmt.Errorf("lab: opening disk store for %q: %w", handle, err)
-		}
-		return engine, nil
-	}
-	return store.NewMemory(owner, sOpts), nil
 }

@@ -88,20 +88,10 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 			return nil, fmt.Errorf("lab: spec has sim-only fields (trace/mobility/scenario); run with mode %q", ModeSim)
 		}
 		if opts.Mode == ModeProcess {
-			// Child processes own their sockets, so the in-process chaos
-			// wrapper cannot reach their frames.
-			if spec.Chaos != nil {
-				return nil, fmt.Errorf("lab: chaos profiles run in mode %q only", ModeInProcess)
-			}
 			return runLive(spec, opts, ModeProcess, &processFleet{})
 		}
 		return runLive(spec, opts, ModeInProcess, &inProcessFleet{})
 	case ModeSim:
-		// The simulator moves messages at virtual time with no frame
-		// medium, so there is nothing for a chaos profile to disturb.
-		if spec.Chaos != nil {
-			return nil, fmt.Errorf("lab: chaos profiles run in mode %q only", ModeInProcess)
-		}
 		return runSim(spec, opts)
 	default:
 		return nil, fmt.Errorf("lab: unknown mode %q (want %q, %q, or %q)", opts.Mode, ModeInProcess, ModeProcess, ModeSim)

@@ -41,7 +41,9 @@ func TestSpecDefaultsAndValidation(t *testing.T) {
 		`{"nodes": 3, "duration": "2s", "edges": [[2,2]]}`,                               // self-loop
 		`{"nodes": 3, "duration": "2s", "churn": [{"at":"1s","node":"nx","op":"down"}]}`, // unknown node
 		`{"nodes": 3, "duration": "2s", "churn": [{"at":"1s","node":"n1","op":"poke"}]}`, // unknown op
-		`{"nodes": 3, "duration": "2s", "store": {"engine": "floppy"}}`,                  // unknown engine
+		`{"nodes": 3, "duration": "2s", "store": {"policy": "bogus"}}`,                   // unknown policy
+		`{"nodes": 3, "duration": "2s", "store": {"policy": "ttl"}}`,                     // ttl policy without a relayTTL
+		`{"nodes": 3, "duration": "2s", "store": {"relayTTL": "-1h"}}`,                   // negative relayTTL
 		`{"nodes": 3, "duration": "2s", "bogus": 1}`,                                     // unknown field
 		`{"handles": ["a","a"], "duration": "2s"}`,                                       // duplicate handle
 	}

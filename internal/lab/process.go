@@ -19,8 +19,9 @@ import (
 // loopback: each child binds its own UDP beacon socket and TCP session
 // listener, discovers the others through explicit unicast beacon
 // targets, and streams telemetry back over TCP. Churn stops and restarts
-// whole processes — with the default disk engine a waking node resumes
-// its message database, exactly like a phone returning from sleep.
+// whole processes — every child keeps a disk store, so a waking node
+// resumes its message database, exactly like a phone returning from
+// sleep.
 type processFleet struct {
 	env   liveEnv
 	sosd  string
@@ -59,12 +60,6 @@ func (f *processFleet) start(env liveEnv) error {
 	}
 	if _, err := exec.LookPath(f.sosd); err != nil {
 		return fmt.Errorf("lab: sosd binary not found (%w); build it with 'go build ./cmd/sosd' and pass its path", err)
-	}
-	if spec.storeEngine("disk") == "mem" && len(spec.Churn) > 0 {
-		// A restarted child with a volatile store resets its sequence
-		// counter, so post-restart messages collide with pre-restart
-		// refs and silently vanish from every peer and every count.
-		return fmt.Errorf("lab: process-mode churn requires the disk store engine (mem resets sequence numbers across restarts)")
 	}
 
 	// One credentials file per handle, for the child to load.
@@ -163,17 +158,14 @@ func (f *processFleet) startChild(p *childProc) error {
 		"-beacon-targets", strings.Join(targets, ","),
 		"-listen-ip", "127.0.0.1",
 		"-beacon-interval", spec.BeaconInterval.D().String(),
-		"-loss-timeout", spec.LossTimeout.D().String(),
+		"-loss-timeout", spec.lossTimeout().String(),
 		"-telemetry", f.env.collector,
 		"-debug-addr", "127.0.0.1:0",
-		"-store", spec.storeEngine("disk"),
+		"-store", "disk",
 		"-store-dir", p.storeDir,
 	}
 	if spec.Store.Quota > 0 {
 		args = append(args, "-quota", fmt.Sprint(spec.Store.Quota))
-	}
-	if spec.Store.QuotaBytes > 0 {
-		args = append(args, "-quota-bytes", fmt.Sprint(spec.Store.QuotaBytes))
 	}
 	if spec.Store.Policy != "" {
 		args = append(args, "-evict", spec.Store.Policy)

@@ -33,9 +33,6 @@ const simDayStart = 9 * time.Hour
 // CI — and the only mode that takes Mobility, a contact Trace or a
 // built-in Scenario, since the live modes have no geometry.
 func runSim(spec *Spec, opts Options) (*Report, error) {
-	if spec.storeEngine("mem") != "mem" {
-		return nil, fmt.Errorf("lab: %s mode runs the in-memory engine; spec asks for %q", ModeSim, spec.Store.Engine)
-	}
 	if opts.ExtraObserver != nil || opts.OnEvent != nil {
 		// The simulator folds its nodes' observers into its own
 		// aggregator and takes no observer or event hook from outside.
@@ -70,7 +67,7 @@ func runSim(spec *Spec, opts Options) (*Report, error) {
 	if spec.Store.RelayTTL > 0 {
 		cfg.RelayTTL = spec.Store.RelayTTL.D()
 	}
-	cfg.StoreQuota, cfg.StoreQuotaBytes, cfg.StorePolicy = spec.Store.Quota, spec.Store.QuotaBytes, spec.Store.Policy
+	cfg.StoreQuota, cfg.StorePolicy = spec.Store.Quota, spec.Store.Policy
 
 	opts.logf("lab: sim fleet of %d nodes, %s virtual, tick %s", spec.Nodes, spec.Duration, cfg.Tick)
 	wallStart := time.Now()

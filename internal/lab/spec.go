@@ -1,13 +1,14 @@
 // Package lab is the experiment harness of the in-vivo lab: it takes a
 // declarative specification of a fleet — size, social graph, routing
-// scheme, storage engine and quota, post workload, and a churn schedule
-// of nodes sleeping and waking (the paper's §VI reality, where devices
-// disseminate only while the app is foregrounded) — and runs it as a
-// real deployment: either N complete middleware instances over loopback
-// NetMedium sockets in one process, or N real sosd child processes. Live
-// telemetry streams from every node into an aggregator, and the run ends
-// with a report of the paper's evaluation quantities (delivery ratios,
-// delay CDF, dissemination counts) computed from the fleet's own events.
+// scheme, store quota and eviction policy, post workload, and a churn
+// schedule of nodes sleeping and waking (the paper's §VI reality, where
+// devices disseminate only while the app is foregrounded) — and runs it
+// as a real deployment: either N complete middleware instances over
+// loopback NetMedium sockets in one process, or N real sosd child
+// processes. Live telemetry streams from every node into an aggregator,
+// and the run ends with a report of the paper's evaluation quantities
+// (delivery ratios, delay CDF, dissemination counts) computed from the
+// fleet's own events.
 package lab
 
 import (
@@ -23,6 +24,7 @@ import (
 	"sos/internal/chaos"
 	"sos/internal/id"
 	"sos/internal/metrics"
+	"sos/internal/store"
 )
 
 // Duration is a time.Duration that marshals as a human-readable string
@@ -61,15 +63,12 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// StoreSpec selects and bounds each node's storage engine.
+// StoreSpec bounds each node's storage engine: memory in-process and in
+// sim mode, disk for child processes (so churned nodes resume their
+// database on wake, keeping sequence numbers collision-free).
 type StoreSpec struct {
-	// Engine is "mem" or "disk"; empty selects mem in-process and disk
-	// for child processes (so churned nodes resume their database on
-	// wake, keeping sequence numbers collision-free).
-	Engine string `json:"engine,omitempty"`
-	// Quota / QuotaBytes bound the buffer; 0 = unbounded.
-	Quota      int `json:"quota,omitempty"`
-	QuotaBytes int `json:"quotaBytes,omitempty"`
+	// Quota bounds the buffer in messages; 0 = unbounded.
+	Quota int `json:"quota,omitempty"`
 	// Policy names the eviction policy (store.PolicyByName).
 	Policy string `json:"policy,omitempty"`
 	// RelayTTL bounds how long foreign messages are carried.
@@ -90,55 +89,6 @@ type MobilitySpec struct {
 	// SpeedMin/SpeedMax bound random-waypoint leg speed in m/s.
 	SpeedMin float64 `json:"speedMin,omitempty"`
 	SpeedMax float64 `json:"speedMax,omitempty"`
-}
-
-// ChaosPartition is one scheduled network split for a chaos profile.
-type ChaosPartition struct {
-	// At starts the split (offset from experiment start).
-	At Duration `json:"at"`
-	// Heal ends it; 0 leaves the fleet split for the rest of the run.
-	Heal Duration `json:"heal,omitempty"`
-}
-
-// ChaosSpec declares the adversarial radio conditions for a live
-// in-process run: the shared loopback medium is wrapped by an
-// internal/chaos medium that injects the declared faults
-// deterministically from the seed. Either name a preset (Profile) or
-// spell out the dials — not both.
-type ChaosSpec struct {
-	// Profile names a chaos preset (the chaos.Preset* names); when set, the
-	// explicit dials below must be zero.
-	Profile string `json:"profile,omitempty"`
-	// Seed fixes the injection schedule; 0 inherits the spec seed.
-	Seed int64 `json:"seed,omitempty"`
-	// Loss / Duplicate / Reorder are per-frame probabilities in [0,1).
-	Loss      float64 `json:"loss,omitempty"`
-	Duplicate float64 `json:"duplicate,omitempty"`
-	Reorder   float64 `json:"reorder,omitempty"`
-	// Delay / Jitter add fixed plus uniformly-random latency per frame.
-	Delay  Duration `json:"delay,omitempty"`
-	Jitter Duration `json:"jitter,omitempty"`
-	// OneWay is the probability a link mutes one direction entirely.
-	OneWay float64 `json:"oneWay,omitempty"`
-	// Partitions schedules fleet-wide splits with healing.
-	Partitions []ChaosPartition `json:"partitions,omitempty"`
-}
-
-// explicit reports whether any hand-set dial is nonzero.
-func (c *ChaosSpec) explicit() bool {
-	return c.Loss != 0 || c.Duplicate != 0 || c.Reorder != 0 ||
-		c.Delay != 0 || c.Jitter != 0 || c.OneWay != 0 || len(c.Partitions) > 0
-}
-
-// Label names the chaos configuration for reports and sweep grids.
-func (c *ChaosSpec) Label() string {
-	if c == nil {
-		return chaos.PresetNone
-	}
-	if c.Profile != "" {
-		return c.Profile
-	}
-	return "custom"
 }
 
 // Churn operations.
@@ -191,10 +141,10 @@ type Spec struct {
 	PostWindow Duration `json:"postWindow,omitempty"`
 	// Duration is the wall-clock experiment length.
 	Duration Duration `json:"duration"`
-	// BeaconInterval / LossTimeout tune discovery; defaults 100ms and
-	// 3.5× the interval — loopback-lab speeds, not field speeds.
+	// BeaconInterval tunes discovery; default 100ms, a loopback-lab
+	// speed, not a field speed. A peer is lost after 3.5 silent
+	// intervals.
 	BeaconInterval Duration `json:"beaconInterval,omitempty"`
-	LossTimeout    Duration `json:"lossTimeout,omitempty"`
 	// Churn is the sleep/wake schedule.
 	Churn []ChurnEvent `json:"churn,omitempty"`
 	// Seed fixes credential generation (and hence user ids) for
@@ -202,10 +152,6 @@ type Spec struct {
 	// itineraries and the whole virtual-time schedule.
 	Seed int64 `json:"seed,omitempty"`
 
-	// Chaos injects adversarial radio conditions into the shared medium.
-	// Live in-process only: sim has no frame medium to disturb, and
-	// child processes own their sockets.
-	Chaos *ChaosSpec `json:"chaos,omitempty"`
 	// Sweep declares the scenario-matrix axes for RunSweep; ignored by
 	// single runs.
 	Sweep *SweepSpec `json:"sweep,omitempty"`
@@ -228,6 +174,9 @@ type Spec struct {
 	// baseDir is where the spec file lives, for resolving Trace;
 	// empty for specs parsed from memory.
 	baseDir string
+	// chaos names the chaos preset (chaos.Preset) that wraps the shared
+	// medium of an in-process run; cellSpec sets it for one sweep cell.
+	chaos string
 }
 
 // LoadSpec reads and validates a spec file. Relative Trace paths
@@ -288,10 +237,11 @@ func (s *Spec) Validate() error {
 	if s.Scheme == "" {
 		s.Scheme = "epidemic"
 	}
-	switch s.Store.Engine {
-	case "", "mem", "disk":
-	default:
-		return fmt.Errorf("lab: unknown store engine %q (want mem or disk)", s.Store.Engine)
+	if s.Store.RelayTTL < 0 {
+		return fmt.Errorf("lab: negative store relayTTL %s", s.Store.RelayTTL)
+	}
+	if _, err := store.PolicyByName(s.Store.Policy, s.Store.RelayTTL.D()); err != nil {
+		return fmt.Errorf("lab: %w", err)
 	}
 	if s.Scenario != "" {
 		return s.validateScenario()
@@ -341,9 +291,6 @@ func (s *Spec) Validate() error {
 	if s.BeaconInterval <= 0 {
 		s.BeaconInterval = Duration(100 * time.Millisecond)
 	}
-	if s.LossTimeout <= 0 {
-		s.LossTimeout = s.BeaconInterval * 7 / 2
-	}
 	switch s.Graph {
 	case "", "ring", "star", "full", "random":
 	default:
@@ -367,19 +314,6 @@ func (s *Spec) Validate() error {
 		}
 		if e[0] == e[1] {
 			return fmt.Errorf("lab: self-loop edge %v", e)
-		}
-	}
-	if c := s.Chaos; c != nil {
-		if c.Profile != "" {
-			if c.explicit() {
-				return fmt.Errorf("lab: chaos names profile %q and sets explicit dials; pick one", c.Profile)
-			}
-			if _, err := chaos.Preset(c.Profile, s.Duration.D(), c.Seed); err != nil {
-				return fmt.Errorf("lab: %w", err)
-			}
-		}
-		if _, err := s.chaosProfile(); err != nil {
-			return err
 		}
 	}
 	if err := s.Sweep.validate(); err != nil {
@@ -406,9 +340,9 @@ func (s *Spec) validateScenario() error {
 	if s.Scenario != scenarioGainesville {
 		return fmt.Errorf("lab: unknown scenario %q (want %q)", s.Scenario, scenarioGainesville)
 	}
-	fields := []string{"graph", "degree", "edges", "handles", "posts", "postWindow", "churn", "mobility", "trace", "chaos", "sweep"}
+	fields := []string{"graph", "degree", "edges", "handles", "posts", "postWindow", "churn", "mobility", "trace", "sweep"}
 	for i, set := range []bool{s.Graph != "", s.Degree != 0, len(s.Edges) > 0, len(s.Handles) > 0, s.Posts != 0,
-		s.PostWindow != 0, len(s.Churn) > 0, s.Mobility != nil, s.Trace != "", s.Chaos != nil, s.Sweep != nil} {
+		s.PostWindow != 0, len(s.Churn) > 0, s.Mobility != nil, s.Trace != "", s.Sweep != nil} {
 		if set {
 			return fmt.Errorf("lab: scenario %q builds its own fleet and workload; drop %q", s.Scenario, fields[i])
 		}
@@ -492,56 +426,16 @@ func (s *Spec) Subscriptions(users map[string]id.UserID) []metrics.Subscription 
 	return subs
 }
 
-// chaosProfile resolves the spec's chaos block into an injection
-// profile, or the zero profile when the spec declares none.
+// chaosProfile resolves the spec's chaos preset, seeded by the spec; the
+// zero profile (preset "none", or none named) needs no wrapper.
 func (s *Spec) chaosProfile() (chaos.Profile, error) {
-	c := s.Chaos
-	if c == nil {
-		return chaos.Profile{}, nil
-	}
-	seed := c.Seed
-	if seed == 0 {
-		seed = s.Seed
-	}
-	if c.Profile != "" {
-		p, err := chaos.Preset(c.Profile, s.Duration.D(), seed)
-		if err != nil {
-			return chaos.Profile{}, fmt.Errorf("lab: %w", err)
-		}
-		return p, nil
-	}
-	p := chaos.Profile{
-		Seed:      seed,
-		Loss:      c.Loss,
-		Duplicate: c.Duplicate,
-		Reorder:   c.Reorder,
-		Delay:     c.Delay.D(),
-		Jitter:    c.Jitter.D(),
-		OneWay:    c.OneWay,
-	}
-	for i, part := range c.Partitions {
-		if part.At < 0 || part.At > s.Duration {
-			return chaos.Profile{}, fmt.Errorf("lab: chaos partition %d at %s outside the run", i, part.At)
-		}
-		heal := part.Heal.D()
-		if heal == 0 {
-			// Unhealed split: park the heal past the end of the run.
-			heal = s.Duration.D() + time.Second
-		} else if part.Heal <= part.At {
-			return chaos.Profile{}, fmt.Errorf("lab: chaos partition %d heals at %s, before its start %s", i, part.Heal, part.At)
-		}
-		p.Partitions = append(p.Partitions, chaos.Partition{At: part.At.D(), Heal: heal})
-	}
-	if err := p.Validate(); err != nil {
+	p, err := chaos.Preset(s.chaos, s.Duration.D(), s.Seed)
+	if err != nil {
 		return chaos.Profile{}, fmt.Errorf("lab: %w", err)
 	}
 	return p, nil
 }
 
-// storeEngine returns the spec's engine, or the mode's default one.
-func (s *Spec) storeEngine(modeDefault string) string {
-	if s.Store.Engine != "" {
-		return s.Store.Engine
-	}
-	return modeDefault
-}
+// lossTimeout is how long a silent peer stays found: 3.5 beacon
+// intervals.
+func (s *Spec) lossTimeout() time.Duration { return s.BeaconInterval.D() * 7 / 2 }

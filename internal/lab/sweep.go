@@ -34,16 +34,6 @@ func (w *SweepSpec) validate() error {
 	return nil
 }
 
-// defaultChaosSweep is the canonical adversarial matrix soslab runs when
-// the spec declares no sweep block: two schemes crossed with the benign
-// and acceptance chaos regimes.
-func defaultChaosSweep() *SweepSpec {
-	return &SweepSpec{
-		Schemes: []string{"epidemic", "spray-and-wait"},
-		Chaos:   []string{chaos.PresetNone, chaos.PresetLoss30Reorder},
-	}
-}
-
 // SweepCell is one grid cell: the axis coordinates plus the headline
 // quantities of its run.
 type SweepCell struct {
@@ -83,11 +73,7 @@ func cellSpec(base *Spec, scheme, chaosName string) (*Spec, error) {
 	clone.Sweep = nil
 	clone.Name = fmt.Sprintf("%s/%s+%s", base.Name, scheme, chaosName)
 	clone.Scheme = scheme
-	if chaosName != "" && chaosName != chaos.PresetNone {
-		clone.Chaos = &ChaosSpec{Profile: chaosName, Seed: base.Seed}
-	} else {
-		clone.Chaos = nil
-	}
+	clone.chaos = chaosName
 	if err := clone.Validate(); err != nil {
 		return nil, fmt.Errorf("lab: sweep cell %s: %w", clone.Name, err)
 	}
@@ -103,7 +89,7 @@ func axis(vals []string, base string) []string {
 }
 
 // RunSweep executes the cross-product {scheme × chaos} declared by the
-// spec's sweep block (or defaultChaosSweep when absent), one sequential
+// spec's sweep block, one sequential
 // live in-process run per cell — sequential because each cell binds its
 // own loopback fleet and the grid compares cells fairly only when they
 // don't contend for the host.
@@ -119,14 +105,11 @@ func RunSweep(base *Spec, opts Options) (*SweepReport, error) {
 	}
 	sweep := base.Sweep
 	if sweep == nil {
-		sweep = defaultChaosSweep()
-	}
-	if err := sweep.validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lab: spec %q has no sweep block", base.Name)
 	}
 
 	schemes := axis(sweep.Schemes, base.Scheme)
-	chaosAxis := axis(sweep.Chaos, base.Chaos.Label())
+	chaosAxis := axis(sweep.Chaos, chaos.PresetNone)
 
 	out := &SweepReport{Name: base.Name}
 	total := len(schemes) * len(chaosAxis)

@@ -95,8 +95,6 @@ type Config struct {
 	// the storage engines evict under pressure and the collector counts
 	// every drop.
 	StoreQuota int
-	// StoreQuotaBytes bounds each node's buffer in bytes; 0 = unbounded.
-	StoreQuotaBytes int
 	// StorePolicy names the eviction policy (store.PolicyByName);
 	// empty selects TTL when RelayTTL is set and drop-oldest otherwise.
 	StorePolicy string
@@ -259,7 +257,6 @@ func New(cfg Config) (*Sim, error) {
 		}
 		st := store.NewMemory(creds.Ident.User, store.Options{
 			MaxMessages: cfg.StoreQuota,
-			MaxBytes:    cfg.StoreQuotaBytes,
 			Policy:      policy,
 			Clock:       clk,
 		})
