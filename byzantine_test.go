@@ -256,9 +256,6 @@ func (b *byzantine) volley(link *adhoc.Link, attack int) error {
 // sendFrame encodes f and sends it over link, as a peer's message manager
 // would.
 func sendFrame(link *adhoc.Link, f wire.Frame) error {
-	enc, err := wire.Encode(f)
-	if err != nil {
-		return err
-	}
-	return link.SendEncoded(enc)
+	_, err := link.Send(f)
+	return err
 }

@@ -62,11 +62,11 @@ var (
 // Handler is the callback surface the message manager registers.
 // Callbacks for one manager are serialized; they must not block. The one
 // exception is LinkDown for a link ended by Link.Close or Manager.Close:
-// it runs on the caller's goroutine before Close returns. Frames
-// handed to FrameIn may alias decode scratch that is reused after the
-// callback returns (a Batch's messages alias the decrypted frame buffer);
-// handlers that retain message contents must copy them first
-// (msg.Message.Retain).
+// it runs on the caller's goroutine before Close returns. A frame handed
+// to FrameIn is the handler's only until it returns: a Batch's messages
+// alias the received frame, decrypted in place, and a Summary's Entries
+// are pooled (wire.Release). Handlers copy what they keep first
+// (msg.Message.Retain, slices.Clone).
 type Handler interface {
 	// Bind hands the handler its manager. New calls it before joining the
 	// medium, so the first event — a beacon already on the air can arrive
@@ -586,7 +586,7 @@ func (m *Manager) onHelloAck(st *connState, frame []byte) {
 	// HelloFin leaves on the link before it is registered: a failed send
 	// is a failed handshake, with no LinkUp and no LinkDown.
 	link := m.newLink(st)
-	if err := link.sendFrame(&wire.HelloFin{Sig: sig}); err != nil {
+	if _, err := link.Send(&wire.HelloFin{Sig: sig}); err != nil {
 		m.end(st.conn, err)
 		return
 	}
@@ -596,12 +596,10 @@ func (m *Manager) onHelloAck(st *connState, frame []byte) {
 }
 
 // onSealed handles session frames: the responder's pending HelloFin, or
-// post-handshake traffic. OpenShared reuses the session's decrypt scratch
-// across frames; this is safe because onSealed runs on the endpoint's
-// serial callback queue and the decoded frame does not outlive FrameIn
-// (see the Handler doc).
+// post-handshake traffic. The frame is ours (mpc.Events): it decrypts in
+// place, and its decoded form goes back to the codec after FrameIn.
 func (m *Manager) onSealed(st *connState, frame []byte, expectFin bool) {
-	plain, err := st.session.OpenShared(frame, nil)
+	plain, err := st.session.OpenInPlace(frame, nil)
 	if err != nil {
 		m.mu.Lock()
 		m.stats.DecryptionFailures++
@@ -656,6 +654,7 @@ func (m *Manager) onSealed(st *connState, frame []byte, expectFin bool) {
 		return
 	}
 	m.cfg.Handler.FrameIn(link, f)
+	wire.Release(f)
 }
 
 // newLink wraps a completed handshake's session; establish registers it.
@@ -703,12 +702,8 @@ type Link struct {
 	peer mpc.PeerID
 	cert *pki.UserCert
 
-	sendMu sync.Mutex
+	sendMu sync.Mutex // orders seals with their sends
 	sess   *secure.Session
-	// encBuf and outBuf are the link's encode and seal scratch, guarded
-	// by sendMu; media clone on Send, so both are reusable immediately.
-	encBuf []byte
-	outBuf []byte
 }
 
 // Peer returns the remote device name.
@@ -720,38 +715,32 @@ func (l *Link) User() id.UserID { return l.cert.User }
 // Cert returns the remote user's verified certificate.
 func (l *Link) Cert() *pki.UserCert { return l.cert }
 
-// sendFrame encodes f, seals it in the link session, and sends it: the
-// link's own HelloFin and Bye. Both the encode and the seal run in
-// per-link scratch buffers.
-func (l *Link) sendFrame(f wire.Frame) error {
-	l.sendMu.Lock()
-	defer l.sendMu.Unlock()
-	enc, err := wire.AppendEncode(l.encBuf[:0], f)
+// Send encodes, seals and sends f, returning its encoded size.
+func (l *Link) Send(f wire.Frame) (int, error) {
+	buf := wire.GetBuffer()
+	defer buf.Free()
+	enc, err := wire.AppendEncode(buf.B, f)
+	buf.B = enc
 	if err != nil {
-		return fmt.Errorf("adhoc: encoding %s: %w", f.Type(), err)
+		return 0, fmt.Errorf("adhoc: encoding %s: %w", f.Type(), err)
 	}
-	l.encBuf = enc
-	return l.sendLocked(enc)
+	return len(enc), l.SendEncoded(enc)
 }
 
 // SendEncoded seals and sends an already-encoded frame. The message
 // manager uses it to encode a frame once and fan the same bytes out to
 // several links (each link still seals with its own session). enc is only
-// read.
+// read; the seal fills a pooled buffer, which the medium copies (mpc.Conn).
 func (l *Link) SendEncoded(enc []byte) error {
+	buf := wire.GetBuffer()
+	defer buf.Free()
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
-	return l.sendLocked(enc)
-}
-
-// sendLocked seals enc into the link's output scratch and hands it to the
-// medium (which clones). Callers hold sendMu.
-func (l *Link) sendLocked(enc []byte) error {
-	sealed, err := l.sess.AppendSeal(l.outBuf[:0], enc, nil)
+	sealed, err := l.sess.AppendSeal(buf.B, enc, nil)
+	buf.B = sealed
 	if err != nil {
 		return fmt.Errorf("adhoc: sealing frame: %w", err)
 	}
-	l.outBuf = sealed
 	if err := l.conn.Send(sealed); err != nil {
 		return fmt.Errorf("adhoc: sending frame: %w", err)
 	}
@@ -765,7 +754,7 @@ func (l *Link) sendLocked(enc []byte) error {
 // has run on this goroutine, when Close returns. The peer observes
 // LinkDown on its Bye, or when the medium reports the close.
 func (l *Link) Close() error {
-	_ = l.sendFrame(&wire.Bye{}) // best effort
+	_, _ = l.Send(&wire.Bye{}) // best effort
 	l.mgr.end(l.conn, mpc.ErrClosed)
 	return nil
 }

@@ -181,8 +181,8 @@ func TestFramesFlowEncrypted(t *testing.T) {
 
 	alice := id.NewUserID("alice")
 	req := &wire.Request{Wants: []wire.Want{{Author: alice, Seqs: []uint64{1, 2}}}}
-	if err := ca.ups[0].sendFrame(req); err != nil {
-		t.Fatalf("sendFrame: %v", err)
+	if _, err := ca.ups[0].Send(req); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
 	w.pump(time.Second)
 
@@ -195,8 +195,8 @@ func TestFramesFlowEncrypted(t *testing.T) {
 	}
 
 	// Reply in the other direction.
-	if err := cb.ups[0].sendFrame(&wire.SummaryPull{}); err != nil {
-		t.Fatalf("reply sendFrame: %v", err)
+	if _, err := cb.ups[0].Send(&wire.SummaryPull{}); err != nil {
+		t.Fatalf("reply Send: %v", err)
 	}
 	w.pump(time.Second)
 	if len(ca.frames) != 1 {
@@ -389,8 +389,8 @@ func TestRecordedFramesDieWithTheirLink(t *testing.T) {
 	send := func(link *Link, k int) {
 		t.Helper()
 		for i := 0; i < k; i++ {
-			if err := link.sendFrame(&wire.SummaryPull{}); err != nil {
-				t.Fatalf("sendFrame: %v", err)
+			if _, err := link.Send(&wire.SummaryPull{}); err != nil {
+				t.Fatalf("Send: %v", err)
 			}
 		}
 		w.pump(time.Second)
@@ -462,8 +462,8 @@ func TestLinkDownOnContactLoss(t *testing.T) {
 		t.Fatalf("link downs = %d/%d, want 1/1", len(ca.downs), len(cb.downs))
 	}
 	// Sending on the dead link fails.
-	if err := ca.ups[0].sendFrame(&wire.SummaryPull{}); err == nil {
-		t.Error("sendFrame on dead link succeeded")
+	if _, err := ca.ups[0].Send(&wire.SummaryPull{}); err == nil {
+		t.Error("Send on dead link succeeded")
 	}
 }
 
@@ -747,8 +747,8 @@ func TestSweepSparesAFinishedHandshake(t *testing.T) {
 	if len(ca.downs)+len(cb.downs) != 0 || ma.Stats().HandshakeFailures != 0 {
 		t.Fatalf("the sweep ended a finished handshake: downs %d/%d, %+v", len(ca.downs), len(cb.downs), ma.Stats())
 	}
-	if err := ca.ups[0].sendFrame(&wire.SummaryPull{}); err != nil {
-		t.Fatalf("sendFrame on the spared link: %v", err)
+	if _, err := ca.ups[0].Send(&wire.SummaryPull{}); err != nil {
+		t.Fatalf("Send on the spared link: %v", err)
 	}
 }
 
@@ -969,8 +969,8 @@ func TestLiveMediumHandshake(t *testing.T) {
 		t.Fatal("bob link timeout")
 	}
 
-	if err := aliceLink.sendFrame(&wire.SummaryPull{}); err != nil {
-		t.Fatalf("sendFrame: %v", err)
+	if _, err := aliceLink.Send(&wire.SummaryPull{}); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
 	select {
 	case f := <-bob.recv:

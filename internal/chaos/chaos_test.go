@@ -193,15 +193,20 @@ func TestLossDropsDeterministically(t *testing.T) {
 }
 
 // TestDuplicateInjectsCopies checks duplication delivers extra identical
-// frames and the inner medium sees them all.
+// frames and the inner medium sees them all. A duplicate is a copy of its
+// own: the sender reuses one buffer and the receiving Recorder overwrites
+// every frame, yet every original and every duplicate arrives intact.
 func TestDuplicateInjectsCopies(t *testing.T) {
 	const total = 100
 	m, conn, recB := pair(t, Profile{Seed: 3, Duplicate: 0.5})
 	bConn := recvConn(t, recB)
+	var buf []byte
 	for i := 0; i < total; i++ {
-		if err := conn.Send([]byte(fmt.Sprintf("frame-%03d", i))); err != nil {
+		buf = fmt.Appendf(buf[:0], "frame-%03d", i)
+		if err := conn.Send(buf); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
+		clear(buf)
 	}
 	st := m.Stats()
 	if st.FramesDuplicated == 0 {
@@ -210,6 +215,16 @@ func TestDuplicateInjectsCopies(t *testing.T) {
 	frames := waitFrames(recB, bConn, total+int(st.FramesDuplicated), 2*time.Second)
 	if len(frames) != total+int(st.FramesDuplicated) {
 		t.Fatalf("got %d frames, want %d originals + %d dups", len(frames), total, st.FramesDuplicated)
+	}
+	next := 0
+	for i, f := range frames {
+		switch string(f) {
+		case fmt.Sprintf("frame-%03d", next):
+			next++
+		case fmt.Sprintf("frame-%03d", next-1): // the duplicate of the last original
+		default:
+			t.Fatalf("frame %d = %q after frame-%03d: damaged or out of order", i, f, next-1)
+		}
 	}
 }
 

@@ -703,25 +703,19 @@ func (m *Manager) sendSummary(links []*adhoc.Link, base, gen uint64, data []byte
 	m.mu.Unlock()
 }
 
-// sendCounted encodes one frame through a pooled buffer, sends it on the
-// link, and bills the wire bytes to the summary plane (advertisements,
-// summary pulls) or the payload plane (requests, batches).
+// sendCounted sends one frame on the link and bills its wire bytes to the
+// summary plane (advertisements, summary pulls) or the payload plane
+// (requests, batches).
 func (m *Manager) sendCounted(link *adhoc.Link, f wire.Frame, payload bool) error {
-	buf := wire.GetBuffer()
-	defer buf.Free()
-	enc, err := wire.AppendEncode(buf.B[:0], f)
+	n, err := link.Send(f)
 	if err != nil {
-		return err
-	}
-	buf.B = enc
-	if err := link.SendEncoded(enc); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	if payload {
-		m.stats.PayloadBytesSent += uint64(len(enc))
+		m.stats.PayloadBytesSent += uint64(n)
 	} else {
-		m.stats.SummaryBytesSent += uint64(len(enc))
+		m.stats.SummaryBytesSent += uint64(n)
 	}
 	m.mu.Unlock()
 	return nil
@@ -1382,8 +1376,8 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 				m.mu.Unlock()
 				continue
 			}
-			// The node's one copy: batch messages alias the link's decode
-			// scratch (see adhoc.Handler), and the certificate bytes are the
+			// The node's one copy: batch messages alias the received frame
+			// (see adhoc.Handler), and the certificate bytes are the
 			// verifier's, shared by every held message of this author.
 			incoming := mm.Retain(cert.DER)
 			incoming.Hops++ // one more device-to-device transfer

@@ -10,6 +10,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,11 +32,8 @@ import (
 // sendFrame encodes f and sends it over link, as a peer's message manager
 // would.
 func sendFrame(link *adhoc.Link, f wire.Frame) error {
-	enc, err := wire.Encode(f)
-	if err != nil {
-		return err
-	}
-	return link.SendEncoded(enc)
+	_, err := link.Send(f)
+	return err
 }
 
 // entriesOf is dict as a Summary carries it.
@@ -320,8 +318,14 @@ func (c *frameCapture) LinkUp(link *adhoc.Link) {
 	c.links = append(c.links, link)
 }
 func (c *frameCapture) FrameIn(link *adhoc.Link, f wire.Frame) {
-	// Retain the frame as-is: Summary and SummaryPull frames do not alias
-	// decode scratch (only Batch messages do).
+	// A Summary's entries are pooled and reused once FrameIn returns (see
+	// adhoc.Handler), so the capture records a copy; the other frames it
+	// reads do not alias decode scratch.
+	if sum, ok := f.(*wire.Summary); ok {
+		cp := *sum
+		cp.Entries = slices.Clone(sum.Entries)
+		f = &cp
+	}
 	c.mu.Lock()
 	c.frames = append(c.frames, f)
 	hold := c.hold

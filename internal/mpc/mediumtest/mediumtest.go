@@ -116,11 +116,15 @@ func (r *Recorder) Incoming(conn mpc.Conn) {
 	r.incoming = append(r.incoming, conn)
 }
 
-// Received implements mpc.Events.
+// Received implements mpc.Events. The frame is the callee's own (see
+// mpc.Events), so the recorder keeps a copy and then overwrites it, as a
+// receiver that decrypts in place does: a medium that delivers one buffer
+// twice, or reuses it, shows as a damaged frame.
 func (r *Recorder) Received(conn mpc.Conn, frame []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.frames[conn] = append(r.frames[conn], bytes.Clone(frame))
+	clear(frame)
 }
 
 // Disconnected implements mpc.Events.
@@ -291,13 +295,12 @@ func testConnectAndFrames(t *testing.T, w World) {
 		t.Fatal("responder conn reports Initiator() = true")
 	}
 
-	// Frames flow both ways, in order.
+	// Frames flow both ways, in order. Send copies what it keeps: each
+	// side sends from one buffer it overwrites after every Send, the
+	// receiving Recorder overwrites every frame it gets, and all frames
+	// still arrive intact.
 	sent := [][]byte{[]byte("f1"), []byte("f2"), []byte("f3")}
-	for _, f := range sent {
-		if err := conn.Send(f); err != nil {
-			t.Fatalf("initiator Send: %v", err)
-		}
-	}
+	sendAll(t, conn, sent)
 	waitFor(t, w, "bob to receive 3 frames", func() bool { return len(b.rec.Frames(in)) >= 3 })
 	for i, f := range b.rec.Frames(in) {
 		if !bytes.Equal(f, sent[i]) {
@@ -305,11 +308,7 @@ func testConnectAndFrames(t *testing.T, w World) {
 		}
 	}
 	reply := [][]byte{[]byte("r1"), []byte("r2")}
-	for _, f := range reply {
-		if err := in.Send(f); err != nil {
-			t.Fatalf("responder Send: %v", err)
-		}
-	}
+	sendAll(t, in, reply)
 	waitFor(t, w, "alice to receive 2 frames", func() bool { return len(a.rec.Frames(conn)) >= 2 })
 	for i, f := range a.rec.Frames(conn) {
 		if !bytes.Equal(f, reply[i]) {
@@ -333,6 +332,20 @@ func testConnectAndFrames(t *testing.T, w World) {
 	}
 	if err := conn.Send([]byte("late")); !errors.Is(err, mpc.ErrClosed) {
 		t.Fatalf("Send on closed conn: got %v, want ErrClosed", err)
+	}
+}
+
+// sendAll sends frames through one reused buffer, scribbled over after
+// every Send.
+func sendAll(t *testing.T, conn mpc.Conn, frames [][]byte) {
+	t.Helper()
+	var buf []byte
+	for _, f := range frames {
+		buf = append(buf[:0], f...)
+		if err := conn.Send(buf); err != nil {
+			t.Fatalf("Send(%q): %v", f, err)
+		}
+		clear(buf)
 	}
 }
 

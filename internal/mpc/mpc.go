@@ -117,7 +117,8 @@ type Conn interface {
 	Initiator() bool
 	// Send enqueues one frame for delivery. It never blocks; delivery is
 	// asynchronous and stops silently if the link breaks (the medium then
-	// reports Disconnected).
+	// reports Disconnected). Send copies what it keeps, so the caller may
+	// reuse frame as soon as Send returns.
 	Send(frame []byte) error
 	// Close tears the connection down; the peer observes Disconnected.
 	Close() error
@@ -128,13 +129,14 @@ type Conn interface {
 // so from a dedicated goroutine, SimMedium from the simulation loop.
 type Events interface {
 	// PeerFound fires when an advertising peer comes into range or updates
-	// its advertisement. ad is the raw advertisement payload.
+	// its advertisement. ad is the raw advertisement payload: read-only.
 	PeerFound(peer PeerID, ad []byte)
 	// PeerLost fires when a previously-found peer leaves range.
 	PeerLost(peer PeerID)
 	// Incoming delivers an inbound connection opened by a peer.
 	Incoming(conn Conn)
-	// Received delivers one frame from the peer.
+	// Received delivers one frame from the peer. The frame is the callee's
+	// own, never reused or handed out twice: the callee may overwrite it.
 	Received(conn Conn, frame []byte)
 	// Disconnected fires when a connection ends, with the reason.
 	Disconnected(conn Conn, reason error)

@@ -313,7 +313,7 @@ func TestOpenNilEnvelope(t *testing.T) {
 	}
 }
 
-func TestSessionAppendSealOpenShared(t *testing.T) {
+func TestSessionAppendSealOpenInPlace(t *testing.T) {
 	sa, sb := newPair(t)
 	aad := []byte("frame-aad")
 	var out []byte
@@ -324,12 +324,15 @@ func TestSessionAppendSealOpenShared(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AppendSeal(%d): %v", i, err)
 		}
-		got, err := sb.OpenShared(out, aad)
+		got, err := sb.OpenInPlace(out, aad)
 		if err != nil {
-			t.Fatalf("OpenShared(%d): %v", i, err)
+			t.Fatalf("OpenInPlace(%d): %v", i, err)
 		}
 		if string(got) != string(plain) {
-			t.Errorf("OpenShared(%d) = %q, want %q", i, got, plain)
+			t.Errorf("OpenInPlace(%d) = %q, want %q", i, got, plain)
+		}
+		if &got[0] != &out[EpochHeaderLen] {
+			t.Fatalf("OpenInPlace(%d) wrote the plaintext outside the frame", i)
 		}
 	}
 }
@@ -341,24 +344,49 @@ func TestSessionAppendSealAllocBudget(t *testing.T) {
 	sa, sb := newPair(t)
 	payload := make([]byte, 1024)
 	out := make([]byte, 0, len(payload)+sa.overhead)
-	// Warm the direction-scratch buffers.
-	warm, err := sa.AppendSeal(out, payload, nil)
-	if err != nil {
-		t.Fatalf("AppendSeal: %v", err)
-	}
-	if _, err := sb.OpenShared(warm, nil); err != nil {
-		t.Fatalf("OpenShared: %v", err)
-	}
 	got := testing.AllocsPerRun(200, func() {
 		sealed, err := sa.AppendSeal(out[:0], payload, nil)
 		if err != nil {
 			t.Fatalf("AppendSeal: %v", err)
 		}
-		if _, err := sb.OpenShared(sealed, nil); err != nil {
-			t.Fatalf("OpenShared: %v", err)
+		if _, err := sb.OpenInPlace(sealed, nil); err != nil {
+			t.Fatalf("OpenInPlace: %v", err)
 		}
 	})
 	if got > 0 {
-		t.Errorf("AppendSeal+OpenShared = %.1f allocs/op, budget 0", got)
+		t.Errorf("AppendSeal+OpenInPlace = %.1f allocs/op, budget 0", got)
+	}
+}
+
+// TestSessionFirstOpenAllocBudget: a session holds no open buffer, so the
+// first frame a fresh session opens, a 64 KB one, allocates nothing. A
+// session that grew its own decrypt scratch would pay a 64 KB allocation
+// per contact here.
+func TestSessionFirstOpenAllocBudget(t *testing.T) {
+	const runs = 20
+	type firstFrame struct {
+		sess  *Session
+		frame []byte
+	}
+	payload := make([]byte, 64<<10)
+	firsts := make([]firstFrame, runs+1) // AllocsPerRun makes one warm-up run
+	for i := range firsts {
+		sa, sb := newPair(t)
+		frame, err := sa.Seal(payload, nil)
+		if err != nil {
+			t.Fatalf("Seal: %v", err)
+		}
+		firsts[i] = firstFrame{sb, frame}
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		f := firsts[next]
+		next++
+		if _, err := f.sess.OpenInPlace(f.frame, nil); err != nil {
+			t.Fatalf("OpenInPlace: %v", err)
+		}
+	})
+	if got > 0 {
+		t.Errorf("first OpenInPlace of a fresh session = %.1f allocs/op, budget 0", got)
 	}
 }

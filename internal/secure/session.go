@@ -83,9 +83,9 @@ type SessionConfig struct {
 //
 // A session is not safe for concurrent use within one direction: callers
 // must serialize Seal/AppendSeal calls among themselves and Open/
-// OpenShared calls among themselves (the ad hoc manager does both — sends
-// under the link's send mutex, opens on the endpoint's serial callback
-// queue). The two directions may run concurrently with each other.
+// OpenInPlace calls among themselves (the ad hoc manager does both —
+// sends under the link's send mutex, opens on the endpoint's serial
+// callback queue). The two directions may run concurrently.
 type Session struct {
 	clk      clock.Clock
 	rec      *StatsRecorder
@@ -120,7 +120,6 @@ type Session struct {
 	// escape (one heap allocation per frame).
 	sealAAD   []byte
 	openAAD   []byte
-	openBuf   []byte
 	sealNonce [gcmNonce]byte
 	openNonce [gcmNonce]byte
 }
@@ -187,6 +186,9 @@ func NewSessionWithConfig(local *ecdsa.PrivateKey, remote *ecdsa.PublicKey, cont
 		sendChain: newChain(sendRoot),
 		recvChain: newChain(recvRoot),
 		sealsLeft: rotateCheckEvery,
+		// Sized for frames without AAD: a first frame allocates nothing.
+		sealAAD: make([]byte, 0, EpochHeaderLen),
+		openAAD: make([]byte, 0, EpochHeaderLen),
 	}
 	Zeroize(okm)
 	Zeroize(shared)
@@ -324,26 +326,16 @@ func (s *Session) AppendSeal(dst, plaintext, aad []byte) ([]byte, error) {
 	return s.sendAEAD.Seal(dst, s.sealNonce[:], plaintext, s.sealAAD), nil
 }
 
-// Open authenticates and decrypts a frame produced by the peer's Seal.
-// The returned plaintext is freshly allocated; hot paths should prefer
-// OpenShared.
+// Open authenticates and decrypts a frame produced by the peer's Seal into
+// a fresh copy of it; hot paths should prefer OpenInPlace.
 func (s *Session) Open(frame, aad []byte) ([]byte, error) {
-	return s.open(frame, aad, nil)
+	return s.OpenInPlace(bytes.Clone(frame), aad)
 }
 
-// OpenShared is Open with the plaintext written into an internal scratch
-// buffer: the returned slice is valid only until the next OpenShared call
-// on this session, so callers that retain it must copy.
-func (s *Session) OpenShared(frame, aad []byte) ([]byte, error) {
-	plaintext, err := s.open(frame, aad, s.openBuf[:0])
-	if err != nil {
-		return nil, err
-	}
-	s.openBuf = plaintext
-	return plaintext, nil
-}
-
-func (s *Session) open(frame, aad, dst []byte) ([]byte, error) {
+// OpenInPlace is Open over frame itself: it allocates nothing, and the
+// plaintext aliases frame, which the caller gives up whatever the outcome
+// (one that fails authentication is left zeroed past its header).
+func (s *Session) OpenInPlace(frame, aad []byte) ([]byte, error) {
 	if s.closed {
 		bump(s.rec, cOpenFailures)
 		return nil, ErrSessionDone
@@ -373,7 +365,7 @@ func (s *Session) open(frame, aad, dst []byte) ([]byte, error) {
 
 	hdr.AppendEncode(s.openNonce[:0])
 	s.openAAD = hdr.AppendEncode(append(s.openAAD[:0], aad...))
-	plaintext, err := aead.Open(dst, s.openNonce[:], body, s.openAAD)
+	plaintext, err := aead.Open(body[:0], s.openNonce[:], body, s.openAAD)
 	if err != nil {
 		bump(s.rec, cOpenFailures)
 		return nil, fmt.Errorf("secure: opening frame %d: %w", hdr.Seq, err)

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -119,6 +121,71 @@ func TestDecodeAllocBudget(t *testing.T) {
 				t.Errorf("Decode(%s) = %.1f allocs/op, budget %.1f", name, got, budget)
 			}
 		})
+	}
+}
+
+// ascendingEntries returns n summary entries in author order.
+func ascendingEntries(n int) []Entry {
+	entries := make([]Entry, n)
+	for i := range entries {
+		binary.BigEndian.PutUint32(entries[i].Author[id.UserIDLen-4:], uint32(i))
+		entries[i].Seq = uint64(i + 1)
+	}
+	return entries
+}
+
+// TestReleasedSummaryAllocBudget: a summary chunk decoded after the last
+// one was released refills its entry slice, so decoding costs only the
+// frame struct.
+func TestReleasedSummaryAllocBudget(t *testing.T) {
+	enc, err := Encode(&Summary{Gen: 9, More: true, Entries: ascendingEntries(4096)})
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		f, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		Release(f)
+	})
+	if got > 1 {
+		t.Errorf("Decode+Release(4096-entry summary) = %.1f allocs/op, budget 1", got)
+	}
+}
+
+// TestReleaseKeepsNoHostileSlice: Release pools no entry slice past
+// maxPooledEntries, and a summary without entries decodes them as nil
+// whatever the pool holds.
+func TestReleaseKeepsNoHostileSlice(t *testing.T) {
+	for _, n := range []int{MaxSummaryEntries, 8} {
+		enc, err := Encode(&Summary{Gen: 9, Entries: ascendingEntries(n)})
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		f, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		Release(f)
+	}
+	for _, n := range []int{8, 0} {
+		enc, err := Encode(&Summary{Gen: 9, Entries: ascendingEntries(n)})
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		f, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		got := f.(*Summary).Entries
+		if cap(got) > maxPooledEntries {
+			t.Fatalf("decoded %d entries into a pooled slice of cap %d, bound %d", n, cap(got), maxPooledEntries)
+		}
+		if !slices.Equal(got, ascendingEntries(n)) || (n == 0) != (got == nil) {
+			t.Fatalf("decoded %d entries as %d (nil %t)", n, len(got), got == nil)
+		}
+		Release(f)
 	}
 }
 

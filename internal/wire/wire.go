@@ -318,6 +318,21 @@ func (b *Buffer) Free() {
 	bufPool.Put(b)
 }
 
+// entryPool recycles Summary entry slices as *[]Entry: Release puts back
+// a pointer to the frame's own Entries field, which allocates nothing. It
+// keeps no more than a maxPooledBuffer-byte frame carries, not 2^17.
+var entryPool sync.Pool
+
+const maxPooledEntries = maxPooledBuffer / (id.UserIDLen + 8)
+
+// Release gives a decoded Summary's entries to the next Decode; nothing
+// may read f afterwards. Other frames pool nothing.
+func Release(f Frame) {
+	if s, ok := f.(*Summary); ok && cap(s.Entries) > 0 && cap(s.Entries) <= maxPooledEntries {
+		entryPool.Put(&s.Entries)
+	}
+}
+
 // Encode serializes any frame as a type byte followed by its body into a
 // fresh slice. Hot paths should prefer AppendEncode with a reused buffer.
 func Encode(f Frame) ([]byte, error) {
@@ -364,7 +379,7 @@ func AppendEncode(dst []byte, f Frame) ([]byte, error) {
 // a caller that retains them past buf's lifetime must copy them first.
 // The SOS stack keeps only the copy message.Manager makes of each
 // verified message (msg.Message.Retain), so the alias never escapes a
-// frame callback.
+// frame callback. A Summary's entries fill a slice Release gave back.
 func Decode(buf []byte) (Frame, error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrTruncated)
@@ -466,7 +481,15 @@ func decodeSummary(body []byte) (Frame, error) {
 			return nil, err
 		}
 	}
-	s.Entries = r.entries(nil, MaxSummaryEntries)
+	var dst []Entry
+	pooled, _ := entryPool.Get().(*[]Entry)
+	if pooled != nil {
+		dst = (*pooled)[:0]
+	}
+	if s.Entries = r.entries(dst, MaxSummaryEntries); len(s.Entries) == 0 && pooled != nil {
+		s.Entries = nil // as an empty list always decoded; the slice stays pooled
+		entryPool.Put(pooled)
+	}
 	s.SchemeData = r.bytes16(MaxSchemeData)
 	return finish(s, r)
 }
