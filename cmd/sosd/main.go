@@ -124,7 +124,6 @@ func run(args []string) error {
 	storeKind := fs.String("store", "mem", "storage engine: mem (volatile) or disk (survives restarts)")
 	storeDir := fs.String("store-dir", "", "disk engine directory; the replay store (seen envelope nonces) goes in its replay/ subdirectory (default: <creds file>.store)")
 	quota := fs.Int("quota", 0, "max buffered messages; over quota the eviction policy drops relay cargo (0 = unbounded)")
-	quotaBytes := fs.Int("quota-bytes", 0, "max buffered message bytes (0 = unbounded)")
 	evict := fs.String("evict", "", "eviction policy: drop-oldest, ttl, size-quota, subscription-priority (default: drop-oldest, or ttl when -relay-ttl is set)")
 	relayTTL := fs.Duration("relay-ttl", 0, "lifetime of other users' messages in the buffer (0 = forever)")
 	telemetryAddr := fs.String("telemetry", "", "stream lifecycle events to a collector at this TCP address (e.g. a soslab run)")
@@ -170,7 +169,6 @@ func run(args []string) error {
 	}
 	storeOpts := sos.StoreOptions{
 		MaxMessages: *quota,
-		MaxBytes:    *quotaBytes,
 		Policy:      policy,
 		Tracer:      tracer,
 	}

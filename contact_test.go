@@ -23,9 +23,10 @@ type contactPair struct {
 // when one is given, and primes the contact: no link exists until a
 // post changes alice's beacon, so she posts once, bob stores it, and
 // the pair waits until both in-session views cover the peer's whole
-// dictionary — at large stores a chunked full-summary stream still
-// arriving after that first delivery. The pair closes when the test
-// ends, or earlier through close.
+// dictionary. A full summary leaves inline, ahead of any Batch on its
+// link, so bob's view is whole at that first delivery; at large stores
+// bob's own stream to alice may still be arriving. The pair closes when
+// the test ends, or earlier through close.
 func newContactPair(tb testing.TB, authors int, aliceTracer, bobTracer *sos.Tracer) *contactPair {
 	tb.Helper()
 	ca, err := sos.NewCA("contact-root", nil)

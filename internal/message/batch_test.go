@@ -1,7 +1,6 @@
 package message_test
 
 import (
-	"crypto/rand"
 	"maps"
 	"runtime"
 	"testing"
@@ -35,8 +34,8 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 
 	run := func(t *testing.T, oneBatch bool) batchOutcome {
 		h := newSyncHarness(t)
-		carolAd, carol, _ := h.scriptedPeer(t, h.mem, "carol")
-		dave, frank := bootstrap(t, h.svc, "dave"), bootstrap(t, h.svc, "frank")
+		carolAd, carol := h.capturePeer(t, "carol")
+		dave, frank := h.bootstrap(t, "dave"), h.bootstrap(t, "frank")
 		erin := id.NewUserID("erin")
 
 		valid := signed(t, dave, 1, "valid")
@@ -56,12 +55,12 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 		if err := sendFrame(bobLink, &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{dave.Ident.User: 4})}); err != nil {
 			t.Fatalf("SendFrame: %v", err)
 		}
-		waitFor(t, "requests to bob", func() bool { return h.bob.requestedSeqs(dave.Ident.User) == 3 })
+		h.expect(t, "requests to bob", func() bool { return h.bob.requestedSeqs(dave.Ident.User) == 3 })
 		carolLink := linkScripted(t, h, carolAd, carol, 2)
 		if err := sendFrame(carolLink, &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{frank.Ident.User: 2})}); err != nil {
 			t.Fatalf("SendFrame: %v", err)
 		}
-		waitFor(t, "requests to carol", func() bool { return carol.requestedSeqs(frank.Ident.User) == 2 })
+		h.expect(t, "requests to carol", func() bool { return carol.requestedSeqs(frank.Ident.User) == 2 })
 
 		msgs := []*msg.Message{valid, forged, misnamed, held, fromCarol, forgedCarol}
 		batches := [][]*msg.Message{msgs}
@@ -76,7 +75,7 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 				t.Fatalf("SendFrame: %v", err)
 			}
 		}
-		waitFor(t, "every message judged", func() bool {
+		h.expect(t, "every message judged", func() bool {
 			st := h.mgr.Stats()
 			return st.MessagesReceived+st.Duplicates+st.VerifyFailures == uint64(len(msgs))
 		})
@@ -121,15 +120,6 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 	if !maps.Equal(batched.inflight, singles.inflight) {
 		t.Errorf("in flight after one batch %v, after one per batch %v", batched.inflight, singles.inflight)
 	}
-}
-
-func bootstrap(t *testing.T, svc *cloud.Service, handle string) *cloud.Credentials {
-	t.Helper()
-	creds, err := cloud.Bootstrap(svc, handle, rand.Reader)
-	if err != nil {
-		t.Fatalf("Bootstrap(%s): %v", handle, err)
-	}
-	return creds
 }
 
 // signed returns author's post seq, signed and carrying its certificate.

@@ -5,7 +5,6 @@ package message_test
 
 import (
 	"bytes"
-	"crypto/rand"
 	"fmt"
 	"math"
 	"reflect"
@@ -14,15 +13,10 @@ import (
 	"testing"
 	"time"
 
-	"sos/internal/adhoc"
-	"sos/internal/cloud"
-	"sos/internal/core"
 	"sos/internal/id"
 	"sos/internal/message"
 	"sos/internal/mpc"
 	"sos/internal/msg"
-	"sos/internal/pki"
-	"sos/internal/routing"
 	"sos/internal/store"
 	"sos/internal/wire"
 )
@@ -129,36 +123,11 @@ func preload(t *testing.T, st store.Engine, n int) {
 // the given number of authors, alone on a medium that records its beacons.
 func beaconFixture(t *testing.T, authors int) (*message.Manager, *store.Store, *adRecorder) {
 	t.Helper()
-	mem, svc := newLiveWorld(t)
-	rec := &adRecorder{inner: mem}
-	creds, err := cloud.Bootstrap(svc, "alice", rand.Reader)
-	if err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
-	st := store.New(creds.Ident.User)
-	preload(t, st, authors)
-	rm, err := routing.NewManager(st, routing.Options{})
-	if err != nil {
-		t.Fatalf("routing.NewManager: %v", err)
-	}
-	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
-	if err != nil {
-		t.Fatalf("NewVerifier: %v", err)
-	}
-	mgr, err := message.New(message.Config{Store: st, Routing: rm, Verifier: verifier})
-	if err != nil {
-		t.Fatalf("message.New: %v", err)
-	}
-	t.Cleanup(mgr.Close)
-	ad, err := adhoc.New(adhoc.Config{
-		Medium: rec, PeerName: "alice-phone", Ident: creds.Ident,
-		CertDER: creds.Cert.DER, Verifier: verifier, Handler: mgr,
-	})
-	if err != nil {
-		t.Fatalf("adhoc.New: %v", err)
-	}
-	t.Cleanup(func() { ad.Close() })
-	return mgr, st, rec
+	w := newWorld(t)
+	rec := &adRecorder{inner: w.medium}
+	alice := w.realPeer(t, rec, "alice", message.Config{})
+	preload(t, alice.st, authors)
+	return alice.mgr, alice.st, rec
 }
 
 // TestBeaconHintBounded: past MaxBeaconSummary authors the beacon carries
@@ -242,15 +211,9 @@ func TestBeaconBytesIndependentOfStoreSize(t *testing.T) {
 // in-session summary then moves the whole backlog.
 func TestColdDrainDialsOnHint(t *testing.T) {
 	const authors, writers, each = 10_000, 16, 16
-	medium, svc := newLiveWorld(t)
-
-	var mu sync.Mutex
-	got := make(map[msg.Ref]bool)
-	node := func(handle string, backlog []*msg.Message, onReceive func(*msg.Message, id.UserID)) *core.Middleware {
-		creds, err := cloud.Bootstrap(svc, handle, rand.Reader)
-		if err != nil {
-			t.Fatalf("Bootstrap(%s): %v", handle, err)
-		}
+	w := newWorld(t)
+	node := func(handle string, backlog []*msg.Message) *liveNode {
+		creds := w.bootstrap(t, handle)
 		st := store.New(creds.Ident.User)
 		preload(t, st, authors)
 		for _, m := range backlog {
@@ -258,23 +221,12 @@ func TestColdDrainDialsOnHint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		mw, err := core.New(core.Config{
-			Creds: creds, Medium: medium, PeerName: mpc.PeerID(handle + "-phone"),
-			Store: st, OnReceive: onReceive,
-		})
-		if err != nil {
-			t.Fatalf("core.New(%s): %v", handle, err)
-		}
-		t.Cleanup(func() { mw.Close() })
-		return mw
+		return w.startLiveNode(t, w.medium, creds, st)
 	}
 
 	var backlog []*msg.Message
 	for a := 0; a < writers; a++ {
-		writer, err := cloud.Bootstrap(svc, fmt.Sprintf("writer-%d", a), rand.Reader)
-		if err != nil {
-			t.Fatalf("Bootstrap(writer): %v", err)
-		}
+		writer := w.bootstrap(t, fmt.Sprintf("writer-%d", a))
 		for seq := uint64(1); seq <= each; seq++ {
 			m := &msg.Message{
 				Author: writer.Ident.User, Seq: seq, Kind: msg.KindPost, Created: time.Unix(0, 0),
@@ -286,24 +238,14 @@ func TestColdDrainDialsOnHint(t *testing.T) {
 			backlog = append(backlog, m)
 		}
 	}
-	sender := node("sender", backlog, nil)
-	// Out of range until the fresh node is up: core.New joins the medium
-	// before it binds the message manager, and the sender's beacon — the
-	// only one this test ever produces — must not arrive in between.
-	medium.SetReachable("sender-phone", "fresh-phone", false)
-	fresh := node("fresh", nil, func(m *msg.Message, _ id.UserID) {
-		mu.Lock()
-		got[m.Ref()] = true
-		mu.Unlock()
+	sender := node("sender", backlog).mw
+	fresh := node("fresh", nil)
+	w.expect(t, "the backlog to drain to the fresh node", func() bool {
+		fresh.mu.Lock()
+		defer fresh.mu.Unlock()
+		return len(fresh.received) == len(backlog)
 	})
-	medium.SetReachable("sender-phone", "fresh-phone", true)
-
-	waitFor(t, "the backlog to drain to the fresh node", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == len(backlog)
-	})
-	if n := fresh.Stats().Message.ConnectsAttempted; n == 0 {
+	if n := fresh.mw.Stats().Message.ConnectsAttempted; n == 0 {
 		t.Error("the fresh node never dialled on the beacon hint")
 	}
 	if n := sender.Stats().Message.ConnectsAttempted; n != 0 {
@@ -324,14 +266,12 @@ func TestForgedBeaconEntryIsBounded(t *testing.T) {
 		t.Fatalf("Advertise: %v", err)
 	}
 	// The beacon offers something, so alice dials.
-	waitFor(t, "alice to dial on the forged beacon", func() bool { return h.bob.linkCount() == 1 })
+	h.expect(t, "alice to dial on the forged beacon", func() bool { return h.bob.linkCount() == 1 })
 	if err := sendFrame(h.bob.link(0), &wire.Summary{Gen: forged.Gen, Entries: entriesOf(forged.Summary)}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
 	// The want-list leaves in several frames (wire.MaxSeqsPerRequest each).
-	waitFor(t, "alice's requests for the forged author", func() bool {
-		return h.bob.requestedSeqs(ghost) >= wire.MaxSeqsPerWant
-	})
+	h.run()
 	if n := h.bob.requestedSeqs(ghost); n != wire.MaxSeqsPerWant {
 		t.Errorf("alice requested %d sequences of the forged author, want %d", n, wire.MaxSeqsPerWant)
 	}
@@ -369,16 +309,12 @@ func TestForgedHintCostsOneSequencePerEntry(t *testing.T) {
 // nobody and scores nothing — the session goes on as if it had not come.
 func TestHintInSessionIsIgnored(t *testing.T) {
 	h := newSyncHarness(t)
-	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
-		t.Fatalf("Connect: %v", err)
-	}
-	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
-	link := h.bob.link(0)
+	link := h.connect(t, h.bobAd, h.bob)
 	first, hinted, second := id.NewUserID("first-author"), id.NewUserID("hinted-author"), id.NewUserID("second-author")
 	if err := sendFrame(link, &wire.Summary{Gen: 5, Entries: entriesOf(map[id.UserID]uint64{first: 1})}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "request against the full summary", func() bool { return h.bob.requested(first) })
+	h.expect(t, "request against the full summary", func() bool { return h.bob.requested(first) })
 
 	if err := sendFrame(link, &wire.Advertisement{Peer: "bob-phone", Gen: 6, Summary: map[id.UserID]uint64{hinted: 4}}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
@@ -388,7 +324,7 @@ func TestHintInSessionIsIgnored(t *testing.T) {
 	if err := sendFrame(link, &wire.Summary{Gen: 7, BaseGen: 5, Entries: entriesOf(map[id.UserID]uint64{second: 1})}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "request against the delta", func() bool { return h.bob.requested(second) })
+	h.expect(t, "request against the delta", func() bool { return h.bob.requested(second) })
 
 	if h.bob.requested(hinted) {
 		t.Error("alice planned against a hint sent inside the session")

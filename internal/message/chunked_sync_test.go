@@ -1,223 +1,82 @@
 // Chunked full-sync tests: a store too large for one summary frame
-// streams as bounded chunks that interleave with data-plane Batch frames,
-// and the striped summary index sustains concurrent sync on several
-// links. These ride the same live-medium harness pieces as sync_test.go.
+// leaves as bounded chunks, sent back to back, and the striped summary
+// index sustains concurrent sync on several links.
 package message_test
 
 import (
-	"crypto/rand"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"sos/internal/adhoc"
-	"sos/internal/cloud"
+	"sos/internal/clock"
 	"sos/internal/id"
 	"sos/internal/message"
-	"sos/internal/mpc"
 	"sos/internal/msg"
-	"sos/internal/pki"
-	"sos/internal/routing"
 	"sos/internal/store"
 	"sos/internal/wire"
 )
 
-// throttledMedium wraps a Medium so every outbound frame of a wrapped
-// endpoint takes a fixed transmit time, simulating a bandwidth-bound
-// radio. MemMedium sends are instant, which would let a chunked summary
-// stream finish before the peer's first Request even arrives; with the
-// throttle, frame order on the link reflects genuine interleaving at the
-// sender.
-type throttledMedium struct {
-	inner mpc.Medium
-	delay time.Duration
-}
-
-func (m *throttledMedium) Join(peer mpc.PeerID, events mpc.Events) (mpc.Endpoint, error) {
-	te := &throttledEvents{inner: events, delay: m.delay, conns: make(map[mpc.Conn]*throttledConn)}
-	ep, err := m.inner.Join(peer, te)
-	if err != nil {
-		return nil, err
-	}
-	return &throttledEndpoint{inner: ep, events: te}, nil
-}
-
-type throttledEndpoint struct {
-	inner  mpc.Endpoint
-	events *throttledEvents
-}
-
-func (ep *throttledEndpoint) Self() mpc.PeerID           { return ep.inner.Self() }
-func (ep *throttledEndpoint) SetAdvertisement(ad []byte) { ep.inner.SetAdvertisement(ad) }
-func (ep *throttledEndpoint) Close() error               { return ep.inner.Close() }
-func (ep *throttledEndpoint) Connect(peer mpc.PeerID) (mpc.Conn, error) {
-	c, err := ep.inner.Connect(peer)
-	if err != nil {
-		return nil, err
-	}
-	return ep.events.wrap(c), nil
-}
-
-// throttledEvents preserves Conn identity: the adhoc manager keys its
-// connection table by the Conn value, so Incoming, Received, and
-// Disconnected must all surface the same wrapper for one inner Conn.
-type throttledEvents struct {
-	inner mpc.Events
-	delay time.Duration
-
-	mu    sync.Mutex
-	conns map[mpc.Conn]*throttledConn
-}
-
-func (e *throttledEvents) wrap(c mpc.Conn) *throttledConn {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if tc, ok := e.conns[c]; ok {
-		return tc
-	}
-	tc := &throttledConn{inner: c, delay: e.delay}
-	e.conns[c] = tc
-	return tc
-}
-
-func (e *throttledEvents) PeerFound(peer mpc.PeerID, ad []byte) { e.inner.PeerFound(peer, ad) }
-func (e *throttledEvents) PeerLost(peer mpc.PeerID)             { e.inner.PeerLost(peer) }
-func (e *throttledEvents) Incoming(conn mpc.Conn)               { e.inner.Incoming(e.wrap(conn)) }
-func (e *throttledEvents) Received(conn mpc.Conn, frame []byte) {
-	e.inner.Received(e.wrap(conn), frame)
-}
-func (e *throttledEvents) Disconnected(conn mpc.Conn, reason error) {
-	tc := e.wrap(conn)
-	e.mu.Lock()
-	delete(e.conns, conn)
-	e.mu.Unlock()
-	e.inner.Disconnected(tc, reason)
-}
-
-type throttledConn struct {
-	inner mpc.Conn
-	delay time.Duration
-}
-
-func (c *throttledConn) Peer() mpc.PeerID { return c.inner.Peer() }
-func (c *throttledConn) Initiator() bool  { return c.inner.Initiator() }
-func (c *throttledConn) Close() error     { return c.inner.Close() }
-func (c *throttledConn) Send(frame []byte) error {
-	time.Sleep(c.delay)
-	return c.inner.Send(frame)
-}
-
 // requestingCapture is a scripted peer that, on the first chunk of a
-// full-summary stream, immediately requests a few advertised messages —
-// the behaviour a real manager shows, minus verification.
+// full-summary stream, at once requests a few advertised messages — the
+// behaviour a real manager shows, minus verification. It logs every frame
+// it is handed with its virtual arrival time.
 type requestingCapture struct {
-	frameCapture
-	once sync.Once
+	*frameCapture
+	clk     clock.Clock
+	asked   time.Time   // when its Request left
+	arrived []time.Time // when each frame arrived, beside frameCapture.frames
+	log     []string    // each frame's arrival offset from the first, and its encoding
 }
 
 func (c *requestingCapture) FrameIn(link *adhoc.Link, f wire.Frame) {
-	if ad, ok := f.(*wire.Summary); ok && !ad.IsDelta() && ad.Chunk == 0 {
-		c.once.Do(func() {
-			var wants []wire.Want
-			for _, e := range ad.Entries {
-				wants = append(wants, wire.Want{Author: e.Author, Seqs: []uint64{e.Seq}})
-				if len(wants) >= 4 {
-					break
-				}
-			}
-			_ = sendFrame(link, &wire.Request{Wants: wants})
-		})
+	now := c.clk.Now()
+	c.arrived = append(c.arrived, now)
+	enc, err := wire.Encode(f)
+	if err != nil {
+		panic(err)
+	}
+	c.log = append(c.log, fmt.Sprintf("%v %x", now.Sub(c.arrived[0]), enc))
+	if ad, ok := f.(*wire.Summary); ok && !ad.IsDelta() && ad.Chunk == 0 && c.asked.IsZero() {
+		var wants []wire.Want
+		for _, e := range ad.Entries[:4] {
+			wants = append(wants, wire.Want{Author: e.Author, Seqs: []uint64{e.Seq}})
+		}
+		_ = sendFrame(link, &wire.Request{Wants: wants})
+		c.asked = now
 	}
 	c.frameCapture.FrameIn(link, f)
 }
 
-// scriptedPeer builds an adhoc manager for a scripted handler.
-func scriptedPeer(t *testing.T, medium mpc.Medium, svc *cloud.Service, handle, device string, h adhoc.Handler) *adhoc.Manager {
-	t.Helper()
-	creds, err := cloud.Bootstrap(svc, handle, rand.Reader)
-	if err != nil {
-		t.Fatalf("Bootstrap(%s): %v", handle, err)
-	}
-	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
-	if err != nil {
-		t.Fatalf("NewVerifier: %v", err)
-	}
-	ad, err := adhoc.New(adhoc.Config{
-		Medium: medium, PeerName: mpc.PeerID(device), Ident: creds.Ident,
-		CertDER: creds.Cert.DER, Verifier: verifier, Handler: h,
-	})
-	if err != nil {
-		t.Fatalf("adhoc.New(%s): %v", device, err)
-	}
-	t.Cleanup(func() { ad.Close() })
-	return ad
-}
-
-// TestChunkedFullSyncInterleavesBatches pins the acceptance bound of the
-// streaming full sync: against a 100k-author store, a fresh peer that
-// requests messages after the first summary chunk receives its first
-// Batch before the sender finishes emitting the full summary — data flows
-// mid-stream instead of after a monolithic dictionary transfer.
-func TestChunkedFullSyncInterleavesBatches(t *testing.T) {
-	const authors = 100_000
-	medium, svc := newLiveWorld(t)
-	throttled := &throttledMedium{inner: medium, delay: 2 * time.Millisecond}
-
-	aliceCreds, err := cloud.Bootstrap(svc, "alice", rand.Reader)
-	if err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
-	st := store.New(aliceCreds.Ident.User)
-	for i := 0; i < authors; i++ {
-		if _, err := st.Put(&msg.Message{
-			Author: id.NewUserID(fmt.Sprintf("chunky-%06d", i)), Seq: 1,
-			Kind: msg.KindPost, Created: time.Unix(0, 0),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rm, err := routing.NewManager(st, routing.Options{})
-	if err != nil {
-		t.Fatalf("routing.NewManager: %v", err)
-	}
-	verifier, err := pki.NewVerifier(aliceCreds.RootDER, time.Now)
-	if err != nil {
-		t.Fatalf("NewVerifier: %v", err)
-	}
-	mgr, err := message.New(message.Config{Store: st, Routing: rm, Verifier: verifier})
-	if err != nil {
-		t.Fatalf("message.New: %v", err)
-	}
-	aliceAd, err := adhoc.New(adhoc.Config{
-		Medium: throttled, PeerName: "alice-phone", Ident: aliceCreds.Ident,
-		CertDER: aliceCreds.Cert.DER, Verifier: verifier, Handler: mgr,
-	})
-	if err != nil {
-		t.Fatalf("adhoc.New(alice): %v", err)
-	}
-	t.Cleanup(func() { aliceAd.Close() })
-
-	bob := &requestingCapture{}
-	bobAd := scriptedPeer(t, medium, svc, "bob", "bob-phone", bob)
-	if err := bobAd.Connect(aliceAd.Self()); err != nil {
-		t.Fatalf("Connect: %v", err)
-	}
-
-	waitFor(t, "complete summary stream", func() bool {
-		for _, ad := range bob.ads() {
-			if ad.Chunk > 0 && !ad.More {
-				return true
+// TestChunkedFullSyncLeavesInline: a 10 000-author store greets a fresh
+// peer over Bluetooth with a three-chunk full summary, sent inline and
+// back to back. The chunks cover the dictionary and both byte planes are
+// billed. The peer plans after the first chunk, so its Request leaves
+// before the final chunk arrives; the link is FIFO, so the Batch that
+// answers it arrives after that chunk. The contact replays: a second run
+// logs the same frames at the same offsets.
+func TestChunkedFullSyncLeavesInline(t *testing.T) {
+	const authors = 10_000
+	contact := func() (*requestingCapture, message.Stats) {
+		w := newWorld(t)
+		alice := w.realPeer(t, w.medium, "alice", message.Config{})
+		for i := 0; i < authors; i++ {
+			if _, err := alice.st.Put(historyPost(id.NewUserID(fmt.Sprintf("chunky-%05d", i)), 1)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return false
-	})
+		bob := &requestingCapture{frameCapture: newFrameCapture(), clk: w.clk}
+		bobAd, _ := w.scriptedPeer(t, w.medium, "bob", bob)
+		if err := bobAd.Connect(alice.ad.Self()); err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+		w.run()
+		return bob, alice.mgr.Stats()
+	}
+	bob, stats := contact()
 
-	// Replay bob's frame log: the first Batch must precede the final
-	// summary chunk, and the chunks together must cover the dictionary.
-	// (Captured Batch contents alias reused decode scratch; only the frame
-	// type and position are examined.)
-	bob.mu.Lock()
 	firstBatch, finalChunk := -1, -1
 	covered := make(map[id.UserID]uint64, authors)
 	for i, f := range bob.frames {
@@ -227,46 +86,132 @@ func TestChunkedFullSyncInterleavesBatches(t *testing.T) {
 				firstBatch = i
 			}
 		case *wire.Summary:
-			if fr.IsDelta() {
-				continue
-			}
 			for _, e := range fr.Entries {
-				if e.Seq > covered[e.Author] {
-					covered[e.Author] = e.Seq
-				}
+				covered[e.Author] = max(covered[e.Author], e.Seq)
 			}
 			if fr.Chunk > 0 && !fr.More {
 				finalChunk = i
 			}
 		}
 	}
-	bob.mu.Unlock()
-
-	if firstBatch < 0 {
-		t.Fatal("no Batch received during the summary stream")
+	if finalChunk < 0 || firstBatch < 0 {
+		t.Fatalf("frame log without a final chunk (%d) or a Batch (%d)", finalChunk, firstBatch)
 	}
-	if finalChunk < 0 {
-		t.Fatal("no final summary chunk received")
+	if !bob.asked.Before(bob.arrived[finalChunk]) {
+		t.Errorf("bob's Request left at %v, not before the final chunk arrived at %v: the receiver waited for the whole dictionary",
+			bob.asked, bob.arrived[finalChunk])
 	}
-	if firstBatch > finalChunk {
-		t.Errorf("first Batch arrived at frame %d, after the final summary chunk at frame %d; want data interleaved with the stream",
-			firstBatch, finalChunk)
+	if firstBatch < finalChunk {
+		t.Errorf("the first Batch arrived at frame %d, before the final chunk at frame %d: the stream left first on a FIFO link", firstBatch, finalChunk)
 	}
 	if len(covered) != authors {
 		t.Errorf("summary stream covered %d authors, want %d", len(covered), authors)
 	}
-	stats := mgr.Stats()
-	wantChunks := uint64((authors + message.SummaryChunkEntries - 1) / message.SummaryChunkEntries)
-	if stats.SummaryChunksSent != wantChunks {
-		t.Errorf("SummaryChunksSent = %d, want %d", stats.SummaryChunksSent, wantChunks)
+	if stats.SummaryChunksSent != 3 {
+		t.Errorf("SummaryChunksSent = %d, want 3", stats.SummaryChunksSent)
 	}
 	if stats.BatchesSent == 0 {
 		t.Error("no batches served")
 	}
 	if stats.SummaryBytesSent == 0 || stats.PayloadBytesSent == 0 {
-		t.Errorf("byte-plane split not populated: summary=%d payload=%d",
-			stats.SummaryBytesSent, stats.PayloadBytesSent)
+		t.Errorf("byte-plane split not populated: summary=%d payload=%d", stats.SummaryBytesSent, stats.PayloadBytesSent)
 	}
+
+	if again, _ := contact(); !slices.Equal(again.log, bob.log) {
+		t.Errorf("two runs of one contact logged different frames (%d and %d of them)", len(bob.log), len(again.log))
+	}
+}
+
+// TestChunkedViewFoldsLazily: alice plans each continuation chunk of
+// bob's full summary from the chunk's own entries and keeps a copy of
+// what would raise her view unread; the view takes the chunks in at its
+// next reader, or once a frame's limit of entries waits unread.
+func TestChunkedViewFoldsLazily(t *testing.T) {
+	h := newSyncHarness(t)
+	link := h.connect(t, h.bobAd, h.bob)
+	bob := h.bobAd.Self()
+	slice := func(from, n int) []wire.Entry {
+		dict := make(map[id.UserID]uint64, n)
+		for i := from; i < from+n; i++ {
+			dict[id.NewUserID(fmt.Sprintf("lazy-%06d", i))] = 1
+		}
+		entries := wire.AppendEntries(nil, dict)
+		wire.SortEntries(entries)
+		return entries
+	}
+	send := func(sums ...*wire.Summary) {
+		t.Helper()
+		for _, sum := range sums {
+			if err := sendFrame(link, sum); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const n = message.SummaryChunkEntries
+	chunk0 := slice(0, n)
+	final := slice(2*n, 10)
+	send(&wire.Summary{Gen: 9, Chunk: 0, More: true, Entries: chunk0},
+		&wire.Summary{Gen: 9, Chunk: 1, More: true, Entries: slice(n, n)},
+		&wire.Summary{Gen: 9, Chunk: 2, Entries: final})
+	h.expect(t, "a Request planned from the final chunk", func() bool { return h.bob.requested(final[0].Author) })
+	if folded, unread := h.mgr.View(bob); folded != n || unread != n+10 {
+		t.Errorf("view after the stream: %d folded, %d unread; want chunk 0 folded and the rest unread", folded, unread)
+	}
+	if _, _, entries := h.mgr.SyncState(); entries != 2*n+10 {
+		t.Errorf("SyncState reads %d view entries, want %d", entries, 2*n+10)
+	}
+	if folded, unread := h.mgr.View(bob); folded != 2*n+10 || unread != 0 {
+		t.Errorf("view after a reader: %d folded, %d unread; want all folded", folded, unread)
+	}
+
+	// A chunk that raises nothing keeps nothing. Then a stream of new
+	// authors up to the limit, and one more: the fold comes at the limit.
+	// Alice follows none of them, so interest routing plans none.
+	if err := h.rm.Use("interest"); err != nil {
+		t.Fatal(err)
+	}
+	limit := wire.MaxSummaryEntries
+	send(&wire.Summary{Gen: 10, Chunk: 0, More: true, Entries: chunk0},
+		&wire.Summary{Gen: 10, Chunk: 1, More: true, Entries: chunk0})
+	h.run()
+	if folded, unread := h.mgr.View(bob); folded != n || unread != 0 {
+		t.Errorf("after a covered chunk: %d folded, %d unread; want %d and none", folded, unread, n)
+	}
+	send(&wire.Summary{Gen: 10, Chunk: 2, More: true, Entries: slice(3*n, limit)})
+	h.run()
+	if folded, unread := h.mgr.View(bob); folded != n || unread != limit {
+		t.Errorf("at the limit: %d folded, %d unread; want %d and %d", folded, unread, n, limit)
+	}
+	send(&wire.Summary{Gen: 10, Chunk: 3, Entries: slice(3*n+limit, 1)})
+	h.run()
+	if folded, unread := h.mgr.View(bob); folded != n+limit+1 || unread != 0 {
+		t.Errorf("past the limit: %d folded, %d unread; want %d and none", folded, unread, n+limit+1)
+	}
+}
+
+// TestTickReplansFromUnreadChunks: the heartbeat re-plans from the whole
+// view, so an author that only a continuation chunk carried, still
+// unread, is asked for again once its first Request has expired.
+func TestTickReplansFromUnreadChunks(t *testing.T) {
+	h := newSyncHarness(t)
+	link := h.connect(t, h.bobAd, h.bob)
+	h.bob.holdAnswers()
+	wanted := id.NewUserID("unread-wanted")
+	for _, sum := range []*wire.Summary{
+		{Gen: 9, Chunk: 0, More: true, Entries: entriesOf(map[id.UserID]uint64{id.NewUserID("chunk-0"): 1})},
+		{Gen: 9, Chunk: 1, Entries: []wire.Entry{{Author: wanted, Seq: 1}}},
+	} {
+		if err := sendFrame(link, sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.expect(t, "a Request planned from the unread chunk", func() bool { return h.bob.requested(wanted) })
+	if _, unread := h.mgr.View(h.bobAd.Self()); unread != 1 {
+		t.Fatalf("%d entries unread, want the continuation chunk's 1", unread)
+	}
+	h.mgr.Tick()
+	h.mgr.Tick() // expires the Request stamped before the first tick, and re-plans
+	h.expect(t, "the author asked for again", func() bool { return h.bob.requestedSeqs(wanted) == 2 })
 }
 
 // TestDisjointStripeConcurrentSync drives two links syncing disjoint
@@ -274,7 +219,8 @@ func TestChunkedFullSyncInterleavesBatches(t *testing.T) {
 // different summary stripes while both scripted peers keep pulling full
 // (chunked) summaries and receiving deltas. Both peers must converge on
 // every writer's final high-water mark; run under -race this exercises
-// the striped index's copy-on-write snapshots against live Puts.
+// the striped index's copy-on-write snapshots against live Puts. It races
+// on purpose, so it runs on MemMedium in wall time.
 func TestDisjointStripeConcurrentSync(t *testing.T) {
 	const (
 		perSide  = 8
@@ -282,70 +228,38 @@ func TestDisjointStripeConcurrentSync(t *testing.T) {
 	)
 	left, right := disjointStripeAuthors(t, perSide)
 
-	medium, svc := newLiveWorld(t)
-	aliceCreds, err := cloud.Bootstrap(svc, "alice", rand.Reader)
-	if err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
-	st := store.New(aliceCreds.Ident.User)
+	w := newRaceWorld(t)
+	alice := w.realPeer(t, w.medium, "alice", message.Config{})
+	st, mgr := alice.st, alice.mgr
 	// Enough filler that every full sync streams as chunks.
 	for i := 0; i < message.SummaryChunkEntries+2000; i++ {
-		if _, err := st.Put(&msg.Message{
-			Author: id.NewUserID(fmt.Sprintf("filler-%05d", i)), Seq: 1,
-			Kind: msg.KindPost, Created: time.Unix(0, 0),
-		}); err != nil {
+		if _, err := st.Put(historyPost(id.NewUserID(fmt.Sprintf("filler-%05d", i)), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, a := range append(append([]id.UserID{}, left...), right...) {
-		if _, err := st.Put(&msg.Message{
-			Author: a, Seq: 1, Kind: msg.KindPost, Created: time.Unix(0, 0),
-		}); err != nil {
+		if _, err := st.Put(historyPost(a, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rm, err := routing.NewManager(st, routing.Options{})
-	if err != nil {
-		t.Fatalf("routing.NewManager: %v", err)
-	}
-	verifier, err := pki.NewVerifier(aliceCreds.RootDER, time.Now)
-	if err != nil {
-		t.Fatalf("NewVerifier: %v", err)
-	}
-	mgr, err := message.New(message.Config{Store: st, Routing: rm, Verifier: verifier})
-	if err != nil {
-		t.Fatalf("message.New: %v", err)
-	}
-	aliceAd, err := adhoc.New(adhoc.Config{
-		Medium: medium, PeerName: "alice-phone", Ident: aliceCreds.Ident,
-		CertDER: aliceCreds.Cert.DER, Verifier: verifier, Handler: mgr,
-	})
-	if err != nil {
-		t.Fatalf("adhoc.New(alice): %v", err)
-	}
-	t.Cleanup(func() { aliceAd.Close() })
 
-	bob := &frameCapture{}
-	bobAd := scriptedPeer(t, medium, svc, "bob", "bob-phone", bob)
-	carol := &frameCapture{}
-	carolAd := scriptedPeer(t, medium, svc, "carol", "carol-phone", carol)
-	if err := bobAd.Connect(aliceAd.Self()); err != nil {
+	bobAd, bob := w.capturePeer(t, "bob")
+	carolAd, carol := w.capturePeer(t, "carol")
+	if err := bobAd.Connect(alice.ad.Self()); err != nil {
 		t.Fatalf("Connect(bob): %v", err)
 	}
-	if err := carolAd.Connect(aliceAd.Self()); err != nil {
+	if err := carolAd.Connect(alice.ad.Self()); err != nil {
 		t.Fatalf("Connect(carol): %v", err)
 	}
-	waitFor(t, "bob link", func() bool { return bob.linkCount() > 0 })
-	waitFor(t, "carol link", func() bool { return carol.linkCount() > 0 })
+	await(t, "bob link", bob.changed, func() bool { return bob.linkCount() > 0 })
+	await(t, "carol link", carol.changed, func() bool { return carol.linkCount() > 0 })
 
 	var wg sync.WaitGroup
 	writer := func(authors []id.UserID) {
 		defer wg.Done()
 		for seq := uint64(2); seq <= finalSeq; seq++ {
 			for _, a := range authors {
-				if _, err := st.Put(&msg.Message{
-					Author: a, Seq: seq, Kind: msg.KindPost, Created: time.Unix(0, 0),
-				}); err != nil {
+				if _, err := st.Put(historyPost(a, seq)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -367,8 +281,8 @@ func TestDisjointStripeConcurrentSync(t *testing.T) {
 	go puller(carol)
 	wg.Wait()
 
-	// One quiescent full sync: this stream is never cancelled, so both
-	// peers can reconstruct the final view from everything they saw.
+	// One quiescent full sync, so both peers can reconstruct the final
+	// view from everything they saw.
 	_ = mgr.Advertise()
 	_ = sendFrame(bob.link(0), &wire.SummaryPull{})
 	_ = sendFrame(carol.link(0), &wire.SummaryPull{})
@@ -391,8 +305,8 @@ func TestDisjointStripeConcurrentSync(t *testing.T) {
 			return true
 		}
 	}
-	waitFor(t, "bob converges", converged(bob))
-	waitFor(t, "carol converges", converged(carol))
+	await(t, "bob converges", bob.changed, converged(bob))
+	await(t, "carol converges", carol.changed, converged(carol))
 }
 
 // disjointStripeAuthors derives two author sets of size n whose summary

@@ -29,6 +29,13 @@ func (m *Manager) PlanOrder() []mpc.PeerID {
 // MaxPeerSync is the bound of the per-peer table.
 const MaxPeerSync = maxPeerSync
 
+// AdBurst and AdRefillPerSec shape the flood bucket: the full summaries
+// a peer may send, or pull, at once, and per second after that.
+const (
+	AdBurst        = int(adBurst)
+	AdRefillPerSec = adRefillPerSec
+)
+
 // Inflight returns the in-flight ledger: which peer each outstanding
 // request was made of.
 func (m *Manager) Inflight() map[msg.Ref]mpc.PeerID {
@@ -58,4 +65,15 @@ func (m *Manager) Asking(peer mpc.PeerID) (asking bool, due int) {
 		return ps.asking, len(ps.due)
 	}
 	return false, 0
+}
+
+// View reports how many entries peer's view holds folded and how many
+// wait unread, folding nothing.
+func (m *Manager) View(peer mpc.PeerID) (folded, unread int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ps := m.peers[peer]; ps != nil {
+		return len(ps.summary), ps.unreadLen
+	}
+	return 0, 0
 }

@@ -12,17 +12,15 @@ import (
 	"sos/internal/wire"
 )
 
-// linkScripted connects a scripted peer to alice, waits until alice holds
-// links active links, and returns the peer's end of the new one.
+// linkScripted connects a scripted peer to alice, checks that alice then
+// holds links active links, and returns the peer's end of the new one.
 func linkScripted(t *testing.T, h *syncHarness, ad *adhoc.Manager, peer *frameCapture, links int) *adhoc.Link {
 	t.Helper()
-	n := peer.linkCount()
-	if err := ad.Connect(h.aliceAd.Self()); err != nil {
-		t.Fatalf("Connect: %v", err)
+	link := h.connect(t, ad, peer)
+	if n := len(h.mgr.ActiveLinks()); n != links {
+		t.Fatalf("alice holds %d links, want %d", n, links)
 	}
-	waitFor(t, "link up at the scripted peer", func() bool { return peer.linkCount() > n })
-	waitFor(t, "link up at alice", func() bool { return len(h.mgr.ActiveLinks()) == links })
-	return peer.link(n)
+	return link
 }
 
 // TestForeignBatchKeepsInflightRequest: a copy of a message that fails
@@ -33,7 +31,7 @@ func linkScripted(t *testing.T, h *syncHarness, ad *adhoc.Manager, peer *frameCa
 // drops, that request is the one aborted transfer.
 func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 	h := newSyncHarness(t)
-	carolAd, carol, _ := h.scriptedPeer(t, h.mem, "carol")
+	carolAd, carol := h.capturePeer(t, "carol")
 	wanted, marker := id.NewUserID("wanted-author"), id.NewUserID("marker-author")
 
 	bobLink := linkScripted(t, h, h.bobAd, h.bob, 1)
@@ -42,7 +40,7 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "request to bob", func() bool { return h.bob.requested(wanted) })
+	h.expect(t, "request to bob", func() bool { return h.bob.requested(wanted) })
 
 	carolLink := linkScripted(t, h, carolAd, carol, 2)
 	forged := &msg.Message{
@@ -51,7 +49,7 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 	if err := sendFrame(carolLink, &wire.Batch{Msgs: []*msg.Message{forged}}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "forged copy rejected", func() bool { return h.mgr.Stats().VerifyFailures == 1 })
+	h.expect(t, "forged copy rejected", func() bool { return h.mgr.Stats().VerifyFailures == 1 })
 
 	// One plan builds one Request per link, so when the marker shows up at
 	// carol the wanted author is in the same frame or in none.
@@ -60,7 +58,7 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "request to carol", func() bool { return carol.requested(marker) })
+	h.expect(t, "request to carol", func() bool { return carol.requested(marker) })
 	if carol.requested(wanted) {
 		t.Error("a forged copy from carol cancelled the request outstanding at bob: alice asked carol too")
 	}
@@ -68,7 +66,7 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 	// The ledger is exact: bob's link takes one request down with it, and
 	// the re-plan moves it to carol, who advertised the message.
 	_ = bobLink.Close()
-	waitFor(t, "re-planned request to carol", func() bool { return carol.requested(wanted) })
+	h.expect(t, "re-planned request to carol", func() bool { return carol.requested(wanted) })
 	if got := h.mgr.Stats().TransfersAborted; got != 1 {
 		t.Errorf("TransfersAborted = %d, want 1 (the request that died with bob's link)", got)
 	}
@@ -80,7 +78,7 @@ func TestForeignBatchKeepsInflightRequest(t *testing.T) {
 // air.
 func TestPlansLeaveInPeerOrder(t *testing.T) {
 	h := newSyncHarness(t)
-	carolAd, carol, _ := h.scriptedPeer(t, h.mem, "carol")
+	carolAd, carol := h.capturePeer(t, "carol")
 	peers := []struct {
 		link   *adhoc.Link
 		seen   *frameCapture
@@ -93,7 +91,7 @@ func TestPlansLeaveInPeerOrder(t *testing.T) {
 		if err := sendFrame(p.link, &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{p.author: 1})}); err != nil {
 			t.Fatalf("SendFrame: %v", err)
 		}
-		waitFor(t, "the first request", func() bool { return p.seen.requested(p.author) })
+		h.expect(t, "the first request", func() bool { return p.seen.requested(p.author) })
 	}
 
 	want := []mpc.PeerID{"bob-phone", "carol-phone"}
@@ -124,9 +122,9 @@ func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 	if err := sendFrame(link, &wire.Request{Wants: []wire.Want{{Author: held, Seqs: []uint64{1, 2}}}}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "batch served", func() bool { return h.mgr.Stats().MessagesServed == 2 })
+	h.expect(t, "batch served", func() bool { return h.mgr.Stats().MessagesServed == 2 })
 	_ = link.Close()
-	waitFor(t, "alice sees the drop", func() bool { return len(h.mgr.ActiveLinks()) == 0 })
+	h.expect(t, "alice sees the drop", func() bool { return len(h.mgr.ActiveLinks()) == 0 })
 	if got := h.mgr.Stats().TransfersAborted; got != 0 {
 		t.Errorf("TransfersAborted = %d on the sender after a served batch, want 0", got)
 	}
@@ -138,9 +136,9 @@ func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 	if err := sendFrame(link, ad); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "three requests", func() bool { return h.bob.requestedSeqs(wanted) == 3 })
+	h.expect(t, "three requests", func() bool { return h.bob.requestedSeqs(wanted) == 3 })
 	_ = link.Close()
-	waitFor(t, "alice sees the drop", func() bool { return len(h.mgr.ActiveLinks()) == 0 })
+	h.expect(t, "alice sees the drop", func() bool { return len(h.mgr.ActiveLinks()) == 0 })
 	if got := h.mgr.Stats().TransfersAborted; got != 3 {
 		t.Errorf("TransfersAborted = %d, want 3 (one per orphaned request)", got)
 	}
@@ -150,5 +148,5 @@ func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 	if err := sendFrame(link, ad); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "requests planned again", func() bool { return h.bob.requestedSeqs(wanted) == 6 })
+	h.expect(t, "requests planned again", func() bool { return h.bob.requestedSeqs(wanted) == 6 })
 }

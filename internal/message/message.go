@@ -21,10 +21,14 @@
 //     gossip). In-session summaries supersede the plain-text beacon,
 //     which an attacker could forge.
 //  2. Each side asks the active scheme which advertised messages to pull
-//     and sends a Request. One Request per link is in flight: the authors
-//     of deltas that land meanwhile are planned together when its Batch
+//     and sends a Request. One plan per link is in flight: the authors of
+//     deltas that land meanwhile are planned together when the next Batch
 //     arrives, before that Batch is verified, so a busy contact moves
-//     batches and a serial one keeps its three hops.
+//     batches and a serial one keeps its three hops. A plan past
+//     wire.MaxWants authors or wire.MaxSeqsPerRequest sequences leaves as
+//     several Requests, and a Request served past wire.MaxBatchMessages
+//     messages is answered by several Batches; the first Batch ends the
+//     wait either way.
 //  3. Requests are answered with Batches, an empty one when nothing is
 //     served. Every message carries the originator's certificate, so the
 //     receiver verifies the certificate chain and the author signature
@@ -52,12 +56,16 @@
 // change log no longer covers a peer's base falls back to a full summary
 // on its own.
 //
-// Full summaries larger than SummaryChunkEntries stream as a sequence of
-// bounded Summary chunks: the first chunk is sent inline (so it
-// always precedes any delta for the same link on the in-order session)
-// and the rest from a per-link goroutine, interleaving with Batch frames
-// — the receiver plans requests after every chunk instead of waiting for
-// the whole dictionary.
+// Full summaries larger than SummaryChunkEntries leave as a sequence of
+// bounded Summary chunks, all sent inline, back to back. This relies on
+// one medium property (mpc.Conn): Send never blocks and keeps a session's
+// frames in FIFO order. So the stream costs its callback only the
+// encoding, no other frame on the link comes between its chunks, and a
+// Batch answering the peer's first Request follows the stream. The
+// receiver plans requests after every chunk from that chunk's entries,
+// instead of waiting for the whole dictionary, and keeps what a
+// continuation chunk raises aside until its view is next read, so the
+// chunks ahead of that Batch cost it little more than their plan.
 //
 // The receiver has one apply rule: a full summary's chunk 0 replaces the
 // cached view — the reset a restarted peer needs — and every other
@@ -118,13 +126,11 @@ const MaxBeaconSummary = wire.MaxHintEntries
 const maxPeerSync = 512
 
 // SummaryChunkEntries is the slice size of a chunked full-summary stream.
-// Stores whose dictionary exceeds this many entries send first-contact
-// full summaries as a sequence of bounded Summary chunks instead of
-// one monolithic frame: the first chunk goes out inline (ahead of any
-// delta for the same link), the rest stream from a goroutine so Batch
-// data frames interleave with them — a fresh peer starts pulling after
-// the first chunk, not after the whole dictionary. 4096 18-byte entries
-// ≈ 72 KiB per frame.
+// Stores whose dictionary exceeds this many entries send full summaries
+// as a sequence of bounded Summary chunks, back to back, instead of one
+// monolithic frame: a fresh peer plans and starts pulling after the first
+// chunk, not after the whole dictionary. 4096 18-byte entries ≈ 72 KiB
+// per frame.
 const SummaryChunkEntries = 4096
 
 // Config assembles a message manager.
@@ -235,6 +241,12 @@ type peerSync struct {
 
 	recvGen uint64
 	summary map[id.UserID]uint64
+	// unread holds, per continuation chunk of the peer's full summary,
+	// a copy of the entries that raise summary, unreadLen in all. A chunk
+	// is planned from its own entries, so the fold waits for the view's
+	// next reader (viewLocked), or until wire.MaxSummaryEntries wait.
+	unread    [][]wire.Entry
+	unreadLen int
 	// pullPending holds back further SummaryPulls once a gap has sent one,
 	// until a full summary arrives, the next heartbeat tick (the pull or
 	// its answer may be lost) or a new link.
@@ -249,10 +261,6 @@ type peerSync struct {
 	// track is the peer's "contact <peer>" tracer track, interned at
 	// LinkUp (0 while tracing is disabled).
 	track uint64
-
-	// stream numbers the link's full-summary streams: one sends only while
-	// it is the newest on a live link, so a new one or LinkDown stops it.
-	stream uint64
 
 	// dial arms the heartbeat to re-dial this peer while it is unlinked
 	// (see redialAfter); the first tick that finds the peer linked
@@ -486,7 +494,7 @@ func (m *Manager) SyncState() (peers, links, summaryEntries int) {
 		if ps.link != nil {
 			links++
 		}
-		summaryEntries += len(ps.summary)
+		summaryEntries += len(ps.viewLocked())
 	}
 	return peers, links, summaryEntries
 }
@@ -779,7 +787,7 @@ func (m *Manager) PeerGone(peer mpc.PeerID) {
 		delete(m.peers, peer)
 		m.presenceLost = m.presenceLost && len(m.peers) > 0
 	} else if ps != nil { // the session outlives the beacon: the next push is a full summary
-		ps.sentGen, ps.recvGen, ps.summary, ps.gone = 0, 0, nil, true
+		ps.sentGen, ps.recvGen, ps.summary, ps.unread, ps.unreadLen, ps.gone = 0, 0, nil, nil, 0, true
 	}
 	m.mu.Unlock()
 	m.catchUpHint()
@@ -917,66 +925,48 @@ func (c *summaryChunker) next() ([]wire.Entry, bool) {
 	return c.buf[:c.sent], len(c.buf) > c.sent || c.stripe < c.store.SummaryStripes()
 }
 
-// streamFullTo sends a full summary to one link, in one frame when it
-// fits. The first chunk (with the scheme gossip) goes out inline: callers
-// hold advMu, so no delta for this link can jump ahead of it. The rest
-// stream from a goroutine, so the adhoc callback plane never blocks on a
-// multi-megabyte dictionary and Batch frames answering the peer's early
-// requests interleave with them. A new stream stops the previous one on
-// the link; chunks merge raise-only, so a straggler lowers nothing.
+// streamFullTo sends a full summary to one link: one frame when it fits,
+// else SummaryChunkEntries-entry chunks, every one inline. Callers hold
+// advMu, so no delta for this link can come between the chunks or ahead
+// of them. The medium's Send never blocks and keeps a session's frames
+// in order (mpc.Conn), so the stream costs this callback only the
+// encoding, and a Batch answering the peer's early Request leaves after
+// it, as it would on any radio. The receiver plans after every chunk.
 func (m *Manager) streamFullTo(link *adhoc.Link, gen uint64, data []byte) {
 	track := m.trackOf(link)
 	ch := newSummaryChunker(m.cfg.Store)
-	if !m.sendChunk(link, track, gen, ch, 0, data) {
-		return
-	}
-	m.mu.Lock()
-	ps := m.peers[link.Peer()]
-	if ps == nil || ps.link != link {
-		m.mu.Unlock()
-		return
-	}
-	ps.stream++
-	stream := ps.stream
-	m.mu.Unlock()
-	live := func() bool {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return ps.link == link && ps.stream == stream
-	}
-	go func() { // the continuation chunks, outside the advertisement lock
-		for chunk, more := uint32(1), true; more && live(); chunk++ {
-			more = m.sendChunk(link, track, gen, ch, chunk, nil)
+	name := "advertise.full"
+	for chunk, more := uint32(0), true; more; chunk++ {
+		var entries []wire.Entry
+		entries, more = ch.next()
+		sp := m.cfg.Tracer.Start(track, name)
+		sp.Attr("chunk", uint64(chunk))
+		sp.Attr("entries", uint64(len(entries)))
+		err := m.sendCounted(link, &wire.Summary{Gen: gen, Chunk: chunk, More: more, Entries: entries, SchemeData: data}, false)
+		sp.End()
+		if err != nil {
+			return // link failures surface via LinkDown
 		}
-	}()
+		m.mu.Lock()
+		if chunk == 0 {
+			m.stats.AdsFullSent++
+		}
+		if chunk > 0 || more {
+			m.stats.SummaryChunksSent++
+		}
+		m.mu.Unlock()
+		name, data = "sync.chunk", nil // the scheme gossip rides chunk 0
+	}
 }
 
-// sendChunk sends the chunker's next chunk as number chunk of the full
-// summary at gen and reports whether more follow (not after a link
-// failure, which surfaces via LinkDown).
-func (m *Manager) sendChunk(link *adhoc.Link, track, gen uint64, ch *summaryChunker, chunk uint32, data []byte) bool {
-	entries, more := ch.next()
-	name := "sync.chunk"
-	if chunk == 0 {
-		name = "advertise.full"
+// viewLocked folds the peer's unread chunks into its view and returns
+// the view. Callers hold m.mu.
+func (ps *peerSync) viewLocked() map[id.UserID]uint64 {
+	for _, entries := range ps.unread {
+		foldEntries(ps.summary, entries)
 	}
-	sp := m.cfg.Tracer.Start(track, name)
-	sp.Attr("chunk", uint64(chunk))
-	sp.Attr("entries", uint64(len(entries)))
-	err := m.sendCounted(link, &wire.Summary{Gen: gen, Chunk: chunk, More: more, Entries: entries, SchemeData: data}, false)
-	sp.End()
-	if err != nil {
-		return false
-	}
-	m.mu.Lock()
-	if chunk == 0 {
-		m.stats.AdsFullSent++
-	}
-	if chunk > 0 || more {
-		m.stats.SummaryChunksSent++
-	}
-	m.mu.Unlock()
-	return more
+	ps.unread, ps.unreadLen = nil, 0
+	return ps.summary
 }
 
 // slotLocked returns the peer's slot, creating it inside the bound: a
@@ -1083,8 +1073,11 @@ func (m *Manager) penalizeLocked(peer mpc.PeerID, pts float64, now time.Time) bo
 
 // onSummary handles the peer's authenticated in-session summary: a full
 // summary's chunk 0 starts the cached view, the peer's one map, over, and
-// every frame merges into it (mergeAd). Planning covers only the entries
-// the frame carried, so a delta costs O(changed authors), not O(summary).
+// every frame merges into it (mergeAd), a continuation chunk once the
+// view is next read (viewLocked). Planning covers only the entries the
+// frame carried, so a delta costs O(changed authors), not O(summary),
+// and a chunk ahead of the peer's first Batch costs a lookup per entry,
+// not a map that grows.
 func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 	scheme := m.cfg.Routing.Current()
 	if len(sum.SchemeData) > 0 {
@@ -1097,25 +1090,26 @@ func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 		return
 	}
 	if !sum.IsDelta() && sum.Chunk == 0 {
-		// Full summary, or the first chunk of one: the only frame that
-		// costs O(dictionary), so the only one charged to the flood
-		// bucket. A dry bucket scores the peer and drops the frame; a
-		// tripped quarantine drops the link.
-		if now := m.cfg.Clock.Now(); !m.quar.allowAd(link.Peer(), now) {
-			tripped := m.penalizeLocked(link.Peer(), pointsFlood, now)
-			m.mu.Unlock()
-			if tripped {
-				_ = link.Close()
-			}
+		// Full summary, or the first chunk of one: the only summary
+		// frame that costs O(dictionary), so the only one charged to the
+		// flood bucket (floodLocked).
+		if !m.floodLocked(link) {
 			return
 		}
-		ps.summary, ps.recvGen, ps.pullPending = nil, sum.Gen, false
+		ps.summary, ps.unread, ps.unreadLen, ps.recvGen, ps.pullPending = nil, nil, 0, sum.Gen, false
 	}
 	if ps.summary == nil {
 		ps.summary = make(map[id.UserID]uint64, len(sum.Entries))
 	}
 	var gap bool
-	ps.recvGen, gap = mergeAd(ps.summary, ps.recvGen, sum)
+	if n := ps.unreadLen + len(sum.Entries); sum.Chunk > 0 && n <= wire.MaxSummaryEntries {
+		if raises := raisesOf(ps.summary, sum.Entries); raises != nil {
+			ps.unread, ps.unreadLen = append(ps.unread, raises), ps.unreadLen+len(raises)
+		}
+		ps.recvGen, gap = mergeGen(ps.recvGen, sum)
+	} else {
+		ps.recvGen, gap = mergeAd(ps.viewLocked(), ps.recvGen, sum)
+	}
 	pull := gap && !ps.pullPending
 	if pull {
 		ps.pullPending = true
@@ -1135,12 +1129,34 @@ func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 }
 
 // onSummaryPull re-sends a full summary to a peer that found a gap in
-// what it has heard from us.
+// what it has heard from us. A pull of a few bytes costs us a stream of
+// the whole dictionary, so serving one spends the peer's flood token, as
+// receiving its full summary does.
 func (m *Manager) onSummaryPull(link *adhoc.Link) {
 	m.mu.Lock()
+	if !m.floodLocked(link) {
+		return
+	}
 	m.stats.SummaryPullsServed++
 	m.mu.Unlock()
 	m.sendAdTo(link, true)
+}
+
+// floodLocked charges one O(dictionary) frame, a full summary received
+// or a pull served, to the peer's token bucket. A dry bucket scores the
+// peer, unlocks m.mu and reports false: the caller drops the frame, and a
+// tripped quarantine drops the link. Callers hold m.mu.
+func (m *Manager) floodLocked(link *adhoc.Link) bool {
+	now := m.cfg.Clock.Now()
+	if m.quar.allowAd(link.Peer(), now) {
+		return true
+	}
+	tripped := m.penalizeLocked(link.Peer(), pointsFlood, now)
+	m.mu.Unlock()
+	if tripped {
+		_ = link.Close()
+	}
+	return false
 }
 
 // outgoingPlan is one link's planned request batch.
@@ -1163,8 +1179,8 @@ type peerView struct {
 func (m *Manager) linkedViewsLocked() []peerView {
 	views := make([]peerView, 0, len(m.peers))
 	for _, ps := range m.peers {
-		if ps.link != nil && len(ps.summary) > 0 {
-			views = append(views, peerView{ps: ps, view: ps.summary})
+		if view := ps.viewLocked(); ps.link != nil && len(view) > 0 {
+			views = append(views, peerView{ps: ps, view: view})
 		}
 	}
 	slices.SortFunc(views, func(a, b peerView) int { return cmp.Compare(a.ps.link.Peer(), b.ps.link.Peer()) })
@@ -1219,7 +1235,7 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 					}
 				}
 				target := v.ps
-				if src, linked := byUser[want.Author]; linked && src.summary[want.Author] >= seq {
+				if src, linked := byUser[want.Author]; linked && src.viewLocked()[want.Author] >= seq {
 					target = src
 				}
 				if run < 0 || runs[run].target != target {
@@ -1347,7 +1363,7 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	if ps := m.peers[link.Peer()]; ps != nil && ps.link == link {
 		ps.asking = false
 		for i, e := range ps.due { // at the view's seq: 0, past no floor, once gone from it
-			ps.due[i].Seq = ps.summary[e.Author]
+			ps.due[i].Seq = ps.viewLocked()[e.Author]
 		}
 		sends = m.planLocked([]peerView{{ps: ps, entries: ps.due}})
 		ps.due = ps.due[:0]

@@ -17,8 +17,8 @@ import (
 // frames is scored either: mergeAd makes a delta of any base at worst a
 // gap that costs one SummaryPull. What is scored is what an honest
 // manager never emits: a frame that authenticates and then fails to
-// decode, a want-list past any honest sync, and full summaries beyond
-// the token bucket.
+// decode, a want-list past any honest sync, and full summaries, sent or
+// pulled, beyond the token bucket.
 const (
 	// pointsGarbage scores an authenticated-undecodable frame
 	// (adhoc.ErrPeerMisbehaved): the strongest signal, impossible to
@@ -27,8 +27,8 @@ const (
 	// pointsOversized scores a Request totalling more sequence numbers
 	// than wire.MaxSeqsPerRequest, the limit sendPlans packs under.
 	pointsOversized = 2
-	// pointsFlood scores each full in-session advertisement beyond the
-	// per-peer token bucket.
+	// pointsFlood scores each full in-session advertisement received, or
+	// SummaryPull served, beyond the per-peer token bucket.
 	pointsFlood = 1
 
 	// misbehaviorThreshold is the quarantine trip point.
@@ -38,11 +38,13 @@ const (
 	misbehaviorDecayPerSec = 0.5
 
 	// adBurst and adRefillPerSec shape the in-session advertisement
-	// token bucket, charged per full summary (chunk 0; continuation
-	// chunks ride their stream's token, and deltas cost O(changed
-	// entries), the class of the Batch frames they steer). Honest
-	// managers send a full at first contact, after PeerGone and in
-	// answer to a SummaryPull — nowhere near this sustained rate.
+	// token bucket, charged per full summary received (chunk 0;
+	// continuation chunks ride their stream's token, and deltas cost
+	// O(changed entries), the class of the Batch frames they steer) and
+	// per SummaryPull served, whose answer is a full. Honest managers
+	// send a full at first contact, after PeerGone and in answer to a
+	// SummaryPull, and pull at most once per gap and heartbeat — nowhere
+	// near this sustained rate.
 	adBurst        = 64.0
 	adRefillPerSec = 16.0
 

@@ -15,33 +15,17 @@ import (
 	"sos/internal/wire"
 )
 
-// settle sends alice a SummaryPull and waits for the full summary that
-// answers it. The session is in order, so every frame alice sent before
-// that answer, a Request included, has then reached bob.
-func settle(t *testing.T, h *syncHarness, link *adhoc.Link) {
-	t.Helper()
-	n := len(h.bob.ads())
-	if err := sendFrame(link, &wire.SummaryPull{}); err != nil {
-		t.Fatalf("SendFrame: %v", err)
-	}
-	waitFor(t, "the answer to a summary pull", func() bool { return len(h.bob.ads()) > n })
-}
-
 // askingLink links alice to a bob who answers no Request on his own and
 // has alice ask him for first: alice is then asking bob.
 func askingLink(t *testing.T, first id.UserID) (*syncHarness, *adhoc.Link) {
 	t.Helper()
 	h := newSyncHarness(t)
 	h.bob.holdAnswers()
-	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
-		t.Fatalf("Connect: %v", err)
-	}
-	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
-	link := h.bob.link(0)
+	link := h.connect(t, h.bobAd, h.bob)
 	if err := sendFrame(link, &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{first: 1})}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "the first request", func() bool { return h.bob.requested(first) })
+	h.expect(t, "the first request", func() bool { return h.bob.requested(first) })
 	return h, link
 }
 
@@ -66,7 +50,7 @@ func TestDeltasWhileAskingLeaveAsOneRequest(t *testing.T) {
 		authors[author] = true
 		sendDelta(t, link, uint64(2+i), author)
 	}
-	settle(t, h, link)
+	h.run()
 	if asking, due := h.mgr.Asking("bob-phone"); !asking || due != k {
 		t.Fatalf("after %d deltas: asking %v, %d authors due; want true and %d", k, asking, due, k)
 	}
@@ -80,8 +64,7 @@ func TestDeltasWhileAskingLeaveAsOneRequest(t *testing.T) {
 	if err := sendFrame(link, &wire.Batch{}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "the request after the batch", func() bool { return len(h.bob.requests()) == 2 })
-	settle(t, h, link)
+	h.expect(t, "the request after the batch", func() bool { return len(h.bob.requests()) == 2 })
 	reqs := h.bob.requests()
 	if len(reqs) != 2 {
 		t.Fatalf("%d requests after the batch, want 2", len(reqs))
@@ -109,7 +92,7 @@ func TestDeltasWhileAskingLeaveAsOneRequest(t *testing.T) {
 // delta lands, with no Tick.
 func TestRefusedRequestIsAnsweredEmpty(t *testing.T) {
 	h := newSyncHarness(t)
-	carol := h.realPeer(t, h.mem, "carol", message.Config{})
+	carol := h.realPeer(t, h.medium, "carol", message.Config{})
 	if err := carol.rm.Use(routing.SchemeSprayAndWait); err != nil {
 		t.Fatalf("Use: %v", err)
 	}
@@ -120,7 +103,7 @@ func TestRefusedRequestIsAnsweredEmpty(t *testing.T) {
 	if err := h.aliceAd.Connect(carol.ad.Self()); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	waitFor(t, "the refusal", func() bool { return carol.mgr.Stats().RequestsUnserved == 1 })
+	h.expect(t, "the refusal", func() bool { return carol.mgr.Stats().RequestsUnserved == 1 })
 	if st := carol.mgr.Stats(); st.MessagesServed != 0 || st.BatchesSent != 0 {
 		t.Errorf("carol served %d messages in %d batches, want none: the refusal is an empty answer", st.MessagesServed, st.BatchesSent)
 	}
@@ -131,7 +114,7 @@ func TestRefusedRequestIsAnsweredEmpty(t *testing.T) {
 	if err := carol.mgr.Advertise(); err != nil {
 		t.Fatalf("Advertise: %v", err)
 	}
-	waitFor(t, "carol's post at alice", func() bool { return h.st.MaxSeq(carol.creds.Ident.User) == 1 })
+	h.expect(t, "carol's post at alice", func() bool { return h.st.MaxSeq(carol.creds.Ident.User) == 1 })
 	if st := h.mgr.Stats(); st.RequestsSent != 2 || st.BatchesReceived != 1 {
 		t.Errorf("alice sent %d requests and counted %d batches, want 2 and 1 (the empty answer is no batch)", st.RequestsSent, st.BatchesReceived)
 	}
@@ -144,7 +127,7 @@ func TestLostBatchHoldsPlansOneTick(t *testing.T) {
 	first, late, dropped := id.NewUserID("first-author"), id.NewUserID("late-author"), id.NewUserID("dropped-author")
 	h, link := askingLink(t, first)
 	sendDelta(t, link, 2, late)
-	settle(t, h, link)
+	h.run()
 	if asking, due := h.mgr.Asking("bob-phone"); !asking || due != 1 {
 		t.Fatalf("after a delta: asking %v, %d authors due; want true and 1", asking, due)
 	}
@@ -153,18 +136,18 @@ func TestLostBatchHoldsPlansOneTick(t *testing.T) {
 	}
 
 	h.mgr.Tick()
-	waitFor(t, "the request after one tick", func() bool { return h.bob.requested(late) })
+	h.expect(t, "the request after one tick", func() bool { return h.bob.requested(late) })
 	if n := h.bob.requestedSeqs(first); n != 1 {
 		t.Errorf("first-author asked for %d times, want 1: its request is still in flight", n)
 	}
 
 	sendDelta(t, link, 3, dropped)
-	settle(t, h, link)
+	h.run()
 	if asking, due := h.mgr.Asking("bob-phone"); !asking || due != 1 {
 		t.Fatalf("after the tick's request and a delta: asking %v, %d authors due; want true and 1", asking, due)
 	}
 	_ = link.Close()
-	waitFor(t, "alice sees the drop", func() bool { return len(h.mgr.ActiveLinks()) == 0 })
+	h.expect(t, "alice sees the drop", func() bool { return len(h.mgr.ActiveLinks()) == 0 })
 	if asking, due := h.mgr.Asking("bob-phone"); asking || due != 0 {
 		t.Errorf("after the link dropped: asking %v, %d authors due; want false and 0", asking, due)
 	}
@@ -177,22 +160,18 @@ func TestChunksWhileAskingArePlanned(t *testing.T) {
 	head, tail := id.NewUserID("head-author"), id.NewUserID("tail-author")
 	h := newSyncHarness(t)
 	h.bob.holdAnswers()
-	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
-		t.Fatalf("Connect: %v", err)
-	}
-	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
-	link := h.bob.link(0)
+	link := h.connect(t, h.bobAd, h.bob)
 	if err := sendFrame(link, &wire.Summary{Gen: 1, More: true, Entries: entriesOf(map[id.UserID]uint64{head: 1})}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "the request for the first chunk", func() bool { return h.bob.requested(head) })
+	h.expect(t, "the request for the first chunk", func() bool { return h.bob.requested(head) })
 	if asking, _ := h.mgr.Asking("bob-phone"); !asking {
 		t.Fatal("no request is out after the first chunk's")
 	}
 	if err := sendFrame(link, &wire.Summary{Gen: 1, Chunk: 1, Entries: entriesOf(map[id.UserID]uint64{tail: 1})}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "the request for the second chunk", func() bool { return h.bob.requested(tail) })
+	h.expect(t, "the request for the second chunk", func() bool { return h.bob.requested(tail) })
 	if n := len(h.bob.requests()); n != 2 {
 		t.Errorf("%d requests for two chunks, want 2", n)
 	}

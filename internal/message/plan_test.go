@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sos/internal/adhoc"
+	"sos/internal/clock"
 	"sos/internal/cloud"
 	"sos/internal/id"
 	"sos/internal/mpc"
@@ -31,7 +32,7 @@ func (quietPeer) FrameIn(*adhoc.Link, wire.Frame)                {}
 func (quietPeer) LinkDown(*adhoc.Link, error)                    {}
 
 // linkedManager returns a manager whose store holds author's messages 1
-// to 3, linked over a MemMedium to a quiet peer, with its side of the
+// to 3, linked over a SimMedium to a quiet peer, with its side of the
 // link and the peer's slot. The peer's greeting is in: its view is empty
 // and reaches generation 5.
 func linkedManager(t *testing.T, author id.UserID) (*Manager, *adhoc.Link, *peerSync) {
@@ -44,11 +45,12 @@ func linkedManager(t *testing.T, author id.UserID) (*Manager, *adhoc.Link, *peer
 // quiet peer per name in fars; it returns the manager's side of each link.
 func linkedTo(t *testing.T, author id.UserID, opts store.Options, fars ...mpc.PeerID) (*Manager, []*adhoc.Link) {
 	t.Helper()
-	ca, err := pki.NewCA("root")
+	clk := clock.NewVirtual(time.Date(2017, 4, 3, 9, 0, 0, 0, time.UTC))
+	ca, err := pki.NewCA("root", pki.WithClock(clk.Now))
 	if err != nil {
 		t.Fatalf("NewCA: %v", err)
 	}
-	svc := cloud.New(ca)
+	svc := cloud.New(ca, cloud.WithClock(clk.Now))
 	creds, err := cloud.Bootstrap(svc, "near", rand.Reader)
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
@@ -58,11 +60,11 @@ func linkedTo(t *testing.T, author id.UserID, opts store.Options, fars ...mpc.Pe
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
+	verifier, err := pki.NewVerifier(creds.RootDER, clk.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
-	cfg := Config{Store: st, Routing: rm, Verifier: verifier}
+	cfg := Config{Store: st, Routing: rm, Verifier: verifier, Clock: clk}
 	for seq := uint64(1); seq <= 3; seq++ {
 		if _, err := cfg.Store.Put(&msg.Message{Author: author, Seq: seq, Kind: msg.KindPost, Created: time.Unix(0, 0)}); err != nil {
 			t.Fatal(err)
@@ -72,10 +74,10 @@ func linkedTo(t *testing.T, author id.UserID, opts store.Options, fars ...mpc.Pe
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	medium := mpc.NewMemMedium()
+	medium := mpc.NewSimMedium(clk)
 	near, err := adhoc.New(adhoc.Config{
 		Medium: medium, PeerName: "near", Ident: creds.Ident,
-		CertDER: creds.Cert.DER, Verifier: cfg.Verifier, Handler: m,
+		CertDER: creds.Cert.DER, Verifier: cfg.Verifier, Handler: m, Clock: clk,
 	})
 	if err != nil {
 		t.Fatalf("adhoc.New(near): %v", err)
@@ -89,25 +91,18 @@ func linkedTo(t *testing.T, author id.UserID, opts store.Options, fars ...mpc.Pe
 		}
 		far, err := adhoc.New(adhoc.Config{
 			Medium: medium, PeerName: name, Ident: farCreds.Ident,
-			CertDER: farCreds.Cert.DER, Verifier: cfg.Verifier, Handler: quietPeer{},
+			CertDER: farCreds.Cert.DER, Verifier: cfg.Verifier, Handler: quietPeer{}, Clock: clk,
 		})
 		if err != nil {
 			t.Fatalf("adhoc.New(%s): %v", name, err)
 		}
 		t.Cleanup(func() { far.Close() })
+		medium.SetLink("near", name, mpc.Bluetooth)
 		if err := far.Connect("near"); err != nil {
 			t.Fatalf("Connect: %v", err)
 		}
-		var ps *peerSync
-		for range 5000 {
-			m.mu.Lock()
-			ps = m.peers[name]
-			m.mu.Unlock()
-			if ps != nil && ps.link != nil {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
+		medium.RunUntil(clk.Now().Add(time.Hour))
+		ps := m.peers[name]
 		if ps == nil || ps.link == nil {
 			t.Fatalf("no link to %s", name)
 		}

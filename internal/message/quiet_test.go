@@ -3,12 +3,10 @@
 package message_test
 
 import (
-	"crypto/rand"
 	"fmt"
 	"testing"
 	"time"
 
-	"sos/internal/cloud"
 	"sos/internal/id"
 	"sos/internal/message"
 	"sos/internal/mpc"
@@ -20,16 +18,16 @@ import (
 // TestLinkedPairStopsBeaconing: once the only neighbour is linked, a post
 // refreshes no hint on either side, and every post is still delivered.
 func TestLinkedPairStopsBeaconing(t *testing.T) {
-	mem, svc := newLiveWorld(t)
-	rec := &adRecorder{inner: mem}
-	alice := newLiveNode(t, rec, svc, "alice")
-	bob := newLiveNode(t, rec, svc, "bob")
+	w := newWorld(t)
+	rec := &adRecorder{inner: w.medium}
+	alice := w.startLiveNode(t, rec, w.bootstrap(t, "alice"), nil)
+	bob := w.startLiveNode(t, rec, w.bootstrap(t, "bob"), nil)
 
 	first, err := alice.mw.Post([]byte("link up"))
 	if err != nil {
 		t.Fatalf("Post: %v", err)
 	}
-	waitFor(t, "the first delivery", func() bool { return bob.gotSeq(first.Author, first.Seq) })
+	w.expect(t, "the first delivery", func() bool { return bob.gotSeq(first.Author, first.Seq) })
 	aliceBefore, bobBefore := rec.refreshes(alice.mw.Peer()), rec.refreshes(bob.mw.Peer())
 
 	const posts = 50
@@ -39,7 +37,7 @@ func TestLinkedPairStopsBeaconing(t *testing.T) {
 			t.Fatalf("Post: %v", err)
 		}
 	}
-	waitFor(t, "every post delivered", func() bool { return bob.gotSeq(last.Author, last.Seq) })
+	w.expect(t, "every post delivered", func() bool { return bob.gotSeq(last.Author, last.Seq) })
 	for seq := first.Seq + 1; seq <= last.Seq; seq++ {
 		if !bob.gotSeq(last.Author, seq) {
 			t.Errorf("post %d never reached bob", seq)
@@ -60,13 +58,10 @@ func TestLinkedPairStopsBeaconing(t *testing.T) {
 // dials and gets the newest post.
 func TestJoinerHearsTheCurrentHint(t *testing.T) {
 	const history, posts = 64, 40
-	mem, svc := newLiveWorld(t)
-	rec := &adRecorder{inner: mem}
+	w := newWorld(t)
+	rec := &adRecorder{inner: w.medium}
 	node := func(handle string, held ...*msg.Message) (*liveNode, *store.Store) {
-		creds, err := cloud.Bootstrap(svc, handle, rand.Reader)
-		if err != nil {
-			t.Fatalf("Bootstrap(%s): %v", handle, err)
-		}
+		creds := w.bootstrap(t, handle)
 		st := store.New(creds.Ident.User)
 		preload(t, st, history) // past MaxBeaconSummary: the hint is the change window
 		for _, m := range held {
@@ -74,7 +69,7 @@ func TestJoinerHearsTheCurrentHint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return startLiveNode(t, rec, creds, st), st
+		return w.startLiveNode(t, rec, creds, st), st
 	}
 	alice, aliceStore := node("alice")
 	bob, _ := node("bob")
@@ -83,21 +78,21 @@ func TestJoinerHearsTheCurrentHint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Post: %v", err)
 	}
-	waitFor(t, "the first delivery", func() bool { return bob.gotSeq(first.Author, first.Seq) })
+	w.expect(t, "the first delivery", func() bool { return bob.gotSeq(first.Author, first.Seq) })
 	last := first
 	for i := 1; i < posts; i++ {
 		if last, err = alice.mw.Post([]byte(fmt.Sprintf("post %d", i))); err != nil {
 			t.Fatalf("Post: %v", err)
 		}
 	}
-	waitFor(t, "every post delivered to bob", func() bool { return bob.gotSeq(last.Author, last.Seq) })
+	w.expect(t, "every post delivered to bob", func() bool { return bob.gotSeq(last.Author, last.Seq) })
 	if stale, _ := rec.last(t, alice.mw.Peer()); stale.Summary[last.Author] >= last.Seq {
 		t.Fatalf("alice's hint already names seq %d before anyone could hear it", stale.Summary[last.Author])
 	}
 
 	held := *first // carol holds everything alice's stale hint names
 	carol, _ := node("carol", &held)
-	waitFor(t, "carol to get the newest post", func() bool { return carol.gotSeq(last.Author, last.Seq) })
+	w.expect(t, "carol to get the newest post", func() bool { return carol.gotSeq(last.Author, last.Seq) })
 	hint, _ := rec.last(t, alice.mw.Peer())
 	if hint.Gen != aliceStore.Generation() || hint.Summary[last.Author] != last.Seq {
 		t.Errorf("alice's hint after carol arrived: gen %d naming seq %d, want gen %d naming seq %d",
@@ -127,10 +122,7 @@ func TestLinkDownPublishesTheHint(t *testing.T) {
 	if err := h.bobAd.Connect(alice); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	waitFor(t, "the link at alice", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
-	// Bob's side of the link is registered on its own callback; it is
-	// the one closed below.
-	waitFor(t, "the link at bob", func() bool { return h.bob.linkCount() == 1 })
+	h.expect(t, "the link at both ends", func() bool { return len(h.mgr.ActiveLinks()) == 1 && h.bob.linkCount() == 1 })
 	before := rec.refreshes(alice)
 
 	author := id.NewUserID("while-linked")
@@ -145,7 +137,7 @@ func TestLinkDownPublishesTheHint(t *testing.T) {
 	}
 
 	h.bob.link(0).Close()
-	waitFor(t, "the hint after the link drops", func() bool { return rec.refreshes(alice) > before })
+	h.expect(t, "the hint after the link drops", func() bool { return rec.refreshes(alice) > before })
 	hint, _ := rec.last(t, alice)
 	if hint.Gen != h.st.Generation() || hint.Summary[author] != 7 {
 		t.Errorf("hint after LinkDown: gen %d, entry %d; want gen %d, entry 7", hint.Gen, hint.Summary[author], h.st.Generation())
@@ -165,7 +157,7 @@ func TestPresenceRecordFailsOpen(t *testing.T) {
 	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	waitFor(t, "the link at alice", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
+	h.expect(t, "the link at alice", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
 
 	names := 2 * message.MaxPeerSync
 	for i := 0; i < names; i++ {
@@ -211,7 +203,7 @@ func TestSlotLeavesWithTheLink(t *testing.T) {
 	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	waitFor(t, "the link at alice", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
+	h.expect(t, "the link at alice", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
 	h.mgr.PeerDiscovered(bob, &wire.Advertisement{Peer: string(bob), Gen: 1})
 	h.mgr.PeerGone(bob) // the beacon leaves; the session stays
 
@@ -228,7 +220,7 @@ func TestSlotLeavesWithTheLink(t *testing.T) {
 	}
 
 	h.bob.link(0).Close()
-	waitFor(t, "the hint after the link drops", func() bool { return rec.refreshes(alice) > before })
+	h.expect(t, "the hint after the link drops", func() bool { return rec.refreshes(alice) > before })
 	if peers, _, _ := h.mgr.SyncState(); peers != 0 {
 		t.Errorf("%d slots left after the gone peer's link dropped, want 0", peers)
 	}

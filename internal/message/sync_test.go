@@ -1,9 +1,10 @@
 // Delta-synchronization conformance tests: the per-peer sync plane the
 // message manager runs on top of store.Engine.Changes. These are
-// end-to-end tests over live media — the full middleware for steady-state
-// delta sync and churn, and an adhoc-level harness for the
-// generation-gap → SummaryPull → full-summary fallback and the redial
-// ladder, which a graceful stack only hits through restarts and chaos.
+// end-to-end tests over the simulated medium in virtual time — the full
+// middleware for steady-state delta sync and churn, and an adhoc-level
+// harness for the generation-gap → SummaryPull → full-summary fallback
+// and the redial ladder, which a graceful stack only hits through
+// restarts and chaos.
 package message_test
 
 import (
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"sos/internal/adhoc"
+	"sos/internal/clock"
 	"sos/internal/cloud"
 	"sos/internal/core"
 	"sos/internal/id"
@@ -52,16 +54,92 @@ func viewOf(entries []wire.Entry) map[id.UserID]uint64 {
 	return view
 }
 
-// waitFor polls cond every 2 ms, for at least 10 s.
-func waitFor(t *testing.T, what string, cond func() bool) {
+// world is where this package's contact tests stage devices. On the
+// simulated medium (newWorld) time is virtual, every device that enters
+// is in Bluetooth range of every other, and nothing moves between a
+// test's steps: expect runs what is queued until the contact is quiet,
+// then reads the state it leaves. On MemMedium (newRaceWorld), kept for
+// the tests that exist to race, callbacks run on the medium's goroutines
+// in wall time, and a test waits for them with await.
+type world struct {
+	clk    clock.Clock
+	sim    *mpc.SimMedium // nil on MemMedium
+	medium mpc.Medium
+	svc    *cloud.Service
+	peers  []mpc.PeerID
+}
+
+// epoch is the virtual instant every simulated world starts at.
+var epoch = time.Date(2017, 4, 3, 9, 0, 0, 0, time.UTC)
+
+func newWorld(t *testing.T) *world {
 	t.Helper()
-	for range 5000 {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	clk := clock.NewVirtual(epoch)
+	ca, err := pki.NewCA("sync-test-root", pki.WithClock(clk.Now))
+	if err != nil {
+		t.Fatalf("NewCA: %v", err)
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	sim := mpc.NewSimMedium(clk)
+	return &world{clk: clk, sim: sim, medium: sim, svc: cloud.New(ca, cloud.WithClock(clk.Now))}
+}
+
+func newRaceWorld(t *testing.T) *world {
+	t.Helper()
+	ca, err := pki.NewCA("sync-test-root")
+	if err != nil {
+		t.Fatalf("NewCA: %v", err)
+	}
+	return &world{clk: clock.System(), medium: mpc.NewMemMedium(), svc: cloud.New(ca)}
+}
+
+// enter brings peer, joined, into radio range of every device that
+// entered before it (MemMedium: all are in range from the start).
+func (w *world) enter(peer mpc.PeerID) {
+	if w.sim == nil {
+		return
+	}
+	for _, p := range w.peers {
+		w.sim.SetLink(p, peer, mpc.Bluetooth)
+	}
+	w.peers = append(w.peers, peer)
+}
+
+// run fires every queued event and every event those queue, up to an
+// hour of virtual time: the contact runs until it is quiet.
+func (w *world) run() {
+	w.sim.RunUntil(w.clk.Now().Add(time.Hour))
+}
+
+// expect runs the world until it is quiet and fails the test unless cond
+// then holds.
+func (w *world) expect(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	w.run()
+	if !cond() {
+		t.Fatalf("quiet without %s", what)
+	}
+}
+
+// await blocks until cond holds, testing it again at every signal on
+// changed, a callback's, and fails the test after 10 s of wall time.
+func await(t *testing.T, what string, changed <-chan struct{}, cond func() bool) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for !cond() {
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// signal wakes an await on changed without ever blocking the callback.
+func signal(changed chan struct{}) {
+	select {
+	case changed <- struct{}{}:
+	default:
+	}
 }
 
 // TestDeltaAdvertisementSize pins the acceptance bound of the sync
@@ -109,10 +187,11 @@ func TestDeltaAdvertisementSize(t *testing.T) {
 	}
 }
 
-// liveNode is one full middleware on a shared MemMedium.
+// liveNode is one full middleware in a world.
 type liveNode struct {
-	mw    *core.Middleware
-	creds *cloud.Credentials
+	mw      *core.Middleware
+	creds   *cloud.Credentials
+	changed chan struct{} // signalled at every delivery
 
 	mu       sync.Mutex
 	received []*msg.Message
@@ -142,46 +221,51 @@ func (n *liveNode) gotSeq(author id.UserID, seq uint64) bool {
 	return false
 }
 
-func newLiveWorld(t *testing.T) (*mpc.MemMedium, *cloud.Service) {
+// bootstrap signs handle up with the world's cloud.
+func (w *world) bootstrap(t *testing.T, handle string) *cloud.Credentials {
 	t.Helper()
-	ca, err := pki.NewCA("sync-test-root")
-	if err != nil {
-		t.Fatalf("NewCA: %v", err)
-	}
-	return mpc.NewMemMedium(), cloud.New(ca)
-}
-
-func newLiveNode(t *testing.T, medium mpc.Medium, svc *cloud.Service, handle string) *liveNode {
-	t.Helper()
-	creds, err := cloud.Bootstrap(svc, handle, rand.Reader)
+	creds, err := cloud.Bootstrap(w.svc, handle, rand.Reader)
 	if err != nil {
 		t.Fatalf("Bootstrap(%s): %v", handle, err)
 	}
-	return startLiveNode(t, medium, creds, nil)
+	return creds
 }
 
-// startLiveNode starts a live node of creds over st (a fresh store when
-// nil).
-func startLiveNode(t *testing.T, medium mpc.Medium, creds *cloud.Credentials, st store.Engine) *liveNode {
+func (w *world) liveNode(t *testing.T, handle string) *liveNode {
 	t.Helper()
-	n := &liveNode{creds: creds}
-	mw, err := core.New(core.Config{
+	return w.startLiveNode(t, w.medium, w.bootstrap(t, handle), nil)
+}
+
+// startLiveNode starts a node of creds over st (a fresh store when nil)
+// joining through medium, the world's or a wrapper of it, and enters it.
+// On the simulated medium it runs on the world's clock with no heartbeat.
+func (w *world) startLiveNode(t *testing.T, medium mpc.Medium, creds *cloud.Credentials, st store.Engine) *liveNode {
+	t.Helper()
+	n := &liveNode{creds: creds, changed: make(chan struct{}, 1)}
+	cfg := core.Config{
 		Creds:    creds,
 		Medium:   medium,
 		PeerName: mpc.PeerID(creds.Handle + "-phone"),
 		Store:    st,
+		Clock:    w.clk,
 		OnReceive: func(m *msg.Message, from id.UserID) {
 			n.mu.Lock()
 			n.received = append(n.received, m)
 			n.mu.Unlock()
+			signal(n.changed)
 		},
 		Observer: n,
-	})
+	}
+	if w.sim != nil {
+		cfg.ResyncInterval = -1
+	}
+	mw, err := core.New(cfg)
 	if err != nil {
 		t.Fatalf("core.New(%s): %v", creds.Handle, err)
 	}
 	n.mw = mw
 	t.Cleanup(func() { mw.Close() })
+	w.enter(mw.Peer())
 	return n
 }
 
@@ -189,15 +273,15 @@ func startLiveNode(t *testing.T, medium mpc.Medium, creds *cloud.Credentials, st
 // exchange on a link, subsequent store changes are pushed as delta
 // advertisements and still deliver.
 func TestDeltaSyncSteadyState(t *testing.T) {
-	medium, svc := newLiveWorld(t)
-	alice := newLiveNode(t, medium, svc, "alice")
-	bob := newLiveNode(t, medium, svc, "bob")
+	w := newWorld(t)
+	alice := w.liveNode(t, "alice")
+	bob := w.liveNode(t, "bob")
 
 	p1, err := alice.mw.Post([]byte("first"))
 	if err != nil {
 		t.Fatalf("Post: %v", err)
 	}
-	waitFor(t, "first delivery", func() bool { return bob.gotSeq(p1.Author, p1.Seq) })
+	w.expect(t, "first delivery", func() bool { return bob.gotSeq(p1.Author, p1.Seq) })
 	if got := alice.mw.Stats().Message.AdsFullSent; got == 0 {
 		t.Error("no full advertisement sent during initial sync")
 	}
@@ -207,7 +291,7 @@ func TestDeltaSyncSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Post: %v", err)
 		}
-		waitFor(t, "delta delivery", func() bool { return bob.gotSeq(p.Author, p.Seq) })
+		w.expect(t, "delta delivery", func() bool { return bob.gotSeq(p.Author, p.Seq) })
 	}
 	st := alice.mw.Stats().Message
 	if st.AdsDeltaSent == 0 {
@@ -227,15 +311,15 @@ func TestDeltaSyncSteadyState(t *testing.T) {
 // outnumber the bucket's burst capacity, so the run fails if chained
 // deltas are ever charged.
 func TestFastContactStaysOnDeltaChain(t *testing.T) {
-	medium, svc := newLiveWorld(t)
-	alice := newLiveNode(t, medium, svc, "alice")
-	bob := newLiveNode(t, medium, svc, "bob")
+	w := newWorld(t)
+	alice := w.liveNode(t, "alice")
+	bob := w.liveNode(t, "bob")
 
 	p1, err := alice.mw.Post([]byte("prime"))
 	if err != nil {
 		t.Fatalf("Post: %v", err)
 	}
-	waitFor(t, "priming delivery", func() bool { return bob.gotSeq(p1.Author, p1.Seq) })
+	w.expect(t, "priming delivery", func() bool { return bob.gotSeq(p1.Author, p1.Seq) })
 
 	base := alice.mw.Stats().Message
 	// Post back-to-back as fast as the sync round trip allows: each post
@@ -246,7 +330,7 @@ func TestFastContactStaysOnDeltaChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Post: %v", err)
 		}
-		waitFor(t, "burst delivery", func() bool { return bob.gotSeq(p.Author, p.Seq) })
+		w.expect(t, "burst delivery", func() bool { return bob.gotSeq(p.Author, p.Seq) })
 	}
 
 	ast, bst := alice.mw.Stats().Message, bob.mw.Stats().Message
@@ -269,30 +353,30 @@ func TestFastContactStaysOnDeltaChain(t *testing.T) {
 // reconnect greets with a full summary (not a stale delta base) and
 // delivery resumes.
 func TestChurnReconnectResync(t *testing.T) {
-	medium, svc := newLiveWorld(t)
-	alice := newLiveNode(t, medium, svc, "alice")
-	bob := newLiveNode(t, medium, svc, "bob")
+	w := newWorld(t)
+	alice := w.liveNode(t, "alice")
+	bob := w.liveNode(t, "bob")
 
 	p1, err := alice.mw.Post([]byte("before churn"))
 	if err != nil {
 		t.Fatalf("Post: %v", err)
 	}
-	waitFor(t, "pre-churn delivery", func() bool { return bob.gotSeq(p1.Author, p1.Seq) })
+	w.expect(t, "pre-churn delivery", func() bool { return bob.gotSeq(p1.Author, p1.Seq) })
 	fullBefore := alice.mw.Stats().Message.AdsFullSent
 
-	medium.SetReachable(alice.mw.Peer(), bob.mw.Peer(), false)
-	waitFor(t, "link down", func() bool {
+	w.sim.CutLink(alice.mw.Peer(), bob.mw.Peer())
+	w.expect(t, "link down", func() bool {
 		bob.mu.Lock()
 		defer bob.mu.Unlock()
 		return bob.downs > 0
 	})
-	medium.SetReachable(alice.mw.Peer(), bob.mw.Peer(), true)
+	w.sim.SetLink(alice.mw.Peer(), bob.mw.Peer(), mpc.Bluetooth)
 
 	p2, err := alice.mw.Post([]byte("after churn"))
 	if err != nil {
 		t.Fatalf("Post: %v", err)
 	}
-	waitFor(t, "post-churn delivery", func() bool { return bob.gotSeq(p2.Author, p2.Seq) })
+	w.expect(t, "post-churn delivery", func() bool { return bob.gotSeq(p2.Author, p2.Seq) })
 	if got := alice.mw.Stats().Message.AdsFullSent; got <= fullBefore {
 		t.Errorf("post-churn reconnect reused a stale delta base: full ads %d → %d", fullBefore, got)
 	}
@@ -303,19 +387,23 @@ func TestChurnReconnectResync(t *testing.T) {
 // answers every Request with an empty Batch, as an honest server that
 // serves nothing does.
 type frameCapture struct {
-	mu     sync.Mutex
-	links  []*adhoc.Link
-	frames []wire.Frame
-	hold   bool // answer no Request: the test sends the Batch
+	mu      sync.Mutex
+	links   []*adhoc.Link
+	frames  []wire.Frame
+	hold    bool          // answer no Request: the test sends the Batch
+	changed chan struct{} // signalled at every LinkUp and frame
 }
+
+func newFrameCapture() *frameCapture { return &frameCapture{changed: make(chan struct{}, 1)} }
 
 func (c *frameCapture) Bind(*adhoc.Manager)                            {}
 func (c *frameCapture) PeerDiscovered(mpc.PeerID, *wire.Advertisement) {}
 func (c *frameCapture) PeerGone(mpc.PeerID)                            {}
 func (c *frameCapture) LinkUp(link *adhoc.Link) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.links = append(c.links, link)
+	c.mu.Unlock()
+	signal(c.changed)
 }
 func (c *frameCapture) FrameIn(link *adhoc.Link, f wire.Frame) {
 	// A Summary's entries are pooled and reused once FrameIn returns (see
@@ -333,6 +421,7 @@ func (c *frameCapture) FrameIn(link *adhoc.Link, f wire.Frame) {
 	if _, ok := f.(*wire.Request); ok && !hold {
 		_ = sendFrame(link, &wire.Batch{})
 	}
+	signal(c.changed)
 }
 func (c *frameCapture) LinkDown(*adhoc.Link, error) {}
 
@@ -380,12 +469,12 @@ func (c *frameCapture) pulls() int {
 }
 
 // syncHarness wires one real message.Manager (alice) against a scripted
-// peer (bob) over a live medium.
+// peer (bob) in a simulated world.
 type syncHarness struct {
-	mem      *mpc.MemMedium
-	svc      *cloud.Service
+	*world
 	mgr      *message.Manager
 	st       *store.Store
+	rm       *routing.Manager
 	aliceAd  *adhoc.Manager
 	bobAd    *adhoc.Manager
 	bob      *frameCapture
@@ -398,19 +487,21 @@ func newSyncHarness(t *testing.T) *syncHarness {
 }
 
 // newSyncHarnessWith builds the harness with alice's manager options
-// taken from cfg (Store, Routing and Verifier are filled in) and both
-// devices joining through radio's wrapping of the shared medium, if given.
+// taken from cfg (Store, Routing, Verifier and Clock are filled in) and
+// both devices joining through radio's wrapping of the world's medium,
+// if given.
 func newSyncHarnessWith(t *testing.T, cfg message.Config, radio func(mpc.Medium) mpc.Medium) *syncHarness {
 	t.Helper()
-	mem, svc := newLiveWorld(t)
-	var medium mpc.Medium = mem
+	h := &syncHarness{world: newWorld(t)}
+	medium := h.medium
 	if radio != nil {
-		medium = radio(mem)
+		medium = radio(medium)
 	}
-	h := &syncHarness{mem: mem, svc: svc}
 	alice := h.realPeer(t, medium, "alice", cfg)
-	h.mgr, h.st, h.aliceAd = alice.mgr, alice.st, alice.ad
-	h.bobAd, h.bob, h.bobCreds = h.scriptedPeer(t, medium, "bob")
+	h.mgr, h.st, h.rm, h.aliceAd = alice.mgr, alice.st, alice.rm, alice.ad
+	h.bob = newFrameCapture()
+	h.bobAd, h.bobCreds = h.scriptedPeer(t, medium, "bob", h.bob)
+	h.run() // the radios' discovery, before either device advertises
 	return h
 }
 
@@ -423,63 +514,76 @@ type realDevice struct {
 	creds *cloud.Credentials
 }
 
-// realPeer joins one more real device, with its manager options taken
-// from cfg (Store, Routing and Verifier are filled in), to the harness's
-// world.
-func (h *syncHarness) realPeer(t *testing.T, medium mpc.Medium, handle string, cfg message.Config) realDevice {
+// realPeer enters one more device running a real message manager, with
+// its options taken from cfg (Store, Routing, Verifier and Clock are
+// filled in), joining through medium.
+func (w *world) realPeer(t *testing.T, medium mpc.Medium, handle string, cfg message.Config) realDevice {
 	t.Helper()
-	creds, err := cloud.Bootstrap(h.svc, handle, rand.Reader)
-	if err != nil {
-		t.Fatalf("Bootstrap(%s): %v", handle, err)
-	}
+	creds := w.bootstrap(t, handle)
 	st := store.New(creds.Ident.User)
 	rm, err := routing.NewManager(st, routing.Options{})
 	if err != nil {
 		t.Fatalf("routing.NewManager: %v", err)
 	}
-	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
+	verifier, err := pki.NewVerifier(creds.RootDER, w.clk.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
-	cfg.Store, cfg.Routing, cfg.Verifier = st, rm, verifier
+	cfg.Store, cfg.Routing, cfg.Verifier, cfg.Clock = st, rm, verifier, w.clk
 	mgr, err := message.New(cfg)
 	if err != nil {
 		t.Fatalf("message.New: %v", err)
 	}
 	t.Cleanup(mgr.Close)
-	ad, err := adhoc.New(adhoc.Config{
-		Medium: medium, PeerName: mpc.PeerID(handle + "-phone"), Ident: creds.Ident,
-		CertDER: creds.Cert.DER, Verifier: verifier, Handler: mgr,
-	})
-	if err != nil {
-		t.Fatalf("adhoc.New(%s): %v", handle, err)
-	}
-	t.Cleanup(func() { ad.Close() })
-	return realDevice{mgr: mgr, st: st, rm: rm, ad: ad, creds: creds}
+	return realDevice{mgr: mgr, st: st, rm: rm, ad: w.device(t, medium, creds, verifier, mgr), creds: creds}
 }
 
-// scriptedPeer joins one more scripted device (a frameCapture behind a
-// real ad hoc manager) to the harness's world.
-func (h *syncHarness) scriptedPeer(t *testing.T, medium mpc.Medium, handle string) (*adhoc.Manager, *frameCapture, *cloud.Credentials) {
+// scriptedPeer enters one more device whose ad hoc manager hands its
+// traffic to the scripted handler h, joining through medium.
+func (w *world) scriptedPeer(t *testing.T, medium mpc.Medium, handle string, h adhoc.Handler) (*adhoc.Manager, *cloud.Credentials) {
 	t.Helper()
-	creds, err := cloud.Bootstrap(h.svc, handle, rand.Reader)
-	if err != nil {
-		t.Fatalf("Bootstrap(%s): %v", handle, err)
-	}
-	verifier, err := pki.NewVerifier(creds.RootDER, time.Now)
+	creds := w.bootstrap(t, handle)
+	verifier, err := pki.NewVerifier(creds.RootDER, w.clk.Now)
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
-	peer := &frameCapture{}
+	return w.device(t, medium, creds, verifier, h), creds
+}
+
+// capturePeer enters one more scripted device that records its traffic.
+func (w *world) capturePeer(t *testing.T, handle string) (*adhoc.Manager, *frameCapture) {
+	t.Helper()
+	c := newFrameCapture()
+	ad, _ := w.scriptedPeer(t, w.medium, handle, c)
+	return ad, c
+}
+
+// device starts the ad hoc manager of creds on "<handle>-phone" and
+// enters it.
+func (w *world) device(t *testing.T, medium mpc.Medium, creds *cloud.Credentials, verifier *pki.Verifier, h adhoc.Handler) *adhoc.Manager {
+	t.Helper()
 	ad, err := adhoc.New(adhoc.Config{
-		Medium: medium, PeerName: mpc.PeerID(handle + "-phone"), Ident: creds.Ident,
-		CertDER: creds.Cert.DER, Verifier: verifier, Handler: peer,
+		Medium: medium, PeerName: mpc.PeerID(creds.Handle + "-phone"), Ident: creds.Ident,
+		CertDER: creds.Cert.DER, Verifier: verifier, Handler: h, Clock: w.clk,
 	})
 	if err != nil {
-		t.Fatalf("adhoc.New(%s): %v", handle, err)
+		t.Fatalf("adhoc.New(%s): %v", creds.Handle, err)
 	}
 	t.Cleanup(func() { ad.Close() })
-	return ad, peer, creds
+	w.enter(ad.Self())
+	return ad
+}
+
+// connect has ad dial alice and runs the contact until it is quiet,
+// and returns the far end of the new link at peer.
+func (h *syncHarness) connect(t *testing.T, ad *adhoc.Manager, peer *frameCapture) *adhoc.Link {
+	t.Helper()
+	n := peer.linkCount()
+	if err := ad.Connect(h.aliceAd.Self()); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	h.expect(t, "link up at the scripted peer", func() bool { return peer.linkCount() > n })
+	return peer.link(n)
 }
 
 // requested reports whether alice has sent bob a Request naming author.
@@ -513,11 +617,7 @@ func (c *frameCapture) requestedSeqs(author id.UserID) int {
 // full summary must heal the view.
 func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	h := newSyncHarness(t)
-	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
-		t.Fatalf("Connect: %v", err)
-	}
-	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
-	link := h.bob.link(0)
+	link := h.connect(t, h.bobAd, h.bob)
 
 	// A first full summary gives alice a cached view of bob.
 	cached := id.NewUserID("cached-author")
@@ -526,7 +626,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "request against the cached view", func() bool { return h.bob.requested(cached) })
+	h.expect(t, "request against the cached view", func() bool { return h.bob.requested(cached) })
 
 	// A delta against a base alice's manager never recorded.
 	gapAd := &wire.Summary{
@@ -536,10 +636,10 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	if err := sendFrame(link, gapAd); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "summary pull at bob", func() bool { return h.bob.pulls() > 0 })
+	h.expect(t, "summary pull at bob", func() bool { return h.bob.pulls() > 0 })
 	// The view survived the gap and the delta's entries joined it: both
 	// are held, and the new one is planned against.
-	waitFor(t, "request against the merged entry", func() bool { return h.bob.requested(h.bobCreds.Ident.User) })
+	h.expect(t, "request against the merged entry", func() bool { return h.bob.requested(h.bobCreds.Ident.User) })
 	if _, _, entries := h.mgr.SyncState(); entries != 2 {
 		t.Errorf("view holds %d entries after the gap delta, want 2 (cached + merged)", entries)
 	}
@@ -559,7 +659,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 			t.Fatalf("SendFrame: %v", err)
 		}
 	}
-	waitFor(t, "end of the burst", func() bool { return h.bob.requested(last) })
+	h.expect(t, "end of the burst", func() bool { return h.bob.requested(last) })
 	st := h.mgr.Stats()
 	if st.SummaryPullsSent != 1 || h.bob.pulls() != 1 {
 		t.Errorf("SummaryPullsSent = %d (bob saw %d), want 1 for 201 gap deltas in one interval", st.SummaryPullsSent, h.bob.pulls())
@@ -581,7 +681,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "the pull after the tick", func() bool { return h.bob.pulls() == 2 })
+	h.expect(t, "the pull after the tick", func() bool { return h.bob.pulls() == 2 })
 
 	// Healing: a full summary replaces the view and planning resumes
 	// (alice requests the advertised message).
@@ -593,7 +693,7 @@ func TestGenerationGapTriggersSummaryPull(t *testing.T) {
 	if err := sendFrame(link, fullAd); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "request from alice", func() bool { return h.bob.requested(healed) })
+	h.expect(t, "request from alice", func() bool { return h.bob.requested(healed) })
 	if _, _, entries := h.mgr.SyncState(); entries != 1 {
 		t.Errorf("view holds %d entries after the healing full, want 1", entries)
 	}
@@ -691,7 +791,7 @@ func refusingHarness(t *testing.T, refusals, swallows, dialFailures int32) (*syn
 // and has no dial under way, so the next Tick's re-dial is the only one.
 func dialSettled(t *testing.T, h *syncHarness, failures uint64) {
 	t.Helper()
-	waitFor(t, "the failed handshakes", func() bool {
+	h.expect(t, "the failed handshakes", func() bool {
 		return h.aliceAd.Stats().HandshakeFailures == failures && !h.mgr.Dialing("bob-phone")
 	})
 }
@@ -707,7 +807,7 @@ func TestHeartbeatOffArmsNoTimer(t *testing.T) {
 		t.Errorf("after one refused handshake: ConnectsAttempted = %d, Reconnects = %d; want 1 and 0", st.ConnectsAttempted, st.Reconnects)
 	}
 	h.mgr.Tick()
-	waitFor(t, "the link after one tick", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
+	h.expect(t, "the link after one tick", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
 	if st := h.mgr.Stats(); st.Reconnects != 1 {
 		t.Errorf("Reconnects = %d after one tick, want 1", st.Reconnects)
 	}
@@ -724,7 +824,7 @@ func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
 		dialSettled(t, h, i)
 		h.mgr.Tick()
 	}
-	waitFor(t, "the link after the ladder", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
+	h.expect(t, "the link after the ladder", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
 	if left := radio.refuse.Load(); left != -1 {
 		t.Errorf("refusals left at %d, want -1: eight refused handshakes and the one that linked", left)
 	}
@@ -739,13 +839,13 @@ func TestRedialLadderOutlastsFailedHandshakes(t *testing.T) {
 // before it re-dials, and that dial links.
 func TestHeartbeatExpiresWedgedHandshake(t *testing.T) {
 	h, radio := refusingHarness(t, 0, 1, 0)
-	waitFor(t, "the lost Hello", func() bool { return radio.swallow.Load() == 0 && !h.mgr.Dialing("bob-phone") })
+	h.expect(t, "the lost Hello", func() bool { return radio.swallow.Load() == 0 && !h.mgr.Dialing("bob-phone") })
 	h.mgr.Tick()
 	if st := h.aliceAd.Stats(); st.HandshakeFailures != 0 {
 		t.Fatalf("the first tick failed %d handshakes, want 0: the dial was not yet wedged at an earlier tick", st.HandshakeFailures)
 	}
 	h.mgr.Tick()
-	waitFor(t, "the link after two ticks", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
+	h.expect(t, "the link after two ticks", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
 	if st := h.aliceAd.Stats(); st.HandshakeFailures != 1 {
 		t.Errorf("alice's HandshakeFailures = %d, want 1: the wedged dial", st.HandshakeFailures)
 	}
@@ -760,11 +860,11 @@ func TestHeartbeatExpiresWedgedHandshake(t *testing.T) {
 func TestHeartbeatRedialsRefusedDials(t *testing.T) {
 	const failures = 3
 	h, radio := refusingHarness(t, 0, 0, failures)
-	waitFor(t, "the refused dial on discovery", func() bool { return radio.failDials.Load() == failures-1 && !h.mgr.Dialing("bob-phone") })
+	h.expect(t, "the refused dial on discovery", func() bool { return radio.failDials.Load() == failures-1 && !h.mgr.Dialing("bob-phone") })
 	for i := 0; i < failures; i++ {
 		h.mgr.Tick()
 	}
-	waitFor(t, "the link after the refused dials", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
+	h.expect(t, "the link after the refused dials", func() bool { return len(h.mgr.ActiveLinks()) == 1 })
 	if left := radio.failDials.Load(); left != -1 {
 		t.Errorf("failDials left at %d, want -1: three refused dials and the one that linked", left)
 	}
@@ -783,23 +883,48 @@ func TestSummaryPullServesFull(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
-		t.Fatalf("Connect: %v", err)
-	}
-	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
-	waitFor(t, "greeting ad", func() bool { return len(h.bob.ads()) > 0 })
+	h.connect(t, h.bobAd, h.bob)
+	h.expect(t, "greeting ad", func() bool { return len(h.bob.ads()) > 0 })
 	link := h.bob.link(0)
 
 	if err := sendFrame(link, &wire.SummaryPull{}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "full resync ad", func() bool {
+	h.expect(t, "full resync ad", func() bool {
 		ads := h.bob.ads()
 		last := ads[len(ads)-1]
 		return len(ads) >= 2 && !last.IsDelta() && viewOf(last.Entries)[id.NewUserID("somebody")] == 7
 	})
 	if st := h.mgr.Stats(); st.SummaryPullsServed != 1 {
 		t.Errorf("SummaryPullsServed = %d, want 1", st.SummaryPullsServed)
+	}
+}
+
+// TestSummaryPullFloodIsBounded: each pull of a few bytes costs alice a
+// stream of her whole dictionary, so a peer that pulls again and again
+// draws no more full summaries than the flood bucket holds and refills
+// meanwhile, and the pulls past it quarantine the peer and drop the link.
+func TestSummaryPullFloodIsBounded(t *testing.T) {
+	h := newSyncHarness(t)
+	link := h.connect(t, h.bobAd, h.bob)
+	start := h.clk.Now()
+	const pulls = 4 * message.AdBurst
+	for i := 0; i < pulls; i++ {
+		if err := sendFrame(link, &wire.SummaryPull{}); err != nil {
+			t.Fatalf("pull %d: %v", i, err)
+		}
+	}
+	h.expect(t, "the link dropped", func() bool { return len(h.mgr.ActiveLinks()) == 0 })
+	st := h.mgr.Stats()
+	bucket := message.AdBurst + int(h.clk.Now().Sub(start).Seconds()*message.AdRefillPerSec)
+	if served := int(st.SummaryPullsServed); served < message.AdBurst || served > bucket {
+		t.Errorf("SummaryPullsServed = %d of %d pulls, want %d to %d (the burst plus the refill)", served, pulls, message.AdBurst, bucket)
+	}
+	if st.AdsFullSent != 1+st.SummaryPullsServed { // the greeting, then one per pull served
+		t.Errorf("AdsFullSent = %d for %d pulls served", st.AdsFullSent, st.SummaryPullsServed)
+	}
+	if st.Quarantines != 1 {
+		t.Errorf("Quarantines = %d, want 1", st.Quarantines)
 	}
 }
 
@@ -820,14 +945,14 @@ func TestLinkDropReconnectUsesDelta(t *testing.T) {
 	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	waitFor(t, "first greeting", func() bool { return len(h.bob.ads()) > 0 })
+	h.expect(t, "first greeting", func() bool { return len(h.bob.ads()) > 0 })
 	first := h.bob.ads()[0]
 	if first.IsDelta() {
 		t.Fatalf("first greeting was a delta: %+v", first)
 	}
 
 	h.bob.link(0).Close()
-	waitFor(t, "alice sees the drop", func() bool { return len(h.mgr.ActiveLinks()) == 0 })
+	h.expect(t, "alice sees the drop", func() bool { return len(h.mgr.ActiveLinks()) == 0 })
 
 	// The store moves while the link is down.
 	changed := id.NewUserID("while-down")
@@ -840,7 +965,7 @@ func TestLinkDropReconnectUsesDelta(t *testing.T) {
 	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
 		t.Fatalf("reconnect: %v", err)
 	}
-	waitFor(t, "second greeting", func() bool { return len(h.bob.ads()) >= 2 })
+	h.expect(t, "second greeting", func() bool { return len(h.bob.ads()) >= 2 })
 	second := h.bob.ads()[1]
 	if !second.IsDelta() {
 		t.Errorf("reconnect greeting was not a delta: %+v", second)
@@ -872,16 +997,13 @@ func (c *frameCapture) requests() []*wire.Request {
 // want-list under that same limit — one author's list across frames.
 func TestRequestsStayUnderTheLimitTheirServerEnforces(t *testing.T) {
 	h := newSyncHarness(t)
-	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
-		t.Fatalf("Connect: %v", err)
-	}
-	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
+	h.connect(t, h.bobAd, h.bob)
 	// Two authors, so a frame boundary falls inside a list and between two.
 	behind := map[id.UserID]uint64{id.NewUserID("busy-author"): 20000, id.NewUserID("busier-author"): 9000}
 	if err := sendFrame(h.bob.link(0), &wire.Summary{Gen: 1, Entries: entriesOf(behind)}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "requests for the whole backlog", func() bool {
+	h.expect(t, "requests for the whole backlog", func() bool {
 		for author, upto := range behind {
 			if h.bob.requestedSeqs(author) < int(upto) {
 				return false
@@ -924,10 +1046,7 @@ func TestRequestAtTheLimitIsServed(t *testing.T) {
 	if _, err := h.st.Put(historyPost(held, 1)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := h.bobAd.Connect(h.aliceAd.Self()); err != nil {
-		t.Fatalf("Connect: %v", err)
-	}
-	waitFor(t, "link up at bob", func() bool { return h.bob.linkCount() > 0 })
+	h.connect(t, h.bobAd, h.bob)
 
 	seqs := make([]uint64, wire.MaxSeqsPerRequest+1)
 	for i := range seqs {
@@ -937,7 +1056,7 @@ func TestRequestAtTheLimitIsServed(t *testing.T) {
 	if err := sendFrame(h.bob.link(0), atLimit); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "the batch answering a request at the limit", func() bool { return h.mgr.Stats().MessagesServed == 1 })
+	h.expect(t, "the batch answering a request at the limit", func() bool { return h.mgr.Stats().MessagesServed == 1 })
 	if st := h.mgr.Stats(); st.MisbehaviorEvents != 0 {
 		t.Errorf("a request of exactly the limit scored %d misbehavior events", st.MisbehaviorEvents)
 	}
@@ -945,7 +1064,7 @@ func TestRequestAtTheLimitIsServed(t *testing.T) {
 	if err := sendFrame(h.bob.link(0), &wire.Request{Wants: []wire.Want{{Author: held, Seqs: seqs}}}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	waitFor(t, "the over-limit request to be scored", func() bool { return h.mgr.Stats().MisbehaviorEvents == 1 })
+	h.expect(t, "the over-limit request to be scored", func() bool { return h.mgr.Stats().MisbehaviorEvents == 1 })
 	if st := h.mgr.Stats(); st.MessagesServed != 1 {
 		t.Errorf("an over-limit request was served: %d messages, want still 1", st.MessagesServed)
 	}
@@ -958,10 +1077,10 @@ func TestRequestAtTheLimitIsServed(t *testing.T) {
 // transfer's spray budget set on the stored copy, not the outgoing one —
 // is a reported race; without -race the final check still catches it.
 func TestSharedMessagesAreNeverWritten(t *testing.T) {
-	medium, svc := newLiveWorld(t)
+	w := newRaceWorld(t)
 	var nodes []*liveNode
 	for _, handle := range []string{"alice", "bob", "carol"} {
-		n := newLiveNode(t, medium, svc, handle)
+		n := w.liveNode(t, handle)
 		if err := n.mw.SetScheme(routing.SchemeSprayAndWait); err != nil {
 			t.Fatalf("SetScheme: %v", err)
 		}
@@ -1002,7 +1121,7 @@ func TestSharedMessagesAreNeverWritten(t *testing.T) {
 		}
 	}
 	for _, n := range nodes {
-		waitFor(t, "every post everywhere", func() bool { return n.mw.Store().Len() == posts*len(nodes) })
+		await(t, "every post everywhere", n.changed, func() bool { return n.mw.Store().Len() == posts*len(nodes) })
 	}
 	close(done)
 	readers.Wait()

@@ -75,8 +75,8 @@ func OpenDisk(dir string, owner id.UserID, opts Options) (*Disk, error) {
 	if _, err := os.Stat(snap); err == nil {
 		return nil, fmt.Errorf("store: %s is a snapshot from an older on-disk format, which this version does not read", snap)
 	}
-	maxMessages, maxBytes := opts.MaxMessages, opts.MaxBytes
-	opts.MaxMessages, opts.MaxBytes = 0, 0
+	maxMessages := opts.MaxMessages
+	opts.MaxMessages = 0
 	mem := NewMemory(owner, opts)
 
 	log, err := recordlog.Open(filepath.Join(dir, logFile), maxEncodedMessage, opts.NoSync, mem.applyRecord)
@@ -100,7 +100,7 @@ func OpenDisk(dir string, owner id.UserID, opts Options) (*Disk, error) {
 	// From here on, evictions must reach the log before anything else
 	// observes them.
 	mem.OnEvict(d.logEviction)
-	for _, ev := range mem.setQuota(maxMessages, maxBytes) {
+	for _, ev := range mem.setQuota(maxMessages) {
 		d.logEviction(ev)
 	}
 	return d, nil

@@ -133,8 +133,8 @@ type EvictReason uint8
 
 // Eviction reasons.
 const (
-	// EvictCapacity: the buffer exceeded its message or byte quota and
-	// the eviction policy chose this message as the victim.
+	// EvictCapacity: the buffer exceeded its message quota and the
+	// eviction policy chose this message as the victim.
 	EvictCapacity EvictReason = iota + 1
 	// EvictExpired: the message outlived the policy's lifetime (TTL).
 	EvictExpired
@@ -199,9 +199,6 @@ type Stats struct {
 type Options struct {
 	// MaxMessages bounds the buffer in messages; 0 = unbounded.
 	MaxMessages int
-	// MaxBytes bounds the buffer in bytes (payload + signature +
-	// certificate + overhead per message); 0 = unbounded.
-	MaxBytes int
 	// Policy selects the eviction policy; nil = DropOldest. Messages
 	// authored by the store's owner are never evicted — a device always
 	// keeps its own actions, matching the field study where old posts

@@ -37,7 +37,6 @@ type Store struct {
 	policy Policy
 
 	maxMessages int
-	maxBytes    int
 
 	// byAuthor is the one index of held messages; count is its total.
 	byAuthor map[id.UserID]map[uint64]*entry
@@ -99,7 +98,6 @@ func NewMemory(owner id.UserID, opts Options) *Store {
 		clk:         opts.Clock,
 		policy:      opts.Policy,
 		maxMessages: opts.MaxMessages,
-		maxBytes:    opts.MaxBytes,
 		byAuthor:    make(map[id.UserID]map[uint64]*entry),
 		dropped:     make(map[id.UserID]map[uint64]bool),
 		floor:       make(map[id.UserID]uint64),
@@ -186,8 +184,7 @@ func (s *Store) enforceQuotaLocked() []Eviction {
 }
 
 func (s *Store) overQuotaLocked() bool {
-	return (s.maxMessages > 0 && s.count > s.maxMessages) ||
-		(s.maxBytes > 0 && s.bytes > s.maxBytes)
+	return s.maxMessages > 0 && s.count > s.maxMessages
 }
 
 // victimLocked picks the policy's best victim. Drop-oldest ranks by
@@ -539,12 +536,12 @@ func (s *Store) Close() error { return nil }
 
 // --- internal surface for the disk engine ---
 
-// setQuota swaps the capacity bounds and enforces them, used by the
-// disk engine to disable quotas during log replay (so replayed history
-// never re-evicts) and restore them afterwards.
-func (s *Store) setQuota(maxMessages, maxBytes int) []Eviction {
+// setQuota swaps the capacity bound and enforces it, used by the disk
+// engine to disable the quota during log replay (so replayed history
+// never re-evicts) and restore it afterwards.
+func (s *Store) setQuota(maxMessages int) []Eviction {
 	s.mu.Lock()
-	s.maxMessages, s.maxBytes = maxMessages, maxBytes
+	s.maxMessages = maxMessages
 	evs := s.enforceQuotaLocked()
 	s.mu.Unlock()
 	return evs

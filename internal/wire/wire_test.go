@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -141,6 +143,48 @@ func entriesOf(dict map[id.UserID]uint64) []Entry {
 	entries := AppendEntries(nil, dict)
 	SortEntries(entries)
 	return entries
+}
+
+// TestSortEntries checks the radix sort against a comparison sort on
+// hashed authors around its bucket cut-off, on authors that agree on all
+// but their last byte (a pass per byte), and on repeated authors, which
+// run out of bytes to bucket by. It allocates nothing.
+func TestSortEntries(t *testing.T) {
+	hashed := func(n int) []Entry {
+		return AppendEntries(nil, authorsDict(n))
+	}
+	prefixed := func(n int) []Entry {
+		var out []Entry
+		for i := 0; i < n; i++ {
+			var e Entry
+			e.Author[id.UserIDLen-1], e.Seq = byte(i*37), uint64(i)
+			out = append(out, e, Entry{Author: alice, Seq: uint64(i)})
+		}
+		return out
+	}
+	for name, entries := range map[string][]Entry{
+		"empty": nil, "one": hashed(1), "cut-off": hashed(24), "past cut-off": hashed(25),
+		"chunk": hashed(5000), "shared prefix": prefixed(200),
+	} {
+		want := slices.Clone(entries)
+		slices.SortStableFunc(want, byAuthor)
+		SortEntries(entries)
+		if !slices.IsSortedFunc(entries, byAuthor) || len(entries) != len(want) {
+			t.Errorf("%s: not sorted", name)
+			continue
+		}
+		// Repeated authors may come in any order among themselves.
+		slices.SortStableFunc(entries, func(x, y Entry) int { return cmp.Or(byAuthor(x, y), cmp.Compare(x.Seq, y.Seq)) })
+		slices.SortStableFunc(want, func(x, y Entry) int { return cmp.Or(byAuthor(x, y), cmp.Compare(x.Seq, y.Seq)) })
+		if !slices.Equal(entries, want) {
+			t.Errorf("%s: sorted %d entries into another set", name, len(entries))
+		}
+	}
+	src := hashed(5000)
+	buf := make([]Entry, len(src))
+	if allocs := testing.AllocsPerRun(10, func() { SortEntries(buf[:copy(buf, src)]) }); allocs != 0 {
+		t.Errorf("SortEntries allocates %v times, want 0", allocs)
+	}
 }
 
 func TestSummaryRoundTrip(t *testing.T) {
