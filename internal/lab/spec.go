@@ -159,7 +159,7 @@ type Spec struct {
 	// Mobility tunes the random-waypoint mobility of ModeSim runs (nil
 	// selects its defaults). Sim-only.
 	Mobility *MobilitySpec `json:"mobility,omitempty"`
-	// Trace is a contact-trace file (CSV or JSONL; see docs/SCENARIOS.md)
+	// Trace is a contact-trace file (CSV; see docs/SCENARIOS.md)
 	// replayed verbatim instead of synthesizing mobility. Its node names
 	// must be covered by Handles. Relative paths resolve against the
 	// spec file's directory. Sim-only; overrides Mobility.

@@ -3,14 +3,13 @@
 // (Haggle, CRAWDAD encounter dumps): instead of synthesizing mobility and
 // detecting proximity, the recorded link up/down events are replayed
 // verbatim into the medium. The format here is deliberately minimal —
-// one transition per line, (node, peer, up|down, timestamp) — so real
+// one CSV transition per line, (node, peer, up|down, timestamp) — so real
 // encounter dumps convert with a one-line awk script. docs/SCENARIOS.md
 // documents it with examples; examples/trace-replay/ holds a runnable one.
 package sim
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -28,16 +27,7 @@ type ContactEvent struct {
 	Up bool
 }
 
-// jsonContactEvent is the JSONL wire form of one trace line.
-type jsonContactEvent struct {
-	Node string          `json:"node"`
-	Peer string          `json:"peer"`
-	Op   string          `json:"op"`
-	At   json.RawMessage `json:"at"`
-}
-
-// LoadContactTrace reads a contact-trace file (CSV or JSONL, detected
-// per line) and returns its events in chronological order plus the
+// LoadContactTrace reads a CSV contact-trace file and returns its events in chronological order plus the
 // sorted set of node handles it names. Relative timestamps (plain
 // seconds) are resolved against base.
 func LoadContactTrace(path string, base time.Time) ([]ContactEvent, []string, error) {
@@ -54,12 +44,8 @@ func LoadContactTrace(path string, base time.Time) ([]ContactEvent, []string, er
 }
 
 // parseContactTrace parses a contact trace from r. Each non-empty,
-// non-comment line is one link transition:
-//
-//	CSV:   node,peer,op,at      e.g.  n1,n2,up,120
-//	JSONL: {"node":"n1","peer":"n2","op":"up","at":120}
-//
-// op is "up" or "down". at is either an absolute RFC 3339 timestamp
+// non-comment line is one link transition, node,peer,op,at (e.g.
+// n1,n2,up,120). op is "up" or "down". at is either an absolute RFC 3339 timestamp
 // ("2017-04-03T09:00:00Z") or a number of seconds from the scenario
 // start (resolved against base; fractional seconds allowed). Lines
 // beginning with '#', and a leading "node,peer,op,at" header, are
@@ -77,19 +63,13 @@ func parseContactTrace(r io.Reader, base time.Time) ([]ContactEvent, []string, e
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		var ev ContactEvent
-		var err error
-		if strings.HasPrefix(line, "{") {
-			ev, err = parseJSONContactLine(line, base)
-		} else {
-			// The first data line may be the canonical CSV header.
-			if firstData && isTraceHeader(line) {
-				firstData = false
-				continue
-			}
-			ev, err = parseCSVContactLine(line, base)
+		// The first data line may be the canonical header.
+		if firstData && isTraceHeader(line) {
+			firstData = false
+			continue
 		}
 		firstData = false
+		ev, err := parseCSVContactLine(line, base)
 		if err != nil {
 			return nil, nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
@@ -114,7 +94,7 @@ func parseContactTrace(r io.Reader, base time.Time) ([]ContactEvent, []string, e
 	return events, handles, nil
 }
 
-// isTraceHeader reports whether a first CSV line is the canonical header.
+// isTraceHeader reports whether a first line is the canonical header.
 func isTraceHeader(line string) bool {
 	fields := strings.Split(line, ",")
 	return len(fields) == 4 &&
@@ -142,37 +122,6 @@ func parseCSVContactLine(line string, base time.Time) (ContactEvent, error) {
 		return ContactEvent{}, err
 	}
 	return ContactEvent{At: at, A: node, B: peer, Up: up}, nil
-}
-
-// parseJSONContactLine parses one JSONL transition.
-func parseJSONContactLine(line string, base time.Time) (ContactEvent, error) {
-	var raw jsonContactEvent
-	dec := json.NewDecoder(strings.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
-		return ContactEvent{}, fmt.Errorf("bad JSON record: %w", err)
-	}
-	if raw.Node == "" || raw.Peer == "" {
-		return ContactEvent{}, fmt.Errorf("empty node handle")
-	}
-	up, err := parseOp(raw.Op)
-	if err != nil {
-		return ContactEvent{}, err
-	}
-	if len(raw.At) == 0 {
-		return ContactEvent{}, fmt.Errorf("missing \"at\"")
-	}
-	atText := string(raw.At)
-	if strings.HasPrefix(atText, `"`) {
-		if err := json.Unmarshal(raw.At, &atText); err != nil {
-			return ContactEvent{}, fmt.Errorf("bad \"at\": %w", err)
-		}
-	}
-	at, err := parseTraceTime(atText, base)
-	if err != nil {
-		return ContactEvent{}, err
-	}
-	return ContactEvent{At: at, A: raw.Node, B: raw.Peer, Up: up}, nil
 }
 
 // parseOp maps the transition keyword onto a direction.

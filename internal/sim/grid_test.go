@@ -444,22 +444,6 @@ bob,carol,up,2017-04-03T01:00:00Z
 	}
 }
 
-func TestParseContactTraceJSONL(t *testing.T) {
-	input := `{"node":"n1","peer":"n2","op":"up","at":60}
-{"node":"n1","peer":"n2","op":"down","at":"2017-04-03T00:05:00Z"}
-`
-	events, handles, err := parseContactTrace(strings.NewReader(input), start)
-	if err != nil {
-		t.Fatalf("parseContactTrace: %v", err)
-	}
-	if len(events) != 2 || len(handles) != 2 {
-		t.Fatalf("events/handles = %d/%d, want 2/2", len(events), len(handles))
-	}
-	if !events[1].At.Equal(start.Add(5 * time.Minute)) {
-		t.Errorf("event 1 at %v", events[1].At)
-	}
-}
-
 func TestParseContactTraceRejects(t *testing.T) {
 	for name, input := range map[string]string{
 		"empty":         "",
@@ -468,7 +452,7 @@ func TestParseContactTraceRejects(t *testing.T) {
 		"bad-time":      "a,b,up,notatime\n",
 		"self-link":     "a,a,up,10\n",
 		"short-row":     "a,b,up\n",
-		"bad-json":      `{"node":"a","peer":"b","op":"up"}` + "\n",
+		"json-line":     `{"node":"a","peer":"b","op":"up","at":10}` + "\n",
 		"negative-time": "a,b,up,-5\n",
 	} {
 		if _, _, err := parseContactTrace(strings.NewReader(input), start); err == nil {
