@@ -501,7 +501,6 @@ func newSyncHarnessWith(t *testing.T, cfg message.Config, radio func(mpc.Medium)
 	h.mgr, h.st, h.rm, h.aliceAd = alice.mgr, alice.st, alice.rm, alice.ad
 	h.bob = newFrameCapture()
 	h.bobAd, h.bobCreds = h.scriptedPeer(t, medium, "bob", h.bob)
-	h.run() // the radios' discovery, before either device advertises
 	return h
 }
 

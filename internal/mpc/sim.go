@@ -55,10 +55,13 @@ type SimMedium struct {
 
 var _ Medium = (*SimMedium)(nil)
 
-// simLink is an active radio contact between two devices.
+// simLink is an active radio contact between two devices. discovered
+// marks one whose discovery delay has passed: until then an advertisement
+// waits for that delay's one announce.
 type simLink struct {
-	tech  Technology
-	epoch uint64
+	tech       Technology
+	epoch      uint64
+	discovered bool
 	// busy serializes transfers per direction: the time at which the
 	// direction's "radio" frees up.
 	busy map[PeerID]time.Time
@@ -94,7 +97,8 @@ func (m *SimMedium) Join(peer PeerID, events Events) (Endpoint, error) {
 }
 
 // SetLink brings two devices into radio contact over the given
-// technology. Discovery events fire after DefaultDiscoveryDelay.
+// technology. Discovery events fire after DefaultDiscoveryDelay, with the
+// advertisements current then.
 func (m *SimMedium) SetLink(a, b PeerID, tech Technology) {
 	key := MakePair(a, b)
 	if _, up := m.links[key]; up {
@@ -118,6 +122,7 @@ func (m *SimMedium) SetLink(a, b PeerID, tech Technology) {
 		if !up || link.epoch != epoch {
 			return
 		}
+		link.discovered = true
 		m.announce(epA, epB)
 		m.announce(epB, epA)
 	})
@@ -248,8 +253,9 @@ var _ Endpoint = (*simEndpoint)(nil)
 // Self implements Endpoint.
 func (ep *simEndpoint) Self() PeerID { return ep.self }
 
-// SetAdvertisement implements Endpoint. Linked peers rediscover this
-// device after the discovery delay.
+// SetAdvertisement implements Endpoint. Peers on discovered links
+// rediscover this device after the discovery delay; a link still inside
+// its own delay announces the advertisement current when it ends.
 func (ep *simEndpoint) SetAdvertisement(ad []byte) {
 	if ep.closed {
 		return
@@ -267,7 +273,7 @@ func (ep *simEndpoint) SetAdvertisement(ad []byte) {
 			other = key.Lo
 		}
 		otherEP := m.endpoints[other]
-		if otherEP == nil {
+		if otherEP == nil || !link.discovered {
 			continue
 		}
 		epoch := link.epoch

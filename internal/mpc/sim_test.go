@@ -11,6 +11,7 @@ import (
 // simRecorder collects events for single-threaded sim-medium tests.
 type simRecorder struct {
 	found        map[PeerID][]byte
+	finds        map[PeerID]int
 	lost         map[PeerID]int
 	incoming     []Conn
 	frames       [][]byte
@@ -18,10 +19,10 @@ type simRecorder struct {
 }
 
 func newSimRecorder() *simRecorder {
-	return &simRecorder{found: make(map[PeerID][]byte), lost: make(map[PeerID]int)}
+	return &simRecorder{found: make(map[PeerID][]byte), finds: make(map[PeerID]int), lost: make(map[PeerID]int)}
 }
 
-func (r *simRecorder) PeerFound(peer PeerID, ad []byte) { r.found[peer] = ad }
+func (r *simRecorder) PeerFound(peer PeerID, ad []byte) { r.found[peer] = ad; r.finds[peer]++ }
 func (r *simRecorder) PeerLost(peer PeerID)             { r.lost[peer]++ }
 func (r *simRecorder) Incoming(conn Conn)               { r.incoming = append(r.incoming, conn) }
 func (r *simRecorder) Received(_ Conn, frame []byte)    { r.frames = append(r.frames, frame) }
@@ -256,6 +257,25 @@ func TestSimAdvertisementUpdatePropagates(t *testing.T) {
 	run(m, clk, 2*time.Second)
 	if string(rb.found["a"]) != "v2" {
 		t.Errorf("updated ad = %q, want v2", rb.found["a"])
+	}
+}
+
+// TestSimOneAdvertisementOnePeerFound: a device that advertises while its
+// new link is still inside the discovery delay is found once, with that
+// advertisement, when the delay ends; a later change is found once more.
+func TestSimOneAdvertisementOnePeerFound(t *testing.T) {
+	m, clk, _, rb, epA, _ := newSimWorld(t)
+	m.SetLink("a", "b", Bluetooth)
+	run(m, clk, DefaultDiscoveryDelay/2)
+	epA.SetAdvertisement([]byte("v1"))
+	run(m, clk, 3*DefaultDiscoveryDelay)
+	if rb.finds["a"] != 1 || string(rb.found["a"]) != "v1" {
+		t.Fatalf("b found a %d times, last with %q; want once, with v1", rb.finds["a"], rb.found["a"])
+	}
+	epA.SetAdvertisement([]byte("v2"))
+	run(m, clk, 3*DefaultDiscoveryDelay)
+	if rb.finds["a"] != 2 || string(rb.found["a"]) != "v2" {
+		t.Errorf("after a change b found a %d times, last with %q; want twice, with v2", rb.finds["a"], rb.found["a"])
 	}
 }
 
