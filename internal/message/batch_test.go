@@ -51,6 +51,8 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 		forgedCarol := signed(t, frank, 2, "signed")
 		forgedCarol.Payload = []byte("forged")
 
+		h.bob.holdAnswers() // bob's answer is the batch below
+		carol.holdAnswers()
 		bobLink := linkScripted(t, h, h.bobAd, h.bob, 1)
 		if err := sendFrame(bobLink, &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{dave.Ident.User: 4})}); err != nil {
 			t.Fatalf("SendFrame: %v", err)
@@ -112,10 +114,12 @@ func TestBatchVerifiesLikeSingles(t *testing.T) {
 		t.Errorf("stored after one batch %v, after one per batch %v", batched.stored, singles.stored)
 	}
 	// A valid copy settles a request whoever it was asked of, a forged one
-	// only a request made of its sender: left are dave 4 at bob (never
-	// sent) and frank 2 at carol (a forged copy came from bob).
-	if len(singles.inflight) != 2 {
-		t.Errorf("one per batch leaves %v in flight, want dave 4 at bob and frank 2 at carol", singles.inflight)
+	// only a request made of its sender, and bob's first batch answers the
+	// request made of him, settling dave 4, which it did not carry: left
+	// is frank 2 at carol (a forged copy came from bob).
+	frank2 := msg.Ref{Author: id.NewUserID("frank"), Seq: 2}
+	if !maps.Equal(singles.inflight, map[msg.Ref]mpc.PeerID{frank2: "carol-phone"}) {
+		t.Errorf("one per batch leaves %v in flight, want frank 2 at carol", singles.inflight)
 	}
 	if !maps.Equal(batched.inflight, singles.inflight) {
 		t.Errorf("in flight after one batch %v, after one per batch %v", batched.inflight, singles.inflight)

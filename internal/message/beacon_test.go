@@ -270,7 +270,7 @@ func TestForgedBeaconEntryIsBounded(t *testing.T) {
 	if err := sendFrame(h.bob.link(0), &wire.Summary{Gen: forged.Gen, Entries: entriesOf(forged.Summary)}); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}
-	// The want-list leaves in several frames (wire.MaxSeqsPerRequest each).
+	// The want-list leaves in several frames (wire.MaxBatchMessages each).
 	h.run()
 	if n := h.bob.requestedSeqs(ghost); n != wire.MaxSeqsPerWant {
 		t.Errorf("alice requested %d sequences of the forged author, want %d", n, wire.MaxSeqsPerWant)

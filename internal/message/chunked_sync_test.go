@@ -128,6 +128,7 @@ func TestChunkedFullSyncLeavesInline(t *testing.T) {
 // next reader, or once a frame's limit of entries waits unread.
 func TestChunkedViewFoldsLazily(t *testing.T) {
 	h := newSyncHarness(t)
+	h.bob.holdAnswers() // an empty answer declines, and a decline reads the view
 	link := h.connect(t, h.bobAd, h.bob)
 	bob := h.bobAd.Self()
 	slice := func(from, n int) []wire.Entry {

@@ -1,6 +1,8 @@
 package message
 
 import (
+	"maps"
+
 	"sos/internal/mpc"
 	"sos/internal/msg"
 )
@@ -16,7 +18,7 @@ func (m *Manager) PlanOrder() []mpc.PeerID {
 	defer func() {
 		clear(m.inflight)
 		for _, ps := range m.peers {
-			ps.asking = false
+			ps.asks, ps.stale = ps.asks[:0], 0
 		}
 	}()
 	var order []mpc.PeerID
@@ -41,11 +43,7 @@ const (
 func (m *Manager) Inflight() map[msg.Ref]mpc.PeerID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[msg.Ref]mpc.PeerID, len(m.inflight))
-	for ref, e := range m.inflight {
-		out[ref] = e.peer
-	}
-	return out
+	return maps.Clone(m.inflight)
 }
 
 // Dialing reports whether a dial to peer is under way.
@@ -62,7 +60,7 @@ func (m *Manager) Asking(peer mpc.PeerID) (asking bool, due int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if ps := m.peers[peer]; ps != nil {
-		return ps.asking, len(ps.due)
+		return len(ps.asks) > 0, len(ps.due)
 	}
 	return false, 0
 }

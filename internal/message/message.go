@@ -24,12 +24,10 @@
 //     and sends a Request. One plan per link is in flight: the authors of
 //     deltas that land meanwhile are planned together when the next Batch
 //     arrives, before that Batch is verified, so a busy contact moves
-//     batches and a serial one keeps its three hops. A plan past
-//     wire.MaxWants authors or wire.MaxSeqsPerRequest sequences leaves as
-//     several Requests, and a Request served past wire.MaxBatchMessages
-//     messages is answered by several Batches; the first Batch ends the
-//     wait either way.
-//  3. Requests are answered with Batches, an empty one when nothing is
+//     batches and a serial one keeps its three hops. A Request totals at
+//     most wire.MaxBatchMessages sequences, so a longer plan leaves as
+//     several Requests.
+//  3. Each Request is answered by one Batch, an empty one when nothing is
 //     served. Every message carries the originator's certificate, so the
 //     receiver verifies the certificate chain and the author signature
 //     before storing (paper Fig. 3b). A batch's signatures are checked in
@@ -37,7 +35,11 @@
 //
 // There is no fourth step: storing a message moves the receiver's summary,
 // and the delta summary that follows carries the new high-water mark
-// back to the sender. The requester's in-flight ledger is the record of
+// back to the sender. The session is ordered, so a Batch answers the
+// oldest Request out on its link, and the refs that Request did not get
+// are declined: planned again across the links, and not asked of that
+// peer until its view of their author moves or the link is re-established.
+// The requester's in-flight ledger is also the record of
 // what a broken link failed to move: every request still outstanding when
 // its link drops counts as an aborted transfer and is planned again.
 //
@@ -215,9 +217,9 @@ type Stats struct {
 	Quarantines        uint64
 	QuarantineRefusals uint64
 	Reconnects         uint64
-	// InflightExpired counts requested-but-never-received messages the
-	// resync heartbeat released for re-planning (a lost Request or Batch
-	// frame on a lossy radio).
+	// InflightExpired counts requested messages released for re-planning
+	// because their Request or its Batch was lost on a lossy radio: found
+	// by the resync heartbeat, or by a Batch answering a later Request.
 	InflightExpired uint64
 
 	// Prekey-exchange counters: bundles published at LinkUp, verified
@@ -251,12 +253,18 @@ type peerSync struct {
 	// until a full summary arrives, the next heartbeat tick (the pull or
 	// its answer may be lost) or a new link.
 	pullPending bool
-	// asking marks a Request of ours on the link not yet answered. A delta
-	// from the peer meanwhile is merged but not planned: its entries wait
-	// in due for the peer's next Batch (onBatch). Tick, LinkUp and
-	// LinkDown clear both, so a lost answer holds them one tick at most.
-	asking bool
-	due    []wire.Entry
+	// asks holds the wants of each Request of ours on the link not yet
+	// answered, in send order (answerOf). stale counts the head ones
+	// already out at the previous Tick, which the next one expires. While
+	// one is out, a delta from the peer is merged but not planned: its
+	// entries wait in due for the peer's next Batch or the next Tick.
+	asks  [][]wire.Want
+	stale int
+	due   []wire.Entry
+	// declined holds, per author, the seq the peer's view held when it
+	// left refs of that author unserved: the planner skips the author at
+	// this peer until an entry passes that seq (entries start at 1).
+	declined map[id.UserID]uint64
 
 	// track is the peer's "contact <peer>" tracer track, interned at
 	// LinkUp (0 while tracing is disabled).
@@ -279,13 +287,11 @@ type Manager struct {
 	peers    map[mpc.PeerID]*peerSync
 	// presenceLost marks a slot evicted while its peer may be in range.
 	presenceLost bool
-	// inflight tracks messages requested from a peer and not yet
-	// received, so concurrent links to several peers holding the same
-	// message do not trigger duplicate transfers. Entries carry the
-	// request's tick; the resync heartbeat expires stale ones so a lost
-	// Request or Batch frame does not pin its refs forever, and the ones a
-	// dropped link orphans are its aborted transfers.
-	inflight map[msg.Ref]inflightEntry
+	// inflight maps each message requested and not yet received to the
+	// peer it was asked of, so concurrent links to several peers holding
+	// the same message do not trigger duplicate transfers. Each entry is
+	// one ref of a Request in its link's asks, which settles it.
+	inflight map[msg.Ref]mpc.PeerID
 	// quar is the per-peer misbehavior scoreboard (see misbehavior.go).
 	quar  scoreboard
 	stats Stats
@@ -306,25 +312,14 @@ type Manager struct {
 	// sum is sendSummary's delta frame, its Entries the sort scratch (advMu).
 	sum wire.Summary
 
-	// resyncTicks counts Ticks (the age base for in-flight expiry);
-	// closed makes Tick a no-op. Both guarded by mu.
-	resyncTicks uint64
-	closed      bool
+	// closed makes Tick a no-op (mu).
+	closed bool
 	// verdicts is verify's result scratch; callbacks are serialized.
 	verdicts []*pki.UserCert
 	// ahead, one and planView are plan scratch, reused (mu).
 	ahead    []wire.Entry
 	one      [1]wire.Entry
 	planView map[id.UserID]uint64
-}
-
-// inflightEntry records which peer a message was requested from and at
-// which resync-heartbeat tick, so stale requests become re-plannable
-// after a full interval. Age is measured in Tick calls, not clock time,
-// so expiry keeps working when Config.Clock is a frozen virtual clock.
-type inflightEntry struct {
-	peer mpc.PeerID
-	tick uint64
 }
 
 var _ adhoc.Handler = (*Manager)(nil)
@@ -341,7 +336,7 @@ func New(cfg Config) (*Manager, error) {
 	return &Manager{
 		cfg:      cfg,
 		peers:    make(map[mpc.PeerID]*peerSync),
-		inflight: make(map[msg.Ref]inflightEntry),
+		inflight: make(map[msg.Ref]mpc.PeerID),
 		planView: make(map[id.UserID]uint64),
 	}, nil
 }
@@ -367,10 +362,10 @@ func (m *Manager) Close() {
 // single frame of a contact — a handshake frame, an advertisement, a
 // Request, a Batch — and, with links surviving loss, nothing else would
 // ever retry: discovery beacons are unchanged, so no event re-fires.
-// Each tick has five duties, in order: expire in-flight requests stamped
-// before the previous tick, re-arm SummaryPulls, re-plan and re-advertise
-// on every live link, fail handshakes wedged since the previous tick (so
-// a lost Hello, HelloAck or HelloFin heals within two ticks), and re-dial
+// Each tick has five duties, in order: expire the Requests already out at
+// the previous tick, re-arm SummaryPulls, re-plan and re-advertise on
+// every live link, fail handshakes wedged since the previous tick (so a
+// lost Hello, HelloAck or HelloFin heals within two ticks), and re-dial
 // armed, unlinked, unquarantined peers in peer-id order. A dial may
 // block, so a driver runs each Tick on a goroutine of its own. Before
 // Bind and after Close, Tick does nothing.
@@ -380,20 +375,15 @@ func (m *Manager) Tick() {
 		m.mu.Unlock()
 		return
 	}
-	// Expire entries stamped before the previous tick: they have sat a
-	// full heartbeat interval without the Batch arriving, so the Request
-	// or its answer is gone and the refs must become plannable again.
-	for ref, e := range m.inflight {
-		if e.tick < m.resyncTicks {
-			delete(m.inflight, ref)
-			m.stats.InflightExpired++
-		}
-	}
-	m.resyncTicks++
 	now := m.cfg.Clock.Now()
 	var dials []mpc.PeerID
 	for peer, ps := range m.peers {
-		ps.pullPending, ps.asking, ps.due = false, false, ps.due[:0]
+		// A Request already out at the previous tick has sat a full
+		// interval (in ticks, so a frozen virtual clock works) unanswered:
+		// it or its Batch is gone. The re-plan below covers what was due.
+		m.stats.InflightExpired += m.releaseLocked(peer, ps.asks[:ps.stale], nil)
+		ps.asks = slices.Delete(ps.asks, 0, ps.stale)
+		ps.stale, ps.pullPending, ps.due = len(ps.asks), false, ps.due[:0]
 		switch {
 		case ps.link != nil || m.quar.quarantined(peer, now):
 			ps.dial = false
@@ -836,7 +826,7 @@ func (m *Manager) LinkUp(link *adhoc.Link) {
 	ps := m.slotLocked(link.Peer())
 	ps.link = link
 	ps.track = track
-	ps.pullPending, ps.asking, ps.due = false, false, ps.due[:0]
+	ps.pullPending = false
 	m.mu.Unlock()
 	// The contact envelope: every sync span until LinkDown nests inside.
 	m.cfg.Tracer.Begin(track, "contact")
@@ -969,6 +959,43 @@ func (ps *peerSync) viewLocked() map[id.UserID]uint64 {
 	return ps.summary
 }
 
+// answerOf returns which outstanding Request batch answers, -1 for none:
+// the oldest, unless batch carries messages and that one did not ask for
+// the first. A server answers in the order it was asked, so the later
+// Request that did is answered, and the answers before it were lost.
+func (ps *peerSync) answerOf(batch *wire.Batch) int {
+	if len(batch.Msgs) == 0 || len(ps.asks) == 0 {
+		return min(len(ps.asks), 1) - 1
+	}
+	first := batch.Msgs[0]
+	return slices.IndexFunc(ps.asks, func(req []wire.Want) bool {
+		return slices.ContainsFunc(req, func(w wire.Want) bool {
+			return w.Author == first.Author && slices.Contains(w.Seqs, first.Seq)
+		})
+	})
+}
+
+// releaseLocked takes the refs of reqs still asked of peer out of the
+// in-flight ledger and returns how many it took. A peer given as by
+// declined them: each author is remembered at the seq of by's view.
+// Callers hold m.mu.
+func (m *Manager) releaseLocked(peer mpc.PeerID, reqs [][]wire.Want, by *peerSync) (n uint64) {
+	for _, req := range reqs {
+		for _, w := range req {
+			for _, seq := range w.Seqs {
+				if ref := (msg.Ref{Author: w.Author, Seq: seq}); m.inflight[ref] == peer {
+					delete(m.inflight, ref)
+					n++
+					if by != nil {
+						by.declined[w.Author] = by.viewLocked()[w.Author]
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
 // slotLocked returns the peer's slot, creating it inside the bound: a
 // full table first drops entries without an active link, losing the
 // presence they recorded. Callers hold m.mu.
@@ -985,7 +1012,7 @@ func (m *Manager) slotLocked(peer mpc.PeerID) *peerSync {
 			m.presenceLost = true
 		}
 	}
-	ps := &peerSync{}
+	ps := &peerSync{declined: make(map[id.UserID]uint64)}
 	m.peers[peer] = ps
 	return ps
 }
@@ -1029,23 +1056,18 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 		// misbehavior signal there is.
 		m.penalizeLocked(link.Peer(), pointsGarbage, m.cfg.Clock.Now())
 	}
-	ps.link, ps.asking, ps.due = nil, false, ps.due[:0]
+	// Requests that died with this link are its aborted transfers; plan
+	// them again on the links that remain, so an aborted transfer resumes
+	// within the same gathering. The next link starts with no declines.
+	orphaned := m.releaseLocked(link.Peer(), ps.asks, nil)
+	m.stats.TransfersAborted += orphaned
+	ps.link, ps.asks, ps.stale, ps.due = nil, ps.asks[:0], 0, ps.due[:0]
+	clear(ps.declined)
 	ps.dial = redialAfter(reason, ps.dial)
 	if ps.gone {
 		delete(m.peers, link.Peer())
 	}
 	m.cfg.Tracer.EndSlice(ps.track, "contact")
-	// Requests that died with this link are its aborted transfers; plan
-	// them again on the links that remain, so an aborted transfer resumes
-	// within the same gathering.
-	orphaned := uint64(0)
-	for ref, e := range m.inflight {
-		if e.peer == link.Peer() {
-			delete(m.inflight, ref)
-			orphaned++
-		}
-	}
-	m.stats.TransfersAborted += orphaned
 	var sends []outgoingPlan
 	if orphaned > 0 {
 		sends = m.planLocked(m.linkedViewsLocked())
@@ -1116,7 +1138,7 @@ func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 		m.stats.SummaryPullsSent++
 	}
 	var sends []outgoingPlan
-	if sum.IsDelta() && ps.asking { // planned when the peer's Batch lands
+	if sum.IsDelta() && len(ps.asks) > 0 { // planned when the peer's Batch lands
 		ps.due = append(ps.due, sum.Entries...)
 	} else {
 		sends = m.planLocked([]peerView{{ps: ps, entries: sum.Entries}})
@@ -1159,7 +1181,7 @@ func (m *Manager) floodLocked(link *adhoc.Link) bool {
 	return false
 }
 
-// outgoingPlan is one link's planned request batch.
+// outgoingPlan is one planned Request and its link.
 type outgoingPlan struct {
 	link  *adhoc.Link
 	wants []wire.Want
@@ -1193,9 +1215,10 @@ func (m *Manager) linkedViewsLocked() []peerView {
 // and never request a message already in flight on another link. This
 // keeps gatherings of many mutually-connected peers from transferring the
 // same message k times. The scheme sees only the entries that pass the
-// store's floor (Store.Ahead). Views are planned, and plans leave, in
-// peer-id order (wants in author byte order). Nothing is allocated until
-// a want survives the in-flight filter. Callers hold m.mu.
+// store's floor (Store.Ahead) and that the peer has not declined. Views
+// are planned, and plans leave, in peer-id order (wants in author byte
+// order). Nothing is allocated until a want survives the in-flight
+// filter. Callers hold m.mu.
 func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 	scheme := m.cfg.Routing.Current()
 	var byUser map[id.UserID]*peerSync
@@ -1211,7 +1234,9 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 			m.ahead = m.cfg.Store.Ahead(m.ahead, m.one[:])
 		}
 		for _, e := range m.ahead {
-			m.planView[e.Author] = e.Seq
+			if e.Seq > v.ps.declined[e.Author] {
+				m.planView[e.Author] = e.Seq
+			}
 		}
 		wants := scheme.Wants(m.planView)
 		clear(m.planView)
@@ -1220,12 +1245,13 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 			kept, run, start := want.Seqs[:0], -1, 0
 			for _, seq := range want.Seqs {
 				ref := msg.Ref{Author: want.Author, Seq: seq}
-				if _, pending := m.inflight[ref]; pending {
+				if m.inflight[ref] != "" {
 					continue
 				}
 				// Source preference: pull an author's own messages from
-				// the author when they are linked and hold them. With one
-				// slot, the only linked peer is the viewed one.
+				// the author when they are linked, hold them and have not
+				// declined them. With one slot, the only linked peer is
+				// the viewed one.
 				if byUser == nil && len(m.peers) > 1 {
 					byUser = make(map[id.UserID]*peerSync, len(m.peers))
 					for _, ps := range m.peers {
@@ -1235,7 +1261,7 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 					}
 				}
 				target := v.ps
-				if src, linked := byUser[want.Author]; linked && src.viewLocked()[want.Author] >= seq {
+				if src, linked := byUser[want.Author]; linked && src.viewLocked()[want.Author] >= max(seq, src.declined[want.Author]+1) {
 					target = src
 				}
 				if run < 0 || runs[run].target != target {
@@ -1244,7 +1270,7 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 				}
 				kept = append(kept, seq)
 				runs[run].want = wire.Want{Author: want.Author, Seqs: kept[start:len(kept):len(kept)]}
-				m.inflight[ref] = inflightEntry{peer: target.link.Peer(), tick: m.resyncTicks}
+				m.inflight[ref] = target.link.Peer()
 			}
 		}
 	}
@@ -1252,7 +1278,8 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 		return nil
 	}
 	// Snapshot the plans for sending outside the lock: group by peer, then
-	// by author, joining an author's runs in planning order.
+	// by author, joining an author's runs in planning order, and cut each
+	// peer's wants into Requests.
 	slices.SortStableFunc(runs, func(a, b planRun) int {
 		return cmp.Or(cmp.Compare(a.target.link.Peer(), b.target.link.Peer()), bytes.Compare(a.want.Author[:], b.want.Author[:]))
 	})
@@ -1267,8 +1294,30 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 				wants = append(wants, runs[i].want)
 			}
 		}
-		sends = append(sends, outgoingPlan{link: target.link, wants: wants[first:len(wants):len(wants)]})
-		target.asking = true // until the peer's next Batch
+		sends = requestsLocked(sends, target, wants[first:len(wants):len(wants)])
+	}
+	return sends
+}
+
+// requestsLocked appends to sends, and to target's asks, the Requests for
+// wants: each totals at most wire.MaxBatchMessages sequences, so one Batch
+// answers it, and an author's list that does not fit whole fills one with
+// its head and leads the next with the rest. Callers hold m.mu.
+func requestsLocked(sends []outgoingPlan, target *peerSync, wants []wire.Want) []outgoingPlan {
+	for len(wants) > 0 {
+		n, seqs := 0, 0
+		for n < len(wants) && seqs+len(wants[n].Seqs) <= wire.MaxBatchMessages {
+			seqs += len(wants[n].Seqs)
+			n++
+		}
+		req := wants[:n:n]
+		if room := wire.MaxBatchMessages - seqs; n < len(wants) && room > 0 {
+			req = append(req, wire.Want{Author: wants[n].Author, Seqs: wants[n].Seqs[:room]})
+			wants[n].Seqs = wants[n].Seqs[room:]
+		}
+		wants = wants[n:]
+		target.asks = append(target.asks, req)
+		sends = append(sends, outgoingPlan{link: target.link, wants: req})
 	}
 	return sends
 }
@@ -1279,9 +1328,9 @@ type planRun struct {
 	want   wire.Want
 }
 
-// onRequest serves the peer's pull request, chunked: each held message
-// asked for goes out if the scheme's Serve accepts it, and a request
-// that serves nothing gets an empty Batch. Expired cargo is swept
+// onRequest answers the peer's pull request with exactly one Batch: each
+// held message asked for goes in if the scheme's Serve accepts it, and a
+// request that serves nothing gets an empty Batch. Expired cargo is swept
 // first, so a TTL-bounded forwarder never serves a foreign message past
 // its lifetime — the serve-time guarantee the old relay-TTL filter gave,
 // now enforced by actual eviction.
@@ -1294,11 +1343,11 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	for _, w := range req.Wants {
 		total += len(w.Seqs)
 	}
-	if total > wire.MaxSeqsPerRequest {
+	if total > wire.MaxBatchMessages {
 		// No honest requester puts this many sequences in one frame
-		// (sendPlans splits under the same limit); score it and refuse
-		// to serve (serving would burn store reads and airtime on the
-		// attacker's behalf).
+		// (requestsLocked splits under the same limit), and one Batch
+		// could not answer it; score it and refuse to serve (serving would
+		// burn store reads and airtime on the attacker's behalf).
 		m.mu.Lock()
 		tripped := m.penalizeLocked(link.Peer(), pointsOversized, m.cfg.Clock.Now())
 		m.mu.Unlock()
@@ -1325,43 +1374,44 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 			n++
 		}
 	}
-	outgoing = outgoing[:n]
-	if len(outgoing) == 0 {
-		if m.sendCounted(link, &wire.Batch{}, true) == nil {
-			m.mu.Lock()
-			m.stats.RequestsUnserved++
-			m.mu.Unlock()
-		}
-		return
+	if err := m.sendCounted(link, &wire.Batch{Msgs: outgoing[:n]}, true); err != nil {
+		return // link died; LinkDown will account for it
 	}
-
-	for start := 0; start < len(outgoing); start += wire.MaxBatchMessages {
-		end := min(start+wire.MaxBatchMessages, len(outgoing))
-		batch := &wire.Batch{Msgs: outgoing[start:end]}
-		if err := m.sendCounted(link, batch, true); err != nil {
-			return // link died; LinkDown will account for it
-		}
-		m.mu.Lock()
+	m.mu.Lock()
+	if n == 0 {
+		m.stats.RequestsUnserved++
+	} else {
 		m.stats.BatchesSent++
-		m.stats.MessagesServed += uint64(end - start)
-		m.mu.Unlock()
+		m.stats.MessagesServed += uint64(n)
 	}
+	m.mu.Unlock()
 }
 
-// onBatch answers our Request on the link, so it first plans the authors
-// due meanwhile and sends that Request, then verifies and stores the
-// delivered messages: the next round trip overlaps the checks. Nothing
-// goes back to the sender: a new message moves the summary, and the delta
-// Advertise pushes carries the new high-water mark to every linked peer.
-// An empty batch counts as no batch.
+// onBatch takes the answer to a Request of ours on the link (answerOf),
+// so it first plans the authors due meanwhile and sends that Request,
+// then verifies and stores the delivered messages: the next round trip
+// overlaps the checks. The refs the answered Request did not get are then
+// declined, and with those of lost answers planned again across the
+// links. Nothing goes back to the sender: a new message moves the
+// summary, and the delta Advertise pushes carries the new high-water mark
+// to every linked peer. An empty batch counts as no batch.
 func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
+	peer := link.Peer()
 	var sends []outgoingPlan
+	var answered []wire.Want
+	released := uint64(0)
 	m.mu.Lock()
 	if len(batch.Msgs) > 0 {
 		m.stats.BatchesReceived++
 	}
-	if ps := m.peers[link.Peer()]; ps != nil && ps.link == link {
-		ps.asking = false
+	ps := m.peers[peer]
+	if ps != nil && ps.link == link {
+		if i := ps.answerOf(batch); i >= 0 {
+			released = m.releaseLocked(peer, ps.asks[:i], nil) // their answers were lost
+			m.stats.InflightExpired += released
+			answered = ps.asks[i]
+			ps.asks, ps.stale = slices.Delete(ps.asks, 0, i+1), max(ps.stale-i-1, 0)
+		}
 		for i, e := range ps.due { // at the view's seq: 0, past no floor, once gone from it
 			ps.due[i].Seq = ps.viewLocked()[e.Author]
 		}
@@ -1381,14 +1431,11 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 		for i, cert := range m.verify(msgs) {
 			mm, ref := msgs[i], msgs[i].Ref()
 			if cert == nil {
+				// A bad copy settles nothing: anyone can put one of any ref
+				// in a batch, and a request of this peer's that it answers
+				// ends with the answer.
 				m.mu.Lock()
 				m.stats.VerifyFailures++
-				// A bad copy settles only a request made of this peer: anyone
-				// can put one of any ref in a batch, and that must not cancel
-				// a request pending on another link.
-				if m.inflight[ref].peer == link.Peer() {
-					delete(m.inflight, ref)
-				}
 				m.mu.Unlock()
 				continue
 			}
@@ -1419,6 +1466,15 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 			}
 		}
 	}
+
+	m.mu.Lock()
+	released += m.releaseLocked(peer, [][]wire.Want{answered}, ps) // what did not come back
+	sends = nil
+	if released > 0 {
+		sends = m.planLocked(m.linkedViewsLocked())
+	}
+	m.mu.Unlock()
+	m.sendPlans(sends)
 	if newMessages {
 		// The summary changed; refresh the beacon and push deltas so both
 		// browsing and linked peers see the new high-water marks (this is
@@ -1427,32 +1483,15 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	}
 }
 
-// sendPlans sends each planned Request in as many frames as its two
-// limits need: at most wire.MaxWants authors and wire.MaxSeqsPerRequest
-// sequence numbers in each. An author's list that does not fit whole
-// fills the frame with its head and leads the next frame with the rest.
+// sendPlans sends each planned Request.
 func (m *Manager) sendPlans(sends []outgoingPlan) {
 	for _, s := range sends {
-		for wants := s.wants; len(wants) > 0; {
-			n, seqs := 0, 0
-			for n < len(wants) && n < wire.MaxWants && seqs+len(wants[n].Seqs) <= wire.MaxSeqsPerRequest {
-				seqs += len(wants[n].Seqs)
-				n++
-			}
-			frame := wants[:n]
-			wants = wants[n:]
-			if room := wire.MaxSeqsPerRequest - seqs; n < wire.MaxWants && len(wants) > 0 && room > 0 {
-				next := &wants[0]
-				frame = append(frame[:n:n], wire.Want{Author: next.Author, Seqs: next.Seqs[:room]})
-				next.Seqs = next.Seqs[room:]
-			}
-			if err := m.sendCounted(s.link, &wire.Request{Wants: frame}, true); err != nil {
-				break // link failures surface via LinkDown
-			}
-			m.mu.Lock()
-			m.stats.RequestsSent++
-			m.mu.Unlock()
+		if m.sendCounted(s.link, &wire.Request{Wants: s.wants}, true) != nil {
+			continue // link failures surface via LinkDown
 		}
+		m.mu.Lock()
+		m.stats.RequestsSent++
+		m.mu.Unlock()
 	}
 }
 

@@ -25,7 +25,8 @@ const (
 	// produce by accident.
 	pointsGarbage = 3
 	// pointsOversized scores a Request totalling more sequence numbers
-	// than wire.MaxSeqsPerRequest, the limit sendPlans packs under.
+	// than wire.MaxBatchMessages, the limit requestsLocked packs under so
+	// that one Batch answers each Request.
 	pointsOversized = 2
 	// pointsFlood scores each full in-session advertisement received, or
 	// SummaryPull served, beyond the per-peer token bucket.

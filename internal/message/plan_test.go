@@ -297,6 +297,10 @@ func TestWantsSeesOnlyEntriesPastTheFloor(t *testing.T) {
 	}
 	step("due plan after a Batch", lacking(2), func() { m.FrameIn(far, &wire.Batch{}) })
 	step("heartbeat re-plan", id.UserID{}, m.Tick)
+	// The tick expired neither Request still out (none was out a full
+	// interval); their answers let the next delta plan on arrival.
+	m.FrameIn(far, &wire.Batch{})
+	m.FrameIn(far, &wire.Batch{})
 	step("delta on arrival", lacking(3), func() {
 		m.FrameIn(far, &wire.Summary{Gen: 12, BaseGen: 11, Entries: sortedEntries(map[id.UserID]uint64{held: 1, lacking(3): 2})})
 	})

@@ -991,7 +991,7 @@ func (c *frameCapture) requests() []*wire.Request {
 }
 
 // TestRequestsStayUnderTheLimitTheirServerEnforces: a server refuses and
-// scores a Request totalling more than wire.MaxSeqsPerRequest sequence
+// scores a Request totalling more than wire.MaxBatchMessages sequence
 // numbers, so a planner far behind one busy author must split its
 // want-list under that same limit — one author's list across frames.
 func TestRequestsStayUnderTheLimitTheirServerEnforces(t *testing.T) {
@@ -1020,8 +1020,8 @@ func TestRequestsStayUnderTheLimitTheirServerEnforces(t *testing.T) {
 				asked[msg.Ref{Author: w.Author, Seq: seq}]++
 			}
 		}
-		if total > wire.MaxSeqsPerRequest {
-			t.Errorf("request %d totals %d sequences, over the %d a server accepts", i, total, wire.MaxSeqsPerRequest)
+		if total > wire.MaxBatchMessages {
+			t.Errorf("request %d totals %d sequences, over the %d a server accepts", i, total, wire.MaxBatchMessages)
 		}
 	}
 	if len(asked) != 29000 {
@@ -1037,7 +1037,7 @@ func TestRequestsStayUnderTheLimitTheirServerEnforces(t *testing.T) {
 }
 
 // TestRequestAtTheLimitIsServed pins the server's side of the same
-// constant: exactly wire.MaxSeqsPerRequest sequences is an honest frame,
+// constant: exactly wire.MaxBatchMessages sequences is an honest frame,
 // served and not scored; one more is refused and scored.
 func TestRequestAtTheLimitIsServed(t *testing.T) {
 	h := newSyncHarness(t)
@@ -1047,11 +1047,11 @@ func TestRequestAtTheLimitIsServed(t *testing.T) {
 	}
 	h.connect(t, h.bobAd, h.bob)
 
-	seqs := make([]uint64, wire.MaxSeqsPerRequest+1)
+	seqs := make([]uint64, wire.MaxBatchMessages+1)
 	for i := range seqs {
 		seqs[i] = uint64(i + 1)
 	}
-	atLimit := &wire.Request{Wants: []wire.Want{{Author: held, Seqs: seqs[:wire.MaxSeqsPerRequest]}}}
+	atLimit := &wire.Request{Wants: []wire.Want{{Author: held, Seqs: seqs[:wire.MaxBatchMessages]}}}
 	if err := sendFrame(h.bob.link(0), atLimit); err != nil {
 		t.Fatalf("SendFrame: %v", err)
 	}

@@ -65,19 +65,15 @@ func (t Type) String() string {
 // advertisement (netmedium.MaxBeaconAd) and which anyone in range can
 // forge, so both codec ends refuse a longer one.
 //
-// MaxSeqsPerRequest is a protocol limit, not a codec one: the most
-// sequence numbers one Request may total across its wants. A requester
-// packs its frames under it and a server refuses and scores a frame over
-// it, so both sides must read the same constant. It is well below what the
-// codec could carry (MaxWants × MaxSeqsPerWant): a full re-sync of a busy
-// peer wants a few thousand sequences, and a server reads its store for
-// every one it is asked for.
+// MaxBatchMessages is also a protocol limit: the most sequence numbers one
+// Request may total across its wants, so that one Batch answers it. A
+// requester packs its Requests under it and a server refuses and scores
+// one over it, so both sides must read the same constant.
 const (
 	MaxSummaryEntries = 1 << 17
 	MaxHintEntries    = 32
 	MaxWants          = 4096
 	MaxSeqsPerWant    = 65535
-	MaxSeqsPerRequest = 16384
 	MaxBatchMessages  = 1024
 	MaxCert           = 1 << 16
 	MaxSchemeData     = 1 << 13
