@@ -27,9 +27,9 @@ type ContactEvent struct {
 	Up bool
 }
 
-// LoadContactTrace reads a CSV contact-trace file and returns its events in chronological order plus the
-// sorted set of node handles it names. Relative timestamps (plain
-// seconds) are resolved against base.
+// LoadContactTrace reads a CSV contact-trace file and returns its events
+// in chronological order plus the sorted set of node handles it names.
+// Relative timestamps (plain seconds) are resolved against base.
 func LoadContactTrace(path string, base time.Time) ([]ContactEvent, []string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -45,12 +45,12 @@ func LoadContactTrace(path string, base time.Time) ([]ContactEvent, []string, er
 
 // parseContactTrace parses a contact trace from r. Each non-empty,
 // non-comment line is one link transition, node,peer,op,at (e.g.
-// n1,n2,up,120). op is "up" or "down". at is either an absolute RFC 3339 timestamp
-// ("2017-04-03T09:00:00Z") or a number of seconds from the scenario
-// start (resolved against base; fractional seconds allowed). Lines
-// beginning with '#', and a leading "node,peer,op,at" header, are
-// skipped. Events are returned sorted by time (input order breaks ties),
-// with the handles the trace names sorted and deduplicated.
+// n1,n2,up,120). op is "up" or "down". at is either an absolute RFC
+// 3339 timestamp ("2017-04-03T09:00:00Z") or a number of seconds from
+// the scenario start (resolved against base; fractional seconds
+// allowed). Lines beginning with '#', and a leading "node,peer,op,at"
+// header, are skipped. Events are returned sorted by time (input order
+// breaks ties), with the handles the trace names sorted and deduplicated.
 func parseContactTrace(r io.Reader, base time.Time) ([]ContactEvent, []string, error) {
 	var events []ContactEvent
 	seen := make(map[string]bool)
