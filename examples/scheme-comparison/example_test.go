@@ -51,9 +51,9 @@ func Example() {
 	// Output:
 	// identical workload: 10 users, 2 days, 259 posts, deployment social graph
 	// scheme             deliveries  1-hop share       frames   bytes(KiB)
-	// epidemic                  295         0.63          552          323
+	// epidemic                  295         0.63          550          323
 	// interest                  276         0.70          460          261
-	// spray-and-wait            295         0.63          552          333
+	// spray-and-wait            295         0.63          550          333
 	// prophet                   276         0.70          460          275
 	//
 	// schemes are hot-swappable at runtime: node.SetScheme("epidemic")

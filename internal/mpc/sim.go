@@ -2,9 +2,10 @@ package mpc
 
 import (
 	"bytes"
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sos/internal/clock"
@@ -202,12 +203,7 @@ func (m *SimMedium) linkKeysOf(peer PeerID) []PairKey {
 			keys = append(keys, key)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Lo != keys[j].Lo {
-			return keys[i].Lo < keys[j].Lo
-		}
-		return keys[i].Hi < keys[j].Hi
-	})
+	slices.SortFunc(keys, func(a, b PairKey) int { return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi)) })
 	return keys
 }
 

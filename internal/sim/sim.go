@@ -18,9 +18,11 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -516,12 +518,7 @@ func (s *Sim) reconcileTraceLinks(at time.Time) {
 	for key := range s.desired {
 		s.cuts = append(s.cuts, key)
 	}
-	sort.Slice(s.cuts, func(i, j int) bool {
-		if s.cuts[i][0] != s.cuts[j][0] {
-			return s.cuts[i][0] < s.cuts[j][0]
-		}
-		return s.cuts[i][1] < s.cuts[j][1]
-	})
+	slices.SortFunc(s.cuts, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	for _, key := range s.cuts {
 		s.reconcilePair(key, at)
 	}
@@ -563,12 +560,7 @@ func (s *Sim) updateContacts(at time.Time) {
 		}
 		// Map iteration order is random; sort so CutLink event order (and
 		// hence the whole event-queue schedule) replays identically.
-		sort.Slice(s.cuts, func(i, j int) bool {
-			if s.cuts[i][0] != s.cuts[j][0] {
-				return s.cuts[i][0] < s.cuts[j][0]
-			}
-			return s.cuts[i][1] < s.cuts[j][1]
-		})
+		slices.SortFunc(s.cuts, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 		for _, key := range s.cuts {
 			s.medium.CutLink(s.nodes[key[0]].peer, s.nodes[key[1]].peer)
 			delete(s.linked, key)
