@@ -302,3 +302,41 @@ func TestLongPlanLeavesAsRequestsOfOneBatchEach(t *testing.T) {
 			server.BatchesSent, alice.BatchesReceived, alice.MessagesReceived, backlog)
 	}
 }
+
+// TestHoleIsAskedOfASecondHolderAtTheNextPlan: bob answers with the
+// author's second message but not the first, a hole under his high-water
+// mark. Alice declines the first at bob and, since holders that copied
+// from the same sources share such holes, asks carol for it at the next
+// plan (here the heartbeat's), not at once. Bob is not asked for it again.
+func TestHoleIsAskedOfASecondHolderAtTheNextPlan(t *testing.T) {
+	h := newSyncHarness(t)
+	h.bob.holdAnswers()
+	carolAd, carol := h.capturePeer(t, "carol")
+	carol.holdAnswers()
+	dave := h.bootstrap(t, "dave")
+	author := dave.Ident.User
+	held := &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{author: 2})}
+
+	bobLink := linkScripted(t, h, h.bobAd, h.bob, 1)
+	if err := sendFrame(bobLink, held); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	h.expect(t, "the request to bob", func() bool { return h.bob.requestedSeqs(author) == 2 })
+	carolLink := linkScripted(t, h, carolAd, carol, 2)
+	if err := sendFrame(carolLink, held); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	if err := sendFrame(bobLink, &wire.Batch{Msgs: []*msg.Message{signed(t, dave, 2, "second")}}); err != nil {
+		t.Fatalf("SendFrame: %v", err)
+	}
+	h.expect(t, "the second message stored", func() bool { return h.mgr.Stats().MessagesReceived == 1 })
+	if carol.requested(author) {
+		t.Fatal("alice asked carol for the hole at once")
+	}
+
+	h.mgr.Tick()
+	h.expect(t, "the hole asked of carol", func() bool { return carol.requestedSeqs(author) == 1 })
+	if n := h.bob.requestedSeqs(author); n != 2 {
+		t.Errorf("bob was asked for %d sequences in all, want 2: the hole again", n)
+	}
+}

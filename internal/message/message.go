@@ -37,11 +37,11 @@
 // and the delta summary that follows carries the new high-water mark
 // back to the sender. The session is ordered, so a Batch answers the
 // oldest Request out on its link, and the refs that Request did not get
-// are declined: planned again across the links, and not asked of that
-// peer until its view of their author moves or the link is re-established.
-// The requester's in-flight ledger is also the record of
-// what a broken link failed to move: every request still outstanding when
-// its link drops counts as an aborted transfer and is planned again.
+// are declined: not asked of that peer again until its view of their
+// author passes them or the link is re-established. The requester's
+// in-flight ledger is also the record of what a broken link failed to
+// move: every request still outstanding when its link drops counts as an
+// aborted transfer and is planned again.
 //
 // # Delta synchronization
 //
@@ -254,16 +254,15 @@ type peerSync struct {
 	// its answer may be lost) or a new link.
 	pullPending bool
 	// asks holds the wants of each Request of ours on the link not yet
-	// answered, in send order (answerOf). stale counts the head ones
-	// already out at the previous Tick, which the next one expires. While
-	// one is out, a delta from the peer is merged but not planned: its
-	// entries wait in due for the peer's next Batch or the next Tick.
+	// answered, in wire order; stale counts the head ones already out at
+	// the previous Tick, which the next one expires. While one is out, a
+	// delta from the peer waits in due for its next Batch or the next Tick.
 	asks  [][]wire.Want
 	stale int
 	due   []wire.Entry
 	// declined holds, per author, the seq the peer's view held when it
-	// left refs of that author unserved: the planner skips the author at
-	// this peer until an entry passes that seq (entries start at 1).
+	// left refs of that author unserved; the peer is asked only for later
+	// ones. It lives as long as the link.
 	declined map[id.UserID]uint64
 
 	// track is the peer's "contact <peer>" tracer track, interned at
@@ -284,7 +283,9 @@ type Manager struct {
 
 	mu       sync.Mutex
 	adhocMgr *adhoc.Manager
-	peers    map[mpc.PeerID]*peerSync
+	// reqMu serializes sendPlans, so each link's asks are in wire order.
+	reqMu sync.Mutex
+	peers map[mpc.PeerID]*peerSync
 	// presenceLost marks a slot evicted while its peer may be in range.
 	presenceLost bool
 	// inflight maps each message requested and not yet received to the
@@ -701,21 +702,40 @@ func (m *Manager) sendSummary(links []*adhoc.Link, base, gen uint64, data []byte
 	m.mu.Unlock()
 }
 
-// sendCounted sends one frame on the link and bills its wire bytes to the
-// summary plane (advertisements, summary pulls) or the payload plane
-// (requests, batches).
-func (m *Manager) sendCounted(link *adhoc.Link, f wire.Frame, payload bool) error {
+// sendCounted sends one frame on the link and counts it: Requests and
+// Batches bill their wire bytes to the payload plane, every other frame to
+// the summary plane. Link failures surface via LinkDown.
+func (m *Manager) sendCounted(link *adhoc.Link, f wire.Frame) error {
 	n, err := link.Send(f)
 	if err != nil {
 		return err
 	}
 	m.mu.Lock()
-	if payload {
-		m.stats.PayloadBytesSent += uint64(n)
-	} else {
-		m.stats.SummaryBytesSent += uint64(n)
+	defer m.mu.Unlock()
+	plane := &m.stats.SummaryBytesSent
+	switch fr := f.(type) {
+	case *wire.Request:
+		m.stats.RequestsSent++
+		plane = &m.stats.PayloadBytesSent
+	case *wire.Batch:
+		m.stats.MessagesServed += uint64(len(fr.Msgs))
+		if len(fr.Msgs) == 0 {
+			m.stats.RequestsUnserved++
+		} else {
+			m.stats.BatchesSent++
+		}
+		plane = &m.stats.PayloadBytesSent
+	case *wire.Summary: // a full summary's chunk; deltas leave through sendSummary
+		if fr.Chunk == 0 {
+			m.stats.AdsFullSent++
+		}
+		if fr.Chunk > 0 || fr.More {
+			m.stats.SummaryChunksSent++
+		}
+	case *wire.PrekeyBundle:
+		m.stats.PrekeyBundlesSent++
 	}
-	m.mu.Unlock()
+	*plane += uint64(n)
 	return nil
 }
 
@@ -824,9 +844,10 @@ func (m *Manager) LinkUp(link *adhoc.Link) {
 		return
 	}
 	ps := m.slotLocked(link.Peer())
-	ps.link = link
-	ps.track = track
-	ps.pullPending = false
+	// adhoc takes a link out before its LinkDown, so the next one can come
+	// up first; that LinkDown then finds nothing, and this one unwinds it.
+	sends := m.abortLocked(link.Peer(), ps)
+	ps.link, ps.track, ps.pullPending, ps.declined = link, track, false, make(map[id.UserID]uint64)
 	m.mu.Unlock()
 	// The contact envelope: every sync span until LinkDown nests inside.
 	m.cfg.Tracer.Begin(track, "contact")
@@ -839,6 +860,7 @@ func (m *Manager) LinkUp(link *adhoc.Link) {
 
 	m.sendAdTo(link, false)
 	m.sendPrekeyTo(link)
+	m.sendPlans(sends)
 }
 
 // sendPrekeyTo publishes the node's current prekey bundle on one link.
@@ -850,12 +872,7 @@ func (m *Manager) sendPrekeyTo(link *adhoc.Link) {
 	if err != nil || bundle == nil {
 		return // a node that cannot mint prekeys still syncs messages
 	}
-	if err := m.sendCounted(link, bundle, false); err != nil {
-		return // link failures surface via LinkDown
-	}
-	m.mu.Lock()
-	m.stats.PrekeyBundlesSent++
-	m.mu.Unlock()
+	_ = m.sendCounted(link, bundle)
 }
 
 // onPrekeyBundle vets a peer's published bundle against the link's
@@ -932,19 +949,11 @@ func (m *Manager) streamFullTo(link *adhoc.Link, gen uint64, data []byte) {
 		sp := m.cfg.Tracer.Start(track, name)
 		sp.Attr("chunk", uint64(chunk))
 		sp.Attr("entries", uint64(len(entries)))
-		err := m.sendCounted(link, &wire.Summary{Gen: gen, Chunk: chunk, More: more, Entries: entries, SchemeData: data}, false)
+		err := m.sendCounted(link, &wire.Summary{Gen: gen, Chunk: chunk, More: more, Entries: entries, SchemeData: data})
 		sp.End()
 		if err != nil {
-			return // link failures surface via LinkDown
+			return
 		}
-		m.mu.Lock()
-		if chunk == 0 {
-			m.stats.AdsFullSent++
-		}
-		if chunk > 0 || more {
-			m.stats.SummaryChunksSent++
-		}
-		m.mu.Unlock()
 		name, data = "sync.chunk", nil // the scheme gossip rides chunk 0
 	}
 }
@@ -960,9 +969,8 @@ func (ps *peerSync) viewLocked() map[id.UserID]uint64 {
 }
 
 // answerOf returns which outstanding Request batch answers, -1 for none:
-// the oldest, unless batch carries messages and that one did not ask for
-// the first. A server answers in the order it was asked, so the later
-// Request that did is answered, and the answers before it were lost.
+// the oldest, unless batch carries messages and a later one asked for the
+// first (a server answers in order, so the answers between were lost).
 func (ps *peerSync) answerOf(batch *wire.Batch) int {
 	if len(batch.Msgs) == 0 || len(ps.asks) == 0 {
 		return min(len(ps.asks), 1) - 1
@@ -996,6 +1004,20 @@ func (m *Manager) releaseLocked(peer mpc.PeerID, reqs [][]wire.Want, by *peerSyn
 	return n
 }
 
+// abortLocked unlinks the peer's slot and ends the Requests out on its
+// link: their refs are its aborted transfers, planned again on the links
+// that remain, so an aborted transfer resumes within the same gathering.
+// Callers hold m.mu.
+func (m *Manager) abortLocked(peer mpc.PeerID, ps *peerSync) []outgoingPlan {
+	orphaned := m.releaseLocked(peer, ps.asks, nil)
+	m.stats.TransfersAborted += orphaned
+	ps.link, ps.asks, ps.stale, ps.due, ps.declined = nil, ps.asks[:0], 0, ps.due[:0], nil
+	if orphaned == 0 {
+		return nil
+	}
+	return m.planLocked(m.linkedViewsLocked())
+}
+
 // slotLocked returns the peer's slot, creating it inside the bound: a
 // full table first drops entries without an active link, losing the
 // presence they recorded. Callers hold m.mu.
@@ -1012,7 +1034,7 @@ func (m *Manager) slotLocked(peer mpc.PeerID) *peerSync {
 			m.presenceLost = true
 		}
 	}
-	ps := &peerSync{declined: make(map[id.UserID]uint64)}
+	ps := &peerSync{}
 	m.peers[peer] = ps
 	return ps
 }
@@ -1056,22 +1078,12 @@ func (m *Manager) LinkDown(link *adhoc.Link, reason error) {
 		// misbehavior signal there is.
 		m.penalizeLocked(link.Peer(), pointsGarbage, m.cfg.Clock.Now())
 	}
-	// Requests that died with this link are its aborted transfers; plan
-	// them again on the links that remain, so an aborted transfer resumes
-	// within the same gathering. The next link starts with no declines.
-	orphaned := m.releaseLocked(link.Peer(), ps.asks, nil)
-	m.stats.TransfersAborted += orphaned
-	ps.link, ps.asks, ps.stale, ps.due = nil, ps.asks[:0], 0, ps.due[:0]
-	clear(ps.declined)
+	sends := m.abortLocked(link.Peer(), ps)
 	ps.dial = redialAfter(reason, ps.dial)
 	if ps.gone {
 		delete(m.peers, link.Peer())
 	}
 	m.cfg.Tracer.EndSlice(ps.track, "contact")
-	var sends []outgoingPlan
-	if orphaned > 0 {
-		sends = m.planLocked(m.linkedViewsLocked())
-	}
 	m.mu.Unlock()
 
 	if m.cfg.OnPeerDown != nil {
@@ -1145,7 +1157,7 @@ func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 	}
 	m.mu.Unlock()
 	if pull {
-		_ = m.sendCounted(link, &wire.SummaryPull{}, false)
+		_ = m.sendCounted(link, &wire.SummaryPull{})
 	}
 	m.sendPlans(sends)
 }
@@ -1214,9 +1226,9 @@ func (m *Manager) linkedViewsLocked() []peerView {
 // the verified author (the freshest source) when the author is linked —
 // and never request a message already in flight on another link. This
 // keeps gatherings of many mutually-connected peers from transferring the
-// same message k times. The scheme sees only the entries that pass the
-// store's floor (Store.Ahead) and that the peer has not declined. Views
-// are planned, and plans leave, in peer-id order (wants in author byte
+// same message k times, or of a peer that declined it. The scheme sees
+// only the entries that pass the store's floor (Store.Ahead). Views are
+// planned, and plans leave, in peer-id order (wants in author byte
 // order). Nothing is allocated until a want survives the in-flight
 // filter. Callers hold m.mu.
 func (m *Manager) planLocked(views []peerView) []outgoingPlan {
@@ -1234,9 +1246,7 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 			m.ahead = m.cfg.Store.Ahead(m.ahead, m.one[:])
 		}
 		for _, e := range m.ahead {
-			if e.Seq > v.ps.declined[e.Author] {
-				m.planView[e.Author] = e.Seq
-			}
+			m.planView[e.Author] = e.Seq
 		}
 		wants := scheme.Wants(m.planView)
 		clear(m.planView)
@@ -1261,8 +1271,11 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 					}
 				}
 				target := v.ps
-				if src, linked := byUser[want.Author]; linked && src.viewLocked()[want.Author] >= max(seq, src.declined[want.Author]+1) {
+				if src, linked := byUser[want.Author]; linked && src.viewLocked()[want.Author] >= seq && seq > src.declined[want.Author] {
 					target = src
+				}
+				if seq <= target.declined[want.Author] {
+					continue
 				}
 				if run < 0 || runs[run].target != target {
 					run, start = len(runs), len(kept)
@@ -1294,16 +1307,16 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 				wants = append(wants, runs[i].want)
 			}
 		}
-		sends = requestsLocked(sends, target, wants[first:len(wants):len(wants)])
+		sends = cutRequests(sends, target.link, wants[first:len(wants):len(wants)])
 	}
 	return sends
 }
 
-// requestsLocked appends to sends, and to target's asks, the Requests for
-// wants: each totals at most wire.MaxBatchMessages sequences, so one Batch
-// answers it, and an author's list that does not fit whole fills one with
-// its head and leads the next with the rest. Callers hold m.mu.
-func requestsLocked(sends []outgoingPlan, target *peerSync, wants []wire.Want) []outgoingPlan {
+// cutRequests appends to sends the Requests for wants on link: each
+// totals at most wire.MaxBatchMessages sequences, so one Batch answers it,
+// and an author's list that does not fit whole fills one with its head
+// and leads the next with the rest.
+func cutRequests(sends []outgoingPlan, link *adhoc.Link, wants []wire.Want) []outgoingPlan {
 	for len(wants) > 0 {
 		n, seqs := 0, 0
 		for n < len(wants) && seqs+len(wants[n].Seqs) <= wire.MaxBatchMessages {
@@ -1316,8 +1329,7 @@ func requestsLocked(sends []outgoingPlan, target *peerSync, wants []wire.Want) [
 			wants[n].Seqs = wants[n].Seqs[room:]
 		}
 		wants = wants[n:]
-		target.asks = append(target.asks, req)
-		sends = append(sends, outgoingPlan{link: target.link, wants: req})
+		sends = append(sends, outgoingPlan{link: link, wants: req})
 	}
 	return sends
 }
@@ -1345,7 +1357,7 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	}
 	if total > wire.MaxBatchMessages {
 		// No honest requester puts this many sequences in one frame
-		// (requestsLocked splits under the same limit), and one Batch
+		// (cutRequests splits under the same limit), and one Batch
 		// could not answer it; score it and refuse to serve (serving would
 		// burn store reads and airtime on the attacker's behalf).
 		m.mu.Lock()
@@ -1374,32 +1386,21 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 			n++
 		}
 	}
-	if err := m.sendCounted(link, &wire.Batch{Msgs: outgoing[:n]}, true); err != nil {
-		return // link died; LinkDown will account for it
-	}
-	m.mu.Lock()
-	if n == 0 {
-		m.stats.RequestsUnserved++
-	} else {
-		m.stats.BatchesSent++
-		m.stats.MessagesServed += uint64(n)
-	}
-	m.mu.Unlock()
+	_ = m.sendCounted(link, &wire.Batch{Msgs: outgoing[:n]})
 }
 
 // onBatch takes the answer to a Request of ours on the link (answerOf),
 // so it first plans the authors due meanwhile and sends that Request,
 // then verifies and stores the delivered messages: the next round trip
 // overlaps the checks. The refs the answered Request did not get are then
-// declined, and with those of lost answers planned again across the
-// links. Nothing goes back to the sender: a new message moves the
+// declined. Nothing goes back to the sender: a new message moves the
 // summary, and the delta Advertise pushes carries the new high-water mark
 // to every linked peer. An empty batch counts as no batch.
 func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	peer := link.Peer()
 	var sends []outgoingPlan
 	var answered []wire.Want
-	released := uint64(0)
+	lost := uint64(0)
 	m.mu.Lock()
 	if len(batch.Msgs) > 0 {
 		m.stats.BatchesReceived++
@@ -1407,8 +1408,8 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	ps := m.peers[peer]
 	if ps != nil && ps.link == link {
 		if i := ps.answerOf(batch); i >= 0 {
-			released = m.releaseLocked(peer, ps.asks[:i], nil) // their answers were lost
-			m.stats.InflightExpired += released
+			lost = m.releaseLocked(peer, ps.asks[:i], nil) // their answers were lost
+			m.stats.InflightExpired += lost
 			answered = ps.asks[i]
 			ps.asks, ps.stale = slices.Delete(ps.asks, 0, i+1), max(ps.stale-i-1, 0)
 		}
@@ -1467,10 +1468,15 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 		}
 	}
 
+	// Lost answers are asked again at once, and so is what an empty answer
+	// declined (evicted since the summary, or refused): a second holder in
+	// the gathering is asked. A partial answer shows a hole under the
+	// peer's high-water mark, which holders that copied from the same
+	// sources share: it waits for the next plan.
 	m.mu.Lock()
-	released += m.releaseLocked(peer, [][]wire.Want{answered}, ps) // what did not come back
+	declined := m.releaseLocked(peer, [][]wire.Want{answered}, ps)
 	sends = nil
-	if released > 0 {
+	if lost > 0 || declined > 0 && len(batch.Msgs) == 0 {
 		sends = m.planLocked(m.linkedViewsLocked())
 	}
 	m.mu.Unlock()
@@ -1483,15 +1489,25 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	}
 }
 
-// sendPlans sends each planned Request.
+// sendPlans sends each planned Request, recording it in its link's asks
+// just before, in the order they leave; one whose link went down meanwhile
+// is released unsent.
 func (m *Manager) sendPlans(sends []outgoingPlan) {
+	m.reqMu.Lock()
+	defer m.reqMu.Unlock()
 	for _, s := range sends {
-		if m.sendCounted(s.link, &wire.Request{Wants: s.wants}, true) != nil {
-			continue // link failures surface via LinkDown
-		}
 		m.mu.Lock()
-		m.stats.RequestsSent++
+		ps := m.peers[s.link.Peer()]
+		live := ps != nil && ps.link == s.link
+		if live {
+			ps.asks = append(ps.asks, s.wants)
+		} else {
+			m.releaseLocked(s.link.Peer(), [][]wire.Want{s.wants}, nil)
+		}
 		m.mu.Unlock()
+		if live {
+			_ = m.sendCounted(s.link, &wire.Request{Wants: s.wants})
+		}
 	}
 }
 

@@ -385,3 +385,39 @@ func TestTickReplansAfterFloorReset(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkUpEndsTheOlderLinksRequests: adhoc takes a link out before its
+// LinkDown, so the peer's next link can come up first, and that LinkDown
+// then finds nothing to unwind. The LinkUp ends the older link's Requests
+// instead: their refs are aborted transfers, and no answer on the new
+// link is matched against them.
+func TestLinkUpEndsTheOlderLinksRequests(t *testing.T) {
+	m, far, ps := linkedManager(t, id.NewUserID("held"))
+	m.FrameIn(far, &wire.Summary{Gen: 6, BaseGen: 5, Entries: []wire.Entry{{Author: id.NewUserID("lacking"), Seq: 1}}})
+	if len(ps.asks) != 1 || len(m.inflight) != 1 {
+		t.Fatalf("%d Requests out holding %d refs, want 1 and 1", len(ps.asks), len(m.inflight))
+	}
+	m.LinkUp(far) // the peer's next link, the older one's LinkDown still to come
+	if len(ps.asks) != 0 || len(m.inflight) != 0 {
+		t.Errorf("after the next LinkUp %d Requests are out holding %d refs, want none", len(ps.asks), len(m.inflight))
+	}
+	if got := m.Stats().TransfersAborted; got != 1 {
+		t.Errorf("TransfersAborted = %d, want 1", got)
+	}
+}
+
+// TestPlanForAGoneLinkIsReleasedUnsent: a Request joins its link's asks
+// when it is sent, so one planned for a link that drops before the send
+// never joins them; its refs leave the ledger instead of staying there
+// with nothing to settle them.
+func TestPlanForAGoneLinkIsReleasedUnsent(t *testing.T) {
+	m, far, ps := linkedManager(t, id.NewUserID("held"))
+	m.mu.Lock()
+	sends := m.planLocked([]peerView{{ps: ps, entries: []wire.Entry{{Author: id.NewUserID("lacking"), Seq: 1}}}})
+	m.mu.Unlock()
+	m.LinkDown(far, mpc.ErrPeerGone)
+	m.sendPlans(sends)
+	if st := m.Stats(); len(m.inflight) != 0 || len(ps.asks) != 0 || st.RequestsSent != 0 {
+		t.Errorf("%d refs in flight, %d Requests out, %d sent; want none", len(m.inflight), len(ps.asks), st.RequestsSent)
+	}
+}
