@@ -984,9 +984,8 @@ func (ps *peerSync) answerOf(batch *wire.Batch) int {
 }
 
 // releaseLocked takes the refs of reqs still asked of peer out of the
-// in-flight ledger and returns how many it took. A peer given as by
-// declined them: each author is remembered at the seq of by's view.
-// Callers hold m.mu.
+// in-flight ledger and returns how many it took; a peer given as by
+// declined them, each author at the seq of by's view. Callers hold m.mu.
 func (m *Manager) releaseLocked(peer mpc.PeerID, reqs [][]wire.Want, by *peerSync) (n uint64) {
 	for _, req := range reqs {
 		for _, w := range req {
@@ -1005,9 +1004,8 @@ func (m *Manager) releaseLocked(peer mpc.PeerID, reqs [][]wire.Want, by *peerSyn
 }
 
 // abortLocked unlinks the peer's slot and ends the Requests out on its
-// link: their refs are its aborted transfers, planned again on the links
-// that remain, so an aborted transfer resumes within the same gathering.
-// Callers hold m.mu.
+// link: their refs are aborted transfers, planned again on the links that
+// remain, so they resume within the same gathering. Callers hold m.mu.
 func (m *Manager) abortLocked(peer mpc.PeerID, ps *peerSync) []outgoingPlan {
 	orphaned := m.releaseLocked(peer, ps.asks, nil)
 	m.stats.TransfersAborted += orphaned
@@ -1312,10 +1310,9 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 	return sends
 }
 
-// cutRequests appends to sends the Requests for wants on link: each
-// totals at most wire.MaxBatchMessages sequences, so one Batch answers it,
-// and an author's list that does not fit whole fills one with its head
-// and leads the next with the rest.
+// cutRequests appends to sends the Requests for wants on link, each of at
+// most wire.MaxBatchMessages sequences so one Batch answers it; an author's
+// list that does not fit whole fills one and leads the next with the rest.
 func cutRequests(sends []outgoingPlan, link *adhoc.Link, wants []wire.Want) []outgoingPlan {
 	for len(wants) > 0 {
 		n, seqs := 0, 0
@@ -1474,6 +1471,9 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	// peer's high-water mark, which holders that copied from the same
 	// sources share: it waits for the next plan.
 	m.mu.Lock()
+	if ps == nil || ps.link != link {
+		ps = nil // the link ended meanwhile: release, decline nothing
+	}
 	declined := m.releaseLocked(peer, [][]wire.Want{answered}, ps)
 	sends = nil
 	if lost > 0 || declined > 0 && len(batch.Msgs) == 0 {
@@ -1498,16 +1498,14 @@ func (m *Manager) sendPlans(sends []outgoingPlan) {
 	for _, s := range sends {
 		m.mu.Lock()
 		ps := m.peers[s.link.Peer()]
-		live := ps != nil && ps.link == s.link
-		if live {
-			ps.asks = append(ps.asks, s.wants)
-		} else {
+		if ps == nil || ps.link != s.link {
 			m.releaseLocked(s.link.Peer(), [][]wire.Want{s.wants}, nil)
+			m.mu.Unlock()
+			continue
 		}
+		ps.asks = append(ps.asks, s.wants)
 		m.mu.Unlock()
-		if live {
-			_ = m.sendCounted(s.link, &wire.Request{Wants: s.wants})
-		}
+		_ = m.sendCounted(s.link, &wire.Request{Wants: s.wants})
 	}
 }
 
