@@ -37,8 +37,8 @@
 // and the delta summary that follows carries the new high-water mark
 // back to the sender. The session is ordered, so a Batch answers the
 // oldest Request out on its link, and the refs that Request did not get
-// are declined: not asked of that peer again until its view of their
-// author passes them or the link is re-established. The requester's
+// are declined: not asked of that peer again while the link lasts, and,
+// after an empty answer, asked of the other links at once. The requester's
 // in-flight ledger is also the record of what a broken link failed to
 // move: every request still outstanding when its link drops counts as an
 // aborted transfer and is planned again.
