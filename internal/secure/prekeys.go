@@ -90,6 +90,7 @@ type PrekeyStore struct {
 	prev    *signedPrekey
 	oneTime map[uint32]*ecdh.PrivateKey
 	queue   []uint32 // unissued one-time IDs, handed out in order
+	issued  []uint32 // issued one-time IDs, oldest first, at most maxPeerBundles
 	nextID  uint32
 }
 
@@ -205,6 +206,13 @@ func (ps *PrekeyStore) Bundle() (*wire.PrekeyBundle, error) {
 		b.OneTimeID = ps.queue[0]
 		b.OneTimePub = ps.oneTime[b.OneTimeID].PublicKey().Bytes()
 		ps.queue = ps.queue[1:]
+		// A peer keeps only our latest bundle, and a node those of
+		// maxPeerBundles peers: a reconnecting peer must not grow the pool.
+		ps.issued = append(ps.issued, b.OneTimeID)
+		if len(ps.issued) > maxPeerBundles {
+			delete(ps.oneTime, ps.issued[0])
+			ps.issued = ps.issued[1:]
+		}
 	}
 	return b, nil
 }
@@ -220,8 +228,8 @@ func (ps *PrekeyStore) Remaining() int {
 // agreementKeys resolves the private keys an envelope names: signed ID 0
 // is the long-term identity key (and admits no one-time key), anything
 // else the current or previous signed prekey. A one-time ID that was
-// consumed or never minted refuses the envelope rather than downgrading
-// it to the signed key alone.
+// consumed, dropped (Bundle) or never minted refuses the envelope rather
+// than downgrading it to the signed key alone.
 func (ps *PrekeyStore) agreementKeys(signedID, oneTimeID uint32) (signed, oneTime *ecdh.PrivateKey, err error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sos/internal/clock"
+	"sos/internal/wire"
 )
 
 var prekeyEpoch0 = time.Unix(1700000000, 0)
@@ -274,6 +275,43 @@ func TestPrekeyReplenishAtLowWater(t *testing.T) {
 	}
 	if refills == 0 {
 		t.Fatalf("no refill in %d bundles", 2*DefaultOneTimeBatch)
+	}
+}
+
+// TestPrekeyIssuedKeysAreCapped: a bundle per contact, as every LinkUp
+// issues one, holds at most maxPeerBundles issued one-time keys plus the
+// unissued batch. The newest bundle still opens; a key dropped past the
+// cap refuses its envelope as a burned one does, never downgrading.
+func TestPrekeyIssuedKeysAreCapped(t *testing.T) {
+	sender := newIdentity(t, "alice")
+	ps := newPrekeyStore(t, "bob", PrekeyConfig{})
+	first, err := ps.Bundle()
+	if err != nil {
+		t.Fatalf("Bundle: %v", err)
+	}
+	last := first
+	for i := 1; i < 5000; i++ {
+		if last, err = ps.Bundle(); err != nil {
+			t.Fatalf("Bundle(%d): %v", i, err)
+		}
+	}
+	ps.mu.Lock()
+	held := len(ps.oneTime)
+	ps.mu.Unlock()
+	if held > maxPeerBundles+DefaultOneTimeBatch {
+		t.Fatalf("5000 bundles hold %d one-time keys, want at most %d", held, maxPeerBundles+DefaultOneTimeBatch)
+	}
+	for _, c := range []struct {
+		b    *wire.PrekeyBundle
+		want error
+	}{{last, nil}, {first, ErrPrekeyUnknown}} {
+		env, err := SealEnvelope(nil, sender, ps.user, ps.ident.Public(), c.b, []byte("hello"))
+		if err != nil {
+			t.Fatalf("SealEnvelope: %v", err)
+		}
+		if _, err := OpenEnvelope(ps, sender.Public(), env); !errors.Is(err, c.want) {
+			t.Errorf("open against one-time key %d: err = %v, want %v", c.b.OneTimeID, err, c.want)
+		}
 	}
 }
 
