@@ -139,10 +139,10 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// signingBytes returns the canonical byte string the author signs: every
-// immutable field, length-prefixed, under a domain-separation tag.
-func (m *Message) signingBytes() []byte {
-	buf := make([]byte, 0, 64+len(m.Payload))
+// appendSigningBytes appends to buf the canonical byte string the author
+// signs: every immutable field, length-prefixed, under a
+// domain-separation tag. Callers pass a stack buffer, which a post fits.
+func (m *Message) appendSigningBytes(buf []byte) []byte {
 	buf = append(buf, "sos/msg/v1"...)
 	buf = append(buf, m.Author[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
@@ -163,7 +163,8 @@ func (m *Message) Sign(ident *id.Identity) error {
 	if ident.User != m.Author {
 		return fmt.Errorf("msg: signing identity %s does not match author %s", ident.User, m.Author)
 	}
-	sig, err := ident.Sign(m.signingBytes())
+	var stack [512]byte
+	sig, err := ident.Sign(m.appendSigningBytes(stack[:0]))
 	if err != nil {
 		return fmt.Errorf("msg: signing: %w", err)
 	}
@@ -178,7 +179,8 @@ func (m *Message) VerifyWithKey(pub *ecdsa.PublicKey) error {
 	if len(m.Sig) == 0 {
 		return ErrUnsigned
 	}
-	if !id.Verify(pub, m.signingBytes(), m.Sig) {
+	var stack [512]byte
+	if !id.Verify(pub, m.appendSigningBytes(stack[:0]), m.Sig) {
 		return fmt.Errorf("%w: message %s", ErrBadSig, m.Ref())
 	}
 	return nil
