@@ -715,6 +715,10 @@ func (l *Link) User() id.UserID { return l.cert.User }
 // Cert returns the remote user's verified certificate.
 func (l *Link) Cert() *pki.UserCert { return l.cert }
 
+// OwnCertDER returns the certificate this device presented in the
+// handshake, read-only.
+func (l *Link) OwnCertDER() []byte { return l.mgr.cfg.CertDER }
+
 // Send encodes, seals and sends f, returning its encoded size.
 func (l *Link) Send(f wire.Frame) (int, error) {
 	buf := wire.GetBuffer()

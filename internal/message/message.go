@@ -30,8 +30,10 @@
 //  3. Each Request is answered by one Batch, an empty one when nothing is
 //     served. Every message carries the originator's certificate, so the
 //     receiver verifies the certificate chain and the author signature
-//     before storing (paper Fig. 3b). A batch's signatures are checked in
-//     parallel, and its messages are stored in batch order.
+//     before storing (paper Fig. 3b), but for a message served by its
+//     author: the link's handshake carried that one, so it stays behind.
+//     A batch's signatures are checked in parallel, and its messages are
+//     stored in batch order, each with its full certificate.
 //
 // There is no fourth step: storing a message moves the receiver's summary,
 // and the delta summary that follows carries the new high-water mark
@@ -1379,6 +1381,9 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	for _, mm := range outgoing {
 		copies[n] = *mm
 		if scheme.Serve(link.User(), &copies[n]) {
+			if bytes.Equal(copies[n].CertDER, link.OwnCertDER()) {
+				copies[n].CertDER = nil // the handshake carried it (verify)
+			}
 			outgoing[n] = &copies[n]
 			n++
 		}
@@ -1426,7 +1431,7 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	// delivery; the rest is checked as one chunk.
 	for lo, hi := 0, min(1, len(batch.Msgs)); lo < hi; lo, hi = hi, len(batch.Msgs) {
 		msgs := batch.Msgs[lo:hi]
-		for i, cert := range m.verify(msgs) {
+		for i, cert := range m.verify(link.Cert().DER, msgs) {
 			mm, ref := msgs[i], msgs[i].Ref()
 			if cert == nil {
 				// A bad copy settles nothing: anyone can put one of any ref
@@ -1512,19 +1517,26 @@ func (m *Manager) sendPlans(sends []outgoingPlan) {
 // verify enforces the paper's security checks on a batch of relayed
 // messages: each attached certificate must chain to the pinned CA root
 // and name the author, and each author's signature must cover the
-// payload. It returns each message's certificate, nil where a check
-// failed. Certificates are checked serially, in batch order, so the
-// verifier's memory checks each one once (concurrent misses would not);
-// signatures, most of the cost, on up to GOMAXPROCS goroutines, joined
-// before the caller stores anything (see adhoc.Handler). A batch of one
-// starts no goroutine and allocates nothing.
-func (m *Manager) verify(msgs []*msg.Message) []*pki.UserCert {
+// payload. A message without one was served by its author, whose
+// certificate the link's handshake carried (linkCert), so it is checked
+// against that: a message of anyone else's fails as a wrong certificate
+// does. It returns each message's certificate, nil where a check failed.
+// Certificates are checked serially, in batch order, so the verifier's
+// memory checks each one once (concurrent misses would not); signatures,
+// most of the cost, on up to GOMAXPROCS goroutines, joined before the
+// caller stores anything (see adhoc.Handler). A batch of one starts no
+// goroutine and allocates nothing.
+func (m *Manager) verify(linkCert []byte, msgs []*msg.Message) []*pki.UserCert {
 	certs := slices.Grow(m.verdicts[:0], len(msgs))[:len(msgs)]
 	m.verdicts = certs
 	for i, mm := range msgs {
 		certs[i] = nil
+		der := mm.CertDER
+		if len(der) == 0 {
+			der = linkCert
+		}
 		if mm.Validate() == nil {
-			certs[i], _ = m.cfg.Verifier.VerifyFor(mm.CertDER, mm.Author)
+			certs[i], _ = m.cfg.Verifier.VerifyFor(der, mm.Author)
 		}
 	}
 	workers := min(runtime.GOMAXPROCS(0), len(msgs))

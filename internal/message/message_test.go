@@ -88,7 +88,7 @@ func TestVerifyEnforcesProvenance(t *testing.T) {
 	if err := good.Sign(creds.Ident); err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if certs := m.verify([]*msg.Message{good}); certs[0] == nil {
+	if certs := m.verify(nil, []*msg.Message{good}); certs[0] == nil {
 		t.Error("authentic message rejected")
 	}
 
@@ -101,17 +101,48 @@ func TestVerifyEnforcesProvenance(t *testing.T) {
 	misattributed.Author = id.NewUserID("other") // cert still names owner
 	misattributed.Seq = 1
 
-	// Missing certificate entirely.
+	// No certificate: the link's handshake certificate stands in, which
+	// names the author here, and another author's message fails on it.
 	bare := good.Clone()
 	bare.CertDER = nil
+	bareOther := misattributed.Clone()
+	bareOther.CertDER = nil
 
 	// One batch: each verdict stays with its own message.
-	batch := []*msg.Message{tampered, good, misattributed, bare, good}
-	certs := m.verify(batch)
-	for i, want := range []bool{false, true, false, false, true} {
+	batch := []*msg.Message{tampered, good, misattributed, bare, good, bareOther}
+	certs := m.verify(creds.Cert.DER, batch)
+	for i, want := range []bool{false, true, false, true, true, false} {
 		if got := certs[i] != nil; got != want {
 			t.Errorf("batch[%d] accepted = %v, want %v", i, got, want)
 		}
+	}
+	if certs := m.verify(nil, []*msg.Message{bare}); certs[0] != nil {
+		t.Error("a message without a certificate verified with none on the link")
+	}
+}
+
+// TestVerifyAllocBudget pins verify on a batch of one whose certificate
+// the verifier remembers: what it allocates is the ECDSA check's own
+// (10 times on go1.24), as the signed bytes are built on the stack; a
+// heap buffer per check shows as 11.
+func TestVerifyAllocBudget(t *testing.T) {
+	cfg, creds := fixture(t)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	post := &msg.Message{Author: creds.Ident.User, Seq: 1, Kind: msg.KindPost, Created: time.Now(), Payload: []byte("a post")}
+	if err := post.Sign(creds.Ident); err != nil {
+		t.Fatalf("Sign: %v", err)
+	}
+	batch := []*msg.Message{post}
+	allocs := testing.AllocsPerRun(200, func() {
+		if m.verify(creds.Cert.DER, batch)[0] == nil {
+			t.Fatal("authentic message rejected")
+		}
+	})
+	if allocs > 10 {
+		t.Errorf("verify of one message: %.1f allocs, want at most 10", allocs)
 	}
 }
 
