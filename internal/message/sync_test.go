@@ -65,6 +65,7 @@ type world struct {
 	clk    clock.Clock
 	sim    *mpc.SimMedium // nil on MemMedium
 	medium mpc.Medium
+	ca     *pki.CA
 	svc    *cloud.Service
 	peers  []mpc.PeerID
 }
@@ -80,7 +81,7 @@ func newWorld(t *testing.T) *world {
 		t.Fatalf("NewCA: %v", err)
 	}
 	sim := mpc.NewSimMedium(clk)
-	return &world{clk: clk, sim: sim, medium: sim, svc: cloud.New(ca, cloud.WithClock(clk.Now))}
+	return &world{clk: clk, sim: sim, medium: sim, ca: ca, svc: cloud.New(ca, cloud.WithClock(clk.Now))}
 }
 
 func newRaceWorld(t *testing.T) *world {
@@ -89,7 +90,7 @@ func newRaceWorld(t *testing.T) *world {
 	if err != nil {
 		t.Fatalf("NewCA: %v", err)
 	}
-	return &world{clk: clock.System(), medium: mpc.NewMemMedium(), svc: cloud.New(ca)}
+	return &world{clk: clock.System(), medium: mpc.NewMemMedium(), ca: ca, svc: cloud.New(ca)}
 }
 
 // enter brings peer, joined, into radio range of every device that
@@ -406,13 +407,20 @@ func (c *frameCapture) LinkUp(link *adhoc.Link) {
 	signal(c.changed)
 }
 func (c *frameCapture) FrameIn(link *adhoc.Link, f wire.Frame) {
-	// A Summary's entries are pooled and reused once FrameIn returns (see
-	// adhoc.Handler), so the capture records a copy; the other frames it
-	// reads do not alias decode scratch.
-	if sum, ok := f.(*wire.Summary); ok {
-		cp := *sum
-		cp.Entries = slices.Clone(sum.Entries)
+	// A Summary's entries are pooled and reused once FrameIn returns, and
+	// a Batch's messages alias the frame (see adhoc.Handler), so the
+	// capture records copies; the other frames it reads alias nothing.
+	switch fr := f.(type) {
+	case *wire.Summary:
+		cp := *fr
+		cp.Entries = slices.Clone(fr.Entries)
 		f = &cp
+	case *wire.Batch: // its messages alias the frame
+		cp := &wire.Batch{}
+		for _, m := range fr.Msgs {
+			cp.Msgs = append(cp.Msgs, m.Clone())
+		}
+		f = cp
 	}
 	c.mu.Lock()
 	c.frames = append(c.frames, f)
@@ -476,6 +484,7 @@ type syncHarness struct {
 	st       *store.Store
 	rm       *routing.Manager
 	aliceAd  *adhoc.Manager
+	alice    *cloud.Credentials
 	bobAd    *adhoc.Manager
 	bob      *frameCapture
 	bobCreds *cloud.Credentials
@@ -498,7 +507,7 @@ func newSyncHarnessWith(t *testing.T, cfg message.Config, radio func(mpc.Medium)
 		medium = radio(medium)
 	}
 	alice := h.realPeer(t, medium, "alice", cfg)
-	h.mgr, h.st, h.rm, h.aliceAd = alice.mgr, alice.st, alice.rm, alice.ad
+	h.mgr, h.st, h.rm, h.aliceAd, h.alice = alice.mgr, alice.st, alice.rm, alice.ad, alice.creds
 	h.bob = newFrameCapture()
 	h.bobAd, h.bobCreds = h.scriptedPeer(t, medium, "bob", h.bob)
 	return h
