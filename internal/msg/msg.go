@@ -87,8 +87,8 @@ var (
 // signature. Hops counts device-to-device transfers and is incremented by
 // each receiving node, so it must stay outside the signed region; CertDER
 // is the author's certificate, which forwarders attach so any receiver can
-// verify provenance without infrastructure (paper Fig. 3b) — the
-// certificate is self-authenticating via the CA chain.
+// verify provenance without infrastructure (paper Fig. 3b). An author
+// serving its own message leaves it off: the link's handshake carried it.
 //
 // A node keeps one copy of each message: the store owns it, and every
 // reader (store reads, OnReceive, observers, the serve path) shares it
