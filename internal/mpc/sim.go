@@ -48,10 +48,6 @@ type SimMedium struct {
 
 	// OnContact, when set, observes every link up/down transition.
 	OnContact func(Contact)
-
-	// FrameOverhead is the air time each frame costs on top of its
-	// bytes over the bitrate, preset to DefaultFrameOverhead.
-	FrameOverhead time.Duration
 }
 
 var _ Medium = (*SimMedium)(nil)
@@ -71,10 +67,9 @@ type simLink struct {
 // NewSimMedium creates a simulated medium on the given virtual clock.
 func NewSimMedium(clk *clock.Virtual) *SimMedium {
 	return &SimMedium{
-		clk:           clk,
-		endpoints:     make(map[PeerID]*simEndpoint),
-		links:         make(map[PairKey]*simLink),
-		FrameOverhead: DefaultFrameOverhead,
+		clk:       clk,
+		endpoints: make(map[PeerID]*simEndpoint),
+		links:     make(map[PairKey]*simLink),
 	}
 }
 
@@ -423,7 +418,7 @@ func (c *simConn) Send(frame []byte) error {
 	if busy := link.busy[c.localEP.self]; busy.After(start) {
 		start = busy
 	}
-	duration := m.FrameOverhead + time.Duration(float64(len(frame))/link.tech.Bitrate()*float64(time.Second))
+	duration := DefaultFrameOverhead + time.Duration(float64(len(frame))/link.tech.Bitrate()*float64(time.Second))
 	deliverAt := start.Add(duration)
 	link.busy[c.localEP.self] = deliverAt
 

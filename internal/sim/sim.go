@@ -83,10 +83,9 @@ type Config struct {
 	Duration time.Duration
 	// Tick is the contact-detection sampling period (default 30 s).
 	Tick time.Duration
-	// Range is the radio contact radius in meters (default 35).
+	// Range is the radio contact radius in meters (default 35). Every
+	// contact links over P2P WiFi.
 	Range float64
-	// Tech is the link technology for detected contacts (default p2p WiFi).
-	Tech mpc.Technology
 	// Scheme is the default routing protocol (default interest-based).
 	Scheme string
 	// RelayTTL bounds how long nodes forward other users' messages; it
@@ -192,9 +191,6 @@ func New(cfg Config) (*Sim, error) {
 	}
 	if cfg.Range <= 0 {
 		cfg.Range = 35
-	}
-	if cfg.Tech == 0 {
-		cfg.Tech = mpc.PeerToPeerWiFi
 	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = "interest"
@@ -497,7 +493,7 @@ func (s *Sim) reconcilePair(key [2]int32, at time.Time) {
 	up := s.desired[key] && a.Active(at) && b.Active(at)
 	switch {
 	case up && !s.linked[key]:
-		s.medium.SetLink(a.peer, b.peer, s.cfg.Tech)
+		s.medium.SetLink(a.peer, b.peer, mpc.PeerToPeerWiFi)
 		s.linked[key] = true
 	case !up && s.linked[key]:
 		s.medium.CutLink(a.peer, b.peer)
@@ -545,7 +541,7 @@ func (s *Sim) updateContacts(at time.Time) {
 	for _, key := range s.curr {
 		s.currSet[key] = true
 		if !s.linked[key] {
-			s.medium.SetLink(s.nodes[key[0]].peer, s.nodes[key[1]].peer, s.cfg.Tech)
+			s.medium.SetLink(s.nodes[key[0]].peer, s.nodes[key[1]].peer, mpc.PeerToPeerWiFi)
 			s.linked[key] = true
 		}
 	}

@@ -124,10 +124,6 @@ var optionsAllowed = map[string]bool{
 	// every node directly, bypassing codec, TCP and exporter, so that it
 	// can check what the collector received against what happened.
 	"internal/lab.Options.ExtraObserver": true,
-	// The radio technology of the simulated fleet. ROADMAP item 7's
-	// Bluetooth-vs-P2P-WiFi counterfactual is its named first caller
-	// (SimMedium.FrameOverhead stays for the same item).
-	"internal/sim.Config.Tech": true,
 }
 
 // TestConfigFieldsHaveProductSetters is the field-level twin of
