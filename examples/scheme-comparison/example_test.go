@@ -51,10 +51,10 @@ func Example() {
 	// Output:
 	// identical workload: 10 users, 2 days, 259 posts, deployment social graph
 	// scheme             deliveries  1-hop share       frames   bytes(KiB)
-	// epidemic                  295         0.63          550          202
-	// interest                  276         0.70          460          160
-	// spray-and-wait            295         0.63          550          212
-	// prophet                   276         0.70          460          174
+	// epidemic                  295         0.63          550          148
+	// interest                  276         0.70          460          122
+	// spray-and-wait            295         0.63          550          159
+	// prophet                   276         0.70          460          136
 	//
 	// schemes are hot-swappable at runtime: node.SetScheme("epidemic")
 }

@@ -278,7 +278,8 @@ type Request struct {
 func (*Request) Type() Type { return TypeRequest }
 
 // Batch carries requested messages, each with the originator's certificate
-// attached (paper Fig. 3b: forwarders relay the originator's certificate).
+// attached (paper Fig. 3b: forwarders relay the originator's certificate)
+// unless the receiver has it already; message.onRequest says when.
 type Batch struct {
 	Msgs []*msg.Message
 }
