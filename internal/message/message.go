@@ -30,10 +30,8 @@
 //  3. Each Request is answered by one Batch, an empty one when nothing is
 //     served. A message carries the originator's certificate, so the
 //     receiver verifies the certificate chain and the author signature
-//     before storing (paper Fig. 3b), unless the receiver has it already:
-//     a message served by its author goes without (the link's handshake
-//     carried it), and so does one after a message of the same author
-//     under the same certificate (the run's first copy carried it).
+//     before storing (paper Fig. 3b), unless the link's handshake or its
+//     author's run in the Batch carried it already (onRequest).
 //     A batch's signatures are checked in parallel, and its messages are
 //     stored in batch order, each with its full certificate.
 //
@@ -1346,14 +1344,9 @@ type planRun struct {
 // request that serves nothing gets an empty Batch. Expired cargo is swept
 // first, so a TTL-bounded forwarder never serves a foreign message past
 // its lifetime — the serve-time guarantee the old relay-TTL filter gave,
-// now enforced by actual eviction. A served copy goes without its
-// certificate when the receiver has it already (verify): it is the one
-// this device presented in the link's handshake, or the copy before it
-// is of the same author, not this device's user, under the same
-// certificate bytes. A Want names one author, so each author's messages
-// are adjacent and a run of them carries its certificate once. Our own
-// messages under another certificate carry it every time, since the
-// receiver reads a blank one of ours as the handshake's.
+// now enforced by actual eviction. A copy goes without a certificate the
+// receiver has: our handshake's, or, as a Want names one author, that of
+// the same author's message before it but for ours (onBatch).
 func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	m.mu.Lock()
 	m.stats.RequestsReceived++
@@ -1385,24 +1378,20 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	// Stored messages are read-only: the scheme decides each one on a
 	// struct copy and stamps this transfer's routing metadata there.
 	scheme := m.cfg.Routing.Current()
-	self := m.cfg.Store.Owner()
 	copies := make([]msg.Message, len(outgoing))
 	var prev *msg.Message // the last message served, as held
 	n := 0
 	for _, mm := range outgoing {
 		copies[n] = *mm
-		if !scheme.Serve(link.User(), &copies[n]) {
-			continue
+		if scheme.Serve(link.User(), &copies[n]) {
+			if bytes.Equal(mm.CertDER, link.OwnCertDER()) || prev != nil && prev.Author == mm.Author &&
+				bytes.Equal(prev.CertDER, mm.CertDER) && mm.Author != m.cfg.Store.Owner() {
+				copies[n].CertDER = nil // the receiver has it (onBatch, verify)
+			}
+			prev = mm
+			outgoing[n] = &copies[n]
+			n++
 		}
-		// The handshake carried our own certificate, and the run's first
-		// copy an author's.
-		if bytes.Equal(mm.CertDER, link.OwnCertDER()) ||
-			mm.Author != self && prev != nil && prev.Author == mm.Author && bytes.Equal(prev.CertDER, mm.CertDER) {
-			copies[n].CertDER = nil
-		}
-		prev = mm
-		outgoing[n] = &copies[n]
-		n++
 	}
 	_ = m.sendCounted(link, &wire.Batch{Msgs: outgoing[:n]})
 }
@@ -1440,10 +1429,8 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	m.mu.Unlock()
 	m.sendPlans(sends)
 
-	// A blank certificate after its author's previous message is that
-	// one's (onRequest), over the whole Batch before its first message is
-	// checked alone. What stays blank is the link's handshake certificate
-	// (verify), so a run of the link's user's messages takes nothing here.
+	// A blank certificate after its author's message is that one's but for
+	// the link's user's (onRequest), filled before any message is checked.
 	for i := 1; i < len(batch.Msgs); i++ {
 		if mm, prev := batch.Msgs[i], batch.Msgs[i-1]; len(mm.CertDER) == 0 && mm.Author == prev.Author && mm.Author != link.User() {
 			mm.CertDER = prev.CertDER
@@ -1543,9 +1530,7 @@ func (m *Manager) sendPlans(sends []outgoingPlan) {
 // verify enforces the paper's security checks on a batch of relayed
 // messages: each attached certificate must chain to the pinned CA root
 // and name the author, and each author's signature must cover the
-// payload. onBatch has already given a blank certificate that follows its
-// author's previous message that message's certificate, across the whole
-// Batch. A message still without one was served by its author, whose
+// payload. A message onBatch left without one was served by its author, whose
 // certificate the link's handshake carried (linkCert), so it is checked
 // against that: a message of anyone else's fails as a wrong certificate
 // does. It returns each message's certificate, nil where a check failed.

@@ -83,8 +83,7 @@ type Config struct {
 	Duration time.Duration
 	// Tick is the contact-detection sampling period (default 30 s).
 	Tick time.Duration
-	// Range is the radio contact radius in meters (default 35). Every
-	// contact links over P2P WiFi.
+	// Range is the P2P WiFi contact radius in meters (default 35).
 	Range float64
 	// Scheme is the default routing protocol (default interest-based).
 	Scheme string

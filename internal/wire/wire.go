@@ -278,8 +278,7 @@ type Request struct {
 func (*Request) Type() Type { return TypeRequest }
 
 // Batch carries requested messages, each with the originator's certificate
-// attached (paper Fig. 3b: forwarders relay the originator's certificate)
-// unless the receiver has it already; message.onRequest says when.
+// attached unless the receiver has it already (paper Fig. 3b; message.onRequest).
 type Batch struct {
 	Msgs []*msg.Message
 }
