@@ -14,11 +14,11 @@ import (
 func (m *Manager) PlanOrder() []mpc.PeerID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	clear(m.inflight)
+	clear(m.ledger)
 	defer func() {
-		clear(m.inflight)
+		clear(m.ledger)
 		for _, ps := range m.peers {
-			ps.asks, ps.stale = ps.asks[:0], 0
+			ps.ledger.asks, ps.ledger.stale = ps.ledger.asks[:0], 0
 		}
 	}()
 	var order []mpc.PeerID
@@ -43,7 +43,19 @@ const (
 func (m *Manager) Inflight() map[msg.Ref]mpc.PeerID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return maps.Clone(m.inflight)
+	return maps.Clone(m.ledger)
+}
+
+// CheckLedger returns the first broken invariant of the request ledger
+// and every slot's half; they hold once the contact is quiet.
+func (m *Manager) CheckLedger() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	links := make(map[mpc.PeerID]*linkLedger, len(m.peers))
+	for peer, ps := range m.peers {
+		links[peer] = &ps.ledger
+	}
+	return m.ledger.check(links, func(peer mpc.PeerID) bool { return m.peers[peer].link != nil })
 }
 
 // Dialing reports whether a dial to peer is under way.
@@ -60,7 +72,7 @@ func (m *Manager) Asking(peer mpc.PeerID) (asking bool, due int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if ps := m.peers[peer]; ps != nil {
-		return len(ps.asks) > 0, len(ps.due)
+		return len(ps.ledger.asks) > 0, len(ps.ledger.due)
 	}
 	return false, 0
 }

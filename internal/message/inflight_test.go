@@ -109,11 +109,11 @@ func TestPlansLeaveInPeerOrder(t *testing.T) {
 }
 
 // TestTransfersAbortedCountsOrphanedRequests pins the one definition of an
-// aborted transfer: a request this node made that died with its link. A
-// link that drops after alice served a batch costs alice nothing — the
-// requester on the other end owns that count — and a link that drops on
-// three unanswered requests costs exactly three, which are planned again
-// at the next encounter.
+// aborted transfer: a ref this node asked for in a Request that died with
+// its link. A link that drops after alice served a batch costs alice
+// nothing — the requester on the other end owns that count — and a link
+// that drops on an unanswered Request for three refs costs exactly three,
+// which are planned again at the next encounter.
 func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 	h := newSyncHarness(t)
 	h.bob.holdAnswers()
@@ -136,7 +136,7 @@ func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 		t.Errorf("TransfersAborted = %d on the sender after a served batch, want 0", got)
 	}
 
-	// Alice as the requester: three requests go unanswered.
+	// Alice as the requester: a Request for three refs goes unanswered.
 	wanted := id.NewUserID("wanted-author")
 	ad := &wire.Summary{Gen: 1, Entries: entriesOf(map[id.UserID]uint64{wanted: 3})}
 	link = linkScripted(t, h, h.bobAd, h.bob, 1)
@@ -147,7 +147,7 @@ func TestTransfersAbortedCountsOrphanedRequests(t *testing.T) {
 	_ = link.Close()
 	h.expect(t, "alice sees the drop", func() bool { return len(h.mgr.ActiveLinks()) == 0 })
 	if got := h.mgr.Stats().TransfersAborted; got != 3 {
-		t.Errorf("TransfersAborted = %d, want 3 (one per orphaned request)", got)
+		t.Errorf("TransfersAborted = %d, want 3 (one per orphaned ref)", got)
 	}
 
 	// The same ledger drives the retry.

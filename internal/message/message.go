@@ -37,13 +37,8 @@
 //
 // There is no fourth step: storing a message moves the receiver's summary,
 // and the delta summary that follows carries the new high-water mark
-// back to the sender. The session is ordered, so a Batch answers the
-// oldest Request out on its link, and the refs that Request did not get
-// are declined: not asked of that peer again while the link lasts, and,
-// after an empty answer, asked of the other links at once. The requester's
-// in-flight ledger is also the record of what a broken link failed to
-// move: every request still outstanding when its link drops counts as an
-// aborted transfer and is planned again.
+// back to the sender. What is asked and not yet received is the request
+// ledger's (requests.go).
 //
 // # Delta synchronization
 //
@@ -188,7 +183,7 @@ type Stats struct {
 	BatchesReceived   uint64
 	RequestsSent      uint64
 	RequestsReceived  uint64
-	TransfersAborted  uint64 // requests of ours that died with their link
+	TransfersAborted  uint64 // refs asked by Requests of ours that died with their link
 	RequestsUnserved  uint64 // requests answered with an empty Batch
 	ConnectsAttempted uint64
 
@@ -255,17 +250,8 @@ type peerSync struct {
 	// until a full summary arrives, the next heartbeat tick (the pull or
 	// its answer may be lost) or a new link.
 	pullPending bool
-	// asks holds the wants of each Request of ours on the link not yet
-	// answered, in wire order; stale counts the head ones already out at
-	// the previous Tick, which the next one expires. While one is out, a
-	// delta from the peer waits in due for its next Batch or the next Tick.
-	asks  [][]wire.Want
-	stale int
-	due   []wire.Entry
-	// declined holds, per author, the seq the peer's view held when it
-	// left refs of that author unserved; the peer is asked only for later
-	// ones. It lives as long as the link.
-	declined map[id.UserID]uint64
+	// ledger is the request ledger's half on the link.
+	ledger linkLedger
 
 	// track is the peer's "contact <peer>" tracer track, interned at
 	// LinkUp (0 while tracing is disabled).
@@ -285,16 +271,13 @@ type Manager struct {
 
 	mu       sync.Mutex
 	adhocMgr *adhoc.Manager
-	// reqMu serializes sendPlans, so each link's asks are in wire order.
+	// reqMu serializes sendPlans, so each link's Requests join its ledger
+	// in wire order.
 	reqMu sync.Mutex
 	peers map[mpc.PeerID]*peerSync
 	// presenceLost marks a slot evicted while its peer may be in range.
 	presenceLost bool
-	// inflight maps each message requested and not yet received to the
-	// peer it was asked of, so concurrent links to several peers holding
-	// the same message do not trigger duplicate transfers. Each entry is
-	// one ref of a Request in its link's asks, which settles it.
-	inflight map[msg.Ref]mpc.PeerID
+	ledger       ledger
 	// quar is the per-peer misbehavior scoreboard (see misbehavior.go).
 	quar  scoreboard
 	stats Stats
@@ -339,7 +322,7 @@ func New(cfg Config) (*Manager, error) {
 	return &Manager{
 		cfg:      cfg,
 		peers:    make(map[mpc.PeerID]*peerSync),
-		inflight: make(map[msg.Ref]mpc.PeerID),
+		ledger:   make(ledger),
 		planView: make(map[id.UserID]uint64),
 	}, nil
 }
@@ -381,12 +364,8 @@ func (m *Manager) Tick() {
 	now := m.cfg.Clock.Now()
 	var dials []mpc.PeerID
 	for peer, ps := range m.peers {
-		// A Request already out at the previous tick has sat a full
-		// interval (in ticks, so a frozen virtual clock works) unanswered:
-		// it or its Batch is gone. The re-plan below covers what was due.
-		m.stats.InflightExpired += m.releaseLocked(peer, ps.asks[:ps.stale], nil)
-		ps.asks = slices.Delete(ps.asks, 0, ps.stale)
-		ps.stale, ps.pullPending, ps.due = len(ps.asks), false, ps.due[:0]
+		m.stats.InflightExpired += m.ledger.expire(peer, &ps.ledger)
+		ps.pullPending = false
 		switch {
 		case ps.link != nil || m.quar.quarantined(peer, now):
 			ps.dial = false
@@ -849,7 +828,7 @@ func (m *Manager) LinkUp(link *adhoc.Link) {
 	// adhoc takes a link out before its LinkDown, so the next one can come
 	// up first; that LinkDown then finds nothing, and this one unwinds it.
 	sends := m.abortLocked(link.Peer(), ps)
-	ps.link, ps.track, ps.pullPending, ps.declined = link, track, false, make(map[id.UserID]uint64)
+	ps.link, ps.track, ps.pullPending = link, track, false
 	m.mu.Unlock()
 	// The contact envelope: every sync span until LinkDown nests inside.
 	m.cfg.Tracer.Begin(track, "contact")
@@ -970,49 +949,14 @@ func (ps *peerSync) viewLocked() map[id.UserID]uint64 {
 	return ps.summary
 }
 
-// answerOf returns which outstanding Request batch answers, -1 for none:
-// the oldest, unless batch carries messages and a later one asked for the
-// first (a server answers in order, so the answers between were lost).
-func (ps *peerSync) answerOf(batch *wire.Batch) int {
-	if len(batch.Msgs) == 0 || len(ps.asks) == 0 {
-		return min(len(ps.asks), 1) - 1
-	}
-	first := batch.Msgs[0]
-	return slices.IndexFunc(ps.asks, func(req []wire.Want) bool {
-		return slices.ContainsFunc(req, func(w wire.Want) bool {
-			return w.Author == first.Author && slices.Contains(w.Seqs, first.Seq)
-		})
-	})
-}
-
-// releaseLocked takes the refs of reqs still asked of peer out of the
-// in-flight ledger and returns how many it took; a peer given as by
-// declined them, each author at the seq of by's view. Callers hold m.mu.
-func (m *Manager) releaseLocked(peer mpc.PeerID, reqs [][]wire.Want, by *peerSync) (n uint64) {
-	for _, req := range reqs {
-		for _, w := range req {
-			for _, seq := range w.Seqs {
-				if ref := (msg.Ref{Author: w.Author, Seq: seq}); m.inflight[ref] == peer {
-					delete(m.inflight, ref)
-					n++
-					if by != nil {
-						by.declined[w.Author] = by.viewLocked()[w.Author]
-					}
-				}
-			}
-		}
-	}
-	return n
-}
-
-// abortLocked unlinks the peer's slot and ends the Requests out on its
-// link: their refs are aborted transfers, planned again on the links that
-// remain, so they resume within the same gathering. Callers hold m.mu.
+// abortLocked unlinks the peer's slot and ends its link's ledger, whose
+// aborted transfers are planned again on the links that remain, so they
+// resume within the same gathering. Callers hold m.mu.
 func (m *Manager) abortLocked(peer mpc.PeerID, ps *peerSync) []outgoingPlan {
-	orphaned := m.releaseLocked(peer, ps.asks, nil)
-	m.stats.TransfersAborted += orphaned
-	ps.link, ps.asks, ps.stale, ps.due, ps.declined = nil, ps.asks[:0], 0, ps.due[:0], nil
-	if orphaned == 0 {
+	aborted := m.ledger.end(peer, &ps.ledger)
+	m.stats.TransfersAborted += aborted
+	ps.link = nil
+	if aborted == 0 {
 		return nil
 	}
 	return m.planLocked(m.linkedViewsLocked())
@@ -1150,9 +1094,7 @@ func (m *Manager) onSummary(link *adhoc.Link, sum *wire.Summary) {
 		m.stats.SummaryPullsSent++
 	}
 	var sends []outgoingPlan
-	if sum.IsDelta() && len(ps.asks) > 0 { // planned when the peer's Batch lands
-		ps.due = append(ps.due, sum.Entries...)
-	} else {
+	if !sum.IsDelta() || !ps.ledger.hold(sum.Entries) { // a held delta is planned when the peer's Batch lands
 		sends = m.planLocked([]peerView{{ps: ps, entries: sum.Entries}})
 	}
 	m.mu.Unlock()
@@ -1255,7 +1197,7 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 			kept, run, start := want.Seqs[:0], -1, 0
 			for _, seq := range want.Seqs {
 				ref := msg.Ref{Author: want.Author, Seq: seq}
-				if m.inflight[ref] != "" {
+				if m.ledger.inFlight(ref) {
 					continue
 				}
 				// Source preference: pull an author's own messages from
@@ -1271,10 +1213,10 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 					}
 				}
 				target := v.ps
-				if src, linked := byUser[want.Author]; linked && src.viewLocked()[want.Author] >= seq && seq > src.declined[want.Author] {
+				if src, linked := byUser[want.Author]; linked && src.viewLocked()[want.Author] >= seq && seq > src.ledger.declinedTo(want.Author) {
 					target = src
 				}
-				if seq <= target.declined[want.Author] {
+				if seq <= target.ledger.declinedTo(want.Author) {
 					continue
 				}
 				if run < 0 || runs[run].target != target {
@@ -1283,7 +1225,7 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 				}
 				kept = append(kept, seq)
 				runs[run].want = wire.Want{Author: want.Author, Seqs: kept[start:len(kept):len(kept)]}
-				m.inflight[ref] = target.link.Peer()
+				m.ledger.plan(ref, target.link.Peer())
 			}
 		}
 	}
@@ -1307,28 +1249,11 @@ func (m *Manager) planLocked(views []peerView) []outgoingPlan {
 				wants = append(wants, runs[i].want)
 			}
 		}
-		sends = cutRequests(sends, target.link, wants[first:len(wants):len(wants)])
-	}
-	return sends
-}
-
-// cutRequests appends to sends the Requests for wants on link, each of at
-// most wire.MaxBatchMessages sequences so one Batch answers it; an author's
-// list that does not fit whole fills one and leads the next with the rest.
-func cutRequests(sends []outgoingPlan, link *adhoc.Link, wants []wire.Want) []outgoingPlan {
-	for len(wants) > 0 {
-		n, seqs := 0, 0
-		for n < len(wants) && seqs+len(wants[n].Seqs) <= wire.MaxBatchMessages {
-			seqs += len(wants[n].Seqs)
-			n++
+		for rest := wants[first:len(wants):len(wants)]; len(rest) > 0; {
+			var req []wire.Want
+			req, rest = cutRequest(rest)
+			sends = append(sends, outgoingPlan{link: target.link, wants: req})
 		}
-		req := wants[:n:n]
-		if room := wire.MaxBatchMessages - seqs; n < len(wants) && room > 0 {
-			req = append(req, wire.Want{Author: wants[n].Author, Seqs: wants[n].Seqs[:room]})
-			wants[n].Seqs = wants[n].Seqs[room:]
-		}
-		wants = wants[n:]
-		sends = append(sends, outgoingPlan{link: link, wants: req})
 	}
 	return sends
 }
@@ -1358,7 +1283,7 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	}
 	if total > wire.MaxBatchMessages {
 		// No honest requester puts this many sequences in one frame
-		// (cutRequests splits under the same limit), and one Batch
+		// (cutRequest cuts under the same limit), and one Batch
 		// could not answer it; score it and refuse to serve (serving would
 		// burn store reads and airtime on the attacker's behalf).
 		m.mu.Lock()
@@ -1396,13 +1321,13 @@ func (m *Manager) onRequest(link *adhoc.Link, req *wire.Request) {
 	_ = m.sendCounted(link, &wire.Batch{Msgs: outgoing[:n]})
 }
 
-// onBatch takes the answer to a Request of ours on the link (answerOf),
-// so it first plans the authors due meanwhile and sends that Request,
-// then verifies and stores the delivered messages: the next round trip
-// overlaps the checks. The refs the answered Request did not get are then
-// declined. Nothing goes back to the sender: a new message moves the
-// summary, and the delta Advertise pushes carries the new high-water mark
-// to every linked peer. An empty batch counts as no batch.
+// onBatch takes the answer to a Request of ours on the link off its
+// ledger, so it first plans the authors due meanwhile and sends that
+// Request, then verifies and stores the delivered messages: the next round
+// trip overlaps the checks. The answered Request is then settled. Nothing
+// goes back to the sender: a new message moves the summary, and the delta
+// Advertise pushes carries the new high-water mark to every linked peer.
+// An empty batch counts as no batch.
 func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	peer := link.Peer()
 	var sends []outgoingPlan
@@ -1414,17 +1339,10 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	}
 	ps := m.peers[peer]
 	if ps != nil && ps.link == link {
-		if i := ps.answerOf(batch); i >= 0 {
-			lost = m.releaseLocked(peer, ps.asks[:i], nil) // their answers were lost
-			m.stats.InflightExpired += lost
-			answered = ps.asks[i]
-			ps.asks, ps.stale = slices.Delete(ps.asks, 0, i+1), max(ps.stale-i-1, 0)
-		}
-		for i, e := range ps.due { // at the view's seq: 0, past no floor, once gone from it
-			ps.due[i].Seq = ps.viewLocked()[e.Author]
-		}
-		sends = m.planLocked([]peerView{{ps: ps, entries: ps.due}})
-		ps.due = ps.due[:0]
+		var due []wire.Entry
+		answered, due, lost = m.ledger.answer(peer, &ps.ledger, batch, ps.viewLocked)
+		m.stats.InflightExpired += lost
+		sends = m.planLocked([]peerView{{ps: ps, entries: due}})
 	}
 	m.mu.Unlock()
 	m.sendPlans(sends)
@@ -1465,7 +1383,7 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 				continue
 			}
 			m.mu.Lock()
-			delete(m.inflight, ref) // held now, whoever it was asked of
+			m.ledger.received(ref)
 			if added {
 				m.stats.MessagesReceived++
 			} else {
@@ -1489,10 +1407,11 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	// peer's high-water mark, which holders that copied from the same
 	// sources share: it waits for the next plan.
 	m.mu.Lock()
-	if ps == nil || ps.link != link {
-		ps = nil // the link ended meanwhile: release, decline nothing
+	var l *linkLedger // nil once the link ended meanwhile: release, decline nothing
+	if ps != nil && ps.link == link {
+		l = &ps.ledger
 	}
-	declined := m.releaseLocked(peer, [][]wire.Want{answered}, ps)
+	declined := m.ledger.release(peer, l, ps.viewLocked, answered)
 	sends = nil
 	if lost > 0 || declined > 0 && len(batch.Msgs) == 0 {
 		sends = m.planLocked(m.linkedViewsLocked())
@@ -1507,23 +1426,22 @@ func (m *Manager) onBatch(link *adhoc.Link, batch *wire.Batch) {
 	}
 }
 
-// sendPlans sends each planned Request, recording it in its link's asks
-// just before, in the order they leave; one whose link went down meanwhile
-// is released unsent.
+// sendPlans sends each planned Request, recording it in its link's ledger
+// just before, in the order they leave.
 func (m *Manager) sendPlans(sends []outgoingPlan) {
 	m.reqMu.Lock()
 	defer m.reqMu.Unlock()
 	for _, s := range sends {
 		m.mu.Lock()
-		ps := m.peers[s.link.Peer()]
-		if ps == nil || ps.link != s.link {
-			m.releaseLocked(s.link.Peer(), [][]wire.Want{s.wants}, nil)
-			m.mu.Unlock()
-			continue
+		var l *linkLedger // nil once the link went down: released unsent
+		if ps := m.peers[s.link.Peer()]; ps != nil && ps.link == s.link {
+			l = &ps.ledger
 		}
-		ps.asks = append(ps.asks, s.wants)
+		sent := m.ledger.send(s.link.Peer(), l, s.wants)
 		m.mu.Unlock()
-		_ = m.sendCounted(s.link, &wire.Request{Wants: s.wants})
+		if sent {
+			_ = m.sendCounted(s.link, &wire.Request{Wants: s.wants})
+		}
 	}
 }
 

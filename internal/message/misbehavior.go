@@ -25,7 +25,7 @@ const (
 	// produce by accident.
 	pointsGarbage = 3
 	// pointsOversized scores a Request totalling more sequence numbers
-	// than wire.MaxBatchMessages, the limit cutRequests packs under so
+	// than wire.MaxBatchMessages, the limit cutRequest cuts under so
 	// that one Batch answers each Request.
 	pointsOversized = 2
 	// pointsFlood scores each full in-session advertisement received, or

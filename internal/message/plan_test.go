@@ -394,12 +394,12 @@ func TestTickReplansAfterFloorReset(t *testing.T) {
 func TestLinkUpEndsTheOlderLinksRequests(t *testing.T) {
 	m, far, ps := linkedManager(t, id.NewUserID("held"))
 	m.FrameIn(far, &wire.Summary{Gen: 6, BaseGen: 5, Entries: []wire.Entry{{Author: id.NewUserID("lacking"), Seq: 1}}})
-	if len(ps.asks) != 1 || len(m.inflight) != 1 {
-		t.Fatalf("%d Requests out holding %d refs, want 1 and 1", len(ps.asks), len(m.inflight))
+	if len(ps.ledger.asks) != 1 || len(m.ledger) != 1 {
+		t.Fatalf("%d Requests out holding %d refs, want 1 and 1", len(ps.ledger.asks), len(m.ledger))
 	}
 	m.LinkUp(far) // the peer's next link, the older one's LinkDown still to come
-	if len(ps.asks) != 0 || len(m.inflight) != 0 {
-		t.Errorf("after the next LinkUp %d Requests are out holding %d refs, want none", len(ps.asks), len(m.inflight))
+	if len(ps.ledger.asks) != 0 || len(m.ledger) != 0 {
+		t.Errorf("after the next LinkUp %d Requests are out holding %d refs, want none", len(ps.ledger.asks), len(m.ledger))
 	}
 	if got := m.Stats().TransfersAborted; got != 1 {
 		t.Errorf("TransfersAborted = %d, want 1", got)
@@ -417,7 +417,7 @@ func TestPlanForAGoneLinkIsReleasedUnsent(t *testing.T) {
 	m.mu.Unlock()
 	m.LinkDown(far, mpc.ErrPeerGone)
 	m.sendPlans(sends)
-	if st := m.Stats(); len(m.inflight) != 0 || len(ps.asks) != 0 || st.RequestsSent != 0 {
-		t.Errorf("%d refs in flight, %d Requests out, %d sent; want none", len(m.inflight), len(ps.asks), st.RequestsSent)
+	if st := m.Stats(); len(m.ledger) != 0 || len(ps.ledger.asks) != 0 || st.RequestsSent != 0 {
+		t.Errorf("%d refs in flight, %d Requests out, %d sent; want none", len(m.ledger), len(ps.ledger.asks), st.RequestsSent)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -68,6 +69,11 @@ type world struct {
 	ca     *pki.CA
 	svc    *cloud.Service
 	peers  []mpc.PeerID
+
+	// managers are the message managers of the world's devices, and
+	// closers what closes each device, in the order they entered.
+	managers []*message.Manager
+	closers  []func()
 }
 
 // epoch is the virtual instant every simulated world starts at.
@@ -81,7 +87,9 @@ func newWorld(t *testing.T) *world {
 		t.Fatalf("NewCA: %v", err)
 	}
 	sim := mpc.NewSimMedium(clk)
-	return &world{clk: clk, sim: sim, medium: sim, ca: ca, svc: cloud.New(ca, cloud.WithClock(clk.Now))}
+	w := &world{clk: clk, sim: sim, medium: sim, ca: ca, svc: cloud.New(ca, cloud.WithClock(clk.Now))}
+	t.Cleanup(func() { w.end(t) })
+	return w
 }
 
 func newRaceWorld(t *testing.T) *world {
@@ -90,7 +98,32 @@ func newRaceWorld(t *testing.T) *world {
 	if err != nil {
 		t.Fatalf("NewCA: %v", err)
 	}
-	return &world{clk: clock.System(), medium: mpc.NewMemMedium(), ca: ca, svc: cloud.New(ca)}
+	w := &world{clk: clock.System(), medium: mpc.NewMemMedium(), ca: ca, svc: cloud.New(ca)}
+	t.Cleanup(func() { w.end(t) })
+	return w
+}
+
+// end closes the world's devices, the last to enter first. A simulated
+// world first runs until it is quiet and checks every message manager's
+// request ledger, whose invariants hold only then.
+func (w *world) end(t *testing.T) {
+	if w.sim != nil && !t.Failed() {
+		w.run()
+		for _, mgr := range w.managers {
+			if err := mgr.CheckLedger(); err != nil {
+				t.Errorf("quiet at the end: %v", err)
+			}
+		}
+	}
+	for _, stop := range slices.Backward(w.closers) {
+		stop()
+	}
+}
+
+// managerOf returns the message manager mw runs: core keeps it unexported,
+// so its field is read by reflection.
+func managerOf(mw *core.Middleware) *message.Manager {
+	return (*message.Manager)(reflect.ValueOf(mw).Elem().FieldByName("msgMgr").UnsafePointer())
 }
 
 // enter brings peer, joined, into radio range of every device that
@@ -265,7 +298,7 @@ func (w *world) startLiveNode(t *testing.T, medium mpc.Medium, creds *cloud.Cred
 		t.Fatalf("core.New(%s): %v", creds.Handle, err)
 	}
 	n.mw = mw
-	t.Cleanup(func() { mw.Close() })
+	w.managers, w.closers = append(w.managers, managerOf(mw)), append(w.closers, func() { mw.Close() })
 	w.enter(mw.Peer())
 	return n
 }
@@ -542,7 +575,7 @@ func (w *world) realPeer(t *testing.T, medium mpc.Medium, handle string, cfg mes
 	if err != nil {
 		t.Fatalf("message.New: %v", err)
 	}
-	t.Cleanup(mgr.Close)
+	w.managers, w.closers = append(w.managers, mgr), append(w.closers, mgr.Close)
 	return realDevice{mgr: mgr, st: st, rm: rm, ad: w.device(t, medium, creds, verifier, mgr), creds: creds}
 }
 
@@ -577,7 +610,7 @@ func (w *world) device(t *testing.T, medium mpc.Medium, creds *cloud.Credentials
 	if err != nil {
 		t.Fatalf("adhoc.New(%s): %v", creds.Handle, err)
 	}
-	t.Cleanup(func() { ad.Close() })
+	w.closers = append(w.closers, func() { ad.Close() })
 	w.enter(ad.Self())
 	return ad
 }

@@ -55,7 +55,7 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Message.Duplicates })
 		reg.CounterFunc("sos_message_verify_failures_total", "Received messages failing signature or certificate checks.", nil,
 			func() uint64 { return mw.Stats().Message.VerifyFailures })
-		reg.CounterFunc("sos_message_transfers_aborted_total", "Requests that died with the link, counted on the requesting node.", nil,
+		reg.CounterFunc("sos_message_transfers_aborted_total", "Requested messages whose Request died with the link, counted on the requesting node.", nil,
 			func() uint64 { return mw.Stats().Message.TransfersAborted })
 		reg.CounterFunc("sos_message_connects_attempted_total", "Contact-triggered connection attempts.", nil,
 			func() uint64 { return mw.Stats().Message.ConnectsAttempted })
@@ -71,7 +71,7 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Message.RequestsUnserved })
 		reg.CounterFunc("sos_message_payload_bytes_sent_total", "In-session data-plane bytes sent (requests, batches).", nil,
 			func() uint64 { return mw.Stats().Message.PayloadBytesSent })
-		reg.CounterFunc("sos_message_inflight_expired_total", "Requested messages never received, released by the resync heartbeat for re-planning.", nil,
+		reg.CounterFunc("sos_message_inflight_expired_total", "Requested messages released for re-planning because their Request or its Batch was lost: found by the resync heartbeat, or by a Batch answering a later Request.", nil,
 			func() uint64 { return mw.Stats().Message.InflightExpired })
 
 		// Contact-sync plane — the counters the loopback e2e smoke
